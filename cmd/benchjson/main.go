@@ -4,14 +4,20 @@
 // machine-readable (see `make bench`, which writes BENCH_kernel.json).
 //
 // Lines that are not benchmark results are ignored, so the full `go test`
-// output can be piped in unfiltered.
+// output can be piped in unfiltered. A benchmark that appears several times
+// (`-count N`) is reduced to one entry: the run with the median ns/op (the
+// lower middle one for an even count), carrying the largest B/op and
+// allocs/op seen, so one noisy run cannot move the timing and no run's
+// allocation growth is hidden.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -60,16 +66,35 @@ func parseLine(line string) (name string, r Result, ok bool) {
 	return name, r, true
 }
 
-func main() {
-	out := make(map[string]Result)
-	sc := bufio.NewScanner(os.Stdin)
+// collect reads benchmark output and reduces each name's runs to one Result.
+func collect(r io.Reader) (map[string]Result, error) {
+	runs := make(map[string][]Result)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
 		if name, r, ok := parseLine(sc.Text()); ok {
-			out[name] = r
+			runs[name] = append(runs[name], r)
 		}
 	}
 	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	out := make(map[string]Result, len(runs))
+	for name, rs := range runs {
+		sort.SliceStable(rs, func(i, j int) bool { return rs[i].NsPerOp < rs[j].NsPerOp })
+		med := rs[(len(rs)-1)/2]
+		for _, r := range rs {
+			med.BPerOp = max(med.BPerOp, r.BPerOp)
+			med.AllocsOp = max(med.AllocsOp, r.AllocsOp)
+		}
+		out[name] = med
+	}
+	return out, nil
+}
+
+func main() {
+	out, err := collect(os.Stdin)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}

@@ -429,3 +429,31 @@ func TestMismatchedSlicesPanic(t *testing.T) {
 		}()
 	}
 }
+
+// TestControllersZeroAlloc locks the per-ACK and per-loss paths of every
+// controller at zero allocations once per-subflow state is sized: tcp calls
+// them once per ACK, so one make here is tens of thousands per scenario.
+func TestControllersZeroAlloc(t *testing.T) {
+	ctrls := []Controller{NewOLIA(), NewLIA(), NewUncoupled(), NewFullyCoupled()}
+	for _, nf := range []int{2, 8} {
+		v := &fakeView{w: make([]float64, nf), rtt: make([]float64, nf)}
+		for p := range v.w {
+			v.w[p] = float64(10 + 3*p)
+			v.rtt[p] = 0.01 * float64(1+p)
+		}
+		for _, c := range ctrls {
+			c.Acked(v, nf-1, 1500, true) // size per-subflow state
+			var sink float64
+			allocs := testing.AllocsPerRun(200, func() {
+				for i := 0; i < nf; i++ {
+					sink += c.Acked(v, i, 1500, true)
+					sink += c.Acked(v, i, 1500, false)
+				}
+				c.Lost(v, nf/2)
+			})
+			if allocs != 0 {
+				t.Errorf("%s with %d subflows allocates %.1f per round of ACKs and a loss, want 0", c.Name(), nf, allocs)
+			}
+		}
+	}
+}

@@ -31,6 +31,9 @@ type OLIA struct {
 	l1, l2 []float64
 	// alpha caches the last α vector, for traces (Figs. 7 and 8).
 	alpha []float64
+	// wnd and metric are computeAlpha's per-ACK scratch (rounded windows
+	// and ℓ_p/rtt_p²), kept here so the per-ACK path allocates nothing.
+	wnd, metric []float64
 }
 
 // NewOLIA returns a fresh controller (per connection).
@@ -45,6 +48,8 @@ func (o *OLIA) ensure(n int) {
 		o.l1 = append(o.l1, 0)
 		o.l2 = append(o.l2, 0)
 		o.alpha = append(o.alpha, 0)
+		o.wnd = append(o.wnd, 0)
+		o.metric = append(o.metric, 0)
 	}
 }
 
@@ -114,7 +119,7 @@ func (o *OLIA) computeAlpha(v ConnView) {
 	nf := v.NumFlows()
 	// M: paths with maximum window (integer packets).
 	var wMax float64
-	wnd := make([]float64, nf)
+	wnd, metric := o.wnd[:nf], o.metric[:nf]
 	for p := 0; p < nf; p++ {
 		wnd[p] = math.Floor(v.CwndPkts(p) + 0.5)
 		if wnd[p] > wMax {
@@ -124,7 +129,6 @@ func (o *OLIA) computeAlpha(v ConnView) {
 	// B: paths maximizing ℓ_p/rtt_p². A path that never transmitted
 	// (ℓ = 0) cannot be best.
 	var bMax float64
-	metric := make([]float64, nf)
 	for p := 0; p < nf; p++ {
 		r := rtt(v, p)
 		metric[p] = o.ell(p) / (r * r)
@@ -132,14 +136,17 @@ func (o *OLIA) computeAlpha(v ConnView) {
 			bMax = metric[p]
 		}
 	}
-	inM := func(p int) bool { return wnd[p] >= wMax }
-	inB := func(p int) bool { return bMax > 0 && metric[p] >= bMax*(1-bTol) }
+	// bMin is the membership threshold of B; with bMax = 0 no path is best.
+	bMin := math.Inf(1)
+	if bMax > 0 {
+		bMin = bMax * (1 - bTol)
+	}
 
 	nM, nBnotM := 0, 0
 	for p := 0; p < nf; p++ {
-		if inM(p) {
+		if wnd[p] >= wMax {
 			nM++
-		} else if inB(p) {
+		} else if metric[p] >= bMin {
 			nBnotM++
 		}
 	}
@@ -149,10 +156,10 @@ func (o *OLIA) computeAlpha(v ConnView) {
 			// All best paths already have the largest windows: the
 			// capacity available to the user is already in use.
 			o.alpha[p] = 0
-		case inB(p) && !inM(p):
-			o.alpha[p] = 1 / float64(nf) / float64(nBnotM)
-		case inM(p):
+		case wnd[p] >= wMax:
 			o.alpha[p] = -1 / float64(nf) / float64(nM)
+		case metric[p] >= bMin:
+			o.alpha[p] = 1 / float64(nf) / float64(nBnotM)
 		default:
 			o.alpha[p] = 0
 		}

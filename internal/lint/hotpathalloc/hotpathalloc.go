@@ -2,15 +2,17 @@
 // guards the kernel's zero-allocation hot path — the property measured
 // empirically by BENCH_kernel.json (0 allocs/op on pipe/queue service).
 //
-// A function is hot when it is (a) a method named RunEvent, RunPayload, or
-// Recv — the per-packet entry points of sim.Handler, sim.PayloadHandler,
-// and netem.Node — (b) explicitly marked with a //simlint:hot directive on
-// its doc comment, or (c) statically reachable from a hot function through
-// same-package calls. A //simlint:cold directive excludes a function (a
-// failure/diagnostic path such as an invariant-violation reporter) from
-// both hotness propagation and call-site checks: invoking a cold function
-// is asserted to happen only on exceptional paths, so its argument boxing
-// is not charged to the hot path.
+// A function is hot when it is (a) a method named RunEvent, RunPayload,
+// Recv, Acked, or Lost — the per-packet entry points of sim.Handler,
+// sim.PayloadHandler and netem.Node, and the per-ACK and per-loss entry
+// points of core.Controller, which tcp calls across a package boundary
+// that hotness propagation does not cross — (b) explicitly marked with a
+// //simlint:hot directive on its doc comment, or (c) statically reachable
+// from a hot function through same-package calls. A //simlint:cold
+// directive excludes a function (a failure/diagnostic path such as an
+// invariant-violation reporter) from both hotness propagation and
+// call-site checks: invoking a cold function is asserted to happen only on
+// exceptional paths, so its argument boxing is not charged to the hot path.
 //
 // Inside hot functions the analyzer reports the allocation idioms the
 // kernel was rewritten to avoid:
@@ -25,7 +27,12 @@
 //     panicking simulation is past caring;
 //   - append to a function-local slice that was not preallocated with
 //     make or derived from a reused field/parameter buffer (appends to
-//     long-lived component fields amortize to zero and are allowed).
+//     long-lived component fields amortize to zero and are allowed);
+//   - fresh heap objects: new(T), slice literals, and make — except make
+//     of a slice with constant length and capacity, which the compiler
+//     keeps on the stack when it does not escape (the preallocation the
+//     append rule asks for). Scratch belongs in a field of the long-lived
+//     component; an amortised grower carries a reasoned //simlint:ignore.
 package hotpathalloc
 
 import (
@@ -39,15 +46,17 @@ import (
 // Analyzer is the hot-path allocation checker.
 var Analyzer = &lint.Analyzer{
 	Name: "hotpathalloc",
-	Doc:  "forbid closure timers, interface boxing, and unpreallocated appends in per-packet hot paths",
+	Doc:  "forbid closure timers, interface boxing, unpreallocated appends, and make/new/slice-literal allocation in per-packet hot paths",
 	Run:  run,
 }
 
 const simPkgPath = "mptcpsim/internal/sim"
 
 // hotEntryNames are method names that make a function a hot root: the
-// kernel dispatches every per-packet event through these.
-var hotEntryNames = map[string]bool{"RunEvent": true, "RunPayload": true, "Recv": true}
+// kernel dispatches every per-packet event through the first three, and
+// tcp calls its core.Controller through Acked and Lost on every ACK and
+// loss.
+var hotEntryNames = map[string]bool{"RunEvent": true, "RunPayload": true, "Recv": true, "Acked": true, "Lost": true}
 
 const (
 	hotDirective  = "//simlint:hot"
@@ -132,16 +141,18 @@ func hasDirective(doc *ast.CommentGroup, directive string) bool {
 }
 
 // calleeFunc resolves a call expression to the called function object, if
-// it names one statically.
+// it names one statically. A method of an instantiated generic type resolves
+// to its declaration (Origin), the object the package's FuncDecls are keyed
+// by.
 func calleeFunc(pass *lint.Pass, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if fn, ok := pass.Info.Uses[fun].(*types.Func); ok {
-			return fn
+			return fn.Origin()
 		}
 	case *ast.SelectorExpr:
 		if fn, ok := pass.Info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
+			return fn.Origin()
 		}
 	}
 	return nil
@@ -170,6 +181,10 @@ func (w *walker) walk(n ast.Node) {
 			return false // do not double-report the literal's body
 		case *ast.CallExpr:
 			return w.call(n)
+		case *ast.CompositeLit:
+			if t := w.pass.Info.TypeOf(n); t != nil && isSlice(t) {
+				w.pass.Reportf(n.Pos(), "slice literal allocates in hot path %s; keep the backing array in a field of the long-lived component", w.fd.Name.Name)
+			}
 		case *ast.AssignStmt:
 			w.boxingInAssign(n)
 		case *ast.ReturnStmt:
@@ -189,9 +204,15 @@ func (w *walker) call(call *ast.CallExpr) bool {
 			if b.Name() == "panic" {
 				return false
 			}
-			if b.Name() == "append" {
+			switch b.Name() {
+			case "append":
 				w.checkAppend(call)
-				return true
+			case "new":
+				w.pass.Reportf(call.Pos(), "new allocates in hot path %s; keep the object in a field of the long-lived component or a pool", w.fd.Name.Name)
+			case "make":
+				if !w.constSliceMake(call) {
+					w.pass.Reportf(call.Pos(), "make allocates in hot path %s; keep the buffer in a field of the long-lived component and size it on demand", w.fd.Name.Name)
+				}
 			}
 			return true
 		}
@@ -316,6 +337,29 @@ func pointerShaped(t types.Type) bool {
 	default:
 		return false
 	}
+}
+
+func isSlice(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Slice)
+	return ok
+}
+
+// constSliceMake reports whether call makes a slice whose length and
+// capacity are all constants: the one make the compiler can keep on the
+// stack.
+func (w *walker) constSliceMake(call *ast.CallExpr) bool {
+	if len(call.Args) < 2 {
+		return false
+	}
+	if t := w.pass.Info.TypeOf(call.Args[0]); t == nil || !isSlice(t) {
+		return false
+	}
+	for _, size := range call.Args[1:] {
+		if w.pass.Info.Types[size].Value == nil {
+			return false
+		}
+	}
+	return true
 }
 
 // checkAppend flags append whose destination is a function-local slice

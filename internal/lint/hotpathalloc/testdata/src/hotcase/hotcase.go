@@ -81,3 +81,66 @@ func coldPlain(s *sim.Sim, t sim.Time) {
 	s.At(t, func(now sim.Time) { _ = xs })
 	sinkAny(t)
 }
+
+// ctrl has the shape of a core.Controller: tcp calls Acked and Lost on
+// every ACK and loss from another package, so they are hot roots by name.
+type ctrl struct {
+	alpha, wnd []float64
+}
+
+func (c *ctrl) Acked(nf int) float64 {
+	c.computeAlpha(nf)
+	c.scratchOK(nf)
+	return c.alpha[0]
+}
+
+// computeAlpha is core.OLIA.computeAlpha as it stood before its scratch
+// moved into fields: two heap slices per ACK.
+func (c *ctrl) computeAlpha(nf int) {
+	wnd := make([]float64, nf)    // want `make allocates in hot path computeAlpha`
+	metric := make([]float64, nf) // want `make allocates in hot path computeAlpha`
+	for p := range wnd {
+		c.alpha[p] = wnd[p] + metric[p]
+	}
+}
+
+func (c *ctrl) Lost(i int) {
+	p := new(int)          // want `new allocates in hot path Lost`
+	xs := []int{i, i + 1}  // want `slice literal allocates in hot path Lost`
+	m := make(map[int]int) // want `make allocates in hot path Lost`
+	m[xs[0]] = *p
+}
+
+// scratchOK is the fix: field scratch resliced per call, plus a constant-size
+// make the compiler keeps on the stack.
+func (c *ctrl) scratchOK(nf int) {
+	wnd := c.wnd[:nf]
+	var fixed [4]float64
+	tmp := make([]float64, 4)
+	copy(tmp, fixed[:])
+	copy(wnd, tmp)
+}
+
+// grow is an amortised grower: it allocates, but only until the buffer
+// reaches its high-water mark, and says so.
+//
+//simlint:hot
+func (c *ctrl) grow() {
+	//simlint:ignore hotpathalloc fixture: amortised growth, doubles to the high-water mark
+	c.wnd = make([]float64, 2*len(c.wnd)+8)
+}
+
+// fifo is generic: a call through an instantiation must still reach the
+// declaration, or everything behind a generic container goes unchecked.
+type fifo[T any] struct{ buf []T }
+
+func (f *fifo[T]) push(v T) {
+	next := make([]T, len(f.buf)+1) // want `make allocates in hot path push`
+	copy(next, f.buf)
+	next[len(f.buf)] = v
+	f.buf = next
+}
+
+type user struct{ q fifo[int] }
+
+func (u *user) RunEvent(now sim.Time) { u.q.push(int(now)) }

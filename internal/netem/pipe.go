@@ -19,9 +19,7 @@ type Pipe struct {
 	delay sim.Time
 	name  string
 
-	ring []pipeEntry // power-of-two circular buffer
-	head int
-	n    int
+	ring ring[pipeEntry]
 	tm   sim.Timer // single pending delivery event (the ring head's)
 }
 
@@ -60,7 +58,7 @@ func (pp *Pipe) SetDelay(d sim.Time) {
 func (pp *Pipe) Name() string { return pp.name }
 
 // InFlight reports the number of packets currently crossing the pipe.
-func (pp *Pipe) InFlight() int { return pp.n }
+func (pp *Pipe) InFlight() int { return pp.ring.n }
 
 // Recv admits the packet: it will be forwarded to the next hop delay later.
 // If SetDelay shrank the delay while earlier packets are still in flight,
@@ -69,14 +67,14 @@ func (pp *Pipe) InFlight() int { return pp.n }
 // delay the clamp never fires. No allocation in steady state.
 func (pp *Pipe) Recv(p *Packet) {
 	at := pp.sim.Now() + pp.delay
-	if pp.n > 0 {
-		if tail := pp.ring[(pp.head+pp.n-1)&(len(pp.ring)-1)].at; at < tail {
+	if n := pp.ring.n; n > 0 {
+		if tail := pp.ring.at(n - 1).at; at < tail {
 			at = tail
 		}
 	}
 	seq := pp.sim.ReserveSeq()
-	pp.push(pipeEntry{at: at, seq: seq, pkt: p})
-	if pp.n == 1 {
+	pp.ring.push(pipeEntry{at: at, seq: seq, pkt: p})
+	if pp.ring.n == 1 {
 		pp.arm(at, seq)
 	}
 }
@@ -95,39 +93,10 @@ func (pp *Pipe) arm(at sim.Time, seq uint64) {
 // for the next entry. The ring is updated before SendOn so reentrant
 // admissions see a consistent pipe.
 func (pp *Pipe) RunEvent(now sim.Time) {
-	e := pp.pop()
-	if pp.n > 0 {
-		h := &pp.ring[pp.head]
+	e := pp.ring.pop()
+	if pp.ring.n > 0 {
+		h := pp.ring.at(0)
 		pp.arm(h.at, h.seq)
 	}
 	e.pkt.SendOn()
-}
-
-func (pp *Pipe) push(e pipeEntry) {
-	if pp.n == len(pp.ring) {
-		pp.grow()
-	}
-	pp.ring[(pp.head+pp.n)&(len(pp.ring)-1)] = e
-	pp.n++
-}
-
-func (pp *Pipe) pop() pipeEntry {
-	e := pp.ring[pp.head]
-	pp.ring[pp.head].pkt = nil
-	pp.head = (pp.head + 1) & (len(pp.ring) - 1)
-	pp.n--
-	return e
-}
-
-func (pp *Pipe) grow() {
-	size := 2 * len(pp.ring)
-	if size == 0 {
-		size = 8
-	}
-	next := make([]pipeEntry, size)
-	for i := 0; i < pp.n; i++ {
-		next[i] = pp.ring[(pp.head+i)&(len(pp.ring)-1)]
-	}
-	pp.ring = next
-	pp.head = 0
 }

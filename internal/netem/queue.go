@@ -60,7 +60,7 @@ type queueCore struct {
 	sim     *sim.Sim
 	rateBps int64 // line rate, bits per second
 	name    string
-	buf     []*Packet // buf[0] is in service
+	buf     ring[*Packet] // the oldest entry is in service
 	stats   Counters
 	svc     sim.Timer // service-completion timer, re-armed per packet
 	// onEmpty, if set, runs when the buffer drains (RED idle tracking).
@@ -98,7 +98,7 @@ func (q *queueCore) SetRateBps(r int64) {
 	q.rateBps = r
 }
 func (q *queueCore) Stats() Counters { return q.stats }
-func (q *queueCore) Len() int        { return len(q.buf) }
+func (q *queueCore) Len() int        { return q.buf.n }
 
 // txTime is the serialization delay for size bytes at the line rate.
 func (q *queueCore) txTime(size int) sim.Time {
@@ -121,14 +121,15 @@ func (q *queueCore) drop(p *Packet) {
 
 // enqueue admits the packet and starts service if the line was idle.
 func (q *queueCore) enqueue(p *Packet) {
-	q.buf = append(q.buf, p)
-	if len(q.buf) == 1 {
+	q.buf.push(p)
+	if q.buf.n == 1 {
 		q.startService()
 	}
 }
 
 func (q *queueCore) startService() {
-	at := q.sim.Now() + q.txTime(q.buf[0].Size)
+	head := *q.buf.at(0)
+	at := q.sim.Now() + q.txTime(head.Size)
 	if q.svc.Valid() {
 		q.sim.Reschedule(q.svc, at)
 	} else {
@@ -140,14 +141,11 @@ func (q *queueCore) startService() {
 func (q *queueCore) RunEvent(now sim.Time) { q.finishService() }
 
 func (q *queueCore) finishService() {
-	p := q.buf[0]
-	copy(q.buf, q.buf[1:])
-	q.buf[len(q.buf)-1] = nil
-	q.buf = q.buf[:len(q.buf)-1]
+	p := q.buf.pop()
 	q.stats.SentPkts++
 	q.stats.SentBytes += int64(p.Size)
 	p.SendOn()
-	if len(q.buf) > 0 {
+	if q.buf.n > 0 {
 		q.startService()
 	} else if q.onEmpty != nil {
 		q.onEmpty()
@@ -174,7 +172,7 @@ func NewDropTail(s *sim.Sim, rateBps int64, limitPkts int, name string) *DropTai
 // Recv admits the packet unless the buffer is full.
 func (q *DropTail) Recv(p *Packet) {
 	q.arrive(p)
-	if len(q.buf) >= q.limitPkts {
+	if q.buf.n >= q.limitPkts {
 		q.drop(p)
 		return
 	}
@@ -271,7 +269,7 @@ func (q *RED) Recv(p *Packet) {
 	// the empty-period marker so repeated arrivals on an empty queue (for
 	// example RTO probes that keep getting dropped) don't re-decay the same
 	// span — and, crucially, do keep decaying across dropped arrivals.
-	if len(q.buf) == 0 {
+	if q.buf.n == 0 {
 		m := (q.sim.Now() - q.emptyAt).Nanos() / q.meanPkt.Nanos()
 		switch {
 		case m > 5000:
@@ -283,9 +281,9 @@ func (q *RED) Recv(p *Packet) {
 		}
 		q.emptyAt = q.sim.Now()
 	}
-	q.avg = (1-q.cfg.Weight)*q.avg + q.cfg.Weight*float64(len(q.buf))
+	q.avg = (1-q.cfg.Weight)*q.avg + q.cfg.Weight*float64(q.buf.n)
 
-	if len(q.buf) >= q.cfg.LimitPkts {
+	if q.buf.n >= q.cfg.LimitPkts {
 		q.drop(p)
 		q.count = 0
 		return

@@ -2,7 +2,16 @@ package sim
 
 import (
 	"testing"
+	"unsafe"
 )
+
+// TestEventFitsCacheLine: an Event is touched on every dispatch; it must not
+// straddle two 64-byte lines.
+func TestEventFitsCacheLine(t *testing.T) {
+	if sz := unsafe.Sizeof(Event{}); sz > 64 {
+		t.Fatalf("Event is %d bytes, want <= 64", sz)
+	}
+}
 
 // TestTimeStringFormat pins the exact Time.String format: the strconv-based
 // formatter must stay byte-identical to the fmt.Sprintf("%.6fs", t.Sec())

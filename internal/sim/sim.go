@@ -9,10 +9,11 @@
 // keeping arithmetic exact (no float drift in packet serialization times).
 //
 // The kernel is built for zero steady-state allocation on the packet hot
-// path: the event queue is an inlined, index-tracked 4-ary min-heap over
-// *Event (no container/heap interface boxing), events are recycled through
-// a per-Sim free list, and the Handler fast path schedules without
-// allocating a closure. At/After remain as closure-taking conveniences for
+// path: the event queue is an inlined, index-tracked 4-ary min-heap whose
+// slots carry their (at, seq) key inline (no container/heap interface
+// boxing, no pointer chase per comparison), events are recycled through a
+// per-Sim free list, and the Handler fast path schedules without allocating
+// a closure. At/After remain as closure-taking conveniences for
 // cold paths. See DESIGN.md "Performance & memory model".
 package sim
 
@@ -77,8 +78,7 @@ type PayloadHandler interface {
 // SchedulePayload) are recycled through the free list as they run; retained
 // events (At, After, ScheduleTimer) stay re-armable until explicitly freed.
 type Event struct {
-	at  Time
-	seq uint64 // schedule order; breaks ties deterministically (FIFO)
+	at  Time   // last armed time (Timer.When); the ordering key lives in the heap slot
 	gen uint64 // incremented at each recycle; stale Timer handles mismatch
 	idx int32  // heap index; -1 when not queued
 	// retained marks events whose Timer handle escaped to a caller: they
@@ -89,7 +89,7 @@ type Event struct {
 	// PayloadHandler (with payload). Funcs and pointers are pointer-shaped,
 	// so storing them in the any never allocates; dispatch is a type
 	// switch. Sharing one callback slot across the three kinds (instead of
-	// a field per kind) keeps Event at 64 bytes.
+	// a field per kind) keeps Event within one 64-byte cache line.
 	cb      any
 	payload any
 }
@@ -123,7 +123,8 @@ func (tm Timer) When() Time {
 // concurrent use; all model components run inside event callbacks.
 type Sim struct {
 	now     Time
-	heap    []*Event // 4-ary min-heap on (at, seq)
+	heap    []slot   // 4-ary min-heap on (at, seq)
+	vacant  bool     // heap[0] is empty: its event is running (see push)
 	free    []*Event // event free list (single-threaded, no locking)
 	nextSeq uint64
 	rng     *rand.Rand
@@ -181,43 +182,63 @@ func (s *Sim) recycle(e *Event) {
 
 // --- 4-ary min-heap on (at, seq), index-tracked ---
 //
-// A 4-ary layout halves tree depth versus binary, and the inlined
-// comparisons avoid container/heap's interface calls and any-boxing. (at,
-// seq) is a total order (seq is unique), so the pop order — and therefore
-// every simulation result — is independent of heap arity.
+// Each heap slot carries its key inline, so a sift compares adjacent slice
+// elements (four children span 96 contiguous bytes) without dereferencing
+// any Event. (at, seq) is a total order (seq is unique), so the pop order —
+// and therefore every simulation result — is independent of heap arity,
+// slot layout and the vacant-root shortcut below.
+//
+// Vacant root: step takes the root and, when other events remain, leaves
+// the slot empty (s.vacant) while the handler runs instead of refilling it
+// from the tail. Most handlers re-arm something, and the first push drops
+// into the hole and sifts down once — one sift where pop-then-push pays
+// two. While s.vacant, heap[0] holds no event and every other slot obeys
+// the heap property; siftDown(0, x) restores it for any x. The vacancy is
+// closed (tail moved to the root) before the next pop or peek and before
+// any operation that addresses a slot by index (remove, rekey).
 
-func eventLess(a, b *Event) bool {
-	if a.at != b.at {
-		return a.at < b.at
+type slot struct {
+	at  Time
+	seq uint64 // schedule order; breaks ties deterministically (FIFO)
+	e   *Event
+}
+
+func (a slot) before(b slot) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+func (s *Sim) push(x slot) {
+	if s.vacant {
+		s.vacant = false
+		s.siftDown(0, x)
+		return
 	}
-	return a.seq < b.seq
+	s.heap = append(s.heap, x)
+	s.siftUp(len(s.heap)-1, x)
 }
 
-func (s *Sim) push(e *Event) {
-	s.heap = append(s.heap, e)
-	s.siftUp(len(s.heap) - 1)
-}
-
-func (s *Sim) siftUp(i int) {
+// siftUp places x into the hole at slot i, moving the hole toward the root
+// while x sorts before the hole's parent.
+func (s *Sim) siftUp(i int, x slot) {
 	h := s.heap
-	e := h[i]
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !eventLess(e, h[p]) {
+		if !x.before(h[p]) {
 			break
 		}
 		h[i] = h[p]
-		h[i].idx = int32(i)
+		h[i].e.idx = int32(i)
 		i = p
 	}
-	h[i] = e
-	e.idx = int32(i)
+	h[i] = x
+	x.e.idx = int32(i)
 }
 
-func (s *Sim) siftDown(i int) {
+// siftDown places x into the hole at slot i, moving the hole toward the
+// leaves while its smallest child sorts before x.
+func (s *Sim) siftDown(i int, x slot) {
 	h := s.heap
 	n := len(h)
-	e := h[i]
 	for {
 		c := i<<2 + 1
 		if c >= n {
@@ -229,52 +250,57 @@ func (s *Sim) siftDown(i int) {
 			end = n
 		}
 		for j := c + 1; j < end; j++ {
-			if eventLess(h[j], h[m]) {
+			if h[j].before(h[m]) {
 				m = j
 			}
 		}
-		if !eventLess(h[m], e) {
+		if !h[m].before(x) {
 			break
 		}
 		h[i] = h[m]
-		h[i].idx = int32(i)
+		h[i].e.idx = int32(i)
 		i = m
 	}
-	h[i] = e
-	e.idx = int32(i)
+	h[i] = x
+	x.e.idx = int32(i)
 }
 
-// popMin removes and returns the earliest event. The heap must be non-empty.
-func (s *Sim) popMin() *Event {
-	e := s.heap[0]
+// takeLast removes and returns the tail slot.
+func (s *Sim) takeLast() slot {
 	n := len(s.heap) - 1
 	last := s.heap[n]
-	s.heap[n] = nil
+	s.heap[n].e = nil
 	s.heap = s.heap[:n]
-	e.idx = -1
-	if n > 0 {
-		s.heap[0] = last
-		last.idx = 0
-		s.siftDown(0)
+	return last
+}
+
+// closeVacancy refills a vacant root from the tail.
+func (s *Sim) closeVacancy() {
+	s.vacant = false
+	if last := s.takeLast(); len(s.heap) > 0 {
+		s.siftDown(0, last)
 	}
-	return e
 }
 
 // remove deletes a queued event from an arbitrary heap position.
 func (s *Sim) remove(e *Event) {
+	if s.vacant {
+		s.closeVacancy()
+	}
 	i := int(e.idx)
-	n := len(s.heap) - 1
-	last := s.heap[n]
-	s.heap[n] = nil
-	s.heap = s.heap[:n]
 	e.idx = -1
-	if i < n {
-		s.heap[i] = last
-		last.idx = int32(i)
-		s.siftDown(i)
-		if int(last.idx) == i {
-			s.siftUp(i)
-		}
+	if last := s.takeLast(); i < len(s.heap) {
+		s.rekey(i, last)
+	}
+}
+
+// rekey places x at slot i, whose previous occupant is being replaced, and
+// restores the heap property in whichever direction x has to move.
+func (s *Sim) rekey(i int, x slot) {
+	if i > 0 && x.before(s.heap[(i-1)>>2]) {
+		s.siftUp(i, x)
+	} else {
+		s.siftDown(i, x)
 	}
 }
 
@@ -294,8 +320,7 @@ func (s *Sim) takeSeq() uint64 {
 
 func (s *Sim) arm(e *Event, t Time, seq uint64) {
 	e.at = t
-	e.seq = seq
-	s.push(e)
+	s.push(slot{t, seq, e})
 }
 
 // At schedules fn to run at absolute virtual time t and returns a
@@ -398,10 +423,16 @@ func (s *Sim) RescheduleSeq(tm Timer, t Time, seq uint64) {
 	if e.gen != tm.gen {
 		return // stale: the event was recycled into a new incarnation
 	}
-	if e.idx >= 0 {
-		s.remove(e)
+	if e.idx < 0 {
+		s.arm(e, t, seq)
+		return
 	}
-	s.arm(e, t, seq)
+	// Pending: re-key in place, one sift instead of remove + push.
+	if s.vacant {
+		s.closeVacancy()
+	}
+	e.at = t
+	s.rekey(int(e.idx), slot{t, seq, e})
 }
 
 // Cancel removes a scheduled event. Cancelling the zero Timer, a stale
@@ -449,7 +480,12 @@ func (s *Sim) Free(tm Timer) {
 }
 
 // Pending reports the number of queued events.
-func (s *Sim) Pending() int { return len(s.heap) }
+func (s *Sim) Pending() int {
+	if s.vacant {
+		return len(s.heap) - 1
+	}
+	return len(s.heap)
+}
 
 // FreeEvents reports the current size of the event free list (diagnostics
 // and pooling tests).
@@ -462,14 +498,26 @@ func (s *Sim) Stop() { s.stopped = true }
 //
 //simlint:hot
 func (s *Sim) step() bool {
-	if len(s.heap) == 0 {
+	if s.vacant {
+		s.closeVacancy()
+	}
+	n := len(s.heap)
+	if n == 0 {
 		return false
 	}
-	e := s.popMin()
-	if e.at < s.now {
+	top := s.heap[0]
+	s.heap[0].e = nil
+	if n == 1 {
+		s.heap = s.heap[:0]
+	} else {
+		s.vacant = true
+	}
+	if top.at < s.now {
 		panic("sim: time went backwards")
 	}
-	s.now = e.at
+	e := top.e
+	e.idx = -1
+	s.now = top.at
 	s.nEvents++
 	cb, payload := e.cb, e.payload
 	if !e.retained {
@@ -498,10 +546,10 @@ func (s *Sim) step() bool {
 func (s *Sim) RunUntil(end Time) {
 	s.stopped = false
 	for !s.stopped {
-		if len(s.heap) == 0 {
-			break
+		if s.vacant {
+			s.closeVacancy()
 		}
-		if s.heap[0].at > end {
+		if len(s.heap) == 0 || s.heap[0].at > end {
 			break
 		}
 		s.step()
