@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check test race check lint apicheck examples conform conform-smoke bench bench-tables benchcheck bench-baseline clean
+.PHONY: build vet fmt-check test race check lint guard apicheck examples conform conform-smoke bench bench-tables benchcheck bench-baseline clean
 
 build:
 	$(GO) build ./...
@@ -22,7 +22,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-check: build vet fmt-check lint race apicheck
+check: build vet fmt-check lint guard race apicheck
 
 # Repository-specific static analysis (internal/lint via cmd/simlint):
 # determinism (no wall clock / global rand / goroutines / order-sensitive
@@ -40,6 +40,16 @@ check: build vet fmt-check lint race apicheck
 # are themselves findings.
 lint:
 	$(GO) run ./cmd/simlint ./...
+
+# One way to build a testbed network, one public API: only internal/harness
+# may import internal/topo (the fat tree; every other network is a
+# scenario.Spec), and no Deprecated: marker exists outside lint testdata.
+guard:
+	@$(GO) list -f '{{.ImportPath}} {{join .Imports " "}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./... | \
+	awk '$$1 != "mptcpsim/internal/harness" && $$1 != "mptcpsim/internal/topo" { for (i = 2; i <= NF; i++) if ($$i == "mptcpsim/internal/topo") { print $$1 " imports mptcpsim/internal/topo: build the network from a scenario.Spec instead"; bad = 1 } } END { exit bad }'
+	@if grep -rn 'Deprecated:' --include='*.go' . | grep -v '/internal/lint/.*/testdata/'; then \
+		echo "Deprecated: markers found — delete the old path instead of keeping it"; exit 1; \
+	fi
 
 # API-surface lock: regenerate api.txt (the exported declarations of the
 # root package, via cmd/apilock) and fail on drift from the committed

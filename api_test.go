@@ -1,6 +1,7 @@
 package mptcpsim
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"strings"
@@ -25,13 +26,13 @@ func TestExperimentRegistryExposed(t *testing.T) {
 		t.Fatalf("only %d experiments exposed", len(Experiments()))
 	}
 	var b strings.Builder
-	if err := RunExperiment("fig5b", DefaultConfig(), &b); err != nil {
+	if err := NewLab().RunAll(context.Background(), []string{"fig5b"}, FormatText, &b); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "C1/C2") {
 		t.Fatalf("fig5b output:\n%s", b.String())
 	}
-	if err := RunExperiment("nope", DefaultConfig(), &b); err == nil {
+	if err := NewLab().RunAll(context.Background(), []string{"nope"}, FormatText, &b); err == nil {
 		t.Fatal("unknown experiment should error")
 	}
 }
@@ -40,7 +41,7 @@ func TestExperimentRegistryExposed(t *testing.T) {
 // an experiment yields typed columns and programmatically readable cells,
 // and the same Result renders in every format.
 func TestCollectExperimentStructured(t *testing.T) {
-	r, err := CollectExperiment("fig5b", DefaultConfig())
+	r, err := NewLab().Collect(context.Background(), "fig5b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestCollectExperimentStructured(t *testing.T) {
 			t.Fatalf("RenderResult %s: err=%v, %d bytes", f, err, b.Len())
 		}
 	}
-	if _, err := CollectExperiment("nope", DefaultConfig()); err == nil {
+	if _, err := NewLab().Collect(context.Background(), "nope"); err == nil {
 		t.Fatal("unknown experiment should error")
 	}
 }
@@ -68,12 +69,12 @@ func TestCollectExperimentStructured(t *testing.T) {
 // of Results.
 func TestRunAllFormatJSON(t *testing.T) {
 	var b strings.Builder
-	if err := RunAllFormat([]string{"fig4a", "fig17"}, DefaultConfig(), FormatJSON, &b); err != nil {
+	if err := NewLab().RunAll(context.Background(), []string{"fig4a", "fig17"}, FormatJSON, &b); err != nil {
 		t.Fatal(err)
 	}
 	var got []Result
 	if err := json.Unmarshal([]byte(b.String()), &got); err != nil {
-		t.Fatalf("RunAllFormat JSON does not parse: %v", err)
+		t.Fatalf("RunAll JSON does not parse: %v", err)
 	}
 	if len(got) != 2 || got[0].ID != "fig4a" || got[1].ID != "fig17" {
 		t.Fatalf("unexpected result set (%d entries)", len(got))
@@ -82,11 +83,11 @@ func TestRunAllFormatJSON(t *testing.T) {
 
 // TestDiffFacade pins the regression-diff entry point.
 func TestDiffFacade(t *testing.T) {
-	a, err := CollectExperiment("fig5b", DefaultConfig())
+	a, err := NewLab().Collect(context.Background(), "fig5b")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CollectExperiment("fig5b", DefaultConfig())
+	b, err := NewLab().Collect(context.Background(), "fig5b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestSimulateTwoPathOLIA(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short")
 	}
-	rep, err := Simulate(Scenario{
+	rep, err := NewLab().Simulate(context.Background(), Scenario{
 		Algorithm:   "olia",
 		Paths:       []Path{{RateMbps: 10, BackgroundTCP: 2}, {RateMbps: 10, BackgroundTCP: 2}},
 		DurationSec: 20,
@@ -192,7 +193,7 @@ func TestSimulateDefaultsAndErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Simulate(tc.sc); err == nil {
+			if _, err := NewLab().Simulate(context.Background(), tc.sc); err == nil {
 				t.Fatalf("Simulate(%+v) accepted invalid input", tc.sc)
 			}
 		})
@@ -202,7 +203,7 @@ func TestSimulateDefaultsAndErrors(t *testing.T) {
 // TestScenarioFacade smokes the declarative scenario entry points through
 // the public API.
 func TestScenarioFacade(t *testing.T) {
-	rep, err := RunScenario(ScenarioSpec{
+	rep, err := NewLab().Run(context.Background(), ScenarioSpec{
 		Name: "facade", Seed: 3, WarmupSec: 0.5, DurationSec: 1,
 		Links: []ScenarioLink{{RateMbps: 2}},
 		Paths: []ScenarioPath{{Links: []int{0}, DelayMs: 20}},
@@ -217,10 +218,10 @@ func TestScenarioFacade(t *testing.T) {
 	if rep.Flows[0].GoodputMbps <= 0 {
 		t.Fatalf("flow idle: %+v", rep.Flows[0])
 	}
-	if _, err := RunScenario(ScenarioSpec{DurationSec: 1}); err == nil {
+	if _, err := NewLab().Run(context.Background(), ScenarioSpec{DurationSec: 1}); err == nil {
 		t.Fatal("empty spec must error")
 	}
-	fz, err := FuzzScenarios(FuzzOptions{N: 3, Seed: 2})
+	fz, err := NewLab().Fuzz(context.Background(), FuzzOptions{N: 3, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestSimulateDropTailPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short")
 	}
-	rep, err := Simulate(Scenario{
+	rep, err := NewLab().Simulate(context.Background(), Scenario{
 		Paths:       []Path{{RateMbps: 5, BackgroundTCP: 1, DropTail: true}},
 		DurationSec: 10,
 		Seed:        3,
@@ -247,7 +248,7 @@ func TestSimulateDropTailPath(t *testing.T) {
 }
 
 func TestAnalyzeTwoPath(t *testing.T) {
-	a, err := AnalyzeTwoPath([]float64{0.01, 0.04}, []float64{0.1, 0.1})
+	a, err := NewLab().Analyze([]float64{0.01, 0.04}, []float64{0.1, 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,10 +269,10 @@ func TestAnalyzeTwoPath(t *testing.T) {
 		t.Fatal("LIA total != best TCP")
 	}
 
-	if _, err := AnalyzeTwoPath([]float64{0.1}, []float64{0.1, 0.2}); err == nil {
+	if _, err := NewLab().Analyze([]float64{0.1}, []float64{0.1, 0.2}); err == nil {
 		t.Fatal("mismatched slices should error")
 	}
-	if _, err := AnalyzeTwoPath([]float64{0}, []float64{0.1}); err == nil {
+	if _, err := NewLab().Analyze([]float64{0}, []float64{0.1}); err == nil {
 		t.Fatal("nonpositive loss should error")
 	}
 }
@@ -283,7 +284,7 @@ func TestSimulateOLIAvsLIAAsymmetric(t *testing.T) {
 		t.Skip("simulation in -short")
 	}
 	run := func(algo string) Report {
-		rep, err := Simulate(Scenario{
+		rep, err := NewLab().Simulate(context.Background(), Scenario{
 			Algorithm:   algo,
 			Paths:       []Path{{RateMbps: 10, BackgroundTCP: 5}, {RateMbps: 10, BackgroundTCP: 10}},
 			DurationSec: 40,

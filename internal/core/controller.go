@@ -18,7 +18,10 @@
 // OLIA's Theorem-1 equilibrium).
 package core
 
-import "math"
+import (
+	"math"
+	"sort"
+)
 
 // DefaultRTT substitutes for a subflow's RTT before the first sample exists
 // (seconds). Windows are tiny at that point, so the value is uncritical.
@@ -51,6 +54,41 @@ type Controller interface {
 	Acked(v ConnView, i int, n int, inCA bool) float64
 	// Lost reports a window-halving loss event on subflow i.
 	Lost(v ConnView, i int)
+}
+
+// factories is the controller registry, keyed by the names used in the
+// paper's figures. Each call builds a fresh instance because controllers
+// such as OLIA carry per-connection state.
+var factories = map[string]func() Controller{
+	"olia":         func() Controller { return NewOLIA() },
+	"lia":          func() Controller { return NewLIA() },
+	"uncoupled":    func() Controller { return NewUncoupled() },
+	"fullycoupled": func() Controller { return NewFullyCoupled() },
+}
+
+// Known reports whether name is a registered controller.
+func Known(name string) bool {
+	_, ok := factories[name]
+	return ok
+}
+
+// New builds a fresh controller by name, or nil when the name is not
+// registered (callers validate with Known first).
+func New(name string) Controller {
+	if f, ok := factories[name]; ok {
+		return f()
+	}
+	return nil
+}
+
+// Names lists the registered controller names in sorted order.
+func Names() []string {
+	out := make([]string, 0, len(factories))
+	for name := range factories {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // rtt returns subflow i's RTT estimate with the pre-sample fallback.

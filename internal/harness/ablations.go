@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"io"
 
-	"mptcpsim/internal/netem"
+	"mptcpsim/internal/mptcp"
+	"mptcpsim/internal/scenario"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/stats"
-	"mptcpsim/internal/tcp"
-	"mptcpsim/internal/topo"
 	"mptcpsim/internal/trace"
 )
 
@@ -21,48 +20,43 @@ type twoLinkOutcome struct {
 	flipsCount int
 }
 
+// twoLinkSpec is the Fig. 6 rig every ablation starts from: 10 Mb/s links
+// shared with nTCP1 and nTCP2 TCP flows, one seed (cfg.BaseSeed).
+func twoLinkSpec(cfg Config, algo string, nTCP1, nTCP2 int) *scenario.Spec {
+	return scenario.PaperTwoLink(10, nTCP1, nTCP2, algo, cfg.BaseSeed, cfg.Warmup.Sec(), cfg.Duration.Sec())
+}
+
+// twoLinkMP is the two-link spec's multipath user, for ablations to vary.
+func twoLinkMP(sp *scenario.Spec) *scenario.FlowSpec { return &sp.Flows[len(sp.Flows)-1] }
+
+// windowProbes samples the two subflow windows of a multipath connection.
+func windowProbes(conn *mptcp.Conn) []trace.Probe {
+	return []trace.Probe{
+		{Name: "w1", Fn: func() float64 { return conn.CwndPkts(0) }},
+		{Name: "w2", Fn: func() float64 { return conn.CwndPkts(1) }},
+	}
+}
+
 // runTwoLink simulates one two-link rig configuration — the "one point →
 // typed result" unit every ablation fans out over.
-func runTwoLink(cfg Config, c topo.TwoLinkConfig) twoLinkOutcome {
-	tl := topo.BuildTwoLink(c)
-	stop := cfg.Warmup + cfg.Duration
-	rec := trace.NewRecorder(tl.S, 250*sim.Millisecond, stop,
-		trace.Probe{Name: "w1", Fn: func() float64 { return tl.MP.CwndPkts(0) }},
-		trace.Probe{Name: "w2", Fn: func() float64 { return tl.MP.CwndPkts(1) }},
-	)
+func runTwoLink(cfg Config, sp *scenario.Spec) twoLinkOutcome {
+	n := compile(sp)
+	mp := n.Group("mp")[0]
+	rec := trace.NewRecorder(n.Sim, 250*sim.Millisecond, cfg.Warmup+cfg.Duration, windowProbes(mp.Conn)...)
 	rec.Start(0)
-	tl.MP.Start(500 * sim.Millisecond)
-	tl.S.RunUntil(cfg.Warmup)
-	subBase := []int64{
-		tl.MP.Subflows()[0].Sink.GoodputBytes(),
-		tl.MP.Subflows()[1].Sink.GoodputBytes(),
-	}
-	var bgBase [2]int64
-	for _, u := range tl.TCP1 {
-		bgBase[0] += u.Goodput()
-	}
-	for _, u := range tl.TCP2 {
-		bgBase[1] += u.Goodput()
-	}
-	tl.S.RunUntil(stop)
+	w := measure(n, cfg)
 	secs := cfg.Duration.Sec()
-	var out twoLinkOutcome
-	out.mp1 = stats.Mbps(tl.MP.Subflows()[0].Sink.GoodputBytes()-subBase[0], secs)
-	out.mp2 = stats.Mbps(tl.MP.Subflows()[1].Sink.GoodputBytes()-subBase[1], secs)
-	var bg1, bg2 int64
-	for _, u := range tl.TCP1 {
-		bg1 += u.Goodput()
+	out := twoLinkOutcome{
+		mp1:        stats.Mbps(w.path(mp, 0), secs),
+		mp2:        stats.Mbps(w.path(mp, 1), secs),
+		flipsCount: flips(rec.Series(0), rec.Series(1)),
 	}
-	for _, u := range tl.TCP2 {
-		bg2 += u.Goodput()
+	if bg := n.Group("tcp1"); len(bg) > 0 {
+		out.bg1 = stats.Mbps(w.flows(bg), secs) / float64(len(bg))
 	}
-	if n := len(tl.TCP1); n > 0 {
-		out.bg1 = stats.Mbps(bg1-bgBase[0], secs) / float64(n)
+	if bg := n.Group("tcp2"); len(bg) > 0 {
+		out.bg2 = stats.Mbps(w.flows(bg), secs) / float64(len(bg))
 	}
-	if n := len(tl.TCP2); n > 0 {
-		out.bg2 = stats.Mbps(bg2-bgBase[1], secs) / float64(n)
-	}
-	out.flipsCount = flips(rec.Series(0), rec.Series(1))
 	return out
 }
 
@@ -72,10 +66,7 @@ func runTwoLink(cfg Config, c topo.TwoLinkConfig) twoLinkOutcome {
 func ablationEpsilon(cfg Config) (*Result, error) {
 	algos := []string{"fullycoupled", "lia", "olia", "uncoupled"}
 	outs := perPoint(cfg, algos, func(algo string) twoLinkOutcome {
-		return runTwoLink(cfg, topo.TwoLinkConfig{
-			C: 10, NTCP1: 5, NTCP2: 5,
-			Ctrl: topo.Controllers[algo], Seed: cfg.BaseSeed,
-		})
+		return runTwoLink(cfg, twoLinkSpec(cfg, algo, 5, 5))
 	})
 	r := &Result{
 		Preamble: []string{"Symmetric two-link rig (Fig. 6a): 10 Mb/s links, 5 TCP flows each; fair share 1.67 Mb/s"},
@@ -119,20 +110,19 @@ func textAblationEpsilon(r *Result, w io.Writer) error {
 // studies drop-tail in htsim).
 func ablationQueue(cfg Config) (*Result, error) {
 	type point struct {
-		kind netem.QueueKind
+		kind scenario.QueueKind
 		algo string
 	}
 	var pts []point
-	for _, kind := range []netem.QueueKind{netem.QueueRED, netem.QueueDropTail} {
+	for _, kind := range []scenario.QueueKind{scenario.QueueRED, scenario.QueueDropTail} {
 		for _, algo := range []string{"lia", "olia"} {
 			pts = append(pts, point{kind, algo})
 		}
 	}
 	outs := perPoint(cfg, pts, func(p point) twoLinkOutcome {
-		return runTwoLink(cfg, topo.TwoLinkConfig{
-			C: 10, NTCP1: 5, NTCP2: 10, Kind: p.kind,
-			Ctrl: topo.Controllers[p.algo], Seed: cfg.BaseSeed,
-		})
+		sp := twoLinkSpec(cfg, p.algo, 5, 10)
+		sp.Links[0].Queue, sp.Links[1].Queue = p.kind, p.kind
+		return runTwoLink(cfg, sp)
 	})
 	r := &Result{
 		Preamble: []string{"Asymmetric rig (Fig. 6b): link2 shared with 10 TCP flows; congested-path traffic by discipline"},
@@ -145,7 +135,7 @@ func ablationQueue(cfg Config) (*Result, error) {
 	}
 	for i, p := range pts {
 		kindName := "RED"
-		if p.kind == netem.QueueDropTail {
+		if p.kind == scenario.QueueDropTail {
 			kindName = "DropTail"
 		}
 		o := outs[i]
@@ -180,11 +170,9 @@ func textAblationQueue(r *Result, w io.Writer) error {
 func ablationSsthresh(cfg Config) (*Result, error) {
 	variants := []bool{false, true}
 	outs := perPoint(cfg, variants, func(keepSS bool) twoLinkOutcome {
-		return runTwoLink(cfg, topo.TwoLinkConfig{
-			C: 10, NTCP1: 5, NTCP2: 10,
-			Ctrl: topo.Controllers["olia"], Seed: cfg.BaseSeed,
-			KeepSlowStart: keepSS,
-		})
+		sp := twoLinkSpec(cfg, "olia", 5, 10)
+		twoLinkMP(sp).KeepSlowStart = keepSS
+		return runTwoLink(cfg, sp)
 	})
 	r := &Result{
 		Preamble: []string{"Asymmetric rig: effect of the §IV-B subflow ssthresh=1 setting"},
@@ -226,11 +214,9 @@ func textAblationSsthresh(r *Result, w io.Writer) error {
 func ablationCap(cfg Config) (*Result, error) {
 	variants := []bool{false, true}
 	outs := perPoint(cfg, variants, func(noCap bool) twoLinkOutcome {
-		return runTwoLink(cfg, topo.TwoLinkConfig{
-			C: 10, NTCP1: 5, NTCP2: 5,
-			Ctrl: topo.Controllers["olia"], Seed: cfg.BaseSeed,
-			SubflowCfg: tcp.Config{NoIncreaseCap: noCap},
-		})
+		sp := twoLinkSpec(cfg, "olia", 5, 5)
+		twoLinkMP(sp).NoIncreaseCap = noCap
+		return runTwoLink(cfg, sp)
 	})
 	r := &Result{
 		Preamble: []string{"Symmetric rig: effect of the per-ACK increase cap (RFC 6356 goal 2)"},

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"mptcpsim/internal/core"
 	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/sim"
@@ -27,7 +28,7 @@ type mpFlow struct{ conn *mptcp.Conn }
 func (f mpFlow) Goodput() int64 { return f.conn.GoodputBytes() }
 
 // launchLongFlow starts host src's long-lived flow to dst using the given
-// algorithm ("tcp" or a topo.Controllers key) with nsub subflows.
+// algorithm ("tcp" or a core controller name) with nsub subflows.
 func launchLongFlow(ft *topo.FatTree, src, dst int, algo string, nsub, flowID int) hostFlow {
 	rng := ft.S.Rand()
 	if algo == "tcp" {
@@ -36,7 +37,7 @@ func launchLongFlow(ft *topo.FatTree, src, dst int, algo string, nsub, flowID in
 		s.Start(sim.RandBelow(rng, 100*sim.Millisecond))
 		return tcpFlow{sink}
 	}
-	conn := mptcp.New(ft.S, fmt.Sprintf("h%d", src), topo.Controllers[algo](), tcp.Config{})
+	conn := mptcp.New(ft.S, fmt.Sprintf("h%d", src), core.New(algo), tcp.Config{})
 	// The paper's data-center runs use htsim, whose subflows slow-start
 	// normally (the ssthresh=1 setting of §IV-B is the Linux testbed
 	// implementation).

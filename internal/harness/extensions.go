@@ -4,12 +4,13 @@ import (
 	"fmt"
 	"io"
 
+	"mptcpsim/internal/core"
 	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/netem"
+	"mptcpsim/internal/scenario"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/stats"
 	"mptcpsim/internal/tcp"
-	"mptcpsim/internal/topo"
 )
 
 // probeMetrics is one §VII bad-path-suspension run: normalized rates plus
@@ -19,35 +20,26 @@ type probeMetrics struct {
 	suspends      int
 }
 
-// runProbeSuspension executes one Scenario-C-like run with or without
-// bad-path suspension enabled on the multipath users.
+// runProbeSuspension executes one Scenario-C-like run (N1=20, N2=10,
+// C1/C2=2, OLIA) with or without bad-path suspension enabled on the
+// multipath users.
 func runProbeSuspension(cfg Config, enable bool, seed int64) probeMetrics {
-	c := topo.BuildScenarioC(topo.ScenarioCConfig{
-		N1: 20, N2: 10, C1: 2.0, C2: 1.0,
-		Ctrl: topo.Controllers["olia"], Seed: seed,
-	})
+	n := compile(scenario.PaperScenarioC(20, 10, 2.0, 1.0, "olia", seed, cfg.Warmup.Sec(), cfg.Duration.Sec()))
+	multi, single := n.Group("multi"), n.Group("single")
 	if enable {
-		for _, conn := range c.Multi {
-			conn.EnableProbeControl(mptcp.ProbeControl{})
+		for _, f := range multi {
+			f.Conn.EnableProbeControl(mptcp.ProbeControl{})
 		}
 	}
-	c.S.RunUntil(cfg.Warmup)
-	var mBase, sBase []int64
-	for _, u := range c.Multi {
-		mBase = append(mBase, u.GoodputBytes())
-	}
-	for _, u := range c.Single {
-		sBase = append(sBase, u.Goodput())
-	}
-	c.S.RunUntil(cfg.Warmup + cfg.Duration)
+	w := measure(n, cfg)
 	secs := cfg.Duration.Sec()
 	var m probeMetrics
-	for i, u := range c.Multi {
-		m.multi += stats.Mbps(u.GoodputBytes()-mBase[i], secs) / 2.0 / 20
-		m.suspends += u.SuspendCount(0) + u.SuspendCount(1)
+	for _, f := range multi {
+		m.multi += stats.Mbps(w.flow(f), secs) / 2.0 / 20
+		m.suspends += f.Conn.SuspendCount(0) + f.Conn.SuspendCount(1)
 	}
-	for i, u := range c.Single {
-		m.single += stats.Mbps(u.Goodput()-sBase[i], secs) / 1.0 / 10
+	for _, f := range single {
+		m.single += stats.Mbps(w.flow(f), secs) / 1.0 / 10
 	}
 	return m
 }
@@ -114,12 +106,9 @@ func textExtProbe(r *Result, w io.Writer) error {
 func extRwnd(cfg Config) (*Result, error) {
 	rwnds := []float64{0, 16, 8, 4}
 	outs := perPoint(cfg, rwnds, func(rwnd float64) twoLinkOutcome {
-		c := topo.TwoLinkConfig{
-			C: 10, NTCP1: 5, NTCP2: 5,
-			Ctrl: topo.Controllers["olia"], Seed: cfg.BaseSeed,
-		}
-		c.SubflowCfg.MaxCwndPkts = rwnd
-		return runTwoLink(cfg, c)
+		sp := twoLinkSpec(cfg, "olia", 5, 5)
+		twoLinkMP(sp).MaxCwndPkts = rwnd
+		return runTwoLink(cfg, sp)
 	})
 	r := &Result{
 		Preamble: []string{"Two-link rig, OLIA: effect of a receive-window cap on the aggregate"},
@@ -161,17 +150,17 @@ type streamOutcome struct {
 }
 
 // runSerialTransfers measures `transfers` back-to-back finite transfers of
-// the given size over the two-link rig under one transport mode.
+// the given size over the two-link rig (2 background TCP flows per link)
+// under one transport mode. The rig's own multipath user is left out;
+// transfers get their own endpoints over the same queues.
 func runSerialTransfers(cfg Config, mode string, size int64, transfers int) streamOutcome {
-	tl := topo.BuildTwoLink(topo.TwoLinkConfig{
-		C: 10, NTCP1: 2, NTCP2: 2,
-		Ctrl: topo.Controllers["olia"], Seed: cfg.BaseSeed,
-	})
-	// The rig's own multipath user stays idle; transfers get their own
-	// endpoints over the same queues.
+	const horizonSec = 600
+	sp := scenario.PaperTwoLink(10, 2, 2, "olia", cfg.BaseSeed, 0, horizonSec)
+	sp.Flows = sp.Flows[:len(sp.Flows)-1]
+	n := compile(sp)
 	out := streamOutcome{mode: mode}
-	launchSerial(tl, mode, size, transfers, &out.sum)
-	tl.S.RunUntil(600 * sim.Second)
+	launchSerial(n, mode, size, transfers, &out.sum)
+	n.Sim.RunUntil(horizonSec * sim.Second)
 	return out
 }
 
@@ -223,8 +212,14 @@ func textExtStreams(r *Result, w io.Writer) error {
 
 // launchSerial starts `count` back-to-back transfers, each beginning when
 // the previous completes.
-func launchSerial(tl *topo.TwoLink, mode string, size int64, count int, sum *stats.Summary) {
-	s := tl.S
+func launchSerial(n *scenario.Net, mode string, size int64, count int, sum *stats.Summary) {
+	s := n.Sim
+	// route is a fresh access pipe with path i's delay, then link i's queue
+	// and pipe (the two-link spec's path i crosses link i alone).
+	route := func(i int) *netem.Route {
+		trim := netem.NewPipe(s, sim.Millis(n.Spec.Paths[i].DelayMs), "trim")
+		return netem.NewRoute(trim, n.Links[i].Queue, n.Links[i].Pipe)
+	}
 	var startNext func(i int)
 	startNext = func(i int) {
 		if i >= count {
@@ -238,24 +233,24 @@ func launchSerial(tl *topo.TwoLink, mode string, size int64, count int, sum *sta
 		if mode == "tcp" {
 			src := tcp.NewSrc(s, 5000+i, "xfer", tcp.Config{FlowBytes: size})
 			sink := tcp.NewSink(s)
-			src.SetRoute(netem.NewRoute(topo.NewTrimPipe(s), tl.L1.Q, tl.L1.P).Append(sink))
-			sink.SetRoute(netem.NewRoute(tl.Rev.Q, tl.Rev.P).Append(src))
+			src.SetRoute(route(0).Append(sink))
+			sink.SetRoute(netem.NewRoute(n.Rev.Q, n.Rev.P).Append(src))
 			src.OnComplete = func(*tcp.Src) { done() }
 			src.Start(s.Now())
 			return
 		}
-		conn := mptcp.New(s, fmt.Sprintf("xfer%d", i), topo.Controllers["olia"](), tcp.Config{})
+		conn := mptcp.New(s, fmt.Sprintf("xfer%d", i), core.NewOLIA(), tcp.Config{})
 		// Finite transfers need slow start: the §IV-B ssthresh=1 setting
 		// (meant for long-lived flows probing congested paths) would make a
 		// 512 KB stream crawl from a 1-packet window in congestion
 		// avoidance — ~3x slower than plain TCP. This is why the paper's
 		// own short-flow workload uses regular TCP.
 		conn.SetKeepSlowStart(true)
-		for j, l := range []*netem.Link{tl.L1, tl.L2} {
+		for j := range n.Links {
 			sf := conn.AddSubflow(6000 + 2*i + j)
 			sf.SetRoutes(
-				netem.NewRoute(topo.NewTrimPipe(s), l.Q, l.P).Append(sf.Sink),
-				netem.NewRoute(tl.Rev.Q, tl.Rev.P).Append(sf.Src),
+				route(j).Append(sf.Sink),
+				netem.NewRoute(n.Rev.Q, n.Rev.P).Append(sf.Src),
 			)
 		}
 		st := mptcp.NewStream(conn, size, 0)
@@ -310,11 +305,9 @@ func init() {
 func extRTT(cfg Config) (*Result, error) {
 	algos := []string{"olia", "lia", "uncoupled"}
 	outs := perPoint(cfg, algos, func(algo string) twoLinkOutcome {
-		return runTwoLink(cfg, topo.TwoLinkConfig{
-			C: 10, NTCP1: 5, NTCP2: 5,
-			OWD2: 120 * sim.Millisecond, // RTT 240+q vs 80+q ms
-			Ctrl: topo.Controllers[algo], Seed: cfg.BaseSeed,
-		})
+		sp := twoLinkSpec(cfg, algo, 5, 5)
+		sp.Paths[1].DelayMs = 120 // RTT 240+q vs 80+q ms
+		return runTwoLink(cfg, sp)
 	})
 	r := &Result{
 		Preamble: []string{"Two links, equal capacity and background (5 TCP each); path 2 RTT 3x path 1"},
@@ -362,37 +355,20 @@ type delackOutcome struct {
 
 // runDelack measures the symmetric rig with per-segment or delayed ACKs.
 func runDelack(cfg Config, delayed bool) delackOutcome {
-	tl := topo.BuildTwoLink(topo.TwoLinkConfig{
-		C: 10, NTCP1: 5, NTCP2: 5,
-		Ctrl: topo.Controllers["olia"], Seed: cfg.BaseSeed,
-	})
+	n := compile(twoLinkSpec(cfg, "olia", 5, 5))
 	if delayed {
-		for _, sf := range tl.MP.Subflows() {
-			sf.Sink.SetDelayedAck(40 * sim.Millisecond)
-		}
-		for _, u := range tl.TCP1 {
-			u.Sink.SetDelayedAck(40 * sim.Millisecond)
-		}
-		for _, u := range tl.TCP2 {
-			u.Sink.SetDelayedAck(40 * sim.Millisecond)
+		for _, f := range n.Flows {
+			for _, k := range f.Sinks {
+				k.SetDelayedAck(40 * sim.Millisecond)
+			}
 		}
 	}
-	tl.MP.Start(500 * sim.Millisecond)
-	tl.S.RunUntil(cfg.Warmup)
-	mpBase := tl.MP.GoodputBytes()
-	var bgBase int64
-	for _, u := range append(tl.TCP1, tl.TCP2...) {
-		bgBase += u.Goodput()
-	}
-	tl.S.RunUntil(cfg.Warmup + cfg.Duration)
+	w := measure(n, cfg)
 	secs := cfg.Duration.Sec()
-	var bg int64
-	for _, u := range append(tl.TCP1, tl.TCP2...) {
-		bg += u.Goodput()
-	}
+	tcp1, tcp2 := n.Group("tcp1"), n.Group("tcp2")
 	return delackOutcome{
-		mpMbps:     stats.Mbps(tl.MP.GoodputBytes()-mpBase, secs),
-		bgMeanMbps: stats.Mbps(bg-bgBase, secs) / float64(len(tl.TCP1)+len(tl.TCP2)),
+		mpMbps:     stats.Mbps(w.flows(n.Group("mp")), secs),
+		bgMeanMbps: stats.Mbps(w.flows(tcp1)+w.flows(tcp2), secs) / float64(len(tcp1)+len(tcp2)),
 	}
 }
 

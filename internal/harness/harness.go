@@ -144,7 +144,7 @@ func (cfg Config) workerPool() *runner.Pool {
 // context returns the call's cancellation context.
 func (cfg Config) context() context.Context {
 	if cfg.ctx == nil {
-		//simlint:ignore ctxflow nil cfg.ctx is the documented no-cancellation default for the deprecated non-ctx entry points
+		//simlint:ignore ctxflow nil cfg.ctx is the documented no-cancellation default when Experiment.Collect is called directly rather than through CollectResult
 		return context.Background()
 	}
 	return cfg.ctx

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"mptcpsim/internal/scenario"
 	"mptcpsim/internal/sim"
 )
 
@@ -182,17 +183,15 @@ func TestPerSeedResultsIndependentOfWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiments skipped in -short")
 	}
-	collect := func(workers int) [][]aMetrics {
+	collect := func(workers int) [][]acMetrics {
 		cfg := parallelConfig(workers)
 		cfg.Seeds = 3
-		points := []aPoint{
+		points := []acPoint{
 			{c1: 1.0, n1: 10, algo: "lia"},
 			{c1: 1.5, n1: 20, algo: "olia"},
 		}
-		return sweep(cfg, points, func(p aPoint, seed int64) aMetrics {
-			return runScenarioA(aSpec{
-				n1: p.n1, n2: 10, c1: p.c1, c2: 1.0, algo: p.algo, seed: seed,
-			}, cfg)
+		return sweep(cfg, points, func(p acPoint, seed int64) acMetrics {
+			return runScenarioAC(scenario.PaperScenarioA, p, seed, cfg)
 		})
 	}
 	ref := collect(1)

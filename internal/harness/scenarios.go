@@ -8,116 +8,173 @@ import (
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/scenario"
 	"mptcpsim/internal/stats"
-	"mptcpsim/internal/topo"
 )
 
-// lossWindow measures a queue's loss probability over [warmup, end].
-type lossWindow struct {
-	q    netem.Queue
-	base netem.Counters
-}
-
-func snapLoss(q netem.Queue) *lossWindow { return &lossWindow{q: q, base: q.Stats()} }
-
-func (lw *lossWindow) prob() float64 { return lw.q.Stats().Sub(lw.base).LossProb() }
-
-// aMetrics are the Scenario A observables of Figs. 1, 9 and 10 from one
-// simulation run.
-type aMetrics struct {
-	t1Norm, t2Norm, p1, p2 float64
-}
-
-// aSpec describes one Scenario A cell: N1 type1 users, N2 type2 users,
-// per-user capacities C1 and C2 (Mb/s), and the coupling algorithm.
-type aSpec struct {
-	n1, n2 int
-	c1, c2 float64
-	algo   string
-	seed   int64
-}
-
-// runScenarioA executes one Scenario A simulation — compiled from the
-// shared declarative spec (scenario.PaperScenarioA, which wires the
-// identical rig topo.BuildScenarioA hand-builds, so migrating the figure
-// collection here changed no output bytes; the golden snapshots lock
-// this) — and reports normalized throughputs and loss probabilities over
-// the measurement window.
-func runScenarioA(c aSpec, cfg Config) aMetrics {
-	n, err := scenario.Compile(scenario.PaperScenarioA(
-		c.n1, c.n2, c.c1, c.c2, c.algo, c.seed, cfg.Warmup.Sec(), cfg.Duration.Sec()))
+// compile builds a testbed network from its spec. The specs come from the
+// scenario.Paper* builders with registry-fixed parameters, so a rejected
+// spec is a harness bug.
+func compile(sp *scenario.Spec) *scenario.Net {
+	n, err := scenario.Compile(sp)
 	if err != nil {
-		panic(fmt.Sprintf("harness: scenario A spec invalid: %v", err))
+		panic(fmt.Sprintf("harness: %s spec invalid: %v", sp.Name, err))
+	}
+	return n
+}
+
+// window is what one run measured over [Warmup, Warmup+Duration], as exact
+// integer deltas; the float arithmetic (and its summation order, which the
+// golden bytes depend on) stays with each experiment.
+type window struct {
+	// goodput holds, per Spec.Flows group, the in-order bytes each replica's
+	// sinks took in, at index replica·paths+path.
+	goodput [][]int64
+	// queues holds each link's queue counters.
+	queues []netem.Counters
+}
+
+// measure advances n to the end of warm-up, snapshots every sink and queue,
+// advances to the end of the run and returns the differences.
+func measure(n *scenario.Net, cfg Config) window {
+	w := window{
+		goodput: make([][]int64, len(n.Groups)),
+		queues:  make([]netem.Counters, len(n.Links)),
+	}
+	for g, flows := range n.Groups {
+		w.goodput[g] = make([]int64, len(flows)*len(n.Spec.Flows[g].Paths))
 	}
 	n.Sim.RunUntil(cfg.Warmup)
-	type1, type2 := n.Groups[0], n.Groups[1]
-	t1Base := make([]int64, len(type1))
-	t2Base := make([]int64, len(type2))
-	for i, f := range type1 {
-		t1Base[i] = f.GoodputBytes()
+	for _, f := range n.Flows {
+		for i, k := range f.Sinks {
+			*w.cell(f, i) = k.GoodputBytes()
+		}
 	}
-	for i, f := range type2 {
-		t2Base[i] = f.GoodputBytes()
+	for i, l := range n.Links {
+		w.queues[i] = l.Queue.Stats()
 	}
-	l1, l2 := snapLoss(n.Links[0].Queue), snapLoss(n.Links[1].Queue)
 	n.Sim.RunUntil(cfg.Warmup + cfg.Duration)
-	secs := cfg.Duration.Sec()
-	var m aMetrics
-	for i, f := range type1 {
-		m.t1Norm += stats.Mbps(f.GoodputBytes()-t1Base[i], secs) / c.c1 / float64(c.n1)
+	for _, f := range n.Flows {
+		for i, k := range f.Sinks {
+			c := w.cell(f, i)
+			*c = k.GoodputBytes() - *c
+		}
 	}
-	for i, f := range type2 {
-		m.t2Norm += stats.Mbps(f.GoodputBytes()-t2Base[i], secs) / c.c2 / float64(c.n2)
+	for i, l := range n.Links {
+		w.queues[i] = l.Queue.Stats().Sub(w.queues[i])
 	}
-	m.p1, m.p2 = l1.prob(), l2.prob()
-	return m
+	return w
 }
 
-// scenarioASweep is the grid of Figs. 1(b,c), 9 and 10: N2 = 10 users,
-// N1/N2 ∈ {1,2,3}, C2 = 1 Mb/s, C1/C2 ∈ {0.75, 1, 1.5}.
-var scenarioASweep = struct {
-	n1s []int
-	c1s []float64
-}{[]int{10, 20, 30}, []float64{0.75, 1.0, 1.5}}
+// cell locates path i of flow f in goodput.
+func (w window) cell(f *scenario.Flow, i int) *int64 {
+	return &w.goodput[f.Spec][f.Replica*len(f.Sinks)+i]
+}
 
-// aPoint identifies one Scenario A sweep cell: a capacity ratio, a user
-// count, and the algorithm under test.
-type aPoint struct {
+// path reports the window's bytes on path i of flow f.
+func (w window) path(f *scenario.Flow, i int) int64 { return *w.cell(f, i) }
+
+// flow reports the window's bytes of flow f over all its paths.
+func (w window) flow(f *scenario.Flow) int64 {
+	var total int64
+	for i := range f.Sinks {
+		total += w.path(f, i)
+	}
+	return total
+}
+
+// flows reports the window's bytes of a whole group.
+func (w window) flows(group []*scenario.Flow) int64 {
+	var total int64
+	for _, f := range group {
+		total += w.flow(f)
+	}
+	return total
+}
+
+// paperAC is the shared shape of the Scenario A and C spec builders: N1
+// multipath users and N2 single-path users over two bottlenecks of per-user
+// capacity C1 and C2 (Mb/s).
+type paperAC func(n1, n2 int, c1, c2 float64, algo string, seed int64, warmupSec, durationSec float64) *scenario.Spec
+
+// acMetrics are the Scenario A observables of Figs. 1, 9 and 10, or the
+// Scenario C observables of Figs. 5, 11 and 12, from one simulation run:
+// the multipath and single-path groups' normalized throughputs and the two
+// bottlenecks' loss probabilities.
+type acMetrics struct {
+	multiNorm, singleNorm, p1, p2 float64
+}
+
+// acPoint identifies one Scenario A or C sweep cell: a capacity ratio, a
+// multipath user count, and the algorithm under test. N2 = 10 single-path
+// users and C2 = 1 Mb/s throughout.
+type acPoint struct {
 	c1   float64
 	n1   int
 	algo string
 }
 
-// aResult is the seed-averaged outcome at one sweep cell — the typed form
-// of one table row.
-type aResult struct {
-	point          aPoint
-	t1, t2, p1, p2 stats.Summary
+// runScenarioAC executes one Scenario A or C simulation and reports
+// normalized throughputs and loss probabilities over the measurement
+// window.
+func runScenarioAC(build paperAC, p acPoint, seed int64, cfg Config) acMetrics {
+	const n2, c2 = 10, 1.0
+	n := compile(build(p.n1, n2, p.c1, c2, p.algo, seed, cfg.Warmup.Sec(), cfg.Duration.Sec()))
+	w := measure(n, cfg)
+	secs := cfg.Duration.Sec()
+	var m acMetrics
+	for _, f := range n.Groups[0] {
+		m.multiNorm += stats.Mbps(w.flow(f), secs) / p.c1 / float64(p.n1)
+	}
+	for _, f := range n.Groups[1] {
+		m.singleNorm += stats.Mbps(w.flow(f), secs) / c2 / n2
+	}
+	m.p1, m.p2 = w.queues[0].LossProb(), w.queues[1].LossProb()
+	return m
 }
 
-// collectScenarioA simulates the Figs. 1/9/10 grid for the given
+// acSweep is a Scenario A or C grid: C1/C2 ratios × N1 user counts.
+type acSweep struct {
+	n1s []int
+	c1s []float64
+}
+
+var (
+	// scenarioASweep is the grid of Figs. 1(b,c), 9 and 10: N2 = 10 users,
+	// N1/N2 ∈ {1,2,3}, C2 = 1 Mb/s, C1/C2 ∈ {0.75, 1, 1.5}.
+	scenarioASweep = acSweep{[]int{10, 20, 30}, []float64{0.75, 1.0, 1.5}}
+	// scenarioCSweep is the grid of Figs. 5(c,d), 11 and 12: N2 = 10,
+	// N1 ∈ {5,10,20,30}, C2 = 1 Mb/s, C1/C2 ∈ {1, 2}.
+	scenarioCSweep = acSweep{[]int{5, 10, 20, 30}, []float64{1.0, 2.0}}
+)
+
+// acResult is the seed-averaged outcome at one sweep cell — the typed form
+// of one table row.
+type acResult struct {
+	point                 acPoint
+	multi, single, p1, p2 stats.Summary
+}
+
+// collectScenarioAC simulates a Scenario A or C grid for the given
 // algorithms. Every (cell × seed) run is an independent job on the worker
 // pool; per-seed metrics merge in seed order, so the result is identical
 // for any worker count.
-func collectScenarioA(cfg Config, algos []string) []aResult {
-	var pts []aPoint
-	for _, c1 := range scenarioASweep.c1s {
-		for _, n1 := range scenarioASweep.n1s {
+func collectScenarioAC(cfg Config, build paperAC, grid acSweep, algos []string) []acResult {
+	var pts []acPoint
+	for _, c1 := range grid.c1s {
+		for _, n1 := range grid.n1s {
 			for _, algo := range algos {
-				pts = append(pts, aPoint{c1, n1, algo})
+				pts = append(pts, acPoint{c1, n1, algo})
 			}
 		}
 	}
-	per := sweep(cfg, pts, func(p aPoint, seed int64) aMetrics {
-		return runScenarioA(aSpec{
-			n1: p.n1, n2: 10, c1: p.c1, c2: 1.0, algo: p.algo, seed: seed,
-		}, cfg)
+	per := sweep(cfg, pts, func(p acPoint, seed int64) acMetrics {
+		return runScenarioAC(build, p, seed, cfg)
 	})
-	out := make([]aResult, len(pts))
+	out := make([]acResult, len(pts))
 	for i, p := range pts {
 		out[i].point = p
 		for _, m := range per[i] {
-			out[i].t1.Add(m.t1Norm)
-			out[i].t2.Add(m.t2Norm)
+			out[i].multi.Add(m.multiNorm)
+			out[i].single.Add(m.singleNorm)
 			out[i].p1.Add(m.p1)
 			out[i].p2.Add(m.p2)
 		}
@@ -127,7 +184,7 @@ func collectScenarioA(cfg Config, algos []string) []aResult {
 
 // resultScenarioA structures collected results, one row per sweep cell,
 // with the analytic fixed point and the optimum-with-probing alongside.
-func resultScenarioA(res []aResult, withLoss bool) (*Result, error) {
+func resultScenarioA(res []acResult, withLoss bool) (*Result, error) {
 	r := &Result{Columns: []Column{
 		{Name: "c1_over_c2"}, {Name: "n1_over_n2"}, {Name: "algo"},
 		{Name: "t1", Unit: "norm"}, {Name: "t2", Unit: "norm"},
@@ -147,7 +204,7 @@ func resultScenarioA(res []aResult, withLoss bool) (*Result, error) {
 		opt := fixedpoint.ScenarioAOptimum(float64(row.point.n1), 10, row.point.c1, 1.0, fixedpoint.DefaultParams)
 		cells := []Cell{
 			NumCell(row.point.c1), NumCell(float64(row.point.n1) / 10), TextCell(row.point.algo),
-			SummaryCell(row.t1), SummaryCell(row.t2),
+			SummaryCell(row.multi), SummaryCell(row.single),
 			NumCell(ana.Type1Norm), NumCell(ana.Type2Norm),
 			NumCell(opt.Type1Norm), NumCell(opt.Type2Norm),
 		}
@@ -182,92 +239,12 @@ func textScenarioA(r *Result, w io.Writer) error {
 
 func scenarioAExperiment(algos []string, withLoss bool) func(cfg Config) (*Result, error) {
 	return func(cfg Config) (*Result, error) {
-		return resultScenarioA(collectScenarioA(cfg, algos), withLoss)
+		return resultScenarioA(collectScenarioAC(cfg, scenario.PaperScenarioA, scenarioASweep, algos), withLoss)
 	}
-}
-
-// cMetrics are the Scenario C observables of Figs. 5, 11 and 12 from one
-// simulation run.
-type cMetrics struct {
-	multiNorm, singleNorm, p1, p2 float64
-}
-
-func runScenarioC(c topo.ScenarioCConfig, cfg Config) cMetrics {
-	sc := topo.BuildScenarioC(c)
-	sc.S.RunUntil(cfg.Warmup)
-	var mBase, sBase []int64
-	for _, u := range sc.Multi {
-		mBase = append(mBase, u.GoodputBytes())
-	}
-	for _, u := range sc.Single {
-		sBase = append(sBase, u.Goodput())
-	}
-	l1, l2 := snapLoss(sc.AP1Q), snapLoss(sc.AP2Q)
-	sc.S.RunUntil(cfg.Warmup + cfg.Duration)
-	secs := cfg.Duration.Sec()
-	var m cMetrics
-	for i, u := range sc.Multi {
-		m.multiNorm += stats.Mbps(u.GoodputBytes()-mBase[i], secs) / c.C1 / float64(c.N1)
-	}
-	for i, u := range sc.Single {
-		m.singleNorm += stats.Mbps(u.Goodput()-sBase[i], secs) / c.C2 / float64(c.N2)
-	}
-	m.p1, m.p2 = l1.prob(), l2.prob()
-	return m
-}
-
-// scenarioCSweep is the grid of Figs. 5(c,d), 11 and 12: N2 = 10,
-// N1 ∈ {5,10,20,30}, C2 = 1 Mb/s, C1/C2 ∈ {1, 2}.
-var scenarioCSweep = struct {
-	n1s []int
-	c1s []float64
-}{[]int{5, 10, 20, 30}, []float64{1.0, 2.0}}
-
-// cPoint identifies one Scenario C sweep cell.
-type cPoint struct {
-	c1   float64
-	n1   int
-	algo string
-}
-
-// cResult is the seed-averaged outcome at one Scenario C cell.
-type cResult struct {
-	point                 cPoint
-	multi, single, p1, p2 stats.Summary
-}
-
-// collectScenarioC simulates the Figs. 5/11/12 grid for the given
-// algorithms, one pool job per (cell × seed).
-func collectScenarioC(cfg Config, algos []string) []cResult {
-	var pts []cPoint
-	for _, c1 := range scenarioCSweep.c1s {
-		for _, n1 := range scenarioCSweep.n1s {
-			for _, algo := range algos {
-				pts = append(pts, cPoint{c1, n1, algo})
-			}
-		}
-	}
-	per := sweep(cfg, pts, func(p cPoint, seed int64) cMetrics {
-		return runScenarioC(topo.ScenarioCConfig{
-			N1: p.n1, N2: 10, C1: p.c1, C2: 1.0,
-			Ctrl: topo.Controllers[p.algo], Seed: seed,
-		}, cfg)
-	})
-	out := make([]cResult, len(pts))
-	for i, p := range pts {
-		out[i].point = p
-		for _, m := range per[i] {
-			out[i].multi.Add(m.multiNorm)
-			out[i].single.Add(m.singleNorm)
-			out[i].p1.Add(m.p1)
-			out[i].p2.Add(m.p2)
-		}
-	}
-	return out
 }
 
 // resultScenarioC structures collected Scenario C results.
-func resultScenarioC(res []cResult, withLoss bool) (*Result, error) {
+func resultScenarioC(res []acResult, withLoss bool) (*Result, error) {
 	r := &Result{Columns: []Column{
 		{Name: "c1_over_c2"}, {Name: "n1_over_n2"}, {Name: "algo"},
 		{Name: "multi", Unit: "norm"}, {Name: "single", Unit: "norm"},
@@ -319,7 +296,7 @@ func textScenarioC(r *Result, w io.Writer) error {
 
 func scenarioCExperiment(algos []string, withLoss bool) func(cfg Config) (*Result, error) {
 	return func(cfg Config) (*Result, error) {
-		return resultScenarioC(collectScenarioC(cfg, algos), withLoss)
+		return resultScenarioC(collectScenarioAC(cfg, scenario.PaperScenarioC, scenarioCSweep, algos), withLoss)
 	}
 }
 
@@ -329,32 +306,21 @@ type bMetrics struct {
 	bluePerUser, redPerUser, aggregate float64
 }
 
-func runScenarioB(c topo.ScenarioBConfig, cfg Config) bMetrics {
-	b := topo.BuildScenarioB(c)
-	b.S.RunUntil(cfg.Warmup)
-	var blueBase, redBase []int64
-	for _, u := range b.Blue {
-		blueBase = append(blueBase, u.GoodputBytes())
-	}
-	for _, u := range b.RedMP {
-		redBase = append(redBase, u.GoodputBytes())
-	}
-	for _, u := range b.RedSP {
-		redBase = append(redBase, u.Goodput())
-	}
-	b.S.RunUntil(cfg.Warmup + cfg.Duration)
+// runScenarioB executes one Scenario B simulation (N = 15 users of each
+// color, CX = 27, CT = 36 Mb/s) with Red users single-path or upgraded.
+func runScenarioB(algo string, redMultipath bool, seed int64, cfg Config) bMetrics {
+	const users = 15
+	n := compile(scenario.PaperScenarioB(users, 27, 36, algo, redMultipath, seed, cfg.Warmup.Sec(), cfg.Duration.Sec()))
+	w := measure(n, cfg)
 	secs := cfg.Duration.Sec()
 	var m bMetrics
-	for i, u := range b.Blue {
-		m.bluePerUser += stats.Mbps(u.GoodputBytes()-blueBase[i], secs) / float64(c.N)
+	for _, f := range n.Group("blue") {
+		m.bluePerUser += stats.Mbps(w.flow(f), secs) / users
 	}
-	for i, u := range b.RedMP {
-		m.redPerUser += stats.Mbps(u.GoodputBytes()-redBase[i], secs) / float64(c.N)
+	for _, f := range n.Group("red") {
+		m.redPerUser += stats.Mbps(w.flow(f), secs) / users
 	}
-	for i, u := range b.RedSP {
-		m.redPerUser += stats.Mbps(u.Goodput()-redBase[i], secs) / float64(c.N)
-	}
-	m.aggregate = float64(c.N) * (m.bluePerUser + m.redPerUser)
+	m.aggregate = users * (m.bluePerUser + m.redPerUser)
 	return m
 }
 
@@ -370,10 +336,7 @@ type bResult struct {
 func collectScenarioB(cfg Config, algo string) []bResult {
 	modes := []bool{false, true}
 	per := sweep(cfg, modes, func(mp bool, seed int64) bMetrics {
-		return runScenarioB(topo.ScenarioBConfig{
-			N: 15, CX: 27, CT: 36,
-			Ctrl: topo.Controllers[algo], RedMultipath: mp, Seed: seed,
-		}, cfg)
+		return runScenarioB(algo, mp, seed, cfg)
 	})
 	out := make([]bResult, len(modes))
 	for i, mp := range modes {

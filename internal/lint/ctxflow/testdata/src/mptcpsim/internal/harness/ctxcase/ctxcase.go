@@ -85,14 +85,6 @@ func Pure(xs []int) int {
 	return sum
 }
 
-// Deprecated: old entry point kept for compatibility; runs under a fresh
-// root context by documented contract, exempt from every ctxflow rule.
-func Legacy(ch chan int) int {
-	ctx := context.Background()
-	_ = ctx
-	return <-ch
-}
-
 // suppressedRoot keeps a justified fresh root.
 func suppressedRoot() context.Context {
 	//simlint:ignore ctxflow nil-config default chokepoint documented in the API

@@ -3,11 +3,11 @@ package scenario
 import (
 	"fmt"
 
+	"mptcpsim/internal/core"
 	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/tcp"
-	"mptcpsim/internal/topo"
 )
 
 // CompiledLink is one built link with the handles the invariant checks and
@@ -92,11 +92,22 @@ type Net struct {
 	pathFlows [][]pathRef
 }
 
+// Group returns the replicas of the first Spec.Flows entry called name, or
+// nil when the spec lists no such group.
+func (n *Net) Group(name string) []*Flow {
+	for i := range n.Spec.Flows {
+		if n.Spec.Flows[i].Name == name {
+			return n.Groups[i]
+		}
+	}
+	return nil
+}
+
 // Compile validates the spec and builds its network. Element creation
-// order matches the hand-built topologies in internal/topo — links first,
-// then flows in listing order, each replica drawing its start jitter as it
-// is created — so a migrated experiment consumes the seed's random stream
-// identically and reproduces its output byte for byte.
+// order is part of the contract — links first, then the reverse link, then
+// flows in listing order, each replica drawing its start jitter as it is
+// created — because it fixes how a spec consumes its seed's random stream,
+// and the experiment goldens are byte-exact functions of that stream.
 func Compile(sp *Spec) (*Net, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
@@ -190,8 +201,8 @@ func buildLink(s *sim.Sim, ls LinkSpec, idx, limit int, needLoss bool) *Compiled
 // each link's loss element (if any), queue and pipe. A zero-delay path
 // builds no access pipe at all: even a 0 ms pipe reserves kernel sequence
 // numbers and defers each packet by one event, so eliding it is what lets
-// a spec reproduce a hand-wired rig (the old builder.go Simulate topology,
-// which fronts its queues with nothing) byte for byte.
+// a spec whose delay lives on the links themselves (Lab.Simulate's
+// topology, which fronts its queues with nothing) keep its event order.
 func (n *Net) forwardHops(pi int) []netem.Node {
 	ps := &n.Spec.Paths[pi]
 	var hops []netem.Node
@@ -224,7 +235,11 @@ func (n *Net) buildFlow(fi, replica, flowID int) *Flow {
 		Name:    fmt.Sprintf("%s-%d", name, replica),
 		AckTap:  &netem.Tap{},
 	}
-	cfg := tcp.Config{FlowBytes: fs.FlowBytes}
+	cfg := tcp.Config{
+		FlowBytes:     fs.FlowBytes,
+		MaxCwndPkts:   fs.MaxCwndPkts,
+		NoIncreaseCap: fs.NoIncreaseCap,
+	}
 	if fs.Scheduler != "" {
 		// A scheduled stream owns data assignment: subflows start unbounded
 		// and the stream portions FlowBytes out in chunks.
@@ -241,7 +256,7 @@ func (n *Net) buildFlow(fi, replica, flowID int) *Flow {
 		f.Srcs, f.Sinks = []*tcp.Src{src}, []*tcp.Sink{sink}
 		n.pathFlows[fs.Paths[0]] = append(n.pathFlows[fs.Paths[0]], pathRef{flow: f, sub: 0})
 	} else {
-		conn := mptcp.New(n.Sim, f.Name, topo.Controllers[fs.Algorithm](), cfg)
+		conn := mptcp.New(n.Sim, f.Name, core.New(fs.Algorithm), cfg)
 		conn.SetKeepSlowStart(fs.KeepSlowStart)
 		for i, pi := range fs.Paths {
 			sf := conn.AddSubflow(flowID + i)
@@ -276,9 +291,8 @@ func (n *Net) buildFlow(fi, replica, flowID int) *Flow {
 	return f
 }
 
-// startAt computes one replica's start time, drawing the jitter offset
-// exactly as topo.jitterStart does so migrated scenarios keep the seed's
-// random stream.
+// startAt computes one replica's start time; a jittered replica draws its
+// offset from the simulation's random stream at creation.
 func (n *Net) startAt(fs *FlowSpec) sim.Time {
 	at := sim.Seconds(fs.StartSec)
 	if fs.StartJitter {

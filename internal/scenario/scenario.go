@@ -4,22 +4,22 @@
 // A Spec names links (rate, propagation delay, random loss, queue
 // discipline), paths (link sequences plus a per-flow access delay), and
 // flows (congestion-control algorithm, path set, replica count, start/stop
-// times, workload size). Compile wires the exact rig the hand-built
-// topologies in internal/topo construct — same element order, same RNG
-// draws — so experiments migrated onto scenario reproduce their output
-// byte for byte, while the fuzzer (fuzz.go) can generate topologies far
-// outside the ~15 hardcoded paper figures and the conformance oracle
-// (conformance.go) can cross-check packet-level steady states against the
+// times, workload size). Compile is the one way a testbed network is
+// built: the paper's own topologies are Spec builders (paper.go) that the
+// figure experiments compile, the fuzzer (fuzz.go) generates topologies far
+// outside the ~15 hardcoded paper figures, and the conformance oracle
+// (conformance.go) cross-checks packet-level steady states against the
 // fluid-model and fixed-point analyses.
 package scenario
 
 import (
 	"fmt"
+	"math"
 
+	"mptcpsim/internal/core"
 	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/sim"
-	"mptcpsim/internal/topo"
 )
 
 // QueueKind names a link's buffering discipline.
@@ -104,6 +104,13 @@ type FlowSpec struct {
 	// KeepSlowStart preserves normal slow start on multipath subflows
 	// instead of the paper's §IV-B ssthresh=1 setting.
 	KeepSlowStart bool `json:"keep_slow_start,omitempty"`
+	// MaxCwndPkts caps every sender's congestion window, modelling a small
+	// advertised receive window; 0 means unlimited.
+	MaxCwndPkts float64 `json:"max_cwnd_pkts,omitempty"`
+	// NoIncreaseCap lifts the per-ACK cap that keeps a coupled controller
+	// from growing a window faster than Reno (RFC 6356 goal 2). Multipath
+	// flows only: the cap exists on the coupled hook alone.
+	NoIncreaseCap bool `json:"no_increase_cap,omitempty"`
 	// BaseID seeds the replica flow IDs (replica r gets
 	// BaseID + r·len(Paths)); 0 lets the compiler assign them.
 	BaseID int `json:"base_id,omitempty"`
@@ -136,14 +143,14 @@ type Spec struct {
 	ReverseDelayMs  float64 `json:"reverse_delay_ms,omitempty"`
 }
 
-// reverse-path defaults, mirroring topo.revLink.
+// reverse-path defaults: the testbed's return direction is uncongested.
 const (
 	defaultReverseRateMbps = 1000
 	defaultReverseDelayMs  = 40
 )
 
-// startSpread is the window over which jittered flow starts randomize,
-// matching the hand-built topologies.
+// startSpread is the window over which jittered flow starts randomize
+// (the paper initiates its Iperf sessions in random order).
 const startSpread = sim.Second
 
 // Validate checks the spec for structural errors: empty topology, bad
@@ -204,7 +211,7 @@ func (sp *Spec) Validate() error {
 	}
 	for i, f := range sp.Flows {
 		if f.Algorithm != AlgoTCP {
-			if _, ok := topo.Controllers[f.Algorithm]; !ok {
+			if !core.Known(f.Algorithm) {
 				return fmt.Errorf("scenario %q: flow %d has unknown algorithm %q", sp.Name, i, f.Algorithm)
 			}
 		}
@@ -233,6 +240,12 @@ func (sp *Spec) Validate() error {
 		}
 		if f.ChunkBytes < 0 {
 			return fmt.Errorf("scenario %q: flow %d has negative chunk bytes", sp.Name, i)
+		}
+		if f.MaxCwndPkts < 0 || math.IsNaN(f.MaxCwndPkts) || math.IsInf(f.MaxCwndPkts, 0) {
+			return fmt.Errorf("scenario %q: flow %d window cap must be finite and non-negative, got %g", sp.Name, i, f.MaxCwndPkts)
+		}
+		if f.NoIncreaseCap && f.Algorithm == AlgoTCP {
+			return fmt.Errorf("scenario %q: flow %d: plain TCP has no coupled increase cap to lift", sp.Name, i)
 		}
 		if f.ChunkBytes > 0 && f.Scheduler == "" {
 			return fmt.Errorf("scenario %q: flow %d sets chunk bytes without a scheduler", sp.Name, i)
@@ -269,38 +282,6 @@ func (f *FlowSpec) count() int {
 // EndTime is the simulated instant the measured window closes.
 func (sp *Spec) EndTime() sim.Time {
 	return sim.Seconds(sp.WarmupSec) + sim.Seconds(sp.DurationSec)
-}
-
-// PaperScenarioA expresses the paper's Fig. 1(a) testbed as a Spec: N1
-// type1 multipath users download over a private path (server access link
-// only, loss p1) and a path continuing across the shared AP (loss p1+p2);
-// N2 type2 TCP users cross the shared AP alone. Capacities are per user
-// (server link N1·C1, shared AP N2·C2, Mb/s), starts are jittered as in
-// the testbed. Compiling this spec wires the identical rig
-// topo.BuildScenarioA hand-builds — same element order, same RNG draws —
-// so both the figure experiments (internal/harness) and the fixed-point
-// conformance check run one shared definition of the topology.
-func PaperScenarioA(n1, n2 int, c1, c2 float64, algo string, seed int64, warmupSec, durationSec float64) *Spec {
-	return &Spec{
-		Name: "scenarioA", Seed: seed,
-		WarmupSec:   warmupSec,
-		DurationSec: durationSec,
-		Links: []LinkSpec{
-			{RateMbps: float64(n1) * c1}, // server access link (loss p1)
-			{RateMbps: float64(n2) * c2}, // shared AP (loss p2)
-		},
-		Paths: []PathSpec{
-			{Links: []int{0}, DelayMs: 40},    // type1 private path
-			{Links: []int{0, 1}, DelayMs: 40}, // type1 path via the shared AP
-			{Links: []int{1}, DelayMs: 40},    // type2 path
-		},
-		Flows: []FlowSpec{
-			{Name: "type1", Algorithm: algo, Paths: []int{0, 1},
-				Count: n1, StartJitter: true, BaseID: 1000},
-			{Name: "type2", Algorithm: AlgoTCP, Paths: []int{2},
-				Count: n2, StartJitter: true, BaseID: 2000},
-		},
-	}
 }
 
 // bufferLimit reports the hard occupancy bound (packets) of link l's queue,

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -57,6 +58,12 @@ func TestSpecValidate(t *testing.T) {
 		{"negative flow bytes", func(sp *Spec) { sp.Flows[0].FlowBytes = -1 }, "negative flow bytes"},
 		{"negative chunk bytes", func(sp *Spec) { sp.Flows[0].ChunkBytes = -1 }, "negative chunk bytes"},
 		{"chunk without scheduler", func(sp *Spec) { sp.Flows[0].ChunkBytes = 4096 }, "chunk bytes without a scheduler"},
+		{"negative window cap", func(sp *Spec) { sp.Flows[0].MaxCwndPkts = -1 }, "window cap must be finite"},
+		{"NaN window cap", func(sp *Spec) { sp.Flows[1].MaxCwndPkts = math.NaN() }, "window cap must be finite"},
+		{"infinite window cap", func(sp *Spec) { sp.Flows[0].MaxCwndPkts = math.Inf(1) }, "window cap must be finite"},
+		{"valid window cap", func(sp *Spec) { sp.Flows[0].MaxCwndPkts, sp.Flows[1].MaxCwndPkts = 8, 4 }, ""},
+		{"uncapped tcp", func(sp *Spec) { sp.Flows[1].NoIncreaseCap = true }, "no coupled increase cap"},
+		{"valid uncapped multipath", func(sp *Spec) { sp.Flows[0].NoIncreaseCap = true }, ""},
 		{"unknown scheduler", func(sp *Spec) {
 			sp.Flows[0].FlowBytes = 1 << 20
 			sp.Flows[0].Scheduler = "lifo"

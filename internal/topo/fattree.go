@@ -1,3 +1,10 @@
+// Package topo builds the k-ary fat-tree data-center fabric htsim simulates
+// in §VI-B (Figs. 13-14), including the 4:1 oversubscribed variant. It is
+// the one hand-built topology left: the testbed networks (Scenarios A, B, C
+// and the two-link rig) are scenario.Spec builders (internal/scenario
+// paper.go), but a fat tree gives every host pair its own ECMP forward and
+// reverse routes and runs a Poisson short-flow workload, neither of which a
+// Spec — shared reverse link, flows listed up front — expresses yet.
 package topo
 
 import (

@@ -4,12 +4,12 @@ import (
 	"context"
 	"fmt"
 
+	"mptcpsim/internal/core"
 	"mptcpsim/internal/harness"
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/scenario"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/stats"
-	"mptcpsim/internal/topo"
 )
 
 // Path describes one bottleneck path available to the multipath user in
@@ -149,7 +149,7 @@ func (l *Lab) Simulate(ctx context.Context, sc Scenario) (Report, error) {
 	if algo == "" {
 		algo = "olia"
 	}
-	if _, ok := topo.Controllers[algo]; !ok {
+	if !core.Known(algo) {
 		return badSpec("unknown algorithm %q (have %v)", algo, Algorithms())
 	}
 	for i, p := range sc.Paths {

@@ -1,6 +1,7 @@
 package mptcpsim
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -51,7 +52,7 @@ func TestSimulateGolden(t *testing.T) {
 	}
 	for i, sc := range simulateGoldenCases() {
 		t.Run(fmt.Sprintf("case%02d", i), func(t *testing.T) {
-			rep, err := Simulate(sc)
+			rep, err := NewLab().Simulate(context.Background(), sc)
 			if err != nil {
 				t.Fatal(err)
 			}
