@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check test race check lint guard apicheck examples conform conform-smoke bench bench-tables benchcheck bench-baseline clean
+.PHONY: build vet fmt-check test race check lint guard apicheck examples conform conform-smoke bench bench-tables benchcheck clean
 
 build:
 	$(GO) build ./...
@@ -41,15 +41,19 @@ check: build vet fmt-check lint guard race apicheck
 lint:
 	$(GO) run ./cmd/simlint ./...
 
-# One way to build a testbed network, one public API: only internal/harness
-# may import internal/topo (the fat tree; every other network is a
-# scenario.Spec), and no Deprecated: marker exists outside lint testdata.
+# One way to build a testbed network, one public API, one benchmark ladder:
+# only internal/harness may import internal/topo (the fat tree; every other
+# network is a scenario.Spec), no Deprecated: marker exists outside lint
+# testdata, and no bench*.json is tracked except BENCHMARK.json (results go
+# to the ignored bench/out/).
 guard:
 	@$(GO) list -f '{{.ImportPath}} {{join .Imports " "}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./... | \
 	awk '$$1 != "mptcpsim/internal/harness" && $$1 != "mptcpsim/internal/topo" { for (i = 2; i <= NF; i++) if ($$i == "mptcpsim/internal/topo") { print $$1 " imports mptcpsim/internal/topo: build the network from a scenario.Spec instead"; bad = 1 } } END { exit bad }'
 	@if grep -rn 'Deprecated:' --include='*.go' . | grep -v '/internal/lint/.*/testdata/'; then \
 		echo "Deprecated: markers found — delete the old path instead of keeping it"; exit 1; \
 	fi
+	@! git ls-files | grep -iE '(^|/)bench[^/]*\.json$$' | grep -vx BENCHMARK.json || \
+		{ echo "committed benchmark results found — bench/ and BENCHMARK.json are the only ladder"; exit 1; }
 
 # API-surface lock: regenerate api.txt (the exported declarations of the
 # root package, via cmd/apilock) and fail on drift from the committed
@@ -78,37 +82,20 @@ conform:
 conform-smoke:
 	$(GO) run ./cmd/mptcpsim conform -smoke
 
-# Kernel micro-benchmarks (event queue, pipe transit, queue service) with
-# allocation stats, recorded machine-readably in BENCH_kernel.json. Each
-# runs five times; cmd/benchjson keeps the median ns/op and the largest
-# B/op and allocs/op per name.
-KERNEL_BENCH = ^Benchmark(EventChurn|PipeTransit|DropTailService|REDService|SimulateTwoPath)$$
-
+# The repository benchmark (bench/README.md, BENCHMARK.json): every
+# workload, end-to-end metrics plus the traced per-layer ladder, written to
+# bench/out/results.json.
 bench:
-	$(GO) test -run '^$$' -bench '$(KERNEL_BENCH)' -benchmem -count 5 . | tee bench_kernel.txt
-	$(GO) run ./cmd/benchjson < bench_kernel.txt > BENCH_kernel.json
-	@echo wrote BENCH_kernel.json
+	$(GO) run ./bench -seed 1
 
 # Regenerate the paper's tables (quick scale) while timing each experiment.
 bench-tables:
 	$(GO) test -bench=. -benchtime 1x . | tee bench_output.txt
 
-# Performance-regression gate: rerun the kernel benchmarks and diff against
-# the committed baseline (testdata/bench_baseline.json). Fails on >15%
-# ns/op drift or any allocs/op growth (cmd/benchdiff).
-# Drift tolerance (percent) for the ns/op gate; allocs/op growth is always
-# fatal. CI raises it to 40 (shared runners are noisy) — the gate still
-# blocks there.
-BENCH_TOLERANCE ?= 15
-
-benchcheck: bench
-	$(GO) run ./cmd/benchdiff -tolerance $(BENCH_TOLERANCE) testdata/bench_baseline.json BENCH_kernel.json
-
-# Refresh the regression baseline after a deliberate performance change;
-# review and commit the updated file.
-bench-baseline: bench
-	cp BENCH_kernel.json testdata/bench_baseline.json
-	@echo updated testdata/bench_baseline.json
+# Compare two results files taken on one machine against BENCHMARK.json's
+# bounds: make benchcheck OLD=a.json NEW=b.json
+benchcheck:
+	$(GO) run ./bench -compare $(OLD) $(NEW)
 
 clean:
-	rm -f mptcpsim olia-trace bench_output.txt bench_kernel.txt coverage.*
+	rm -f mptcpsim olia-trace bench_output.txt coverage.*

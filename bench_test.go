@@ -2,7 +2,9 @@
 // ablations and the sequential-vs-parallel registry comparison. Each
 // per-experiment benchmark prints its experiment's rows once (so
 // `go test -bench=. | tee bench_output.txt` captures the reproduced tables)
-// and reports the wall time per regeneration.
+// and reports the wall time per regeneration. They are developer tools
+// (`make bench-tables`), gated by nothing; the repository's benchmark, with
+// the kernel and per-layer rigs, is bench/.
 //
 // Scale: DefaultConfig by default; set MPTCPSIM_FULL=1 for the paper-scale
 // configuration (much slower: 120 s runs, 5 seeds, K=8 FatTree).
@@ -16,7 +18,6 @@ import (
 	"sync"
 	"testing"
 
-	"mptcpsim/internal/netem"
 	"mptcpsim/internal/sim"
 )
 
@@ -150,8 +151,8 @@ func BenchmarkRegistryParallelMax(b *testing.B) { benchRegistry(b, 0) }
 // BenchmarkSimulateTwoPath measures the end-to-end cost of the public
 // Lab.Simulate API on a 10-second two-path scenario. The seed is fixed so
 // every iteration runs the identical trajectory: allocs/op is then exact
-// at any iteration count, which is what lets benchcheck hold it to zero
-// growth (a per-iteration seed made the mean drift with b.N).
+// at any iteration count (a per-iteration seed made the mean drift with
+// b.N).
 func BenchmarkSimulateTwoPath(b *testing.B) {
 	b.ReportAllocs()
 	lab := NewLab()
@@ -179,78 +180,4 @@ func BenchmarkAnalyzeTwoPath(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// --- Kernel micro-benchmarks (internal/sim + internal/netem hot paths) ---
-//
-// These isolate the per-event and per-packet cost every simulation pays:
-// event scheduling churn, pipe transit, and queue service under both
-// disciplines. `make bench` runs them with -benchmem and records the
-// results in BENCH_kernel.json so allocs/op regressions are visible per
-// subsystem.
-
-// BenchmarkEventChurn measures a self-rescheduling timer chain: one event
-// scheduled, fired, and rescheduled per iteration — the pure kernel cost of
-// the event queue with no network model attached.
-func BenchmarkEventChurn(b *testing.B) {
-	b.ReportAllocs()
-	s := sim.New(1)
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			s.After(sim.Microsecond, tick)
-		}
-	}
-	s.After(sim.Microsecond, tick)
-	b.ResetTimer()
-	s.Run()
-	if n != b.N {
-		b.Fatalf("ran %d events, want %d", n, b.N)
-	}
-}
-
-// benchTransit drives b.N packets one at a time through the given entry
-// node to a terminal collector, draining the simulator each iteration. It
-// uses the production packet lifecycle: pool allocation at the source,
-// Free at the collector.
-func benchTransit(b *testing.B, s *sim.Sim, entry netem.Node, size int) {
-	b.Helper()
-	b.ReportAllocs()
-	pool := netem.PoolFor(s)
-	delivered := 0
-	c := &netem.Collector{OnRecv: func(*netem.Packet) { delivered++ }}
-	route := netem.NewRoute(entry, c)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pkt := pool.NewData(0, int64(i)*int64(size), size, s.Now(), route)
-		pkt.SendOn()
-		s.Run()
-	}
-	b.StopTimer()
-	if delivered == 0 {
-		b.Fatal("no packets delivered")
-	}
-}
-
-// BenchmarkPipeTransit measures one packet crossing a propagation-delay
-// pipe: the per-packet scheduling plus delivery cost.
-func BenchmarkPipeTransit(b *testing.B) {
-	s := sim.New(1)
-	benchTransit(b, s, netem.NewPipe(s, sim.Millisecond, "p"), netem.MSS)
-}
-
-// BenchmarkDropTailService measures one packet through a drop-tail queue:
-// arrival, service scheduling, and completion.
-func BenchmarkDropTailService(b *testing.B) {
-	s := sim.New(1)
-	benchTransit(b, s, netem.NewDropTail(s, 100e6, 100, "q"), netem.MSS)
-}
-
-// BenchmarkREDService is the same service path through a RED queue (EWMA
-// update and admission test included).
-func BenchmarkREDService(b *testing.B) {
-	s := sim.New(1)
-	benchTransit(b, s, netem.NewRED(s, 100e6, netem.PaperRED(100e6), "q"), netem.MSS)
 }

@@ -44,18 +44,20 @@ func runTwoLink(cfg Config, sp *scenario.Spec) twoLinkOutcome {
 	mp := n.Group("mp")[0]
 	rec := trace.NewRecorder(n.Sim, 250*sim.Millisecond, cfg.Warmup+cfg.Duration, windowProbes(mp.Conn)...)
 	rec.Start(0)
-	w := measure(n, cfg)
+	if _, ok := run(n, cfg); !ok {
+		return twoLinkOutcome{}
+	}
 	secs := cfg.Duration.Sec()
 	out := twoLinkOutcome{
-		mp1:        stats.Mbps(w.path(mp, 0), secs),
-		mp2:        stats.Mbps(w.path(mp, 1), secs),
+		mp1:        stats.Mbps(mp.Window[0], secs),
+		mp2:        stats.Mbps(mp.Window[1], secs),
 		flipsCount: flips(rec.Series(0), rec.Series(1)),
 	}
 	if bg := n.Group("tcp1"); len(bg) > 0 {
-		out.bg1 = stats.Mbps(w.flows(bg), secs) / float64(len(bg))
+		out.bg1 = stats.Mbps(scenario.GroupWindowBytes(bg), secs) / float64(len(bg))
 	}
 	if bg := n.Group("tcp2"); len(bg) > 0 {
-		out.bg2 = stats.Mbps(w.flows(bg), secs) / float64(len(bg))
+		out.bg2 = stats.Mbps(scenario.GroupWindowBytes(bg), secs) / float64(len(bg))
 	}
 	return out
 }

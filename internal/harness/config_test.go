@@ -34,6 +34,7 @@ func TestConfigValidate(t *testing.T) {
 		{"odd FatTree arity", func(c *Config) { c.FatTreeK = 5 }, "must be even"},
 		{"negative FatTree arity", func(c *Config) { c.FatTreeK = -4 }, "must be even"},
 		{"zero FatTree arity", func(c *Config) { c.FatTreeK = 0 }, "must be even and at least 2"},
+		{"no subflow counts", func(c *Config) { c.Subflows = nil }, "no subflow counts"},
 		{"zero subflow count", func(c *Config) { c.Subflows = []int{2, 0} }, "subflow count"},
 	}
 	for _, tc := range cases {

@@ -31,15 +31,17 @@ func runProbeSuspension(cfg Config, enable bool, seed int64) probeMetrics {
 			f.Conn.EnableProbeControl(mptcp.ProbeControl{})
 		}
 	}
-	w := measure(n, cfg)
+	if _, ok := run(n, cfg); !ok {
+		return probeMetrics{}
+	}
 	secs := cfg.Duration.Sec()
 	var m probeMetrics
 	for _, f := range multi {
-		m.multi += stats.Mbps(w.flow(f), secs) / 2.0 / 20
+		m.multi += stats.Mbps(f.WindowBytes(), secs) / 2.0 / 20
 		m.suspends += f.Conn.SuspendCount(0) + f.Conn.SuspendCount(1)
 	}
 	for _, f := range single {
-		m.single += stats.Mbps(w.flow(f), secs) / 1.0 / 10
+		m.single += stats.Mbps(f.WindowBytes(), secs) / 1.0 / 10
 	}
 	return m
 }
@@ -363,12 +365,14 @@ func runDelack(cfg Config, delayed bool) delackOutcome {
 			}
 		}
 	}
-	w := measure(n, cfg)
+	if _, ok := run(n, cfg); !ok {
+		return delackOutcome{}
+	}
 	secs := cfg.Duration.Sec()
 	tcp1, tcp2 := n.Group("tcp1"), n.Group("tcp2")
 	return delackOutcome{
-		mpMbps:     stats.Mbps(w.flows(n.Group("mp")), secs),
-		bgMeanMbps: stats.Mbps(w.flows(tcp1)+w.flows(tcp2), secs) / float64(len(tcp1)+len(tcp2)),
+		mpMbps:     stats.Mbps(scenario.GroupWindowBytes(n.Group("mp")), secs),
+		bgMeanMbps: stats.Mbps(scenario.GroupWindowBytes(tcp1)+scenario.GroupWindowBytes(tcp2), secs) / float64(len(tcp1)+len(tcp2)),
 	}
 }
 

@@ -66,7 +66,8 @@ type Config struct {
 	BaseSeed int64
 	// FatTreeK is the fabric arity: 8 at paper scale, 4 for quick runs.
 	FatTreeK int
-	// Subflows lists the subflow counts swept in Fig. 13(a).
+	// Subflows lists the subflow counts swept in Fig. 13(a); Fig. 13(b),
+	// Fig. 14 and Table III run at the last one, so it cannot be empty.
 	Subflows []int
 	// Workers bounds how many simulation jobs run concurrently: 0 selects
 	// GOMAXPROCS, 1 forces sequential execution. Every job's RNG seed
@@ -188,11 +189,12 @@ func (cfg Config) jobDone() {
 // measurement windows (metrics divide by the duration — a zero window
 // would render NaN columns without erroring), and an odd or negative
 // FatTree arity (including 0: topo would silently substitute the
-// expensive paper-scale K=8 fabric while result preambles report K=0). A
-// zero count still selects its documented default (Seeds 0 → 1, Workers
-// 0 → GOMAXPROCS), so only those fields tolerate omission; durations and
-// the arity have no safe default and must be set (use DefaultConfig or
-// FullConfig as the base).
+// expensive paper-scale K=8 fabric while result preambles report K=0),
+// and an empty Subflows list (fig13b, fig14 and table3 index its last
+// entry). A zero count still selects its documented default (Seeds 0 → 1,
+// Workers 0 → GOMAXPROCS), so only those fields tolerate omission;
+// durations, the arity and the subflow list have no safe default and must
+// be set (use DefaultConfig or FullConfig as the base).
 func (cfg Config) Validate() error {
 	if cfg.Workers < 0 {
 		return fmt.Errorf("harness: negative worker count %d", cfg.Workers)
@@ -208,6 +210,9 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.FatTreeK < 2 || cfg.FatTreeK%2 != 0 {
 		return fmt.Errorf("harness: FatTree arity %d must be even and at least 2", cfg.FatTreeK)
+	}
+	if len(cfg.Subflows) == 0 {
+		return fmt.Errorf("harness: no subflow counts: the data-center experiments run at the last entry of Subflows")
 	}
 	for _, n := range cfg.Subflows {
 		if n < 1 {

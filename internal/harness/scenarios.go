@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"mptcpsim/internal/fixedpoint"
-	"mptcpsim/internal/netem"
 	"mptcpsim/internal/scenario"
 	"mptcpsim/internal/stats"
 )
@@ -21,73 +20,22 @@ func compile(sp *scenario.Spec) *scenario.Net {
 	return n
 }
 
-// window is what one run measured over [Warmup, Warmup+Duration], as exact
-// integer deltas; the float arithmetic (and its summation order, which the
-// golden bytes depend on) stays with each experiment.
-type window struct {
-	// goodput holds, per Spec.Flows group, the in-order bytes each replica's
-	// sinks took in, at index replica·paths+path.
-	goodput [][]int64
-	// queues holds each link's queue counters.
-	queues []netem.Counters
-}
-
-// measure advances n to the end of warm-up, snapshots every sink and queue,
-// advances to the end of the run and returns the differences.
-func measure(n *scenario.Net, cfg Config) window {
-	w := window{
-		goodput: make([][]int64, len(n.Groups)),
-		queues:  make([]netem.Counters, len(n.Links)),
+// run executes a compiled network over its spec's [Warmup, Warmup+Duration]
+// window under the scenario invariant checks. The exact integer byte deltas
+// are left in each Flow's Window; the float arithmetic (and its summation
+// order, which the golden bytes depend on) stays with each experiment. A
+// cancelled run reports ok false and its job returns zero metrics (discarded
+// upstream, like every sweep job); an invariant violation on a registry spec
+// is a harness bug and panics inside the job.
+func run(n *scenario.Net, cfg Config) (rep *scenario.RunReport, ok bool) {
+	rep, err := n.Run(cfg.context())
+	if err != nil {
+		return nil, false
 	}
-	for g, flows := range n.Groups {
-		w.goodput[g] = make([]int64, len(flows)*len(n.Spec.Flows[g].Paths))
+	if len(rep.Violations) != 0 {
+		panic(fmt.Sprintf("harness: %s: invariant violations: %v", n.Spec.Name, rep.Violations))
 	}
-	n.Sim.RunUntil(cfg.Warmup)
-	for _, f := range n.Flows {
-		for i, k := range f.Sinks {
-			*w.cell(f, i) = k.GoodputBytes()
-		}
-	}
-	for i, l := range n.Links {
-		w.queues[i] = l.Queue.Stats()
-	}
-	n.Sim.RunUntil(cfg.Warmup + cfg.Duration)
-	for _, f := range n.Flows {
-		for i, k := range f.Sinks {
-			c := w.cell(f, i)
-			*c = k.GoodputBytes() - *c
-		}
-	}
-	for i, l := range n.Links {
-		w.queues[i] = l.Queue.Stats().Sub(w.queues[i])
-	}
-	return w
-}
-
-// cell locates path i of flow f in goodput.
-func (w window) cell(f *scenario.Flow, i int) *int64 {
-	return &w.goodput[f.Spec][f.Replica*len(f.Sinks)+i]
-}
-
-// path reports the window's bytes on path i of flow f.
-func (w window) path(f *scenario.Flow, i int) int64 { return *w.cell(f, i) }
-
-// flow reports the window's bytes of flow f over all its paths.
-func (w window) flow(f *scenario.Flow) int64 {
-	var total int64
-	for i := range f.Sinks {
-		total += w.path(f, i)
-	}
-	return total
-}
-
-// flows reports the window's bytes of a whole group.
-func (w window) flows(group []*scenario.Flow) int64 {
-	var total int64
-	for _, f := range group {
-		total += w.flow(f)
-	}
-	return total
+	return rep, true
 }
 
 // paperAC is the shared shape of the Scenario A and C spec builders: N1
@@ -118,16 +66,19 @@ type acPoint struct {
 func runScenarioAC(build paperAC, p acPoint, seed int64, cfg Config) acMetrics {
 	const n2, c2 = 10, 1.0
 	n := compile(build(p.n1, n2, p.c1, c2, p.algo, seed, cfg.Warmup.Sec(), cfg.Duration.Sec()))
-	w := measure(n, cfg)
+	rep, ok := run(n, cfg)
+	if !ok {
+		return acMetrics{}
+	}
 	secs := cfg.Duration.Sec()
 	var m acMetrics
 	for _, f := range n.Groups[0] {
-		m.multiNorm += stats.Mbps(w.flow(f), secs) / p.c1 / float64(p.n1)
+		m.multiNorm += stats.Mbps(f.WindowBytes(), secs) / p.c1 / float64(p.n1)
 	}
 	for _, f := range n.Groups[1] {
-		m.singleNorm += stats.Mbps(w.flow(f), secs) / c2 / n2
+		m.singleNorm += stats.Mbps(f.WindowBytes(), secs) / c2 / n2
 	}
-	m.p1, m.p2 = w.queues[0].LossProb(), w.queues[1].LossProb()
+	m.p1, m.p2 = rep.Queues[0].Window.LossProb(), rep.Queues[1].Window.LossProb()
 	return m
 }
 
@@ -311,14 +262,16 @@ type bMetrics struct {
 func runScenarioB(algo string, redMultipath bool, seed int64, cfg Config) bMetrics {
 	const users = 15
 	n := compile(scenario.PaperScenarioB(users, 27, 36, algo, redMultipath, seed, cfg.Warmup.Sec(), cfg.Duration.Sec()))
-	w := measure(n, cfg)
+	if _, ok := run(n, cfg); !ok {
+		return bMetrics{}
+	}
 	secs := cfg.Duration.Sec()
 	var m bMetrics
 	for _, f := range n.Group("blue") {
-		m.bluePerUser += stats.Mbps(w.flow(f), secs) / users
+		m.bluePerUser += stats.Mbps(f.WindowBytes(), secs) / users
 	}
 	for _, f := range n.Group("red") {
-		m.redPerUser += stats.Mbps(w.flow(f), secs) / users
+		m.redPerUser += stats.Mbps(f.WindowBytes(), secs) / users
 	}
 	m.aggregate = users * (m.bluePerUser + m.redPerUser)
 	return m

@@ -60,17 +60,13 @@ func schedScenario(sched, algo string, total int64, seed int64, flap bool, durat
 }
 
 // runSchedTransfer runs one scheduled transfer and reports its completion
-// observables. Cancellation yields zero metrics (discarded upstream, like
-// every sweep job); a violation or an incomplete transfer on a healthy run
-// is a harness bug and panics.
+// observables; a missing stream report on a healthy run is a harness bug
+// and panics.
 func runSchedTransfer(cfg Config, sched, algo string, total int64, seed int64, flap bool, durationSec float64) schedMetrics {
 	sp := schedScenario(sched, algo, total, seed, flap, durationSec)
-	rep, err := scenario.Run(cfg.context(), sp)
-	if err != nil {
+	rep, ok := run(compile(sp), cfg)
+	if !ok {
 		return schedMetrics{}
-	}
-	if len(rep.Violations) != 0 {
-		panic(fmt.Sprintf("harness: %s: invariant violations: %v", sp.Name, rep.Violations))
 	}
 	sr := rep.Flows[0].Stream
 	if sr == nil {

@@ -1,6 +1,7 @@
 // Package hotpathalloc implements the simlint analyzer that statically
 // guards the kernel's zero-allocation hot path — the property measured
-// empirically by BENCH_kernel.json (0 allocs/op on pipe/queue service).
+// empirically by the benchmark's netem.allocs_per_pkt and
+// tcp.flow_allocs_per_pkt.
 //
 // A function is hot when it is (a) a method named RunEvent, RunPayload,
 // Recv, Acked, or Lost — the per-packet entry points of sim.Handler,

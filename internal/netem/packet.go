@@ -58,9 +58,6 @@ func (r *Route) Len() int {
 	return len(r.hops)
 }
 
-// Hop returns the i-th hop.
-func (r *Route) Hop(i int) Node { return r.hops[i] }
-
 // Packet is a simulated segment. Packets are passed by pointer along their
 // route; ownership transfers with each Recv call. Pool-managed packets
 // (PacketPool.NewData/NewAck) have an explicit lifecycle: the terminal owner

@@ -251,3 +251,37 @@ func BenchmarkPipePooled(b *testing.B) {
 		s.Run()
 	}
 }
+
+// TestTransitZeroAlloc locks the per-packet path of every forwarding
+// element at zero allocations once warm: pool allocation at the source, one
+// element, Free at the collector.
+func TestTransitZeroAlloc(t *testing.T) {
+	cases := []struct {
+		name  string
+		entry func(*sim.Sim) Node
+	}{
+		{"pipe", func(s *sim.Sim) Node { return NewPipe(s, sim.Millisecond, "p") }},
+		{"droptail", func(s *sim.Sim) Node { return NewDropTail(s, 100e6, 100, "q") }},
+		{"red", func(s *sim.Sim) Node { return NewRED(s, 100e6, PaperRED(100e6), "q") }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New(1)
+			pool := PoolFor(s)
+			delivered := 0
+			route := NewRoute(tc.entry(s), &Collector{OnRecv: func(*Packet) { delivered++ }})
+			transit := func() {
+				pool.NewData(0, int64(delivered)*MSS, MSS, s.Now(), route).SendOn()
+				s.Run()
+			}
+			transit() // warm the packet and event pools
+			allocs := testing.AllocsPerRun(1000, transit)
+			if allocs != 0 {
+				t.Fatalf("%.1f allocs per packet, want 0", allocs)
+			}
+			if delivered < 1001 {
+				t.Fatalf("delivered %d packets, want every one sent", delivered)
+			}
+		})
+	}
+}

@@ -43,6 +43,10 @@ type Flow struct {
 	Srcs  []*tcp.Src
 	Sinks []*tcp.Sink
 
+	// Window holds, once Net.Run returns, the in-order bytes Sinks[i] took
+	// in over the measured window.
+	Window []int64
+
 	// AckTap counts ACKs delivered back to this flow's senders, for the
 	// conservation invariant.
 	AckTap *netem.Tap
@@ -57,9 +61,23 @@ func (f *Flow) GoodputBytes() int64 {
 	return total
 }
 
-// PathGoodputBytes reports in-order bytes delivered on path i (flow-local
-// index).
-func (f *Flow) PathGoodputBytes(i int) int64 { return f.Sinks[i].GoodputBytes() }
+// WindowBytes sums Window over the flow's paths.
+func (f *Flow) WindowBytes() int64 {
+	var total int64
+	for _, b := range f.Window {
+		total += b
+	}
+	return total
+}
+
+// GroupWindowBytes sums the measured-window bytes of a whole group.
+func GroupWindowBytes(group []*Flow) int64 {
+	var total int64
+	for _, f := range group {
+		total += f.WindowBytes()
+	}
+	return total
+}
 
 // SentPkts sums data segments transmitted (retransmissions included)
 // across the flow's senders.

@@ -16,14 +16,13 @@ func newProgressCounter(fn func(done, total int), total int) *runner.Progress {
 	return c
 }
 
-// AdvanceUntil advances s from virtual time `from` to `to`, observing ctx
+// advanceUntil advances s from virtual time `from` to `to`, observing ctx
 // at one-second virtual-time boundaries and returning ctx.Err() when
 // cancelled mid-run. sim.RunUntil is exact at window boundaries, so the
 // sliced execution processes the identical event sequence as one
 // uninterrupted call; with a non-cancellable context the slicing is
-// skipped entirely. Both scenario.Run and the facade's Lab.Simulate
-// advance their simulations through this single helper.
-func AdvanceUntil(ctx context.Context, s *sim.Sim, from, to sim.Time) error {
+// skipped entirely.
+func advanceUntil(ctx context.Context, s *sim.Sim, from, to sim.Time) error {
 	if ctx.Done() == nil {
 		s.RunUntil(to)
 		return nil

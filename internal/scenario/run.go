@@ -149,7 +149,16 @@ func (m *monitor) sample(now sim.Time) {
 	}
 }
 
-// Run compiles and executes the scenario, measuring goodput over
+// Run compiles and executes the scenario; see Net.Run.
+func Run(ctx context.Context, sp *Spec) (*RunReport, error) {
+	n, err := Compile(sp)
+	if err != nil {
+		return nil, err
+	}
+	return n.Run(ctx)
+}
+
+// Run executes the compiled scenario once, measuring goodput over
 // [Warmup, Warmup+Duration] and checking every invariant:
 //
 //   - queue occupancy stays within the configured buffer bound (sampled);
@@ -158,10 +167,13 @@ func (m *monitor) sample(now sim.Time) {
 //   - per-queue packet conservation: arrivals = served + dropped + backlog;
 //   - per-link throughput never exceeds capacity over the window;
 //   - global packet conservation: every data segment sent is matched by a
-//     delivered ACK, a drop somewhere, or an in-flight packet.
+//     delivered ACK, a segment its sink absorbed without one (delayed
+//     ACKs), a drop somewhere, or an in-flight packet.
 //
 // Violations are collected in the report rather than returned as errors so
 // a fuzzing run can report every broken invariant of a scenario at once.
+// Besides the report, the run leaves each flow's exact per-path byte counts
+// for the window in Flow.Window, for callers that do their own arithmetic.
 //
 // Cancelling ctx abandons the simulation at the next one-second
 // virtual-time boundary and returns an error wrapping ctx.Err(). The
@@ -169,11 +181,8 @@ func (m *monitor) sample(now sim.Time) {
 // window boundaries, so a run sliced into chunks processes the identical
 // event sequence as one uninterrupted call (and with a background context
 // the slicing is skipped entirely).
-func Run(ctx context.Context, sp *Spec) (*RunReport, error) {
-	n, err := Compile(sp)
-	if err != nil {
-		return nil, err
-	}
+func (n *Net) Run(ctx context.Context) (*RunReport, error) {
+	sp := n.Spec
 	r := &RunReport{Name: sp.Name, Seed: sp.Seed}
 	m := newMonitor(n, r)
 	warm := sim.Seconds(sp.WarmupSec)
@@ -181,32 +190,35 @@ func Run(ctx context.Context, sp *Spec) (*RunReport, error) {
 
 	// Window bases, snapped when the warm-up closes.
 	qBase := make([]netem.Counters, len(n.Links))
-	flowBase := make([][]int64, len(n.Flows))
 	n.Sim.At(warm, func() {
 		for i, l := range n.Links {
 			qBase[i] = l.Queue.Stats()
 		}
-		for i, f := range n.Flows {
-			flowBase[i] = make([]int64, len(f.Sinks))
+		for _, f := range n.Flows {
+			f.Window = make([]int64, len(f.Sinks))
 			for pi, k := range f.Sinks {
-				flowBase[i][pi] = k.GoodputBytes()
+				f.Window[pi] = k.GoodputBytes()
 			}
 		}
 	})
 	m.RunEvent(0) // first sample at t=0, then every samplePeriod
-	if err := AdvanceUntil(ctx, n.Sim, 0, end); err != nil {
+	if err := advanceUntil(ctx, n.Sim, 0, end); err != nil {
 		return nil, fmt.Errorf("scenario %q: run canceled: %w", sp.Name, err)
 	}
 
 	secs := sp.DurationSec
-	for i, f := range n.Flows {
+	r.Flows = make([]FlowReport, 0, len(n.Flows))
+	r.Queues = make([]QueueReport, 0, len(n.Links))
+	for _, f := range n.Flows {
 		fr := FlowReport{
 			Name:      f.Name,
 			Algorithm: sp.Flows[f.Spec].Algorithm,
 			SentPkts:  f.SentPkts(),
+			PathMbps:  make([]float64, 0, len(f.Sinks)),
 		}
 		for pi, k := range f.Sinks {
-			mbps := stats.Mbps(k.GoodputBytes()-flowBase[i][pi], secs)
+			f.Window[pi] = k.GoodputBytes() - f.Window[pi]
+			mbps := stats.Mbps(f.Window[pi], secs)
 			fr.PathMbps = append(fr.PathMbps, mbps)
 			fr.GoodputMbps += mbps
 			fr.GoodputBytes += k.GoodputBytes()
@@ -264,14 +276,16 @@ func checkConservation(n *Net, r *RunReport) {
 		r.violate("reverse queue leaks packets: %d arrived, %d served+dropped+queued", rc.ArrivedPkts, got)
 	}
 
-	// Global: data segments sent = ACKs delivered + drops + in flight.
-	// The receiver emits exactly one ACK per delivered data segment
-	// (delayed ACKs are never enabled by the compiler), so matching sends
-	// against delivered ACKs closes the loop around both directions.
-	var sent, acked, dropped, inflight int64
+	// Global: data segments sent = ACKs delivered + segments a sink took in
+	// without emitting an ACK (none unless delayed ACKs are on) + drops + in
+	// flight, which closes the loop around both directions.
+	var sent, acked, unacked, dropped, inflight int64
 	for _, f := range n.Flows {
 		sent += f.SentPkts()
 		acked += f.AckTap.Pkts
+		for _, k := range f.Sinks {
+			unacked += k.RecvPkts() - k.AckPkts()
+		}
 	}
 	for _, l := range n.Links {
 		dropped += l.Queue.Stats().DroppedPkts
@@ -285,9 +299,9 @@ func checkConservation(n *Net, r *RunReport) {
 	for _, p := range n.pipes {
 		inflight += int64(p.InFlight())
 	}
-	if sent != acked+dropped+inflight {
-		r.violate("packet conservation broken: %d data segments sent, %d acked + %d dropped + %d in flight = %d",
-			sent, acked, dropped, inflight, acked+dropped+inflight)
+	if got := acked + unacked + dropped + inflight; sent != got {
+		r.violate("packet conservation broken: %d data segments sent, %d acked + %d absorbed unacked + %d dropped + %d in flight = %d",
+			sent, acked, unacked, dropped, inflight, got)
 	}
 }
 

@@ -5,6 +5,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"mptcpsim/internal/sim"
+	"mptcpsim/internal/stats"
 )
 
 // twoPathSpec is a small valid scenario used across tests.
@@ -153,6 +156,45 @@ func TestRunMeasuresAndHoldsInvariants(t *testing.T) {
 	}
 	if rep.Flows[0].PathMbps[0] <= 0 || rep.Flows[0].PathMbps[1] <= 0 {
 		t.Fatalf("multipath flow idle on a path: %v", rep.Flows[0].PathMbps)
+	}
+}
+
+// TestNetRunWindowAndDelayedAcks drives a compiled Net the way the harness
+// does: mutate it (delayed ACKs, which break one-ACK-per-segment), run it,
+// and read the exact window bytes. Conservation must still hold, and
+// Flow.Window must agree with the report's rates.
+func TestNetRunWindowAndDelayedAcks(t *testing.T) {
+	sp := twoPathSpec()
+	n, err := Compile(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range n.Flows {
+		for _, k := range f.Sinks {
+			k.SetDelayedAck(40 * sim.Millisecond)
+		}
+	}
+	rep, err := n.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Violations) != 0 {
+		t.Fatalf("invariant violations under delayed ACKs: %v", rep.Violations)
+	}
+	var held int64
+	for i, f := range n.Flows {
+		for _, k := range f.Sinks {
+			held += k.RecvPkts() - k.AckPkts()
+		}
+		if got := stats.Mbps(f.WindowBytes(), sp.DurationSec); math.Abs(got-rep.Flows[i].GoodputMbps) > 1e-9 {
+			t.Fatalf("flow %s: window bytes give %.6f Mb/s, report says %.6f", f.Name, got, rep.Flows[i].GoodputMbps)
+		}
+	}
+	if held == 0 {
+		t.Fatal("delayed ACKs withheld nothing: the test does not exercise the identity's unacked term")
+	}
+	if got := GroupWindowBytes(n.Groups[1]); got != n.Groups[1][0].WindowBytes()+n.Groups[1][1].WindowBytes() {
+		t.Fatalf("group window bytes %d do not sum the replicas", got)
 	}
 }
 

@@ -278,6 +278,23 @@ func TestScheduleZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestClosureEventAtMostOneAlloc bounds the At/After path: a retained
+// closure event costs its one event slot and nothing else, so cold-path
+// timers cannot quietly grow a second allocation.
+func TestClosureEventAtMostOneAlloc(t *testing.T) {
+	s := New(1)
+	tick := func() {}
+	s.After(Microsecond, tick)
+	s.Run()
+	allocs := testing.AllocsPerRun(1000, func() {
+		s.After(Microsecond, tick)
+		s.Run()
+	})
+	if allocs > 1 {
+		t.Fatalf("closure path allocates %.1f per event, want at most 1", allocs)
+	}
+}
+
 func BenchmarkScheduleHandler(b *testing.B) {
 	s := New(1)
 	b.ReportAllocs()

@@ -114,9 +114,6 @@ func (s *Sketch) value(i int) float64 {
 // N reports the number of observations.
 func (s *Sketch) N() int64 { return s.total }
 
-// RelativeError reports the sketch's per-quantile relative-error bound α.
-func (s *Sketch) RelativeError() float64 { return s.alpha }
-
 // Merge folds another sketch into s: bucket-wise addition, exact and
 // commutative, so the merged sketch equals the sketch of the concatenated
 // streams no matter how the observations were sharded. The sketches must

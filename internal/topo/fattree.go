@@ -225,27 +225,3 @@ func (ft *FatTree) CoreLinks() []*netem.Link {
 	}
 	return out
 }
-
-// AllQueues lists every queue in the fabric (for aggregate loss accounting).
-func (ft *FatTree) AllQueues() []netem.Queue {
-	var out []netem.Queue
-	for _, l := range ft.hostUp {
-		out = append(out, l.Q)
-	}
-	for _, l := range ft.hostDown {
-		out = append(out, l.Q)
-	}
-	for p := range ft.edgeUp {
-		for i := range ft.edgeUp[p] {
-			for j := range ft.edgeUp[p][i] {
-				out = append(out, ft.edgeUp[p][i][j].Q, ft.edgeDown[p][i][j].Q)
-			}
-		}
-		for j := range ft.aggUp[p] {
-			for m := range ft.aggUp[p][j] {
-				out = append(out, ft.aggUp[p][j][m].Q, ft.aggDown[p][j][m].Q)
-			}
-		}
-	}
-	return out
-}

@@ -6,9 +6,7 @@ import (
 
 	"mptcpsim/internal/core"
 	"mptcpsim/internal/harness"
-	"mptcpsim/internal/netem"
 	"mptcpsim/internal/scenario"
-	"mptcpsim/internal/sim"
 	"mptcpsim/internal/stats"
 )
 
@@ -135,8 +133,9 @@ func simulateSpec(sc Scenario, algo string, dur float64, seed int64) *scenario.S
 // Simulate runs a multipath user against background TCP flows over custom
 // bottleneck paths and reports the goodput split — the programmatic
 // equivalent of the paper's Fig. 6 microbenchmarks. The rig is compiled
-// from a declarative scenario spec (simulateSpec); cancelling ctx abandons
-// the run at a one-second virtual-time boundary with an ErrCanceled error.
+// from a declarative scenario spec (simulateSpec) and run under the
+// scenario invariant checks; cancelling ctx abandons the run at a
+// one-second virtual-time boundary with an ErrCanceled error.
 func (l *Lab) Simulate(ctx context.Context, sc Scenario) (Report, error) {
 	const op = "simulate"
 	badSpec := func(format string, args ...any) (Report, error) {
@@ -184,7 +183,7 @@ func (l *Lab) Simulate(ctx context.Context, sc Scenario) (Report, error) {
 
 	// The multipath user is the last flow group; background group b of
 	// path i sits at listing position prefix(i)+b.
-	conn := n.Flows[len(n.Flows)-1].Conn
+	user := n.Flows[len(n.Flows)-1]
 	bgGroup := make([][]*scenario.Flow, len(sc.Paths))
 	pos := 0
 	for i, p := range sc.Paths {
@@ -192,38 +191,24 @@ func (l *Lab) Simulate(ctx context.Context, sc Scenario) (Report, error) {
 		pos += p.BackgroundTCP
 	}
 
-	warm := 2 * sim.Second
-	end := warm + sim.Seconds(dur)
-	if err := scenario.AdvanceUntil(ctx, n.Sim, 0, warm); err != nil {
+	run, err := n.Run(ctx)
+	if err != nil {
 		return Report{}, apiErr(op, "", ErrCanceled, err)
 	}
-	mpBase := make([]int64, len(sc.Paths))
-	bgBase := make([]int64, len(sc.Paths))
-	qBase := make([]netem.Counters, len(sc.Paths))
-	for i := range sc.Paths {
-		mpBase[i] = conn.Subflows()[i].Sink.GoodputBytes()
-		for _, f := range bgGroup[i] {
-			bgBase[i] += f.Sinks[0].GoodputBytes()
-		}
-		qBase[i] = n.Links[i].Queue.Stats()
-	}
-	if err := scenario.AdvanceUntil(ctx, n.Sim, warm, end); err != nil {
-		return Report{}, apiErr(op, "", ErrCanceled, err)
+	if len(run.Violations) != 0 {
+		// The numbers of a run that broke an invariant are not to be trusted.
+		return Report{}, apiErr(op, "", nil, fmt.Errorf("invariant violations: %v", run.Violations))
 	}
 
 	var rep Report
 	for i := range sc.Paths {
 		pr := PathReport{
-			MultipathMbps: stats.Mbps(conn.Subflows()[i].Sink.GoodputBytes()-mpBase[i], dur),
-			LossProb:      n.Links[i].Queue.Stats().Sub(qBase[i]).LossProb(),
-			CwndPkts:      conn.CwndPkts(i),
+			MultipathMbps: stats.Mbps(user.Window[i], dur),
+			LossProb:      run.Queues[i].Window.LossProb(),
+			CwndPkts:      user.Conn.CwndPkts(i),
 		}
 		if nBG := len(bgGroup[i]); nBG > 0 {
-			var total int64
-			for _, f := range bgGroup[i] {
-				total += f.Sinks[0].GoodputBytes()
-			}
-			pr.BackgroundMbps = stats.Mbps(total-bgBase[i], dur) / float64(nBG)
+			pr.BackgroundMbps = stats.Mbps(scenario.GroupWindowBytes(bgGroup[i]), dur) / float64(nBG)
 		}
 		rep.TotalMbps += pr.MultipathMbps
 		rep.Paths = append(rep.Paths, pr)
