@@ -18,17 +18,19 @@ import (
 // which carries the scenario seed. The scenario layer guarantees a run is
 // a pure function of (spec, seed) — the fuzzer re-runs every generated
 // scenario and compares RunReport digests — so a hit can stand in for a
-// simulation exactly. Reports round-trip through JSON bit-exactly (Go
-// encodes float64 shortest-round-trip), so a warm re-run folds the
-// identical samples and produces the byte-identical aggregate.
+// simulation exactly. An entry is the report in the binary encoding of
+// codec.go, which carries every float64 as its bits, so a warm re-run
+// folds the identical samples and produces the byte-identical aggregate.
 //
-// Layout: <dir>/<key[:2]>/<key>.json, one atomic file per run (written to
+// Layout: <dir>/<key[:2]>/<key>.bin, one atomic file per run (written to
 // a temp name, then renamed), so concurrent workers — or concurrent
 // campaigns sharing one directory — never observe a torn entry.
 
-// cacheSchema versions the on-disk format; bump on layout changes so stale
-// trees never parse as fresh results.
-const cacheSchema = "mptcpsim-campaign-cache-v1"
+// cacheSchema versions the on-disk format: it is hashed into every key and
+// opens every entry, so a tree written under another schema is never
+// addressed, and a file of one never decodes. Bump it with any change to
+// codec.go's encoding.
+const cacheSchema = "mptcpsim-campaign-cache-v2"
 
 // CacheKey returns the content address of one scenario run under the given
 // code version: hex SHA-256 over the schema tag, the version, and the
@@ -53,8 +55,8 @@ type cache struct {
 	dir string
 }
 
-// openCache prepares the cache root; a nil cache (empty dir) disables
-// caching entirely.
+// openCache prepares the cache root. An empty dir means no cache: the nil
+// *cache tells Run to derive no key and touch no file.
 func openCache(dir string) (*cache, error) {
 	if dir == "" {
 		return nil, nil
@@ -67,38 +69,30 @@ func openCache(dir string) (*cache, error) {
 
 // path maps a key to its entry file.
 func (c *cache) path(key string) string {
-	return filepath.Join(c.dir, key[:2], key+".json")
+	return filepath.Join(c.dir, key[:2], key+".bin")
 }
 
-// get loads the cached report for key. A missing, torn or stale-schema
-// entry is a miss, never an error: the caller falls back to simulating and
+// get loads the report cached under key for the run of sp. A missing, torn
+// or undecodable entry is a miss, never an error, and so is one that
+// decodes to some other run (a file copied or renamed by hand, a
+// half-restored directory): the caller falls back to simulating and
 // rewrites the entry.
-func (c *cache) get(key string) (*scenario.RunReport, bool) {
-	if c == nil {
-		return nil, false
-	}
+func (c *cache) get(key string, sp *scenario.Spec) (*scenario.RunReport, bool) {
 	data, err := os.ReadFile(c.path(key))
 	if err != nil {
 		return nil, false
 	}
-	var rep scenario.RunReport
-	if err := json.Unmarshal(data, &rep); err != nil {
+	rep, err := decodeReport(data)
+	if err != nil || rep.Name != sp.Name || rep.Seed != sp.Seed {
 		return nil, false
 	}
-	return &rep, true
+	return rep, true
 }
 
 // put stores a completed run under key, atomically: the entry is fully
 // written to a private temp file and renamed into place, so readers see
 // either nothing or the whole report.
 func (c *cache) put(key string, rep *scenario.RunReport) error {
-	if c == nil {
-		return nil
-	}
-	data, err := json.Marshal(rep)
-	if err != nil {
-		return fmt.Errorf("campaign: encoding report for cache: %w", err)
-	}
 	dir := filepath.Dir(c.path(key))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("campaign: preparing cache shard: %w", err)
@@ -107,7 +101,7 @@ func (c *cache) put(key string, rep *scenario.RunReport) error {
 	if err != nil {
 		return fmt.Errorf("campaign: writing cache entry: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
+	if _, err := tmp.Write(appendReport(nil, rep)); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("campaign: writing cache entry: %w", err)

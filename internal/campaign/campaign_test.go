@@ -3,12 +3,17 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"flag"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
 	"mptcpsim/internal/scenario"
@@ -58,6 +63,37 @@ func TestSampledSpecsValidate(t *testing.T) {
 			if again := sp.SampleSpec(i); !reflect.DeepEqual(s, again) {
 				t.Errorf("%s[%d]: re-sampling the same index changed the scenario", sp.Name, i)
 			}
+		}
+	}
+}
+
+// TestSampleSpecConcurrent: SampleSpec draws from pooled generators, and a
+// generator's previous user must not show in the next one's draws. Eight
+// goroutines sample 256 indices in a shuffled order (run under -race) and
+// every spec equals the one a lone caller gets.
+func TestSampleSpecConcurrent(t *testing.T) {
+	sp := Default().fill()
+	const n, workers = 256, 8
+	want := make([]*scenario.Spec, n)
+	for i := range want {
+		want[i] = sp.SampleSpec(i)
+	}
+	order := rand.New(rand.NewSource(9)).Perm(n)
+	got := make([]*scenario.Spec, n)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := w; k < n; k += workers {
+				got[order[k]] = sp.SampleSpec(order[k])
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("index %d: concurrent sample differs from the sequential one:\n%+v\n%+v", i, got[i], want[i])
 		}
 	}
 }
@@ -180,17 +216,18 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 	rep := &scenario.RunReport{Name: "x", Seed: 3, Processed: 42,
 		Flows: []scenario.FlowReport{{Name: "user-0", GoodputMbps: 1.25, GoodputBytes: 10000}}}
-	key, err := CacheKey("v", &scenario.Spec{Name: "x", Seed: 3})
+	spec := &scenario.Spec{Name: "x", Seed: 3}
+	key, err := CacheKey("v", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.get(key); ok {
+	if _, ok := c.get(key, spec); ok {
 		t.Fatal("hit before put")
 	}
 	if err := c.put(key, rep); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := c.get(key)
+	got, ok := c.get(key, spec)
 	if !ok {
 		t.Fatal("miss after put")
 	}
@@ -198,20 +235,24 @@ func TestCacheRoundTrip(t *testing.T) {
 		t.Fatalf("round trip changed the report: %+v vs %+v", got, rep)
 	}
 
+	// An entry that decodes to some other run is a miss.
+	for _, other := range []*scenario.Spec{{Name: "y", Seed: 3}, {Name: "x", Seed: 4}} {
+		if _, ok := c.get(key, other); ok {
+			t.Errorf("entry for x/3 served as %s/%d", other.Name, other.Seed)
+		}
+	}
 	// A torn or corrupted entry is a miss, not an error.
-	if err := os.WriteFile(c.path(key), []byte("{truncated"), 0o644); err != nil {
+	whole, err := os.ReadFile(c.path(key))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.get(key); ok {
-		t.Error("corrupted entry treated as a hit")
-	}
-	// A nil cache (caching disabled) is inert.
-	var nc *cache
-	if _, ok := nc.get(key); ok {
-		t.Error("nil cache produced a hit")
-	}
-	if err := nc.put(key, rep); err != nil {
-		t.Errorf("nil cache put failed: %v", err)
+	for _, bad := range [][]byte{whole[:len(whole)-1], append(whole[:len(whole):len(whole)], 0), []byte("{truncated"), nil} {
+		if err := os.WriteFile(c.path(key), bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c.get(key, spec); ok {
+			t.Errorf("corrupted entry %q treated as a hit", bad)
+		}
 	}
 }
 
@@ -293,6 +334,105 @@ func TestRunWarmCache(t *testing.T) {
 	}
 	if bumped.Simulated != 200 {
 		t.Errorf("version bump: simulated %d, want 200", bumped.Simulated)
+	}
+}
+
+// entryFiles lists a cache tree's entry files in a fixed order.
+func entryFiles(t *testing.T, dir, ext string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*", "*"+ext))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(files)
+	return files
+}
+
+// TestRunSwappedEntries: an entry filed under another run's key is not that
+// run. Both swapped scenarios are re-simulated and rewritten.
+func TestRunSwappedEntries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates scenarios; skipped in -short")
+	}
+	sp := tinySpec()
+	sp.CacheDir = t.TempDir()
+	opts := Options{Workers: 4, Version: "test"}
+	cold, err := Run(context.Background(), sp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := entryFiles(t, sp.CacheDir, ".bin")
+	if len(files) != sp.N {
+		t.Fatalf("%d entry files after a cold run of %d", len(files), sp.N)
+	}
+	a, b := files[0], files[len(files)-1]
+	hold := a + ".hold"
+	for _, mv := range [][2]string{{a, hold}, {b, a}, {hold, b}} {
+		if err := os.Rename(mv[0], mv[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, want := range []int{2, 0} {
+		res, err := Run(context.Background(), sp, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Simulated != want || res.CacheHits != sp.N-want {
+			t.Errorf("simulated %d / hits %d, want %d / %d", res.Simulated, res.CacheHits, want, sp.N-want)
+		}
+		if res.Digest() != cold.Digest() {
+			t.Errorf("digest %s differs from the cold run's %s", res.Digest(), cold.Digest())
+		}
+	}
+}
+
+// TestRunIgnoresV1Tree: a directory filled under the v1 schema (JSON
+// entries at <key>.json, keys hashed from the v1 tag) yields no hits and
+// is left as it was.
+func TestRunIgnoresV1Tree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates scenarios; skipped in -short")
+	}
+	sp := tinySpec()
+	sp.N = 4
+	sp.CacheDir = t.TempDir()
+	filled := sp.fill()
+	v1 := map[string][]byte{}
+	for i := 0; i < sp.N; i++ {
+		spec := filled.SampleSpec(i)
+		data, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(append([]byte("mptcpsim-campaign-cache-v1\x00test\x00"), data...))
+		key := hex.EncodeToString(sum[:])
+		entry, err := json.Marshal(&scenario.RunReport{Name: spec.Name, Seed: spec.Seed, Processed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(sp.CacheDir, key[:2], key+".json")
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, entry, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		v1[path] = entry
+	}
+	res, err := Run(context.Background(), sp, Options{Workers: 2, Version: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Simulated != sp.N || res.CacheHits != 0 {
+		t.Errorf("simulated %d / hits %d over a v1 tree, want %d / 0", res.Simulated, res.CacheHits, sp.N)
+	}
+	if got := entryFiles(t, sp.CacheDir, ".json"); len(got) != len(v1) {
+		t.Errorf("%d v1 entries left of %d", len(got), len(v1))
+	}
+	for path, want := range v1 {
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("v1 entry %s changed: %q, %v", path, got, err)
+		}
 	}
 }
 

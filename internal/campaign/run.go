@@ -208,9 +208,8 @@ type outcome struct {
 // in index order, and no more than one chunk of reports is ever resident —
 // memory is O(workers), not O(N). Because scenario i is a pure function of
 // (Spec, i) and the fold order is the index order, the Result is
-// byte-identical at any worker count, and — reports round-tripping through
-// the cache's JSON bit-exactly — identical again when every scenario is a
-// cache hit.
+// byte-identical at any worker count, and — cache entries carrying every
+// float as its bits — identical again when every scenario is a cache hit.
 //
 // Cancelling ctx abandons the campaign within one scenario boundary and
 // returns an error wrapping ctx.Err(). The cache directory keeps every
@@ -241,20 +240,27 @@ func Run(ctx context.Context, sp *Spec, opts Options) (*Result, error) {
 		}
 		outs, err := runner.Map(ctx, pool, n, func(i int) outcome {
 			spec := sp.SampleSpec(base + i)
-			key, err := CacheKey(opts.Version, spec)
-			if err != nil {
-				return outcome{err: err}
-			}
-			if rep, ok := cc.get(key); ok {
-				prog.Step()
-				return outcome{rep: rep, hit: true}
+			// Without a cache there is nothing to address: no key is
+			// derived, and get and put are not called.
+			var key string
+			if cc != nil {
+				var err error
+				if key, err = CacheKey(opts.Version, spec); err != nil {
+					return outcome{err: err}
+				}
+				if rep, ok := cc.get(key, spec); ok {
+					prog.Step()
+					return outcome{rep: rep, hit: true}
+				}
 			}
 			rep, err := scenario.Run(ctx, spec)
 			if err != nil {
 				return outcome{err: err}
 			}
-			if err := cc.put(key, rep); err != nil {
-				return outcome{err: err}
+			if cc != nil {
+				if err := cc.put(key, rep); err != nil {
+					return outcome{err: err}
+				}
 			}
 			prog.Step()
 			return outcome{rep: rep}

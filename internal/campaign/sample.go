@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/scenario"
@@ -14,6 +15,12 @@ import (
 // way a fuzz campaign is.
 const indexStride = 1_000_003
 
+// rngPool recycles SampleSpec's generators: seeding one fills a 607-word
+// state, and allocating that 4.9 KB afresh per scenario was most of what a
+// cache hit allocated. Seed leaves a pooled generator in exactly the state
+// of a new one, so the draw stream does not depend on reuse.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // SampleSpec deterministically builds scenario index of the campaign: a
 // private RNG is seeded from (Seed, index) alone, every distribution draw
 // comes from it in a fixed order, and the result is a validated
@@ -21,7 +28,9 @@ const indexStride = 1_000_003
 // on every call — the property the cache key and the replay workflow rest
 // on. Call on a filled, validated spec (Run does both).
 func (sp *Spec) SampleSpec(index int) *scenario.Spec {
-	rng := rand.New(rand.NewSource(sp.Seed + int64(index)*indexStride))
+	rng := rngPool.Get().(*rand.Rand)
+	defer rngPool.Put(rng)
+	rng.Seed(sp.Seed + int64(index)*indexStride)
 	out := &scenario.Spec{
 		Name:        fmt.Sprintf("%s-%d", sp.Name, index),
 		WarmupSec:   sp.WarmupSec.sample(rng),
