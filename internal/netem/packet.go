@@ -71,7 +71,8 @@ type Packet struct {
 	Seq int64
 	// Size is the wire size in bytes, including an idealized header.
 	Size int
-	// Ack marks pure acknowledgments.
+	// Ack marks pure acknowledgments. A pooled packet is made as one kind
+	// or the other and Free files it by this field: do not flip it.
 	Ack bool
 	// Retx marks retransmitted data (Karn's rule: no RTT sample from these).
 	Retx bool
@@ -96,6 +97,10 @@ type Packet struct {
 type Block struct {
 	Start, End int64
 }
+
+// MaxSackBlocks bounds the per-ACK SACK report, as real TCP options do, and
+// is the Sack capacity every pooled ACK is born with.
+const MaxSackBlocks = 8
 
 // NewPacket readies p for transmission over route. It resets the hop cursor.
 func (p *Packet) SetRoute(r *Route) {
@@ -147,17 +152,36 @@ func (p *Packet) Free() {
 		p.route = nil
 		p.hop = 0
 	}
-	pl.free = append(pl.free, p)
+	if p.Ack {
+		pl.acks.free = append(pl.acks.free, p)
+	} else {
+		pl.data.free = append(pl.data.free, p)
+	}
 }
 
-// PacketPool is a per-simulation packet free list. All protocol endpoints
-// of one Sim share a pool (PoolFor), so in steady state every data segment
-// and ACK is recycled instead of allocated. The pool is single-threaded,
-// like the Sim that owns it.
+// PacketPool is a per-simulation packet pool. All protocol endpoints of one
+// Sim share a pool (PoolFor), so in steady state every data segment and ACK
+// is recycled instead of allocated. Data segments and ACKs recycle through
+// separate free lists: a packet keeps its kind for life, so only ACKs ever
+// own Sack storage. The pool is single-threaded, like the Sim that owns it.
 type PacketPool struct {
-	free  []*Packet
-	debug bool
+	data, acks freeList
+	debug      bool
 }
+
+// freeList holds the recycled packets of one kind and the not yet issued
+// remainder of the newest slab they are carved from.
+type freeList struct {
+	free []*Packet
+	slab []Packet
+}
+
+// slabPackets is how many packets one pool miss allocates together. Short
+// runs dominate the population workloads and keep a few dozen packets of
+// each kind alive; measured there, 16 against 32 and 64 costs 2-4 % more
+// allocations and saves 4-12 % of a scenario's bytes, and a long bulk run
+// does not care (under 6 % of its allocations at any of the three).
+const slabPackets = 16
 
 // PoolFor returns s's packet pool, creating and attaching it on first use.
 // The pool is anchored on the Sim's Aux slot so every component of one
@@ -181,47 +205,87 @@ func PoolFor(s *sim.Sim) *PacketPool {
 // stale readers fail loudly. Costs a little per Free; meant for tests.
 func (pl *PacketPool) SetDebug(on bool) { pl.debug = on }
 
-// FreeCount reports the current free-list size (diagnostics and tests).
-func (pl *PacketPool) FreeCount() int { return len(pl.free) }
+// FreeCount reports how many packets of both kinds are waiting for reuse
+// (diagnostics and tests).
+func (pl *PacketPool) FreeCount() int { return len(pl.data.free) + len(pl.acks.free) }
 
-// get pops a recycled packet, fully reset, or allocates a fresh one. The
-// Sack capacity survives recycling so ACK reports reuse their backing
-// arrays.
-func (pl *PacketPool) get() *Packet {
-	n := len(pl.free)
-	if n == 0 {
-		return &Packet{pool: pl}
+// get pops a recycled packet of the wanted kind, or carves one from the
+// kind's slab. What comes back still holds its previous life's fields,
+// except that pool, Ack and the Sack backing array are the packet's for
+// life; NewData and NewAck overwrite everything else.
+//
+//simlint:hot
+func (pl *PacketPool) get(ack bool) *Packet {
+	l := &pl.data
+	if ack {
+		l = &pl.acks
 	}
-	p := pl.free[n-1]
-	pl.free[n-1] = nil
-	pl.free = pl.free[:n-1]
-	sack := p.Sack[:0]
-	*p = Packet{Sack: sack, pool: pl}
+	if n := len(l.free); n > 0 {
+		p := l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+		p.freed = false
+		return p
+	}
+	if len(l.slab) == 0 {
+		pl.refill(l, ack)
+	}
+	p := &l.slab[0]
+	l.slab = l.slab[1:]
 	return p
+}
+
+// ackSlab is a slab of ACKs with the Sack storage they keep for life.
+type ackSlab struct {
+	pkts [slabPackets]Packet
+	sack [slabPackets][MaxSackBlocks]Block
+}
+
+// refill allocates l's next slab.
+func (pl *PacketPool) refill(l *freeList, ack bool) {
+	if ack {
+		//simlint:ignore hotpathalloc amortised growth, as for data below; the Sack storage is allocated here once and never again, because a report never outgrows MaxSackBlocks
+		s := new(ackSlab)
+		for i := range s.pkts {
+			s.pkts[i].Ack = true
+			s.pkts[i].Sack = s.sack[i][:0]
+		}
+		l.slab = s.pkts[:]
+	} else {
+		//simlint:ignore hotpathalloc amortised growth: one slab per slabPackets misses, and none once the pool holds the run's high-water mark of packets in flight
+		l.slab = new([slabPackets]Packet)[:]
+	}
+	for i := range l.slab {
+		l.slab[i].pool = pl
+	}
 }
 
 // NewData builds a pool-managed data segment of size bytes for the given
 // flow, ready for transmission over route.
 func (pl *PacketPool) NewData(flowID int, seq int64, size int, now sim.Time, route *Route) *Packet {
-	p := pl.get()
+	p := pl.get(false)
 	p.Seq = seq
 	p.Size = size
+	p.Retx = false
 	p.FlowID = flowID
 	p.SentAt = now
+	p.EchoTS = 0
 	p.SetRoute(route)
 	return p
 }
 
 // NewAck builds a pool-managed pure ACK carrying cumulative ack point
-// ackSeq and echoing the data packet's timestamp.
+// ackSeq and echoing the data packet's timestamp. Its Sack is empty, with
+// room for MaxSackBlocks.
 func (pl *PacketPool) NewAck(flowID int, ackSeq int64, echo sim.Time, now sim.Time, route *Route) *Packet {
-	p := pl.get()
+	p := pl.get(true)
 	p.Seq = ackSeq
 	p.Size = AckSize
-	p.Ack = true
+	p.Retx = false
 	p.FlowID = flowID
 	p.SentAt = now
 	p.EchoTS = echo
+	p.Sack = p.Sack[:0]
 	p.SetRoute(route)
 	return p
 }

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"reflect"
 	"testing"
 
 	"mptcpsim/internal/sim"
@@ -28,30 +29,73 @@ func TestPoolForPanicsOnForeignAux(t *testing.T) {
 	PoolFor(s)
 }
 
+// TestPacketPoolRecycles: a freed packet comes back only as its own kind —
+// so Sack storage never ends up on a data segment — and comes back with
+// nothing of its previous life.
 func TestPacketPoolRecycles(t *testing.T) {
 	s := sim.New(1)
 	pl := PoolFor(s)
 	r := NewRoute(&Collector{})
-	p := pl.NewData(1, 3000, MSS, 5*sim.Millisecond, r)
-	if p.Seq != 3000 || p.Size != MSS || p.FlowID != 1 || p.SentAt != 5*sim.Millisecond || p.Ack {
-		t.Fatalf("data fields: %+v", p)
+	d := pl.NewData(1, 3000, MSS, 5*sim.Millisecond, r)
+	if d.Seq != 3000 || d.Size != MSS || d.FlowID != 1 || d.SentAt != 5*sim.Millisecond || d.Ack {
+		t.Fatalf("data fields: %+v", d)
 	}
-	p.Retx = true
-	p.Free()
+	d.Retx = true
+	d.EchoTS = 7 * sim.Millisecond
+	d.SendOn() // the collector frees it; the hop cursor has moved
 	if pl.FreeCount() != 1 {
 		t.Fatalf("free count %d, want 1", pl.FreeCount())
 	}
 
-	// The recycled packet must come back fully reset.
 	a := pl.NewAck(2, 6000, sim.Millisecond, 2*sim.Millisecond, r)
-	if a != p {
-		t.Fatal("pool did not recycle the freed packet")
+	if a == d {
+		t.Fatal("a freed data segment was recycled as an ACK")
 	}
-	if a.Retx || !a.Ack || a.Seq != 6000 || a.Size != AckSize || a.FlowID != 2 {
-		t.Fatalf("recycled packet not reset: %+v", a)
+	if pl.FreeCount() != 1 {
+		t.Fatalf("NewAck took from the data free list: free count %d, want 1", pl.FreeCount())
 	}
-	if a.EchoTS != sim.Millisecond || a.SentAt != 2*sim.Millisecond {
-		t.Fatalf("ack timestamps: %+v", a)
+	if !a.Ack || a.Retx || a.Seq != 6000 || a.Size != AckSize || a.FlowID != 2 ||
+		a.EchoTS != sim.Millisecond || a.SentAt != 2*sim.Millisecond {
+		t.Fatalf("ack fields: %+v", a)
+	}
+	if len(a.Sack) != 0 || cap(a.Sack) != MaxSackBlocks {
+		t.Fatalf("fresh ACK has Sack len %d cap %d, want 0 and %d", len(a.Sack), cap(a.Sack), MaxSackBlocks)
+	}
+	a.Retx = true
+	a.Sack = append(a.Sack, Block{7500, 9000})
+	a.SendOn()
+
+	d2 := pl.NewData(3, 4500, 700, 9*sim.Millisecond, nil)
+	if d2 != d {
+		t.Fatal("pool did not recycle the freed data segment")
+	}
+	if want := (Packet{Seq: 4500, Size: 700, FlowID: 3, SentAt: 9 * sim.Millisecond, pool: pl}); !reflect.DeepEqual(*d2, want) {
+		t.Fatalf("recycled data segment not reset:\n got %+v\nwant %+v", *d2, want)
+	}
+	a2 := pl.NewAck(4, 12000, 3*sim.Millisecond, 4*sim.Millisecond, nil)
+	if a2 != a {
+		t.Fatal("pool did not recycle the freed ACK")
+	}
+	want := Packet{Seq: 12000, Size: AckSize, Ack: true, FlowID: 4, SentAt: 4 * sim.Millisecond, EchoTS: 3 * sim.Millisecond, Sack: []Block{}, pool: pl}
+	if !reflect.DeepEqual(*a2, want) || cap(a2.Sack) != MaxSackBlocks {
+		t.Fatalf("recycled ACK not reset:\n got %+v\nwant %+v", *a2, want)
+	}
+	if pl.FreeCount() != 0 {
+		t.Fatalf("free count %d, want 0", pl.FreeCount())
+	}
+}
+
+// TestPacketPoolSlabs: a miss allocates slabPackets packets at once, so the
+// next slabPackets-1 misses of that kind allocate nothing.
+func TestPacketPoolSlabs(t *testing.T) {
+	pl := PoolFor(sim.New(1))
+	pl.NewData(0, 0, MSS, 0, nil)
+	pl.NewAck(0, 0, 0, 0, nil)
+	if allocs := testing.AllocsPerRun(slabPackets-2, func() {
+		pl.NewData(0, 0, MSS, 0, nil)
+		pl.NewAck(0, 0, 0, 0, nil)
+	}); allocs != 0 {
+		t.Fatalf("%.1f allocs per packet pair inside a slab, want 0", allocs)
 	}
 }
 

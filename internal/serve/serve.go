@@ -5,6 +5,10 @@
 // budget and shared result cache, so repeated submissions of one campaign
 // are answered from cache.
 //
+// The job table is bounded: it holds at most maxJobs jobs, and a submission
+// that would exceed that first forgets the oldest finished ones (their ids
+// then answer 404). Running jobs are never forgotten.
+//
 // Lifecycle: every job context derives from the context given to
 // NewServer, so cancelling it (or calling Close) stops every running
 // campaign at its next scenario boundary. Close blocks until the workers
@@ -23,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -46,6 +51,10 @@ type Config struct {
 
 // defaultMaxN caps submissions when Config.MaxN is zero.
 const defaultMaxN = 10000
+
+// maxJobs bounds the job table, and with it the CampaignResults a
+// long-lived server keeps resident.
+const maxJobs = 256
 
 // Job states reported by the status API.
 const (
@@ -93,6 +102,13 @@ func (j *job) update(fn func()) {
 	fn()
 	close(j.change)
 	j.change = make(chan struct{})
+}
+
+// terminal reports whether the job has left state "running".
+func (j *job) terminal() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state != stateRunning
 }
 
 // snapshot returns the job's status plus the channel that will be closed
@@ -209,6 +225,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	jobCtx, jobCancel := context.WithCancel(s.base)
 	s.mu.Lock()
+	s.makeRoom()
 	s.nextID++
 	j := &job{
 		id:     "c" + strconv.Itoa(s.nextID),
@@ -222,10 +239,26 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.wg.Add(1)
 	s.mu.Unlock()
 
-	go s.run(jobCtx, j, spec)
-
+	// Snapshot before the job starts: a one-scenario cache hit can finish
+	// before this handler's next line, and 202 promises the initial status.
 	st, _, _ := j.snapshot()
+	go s.run(jobCtx, j, spec)
 	writeJSON(w, http.StatusAccepted, st)
+}
+
+// makeRoom forgets the oldest finished jobs until the table has room for one
+// more. With maxJobs jobs all still running it forgets none: the table then
+// grows past the bound rather than lose a job a client is waiting for.
+// Called with s.mu held.
+func (s *Server) makeRoom() {
+	for i := 0; i < len(s.order) && len(s.order) >= maxJobs; {
+		if id := s.order[i]; s.jobs[id].terminal() {
+			delete(s.jobs, id)
+			s.order = slices.Delete(s.order, i, i+1)
+		} else {
+			i++
+		}
+	}
 }
 
 // run executes one job to completion on its own Lab.

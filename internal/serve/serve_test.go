@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -186,6 +187,82 @@ func TestServeEventsStream(t *testing.T) {
 			t.Fatalf("streamed counter went backwards: %d after %d", ev.Done, prev)
 		}
 		prev = ev.Done
+	}
+}
+
+// TestServeJobTableBounded: a long-lived server forgets its oldest finished
+// jobs. Ten times the table's bound in one-scenario campaigns, each left to
+// finish before the next is submitted, never leaves more than maxJobs jobs in
+// the table or the listing; forgotten ids answer 404 and the newest stay.
+func TestServeJobTableBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation in -short")
+	}
+	s, ts := newTestServer(t, Config{CacheDir: t.TempDir()})
+	body := strings.Replace(tinyBody, `"n":4`, `"n":1`, 1)
+	const total = 10 * maxJobs
+	for i := 1; i <= total; i++ {
+		st := submit(t, ts, body)
+		// The events stream ends with the job's terminal state.
+		resp, err := http.Get(ts.URL + "/v1/campaigns/" + st.ID + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.mu.Lock()
+		jobs, order := len(s.jobs), len(s.order)
+		s.mu.Unlock()
+		if want := min(i, maxJobs); jobs != want || order != want {
+			t.Fatalf("after %d jobs the table holds %d (order %d), want %d", i, jobs, order, want)
+		}
+	}
+
+	var list []Status
+	if code := getJSON(t, ts.URL+"/v1/campaigns", &list); code != http.StatusOK {
+		t.Fatalf("list: %d", code)
+	}
+	if len(list) != maxJobs {
+		t.Fatalf("listing has %d jobs, want %d", len(list), maxJobs)
+	}
+	for i, st := range list {
+		if want := fmt.Sprintf("c%d", total-maxJobs+1+i); st.ID != want || st.State != stateDone {
+			t.Fatalf("listing[%d] = %+v, want %s done", i, st, want)
+		}
+	}
+	for _, path := range []string{"", "/result", "/events"} {
+		if code := getJSON(t, fmt.Sprintf("%s/v1/campaigns/c%d%s", ts.URL, total-maxJobs, path), nil); code != http.StatusNotFound {
+			t.Fatalf("forgotten job%s: code %d, want 404", path, code)
+		}
+	}
+	if code := getJSON(t, fmt.Sprintf("%s/v1/campaigns/c%d/result", ts.URL, total), nil); code != http.StatusOK {
+		t.Fatalf("newest job's result: code %d", code)
+	}
+}
+
+// TestServeRunningJobsAreNotForgotten: making room only ever drops finished
+// jobs, so with the table full of running ones it grows instead.
+func TestServeRunningJobsAreNotForgotten(t *testing.T) {
+	s := NewServer(context.Background(), Config{})
+	defer s.Close()
+	add := func(state string) {
+		s.makeRoom()
+		s.nextID++
+		id := fmt.Sprintf("c%d", s.nextID)
+		s.jobs[id] = &job{id: id, state: state}
+		s.order = append(s.order, id)
+	}
+	add(stateDone)
+	for i := 1; i < maxJobs; i++ {
+		add(stateRunning)
+	}
+	add(stateRunning) // full: c1, the only finished job, goes
+	add(stateRunning) // full of running jobs: nothing goes
+	if _, ok := s.jobs["c1"]; ok || len(s.jobs) != maxJobs+1 || len(s.order) != maxJobs+1 || s.order[0] != "c2" {
+		t.Fatalf("table holds %d jobs (c1 kept: %v, first %s), want %d without c1", len(s.jobs), ok, s.order[0], maxJobs+1)
 	}
 }
 

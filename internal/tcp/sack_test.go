@@ -234,3 +234,46 @@ func TestReceiveWindowLimit(t *testing.T) {
 		t.Fatalf("rwnd-capped flow only %.2f Mb/s, cap predicts %.2f", gotMbps, wantMbps)
 	}
 }
+
+// TestLossPathZeroAlloc locks loss recovery at zero allocations once warm:
+// TestTransitZeroAlloc and TestControllersZeroAlloc never drop a packet, so
+// neither sees the reorder buffer, the SACK report or the scoreboard. A flow
+// crosses 3 % random loss and a route that goes dark for 400 ms every five
+// seconds; a second ten-second stretch of it — fast recoveries, SACK-driven
+// retransmissions and timeouts included — must not allocate at all.
+func TestLossPathZeroAlloc(t *testing.T) {
+	s := sim.New(3)
+	dark := nodeFunc(func(p *netem.Packet) {
+		if s.Now()%(5*sim.Second) < 400*sim.Millisecond {
+			p.Free()
+			return
+		}
+		p.SendOn()
+	})
+	cfg := netem.LinkConfig{RateBps: 10_000_000, Delay: 10 * sim.Millisecond, Kind: netem.QueueDropTail, DropTailPkts: 50}
+	fwd, rev := netem.NewLink(s, cfg, "f"), netem.NewLink(s, cfg, "r")
+	src := NewSrc(s, 1, "lossy", Config{})
+	sink := NewSink(s)
+	src.SetRoute(netem.NewRoute(dark, netem.NewRandomLoss(s, 0.03), fwd.Q, fwd.P, sink))
+	sink.SetRoute(netem.NewRoute(rev.Q, rev.P, src))
+	src.Start(0)
+	var st0 Stats
+	var pkts0 int64
+	stretch := func() {
+		st0, pkts0 = src.Stats(), sink.RecvPkts()
+		s.RunUntil(s.Now() + 10*sim.Second)
+	}
+	stretch() // pools, scoreboard and reorder buffer reach their high-water marks
+
+	// One run after AllocsPerRun's own warm-up call: the result is the
+	// stretch's exact allocation count, not an average rounded down.
+	allocs := testing.AllocsPerRun(1, stretch)
+	st, pkts := src.Stats(), sink.RecvPkts()-pkts0
+	if allocs != 0 {
+		t.Fatalf("%.0f allocations over %d delivered packets, want 0", allocs, pkts)
+	}
+	if st.FastRecover-st0.FastRecover < 10 || st.Timeouts == st0.Timeouts || st.RetxPkts-st0.RetxPkts < 50 || pkts < 1000 {
+		t.Fatalf("measured stretch missed the loss path: %d fast recoveries, %d timeouts, %d retransmissions, %d packets delivered",
+			st.FastRecover-st0.FastRecover, st.Timeouts-st0.Timeouts, st.RetxPkts-st0.RetxPkts, pkts)
+	}
+}

@@ -17,7 +17,6 @@ package tcp
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/sim"
@@ -502,6 +501,8 @@ func (t *Src) Recv(p *netem.Packet) {
 
 // mergeSack folds the receiver's SACK report into the scoreboard, keeping it
 // sorted, disjoint, and clipped to ranges above the cumulative ACK point.
+//
+//simlint:hot
 func (t *Src) mergeSack(blocks []netem.Block) {
 	for _, b := range blocks {
 		if b.End <= t.lastAcked {
@@ -515,31 +516,49 @@ func (t *Src) mergeSack(blocks []netem.Block) {
 }
 
 // insertBlock adds one range to the scoreboard, merging overlaps.
+//
+//simlint:hot
 func (t *Src) insertBlock(b netem.Block) {
-	sb := t.scoreboard
-	i := 0
-	for i < len(sb) && sb[i].End < b.Start {
-		i++
+	t.scoreboard = insertRange(t.scoreboard, b)
+}
+
+// insertRange adds b to rs, a list of ascending ranges that neither overlap
+// nor touch, and returns the list with the same property: b absorbs every
+// range it overlaps or abuts. The common cases move nothing — a range that
+// merges with exactly one entry (every block an ACK repeats, every segment
+// that extends a buffered run) overwrites it in place.
+func insertRange(rs []netem.Block, b netem.Block) []netem.Block {
+	// First entry that ends at or after b's start: rs[:i] lies wholly below b.
+	i, hi := 0, len(rs)
+	for i < hi {
+		m := int(uint(i+hi) >> 1)
+		if rs[m].End < b.Start {
+			i = m + 1
+		} else {
+			hi = m
+		}
 	}
 	j := i
-	for j < len(sb) && sb[j].Start <= b.End {
-		if sb[j].Start < b.Start {
-			b.Start = sb[j].Start
+	for j < len(rs) && rs[j].Start <= b.End {
+		if rs[j].Start < b.Start {
+			b.Start = rs[j].Start
 		}
-		if sb[j].End > b.End {
-			b.End = sb[j].End
+		if rs[j].End > b.End {
+			b.End = rs[j].End
 		}
 		j++
 	}
-	if i == j {
-		sb = append(sb, netem.Block{})
-		copy(sb[i+1:], sb[i:])
-		sb[i] = b
-	} else {
-		sb[i] = b
-		sb = append(sb[:i+1], sb[j:]...)
+	switch j - i {
+	case 0:
+		rs = append(rs, netem.Block{})
+		copy(rs[i+1:], rs[i:])
+	case 1:
+		// b replaces the one entry it merged with, below.
+	default:
+		rs = append(rs[:i+1], rs[j:]...)
 	}
-	t.scoreboard = sb
+	rs[i] = b
+	return rs
 }
 
 // pruneScoreboard discards ranges at or below the cumulative ACK point.
@@ -770,8 +789,10 @@ type Sink struct {
 	rev  *netem.Route // reverse route, ending at the Src
 
 	cumAck int64 // next expected byte
-	ooo    []seg // out-of-order segments, sorted by seq
-	bytes  int64 // total goodput delivered in order
+	// ooo is the reorder buffer: the byte ranges held above cumAck, ascending,
+	// disjoint and non-touching — which is already the SACK report.
+	ooo   []netem.Block
+	bytes int64 // total goodput delivered in order
 
 	recvPkts int64 // data segments taken in, duplicates included
 	ackPkts  int64 // ACKs emitted
@@ -788,11 +809,6 @@ type Sink struct {
 	lastEcho sim.Time
 	delAckTm sim.Timer
 	flowID   int
-}
-
-type seg struct {
-	seq  int64
-	size int64
 }
 
 // NewSink builds a receiver.
@@ -826,6 +842,8 @@ func (k *Sink) AckPkts() int64 { return k.ackPkts }
 
 // Recv ingests a data segment and emits a cumulative ACK. The sink is the
 // segment's terminal owner and frees it on return.
+//
+//simlint:hot
 func (k *Sink) Recv(p *netem.Packet) {
 	if p.Ack {
 		panic("tcp: sink received an ACK")
@@ -839,7 +857,7 @@ func (k *Sink) Recv(p *netem.Packet) {
 		k.cumAck = end
 		k.drainOOO()
 	case p.Seq > k.cumAck:
-		k.insertOOO(p.Seq, int64(p.Size))
+		k.insertOOO(p.Seq, end)
 	default:
 		// Fully duplicate segment: ACK again (generates dupACK at sender).
 	}
@@ -876,8 +894,10 @@ func (k *Sink) RunEvent(now sim.Time) {
 	}
 }
 
-// sendAck emits a cumulative ACK with the current SACK report. The ACK is
-// pool-allocated and its recycled Sack capacity is reused for the report.
+// sendAck emits a cumulative ACK with the current SACK report, written into
+// the pooled ACK's own Sack storage.
+//
+//simlint:hot
 func (k *Sink) sendAck(echo sim.Time, retx bool) {
 	k.unacked = 0
 	k.ackPkts++
@@ -888,55 +908,30 @@ func (k *Sink) sendAck(echo sim.Time, retx bool) {
 	ack.SendOn()
 }
 
-// maxSackBlocks bounds the per-ACK SACK report, as real TCP options do. The
-// lowest blocks are reported first because the sender repairs holes in
-// ascending order.
-const maxSackBlocks = 8
-
-// appendSackBlocks merges buffered out-of-order segments into disjoint
-// ranges appended to dst (reusing its capacity; dst must be empty).
+// appendSackBlocks appends the SACK report to dst: the lowest
+// netem.MaxSackBlocks buffered ranges, lowest first because the sender
+// repairs holes in ascending order.
+//
+//simlint:hot
 func (k *Sink) appendSackBlocks(dst []netem.Block) []netem.Block {
-	if len(k.ooo) == 0 {
-		return dst
-	}
-	cur := netem.Block{Start: k.ooo[0].seq, End: k.ooo[0].seq + k.ooo[0].size}
-	for _, s := range k.ooo[1:] {
-		if s.seq <= cur.End {
-			if e := s.seq + s.size; e > cur.End {
-				cur.End = e
-			}
-			continue
-		}
-		dst = append(dst, cur)
-		if len(dst) == maxSackBlocks {
-			return dst
-		}
-		cur = netem.Block{Start: s.seq, End: s.seq + s.size}
-	}
-	return append(dst, cur)
+	return append(dst, k.ooo[:min(len(k.ooo), netem.MaxSackBlocks)]...)
 }
 
-// insertOOO records an out-of-order segment (idempotent).
-func (k *Sink) insertOOO(seq, size int64) {
-	//simlint:ignore hotpathalloc sort.Search does not retain f, so the closure stays on the stack (it does not show in tcp.flow_allocs_per_pkt)
-	i := sort.Search(len(k.ooo), func(i int) bool { return k.ooo[i].seq >= seq })
-	if i < len(k.ooo) && k.ooo[i].seq == seq {
-		return
-	}
-	k.ooo = append(k.ooo, seg{})
-	copy(k.ooo[i+1:], k.ooo[i:])
-	k.ooo[i] = seg{seq, size}
+// insertOOO buffers the out-of-order bytes [seq, end).
+//
+//simlint:hot
+func (k *Sink) insertOOO(seq, end int64) {
+	k.ooo = insertRange(k.ooo, netem.Block{Start: seq, End: end})
 }
 
-// drainOOO advances the cumulative ACK over contiguous buffered segments.
+// drainOOO advances the cumulative ACK over the buffered ranges it has
+// reached.
+//
+//simlint:hot
 func (k *Sink) drainOOO() {
 	i := 0
-	for i < len(k.ooo) {
-		s := k.ooo[i]
-		if s.seq > k.cumAck {
-			break
-		}
-		if end := s.seq + s.size; end > k.cumAck {
+	for i < len(k.ooo) && k.ooo[i].Start <= k.cumAck {
+		if end := k.ooo[i].End; end > k.cumAck {
 			k.bytes += end - k.cumAck
 			k.cumAck = end
 		}
