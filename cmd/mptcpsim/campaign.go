@@ -58,37 +58,43 @@ func campaignMain(ctx context.Context, args []string) {
 	}
 	spec.CacheDir = *cacheDir
 
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		w = f
-	}
-
-	meter := newMeter()
-	lab := mptcpsim.NewLab(mptcpsim.WithWorkers(*jobs), mptcpsim.WithProgress(meter.observe))
-	t0 := time.Now()
-	res, err := lab.Campaign(ctx, spec)
-	meter.clear()
-	exitOn(err, "interrupted — completed scenarios stay cached; re-run to resume")
 	switch *format {
-	case "json":
-		data, rerr := res.RenderJSON()
-		if rerr == nil {
-			_, rerr = w.Write(data)
-		}
-		if rerr != nil {
-			fmt.Fprintln(os.Stderr, errLine(rerr))
-			os.Exit(1)
-		}
-	case "text", "":
-		fmt.Fprint(w, res.RenderText())
+	case "text", "json", "":
 	default:
 		fail(fmt.Errorf("unknown campaign format %q (want text or json)", *format))
 	}
-	fmt.Fprintf(os.Stderr, "(%d simulated, %d cached in %v on %d workers)\n",
-		res.Simulated, res.CacheHits, time.Since(t0).Round(time.Millisecond), runner.Workers(*jobs))
+	exitOn(runCampaign(ctx, spec, *jobs, *format, *out),
+		"interrupted — completed scenarios stay cached; re-run to resume")
+}
+
+// runCampaign runs the campaign on a Lab and writes the result, as JSON
+// when format is "json" and as text otherwise, to outPath (or stdout).
+// Every error is returned, the ones from writing and closing the output
+// file included, so a full disk exits non-zero instead of leaving a
+// truncated result behind a success.
+func runCampaign(ctx context.Context, spec mptcpsim.CampaignSpec, jobs int, format, outPath string) error {
+	return withOutput(outPath, func(w io.Writer) error {
+		meter := newMeter()
+		lab := mptcpsim.NewLab(mptcpsim.WithWorkers(jobs), mptcpsim.WithProgress(meter.observe))
+		t0 := time.Now()
+		res, err := lab.Campaign(ctx, spec)
+		meter.clear()
+		if err != nil {
+			return err
+		}
+		var data []byte
+		if format == "json" {
+			if data, err = res.RenderJSON(); err != nil {
+				return err
+			}
+		} else {
+			data = []byte(res.RenderText())
+		}
+		if _, err := w.Write(data); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "(%d simulated, %d cached in %v on %d workers)\n",
+			res.Simulated, res.CacheHits, time.Since(t0).Round(time.Millisecond), runner.Workers(jobs))
+		return nil
+	})
 }

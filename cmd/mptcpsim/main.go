@@ -187,38 +187,45 @@ func exitOn(err error, cancelMsg string) {
 	}
 }
 
-// runAll executes the selected experiments on a Lab and writes the output
-// to outPath (or stdout). All errors — including ones from closing the
-// output file, which the old defer-based cleanup silently dropped — are
-// returned so main can exit non-zero on a short write.
-func runAll(ctx context.Context, ids []string, cfg mptcpsim.Config, format mptcpsim.Format, outPath string) (err error) {
-	var w io.Writer = os.Stdout
-	if outPath != "" {
-		f, cerr := os.Create(outPath)
-		if cerr != nil {
-			return cerr
-		}
-		defer func() {
-			// Close errors surface the way write errors do: a full disk
-			// must not leave a truncated file behind a zero exit code.
-			if cerr := f.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}()
-		w = f
+// withOutput hands write the file at outPath (created, truncated), or
+// stdout when outPath is empty. The error from closing the file surfaces
+// the way write's own does: a full disk must not leave a truncated file
+// behind a zero exit code.
+func withOutput(outPath string, write func(w io.Writer) error) (err error) {
+	if outPath == "" {
+		return write(os.Stdout)
 	}
-	meter := newMeter()
-	lab := mptcpsim.NewLab(mptcpsim.WithConfig(cfg), mptcpsim.WithProgress(meter.observe))
-	workers := runner.Workers(cfg.Workers)
-	t0 := time.Now()
-	err = lab.RunAll(ctx, ids, format, w)
-	meter.clear()
+	f, err := os.Create(outPath)
 	if err != nil {
 		return err
 	}
-	// Timing goes to stderr so machine-readable stdout stays parseable.
-	fmt.Fprintf(os.Stderr, "(total %v on %d workers)\n", time.Since(t0).Round(time.Millisecond), workers)
-	return nil
+	defer func() {
+		if cerr := f.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
+	}()
+	return write(f)
+}
+
+// runAll executes the selected experiments on a Lab and writes the output
+// to outPath (or stdout). All errors, the ones from writing and closing the
+// output file included, are returned so main can exit non-zero on a short
+// write.
+func runAll(ctx context.Context, ids []string, cfg mptcpsim.Config, format mptcpsim.Format, outPath string) error {
+	return withOutput(outPath, func(w io.Writer) error {
+		meter := newMeter()
+		lab := mptcpsim.NewLab(mptcpsim.WithConfig(cfg), mptcpsim.WithProgress(meter.observe))
+		workers := runner.Workers(cfg.Workers)
+		t0 := time.Now()
+		err := lab.RunAll(ctx, ids, format, w)
+		meter.clear()
+		if err != nil {
+			return err
+		}
+		// Timing goes to stderr so machine-readable stdout stays parseable.
+		fmt.Fprintf(os.Stderr, "(total %v on %d workers)\n", time.Since(t0).Round(time.Millisecond), workers)
+		return nil
+	})
 }
 
 // diffMain implements `mptcpsim diff a.json b.json`: load two result sets

@@ -1,10 +1,13 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mptcpsim"
 )
 
 // TestLoadResultsRejectsVacuousFiles pins the diff-input guard: files that
@@ -50,5 +53,28 @@ func TestLoadResultsRejectsVacuousFiles(t *testing.T) {
 	rs, err = loadResults(write("many.json", "["+one+"]"))
 	if err != nil || len(rs) != 1 || rs[0].ID != "fig1b" {
 		t.Fatalf("array result: %v, %v", rs, err)
+	}
+}
+
+// TestCampaignReportsOutputError: a result that cannot be written is a
+// failure, in either format — /dev/full accepts the open and refuses every
+// byte, as a full disk does.
+func TestCampaignReportsOutputError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	spec := *mptcpsim.DefaultCampaign()
+	spec.N = 1
+	for _, format := range []string{"text", "json"} {
+		if err := runCampaign(context.Background(), spec, 1, format, "/dev/full"); err == nil {
+			t.Errorf("-format %s -o /dev/full reported success", format)
+		}
+	}
+	out := filepath.Join(t.TempDir(), "result.txt")
+	if err := runCampaign(context.Background(), spec, 1, "text", out); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(out); err != nil || !strings.Contains(string(data), "user_goodput_mbps") {
+		t.Errorf("result file holds %q, %v", data, err)
 	}
 }

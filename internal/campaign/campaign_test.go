@@ -8,14 +8,17 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
+	"mptcpsim/internal/runner"
 	"mptcpsim/internal/scenario"
 )
 
@@ -258,32 +261,75 @@ func TestCacheRoundTrip(t *testing.T) {
 
 // TestRunWorkerIdentity is the campaign determinism theorem: the full
 // rendered Result — aggregates, digest, every byte — is identical at
-// worker counts 1, 4 and 8.
+// worker counts 1, 3 and 8, for an N that crosses the 8-worker stream
+// window three times without being a multiple of it, for N = 1, and for an
+// N smaller than the worker count.
 func TestRunWorkerIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates scenarios; skipped in -short")
 	}
+	for _, n := range []int{1, 2, tinySpec().N, 3*runner.New(8).Window() + 5} {
+		sp := tinySpec()
+		sp.N = n
+		sp.DurationSec = Uniform(1.2, 1.8)
+		var ref []byte
+		for _, workers := range []int{1, 3, 8} {
+			res, err := Run(context.Background(), sp, Options{Workers: workers, Version: "test"})
+			if err != nil {
+				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
+			}
+			if res.Simulated != sp.N || res.CacheHits != 0 {
+				t.Fatalf("n=%d workers=%d: simulated %d / hits %d, want %d / 0",
+					n, workers, res.Simulated, res.CacheHits, sp.N)
+			}
+			data, err := res.RenderJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = data
+			} else if !bytes.Equal(ref, data) {
+				t.Errorf("n=%d workers=%d: rendered result differs from workers=1:\n%s\nvs\n%s",
+					n, workers, data, ref)
+			}
+		}
+	}
+}
+
+// TestRunScenarioError: scenario k cannot store its report (a directory
+// sits where its cache entry goes). Run returns that scenario's error — not
+// a later scenario's, and not the cancellation the fold answers it with —
+// and the stream stops within a window of k instead of running all N.
+func TestRunScenarioError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates scenarios; skipped in -short")
+	}
+	const workers, k = 3, 7
+	window := runner.New(workers).Window()
 	sp := tinySpec()
-	var ref []byte
-	for _, workers := range []int{1, 4, 8} {
-		res, err := Run(context.Background(), sp, Options{Workers: workers, Version: "test"})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if res.Simulated != sp.N || res.CacheHits != 0 {
-			t.Fatalf("workers=%d: simulated %d / hits %d, want %d / 0",
-				workers, res.Simulated, res.CacheHits, sp.N)
-		}
-		data, err := res.RenderJSON()
+	sp.N = k + 4*window
+	sp.DurationSec = Uniform(1.2, 1.8)
+	sp.CacheDir = t.TempDir()
+	for _, i := range []int{k, k + 2} {
+		key, err := CacheKey("test", sp.fill().SampleSpec(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ref == nil {
-			ref = data
-		} else if !bytes.Equal(ref, data) {
-			t.Errorf("workers=%d: rendered result differs from workers=1:\n%s\nvs\n%s",
-				workers, data, ref)
+		if err := os.MkdirAll((&cache{dir: sp.CacheDir}).path(key), 0o755); err != nil {
+			t.Fatal(err)
 		}
+	}
+	var done int
+	_, err := Run(context.Background(), sp, Options{Workers: workers, Version: "test",
+		Progress: func(d, _ int) { done = d }})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("scenario %d: campaign: committing cache entry", k)) {
+		t.Fatalf("err = %v, want scenario %d's cache error", err, k)
+	}
+	if errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v wraps context.Canceled", err)
+	}
+	if done >= k+window+workers {
+		t.Errorf("%d scenarios completed after scenario %d failed, want fewer than %d", done, k, k+window+workers)
 	}
 }
 

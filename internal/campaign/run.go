@@ -203,16 +203,19 @@ type outcome struct {
 // consults the content-addressed cache, simulates on a miss, and folds the
 // report into the streaming aggregators.
 //
-// Execution streams in chunks of a few pool-widths: workers compute
-// independent per-index outcomes, the fold walks each chunk sequentially
-// in index order, and no more than one chunk of reports is ever resident —
-// memory is O(workers), not O(N). Because scenario i is a pure function of
-// (Spec, i) and the fold order is the index order, the Result is
-// byte-identical at any worker count, and — cache entries carrying every
-// float as its bits — identical again when every scenario is a cache hit.
+// Execution is one runner.Stream: workers compute independent per-index
+// outcomes and the fold consumes them on this goroutine in index order
+// while later scenarios are still running, and no more than one runner
+// window of reports is ever resident — memory is O(workers), not O(N).
+// Because scenario i is a pure function of (Spec, i) and the fold order is
+// the index order, the Result is byte-identical at any worker count, and —
+// cache entries carrying every float as its bits — identical again when
+// every scenario is a cache hit.
 //
-// Cancelling ctx abandons the campaign within one scenario boundary and
-// returns an error wrapping ctx.Err(). The cache directory keeps every
+// The first scenario to fail, in index order, is the error Run returns; the
+// fold then cancels the stream, so at most a window of later scenarios
+// start. Cancelling ctx abandons the campaign within one scenario boundary
+// and returns an error wrapping ctx.Err(). The cache directory keeps every
 // completed run, so a canceled campaign resumes incrementally.
 func Run(ctx context.Context, sp *Spec, opts Options) (*Result, error) {
 	sp = sp.fill()
@@ -229,62 +232,62 @@ func Run(ctx context.Context, sp *Spec, opts Options) (*Result, error) {
 
 	ms := newMetrics()
 	res := &Result{Name: sp.Name, N: sp.N, Seed: sp.Seed, Version: opts.Version}
-	chunk := 4 * pool.Size()
-	if chunk < 64 {
-		chunk = 64
-	}
-	for base := 0; base < sp.N; base += chunk {
-		n := sp.N - base
-		if n > chunk {
-			n = chunk
-		}
-		outs, err := runner.Map(ctx, pool, n, func(i int) outcome {
-			spec := sp.SampleSpec(base + i)
-			// Without a cache there is nothing to address: no key is
-			// derived, and get and put are not called.
-			var key string
-			if cc != nil {
-				var err error
-				if key, err = CacheKey(opts.Version, spec); err != nil {
-					return outcome{err: err}
-				}
-				if rep, ok := cc.get(key, spec); ok {
-					prog.Step()
-					return outcome{rep: rep, hit: true}
-				}
-			}
-			rep, err := scenario.Run(ctx, spec)
-			if err != nil {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var failed error
+	err = runner.Stream(ctx, pool, sp.N, func(i int) outcome {
+		spec := sp.SampleSpec(i)
+		// Without a cache there is nothing to address: no key is
+		// derived, and get and put are not called.
+		var key string
+		if cc != nil {
+			var err error
+			if key, err = CacheKey(opts.Version, spec); err != nil {
 				return outcome{err: err}
 			}
-			if cc != nil {
-				if err := cc.put(key, rep); err != nil {
-					return outcome{err: err}
-				}
+			if rep, ok := cc.get(key, spec); ok {
+				prog.Step()
+				return outcome{rep: rep, hit: true}
 			}
-			prog.Step()
-			return outcome{rep: rep}
-		})
+		}
+		rep, err := scenario.Run(ctx, spec)
 		if err != nil {
-			return nil, fmt.Errorf("campaign %q: %w", sp.Name, err)
+			return outcome{err: err}
 		}
-		for i, o := range outs {
-			if o.err != nil {
-				return nil, fmt.Errorf("campaign %q: scenario %d: %w", sp.Name, base+i, o.err)
+		if cc != nil {
+			if err := cc.put(key, rep); err != nil {
+				return outcome{err: err}
 			}
-			if o.hit {
-				res.CacheHits++
-			} else {
-				res.Simulated++
-			}
-			if len(o.rep.Violations) > 0 {
-				res.Violations += len(o.rep.Violations)
-				if len(res.Flagged) < flaggedCap {
-					res.Flagged = append(res.Flagged, o.rep.Name)
-				}
-			}
-			fold(ms, o.rep)
 		}
+		prog.Step()
+		return outcome{rep: rep}
+	}, func(i int, o outcome) {
+		if failed != nil {
+			return
+		}
+		if o.err != nil {
+			failed = fmt.Errorf("campaign %q: scenario %d: %w", sp.Name, i, o.err)
+			cancel()
+			return
+		}
+		if o.hit {
+			res.CacheHits++
+		} else {
+			res.Simulated++
+		}
+		if len(o.rep.Violations) > 0 {
+			res.Violations += len(o.rep.Violations)
+			if len(res.Flagged) < flaggedCap {
+				res.Flagged = append(res.Flagged, o.rep.Name)
+			}
+		}
+		fold(ms, o.rep)
+	})
+	if failed != nil {
+		return nil, failed
+	}
+	if err != nil {
+		return nil, fmt.Errorf("campaign %q: %w", sp.Name, err)
 	}
 	res.Aggregates = aggregates(ms)
 	return res, nil

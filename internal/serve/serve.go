@@ -138,6 +138,7 @@ type Server struct {
 	wg     sync.WaitGroup
 
 	mu     sync.Mutex
+	closed bool // set by Close; no job starts afterwards
 	jobs   map[string]*job
 	order  []string // submission order, for stable listings
 	nextID int
@@ -168,8 +169,13 @@ func NewServer(ctx context.Context, cfg Config) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Close cancels every running job and blocks until their workers drain.
-// The Server is not usable afterwards.
+// The Server is not usable afterwards: submissions answer 503. The closed
+// flag is set under the lock handleSubmit starts jobs under, so no job is
+// added to wg once Wait has been called.
 func (s *Server) Close() {
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
 	s.cancel()
 	s.wg.Wait()
 }
@@ -201,10 +207,6 @@ func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) {
 // default population, so `{}` is a valid submission — validates it, and
 // starts the job. Responds 202 with the job's id and initial status.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if err := s.base.Err(); err != nil {
-		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
-		return
-	}
 	spec := *mptcpsim.DefaultCampaign()
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
@@ -223,8 +225,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	spec.CacheDir = s.cfg.CacheDir
 
-	jobCtx, jobCancel := context.WithCancel(s.base)
 	s.mu.Lock()
+	if s.closed || s.base.Err() != nil {
+		s.mu.Unlock()
+		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
+		return
+	}
+	jobCtx, jobCancel := context.WithCancel(s.base)
 	s.makeRoom()
 	s.nextID++
 	j := &job{

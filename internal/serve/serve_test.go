@@ -9,7 +9,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -198,6 +200,7 @@ func TestServeJobTableBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short")
 	}
+	before := runtime.NumGoroutine()
 	s, ts := newTestServer(t, Config{CacheDir: t.TempDir()})
 	body := strings.Replace(tinyBody, `"n":4`, `"n":1`, 1)
 	const total = 10 * maxJobs
@@ -240,6 +243,28 @@ func TestServeJobTableBounded(t *testing.T) {
 	}
 	if code := getJSON(t, fmt.Sprintf("%s/v1/campaigns/c%d/result", ts.URL, total), nil); code != http.StatusOK {
 		t.Fatalf("newest job's result: code %d", code)
+	}
+
+	// Bounded in goroutines too: with the server closed and the client's
+	// idle connections dropped, none of the 2 560 jobs left one behind.
+	ts.Close()
+	s.Close()
+	http.DefaultClient.CloseIdleConnections()
+	waitGoroutines(t, before)
+}
+
+// waitGoroutines polls until the goroutine count is back at the baseline,
+// failing the test on a leak.
+func waitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines leaked: %d now, %d at baseline\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -369,6 +394,101 @@ func TestServeCloseDrains(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit after Close: status %d, want 503", resp.StatusCode)
 	}
+}
+
+// TestServeSubmitDuringClose hammers submissions from several goroutines
+// across a Close. Shutdown is decided under the lock jobs are started
+// under, so every reply is 202 or 503, no job is still running once Close
+// has returned — none was started behind its back — and every submission
+// after that answers 503.
+func TestServeSubmitDuringClose(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation in -short")
+	}
+	s := NewServer(context.Background(), Config{Workers: 2, CacheDir: t.TempDir()})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body := strings.Replace(tinyBody, `"n":4`, `"n":1`, 1)
+	post := func() int {
+		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	const submitters = 4
+	flowing := make(chan struct{}, submitters)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 1; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				switch code := post(); code {
+				case http.StatusAccepted, http.StatusServiceUnavailable:
+				default:
+					t.Errorf("submit across Close: status %d, want 202 or 503", code)
+					return
+				}
+				if n == 3 {
+					flowing <- struct{}{}
+				}
+			}
+		}()
+	}
+	for g := 0; g < submitters; g++ {
+		<-flowing
+	}
+	// One more submission is caught mid-body by the Close: its handler is
+	// reading the request when the server shuts down, and the rest of the
+	// body arrives only after Close has returned.
+	pr, pw := io.Pipe()
+	straddler := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", pr)
+		if err != nil {
+			t.Error(err)
+			straddler <- 0
+			return
+		}
+		resp.Body.Close()
+		straddler <- resp.StatusCode
+	}()
+	if _, err := io.WriteString(pw, body[:len(body)/2]); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if _, err := io.WriteString(pw, body[len(body)/2:]); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	if code := <-straddler; code != http.StatusServiceUnavailable {
+		t.Errorf("submission completed after Close: status %d, want 503", code)
+	}
+
+	s.mu.Lock()
+	for id, j := range s.jobs {
+		if !j.terminal() {
+			t.Errorf("job %s is running after Close returned", id)
+		}
+	}
+	s.mu.Unlock()
+	for i := 0; i < 8; i++ {
+		if code := post(); code != http.StatusServiceUnavailable {
+			t.Errorf("submit after Close: status %d, want 503", code)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // TestStatusJSONShape pins the wire format the CLI and CI smoke test
