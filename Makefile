@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check test race check lint guard apicheck examples conform conform-smoke bench bench-tables benchcheck clean
+.PHONY: build vet fmt-check test race check lint guard apicheck examples conform conform-smoke bench benchcheck clean
 
 build:
 	$(GO) build ./...
@@ -41,14 +41,21 @@ check: build vet fmt-check lint guard race apicheck
 lint:
 	$(GO) run ./cmd/simlint ./...
 
-# One way to build a testbed network, one public API, one benchmark ladder:
-# only internal/harness may import internal/topo (the fat tree; every other
-# network is a scenario.Spec), no Deprecated: marker exists outside lint
-# testdata, and no bench*.json is tracked except BENCHMARK.json (results go
-# to the ignored bench/out/).
+# One way to run a network, one way to wire a flow, one public API, one
+# benchmark ladder: no RunUntil( in non-test Go outside internal/sim (which
+# defines it), internal/scenario (Net.Run, which slices it for cancellation
+# and puts the invariant checks around it) and bench/ (kernel rigs);
+# internal/harness imports none of internal/tcp and internal/netem (flows
+# are wired by scenario.Net.AddFlow) nor the deleted internal/topo and
+# internal/workload; no Deprecated: marker exists outside lint testdata;
+# and no bench*.json is tracked except BENCHMARK.json (results go to the
+# ignored bench/out/).
 guard:
-	@$(GO) list -f '{{.ImportPath}} {{join .Imports " "}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./... | \
-	awk '$$1 != "mptcpsim/internal/harness" && $$1 != "mptcpsim/internal/topo" { for (i = 2; i <= NF; i++) if ($$i == "mptcpsim/internal/topo") { print $$1 " imports mptcpsim/internal/topo: build the network from a scenario.Spec instead"; bad = 1 } } END { exit bad }'
+	@if git grep -n 'RunUntil(' -- '*.go' ':!*_test.go' ':!internal/sim/' ':!internal/scenario/' ':!bench/'; then \
+		echo "raw Sim.RunUntil above the scenario layer: build a scenario.Net and call its Run"; exit 1; \
+	fi
+	@$(GO) list -f '{{.ImportPath}} {{join .Imports " "}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./internal/harness | \
+	awk '{ for (i = 2; i <= NF; i++) if ($$i ~ /^mptcpsim\/internal\/(tcp|netem|topo|workload)$$/) { print $$1 " imports " $$i ": wire flows with scenario.Net.AddFlow instead"; bad = 1 } } END { exit bad }'
 	@if grep -rn 'Deprecated:' --include='*.go' . | grep -v '/internal/lint/.*/testdata/'; then \
 		echo "Deprecated: markers found — delete the old path instead of keeping it"; exit 1; \
 	fi
@@ -88,14 +95,10 @@ conform-smoke:
 bench:
 	$(GO) run ./bench -seed 1
 
-# Regenerate the paper's tables (quick scale) while timing each experiment.
-bench-tables:
-	$(GO) test -bench=. -benchtime 1x . | tee bench_output.txt
-
 # Compare two results files taken on one machine against BENCHMARK.json's
 # bounds: make benchcheck OLD=a.json NEW=b.json
 benchcheck:
 	$(GO) run ./bench -compare $(OLD) $(NEW)
 
 clean:
-	rm -f mptcpsim olia-trace bench_output.txt coverage.*
+	rm -f mptcpsim coverage.*

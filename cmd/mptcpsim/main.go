@@ -20,6 +20,7 @@
 //	mptcpsim campaign -n 1000 -cache .cache  # Monte Carlo population sweep
 //	mptcpsim campaign -spec pop.json -format json -o out.json
 //	mptcpsim serve -addr :8377 -cache .cache # campaign engine as an HTTP job API
+//	mptcpsim trace -algo olia -tcp2 10 > fig8.csv   # window/α evolution of a two-path user, CSV
 //	mptcpsim -version                        # code version (hash of the API surface)
 //
 // Independent simulations (experiments × sweep points × seeds) run
@@ -81,6 +82,10 @@ func main() {
 	}
 	if len(os.Args) > 1 && os.Args[1] == "serve" {
 		serveMain(ctx, os.Args[2:])
+		return
+	}
+	if len(os.Args) > 1 && os.Args[1] == "trace" {
+		traceMain(ctx, os.Args[2:])
 		return
 	}
 	var (
@@ -178,7 +183,7 @@ func fail(err error) {
 func exitOn(err error, cancelMsg string) {
 	switch {
 	case err == nil:
-	case errors.Is(err, mptcpsim.ErrCanceled):
+	case errors.Is(err, mptcpsim.ErrCanceled), errors.Is(err, context.Canceled):
 		fmt.Fprintln(os.Stderr, "mptcpsim: "+cancelMsg)
 		os.Exit(130)
 	default:

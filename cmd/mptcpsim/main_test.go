@@ -1,13 +1,19 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"crypto/md5"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"mptcpsim"
+	"mptcpsim/internal/scenario"
+	"mptcpsim/internal/sim"
 )
 
 // TestLoadResultsRejectsVacuousFiles pins the diff-input guard: files that
@@ -76,5 +82,35 @@ func TestCampaignReportsOutputError(t *testing.T) {
 	}
 	if data, err := os.ReadFile(out); err != nil || !strings.Contains(string(data), "user_goodput_mbps") {
 		t.Errorf("result file holds %q, %v", data, err)
+	}
+}
+
+// TestTraceCSV pins the trace subcommand's bytes to what the olia-trace
+// binary it replaced printed for the same flags (-seconds 20, the rest at
+// their defaults), and its cancellation: a run under a cancelled context
+// stops at a one-second boundary and writes nothing.
+func TestTraceCSV(t *testing.T) {
+	compile := func(seconds float64) *scenario.Net {
+		n, err := scenario.Compile(scenario.PaperTwoLink(10, 5, 5, "olia", 1, 0, seconds))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	var buf bytes.Buffer
+	if err := writeTrace(context.Background(), compile(20), sim.Seconds(0.25), &buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = "af7994b89dbf34e3b4318f2161f2b7c1"
+	if got := fmt.Sprintf("%x", md5.Sum(buf.Bytes())); got != want {
+		t.Fatalf("trace CSV md5 %s, want %s (olia-trace -seconds 20); first line %q", got, want, strings.SplitN(buf.String(), "\n", 2)[0])
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	buf.Reset()
+	err := writeTrace(ctx, compile(1e6), sim.Seconds(0.25), &buf)
+	if !errors.Is(err, context.Canceled) || buf.Len() != 0 {
+		t.Fatalf("cancelled trace: err %v, %d bytes written", err, buf.Len())
 	}
 }

@@ -4,78 +4,24 @@ import (
 	"fmt"
 	"io"
 
-	"mptcpsim/internal/core"
-	"mptcpsim/internal/mptcp"
-	"mptcpsim/internal/netem"
+	"mptcpsim/internal/scenario"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/stats"
-	"mptcpsim/internal/tcp"
-	"mptcpsim/internal/topo"
-	"mptcpsim/internal/workload"
 )
-
-// hostFlow abstracts "one host's long-lived transfer" across TCP and MPTCP.
-type hostFlow interface {
-	Goodput() int64
-}
-
-type tcpFlow struct{ sink *tcp.Sink }
-
-func (f tcpFlow) Goodput() int64 { return f.sink.GoodputBytes() }
-
-type mpFlow struct{ conn *mptcp.Conn }
-
-func (f mpFlow) Goodput() int64 { return f.conn.GoodputBytes() }
-
-// launchLongFlow starts host src's long-lived flow to dst using the given
-// algorithm ("tcp" or a core controller name) with nsub subflows.
-func launchLongFlow(ft *topo.FatTree, src, dst int, algo string, nsub, flowID int) hostFlow {
-	rng := ft.S.Rand()
-	if algo == "tcp" {
-		choice := ft.PickPaths(rng, src, dst, 1)[0]
-		s, sink := workload.NewBulk(ft.S, flowID, fmt.Sprintf("h%d", src), ft.Path(src, dst, choice), tcp.Config{})
-		s.Start(sim.RandBelow(rng, 100*sim.Millisecond))
-		return tcpFlow{sink}
-	}
-	conn := mptcp.New(ft.S, fmt.Sprintf("h%d", src), core.New(algo), tcp.Config{})
-	// The paper's data-center runs use htsim, whose subflows slow-start
-	// normally (the ssthresh=1 setting of §IV-B is the Linux testbed
-	// implementation).
-	conn.SetKeepSlowStart(true)
-	for i, choice := range ft.PickPaths(rng, src, dst, nsub) {
-		sf := conn.AddSubflow(flowID + i)
-		pp := ft.Path(src, dst, choice)
-		sf.SetRoutes(
-			netem.NewRoute(pp.Fwd...).Append(sf.Sink),
-			netem.NewRoute(pp.Rev...).Append(sf.Src),
-		)
-	}
-	conn.Start(sim.RandBelow(rng, 100*sim.Millisecond))
-	return mpFlow{conn}
-}
 
 // dcThroughput runs the §VI-B1 experiment: every host sends one long-lived
 // flow to a random other host (derangement); reports each flow's goodput as
 // a percentage of the optimal (line rate).
 func dcThroughput(cfg Config, algo string, nsub int, seed int64) []float64 {
-	ft := topo.NewFatTree(topo.FatTreeConfig{K: cfg.FatTreeK, Seed: seed})
-	n := ft.NumHosts()
-	perm := workload.Permutation(ft.S.Rand(), n)
-	flows := make([]hostFlow, n)
-	for i := 0; i < n; i++ {
-		flows[i] = launchLongFlow(ft, i, perm[i], algo, nsub, 10_000+100*i)
+	ft := scenario.PaperFatTree(scenario.FatTreeConfig{K: cfg.FatTreeK},
+		scenario.FatTreeLoad{Algorithm: algo, Subflows: nsub}, seed, cfg.DCWarmup, cfg.DCDuration)
+	if _, ok := run(ft.Net, cfg); !ok {
+		return nil
 	}
-	ft.S.RunUntil(cfg.DCWarmup)
-	base := make([]int64, n)
-	for i, f := range flows {
-		base[i] = f.Goodput()
-	}
-	ft.S.RunUntil(cfg.DCWarmup + cfg.DCDuration)
 	secs := cfg.DCDuration.Sec()
-	optimal := float64(ft.Cfg.LinkRateBps) / 1e6
-	out := make([]float64, n)
-	for i, f := range flows {
-		out[i] = stats.Mbps(f.Goodput()-base[i], secs) / optimal * 100
+	out := make([]float64, len(ft.Long))
+	for i, f := range ft.Long {
+		out[i] = stats.Mbps(f.WindowBytes(), secs) / ft.Cfg.RateMbps * 100
 	}
 	return out
 }
@@ -213,44 +159,30 @@ type shortFlowResult struct {
 }
 
 // dcShortFlows runs the §VI-B2 experiment on the 4:1 oversubscribed fabric:
-// one third of the hosts run long-lived flows (TCP or 8-subflow MPTCP); the
-// rest send 70 KB TCP flows with Poisson 200 ms mean spacing.
+// one third of the hosts run long-lived flows (TCP or MPTCP at the largest
+// subflow count); the rest send 70 KB TCP flows with Poisson 200 ms mean
+// spacing. The window runs 2 s past the last arrival to drain tail
+// completions.
 func dcShortFlows(cfg Config, algo string, seed int64) shortFlowResult {
-	ft := topo.NewFatTree(topo.FatTreeConfig{
-		K: cfg.FatTreeK, Oversubscription: 4, Seed: seed,
-	})
-	n := ft.NumHosts()
-	perm := workload.Permutation(ft.S.Rand(), n)
-	nsub := cfg.Subflows[len(cfg.Subflows)-1]
-	var gens []*workload.ShortFlows
-	stop := cfg.DCWarmup + cfg.DCDuration
-	for i := 0; i < n; i++ {
-		if i%3 == 0 {
-			launchLongFlow(ft, i, perm[i], algo, nsub, 10_000+100*i)
-			continue
-		}
-		choice := ft.PickPaths(ft.S.Rand(), i, perm[i], 1)[0]
-		g := workload.NewShortFlows(ft.S, 100_000+1000*i, ft.Path(i, perm[i], choice),
-			70_000, 200*sim.Millisecond, stop, tcp.Config{})
-		g.Start(cfg.DCWarmup + sim.RandBelow(ft.S.Rand(), 200*sim.Millisecond))
-		gens = append(gens, g)
+	const drain = 2 * sim.Second
+	ft := scenario.PaperFatTree(scenario.FatTreeConfig{K: cfg.FatTreeK, Oversubscription: 4},
+		scenario.FatTreeLoad{
+			Algorithm: algo, Subflows: cfg.Subflows[len(cfg.Subflows)-1],
+			ShortBytes: 70_000, ShortGap: 200 * sim.Millisecond, Drain: drain,
+		}, seed, cfg.DCWarmup, cfg.DCDuration+drain)
+	rep, ok := run(ft.Net, cfg)
+	if !ok {
+		return shortFlowResult{}
 	}
-	ft.S.RunUntil(cfg.DCWarmup)
-	coreBase := int64(0)
 	core := ft.CoreLinks()
-	for _, l := range core {
-		coreBase += l.Q.Stats().SentBytes
-	}
-	ft.S.RunUntil(stop + 2*sim.Second) // drain tail completions
 	var coreBytes int64
 	for _, l := range core {
-		coreBytes += l.Q.Stats().SentBytes
+		coreBytes += rep.Queues[l].Window.SentBytes
 	}
-	coreBytes -= coreBase
-	secs := (cfg.DCDuration + 2*sim.Second).Sec()
-	capacity := float64(len(core)) * float64(ft.Cfg.LinkRateBps) / 8 * secs
+	secs := (cfg.DCDuration + drain).Sec()
+	capacity := float64(len(core)) * (ft.Cfg.RateMbps * 1e6) / 8 * secs
 	res := shortFlowResult{coreUtilPct: float64(coreBytes) / capacity * 100}
-	for _, g := range gens {
+	for _, g := range ft.Short {
 		res.completions = append(res.completions, g.Done...)
 	}
 	return res

@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"io"
 
-	"mptcpsim/internal/core"
 	"mptcpsim/internal/mptcp"
-	"mptcpsim/internal/netem"
 	"mptcpsim/internal/scenario"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/stats"
-	"mptcpsim/internal/tcp"
 )
 
 // probeMetrics is one §VII bad-path-suspension run: normalized rates plus
@@ -153,8 +150,9 @@ type streamOutcome struct {
 
 // runSerialTransfers measures `transfers` back-to-back finite transfers of
 // the given size over the two-link rig (2 background TCP flows per link)
-// under one transport mode. The rig's own multipath user is left out;
-// transfers get their own endpoints over the same queues.
+// under one transport mode. The rig's own multipath user is left out; each
+// transfer joins the running network as a flow of its own over the same
+// queues.
 func runSerialTransfers(cfg Config, mode string, size int64, transfers int) streamOutcome {
 	const horizonSec = 600
 	sp := scenario.PaperTwoLink(10, 2, 2, "olia", cfg.BaseSeed, 0, horizonSec)
@@ -162,7 +160,9 @@ func runSerialTransfers(cfg Config, mode string, size int64, transfers int) stre
 	n := compile(sp)
 	out := streamOutcome{mode: mode}
 	launchSerial(n, mode, size, transfers, &out.sum)
-	n.Sim.RunUntil(horizonSec * sim.Second)
+	if _, ok := run(n, cfg); !ok {
+		return streamOutcome{mode: mode}
+	}
 	return out
 }
 
@@ -215,49 +215,33 @@ func textExtStreams(r *Result, w io.Writer) error {
 // launchSerial starts `count` back-to-back transfers, each beginning when
 // the previous completes.
 func launchSerial(n *scenario.Net, mode string, size int64, count int, sum *stats.Summary) {
-	s := n.Sim
-	// route is a fresh access pipe with path i's delay, then link i's queue
-	// and pipe (the two-link spec's path i crosses link i alone).
-	route := func(i int) *netem.Route {
-		trim := netem.NewPipe(s, sim.Millis(n.Spec.Paths[i].DelayMs), "trim")
-		return netem.NewRoute(trim, n.Links[i].Queue, n.Links[i].Pipe)
+	// The two-link spec's path i crosses link i alone.
+	routes := make([]scenario.Route, len(n.Spec.Paths))
+	for i, p := range n.Spec.Paths {
+		routes[i] = scenario.Route{DelayMs: p.DelayMs, Fwd: p.Links}
+	}
+	xfer, baseID := &scenario.FlowSpec{Algorithm: scenario.AlgoTCP, FlowBytes: size}, 5000
+	if mode == "tcp" {
+		routes = routes[:1]
+	} else {
+		// Finite transfers need slow start: the §IV-B ssthresh=1 setting
+		// (meant for long-lived flows probing congested paths) would make a
+		// 512 KB stream crawl from a 1-packet window in congestion
+		// avoidance — ~3x slower than plain TCP. This is why the paper's
+		// own short-flow workload uses regular TCP.
+		xfer = &scenario.FlowSpec{Algorithm: "olia", FlowBytes: size, Scheduler: "pull", KeepSlowStart: true}
+		baseID = 6000
 	}
 	var startNext func(i int)
 	startNext = func(i int) {
 		if i >= count {
 			return
 		}
-		begin := s.Now()
-		done := func() {
-			sum.Add((s.Now() - begin).Sec())
+		f := n.AddFlow(fmt.Sprintf("xfer%d", i), xfer, baseID+i*len(routes), routes, n.Sim.Now())
+		f.OnComplete(func(took sim.Time) {
+			sum.Add(took.Sec())
 			startNext(i + 1)
-		}
-		if mode == "tcp" {
-			src := tcp.NewSrc(s, 5000+i, "xfer", tcp.Config{FlowBytes: size})
-			sink := tcp.NewSink(s)
-			src.SetRoute(route(0).Append(sink))
-			sink.SetRoute(netem.NewRoute(n.Rev.Q, n.Rev.P).Append(src))
-			src.OnComplete = func(*tcp.Src) { done() }
-			src.Start(s.Now())
-			return
-		}
-		conn := mptcp.New(s, fmt.Sprintf("xfer%d", i), core.NewOLIA(), tcp.Config{})
-		// Finite transfers need slow start: the §IV-B ssthresh=1 setting
-		// (meant for long-lived flows probing congested paths) would make a
-		// 512 KB stream crawl from a 1-packet window in congestion
-		// avoidance — ~3x slower than plain TCP. This is why the paper's
-		// own short-flow workload uses regular TCP.
-		conn.SetKeepSlowStart(true)
-		for j := range n.Links {
-			sf := conn.AddSubflow(6000 + 2*i + j)
-			sf.SetRoutes(
-				route(j).Append(sf.Sink),
-				netem.NewRoute(n.Rev.Q, n.Rev.P).Append(sf.Src),
-			)
-		}
-		st := mptcp.NewStream(conn, size, 0)
-		st.OnComplete = func(*mptcp.Stream) { done() }
-		st.Start(s.Now())
+		})
 	}
 	startNext(0)
 }

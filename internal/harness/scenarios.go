@@ -20,10 +20,11 @@ func compile(sp *scenario.Spec) *scenario.Net {
 	return n
 }
 
-// run executes a compiled network over its spec's [Warmup, Warmup+Duration]
-// window under the scenario invariant checks. The exact integer byte deltas
-// are left in each Flow's Window; the float arithmetic (and its summation
-// order, which the golden bytes depend on) stays with each experiment. A
+// run executes a network over its [Warmup, End] window under the scenario
+// invariant checks; every simulated experiment goes through it. The exact
+// integer byte deltas are left in each Flow's Window; the float arithmetic
+// (and its summation order, which the golden bytes depend on) stays with
+// each experiment. A
 // cancelled run reports ok false and its job returns zero metrics (discarded
 // upstream, like every sweep job); an invariant violation on a registry spec
 // is a harness bug and panics inside the job.
@@ -33,7 +34,7 @@ func run(n *scenario.Net, cfg Config) (rep *scenario.RunReport, ok bool) {
 		return nil, false
 	}
 	if len(rep.Violations) != 0 {
-		panic(fmt.Sprintf("harness: %s: invariant violations: %v", n.Spec.Name, rep.Violations))
+		panic(fmt.Sprintf("harness: %s: invariant violations: %v", n.Name, rep.Violations))
 	}
 	return rep, true
 }

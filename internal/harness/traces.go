@@ -34,7 +34,9 @@ func runTrace(cfg Config, algo string, nTCP1, nTCP2 int) traceResult {
 	}
 	rec := trace.NewRecorder(n.Sim, 250*sim.Millisecond, stop, probes...)
 	rec.Start(0)
-	n.Sim.RunUntil(stop)
+	if _, ok := run(n, cfg); !ok {
+		return traceResult{algo: algo}
+	}
 
 	res := traceResult{
 		algo:       algo,

@@ -48,9 +48,7 @@ var scoped = []string{
 	"internal/tcp",
 	"internal/mptcp",
 	"internal/scenario",
-	"internal/workload",
 	"internal/trace",
-	"internal/topo",
 }
 
 // InScope reports whether the analyzer applies to the package.

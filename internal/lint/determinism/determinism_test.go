@@ -29,9 +29,8 @@ func TestInScope(t *testing.T) {
 		"example.com/internal/sim":     false,
 		"mptcpsim/internal/tracewalk":  false,
 		"mptcpsim/internal/trace/sub":  true,
-		"mptcpsim/internal/topo":       true,
 		"mptcpsim/internal/scenario":   true,
-		"mptcpsim/internal/workload/x": true,
+		"mptcpsim/internal/scenario/x": true,
 	} {
 		if got := determinism.InScope(path); got != want {
 			t.Errorf("InScope(%q) = %v, want %v", path, got, want)

@@ -11,9 +11,10 @@
 // //simlint:hot directive on its doc comment, or (c) statically reachable
 // from a hot function through same-package calls. A //simlint:cold
 // directive excludes a function (a failure/diagnostic path such as an
-// invariant-violation reporter) from both hotness propagation and
-// call-site checks: invoking a cold function is asserted to happen only on
-// exceptional paths, so its argument boxing is not charged to the hot path.
+// invariant-violation reporter, or per-flow set-up an arrival event calls)
+// from both hotness propagation and call-site checks: invoking a cold
+// function is asserted to happen only off the per-packet path, so its
+// argument boxing is not charged to the hot path.
 //
 // Inside hot functions the analyzer reports the allocation idioms the
 // kernel was rewritten to avoid:

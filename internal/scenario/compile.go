@@ -28,11 +28,9 @@ type CompiledLink struct {
 // receiving endpoint of path i (FlowSpec.Paths order) and Srcs[i] its
 // sender.
 type Flow struct {
-	// Spec indexes the Spec.Flows entry this replica came from; Replica is
-	// its position within the group.
-	Spec    int
-	Replica int
-	Name    string
+	Name string
+	// Algorithm is AlgoTCP or the coupled controller's name.
+	Algorithm string
 
 	// Conn is the multipath connection (nil for AlgoTCP flows).
 	Conn *mptcp.Conn
@@ -44,7 +42,8 @@ type Flow struct {
 	Sinks []*tcp.Sink
 
 	// Window holds, once Net.Run returns, the in-order bytes Sinks[i] took
-	// in over the measured window.
+	// in over the measured window (all of them, for a flow added after the
+	// warm-up closed).
 	Window []int64
 
 	// AckTap counts ACKs delivered back to this flow's senders, for the
@@ -89,25 +88,52 @@ func (f *Flow) SentPkts() int64 {
 	return total
 }
 
-// Net is a compiled scenario: the live simulation plus handles to every
-// element the runtime measures.
+// Net is a live network: the simulation plus handles to every element the
+// runtime measures. It has two front-ends. Compile builds one from a
+// declarative Spec; NewNet, AddLink, AddFlow and AddArrivals build one in
+// code, for a network a Spec cannot describe (the fat tree, fattree.go) or a
+// flow that joins while the simulation runs. Compile is written in the
+// second, so both run, and are checked, the same way (Net.Run).
 type Net struct {
+	Name string
+	Seed int64
+	// Spec is what Compile built the network from; nil for one built in code.
 	Spec *Spec
 	Sim  *sim.Sim
 
+	// Warmup and End bound the measured window as exact event times.
+	Warmup, End sim.Time
+	// warmupSec and durationSec are the window as the caller wrote it
+	// (Spec.WarmupSec and DurationSec for a compiled network): reported
+	// rates divide by durationSec, and a trip through sim.Time truncates.
+	warmupSec, durationSec float64
+
 	Links []*CompiledLink
-	// Flows lists every replica in creation order; Groups indexes them by
-	// Spec.Flows entry.
+	// Flows lists every flow in creation order, those added mid-run
+	// included; Groups indexes a compiled network's by Spec.Flows entry.
 	Flows  []*Flow
 	Groups [][]*Flow
 
-	// Rev is the shared return link; pipes lists every propagation pipe
-	// (link, reverse and per-flow access pipes) for in-flight accounting.
+	// Rev is the return link shared by every flow whose Route names no
+	// reverse links (nil when the network has none); pipes lists every
+	// propagation pipe (link, reverse and per-flow access pipes) for
+	// in-flight accounting.
 	Rev   *netem.Link
 	pipes []*netem.Pipe
-	// pathFlows indexes, per Spec.Paths entry, every sender routed over
-	// that path, for timeline flap events.
+	// timeline is the compiled spec's mutation list; pathFlows indexes, per
+	// Spec.Paths entry, every sender routed over that path, for its flaps.
+	timeline  []TimelineEvent
 	pathFlows [][]pathRef
+}
+
+// NewNet starts an empty network on a fresh simulation, measured over
+// [warmup, warmup+duration].
+func NewNet(name string, seed int64, warmup, duration sim.Time) *Net {
+	return &Net{
+		Name: name, Seed: seed, Sim: sim.New(seed),
+		Warmup: warmup, End: warmup + duration,
+		warmupSec: warmup.Sec(), durationSec: duration.Sec(),
+	}
 }
 
 // Group returns the replicas of the first Spec.Flows entry called name, or
@@ -130,8 +156,11 @@ func Compile(sp *Spec) (*Net, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	s := sim.New(sp.Seed)
-	n := &Net{Spec: sp, Sim: s, pathFlows: make([][]pathRef, len(sp.Paths))}
+	n := NewNet(sp.Name, sp.Seed, sim.Seconds(sp.WarmupSec), sim.Seconds(sp.DurationSec))
+	n.Spec, n.warmupSec, n.durationSec = sp, sp.WarmupSec, sp.DurationSec
+	n.timeline = sp.Timeline
+	n.pathFlows = make([][]pathRef, len(sp.Paths))
+	s := n.Sim
 
 	// The timeline driver is armed first — before any flow-start event — so
 	// a t=0 setpoint is in effect for the very first transmission. Arming
@@ -142,7 +171,13 @@ func Compile(sp *Spec) (*Net, error) {
 	}
 
 	for i, ls := range sp.Links {
-		n.Links = append(n.Links, buildLink(s, ls, i, sp.bufferLimit(i), sp.timelineTouchesLoss(i)))
+		l := n.AddLink(ls)
+		// A loss setpoint will retarget this link: build the element now. An
+		// idle one draws no randomness, so the spec's RNG stream is unchanged
+		// until the setpoint fires.
+		if l.Loss == nil && sp.timelineTouchesLoss(i) {
+			l.Loss = netem.NewRandomLoss(s, 0)
+		}
 	}
 	revRate, revDelay := sp.ReverseRateMbps, sp.ReverseDelayMs
 	if revRate == 0 {
@@ -157,24 +192,35 @@ func Compile(sp *Spec) (*Net, error) {
 		Kind:         netem.QueueDropTail,
 		DropTailPkts: 10_000,
 	}, "rev")
-	for _, l := range n.Links {
-		n.pipes = append(n.pipes, l.Pipe)
-	}
 	n.pipes = append(n.pipes, n.Rev.P)
 
 	nextID := 1000
 	n.Groups = make([][]*Flow, len(sp.Flows))
+	routes := make([]Route, 0, 4) // stays on the stack for the usual few paths
 	for fi := range sp.Flows {
 		fs := &sp.Flows[fi]
 		base := fs.BaseID
 		if base == 0 {
 			base = nextID
 		}
+		name := fs.Name
+		if name == "" {
+			name = fmt.Sprintf("flow%d", fi)
+		}
+		routes = routes[:0]
+		for _, pi := range fs.Paths {
+			routes = append(routes, Route{DelayMs: sp.Paths[pi].DelayMs, Fwd: sp.Paths[pi].Links})
+		}
 		for r := 0; r < fs.count(); r++ {
-			id := base + r*len(fs.Paths)
-			f := n.buildFlow(fi, r, id)
-			n.Flows = append(n.Flows, f)
+			at := sim.Seconds(fs.StartSec)
+			if fs.StartJitter {
+				at += sim.RandBelow(s.Rand(), startSpread)
+			}
+			f := n.AddFlow(fmt.Sprintf("%s-%d", name, r), fs, base+r*len(fs.Paths), routes, at)
 			n.Groups[fi] = append(n.Groups[fi], f)
+			for i, pi := range fs.Paths {
+				n.pathFlows[pi] = append(n.pathFlows[pi], pathRef{flow: f, sub: i})
+			}
 		}
 		nextID = base + fs.count()*len(fs.Paths)
 		// Round up so the next group starts on a fresh thousand block,
@@ -184,12 +230,10 @@ func Compile(sp *Spec) (*Net, error) {
 	return n, nil
 }
 
-// buildLink assembles one unidirectional link. needLoss forces a loss
-// element even at LossPct 0 (a timeline setpoint will retarget it); an idle
-// element draws no randomness, so the spec's RNG stream is unchanged until
-// the setpoint fires.
-func buildLink(s *sim.Sim, ls LinkSpec, idx, limit int, needLoss bool) *CompiledLink {
-	name := fmt.Sprintf("link%d", idx)
+// AddLink builds one unidirectional link — a random-loss element when
+// LossPct is set, the queue, the propagation pipe — and returns it; its
+// index in Links is what a Route names. Links are added before Run.
+func (n *Net) AddLink(ls LinkSpec) *CompiledLink {
 	cfg := netem.LinkConfig{
 		RateBps: int64(ls.RateMbps * 1e6),
 		Delay:   sim.Millis(ls.DelayMs),
@@ -206,30 +250,37 @@ func buildLink(s *sim.Sim, ls LinkSpec, idx, limit int, needLoss bool) *Compiled
 			cfg.REDCfg = &red
 		}
 	}
-	cl := &CompiledLink{Spec: ls, LimitPkts: limit}
-	link := netem.NewLink(s, cfg, name)
+	cl := &CompiledLink{Spec: ls, LimitPkts: ls.bufferLimit()}
+	link := netem.NewLink(n.Sim, cfg, fmt.Sprintf("link%d", len(n.Links)))
 	cl.Queue, cl.Pipe = link.Q, link.P
-	if ls.LossPct > 0 || needLoss {
-		cl.Loss = netem.NewRandomLoss(s, ls.LossPct/100)
+	if ls.LossPct > 0 {
+		cl.Loss = netem.NewRandomLoss(n.Sim, ls.LossPct/100)
 	}
+	n.Links = append(n.Links, cl)
+	n.pipes = append(n.pipes, cl.Pipe)
 	return cl
 }
 
-// forwardHops lists the hops of one path: the per-flow access pipe, then
-// each link's loss element (if any), queue and pipe. A zero-delay path
-// builds no access pipe at all: even a 0 ms pipe reserves kernel sequence
-// numbers and defers each packet by one event, so eliding it is what lets
-// a spec whose delay lives on the links themselves (Lab.Simulate's
-// topology, which fronts its queues with nothing) keep its event order.
-func (n *Net) forwardHops(pi int) []netem.Node {
-	ps := &n.Spec.Paths[pi]
-	var hops []netem.Node
-	if ps.DelayMs > 0 {
-		trim := netem.NewPipe(n.Sim, sim.Millis(ps.DelayMs), fmt.Sprintf("path%d/trim", pi))
-		hops = append(hops, trim)
-		n.pipes = append(n.pipes, trim)
+// Route is one subflow's wiring, by index into Net.Links.
+type Route struct {
+	// DelayMs is the per-flow access pipe in front of Fwd. Zero builds no
+	// pipe at all: even a 0 ms pipe reserves kernel sequence numbers and
+	// defers each packet by one event, so eliding it is what lets a network
+	// whose delay lives on the links themselves (Lab.Simulate's topology,
+	// the fat tree) keep its event order.
+	DelayMs float64
+	// Fwd lists the links data crosses, in order; Rev the links ACKs cross
+	// on the way back, nil for the network's shared return link.
+	Fwd, Rev []int
+}
+
+// linkHops appends the hops of crossing links in order: each link's loss
+// element (if any), queue and pipe.
+func (n *Net) linkHops(hops []netem.Node, links []int) []netem.Node {
+	if hops == nil { // a long fabric path grows once, not four times, per flow that arrives
+		hops = make([]netem.Node, 0, 2*len(links))
 	}
-	for _, li := range ps.Links {
+	for _, li := range links {
 		l := n.Links[li]
 		if l.Loss != nil {
 			hops = append(hops, l.Loss)
@@ -239,20 +290,38 @@ func (n *Net) forwardHops(pi int) []netem.Node {
 	return hops
 }
 
-// buildFlow wires one replica of Spec.Flows[fi].
-func (n *Net) buildFlow(fi, replica, flowID int) *Flow {
-	sp := n.Spec
-	fs := &sp.Flows[fi]
-	name := fs.Name
-	if name == "" {
-		name = fmt.Sprintf("flow%d", fi)
+// wire builds both directions of one subflow between src and sink; ACKs
+// pass the flow's tap last, whichever way they return.
+func (n *Net) wire(f *Flow, r Route, src *tcp.Src, sink *tcp.Sink) {
+	var fwd []netem.Node
+	if r.DelayMs > 0 {
+		trim := netem.NewPipe(n.Sim, sim.Millis(r.DelayMs), f.Name+"/trim")
+		fwd = append(fwd, trim)
+		n.pipes = append(n.pipes, trim)
 	}
-	f := &Flow{
-		Spec:    fi,
-		Replica: replica,
-		Name:    fmt.Sprintf("%s-%d", name, replica),
-		AckTap:  &netem.Tap{},
+	src.SetRoute(netem.NewRoute(n.linkHops(fwd, r.Fwd)...).Append(sink))
+	if r.Rev != nil {
+		sink.SetRoute(netem.NewRoute(n.linkHops(nil, r.Rev)...).Append(f.AckTap, src))
+		return
 	}
+	sink.SetRoute(netem.NewRoute(n.Rev.Q, n.Rev.P, f.AckTap, src))
+}
+
+// AddFlow wires one flow and schedules its start at the absolute time
+// start, before Run or from an event while it runs. fs supplies the
+// transport — Algorithm, FlowBytes, Scheduler, ChunkBytes, KeepSlowStart,
+// MaxCwndPkts, NoIncreaseCap, StopSec, with the meanings and the
+// combinations Validate documents — and is not retained; its placement
+// fields (Paths, Count, StartSec, StartJitter, BaseID) are Compile's and are
+// not read. routes gives one subflow each (exactly one for AlgoTCP), with
+// sender IDs id, id+1, ....
+//
+// Set-up allocates by design, once per flow and never per packet, also when
+// an arrival event is what calls it.
+//
+//simlint:cold
+func (n *Net) AddFlow(name string, fs *FlowSpec, id int, routes []Route, start sim.Time) *Flow {
+	f := &Flow{Name: name, Algorithm: fs.Algorithm, AckTap: &netem.Tap{}}
 	cfg := tcp.Config{
 		FlowBytes:     fs.FlowBytes,
 		MaxCwndPkts:   fs.MaxCwndPkts,
@@ -263,38 +332,31 @@ func (n *Net) buildFlow(fi, replica, flowID int) *Flow {
 		// and the stream portions FlowBytes out in chunks.
 		cfg.FlowBytes = 0
 	}
-	rev := n.Rev
 
 	if fs.Algorithm == AlgoTCP {
-		src := tcp.NewSrc(n.Sim, flowID, f.Name, cfg)
+		src := tcp.NewSrc(n.Sim, id, name, cfg)
 		sink := tcp.NewSink(n.Sim)
-		src.SetRoute(netem.NewRoute(n.forwardHops(fs.Paths[0])...).Append(sink))
-		sink.SetRoute(netem.NewRoute(rev.Q, rev.P, f.AckTap, src))
-		src.Start(n.startAt(fs))
+		n.wire(f, routes[0], src, sink)
+		src.Start(start)
 		f.Srcs, f.Sinks = []*tcp.Src{src}, []*tcp.Sink{sink}
-		n.pathFlows[fs.Paths[0]] = append(n.pathFlows[fs.Paths[0]], pathRef{flow: f, sub: 0})
 	} else {
-		conn := mptcp.New(n.Sim, f.Name, core.New(fs.Algorithm), cfg)
+		conn := mptcp.New(n.Sim, name, core.New(fs.Algorithm), cfg)
 		conn.SetKeepSlowStart(fs.KeepSlowStart)
-		for i, pi := range fs.Paths {
-			sf := conn.AddSubflow(flowID + i)
-			sf.SetRoutes(
-				netem.NewRoute(n.forwardHops(pi)...).Append(sf.Sink),
-				netem.NewRoute(rev.Q, rev.P, f.AckTap, sf.Src),
-			)
+		for i, r := range routes {
+			sf := conn.AddSubflow(id + i)
+			n.wire(f, r, sf.Src, sf.Sink)
 			f.Srcs = append(f.Srcs, sf.Src)
 			f.Sinks = append(f.Sinks, sf.Sink)
-			n.pathFlows[pi] = append(n.pathFlows[pi], pathRef{flow: f, sub: i})
 		}
 		if fs.Scheduler != "" {
 			sched, err := mptcp.NewScheduler(fs.Scheduler)
 			if err != nil {
-				panic(err) // unreachable: Validate vetted the name
+				panic(err) // a compiled spec cannot get here: Validate vetted the name
 			}
 			f.Stream = mptcp.NewStreamSched(conn, fs.FlowBytes, fs.ChunkBytes, sched)
-			f.Stream.Start(n.startAt(fs))
+			f.Stream.Start(start)
 		} else {
-			conn.Start(n.startAt(fs))
+			conn.Start(start)
 		}
 		f.Conn = conn
 	}
@@ -306,15 +368,17 @@ func (n *Net) buildFlow(fi, replica, flowID int) *Flow {
 			}
 		})
 	}
+	n.Flows = append(n.Flows, f)
 	return f
 }
 
-// startAt computes one replica's start time; a jittered replica draws its
-// offset from the simulation's random stream at creation.
-func (n *Net) startAt(fs *FlowSpec) sim.Time {
-	at := sim.Seconds(fs.StartSec)
-	if fs.StartJitter {
-		at += sim.RandBelow(n.Sim.Rand(), startSpread)
+// OnComplete has fn called once with the transfer's duration when a finite
+// plain-TCP flow is fully acknowledged, or a scheduled stream fully
+// delivered in order.
+func (f *Flow) OnComplete(fn func(took sim.Time)) {
+	if f.Stream != nil {
+		f.Stream.OnComplete = func(st *mptcp.Stream) { fn(st.CompletionTime()) }
+		return
 	}
-	return at
+	f.Srcs[0].OnComplete = func(s *tcp.Src) { fn(s.CompletionTime()) }
 }

@@ -84,7 +84,9 @@ type monitor struct {
 	report *RunReport
 
 	// prevCum and prevAcked are the last sampled per-sink cumulative-ACK
-	// and per-src acked-bytes marks, flattened over flows then paths.
+	// and per-src acked-bytes marks, flattened over flows then paths. Flows
+	// only ever join the end of Net.Flows, so a position keeps its meaning
+	// while the slices grow behind it for flows added mid-run.
 	prevCum   []int64
 	prevAcked []int64
 	maxLen    []int
@@ -128,6 +130,10 @@ func (m *monitor) sample(now sim.Time) {
 	k := 0
 	for _, f := range m.net.Flows {
 		for pi := range f.Sinks {
+			if k == len(m.prevCum) { // first sample of a flow added mid-run
+				m.prevCum = append(m.prevCum, 0)
+				m.prevAcked = append(m.prevAcked, 0)
+			}
 			cum := f.Sinks[pi].CumAck()
 			if cum < m.prevCum[k] {
 				m.report.violate("t=%v: flow %s path %d cumulative ACK went backwards (%d -> %d)",
@@ -175,6 +181,10 @@ func Run(ctx context.Context, sp *Spec) (*RunReport, error) {
 // Besides the report, the run leaves each flow's exact per-path byte counts
 // for the window in Flow.Window, for callers that do their own arithmetic.
 //
+// Flows added while the simulation runs (AddFlow from an event, AddArrivals)
+// are sampled, reported and counted like the rest; one born after the
+// warm-up closed has its whole delivery inside the window.
+//
 // Cancelling ctx abandons the simulation at the next one-second
 // virtual-time boundary and returns an error wrapping ctx.Err(). The
 // cancellation probe never perturbs the run: sim.RunUntil is exact at
@@ -182,15 +192,12 @@ func Run(ctx context.Context, sp *Spec) (*RunReport, error) {
 // event sequence as one uninterrupted call (and with a background context
 // the slicing is skipped entirely).
 func (n *Net) Run(ctx context.Context) (*RunReport, error) {
-	sp := n.Spec
-	r := &RunReport{Name: sp.Name, Seed: sp.Seed}
+	r := &RunReport{Name: n.Name, Seed: n.Seed}
 	m := newMonitor(n, r)
-	warm := sim.Seconds(sp.WarmupSec)
-	end := sp.EndTime()
 
 	// Window bases, snapped when the warm-up closes.
 	qBase := make([]netem.Counters, len(n.Links))
-	n.Sim.At(warm, func() {
+	n.Sim.At(n.Warmup, func() {
 		for i, l := range n.Links {
 			qBase[i] = l.Queue.Stats()
 		}
@@ -202,19 +209,22 @@ func (n *Net) Run(ctx context.Context) (*RunReport, error) {
 		}
 	})
 	m.RunEvent(0) // first sample at t=0, then every samplePeriod
-	if err := advanceUntil(ctx, n.Sim, 0, end); err != nil {
-		return nil, fmt.Errorf("scenario %q: run canceled: %w", sp.Name, err)
+	if err := advanceUntil(ctx, n.Sim, 0, n.End); err != nil {
+		return nil, fmt.Errorf("scenario %q: run canceled: %w", n.Name, err)
 	}
 
-	secs := sp.DurationSec
+	secs := n.durationSec
 	r.Flows = make([]FlowReport, 0, len(n.Flows))
 	r.Queues = make([]QueueReport, 0, len(n.Links))
 	for _, f := range n.Flows {
 		fr := FlowReport{
 			Name:      f.Name,
-			Algorithm: sp.Flows[f.Spec].Algorithm,
+			Algorithm: f.Algorithm,
 			SentPkts:  f.SentPkts(),
 			PathMbps:  make([]float64, 0, len(f.Sinks)),
+		}
+		if f.Window == nil { // born after the snapshot: the base is zero
+			f.Window = make([]int64, len(f.Sinks))
 		}
 		for pi, k := range f.Sinks {
 			f.Window[pi] = k.GoodputBytes() - f.Window[pi]
@@ -228,7 +238,7 @@ func (n *Net) Run(ctx context.Context) (*RunReport, error) {
 		}
 		if f.Stream != nil {
 			sr := &StreamReport{
-				Scheduler:      sp.Flows[f.Spec].Scheduler,
+				Scheduler:      f.Stream.SchedulerName(),
 				Done:           f.Stream.Done(),
 				InOrderBytes:   f.Stream.InOrderBytes(),
 				DeliveredBytes: f.Stream.DeliveredBytes(),
@@ -257,7 +267,7 @@ func (n *Net) Run(ctx context.Context) (*RunReport, error) {
 	r.Processed = n.Sim.Processed()
 
 	checkConservation(n, r)
-	checkCapacity(sp, r)
+	checkCapacity(n, r)
 	return r, nil
 }
 
@@ -271,15 +281,22 @@ func checkConservation(n *Net, r *RunReport) {
 				i, c.ArrivedPkts, got)
 		}
 	}
-	rc := n.Rev.Q.Stats()
-	if got := rc.SentPkts + rc.DroppedPkts + int64(n.Rev.Q.Len()); rc.ArrivedPkts != got {
-		r.violate("reverse queue leaks packets: %d arrived, %d served+dropped+queued", rc.ArrivedPkts, got)
+
+	var sent, acked, unacked, dropped, inflight int64
+	if n.Rev != nil {
+		rc := n.Rev.Q.Stats()
+		if got := rc.SentPkts + rc.DroppedPkts + int64(n.Rev.Q.Len()); rc.ArrivedPkts != got {
+			r.violate("reverse queue leaks packets: %d arrived, %d served+dropped+queued", rc.ArrivedPkts, got)
+		}
+		dropped += rc.DroppedPkts
+		inflight += int64(n.Rev.Q.Len())
 	}
 
 	// Global: data segments sent = ACKs delivered + segments a sink took in
 	// without emitting an ACK (none unless delayed ACKs are on) + drops + in
-	// flight, which closes the loop around both directions.
-	var sent, acked, unacked, dropped, inflight int64
+	// flight, which closes the loop around both directions — also where one
+	// queue carries some flows' data and other flows' ACKs, since every
+	// queue's drops and backlog count, whichever kind of packet they are.
 	for _, f := range n.Flows {
 		sent += f.SentPkts()
 		acked += f.AckTap.Pkts
@@ -294,8 +311,6 @@ func checkConservation(n *Net, r *RunReport) {
 		}
 		inflight += int64(l.Queue.Len())
 	}
-	dropped += rc.DroppedPkts
-	inflight += int64(n.Rev.Q.Len())
 	for _, p := range n.pipes {
 		inflight += int64(p.InFlight())
 	}
@@ -311,32 +326,32 @@ func checkConservation(n *Net, r *RunReport) {
 // a packet whose serialization straddles each window edge, plus one packet
 // per in-window rate transition (the in-service packet finishes on the
 // schedule armed under the old rate).
-func checkCapacity(sp *Spec, r *RunReport) {
+func checkCapacity(n *Net, r *RunReport) {
 	for i := range r.Queues {
 		w := r.Queues[i].Window
-		capBytes, transitions := sp.windowCapBytes(i)
+		capBytes, transitions := n.windowCapBytes(i)
 		slack := float64((2 + transitions) * netem.MSS)
 		if float64(w.SentBytes) > capBytes+slack {
 			r.violate("link %d served %d bytes in %gs, above time-varying capacity %.0f",
-				i, w.SentBytes, sp.DurationSec, capBytes)
+				i, w.SentBytes, n.durationSec, capBytes)
 		}
 	}
 }
 
-// windowCapBytes integrates link l's rate profile — the spec rate plus
-// every timeline rate setpoint — over the measured window, reporting the
-// byte bound and the number of in-window rate transitions.
-func (sp *Spec) windowCapBytes(l int) (capBytes float64, transitions int) {
-	from := sp.WarmupSec
-	to := sp.WarmupSec + sp.DurationSec
-	rate := sp.Links[l].RateMbps
+// windowCapBytes integrates link l's rate profile — the rate it was built
+// with plus every timeline rate setpoint — over the measured window,
+// reporting the byte bound and the number of in-window rate transitions.
+func (n *Net) windowCapBytes(l int) (capBytes float64, transitions int) {
+	from := n.warmupSec
+	to := n.warmupSec + n.durationSec
+	rate := n.Links[l].Spec.RateMbps
 	t := from
-	for i := range sp.Timeline {
-		ev := sp.Timeline[i].Link
+	for i := range n.timeline {
+		ev := n.timeline[i].Link
 		if ev == nil || ev.Link != l || ev.RateMbps <= 0 {
 			continue
 		}
-		at := sp.Timeline[i].AtSec
+		at := n.timeline[i].AtSec
 		if at > to {
 			break // events are time-ordered; nothing later is in the window
 		}

@@ -4,12 +4,20 @@
 // A Spec names links (rate, propagation delay, random loss, queue
 // discipline), paths (link sequences plus a per-flow access delay), and
 // flows (congestion-control algorithm, path set, replica count, start/stop
-// times, workload size). Compile is the one way a testbed network is
-// built: the paper's own topologies are Spec builders (paper.go) that the
-// figure experiments compile, the fuzzer (fuzz.go) generates topologies far
-// outside the ~15 hardcoded paper figures, and the conformance oracle
-// (conformance.go) cross-checks packet-level steady states against the
-// fluid-model and fixed-point analyses.
+// times, workload size). Compile turns one into a Net: the paper's testbed
+// topologies are Spec builders (paper.go) that the figure experiments
+// compile, the fuzzer (fuzz.go) generates topologies far outside the ~15
+// hardcoded paper figures, and the conformance oracle (conformance.go)
+// cross-checks packet-level steady states against the fluid-model and
+// fixed-point analyses.
+//
+// Net (compile.go) is the one way a flow is wired and the one way a
+// network is run. Compile is written in its construction methods — NewNet,
+// AddLink, AddFlow, AddArrivals — and so is the paper's data-center fabric
+// (fattree.go), whose per-pair reverse routes, in-simulation random choices
+// and flows arriving mid-run a Spec does not express. Whichever front-end
+// built it, Net.Run (run.go) measures the network over its window under the
+// same invariant checks and stops at a one-second boundary when cancelled.
 package scenario
 
 import (
@@ -279,25 +287,15 @@ func (f *FlowSpec) count() int {
 	return f.Count
 }
 
-// EndTime is the simulated instant the measured window closes.
-func (sp *Spec) EndTime() sim.Time {
-	return sim.Seconds(sp.WarmupSec) + sim.Seconds(sp.DurationSec)
-}
-
-// bufferLimit reports the hard occupancy bound (packets) of link l's queue,
-// for the queue-bound invariant.
-func (sp *Spec) bufferLimit(l int) int {
-	ls := sp.Links[l]
-	switch ls.Queue {
-	case QueueDropTail:
-		if ls.BufferPkts > 0 {
-			return ls.BufferPkts
-		}
+// bufferLimit reports the hard occupancy bound (packets) of the link's
+// queue, for the queue-bound invariant.
+func (ls LinkSpec) bufferLimit() int {
+	switch {
+	case ls.BufferPkts > 0:
+		return ls.BufferPkts
+	case ls.Queue == QueueDropTail:
 		return netem.DefaultDropTailPkts
 	default: // RED
-		if ls.BufferPkts > 0 {
-			return ls.BufferPkts
-		}
 		return netem.PaperRED(int64(ls.RateMbps * 1e6)).LimitPkts
 	}
 }

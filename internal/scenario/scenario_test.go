@@ -275,11 +275,11 @@ func TestRandomLossCountsAndConserves(t *testing.T) {
 // TestCheckCapacityFlagsOverrun exercises the capacity invariant directly
 // with a fabricated report, since a correct simulation can never trip it.
 func TestCheckCapacityFlagsOverrun(t *testing.T) {
-	sp := twoPathSpec()
+	n := mustCompile(t, twoPathSpec())
 	r := &RunReport{Queues: []QueueReport{{Link: 0}, {Link: 1}}}
 	// Link 1 (2 Mb/s) claims to have served 1 MB in 2 s = 4 Mb/s.
 	r.Queues[1].Window.SentBytes = 1 << 20
-	checkCapacity(sp, r)
+	checkCapacity(n, r)
 	if len(r.Violations) != 1 || !strings.Contains(r.Violations[0], "link 1") {
 		t.Fatalf("capacity overrun not flagged: %v", r.Violations)
 	}

@@ -146,12 +146,12 @@ func (pr pathRef) set(up bool) {
 // state allocates nothing and draws no randomness.
 type timelineDriver struct {
 	net  *Net
-	next int // cursor into net.Spec.Timeline
+	next int // cursor into net.timeline
 }
 
 // RunEvent applies all due mutations and re-arms (sim.Handler).
 func (td *timelineDriver) RunEvent(now sim.Time) {
-	evs := td.net.Spec.Timeline
+	evs := td.net.timeline
 	for td.next < len(evs) && sim.Seconds(evs[td.next].AtSec) <= now {
 		td.net.applyEvent(&evs[td.next])
 		td.next++

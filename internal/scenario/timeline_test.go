@@ -19,16 +19,18 @@ func timelineSpec() *Spec {
 	}
 }
 
-func mustRun(t *testing.T, sp *Spec) *RunReport {
+func mustCompile(t *testing.T, sp *Spec) *Net {
 	t.Helper()
-	rep, err := Run(context.Background(), sp)
+	n, err := Compile(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Violations) != 0 {
-		t.Fatalf("invariant violations: %v", rep.Violations)
-	}
-	return rep
+	return n
+}
+
+func mustRun(t *testing.T, sp *Spec) *RunReport {
+	t.Helper()
+	return runClean(t, mustCompile(t, sp))
 }
 
 // TestTimelineValidate locks every timeline structural check with its
@@ -305,7 +307,7 @@ func TestWindowCapBytes(t *testing.T) {
 		{AtSec: 3.0, Link: &LinkSetpoint{Link: 0, DelayMs: Float(5)}}, // no rate change: ignored
 		{AtSec: 9.0, Link: &LinkSetpoint{Link: 0, RateMbps: 16}},      // past window end: ignored
 	}
-	capBytes, transitions := sp.windowCapBytes(0)
+	capBytes, transitions := mustCompile(t, sp).windowCapBytes(0)
 	// 4 Mb/s over [1,2] plus 2 Mb/s over [2,4]: 0.5e6 + 0.5e6 bytes.
 	if want := 1e6; capBytes != want {
 		t.Fatalf("windowCapBytes = %.0f, want %.0f", capBytes, want)
@@ -315,8 +317,7 @@ func TestWindowCapBytes(t *testing.T) {
 	}
 
 	// No timeline: plain rate * duration.
-	plain := timelineSpec()
-	capBytes, transitions = plain.windowCapBytes(0)
+	capBytes, transitions = mustCompile(t, timelineSpec()).windowCapBytes(0)
 	if want := 8e6 / 8 * 3; capBytes != want || transitions != 0 {
 		t.Fatalf("static windowCapBytes = %.0f (%d transitions), want %.0f (0)", capBytes, transitions, want)
 	}

@@ -81,6 +81,42 @@ func TestLabRunAllCancelMidFlight(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
+// TestDatacenterCancels: the fat-tree experiments run through Net.Run like
+// every other, so a cancellation reaches inside a running job and stops it
+// at its next one-second virtual-time boundary. The horizon here is an hour
+// of simulated data-center traffic per job — hours of wall time if a job,
+// once started, ran to its end.
+func TestDatacenterCancels(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation in -short")
+	}
+	before := runtime.NumGoroutine()
+	cfg := quickCfg()
+	cfg.DCDuration = 3600 * sim.Second
+	cfg.Seeds = 1
+	lab := NewLab(WithConfig(cfg), WithWorkers(2))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := lab.Collect(ctx, "table3")
+		done <- err
+	}()
+	// No job can finish, so there is no event to cancel on: give the three
+	// jobs time to be well inside their simulations.
+	time.Sleep(300 * time.Millisecond)
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("table3 still running a minute after cancellation: its fat-tree jobs do not observe the context")
+	}
+	waitGoroutines(t, before)
+}
+
 // TestLabFuzzCancelMidFlight is the same contract for Lab.Fuzz.
 func TestLabFuzzCancelMidFlight(t *testing.T) {
 	if testing.Short() {
