@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -39,12 +40,12 @@ func windowProbes(conn *mptcp.Conn) []trace.Probe {
 
 // runTwoLink simulates one two-link rig configuration — the "one point →
 // typed result" unit every ablation fans out over.
-func runTwoLink(cfg Config, sp *scenario.Spec) twoLinkOutcome {
+func runTwoLink(ctx context.Context, cfg Config, sp *scenario.Spec) twoLinkOutcome {
 	n := compile(sp)
 	mp := n.Group("mp")[0]
 	rec := trace.NewRecorder(n.Sim, 250*sim.Millisecond, cfg.Warmup+cfg.Duration, windowProbes(mp.Conn)...)
 	rec.Start(0)
-	if _, ok := run(n, cfg); !ok {
+	if _, ok := run(ctx, n); !ok {
 		return twoLinkOutcome{}
 	}
 	secs := cfg.Duration.Sec()
@@ -65,29 +66,30 @@ func runTwoLink(cfg Config, sp *scenario.Spec) twoLinkOutcome {
 // ablationEpsilon sweeps the ε-family of §II on the symmetric two-link rig:
 // ε=0 (fully coupled, Pareto-optimal but flappy), ε=1 (LIA), OLIA, and ε=2
 // (uncoupled, grabs two fair shares).
-func ablationEpsilon(cfg Config) (*Result, error) {
+func ablationEpsilon(cfg Config) Plan {
 	algos := []string{"fullycoupled", "lia", "olia", "uncoupled"}
-	outs := perPoint(cfg, algos, func(algo string) twoLinkOutcome {
-		return runTwoLink(cfg, twoLinkSpec(cfg, algo, 5, 5))
+	return perPoint(algos, func(ctx context.Context, algo string) twoLinkOutcome {
+		return runTwoLink(ctx, cfg, twoLinkSpec(cfg, algo, 5, 5))
+	}, func(outs []twoLinkOutcome) (*Result, error) {
+		r := &Result{
+			Preamble: []string{"Symmetric two-link rig (Fig. 6a): 10 Mb/s links, 5 TCP flows each; fair share 1.67 Mb/s"},
+			Columns: []Column{
+				{Name: "algorithm"},
+				{Name: "mp_total", Unit: "Mb/s"}, {Name: "mp_link1", Unit: "Mb/s"}, {Name: "mp_link2", Unit: "Mb/s"},
+				{Name: "tcp_mean", Unit: "Mb/s"}, {Name: "flips"},
+			},
+			Footer: []string{"(expected: uncoupled ≈ 2 shares; lia/olia ≈ 1 share; fullycoupled flips most)"},
+		}
+		for i, algo := range algos {
+			o := outs[i]
+			r.Rows = append(r.Rows, []Cell{
+				TextCell(algo),
+				NumCell(o.mp1 + o.mp2), NumCell(o.mp1), NumCell(o.mp2),
+				NumCell((o.bg1 + o.bg2) / 2), IntCell(o.flipsCount),
+			})
+		}
+		return r, nil
 	})
-	r := &Result{
-		Preamble: []string{"Symmetric two-link rig (Fig. 6a): 10 Mb/s links, 5 TCP flows each; fair share 1.67 Mb/s"},
-		Columns: []Column{
-			{Name: "algorithm"},
-			{Name: "mp_total", Unit: "Mb/s"}, {Name: "mp_link1", Unit: "Mb/s"}, {Name: "mp_link2", Unit: "Mb/s"},
-			{Name: "tcp_mean", Unit: "Mb/s"}, {Name: "flips"},
-		},
-		Footer: []string{"(expected: uncoupled ≈ 2 shares; lia/olia ≈ 1 share; fullycoupled flips most)"},
-	}
-	for i, algo := range algos {
-		o := outs[i]
-		r.Rows = append(r.Rows, []Cell{
-			TextCell(algo),
-			NumCell(o.mp1 + o.mp2), NumCell(o.mp1), NumCell(o.mp2),
-			NumCell((o.bg1 + o.bg2) / 2), IntCell(o.flipsCount),
-		})
-	}
-	return r, nil
 }
 
 // textAblationEpsilon is the classic ε-family table layout.
@@ -110,7 +112,7 @@ func textAblationEpsilon(r *Result, w io.Writer) error {
 // ablationQueue reruns the asymmetric rig under RED and DropTail: the
 // paper's conclusions do not depend on the queueing discipline (§VI-B
 // studies drop-tail in htsim).
-func ablationQueue(cfg Config) (*Result, error) {
+func ablationQueue(cfg Config) Plan {
 	type point struct {
 		kind scenario.QueueKind
 		algo string
@@ -121,32 +123,33 @@ func ablationQueue(cfg Config) (*Result, error) {
 			pts = append(pts, point{kind, algo})
 		}
 	}
-	outs := perPoint(cfg, pts, func(p point) twoLinkOutcome {
+	return perPoint(pts, func(ctx context.Context, p point) twoLinkOutcome {
 		sp := twoLinkSpec(cfg, p.algo, 5, 10)
 		sp.Links[0].Queue, sp.Links[1].Queue = p.kind, p.kind
-		return runTwoLink(cfg, sp)
-	})
-	r := &Result{
-		Preamble: []string{"Asymmetric rig (Fig. 6b): link2 shared with 10 TCP flows; congested-path traffic by discipline"},
-		Columns: []Column{
-			{Name: "queue"}, {Name: "algorithm"},
-			{Name: "mp_link1", Unit: "Mb/s"}, {Name: "mp_link2", Unit: "Mb/s"},
-			{Name: "tcp_link2", Unit: "Mb/s"},
-		},
-		Footer: []string{"(expected: OLIA's link2 traffic stays near the probing floor under both disciplines)"},
-	}
-	for i, p := range pts {
-		kindName := "RED"
-		if p.kind == scenario.QueueDropTail {
-			kindName = "DropTail"
+		return runTwoLink(ctx, cfg, sp)
+	}, func(outs []twoLinkOutcome) (*Result, error) {
+		r := &Result{
+			Preamble: []string{"Asymmetric rig (Fig. 6b): link2 shared with 10 TCP flows; congested-path traffic by discipline"},
+			Columns: []Column{
+				{Name: "queue"}, {Name: "algorithm"},
+				{Name: "mp_link1", Unit: "Mb/s"}, {Name: "mp_link2", Unit: "Mb/s"},
+				{Name: "tcp_link2", Unit: "Mb/s"},
+			},
+			Footer: []string{"(expected: OLIA's link2 traffic stays near the probing floor under both disciplines)"},
 		}
-		o := outs[i]
-		r.Rows = append(r.Rows, []Cell{
-			TextCell(kindName), TextCell(p.algo),
-			NumCell(o.mp1), NumCell(o.mp2), NumCell(o.bg2),
-		})
-	}
-	return r, nil
+		for i, p := range pts {
+			kindName := "RED"
+			if p.kind == scenario.QueueDropTail {
+				kindName = "DropTail"
+			}
+			o := outs[i]
+			r.Rows = append(r.Rows, []Cell{
+				TextCell(kindName), TextCell(p.algo),
+				NumCell(o.mp1), NumCell(o.mp2), NumCell(o.bg2),
+			})
+		}
+		return r, nil
+	})
 }
 
 // textAblationQueue is the classic RED-vs-DropTail table layout.
@@ -169,32 +172,33 @@ func textAblationQueue(r *Result, w io.Writer) error {
 // ablationSsthresh compares the paper's subflow setting (ssthresh = 1 MSS,
 // §IV-B) with normal slow start on the asymmetric rig: slow-starting
 // subflows repeatedly blast the congested path.
-func ablationSsthresh(cfg Config) (*Result, error) {
+func ablationSsthresh(cfg Config) Plan {
 	variants := []bool{false, true}
-	outs := perPoint(cfg, variants, func(keepSS bool) twoLinkOutcome {
+	return perPoint(variants, func(ctx context.Context, keepSS bool) twoLinkOutcome {
 		sp := twoLinkSpec(cfg, "olia", 5, 10)
 		twoLinkMP(sp).KeepSlowStart = keepSS
-		return runTwoLink(cfg, sp)
-	})
-	r := &Result{
-		Preamble: []string{"Asymmetric rig: effect of the §IV-B subflow ssthresh=1 setting"},
-		Columns: []Column{
-			{Name: "subflow_start"},
-			{Name: "mp_link1", Unit: "Mb/s"}, {Name: "mp_link2", Unit: "Mb/s"},
-			{Name: "tcp_link2", Unit: "Mb/s"},
-		},
-	}
-	for i, keepSS := range variants {
-		name := "ssthresh=1 (paper)"
-		if keepSS {
-			name = "normal slow start"
+		return runTwoLink(ctx, cfg, sp)
+	}, func(outs []twoLinkOutcome) (*Result, error) {
+		r := &Result{
+			Preamble: []string{"Asymmetric rig: effect of the §IV-B subflow ssthresh=1 setting"},
+			Columns: []Column{
+				{Name: "subflow_start"},
+				{Name: "mp_link1", Unit: "Mb/s"}, {Name: "mp_link2", Unit: "Mb/s"},
+				{Name: "tcp_link2", Unit: "Mb/s"},
+			},
 		}
-		o := outs[i]
-		r.Rows = append(r.Rows, []Cell{
-			TextCell(name), NumCell(o.mp1), NumCell(o.mp2), NumCell(o.bg2),
-		})
-	}
-	return r, nil
+		for i, keepSS := range variants {
+			name := "ssthresh=1 (paper)"
+			if keepSS {
+				name = "normal slow start"
+			}
+			o := outs[i]
+			r.Rows = append(r.Rows, []Cell{
+				TextCell(name), NumCell(o.mp1), NumCell(o.mp2), NumCell(o.bg2),
+			})
+		}
+		return r, nil
+	})
 }
 
 // textAblationSsthresh is the classic ssthresh-ablation table layout.
@@ -213,31 +217,32 @@ func textAblationSsthresh(r *Result, w io.Writer) error {
 
 // ablationCap compares OLIA with and without the per-ACK Reno cap (goal 2's
 // "never more aggressive than TCP on any path").
-func ablationCap(cfg Config) (*Result, error) {
+func ablationCap(cfg Config) Plan {
 	variants := []bool{false, true}
-	outs := perPoint(cfg, variants, func(noCap bool) twoLinkOutcome {
+	return perPoint(variants, func(ctx context.Context, noCap bool) twoLinkOutcome {
 		sp := twoLinkSpec(cfg, "olia", 5, 5)
 		twoLinkMP(sp).NoIncreaseCap = noCap
-		return runTwoLink(cfg, sp)
-	})
-	r := &Result{
-		Preamble: []string{"Symmetric rig: effect of the per-ACK increase cap (RFC 6356 goal 2)"},
-		Columns: []Column{
-			{Name: "increase_cap"},
-			{Name: "mp_total", Unit: "Mb/s"}, {Name: "tcp_mean", Unit: "Mb/s"},
-		},
-	}
-	for i, noCap := range variants {
-		name := "capped (std)"
-		if noCap {
-			name = "uncapped"
+		return runTwoLink(ctx, cfg, sp)
+	}, func(outs []twoLinkOutcome) (*Result, error) {
+		r := &Result{
+			Preamble: []string{"Symmetric rig: effect of the per-ACK increase cap (RFC 6356 goal 2)"},
+			Columns: []Column{
+				{Name: "increase_cap"},
+				{Name: "mp_total", Unit: "Mb/s"}, {Name: "tcp_mean", Unit: "Mb/s"},
+			},
 		}
-		o := outs[i]
-		r.Rows = append(r.Rows, []Cell{
-			TextCell(name), NumCell(o.mp1 + o.mp2), NumCell((o.bg1 + o.bg2) / 2),
-		})
-	}
-	return r, nil
+		for i, noCap := range variants {
+			name := "capped (std)"
+			if noCap {
+				name = "uncapped"
+			}
+			o := outs[i]
+			r.Rows = append(r.Rows, []Cell{
+				TextCell(name), NumCell(o.mp1 + o.mp2), NumCell((o.bg1 + o.bg2) / 2),
+			})
+		}
+		return r, nil
+	})
 }
 
 // textAblationCap is the classic increase-cap table layout.
@@ -257,28 +262,28 @@ func init() {
 		ID:       "ablation-epsilon",
 		PaperRef: "§II design space",
 		Title:    "ε-family sweep: fully coupled (ε=0) vs LIA (ε=1) vs OLIA vs uncoupled (ε=2) on symmetric links",
-		Collect:  ablationEpsilon,
+		Plan:     ablationEpsilon,
 		Text:     textAblationEpsilon,
 	})
 	register(&Experiment{
 		ID:       "ablation-queue",
 		PaperRef: "§III / §VI-B queueing",
 		Title:    "RED vs DropTail bottlenecks: OLIA's congestion balancing holds under both disciplines",
-		Collect:  ablationQueue,
+		Plan:     ablationQueue,
 		Text:     textAblationQueue,
 	})
 	register(&Experiment{
 		ID:       "ablation-ssthresh",
 		PaperRef: "§IV-B",
 		Title:    "Subflow ssthresh=1 vs normal slow start on a congested path",
-		Collect:  ablationSsthresh,
+		Plan:     ablationSsthresh,
 		Text:     textAblationSsthresh,
 	})
 	register(&Experiment{
 		ID:       "ablation-cap",
 		PaperRef: "RFC 6356 goal 2",
 		Title:    "Per-ACK increase cap on vs off",
-		Collect:  ablationCap,
+		Plan:     ablationCap,
 		Text:     textAblationCap,
 	})
 }

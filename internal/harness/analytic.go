@@ -36,7 +36,7 @@ func textAnalytic(ratio, pairA, pairB string) func(r *Result, w io.Writer) error
 // fig4a collects the analytic LIA curves of Figure 4(a): normalized
 // throughputs of Blue and Red users before/after the Red upgrade, as a
 // function of CX/CT (CT = 36 Mb/s, 15+15 users, RTT 150 ms).
-func fig4a(cfg Config) (*Result, error) {
+func fig4a() (*Result, error) {
 	const ct = 36.0
 	r := &Result{Columns: analyticColumns("cx_over_ct",
 		"single_blue", "single_red", "multi_blue", "multi_red")}
@@ -59,7 +59,7 @@ func fig4a(cfg Config) (*Result, error) {
 }
 
 // fig4b collects the optimum-with-probing counterpart (Figure 4(b)).
-func fig4b(cfg Config) (*Result, error) {
+func fig4b() (*Result, error) {
 	const ct = 36.0
 	r := &Result{Columns: analyticColumns("cx_over_ct",
 		"single_blue", "single_red", "multi_blue", "multi_red")}
@@ -77,7 +77,7 @@ func fig4b(cfg Config) (*Result, error) {
 
 // fig5b collects the analytic Scenario C curves for N1 = N2 (Figure 5(b)):
 // LIA fixed point (solid) vs optimum with probing cost (dashed).
-func fig5b(cfg Config) (*Result, error) {
+func fig5b() (*Result, error) {
 	r := &Result{Columns: analyticColumns("c1_over_c2",
 		"lia_multi", "lia_single", "optimum_multi", "optimum_single")}
 	for _, ratio := range []float64{0.1, 0.2, 1.0 / 3, 0.5, 0.75, 1.0, 1.25, 1.5} {
@@ -97,7 +97,7 @@ func fig5b(cfg Config) (*Result, error) {
 
 // fig17 collects the optimum-with-probing allocation of Scenario B at two
 // RTTs (Figure 17): the smaller the RTT, the higher the probing cost.
-func fig17(cfg Config) (*Result, error) {
+func fig17() (*Result, error) {
 	const ct = 36.0
 	r := &Result{Columns: append([]Column{
 		{Name: "rtt", Unit: "ms"}, {Name: "probe_rate", Unit: "Mb/s"},
@@ -140,28 +140,28 @@ func init() {
 		ID:       "fig4a",
 		PaperRef: "Figure 4(a)",
 		Title:    "Scenario B analytic: LIA normalized throughput vs CX/CT — upgrading Red decreases performance for everyone",
-		Collect:  fig4a,
+		Plan:     closedForm(fig4a),
 		Text:     textAnalytic("CX/CT", "Red single: blue / red", "Red multipath: blue / red"),
 	})
 	register(&Experiment{
 		ID:       "fig4b",
 		PaperRef: "Figure 4(b)",
 		Title:    "Scenario B analytic: optimum with probing cost — the upgrade penalty is only the probe traffic (≈3%)",
-		Collect:  fig4b,
+		Plan:     closedForm(fig4b),
 		Text:     textAnalytic("CX/CT", "Red single: blue / red", "Red multipath: blue / red"),
 	})
 	register(&Experiment{
 		ID:       "fig5b",
 		PaperRef: "Figure 5(b)",
 		Title:    "Scenario C analytic, N1=N2: LIA vs optimum with probing cost; LIA turns unfair beyond C1 = C2/3",
-		Collect:  fig5b,
+		Plan:     closedForm(fig5b),
 		Text:     textAnalytic("C1/C2", "LIA: multi / single", "Optimum: multi / single"),
 	})
 	register(&Experiment{
 		ID:       "fig17",
 		PaperRef: "Figure 17",
 		Title:    "Scenario B optimum with probing for RTT = 100 ms and 25 ms",
-		Collect:  fig17,
+		Plan:     closedForm(fig17),
 		Text:     textFig17,
 	})
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -60,14 +61,26 @@ func TestConfigValidate(t *testing.T) {
 func TestCollectResultRejectsBadConfig(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Seeds = -1
-	if _, err := Get("fig1b").CollectResult(context.Background(), cfg); err == nil {
+	if _, err := Get("fig1b").CollectResult(context.Background(), cfg, nil); err == nil {
 		t.Fatal("CollectResult accepted a negative seed count")
 	}
 	var b strings.Builder
-	if err := RunAll(context.Background(), cfg, []string{"fig1b"}, FormatText, &b); err == nil {
+	if err := RunAll(context.Background(), cfg, []string{"fig1b"}, FormatText, &b, nil); err == nil {
 		t.Fatal("RunAll accepted a negative seed count")
 	}
 	if b.Len() != 0 {
 		t.Fatalf("RunAll wrote %d bytes despite invalid config", b.Len())
+	}
+}
+
+// TestConfigHasNoHiddenState: a Config is plain data — every field exported —
+// so it can be copied, compared field by field and printed without carrying
+// a live pool, context or sink along.
+func TestConfigHasNoHiddenState(t *testing.T) {
+	typ := reflect.TypeOf(Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); !f.IsExported() {
+			t.Errorf("Config.%s is unexported: per-call state travels as arguments, not in the configuration", f.Name)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -12,10 +13,10 @@ import (
 // dcThroughput runs the §VI-B1 experiment: every host sends one long-lived
 // flow to a random other host (derangement); reports each flow's goodput as
 // a percentage of the optimal (line rate).
-func dcThroughput(cfg Config, algo string, nsub int, seed int64) []float64 {
+func dcThroughput(ctx context.Context, cfg Config, algo string, nsub int, seed int64) []float64 {
 	ft := scenario.PaperFatTree(scenario.FatTreeConfig{K: cfg.FatTreeK},
 		scenario.FatTreeLoad{Algorithm: algo, Subflows: nsub}, seed, cfg.DCWarmup, cfg.DCDuration)
-	if _, ok := run(ft.Net, cfg); !ok {
+	if _, ok := run(ctx, ft.Net); !ok {
 		return nil
 	}
 	secs := cfg.DCDuration.Sec()
@@ -32,59 +33,45 @@ type dcPoint struct {
 	nsub int
 }
 
-// dcAggregate is the seed-averaged aggregate throughput at one point.
-type dcAggregate struct {
-	point dcPoint
-	agg   stats.Summary // per-seed mean of per-flow %-of-optimal
-}
-
-// collectDCThroughput fans the §VI-B1 grid out on the worker pool: one job
-// per (point × seed), each reduced to its per-flow mean; per-seed means
-// merge in seed order.
-func collectDCThroughput(cfg Config, pts []dcPoint) []dcAggregate {
-	per := sweep(cfg, pts, func(p dcPoint, seed int64) float64 {
-		var sum stats.Summary
-		for _, v := range dcThroughput(cfg, p.algo, p.nsub, seed) {
-			sum.Add(v)
-		}
-		return sum.Mean()
-	})
-	out := make([]dcAggregate, len(pts))
-	for i, p := range pts {
-		out[i].point = p
-		for _, mean := range per[i] {
-			out[i].agg.Add(mean)
-		}
-	}
-	return out
-}
-
-// fig13a collects aggregate throughput (% of optimal) vs number of
-// subflows for LIA, OLIA and single-path TCP.
-func fig13a(cfg Config) (*Result, error) {
+// fig13a plans aggregate throughput (% of optimal) vs number of subflows
+// for LIA, OLIA and single-path TCP: the §VI-B1 grid, one job per
+// (point × seed), each reduced to its per-flow mean; per-seed means merge in
+// seed order.
+func fig13a(cfg Config) Plan {
 	pts := []dcPoint{{"tcp", 1}}
 	for _, nsub := range cfg.Subflows {
 		pts = append(pts, dcPoint{"lia", nsub}, dcPoint{"olia", nsub})
 	}
-	res := collectDCThroughput(cfg, pts)
-
-	r := &Result{
-		Preamble: []string{fmt.Sprintf("FatTree K=%d (%d hosts), random permutation, long-lived flows",
-			cfg.FatTreeK, cfg.FatTreeK*cfg.FatTreeK*cfg.FatTreeK/4)},
-		Columns: []Column{
-			{Name: "subflows"},
-			{Name: "lia", Unit: "% of optimal"}, {Name: "olia", Unit: "% of optimal"},
-			{Name: "tcp", Unit: "% of optimal"},
-		},
-	}
-	tcpAgg := res[0].agg
-	for i, nsub := range cfg.Subflows {
-		r.Rows = append(r.Rows, []Cell{
-			IntCell(nsub),
-			SummaryCell(res[1+2*i].agg), SummaryCell(res[2+2*i].agg), SummaryCell(tcpAgg),
-		})
-	}
-	return r, nil
+	return sweep(cfg, pts, func(ctx context.Context, p dcPoint, seed int64) float64 {
+		var sum stats.Summary
+		for _, v := range dcThroughput(ctx, cfg, p.algo, p.nsub, seed) {
+			sum.Add(v)
+		}
+		return sum.Mean()
+	}, func(per [][]float64) (*Result, error) {
+		agg := make([]stats.Summary, len(pts)) // over the per-seed means of per-flow %-of-optimal
+		for i := range pts {
+			for _, mean := range per[i] {
+				agg[i].Add(mean)
+			}
+		}
+		r := &Result{
+			Preamble: []string{fmt.Sprintf("FatTree K=%d (%d hosts), random permutation, long-lived flows",
+				cfg.FatTreeK, cfg.FatTreeK*cfg.FatTreeK*cfg.FatTreeK/4)},
+			Columns: []Column{
+				{Name: "subflows"},
+				{Name: "lia", Unit: "% of optimal"}, {Name: "olia", Unit: "% of optimal"},
+				{Name: "tcp", Unit: "% of optimal"},
+			},
+		}
+		for i, nsub := range cfg.Subflows {
+			r.Rows = append(r.Rows, []Cell{
+				IntCell(nsub),
+				SummaryCell(agg[1+2*i]), SummaryCell(agg[2+2*i]), SummaryCell(agg[0]),
+			})
+		}
+		return r, nil
+	})
 }
 
 // textFig13a is the classic Fig. 13(a) layout.
@@ -104,32 +91,32 @@ func textFig13a(r *Result, w io.Writer) error {
 // fig13bQuantiles are the ranked-distribution percentiles of Fig. 13(b).
 var fig13bQuantiles = []float64{0, 10, 25, 50, 75, 90, 100}
 
-// fig13b collects the ranked per-flow throughput distribution at the
-// maximum subflow count (the paper uses 8).
-func fig13b(cfg Config) (*Result, error) {
+// fig13b plans the ranked per-flow throughput distribution at the maximum
+// subflow count (the paper uses 8).
+func fig13b(cfg Config) Plan {
 	nsub := cfg.Subflows[len(cfg.Subflows)-1]
 	pts := []dcPoint{{"lia", nsub}, {"olia", nsub}, {"tcp", 1}}
 	// One repetition at the base seed, as in the paper's ranked plot.
-	perFlow := perPoint(cfg, pts, func(p dcPoint) []float64 {
-		return dcThroughput(cfg, p.algo, p.nsub, cfg.BaseSeed)
-	})
-
-	r := &Result{
-		Preamble: []string{fmt.Sprintf("FatTree K=%d, per-flow throughput percentiles (%% of optimal), %d subflows",
-			cfg.FatTreeK, nsub)},
-		Columns: []Column{{Name: "algo"}},
-	}
-	for _, q := range fig13bQuantiles {
-		r.Columns = append(r.Columns, Column{Name: fmt.Sprintf("p%.0f", q), Unit: "% of optimal"})
-	}
-	for i, p := range pts {
-		cells := []Cell{TextCell(p.algo)}
-		for _, q := range fig13bQuantiles {
-			cells = append(cells, NumCell(stats.Percentile(perFlow[i], q)))
+	return perPoint(pts, func(ctx context.Context, p dcPoint) []float64 {
+		return dcThroughput(ctx, cfg, p.algo, p.nsub, cfg.BaseSeed)
+	}, func(perFlow [][]float64) (*Result, error) {
+		r := &Result{
+			Preamble: []string{fmt.Sprintf("FatTree K=%d, per-flow throughput percentiles (%% of optimal), %d subflows",
+				cfg.FatTreeK, nsub)},
+			Columns: []Column{{Name: "algo"}},
 		}
-		r.Rows = append(r.Rows, cells)
-	}
-	return r, nil
+		for _, q := range fig13bQuantiles {
+			r.Columns = append(r.Columns, Column{Name: fmt.Sprintf("p%.0f", q), Unit: "% of optimal"})
+		}
+		for i, p := range pts {
+			cells := []Cell{TextCell(p.algo)}
+			for _, q := range fig13bQuantiles {
+				cells = append(cells, NumCell(stats.Percentile(perFlow[i], q)))
+			}
+			r.Rows = append(r.Rows, cells)
+		}
+		return r, nil
+	})
 }
 
 // textFig13b is the classic Fig. 13(b) layout.
@@ -163,14 +150,14 @@ type shortFlowResult struct {
 // subflow count); the rest send 70 KB TCP flows with Poisson 200 ms mean
 // spacing. The window runs 2 s past the last arrival to drain tail
 // completions.
-func dcShortFlows(cfg Config, algo string, seed int64) shortFlowResult {
+func dcShortFlows(ctx context.Context, cfg Config, algo string, seed int64) shortFlowResult {
 	const drain = 2 * sim.Second
 	ft := scenario.PaperFatTree(scenario.FatTreeConfig{K: cfg.FatTreeK, Oversubscription: 4},
 		scenario.FatTreeLoad{
 			Algorithm: algo, Subflows: cfg.Subflows[len(cfg.Subflows)-1],
 			ShortBytes: 70_000, ShortGap: 200 * sim.Millisecond, Drain: drain,
 		}, seed, cfg.DCWarmup, cfg.DCDuration+drain)
-	rep, ok := run(ft.Net, cfg)
+	rep, ok := run(ctx, ft.Net)
 	if !ok {
 		return shortFlowResult{}
 	}
@@ -191,18 +178,19 @@ func dcShortFlows(cfg Config, algo string, seed int64) shortFlowResult {
 // dcShortAlgos is the §VI-B2 comparison set, in table order.
 var dcShortAlgos = []string{"lia", "olia", "tcp"}
 
-// collectDCShortFlows runs the short-flow experiment for every algorithm,
-// one pool job per (algorithm × seed), returning per-seed results in seed
+// planDCShortFlows plans the short-flow experiment for every algorithm, one
+// job per (algorithm × seed); result folds the per-seed results, in seed
 // order per algorithm.
-func collectDCShortFlows(cfg Config) [][]shortFlowResult {
-	return sweep(cfg, dcShortAlgos, func(algo string, seed int64) shortFlowResult {
-		return dcShortFlows(cfg, algo, seed)
-	})
+func planDCShortFlows(result func(cfg Config, res [][]shortFlowResult) (*Result, error)) func(Config) Plan {
+	return func(cfg Config) Plan {
+		return sweep(cfg, dcShortAlgos, func(ctx context.Context, algo string, seed int64) shortFlowResult {
+			return dcShortFlows(ctx, cfg, algo, seed)
+		}, func(res [][]shortFlowResult) (*Result, error) { return result(cfg, res) })
+	}
 }
 
-// table3 collects short-flow completion statistics and core utilization.
-func table3(cfg Config) (*Result, error) {
-	res := collectDCShortFlows(cfg)
+// table3 folds short-flow completion statistics and core utilization.
+func table3(cfg Config, res [][]shortFlowResult) (*Result, error) {
 	r := &Result{
 		Preamble: []string{fmt.Sprintf(
 			"4:1 oversubscribed FatTree K=%d; 1/3 hosts long flows, rest 70KB shorts every 200ms", cfg.FatTreeK)},
@@ -255,9 +243,8 @@ func textTable3(r *Result, w io.Writer) error {
 // 0–300 ms.
 const fig14Buckets = 15
 
-// fig14 collects the completion-time PDFs.
-func fig14(cfg Config) (*Result, error) {
-	res := collectDCShortFlows(cfg)
+// fig14 folds the completion-time PDFs.
+func fig14(_ Config, res [][]shortFlowResult) (*Result, error) {
 	r := &Result{
 		Preamble: []string{"Short-flow completion-time PDF (1/s), buckets of 20 ms over 0-300 ms"},
 		Columns:  []Column{{Name: "algo"}},
@@ -306,28 +293,28 @@ func init() {
 		ID:       "fig13a",
 		PaperRef: "Figure 13(a)",
 		Title:    "FatTree aggregate throughput vs number of subflows: MPTCP (either coupling) exploits path diversity, TCP cannot",
-		Collect:  fig13a,
+		Plan:     fig13a,
 		Text:     textFig13a,
 	})
 	register(&Experiment{
 		ID:       "fig13b",
 		PaperRef: "Figure 13(b)",
 		Title:    "FatTree ranked per-flow throughput: LIA and OLIA provide similar fairness, far above TCP",
-		Collect:  fig13b,
+		Plan:     fig13b,
 		Text:     textFig13b,
 	})
 	register(&Experiment{
 		ID:       "fig14",
 		PaperRef: "Figure 14",
 		Title:    "Short-flow completion-time PDF in a dynamic oversubscribed fabric: OLIA shifts mass to faster completions than LIA",
-		Collect:  fig14,
+		Plan:     planDCShortFlows(fig14),
 		Text:     textFig14,
 	})
 	register(&Experiment{
 		ID:       "table3",
 		PaperRef: "Table III",
 		Title:    "Short-flow completion times and core utilization: OLIA ≈10% faster mean than LIA at equal utilization",
-		Collect:  table3,
+		Plan:     planDCShortFlows(table3),
 		Text:     textTable3,
 	})
 }

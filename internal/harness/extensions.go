@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -20,7 +21,7 @@ type probeMetrics struct {
 // runProbeSuspension executes one Scenario-C-like run (N1=20, N2=10,
 // C1/C2=2, OLIA) with or without bad-path suspension enabled on the
 // multipath users.
-func runProbeSuspension(cfg Config, enable bool, seed int64) probeMetrics {
+func runProbeSuspension(ctx context.Context, cfg Config, enable bool, seed int64) probeMetrics {
 	n := compile(scenario.PaperScenarioC(20, 10, 2.0, 1.0, "olia", seed, cfg.Warmup.Sec(), cfg.Duration.Sec()))
 	multi, single := n.Group("multi"), n.Group("single")
 	if enable {
@@ -28,7 +29,7 @@ func runProbeSuspension(cfg Config, enable bool, seed int64) probeMetrics {
 			f.Conn.EnableProbeControl(mptcp.ProbeControl{})
 		}
 	}
-	if _, ok := run(n, cfg); !ok {
+	if _, ok := run(ctx, n); !ok {
 		return probeMetrics{}
 	}
 	secs := cfg.Duration.Sec()
@@ -47,39 +48,40 @@ func runProbeSuspension(cfg Config, enable bool, seed int64) probeMetrics {
 // persistently-bad paths drops the probing traffic below 1 MSS per RTT,
 // pushing the single-path users of a Scenario-C-like network past the
 // "optimum with probing cost" line.
-func extProbe(cfg Config) (*Result, error) {
+func extProbe(cfg Config) Plan {
 	variants := []bool{false, true}
-	per := sweep(cfg, variants, func(enable bool, seed int64) probeMetrics {
-		return runProbeSuspension(cfg, enable, seed)
+	return sweep(cfg, variants, func(ctx context.Context, enable bool, seed int64) probeMetrics {
+		return runProbeSuspension(ctx, cfg, enable, seed)
+	}, func(per [][]probeMetrics) (*Result, error) {
+		opt := 1 - 2.0*0.08 // optimum-with-probing single-path norm at N1/N2=2
+		r := &Result{
+			Preamble: []string{"Scenario C (N1=20, N2=10, C1/C2=2) with OLIA: bad-path suspension (§VII)"},
+			Columns: []Column{
+				{Name: "variant"},
+				{Name: "single", Unit: "norm"}, {Name: "multi", Unit: "norm"},
+				{Name: "suspensions"},
+			},
+			Footer: []string{fmt.Sprintf(
+				"(optimum WITH probing cost for singles: %.3f; suspension can exceed it)", opt)},
+		}
+		for i, enable := range variants {
+			var single, multi stats.Summary
+			suspends := 0
+			for _, m := range per[i] {
+				single.Add(m.single)
+				multi.Add(m.multi)
+				suspends += m.suspends
+			}
+			name := "probing floor (std)"
+			if enable {
+				name = "bad-path suspension"
+			}
+			r.Rows = append(r.Rows, []Cell{
+				TextCell(name), SummaryCell(single), SummaryCell(multi), IntCell(suspends),
+			})
+		}
+		return r, nil
 	})
-	opt := 1 - 2.0*0.08 // optimum-with-probing single-path norm at N1/N2=2
-	r := &Result{
-		Preamble: []string{"Scenario C (N1=20, N2=10, C1/C2=2) with OLIA: bad-path suspension (§VII)"},
-		Columns: []Column{
-			{Name: "variant"},
-			{Name: "single", Unit: "norm"}, {Name: "multi", Unit: "norm"},
-			{Name: "suspensions"},
-		},
-		Footer: []string{fmt.Sprintf(
-			"(optimum WITH probing cost for singles: %.3f; suspension can exceed it)", opt)},
-	}
-	for i, enable := range variants {
-		var single, multi stats.Summary
-		suspends := 0
-		for _, m := range per[i] {
-			single.Add(m.single)
-			multi.Add(m.multi)
-			suspends += m.suspends
-		}
-		name := "probing floor (std)"
-		if enable {
-			name = "bad-path suspension"
-		}
-		r.Rows = append(r.Rows, []Cell{
-			TextCell(name), SummaryCell(single), SummaryCell(multi), IntCell(suspends),
-		})
-	}
-	return r, nil
 }
 
 // textExtProbe is the classic bad-path-suspension table layout.
@@ -102,31 +104,32 @@ func textExtProbe(r *Result, w io.Writer) error {
 // extRwnd evaluates receive-window limitations (§VII's last suggestion): a
 // multipath user whose peer advertises a small window cannot even reach its
 // best-path TCP rate, regardless of coupling.
-func extRwnd(cfg Config) (*Result, error) {
+func extRwnd(cfg Config) Plan {
 	rwnds := []float64{0, 16, 8, 4}
-	outs := perPoint(cfg, rwnds, func(rwnd float64) twoLinkOutcome {
+	return perPoint(rwnds, func(ctx context.Context, rwnd float64) twoLinkOutcome {
 		sp := twoLinkSpec(cfg, "olia", 5, 5)
 		twoLinkMP(sp).MaxCwndPkts = rwnd
-		return runTwoLink(cfg, sp)
-	})
-	r := &Result{
-		Preamble: []string{"Two-link rig, OLIA: effect of a receive-window cap on the aggregate"},
-		Columns: []Column{
-			{Name: "rwnd", Unit: "pkts"},
-			{Name: "mp_total", Unit: "Mb/s"}, {Name: "tcp_mean", Unit: "Mb/s"},
-		},
-	}
-	for i, rwnd := range rwnds {
-		o := outs[i]
-		label := "unlimited"
-		if rwnd > 0 {
-			label = fmt.Sprintf("%.0f", rwnd)
+		return runTwoLink(ctx, cfg, sp)
+	}, func(outs []twoLinkOutcome) (*Result, error) {
+		r := &Result{
+			Preamble: []string{"Two-link rig, OLIA: effect of a receive-window cap on the aggregate"},
+			Columns: []Column{
+				{Name: "rwnd", Unit: "pkts"},
+				{Name: "mp_total", Unit: "Mb/s"}, {Name: "tcp_mean", Unit: "Mb/s"},
+			},
 		}
-		r.Rows = append(r.Rows, []Cell{
-			TextCell(label), NumCell(o.mp1 + o.mp2), NumCell((o.bg1 + o.bg2) / 2),
-		})
-	}
-	return r, nil
+		for i, rwnd := range rwnds {
+			o := outs[i]
+			label := "unlimited"
+			if rwnd > 0 {
+				label = fmt.Sprintf("%.0f", rwnd)
+			}
+			r.Rows = append(r.Rows, []Cell{
+				TextCell(label), NumCell(o.mp1 + o.mp2), NumCell((o.bg1 + o.bg2) / 2),
+			})
+		}
+		return r, nil
+	})
 }
 
 // textExtRwnd is the classic receive-window table layout.
@@ -153,14 +156,14 @@ type streamOutcome struct {
 // under one transport mode. The rig's own multipath user is left out; each
 // transfer joins the running network as a flow of its own over the same
 // queues.
-func runSerialTransfers(cfg Config, mode string, size int64, transfers int) streamOutcome {
+func runSerialTransfers(ctx context.Context, cfg Config, mode string, size int64, transfers int) streamOutcome {
 	const horizonSec = 600
 	sp := scenario.PaperTwoLink(10, 2, 2, "olia", cfg.BaseSeed, 0, horizonSec)
 	sp.Flows = sp.Flows[:len(sp.Flows)-1]
 	n := compile(sp)
 	out := streamOutcome{mode: mode}
 	launchSerial(n, mode, size, transfers, &out.sum)
-	if _, ok := run(n, cfg); !ok {
+	if _, ok := run(ctx, n); !ok {
 		return streamOutcome{mode: mode}
 	}
 	return out
@@ -171,28 +174,29 @@ func runSerialTransfers(cfg Config, mode string, size int64, transfers int) stre
 // paths: connection-level completion time is the metric, so reassembly
 // head-of-line blocking is included — a facet the paper leaves to future
 // work ("flow durations").
-func extStreams(cfg Config) (*Result, error) {
+func extStreams(cfg Config) Plan {
 	const xferBytes = 512 * 1024
 	const transfers = 20
 	modes := []string{"tcp", "mptcp-olia stream"}
-	outs := perPoint(cfg, modes, func(mode string) streamOutcome {
-		return runSerialTransfers(cfg, mode, xferBytes, transfers)
+	return perPoint(modes, func(ctx context.Context, mode string) streamOutcome {
+		return runSerialTransfers(ctx, cfg, mode, xferBytes, transfers)
+	}, func(outs []streamOutcome) (*Result, error) {
+		r := &Result{
+			Preamble: []string{fmt.Sprintf(
+				"Serial %d KB transfers over the two-link rig (2 bg TCP flows per link)", xferBytes/1024)},
+			Columns: []Column{
+				{Name: "transport"}, {Name: "completion", Unit: "s"},
+				{Name: "completed"}, {Name: "transfers"},
+			},
+			Footer: []string{"(expected: streams finish faster by pulling both links' spare capacity)"},
+		}
+		for _, o := range outs {
+			r.Rows = append(r.Rows, []Cell{
+				TextCell(o.mode), SummaryCell(o.sum), IntCell(o.sum.N()), IntCell(transfers),
+			})
+		}
+		return r, nil
 	})
-	r := &Result{
-		Preamble: []string{fmt.Sprintf(
-			"Serial %d KB transfers over the two-link rig (2 bg TCP flows per link)", xferBytes/1024)},
-		Columns: []Column{
-			{Name: "transport"}, {Name: "completion", Unit: "s"},
-			{Name: "completed"}, {Name: "transfers"},
-		},
-		Footer: []string{"(expected: streams finish faster by pulling both links' spare capacity)"},
-	}
-	for _, o := range outs {
-		r.Rows = append(r.Rows, []Cell{
-			TextCell(o.mode), SummaryCell(o.sum), IntCell(o.sum.N()), IntCell(transfers),
-		})
-	}
-	return r, nil
 }
 
 // textExtStreams is the classic serial-transfers table layout (completion
@@ -251,35 +255,35 @@ func init() {
 		ID:       "ext-probe",
 		PaperRef: "§VII (future work)",
 		Title:    "Extension: suspending bad paths cuts probing traffic below 1 MSS/RTT",
-		Collect:  extProbe,
+		Plan:     extProbe,
 		Text:     textExtProbe,
 	})
 	register(&Experiment{
 		ID:       "ext-rwnd",
 		PaperRef: "§VII (future work)",
 		Title:    "Extension: receive-window limitations bound multipath gains",
-		Collect:  extRwnd,
+		Plan:     extRwnd,
 		Text:     textExtRwnd,
 	})
 	register(&Experiment{
 		ID:       "ext-streams",
 		PaperRef: "§VII (future work)",
 		Title:    "Extension: finite transfers as MPTCP data-level streams vs single-path TCP",
-		Collect:  extStreams,
+		Plan:     extStreams,
 		Text:     textExtStreams,
 	})
 	register(&Experiment{
 		ID:       "ablation-delack",
 		PaperRef: "RFC 1122 receivers",
 		Title:    "Per-segment vs delayed ACKs under OLIA",
-		Collect:  ablationDelack,
+		Plan:     ablationDelack,
 		Text:     textAblationDelack,
 	})
 	register(&Experiment{
 		ID:       "ext-rtt",
 		PaperRef: "Remark 3",
 		Title:    "RTT heterogeneity: TCP-compatible couplings favor the short-RTT path even at equal congestion",
-		Collect:  extRTT,
+		Plan:     extRTT,
 		Text:     textExtRTT,
 	})
 }
@@ -288,33 +292,34 @@ func init() {
 // RTTs, any TCP-compatible algorithm (whose per-path throughput scales as
 // 1/rtt at equal loss) sends more on the short-RTT path; OLIA's ℓ/rtt² best
 // metric makes the preference explicit.
-func extRTT(cfg Config) (*Result, error) {
+func extRTT(cfg Config) Plan {
 	algos := []string{"olia", "lia", "uncoupled"}
-	outs := perPoint(cfg, algos, func(algo string) twoLinkOutcome {
+	return perPoint(algos, func(ctx context.Context, algo string) twoLinkOutcome {
 		sp := twoLinkSpec(cfg, algo, 5, 5)
 		sp.Paths[1].DelayMs = 120 // RTT 240+q vs 80+q ms
-		return runTwoLink(cfg, sp)
-	})
-	r := &Result{
-		Preamble: []string{"Two links, equal capacity and background (5 TCP each); path 2 RTT 3x path 1"},
-		Columns: []Column{
-			{Name: "algorithm"},
-			{Name: "mp_short_rtt", Unit: "Mb/s"}, {Name: "mp_long_rtt", Unit: "Mb/s"},
-			{Name: "ratio"},
-		},
-		Footer: []string{"(expected: every algorithm leans to the short-RTT path; the coupled ones more)"},
-	}
-	for i, algo := range algos {
-		o := outs[i]
-		ratio := 0.0
-		if o.mp2 > 0 {
-			ratio = o.mp1 / o.mp2
+		return runTwoLink(ctx, cfg, sp)
+	}, func(outs []twoLinkOutcome) (*Result, error) {
+		r := &Result{
+			Preamble: []string{"Two links, equal capacity and background (5 TCP each); path 2 RTT 3x path 1"},
+			Columns: []Column{
+				{Name: "algorithm"},
+				{Name: "mp_short_rtt", Unit: "Mb/s"}, {Name: "mp_long_rtt", Unit: "Mb/s"},
+				{Name: "ratio"},
+			},
+			Footer: []string{"(expected: every algorithm leans to the short-RTT path; the coupled ones more)"},
 		}
-		r.Rows = append(r.Rows, []Cell{
-			TextCell(algo), NumCell(o.mp1), NumCell(o.mp2), NumCell(ratio),
-		})
-	}
-	return r, nil
+		for i, algo := range algos {
+			o := outs[i]
+			ratio := 0.0
+			if o.mp2 > 0 {
+				ratio = o.mp1 / o.mp2
+			}
+			r.Rows = append(r.Rows, []Cell{
+				TextCell(algo), NumCell(o.mp1), NumCell(o.mp2), NumCell(ratio),
+			})
+		}
+		return r, nil
+	})
 }
 
 // textExtRTT is the classic RTT-heterogeneity table layout.
@@ -340,7 +345,7 @@ type delackOutcome struct {
 }
 
 // runDelack measures the symmetric rig with per-segment or delayed ACKs.
-func runDelack(cfg Config, delayed bool) delackOutcome {
+func runDelack(ctx context.Context, cfg Config, delayed bool) delackOutcome {
 	n := compile(twoLinkSpec(cfg, "olia", 5, 5))
 	if delayed {
 		for _, f := range n.Flows {
@@ -349,7 +354,7 @@ func runDelack(cfg Config, delayed bool) delackOutcome {
 			}
 		}
 	}
-	if _, ok := run(n, cfg); !ok {
+	if _, ok := run(ctx, n); !ok {
 		return delackOutcome{}
 	}
 	secs := cfg.Duration.Sec()
@@ -362,28 +367,29 @@ func runDelack(cfg Config, delayed bool) delackOutcome {
 
 // ablationDelack compares per-segment acknowledgments (htsim behavior, the
 // default here) with RFC 1122 delayed ACKs on the symmetric rig.
-func ablationDelack(cfg Config) (*Result, error) {
+func ablationDelack(cfg Config) Plan {
 	variants := []bool{false, true}
-	outs := perPoint(cfg, variants, func(delayed bool) delackOutcome {
-		return runDelack(cfg, delayed)
-	})
-	r := &Result{
-		Preamble: []string{"Symmetric rig, OLIA: receiver acknowledgment policy"},
-		Columns: []Column{
-			{Name: "receiver"},
-			{Name: "mp_total", Unit: "Mb/s"}, {Name: "tcp_mean", Unit: "Mb/s"},
-		},
-	}
-	for i, delayed := range variants {
-		name := "per-segment ACKs"
-		if delayed {
-			name = "delayed ACKs (40ms)"
+	return perPoint(variants, func(ctx context.Context, delayed bool) delackOutcome {
+		return runDelack(ctx, cfg, delayed)
+	}, func(outs []delackOutcome) (*Result, error) {
+		r := &Result{
+			Preamble: []string{"Symmetric rig, OLIA: receiver acknowledgment policy"},
+			Columns: []Column{
+				{Name: "receiver"},
+				{Name: "mp_total", Unit: "Mb/s"}, {Name: "tcp_mean", Unit: "Mb/s"},
+			},
 		}
-		r.Rows = append(r.Rows, []Cell{
-			TextCell(name), NumCell(outs[i].mpMbps), NumCell(outs[i].bgMeanMbps),
-		})
-	}
-	return r, nil
+		for i, delayed := range variants {
+			name := "per-segment ACKs"
+			if delayed {
+				name = "delayed ACKs (40ms)"
+			}
+			r.Rows = append(r.Rows, []Cell{
+				TextCell(name), NumCell(outs[i].mpMbps), NumCell(outs[i].bgMeanMbps),
+			})
+		}
+		return r, nil
+	})
 }
 
 // textAblationDelack is the classic acknowledgment-policy table layout.

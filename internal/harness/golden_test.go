@@ -54,7 +54,7 @@ func TestGoldenText(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			r, err := e.CollectResult(context.Background(), cfg)
+			r, err := e.CollectResult(context.Background(), cfg, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}

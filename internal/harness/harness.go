@@ -11,13 +11,10 @@ package harness
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
-	"mptcpsim/internal/runner"
 	"mptcpsim/internal/sim"
 )
 
@@ -25,24 +22,23 @@ import (
 type EventKind int
 
 const (
-	// EventExperimentStart fires when an experiment's collection is
-	// dispatched. Experiments in one RunAll all dispatch up front and
-	// their simulation jobs interleave on the shared worker pool, so
-	// several experiments are legitimately "started" at once; per-job
+	// EventExperimentStart fires once per experiment before the first job
+	// runs: the jobs of every experiment in a call are dealt into one
+	// stream, so all of them are legitimately "started" at once; per-job
 	// progress is what EventJobs tracks.
 	EventExperimentStart EventKind = iota
-	// EventExperimentDone fires when an experiment finishes (Err set on
-	// failure).
+	// EventExperimentDone fires when an experiment has been folded and
+	// handed on, or has failed (Err set). Experiments behind a failed one
+	// still run but are not folded and report nothing.
 	EventExperimentDone
-	// EventJobs fires whenever the cumulative simulation-job counters of
-	// the top-level call change: jobs are registered as sweeps fan out and
-	// counted down as workers complete them.
+	// EventJobs fires once with the call's job total before the first job
+	// runs, then once per finished job; the total never changes.
 	EventJobs
 )
 
 // Event is one structured progress notification from a running collection.
-// Events are emitted from worker goroutines; sinks must be safe for
-// concurrent calls and fast.
+// Every event is emitted on the goroutine that called CollectResult or
+// RunAll, which waits for the sink: it must be fast.
 type Event struct {
 	Kind       EventKind
 	Experiment string // experiment ID for experiment-scoped events
@@ -75,121 +71,14 @@ type Config struct {
 	// from scheduling — so experiment output is byte-identical for any
 	// worker count.
 	Workers int
-
-	// pool is the shared job gate. RunAll installs one so concurrent
-	// experiments compete for a single worker budget; when nil (an
-	// experiment run directly), each sweep creates its own.
-	pool *runner.Pool
-	// ctx is the cancellation context of the top-level call, installed by
-	// CollectResult/RunAll; nil means context.Background().
-	ctx context.Context
-	// events is the progress sink (SetProgress); nil drops all events.
-	events func(Event)
-	// jobs is the shared cumulative job counter of one top-level call
-	// (runner.Progress serializes counter updates with their emissions so
-	// the EventJobs stream is monotone).
-	jobs *runner.Progress
-	// fail collects sweep-level failures (recovered job panics) for one
-	// experiment's collection. Installed per CollectResult call: sweeps keep
-	// merging zero values so no merge logic grows an error path, and
-	// CollectResult surfaces the recorded failure instead of the bogus
-	// result.
-	fail *failSlot
-}
-
-// failSlot records the first sweep failure of one collection. Sweeps of one
-// experiment can run from concurrent goroutines, hence the lock.
-type failSlot struct {
-	mu  sync.Mutex
-	err error
-}
-
-// noteFailure records a sweep error, keeping the first. Context errors are
-// not recorded: cancellation is detected and reported by CollectResult's
-// own context re-check, with its established error shape.
-func (cfg Config) noteFailure(err error) {
-	if err == nil || cfg.fail == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return
-	}
-	cfg.fail.mu.Lock()
-	if cfg.fail.err == nil {
-		cfg.fail.err = err
-	}
-	cfg.fail.mu.Unlock()
-}
-
-// failure returns the first recorded sweep failure, if any.
-func (cfg Config) failure() error {
-	if cfg.fail == nil {
-		return nil
-	}
-	cfg.fail.mu.Lock()
-	defer cfg.fail.mu.Unlock()
-	return cfg.fail.err
-}
-
-// SetProgress installs a progress sink on the configuration: every
-// collection run under cfg reports experiment starts/finishes and
-// cumulative job progress to fn. fn is called from worker goroutines and
-// must be safe for concurrent use.
-func SetProgress(cfg *Config, fn func(Event)) { cfg.events = fn }
-
-// workerPool returns the gate simulation jobs must pass through.
-func (cfg Config) workerPool() *runner.Pool {
-	if cfg.pool != nil {
-		return cfg.pool
-	}
-	return runner.New(cfg.Workers)
-}
-
-// context returns the call's cancellation context.
-func (cfg Config) context() context.Context {
-	if cfg.ctx == nil {
-		//simlint:ignore ctxflow nil cfg.ctx is the documented no-cancellation default when Experiment.Collect is called directly rather than through CollectResult
-		return context.Background()
-	}
-	return cfg.ctx
-}
-
-// emit sends one progress event, if a sink is installed.
-func (cfg Config) emit(ev Event) {
-	if cfg.events != nil {
-		cfg.events(ev)
-	}
-}
-
-// newJobCounter builds the shared job counter of one top-level call,
-// bridging it to the configuration's event sink.
-func (cfg Config) newJobCounter() *runner.Progress {
-	if cfg.events == nil {
-		return runner.NewProgress(nil)
-	}
-	events := cfg.events
-	return runner.NewProgress(func(done, total int) {
-		events(Event{Kind: EventJobs, JobsDone: done, JobsTotal: total})
-	})
-}
-
-// noteJobs registers n upcoming simulation jobs on the shared counter.
-func (cfg Config) noteJobs(n int) {
-	if cfg.jobs != nil {
-		cfg.jobs.Add(n)
-	}
-}
-
-// jobDone counts one finished simulation job on the shared counter.
-func (cfg Config) jobDone() {
-	if cfg.jobs != nil {
-		cfg.jobs.Step()
-	}
 }
 
 // Validate rejects configurations that previously fell through to silent
 // defaults or nonsense runs: negative worker or seed counts, non-positive
 // measurement windows (metrics divide by the duration — a zero window
 // would render NaN columns without erroring), and an odd or negative
-// FatTree arity (including 0: topo would silently substitute the
-// expensive paper-scale K=8 fabric while result preambles report K=0),
+// FatTree arity (including 0: scenario.PaperFatTree would silently default
+// to the expensive paper-scale K=8 fabric while result preambles report K=0),
 // and an empty Subflows list (fig13b, fig14 and table3 index its last
 // entry). A zero count still selects its documented default (Seeds 0 → 1,
 // Workers 0 → GOMAXPROCS), so only those fields tolerate omission;
@@ -251,10 +140,11 @@ func FullConfig() Config {
 	}
 }
 
-// Experiment regenerates one table or figure. Every experiment is split
-// into collect and render: Collect runs the simulations (already parallel
-// via the worker pool) and returns the structured Result; rendering —
-// RenderText, RenderJSON, RenderCSV — consumes the Result alone.
+// Experiment regenerates one table or figure. An entry is data about the
+// work, not a function that performs it: Plan lays out the independent
+// simulation jobs and the fold that turns their results into the structured
+// Result; CollectResult and RunAll run the jobs, and rendering — RenderText,
+// RenderJSON, RenderCSV — consumes the Result alone.
 type Experiment struct {
 	// ID is the short handle used by the CLI and bench names ("fig1b").
 	ID string
@@ -262,61 +152,27 @@ type Experiment struct {
 	PaperRef string
 	// Title describes what the artifact shows.
 	Title string
-	// Collect executes the experiment's simulations and analytic
-	// evaluations and returns the structured result.
-	Collect func(cfg Config) (*Result, error)
+	// Plan lays out the experiment's work under a configuration.
+	Plan func(cfg Config) Plan
 	// Text is the experiment family's bespoke table layout, reading only
 	// from the Result's cells; nil falls back to the generic layout.
 	Text func(r *Result, w io.Writer) error
 }
 
-// CollectResult validates the configuration, runs Collect under ctx, and
-// stamps the registry metadata onto the Result. Cancelling ctx stops the
-// experiment's simulation jobs at the next job boundary and returns an
-// error wrapping ctx.Err(); any partially collected result is discarded.
-//
-// A simulation job that panics is recovered inside the worker pool (see
-// runner.Map): the experiment's remaining jobs complete, the merged result
-// is discarded, and CollectResult returns the *runner.PanicError — wrapping
-// runner.ErrJobPanic — with the crash stack attached. Sibling experiments
-// sharing the pool are unaffected.
-func (e *Experiment) CollectResult(ctx context.Context, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("harness: %s: collection canceled: %w", e.ID, err)
-	}
-	cfg.ctx = ctx
-	if cfg.jobs == nil {
-		cfg.jobs = cfg.newJobCounter()
-	}
-	cfg.fail = &failSlot{}
-	r, err := e.Collect(cfg)
-	if err != nil {
-		return nil, err
-	}
-	// A cancelled sweep returns zero values for the jobs that never ran;
-	// whatever Collect merged from them is not a real result.
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("harness: %s: collection canceled: %w", e.ID, err)
-	}
-	// Likewise a crashed sweep: some job never produced its value.
-	if err := cfg.failure(); err != nil {
-		return nil, err
-	}
-	r.ID, r.PaperRef, r.Title = e.ID, e.PaperRef, e.Title
-	return r, nil
-}
-
-// Run collects the experiment and renders its table to w — the classic
-// entry point, equivalent to CollectResult followed by RenderText.
-func (e *Experiment) Run(ctx context.Context, cfg Config, w io.Writer) error {
-	r, err := e.CollectResult(ctx, cfg)
-	if err != nil {
-		return err
-	}
-	return RenderText(r, w)
+// Plan is one experiment's work under one Config: Jobs independent jobs and
+// the fold that runs once all of them are in. The closed-form figures have
+// no jobs; every simulated experiment builds its plan with sweep or
+// perPoint.
+type Plan struct {
+	// Jobs is how many independent jobs the experiment has.
+	Jobs int
+	// Job runs job i (0 <= i < Jobs) and stores its typed result in storage
+	// the plan owns. Everything it needs, its RNG seed included, derives
+	// from i; jobs run concurrently and must not communicate.
+	Job func(ctx context.Context, i int)
+	// Fold merges the stored results in index order into the Result. It
+	// runs on the calling goroutine after every job has finished.
+	Fold func() (*Result, error)
 }
 
 var (

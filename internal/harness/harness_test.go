@@ -23,6 +23,20 @@ func tinyConfig() Config {
 	}
 }
 
+// runText collects one experiment and renders its table.
+func runText(t *testing.T, id string, cfg Config) string {
+	t.Helper()
+	r, err := Get(id).CollectResult(context.Background(), cfg, nil)
+	if err != nil {
+		t.Fatalf("%s (Workers=%d): %v", id, cfg.Workers, err)
+	}
+	var b strings.Builder
+	if err := RenderText(r, &b); err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	return b.String()
+}
+
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig1b", "fig1c", "table1", "fig4a", "fig4b", "fig5b", "fig5c",
@@ -51,7 +65,7 @@ func TestRegistryComplete(t *testing.T) {
 func TestExperimentMetadata(t *testing.T) {
 	seen := map[string]bool{}
 	for _, e := range Experiments() {
-		if e.ID == "" || e.Title == "" || e.PaperRef == "" || e.Collect == nil {
+		if e.ID == "" || e.Title == "" || e.PaperRef == "" || e.Plan == nil {
 			t.Errorf("experiment %+v incomplete", e)
 		}
 		if seen[e.ID] {
@@ -69,7 +83,7 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 	}()
 	register(&Experiment{
 		ID: "fig1b", PaperRef: "test", Title: "duplicate probe",
-		Collect: func(cfg Config) (*Result, error) { return &Result{}, nil },
+		Plan: closedForm(func() (*Result, error) { return &Result{}, nil }),
 	})
 }
 
@@ -78,12 +92,8 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 func TestAnalyticExperimentsRun(t *testing.T) {
 	cfg := DefaultConfig()
 	for _, id := range []string{"fig4a", "fig4b", "fig5b", "fig17"} {
-		var b strings.Builder
-		if err := Get(id).Run(context.Background(), cfg, &b); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if len(strings.Split(b.String(), "\n")) < 5 {
-			t.Fatalf("%s produced too little output:\n%s", id, b.String())
+		if out := runText(t, id, cfg); len(strings.Split(out, "\n")) < 5 {
+			t.Fatalf("%s produced too little output:\n%s", id, out)
 		}
 	}
 }
@@ -94,11 +104,7 @@ func TestScenarioExperimentsRunTiny(t *testing.T) {
 	}
 	cfg := tinyConfig()
 	for _, id := range []string{"fig1b", "table1", "fig7"} {
-		var b strings.Builder
-		if err := Get(id).Run(context.Background(), cfg, &b); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if b.Len() == 0 {
+		if runText(t, id, cfg) == "" {
 			t.Fatalf("%s produced no output", id)
 		}
 	}
@@ -110,11 +116,7 @@ func TestDatacenterExperimentsRunTiny(t *testing.T) {
 	}
 	cfg := tinyConfig()
 	for _, id := range []string{"fig13a", "table3"} {
-		var b strings.Builder
-		if err := Get(id).Run(context.Background(), cfg, &b); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if b.Len() == 0 {
+		if runText(t, id, cfg) == "" {
 			t.Fatalf("%s produced no output", id)
 		}
 	}
@@ -127,8 +129,8 @@ func TestDCThroughputShape(t *testing.T) {
 	cfg := tinyConfig()
 	// MPTCP with several subflows must beat single-path TCP on aggregate
 	// (the core Fig. 13(a) claim).
-	tcp := dcThroughput(cfg, "tcp", 1, 1)
-	olia := dcThroughput(cfg, "olia", 3, 1)
+	tcp := dcThroughput(context.Background(), cfg, "tcp", 1, 1)
+	olia := dcThroughput(context.Background(), cfg, "olia", 3, 1)
 	var tcpSum, oliaSum float64
 	for i := range tcp {
 		tcpSum += tcp[i]

@@ -20,15 +20,15 @@ func registerPanicProbe() {
 	}
 	register(&Experiment{
 		ID: "zz-panic", PaperRef: "test", Title: "crashing sweep probe",
-		Collect: func(cfg Config) (*Result, error) {
-			rows := sweep(cfg, []int{0, 1, 2, 3}, func(p int, seed int64) int {
+		Plan: func(cfg Config) Plan {
+			return sweep(cfg, []int{0, 1, 2, 3}, func(_ context.Context, p int, seed int64) int {
 				if p == 2 {
 					panic("simulated job crash")
 				}
 				return p
+			}, func(rows [][]int) (*Result, error) {
+				return nil, fmt.Errorf("panic probe: folded %d points although a job crashed", len(rows))
 			})
-			// The merge runs over zero-filled rows; CollectResult discards it.
-			return &Result{Preamble: []string{fmt.Sprintf("panic probe: %d points", len(rows))}}, nil
 		},
 	})
 }
@@ -40,7 +40,7 @@ func registerPanicProbe() {
 func TestCollectResultRecoversJobPanic(t *testing.T) {
 	registerPanicProbe()
 	for _, workers := range []int{1, 4} {
-		_, err := Get("zz-panic").CollectResult(context.Background(), parallelConfig(workers))
+		_, err := Get("zz-panic").CollectResult(context.Background(), parallelConfig(workers), nil)
 		if !errors.Is(err, runner.ErrJobPanic) {
 			t.Fatalf("Workers=%d: err = %v, want runner.ErrJobPanic", workers, err)
 		}
@@ -68,7 +68,7 @@ func TestRunAllIsolatesPanickingExperiment(t *testing.T) {
 	registerPanicProbe()
 	before := runtime.NumGoroutine()
 	var b strings.Builder
-	err := RunAll(context.Background(), parallelConfig(4), []string{"fig4a", "zz-panic"}, FormatText, &b)
+	err := RunAll(context.Background(), parallelConfig(4), []string{"fig4a", "zz-panic"}, FormatText, &b, nil)
 	if !errors.Is(err, runner.ErrJobPanic) {
 		t.Fatalf("RunAll err = %v, want runner.ErrJobPanic", err)
 	}

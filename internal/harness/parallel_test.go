@@ -51,20 +51,17 @@ func TestWorkerCountByteIdentical(t *testing.T) {
 	for _, id := range determinismIDs {
 		var ref string
 		for vi, workers := range workerVariants {
-			var b strings.Builder
-			if err := Get(id).Run(context.Background(), parallelConfig(workers), &b); err != nil {
-				t.Fatalf("%s (Workers=%d): %v", id, workers, err)
-			}
+			got := runText(t, id, parallelConfig(workers))
 			if vi == 0 {
-				ref = b.String()
+				ref = got
 				if ref == "" {
 					t.Fatalf("%s produced no output", id)
 				}
 				continue
 			}
-			if b.String() != ref {
+			if got != ref {
 				t.Errorf("%s: Workers=%d output differs from sequential\n--- Workers=1 ---\n%s--- Workers=%d ---\n%s",
-					id, workers, ref, workers, b.String())
+					id, workers, ref, workers, got)
 			}
 		}
 	}
@@ -81,7 +78,7 @@ func TestRunAllByteIdentical(t *testing.T) {
 	var ref string
 	for vi, workers := range workerVariants {
 		var b strings.Builder
-		if err := RunAll(context.Background(), parallelConfig(workers), ids, FormatText, &b); err != nil {
+		if err := RunAll(context.Background(), parallelConfig(workers), ids, FormatText, &b, nil); err != nil {
 			t.Fatalf("RunAll (Workers=%d): %v", workers, err)
 		}
 		if vi == 0 {
@@ -109,7 +106,7 @@ func TestRunAllByteIdentical(t *testing.T) {
 // TestRunAllStreamsProgressively pins the streaming behavior: an earlier
 // experiment's output must reach the writer while a later experiment is
 // still running, not after the whole registry finishes. The second
-// experiment blocks until the first one's bytes have been flushed; if
+// experiment's job blocks until the first one's bytes have been flushed; if
 // RunAll buffered everything to the end this would deadlock (the test
 // fails by timeout instead).
 func TestRunAllStreamsProgressively(t *testing.T) {
@@ -117,24 +114,34 @@ func TestRunAllStreamsProgressively(t *testing.T) {
 	if Get("zz-stream-a") == nil {
 		register(&Experiment{
 			ID: "zz-stream-a", PaperRef: "test", Title: "streaming probe a",
-			Collect: func(cfg Config) (*Result, error) {
-				return &Result{Preamble: []string{"a-output"}}, nil
+			// One job, so that a settles inside the stream, next to b's job.
+			Plan: func(Config) Plan {
+				return perPoint([]int{0}, func(context.Context, int) int { return 0 }, func([]int) (*Result, error) {
+					return &Result{Preamble: []string{"a-output"}}, nil
+				})
 			},
 		})
 		register(&Experiment{
 			ID: "zz-stream-b", PaperRef: "test", Title: "streaming probe b",
-			Collect: func(cfg Config) (*Result, error) {
-				select {
-				case <-streamTestGate:
-				case <-time.After(30 * time.Second):
-					return nil, fmt.Errorf("zz-stream-a output never flushed while zz-stream-b ran")
-				}
-				return &Result{Preamble: []string{"b-output"}}, nil
+			Plan: func(Config) Plan {
+				return perPoint([]int{0}, func(context.Context, int) bool {
+					select {
+					case <-streamTestGate:
+						return true
+					case <-time.After(30 * time.Second):
+						return false
+					}
+				}, func(flushed []bool) (*Result, error) {
+					if !flushed[0] {
+						return nil, fmt.Errorf("zz-stream-a output never flushed while zz-stream-b ran")
+					}
+					return &Result{Preamble: []string{"b-output"}}, nil
+				})
 			},
 		})
 	}
 	fw := &flushWatcher{signal: streamTestGate, want: "a-output"}
-	if err := RunAll(context.Background(), parallelConfig(4), []string{"zz-stream-a", "zz-stream-b"}, FormatText, fw); err != nil {
+	if err := RunAll(context.Background(), parallelConfig(4), []string{"zz-stream-a", "zz-stream-b"}, FormatText, fw, nil); err != nil {
 		t.Fatal(err)
 	}
 	got := fw.buf.String()
@@ -169,10 +176,27 @@ func (fw *flushWatcher) Write(p []byte) (int, error) {
 
 func TestRunAllUnknownID(t *testing.T) {
 	var b strings.Builder
-	err := RunAll(context.Background(), parallelConfig(1), []string{"fig1b", "nope"}, FormatText, &b)
+	err := RunAll(context.Background(), parallelConfig(1), []string{"fig1b", "nope"}, FormatText, &b, nil)
 	if err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Fatalf("RunAll with unknown id: err = %v", err)
 	}
+}
+
+// collectSweep runs a sweep through the package's one fan-out, as the plan
+// of a throw-away experiment, and returns what its fold was handed.
+func collectSweep[P, T any](t *testing.T, cfg Config, points []P, job func(ctx context.Context, p P, seed int64) T) [][]T {
+	t.Helper()
+	var per [][]T
+	e := &Experiment{ID: "zz-sweep", Plan: func(cfg Config) Plan {
+		return sweep(cfg, points, job, func(got [][]T) (*Result, error) {
+			per = got
+			return &Result{}, nil
+		})
+	}}
+	if _, err := e.CollectResult(context.Background(), cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+	return per
 }
 
 // TestPerSeedResultsIndependentOfWorkers pins the stronger property behind
@@ -190,8 +214,8 @@ func TestPerSeedResultsIndependentOfWorkers(t *testing.T) {
 			{c1: 1.0, n1: 10, algo: "lia"},
 			{c1: 1.5, n1: 20, algo: "olia"},
 		}
-		return sweep(cfg, points, func(p acPoint, seed int64) acMetrics {
-			return runScenarioAC(scenario.PaperScenarioA, p, seed, cfg)
+		return collectSweep(t, cfg, points, func(ctx context.Context, p acPoint, seed int64) acMetrics {
+			return runScenarioAC(ctx, scenario.PaperScenarioA, p, seed, cfg)
 		})
 	}
 	ref := collect(1)
@@ -215,7 +239,8 @@ func TestSweepSeedDerivation(t *testing.T) {
 	cfg := parallelConfig(4)
 	cfg.Seeds = 3
 	cfg.BaseSeed = 100
-	got := sweep(cfg, []string{"p0", "p1"}, func(p string, seed int64) int64 { return seed })
+	seedOf := func(_ context.Context, _ string, seed int64) int64 { return seed }
+	got := collectSweep(t, cfg, []string{"p0", "p1"}, seedOf)
 	for pi := range got {
 		for s, seed := range got[pi] {
 			if want := int64(100 + s); seed != want {
@@ -225,7 +250,7 @@ func TestSweepSeedDerivation(t *testing.T) {
 	}
 	// Seeds < 1 still runs one repetition at the base seed.
 	cfg.Seeds = 0
-	got = sweep(cfg, []string{"p0"}, func(p string, seed int64) int64 { return seed })
+	got = collectSweep(t, cfg, []string{"p0"}, seedOf)
 	if len(got[0]) != 1 || got[0][0] != 100 {
 		t.Errorf("Seeds=0 sweep = %v, want one run at seed 100", got)
 	}

@@ -26,7 +26,7 @@ func TestBackToBackRunsMatchGoldens(t *testing.T) {
 		if e == nil {
 			t.Fatalf("unknown experiment %q", id)
 		}
-		r, err := e.CollectResult(context.Background(), cfg)
+		r, err := e.CollectResult(context.Background(), cfg, nil)
 		if err != nil {
 			t.Fatalf("pass %d %s: %v", pass, id, err)
 		}

@@ -86,7 +86,7 @@ type Series struct {
 // Result is the structured outcome of one experiment run.
 type Result struct {
 	// ID, PaperRef and Title identify the experiment; stamped from the
-	// registry entry by Experiment.CollectResult.
+	// registry entry when the experiment is collected.
 	ID       string `json:"id"`
 	PaperRef string `json:"paper_ref,omitempty"`
 	Title    string `json:"title,omitempty"`

@@ -92,7 +92,7 @@ func TestCSVRoundTrip(t *testing.T) {
 func TestRenderEveryFormatEveryExperiment(t *testing.T) {
 	cfg := DefaultConfig()
 	for _, id := range []string{"fig4a", "fig4b", "fig5b", "fig17"} {
-		r, err := Get(id).CollectResult(context.Background(), cfg)
+		r, err := Get(id).CollectResult(context.Background(), cfg, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -224,7 +224,7 @@ func TestRunAllJSONParses(t *testing.T) {
 	var b strings.Builder
 	cfg := DefaultConfig()
 	cfg.Workers = 2
-	if err := RunAll(context.Background(), cfg, []string{"fig4a", "fig5b"}, FormatJSON, &b); err != nil {
+	if err := RunAll(context.Background(), cfg, []string{"fig4a", "fig5b"}, FormatJSON, &b, nil); err != nil {
 		t.Fatal(err)
 	}
 	var got []Result
@@ -265,7 +265,7 @@ func TestJSONKeepsZeroValues(t *testing.T) {
 // not silently-text output, for a bogus Format value.
 func TestRunAllRejectsUnknownFormat(t *testing.T) {
 	var b strings.Builder
-	err := RunAll(context.Background(), DefaultConfig(), []string{"fig4a"}, Format("jsonl"), &b)
+	err := RunAll(context.Background(), DefaultConfig(), []string{"fig4a"}, Format("jsonl"), &b, nil)
 	if err == nil || !strings.Contains(err.Error(), "jsonl") {
 		t.Fatalf("unknown format: err = %v", err)
 	}
@@ -274,19 +274,25 @@ func TestRunAllRejectsUnknownFormat(t *testing.T) {
 	}
 }
 
+// registerFailProbe installs the zz-fail test experiment, whose fold fails.
+func registerFailProbe() {
+	if Get("zz-fail") != nil {
+		return
+	}
+	register(&Experiment{
+		ID: "zz-fail", PaperRef: "test", Title: "always fails",
+		Plan: closedForm(func() (*Result, error) {
+			return nil, fmt.Errorf("synthetic failure")
+		}),
+	})
+}
+
 // TestRunAllJSONValidOnFailure pins that a failing experiment still leaves
 // parseable JSON behind: the array closes around the completed prefix.
 func TestRunAllJSONValidOnFailure(t *testing.T) {
-	if Get("zz-fail") == nil {
-		register(&Experiment{
-			ID: "zz-fail", PaperRef: "test", Title: "always fails",
-			Collect: func(cfg Config) (*Result, error) {
-				return nil, fmt.Errorf("synthetic failure")
-			},
-		})
-	}
+	registerFailProbe()
 	var b strings.Builder
-	err := RunAll(context.Background(), DefaultConfig(), []string{"fig4a", "zz-fail"}, FormatJSON, &b)
+	err := RunAll(context.Background(), DefaultConfig(), []string{"fig4a", "zz-fail"}, FormatJSON, &b, nil)
 	if err == nil || !strings.Contains(err.Error(), "synthetic failure") {
 		t.Fatalf("err = %v", err)
 	}
@@ -303,7 +309,7 @@ func TestRunAllJSONValidOnFailure(t *testing.T) {
 // experiment, blank-line separated.
 func TestRunAllCSV(t *testing.T) {
 	var b strings.Builder
-	if err := RunAll(context.Background(), DefaultConfig(), []string{"fig4a", "fig5b"}, FormatCSV, &b); err != nil {
+	if err := RunAll(context.Background(), DefaultConfig(), []string{"fig4a", "fig5b"}, FormatCSV, &b, nil); err != nil {
 		t.Fatal(err)
 	}
 	blocks := strings.Split(strings.TrimRight(b.String(), "\n"), "\n\n")

@@ -1,42 +1,40 @@
 package harness
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"mptcpsim/internal/runner"
 )
 
 // RunAll regenerates the experiments with the given ids — the full registry
 // in paper order when ids is empty — writing each experiment's rendered
-// result to w in listing order. Text output prints each experiment's banner
-// and table; JSON output is one array of Result objects; CSV output is one
+// result to w in listing order and reporting to progress (nil drops the
+// events). Text output prints each experiment's banner and table; JSON
+// output is one array of Result objects; CSV output is one
 // blank-line-separated block per experiment.
 //
-// Experiments run concurrently (one orchestration goroutine each) and
-// their simulation jobs share one worker pool, so at most cfg.Workers
-// simulations execute at any moment no matter how the fan-out nests. Each
-// experiment collects and renders into its own buffer, and buffers are
-// flushed progressively: experiment i's output appears as soon as
-// experiments 0..i have finished, so a long registry run streams results
-// as they complete while the bytes remain identical to a sequential run.
+// The jobs of all the experiments run in one stream on one worker pool (see
+// collect), so at most cfg.Workers simulations execute at any moment.
+// Output is progressive: experiment i is rendered straight to w as soon as
+// experiments 0..i have finished, while later experiments' jobs are still
+// running, and the bytes are identical to a sequential run.
 //
 // On failure every experiment still runs to completion, the output up to
-// the first failing experiment (in listing order) is written, and that
-// experiment's error is returned.
+// the failing experiment is written (in text, followed by that experiment's
+// banner), and its error is returned. The first error from w stops all
+// further rendering and is what RunAll returns, whatever else failed.
 //
 // Cancelling ctx stops every experiment's simulation jobs at the next job
-// boundary; RunAll then drains its orchestration goroutines (no leaks),
-// flushes the experiments that had already completed in listing order, and
-// returns an error wrapping ctx.Err().
-func RunAll(ctx context.Context, cfg Config, ids []string, format Format, w io.Writer) error {
+// boundary; the experiments that had already completed in listing order are
+// written, and RunAll returns an error wrapping ctx.Err() that names the
+// first unfinished one.
+func RunAll(ctx context.Context, cfg Config, ids []string, format Format, w io.Writer, progress func(Event)) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if _, err := ParseFormat(string(format)); err != nil {
+	format, err := ParseFormat(string(format))
+	if err != nil {
 		return err
 	}
 	var exps []*Experiment
@@ -51,99 +49,72 @@ func RunAll(ctx context.Context, cfg Config, ids []string, format Format, w io.W
 			exps = append(exps, e)
 		}
 	}
-	cfg.pool = runner.New(cfg.Workers)
-	cfg.jobs = cfg.newJobCounter() // one cumulative counter across every experiment
-	type outcome struct {
-		buf bytes.Buffer
-		err error
-	}
-	res := make([]outcome, len(exps))
-	done := make([]chan struct{}, len(exps))
-	for i := range exps {
-		done[i] = make(chan struct{})
-		go func(i int) {
-			defer close(done[i])
-			cfg.emit(Event{Kind: EventExperimentStart, Experiment: exps[i].ID})
-			r, err := exps[i].CollectResult(ctx, cfg)
-			defer func() { cfg.emit(Event{Kind: EventExperimentDone, Experiment: exps[i].ID, Err: res[i].err}) }()
-			if err != nil {
-				res[i].err = err
-				if format == FormatText {
-					// Match the classic stream: a failing experiment still
-					// contributes its banner before the error surfaces.
-					fmt.Fprintf(&res[i].buf, "\n===== %s =====\n", exps[i].ID)
-				}
-				return
-			}
-			switch format {
-			case FormatJSON:
-				b, err := json.MarshalIndent(r, "  ", "  ")
-				if err != nil {
-					res[i].err = err
-					return
-				}
-				res[i].buf.WriteString("  ")
-				res[i].buf.Write(b)
-			case FormatCSV:
-				res[i].err = RenderCSV(r, &res[i].buf)
-			case FormatText, "":
-				fmt.Fprintf(&res[i].buf, "\n===== %s =====\n", exps[i].ID)
-				res[i].err = RenderText(r, &res[i].buf)
-			}
-		}(i)
-	}
-	var firstErr error
-	flushed := 0
+	// The text layouts do not check their writes; out keeps the first error
+	// of w and writes nothing after it.
+	out := &stickyWriter{w: w}
 	if format == FormatJSON {
-		if _, err := io.WriteString(w, "[\n"); err != nil {
-			firstErr = err
-		}
+		io.WriteString(out, "[\n")
 	}
-	for i := range exps {
-		<-done[i]
-		if firstErr != nil {
-			continue // already failed: drain remaining experiments unwritten
-		}
-		if res[i].err != nil {
-			// Text keeps the classic contract of flushing the failing
-			// experiment's banner before erroring out.
-			if format == FormatText {
-				w.Write(res[i].buf.Bytes())
-			}
-			firstErr = fmt.Errorf("harness: %s: %w", exps[i].ID, res[i].err)
-			continue
-		}
-		var sep string
+	written := 0
+	failed, err := collect(ctx, cfg, exps, progress, func(r *Result) error {
+		var err error
 		switch format {
 		case FormatJSON:
-			if flushed > 0 {
-				sep = ",\n"
+			var b []byte
+			if b, err = json.MarshalIndent(r, "  ", "  "); err != nil {
+				return fmt.Errorf("harness: %s: %w", r.ID, err)
 			}
+			if written > 0 {
+				io.WriteString(out, ",\n")
+			}
+			io.WriteString(out, "  ")
+			out.Write(b)
 		case FormatCSV:
-			if flushed > 0 {
-				sep = "\n"
+			if written > 0 {
+				io.WriteString(out, "\n")
 			}
-		case FormatText, "":
-			// Text banners carry their own leading newline.
+			err = RenderCSV(r, out)
+		case FormatText:
+			fmt.Fprintf(out, "\n===== %s =====\n", r.ID)
+			err = RenderText(r, out)
 		}
-		if sep != "" {
-			if _, err := io.WriteString(w, sep); err != nil {
-				firstErr = err
-				continue
-			}
+		written++
+		if out.err != nil {
+			return out.err
 		}
-		if _, err := w.Write(res[i].buf.Bytes()); err != nil {
-			firstErr = err
-			continue
-		}
-		flushed++
+		return err
+	})
+	if failed >= 0 && format == FormatText {
+		// The classic stream: a failing experiment still contributes its
+		// banner before the error surfaces.
+		fmt.Fprintf(out, "\n===== %s =====\n", exps[failed].ID)
+	}
+	if out.err != nil {
+		err = out.err
 	}
 	if format == FormatJSON {
-		// Close the array even on failure so the flushed prefix remains
-		// valid JSON (an array of the experiments that completed).
-		if _, err := io.WriteString(w, "\n]\n"); err != nil && firstErr == nil {
-			firstErr = err
+		// Close the array even on failure — straight on w, best effort after
+		// a write error — so the flushed prefix remains valid JSON (an array
+		// of the experiments that completed).
+		if _, cerr := io.WriteString(w, "\n]\n"); err == nil {
+			err = cerr
 		}
 	}
-	return firstErr
+	return err
+}
+
+// stickyWriter passes writes through to w until one fails, then refuses the
+// rest with that first error.
+type stickyWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (s *stickyWriter) Write(p []byte) (int, error) {
+	if s.err != nil {
+		return 0, s.err
+	}
+	n, err := s.w.Write(p)
+	s.err = err
+	return n, err
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -24,12 +25,12 @@ func compile(sp *scenario.Spec) *scenario.Net {
 // invariant checks; every simulated experiment goes through it. The exact
 // integer byte deltas are left in each Flow's Window; the float arithmetic
 // (and its summation order, which the golden bytes depend on) stays with
-// each experiment. A
-// cancelled run reports ok false and its job returns zero metrics (discarded
-// upstream, like every sweep job); an invariant violation on a registry spec
-// is a harness bug and panics inside the job.
-func run(n *scenario.Net, cfg Config) (rep *scenario.RunReport, ok bool) {
-	rep, err := n.Run(cfg.context())
+// each experiment. A cancelled run reports ok false and its job returns zero
+// metrics, which are never folded (collect settles nothing once its context
+// is done); an invariant violation on a registry spec is a harness bug and
+// panics inside the job.
+func run(ctx context.Context, n *scenario.Net) (rep *scenario.RunReport, ok bool) {
+	rep, err := n.Run(ctx)
 	if err != nil {
 		return nil, false
 	}
@@ -64,10 +65,10 @@ type acPoint struct {
 // runScenarioAC executes one Scenario A or C simulation and reports
 // normalized throughputs and loss probabilities over the measurement
 // window.
-func runScenarioAC(build paperAC, p acPoint, seed int64, cfg Config) acMetrics {
+func runScenarioAC(ctx context.Context, build paperAC, p acPoint, seed int64, cfg Config) acMetrics {
 	const n2, c2 = 10, 1.0
 	n := compile(build(p.n1, n2, p.c1, c2, p.algo, seed, cfg.Warmup.Sec(), cfg.Duration.Sec()))
-	rep, ok := run(n, cfg)
+	rep, ok := run(ctx, n)
 	if !ok {
 		return acMetrics{}
 	}
@@ -105,11 +106,10 @@ type acResult struct {
 	multi, single, p1, p2 stats.Summary
 }
 
-// collectScenarioAC simulates a Scenario A or C grid for the given
-// algorithms. Every (cell × seed) run is an independent job on the worker
-// pool; per-seed metrics merge in seed order, so the result is identical
-// for any worker count.
-func collectScenarioAC(cfg Config, build paperAC, grid acSweep, algos []string) []acResult {
+// planScenarioAC plans a Scenario A or C grid for the given algorithms.
+// Every (cell × seed) run is an independent job; per-seed metrics merge in
+// seed order, so the result is identical for any worker count.
+func planScenarioAC(build paperAC, grid acSweep, algos []string, result func(res []acResult, withLoss bool) (*Result, error), withLoss bool) func(Config) Plan {
 	var pts []acPoint
 	for _, c1 := range grid.c1s {
 		for _, n1 := range grid.n1s {
@@ -118,20 +118,23 @@ func collectScenarioAC(cfg Config, build paperAC, grid acSweep, algos []string) 
 			}
 		}
 	}
-	per := sweep(cfg, pts, func(p acPoint, seed int64) acMetrics {
-		return runScenarioAC(build, p, seed, cfg)
-	})
-	out := make([]acResult, len(pts))
-	for i, p := range pts {
-		out[i].point = p
-		for _, m := range per[i] {
-			out[i].multi.Add(m.multiNorm)
-			out[i].single.Add(m.singleNorm)
-			out[i].p1.Add(m.p1)
-			out[i].p2.Add(m.p2)
-		}
+	return func(cfg Config) Plan {
+		return sweep(cfg, pts, func(ctx context.Context, p acPoint, seed int64) acMetrics {
+			return runScenarioAC(ctx, build, p, seed, cfg)
+		}, func(per [][]acMetrics) (*Result, error) {
+			out := make([]acResult, len(pts))
+			for i, p := range pts {
+				out[i].point = p
+				for _, m := range per[i] {
+					out[i].multi.Add(m.multiNorm)
+					out[i].single.Add(m.singleNorm)
+					out[i].p1.Add(m.p1)
+					out[i].p2.Add(m.p2)
+				}
+			}
+			return result(out, withLoss)
+		})
 	}
-	return out
 }
 
 // resultScenarioA structures collected results, one row per sweep cell,
@@ -189,10 +192,8 @@ func textScenarioA(r *Result, w io.Writer) error {
 	return nil
 }
 
-func scenarioAExperiment(algos []string, withLoss bool) func(cfg Config) (*Result, error) {
-	return func(cfg Config) (*Result, error) {
-		return resultScenarioA(collectScenarioAC(cfg, scenario.PaperScenarioA, scenarioASweep, algos), withLoss)
-	}
+func scenarioAExperiment(algos []string, withLoss bool) func(Config) Plan {
+	return planScenarioAC(scenario.PaperScenarioA, scenarioASweep, algos, resultScenarioA, withLoss)
 }
 
 // resultScenarioC structures collected Scenario C results.
@@ -246,10 +247,8 @@ func textScenarioC(r *Result, w io.Writer) error {
 	return nil
 }
 
-func scenarioCExperiment(algos []string, withLoss bool) func(cfg Config) (*Result, error) {
-	return func(cfg Config) (*Result, error) {
-		return resultScenarioC(collectScenarioAC(cfg, scenario.PaperScenarioC, scenarioCSweep, algos), withLoss)
-	}
+func scenarioCExperiment(algos []string, withLoss bool) func(Config) Plan {
+	return planScenarioAC(scenario.PaperScenarioC, scenarioCSweep, algos, resultScenarioC, withLoss)
 }
 
 // bMetrics are the Scenario B observables of Tables I and II from one
@@ -260,10 +259,10 @@ type bMetrics struct {
 
 // runScenarioB executes one Scenario B simulation (N = 15 users of each
 // color, CX = 27, CT = 36 Mb/s) with Red users single-path or upgraded.
-func runScenarioB(algo string, redMultipath bool, seed int64, cfg Config) bMetrics {
+func runScenarioB(ctx context.Context, algo string, redMultipath bool, seed int64, cfg Config) bMetrics {
 	const users = 15
 	n := compile(scenario.PaperScenarioB(users, 27, 36, algo, redMultipath, seed, cfg.Warmup.Sec(), cfg.Duration.Sec()))
-	if _, ok := run(n, cfg); !ok {
+	if _, ok := run(ctx, n); !ok {
 		return bMetrics{}
 	}
 	secs := cfg.Duration.Sec()
@@ -283,25 +282,6 @@ func runScenarioB(algo string, redMultipath bool, seed int64, cfg Config) bMetri
 type bResult struct {
 	multipath      bool
 	blue, red, agg stats.Summary
-}
-
-// collectScenarioB simulates both Red-user modes for one algorithm, one
-// pool job per (mode × seed).
-func collectScenarioB(cfg Config, algo string) []bResult {
-	modes := []bool{false, true}
-	per := sweep(cfg, modes, func(mp bool, seed int64) bMetrics {
-		return runScenarioB(algo, mp, seed, cfg)
-	})
-	out := make([]bResult, len(modes))
-	for i, mp := range modes {
-		out[i].multipath = mp
-		for _, m := range per[i] {
-			out[i].blue.Add(m.bluePerUser)
-			out[i].red.Add(m.redPerUser)
-			out[i].agg.Add(m.aggregate)
-		}
-	}
-	return out
 }
 
 // resultTableB structures a Table I / Table II comparison from collected
@@ -356,10 +336,25 @@ func textTableB(r *Result, w io.Writer) error {
 	return nil
 }
 
-// tableBExperiment reproduces Table I / Table II for one algorithm.
-func tableBExperiment(algo string) func(cfg Config) (*Result, error) {
-	return func(cfg Config) (*Result, error) {
-		return resultTableB(algo, collectScenarioB(cfg, algo))
+// tableBExperiment reproduces Table I / Table II for one algorithm: both
+// Red-user modes, one job per (mode × seed).
+func tableBExperiment(algo string) func(Config) Plan {
+	return func(cfg Config) Plan {
+		modes := []bool{false, true}
+		return sweep(cfg, modes, func(ctx context.Context, mp bool, seed int64) bMetrics {
+			return runScenarioB(ctx, algo, mp, seed, cfg)
+		}, func(per [][]bMetrics) (*Result, error) {
+			out := make([]bResult, len(modes))
+			for i, mp := range modes {
+				out[i].multipath = mp
+				for _, m := range per[i] {
+					out[i].blue.Add(m.bluePerUser)
+					out[i].red.Add(m.redPerUser)
+					out[i].agg.Add(m.aggregate)
+				}
+			}
+			return resultTableB(algo, out)
+		})
 	}
 }
 
@@ -368,70 +363,70 @@ func init() {
 		ID:       "fig1b",
 		PaperRef: "Figure 1(b)",
 		Title:    "Scenario A: normalized throughput of type1/type2 users under LIA vs analytic fixed point and optimum with probing cost",
-		Collect:  scenarioAExperiment([]string{"lia"}, false),
+		Plan:     scenarioAExperiment([]string{"lia"}, false),
 		Text:     textScenarioA,
 	})
 	register(&Experiment{
 		ID:       "fig1c",
 		PaperRef: "Figure 1(c)",
 		Title:    "Scenario A: loss probability p2 at the shared AP under LIA",
-		Collect:  scenarioAExperiment([]string{"lia"}, true),
+		Plan:     scenarioAExperiment([]string{"lia"}, true),
 		Text:     textScenarioA,
 	})
 	register(&Experiment{
 		ID:       "table1",
 		PaperRef: "Table I",
 		Title:    "Scenario B measurements with LIA: upgrading Red users reduces everyone's throughput (problem P1)",
-		Collect:  tableBExperiment("lia"),
+		Plan:     tableBExperiment("lia"),
 		Text:     textTableB,
 	})
 	register(&Experiment{
 		ID:       "fig5c",
 		PaperRef: "Figure 5(c)",
 		Title:    "Scenario C: normalized throughputs under LIA vs analysis (problem P2: aggressiveness toward TCP users)",
-		Collect:  scenarioCExperiment([]string{"lia"}, false),
+		Plan:     scenarioCExperiment([]string{"lia"}, false),
 		Text:     textScenarioC,
 	})
 	register(&Experiment{
 		ID:       "fig5d",
 		PaperRef: "Figure 5(d)",
 		Title:    "Scenario C: loss probability p2 at AP2 under LIA",
-		Collect:  scenarioCExperiment([]string{"lia"}, true),
+		Plan:     scenarioCExperiment([]string{"lia"}, true),
 		Text:     textScenarioC,
 	})
 	register(&Experiment{
 		ID:       "fig9",
 		PaperRef: "Figure 9",
 		Title:    "Scenario A: OLIA vs LIA normalized throughputs (OLIA approaches the optimum with probing cost)",
-		Collect:  scenarioAExperiment([]string{"lia", "olia"}, false),
+		Plan:     scenarioAExperiment([]string{"lia", "olia"}, false),
 		Text:     textScenarioA,
 	})
 	register(&Experiment{
 		ID:       "fig10",
 		PaperRef: "Figure 10",
 		Title:    "Scenario A: loss probability p2, OLIA vs LIA (OLIA balances congestion)",
-		Collect:  scenarioAExperiment([]string{"lia", "olia"}, true),
+		Plan:     scenarioAExperiment([]string{"lia", "olia"}, true),
 		Text:     textScenarioA,
 	})
 	register(&Experiment{
 		ID:       "table2",
 		PaperRef: "Table II",
 		Title:    "Scenario B measurements with OLIA: upgrade penalty shrinks to the probing cost",
-		Collect:  tableBExperiment("olia"),
+		Plan:     tableBExperiment("olia"),
 		Text:     textTableB,
 	})
 	register(&Experiment{
 		ID:       "fig11",
 		PaperRef: "Figure 11",
 		Title:    "Scenario C: OLIA vs LIA normalized throughputs",
-		Collect:  scenarioCExperiment([]string{"lia", "olia"}, false),
+		Plan:     scenarioCExperiment([]string{"lia", "olia"}, false),
 		Text:     textScenarioC,
 	})
 	register(&Experiment{
 		ID:       "fig12",
 		PaperRef: "Figure 12",
 		Title:    "Scenario C: loss probability p2, OLIA vs LIA",
-		Collect:  scenarioCExperiment([]string{"lia", "olia"}, true),
+		Plan:     scenarioCExperiment([]string{"lia", "olia"}, true),
 		Text:     textScenarioC,
 	})
 }

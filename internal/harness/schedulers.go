@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -62,9 +63,9 @@ func schedScenario(sched, algo string, total int64, seed int64, flap bool, durat
 // runSchedTransfer runs one scheduled transfer and reports its completion
 // observables; a missing stream report on a healthy run is a harness bug
 // and panics.
-func runSchedTransfer(cfg Config, sched, algo string, total int64, seed int64, flap bool, durationSec float64) schedMetrics {
+func runSchedTransfer(ctx context.Context, sched, algo string, total int64, seed int64, flap bool, durationSec float64) schedMetrics {
 	sp := schedScenario(sched, algo, total, seed, flap, durationSec)
-	rep, ok := run(compile(sp), cfg)
+	rep, ok := run(ctx, compile(sp))
 	if !ok {
 		return schedMetrics{}
 	}
@@ -95,50 +96,51 @@ const (
 	schedFlapDur     = 30.0           // covers the 2 s outage plus slow-path drain
 )
 
-// collectSchedMatrix sweeps scheduler × controller at fixed transfer size
+// planSchedMatrix sweeps scheduler × controller at fixed transfer size
 // and summarizes completion time and data rate across seeds.
-func collectSchedMatrix(cfg Config) (*Result, error) {
+func planSchedMatrix(cfg Config) Plan {
 	var pts []schedPoint
 	for _, sched := range mptcp.Schedulers() {
 		for _, algo := range schedControllers {
 			pts = append(pts, schedPoint{sched, algo})
 		}
 	}
-	runs := sweep(cfg, pts, func(p schedPoint, seed int64) schedMetrics {
-		return runSchedTransfer(cfg, p.sched, p.algo, schedMatrixBytes, seed, false, schedMatrixDur)
-	})
-	r := &Result{
-		Preamble: []string{
-			fmt.Sprintf("finite %d KiB transfer over 8+2 Mb/s paths (10/40 ms), background TCP on the slow path", schedMatrixBytes>>10),
-			"completion time and data-level rate per (scheduler, controller), mean over seeds",
-		},
-		Columns: []Column{
-			{Name: "scheduler"}, {Name: "controller"},
-			{Name: "completion", Unit: "s"}, {Name: "rate", Unit: "Mb/s"},
-			{Name: "done"},
-		},
-		Footer: []string{
-			"pull is the demand-driven default; redundant duplicates every chunk so its rate is bounded",
-			"by the best single path (8 Mb/s) while the others may use the 10 Mb/s aggregate",
-		},
-	}
-	for i, p := range pts {
-		var comp, rate stats.Summary
-		done := 0
-		for _, m := range runs[i] {
-			if !m.done {
-				continue
-			}
-			done++
-			comp.Add(m.completionSec)
-			rate.Add(m.rateMbps)
+	return sweep(cfg, pts, func(ctx context.Context, p schedPoint, seed int64) schedMetrics {
+		return runSchedTransfer(ctx, p.sched, p.algo, schedMatrixBytes, seed, false, schedMatrixDur)
+	}, func(runs [][]schedMetrics) (*Result, error) {
+		r := &Result{
+			Preamble: []string{
+				fmt.Sprintf("finite %d KiB transfer over 8+2 Mb/s paths (10/40 ms), background TCP on the slow path", schedMatrixBytes>>10),
+				"completion time and data-level rate per (scheduler, controller), mean over seeds",
+			},
+			Columns: []Column{
+				{Name: "scheduler"}, {Name: "controller"},
+				{Name: "completion", Unit: "s"}, {Name: "rate", Unit: "Mb/s"},
+				{Name: "done"},
+			},
+			Footer: []string{
+				"pull is the demand-driven default; redundant duplicates every chunk so its rate is bounded",
+				"by the best single path (8 Mb/s) while the others may use the 10 Mb/s aggregate",
+			},
 		}
-		r.Rows = append(r.Rows, []Cell{
-			TextCell(p.sched), TextCell(p.algo),
-			SummaryCell(comp), SummaryCell(rate), NumCell(float64(done)),
-		})
-	}
-	return r, nil
+		for i, p := range pts {
+			var comp, rate stats.Summary
+			done := 0
+			for _, m := range runs[i] {
+				if !m.done {
+					continue
+				}
+				done++
+				comp.Add(m.completionSec)
+				rate.Add(m.rateMbps)
+			}
+			r.Rows = append(r.Rows, []Cell{
+				TextCell(p.sched), TextCell(p.algo),
+				SummaryCell(comp), SummaryCell(rate), NumCell(float64(done)),
+			})
+		}
+		return r, nil
+	})
 }
 
 func textSchedMatrix(r *Result, w io.Writer) error {
@@ -157,11 +159,11 @@ func textSchedMatrix(r *Result, w io.Writer) error {
 	return nil
 }
 
-// collectSchedFlap runs every scheduler under OLIA twice — once clean,
+// planSchedFlap runs every scheduler under OLIA twice — once clean,
 // once with the fast path flapped down for [1 s, 3 s] — and reports the
 // completion-time stretch the outage costs each policy. Before the
 // reinjection fix, any non-redundant policy stalled forever here.
-func collectSchedFlap(cfg Config) (*Result, error) {
+func planSchedFlap(cfg Config) Plan {
 	type flapPoint struct {
 		sched string
 		flap  bool
@@ -170,48 +172,49 @@ func collectSchedFlap(cfg Config) (*Result, error) {
 	for _, sched := range mptcp.Schedulers() {
 		pts = append(pts, flapPoint{sched, false}, flapPoint{sched, true})
 	}
-	runs := sweep(cfg, pts, func(p flapPoint, seed int64) schedMetrics {
-		return runSchedTransfer(cfg, p.sched, "olia", schedFlapBytes, seed, p.flap, schedFlapDur)
+	return sweep(cfg, pts, func(ctx context.Context, p flapPoint, seed int64) schedMetrics {
+		return runSchedTransfer(ctx, p.sched, "olia", schedFlapBytes, seed, p.flap, schedFlapDur)
+	}, func(runs [][]schedMetrics) (*Result, error) {
+		r := &Result{
+			Preamble: []string{
+				fmt.Sprintf("finite %d KiB transfer under olia; fast path down at 1 s, restored at 3 s", schedFlapBytes>>10),
+				"every policy must finish over the survivor: frozen spans are reinjected, never stranded",
+			},
+			Columns: []Column{
+				{Name: "scheduler"},
+				{Name: "clean", Unit: "s"}, {Name: "flapped", Unit: "s"},
+				{Name: "stretch", Unit: "x"}, {Name: "done"},
+			},
+			Footer: []string{
+				"stretch = flapped/clean mean completion; done counts flapped-run completions",
+			},
+		}
+		for i := 0; i < len(pts); i += 2 {
+			var clean, flapped stats.Summary
+			done := 0
+			for _, m := range runs[i] {
+				if m.done {
+					clean.Add(m.completionSec)
+				}
+			}
+			for _, m := range runs[i+1] {
+				if m.done {
+					done++
+					flapped.Add(m.completionSec)
+				}
+			}
+			stretch := 0.0
+			if clean.Mean() > 0 {
+				stretch = flapped.Mean() / clean.Mean()
+			}
+			r.Rows = append(r.Rows, []Cell{
+				TextCell(pts[i].sched),
+				SummaryCell(clean), SummaryCell(flapped),
+				NumCell(stretch), NumCell(float64(done)),
+			})
+		}
+		return r, nil
 	})
-	r := &Result{
-		Preamble: []string{
-			fmt.Sprintf("finite %d KiB transfer under olia; fast path down at 1 s, restored at 3 s", schedFlapBytes>>10),
-			"every policy must finish over the survivor: frozen spans are reinjected, never stranded",
-		},
-		Columns: []Column{
-			{Name: "scheduler"},
-			{Name: "clean", Unit: "s"}, {Name: "flapped", Unit: "s"},
-			{Name: "stretch", Unit: "x"}, {Name: "done"},
-		},
-		Footer: []string{
-			"stretch = flapped/clean mean completion; done counts flapped-run completions",
-		},
-	}
-	for i := 0; i < len(pts); i += 2 {
-		var clean, flapped stats.Summary
-		done := 0
-		for _, m := range runs[i] {
-			if m.done {
-				clean.Add(m.completionSec)
-			}
-		}
-		for _, m := range runs[i+1] {
-			if m.done {
-				done++
-				flapped.Add(m.completionSec)
-			}
-		}
-		stretch := 0.0
-		if clean.Mean() > 0 {
-			stretch = flapped.Mean() / clean.Mean()
-		}
-		r.Rows = append(r.Rows, []Cell{
-			TextCell(pts[i].sched),
-			SummaryCell(clean), SummaryCell(flapped),
-			NumCell(stretch), NumCell(float64(done)),
-		})
-	}
-	return r, nil
 }
 
 func textSchedFlap(r *Result, w io.Writer) error {
@@ -230,14 +233,14 @@ func init() {
 		ID:       "sched-matrix",
 		PaperRef: "§VII (future work)",
 		Title:    "Scheduler×controller matrix: completion time of a finite transfer per subflow scheduler and coupling algorithm",
-		Collect:  collectSchedMatrix,
+		Plan:     planSchedMatrix,
 		Text:     textSchedMatrix,
 	})
 	register(&Experiment{
 		ID:       "sched-flap",
 		PaperRef: "§VII (future work)",
 		Title:    "Scheduler resilience: completion-time stretch under a mid-transfer fast-path outage (reinjection at work)",
-		Collect:  collectSchedFlap,
+		Plan:     planSchedFlap,
 		Text:     textSchedFlap,
 	})
 }

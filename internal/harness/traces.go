@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -21,7 +22,7 @@ type traceResult struct {
 }
 
 // runTrace records one algorithm's window evolution on the two-link rig.
-func runTrace(cfg Config, algo string, nTCP1, nTCP2 int) traceResult {
+func runTrace(ctx context.Context, cfg Config, algo string, nTCP1, nTCP2 int) traceResult {
 	n := compile(twoLinkSpec(cfg, algo, nTCP1, nTCP2))
 	conn := n.Group("mp")[0].Conn
 	stop := cfg.Warmup + cfg.Duration
@@ -34,7 +35,7 @@ func runTrace(cfg Config, algo string, nTCP1, nTCP2 int) traceResult {
 	}
 	rec := trace.NewRecorder(n.Sim, 250*sim.Millisecond, stop, probes...)
 	rec.Start(0)
-	if _, ok := run(n, cfg); !ok {
+	if _, ok := run(ctx, n); !ok {
 		return traceResult{algo: algo}
 	}
 
@@ -67,7 +68,7 @@ func tracePoints(s []trace.Point) []SeriesPoint {
 // algorithm, plus the full sampled window series (named "<algo>/w1",
 // "<algo>/w2") for the figure shape. Algorithms without an α probe (LIA)
 // carry empty text cells in the α columns.
-func resultTrace(results []traceResult) *Result {
+func resultTrace(results []traceResult) (*Result, error) {
 	r := &Result{Columns: []Column{
 		{Name: "algo"},
 		{Name: "mean_w1", Unit: "pkts"}, {Name: "mean_w2", Unit: "pkts"},
@@ -87,7 +88,7 @@ func resultTrace(results []traceResult) *Result {
 			Series{Name: t.algo + "/w2", Points: tracePoints(t.s2)},
 		)
 	}
-	return r
+	return r, nil
 }
 
 // seriesByName finds an attached series, or nil.
@@ -137,13 +138,11 @@ func textTrace(r *Result, w io.Writer) error {
 // traceExperiment reproduces Figs. 7 and 8: the evolution of the two
 // subflow windows (and OLIA's α) for a two-path user whose links are shared
 // with nTCP1 and nTCP2 regular TCP flows.
-func traceExperiment(nTCP1, nTCP2 int) func(cfg Config) (*Result, error) {
-	return func(cfg Config) (*Result, error) {
-		algos := []string{"olia", "lia"}
-		results := perPoint(cfg, algos, func(algo string) traceResult {
-			return runTrace(cfg, algo, nTCP1, nTCP2)
-		})
-		return resultTrace(results), nil
+func traceExperiment(nTCP1, nTCP2 int) func(Config) Plan {
+	return func(cfg Config) Plan {
+		return perPoint([]string{"olia", "lia"}, func(ctx context.Context, algo string) traceResult {
+			return runTrace(ctx, cfg, algo, nTCP1, nTCP2)
+		}, resultTrace)
 	}
 }
 
@@ -176,14 +175,14 @@ func init() {
 		ID:       "fig7",
 		PaperRef: "Figure 7",
 		Title:    "Symmetric two-path user (5 TCP flows on each link): OLIA uses both paths, no flappiness; α stays near zero",
-		Collect:  traceExperiment(5, 5),
+		Plan:     traceExperiment(5, 5),
 		Text:     textTrace,
 	})
 	register(&Experiment{
 		ID:       "fig8",
 		PaperRef: "Figure 8",
 		Title:    "Asymmetric two-path user (5 vs 10 TCP flows): OLIA abandons the congested path (w2 ≈ 1); LIA keeps transmitting on it",
-		Collect:  traceExperiment(5, 10),
+		Plan:     traceExperiment(5, 10),
 		Text:     textTrace,
 	})
 }

@@ -41,7 +41,9 @@ const modulePrefix = "mptcpsim/"
 
 // scoped lists the simulation packages (and, implicitly, their
 // subpackages) whose results must be a deterministic function of
-// (spec, seed).
+// (spec, seed), and the experiment registry above them, whose tables must
+// be a deterministic function of (Config, ids): its one fan-out is a
+// runner.Stream, never a goroutine of its own.
 var scoped = []string{
 	"internal/sim",
 	"internal/netem",
@@ -49,6 +51,7 @@ var scoped = []string{
 	"internal/mptcp",
 	"internal/scenario",
 	"internal/trace",
+	"internal/harness",
 }
 
 // InScope reports whether the analyzer applies to the package.

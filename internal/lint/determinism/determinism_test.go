@@ -31,6 +31,7 @@ func TestInScope(t *testing.T) {
 		"mptcpsim/internal/trace/sub":  true,
 		"mptcpsim/internal/scenario":   true,
 		"mptcpsim/internal/scenario/x": true,
+		"mptcpsim/internal/harness":    true,
 	} {
 		if got := determinism.InScope(path); got != want {
 			t.Errorf("InScope(%q) = %v, want %v", path, got, want)

@@ -80,8 +80,8 @@ func TestMapPanicLowestIndex(t *testing.T) {
 	}
 }
 
-// TestMapPanicInNestedFanOut is the harness.RunAll shape: orchestration
-// goroutines each Map over one shared pool. Job 0 of one inner Map panics;
+// TestMapPanicInNestedFanOut is the shape of several callers sharing one
+// Pool: goroutines that each Map over it. Job 0 of one inner Map panics;
 // that Map alone reports the crash while its siblings complete normally,
 // and the shared pool ends with every slot free.
 func TestMapPanicInNestedFanOut(t *testing.T) {

@@ -15,9 +15,9 @@
 //     at most Size jobs execute simultaneously — the bound a user sets with
 //     -j is a guarantee, not a hint. The flip side: a job must not fan out
 //     on the pool it runs on (it would hold its slot while waiting for more
-//     slots — deadlock). Orchestration layers that fan out above Map (e.g.
-//     harness.RunAll running experiments that each sweep jobs) use plain
-//     goroutines and let only leaf work enter the pool.
+//     slots — deadlock). No caller does: a layer with several fan-outs to
+//     run (harness.RunAll and its experiments) deals all their jobs into
+//     one Stream and sorts the deliveries out by index.
 //  3. Cheap when sequential. A one-slot pool runs the whole fan-out inline
 //     on the calling goroutine under a single acquire — no goroutines, and
 //     jobs execute in index order: Workers=1 is the reference sequential
@@ -219,8 +219,8 @@ func runSlot[T any](ctx context.Context, p *Pool, i int, fn func(i int) T) resul
 // with each result on the calling goroutine, in index order, while later
 // jobs are still running. fn must derive everything it needs (seeds
 // included) from its index argument, must not communicate with other jobs,
-// and must not fan out on the same pool (see the package comment; nest with
-// plain goroutines above it instead). Workers claim indices in order and
+// and must not fan out on the same pool (see the package comment; deal the
+// inner jobs into this stream instead). Workers claim indices in order and
 // stay inside the pool's Window of the next index to emit, so a consumer
 // that folds results as they arrive holds at most a window of them.
 //
@@ -371,7 +371,7 @@ func (s *stream[T]) take() (r result[T], ok bool) {
 // in index order regardless of completion order. fn must derive everything
 // it needs (seeds included) from its index argument, must not communicate
 // with other jobs, and must not call Map on the same pool (see the package
-// comment; nest with plain goroutines above Map instead).
+// comment).
 //
 // Cancelling ctx stops unstarted jobs and returns ctx.Err() once every
 // in-flight job has finished; the result slice then holds zero values at

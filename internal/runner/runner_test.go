@@ -91,9 +91,9 @@ func TestMapBoundsConcurrency(t *testing.T) {
 	}
 }
 
-// TestConcurrentMapsShareBound checks the harness.RunAll shape: several
-// orchestration goroutines each Map over one shared pool, and the bound
-// holds across all of them combined.
+// TestConcurrentMapsShareBound checks several callers sharing one Pool:
+// goroutines that each Map over it, and the bound holds across all of them
+// combined.
 func TestConcurrentMapsShareBound(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		p := New(workers)

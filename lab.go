@@ -27,7 +27,8 @@ const (
 	ProgressExperimentFinished
 	// ProgressJobs fires when the call's cumulative job counters change:
 	// simulation jobs for Collect/RunAll, scenarios for Fuzz, cases for
-	// Conform. Total grows as work is discovered, Done as workers finish.
+	// Conform. Total is announced once, before the first job runs; Done
+	// grows as jobs finish.
 	ProgressJobs
 )
 
@@ -89,7 +90,8 @@ func WithSeed(seed int64) Option {
 // event — from any worker goroutine, in any concurrent call on the Lab —
 // passes through one Lab-held lock around fn, so fn never runs twice at
 // once and needs no locking of its own to maintain counters or write to a
-// stream. The flip side: fn runs on worker goroutines and stalls them
+// stream. The flip side: fn runs on the goroutines doing the work (the
+// calling one for Collect and RunAll, workers otherwise) and stalls them
 // while it executes, so it must not block and must not call back into the
 // Lab.
 func WithProgress(fn func(ProgressEvent)) Option {
@@ -138,25 +140,24 @@ func (l *Lab) jobsProgress() func(done, total int) {
 	}
 }
 
-// instrumented returns the Lab's config with the progress bridge installed.
-func (l *Lab) instrumented() Config {
-	cfg := l.cfg
-	if l.progress != nil {
-		harness.SetProgress(&cfg, func(ev harness.Event) {
-			switch ev.Kind {
-			case harness.EventExperimentStart:
-				l.emit(ProgressEvent{Kind: ProgressExperimentStarted, Experiment: ev.Experiment})
-			case harness.EventExperimentDone:
-				// Classify before emitting so sinks can errors.Is-match the
-				// event's Err exactly like the method's returned error.
-				l.emit(ProgressEvent{Kind: ProgressExperimentFinished, Experiment: ev.Experiment,
-					Err: classify("collect", ev.Experiment, ev.Err)})
-			case harness.EventJobs:
-				l.emit(ProgressEvent{Kind: ProgressJobs, Done: ev.JobsDone, Total: ev.JobsTotal})
-			}
-		})
+// harnessProgress bridges harness events into the sink (nil without one).
+// Errors are classified before emitting so sinks can errors.Is-match an
+// event's Err exactly like the error op returns.
+func (l *Lab) harnessProgress(op string) func(harness.Event) {
+	if l.progress == nil {
+		return nil
 	}
-	return cfg
+	return func(ev harness.Event) {
+		switch ev.Kind {
+		case harness.EventExperimentStart:
+			l.emit(ProgressEvent{Kind: ProgressExperimentStarted, Experiment: ev.Experiment})
+		case harness.EventExperimentDone:
+			l.emit(ProgressEvent{Kind: ProgressExperimentFinished, Experiment: ev.Experiment,
+				Err: classify(op, ev.Experiment, ev.Err)})
+		case harness.EventJobs:
+			l.emit(ProgressEvent{Kind: ProgressJobs, Done: ev.JobsDone, Total: ev.JobsTotal})
+		}
+	}
 }
 
 // validConfig tags a rejected configuration with ErrInvalidConfig.
@@ -181,12 +182,9 @@ func (l *Lab) Collect(ctx context.Context, id string) (*Result, error) {
 	if err := l.validConfig(op); err != nil {
 		return nil, err
 	}
-	l.emit(ProgressEvent{Kind: ProgressExperimentStarted, Experiment: id})
-	r, err := e.CollectResult(ctx, l.instrumented())
-	err = classify(op, id, err)
-	l.emit(ProgressEvent{Kind: ProgressExperimentFinished, Experiment: id, Err: err})
+	r, err := e.CollectResult(ctx, l.cfg, l.harnessProgress(op))
 	if err != nil {
-		return nil, err
+		return nil, classify(op, id, err)
 	}
 	return r, nil
 }
@@ -213,7 +211,7 @@ func (l *Lab) RunAll(ctx context.Context, ids []string, format Format, w io.Writ
 			return apiErr(op, id, ErrUnknownExperiment, knownExperimentsErr())
 		}
 	}
-	return classify(op, "", harness.RunAll(ctx, l.instrumented(), ids, format, w))
+	return classify(op, "", harness.RunAll(ctx, l.cfg, ids, format, w, l.harnessProgress(op)))
 }
 
 // Run validates, compiles and executes a declarative scenario, measuring
