@@ -1,9 +1,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -11,6 +9,7 @@ import (
 	"time"
 
 	"mptcpsim"
+	"mptcpsim/internal/campaign"
 	"mptcpsim/internal/runner"
 )
 
@@ -38,15 +37,15 @@ func campaignMain(ctx context.Context, args []string) {
 	}
 	fs.Parse(args)
 
-	spec := *mptcpsim.DefaultCampaign()
+	spec := mptcpsim.DefaultCampaign()
 	if *specPath != "" {
-		data, err := os.ReadFile(*specPath)
+		f, err := os.Open(*specPath)
 		if err != nil {
 			fail(err)
 		}
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		spec, err = campaign.Decode(f)
+		f.Close()
+		if err != nil {
 			fail(fmt.Errorf("%s: %w", *specPath, err))
 		}
 	}
@@ -63,7 +62,7 @@ func campaignMain(ctx context.Context, args []string) {
 	default:
 		fail(fmt.Errorf("unknown campaign format %q (want text or json)", *format))
 	}
-	exitOn(runCampaign(ctx, spec, *jobs, *format, *out),
+	exitOn(runCampaign(ctx, *spec, *jobs, *format, *out),
 		"interrupted — completed scenarios stay cached; re-run to resume")
 }
 

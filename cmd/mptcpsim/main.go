@@ -109,7 +109,7 @@ func main() {
 	}
 
 	cfg := mptcpsim.DefaultConfig()
-	if *full || os.Getenv("MPTCPSIM_FULL") == "1" {
+	if *full {
 		cfg = mptcpsim.FullConfig()
 	}
 	// Non-zero overrides pass through verbatim: bad values (negative

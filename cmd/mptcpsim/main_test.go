@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -15,6 +16,43 @@ import (
 	"mptcpsim/internal/scenario"
 	"mptcpsim/internal/sim"
 )
+
+// mptcpsimTestMain is the environment variable that turns the test binary
+// into the CLI (see TestMain).
+const mptcpsimTestMain = "MPTCPSIM_TEST_MAIN"
+
+// TestMain lets a test run the CLI itself: the test binary started with
+// mptcpsimTestMain set is mptcpsim, with its arguments and its exit code.
+func TestMain(m *testing.M) {
+	if os.Getenv(mptcpsimTestMain) != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestCampaignSpecTrailingData: a -spec file is one JSON object. Bytes
+// after it used to be ignored, so a concatenated or half-edited file ran
+// its first object; now the CLI reports the file and exits 2, before any
+// scenario runs.
+func TestCampaignSpecTrailingData(t *testing.T) {
+	for _, body := range []string{`{} garbage`, `{}{"n":9}`} {
+		path := filepath.Join(t.TempDir(), "spec.json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cmd := exec.Command(os.Args[0], "campaign", "-spec", path, "-n", "1")
+		cmd.Env = append(os.Environ(), mptcpsimTestMain+"=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%q: err %v, want exit status 2; output:\n%s", body, err, out)
+		}
+		if !strings.Contains(string(out), path) || !strings.Contains(string(out), "after the JSON value") {
+			t.Errorf("%q: output does not name the file and the problem:\n%s", body, out)
+		}
+	}
+}
 
 // TestLoadResultsRejectsVacuousFiles pins the diff-input guard: files that
 // parse but hold no results (null, [], {}) must be rejected instead of

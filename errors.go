@@ -9,9 +9,8 @@ import (
 )
 
 // The Lab API's typed error family. Every error returned by a Lab method
-// (and by the deprecated free-function wrappers) is an *Error wrapping
-// exactly one of these sentinels plus the underlying cause, so callers
-// match programmatically instead of parsing messages:
+// is an *Error wrapping exactly one of these sentinels plus the underlying
+// cause, so callers match programmatically instead of parsing messages:
 //
 //	if errors.Is(err, mptcpsim.ErrUnknownExperiment) { ... }
 //	var e *mptcpsim.Error

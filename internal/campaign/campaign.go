@@ -16,7 +16,10 @@
 package campaign
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 
 	"mptcpsim/internal/core"
 	"mptcpsim/internal/mptcp"
@@ -120,8 +123,8 @@ type Spec struct {
 // with 5-60 ms access delays and a light tail of random loss — the shape
 // of the Dual-LTE-in-the-wild measurement mixes — competing with 0-2
 // background TCP flows per path under OLIA or LIA, with a sprinkle of
-// mid-run faults. `mptcpsim campaign` and the serve API start from this
-// spec and let callers override any field.
+// mid-run faults. Decode starts from this spec and lets `mptcpsim campaign`
+// and serve callers override any field.
 func Default() *Spec {
 	return &Spec{
 		Name:         "dual-lte",
@@ -139,6 +142,27 @@ func Default() *Spec {
 		StartJitter:  true,
 		Faults:       FaultSpec{Events: IntRange{Min: 0, Max: 2}, Rate: true, Blackhole: true, Flap: true},
 	}
+}
+
+// Decode reads one campaign spec from outside bytes — the CLI's -spec file,
+// a serve request body — and is the only place that does: the JSON object
+// overlays Default(), so `{}` is the reference population; unknown fields
+// and anything but white space after the object are rejected; and the
+// result is validated.
+func Decode(r io.Reader) (*Spec, error) {
+	sp := Default()
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(sp); err != nil {
+		return nil, fmt.Errorf("decoding campaign spec: %w", err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return nil, errors.New("decoding campaign spec: data after the JSON value")
+	}
+	if err := sp.Validate(); err != nil {
+		return nil, err
+	}
+	return sp, nil
 }
 
 // fill normalizes the omitted counters to their documented defaults.

@@ -25,7 +25,8 @@ type Options struct {
 	// it is simply a constant key component.
 	Version string
 	// Progress, when non-nil, receives cumulative (done, total) scenario
-	// counts; calls are serialized by the runner.
+	// counts — (0, N) first, then one call per scenario folded — on the
+	// goroutine that called Run.
 	Progress func(done, total int)
 }
 
@@ -226,16 +227,18 @@ func Run(ctx context.Context, sp *Spec, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool := runner.New(opts.Workers)
-	prog := runner.NewProgress(opts.Progress)
-	prog.Add(sp.N)
+	progress := opts.Progress
+	if progress == nil {
+		progress = func(int, int) {}
+	}
+	progress(0, sp.N)
 
 	ms := newMetrics()
 	res := &Result{Name: sp.Name, N: sp.N, Seed: sp.Seed, Version: opts.Version}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var failed error
-	err = runner.Stream(ctx, pool, sp.N, func(i int) outcome {
+	err = runner.Stream(ctx, runner.New(opts.Workers), sp.N, func(i int) outcome {
 		spec := sp.SampleSpec(i)
 		// Without a cache there is nothing to address: no key is
 		// derived, and get and put are not called.
@@ -246,7 +249,6 @@ func Run(ctx context.Context, sp *Spec, opts Options) (*Result, error) {
 				return outcome{err: err}
 			}
 			if rep, ok := cc.get(key, spec); ok {
-				prog.Step()
 				return outcome{rep: rep, hit: true}
 			}
 		}
@@ -259,7 +261,6 @@ func Run(ctx context.Context, sp *Spec, opts Options) (*Result, error) {
 				return outcome{err: err}
 			}
 		}
-		prog.Step()
 		return outcome{rep: rep}
 	}, func(i int, o outcome) {
 		if failed != nil {
@@ -282,6 +283,7 @@ func Run(ctx context.Context, sp *Spec, opts Options) (*Result, error) {
 			}
 		}
 		fold(ms, o.rep)
+		progress(i+1, sp.N)
 	})
 	if failed != nil {
 		return nil, failed

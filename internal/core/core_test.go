@@ -322,17 +322,6 @@ func TestTCPRateFormula(t *testing.T) {
 	}
 }
 
-func TestInverseTCPRateRoundTrip(t *testing.T) {
-	p, rtt := 0.013, 0.15
-	x := TCPRate(p, rtt)
-	if got := InverseTCPRate(x, rtt); math.Abs(got-p) > 1e-12 {
-		t.Fatalf("inverse %v, want %v", got, p)
-	}
-	if InverseTCPRate(0, 0.1) != 1 {
-		t.Fatal("degenerate inverse should be 1")
-	}
-}
-
 func TestLIAWindowsEquation2(t *testing.T) {
 	// Symmetric case: equal p, equal rtt → equal windows, and total rate
 	// equals TCP on either path.

@@ -81,12 +81,3 @@ func OLIARates(p, rtts []float64) []float64 {
 	}
 	return rates
 }
-
-// InverseTCPRate returns the loss probability at which a regular TCP user
-// with round-trip time rtt achieves rate x (packets/s): p = 2/(x·rtt)².
-func InverseTCPRate(x, rtt float64) float64 {
-	if x <= 0 || rtt <= 0 {
-		return 1
-	}
-	return 2 / ((x * rtt) * (x * rtt))
-}

@@ -126,7 +126,7 @@ func DefaultConfig() Config {
 }
 
 // FullConfig reproduces the paper's scale (120 s runs, 5 seeds, K=8 fabric,
-// 2..8 subflows). Select it with MPTCPSIM_FULL=1.
+// 2..8 subflows). `mptcpsim -full` selects it.
 func FullConfig() Config {
 	return Config{
 		Duration:   120 * sim.Second,

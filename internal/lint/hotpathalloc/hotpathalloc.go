@@ -3,11 +3,11 @@
 // empirically by the benchmark's netem.allocs_per_pkt and
 // tcp.flow_allocs_per_pkt.
 //
-// A function is hot when it is (a) a method named RunEvent, RunPayload,
-// Recv, Acked, or Lost — the per-packet entry points of sim.Handler,
-// sim.PayloadHandler and netem.Node, and the per-ACK and per-loss entry
-// points of core.Controller, which tcp calls across a package boundary
-// that hotness propagation does not cross — (b) explicitly marked with a
+// A function is hot when it is (a) a method named RunEvent, Recv, Acked,
+// or Lost — the per-packet entry points of sim.Handler and netem.Node, and
+// the per-ACK and per-loss entry points of core.Controller, which tcp
+// calls across a package boundary that hotness propagation does not cross
+// — (b) explicitly marked with a
 // //simlint:hot directive on its doc comment, or (c) statically reachable
 // from a hot function through same-package calls. A //simlint:cold
 // directive excludes a function (a failure/diagnostic path such as an
@@ -55,10 +55,10 @@ var Analyzer = &lint.Analyzer{
 const simPkgPath = "mptcpsim/internal/sim"
 
 // hotEntryNames are method names that make a function a hot root: the
-// kernel dispatches every per-packet event through the first three, and
+// kernel dispatches every per-packet event through the first two, and
 // tcp calls its core.Controller through Acked and Lost on every ACK and
 // loss.
-var hotEntryNames = map[string]bool{"RunEvent": true, "RunPayload": true, "Recv": true, "Acked": true, "Lost": true}
+var hotEntryNames = map[string]bool{"RunEvent": true, "Recv": true, "Acked": true, "Lost": true}
 
 const (
 	hotDirective  = "//simlint:hot"

@@ -128,7 +128,7 @@ func TestSchedulerRegistry(t *testing.T) {
 	}
 }
 
-// TestNewStreamDefaultsToPull: the two constructors agree, and nil means pull.
+// TestNewStreamDefaultsToPull: a nil scheduler means pull.
 func TestNewStreamDefaultsToPull(t *testing.T) {
 	s := sim.New(5)
 	conn := New(s, "x", core.NewOLIA(), tcp.Config{})
@@ -136,7 +136,7 @@ func TestNewStreamDefaultsToPull(t *testing.T) {
 	rev := netem.NewLink(s, netem.LinkConfig{RateBps: 1_000_000, Delay: 0, Kind: netem.QueueDropTail}, "r")
 	sf := conn.AddSubflow(1)
 	sf.SetRoutes(netem.NewRoute(fwd.Q, fwd.P).Append(sf.Sink), netem.NewRoute(rev.Q, rev.P).Append(sf.Src))
-	st := NewStream(conn, 1000, 0)
+	st := NewStreamSched(conn, 1000, 0, nil)
 	if st.SchedulerName() != "pull" {
 		t.Fatalf("default scheduler %q, want pull", st.SchedulerName())
 	}
@@ -377,7 +377,7 @@ func bareStream(t *testing.T, total int64) *Stream {
 	rev := netem.NewLink(s, netem.LinkConfig{RateBps: 1_000_000, Delay: 0, Kind: netem.QueueDropTail}, "r")
 	sf := conn.AddSubflow(1)
 	sf.SetRoutes(netem.NewRoute(fwd.Q, fwd.P).Append(sf.Sink), netem.NewRoute(rev.Q, rev.P).Append(sf.Src))
-	return NewStream(conn, total, 0)
+	return NewStreamSched(conn, total, 0, nil)
 }
 
 func TestReassemblyOutOfOrderDrain(t *testing.T) {

@@ -59,18 +59,11 @@ type dataSpan struct {
 // enough to balance across asymmetric paths, large enough to amortize.
 const DefaultChunk = 16 * 1024
 
-// NewStream attaches a finite stream of totalBytes to conn under the
-// default pull scheduler. Call after the subflows are added and routed but
-// before conn.Start. The connection must have been created with an
-// unbounded tcp.Config (no FlowBytes): the stream owns data assignment.
-// totalBytes must be at least the number of subflows.
-func NewStream(conn *Conn, totalBytes, chunkBytes int64) *Stream {
-	return NewStreamSched(conn, totalBytes, chunkBytes, nil)
-}
-
 // NewStreamSched attaches a finite stream of totalBytes to conn, scheduled
-// by sched (nil means the default pull policy). See NewStream for the
-// wiring contract.
+// by sched (nil means the default pull policy). Call after the subflows are
+// added and routed but before conn.Start. The connection must have been
+// created with an unbounded tcp.Config (no FlowBytes): the stream owns data
+// assignment. totalBytes must be at least the number of subflows.
 func NewStreamSched(conn *Conn, totalBytes, chunkBytes int64, sched Scheduler) *Stream {
 	n := len(conn.subs)
 	if n == 0 {

@@ -22,7 +22,7 @@ func streamRig(seed int64, rate1, rate2 int64, total, chunk int64) (*sim.Sim, *S
 			netem.NewRoute(rev.Q, rev.P).Append(sf.Src),
 		)
 	}
-	return s, NewStream(conn, total, chunk)
+	return s, NewStreamSched(conn, total, chunk, nil)
 }
 
 func TestStreamCompletesExactly(t *testing.T) {
@@ -77,7 +77,7 @@ func TestStreamFasterThanSinglePath(t *testing.T) {
 				netem.NewRoute(rev.Q, rev.P).Append(sf.Src),
 			)
 		}
-		st := NewStream(conn, 8_000_000, 0)
+		st := NewStreamSched(conn, 8_000_000, 0, nil)
 		st.Start(0)
 		s.RunUntil(120 * sim.Second)
 		if !st.Done() {
@@ -135,16 +135,16 @@ func TestStreamValidation(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("no subflows", func() { NewStream(conn, 1000, 0) })
+	mustPanic("no subflows", func() { NewStreamSched(conn, 1000, 0, nil) })
 	fwd := netem.NewLink(s, netem.LinkConfig{RateBps: 1_000_000, Delay: 0, Kind: netem.QueueDropTail}, "f")
 	rev := netem.NewLink(s, netem.LinkConfig{RateBps: 1_000_000, Delay: 0, Kind: netem.QueueDropTail}, "r")
 	sf := conn.AddSubflow(1)
 	sf.SetRoutes(netem.NewRoute(fwd.Q, fwd.P).Append(sf.Sink), netem.NewRoute(rev.Q, rev.P).Append(sf.Src))
-	mustPanic("zero total", func() { NewStream(conn, 0, 0) })
-	mustPanic("negative chunk", func() { NewStream(conn, 1000, -1) })
+	mustPanic("zero total", func() { NewStreamSched(conn, 0, 0, nil) })
+	mustPanic("negative chunk", func() { NewStreamSched(conn, 1000, -1, nil) })
 	// Valid stream, then a second stream on the same conn must reject.
-	NewStream(conn, 1000, 0)
-	mustPanic("double stream", func() { NewStream(conn, 1000, 0) })
+	NewStreamSched(conn, 1000, 0, nil)
+	mustPanic("double stream", func() { NewStreamSched(conn, 1000, 0, nil) })
 }
 
 func TestStreamGoodputConsistency(t *testing.T) {

@@ -6,10 +6,11 @@
 // Design constraints, in order:
 //
 //  1. Determinism. A job's inputs (notably its RNG seed) must never depend
-//     on scheduling: callers derive every job from its index, Stream
-//     delivers results in index order and Map returns them slotted by
-//     index. Byte-identical output for any worker count falls out of
-//     merging in index order.
+//     on scheduling: callers derive every job from its index, and Stream
+//     delivers results in index order on the calling goroutine, which is
+//     where every caller folds them and counts progress. Byte-identical
+//     output for any worker count falls out of that. (Map is the slotted
+//     wrapper around Stream that the benchmark rigs and tests call.)
 //  2. An exact, shareable bound. Every job blocks for a pool slot and holds
 //     it only while running, so across all concurrent fan-outs on one Pool
 //     at most Size jobs execute simultaneously — the bound a user sets with
@@ -58,8 +59,8 @@ import (
 )
 
 // ErrJobPanic is the sentinel wrapped by every recovered job panic;
-// errors.Is(err, ErrJobPanic) classifies a Map failure as a crash rather
-// than a cancellation.
+// errors.Is(err, ErrJobPanic) classifies a fan-out's failure as a crash
+// rather than a cancellation.
 var ErrJobPanic = errors.New("job panicked")
 
 // PanicError reports one recovered job panic: which job crashed, the value
@@ -77,44 +78,6 @@ func (e *PanicError) Error() string {
 
 func (e *PanicError) Unwrap() error { return ErrJobPanic }
 
-// Progress serializes cumulative (done, total) job-progress notifications
-// for one fan-out call. The counter update and its notification happen
-// under one lock so the stream an observer sees is monotone: with bare
-// atomics, two workers could increment in one order and deliver their
-// callbacks in the other, making the observed counter go backwards.
-type Progress struct {
-	mu          sync.Mutex
-	fn          func(done, total int)
-	done, total int
-}
-
-// NewProgress wraps a sink (nil is allowed and makes every method a no-op).
-func NewProgress(fn func(done, total int)) *Progress {
-	return &Progress{fn: fn}
-}
-
-// Add registers n upcoming jobs and notifies the sink.
-func (p *Progress) Add(n int) {
-	if p.fn == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.total += n
-	p.fn(p.done, p.total)
-}
-
-// Step counts one finished job and notifies the sink.
-func (p *Progress) Step() {
-	if p.fn == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.done++
-	p.fn(p.done, p.total)
-}
-
 // Workers normalizes a worker-count setting: values <= 0 select
 // runtime.GOMAXPROCS(0), anything else is returned unchanged.
 func Workers(n int) int {
@@ -125,7 +88,7 @@ func Workers(n int) int {
 }
 
 // Pool bounds how many jobs execute simultaneously, across every
-// concurrent Map call sharing it. The zero value is not usable; construct
+// concurrent fan-out sharing it. The zero value is not usable; construct
 // with New.
 type Pool struct {
 	sem chan struct{}

@@ -361,15 +361,20 @@ func (n *Net) AddFlow(name string, fs *FlowSpec, id int, routes []Route, start s
 		f.Conn = conn
 	}
 	if fs.StopSec > 0 {
-		srcs := f.Srcs
-		n.Sim.At(sim.Seconds(fs.StopSec), func() {
-			for _, s := range srcs {
-				s.Pause()
-			}
-		})
+		n.Sim.Schedule(sim.Seconds(fs.StopSec), (*flowStop)(f))
 	}
 	n.Flows = append(n.Flows, f)
 	return f
+}
+
+// flowStop is a flow's FlowSpec.StopSec event: it pauses every sender
+// (sim.Handler).
+type flowStop Flow
+
+func (f *flowStop) RunEvent(sim.Time) {
+	for _, s := range f.Srcs {
+		s.Pause()
+	}
 }
 
 // OnComplete has fn called once with the transfer's duration when a finite

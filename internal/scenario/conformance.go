@@ -175,9 +175,9 @@ type ConformanceOptions struct {
 	// Workers bounds concurrent packet runs.
 	Workers int
 	// Progress, when non-nil, receives the cumulative (done, total) case
-	// counts as the suite advances (the fixed-point check counts as one
-	// case). It is called from worker goroutines and must be safe for
-	// concurrent use.
+	// counts (the fixed-point check and each scheduler check count as one
+	// case) — (0, total) first, then one call per case folded — on the
+	// goroutine that called RunConformance.
 	Progress func(done, total int) `json:"-"`
 }
 
@@ -384,11 +384,13 @@ func runFixedPoint(ctx context.Context, durationSec float64) (FixedPointCheck, e
 
 // RunConformance runs every conformance case plus the scenario-A
 // fixed-point check. Cases are independent simulations and run
-// concurrently on opts.Workers workers; results are merged in case order.
+// concurrently on opts.Workers workers in one runner.Stream; results are
+// folded into the report in case order as they arrive.
 //
 // Cancelling ctx stops unstarted cases at the next job boundary (running
 // cases abandon their packet runs at a one-second virtual-time boundary)
-// and returns an error wrapping ctx.Err().
+// and returns an error wrapping ctx.Err(). The first case to fail, in case
+// order, is the error returned.
 func RunConformance(ctx context.Context, opts ConformanceOptions) (*ConformanceReport, error) {
 	opts = opts.fill()
 	cases := ConformanceCases()
@@ -403,10 +405,13 @@ func RunConformance(ctx context.Context, opts ConformanceOptions) (*ConformanceR
 	// Job layout: the share cases, then the fixed-point check, then one
 	// capacity check per registered scheduler.
 	total := len(cases) + 1 + len(scheds)
-	progress := newProgressCounter(opts.Progress, total)
-	pool := runner.New(opts.Workers)
-	results, err := runner.Map(ctx, pool, total, func(i int) outcome {
-		defer progress.Step()
+	progress := opts.Progress
+	if progress == nil {
+		progress = func(int, int) {}
+	}
+	progress(0, total)
+	var failed error
+	err := runner.Stream(ctx, runner.New(opts.Workers), total, func(i int) outcome {
 		switch {
 		case i < len(cases):
 			res, err := runCase(ctx, cases[i], opts)
@@ -418,18 +423,16 @@ func RunConformance(ctx context.Context, opts ConformanceOptions) (*ConformanceR
 			sc, err := runSchedCheck(ctx, scheds[i-len(cases)-1], opts)
 			return outcome{sc: sc, err: err}
 		}
-	})
-	if err != nil {
-		return nil, fmt.Errorf("scenario: conformance suite canceled: %w", err)
-	}
-	for i, out := range results {
+	}, func(i int, out outcome) {
+		progress(i+1, total)
 		switch {
+		case failed != nil:
 		case out.err != nil && i < len(cases):
-			return nil, fmt.Errorf("scenario: conformance case %s/%s: %w", cases[i].Name, cases[i].Algo, out.err)
+			failed = fmt.Errorf("scenario: conformance case %s/%s: %w", cases[i].Name, cases[i].Algo, out.err)
 		case out.err != nil && i == len(cases):
-			return nil, fmt.Errorf("scenario: conformance fixed-point check: %w", out.err)
+			failed = fmt.Errorf("scenario: conformance fixed-point check: %w", out.err)
 		case out.err != nil:
-			return nil, fmt.Errorf("scenario: conformance scheduler check %s: %w", scheds[i-len(cases)-1], out.err)
+			failed = fmt.Errorf("scenario: conformance scheduler check %s: %w", scheds[i-len(cases)-1], out.err)
 		case i < len(cases):
 			rep.Results = append(rep.Results, out.res)
 		case i == len(cases):
@@ -437,6 +440,12 @@ func RunConformance(ctx context.Context, opts ConformanceOptions) (*ConformanceR
 		default:
 			rep.Schedulers = append(rep.Schedulers, out.sc)
 		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("scenario: conformance suite canceled: %w", err)
+	}
+	if failed != nil {
+		return nil, failed
 	}
 	return rep, nil
 }

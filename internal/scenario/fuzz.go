@@ -22,8 +22,8 @@ type FuzzOptions struct {
 	// outcome never depends on scheduling.
 	Workers int
 	// Progress, when non-nil, receives the cumulative (done, total)
-	// scenario counts as the campaign advances. It is called from worker
-	// goroutines and must be safe for concurrent use.
+	// scenario counts — (0, N) first, then one call per scenario folded —
+	// on the goroutine that called Fuzz.
 	Progress func(done, total int) `json:"-"`
 }
 
@@ -63,7 +63,9 @@ func (r *FuzzReport) Failed() bool { return len(r.Failures) > 0 }
 // Fuzz generates opts.N scenarios and runs each one twice: once checking
 // the runtime and post-run invariants (see Run), and a second time to
 // verify the run is byte-identical — same event count, same per-flow byte
-// counts, same queue counters — under the same seed.
+// counts, same queue counters — under the same seed. Scenarios run on one
+// runner.Stream and are folded into the report in index order as they
+// arrive.
 //
 // Cancelling ctx stops unstarted scenarios at the next job boundary and
 // returns an error wrapping ctx.Err(); the partial campaign is discarded.
@@ -75,10 +77,12 @@ func Fuzz(ctx context.Context, opts FuzzOptions) (*FuzzReport, error) {
 		flows, links int
 		failure      *FuzzFailure
 	}
-	progress := newProgressCounter(opts.Progress, opts.N)
-	pool := runner.New(opts.Workers)
-	results, err := runner.Map(ctx, pool, opts.N, func(i int) outcome {
-		defer progress.Step()
+	progress := opts.Progress
+	if progress == nil {
+		progress = func(int, int) {}
+	}
+	progress(0, opts.N)
+	err := runner.Stream(ctx, runner.New(opts.Workers), opts.N, func(i int) outcome {
 		sp := GenSpec(opts.Seed, i)
 		var out outcome
 		out.links = len(sp.Links)
@@ -110,17 +114,17 @@ func Fuzz(ctx context.Context, opts FuzzOptions) (*FuzzReport, error) {
 			out.failure = &FuzzFailure{Index: i, Name: sp.Name, Violations: violations}
 		}
 		return out
-	})
-	if err != nil {
-		return nil, fmt.Errorf("scenario: fuzz campaign canceled: %w", err)
-	}
-	for _, out := range results {
+	}, func(i int, out outcome) {
 		rep.Events += out.events
 		rep.Flows += out.flows
 		rep.Links += out.links
 		if out.failure != nil {
 			rep.Failures = append(rep.Failures, *out.failure)
 		}
+		progress(i+1, opts.N)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("scenario: fuzz campaign canceled: %w", err)
 	}
 	return rep, nil
 }

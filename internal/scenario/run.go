@@ -90,6 +90,8 @@ type monitor struct {
 	prevCum   []int64
 	prevAcked []int64
 	maxLen    []int
+	// qBase holds each link's queue counters as the warm-up closed.
+	qBase []netem.Counters
 }
 
 func newMonitor(n *Net, r *RunReport) *monitor {
@@ -103,6 +105,26 @@ func newMonitor(n *Net, r *RunReport) *monitor {
 		prevCum:   make([]int64, nEnd),
 		prevAcked: make([]int64, nEnd),
 		maxLen:    make([]int, len(n.Links)),
+		qBase:     make([]netem.Counters, len(n.Links)),
+	}
+}
+
+// windowOpen is the monitor's one-shot event at Net.Warmup: it snaps the
+// bases the measured window is counted from (sim.Handler).
+type windowOpen monitor
+
+// RunEvent allocates each flow's Window, once per run.
+//
+//simlint:cold
+func (w *windowOpen) RunEvent(sim.Time) {
+	for i, l := range w.net.Links {
+		w.qBase[i] = l.Queue.Stats()
+	}
+	for _, f := range w.net.Flows {
+		f.Window = make([]int64, len(f.Sinks))
+		for pi, k := range f.Sinks {
+			f.Window[pi] = k.GoodputBytes()
+		}
 	}
 }
 
@@ -195,19 +217,7 @@ func (n *Net) Run(ctx context.Context) (*RunReport, error) {
 	r := &RunReport{Name: n.Name, Seed: n.Seed}
 	m := newMonitor(n, r)
 
-	// Window bases, snapped when the warm-up closes.
-	qBase := make([]netem.Counters, len(n.Links))
-	n.Sim.At(n.Warmup, func() {
-		for i, l := range n.Links {
-			qBase[i] = l.Queue.Stats()
-		}
-		for _, f := range n.Flows {
-			f.Window = make([]int64, len(f.Sinks))
-			for pi, k := range f.Sinks {
-				f.Window[pi] = k.GoodputBytes()
-			}
-		}
-	})
+	n.Sim.Schedule(n.Warmup, (*windowOpen)(m))
 	m.RunEvent(0) // first sample at t=0, then every samplePeriod
 	if err := advanceUntil(ctx, n.Sim, 0, n.End); err != nil {
 		return nil, fmt.Errorf("scenario %q: run canceled: %w", n.Name, err)
@@ -255,7 +265,7 @@ func (n *Net) Run(ctx context.Context) (*RunReport, error) {
 		qr := QueueReport{
 			Link:     i,
 			Total:    c,
-			Window:   c.Sub(qBase[i]),
+			Window:   c.Sub(m.qBase[i]),
 			FinalLen: l.Queue.Len(),
 			MaxLen:   m.maxLen[i],
 		}
@@ -269,6 +279,30 @@ func (n *Net) Run(ctx context.Context) (*RunReport, error) {
 	checkConservation(n, r)
 	checkCapacity(n, r)
 	return r, nil
+}
+
+// advanceUntil advances s from virtual time `from` to `to`, observing ctx
+// at one-second virtual-time boundaries and returning ctx.Err() when
+// cancelled mid-run. sim.RunUntil is exact at window boundaries, so the
+// sliced execution processes the identical event sequence as one
+// uninterrupted call; with a non-cancellable context the slicing is
+// skipped entirely.
+func advanceUntil(ctx context.Context, s *sim.Sim, from, to sim.Time) error {
+	if ctx.Done() == nil {
+		s.RunUntil(to)
+		return nil
+	}
+	for t := from; t < to; {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		t += sim.Second
+		if t > to {
+			t = to
+		}
+		s.RunUntil(t)
+	}
+	return ctx.Err()
 }
 
 // checkConservation verifies per-queue and global packet accounting at the

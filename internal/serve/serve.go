@@ -32,6 +32,7 @@ import (
 	"sync"
 
 	"mptcpsim"
+	"mptcpsim/internal/campaign"
 )
 
 // Config scales the service.
@@ -207,14 +208,8 @@ func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) {
 // default population, so `{}` is a valid submission — validates it, and
 // starts the job. Responds 202 with the job's id and initial status.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec := *mptcpsim.DefaultCampaign()
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding campaign spec: %v", err))
-		return
-	}
-	if err := spec.Validate(); err != nil {
+	spec, err := campaign.Decode(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -249,7 +244,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Snapshot before the job starts: a one-scenario cache hit can finish
 	// before this handler's next line, and 202 promises the initial status.
 	st, _, _ := j.snapshot()
-	go s.run(jobCtx, j, spec)
+	go s.run(jobCtx, j, *spec)
 	writeJSON(w, http.StatusAccepted, st)
 }
 

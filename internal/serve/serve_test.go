@@ -301,6 +301,8 @@ func TestServeSubmitRejects(t *testing.T) {
 		{"invalid spec", `{"n":4,"algorithms":["nope"]}`},
 		{"oversized", `{"n":51}`},
 		{"negative n", `{"n":-1}`},
+		{"trailing garbage", `{} garbage`},
+		{"second value", `{}{"n":9}`},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(c.body))

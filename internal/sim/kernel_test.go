@@ -102,26 +102,6 @@ type handlerFunc func(Time)
 
 func (f handlerFunc) RunEvent(now Time) { f(now) }
 
-type payloadRecorder struct {
-	got []any
-}
-
-func (p *payloadRecorder) RunPayload(now Time, payload any) {
-	p.got = append(p.got, payload)
-}
-
-func TestSchedulePayload(t *testing.T) {
-	s := New(1)
-	r := &payloadRecorder{}
-	x, y := new(int), new(int)
-	s.SchedulePayload(2*Millisecond, r, y)
-	s.SchedulePayload(Millisecond, r, x)
-	s.Run()
-	if len(r.got) != 2 || r.got[0] != x || r.got[1] != y {
-		t.Fatalf("payloads = %v, want [x y]", r.got)
-	}
-}
-
 // TestEventPoolRecyclesFireAndForget proves fire-and-forget events come from
 // and return to the free list: a long self-rescheduling chain must run on a
 // single pooled Event.

@@ -26,11 +26,6 @@ type qnode struct {
 	seq      uint64
 }
 
-// qpayload runs a node through the PayloadHandler path.
-type qpayload struct{}
-
-func (qpayload) RunPayload(now Time, p any) { p.(*qnode).RunEvent(now) }
-
 type qmodel struct {
 	t    testing.TB
 	s    *Sim
@@ -171,14 +166,10 @@ func (m *qmodel) pick() *qnode {
 func (m *qmodel) op(self *qnode) {
 	s := m.s
 	switch code := m.next() % 12; code {
-	case 0: // fire-and-forget
+	case 0, 1: // fire-and-forget (1 was the payload kind: committed programs keep their meaning)
 		n, at := m.newNode(false), m.when()
 		m.enqueue(n, at, m.takeSeq())
 		s.Schedule(at, n)
-	case 1: // fire-and-forget with payload
-		n, at := m.newNode(false), m.when()
-		m.enqueue(n, at, m.takeSeq())
-		s.SchedulePayload(at, qpayload{}, n)
 	case 2:
 		n, at := m.newNode(true), m.when()
 		m.enqueue(n, at, m.takeSeq())

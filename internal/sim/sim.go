@@ -12,9 +12,9 @@
 // path: the event queue is an inlined, index-tracked 4-ary min-heap whose
 // slots carry their (at, seq) key inline (no container/heap interface
 // boxing, no pointer chase per comparison), events are recycled through a
-// per-Sim free list, and the Handler fast path schedules without allocating
-// a closure. At/After remain as closure-taking conveniences for
-// cold paths. See DESIGN.md "Performance & memory model".
+// per-Sim free list, and scheduling a Handler allocates nothing. At/After
+// remain as closure-taking conveniences for tests and benchmark rigs. See
+// DESIGN.md "Performance & memory model".
 package sim
 
 import (
@@ -56,26 +56,23 @@ func (t Time) String() string {
 	return string(b)
 }
 
-// Handler is the closure-free scheduling fast path: per-packet hot sites
-// (pipe delivery, queue service completion, protocol timers) implement
-// RunEvent on a long-lived component so scheduling allocates nothing.
+// Handler is the one kind of event callback: a component (pipe delivery,
+// queue service completion, protocol timer, a run's warm-up snapshot)
+// implements RunEvent on a long-lived value, so scheduling it allocates
+// nothing.
 type Handler interface {
 	RunEvent(now Time)
 }
 
-// PayloadHandler is a Handler variant carrying an opaque payload (for
-// example a *netem.Packet). Storing a pointer in the any does not allocate.
-// The constant-delay Pipe batches its packets behind one timer instead, so
-// no built-in component needs this today; it exists for one-shot
-// packet-carrying events (loss or jitter injectors, replay drivers) that
-// have no natural FIFO ring.
-type PayloadHandler interface {
-	RunPayload(now Time, payload any)
-}
+// funcHandler adapts a closure to Handler for At and After. A func value is
+// pointer-shaped, so storing one in the interface does not allocate.
+type funcHandler func()
+
+func (f funcHandler) RunEvent(Time) { f() }
 
 // Event is one scheduled callback. Events are owned by the kernel: user
 // code holds Timer handles, never *Event. Fire-and-forget events (Schedule,
-// SchedulePayload) are recycled through the free list as they run; retained
+// ScheduleAfter) are recycled through the free list as they run; retained
 // events (At, After, ScheduleTimer) stay re-armable until explicitly freed.
 type Event struct {
 	at  Time   // last armed time (Timer.When); the ordering key lives in the heap slot
@@ -85,13 +82,7 @@ type Event struct {
 	// are never auto-recycled, keeping Cancel/Reschedule re-arm semantics.
 	retained bool
 
-	// cb holds the callback: a Handler, a func() closure, or a
-	// PayloadHandler (with payload). Funcs and pointers are pointer-shaped,
-	// so storing them in the any never allocates; dispatch is a type
-	// switch. Sharing one callback slot across the three kinds (instead of
-	// a field per kind) keeps Event within one 64-byte cache line.
-	cb      any
-	payload any
+	cb Handler
 }
 
 // Timer is a handle to a scheduled event. The zero Timer is inert. A Timer
@@ -169,12 +160,11 @@ func (s *Sim) alloc() *Event {
 }
 
 // recycle returns e to the free list. The generation bump turns every
-// outstanding Timer for e stale; references are cleared so the list does
-// not retain closures or payloads.
+// outstanding Timer for e stale; the callback is cleared so the list does
+// not retain it.
 func (s *Sim) recycle(e *Event) {
 	e.gen++
 	e.cb = nil
-	e.payload = nil
 	e.retained = false
 	e.idx = -1
 	s.free = append(s.free, e)
@@ -327,15 +317,10 @@ func (s *Sim) arm(e *Event, t Time, seq uint64) {
 // re-armable handle. Scheduling in the past panics: that is always a model
 // bug and silently reordering time would make results meaningless.
 //
-// At allocates a closure slot per call; hot paths should implement Handler
-// and use Schedule/ScheduleTimer instead.
+// At allocates a closure slot per call; model code implements Handler and
+// uses Schedule/ScheduleTimer instead.
 func (s *Sim) At(t Time, fn func()) Timer {
-	s.checkFuture(t)
-	e := s.alloc()
-	e.cb = fn
-	e.retained = true
-	s.arm(e, t, s.takeSeq())
-	return Timer{e, e.gen}
+	return s.ScheduleTimer(t, funcHandler(fn))
 }
 
 // After schedules fn to run d after the current time.
@@ -362,21 +347,6 @@ func (s *Sim) ScheduleAfter(d Time, h Handler) {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
 	s.Schedule(s.now+d, h)
-}
-
-// SchedulePayload arms h at absolute time t carrying payload,
-// fire-and-forget. Pointer payloads are stored without allocation. h must
-// not also implement Handler: dispatch discriminates by interface, and the
-// plain-Handler case wins.
-func (s *Sim) SchedulePayload(t Time, h PayloadHandler, payload any) {
-	s.checkFuture(t)
-	if _, both := h.(Handler); both {
-		panic("sim: payload handler must not also implement Handler")
-	}
-	e := s.alloc()
-	e.cb = h
-	e.payload = payload
-	s.arm(e, t, s.takeSeq())
 }
 
 // ScheduleTimer arms h at absolute time t and returns a re-armable handle,
@@ -519,23 +489,14 @@ func (s *Sim) step() bool {
 	e.idx = -1
 	s.now = top.at
 	s.nEvents++
-	cb, payload := e.cb, e.payload
+	cb := e.cb
 	if !e.retained {
 		// Recycle before dispatch: a handler that immediately reschedules
 		// (a self-ticking component) reuses this very event, so the steady
 		// state runs on a single pooled Event.
 		s.recycle(e)
 	}
-	switch v := cb.(type) {
-	case Handler:
-		v.RunEvent(s.now)
-	case func():
-		v()
-	case PayloadHandler:
-		v.RunPayload(s.now, payload)
-	default:
-		panic("sim: event without a callback")
-	}
+	cb.RunEvent(s.now)
 	return true
 }
 

@@ -6,43 +6,6 @@ import (
 	"sort"
 )
 
-// This file holds the streaming aggregators of the campaign engine: a
-// merge law for Summary (so per-shard moments combine into campaign-wide
-// moments) and Sketch, a deterministic quantile sketch with O(1) memory at
-// any stream length. Both are pure float64 arithmetic — no randomness, no
-// wall clock — so a fold over a deterministic sample stream is itself
-// deterministic, the property the campaign digest rests on.
-
-// Merge folds another summary into s as if every observation of o had been
-// Added to s (Chan, Golub & LeVeque's pairwise update for mean and M2).
-//
-// The merged moments are exact in real arithmetic but are NOT bitwise
-// identical to replaying o's observations through Add — floating-point
-// addition is not associative. Callers that need bit-reproducible
-// aggregates (the campaign engine's worker-count identity) must therefore
-// fold observations one at a time in a canonical order; Merge exists for
-// the approximate uses where shard-level summaries are all that is left.
-func (s *Summary) Merge(o *Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	n := float64(s.n + o.n)
-	d := o.mean - s.mean
-	s.m2 += o.m2 + d*d*float64(s.n)*float64(o.n)/n
-	s.mean += d * float64(o.n) / n
-	s.n += o.n
-}
-
 // Sketch is a deterministic streaming quantile sketch over non-negative
 // observations: a geometric (log-bucketed) histogram in the style of
 // DDSketch. Values map to the bucket ⌈log_γ(x)⌉ with γ = (1+α)/(1−α), so
@@ -50,13 +13,12 @@ func (s *Summary) Merge(o *Summary) {
 // bounded by the dynamic range of the stream (one counter per occupied
 // bucket — O(1) in the stream length), and, unlike sampling-based sketches,
 // the result is a pure function of the multiset of observations: Add is
-// draw-free, Merge is bucket-wise integer addition (exact, commutative,
-// associative), and Quantile reads buckets in sorted order. Two campaigns
-// folding the same samples agree bit for bit regardless of chunking.
+// draw-free integer counting and Quantile reads buckets in sorted order —
+// no randomness, no wall clock — so two campaigns folding the same samples
+// agree bit for bit, the property the campaign digest rests on.
 //
 // The zero value is not usable; construct with NewSketch.
 type Sketch struct {
-	alpha  float64
 	gamma  float64 // (1+α)/(1−α)
 	lgG    float64 // log(γ)
 	counts map[int]int64
@@ -81,7 +43,6 @@ func NewSketch(alpha float64) *Sketch {
 	}
 	gamma := (1 + alpha) / (1 - alpha)
 	return &Sketch{
-		alpha:  alpha,
 		gamma:  gamma,
 		lgG:    math.Log(gamma),
 		counts: make(map[int]int64),
@@ -113,21 +74,6 @@ func (s *Sketch) value(i int) float64 {
 
 // N reports the number of observations.
 func (s *Sketch) N() int64 { return s.total }
-
-// Merge folds another sketch into s: bucket-wise addition, exact and
-// commutative, so the merged sketch equals the sketch of the concatenated
-// streams no matter how the observations were sharded. The sketches must
-// share one α.
-func (s *Sketch) Merge(o *Sketch) {
-	if o.alpha != s.alpha {
-		panic(fmt.Sprintf("stats: merging quantile sketches with different error bounds (%g vs %g)", s.alpha, o.alpha))
-	}
-	s.zeros += o.zeros
-	s.total += o.total
-	for i, c := range o.counts {
-		s.counts[i] += c
-	}
-}
 
 // Quantile reports the q-th quantile (q in [0, 1]) of the ingested stream:
 // the representative value of the bucket holding the observation of rank

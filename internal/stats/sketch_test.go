@@ -6,55 +6,6 @@ import (
 	"testing"
 )
 
-func TestSummaryMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = 10 * rng.Float64()
-	}
-	var whole Summary
-	for _, x := range xs {
-		whole.Add(x)
-	}
-	// Merge shards of varied sizes and compare moments to the single fold.
-	for _, cut := range []int{0, 1, 250, 499, 500} {
-		var a, b Summary
-		for _, x := range xs[:cut] {
-			a.Add(x)
-		}
-		for _, x := range xs[cut:] {
-			b.Add(x)
-		}
-		a.Merge(&b)
-		if a.N() != whole.N() {
-			t.Fatalf("cut %d: merged N = %d, want %d", cut, a.N(), whole.N())
-		}
-		if math.Abs(a.Mean()-whole.Mean()) > 1e-9 {
-			t.Errorf("cut %d: merged mean %g, want %g", cut, a.Mean(), whole.Mean())
-		}
-		if math.Abs(a.Var()-whole.Var()) > 1e-9 {
-			t.Errorf("cut %d: merged variance %g, want %g", cut, a.Var(), whole.Var())
-		}
-		if a.Min() != whole.Min() || a.Max() != whole.Max() {
-			t.Errorf("cut %d: merged extremes [%g, %g], want [%g, %g]",
-				cut, a.Min(), a.Max(), whole.Min(), whole.Max())
-		}
-	}
-}
-
-func TestSummaryMergeEmpty(t *testing.T) {
-	var a, b Summary
-	a.Add(3)
-	a.Merge(&b) // merging an empty summary changes nothing
-	if a.N() != 1 || a.Mean() != 3 {
-		t.Fatalf("merge of empty changed summary: n=%d mean=%g", a.N(), a.Mean())
-	}
-	b.Merge(&a) // merging into an empty summary copies
-	if b.N() != 1 || b.Mean() != 3 || b.Min() != 3 || b.Max() != 3 {
-		t.Fatalf("merge into empty: n=%d mean=%g min=%g max=%g", b.N(), b.Mean(), b.Min(), b.Max())
-	}
-}
-
 func TestSketchRelativeError(t *testing.T) {
 	s := NewSketch(DefaultQuantileError)
 	rng := rand.New(rand.NewSource(11))
@@ -69,41 +20,6 @@ func TestSketchRelativeError(t *testing.T) {
 		if math.Abs(got-want)/want > 3*DefaultQuantileError {
 			t.Errorf("q=%g: sketch %g vs exact %g, beyond relative error bound", q, got, want)
 		}
-	}
-}
-
-func TestSketchMergeCommutes(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	xs := make([]float64, 300)
-	for i := range xs {
-		xs[i] = 100 * rng.Float64()
-	}
-	whole := NewSketch(DefaultQuantileError)
-	for _, x := range xs {
-		whole.Add(x)
-	}
-	a, b := NewSketch(DefaultQuantileError), NewSketch(DefaultQuantileError)
-	for i, x := range xs {
-		if i%3 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	ab := NewSketch(DefaultQuantileError)
-	ab.Merge(a)
-	ab.Merge(b)
-	ba := NewSketch(DefaultQuantileError)
-	ba.Merge(b)
-	ba.Merge(a)
-	for _, q := range []float64{0, 0.25, 0.5, 0.75, 0.99, 1} {
-		if ab.Quantile(q) != ba.Quantile(q) || ab.Quantile(q) != whole.Quantile(q) {
-			t.Errorf("q=%g: merge order changed the quantile: %g / %g / whole %g",
-				q, ab.Quantile(q), ba.Quantile(q), whole.Quantile(q))
-		}
-	}
-	if ab.N() != int64(len(xs)) {
-		t.Errorf("merged N = %d, want %d", ab.N(), len(xs))
 	}
 }
 
@@ -155,12 +71,4 @@ func TestNewSketchRejectsBadAlpha(t *testing.T) {
 			NewSketch(alpha)
 		}()
 	}
-	s := NewSketch(0.01)
-	o := NewSketch(0.02)
-	defer func() {
-		if recover() == nil {
-			t.Error("merging sketches with different α did not panic")
-		}
-	}()
-	s.Merge(o)
 }

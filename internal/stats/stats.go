@@ -174,20 +174,3 @@ const MSSBytes = 1500
 func PktsPerSecMbps(pktsPerSec float64) float64 {
 	return pktsPerSec * MSSBytes * 8 / 1e6
 }
-
-// JainIndex computes Jain's fairness index Σx² form: (Σx)²/(n·Σx²) — 1 for
-// perfectly equal allocations, 1/n in the most unfair case.
-func JainIndex(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum, sum2 float64
-	for _, x := range xs {
-		sum += x
-		sum2 += x * x
-	}
-	if sum2 == 0 {
-		return 0
-	}
-	return sum * sum / (float64(len(xs)) * sum2)
-}

@@ -170,43 +170,3 @@ func TestPktsPerSecMbps(t *testing.T) {
 		t.Fatal("zero rate")
 	}
 }
-
-func TestJainIndex(t *testing.T) {
-	if got := JainIndex([]float64{1, 1, 1, 1}); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("equal allocation %v", got)
-	}
-	if got := JainIndex([]float64{1, 0, 0, 0}); math.Abs(got-0.25) > 1e-12 {
-		t.Fatalf("max unfair %v", got)
-	}
-	if JainIndex(nil) != 0 || JainIndex([]float64{0, 0}) != 0 {
-		t.Fatal("degenerate cases")
-	}
-}
-
-// Property: Jain's index is scale-invariant and within (0, 1].
-func TestPropertyJainScaleInvariant(t *testing.T) {
-	f := func(xs []uint16, k uint8) bool {
-		if len(xs) == 0 {
-			return true
-		}
-		scale := 1 + float64(k)
-		a := make([]float64, len(xs))
-		b := make([]float64, len(xs))
-		var nonzero bool
-		for i, x := range xs {
-			a[i] = float64(x)
-			b[i] = float64(x) * scale
-			if x != 0 {
-				nonzero = true
-			}
-		}
-		if !nonzero {
-			return true
-		}
-		ja, jb := JainIndex(a), JainIndex(b)
-		return math.Abs(ja-jb) < 1e-9 && ja > 0 && ja <= 1+1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(3))}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -62,7 +62,7 @@ type Lab struct {
 	cfg      Config
 	watchdog time.Duration
 	progress func(ProgressEvent)
-	mu       sync.Mutex // serializes progress delivery
+	mu       sync.Mutex // serializes progress delivery across concurrent calls
 }
 
 // Option configures a Lab at construction.
@@ -86,14 +86,14 @@ func WithSeed(seed int64) Option {
 	return func(l *Lab) { l.cfg.BaseSeed = seed }
 }
 
-// WithProgress installs a progress sink. Delivery is serialized: every
-// event — from any worker goroutine, in any concurrent call on the Lab —
-// passes through one Lab-held lock around fn, so fn never runs twice at
-// once and needs no locking of its own to maintain counters or write to a
-// stream. The flip side: fn runs on the goroutines doing the work (the
-// calling one for Collect and RunAll, workers otherwise) and stalls them
-// while it executes, so it must not block and must not call back into the
-// Lab.
+// WithProgress installs a progress sink. fn runs on the goroutine that
+// called the Lab method, for every method: each engine counts progress
+// where it folds results, never on a worker. Delivery is also serialized
+// across concurrent calls on one Lab — every event passes through one
+// Lab-held lock around fn — so fn never runs twice at once and needs no
+// locking of its own to maintain counters or write to a stream. fn stalls
+// the call's fold while it executes, so it must not block and must not
+// call back into the Lab.
 func WithProgress(fn func(ProgressEvent)) Option {
 	return func(l *Lab) { l.progress = fn }
 }

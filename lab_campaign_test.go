@@ -1,9 +1,12 @@
 package mptcpsim
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"regexp"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -103,5 +106,72 @@ func TestProgressSerialized(t *testing.T) {
 	}
 	if n := overlaps.Load(); n > 0 {
 		t.Fatalf("progress sink ran concurrently %d times; WithProgress promises serialized delivery", n)
+	}
+}
+
+// goroutineID reads the running goroutine's number off its stack header
+// ("goroutine 18 [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	return string(bytes.Fields(buf[:runtime.Stack(buf, false)])[1])
+}
+
+// TestProgressContract: every engine behind a Lab method counts progress
+// where it folds results, so all of them report it the same way — (0, total)
+// first, then Done up by exactly one per event with the total unchanged,
+// ending at (total, total) — and always on the goroutine that called the
+// method, at any worker count. The sink appends to events without a lock,
+// so under -race a call from a worker is also a reported data race.
+func TestProgressContract(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation in -short")
+	}
+	calls := []struct {
+		name string
+		// run makes the call and returns the number of jobs it had.
+		run func(lab *Lab) (int, error)
+	}{
+		{"campaign", func(lab *Lab) (int, error) {
+			sp := tinyCampaign()
+			_, err := lab.Campaign(context.Background(), sp)
+			return sp.N, err
+		}},
+		{"fuzz", func(lab *Lab) (int, error) {
+			_, err := lab.Fuzz(context.Background(), FuzzOptions{N: 12, Seed: 3})
+			return 12, err
+		}},
+		{"conform", func(lab *Lab) (int, error) {
+			rep, err := lab.Conform(context.Background(), ConformanceOptions{DurationSec: 2, Seeds: 1})
+			if err != nil {
+				return 0, err
+			}
+			return len(rep.Results) + 1 + len(rep.Schedulers), nil
+		}},
+	}
+	for _, c := range calls {
+		for _, workers := range []int{1, 8} {
+			t.Run(fmt.Sprintf("%s/j%d", c.name, workers), func(t *testing.T) {
+				caller := goroutineID()
+				var events []ProgressEvent
+				lab := NewLab(WithWorkers(workers), WithProgress(func(ev ProgressEvent) {
+					if g := goroutineID(); g != caller {
+						t.Errorf("sink ran on goroutine %s, the call was made on %s", g, caller)
+					}
+					events = append(events, ev)
+				}))
+				total, err := c.run(lab)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(events) != total+1 {
+					t.Fatalf("%d events for %d jobs, want %d: %+v", len(events), total, total+1, events)
+				}
+				for i, ev := range events {
+					if want := (ProgressEvent{Kind: ProgressJobs, Done: i, Total: total}); ev != want {
+						t.Fatalf("event %d is %+v, want %+v", i, ev, want)
+					}
+				}
+			})
+		}
 	}
 }
