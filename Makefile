@@ -42,15 +42,17 @@ lint:
 	$(GO) run ./cmd/simlint ./...
 
 # One way to run a network, one way to wire a flow, one kind of kernel
-# event, one job protocol, one public API, one benchmark ladder: no
-# RunUntil( in non-test Go outside internal/sim (which defines it),
-# internal/scenario (Net.Run, which slices it for cancellation and puts the
-# invariant checks around it) and bench/ (kernel rigs); no payload event
+# event, one job protocol, one generator, one public API, one benchmark
+# ladder: no RunUntil( in non-test Go outside internal/sim (which defines
+# it), internal/scenario (Net.Run, which slices it for cancellation and puts
+# the invariant checks around it) and bench/ (kernel rigs); no payload event
 # kind anywhere; no closure event (Sim.At/After) in non-test Go outside
 # internal/sim and bench/ (internal/lint is excluded for go/types' Tuple.At);
 # no runner.Map or runner.NewProgress in non-test Go outside internal/runner
 # and bench/ (engines fold and count progress in one runner.Stream's emit);
-# internal/harness imports none of internal/tcp and internal/netem (flows
+# no rand.New( or rand.NewSource( in non-test Go outside internal/sim and
+# lint testdata (every generator is sim.NewRand: math/rand's stream, seeded
+# in O(1)); internal/harness imports none of internal/tcp and internal/netem (flows
 # are wired by scenario.Net.AddFlow) nor the deleted internal/topo and
 # internal/workload; no Deprecated: marker exists outside lint testdata;
 # and no bench*.json is tracked except BENCHMARK.json (results go to the
@@ -67,6 +69,9 @@ guard:
 	fi
 	@if git grep -nE 'runner\.(Map|NewProgress)\(' -- '*.go' ':!*_test.go' ':!internal/runner/' ':!bench/'; then \
 		echo "engines are one runner.Stream: fold and count progress in emit"; exit 1; \
+	fi
+	@if git grep -nE 'rand\.(New|NewSource)\(' -- '*.go' ':!*_test.go' ':!internal/sim/' ':!internal/lint/*/testdata/*'; then \
+		echo "a generator built outside internal/sim: draw from sim.NewRand"; exit 1; \
 	fi
 	@$(GO) list -f '{{.ImportPath}} {{join .Imports " "}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./internal/harness | \
 	awk '{ for (i = 2; i <= NF; i++) if ($$i ~ /^mptcpsim\/internal\/(tcp|netem|topo|workload)$$/) { print $$1 " imports " $$i ": wire flows with scenario.Net.AddFlow instead"; bad = 1 } } END { exit bad }'

@@ -8,6 +8,7 @@ import (
 
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/scenario"
+	"mptcpsim/internal/sim"
 )
 
 // indexStride separates per-index RNG streams, the same constant
@@ -15,11 +16,13 @@ import (
 // way a fuzz campaign is.
 const indexStride = 1_000_003
 
-// rngPool recycles SampleSpec's generators: seeding one fills a 607-word
-// state, and allocating that 4.9 KB afresh per scenario was most of what a
-// cache hit allocated. Seed leaves a pooled generator in exactly the state
-// of a new one, so the draw stream does not depend on reuse.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// rngPool recycles SampleSpec's generators. Seeding one is O(1) (sim.NewRand
+// fills its 607-word table lazily), so the pool is not there for seeding: it
+// saves allocating that 4.9 KB table afresh per scenario, which would be
+// most of what a cache hit allocates. Seed leaves a pooled generator in
+// exactly the state of a new one, so the draw stream does not depend on
+// reuse.
+var rngPool = sync.Pool{New: func() any { return sim.NewRand(0) }}
 
 // SampleSpec deterministically builds scenario index of the campaign: a
 // private RNG is seeded from (Seed, index) alone, every distribution draw

@@ -102,7 +102,8 @@ type Block struct {
 // is the Sack capacity every pooled ACK is born with.
 const MaxSackBlocks = 8
 
-// NewPacket readies p for transmission over route. It resets the hop cursor.
+// SetRoute readies p for transmission over r: its next SendOn goes to r's
+// first hop.
 func (p *Packet) SetRoute(r *Route) {
 	p.route = r
 	p.hop = 0

@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"mptcpsim/internal/runner"
+	"mptcpsim/internal/sim"
 )
 
 // FuzzOptions scales a fuzzing campaign.
@@ -144,7 +144,7 @@ var fuzzSchedulers = []string{"", "pull", "minrtt", "roundrobin", "ecf", "redund
 // jittered and fixed starts, and mid-run stops — plus a fault timeline of
 // 1-5 mid-run mutations (setpoints, blackholes, path flaps).
 func GenSpec(seed int64, index int) *Spec {
-	rng := rand.New(rand.NewSource(seed + int64(index)*1_000_003))
+	rng := sim.NewRand(seed + int64(index)*1_000_003)
 	sp := &Spec{
 		Name:        fmt.Sprintf("fuzz-%d", index),
 		Seed:        rng.Int63(),

@@ -161,11 +161,28 @@ const (
 // (the paper initiates its Iperf sessions in random order).
 const startSpread = sim.Second
 
+// Validate's bounds on magnitudes. netem takes a rate as whole bits per
+// second in an int64 and the kernel a time as int64 nanoseconds; outside
+// these bounds a conversion truncates to zero or overflows to a negative
+// value, which netem and the kernel reject by panicking.
+const (
+	minRateMbps = 1e-6 // 1 b/s
+	maxRateMbps = 1e9  // 1 Pb/s
+	maxSpecSec  = 1e6  // about 11.6 days of virtual time
+	maxDelayMs  = maxSpecSec * 1e3
+)
+
+// rateInRange reports whether a rate in Mb/s lies within Validate's bounds
+// (NaN does not).
+func rateInRange(mbps float64) bool { return mbps >= minRateMbps && mbps <= maxRateMbps }
+
 // Validate checks the spec for structural errors: empty topology, bad
-// indices, non-positive rates, negative times, unknown algorithms, AlgoTCP
-// flows with more than one path, and malformed timelines (out-of-range
-// link/path indices, decreasing or negative times, out-of-range setpoint
-// values). It returns the first problem found.
+// indices, non-positive rates, negative times, rates, times and delays
+// beyond the bounds above, unknown algorithms, AlgoTCP flows with more than
+// one path, and malformed timelines (out-of-range link/path indices,
+// decreasing or negative times, out-of-range setpoint values). It returns
+// the first problem found. A spec it accepts compiles without panicking
+// (FuzzSpecJSON).
 func (sp *Spec) Validate() error {
 	if sp.DurationSec <= 0 {
 		return fmt.Errorf("scenario %q: duration must be positive, got %g", sp.Name, sp.DurationSec)
@@ -173,8 +190,14 @@ func (sp *Spec) Validate() error {
 	if sp.WarmupSec < 0 {
 		return fmt.Errorf("scenario %q: negative warmup %g", sp.Name, sp.WarmupSec)
 	}
+	if !(sp.WarmupSec+sp.DurationSec <= maxSpecSec) {
+		return fmt.Errorf("scenario %q: run of %gs longer than %gs", sp.Name, sp.WarmupSec+sp.DurationSec, maxSpecSec)
+	}
 	if sp.ReverseRateMbps < 0 || sp.ReverseDelayMs < 0 {
 		return fmt.Errorf("scenario %q: negative reverse-path shape", sp.Name)
+	}
+	if (sp.ReverseRateMbps != 0 && !rateInRange(sp.ReverseRateMbps)) || !(sp.ReverseDelayMs <= maxDelayMs) {
+		return fmt.Errorf("scenario %q: reverse path rate %g Mb/s or delay %g ms out of range", sp.Name, sp.ReverseRateMbps, sp.ReverseDelayMs)
 	}
 	if len(sp.Links) == 0 {
 		return fmt.Errorf("scenario %q: no links", sp.Name)
@@ -183,8 +206,14 @@ func (sp *Spec) Validate() error {
 		if l.RateMbps <= 0 {
 			return fmt.Errorf("scenario %q: link %d rate must be positive, got %g", sp.Name, i, l.RateMbps)
 		}
+		if !rateInRange(l.RateMbps) {
+			return fmt.Errorf("scenario %q: link %d rate %g Mb/s outside [%g, %g]", sp.Name, i, l.RateMbps, minRateMbps, maxRateMbps)
+		}
 		if l.DelayMs < 0 {
 			return fmt.Errorf("scenario %q: link %d has negative delay", sp.Name, i)
+		}
+		if !(l.DelayMs <= maxDelayMs) {
+			return fmt.Errorf("scenario %q: link %d delay %g ms longer than %g ms", sp.Name, i, l.DelayMs, maxDelayMs)
 		}
 		if l.LossPct < 0 || l.LossPct >= 100 {
 			return fmt.Errorf("scenario %q: link %d loss %g%% outside [0, 100)", sp.Name, i, l.LossPct)
@@ -207,6 +236,9 @@ func (sp *Spec) Validate() error {
 		}
 		if p.DelayMs < 0 {
 			return fmt.Errorf("scenario %q: path %d has negative delay", sp.Name, i)
+		}
+		if !(p.DelayMs <= maxDelayMs) {
+			return fmt.Errorf("scenario %q: path %d delay %g ms longer than %g ms", sp.Name, i, p.DelayMs, maxDelayMs)
 		}
 		for _, li := range p.Links {
 			if li < 0 || li >= len(sp.Links) {
@@ -242,6 +274,9 @@ func (sp *Spec) Validate() error {
 		}
 		if f.StopSec < 0 || (f.StopSec > 0 && f.StopSec <= f.StartSec) {
 			return fmt.Errorf("scenario %q: flow %d stop time %g not after start %g", sp.Name, i, f.StopSec, f.StartSec)
+		}
+		if !(f.StartSec <= maxSpecSec && f.StopSec <= maxSpecSec) {
+			return fmt.Errorf("scenario %q: flow %d start %gs or stop %gs later than %gs", sp.Name, i, f.StartSec, f.StopSec, maxSpecSec)
 		}
 		if f.FlowBytes < 0 {
 			return fmt.Errorf("scenario %q: flow %d has negative flow bytes", sp.Name, i)

@@ -72,6 +72,9 @@ func (sp *Spec) validateTimeline() error {
 		if ev.AtSec < 0 {
 			return fmt.Errorf("scenario %q: timeline event %d has negative time %g", sp.Name, i, ev.AtSec)
 		}
+		if !(ev.AtSec <= maxSpecSec) {
+			return fmt.Errorf("scenario %q: timeline event %d at %gs later than %gs", sp.Name, i, ev.AtSec, maxSpecSec)
+		}
 		if i > 0 && ev.AtSec < sp.Timeline[i-1].AtSec {
 			return fmt.Errorf("scenario %q: timeline event %d at %gs before event %d at %gs: times must be non-decreasing",
 				sp.Name, i, ev.AtSec, i-1, sp.Timeline[i-1].AtSec)
@@ -87,8 +90,14 @@ func (sp *Spec) validateTimeline() error {
 			if ls.RateMbps < 0 {
 				return fmt.Errorf("scenario %q: timeline event %d has negative rate %g", sp.Name, i, ls.RateMbps)
 			}
+			if ls.RateMbps != 0 && !rateInRange(ls.RateMbps) {
+				return fmt.Errorf("scenario %q: timeline event %d rate %g Mb/s outside [%g, %g]", sp.Name, i, ls.RateMbps, minRateMbps, maxRateMbps)
+			}
 			if ls.DelayMs != nil && *ls.DelayMs < 0 {
 				return fmt.Errorf("scenario %q: timeline event %d has negative delay %g", sp.Name, i, *ls.DelayMs)
+			}
+			if ls.DelayMs != nil && !(*ls.DelayMs <= maxDelayMs) {
+				return fmt.Errorf("scenario %q: timeline event %d delay %g ms longer than %g ms", sp.Name, i, *ls.DelayMs, maxDelayMs)
 			}
 			if ls.LossPct != nil && (*ls.LossPct < 0 || *ls.LossPct > 100) {
 				return fmt.Errorf("scenario %q: timeline event %d loss %g%% outside [0, 100]", sp.Name, i, *ls.LossPct)

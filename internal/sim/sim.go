@@ -124,10 +124,10 @@ type Sim struct {
 	aux     any
 }
 
-// New returns a simulator whose random source is seeded with seed.
+// New returns a simulator whose random source is NewRand(seed).
 // The same seed always yields the same execution.
 func New(seed int64) *Sim {
-	return &Sim{rng: rand.New(rand.NewSource(seed))}
+	return &Sim{rng: NewRand(seed)}
 }
 
 // Now reports the current virtual time.
