@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check test race check lint guard apicheck examples conform conform-smoke bench benchcheck clean
+.PHONY: build vet fmt-check test race check lint guard apicheck lock examples conform conform-smoke bench benchcheck clean
 
 build:
 	$(GO) build ./...
@@ -42,12 +42,16 @@ lint:
 	$(GO) run ./cmd/simlint ./...
 
 # One way to run a network, one way to wire a flow, one kind of kernel
-# event, one job protocol, one generator, one public API, one benchmark
+# event, one observation point, one job protocol, one generator, one public API, one benchmark
 # ladder: no RunUntil( in non-test Go outside internal/sim (which defines
 # it), internal/scenario (Net.Run, which slices it for cancellation and puts
 # the invariant checks around it) and bench/ (kernel rigs); no payload event
 # kind anywhere; no closure event (Sim.At/After) in non-test Go outside
 # internal/sim and bench/ (internal/lint is excluded for go/types' Tuple.At);
+# no Schedule(, ScheduleAfter( or ScheduleTimer in non-test Go above the
+# model packages internal/{sim,netem,tcp,mptcp,scenario} outside
+# internal/lint and bench/ (a periodic observer is a scenario.Net.Trace,
+# armed and ended by Net.Run);
 # no runner.Map or runner.NewProgress in non-test Go outside internal/runner
 # and bench/ (engines fold and count progress in one runner.Stream's emit);
 # no rand.New( or rand.NewSource( in non-test Go outside internal/sim and
@@ -66,6 +70,9 @@ guard:
 	fi
 	@if git grep -nE '\.(At|After)\(' -- '*.go' ':!*_test.go' ':!internal/sim/' ':!internal/lint/' ':!bench/' | grep -v 'time\.After('; then \
 		echo "closure event outside internal/sim and bench/: implement sim.Handler and Schedule it"; exit 1; \
+	fi
+	@if git grep -nE '\.(Schedule|ScheduleAfter)\(|\.ScheduleTimer' -- '*.go' ':!*_test.go' ':!internal/sim/' ':!internal/netem/' ':!internal/tcp/' ':!internal/mptcp/' ':!internal/scenario/' ':!internal/lint/' ':!bench/'; then \
+		echo "a kernel event scheduled above the scenario layer: observers are registered on a scenario.Net"; exit 1; \
 	fi
 	@if git grep -nE 'runner\.(Map|NewProgress)\(' -- '*.go' ':!*_test.go' ':!internal/runner/' ':!bench/'; then \
 		echo "engines are one runner.Stream: fold and count progress in emit"; exit 1; \
@@ -90,6 +97,13 @@ apicheck:
 		echo "api.txt drifted — the public API changed; review and commit the regenerated file:"; \
 		git --no-pager diff -- api.txt; exit 1; \
 	fi
+
+# Behaviour lock: rewrite behaviour.lock (the canary runs' event counts and
+# digests) from this tree. TestBehaviourLock fails on drift, and Version()
+# hashes the file, so run this only when a behaviour change is intended and
+# explain the delta per canary.
+lock:
+	$(GO) test . -run '^TestBehaviourLock$$' -update
 
 # Build every example and smoke-run each at reduced scale.
 examples:

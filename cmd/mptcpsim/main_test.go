@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"crypto/md5"
@@ -150,5 +151,53 @@ func TestTraceCSV(t *testing.T) {
 	err := writeTrace(ctx, compile(1e6), sim.Seconds(0.25), &buf)
 	if !errors.Is(err, context.Canceled) || buf.Len() != 0 {
 		t.Fatalf("cancelled trace: err %v, %d bytes written", err, buf.Len())
+	}
+}
+
+// TestTraceRejectsNonpositivePeriod: a sampling period that is zero,
+// negative or below one nanosecond is a usage error (exit 2, before any
+// compile), not a panic out of the run.
+func TestTraceRejectsNonpositivePeriod(t *testing.T) {
+	for _, period := range []string{"0", "-0.25", "1e-10"} {
+		cmd := exec.Command(os.Args[0], "trace", "-period", period, "-seconds", "1")
+		cmd.Env = append(os.Environ(), mptcpsimTestMain+"=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("-period %s: err %v, want exit status 2; output:\n%s", period, err, out)
+		}
+		if !strings.Contains(string(out), "positive sampling period") || strings.Contains(string(out), "goroutine") {
+			t.Errorf("-period %s: output is not the usage error:\n%s", period, out)
+		}
+	}
+}
+
+// TestWriteCSV pins the CSV layout: a "t,<names>" header, then one row per
+// sample, seconds to three places and values to four.
+func TestWriteCSV(t *testing.T) {
+	n := scenario.NewNet("t", 1, 0, sim.Second)
+	tr := n.Trace(500*sim.Millisecond, scenario.Probe{Name: "x", Fn: func() float64 { return 7 }})
+	if _, err := n.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	w := bufio.NewWriter(&b)
+	writeCSV(w, tr)
+	w.Flush()
+	if want := "t,x\n0.000,7.0000\n0.500,7.0000\n1.000,7.0000\n"; b.String() != want {
+		t.Fatalf("CSV %q, want %q", b.String(), want)
+	}
+}
+
+// TestWriteCSVEmpty: a trace with no samples yet is the header alone.
+func TestWriteCSVEmpty(t *testing.T) {
+	n := scenario.NewNet("t", 1, 0, 2*sim.Second)
+	tr := n.Trace(sim.Second, scenario.Probe{Name: "x", Fn: func() float64 { return 0 }})
+	var b bytes.Buffer
+	w := bufio.NewWriter(&b)
+	writeCSV(w, tr)
+	w.Flush()
+	if b.String() != "t,x\n" {
+		t.Fatalf("empty CSV %q", b.String())
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"mptcpsim/internal/core"
 	"mptcpsim/internal/scenario"
 	"mptcpsim/internal/sim"
-	"mptcpsim/internal/trace"
 )
 
 // traceMain implements `mptcpsim trace`: record the window, RTT and (for
@@ -35,20 +34,23 @@ func traceMain(ctx context.Context, args []string) {
 		seed    = fs.Int64("seed", 1, "random seed")
 	)
 	fs.Parse(args)
+	every := sim.Seconds(*period)
+	if every <= 0 {
+		fail(fmt.Errorf("trace: -period %g s is not a positive sampling period", *period))
+	}
 
 	n, err := scenario.Compile(scenario.PaperTwoLink(*capMbps, *tcp1, *tcp2, *algo, *seed, 0, *seconds))
 	if err != nil {
 		fail(err)
 	}
-	exitOn(writeTrace(ctx, n, sim.Seconds(*period), os.Stdout), "interrupted")
+	exitOn(writeTrace(ctx, n, every, os.Stdout), "interrupted")
 }
 
-// writeTrace runs the two-link network under a recorder sampling its "mp"
-// user every period, and writes the series to w as CSV once the run is
-// complete.
+// writeTrace runs the two-link network with a trace sampling its "mp" user
+// every period, and writes the series to w as CSV once the run is complete.
 func writeTrace(ctx context.Context, n *scenario.Net, period sim.Time, w io.Writer) error {
 	mp := n.Group("mp")[0].Conn
-	probes := []trace.Probe{
+	probes := []scenario.Probe{
 		{Name: "w1", Fn: func() float64 { return mp.CwndPkts(0) }},
 		{Name: "w2", Fn: func() float64 { return mp.CwndPkts(1) }},
 		{Name: "rtt1", Fn: func() float64 { return mp.SRTT(0) }},
@@ -56,14 +58,13 @@ func writeTrace(ctx context.Context, n *scenario.Net, period sim.Time, w io.Writ
 	}
 	if o, isOLIA := mp.Controller().(*core.OLIA); isOLIA {
 		probes = append(probes,
-			trace.Probe{Name: "alpha1", Fn: func() float64 { return o.Alpha(0) }},
-			trace.Probe{Name: "alpha2", Fn: func() float64 { return o.Alpha(1) }},
-			trace.Probe{Name: "ell1", Fn: func() float64 { return o.Ell(0) }},
-			trace.Probe{Name: "ell2", Fn: func() float64 { return o.Ell(1) }},
+			scenario.Probe{Name: "alpha1", Fn: func() float64 { return o.Alpha(0) }},
+			scenario.Probe{Name: "alpha2", Fn: func() float64 { return o.Alpha(1) }},
+			scenario.Probe{Name: "ell1", Fn: func() float64 { return o.Ell(0) }},
+			scenario.Probe{Name: "ell2", Fn: func() float64 { return o.Ell(1) }},
 		)
 	}
-	rec := trace.NewRecorder(n.Sim, period, n.End, probes...)
-	rec.Start(0)
+	tr := n.Trace(period, probes...)
 	rep, err := n.Run(ctx)
 	if err != nil {
 		return err
@@ -72,8 +73,23 @@ func writeTrace(ctx context.Context, n *scenario.Net, period sim.Time, w io.Writ
 		return fmt.Errorf("trace: invariant violations: %v", rep.Violations)
 	}
 	out := bufio.NewWriter(w)
-	if err := rec.WriteCSV(out); err != nil {
-		return err
-	}
+	writeCSV(out, tr)
 	return out.Flush()
+}
+
+// writeCSV emits "t,<name1>,<name2>,..." rows, seconds in the first column.
+// A bufio.Writer keeps its first error and reports it from Flush.
+func writeCSV(w *bufio.Writer, tr *scenario.Trace) {
+	w.WriteString("t")
+	for _, name := range tr.Names {
+		fmt.Fprintf(w, ",%s", name)
+	}
+	fmt.Fprintln(w)
+	for row, t := range tr.T {
+		fmt.Fprintf(w, "%.3f", t.Sec())
+		for _, col := range tr.V {
+			fmt.Fprintf(w, ",%.4f", col[row])
+		}
+		fmt.Fprintln(w)
+	}
 }

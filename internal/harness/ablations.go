@@ -7,9 +7,7 @@ import (
 
 	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/scenario"
-	"mptcpsim/internal/sim"
 	"mptcpsim/internal/stats"
-	"mptcpsim/internal/trace"
 )
 
 // twoLinkOutcome is the common measurement for the ablation studies: the
@@ -31,8 +29,8 @@ func twoLinkSpec(cfg Config, algo string, nTCP1, nTCP2 int) *scenario.Spec {
 func twoLinkMP(sp *scenario.Spec) *scenario.FlowSpec { return &sp.Flows[len(sp.Flows)-1] }
 
 // windowProbes samples the two subflow windows of a multipath connection.
-func windowProbes(conn *mptcp.Conn) []trace.Probe {
-	return []trace.Probe{
+func windowProbes(conn *mptcp.Conn) []scenario.Probe {
+	return []scenario.Probe{
 		{Name: "w1", Fn: func() float64 { return conn.CwndPkts(0) }},
 		{Name: "w2", Fn: func() float64 { return conn.CwndPkts(1) }},
 	}
@@ -43,8 +41,7 @@ func windowProbes(conn *mptcp.Conn) []trace.Probe {
 func runTwoLink(ctx context.Context, cfg Config, sp *scenario.Spec) twoLinkOutcome {
 	n := compile(sp)
 	mp := n.Group("mp")[0]
-	rec := trace.NewRecorder(n.Sim, 250*sim.Millisecond, cfg.Warmup+cfg.Duration, windowProbes(mp.Conn)...)
-	rec.Start(0)
+	tr := n.Trace(tracePeriod, windowProbes(mp.Conn)...)
 	if _, ok := run(ctx, n); !ok {
 		return twoLinkOutcome{}
 	}
@@ -52,7 +49,7 @@ func runTwoLink(ctx context.Context, cfg Config, sp *scenario.Spec) twoLinkOutco
 	out := twoLinkOutcome{
 		mp1:        stats.Mbps(mp.Window[0], secs),
 		mp2:        stats.Mbps(mp.Window[1], secs),
-		flipsCount: flips(rec.Series(0), rec.Series(1)),
+		flipsCount: flips(tr.V[0], tr.V[1]),
 	}
 	if bg := n.Group("tcp1"); len(bg) > 0 {
 		out.bg1 = stats.Mbps(scenario.GroupWindowBytes(bg), secs) / float64(len(bg))

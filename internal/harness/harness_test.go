@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"mptcpsim/internal/sim"
-	"mptcpsim/internal/trace"
 )
 
 // tinyConfig keeps each experiment to a fraction of a second of wall time.
@@ -141,15 +140,34 @@ func TestDCThroughputShape(t *testing.T) {
 	}
 }
 
+func TestMeanAfterExcludesWarmup(t *testing.T) {
+	var ts []sim.Time
+	var vs []float64
+	for i := 0; i <= 10; i++ {
+		at := (100 * sim.Millisecond).Scale(i)
+		v := 10.0
+		if at < 500*sim.Millisecond {
+			v = 100
+		}
+		ts, vs = append(ts, at), append(vs, v)
+	}
+	if got := meanAfter(ts, vs, 500*sim.Millisecond); got != 10 {
+		t.Fatalf("meanAfter %v, want 10", got)
+	}
+	if got := meanAfter(ts, vs, 10*sim.Second); got != 0 {
+		t.Fatalf("meanAfter beyond data %v, want 0", got)
+	}
+}
+
 func TestFlipsMetric(t *testing.T) {
-	a := []trace.Point{{T: 0, V: 10}, {T: 1, V: 10}, {T: 2, V: 1}, {T: 3, V: 10}}
-	b := []trace.Point{{T: 0, V: 1}, {T: 1, V: 1}, {T: 2, V: 10}, {T: 3, V: 1}}
+	a := []float64{10, 10, 1, 10}
+	b := []float64{1, 1, 10, 1}
 	if got := flips(a, b); got != 2 {
 		t.Fatalf("flips %d, want 2", got)
 	}
 	// No dominance changes: zero flips.
-	c := []trace.Point{{T: 0, V: 10}, {T: 1, V: 12}, {T: 2, V: 9}}
-	d := []trace.Point{{T: 0, V: 1}, {T: 1, V: 2}, {T: 2, V: 3}}
+	c := []float64{10, 12, 9}
+	d := []float64{1, 2, 3}
 	if got := flips(c, d); got != 0 {
 		t.Fatalf("flips %d, want 0", got)
 	}

@@ -6,9 +6,12 @@ import (
 	"io"
 
 	"mptcpsim/internal/core"
+	"mptcpsim/internal/scenario"
 	"mptcpsim/internal/sim"
-	"mptcpsim/internal/trace"
 )
+
+// tracePeriod is the sampling period of the two-link rig's window traces.
+const tracePeriod = 250 * sim.Millisecond
 
 // traceResult is one recorded two-path run of Figs. 7/8: window (and OLIA
 // α) means plus the sampled window series for the figure shape.
@@ -18,48 +21,65 @@ type traceResult struct {
 	a1, a2     float64
 	hasAlpha   bool
 	flipsCount int
-	s1, s2     []trace.Point
+	t          []sim.Time
+	s1, s2     []float64
 }
 
 // runTrace records one algorithm's window evolution on the two-link rig.
 func runTrace(ctx context.Context, cfg Config, algo string, nTCP1, nTCP2 int) traceResult {
 	n := compile(twoLinkSpec(cfg, algo, nTCP1, nTCP2))
 	conn := n.Group("mp")[0].Conn
-	stop := cfg.Warmup + cfg.Duration
 	probes := windowProbes(conn)
 	if o, ok := conn.Controller().(*core.OLIA); ok {
 		probes = append(probes,
-			trace.Probe{Name: "a1", Fn: func() float64 { return o.Alpha(0) }},
-			trace.Probe{Name: "a2", Fn: func() float64 { return o.Alpha(1) }},
+			scenario.Probe{Name: "a1", Fn: func() float64 { return o.Alpha(0) }},
+			scenario.Probe{Name: "a2", Fn: func() float64 { return o.Alpha(1) }},
 		)
 	}
-	rec := trace.NewRecorder(n.Sim, 250*sim.Millisecond, stop, probes...)
-	rec.Start(0)
+	tr := n.Trace(tracePeriod, probes...)
 	if _, ok := run(ctx, n); !ok {
 		return traceResult{algo: algo}
 	}
 
 	res := traceResult{
 		algo:       algo,
-		w1:         rec.MeanAfter(0, cfg.Warmup),
-		w2:         rec.MeanAfter(1, cfg.Warmup),
-		flipsCount: flips(rec.Series(0), rec.Series(1)),
-		s1:         rec.Series(0),
-		s2:         rec.Series(1),
+		w1:         meanAfter(tr.T, tr.V[0], cfg.Warmup),
+		w2:         meanAfter(tr.T, tr.V[1], cfg.Warmup),
+		flipsCount: flips(tr.V[0], tr.V[1]),
+		t:          tr.T,
+		s1:         tr.V[0],
+		s2:         tr.V[1],
 	}
 	if len(probes) > 2 {
 		res.hasAlpha = true
-		res.a1 = rec.MeanAfter(2, cfg.Warmup)
-		res.a2 = rec.MeanAfter(3, cfg.Warmup)
+		res.a1 = meanAfter(tr.T, tr.V[2], cfg.Warmup)
+		res.a2 = meanAfter(tr.T, tr.V[3], cfg.Warmup)
 	}
 	return res
 }
 
-// tracePoints converts a recorded series into Result samples.
-func tracePoints(s []trace.Point) []SeriesPoint {
-	out := make([]SeriesPoint, len(s))
-	for i, p := range s {
-		out[i] = SeriesPoint{T: p.T.Sec(), V: p.V}
+// meanAfter averages the samples vs taken (at times ts) at or after t0,
+// excluding the warm-up; 0 when there are none.
+func meanAfter(ts []sim.Time, vs []float64, t0 sim.Time) float64 {
+	var sum float64
+	var n int
+	for i, t := range ts {
+		if t >= t0 {
+			sum += vs[i]
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
+
+// tracePoints pairs a sampled column with its times as Result samples.
+func tracePoints(ts []sim.Time, vs []float64) []SeriesPoint {
+	out := make([]SeriesPoint, len(ts))
+	for i, t := range ts {
+		out[i] = SeriesPoint{T: t.Sec(), V: vs[i]}
 	}
 	return out
 }
@@ -84,8 +104,8 @@ func resultTrace(results []traceResult) (*Result, error) {
 			TextCell(t.algo), NumCell(t.w1), NumCell(t.w2), a1, a2, IntCell(t.flipsCount),
 		})
 		r.Series = append(r.Series,
-			Series{Name: t.algo + "/w1", Points: tracePoints(t.s1)},
-			Series{Name: t.algo + "/w2", Points: tracePoints(t.s2)},
+			Series{Name: t.algo + "/w1", Points: tracePoints(t.t, t.s1)},
+			Series{Name: t.algo + "/w2", Points: tracePoints(t.t, t.s2)},
 		)
 	}
 	return r, nil
@@ -149,15 +169,15 @@ func traceExperiment(nTCP1, nTCP2 int) func(Config) Plan {
 // flips counts dominance changes between two sampled series — the
 // flappiness indicator (a flappy controller alternates which path holds the
 // larger window).
-func flips(a, b []trace.Point) int {
+func flips(a, b []float64) int {
 	var count int
 	prev := 0
 	for i := range a {
 		cur := 0
 		switch {
-		case a[i].V > 1.5*b[i].V:
+		case a[i] > 1.5*b[i]:
 			cur = 1
-		case b[i].V > 1.5*a[i].V:
+		case b[i] > 1.5*a[i]:
 			cur = -1
 		}
 		if cur != 0 && prev != 0 && cur != prev {

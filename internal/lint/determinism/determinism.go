@@ -50,7 +50,6 @@ var scoped = []string{
 	"internal/tcp",
 	"internal/mptcp",
 	"internal/scenario",
-	"internal/trace",
 	"internal/harness",
 }
 

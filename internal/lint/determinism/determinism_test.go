@@ -27,8 +27,8 @@ func TestInScope(t *testing.T) {
 		"mptcpsim/internal/lint":       false,
 		"mptcpsim/internal/runner":     false,
 		"example.com/internal/sim":     false,
-		"mptcpsim/internal/tracewalk":  false,
-		"mptcpsim/internal/trace/sub":  true,
+		"mptcpsim/internal/mptcpwalk":  false,
+		"mptcpsim/internal/mptcp/sub":  true,
 		"mptcpsim/internal/scenario":   true,
 		"mptcpsim/internal/scenario/x": true,
 		"mptcpsim/internal/harness":    true,

@@ -417,7 +417,7 @@ func TestReassemblyOverlappingSpans(t *testing.T) {
 	if st.DeliveredBytes() != 80 {
 		t.Fatalf("ooo overlap accounting: delivered %d, want 80", st.DeliveredBytes())
 	}
-	if len(st.oooSpans) != 1 || st.oooSpans[0] != (dataSpan{50, 90}) {
+	if len(st.oooSpans) != 1 || st.oooSpans[0] != (netem.Block{Start: 50, End: 90}) {
 		t.Fatalf("ooo spans not merged: %v", st.oooSpans)
 	}
 	st.emit(dataSpan{40, 55}) // bridges the gap and drains the merged span
@@ -435,7 +435,7 @@ func TestInsertOOOKeepsSpansSortedDisjoint(t *testing.T) {
 	for _, sp := range []dataSpan{{500, 520}, {100, 120}, {300, 320}, {110, 130}, {90, 100}, {320, 340}} {
 		st.emit(dataSpan{sp.start, sp.end})
 	}
-	want := []dataSpan{{90, 130}, {300, 340}, {500, 520}}
+	want := []netem.Block{{Start: 90, End: 130}, {Start: 300, End: 340}, {Start: 500, End: 520}}
 	if !reflect.DeepEqual(st.oooSpans, want) {
 		t.Fatalf("oooSpans = %v, want %v", st.oooSpans, want)
 	}

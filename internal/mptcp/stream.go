@@ -2,8 +2,8 @@ package mptcp
 
 import (
 	"fmt"
-	"sort"
 
+	"mptcpsim/internal/netem"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/tcp"
 )
@@ -39,9 +39,8 @@ type Stream struct {
 	hungry   []bool       // subflows that asked for data and were held back
 	parked   []dataSpan   // reinjected spans awaiting any live subflow
 
-	inOrder   int64      // contiguous data-level prefix delivered
-	delivered int64      // distinct data-level bytes delivered (any order)
-	oooSpans  []dataSpan // delivered beyond the prefix; sorted, disjoint
+	inOrder  int64         // contiguous data-level prefix delivered
+	oooSpans []netem.Block // delivered beyond the prefix; sorted, disjoint, not touching
 
 	startAt sim.Time
 	doneAt  sim.Time
@@ -144,8 +143,15 @@ func (st *Stream) TotalBytes() int64 { return st.total }
 func (st *Stream) InOrderBytes() int64 { return st.inOrder }
 
 // DeliveredBytes reports the distinct data-level bytes delivered, in any
-// order (a redundantly-scheduled duplicate counts once).
-func (st *Stream) DeliveredBytes() int64 { return st.delivered }
+// order (a redundantly-scheduled duplicate counts once): the in-order
+// prefix plus the out-of-order spans beyond it.
+func (st *Stream) DeliveredBytes() int64 {
+	n := st.inOrder
+	for _, b := range st.oooSpans {
+		n += b.End - b.Start
+	}
+	return n
+}
 
 // SchedulerName reports the scheduling policy in force.
 func (st *Stream) SchedulerName() string { return st.sched.Name() }
@@ -378,19 +384,15 @@ func (st *Stream) deliver(i int, n int64) {
 
 // emit folds one delivered data span into the reassembly state. Spans may
 // overlap previously delivered data (redundant scheduling, reinjection);
-// only the distinct bytes advance the stream. insertOOO is the single
-// coverage bookkeeper — merging leaves at most one span touching the
-// in-order point, so one drain step suffices.
+// only the distinct bytes advance the stream. Merging leaves at most one
+// span touching the in-order point, so one drain step suffices.
 func (st *Stream) emit(sp dataSpan) {
 	if sp.end <= st.inOrder {
 		return // duplicate of already-contiguous data
 	}
-	if sp.start < st.inOrder {
-		sp.start = st.inOrder
-	}
-	st.insertOOO(sp)
-	if st.oooSpans[0].start <= st.inOrder {
-		st.inOrder = st.oooSpans[0].end
+	st.oooSpans = netem.InsertRange(st.oooSpans, netem.Block{Start: max(sp.start, st.inOrder), End: sp.end})
+	if st.oooSpans[0].Start <= st.inOrder {
+		st.inOrder = st.oooSpans[0].End
 		st.oooSpans = st.oooSpans[1:]
 	}
 	if st.inOrder >= st.total && !st.done {
@@ -400,35 +402,4 @@ func (st *Stream) emit(sp dataSpan) {
 			st.OnComplete(st)
 		}
 	}
-}
-
-// insertOOO buffers a span delivered ahead of the in-order point, merging
-// it with any overlapping or adjacent buffered spans; only the bytes not
-// already buffered count as newly delivered.
-func (st *Stream) insertOOO(sp dataSpan) {
-	// Spans are sorted and disjoint; find the run [i, j) that touches sp.
-	i := sort.Search(len(st.oooSpans), func(k int) bool {
-		return st.oooSpans[k].end >= sp.start
-	})
-	j := i
-	var covered int64
-	for j < len(st.oooSpans) && st.oooSpans[j].start <= sp.end {
-		if st.oooSpans[j].start < sp.start {
-			sp.start = st.oooSpans[j].start
-		}
-		if st.oooSpans[j].end > sp.end {
-			sp.end = st.oooSpans[j].end
-		}
-		covered += st.oooSpans[j].end - st.oooSpans[j].start
-		j++
-	}
-	st.delivered += sp.end - sp.start - covered
-	if i == j {
-		st.oooSpans = append(st.oooSpans, dataSpan{})
-		copy(st.oooSpans[i+1:], st.oooSpans[i:])
-		st.oooSpans[i] = sp
-		return
-	}
-	st.oooSpans[i] = sp
-	st.oooSpans = append(st.oooSpans[:i+1], st.oooSpans[j:]...)
 }

@@ -124,6 +124,10 @@ type Net struct {
 	// Spec.Paths entry, every sender routed over that path, for its flaps.
 	timeline  []TimelineEvent
 	pathFlows [][]pathRef
+	// traces lists the periodic observations Run arms, in registration
+	// order; running is set once Run starts, after which none may register.
+	traces  []*Trace
+	running bool
 }
 
 // NewNet starts an empty network on a fresh simulation, measured over

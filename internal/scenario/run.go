@@ -177,6 +177,71 @@ func (m *monitor) sample(now sim.Time) {
 	}
 }
 
+// Probe is one named observation a Trace samples.
+type Probe struct {
+	Name string
+	Fn   func() float64
+}
+
+// Trace is the sampled series of a set of probes: Net.Run samples every
+// probe at t = 0, period, 2·period, … up to Net.End. T is the shared time
+// column and V[i] the values of the probe called Names[i].
+type Trace struct {
+	Names []string
+	T     []sim.Time
+	V     [][]float64
+
+	net    *Net
+	period sim.Time
+	probes []Probe
+}
+
+// Trace registers probes to be sampled every period while n runs and
+// returns their series, filled in as Run advances. It panics on a
+// nonpositive period, and once Run has started: a trace is part of the run,
+// armed with it. Like the invariant monitor, sampling schedules its own
+// events but draws no randomness and touches no packet, so a traced run
+// reaches the untraced run's digest with one more processed event per
+// sample.
+func (n *Net) Trace(period sim.Time, probes ...Probe) *Trace {
+	if period <= 0 {
+		panic(fmt.Sprintf("scenario: trace period %v not positive", period))
+	}
+	if n.running {
+		panic("scenario: Trace after Run started")
+	}
+	samples := int(n.End.Nanos()/period.Nanos()) + 1
+	tr := &Trace{
+		Names: make([]string, len(probes)),
+		T:     make([]sim.Time, 0, samples),
+		V:     make([][]float64, len(probes)),
+
+		net:    n,
+		period: period,
+		probes: probes,
+	}
+	for i, p := range probes {
+		tr.Names[i] = p.Name
+		tr.V[i] = make([]float64, 0, samples)
+	}
+	n.traces = append(n.traces, tr)
+	return tr
+}
+
+// traceTick takes one sample of a Trace and re-arms while the next sample
+// falls inside the run (sim.Handler).
+type traceTick Trace
+
+func (tk *traceTick) RunEvent(now sim.Time) {
+	tk.T = append(tk.T, now)
+	for i, p := range tk.probes {
+		tk.V[i] = append(tk.V[i], p.Fn())
+	}
+	if now+tk.period <= tk.net.End {
+		tk.net.Sim.ScheduleAfter(tk.period, tk)
+	}
+}
+
 // Run compiles and executes the scenario; see Net.Run.
 func Run(ctx context.Context, sp *Spec) (*RunReport, error) {
 	n, err := Compile(sp)
@@ -201,7 +266,8 @@ func Run(ctx context.Context, sp *Spec) (*RunReport, error) {
 // Violations are collected in the report rather than returned as errors so
 // a fuzzing run can report every broken invariant of a scenario at once.
 // Besides the report, the run leaves each flow's exact per-path byte counts
-// for the window in Flow.Window, for callers that do their own arithmetic.
+// for the window in Flow.Window, for callers that do their own arithmetic,
+// and fills the series of every Trace registered before it started.
 //
 // Flows added while the simulation runs (AddFlow from an event, AddArrivals)
 // are sampled, reported and counted like the rest; one born after the
@@ -217,6 +283,12 @@ func (n *Net) Run(ctx context.Context) (*RunReport, error) {
 	r := &RunReport{Name: n.Name, Seed: n.Seed}
 	m := newMonitor(n, r)
 
+	// Every periodic observation is armed here: the traces first, in
+	// registration order, then the window snapshot and the monitor.
+	n.running = true
+	for _, tr := range n.traces {
+		n.Sim.Schedule(0, (*traceTick)(tr))
+	}
 	n.Sim.Schedule(n.Warmup, (*windowOpen)(m))
 	m.RunEvent(0) // first sample at t=0, then every samplePeriod
 	if err := advanceUntil(ctx, n.Sim, 0, n.End); err != nil {

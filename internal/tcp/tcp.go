@@ -519,46 +519,7 @@ func (t *Src) mergeSack(blocks []netem.Block) {
 //
 //simlint:hot
 func (t *Src) insertBlock(b netem.Block) {
-	t.scoreboard = insertRange(t.scoreboard, b)
-}
-
-// insertRange adds b to rs, a list of ascending ranges that neither overlap
-// nor touch, and returns the list with the same property: b absorbs every
-// range it overlaps or abuts. The common cases move nothing — a range that
-// merges with exactly one entry (every block an ACK repeats, every segment
-// that extends a buffered run) overwrites it in place.
-func insertRange(rs []netem.Block, b netem.Block) []netem.Block {
-	// First entry that ends at or after b's start: rs[:i] lies wholly below b.
-	i, hi := 0, len(rs)
-	for i < hi {
-		m := int(uint(i+hi) >> 1)
-		if rs[m].End < b.Start {
-			i = m + 1
-		} else {
-			hi = m
-		}
-	}
-	j := i
-	for j < len(rs) && rs[j].Start <= b.End {
-		if rs[j].Start < b.Start {
-			b.Start = rs[j].Start
-		}
-		if rs[j].End > b.End {
-			b.End = rs[j].End
-		}
-		j++
-	}
-	switch j - i {
-	case 0:
-		rs = append(rs, netem.Block{})
-		copy(rs[i+1:], rs[i:])
-	case 1:
-		// b replaces the one entry it merged with, below.
-	default:
-		rs = append(rs[:i+1], rs[j:]...)
-	}
-	rs[i] = b
-	return rs
+	t.scoreboard = netem.InsertRange(t.scoreboard, b)
 }
 
 // pruneScoreboard discards ranges at or below the cumulative ACK point.
@@ -921,7 +882,7 @@ func (k *Sink) appendSackBlocks(dst []netem.Block) []netem.Block {
 //
 //simlint:hot
 func (k *Sink) insertOOO(seq, end int64) {
-	k.ooo = insertRange(k.ooo, netem.Block{Start: seq, End: end})
+	k.ooo = netem.InsertRange(k.ooo, netem.Block{Start: seq, End: end})
 }
 
 // drainOOO advances the cumulative ACK over the buffered ranges it has
