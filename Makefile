@@ -60,7 +60,10 @@ lint:
 # are wired by scenario.Net.AddFlow) nor the deleted internal/topo and
 # internal/workload; no Deprecated: marker exists outside lint testdata;
 # and no bench*.json is tracked except BENCHMARK.json (results go to the
-# ignored bench/out/).
+# ignored bench/out/). The module cross-builds for windows/amd64,
+# darwin/arm64 and linux/arm64, and no non-test Go outside
+# internal/campaign/cache.go (the cache's entry read) and bench/ calls
+# syscall.Open, Read or Close: file I/O goes through os.
 guard:
 	@if git grep -n 'RunUntil(' -- '*.go' ':!*_test.go' ':!internal/sim/' ':!internal/scenario/' ':!bench/'; then \
 		echo "raw Sim.RunUntil above the scenario layer: build a scenario.Net and call its Run"; exit 1; \
@@ -87,6 +90,13 @@ guard:
 	fi
 	@! git ls-files | grep -iE '(^|/)bench[^/]*\.json$$' | grep -vx BENCHMARK.json || \
 		{ echo "committed benchmark results found — bench/ and BENCHMARK.json are the only ladder"; exit 1; }
+	@if git grep -nE 'syscall\.(Open|Read|Close)\(' -- '*.go' ':!*_test.go' ':!internal/campaign/cache.go' ':!bench/'; then \
+		echo "direct syscall file I/O outside the campaign cache's entry read: use os"; exit 1; \
+	fi
+	@for target in windows/amd64 darwin/arm64 linux/arm64; do \
+		GOOS=$${target%/*} GOARCH=$${target#*/} $(GO) build . ./cmd/... ./internal/... || \
+			{ echo "cross-build for $$target failed"; exit 1; }; \
+	done
 
 # API-surface lock: regenerate api.txt (the exported declarations of the
 # root package, via cmd/apilock) and fail on drift from the committed

@@ -3,10 +3,11 @@ package campaign
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
+	"syscall"
 
 	"mptcpsim/internal/scenario"
 )
@@ -14,7 +15,7 @@ import (
 // The result cache is content-addressed: a completed run is stored under
 // the SHA-256 of everything its report is a function of — the cache schema
 // version, the code version (the facade derives it from a hash of
-// api.txt), and the canonical JSON encoding of the full scenario.Spec,
+// api.txt), and the binary encoding of the full scenario.Spec (appendSpec),
 // which carries the scenario seed. The scenario layer guarantees a run is
 // a pure function of (spec, seed) — the fuzzer re-runs every generated
 // scenario and compares RunReport digests — so a hit can stand in for a
@@ -29,28 +30,40 @@ import (
 // cacheSchema versions the on-disk format: it is hashed into every key and
 // opens every entry, so a tree written under another schema is never
 // addressed, and a file of one never decodes. Bump it with any change to
-// codec.go's encoding.
-const cacheSchema = "mptcpsim-campaign-cache-v2"
+// codec.go's encodings, the key's included.
+const cacheSchema = "mptcpsim-campaign-cache-v3"
+
+// keyPool and entryPool hold CacheKey's and get's scratch buffers, so a hit
+// allocates for its key's hex and its decoded report alone.
+var (
+	keyPool   = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+	entryPool = sync.Pool{New: func() any { b := make([]byte, 8<<10); return &b }}
+)
 
 // CacheKey returns the content address of one scenario run under the given
-// code version: hex SHA-256 over the schema tag, the version, and the
-// spec's canonical JSON (struct field order, so two equal specs always
-// encode identically).
+// code version: hex SHA-256 over the schema tag, a zero byte, the version,
+// a zero byte, and appendSpec's encoding of sp. A NaN or ±Inf anywhere in
+// sp is an error.
 func CacheKey(version string, sp *scenario.Spec) (string, error) {
-	data, err := json.Marshal(sp)
+	bp := keyPool.Get().(*[]byte)
+	defer keyPool.Put(bp)
+	b := append((*bp)[:0], cacheSchema...)
+	b = append(b, 0)
+	b = append(b, version...)
+	b = append(b, 0)
+	b, err := appendSpec(b, sp)
+	*bp = b
 	if err != nil {
-		return "", fmt.Errorf("campaign: encoding spec for cache key: %w", err)
+		return "", err
 	}
-	h := sha256.New()
-	h.Write([]byte(cacheSchema))
-	h.Write([]byte{0})
-	h.Write([]byte(version))
-	h.Write([]byte{0})
-	h.Write(data)
-	return hex.EncodeToString(h.Sum(nil)), nil
+	sum := sha256.Sum256(b)
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:]), nil
 }
 
-// cache is one on-disk result store rooted at dir.
+// cache is one on-disk result store. dir is its cleaned root with a
+// trailing separator, so an entry's path is one concatenation.
 type cache struct {
 	dir string
 }
@@ -64,12 +77,16 @@ func openCache(dir string) (*cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: opening result cache: %w", err)
 	}
+	dir = filepath.Clean(dir)
+	if !os.IsPathSeparator(dir[len(dir)-1]) {
+		dir += string(filepath.Separator)
+	}
 	return &cache{dir: dir}, nil
 }
 
 // path maps a key to its entry file.
 func (c *cache) path(key string) string {
-	return filepath.Join(c.dir, key[:2], key+".bin")
+	return c.dir + key[:2] + string(filepath.Separator) + key + ".bin"
 }
 
 // get loads the report cached under key for the run of sp. A missing, torn
@@ -78,15 +95,51 @@ func (c *cache) path(key string) string {
 // half-restored directory): the caller falls back to simulating and
 // rewrites the entry.
 func (c *cache) get(key string, sp *scenario.Spec) (*scenario.RunReport, bool) {
-	data, err := os.ReadFile(c.path(key))
-	if err != nil {
+	bp := entryPool.Get().(*[]byte)
+	defer entryPool.Put(bp)
+	data, ok := readEntry(c.path(key), bp)
+	if !ok {
 		return nil, false
 	}
+	// decodeReport copies every string out of data, so the buffer can go
+	// back to the pool under the report.
 	rep, err := decodeReport(data)
 	if err != nil || rep.Name != sp.Name || rep.Seed != sp.Seed {
 		return nil, false
 	}
 	return rep, true
+}
+
+// readEntry reads the file at path into *buf, growing it while reads fill
+// it, and returns the bytes read. It is os.ReadFile without the os.File: an
+// open, a read and a close, where os.ReadFile also toggles non-blocking
+// mode, stats the file, reads to EOF and sets a finalizer.
+//
+// A read that does not fill the buffer is taken as the whole file. Were it
+// ever only a prefix, the entry would not decode — a proper prefix of a
+// canonical entry always ends in errTruncated — so the worst case is a
+// miss, never a wrong hit.
+func readEntry(path string, buf *[]byte) ([]byte, bool) {
+	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	if err != nil {
+		return nil, false
+	}
+	defer syscall.Close(fd)
+	b, n := *buf, 0
+	for {
+		m, err := syscall.Read(fd, b[n:])
+		if err == syscall.EINTR {
+			continue
+		}
+		if err != nil {
+			return nil, false
+		}
+		if n += m; n < len(b) {
+			return b[:n], true
+		}
+		b = append(b, make([]byte, len(b))...)
+		*buf = b
+	}
 }
 
 // put stores a completed run under key, atomically: the entry is fully

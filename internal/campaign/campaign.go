@@ -40,19 +40,27 @@ type FaultSpec struct {
 	Flap      bool `json:"flap,omitempty"`
 }
 
-// kinds lists the enabled event kinds in declaration order.
+// faultKinds holds the enabled-kind list of every FaultSpec, indexed by
+// its Rate, Blackhole and Flap bits, so sampling a timeline builds none.
+var faultKinds = [8][]string{
+	nil, {"rate"}, {"blackhole"}, {"rate", "blackhole"},
+	{"flap"}, {"rate", "flap"}, {"blackhole", "flap"}, {"rate", "blackhole", "flap"},
+}
+
+// kinds lists the enabled event kinds in declaration order. The list is
+// shared: callers must not modify it.
 func (f FaultSpec) kinds() []string {
-	var out []string
+	i := 0
 	if f.Rate {
-		out = append(out, "rate")
+		i |= 1
 	}
 	if f.Blackhole {
-		out = append(out, "blackhole")
+		i |= 2
 	}
 	if f.Flap {
-		out = append(out, "flap")
+		i |= 4
 	}
-	return out
+	return faultKinds[i]
 }
 
 // Spec declares a campaign: a population of network conditions as

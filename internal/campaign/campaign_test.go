@@ -9,6 +9,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -163,6 +164,45 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFinite puts NaN, +Inf and −Inf in each float slot
+// of every distribution shape, in every Dist field of the campaign spec:
+// Validate rejects each. A NaN flow size used to sample an unbounded bulk
+// flow; a NaN loss failed only at the cache key, a NaN rate only when drawn.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	distType := reflect.TypeOf(Dist{})
+	shapes := func(v float64) []Dist {
+		return []Dist{Const(v), Uniform(v, 2), Uniform(1, v), LogUniform(v, 2), LogUniform(1, v), Choice(1, v)}
+	}
+	specType, fields := reflect.TypeOf(Spec{}), 0
+	for i := 0; i < specType.NumField(); i++ {
+		field := specType.Field(i)
+		if field.Type != distType {
+			continue
+		}
+		fields++
+		set := func(d Dist) *Spec {
+			sp := tinySpec()
+			reflect.ValueOf(sp).Elem().Field(i).Set(reflect.ValueOf(d))
+			return sp
+		}
+		for _, d := range shapes(1.5) {
+			if err := set(d).Validate(); err != nil {
+				t.Fatalf("%s = %+v: %v", field.Name, d, err)
+			}
+		}
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for _, d := range shapes(bad) {
+				if set(d).Validate() == nil {
+					t.Errorf("%s = %+v: Validate accepted it", field.Name, d)
+				}
+			}
+		}
+	}
+	if fields < 6 {
+		t.Fatalf("found %d Dist fields in Spec, want at least 6", fields)
+	}
+}
+
 func TestDistSampleBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, d := range []Dist{Const(3), Uniform(2, 5), LogUniform(1, 100), Choice(1, 2, 7)} {
@@ -209,6 +249,33 @@ func TestCacheKey(t *testing.T) {
 	b.Seed++
 	if k4, _ := CacheKey("v1", b); k4 == k1 {
 		t.Error("changing the scenario seed did not change the key")
+	}
+	b.Links[0].LossPct = math.NaN()
+	if _, err := CacheKey("v1", b); err == nil {
+		t.Error("a NaN loss encoded into a key")
+	}
+
+	// The encoding is pinned: a change to it must bump cacheSchema, which
+	// changes this key too.
+	pinned := &scenario.Spec{
+		Name: "pin", Seed: 42, WarmupSec: 1, DurationSec: 2.5,
+		Links: []scenario.LinkSpec{
+			{RateMbps: 8, LossPct: 0.5},
+			{RateMbps: 4, DelayMs: 2, Queue: scenario.QueueDropTail, BufferPkts: 50},
+		},
+		Paths: []scenario.PathSpec{{Links: []int{0}, DelayMs: 20}, {Links: []int{1}, DelayMs: 40}},
+		Flows: []scenario.FlowSpec{
+			{Name: "user", Algorithm: "olia", Paths: []int{0, 1}, StartJitter: true, FlowBytes: 1 << 20, Scheduler: "minrtt"},
+			{Name: "bg0", Algorithm: scenario.AlgoTCP, Paths: []int{0}, Count: 2},
+		},
+		Timeline: []scenario.TimelineEvent{
+			{AtSec: 1.5, Link: &scenario.LinkSetpoint{Link: 1, LossPct: scenario.Float(100)}},
+			{AtSec: 2, Path: &scenario.PathFlap{Path: 0, Up: true}},
+		},
+	}
+	const want = "6c0de15e3b8f0c31d23d4e834c32685dc7c3c7274d2eae51f1f03bd117f4a0fc"
+	if got, err := CacheKey("v1", pinned); err != nil || got != want {
+		t.Errorf("pinned key = %s, %v; want %s", got, err, want)
 	}
 }
 
@@ -310,17 +377,21 @@ func TestRunScenarioError(t *testing.T) {
 	sp.N = k + 4*window
 	sp.DurationSec = Uniform(1.2, 1.8)
 	sp.CacheDir = t.TempDir()
+	cc, err := openCache(sp.CacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, i := range []int{k, k + 2} {
 		key, err := CacheKey("test", sp.fill().SampleSpec(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll((&cache{dir: sp.CacheDir}).path(key), 0o755); err != nil {
+		if err := os.MkdirAll(cc.path(key), 0o755); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var done int
-	_, err := Run(context.Background(), sp, Options{Workers: workers, Version: "test",
+	_, err = Run(context.Background(), sp, Options{Workers: workers, Version: "test",
 		Progress: func(d, _ int) { done = d }})
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("scenario %d: campaign: committing cache entry", k)) {
 		t.Fatalf("err = %v, want scenario %d's cache error", err, k)

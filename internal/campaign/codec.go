@@ -3,6 +3,7 @@ package campaign
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 
 	"mptcpsim/internal/netem"
@@ -95,6 +96,132 @@ func appendReport(b []byte, r *scenario.RunReport) []byte {
 		b = appendString(b, v)
 	}
 	return b
+}
+
+// appendSpec appends the encoding of sp that CacheKey hashes: every field of
+// Spec, LinkSpec, PathSpec, FlowSpec, TimelineEvent, LinkSetpoint and
+// PathFlap in declaration order, in the entry primitives above, with a
+// presence byte before each pointer. Lengths and presence come first, so
+// the encoding is prefix-free and distinct bytes mean distinct specs.
+//
+// It splits specs exactly where their JSON did, so moving the key off JSON
+// moved no two runs onto one entry and split none (FuzzCacheKey): a float
+// field JSON omits when zero encodes −0 as +0, and a slice JSON writes as
+// null or [] carries a presence byte. A NaN or ±Inf, which JSON cannot
+// encode either, is an error.
+//
+// TestCacheKeyCoversEverySpecField changes every field of those types in
+// turn: a field added without a line here fails it.
+func appendSpec(b []byte, sp *scenario.Spec) ([]byte, error) {
+	e := specEncoder{b: b}
+	e.str(sp.Name)
+	e.int(sp.Seed)
+	e.float(sp.WarmupSec)
+	e.float(sp.DurationSec)
+	e.slice(sp.Links == nil, len(sp.Links))
+	for i := range sp.Links {
+		l := &sp.Links[i]
+		e.float(l.RateMbps)
+		e.omitFloat(l.DelayMs)
+		e.str(string(l.Queue))
+		e.int(int64(l.BufferPkts))
+		e.omitFloat(l.LossPct)
+	}
+	e.slice(sp.Paths == nil, len(sp.Paths))
+	for i := range sp.Paths {
+		p := &sp.Paths[i]
+		e.ints(p.Links)
+		e.omitFloat(p.DelayMs)
+	}
+	e.slice(sp.Flows == nil, len(sp.Flows))
+	for i := range sp.Flows {
+		f := &sp.Flows[i]
+		e.str(f.Name)
+		e.str(f.Algorithm)
+		e.ints(f.Paths)
+		e.int(int64(f.Count))
+		e.omitFloat(f.StartSec)
+		e.bool(f.StartJitter)
+		e.omitFloat(f.StopSec)
+		e.int(f.FlowBytes)
+		e.str(f.Scheduler)
+		e.int(f.ChunkBytes)
+		e.bool(f.KeepSlowStart)
+		e.omitFloat(f.MaxCwndPkts)
+		e.bool(f.NoIncreaseCap)
+		e.int(int64(f.BaseID))
+	}
+	// Timeline is omitempty: null and [] both vanish from the JSON.
+	e.b = binary.AppendUvarint(e.b, uint64(len(sp.Timeline)))
+	for i := range sp.Timeline {
+		ev := &sp.Timeline[i]
+		e.float(ev.AtSec)
+		if e.bool(ev.Link != nil) {
+			ls := ev.Link
+			e.int(int64(ls.Link))
+			e.omitFloat(ls.RateMbps)
+			if e.bool(ls.DelayMs != nil) {
+				e.float(*ls.DelayMs)
+			}
+			if e.bool(ls.LossPct != nil) {
+				e.float(*ls.LossPct)
+			}
+		}
+		if e.bool(ev.Path != nil) {
+			e.int(int64(ev.Path.Path))
+			e.bool(ev.Path.Up)
+		}
+	}
+	e.omitFloat(sp.ReverseRateMbps)
+	e.omitFloat(sp.ReverseDelayMs)
+	return e.b, e.err
+}
+
+// specEncoder is appendSpec's cursor; the first non-finite float sticks in
+// err.
+type specEncoder struct {
+	b   []byte
+	err error
+}
+
+func (e *specEncoder) str(s string) { e.b = appendString(e.b, s) }
+func (e *specEncoder) int(v int64)  { e.b = binary.AppendVarint(e.b, v) }
+
+// bool encodes v and returns it, so a presence byte can guard its fields.
+func (e *specEncoder) bool(v bool) bool {
+	e.b = appendBool(e.b, v)
+	return v
+}
+
+func (e *specEncoder) float(v float64) {
+	if e.err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		e.err = fmt.Errorf("campaign: encoding spec for cache key: unsupported value: %v", v)
+	}
+	e.b = appendFloat(e.b, v)
+}
+
+// omitFloat encodes a float field JSON omits when zero: −0 is omitted as
+// +0 is, so it encodes as +0.
+func (e *specEncoder) omitFloat(v float64) {
+	if v == 0 {
+		v = 0
+	}
+	e.float(v)
+}
+
+// slice opens a slice JSON writes as null when nil and [] when empty.
+func (e *specEncoder) slice(isNil bool, n int) {
+	if !e.bool(!isNil) {
+		return
+	}
+	e.b = binary.AppendUvarint(e.b, uint64(n))
+}
+
+func (e *specEncoder) ints(vs []int) {
+	e.slice(vs == nil, len(vs))
+	for _, v := range vs {
+		e.int(int64(v))
+	}
 }
 
 func appendString(b []byte, s string) []byte {

@@ -54,10 +54,10 @@ func (d Dist) zero() bool {
 }
 
 // validate checks the distribution's shape and that its entire support lies
-// within [lo, hi]; field names the parameter in errors.
+// within [lo, hi] (NaN does not); field names the parameter in errors.
 func (d Dist) validate(field string, lo, hi float64) error {
 	bounds := func(v float64) error {
-		if v < lo || v > hi {
+		if !(lo <= v && v <= hi) {
 			return fmt.Errorf("campaign: %s value %g outside [%g, %g]", field, v, lo, hi)
 		}
 		return nil

@@ -1,9 +1,10 @@
 package campaign
 
 import (
-	"fmt"
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
+	"strconv"
 	"sync"
 
 	"mptcpsim/internal/netem"
@@ -35,26 +36,28 @@ func (sp *Spec) SampleSpec(index int) *scenario.Spec {
 	defer rngPool.Put(rng)
 	rng.Seed(sp.Seed + int64(index)*indexStride)
 	out := &scenario.Spec{
-		Name:        fmt.Sprintf("%s-%d", sp.Name, index),
+		Name:        sp.Name + "-" + strconv.Itoa(index),
 		WarmupSec:   sp.WarmupSec.sample(rng),
 		DurationSec: sp.DurationSec.sample(rng),
 	}
 
 	nPaths := sp.Paths.sample(rng)
+	out.Links = make([]scenario.LinkSpec, nPaths)
+	out.Paths = make([]scenario.PathSpec, nPaths)
+	links := pathIndices(nPaths) // one backing array for every path's list
 	for i := 0; i < nPaths; i++ {
-		l := scenario.LinkSpec{
+		out.Links[i] = scenario.LinkSpec{
 			RateMbps: sp.LinkRateMbps.sample(rng),
 			LossPct:  sp.LinkLossPct.sample(rng),
 			Queue:    scenario.QueueKind(choose(rng, sp.Queues)),
 		}
-		out.Links = append(out.Links, l)
 		// The bottleneck queue itself has zero propagation delay; the
 		// path's access pipe carries the drawn one-way latency, the
 		// structure of the paper's testbed.
-		out.Paths = append(out.Paths, scenario.PathSpec{
-			Links:   []int{i},
+		out.Paths[i] = scenario.PathSpec{
+			Links:   links[i : i+1 : i+1],
 			DelayMs: sp.LinkDelayMs.sample(rng),
-		})
+		}
 	}
 
 	user := scenario.FlowSpec{
@@ -72,11 +75,11 @@ func (sp *Spec) SampleSpec(index int) *scenario.Spec {
 		user.FlowBytes = fb
 		user.Scheduler = choose(rng, sp.Schedulers)
 	}
-	out.Flows = append(out.Flows, user)
+	out.Flows = append(make([]scenario.FlowSpec, 0, 1+nPaths), user)
 	for i := 0; i < nPaths; i++ {
 		if n := sp.Background.sample(rng); n > 0 {
 			out.Flows = append(out.Flows, scenario.FlowSpec{
-				Name:        fmt.Sprintf("bg%d", i),
+				Name:        "bg" + strconv.Itoa(i),
 				Algorithm:   scenario.AlgoTCP,
 				Paths:       []int{i},
 				Count:       n,
@@ -92,7 +95,8 @@ func (sp *Spec) SampleSpec(index int) *scenario.Spec {
 	return out
 }
 
-// pathIndices is [0, 1, …, n-1]: the user's subflows cover every path.
+// pathIndices is [0, 1, …, n-1]: the user's subflows cover every path, and
+// path i crosses link i.
 func pathIndices(n int) []int {
 	out := make([]int, n)
 	for i := range out {
@@ -113,7 +117,7 @@ func (sp *Spec) sampleTimeline(rng *rand.Rand, out *scenario.Spec, nPaths int) [
 	}
 	kinds := sp.Faults.kinds()
 	end := out.WarmupSec + out.DurationSec
-	var evs []scenario.TimelineEvent
+	evs := make([]scenario.TimelineEvent, 0, 2*n) // a blackhole or flap is two
 	for e := 0; e < n; e++ {
 		at := end * rng.Float64()
 		switch choose(rng, kinds) {
@@ -133,6 +137,6 @@ func (sp *Spec) sampleTimeline(rng *rand.Rand, out *scenario.Spec, nPaths int) [
 				Path: &scenario.PathFlap{Path: p, Up: true}})
 		}
 	}
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].AtSec < evs[j].AtSec })
+	slices.SortStableFunc(evs, func(a, b scenario.TimelineEvent) int { return cmp.Compare(a.AtSec, b.AtSec) })
 	return evs
 }

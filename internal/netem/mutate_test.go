@@ -8,6 +8,7 @@ package netem
 // and FIFO order plus the exact counters survive every transition.
 
 import (
+	"math"
 	"testing"
 
 	"mptcpsim/internal/sim"
@@ -219,14 +220,19 @@ func TestRandomLossZeroProbDrawsNoRandomness(t *testing.T) {
 }
 
 func TestRandomLossSetProbRejectsOutOfRange(t *testing.T) {
-	for _, p := range []float64{-0.1, 1.1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("SetProb(%g): expected panic", p)
-				}
+	for _, p := range []float64{-0.1, 1.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for name, build := range map[string]func(){
+			"SetProb":       func() { NewRandomLoss(sim.New(1), 0).SetProb(p) },
+			"NewRandomLoss": func() { NewRandomLoss(sim.New(1), p) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%g): expected panic", name, p)
+					}
+				}()
+				build()
 			}()
-			NewRandomLoss(sim.New(1), 0).SetProb(p)
-		}()
+		}
 	}
 }

@@ -38,7 +38,7 @@ type RandomLoss struct {
 // p = 1 black-holes the element (useful as a transient fault); p = 0 makes
 // it fully transparent and draws no randomness.
 func NewRandomLoss(s *sim.Sim, p float64) *RandomLoss {
-	if p < 0 || p > 1 {
+	if !(0 <= p && p <= 1) {
 		panic("netem: loss probability must be in [0, 1]")
 	}
 	return &RandomLoss{sim: s, prob: p}
@@ -53,7 +53,7 @@ func (l *RandomLoss) Prob() float64 { return l.prob }
 //
 //simlint:hot
 func (l *RandomLoss) SetProb(p float64) {
-	if p < 0 || p > 1 {
+	if !(0 <= p && p <= 1) {
 		panic("netem: loss probability must be in [0, 1]")
 	}
 	l.prob = p

@@ -215,7 +215,7 @@ func (sp *Spec) Validate() error {
 		if !(l.DelayMs <= maxDelayMs) {
 			return fmt.Errorf("scenario %q: link %d delay %g ms longer than %g ms", sp.Name, i, l.DelayMs, maxDelayMs)
 		}
-		if l.LossPct < 0 || l.LossPct >= 100 {
+		if !(0 <= l.LossPct && l.LossPct < 100) {
 			return fmt.Errorf("scenario %q: link %d loss %g%% outside [0, 100)", sp.Name, i, l.LossPct)
 		}
 		if l.BufferPkts < 0 {

@@ -2,7 +2,9 @@ package scenario
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -109,6 +111,61 @@ func TestSpecValidate(t *testing.T) {
 				t.Fatal("Compile accepted the invalid spec")
 			}
 		})
+	}
+}
+
+// floatLeaves calls visit on every float64 reachable from v, through
+// structs, slices and non-nil pointers, in field order.
+func floatLeaves(v reflect.Value, path string, visit func(string, reflect.Value)) {
+	switch v.Kind() {
+	case reflect.Float64:
+		visit(path, v)
+	case reflect.Pointer:
+		if !v.IsNil() {
+			floatLeaves(v.Elem(), path, visit)
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			floatLeaves(v.Index(i), fmt.Sprintf("%s[%d]", path, i), visit)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			floatLeaves(v.Field(i), path+"."+v.Type().Field(i).Name, visit)
+		}
+	}
+}
+
+// TestValidateRejectsNonFinite sets NaN, +Inf and −Inf in turn in every
+// float field of a spec that uses them all: Validate rejects each. A range
+// check written as `v < lo || v > hi` lets NaN through; a NaN loss used to
+// compile to a lossless link.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	full := func() *Spec {
+		sp := twoPathSpec()
+		sp.ReverseRateMbps, sp.ReverseDelayMs = 500, 30
+		sp.Links[0].DelayMs, sp.Links[0].LossPct = 1, 0.5
+		sp.Flows[1].StopSec, sp.Flows[1].MaxCwndPkts = 1.5, 8
+		sp.Timeline = []TimelineEvent{{AtSec: 1, Link: &LinkSetpoint{Link: 0, RateMbps: 1, DelayMs: Float(5), LossPct: Float(1)}}}
+		return sp
+	}
+	if err := full().Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var fields []string
+	floatLeaves(reflect.ValueOf(full()).Elem(), "Spec", func(path string, _ reflect.Value) { fields = append(fields, path) })
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for i, field := range fields {
+			sp, n := full(), 0
+			floatLeaves(reflect.ValueOf(sp).Elem(), "Spec", func(_ string, v reflect.Value) {
+				if n == i {
+					v.SetFloat(bad)
+				}
+				n++
+			})
+			if err := sp.Validate(); err == nil {
+				t.Errorf("%s = %g: Validate accepted it", field, bad)
+			}
+		}
 	}
 }
 

@@ -99,7 +99,7 @@ func (sp *Spec) validateTimeline() error {
 			if ls.DelayMs != nil && !(*ls.DelayMs <= maxDelayMs) {
 				return fmt.Errorf("scenario %q: timeline event %d delay %g ms longer than %g ms", sp.Name, i, *ls.DelayMs, maxDelayMs)
 			}
-			if ls.LossPct != nil && (*ls.LossPct < 0 || *ls.LossPct > 100) {
+			if ls.LossPct != nil && !(0 <= *ls.LossPct && *ls.LossPct <= 100) {
 				return fmt.Errorf("scenario %q: timeline event %d loss %g%% outside [0, 100]", sp.Name, i, *ls.LossPct)
 			}
 			if ls.RateMbps == 0 && ls.DelayMs == nil && ls.LossPct == nil {
