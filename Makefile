@@ -43,7 +43,7 @@ lint:
 
 # One way to run a network, one way to wire a flow, one kind of kernel
 # event, one observation point, one job protocol, one generator, one public API, one benchmark
-# ladder: no RunUntil( in non-test Go outside internal/sim (which defines
+# ladder, one loss-throughput law: no RunUntil( in non-test Go outside internal/sim (which defines
 # it), internal/scenario (Net.Run, which slices it for cancellation and puts
 # the invariant checks around it) and bench/ (kernel rigs); no payload event
 # kind anywhere; no closure event (Sim.At/After) in non-test Go outside
@@ -63,7 +63,8 @@ lint:
 # ignored bench/out/). The module cross-builds for windows/amd64,
 # darwin/arm64 and linux/arm64, and no non-test Go outside
 # internal/campaign/cache.go (the cache's entry read) and bench/ calls
-# syscall.Open, Read or Close: file I/O goes through os.
+# syscall.Open, Read or Close: file I/O goes through os. TCP's √(2/p)/rtt is
+# written once, in internal/fixedpoint: no Sqrt(2/ in non-test Go outside it.
 guard:
 	@if git grep -n 'RunUntil(' -- '*.go' ':!*_test.go' ':!internal/sim/' ':!internal/scenario/' ':!bench/'; then \
 		echo "raw Sim.RunUntil above the scenario layer: build a scenario.Net and call its Run"; exit 1; \
@@ -92,6 +93,9 @@ guard:
 		{ echo "committed benchmark results found — bench/ and BENCHMARK.json are the only ladder"; exit 1; }
 	@if git grep -nE 'syscall\.(Open|Read|Close)\(' -- '*.go' ':!*_test.go' ':!internal/campaign/cache.go' ':!bench/'; then \
 		echo "direct syscall file I/O outside the campaign cache's entry read: use os"; exit 1; \
+	fi
+	@if git grep -n 'Sqrt(2/' -- '*.go' ':!*_test.go' ':!internal/fixedpoint/'; then \
+		echo "the loss-throughput law lives in internal/fixedpoint"; exit 1; \
 	fi
 	@for target in windows/amd64 darwin/arm64 linux/arm64; do \
 		GOOS=$${target%/*} GOARCH=$${target#*/} $(GO) build . ./cmd/... ./internal/... || \

@@ -53,11 +53,11 @@ func main() {
 	fmt.Printf("Scenario A: %d MPTCP users (server-limited to %.1f Mb/s each) share an AP\n", n1, c1)
 	fmt.Printf("with %d regular TCP users; the AP alone would give each TCP user %.1f Mb/s.\n\n", n2, c2)
 
-	ana, err := fixedpoint.ScenarioALIA(n1, n2, c1, c2, fixedpoint.DefaultParams)
+	ana, err := fixedpoint.ScenarioALIA(n1, n2, c1, c2, fixedpoint.PaperRTT)
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt := fixedpoint.ScenarioAOptimum(n1, n2, c1, c2, fixedpoint.DefaultParams)
+	opt := fixedpoint.ScenarioAOptimum(n1, n2, c1, c2, fixedpoint.PaperRTT)
 
 	fmt.Printf("%-28s %-22s %s\n", "", "TCP users (normalized)", "shared-AP loss prob")
 	liaT2, liaP2 := run("lia")

@@ -12,10 +12,6 @@
 // All controllers operate in packet (MSS) units on float64 windows, exactly
 // as the per-ACK update rules are written in the paper, and compensate for
 // heterogeneous RTTs through the smoothed RTT estimates of the subflows.
-//
-// The package also provides the loss-throughput fixed-point formulas used
-// throughout the paper's analysis (TCP's √(2/p)/rtt, LIA's Eq. 2, and
-// OLIA's Theorem-1 equilibrium).
 package core
 
 import (

@@ -312,113 +312,6 @@ func TestFullyCoupledReduceWithoutView(t *testing.T) {
 	}
 }
 
-func TestTCPRateFormula(t *testing.T) {
-	// p=0.02, rtt=0.1: √(100)/0.1 = 100 pkt/s.
-	if got := TCPRate(0.02, 0.1); math.Abs(got-100) > 1e-9 {
-		t.Fatalf("TCPRate %v, want 100", got)
-	}
-	if !math.IsInf(TCPRate(0, 0.1), 1) {
-		t.Fatal("zero loss should be Inf")
-	}
-}
-
-func TestLIAWindowsEquation2(t *testing.T) {
-	// Symmetric case: equal p, equal rtt → equal windows, and total rate
-	// equals TCP on either path.
-	p := []float64{0.01, 0.01}
-	rtts := []float64{0.1, 0.1}
-	w := LIAWindows(p, rtts)
-	if math.Abs(w[0]-w[1]) > 1e-9 {
-		t.Fatalf("asymmetric windows %v", w)
-	}
-	total := w[0]/rtts[0] + w[1]/rtts[1]
-	if math.Abs(total-TCPRate(0.01, 0.1)) > 1e-6 {
-		t.Fatalf("total rate %v, want %v", total, TCPRate(0.01, 0.1))
-	}
-}
-
-func TestLIAWindowsLoadBalance(t *testing.T) {
-	// Windows proportional to 1/p_r (Eq. 2).
-	p := []float64{0.01, 0.02}
-	rtts := []float64{0.1, 0.1}
-	w := LIAWindows(p, rtts)
-	if math.Abs(w[0]/w[1]-2) > 1e-9 {
-		t.Fatalf("w0/w1 = %v, want 2", w[0]/w[1])
-	}
-}
-
-// Property: LIA total rate (Eq. 2) always equals the best single-path TCP
-// rate, for any loss vector — the "improve throughput + do no harm" pair.
-func TestPropertyLIATotalEqualsBestTCP(t *testing.T) {
-	f := func(ps []uint16) bool {
-		n := len(ps)
-		if n == 0 {
-			return true
-		}
-		if n > 6 {
-			n = 6
-		}
-		p := make([]float64, n)
-		rtts := make([]float64, n)
-		for i := 0; i < n; i++ {
-			p[i] = 0.001 + float64(ps[i]%1000)/10000
-			rtts[i] = 0.1
-		}
-		rates := LIARates(p, rtts)
-		var total, best float64
-		for i := 0; i < n; i++ {
-			total += rates[i]
-			if r := TCPRate(p[i], rtts[i]); r > best {
-				best = r
-			}
-		}
-		return math.Abs(total-best)/best < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(6))}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestOLIARatesUseOnlyBestPaths(t *testing.T) {
-	p := []float64{0.01, 0.04, 0.0025}
-	rtts := []float64{0.1, 0.1, 0.1}
-	rates := OLIARates(p, rtts)
-	if rates[0] != 0 || rates[1] != 0 {
-		t.Fatalf("non-best paths carry traffic: %v", rates)
-	}
-	if math.Abs(rates[2]-TCPRate(0.0025, 0.1)) > 1e-9 {
-		t.Fatalf("best-path rate %v", rates[2])
-	}
-}
-
-func TestOLIARatesSplitEqualBest(t *testing.T) {
-	p := []float64{0.01, 0.01}
-	rtts := []float64{0.1, 0.1}
-	rates := OLIARates(p, rtts)
-	if math.Abs(rates[0]-rates[1]) > 1e-9 {
-		t.Fatalf("unequal split on identical paths: %v", rates)
-	}
-	if math.Abs(rates[0]+rates[1]-TCPRate(0.01, 0.1)) > 1e-6 {
-		t.Fatalf("total %v", rates[0]+rates[1])
-	}
-}
-
-func TestMismatchedSlicesPanic(t *testing.T) {
-	for _, fn := range []func(){
-		func() { LIAWindows([]float64{0.1}, []float64{0.1, 0.2}) },
-		func() { OLIARates([]float64{0.1}, []float64{0.1, 0.2}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 // TestControllersZeroAlloc locks the per-ACK and per-loss paths of every
 // controller at zero allocations once per-subflow state is sized: tcp calls
 // them once per ACK, so one make here is tens of thousands per scenario.

@@ -1,11 +1,22 @@
-// Package fixedpoint implements the paper's closed-form and semi-closed-form
-// analyses: the LIA fixed points of Appendices A and B and §III-C, and the
-// "theoretical optimum with probing cost" baselines — the allocation an
-// optimal window-based algorithm achieves given that every established path
-// must carry at least one MSS per RTT.
+// Package fixedpoint holds the paper's loss-throughput laws and the closed
+// forms built on them.
 //
-// Conventions: capacities and rates are in Mb/s (per user, as in the paper's
-// normalized plots), RTTs in seconds, loss probabilities per packet.
+// The laws map per-path loss probabilities and RTTs to equilibrium rates:
+//
+//	TCP:  x = √(2/p)/rtt                               (Misra et al. [22])
+//	LIA:  w_r = (1/p_r)·max_q(√(2/p_q)/rtt_q) / Σ_q 1/(rtt_q·p_q)   (Eq. 2)
+//	OLIA: the best paths split max_q √(2/p_q)/rtt_q; the others carry
+//	      nothing                                          (Theorem 1)
+//
+// The closed forms are the LIA fixed points of Appendices A and B and
+// §III-C, and the "theoretical optimum with probing cost" baselines — the
+// allocation an optimal window-based algorithm achieves given that every
+// established path must carry at least one MSS per RTT.
+//
+// Conventions: the laws take and return packets (MSS) per second; the closed
+// forms take capacities and return rates in Mb/s (per user, as in the
+// paper's normalized plots). RTTs are in seconds, loss probabilities per
+// packet, and a segment is 1500 bytes.
 package fixedpoint
 
 import (
@@ -14,47 +25,99 @@ import (
 	"math"
 )
 
-// Params holds the shared analysis constants.
-type Params struct {
-	RTT float64 // round-trip time in seconds (the paper uses 0.15)
-	MSS int     // segment size in bytes (1500)
+// PaperRTT is the testbed round-trip time of §III, in seconds.
+const PaperRTT = 0.15
+
+// mss is the segment size in bytes.
+const mss = 1500
+
+// TCPRate returns the throughput of a regular TCP user on a path with loss
+// probability p and round-trip time rtt: √(2/p)/rtt packets per second (the
+// formula of Misra et al. [22] used throughout the paper).
+func TCPRate(p, rtt float64) float64 {
+	if p <= 0 || rtt <= 0 {
+		return math.Inf(1)
+	}
+	return math.Sqrt(2/p) / rtt
 }
 
-// DefaultParams are the testbed values of §III.
-var DefaultParams = Params{RTT: 0.15, MSS: 1500}
+// LIARates returns LIA's fixed-point rate w_r/rtt_r on each path, with the
+// windows w_r of the paper's Eq. (2):
+//
+//	w_r = (1/p_r) · max_p(√(2/p_p)/rtt_p) / Σ_p 1/(rtt_p·p_p),
+//
+// valid when RTTs are similar enough that LIA's min() clamp is inactive.
+func LIARates(p, rtts []float64) []float64 {
+	if len(p) != len(rtts) {
+		panic("fixedpoint: LIARates needs matching slices")
+	}
+	var best, denom float64
+	for i := range p {
+		if r := TCPRate(p[i], rtts[i]); r > best {
+			best = r
+		}
+		denom += 1 / (rtts[i] * p[i])
+	}
+	x := make([]float64, len(p))
+	for i := range p {
+		x[i] = best / (p[i] * denom) / rtts[i]
+	}
+	return x
+}
 
-func (p Params) fill() Params {
-	if p.RTT == 0 {
-		p.RTT = DefaultParams.RTT
+// OLIARates returns the Theorem-1 equilibrium of OLIA: only the best paths
+// (maximal √(2/p_r)/rtt_r) carry traffic, and the total rate equals the rate
+// of a regular TCP user on the best path. The split among equally-best paths
+// is not pinned down by the theorem; the uniform split returned here is what
+// the α term converges to for identical paths (Fig. 7).
+func OLIARates(p, rtts []float64) []float64 {
+	if len(p) != len(rtts) {
+		panic("fixedpoint: OLIARates needs matching slices")
 	}
-	if p.MSS == 0 {
-		p.MSS = DefaultParams.MSS
+	rates := make([]float64, len(p))
+	var best float64
+	for i := range p {
+		if r := TCPRate(p[i], rtts[i]); r > best {
+			best = r
+		}
 	}
-	return p
+	if best == 0 || math.IsInf(best, 1) {
+		return rates
+	}
+	var nBest int
+	for i := range p {
+		if TCPRate(p[i], rtts[i]) >= best*(1-1e-12) {
+			nBest++
+		}
+	}
+	for i := range p {
+		if TCPRate(p[i], rtts[i]) >= best*(1-1e-12) {
+			rates[i] = best / float64(nBest)
+		}
+	}
+	return rates
 }
 
 // ProbeRate is the minimum per-path traffic of a window-based algorithm:
 // one MSS per RTT, in Mb/s.
-func (p Params) ProbeRate() float64 {
-	p = p.fill()
-	return float64(p.MSS) * 8 / p.RTT / 1e6
+func ProbeRate(rtt float64) float64 {
+	return mss * 8 / rtt / 1e6
 }
 
 // pktsPerSec converts Mb/s to packets per second.
-func (p Params) pktsPerSec(mbps float64) float64 {
-	p = p.fill()
-	return mbps * 1e6 / (float64(p.MSS) * 8)
+func pktsPerSec(mbps float64) float64 {
+	return mbps * 1e6 / (mss * 8)
 }
 
-// lossFor returns the loss probability at which a TCP user with the
-// configured RTT reaches the given rate in Mb/s: p = 2/(x·rtt)².
-func (p Params) lossFor(mbps float64) float64 {
-	pk := p.pktsPerSec(mbps) * p.fill().RTT
+// lossFor inverts TCPRate: the loss probability at which a TCP user with
+// round-trip time rtt reaches the given rate in Mb/s, p = 2/(x·rtt)².
+func lossFor(mbps, rtt float64) float64 {
+	pk := pktsPerSec(mbps) * rtt
 	return 2 / (pk * pk)
 }
 
-// Bisect finds a root of f in [lo, hi] (f(lo) and f(hi) must straddle zero).
-func Bisect(f func(float64) float64, lo, hi float64) (float64, error) {
+// bisect finds a root of f in [lo, hi] (f(lo) and f(hi) must straddle zero).
+func bisect(f func(float64) float64, lo, hi float64) (float64, error) {
 	flo, fhi := f(lo), f(hi)
 	if flo == 0 {
 		return lo, nil
@@ -94,20 +157,19 @@ type AResult struct {
 // ScenarioALIA solves Appendix A's fixed point for MPTCP with LIA: z =
 // √(p1/p2) is the unique positive root of z + (N1/N2)·z²/(1+2z²) = C2/C1
 // (Eq. 10), from which all rates follow.
-func ScenarioALIA(n1, n2, c1, c2 float64, pr Params) (AResult, error) {
+func ScenarioALIA(n1, n2, c1, c2, rtt float64) (AResult, error) {
 	if n1 <= 0 || n2 <= 0 || c1 <= 0 || c2 <= 0 {
 		return AResult{}, errors.New("fixedpoint: nonpositive scenario A parameters")
 	}
-	pr = pr.fill()
 	ratio := n1 / n2
 	f := func(z float64) float64 {
 		return z + ratio*z*z/(1+2*z*z) - c2/c1
 	}
-	z, err := Bisect(f, 1e-9, 1e6)
+	z, err := bisect(f, 1e-9, 1e6)
 	if err != nil {
 		return AResult{}, err
 	}
-	p1 := pr.lossFor(c1) // x1+x2 = C1 = √(2/p1)/rtt
+	p1 := lossFor(c1, rtt) // x1+x2 = C1 = √(2/p1)/rtt
 	res := AResult{
 		X2:        c1 * z * z / (1 + 2*z*z),
 		Y:         c1 * z,
@@ -123,9 +185,8 @@ func ScenarioALIA(n1, n2, c1, c2 float64, pr Params) (AResult, error) {
 // ScenarioAOptimum is the theoretical optimum with probing cost for Scenario
 // A (Appendix A.2): the extra path cannot help type1 users, so an optimal
 // algorithm sends only the 1-MSS-per-RTT probe over the shared AP.
-func ScenarioAOptimum(n1, n2, c1, c2 float64, pr Params) AResult {
-	pr = pr.fill()
-	probe := pr.ProbeRate()
+func ScenarioAOptimum(n1, n2, c1, c2, rtt float64) AResult {
+	probe := ProbeRate(rtt)
 	y := c2 - n1/n2*probe
 	if y < 0 {
 		y = 0
@@ -155,11 +216,10 @@ type CResult struct {
 // z = √(p1/p2) is the positive root of z³ + (N1/N2)z² + z = C2/C1 and
 //
 //	(x1+x2)/C1 = 1+z²,   y/C2 = 1 − (N1·C1)/(N2·C2)·z².
-func ScenarioCLIA(n1, n2, c1, c2 float64, pr Params) (CResult, error) {
+func ScenarioCLIA(n1, n2, c1, c2, rtt float64) (CResult, error) {
 	if n1 <= 0 || n2 <= 0 || c1 <= 0 || c2 <= 0 {
 		return CResult{}, errors.New("fixedpoint: nonpositive scenario C parameters")
 	}
-	pr = pr.fill()
 	if c1/c2 < 1/(2+n1/n2) {
 		share := (n1*c1 + n2*c2) / (n1 + n2)
 		return CResult{
@@ -171,7 +231,7 @@ func ScenarioCLIA(n1, n2, c1, c2 float64, pr Params) (CResult, error) {
 	f := func(z float64) float64 {
 		return z*z*z + ratio*z*z + z - c2/c1
 	}
-	z, err := Bisect(f, 0, 1e6)
+	z, err := bisect(f, 0, 1e6)
 	if err != nil {
 		return CResult{}, err
 	}
@@ -184,7 +244,7 @@ func ScenarioCLIA(n1, n2, c1, c2 float64, pr Params) (CResult, error) {
 	}
 	// x1+x2 = √(2/p1)/rtt·... total multipath rate satisfies
 	// √(2/p1)/rtt = C1(1+z²); p2 = p1/z².
-	p1 := pr.lossFor(c1 * (1 + z*z))
+	p1 := lossFor(c1*(1+z*z), rtt)
 	res.P1 = p1
 	res.P2 = p1 / (z * z)
 	return res, nil
@@ -193,9 +253,8 @@ func ScenarioCLIA(n1, n2, c1, c2 float64, pr Params) (CResult, error) {
 // ScenarioCOptimum is the optimum with probing cost for Scenario C: the
 // proportionally fair allocation adjusted for the 1-MSS-per-RTT probe
 // (dashed lines of Fig. 5(b)).
-func ScenarioCOptimum(n1, n2, c1, c2 float64, pr Params) CResult {
-	pr = pr.fill()
-	probe := pr.ProbeRate()
+func ScenarioCOptimum(n1, n2, c1, c2, rtt float64) CResult {
+	probe := ProbeRate(rtt)
 	share := (n1*c1 + n2*c2) / (n1 + n2)
 	multi := math.Max(c1+probe, share)
 	single := math.Min(c2-n1/n2*probe, share)
@@ -226,13 +285,12 @@ type BResult struct {
 // Red single-path on T). With Red upgraded to MPTCP, z = pX/pT solves the
 // regime-dependent balance equation; the 5/9 boundary of the appendix
 // separates the two regimes.
-func ScenarioBLIA(n, cx, ct float64, redMultipath bool, pr Params) (BResult, error) {
+func ScenarioBLIA(n, cx, ct float64, redMultipath bool, rtt float64) (BResult, error) {
 	if n <= 0 || cx <= 0 || ct <= 0 {
 		return BResult{}, errors.New("fixedpoint: nonpositive scenario B parameters")
 	}
-	pr = pr.fill()
 	if !redMultipath {
-		c, err := ScenarioCLIA(n, n, cx/n, ct/n, pr)
+		c, err := ScenarioCLIA(n, n, cx/n, ct/n, rtt)
 		if err != nil {
 			return BResult{}, err
 		}
@@ -266,7 +324,7 @@ func ScenarioBLIA(n, cx, ct float64, redMultipath bool, pr Params) (BResult, err
 	target := cx / ct
 	// capRatio decreases in z, crossing 5/9 at z = 1.
 	f := func(z float64) float64 { return capRatio(z) - target }
-	z, err := Bisect(f, 1e-9, 1e9)
+	z, err := bisect(f, 1e-9, 1e9)
 	if err != nil {
 		return BResult{}, err
 	}
@@ -282,7 +340,7 @@ func ScenarioBLIA(n, cx, ct float64, redMultipath bool, pr Params) (BResult, err
 		blue = u / math.Sqrt(z)
 	}
 	red := u
-	pt := pr.lossFor(u)
+	pt := lossFor(u, rtt)
 	return BResult{
 		BluePerUser: blue,
 		RedPerUser:  red,
@@ -296,9 +354,8 @@ func ScenarioBLIA(n, cx, ct float64, redMultipath bool, pr Params) (BResult, err
 
 // ScenarioBOptimum is the optimum with probing cost for Scenario B
 // (Appendix B.2, Eqs. 11-14).
-func ScenarioBOptimum(n, cx, ct float64, redMultipath bool, pr Params) BResult {
-	pr = pr.fill()
-	probe := pr.ProbeRate()
+func ScenarioBOptimum(n, cx, ct float64, redMultipath bool, rtt float64) BResult {
+	probe := ProbeRate(rtt)
 	var blue, red float64
 	if !redMultipath {
 		// Case 1 (Eqs. 11-12).

@@ -128,10 +128,6 @@ type Model struct {
 	Net  *Network
 	Algo Algo
 
-	// XMin floors every route rate, representing the 1-MSS-per-RTT probing
-	// traffic of a window-based implementation. Zero means 1/rtt per route.
-	XMin float64
-
 	// offsets[u] is the index of user u's first route in x.
 	offsets []int
 	nRoutes int
@@ -166,13 +162,9 @@ func (m *Model) NumRoutes() int { return m.nRoutes }
 // Index returns the flat index of user u's route r.
 func (m *Model) Index(u, r int) int { return m.offsets[u] + r }
 
-// xmin returns the probing floor for a route.
-func (m *Model) xmin(rtt float64) float64 {
-	if m.XMin > 0 {
-		return m.XMin
-	}
-	return 1 / rtt
-}
+// probeFloor is the minimum rate of a route with the given RTT: the
+// 1-MSS-per-RTT probing traffic of a window-based implementation.
+func probeFloor(rtt float64) float64 { return 1 / rtt }
 
 // linkLoads accumulates per-link total load for state x.
 func (m *Model) linkLoads(x []float64) []float64 {
@@ -340,7 +332,7 @@ func (m *Model) clamp(x []float64) {
 	for u, user := range m.Net.Users {
 		for r, route := range user.Routes {
 			i := m.Index(u, r)
-			if floor := m.xmin(route.RTT); x[i] < floor {
+			if floor := probeFloor(route.RTT); x[i] < floor {
 				x[i] = floor
 			}
 		}
@@ -353,19 +345,28 @@ func (m *Model) InitialState() []float64 {
 	x := make([]float64, m.nRoutes)
 	for u, user := range m.Net.Users {
 		for r, route := range user.Routes {
-			x[m.Index(u, r)] = 2 * m.xmin(route.RTT)
+			x[m.Index(u, r)] = 2 * probeFloor(route.RTT)
 		}
 	}
 	return x
 }
 
-// Equilibrium integrates until the relative derivative norm falls below tol
-// or maxSteps elapse; it reports the final state and whether it converged.
-func (m *Model) Equilibrium(dt, tol float64, maxSteps int) ([]float64, bool) {
+// Equilibrium's RK4 step (seconds), its bound on the largest relative
+// derivative, and its step budget.
+const (
+	eqStep     = 0.002
+	eqTol      = 1e-4
+	eqMaxSteps = 400_000
+)
+
+// Equilibrium integrates from InitialState until every route's relative
+// derivative falls below eqTol or eqMaxSteps elapse; it reports the final
+// state and whether it converged.
+func (m *Model) Equilibrium() ([]float64, bool) {
 	x := m.InitialState()
 	dx := make([]float64, m.nRoutes)
-	for s := 0; s < maxSteps; s += 50 {
-		m.Integrate(x, dt, 50)
+	for s := 0; s < eqMaxSteps; s += 50 {
+		m.Integrate(x, eqStep, 50)
 		m.Derivative(x, dx)
 		var worst float64
 		for i := range x {
@@ -379,7 +380,7 @@ func (m *Model) Equilibrium(dt, tol float64, maxSteps int) ([]float64, bool) {
 				worst = rel
 			}
 		}
-		if worst < tol {
+		if worst < eqTol {
 			return x, true
 		}
 	}
@@ -391,7 +392,7 @@ func (m *Model) floorOf(i int) float64 {
 	for u, user := range m.Net.Users {
 		base := m.offsets[u]
 		if i >= base && i < base+len(user.Routes) {
-			return m.xmin(user.Routes[i-base].RTT)
+			return probeFloor(user.Routes[i-base].RTT)
 		}
 	}
 	return 0

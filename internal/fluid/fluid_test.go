@@ -20,7 +20,7 @@ func oneLinkOneTCP() *Model {
 
 func TestTCPFluidEquilibriumSelfConsistent(t *testing.T) {
 	m := oneLinkOneTCP()
-	x, ok := m.Equilibrium(0.002, 1e-5, 200_000)
+	x, ok := m.Equilibrium()
 	if !ok {
 		t.Fatal("no convergence")
 	}
@@ -58,7 +58,7 @@ func scenarioCNet(c1, c2 float64, nMP, nSP int, algo Algo) *Model {
 func TestTheorem1OnlyBestPathsUsed(t *testing.T) {
 	// Make link 1 much worse: small capacity shared with single-path users.
 	m := scenarioCNet(2000, 700, 2, 2, OLIA)
-	x, ok := m.Equilibrium(0.002, 1e-4, 400_000)
+	x, ok := m.Equilibrium()
 	if !ok {
 		t.Fatal("no convergence")
 	}
@@ -103,7 +103,7 @@ func TestOLIAFluidBeatsLIAForSinglePathUsers(t *testing.T) {
 	// C1 > C2: multipath users should vacate link 1 (scenario C's claim).
 	rate := func(algo Algo) float64 {
 		m := scenarioCNet(2000, 800, 2, 2, algo)
-		x, ok := m.Equilibrium(0.002, 1e-4, 400_000)
+		x, ok := m.Equilibrium()
 		if !ok {
 			t.Fatal("no convergence")
 		}
@@ -118,7 +118,7 @@ func TestOLIAFluidBeatsLIAForSinglePathUsers(t *testing.T) {
 
 func TestOLIAFluidSymmetricSplitsEvenly(t *testing.T) {
 	m := scenarioCNet(1000, 1000, 2, 0, OLIA)
-	x, ok := m.Equilibrium(0.002, 1e-4, 400_000)
+	x, ok := m.Equilibrium()
 	if !ok {
 		t.Fatal("no convergence")
 	}
@@ -135,8 +135,8 @@ func TestLIAFluidKeepsMoreOnCongestedPath(t *testing.T) {
 	// path, unlike OLIA's floor-level probing.
 	mOLIA := scenarioCNet(2000, 700, 2, 2, OLIA)
 	mLIA := scenarioCNet(2000, 700, 2, 2, LIA)
-	xO, _ := mOLIA.Equilibrium(0.002, 1e-4, 400_000)
-	xL, _ := mLIA.Equilibrium(0.002, 1e-4, 400_000)
+	xO, _ := mOLIA.Equilibrium()
+	xL, _ := mLIA.Equilibrium()
 	if xL[mLIA.Index(0, 1)] <= 1.5*xO[mOLIA.Index(0, 1)] {
 		t.Fatalf("LIA congested-path rate %.1f not clearly above OLIA's %.1f",
 			xL[mLIA.Index(0, 1)], xO[mOLIA.Index(0, 1)])
@@ -147,7 +147,7 @@ func TestUncoupledFluidTakesTwoShares(t *testing.T) {
 	// ε=2 on symmetric links behaves as two TCP flows: each path converges
 	// to the single-path TCP equilibrium of its link.
 	m := scenarioCNet(1000, 1000, 1, 0, Uncoupled)
-	x, ok := m.Equilibrium(0.002, 1e-4, 400_000)
+	x, ok := m.Equilibrium()
 	if !ok {
 		t.Fatal("no convergence")
 	}
@@ -200,7 +200,7 @@ func TestPropertyLinkLossMonotone(t *testing.T) {
 // free), matching Theorem 3's tradeoff.
 func TestPropertyTheorem3CostTradeoff(t *testing.T) {
 	m := scenarioCNet(1500, 900, 2, 2, OLIA)
-	xeq, ok := m.Equilibrium(0.002, 1e-4, 400_000)
+	xeq, ok := m.Equilibrium()
 	if !ok {
 		t.Fatal("no convergence")
 	}

@@ -41,11 +41,11 @@ func fig4a() (*Result, error) {
 	r := &Result{Columns: analyticColumns("cx_over_ct",
 		"single_blue", "single_red", "multi_blue", "multi_red")}
 	for _, ratio := range fig4Sweep {
-		sp, err := fixedpoint.ScenarioBLIA(15, ratio*ct, ct, false, fixedpoint.DefaultParams)
+		sp, err := fixedpoint.ScenarioBLIA(15, ratio*ct, ct, false, fixedpoint.PaperRTT)
 		if err != nil {
 			return nil, err
 		}
-		mp, err := fixedpoint.ScenarioBLIA(15, ratio*ct, ct, true, fixedpoint.DefaultParams)
+		mp, err := fixedpoint.ScenarioBLIA(15, ratio*ct, ct, true, fixedpoint.PaperRTT)
 		if err != nil {
 			return nil, err
 		}
@@ -64,8 +64,8 @@ func fig4b() (*Result, error) {
 	r := &Result{Columns: analyticColumns("cx_over_ct",
 		"single_blue", "single_red", "multi_blue", "multi_red")}
 	for _, ratio := range fig4Sweep {
-		sp := fixedpoint.ScenarioBOptimum(15, ratio*ct, ct, false, fixedpoint.DefaultParams)
-		mp := fixedpoint.ScenarioBOptimum(15, ratio*ct, ct, true, fixedpoint.DefaultParams)
+		sp := fixedpoint.ScenarioBOptimum(15, ratio*ct, ct, false, fixedpoint.PaperRTT)
+		mp := fixedpoint.ScenarioBOptimum(15, ratio*ct, ct, true, fixedpoint.PaperRTT)
 		r.Rows = append(r.Rows, []Cell{
 			NumCell(ratio),
 			NumCell(sp.BlueNorm), NumCell(sp.RedNorm),
@@ -81,11 +81,11 @@ func fig5b() (*Result, error) {
 	r := &Result{Columns: analyticColumns("c1_over_c2",
 		"lia_multi", "lia_single", "optimum_multi", "optimum_single")}
 	for _, ratio := range []float64{0.1, 0.2, 1.0 / 3, 0.5, 0.75, 1.0, 1.25, 1.5} {
-		lia, err := fixedpoint.ScenarioCLIA(10, 10, ratio, 1.0, fixedpoint.DefaultParams)
+		lia, err := fixedpoint.ScenarioCLIA(10, 10, ratio, 1.0, fixedpoint.PaperRTT)
 		if err != nil {
 			return nil, err
 		}
-		opt := fixedpoint.ScenarioCOptimum(10, 10, ratio, 1.0, fixedpoint.DefaultParams)
+		opt := fixedpoint.ScenarioCOptimum(10, 10, ratio, 1.0, fixedpoint.PaperRTT)
 		r.Rows = append(r.Rows, []Cell{
 			NumCell(ratio),
 			NumCell(lia.MultiNorm), NumCell(lia.SingleNorm),
@@ -104,12 +104,11 @@ func fig17() (*Result, error) {
 	}, analyticColumns("cx_over_ct",
 		"single_blue", "single_red", "multi_blue", "multi_red")...)}
 	for _, rtt := range []float64{0.1, 0.025} {
-		pr := fixedpoint.Params{RTT: rtt}
 		for _, ratio := range fig4Sweep {
-			sp := fixedpoint.ScenarioBOptimum(15, ratio*ct, ct, false, pr)
-			mp := fixedpoint.ScenarioBOptimum(15, ratio*ct, ct, true, pr)
+			sp := fixedpoint.ScenarioBOptimum(15, ratio*ct, ct, false, rtt)
+			mp := fixedpoint.ScenarioBOptimum(15, ratio*ct, ct, true, rtt)
 			r.Rows = append(r.Rows, []Cell{
-				NumCell(rtt * 1000), NumCell(pr.ProbeRate()), NumCell(ratio),
+				NumCell(rtt * 1000), NumCell(fixedpoint.ProbeRate(rtt)), NumCell(ratio),
 				NumCell(sp.BlueNorm), NumCell(sp.RedNorm),
 				NumCell(mp.BlueNorm), NumCell(mp.RedNorm),
 			})

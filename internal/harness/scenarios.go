@@ -152,11 +152,11 @@ func resultScenarioA(res []acResult, withLoss bool) (*Result, error) {
 			Column{Name: "analytic_p1"}, Column{Name: "analytic_p2"})
 	}
 	for _, row := range res {
-		ana, err := fixedpoint.ScenarioALIA(float64(row.point.n1), 10, row.point.c1, 1.0, fixedpoint.DefaultParams)
+		ana, err := fixedpoint.ScenarioALIA(float64(row.point.n1), 10, row.point.c1, 1.0, fixedpoint.PaperRTT)
 		if err != nil {
 			return nil, err
 		}
-		opt := fixedpoint.ScenarioAOptimum(float64(row.point.n1), 10, row.point.c1, 1.0, fixedpoint.DefaultParams)
+		opt := fixedpoint.ScenarioAOptimum(float64(row.point.n1), 10, row.point.c1, 1.0, fixedpoint.PaperRTT)
 		cells := []Cell{
 			NumCell(row.point.c1), NumCell(float64(row.point.n1) / 10), TextCell(row.point.algo),
 			SummaryCell(row.multi), SummaryCell(row.single),
@@ -209,11 +209,11 @@ func resultScenarioC(res []acResult, withLoss bool) (*Result, error) {
 			Column{Name: "p1"}, Column{Name: "p2"}, Column{Name: "analytic_p2"})
 	}
 	for _, row := range res {
-		ana, err := fixedpoint.ScenarioCLIA(float64(row.point.n1), 10, row.point.c1, 1.0, fixedpoint.DefaultParams)
+		ana, err := fixedpoint.ScenarioCLIA(float64(row.point.n1), 10, row.point.c1, 1.0, fixedpoint.PaperRTT)
 		if err != nil {
 			return nil, err
 		}
-		opt := fixedpoint.ScenarioCOptimum(float64(row.point.n1), 10, row.point.c1, 1.0, fixedpoint.DefaultParams)
+		opt := fixedpoint.ScenarioCOptimum(float64(row.point.n1), 10, row.point.c1, 1.0, fixedpoint.PaperRTT)
 		cells := []Cell{
 			NumCell(row.point.c1), NumCell(float64(row.point.n1) / 10), TextCell(row.point.algo),
 			SummaryCell(row.multi), SummaryCell(row.single),
@@ -297,7 +297,7 @@ func resultTableB(algo string, res []bResult) (*Result, error) {
 	}
 	var aggVals [2]float64
 	for i, row := range res {
-		ana, err := fixedpoint.ScenarioBLIA(15, 27, 36, row.multipath, fixedpoint.DefaultParams)
+		ana, err := fixedpoint.ScenarioBLIA(15, 27, 36, row.multipath, fixedpoint.PaperRTT)
 		if err != nil {
 			return nil, err
 		}

@@ -279,7 +279,7 @@ func runCase(ctx context.Context, c ConformanceCase, opts ConformanceOptions) (C
 	if err != nil {
 		return res, err
 	}
-	x, ok := model.Equilibrium(0.002, 1e-4, 400_000)
+	x, ok := model.Equilibrium()
 	res.Converged = ok
 	res.ModelShares = model.UserShares(x, 0)
 	res.ModelTotalMbps = model.UserRate(x, 0) * 8 * netem.MSS / 1e6
@@ -371,7 +371,7 @@ func runFixedPoint(ctx context.Context, durationSec float64) (FixedPointCheck, e
 	for _, f := range rep.Flows[n1:] {
 		fc.MeasuredT2Norm += f.GoodputMbps / c2 / n2
 	}
-	ana, err := fixedpoint.ScenarioALIA(n1, n2, c1, c2, fixedpoint.DefaultParams)
+	ana, err := fixedpoint.ScenarioALIA(n1, n2, c1, c2, fixedpoint.PaperRTT)
 	if err != nil {
 		return fc, err
 	}

@@ -5,11 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"time"
 
 	"mptcpsim/internal/campaign"
-	"mptcpsim/internal/core"
+	"mptcpsim/internal/fixedpoint"
 	"mptcpsim/internal/harness"
 	"mptcpsim/internal/scenario"
 	"mptcpsim/internal/stats"
@@ -316,7 +317,8 @@ func (l *Lab) Conform(ctx context.Context, opts ConformanceOptions) (*Conformanc
 
 // Analyze evaluates the paper's loss-throughput fixed points for a user
 // with the given per-path loss probabilities and RTTs (seconds), without
-// simulation. MSS is 1500 B.
+// simulation. MSS is 1500 B. A loss outside (0, 1] or an RTT that is not
+// positive and finite is ErrInvalidSpec.
 func (l *Lab) Analyze(loss, rtts []float64) (TwoPathAnalysis, error) {
 	const op = "analyze"
 	if len(loss) != len(rtts) || len(loss) == 0 {
@@ -324,23 +326,23 @@ func (l *Lab) Analyze(loss, rtts []float64) (TwoPathAnalysis, error) {
 			fmt.Errorf("need matching non-empty loss and rtt slices (%d vs %d)", len(loss), len(rtts)))
 	}
 	for i := range loss {
-		if loss[i] <= 0 || rtts[i] <= 0 {
+		if !(0 < loss[i] && loss[i] <= 1) || !(0 < rtts[i] && rtts[i] < math.Inf(1)) {
 			return TwoPathAnalysis{}, apiErr(op, "", ErrInvalidSpec,
-				fmt.Errorf("loss and rtt must be positive (path %d: p=%g rtt=%g)", i, loss[i], rtts[i]))
+				fmt.Errorf("loss must be in (0, 1] and rtt positive and finite (path %d: p=%g rtt=%g)", i, loss[i], rtts[i]))
 		}
 	}
 	var out TwoPathAnalysis
 	var best float64
 	for i := range loss {
-		if r := core.TCPRate(loss[i], rtts[i]); r > best {
+		if r := fixedpoint.TCPRate(loss[i], rtts[i]); r > best {
 			best = r
 		}
 	}
 	out.TCPBestMbps = stats.PktsPerSecMbps(best)
-	for _, r := range core.LIARates(loss, rtts) {
+	for _, r := range fixedpoint.LIARates(loss, rtts) {
 		out.LIAMbps = append(out.LIAMbps, stats.PktsPerSecMbps(r))
 	}
-	for _, r := range core.OLIARates(loss, rtts) {
+	for _, r := range fixedpoint.OLIARates(loss, rtts) {
 		out.OLIAMbps = append(out.OLIAMbps, stats.PktsPerSecMbps(r))
 	}
 	return out, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -233,6 +234,36 @@ func TestTypedErrors(t *testing.T) {
 	}
 	if _, err := lab.Analyze([]float64{0.1}, []float64{0.1, 0.2}); !errors.Is(err, ErrInvalidSpec) {
 		t.Fatalf("Analyze bad input: %v", err)
+	}
+}
+
+// TestAnalyzeRejectsOutOfRange puts each value into either slice of an
+// otherwise valid two-path input: a loss must lie in (0, 1] and an RTT must
+// be positive and finite, or Analyze returns ErrInvalidSpec.
+func TestAnalyzeRejectsOutOfRange(t *testing.T) {
+	lab := NewLab()
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -0.01, 1.5}
+	for _, v := range bad {
+		for path := 0; path < 2; path++ {
+			loss, rtts := []float64{0.01, 0.02}, []float64{0.1, 0.15}
+			loss[path] = v
+			if a, err := lab.Analyze(loss, rtts); !errors.Is(err, ErrInvalidSpec) {
+				t.Errorf("loss %v: got %+v, %v; want ErrInvalidSpec", loss, a, err)
+			}
+			loss, rtts = []float64{0.01, 0.02}, []float64{0.1, 0.15}
+			rtts[path] = v
+			_, err := lab.Analyze(loss, rtts)
+			if v == 1.5 { // a 1.5 s RTT is slow but valid
+				if err != nil {
+					t.Errorf("rtt %v: %v", rtts, err)
+				}
+			} else if !errors.Is(err, ErrInvalidSpec) {
+				t.Errorf("rtt %v: got %v, want ErrInvalidSpec", rtts, err)
+			}
+		}
+	}
+	if _, err := lab.Analyze([]float64{1, 0.02}, []float64{0.1, 0.15}); err != nil {
+		t.Fatalf("loss 1 is a valid probability: %v", err)
 	}
 }
 
