@@ -65,6 +65,9 @@ lint:
 # internal/campaign/cache.go (the cache's entry read) and bench/ calls
 # syscall.Open, Read or Close: file I/O goes through os. TCP's √(2/p)/rtt is
 # written once, in internal/fixedpoint: no Sqrt(2/ in non-test Go outside it.
+# The facade builds no network of its own: no scenario.Spec, LinkSpec,
+# PathSpec or FlowSpec literal in the root package's non-test Go (it wraps
+# the internal/scenario builders, such as PaperTwoLink).
 guard:
 	@if git grep -n 'RunUntil(' -- '*.go' ':!*_test.go' ':!internal/sim/' ':!internal/scenario/' ':!bench/'; then \
 		echo "raw Sim.RunUntil above the scenario layer: build a scenario.Net and call its Run"; exit 1; \
@@ -96,6 +99,9 @@ guard:
 	fi
 	@if git grep -n 'Sqrt(2/' -- '*.go' ':!*_test.go' ':!internal/fixedpoint/'; then \
 		echo "the loss-throughput law lives in internal/fixedpoint"; exit 1; \
+	fi
+	@if git grep -nE 'scenario\.(Spec|LinkSpec|PathSpec|FlowSpec)\{' -- ':(glob)*.go' ':!*_test.go'; then \
+		echo "network builders live in internal/scenario; the facade wraps them"; exit 1; \
 	fi
 	@for target in windows/amd64 darwin/arm64 linux/arm64; do \
 		GOOS=$${target%/*} GOARCH=$${target#*/} $(GO) build . ./cmd/... ./internal/... || \

@@ -11,16 +11,20 @@
 //   - Lab (NewLab + functional options) is the simulation engine. Its
 //     context-aware methods cover every long-running entry point —
 //     Collect/RunAll regenerate the paper's tables and figures as
-//     structured Results, Run executes declarative N-path scenarios, Fuzz
-//     and Conform drive the invariant fuzzer and the cross-model
-//     conformance suite, Campaign samples and aggregates thousands of
-//     scenarios from a parameter-distribution population (with a
-//     content-addressed result cache), Simulate runs custom
-//     multipath-vs-TCP microbenchmarks, and Analyze evaluates the paper's
-//     loss-throughput fixed points without simulation. Calls can be cancelled via their
-//     context (errors wrap ErrCanceled) and observed in flight via
-//     WithProgress; failures are matchable with errors.Is/As against the
-//     typed error family in errors.go.
+//     structured Results, Run executes one declarative N-path network (a
+//     ScenarioSpec, read back through one ScenarioReport), Fuzz and
+//     Conform drive the invariant fuzzer and the cross-model conformance
+//     suite, Campaign samples and aggregates thousands of scenarios from a
+//     parameter-distribution population (with a content-addressed result
+//     cache), and Analyze evaluates the paper's loss-throughput fixed
+//     points without simulation. Worker budget and progress sink are set
+//     once, on the Lab. Calls can be cancelled via their context (errors
+//     wrap ErrCanceled) and observed in flight via WithProgress; failures
+//     are matchable with errors.Is/As against the typed error family in
+//     errors.go.
+//   - PaperScenarioA and PaperTwoLink build the paper's testbed networks
+//     as ScenarioSpecs for Lab.Run, the same definitions the experiment
+//     registry runs.
 //   - Rendering and comparison stay pure functions: RenderResult, Diff,
 //     ParseFormat.
 //
@@ -152,6 +156,14 @@ func PaperScenarioA(n1, n2 int, c1, c2 float64, algo string, seed int64, warmupS
 	return *scenario.PaperScenarioA(n1, n2, c1, c2, algo, seed, warmupSec, durationSec)
 }
 
+// PaperTwoLink expresses the paper's Fig. 6 network, the rig behind
+// Figs. 7-8 and the ablations, as a spec: one multipath user (flow "mp-0")
+// over two C Mb/s RED links, link i shared with nTCPi regular TCP flows
+// ("tcp1-*", "tcp2-*"); starts are jittered as in the testbed.
+func PaperTwoLink(c float64, nTCP1, nTCP2 int, algo string, seed int64, warmupSec, durationSec float64) ScenarioSpec {
+	return *scenario.PaperTwoLink(c, nTCP1, nTCP2, algo, seed, warmupSec, durationSec)
+}
+
 // CampaignSpec declares a Monte Carlo campaign for Lab.Campaign: a
 // population of network conditions as parameter distributions (path
 // count, per-link rate/delay/loss, queue disciplines, controllers,
@@ -221,8 +233,9 @@ func Schedulers() []string {
 	return mptcp.Schedulers()
 }
 
-// TwoPathAnalysis is the analytic counterpart of a two-path Lab.Simulate:
-// given loss probabilities and RTTs it evaluates the paper's fixed points.
+// TwoPathAnalysis is the analytic counterpart of a Lab.Run on
+// PaperTwoLink: given loss probabilities and RTTs it evaluates the paper's
+// fixed points.
 type TwoPathAnalysis struct {
 	// TCPBestMbps is √(2/p)/rtt on the better path (goal 1's reference).
 	TCPBestMbps float64

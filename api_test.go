@@ -104,38 +104,6 @@ func TestDiffFacade(t *testing.T) {
 	}
 }
 
-func TestReportResultView(t *testing.T) {
-	rep := Report{
-		TotalMbps: 7.5,
-		Paths: []PathReport{
-			{MultipathMbps: 5, BackgroundMbps: 1.5, LossProb: 0.01, CwndPkts: 12},
-			{MultipathMbps: 2.5, BackgroundMbps: 1.2, LossProb: 0.03, CwndPkts: 4},
-		},
-	}
-	r := rep.Result()
-	if len(r.Rows) != 2 {
-		t.Fatalf("rows %d", len(r.Rows))
-	}
-	if v, ok := r.Value(1, "multipath"); !ok || v != 2.5 {
-		t.Fatalf("Value(1, multipath) = %v, %v", v, ok)
-	}
-	var b strings.Builder
-	if err := RenderResult(r, FormatText, &b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "total 7.50 Mb/s") {
-		t.Fatalf("text view missing total:\n%s", b.String())
-	}
-	// The report itself marshals with snake_case tags.
-	raw, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(raw), `"total_mbps":7.5`) || !strings.Contains(string(raw), `"loss_prob":0.01`) {
-		t.Fatalf("Report JSON tags missing: %s", raw)
-	}
-}
-
 func TestConfigs(t *testing.T) {
 	q, f := DefaultConfig(), FullConfig()
 	if q.FatTreeK != 4 || f.FatTreeK != 8 {
@@ -146,57 +114,6 @@ func TestConfigs(t *testing.T) {
 	}
 	if len(f.Subflows) != 7 || f.Subflows[6] != 8 {
 		t.Fatalf("full subflows %v", f.Subflows)
-	}
-}
-
-func TestSimulateTwoPathOLIA(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation in -short")
-	}
-	rep, err := NewLab().Simulate(context.Background(), Scenario{
-		Algorithm:   "olia",
-		Paths:       []Path{{RateMbps: 10, BackgroundTCP: 2}, {RateMbps: 10, BackgroundTCP: 2}},
-		DurationSec: 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Paths) != 2 {
-		t.Fatalf("paths %d", len(rep.Paths))
-	}
-	if rep.TotalMbps < 1 || rep.TotalMbps > 20 {
-		t.Fatalf("total %.2f Mb/s implausible", rep.TotalMbps)
-	}
-	for i, p := range rep.Paths {
-		if p.BackgroundMbps <= 0 {
-			t.Fatalf("path %d background idle", i)
-		}
-		if p.CwndPkts < 1 {
-			t.Fatalf("path %d cwnd %v", i, p.CwndPkts)
-		}
-	}
-}
-
-func TestSimulateDefaultsAndErrors(t *testing.T) {
-	ok := []Path{{RateMbps: 1}}
-	cases := []struct {
-		name string
-		sc   Scenario
-	}{
-		{"no paths", Scenario{}},
-		{"bad algorithm", Scenario{Algorithm: "bogus", Paths: ok}},
-		{"negative duration", Scenario{Paths: ok, DurationSec: -1}},
-		{"negative seed", Scenario{Paths: ok, Seed: -5}},
-		{"zero-rate path", Scenario{Paths: []Path{{RateMbps: 0}}}},
-		{"negative-rate path", Scenario{Paths: []Path{{RateMbps: -2}}}},
-		{"negative background count", Scenario{Paths: []Path{{RateMbps: 1, BackgroundTCP: -1}}}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := NewLab().Simulate(context.Background(), tc.sc); err == nil {
-				t.Fatalf("Simulate(%+v) accepted invalid input", tc.sc)
-			}
-		})
 	}
 }
 
@@ -230,23 +147,6 @@ func TestScenarioFacade(t *testing.T) {
 	}
 }
 
-func TestSimulateDropTailPath(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation in -short")
-	}
-	rep, err := NewLab().Simulate(context.Background(), Scenario{
-		Paths:       []Path{{RateMbps: 5, BackgroundTCP: 1, DropTail: true}},
-		DurationSec: 10,
-		Seed:        3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TotalMbps <= 0 {
-		t.Fatal("no goodput on drop-tail path")
-	}
-}
-
 func TestAnalyzeTwoPath(t *testing.T) {
 	a, err := NewLab().Analyze([]float64{0.01, 0.04}, []float64{0.1, 0.1})
 	if err != nil {
@@ -277,27 +177,28 @@ func TestAnalyzeTwoPath(t *testing.T) {
 	}
 }
 
-// The paper's flagship behavioral claim at the API level: on asymmetric
-// paths OLIA retreats from the congested one, LIA does not.
+// The paper's flagship behavioral claim at the API level: on the Fig. 6
+// network with link 2 twice as crowded, OLIA retreats from the congested
+// link, LIA does not.
 func TestSimulateOLIAvsLIAAsymmetric(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short")
 	}
-	run := func(algo string) Report {
-		rep, err := NewLab().Simulate(context.Background(), Scenario{
-			Algorithm:   algo,
-			Paths:       []Path{{RateMbps: 10, BackgroundTCP: 5}, {RateMbps: 10, BackgroundTCP: 10}},
-			DurationSec: 40,
-			Seed:        2,
-		})
+	congestedMbps := func(algo string) float64 {
+		rep, err := NewLab().Run(context.Background(), PaperTwoLink(10, 5, 10, algo, 2, 2, 40))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep
+		if len(rep.Violations) != 0 {
+			t.Fatalf("%s: invariant violations: %v", algo, rep.Violations)
+		}
+		mp := rep.Flows[len(rep.Flows)-1]
+		if mp.Name != "mp-0" {
+			t.Fatalf("last flow is %q, want the multipath user mp-0", mp.Name)
+		}
+		return mp.PathMbps[1]
 	}
-	olia, lia := run("olia"), run("lia")
-	if olia.Paths[1].MultipathMbps >= lia.Paths[1].MultipathMbps {
-		t.Fatalf("congested path: OLIA %.3f >= LIA %.3f Mb/s",
-			olia.Paths[1].MultipathMbps, lia.Paths[1].MultipathMbps)
+	if olia, lia := congestedMbps("olia"), congestedMbps("lia"); olia >= lia {
+		t.Fatalf("congested link: OLIA %.3f >= LIA %.3f Mb/s", olia, lia)
 	}
 }

@@ -9,23 +9,17 @@ import (
 	"testing"
 )
 
-// BenchmarkSimulateTwoPath measures the end-to-end cost of the public
-// Lab.Simulate API on a 10-second two-path scenario. The seed is fixed so
-// every iteration runs the identical trajectory: allocs/op is then exact
-// at any iteration count (a per-iteration seed made the mean drift with
-// b.N).
-func BenchmarkSimulateTwoPath(b *testing.B) {
+// BenchmarkRunTwoLink measures the end-to-end cost of Lab.Run on a
+// 10-second PaperTwoLink network. The seed is fixed so every iteration
+// runs the identical trajectory: allocs/op is then exact at any iteration
+// count (a per-iteration seed made the mean drift with b.N).
+func BenchmarkRunTwoLink(b *testing.B) {
 	b.ReportAllocs()
 	lab := NewLab()
+	spec := PaperTwoLink(10, 3, 3, "olia", 1, 2, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := lab.Simulate(context.Background(), Scenario{
-			Algorithm:   "olia",
-			Paths:       []Path{{RateMbps: 10, BackgroundTCP: 3}, {RateMbps: 10, BackgroundTCP: 3}},
-			DurationSec: 10,
-			Seed:        1,
-		})
-		if err != nil {
+		if _, err := lab.Run(context.Background(), spec); err != nil {
 			b.Fatal(err)
 		}
 	}

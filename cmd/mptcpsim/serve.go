@@ -30,6 +30,10 @@ func serveMain(ctx context.Context, args []string) {
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)
+	if *jobs < 0 {
+		// Every job's Lab would reject it: refuse to start instead.
+		fail(fmt.Errorf("serve: negative worker count %d", *jobs))
+	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -53,15 +53,15 @@ func TestSentinelMatrix(t *testing.T) {
 // TestErrorAs checks that *Error is recoverable via errors.As from any
 // wrap depth with Op and ID intact.
 func TestErrorAs(t *testing.T) {
-	base := apiErr("simulate", "twopath", ErrInvalidSpec, errors.New("negative rtt"))
+	base := apiErr("run", "twolink", ErrInvalidSpec, errors.New("negative rtt"))
 	for depth := 0; depth <= 3; depth++ {
 		err := wrap(base, depth)
 		var e *Error
 		if !errors.As(err, &e) {
 			t.Fatalf("depth %d: errors.As(*Error) failed", depth)
 		}
-		if e.Op != "simulate" || e.ID != "twopath" {
-			t.Errorf("depth %d: got Op=%q ID=%q, want simulate/twopath", depth, e.Op, e.ID)
+		if e.Op != "run" || e.ID != "twolink" {
+			t.Errorf("depth %d: got Op=%q ID=%q, want run/twolink", depth, e.Op, e.ID)
 		}
 	}
 }

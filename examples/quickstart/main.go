@@ -1,7 +1,7 @@
-// Quickstart: simulate one multipath user over two bottleneck paths with
-// OLIA and with LIA through the Lab engine, read the structured results
-// programmatically (no text parsing), and compare against the analytic
-// fixed points.
+// Quickstart: run one multipath user over the paper's Fig. 6 two-link
+// network with OLIA and with LIA through the Lab engine, read the per-flow
+// and per-queue report programmatically (no text parsing), and compare
+// against the analytic fixed points.
 //
 //	go run ./examples/quickstart
 //	go run ./examples/quickstart -seconds 5   # shorter smoke run
@@ -12,7 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
+	"strings"
 
 	"mptcpsim"
 )
@@ -26,42 +26,39 @@ func main() {
 	lab := mptcpsim.NewLab()
 	ctx := context.Background()
 
-	// Two 10 Mb/s RED-queued paths, the second twice as crowded — the
-	// paper's Fig. 6(b) "asymmetric" microbenchmark.
-	paths := []mptcpsim.Path{
-		{RateMbps: 10, BackgroundTCP: 5},
-		{RateMbps: 10, BackgroundTCP: 10},
-	}
-
 	for _, algo := range []string{"olia", "lia"} {
-		rep, err := lab.Simulate(ctx, mptcpsim.Scenario{
-			Algorithm:   algo,
-			Paths:       paths,
-			DurationSec: *seconds,
-			Seed:        1,
-		})
+		// Two 10 Mb/s RED-queued links, the second twice as crowded (5 vs
+		// 10 regular TCP flows) — the paper's Fig. 6(b) "asymmetric"
+		// setting, on the same network the fig8 experiment runs.
+		rep, err := lab.Run(ctx, mptcpsim.PaperTwoLink(10, 5, 10, algo, 1, 2, *seconds))
 		if err != nil {
 			log.Fatal(err)
 		}
-		// Every report has a structured Result view: typed columns, rows of
-		// cells — the same model the experiment registry collects into.
-		res := rep.Result()
-		fmt.Printf("%s: total %.2f Mb/s\n", algo, rep.TotalMbps)
-		for i := range res.Rows {
-			mp, _ := res.Value(i, "multipath")
-			bg, _ := res.Value(i, "background")
-			loss, _ := res.Value(i, "loss_prob")
-			cwnd, _ := res.Value(i, "cwnd")
-			fmt.Printf("  path %d: multipath %.2f Mb/s, background TCP %.2f Mb/s, loss %.4f, cwnd %.1f pkts\n",
-				i+1, mp, bg, loss, cwnd)
+		if len(rep.Violations) > 0 {
+			log.Fatalf("invariant violations: %v", rep.Violations)
 		}
-		if algo == "lia" {
-			// The same Result renders as JSON or CSV for anything downstream
-			// (dashboards, regression gates — see `mptcpsim diff`).
-			fmt.Println("\nthe LIA run as CSV:")
-			if err := mptcpsim.RenderResult(res, mptcpsim.FormatCSV, os.Stdout); err != nil {
-				log.Fatal(err)
+		// Flows are named group-replica: the multipath user is "mp-0", the
+		// background flows "tcp1-0", "tcp1-1", … on link 1 and "tcp2-*" on
+		// link 2.
+		var mp []float64
+		var bgMbps [2]float64
+		var bgFlows [2]int
+		for _, f := range rep.Flows {
+			if f.Name == "mp-0" {
+				mp = f.PathMbps
+				continue
 			}
+			link := 0
+			if strings.HasPrefix(f.Name, "tcp2-") {
+				link = 1
+			}
+			bgMbps[link] += f.GoodputMbps
+			bgFlows[link]++
+		}
+		fmt.Printf("%s: total %.2f Mb/s\n", algo, mp[0]+mp[1])
+		for i := range mp {
+			fmt.Printf("  path %d: multipath %.2f Mb/s, background TCP %.2f Mb/s, loss %.4f\n",
+				i+1, mp[i], bgMbps[i]/float64(bgFlows[i]), rep.Queues[i].Window.LossProb())
 		}
 	}
 

@@ -126,7 +126,7 @@ func TestParseFormat(t *testing.T) {
 }
 
 // TestGenericText covers the fallback layout used by results that carry no
-// bespoke table (unknown IDs, Simulate's Result view).
+// bespoke table (unknown IDs).
 func TestGenericText(t *testing.T) {
 	r := sampleResult()
 	var b strings.Builder

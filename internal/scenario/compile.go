@@ -270,8 +270,8 @@ type Route struct {
 	// DelayMs is the per-flow access pipe in front of Fwd. Zero builds no
 	// pipe at all: even a 0 ms pipe reserves kernel sequence numbers and
 	// defers each packet by one event, so eliding it is what lets a network
-	// whose delay lives on the links themselves (Lab.Simulate's topology,
-	// the fat tree) keep its event order.
+	// whose delay lives on the links themselves (the fat tree) keep its
+	// event order.
 	DelayMs float64
 	// Fwd lists the links data crosses, in order; Rev the links ACKs cross
 	// on the way back, nil for the network's shared return link.

@@ -164,28 +164,33 @@ func (r *ConformanceReport) Failed() bool {
 
 // ConformanceOptions scales the suite.
 type ConformanceOptions struct {
-	// DurationSec is the measured window per packet run (default 30; the
+	// DurationSec is the measured window per packet run (0 selects 30; the
 	// CI smoke setting uses 20).
 	DurationSec float64
-	// Seeds is the number of packet runs averaged per case (default 3).
+	// Seeds is the number of packet runs averaged per case (0 selects 3).
 	// Coupled controllers wander between near-equivalent splits on packet
 	// timescales; seed averaging estimates the steady-state mean the fluid
 	// equilibrium describes.
 	Seeds int
-	// Workers bounds concurrent packet runs.
-	Workers int
-	// Progress, when non-nil, receives the cumulative (done, total) case
-	// counts (the fixed-point check and each scheduler check count as one
-	// case) — (0, total) first, then one call per case folded — on the
-	// goroutine that called RunConformance.
-	Progress func(done, total int) `json:"-"`
+}
+
+// Validate rejects a negative or non-finite window and a negative seed
+// count.
+func (o ConformanceOptions) Validate() error {
+	if !(o.DurationSec >= 0 && o.DurationSec < math.Inf(1)) {
+		return fmt.Errorf("scenario: conformance window %g s not a non-negative finite number", o.DurationSec)
+	}
+	if o.Seeds < 0 {
+		return fmt.Errorf("scenario: negative conformance seed count %d", o.Seeds)
+	}
+	return nil
 }
 
 func (o ConformanceOptions) fill() ConformanceOptions {
-	if o.DurationSec <= 0 {
+	if o.DurationSec == 0 {
 		o.DurationSec = 30
 	}
-	if o.Seeds <= 0 {
+	if o.Seeds == 0 {
 		o.Seeds = 3
 	}
 	return o
@@ -383,15 +388,19 @@ func runFixedPoint(ctx context.Context, durationSec float64) (FixedPointCheck, e
 }
 
 // RunConformance runs every conformance case plus the scenario-A
-// fixed-point check. Cases are independent simulations and run
-// concurrently on opts.Workers workers in one runner.Stream; results are
-// folded into the report in case order as they arrive.
+// fixed-point check (opts must pass Validate). Cases are independent
+// simulations and run concurrently on workers workers (<= 0 selects
+// GOMAXPROCS) in one runner.Stream; results are folded into the report in
+// case order as they arrive. progress, when non-nil, receives the
+// cumulative (done, total) case counts (the fixed-point check and each
+// scheduler check count as one case) — (0, total) first, then one call per
+// case folded — on the goroutine that called RunConformance.
 //
 // Cancelling ctx stops unstarted cases at the next job boundary (running
 // cases abandon their packet runs at a one-second virtual-time boundary)
 // and returns an error wrapping ctx.Err(). The first case to fail, in case
 // order, is the error returned.
-func RunConformance(ctx context.Context, opts ConformanceOptions) (*ConformanceReport, error) {
+func RunConformance(ctx context.Context, opts ConformanceOptions, workers int, progress func(done, total int)) (*ConformanceReport, error) {
 	opts = opts.fill()
 	cases := ConformanceCases()
 	scheds := mptcp.Schedulers()
@@ -405,13 +414,12 @@ func RunConformance(ctx context.Context, opts ConformanceOptions) (*ConformanceR
 	// Job layout: the share cases, then the fixed-point check, then one
 	// capacity check per registered scheduler.
 	total := len(cases) + 1 + len(scheds)
-	progress := opts.Progress
 	if progress == nil {
 		progress = func(int, int) {}
 	}
 	progress(0, total)
 	var failed error
-	err := runner.Stream(ctx, runner.New(opts.Workers), total, func(i int) outcome {
+	err := runner.Stream(ctx, runner.New(workers), total, func(i int) outcome {
 		switch {
 		case i < len(cases):
 			res, err := runCase(ctx, cases[i], opts)

@@ -16,7 +16,7 @@ func TestConformanceSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("conformance simulations skipped in -short")
 	}
-	rep, err := RunConformance(context.Background(), ConformanceOptions{DurationSec: 20})
+	rep, err := RunConformance(context.Background(), ConformanceOptions{DurationSec: 20}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,27 +12,26 @@ import (
 
 // FuzzOptions scales a fuzzing campaign.
 type FuzzOptions struct {
-	// N is the number of scenarios to generate and run (default 200).
+	// N is the number of scenarios to generate and run (0 selects 200).
 	N int
 	// Seed anchors the deterministic generator chain: scenario i is built
 	// from an RNG seeded with Seed and i alone, so a campaign is
-	// reproducible and any failure can be replayed by index.
+	// reproducible and any failure can be replayed by index. Every value,
+	// 0 included, is a seed.
 	Seed int64
-	// Workers bounds concurrent scenario runs (0 = all CPUs). Scenario i's
-	// outcome never depends on scheduling.
-	Workers int
-	// Progress, when non-nil, receives the cumulative (done, total)
-	// scenario counts — (0, N) first, then one call per scenario folded —
-	// on the goroutine that called Fuzz.
-	Progress func(done, total int) `json:"-"`
+}
+
+// Validate rejects a negative campaign size.
+func (o FuzzOptions) Validate() error {
+	if o.N < 0 {
+		return fmt.Errorf("scenario: negative fuzz campaign size %d", o.N)
+	}
+	return nil
 }
 
 func (o FuzzOptions) fill() FuzzOptions {
-	if o.N <= 0 {
+	if o.N == 0 {
 		o.N = 200
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	return o
 }
@@ -60,16 +59,20 @@ type FuzzReport struct {
 // Failed reports whether any scenario broke an invariant.
 func (r *FuzzReport) Failed() bool { return len(r.Failures) > 0 }
 
-// Fuzz generates opts.N scenarios and runs each one twice: once checking
-// the runtime and post-run invariants (see Run), and a second time to
-// verify the run is byte-identical — same event count, same per-flow byte
-// counts, same queue counters — under the same seed. Scenarios run on one
-// runner.Stream and are folded into the report in index order as they
-// arrive.
+// Fuzz generates opts.N scenarios (opts must pass Validate) and runs each
+// one twice: once checking the runtime and post-run invariants (see Run),
+// and a second time to verify the run is byte-identical — same event
+// count, same per-flow byte counts, same queue counters — under the same
+// seed. Scenarios run on one runner.Stream of workers (<= 0 selects
+// GOMAXPROCS) and are folded into the report in index order as they
+// arrive; scenario i's outcome never depends on scheduling. progress, when
+// non-nil, receives the cumulative (done, total) scenario counts — (0, N)
+// first, then one call per scenario folded — on the goroutine that called
+// Fuzz.
 //
 // Cancelling ctx stops unstarted scenarios at the next job boundary and
 // returns an error wrapping ctx.Err(); the partial campaign is discarded.
-func Fuzz(ctx context.Context, opts FuzzOptions) (*FuzzReport, error) {
+func Fuzz(ctx context.Context, opts FuzzOptions, workers int, progress func(done, total int)) (*FuzzReport, error) {
 	opts = opts.fill()
 	rep := &FuzzReport{N: opts.N, Seed: opts.Seed}
 	type outcome struct {
@@ -77,12 +80,11 @@ func Fuzz(ctx context.Context, opts FuzzOptions) (*FuzzReport, error) {
 		flows, links int
 		failure      *FuzzFailure
 	}
-	progress := opts.Progress
 	if progress == nil {
 		progress = func(int, int) {}
 	}
 	progress(0, opts.N)
-	err := runner.Stream(ctx, runner.New(opts.Workers), opts.N, func(i int) outcome {
+	err := runner.Stream(ctx, runner.New(workers), opts.N, func(i int) outcome {
 		sp := GenSpec(opts.Seed, i)
 		var out outcome
 		out.links = len(sp.Links)

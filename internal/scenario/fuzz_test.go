@@ -38,7 +38,7 @@ func TestFuzzCampaignClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzz campaign skipped in -short")
 	}
-	rep, err := Fuzz(context.Background(), FuzzOptions{N: 60, Seed: 11})
+	rep, err := Fuzz(context.Background(), FuzzOptions{N: 60, Seed: 11}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +56,11 @@ func TestFuzzWorkerIndependence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzz campaign skipped in -short")
 	}
-	seq, err := Fuzz(context.Background(), FuzzOptions{N: 12, Seed: 5, Workers: 1})
+	seq, err := Fuzz(context.Background(), FuzzOptions{N: 12, Seed: 5}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Fuzz(context.Background(), FuzzOptions{N: 12, Seed: 5, Workers: 4})
+	par, err := Fuzz(context.Background(), FuzzOptions{N: 12, Seed: 5}, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

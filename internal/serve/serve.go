@@ -37,8 +37,8 @@ import (
 
 // Config scales the service.
 type Config struct {
-	// Workers bounds concurrent simulations per job; <= 0 selects
-	// GOMAXPROCS.
+	// Workers bounds concurrent simulations per job; 0 selects GOMAXPROCS
+	// and a negative count fails every job with ErrInvalidConfig.
 	Workers int
 	// CacheDir, when non-empty, is the shared content-addressed result
 	// cache every job reads and writes. It is server-side configuration:

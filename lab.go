@@ -75,8 +75,10 @@ func WithConfig(cfg Config) Option {
 }
 
 // WithWorkers bounds how many simulation jobs run concurrently across any
-// one call: 0 selects GOMAXPROCS, 1 forces sequential execution. Results
-// are byte-identical for any worker count.
+// one call: 0 selects GOMAXPROCS, 1 forces sequential execution, and a
+// negative count makes every fanning-out method (Collect, RunAll,
+// Campaign, Fuzz, Conform) return ErrInvalidConfig. Results are
+// byte-identical for any worker count.
 func WithWorkers(n int) Option {
 	return func(l *Lab) { l.cfg.Workers = n }
 }
@@ -169,6 +171,15 @@ func (l *Lab) validConfig(op string) error {
 	return nil
 }
 
+// validWorkers tags a negative worker budget with ErrInvalidConfig, for
+// the methods that use no other part of the Config.
+func (l *Lab) validWorkers(op string) error {
+	if l.cfg.Workers < 0 {
+		return apiErr(op, "", ErrInvalidConfig, fmt.Errorf("negative worker count %d", l.cfg.Workers))
+	}
+	return nil
+}
+
 // Collect regenerates one table or figure by ID (e.g. "fig9", "table3")
 // and returns its structured Result. Independent simulation jobs (sweep
 // points × seeds) run concurrently on the Lab's worker budget; the Result
@@ -244,21 +255,22 @@ func (l *Lab) Run(ctx context.Context, spec ScenarioSpec) (*ScenarioReport, erro
 	return rep, nil
 }
 
-// Fuzz generates opts.N seeded random scenarios and runs each twice: once
-// under the full invariant suite and once more to verify the run is
-// byte-identical. The campaign is deterministic per seed; any failure
-// replays from its index alone. A zero opts.Workers inherits the Lab's
-// worker budget. Cancelling ctx stops the campaign at the next scenario
+// Fuzz generates opts.N seeded random scenarios on the Lab's worker budget
+// and runs each twice: once under the full invariant suite and once more
+// to verify the run is byte-identical. The campaign is deterministic per
+// seed; scenario i is GenFuzzSpec(opts.Seed, i), so any failure replays
+// from its index alone. A negative opts.N or worker budget is
+// ErrInvalidConfig. Cancelling ctx stops the campaign at the next scenario
 // boundary with an ErrCanceled error.
 func (l *Lab) Fuzz(ctx context.Context, opts FuzzOptions) (*FuzzReport, error) {
 	const op = "fuzz"
-	if opts.Workers == 0 {
-		opts.Workers = l.cfg.Workers
+	if err := opts.Validate(); err != nil {
+		return nil, apiErr(op, "", ErrInvalidConfig, err)
 	}
-	if opts.Progress == nil {
-		opts.Progress = l.jobsProgress()
+	if err := l.validWorkers(op); err != nil {
+		return nil, err
 	}
-	rep, err := scenario.Fuzz(ctx, opts)
+	rep, err := scenario.Fuzz(ctx, opts, l.cfg.Workers, l.jobsProgress())
 	if err != nil {
 		return nil, classify(op, "", err)
 	}
@@ -274,13 +286,17 @@ func (l *Lab) Fuzz(ctx context.Context, opts FuzzOptions) (*FuzzReport, error) {
 // (Version(), sampled scenario); a fully cached re-run performs zero
 // simulations and reproduces the cold Result byte for byte. The Result —
 // including its Digest — is byte-identical at any worker count.
-// Cancelling ctx stops the campaign at the next scenario boundary with an
-// ErrCanceled error; completed runs stay cached, so a canceled campaign
-// resumes incrementally.
+// A negative worker budget is ErrInvalidConfig. Cancelling ctx stops the
+// campaign at the next scenario boundary with an ErrCanceled error;
+// completed runs stay cached, so a canceled campaign resumes
+// incrementally.
 func (l *Lab) Campaign(ctx context.Context, spec CampaignSpec) (*CampaignResult, error) {
 	const op = "campaign"
 	if err := spec.Validate(); err != nil {
 		return nil, apiErr(op, spec.Name, ErrInvalidSpec, err)
+	}
+	if err := l.validWorkers(op); err != nil {
+		return nil, err
 	}
 	res, err := campaign.Run(ctx, &spec, campaign.Options{
 		Workers:  l.cfg.Workers,
@@ -298,17 +314,19 @@ func (l *Lab) Campaign(ctx context.Context, spec CampaignSpec) (*CampaignResult,
 // steady-state per-path goodput shares of OLIA, LIA and uncoupled
 // multipath flows must match the fluid equilibrium within the documented
 // tolerance, and a scenario-A run must match the Appendix-A LIA fixed
-// point. A zero opts.Workers inherits the Lab's worker budget. Cancelling
-// ctx stops the suite at the next case boundary with an ErrCanceled error.
+// point. Cases run on the Lab's worker budget. A negative or non-finite
+// opts.DurationSec, a negative opts.Seeds or a negative worker budget is
+// ErrInvalidConfig. Cancelling ctx stops the suite at the next case
+// boundary with an ErrCanceled error.
 func (l *Lab) Conform(ctx context.Context, opts ConformanceOptions) (*ConformanceReport, error) {
 	const op = "conform"
-	if opts.Workers == 0 {
-		opts.Workers = l.cfg.Workers
+	if err := opts.Validate(); err != nil {
+		return nil, apiErr(op, "", ErrInvalidConfig, err)
 	}
-	if opts.Progress == nil {
-		opts.Progress = l.jobsProgress()
+	if err := l.validWorkers(op); err != nil {
+		return nil, err
 	}
-	rep, err := scenario.RunConformance(ctx, opts)
+	rep, err := scenario.RunConformance(ctx, opts, l.cfg.Workers, l.jobsProgress())
 	if err != nil {
 		return nil, classify(op, "", err)
 	}

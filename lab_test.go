@@ -166,8 +166,62 @@ func TestLabPreCancelled(t *testing.T) {
 	if _, err := lab.Conform(ctx, ConformanceOptions{DurationSec: 1, Seeds: 1}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("Conform: %v", err)
 	}
-	if _, err := lab.Simulate(ctx, Scenario{Paths: []Path{{RateMbps: 5}}, DurationSec: 2}); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("Simulate: %v", err)
+}
+
+// TestFanOutRejectsInvalidSizes: a negative worker budget, fuzz campaign
+// size, conformance window or seed count is ErrInvalidConfig before
+// anything runs, never a silent default. The context is already cancelled,
+// so a call that ran instead would fail with ErrCanceled.
+func TestFanOutRejectsInvalidSizes(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	bad, ok := NewLab(WithWorkers(-1)), NewLab()
+	errOf := func(_ any, err error) error { return err }
+	for _, tc := range []struct {
+		name string
+		err  error
+	}{
+		{"campaign workers", errOf(bad.Campaign(ctx, tinyCampaign()))},
+		{"fuzz workers", errOf(bad.Fuzz(ctx, FuzzOptions{N: 3}))},
+		{"conform workers", errOf(bad.Conform(ctx, ConformanceOptions{DurationSec: 1, Seeds: 1}))},
+		{"fuzz N", errOf(ok.Fuzz(ctx, FuzzOptions{N: -1}))},
+		{"conform duration", errOf(ok.Conform(ctx, ConformanceOptions{DurationSec: -1}))},
+		{"conform NaN duration", errOf(ok.Conform(ctx, ConformanceOptions{DurationSec: math.NaN()}))},
+		{"conform seeds", errOf(ok.Conform(ctx, ConformanceOptions{Seeds: -1}))},
+	} {
+		if !errors.Is(tc.err, ErrInvalidConfig) {
+			t.Errorf("%s: %v, want ErrInvalidConfig", tc.name, tc.err)
+		}
+	}
+}
+
+// TestLabFuzzSeedReplays: a fuzz campaign reports the seed it was given —
+// 0 included — and its scenarios are exactly GenFuzzSpec(seed, i), so the
+// replay entry rebuilds what ran: the campaign's event count is the sum of
+// the replayed runs'.
+func TestLabFuzzSeedReplays(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation in -short")
+	}
+	ctx := context.Background()
+	lab := NewLab()
+	for _, seed := range []int64{0, 3} {
+		const n = 2
+		rep, err := lab.Fuzz(ctx, FuzzOptions{N: n, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var events uint64
+		for i := 0; i < n; i++ {
+			run, err := lab.Run(ctx, GenFuzzSpec(seed, i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			events += run.Processed
+		}
+		if rep.Seed != seed || rep.Events != events {
+			t.Errorf("seed %d: campaign reports seed %d and %d events, replays give %d", seed, rep.Seed, rep.Events, events)
+		}
 	}
 }
 
@@ -228,9 +282,6 @@ func TestTypedErrors(t *testing.T) {
 	}
 	if _, err := lab.Run(ctx, ScenarioSpec{DurationSec: 1}); !errors.Is(err, ErrInvalidSpec) {
 		t.Fatalf("Run bad spec: %v", err)
-	}
-	if _, err := lab.Simulate(ctx, Scenario{}); !errors.Is(err, ErrInvalidSpec) {
-		t.Fatalf("Simulate bad scenario: %v", err)
 	}
 	if _, err := lab.Analyze([]float64{0.1}, []float64{0.1, 0.2}); !errors.Is(err, ErrInvalidSpec) {
 		t.Fatalf("Analyze bad input: %v", err)
