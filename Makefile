@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check test race check lint guard apicheck lock examples conform conform-smoke bench benchcheck clean
+.PHONY: build vet fmt-check test race allocs check lint guard apicheck lock examples conform conform-smoke bench benchcheck clean
 
 build:
 	$(GO) build ./...
@@ -22,7 +22,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-check: build vet fmt-check lint guard race apicheck
+# The allocation locks, run without -race: the race detector drops
+# sync.Pool puts at random, so TestWarmHitAllocs is built only without it.
+allocs:
+	$(GO) test -count=1 -run '^(TestTransitZeroAlloc|TestControllersZeroAlloc|TestLossPathZeroAlloc|TestStreamZeroAlloc|TestWarmHitAllocs)$$' \
+		./internal/netem ./internal/core ./internal/tcp ./internal/mptcp ./internal/campaign
+
+check: build vet fmt-check lint guard race allocs apicheck
 
 # Repository-specific static analysis (internal/lint via cmd/simlint):
 # determinism (no wall clock / global rand / goroutines / order-sensitive

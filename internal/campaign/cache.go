@@ -33,8 +33,8 @@ import (
 // codec.go's encodings, the key's included.
 const cacheSchema = "mptcpsim-campaign-cache-v3"
 
-// keyPool and entryPool hold CacheKey's and get's scratch buffers, so a hit
-// allocates for its key's hex and its decoded report alone.
+// keyPool and entryPool hold cacheKey's and get's scratch buffers, so a hit
+// allocates for its entry's path alone.
 var (
 	keyPool   = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 	entryPool = sync.Pool{New: func() any { b := make([]byte, 8<<10); return &b }}
@@ -45,6 +45,20 @@ var (
 // a zero byte, and appendSpec's encoding of sp. A NaN or ±Inf anywhere in
 // sp is an error.
 func CacheKey(version string, sp *scenario.Spec) (string, error) {
+	key, err := cacheKey(version, sp)
+	if err != nil {
+		return "", err
+	}
+	return string(key[:]), nil
+}
+
+// entryKey is CacheKey's hex digits before they become a string: a hit
+// needs them only inside its entry's path.
+type entryKey [2 * sha256.Size]byte
+
+// cacheKey is CacheKey without the string.
+func cacheKey(version string, sp *scenario.Spec) (entryKey, error) {
+	var key entryKey
 	bp := keyPool.Get().(*[]byte)
 	defer keyPool.Put(bp)
 	b := append((*bp)[:0], cacheSchema...)
@@ -54,12 +68,11 @@ func CacheKey(version string, sp *scenario.Spec) (string, error) {
 	b, err := appendSpec(b, sp)
 	*bp = b
 	if err != nil {
-		return "", err
+		return key, err
 	}
 	sum := sha256.Sum256(b)
-	var key [2 * sha256.Size]byte
 	hex.Encode(key[:], sum[:])
-	return string(key[:]), nil
+	return key, nil
 }
 
 // cache is one on-disk result store. dir is its cleaned root with a
@@ -84,30 +97,31 @@ func openCache(dir string) (*cache, error) {
 	return &cache{dir: dir}, nil
 }
 
-// path maps a key to its entry file.
-func (c *cache) path(key string) string {
-	return c.dir + key[:2] + string(filepath.Separator) + key + ".bin"
+// path maps a key to its entry file, in one allocation.
+func (c *cache) path(key entryKey) string {
+	return c.dir + string(key[:2]) + string(filepath.Separator) + string(key[:]) + ".bin"
 }
 
-// get loads the report cached under key for the run of sp. A missing, torn
-// or undecodable entry is a miss, never an error, and so is one that
-// decodes to some other run (a file copied or renamed by hand, a
-// half-restored directory): the caller falls back to simulating and
-// rewrites the entry.
-func (c *cache) get(key string, sp *scenario.Spec) (*scenario.RunReport, bool) {
+// get decodes the report cached under key for the run of sp into rep and
+// reports whether it hit. A missing, torn or undecodable entry is a miss,
+// never an error, and so is one that decodes to some other run (a file
+// copied or renamed by hand, a half-restored directory): the caller falls
+// back to simulating and rewrites the entry. After a miss rep holds
+// nothing of use.
+func (c *cache) get(key entryKey, sp *scenario.Spec, rep *scenario.RunReport) bool {
 	bp := entryPool.Get().(*[]byte)
 	defer entryPool.Put(bp)
 	data, ok := readEntry(c.path(key), bp)
 	if !ok {
-		return nil, false
+		return false
 	}
-	// decodeReport copies every string out of data, so the buffer can go
-	// back to the pool under the report.
-	rep, err := decodeReport(data)
-	if err != nil || rep.Name != sp.Name || rep.Seed != sp.Seed {
-		return nil, false
-	}
-	return rep, true
+	// The decode copies every string it does not already hold out of data,
+	// so the buffer can go back to the pool under the report. Holding the
+	// spec's name lets it keep that one rather than copy the entry's equal
+	// bytes.
+	rep.Name = sp.Name
+	err := decodeReportInto(rep, data)
+	return err == nil && rep.Name == sp.Name && rep.Seed == sp.Seed
 }
 
 // readEntry reads the file at path into *buf, growing it while reads fill
@@ -145,12 +159,13 @@ func readEntry(path string, buf *[]byte) ([]byte, bool) {
 // put stores a completed run under key, atomically: the entry is fully
 // written to a private temp file and renamed into place, so readers see
 // either nothing or the whole report.
-func (c *cache) put(key string, rep *scenario.RunReport) error {
-	dir := filepath.Dir(c.path(key))
+func (c *cache) put(key entryKey, rep *scenario.RunReport) error {
+	path := c.path(key)
+	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("campaign: preparing cache shard: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, key+".tmp-*")
+	tmp, err := os.CreateTemp(dir, string(key[:])+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("campaign: writing cache entry: %w", err)
 	}
@@ -163,7 +178,7 @@ func (c *cache) put(key string, rep *scenario.RunReport) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("campaign: writing cache entry: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("campaign: committing cache entry: %w", err)
 	}

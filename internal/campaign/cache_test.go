@@ -25,6 +25,23 @@ func mustKey(t *testing.T, sp *scenario.Spec) string {
 	return key
 }
 
+// mustEntryKey is mustKey before it becomes a string, as the cache takes it.
+func mustEntryKey(t *testing.T, sp *scenario.Spec) entryKey {
+	t.Helper()
+	key, err := cacheKey("v", sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key
+}
+
+// getFresh is c.get into a new report.
+func getFresh(c *cache, key entryKey, sp *scenario.Spec) (*scenario.RunReport, bool) {
+	rep := new(scenario.RunReport)
+	ok := c.get(key, sp, rep)
+	return rep, ok
+}
+
 // TestCacheKeyCoversEverySpecField is what keeps appendSpec in step with
 // the scenario types: every field of Spec, LinkSpec, PathSpec, FlowSpec,
 // TimelineEvent, LinkSetpoint and PathFlap is given its own value, then
@@ -169,7 +186,7 @@ func TestCacheEntryLargerThanBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := &scenario.Spec{Name: "big", Seed: 9}
-	key := mustKey(t, spec)
+	key := mustEntryKey(t, spec)
 	for _, rep := range []*scenario.RunReport{
 		paddedReport(t, 0, start-1),
 		paddedReport(t, 0, start),
@@ -180,7 +197,7 @@ func TestCacheEntryLargerThanBuffer(t *testing.T) {
 			t.Fatal(err)
 		}
 		enc := appendReport(nil, rep)
-		if got, ok := c.get(key, spec); !ok || !reflect.DeepEqual(got, rep) {
+		if got, ok := getFresh(c, key, spec); !ok || !reflect.DeepEqual(got, rep) {
 			t.Errorf("%d-byte entry: hit %v, report equal %v", len(enc), ok, reflect.DeepEqual(got, rep))
 		}
 		for _, n := range []int{start, 1} {
@@ -202,7 +219,7 @@ func TestCacheGetOwnsReport(t *testing.T) {
 	}
 	rep := realReports(t)[2]
 	spec := &scenario.Spec{Name: rep.Name, Seed: rep.Seed}
-	key := mustKey(t, spec)
+	key := mustEntryKey(t, spec)
 	if err := c.put(key, rep); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +227,7 @@ func TestCacheGetOwnsReport(t *testing.T) {
 	// The race detector makes the pool drop a Put at random; retry until
 	// the buffer get read into is the one taken back.
 	for try := 0; try < 100; try++ {
-		got, ok := c.get(key, spec)
+		got, ok := getFresh(c, key, spec)
 		if !ok {
 			t.Fatal("miss after put")
 		}

@@ -126,6 +126,9 @@ type Spec struct {
 	CacheDir string `json:"-"`
 }
 
+// maxPaths bounds the user's interface count a Spec may draw.
+const maxPaths = 8
+
 // Default returns the reference population: dual-homed (occasionally
 // single- or triple-homed) users over log-uniform 1-16 Mb/s bottlenecks
 // with 5-60 ms access delays and a light tail of random loss — the shape
@@ -206,7 +209,7 @@ func (sp *Spec) Validate() error {
 	if err := sp.DurationSec.validate("duration_sec", 1e-3, 600); err != nil {
 		return err
 	}
-	if err := sp.Paths.validate("paths", 1, 8); err != nil {
+	if err := sp.Paths.validate("paths", 1, maxPaths); err != nil {
 		return err
 	}
 	if sp.LinkRateMbps.zero() {

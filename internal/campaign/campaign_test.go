@@ -102,6 +102,31 @@ func TestSampleSpecConcurrent(t *testing.T) {
 	}
 }
 
+// TestSampleIntoReusesScratch: indices 0..199 sampled one after another
+// into one scratch each equal SampleSpec's scenario field for field and
+// share its cache key, whatever the scratch held before — a population
+// with more paths, flows or fault events, or none.
+func TestSampleIntoReusesScratch(t *testing.T) {
+	churn := tinySpec()
+	churn.Paths = IntRange{Min: 1, Max: 4}
+	churn.Background = IntRange{Min: 0, Max: 3}
+	churn.Faults = FaultSpec{Events: IntRange{Min: 0, Max: 6}, Rate: true, Blackhole: true, Flap: true}
+	s := new(sampled)
+	for _, sp := range []*Spec{Default(), tinySpec(), churn} {
+		sp = sp.fill()
+		for i := 0; i < 200; i++ {
+			sp.sampleInto(s, i)
+			want := sp.SampleSpec(i)
+			if !reflect.DeepEqual(&s.Spec, want) {
+				t.Fatalf("%s[%d]: sampled into scratch:\n got %+v\nwant %+v", sp.Name, i, s.Spec, *want)
+			}
+			if got := mustKey(t, &s.Spec); got != mustKey(t, want) {
+				t.Fatalf("%s[%d]: scratch spec keys as %s, SampleSpec's as %s", sp.Name, i, got, mustKey(t, want))
+			}
+		}
+	}
+}
+
 // TestSampleDiversity guards against a draw-order bug collapsing the
 // population: across indices the default campaign must actually vary path
 // counts, controllers, and fault presence.
@@ -287,17 +312,14 @@ func TestCacheRoundTrip(t *testing.T) {
 	rep := &scenario.RunReport{Name: "x", Seed: 3, Processed: 42,
 		Flows: []scenario.FlowReport{{Name: "user-0", GoodputMbps: 1.25, GoodputBytes: 10000}}}
 	spec := &scenario.Spec{Name: "x", Seed: 3}
-	key, err := CacheKey("v", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.get(key, spec); ok {
+	key := mustEntryKey(t, spec)
+	if _, ok := getFresh(c, key, spec); ok {
 		t.Fatal("hit before put")
 	}
 	if err := c.put(key, rep); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := c.get(key, spec)
+	got, ok := getFresh(c, key, spec)
 	if !ok {
 		t.Fatal("miss after put")
 	}
@@ -307,7 +329,7 @@ func TestCacheRoundTrip(t *testing.T) {
 
 	// An entry that decodes to some other run is a miss.
 	for _, other := range []*scenario.Spec{{Name: "y", Seed: 3}, {Name: "x", Seed: 4}} {
-		if _, ok := c.get(key, other); ok {
+		if _, ok := getFresh(c, key, other); ok {
 			t.Errorf("entry for x/3 served as %s/%d", other.Name, other.Seed)
 		}
 	}
@@ -320,7 +342,7 @@ func TestCacheRoundTrip(t *testing.T) {
 		if err := os.WriteFile(c.path(key), bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := c.get(key, spec); ok {
+		if _, ok := getFresh(c, key, spec); ok {
 			t.Errorf("corrupted entry %q treated as a hit", bad)
 		}
 	}
@@ -382,7 +404,7 @@ func TestRunScenarioError(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, i := range []int{k, k + 2} {
-		key, err := CacheKey("test", sp.fill().SampleSpec(i))
+		key, err := cacheKey("test", sp.fill().SampleSpec(i))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/scenario"
@@ -248,46 +249,63 @@ func appendCounters(b []byte, c *netem.Counters) []byte {
 	return binary.AppendVarint(b, c.SentBytes)
 }
 
-// decodeReport parses one entry. Every byte is accounted for: a wrong
-// header, a short read, a length or count the remaining bytes cannot hold,
-// a non-canonical varint or bool, and anything after the last field are
-// all errors, and the caller treats every error as a cache miss.
+// decodeReport parses one entry into a new report.
 func decodeReport(data []byte) (*scenario.RunReport, error) {
+	r := new(scenario.RunReport)
+	if err := decodeReportInto(r, data); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// decodeReportInto parses one entry into r, overwriting every field. Every
+// byte is accounted for: a wrong header, a short read, a length or count
+// the remaining bytes cannot hold, a non-canonical varint or bool, and
+// anything after the last field are all errors, and the caller treats
+// every error as a cache miss; r then holds a partial decode.
+//
+// Whatever r held is storage to reuse: its slices when large enough, a
+// flow's Stream when the entry has one there too, and any string whose
+// bytes the entry repeats in the same place; other short strings come from
+// the interned table. The result equals decodeReport's all the same
+// (FuzzDecodeReport), nil for every empty slice included, so a report
+// recycled across cache hits makes no garbage once its slices have grown
+// to the population's largest and its strings recur.
+func decodeReportInto(r *scenario.RunReport, data []byte) error {
 	if len(data) < len(reportHeader) || string(data[:len(reportHeader)]) != reportHeader {
-		return nil, errHeader
+		return errHeader
 	}
 	d := decoder{b: data[len(reportHeader):]}
-	r := &scenario.RunReport{Name: d.str(), Seed: d.varint()}
-	if n := d.count(minFlowBytes); n > 0 {
-		r.Flows = make([]scenario.FlowReport, n)
-	}
+	r.Name = d.str(r.Name)
+	r.Seed = d.varint()
+	r.Flows = reuse(r.Flows, d.count(minFlowBytes))
 	for i := range r.Flows {
 		f := &r.Flows[i]
-		f.Name = d.str()
-		f.Algorithm = d.str()
+		f.Name = d.str(f.Name)
+		f.Algorithm = d.str(f.Algorithm)
 		f.GoodputMbps = d.float()
-		if n := d.count(minFloatBytes); n > 0 {
-			f.PathMbps = make([]float64, n)
-		}
+		f.PathMbps = reuse(f.PathMbps, d.count(minFloatBytes))
 		for j := range f.PathMbps {
 			f.PathMbps[j] = d.float()
 		}
 		f.GoodputBytes = d.varint()
 		f.SentPkts = d.varint()
 		f.Timeouts = d.varint()
-		if d.bool() {
-			f.Stream = &scenario.StreamReport{
-				Scheduler:      d.str(),
-				Done:           d.bool(),
-				CompletionSec:  d.float(),
-				InOrderBytes:   d.varint(),
-				DeliveredBytes: d.varint(),
-			}
+		if !d.bool() {
+			f.Stream = nil
+			continue
 		}
+		if f.Stream == nil {
+			f.Stream = new(scenario.StreamReport)
+		}
+		s := f.Stream
+		s.Scheduler = d.str(s.Scheduler)
+		s.Done = d.bool()
+		s.CompletionSec = d.float()
+		s.InOrderBytes = d.varint()
+		s.DeliveredBytes = d.varint()
 	}
-	if n := d.count(minQueueBytes); n > 0 {
-		r.Queues = make([]scenario.QueueReport, n)
-	}
+	r.Queues = reuse(r.Queues, d.count(minQueueBytes))
 	for i := range r.Queues {
 		q := &r.Queues[i]
 		q.Link = d.int()
@@ -298,19 +316,27 @@ func decodeReport(data []byte) (*scenario.RunReport, error) {
 		q.LossDropped = d.varint()
 	}
 	r.Processed = d.uvarint()
-	if n := d.count(minStringBytes); n > 0 {
-		r.Violations = make([]string, n)
-	}
+	r.Violations = reuse(r.Violations, d.count(minStringBytes))
 	for i := range r.Violations {
-		r.Violations[i] = d.str()
+		r.Violations[i] = d.str(r.Violations[i])
 	}
 	if d.err == nil && len(d.b) != 0 {
 		d.err = errTrailing
 	}
-	if d.err != nil {
-		return nil, d.err
+	return d.err
+}
+
+// reuse returns s resized to n elements, on its own storage when that is
+// large enough; n == 0 gives nil, as a fresh decode leaves an empty slice.
+// Elements keep what they held, for the decoder to overwrite or reuse.
+func reuse[T any](s []T, n int) []T {
+	switch {
+	case n == 0:
+		return nil
+	case cap(s) < n:
+		return make([]T, n)
 	}
-	return r, nil
+	return s[:n]
 }
 
 // decoder consumes an entry front to back. The first failure sticks and
@@ -370,10 +396,46 @@ func (d *decoder) count(min int) int {
 	return int(n)
 }
 
-func (d *decoder) str() string {
+// str reads a string, returning old itself when the bytes equal it, and
+// otherwise the interned copy.
+func (d *decoder) str(old string) string {
 	n := d.count(minStringBytes)
-	s := string(d.b[:n])
+	b := d.b[:n]
 	d.b = d.b[n:]
+	if string(b) == old {
+		return old
+	}
+	return intern(b)
+}
+
+// interned holds recently decoded short strings, in the slot a hash of
+// their bytes picks. Entries repeat a handful of flow, controller and
+// scheduler names in ever-changing positions, so a decode that finds its
+// bytes here shares that string instead of copying them; a string longer
+// than maxInterned (a violation message) is always copied. Workers decode
+// concurrently, and a slot is only ever replaced whole. Like a sync.Pool,
+// what the table holds changes what a decode allocates, never what it
+// returns.
+var interned [256]atomic.Pointer[string]
+
+const maxInterned = 32
+
+// intern returns a string with b's bytes, shared with earlier decodes when
+// the table holds one.
+func intern(b []byte) string {
+	if len(b) > maxInterned {
+		return string(b)
+	}
+	h := uint32(2166136261) // FNV-1a
+	for _, c := range b {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	slot := &interned[h%uint32(len(interned))]
+	if p := slot.Load(); p != nil && *p == string(b) {
+		return *p
+	}
+	s := string(b)
+	slot.Store(&s)
 	return s
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"mptcpsim/internal/scenario"
@@ -16,7 +17,7 @@ import (
 // holds, none of them zero: slices get two elements, pointers a target.
 // It fails on a kind it does not know, so a map or interface added to a
 // report type is met here before it is met in a cache.
-func fillDistinct(t *testing.T, v reflect.Value, next *int) {
+func fillDistinct(t testing.TB, v reflect.Value, next *int) {
 	t.Helper()
 	*next++
 	switch v.Kind() {
@@ -49,12 +50,32 @@ func fillDistinct(t *testing.T, v reflect.Value, next *int) {
 
 // fullReport is a report in which every field of every report type holds
 // its own non-zero value.
-func fullReport(t *testing.T) *scenario.RunReport {
+func fullReport(t testing.TB) *scenario.RunReport {
 	t.Helper()
 	var full scenario.RunReport
 	n := 0
 	fillDistinct(t, reflect.ValueOf(&full).Elem(), &n)
 	return &full
+}
+
+// wideReport is fullReport with eight flows, eight queues and three
+// violations, every flow with a Stream: a report recycled from it decodes
+// the real entries inside its own storage, so stale fields meet the
+// decoder instead of fresh allocations.
+func wideReport(t testing.TB) *scenario.RunReport {
+	r := fullReport(t)
+	for len(r.Flows) < 8 {
+		r.Flows = append(r.Flows, r.Flows...)
+		r.Queues = append(r.Queues, r.Queues...)
+	}
+	r.Violations = append(r.Violations, "queue over its cap")
+	// The doubling shares Streams and PathMbps between flows; a trip
+	// through the codec gives every flow its own, as a decode would.
+	wide, err := decodeReport(appendReport(nil, r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wide
 }
 
 // roundTrip encodes, decodes and checks the encoding is canonical.
@@ -229,15 +250,60 @@ func TestDecodeHugeLengthDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestDecodeConcurrent: workers decode at once through the shared table of
+// interned strings (run it under -race), each into one report recycled
+// across entries, and every decode equals the fresh one.
+func TestDecodeConcurrent(t *testing.T) {
+	reports := append(realReports(t), fullReport(t))
+	entries := make([][]byte, len(reports))
+	for i, rep := range reports {
+		entries[i] = appendReport(nil, rep)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep := new(scenario.RunReport)
+			for k := 0; k < 200; k++ {
+				i := (w + k) % len(entries)
+				if err := decodeReportInto(rep, entries[i]); err != nil || !reflect.DeepEqual(rep, reports[i]) {
+					t.Errorf("worker %d, entry %d: %v\n got %+v\nwant %+v", w, i, err, rep, reports[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // FuzzDecodeReport: arbitrary bytes never panic the decoder, and whatever
-// decodes is the one encoding of its report.
+// decodes is the one encoding of its report. Decoding into a report
+// recycled from each real report and from wideReport — Streams, PathMbps,
+// Violations and strings of their own to reuse or drop — gives the same
+// error, or a report equal to the fresh decode.
 func FuzzDecodeReport(f *testing.F) {
-	for _, rep := range realReports(f) {
+	reals := realReports(f)
+	for _, rep := range reals {
 		f.Add(appendReport(nil, rep))
 	}
 	f.Add(appendReport(nil, &scenario.RunReport{}))
+	priors := append(reals, wideReport(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rep, err := decodeReport(data)
+		for _, prior := range priors {
+			// A copy, so the decode cannot write into the seed corpus.
+			recycled, cerr := decodeReport(appendReport(nil, prior))
+			if cerr != nil {
+				t.Fatal(cerr)
+			}
+			if rerr := decodeReportInto(recycled, data); rerr != err {
+				t.Fatalf("decoding into %s's report: %v, fresh: %v", prior.Name, rerr, err)
+			}
+			if err == nil && !reflect.DeepEqual(recycled, rep) {
+				t.Fatalf("decoding into %s's report:\n got %+v\nwant %+v", prior.Name, recycled, rep)
+			}
+		}
 		if err != nil {
 			return
 		}

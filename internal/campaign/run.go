@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 
 	"mptcpsim/internal/runner"
 	"mptcpsim/internal/scenario"
@@ -92,126 +93,163 @@ func (r *Result) Digest() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// metric is one streaming aggregator: a name, the extractor that pulls the
-// sample out of a run report (ok=false skips the scenario), and the folds.
+// metric is one population metric: a name, and the extractor that pulls
+// its sample out of a run report (ok=false skips the scenario).
 type metric struct {
 	name string
 	get  func(rep *scenario.RunReport) (float64, bool)
-	sum  stats.Summary
-	sk   *stats.Sketch
 }
 
 // userFlow reports whether a compiled flow replica belongs to the sampled
 // user (the sampler names it "user"; the compiler suffixes "-<replica>").
 func userFlow(name string) bool { return strings.HasPrefix(name, "user-") }
 
-// newMetrics builds the campaign's aggregator set in report order.
-func newMetrics() []*metric {
-	ms := []*metric{
-		{name: "user_goodput_mbps", get: func(rep *scenario.RunReport) (float64, bool) {
-			var v float64
-			for i := range rep.Flows {
-				if userFlow(rep.Flows[i].Name) {
-					v += rep.Flows[i].GoodputMbps
-				}
-			}
-			return v, true
-		}},
-		{name: "bg_goodput_mbps", get: func(rep *scenario.RunReport) (float64, bool) {
-			var v float64
-			any := false
-			for i := range rep.Flows {
-				if !userFlow(rep.Flows[i].Name) {
-					v += rep.Flows[i].GoodputMbps
-					any = true
-				}
-			}
-			return v, any
-		}},
-		{name: "total_goodput_mbps", get: func(rep *scenario.RunReport) (float64, bool) {
-			var v float64
-			for i := range rep.Flows {
+// metrics is the campaign's metric set in report order.
+var metrics = [...]metric{
+	{name: "user_goodput_mbps", get: func(rep *scenario.RunReport) (float64, bool) {
+		var v float64
+		for i := range rep.Flows {
+			if userFlow(rep.Flows[i].Name) {
 				v += rep.Flows[i].GoodputMbps
 			}
-			return v, true
-		}},
-		{name: "user_timeouts", get: func(rep *scenario.RunReport) (float64, bool) {
-			var v float64
-			for i := range rep.Flows {
-				if userFlow(rep.Flows[i].Name) {
-					v += float64(rep.Flows[i].Timeouts)
-				}
+		}
+		return v, true
+	}},
+	{name: "bg_goodput_mbps", get: func(rep *scenario.RunReport) (float64, bool) {
+		var v float64
+		any := false
+		for i := range rep.Flows {
+			if !userFlow(rep.Flows[i].Name) {
+				v += rep.Flows[i].GoodputMbps
+				any = true
 			}
-			return v, true
-		}},
-		{name: "user_completion_sec", get: func(rep *scenario.RunReport) (float64, bool) {
-			for i := range rep.Flows {
-				f := &rep.Flows[i]
-				if userFlow(f.Name) && f.Stream != nil && f.Stream.Done {
-					return f.Stream.CompletionSec, true
-				}
+		}
+		return v, any
+	}},
+	{name: "total_goodput_mbps", get: func(rep *scenario.RunReport) (float64, bool) {
+		var v float64
+		for i := range rep.Flows {
+			v += rep.Flows[i].GoodputMbps
+		}
+		return v, true
+	}},
+	{name: "user_timeouts", get: func(rep *scenario.RunReport) (float64, bool) {
+		var v float64
+		for i := range rep.Flows {
+			if userFlow(rep.Flows[i].Name) {
+				v += float64(rep.Flows[i].Timeouts)
 			}
-			return 0, false
-		}},
-		{name: "events_processed", get: func(rep *scenario.RunReport) (float64, bool) {
-			return float64(rep.Processed), true
-		}},
-	}
-	for _, m := range ms {
-		m.sk = stats.NewSketch(stats.DefaultQuantileError)
-	}
-	return ms
+		}
+		return v, true
+	}},
+	{name: "user_completion_sec", get: func(rep *scenario.RunReport) (float64, bool) {
+		for i := range rep.Flows {
+			f := &rep.Flows[i]
+			if userFlow(f.Name) && f.Stream != nil && f.Stream.Done {
+				return f.Stream.CompletionSec, true
+			}
+		}
+		return 0, false
+	}},
+	{name: "events_processed", get: func(rep *scenario.RunReport) (float64, bool) {
+		return float64(rep.Processed), true
+	}},
 }
 
-// fold ingests one scenario's report into every aggregator.
-func fold(ms []*metric, rep *scenario.RunReport) {
-	for _, m := range ms {
-		if v, ok := m.get(rep); ok {
-			m.sum.Add(v)
-			m.sk.Add(v)
+// outcome carries what the fold needs of one scenario back from the pool:
+// the metric samples, extracted on the worker, and not the report, so a
+// report decoded from the cache never leaves its job.
+type outcome struct {
+	v  [len(metrics)]float64
+	ok [len(metrics)]bool // v[k] is a sample; metrics[k].get said so
+	// violations counts the run's invariant violations; name is the
+	// scenario's, set only when there are some.
+	violations int
+	name       string
+	hit        bool
+	err        error
+}
+
+// extract reads one scenario's outcome off its report.
+func extract(rep *scenario.RunReport, hit bool) outcome {
+	o := outcome{violations: len(rep.Violations), hit: hit}
+	if o.violations > 0 {
+		o.name = rep.Name
+	}
+	for k := range metrics {
+		o.v[k], o.ok[k] = metrics[k].get(rep)
+	}
+	return o
+}
+
+// aggregators fold the samples of every metric, in metrics' order.
+type aggregators [len(metrics)]struct {
+	sum stats.Summary
+	sk  *stats.Sketch
+}
+
+// newAggregators builds the folds, each with an empty sketch.
+func newAggregators() *aggregators {
+	as := new(aggregators)
+	for k := range as {
+		as[k].sk = stats.NewSketch(stats.DefaultQuantileError)
+	}
+	return as
+}
+
+// fold ingests one scenario's samples.
+func (as *aggregators) fold(o *outcome) {
+	for k := range as {
+		if o.ok[k] {
+			as[k].sum.Add(o.v[k])
+			as[k].sk.Add(o.v[k])
 		}
 	}
 }
 
 // aggregates finalizes the fold into the reportable summaries.
-func aggregates(ms []*metric) []Aggregate {
-	out := make([]Aggregate, 0, len(ms))
-	for _, m := range ms {
+func (as *aggregators) aggregates() []Aggregate {
+	out := make([]Aggregate, 0, len(as))
+	for k := range as {
+		a := &as[k]
 		out = append(out, Aggregate{
-			Metric: m.name,
-			Count:  m.sum.N(),
-			Mean:   m.sum.Mean(),
-			Stddev: m.sum.Stdev(),
-			Min:    m.sum.Min(),
-			Max:    m.sum.Max(),
-			P10:    m.sk.Quantile(0.10),
-			P50:    m.sk.Quantile(0.50),
-			P90:    m.sk.Quantile(0.90),
-			P99:    m.sk.Quantile(0.99),
+			Metric: metrics[k].name,
+			Count:  a.sum.N(),
+			Mean:   a.sum.Mean(),
+			Stddev: a.sum.Stdev(),
+			Min:    a.sum.Min(),
+			Max:    a.sum.Max(),
+			P10:    a.sk.Quantile(0.10),
+			P50:    a.sk.Quantile(0.50),
+			P90:    a.sk.Quantile(0.90),
+			P99:    a.sk.Quantile(0.99),
 		})
 	}
 	return out
 }
 
-// outcome carries one scenario's run back from the pool.
-type outcome struct {
-	rep *scenario.RunReport
-	hit bool
-	err error
-}
+// sampledPool and reportPool recycle each job's scenario and, on a cache
+// hit, the report decoded into: with both warm, a hit allocates its name,
+// its entry's path and what opening that path takes.
+var (
+	sampledPool = sync.Pool{New: func() any { return new(sampled) }}
+	reportPool  = sync.Pool{New: func() any { return new(scenario.RunReport) }}
+)
 
 // Run executes the campaign: for each index it samples the scenario,
 // consults the content-addressed cache, simulates on a miss, and folds the
-// report into the streaming aggregators.
+// report's metric samples into the streaming aggregators.
 //
-// Execution is one runner.Stream: workers compute independent per-index
-// outcomes and the fold consumes them on this goroutine in index order
-// while later scenarios are still running, and no more than one runner
-// window of reports is ever resident — memory is O(workers), not O(N).
-// Because scenario i is a pure function of (Spec, i) and the fold order is
-// the index order, the Result is byte-identical at any worker count, and —
-// cache entries carrying every float as its bits — identical again when
-// every scenario is a cache hit.
+// Execution is one runner.Stream. Each job samples its scenario into
+// pooled scratch, reads or simulates the report, and extracts the fold's
+// samples from it on the worker, so a report read from the cache goes back
+// to its pool before the job ends. The fold consumes the outcomes on this
+// goroutine in index order while later scenarios are still running, and no
+// more than one runner window of outcomes is ever resident — memory is
+// O(workers), not O(N). Because scenario i is a pure function of (Spec, i)
+// and the fold order is the index order, the Result is byte-identical at
+// any worker count, and — cache entries carrying every float as its bits —
+// identical again when every scenario is a cache hit.
 //
 // The first scenario to fail, in index order, is the error Run returns; the
 // fold then cancels the stream, so at most a window of later scenarios
@@ -233,23 +271,28 @@ func Run(ctx context.Context, sp *Spec, opts Options) (*Result, error) {
 	}
 	progress(0, sp.N)
 
-	ms := newMetrics()
+	as := newAggregators()
 	res := &Result{Name: sp.Name, N: sp.N, Seed: sp.Seed, Version: opts.Version}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var failed error
 	err = runner.Stream(ctx, runner.New(opts.Workers), sp.N, func(i int) outcome {
-		spec := sp.SampleSpec(i)
+		s := sampledPool.Get().(*sampled)
+		defer sampledPool.Put(s)
+		sp.sampleInto(s, i)
+		spec := &s.Spec
 		// Without a cache there is nothing to address: no key is
 		// derived, and get and put are not called.
-		var key string
+		var key entryKey
 		if cc != nil {
 			var err error
-			if key, err = CacheKey(opts.Version, spec); err != nil {
+			if key, err = cacheKey(opts.Version, spec); err != nil {
 				return outcome{err: err}
 			}
-			if rep, ok := cc.get(key, spec); ok {
-				return outcome{rep: rep, hit: true}
+			rep := reportPool.Get().(*scenario.RunReport)
+			defer reportPool.Put(rep)
+			if cc.get(key, spec, rep) {
+				return extract(rep, true)
 			}
 		}
 		rep, err := scenario.Run(ctx, spec)
@@ -261,7 +304,7 @@ func Run(ctx context.Context, sp *Spec, opts Options) (*Result, error) {
 				return outcome{err: err}
 			}
 		}
-		return outcome{rep: rep}
+		return extract(rep, false)
 	}, func(i int, o outcome) {
 		if failed != nil {
 			return
@@ -276,13 +319,13 @@ func Run(ctx context.Context, sp *Spec, opts Options) (*Result, error) {
 		} else {
 			res.Simulated++
 		}
-		if len(o.rep.Violations) > 0 {
-			res.Violations += len(o.rep.Violations)
+		if o.violations > 0 {
+			res.Violations += o.violations
 			if len(res.Flagged) < flaggedCap {
-				res.Flagged = append(res.Flagged, o.rep.Name)
+				res.Flagged = append(res.Flagged, o.name)
 			}
 		}
-		fold(ms, o.rep)
+		as.fold(&o)
 		progress(i+1, sp.N)
 	})
 	if failed != nil {
@@ -291,6 +334,6 @@ func Run(ctx context.Context, sp *Spec, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign %q: %w", sp.Name, err)
 	}
-	res.Aggregates = aggregates(ms)
+	res.Aggregates = as.aggregates()
 	return res, nil
 }

@@ -361,6 +361,10 @@ func (st *Stream) firstUp() int {
 // deliver consumes n subflow-level in-order bytes, mapping them back to
 // data-level spans (FIFO per subflow, since a subflow delivers in order),
 // then re-offers data to any subflow the scheduler previously held back.
+// A consumed span leaves the FIFO by copying the rest down, so the FIFO
+// keeps its capacity and assignSpan's append does not reallocate.
+//
+//simlint:hot
 func (st *Stream) deliver(i int, n int64) {
 	for n > 0 {
 		if len(st.assigned[i]) == 0 {
@@ -376,7 +380,7 @@ func (st *Stream) deliver(i int, n int64) {
 		st.consumed[i] += m
 		n -= m
 		if sp.start == sp.end {
-			st.assigned[i] = st.assigned[i][1:]
+			st.assigned[i] = append(st.assigned[i][:0], st.assigned[i][1:]...)
 		}
 	}
 	st.pump()
@@ -385,7 +389,11 @@ func (st *Stream) deliver(i int, n int64) {
 // emit folds one delivered data span into the reassembly state. Spans may
 // overlap previously delivered data (redundant scheduling, reinjection);
 // only the distinct bytes advance the stream. Merging leaves at most one
-// span touching the in-order point, so one drain step suffices.
+// span touching the in-order point, so one drain step suffices; the
+// drained span leaves by copying the rest down, as tcp.Sink.drainOOO
+// does, so InsertRange keeps the buffer's capacity.
+//
+//simlint:hot
 func (st *Stream) emit(sp dataSpan) {
 	if sp.end <= st.inOrder {
 		return // duplicate of already-contiguous data
@@ -393,7 +401,7 @@ func (st *Stream) emit(sp dataSpan) {
 	st.oooSpans = netem.InsertRange(st.oooSpans, netem.Block{Start: max(sp.start, st.inOrder), End: sp.end})
 	if st.oooSpans[0].Start <= st.inOrder {
 		st.inOrder = st.oooSpans[0].End
-		st.oooSpans = st.oooSpans[1:]
+		st.oooSpans = append(st.oooSpans[:0], st.oooSpans[1:]...)
 	}
 	if st.inOrder >= st.total && !st.done {
 		st.done = true

@@ -163,3 +163,53 @@ func TestStreamGoodputConsistency(t *testing.T) {
 		t.Fatalf("sink goodput %d != stream delivered %d", sinkTotal, st.DeliveredBytes())
 	}
 }
+
+// TestStreamZeroAlloc locks a scheduled stream's delivery path at zero
+// allocations once warm. Two paths of unequal rate and delay under minrtt
+// keep the stream reassembling out-of-order data and both subflows' span
+// FIFOs cycling; a second ten-second stretch of it, losses and recoveries
+// included, must not allocate at all.
+func TestStreamZeroAlloc(t *testing.T) {
+	s := sim.New(8)
+	conn := New(s, "stream", core.NewOLIA(), tcp.Config{})
+	for i, path := range []struct {
+		rate  int64
+		delay sim.Time
+	}{{6_000_000, 10 * sim.Millisecond}, {10_000_000, 15 * sim.Millisecond}} {
+		cfg := netem.LinkConfig{RateBps: path.rate, Delay: path.delay, Kind: netem.QueueDropTail, DropTailPkts: 50}
+		fwd, rev := netem.NewLink(s, cfg, "f"), netem.NewLink(s, cfg, "r")
+		sf := conn.AddSubflow(10 + i)
+		sf.SetRoutes(
+			netem.NewRoute(fwd.Q, fwd.P).Append(sf.Sink),
+			netem.NewRoute(rev.Q, rev.P).Append(sf.Src),
+		)
+	}
+	sched, err := NewScheduler("minrtt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewStreamSched(conn, 1<<40, 0, sched)
+	st.Start(0)
+	var consumed0 [2]int64
+	stretch := func() {
+		copy(consumed0[:], st.consumed)
+		s.RunUntil(s.Now() + 10*sim.Second)
+	}
+	stretch() // pools, span FIFOs and the reassembly buffer reach their high-water marks
+
+	// One run after AllocsPerRun's own warm-up call: the result is the
+	// stretch's exact allocation count, not an average rounded down.
+	allocs := testing.AllocsPerRun(1, stretch)
+	if allocs != 0 {
+		t.Fatalf("%.0f allocations over a stretch delivering %d and %d bytes, want 0", allocs,
+			st.consumed[0]-consumed0[0], st.consumed[1]-consumed0[1])
+	}
+	for i := range consumed0 {
+		if st.consumed[i]-consumed0[i] < 1_000_000 {
+			t.Fatalf("measured stretch delivered %d bytes on subflow %d, want both subflows busy", st.consumed[i]-consumed0[i], i)
+		}
+	}
+	if st.Done() {
+		t.Fatal("the stream completed inside the measurement")
+	}
+}

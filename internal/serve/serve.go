@@ -7,7 +7,8 @@
 //
 // The job table is bounded: it holds at most maxJobs jobs, and a submission
 // that would exceed that first forgets the oldest finished ones (their ids
-// then answer 404). Running jobs are never forgotten.
+// then answer 404). Running jobs are never forgotten: with the table full
+// of them, a submission answers 429 Too Many Requests with a Retry-After.
 //
 // Lifecycle: every job context derives from the context given to
 // NewServer, so cancelling it (or calling Close) stops every running
@@ -54,8 +55,12 @@ type Config struct {
 const defaultMaxN = 10000
 
 // maxJobs bounds the job table, and with it the CampaignResults a
-// long-lived server keeps resident.
+// long-lived server keeps resident and the campaigns it runs at once.
 const maxJobs = 256
+
+// retryAfter is the Retry-After, in seconds, of a submission refused
+// because every job in the table is running.
+const retryAfter = "1"
 
 // Job states reported by the status API.
 const (
@@ -226,8 +231,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
+	if !s.makeRoom() {
+		s.mu.Unlock()
+		w.Header().Set("Retry-After", retryAfter)
+		writeError(w, http.StatusTooManyRequests,
+			fmt.Sprintf("all %d jobs this server holds are running; retry when one finishes", maxJobs))
+		return
+	}
 	jobCtx, jobCancel := context.WithCancel(s.base)
-	s.makeRoom()
 	s.nextID++
 	j := &job{
 		id:     "c" + strconv.Itoa(s.nextID),
@@ -249,10 +260,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // makeRoom forgets the oldest finished jobs until the table has room for one
-// more. With maxJobs jobs all still running it forgets none: the table then
-// grows past the bound rather than lose a job a client is waiting for.
+// more, and reports whether it has. With maxJobs jobs all still running it
+// forgets none and reports false: the submission is refused rather than
+// lose a job a client is waiting for or grow the table past its bound.
 // Called with s.mu held.
-func (s *Server) makeRoom() {
+func (s *Server) makeRoom() bool {
 	for i := 0; i < len(s.order) && len(s.order) >= maxJobs; {
 		if id := s.order[i]; s.jobs[id].terminal() {
 			delete(s.jobs, id)
@@ -261,6 +273,7 @@ func (s *Server) makeRoom() {
 			i++
 		}
 	}
+	return len(s.order) < maxJobs
 }
 
 // run executes one job to completion on its own Lab.

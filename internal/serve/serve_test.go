@@ -297,25 +297,64 @@ func waitGoroutines(t *testing.T, baseline int) {
 }
 
 // TestServeRunningJobsAreNotForgotten: making room only ever drops finished
-// jobs, so with the table full of running ones it grows instead.
+// jobs. With the table full of running jobs, submission maxJobs+1 answers
+// 429 with a Retry-After and leaves the table as it was; once one job has
+// finished, the next submission takes its place and answers 202.
 func TestServeRunningJobsAreNotForgotten(t *testing.T) {
-	s := NewServer(context.Background(), Config{})
-	defer s.Close()
-	add := func(state string) {
-		s.makeRoom()
+	s, ts := newTestServer(t, Config{CacheDir: t.TempDir()})
+	// The running jobs are entered by hand: real campaigns would finish
+	// before the table filled.
+	s.mu.Lock()
+	for i := 0; i < maxJobs; i++ {
+		if !s.makeRoom() {
+			t.Fatalf("no room for job %d of %d", i+1, maxJobs)
+		}
 		s.nextID++
 		id := fmt.Sprintf("c%d", s.nextID)
-		s.jobs[id] = &job{id: id, state: state}
+		s.jobs[id] = &job{id: id, state: stateRunning}
 		s.order = append(s.order, id)
 	}
-	add(stateDone)
-	for i := 1; i < maxJobs; i++ {
-		add(stateRunning)
+	s.mu.Unlock()
+	body := strings.Replace(tinyBody, `"n":4`, `"n":1`, 1)
+
+	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	add(stateRunning) // full: c1, the only finished job, goes
-	add(stateRunning) // full of running jobs: nothing goes
-	if _, ok := s.jobs["c1"]; ok || len(s.jobs) != maxJobs+1 || len(s.order) != maxJobs+1 || s.order[0] != "c2" {
-		t.Fatalf("table holds %d jobs (c1 kept: %v, first %s), want %d without c1", len(s.jobs), ok, s.order[0], maxJobs+1)
+	var msg map[string]string
+	json.NewDecoder(resp.Body).Decode(&msg)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" || msg["error"] == "" {
+		t.Fatalf("submission %d: status %d, Retry-After %q, body %v; want 429 with a Retry-After and an error",
+			maxJobs+1, resp.StatusCode, resp.Header.Get("Retry-After"), msg)
+	}
+	s.mu.Lock()
+	if len(s.jobs) != maxJobs || len(s.order) != maxJobs || s.nextID != maxJobs {
+		t.Fatalf("a refused submission changed the table: %d jobs, %d in order, next id %d", len(s.jobs), len(s.order), s.nextID+1)
+	}
+	done := s.jobs["c7"]
+	s.mu.Unlock()
+	done.mu.Lock()
+	done.state = stateDone
+	done.mu.Unlock()
+
+	st := submit(t, ts, body)
+	s.mu.Lock()
+	_, kept := s.jobs["c7"]
+	jobs, order := len(s.jobs), len(s.order)
+	running := 0
+	for _, j := range s.jobs {
+		if !j.terminal() {
+			running++
+		}
+	}
+	s.mu.Unlock()
+	if kept || jobs != maxJobs || order != maxJobs || running < maxJobs-1 {
+		t.Fatalf("after one job finished: c7 kept %v, %d jobs (%d in order, %d running), want %d without c7",
+			kept, jobs, order, running, maxJobs)
+	}
+	if final := waitTerminal(t, ts, st.ID); final.State != stateDone {
+		t.Fatalf("the admitted job ended %+v", final)
 	}
 }
 

@@ -3,25 +3,33 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Sketch is a deterministic streaming quantile sketch over non-negative
 // observations: a geometric (log-bucketed) histogram in the style of
 // DDSketch. Values map to the bucket ⌈log_γ(x)⌉ with γ = (1+α)/(1−α), so
 // every quantile estimate carries at most α relative error, memory is
-// bounded by the dynamic range of the stream (one counter per occupied
-// bucket — O(1) in the stream length), and, unlike sampling-based sketches,
-// the result is a pure function of the multiset of observations: Add is
-// draw-free integer counting and Quantile reads buckets in sorted order —
-// no randomness, no wall clock — so two campaigns folding the same samples
-// agree bit for bit, the property the campaign digest rests on.
+// bounded by the dynamic range of the stream (one counter per bucket
+// between the lowest and highest occupied — O(1) in the stream length, and
+// 36 k counters at α = 1 % for the whole float64 range), and, unlike
+// sampling-based sketches, the result is a pure function of the multiset of
+// observations: Add is draw-free integer counting and Quantile reads
+// buckets in index order — no randomness, no wall clock — so two campaigns
+// folding the same samples agree bit for bit, the property the campaign
+// digest rests on.
+//
+// The buckets are a dense slice offset by the lowest index it covers, so
+// Add is an index and an increment and Quantile a scan; the map it
+// replaced gives bit-identical quantiles (TestSketchMatchesMapSketch).
 //
 // The zero value is not usable; construct with NewSketch.
 type Sketch struct {
-	gamma  float64 // (1+α)/(1−α)
-	lgG    float64 // log(γ)
-	counts map[int]int64
+	gamma float64 // (1+α)/(1−α)
+	lgG   float64 // log(γ)
+	// counts[k] counts bucket lo+k. Buckets below the lowest observation
+	// may be covered too, empty: the slice grows downward in doublings.
+	counts []int64
+	lo     int
 	zeros  int64 // observations below sketchMin (including exact zeros)
 	total  int64
 }
@@ -43,9 +51,8 @@ func NewSketch(alpha float64) *Sketch {
 	}
 	gamma := (1 + alpha) / (1 - alpha)
 	return &Sketch{
-		gamma:  gamma,
-		lgG:    math.Log(gamma),
-		counts: make(map[int]int64),
+		gamma: gamma,
+		lgG:   math.Log(gamma),
 	}
 }
 
@@ -58,12 +65,29 @@ func (s *Sketch) Add(x float64) {
 		s.zeros++
 		return
 	}
-	s.counts[s.bucket(x)]++
+	i := s.bucket(x)
+	hi := s.lo + len(s.counts) // one past the highest bucket covered
+	switch {
+	case len(s.counts) == 0:
+		s.lo = i
+		s.counts = append(s.counts, 0)
+	case i < s.lo:
+		// Cover at least twice the range, so a falling stream grows the
+		// slice a logarithmic number of times.
+		lo := min(i, s.lo-len(s.counts))
+		grown := make([]int64, hi-lo)
+		copy(grown[s.lo-lo:], s.counts)
+		s.lo, s.counts = lo, grown
+	case i >= hi:
+		s.counts = append(s.counts, make([]int64, i+1-hi)...)
+	}
+	s.counts[i-s.lo]++
 }
 
-// bucket maps a value ≥ sketchMin to its geometric bucket index.
+// bucket maps a value ≥ sketchMin to its geometric bucket index. +Inf
+// counts in the bucket of the largest float64, the top of the range.
 func (s *Sketch) bucket(x float64) int {
-	return int(math.Ceil(math.Log(x) / s.lgG))
+	return int(math.Ceil(math.Log(min(x, math.MaxFloat64)) / s.lgG))
 }
 
 // value is the representative of bucket i: the midpoint 2γ^i/(γ+1), within
@@ -96,18 +120,13 @@ func (s *Sketch) Quantile(q float64) float64 {
 	if rank <= s.zeros {
 		return 0
 	}
-	keys := make([]int, 0, len(s.counts))
-	for i := range s.counts {
-		keys = append(keys, i)
-	}
-	sort.Ints(keys)
 	seen := s.zeros
-	for _, i := range keys {
-		seen += s.counts[i]
+	for k, c := range s.counts {
+		seen += c
 		if seen >= rank {
-			return s.value(i)
+			return s.value(s.lo + k)
 		}
 	}
 	// Unreachable: the bucket counts sum to total.
-	return s.value(keys[len(keys)-1])
+	return s.value(s.lo + len(s.counts) - 1)
 }
