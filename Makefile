@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check test race allocs check lint guard apicheck lock examples conform conform-smoke bench benchcheck clean
+.PHONY: build vet fmt-check test race allocs fma check lint guard apicheck lock examples conform conform-smoke bench benchcheck clean
 
 build:
 	$(GO) build ./...
@@ -23,12 +23,36 @@ race:
 	$(GO) test -race ./...
 
 # The allocation locks, run without -race: the race detector drops
-# sync.Pool puts at random, so TestWarmHitAllocs is built only without it.
+# sync.Pool puts at random, so TestWarmHitAllocs and TestColdRunAllocs are
+# built only without it. TestPacketIsOneCacheLine locks the packet's size
+# and the pool's alignment.
 allocs:
-	$(GO) test -count=1 -run '^(TestTransitZeroAlloc|TestControllersZeroAlloc|TestLossPathZeroAlloc|TestStreamZeroAlloc|TestWarmHitAllocs)$$' \
+	$(GO) test -count=1 -run '^(TestTransitZeroAlloc|TestPacketIsOneCacheLine|TestControllersZeroAlloc|TestLossPathZeroAlloc|TestStreamZeroAlloc|TestWarmHitAllocs|TestColdRunAllocs)$$' \
 		./internal/netem ./internal/core ./internal/tcp ./internal/mptcp ./internal/campaign
 
-check: build vet fmt-check lint guard race allocs apicheck
+# FMA ratchet: a fused multiply-add rounds once where amd64
+# rounds twice, so an arm64 host can compute different bytes. Count the
+# fused instructions the arm64 compiler emits in the module and fail when
+# more than 60 sit outside internal/fluid and internal/fixedpoint, whose
+# results are checked against tolerances. The limit only goes down. -a is
+# required: a cached package prints no assembly, which would count 0.
+fma:
+	@asm=$$(mktemp) && trap 'rm -f "$$asm"' EXIT && \
+	if ! GOARCH=arm64 $(GO) build -a -gcflags='mptcpsim/...=-S' ./internal/... . 2> "$$asm"; then \
+		grep -v '^[[:space:]]' "$$asm"; echo "fma: arm64 build failed"; exit 1; \
+	fi && \
+	awk -F '\t' -v limit=60 ' \
+		$$3 ~ /^(FMADD|FMSUB|FNMADD|FNMSUB)[DS]$$/ { \
+			total++; file = $$2; sub(/^[^(]*\(/, "", file); sub(/:[0-9]+\)$$/, "", file); \
+			if (file !~ /\/internal\/(fluid|fixedpoint)\//) { n++; by[file]++ } \
+		} \
+		END { \
+			if (total == 0) { print "fma: no assembly counted; was the build cached?"; exit 1 } \
+			printf "fma: %d fused multiply-adds on arm64, %d outside internal/fluid and internal/fixedpoint (limit %d)\n", total, n, limit; \
+			if (n > limit) { for (f in by) printf "  %4d %s\n", by[f], f; exit 1 } \
+		}' "$$asm"
+
+check: build vet fmt-check lint guard race allocs fma apicheck
 
 # Repository-specific static analysis (internal/lint via cmd/simlint):
 # determinism (no wall clock / global rand / goroutines / order-sensitive

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/md5"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -51,6 +52,74 @@ func TestCampaignSpecTrailingData(t *testing.T) {
 		}
 		if !strings.Contains(string(out), path) || !strings.Contains(string(out), "after the JSON value") {
 			t.Errorf("%q: output does not name the file and the problem:\n%s", body, out)
+		}
+	}
+}
+
+// TestProfile runs the profile subcommand as a process: a spec runs after a
+// warm-up, once per -n, with a row each and both profiles written; usage
+// errors exit 2 before any run, and a profile that cannot be written exits
+// 1.
+func TestProfile(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	data, err := json.Marshal(scenario.PaperTwoLink(10, 1, 1, "olia", 1, 0, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := write("spec.json", string(data))
+	profile := func(args ...string) (string, int) {
+		cmd := exec.Command(os.Args[0], append([]string{"profile"}, args...)...)
+		cmd.Env = append(os.Environ(), mptcpsimTestMain+"=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if err != nil && !errors.As(err, &exit) {
+			t.Fatal(err)
+		}
+		return string(out), cmd.ProcessState.ExitCode()
+	}
+
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	out, code := profile("-spec", spec, "-n", "2", "-cpuprofile", cpu, "-memprofile", mem)
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if code != 0 || len(lines) != 3 || !strings.HasPrefix(strings.TrimSpace(lines[2]), "2 ") {
+		t.Fatalf("exit %d, output:\n%s", code, out)
+	}
+	if fields := strings.Fields(lines[1]); len(fields) != 6 || fields[2] == "0" {
+		t.Errorf("run row %q: want run, wall_ms, events, events_per_s, allocs, bytes with events > 0", lines[1])
+	}
+	for _, p := range []string{cpu, mem} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s not written: %v", p, err)
+		}
+	}
+
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"no spec", nil, "-spec is required"},
+		{"zero runs", []string{"-spec", spec, "-n", "0"}, "not a positive run count"},
+		{"stray argument", []string{"-spec", spec, "extra"}, `unexpected argument "extra"`},
+		{"missing file", []string{"-spec", filepath.Join(dir, "none.json")}, "no such file"},
+		{"unknown field", []string{"-spec", write("unknown.json", `{"sede":1}`)}, `unknown field "sede"`},
+		{"trailing data", []string{"-spec", write("trailing.json", string(data)+" {}")}, "after the JSON value"},
+		{"invalid spec", []string{"-spec", write("invalid.json", `{"duration_sec":0}`)}, "duration must be positive"},
+	} {
+		if out, code := profile(tc.args...); code != 2 || !strings.Contains(out, tc.want) || strings.Contains(out, "wall_ms") {
+			t.Errorf("%s: exit %d, want 2 and %q before any run; output:\n%s", tc.name, code, tc.want, out)
+		}
+	}
+	if _, err := os.Stat("/dev/full"); err == nil {
+		if out, code := profile("-spec", spec, "-n", "1", "-memprofile", "/dev/full"); code != 1 {
+			t.Errorf("-memprofile /dev/full: exit %d, want 1; output:\n%s", code, out)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 //go:build !race
 
 // The race detector drops a quarter of sync.Pool puts at random, so under
-// -race a hit refills its scratch from scratch and these counts mean
+// -race a job refills its scratch from scratch and these counts mean
 // nothing; the allocation locks run without it.
 
 package campaign
@@ -44,5 +44,37 @@ func TestWarmHitAllocs(t *testing.T) {
 		t.Errorf("%.0f allocations over %d hits, %.2f per hit, want at most %d", allocs, sp.N, perHit, maxHitAllocs)
 	} else {
 		t.Logf("%.0f allocations over %d hits, %.2f per hit", allocs, sp.N, perHit)
+	}
+}
+
+// maxColdAllocs is what a simulated scenario of Default() may allocate, on
+// average: its network (links, flows, routes, timers), its packet and event
+// slabs, the range lists its receivers and senders grow, its report, and
+// its share of the campaign's fixed cost. It is the measured 177.3 plus 3 %.
+const maxColdAllocs = 182.6
+
+// TestColdRunAllocs locks the allocations of an uncached campaign: every
+// scenario of Default() (N = 200) is simulated, and the run allocates at
+// most maxColdAllocs per scenario.
+func TestColdRunAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates scenarios; skipped in -short")
+	}
+	sp := Default()
+	opts := Options{Workers: 2, Version: "test"}
+	var res *Result
+	var err error
+	allocs := testing.AllocsPerRun(1, func() {
+		if res, err = Run(context.Background(), sp, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if res.Simulated != sp.N {
+		t.Fatalf("cold run simulated %d of %d scenarios", res.Simulated, sp.N)
+	}
+	if perRun := allocs / float64(sp.N); perRun > maxColdAllocs {
+		t.Errorf("%.0f allocations over %d scenarios, %.2f per scenario, want at most %.1f", allocs, sp.N, perRun, maxColdAllocs)
+	} else {
+		t.Logf("%.0f allocations over %d scenarios, %.2f per scenario", allocs, sp.N, perRun)
 	}
 }

@@ -21,8 +21,8 @@ func schedRig(t *testing.T, seed int64, rates []int64, delays []sim.Time, total,
 		rev := netem.NewLink(s, netem.LinkConfig{RateBps: rate, Delay: delays[i], Kind: netem.QueueDropTail, DropTailPkts: 1000}, "r")
 		sf := conn.AddSubflow(10 + i)
 		sf.SetRoutes(
-			netem.NewRoute(fwd.Q, fwd.P).Append(sf.Sink),
-			netem.NewRoute(rev.Q, rev.P).Append(sf.Src),
+			netem.NewRoute(fwd.Q, fwd.P, sf.Sink),
+			netem.NewRoute(rev.Q, rev.P, sf.Src),
 		)
 	}
 	sched, err := NewScheduler(name)
@@ -135,7 +135,7 @@ func TestNewStreamDefaultsToPull(t *testing.T) {
 	fwd := netem.NewLink(s, netem.LinkConfig{RateBps: 1_000_000, Delay: 0, Kind: netem.QueueDropTail}, "f")
 	rev := netem.NewLink(s, netem.LinkConfig{RateBps: 1_000_000, Delay: 0, Kind: netem.QueueDropTail}, "r")
 	sf := conn.AddSubflow(1)
-	sf.SetRoutes(netem.NewRoute(fwd.Q, fwd.P).Append(sf.Sink), netem.NewRoute(rev.Q, rev.P).Append(sf.Src))
+	sf.SetRoutes(netem.NewRoute(fwd.Q, fwd.P, sf.Sink), netem.NewRoute(rev.Q, rev.P, sf.Src))
 	st := NewStreamSched(conn, 1000, 0, nil)
 	if st.SchedulerName() != "pull" {
 		t.Fatalf("default scheduler %q, want pull", st.SchedulerName())
@@ -376,7 +376,7 @@ func bareStream(t *testing.T, total int64) *Stream {
 	fwd := netem.NewLink(s, netem.LinkConfig{RateBps: 1_000_000, Delay: 0, Kind: netem.QueueDropTail}, "f")
 	rev := netem.NewLink(s, netem.LinkConfig{RateBps: 1_000_000, Delay: 0, Kind: netem.QueueDropTail}, "r")
 	sf := conn.AddSubflow(1)
-	sf.SetRoutes(netem.NewRoute(fwd.Q, fwd.P).Append(sf.Sink), netem.NewRoute(rev.Q, rev.P).Append(sf.Src))
+	sf.SetRoutes(netem.NewRoute(fwd.Q, fwd.P, sf.Sink), netem.NewRoute(rev.Q, rev.P, sf.Src))
 	return NewStreamSched(conn, total, 0, nil)
 }
 

@@ -18,8 +18,8 @@ func streamRig(seed int64, rate1, rate2 int64, total, chunk int64) (*sim.Sim, *S
 		rev := netem.NewLink(s, netem.LinkConfig{RateBps: rate, Delay: 10 * sim.Millisecond, Kind: netem.QueueDropTail, DropTailPkts: 1000}, "r")
 		sf := conn.AddSubflow(10 + i)
 		sf.SetRoutes(
-			netem.NewRoute(fwd.Q, fwd.P).Append(sf.Sink),
-			netem.NewRoute(rev.Q, rev.P).Append(sf.Src),
+			netem.NewRoute(fwd.Q, fwd.P, sf.Sink),
+			netem.NewRoute(rev.Q, rev.P, sf.Src),
 		)
 	}
 	return s, NewStreamSched(conn, total, chunk, nil)
@@ -73,8 +73,8 @@ func TestStreamFasterThanSinglePath(t *testing.T) {
 			rev := netem.NewLink(s, netem.LinkConfig{RateBps: 10_000_000, Delay: 10 * sim.Millisecond, Kind: netem.QueueDropTail, DropTailPkts: 1000}, "r")
 			sf := conn.AddSubflow(i)
 			sf.SetRoutes(
-				netem.NewRoute(fwd.Q, fwd.P).Append(sf.Sink),
-				netem.NewRoute(rev.Q, rev.P).Append(sf.Src),
+				netem.NewRoute(fwd.Q, fwd.P, sf.Sink),
+				netem.NewRoute(rev.Q, rev.P, sf.Src),
 			)
 		}
 		st := NewStreamSched(conn, 8_000_000, 0, nil)
@@ -139,7 +139,7 @@ func TestStreamValidation(t *testing.T) {
 	fwd := netem.NewLink(s, netem.LinkConfig{RateBps: 1_000_000, Delay: 0, Kind: netem.QueueDropTail}, "f")
 	rev := netem.NewLink(s, netem.LinkConfig{RateBps: 1_000_000, Delay: 0, Kind: netem.QueueDropTail}, "r")
 	sf := conn.AddSubflow(1)
-	sf.SetRoutes(netem.NewRoute(fwd.Q, fwd.P).Append(sf.Sink), netem.NewRoute(rev.Q, rev.P).Append(sf.Src))
+	sf.SetRoutes(netem.NewRoute(fwd.Q, fwd.P, sf.Sink), netem.NewRoute(rev.Q, rev.P, sf.Src))
 	mustPanic("zero total", func() { NewStreamSched(conn, 0, 0, nil) })
 	mustPanic("negative chunk", func() { NewStreamSched(conn, 1000, -1, nil) })
 	// Valid stream, then a second stream on the same conn must reject.
@@ -180,8 +180,8 @@ func TestStreamZeroAlloc(t *testing.T) {
 		fwd, rev := netem.NewLink(s, cfg, "f"), netem.NewLink(s, cfg, "r")
 		sf := conn.AddSubflow(10 + i)
 		sf.SetRoutes(
-			netem.NewRoute(fwd.Q, fwd.P).Append(sf.Sink),
-			netem.NewRoute(rev.Q, rev.P).Append(sf.Src),
+			netem.NewRoute(fwd.Q, fwd.P, sf.Sink),
+			netem.NewRoute(rev.Q, rev.P, sf.Src),
 		)
 	}
 	sched, err := NewScheduler("minrtt")

@@ -13,18 +13,19 @@ func mkData(seq int64, size int, r *Route) *Packet {
 	return DataPacket(0, seq, size, 0, r)
 }
 
-func TestRouteAppendDoesNotMutate(t *testing.T) {
-	c1, c2 := &Collector{}, &Collector{}
-	base := NewRoute(c1)
-	ext := base.Append(c2)
-	if base.Len() != 1 || ext.Len() != 2 {
-		t.Fatalf("lens: base %d ext %d", base.Len(), ext.Len())
+// TestNewRouteHopLimit: a packet's hop cursor is 16 bits, so NewRoute
+// takes 65 535 hops and panics at one more.
+func TestNewRouteHopLimit(t *testing.T) {
+	hops := make([]Node, maxRouteHops+1)
+	if r := NewRoute(hops[:maxRouteHops]...); r.Len() != maxRouteHops {
+		t.Fatalf("route len %d, want %d", r.Len(), maxRouteHops)
 	}
-	var nilRoute *Route
-	r := nilRoute.Append(c1)
-	if r.Len() != 1 {
-		t.Fatalf("nil-base append len %d", r.Len())
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewRoute accepted 65 536 hops")
+		}
+	}()
+	NewRoute(hops...)
 }
 
 func TestPacketRunsRouteInOrder(t *testing.T) {
@@ -329,7 +330,7 @@ func TestLinkComposition(t *testing.T) {
 	var at sim.Time
 	c := &Collector{OnRecv: func(*Packet) { at = s.Now() }}
 	l := NewLink(s, LinkConfig{RateBps: 10_000_000, Delay: 40 * sim.Millisecond, Kind: QueueDropTail}, "lnk")
-	r := NewRoute(l.Hops()...).Append(c)
+	r := NewRoute(l.Q, l.P, c)
 	mkData(0, MSS, r).SendOn()
 	s.Run()
 	want := sim.Millis(1.2) + 40*sim.Millisecond

@@ -8,6 +8,7 @@ package netem
 
 import (
 	"fmt"
+	"math"
 
 	"mptcpsim/internal/sim"
 )
@@ -32,22 +33,16 @@ type Route struct {
 	hops []Node
 }
 
-// NewRoute builds a route over the given hops.
-func NewRoute(hops ...Node) *Route {
-	return &Route{hops: hops}
-}
+// maxRouteHops bounds a route's length: a packet's hop cursor is a uint16.
+const maxRouteHops = math.MaxUint16
 
-// Append returns a new route with extra hops appended; the receiver is not
-// modified. A nil receiver acts as an empty route.
-func (r *Route) Append(hops ...Node) *Route {
-	var base []Node
-	if r != nil {
-		base = r.hops
+// NewRoute builds a route over the given hops, which it keeps: the caller
+// hands the slice over. It panics past 65 535 hops.
+func NewRoute(hops ...Node) *Route {
+	if len(hops) > maxRouteHops {
+		panic(fmt.Sprintf("netem: route of %d hops, more than %d", len(hops), maxRouteHops))
 	}
-	n := make([]Node, 0, len(base)+len(hops))
-	n = append(n, base...)
-	n = append(n, hops...)
-	return &Route{hops: n}
+	return &Route{hops: hops}
 }
 
 // Len reports the number of hops.
@@ -65,32 +60,59 @@ func (r *Route) Len() int {
 // non-retaining Collector — calls Free to recycle it. Packets built with the
 // plain DataPacket/AckPacket constructors are heap-allocated and Free is a
 // no-op, so tests can keep inspecting them after delivery.
+//
+// A Packet is 64 bytes, one cache line (TestPacketIsOneCacheLine), and the
+// pool carves every one on a line boundary. The fields are ordered so that
+// padding takes 2 bytes: a field added or widened must still fit.
 type Packet struct {
 	// Seq is the sequence number of the first payload byte (data packets),
 	// or the cumulative ACK point — the next byte expected — for ACKs.
 	Seq int64
 	// Size is the wire size in bytes, including an idealized header.
-	Size int
+	Size int32
+	// FlowID identifies the (sub)flow, for tracing and debugging.
+	FlowID int32
+	// SentAt is the source timestamp; ACKs echo it back in EchoTS.
+	SentAt sim.Time
+	// EchoTS is the echoed data-packet timestamp on an ACK.
+	EchoTS sim.Time
 	// Ack marks pure acknowledgments. A pooled packet is made as one kind
 	// or the other and Free files it by this field: do not flip it.
 	Ack bool
 	// Retx marks retransmitted data (Karn's rule: no RTT sample from these).
 	Retx bool
-	// SentAt is the source timestamp; ACKs echo it back in EchoTS.
-	SentAt sim.Time
-	// EchoTS is the echoed data-packet timestamp on an ACK.
-	EchoTS sim.Time
-	// FlowID identifies the (sub)flow, for tracing and debugging.
-	FlowID int
-	// Sack carries selective-acknowledgment blocks on ACKs: ranges above
-	// the cumulative ACK point that the receiver holds buffered. Sorted
-	// ascending and disjoint.
-	Sack []Block
 
-	route *Route
-	hop   int
-	pool  *PacketPool // nil for heap-allocated packets
+	nsack uint8 // blocks of *sack in the report (Sack, SetSack)
 	freed bool
+	hop   uint16
+	// sack is an ACK's SACK storage for life; nil on data segments.
+	sack  *[MaxSackBlocks]Block
+	route *Route
+	pool  *PacketPool // nil for heap-allocated packets
+}
+
+// Sack returns the selective-acknowledgment blocks an ACK carries: ranges
+// above the cumulative ACK point that the receiver holds buffered, sorted
+// ascending and disjoint. The slice aliases the packet's storage and is
+// valid until the packet is freed.
+//
+//simlint:hot
+func (p *Packet) Sack() []Block {
+	if p.nsack == 0 {
+		return nil
+	}
+	return p.sack[:p.nsack]
+}
+
+// SetSack copies bs, at most MaxSackBlocks blocks, into the ACK's report.
+// Setting a report on a data segment panics: it has no storage for one.
+//
+//simlint:hot
+func (p *Packet) SetSack(bs []Block) {
+	if p.sack == nil || len(bs) > MaxSackBlocks {
+		panic(fmt.Sprintf("netem: SACK report of %d blocks on packet (seq %d, ack %v)", len(bs), p.Seq, p.Ack))
+	}
+	p.nsack = uint8(copy(p.sack[:], bs))
 }
 
 // Block is a half-open byte range [Start, End): a SACK report's unit, and
@@ -130,6 +152,11 @@ func InsertRange(rs []Block, b Block) []Block {
 	}
 	switch j - i {
 	case 0:
+		if cap(rs) == 0 {
+			// A list's first growth, once in its life: born at
+			// MaxSackBlocks instead of doubling through 1, 2, 4 and 8.
+			rs = make([]Block, 0, MaxSackBlocks)
+		}
 		rs = append(rs, Block{})
 		copy(rs[i+1:], rs[i:])
 	case 1:
@@ -141,8 +168,11 @@ func InsertRange(rs []Block, b Block) []Block {
 	return rs
 }
 
-// MaxSackBlocks bounds the per-ACK SACK report, as real TCP options do, and
-// is the Sack capacity every pooled ACK is born with.
+// MaxSackBlocks bounds the per-ACK SACK report, as real TCP options do. It
+// is the SACK storage every ACK carries, and the capacity a range list is
+// born with on its first insert: a report never holds more, and the lists
+// it is copied from (a receiver's reorder buffer, a sender's scoreboard, a
+// stream's out-of-order data) rarely do.
 const MaxSackBlocks = 8
 
 // SetRoute readies p for transmission over r: its next SendOn goes to r's
@@ -165,7 +195,7 @@ func (p *Packet) SendOn() {
 	if p.freed {
 		panic(fmt.Sprintf("netem: use after free: packet (seq %d, ack %v)", p.Seq, p.Ack))
 	}
-	if p.route == nil || p.hop >= len(p.route.hops) {
+	if p.route == nil || int(p.hop) >= len(p.route.hops) {
 		panic(fmt.Sprintf("netem: packet (seq %d, ack %v) ran off its route", p.Seq, p.Ack))
 	}
 	next := p.route.hops[p.hop]
@@ -207,7 +237,7 @@ func (p *Packet) Free() {
 // Sim share a pool (PoolFor), so in steady state every data segment and ACK
 // is recycled instead of allocated. Data segments and ACKs recycle through
 // separate free lists: a packet keeps its kind for life, so only ACKs ever
-// own Sack storage. The pool is single-threaded, like the Sim that owns it.
+// own SACK storage. The pool is single-threaded, like the Sim that owns it.
 type PacketPool struct {
 	data, acks freeList
 	debug      bool
@@ -237,7 +267,12 @@ func PoolFor(s *sim.Sim) *PacketPool {
 	case *PacketPool:
 		return v
 	case nil:
-		p := &PacketPool{}
+		// Both free lists start at one slab's worth, in one allocation.
+		free := make([]*Packet, 2*slabPackets)
+		p := &PacketPool{
+			data: freeList{free: free[:0:slabPackets]},
+			acks: freeList{free: free[slabPackets:slabPackets]},
+		}
 		s.SetAux(p)
 		return p
 	default:
@@ -255,8 +290,8 @@ func (pl *PacketPool) FreeCount() int { return len(pl.data.free) + len(pl.acks.f
 
 // get pops a recycled packet of the wanted kind, or carves one from the
 // kind's slab. What comes back still holds its previous life's fields,
-// except that pool, Ack and the Sack backing array are the packet's for
-// life; NewData and NewAck overwrite everything else.
+// except that pool, Ack and the SACK storage are the packet's for life;
+// NewData and NewAck overwrite everything else.
 //
 //simlint:hot
 func (pl *PacketPool) get(ack bool) *Packet {
@@ -279,8 +314,23 @@ func (pl *PacketPool) get(ack bool) *Packet {
 	return p
 }
 
-// ackSlab is a slab of ACKs with the Sack storage they keep for life.
+// A slab holds pointers and is larger than 512 bytes, so the runtime (Go
+// 1.22 on) prefixes it with an 8-byte malloc header: its first byte lies 8
+// bytes past a 64-byte boundary, as both slab sizes' classes are multiples
+// of 64. lineSkip fills the rest of that line, putting every packet on a
+// cache line of its own; it does not move either slab to a larger size
+// class.
+const lineSkip = 64 - 8
+
+// dataSlab is a slab of data segments.
+type dataSlab struct {
+	_    [lineSkip]byte
+	pkts [slabPackets]Packet
+}
+
+// ackSlab is a slab of ACKs with the SACK storage they keep for life.
 type ackSlab struct {
+	_    [lineSkip]byte
 	pkts [slabPackets]Packet
 	sack [slabPackets][MaxSackBlocks]Block
 }
@@ -288,16 +338,16 @@ type ackSlab struct {
 // refill allocates l's next slab.
 func (pl *PacketPool) refill(l *freeList, ack bool) {
 	if ack {
-		//simlint:ignore hotpathalloc amortised growth, as for data below; the Sack storage is allocated here once and never again, because a report never outgrows MaxSackBlocks
+		//simlint:ignore hotpathalloc amortised growth, as for data below; the SACK storage is allocated here once and never again, because a report never outgrows MaxSackBlocks
 		s := new(ackSlab)
 		for i := range s.pkts {
 			s.pkts[i].Ack = true
-			s.pkts[i].Sack = s.sack[i][:0]
+			s.pkts[i].sack = &s.sack[i]
 		}
 		l.slab = s.pkts[:]
 	} else {
 		//simlint:ignore hotpathalloc amortised growth: one slab per slabPackets misses, and none once the pool holds the run's high-water mark of packets in flight
-		l.slab = new([slabPackets]Packet)[:]
+		l.slab = new(dataSlab).pkts[:]
 	}
 	for i := range l.slab {
 		l.slab[i].pool = pl
@@ -309,9 +359,9 @@ func (pl *PacketPool) refill(l *freeList, ack bool) {
 func (pl *PacketPool) NewData(flowID int, seq int64, size int, now sim.Time, route *Route) *Packet {
 	p := pl.get(false)
 	p.Seq = seq
-	p.Size = size
+	p.Size = int32(size)
 	p.Retx = false
-	p.FlowID = flowID
+	p.FlowID = int32(flowID)
 	p.SentAt = now
 	p.EchoTS = 0
 	p.SetRoute(route)
@@ -319,32 +369,32 @@ func (pl *PacketPool) NewData(flowID int, seq int64, size int, now sim.Time, rou
 }
 
 // NewAck builds a pool-managed pure ACK carrying cumulative ack point
-// ackSeq and echoing the data packet's timestamp. Its Sack is empty, with
-// room for MaxSackBlocks.
+// ackSeq and echoing the data packet's timestamp. Its SACK report is empty,
+// with room for MaxSackBlocks.
 func (pl *PacketPool) NewAck(flowID int, ackSeq int64, echo sim.Time, now sim.Time, route *Route) *Packet {
 	p := pl.get(true)
 	p.Seq = ackSeq
 	p.Size = AckSize
 	p.Retx = false
-	p.FlowID = flowID
+	p.FlowID = int32(flowID)
 	p.SentAt = now
 	p.EchoTS = echo
-	p.Sack = p.Sack[:0]
+	p.nsack = 0
 	p.SetRoute(route)
 	return p
 }
 
 // DataPacket builds a data segment of size bytes for the given flow.
 func DataPacket(flowID int, seq int64, size int, now sim.Time, route *Route) *Packet {
-	p := &Packet{Seq: seq, Size: size, FlowID: flowID, SentAt: now}
+	p := &Packet{Seq: seq, Size: int32(size), FlowID: int32(flowID), SentAt: now}
 	p.SetRoute(route)
 	return p
 }
 
 // AckPacket builds a pure ACK carrying cumulative ack point ackSeq and
-// echoing the data packet's timestamp.
+// echoing the data packet's timestamp, with room for a SACK report.
 func AckPacket(flowID int, ackSeq int64, echo sim.Time, now sim.Time, route *Route) *Packet {
-	p := &Packet{Seq: ackSeq, Size: AckSize, Ack: true, FlowID: flowID, SentAt: now, EchoTS: echo}
+	p := &Packet{Seq: ackSeq, Size: AckSize, Ack: true, FlowID: int32(flowID), SentAt: now, EchoTS: echo, sack: new([MaxSackBlocks]Block)}
 	p.SetRoute(route)
 	return p
 }

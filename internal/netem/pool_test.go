@@ -3,6 +3,7 @@ package netem
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"mptcpsim/internal/sim"
 )
@@ -58,11 +59,15 @@ func TestPacketPoolRecycles(t *testing.T) {
 		a.EchoTS != sim.Millisecond || a.SentAt != 2*sim.Millisecond {
 		t.Fatalf("ack fields: %+v", a)
 	}
-	if len(a.Sack) != 0 || cap(a.Sack) != MaxSackBlocks {
-		t.Fatalf("fresh ACK has Sack len %d cap %d, want 0 and %d", len(a.Sack), cap(a.Sack), MaxSackBlocks)
+	if len(a.Sack()) != 0 || a.sack == nil {
+		t.Fatalf("fresh ACK has SACK report %v and storage %p, want empty and non-nil", a.Sack(), a.sack)
+	}
+	if d.sack != nil {
+		t.Fatal("a data segment owns SACK storage")
 	}
 	a.Retx = true
-	a.Sack = append(a.Sack, Block{7500, 9000})
+	a.SetSack([]Block{{7500, 9000}})
+	storage := a.sack
 	a.SendOn()
 
 	d2 := pl.NewData(3, 4500, 700, 9*sim.Millisecond, nil)
@@ -76,8 +81,8 @@ func TestPacketPoolRecycles(t *testing.T) {
 	if a2 != a {
 		t.Fatal("pool did not recycle the freed ACK")
 	}
-	want := Packet{Seq: 12000, Size: AckSize, Ack: true, FlowID: 4, SentAt: 4 * sim.Millisecond, EchoTS: 3 * sim.Millisecond, Sack: []Block{}, pool: pl}
-	if !reflect.DeepEqual(*a2, want) || cap(a2.Sack) != MaxSackBlocks {
+	want := Packet{Seq: 12000, Size: AckSize, Ack: true, FlowID: 4, SentAt: 4 * sim.Millisecond, EchoTS: 3 * sim.Millisecond, sack: storage, pool: pl}
+	if !reflect.DeepEqual(*a2, want) || a2.Sack() != nil {
 		t.Fatalf("recycled ACK not reset:\n got %+v\nwant %+v", *a2, want)
 	}
 	if pl.FreeCount() != 0 {
@@ -99,19 +104,78 @@ func TestPacketPoolSlabs(t *testing.T) {
 	}
 }
 
+// TestPacketIsOneCacheLine: a packet is 64 bytes, and the pool carves
+// every one, of either kind, on a 64-byte boundary, so forwarding a packet
+// touches one line. The alignment rests on the runtime's malloc header
+// (lineSkip): a runtime that changes it fails here.
+func TestPacketIsOneCacheLine(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the one-line layout is for 64-bit platforms")
+	}
+	if sz := unsafe.Sizeof(Packet{}); sz != 64 {
+		t.Fatalf("Packet is %d bytes, want 64", sz)
+	}
+	pl := PoolFor(sim.New(1))
+	for i := 0; i < 3*slabPackets+1; i++ {
+		for _, p := range []*Packet{pl.NewData(0, 0, MSS, 0, nil), pl.NewAck(0, 0, 0, 0, nil)} {
+			if off := uintptr(unsafe.Pointer(p)) % 64; off != 0 {
+				t.Fatalf("packet %d (ack %v) starts %d bytes into a cache line", i, p.Ack, off)
+			}
+		}
+	}
+}
+
+// TestPacketSackCapacitySurvivesRecycle: an ACK keeps its SACK storage
+// through Free and reuse, emptied but never reallocated, and a full report
+// fits it without allocating.
 func TestPacketSackCapacitySurvivesRecycle(t *testing.T) {
 	s := sim.New(1)
 	pl := PoolFor(s)
 	p := pl.NewAck(1, 0, 0, 0, nil)
-	p.Sack = append(p.Sack, Block{0, 1500}, Block{3000, 4500})
-	cap0 := cap(p.Sack)
+	p.SetSack([]Block{{0, 1500}, {3000, 4500}})
+	if got := p.Sack(); !reflect.DeepEqual(got, []Block{{0, 1500}, {3000, 4500}}) {
+		t.Fatalf("Sack() = %v after SetSack", got)
+	}
+	storage := p.sack
 	p.Free()
 	q := pl.NewAck(1, 0, 0, 0, nil)
-	if len(q.Sack) != 0 {
-		t.Fatalf("recycled Sack not emptied: %v", q.Sack)
+	if len(q.Sack()) != 0 {
+		t.Fatalf("recycled SACK report not emptied: %v", q.Sack())
 	}
-	if cap(q.Sack) != cap0 {
-		t.Fatalf("recycled Sack capacity %d, want %d", cap(q.Sack), cap0)
+	if q.sack != storage {
+		t.Fatal("recycled ACK lost its SACK storage")
+	}
+	full := make([]Block, MaxSackBlocks)
+	for i := range full {
+		full[i] = Block{int64(i) * 3000, int64(i)*3000 + 1500}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { q.SetSack(full) }); allocs != 0 {
+		t.Fatalf("a full SACK report allocates %.1f, want 0", allocs)
+	}
+	if !reflect.DeepEqual(q.Sack(), full) {
+		t.Fatalf("Sack() = %v, want %v", q.Sack(), full)
+	}
+}
+
+// TestSetSackPanics: a data segment has no SACK storage, and no report
+// holds more than MaxSackBlocks blocks.
+func TestSetSackPanics(t *testing.T) {
+	pl := PoolFor(sim.New(1))
+	for name, tc := range map[string]struct {
+		p  *Packet
+		bs []Block
+	}{
+		"data segment":    {pl.NewData(0, 0, MSS, 0, nil), []Block{{0, 1}}},
+		"too many blocks": {pl.NewAck(0, 0, 0, 0, nil), make([]Block, MaxSackBlocks+1)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: SetSack did not panic", name)
+				}
+			}()
+			tc.p.SetSack(tc.bs)
+		}()
 	}
 }
 

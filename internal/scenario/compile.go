@@ -198,7 +198,7 @@ func Compile(sp *Spec) (*Net, error) {
 	}, "rev")
 	n.pipes = append(n.pipes, n.Rev.P)
 
-	nextID := 1000
+	nextID := firstSenderID
 	n.Groups = make([][]*Flow, len(sp.Flows))
 	routes := make([]Route, 0, 4) // stays on the stack for the usual few paths
 	for fi := range sp.Flows {
@@ -226,10 +226,7 @@ func Compile(sp *Spec) (*Net, error) {
 				n.pathFlows[pi] = append(n.pathFlows[pi], pathRef{flow: f, sub: i})
 			}
 		}
-		nextID = base + fs.count()*len(fs.Paths)
-		// Round up so the next group starts on a fresh thousand block,
-		// keeping IDs readable in traces.
-		nextID = (nextID/1000 + 1) * 1000
+		nextID = nextGroupID(base + fs.count()*len(fs.Paths))
 	}
 	return n, nil
 }
@@ -278,11 +275,23 @@ type Route struct {
 	Fwd, Rev []int
 }
 
-// linkHops appends the hops of crossing links in order: each link's loss
-// element (if any), queue and pipe.
-func (n *Net) linkHops(hops []netem.Node, links []int) []netem.Node {
-	if hops == nil { // a long fabric path grows once, not four times, per flow that arrives
-		hops = make([]netem.Node, 0, 2*len(links))
+// route builds the route head, then each crossed link's hops in order —
+// its loss element (if any), queue and pipe — then tail, in one list of
+// exactly its length. head may be nil.
+func (n *Net) route(head netem.Node, links []int, tail ...netem.Node) *netem.Route {
+	size := len(tail)
+	if head != nil {
+		size++
+	}
+	for _, li := range links {
+		size += 2
+		if n.Links[li].Loss != nil {
+			size++
+		}
+	}
+	hops := make([]netem.Node, 0, size)
+	if head != nil {
+		hops = append(hops, head)
 	}
 	for _, li := range links {
 		l := n.Links[li]
@@ -291,21 +300,21 @@ func (n *Net) linkHops(hops []netem.Node, links []int) []netem.Node {
 		}
 		hops = append(hops, l.Queue, l.Pipe)
 	}
-	return hops
+	return netem.NewRoute(append(hops, tail...)...)
 }
 
 // wire builds both directions of one subflow between src and sink; ACKs
 // pass the flow's tap last, whichever way they return.
 func (n *Net) wire(f *Flow, r Route, src *tcp.Src, sink *tcp.Sink) {
-	var fwd []netem.Node
+	var trim netem.Node
 	if r.DelayMs > 0 {
-		trim := netem.NewPipe(n.Sim, sim.Millis(r.DelayMs), f.Name+"/trim")
-		fwd = append(fwd, trim)
-		n.pipes = append(n.pipes, trim)
+		p := netem.NewPipe(n.Sim, sim.Millis(r.DelayMs), f.Name+"/trim")
+		n.pipes = append(n.pipes, p)
+		trim = p
 	}
-	src.SetRoute(netem.NewRoute(n.linkHops(fwd, r.Fwd)...).Append(sink))
+	src.SetRoute(n.route(trim, r.Fwd, sink))
 	if r.Rev != nil {
-		sink.SetRoute(netem.NewRoute(n.linkHops(nil, r.Rev)...).Append(f.AckTap, src))
+		sink.SetRoute(n.route(nil, r.Rev, f.AckTap, src))
 		return
 	}
 	sink.SetRoute(netem.NewRoute(n.Rev.Q, n.Rev.P, f.AckTap, src))

@@ -117,6 +117,7 @@ type Sim struct {
 	heap    []slot   // 4-ary min-heap on (at, seq)
 	vacant  bool     // heap[0] is empty: its event is running (see push)
 	free    []*Event // event free list (single-threaded, no locking)
+	slab    []Event  // not yet issued remainder of the newest event slab
 	nextSeq uint64
 	rng     *rand.Rand
 	nEvents uint64 // processed events (for diagnostics)
@@ -124,10 +125,19 @@ type Sim struct {
 	aux     any
 }
 
+// slabEvents is how many events one free-list miss allocates together, as
+// netem's packet pool carves packets. The heap and the free list start with
+// room for one slab.
+const slabEvents = 16
+
 // New returns a simulator whose random source is NewRand(seed).
 // The same seed always yields the same execution.
 func New(seed int64) *Sim {
-	return &Sim{rng: NewRand(seed)}
+	return &Sim{
+		rng:  NewRand(seed),
+		heap: make([]slot, 0, slabEvents),
+		free: make([]*Event, 0, slabEvents),
+	}
 }
 
 // Now reports the current virtual time.
@@ -149,6 +159,7 @@ func (s *Sim) SetAux(v any) { s.aux = v }
 
 // --- event allocation ---
 
+// alloc pops a recycled event, or carves one from the current slab.
 func (s *Sim) alloc() *Event {
 	if n := len(s.free); n > 0 {
 		e := s.free[n-1]
@@ -156,7 +167,13 @@ func (s *Sim) alloc() *Event {
 		s.free = s.free[:n-1]
 		return e
 	}
-	return &Event{idx: -1}
+	if len(s.slab) == 0 {
+		s.slab = new([slabEvents]Event)[:]
+	}
+	e := &s.slab[0]
+	s.slab = s.slab[1:]
+	e.idx = -1
+	return e
 }
 
 // recycle returns e to the free list. The generation bump turns every

@@ -113,7 +113,7 @@ type ackTap struct {
 func (a *ackTap) Recv(p *netem.Packet) {
 	a.n++
 	a.seq = p.Seq
-	a.sack = append(a.sack[:0], p.Sack...)
+	a.sack = append(a.sack[:0], p.Sack()...)
 	p.Free()
 }
 

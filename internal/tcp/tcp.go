@@ -486,7 +486,7 @@ func (t *Src) Recv(p *netem.Packet) {
 		p.Free()
 		return
 	}
-	t.mergeSack(p.Sack)
+	t.mergeSack(p.Sack())
 	ackSeq := p.Seq
 	switch {
 	case ackSeq > t.lastAcked:
@@ -825,7 +825,7 @@ func (k *Sink) Recv(p *netem.Packet) {
 	if k.OnInOrder != nil && k.cumAck > before {
 		k.OnInOrder(k.cumAck - before)
 	}
-	k.flowID = p.FlowID
+	k.flowID = int(p.FlowID)
 	k.lastEcho = p.SentAt
 	inOrderAdvance := k.cumAck > before && len(k.ooo) == 0
 	if k.delAck > 0 && inOrderAdvance && !p.Retx {
@@ -855,8 +855,10 @@ func (k *Sink) RunEvent(now sim.Time) {
 	}
 }
 
-// sendAck emits a cumulative ACK with the current SACK report, written into
-// the pooled ACK's own Sack storage.
+// sendAck emits a cumulative ACK with the current SACK report, copied into
+// the pooled ACK's own SACK storage: the lowest netem.MaxSackBlocks
+// buffered ranges, lowest first because the sender repairs holes in
+// ascending order.
 //
 //simlint:hot
 func (k *Sink) sendAck(echo sim.Time, retx bool) {
@@ -865,17 +867,8 @@ func (k *Sink) sendAck(echo sim.Time, retx bool) {
 	k.sim.Cancel(k.delAckTm)
 	ack := k.pool.NewAck(k.flowID, k.cumAck, echo, k.sim.Now(), k.rev)
 	ack.Retx = retx
-	ack.Sack = k.appendSackBlocks(ack.Sack)
+	ack.SetSack(k.ooo[:min(len(k.ooo), netem.MaxSackBlocks)])
 	ack.SendOn()
-}
-
-// appendSackBlocks appends the SACK report to dst: the lowest
-// netem.MaxSackBlocks buffered ranges, lowest first because the sender
-// repairs holes in ascending order.
-//
-//simlint:hot
-func (k *Sink) appendSackBlocks(dst []netem.Block) []netem.Block {
-	return append(dst, k.ooo[:min(len(k.ooo), netem.MaxSackBlocks)]...)
 }
 
 // insertOOO buffers the out-of-order bytes [seq, end).
