@@ -21,7 +21,7 @@
 //	mptcpsim campaign -spec pop.json -format json -o out.json
 //	mptcpsim serve -addr :8377 -cache .cache # campaign engine as an HTTP job API
 //	mptcpsim trace -algo olia -tcp2 10 > fig8.csv   # window/α evolution of a two-path user, CSV
-//	mptcpsim profile -spec s.json -n 5 -cpuprofile cpu.out   # time, events and allocations per run of one scenario
+//	mptcpsim profile -spec s.json -cpuprofile cpu.out   # time, events and allocations per run of one scenario
 //	mptcpsim -version                        # code version (hash of the API surface)
 //
 // Independent simulations (experiments × sweep points × seeds) run

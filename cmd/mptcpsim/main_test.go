@@ -57,9 +57,9 @@ func TestCampaignSpecTrailingData(t *testing.T) {
 }
 
 // TestProfile runs the profile subcommand as a process: a spec runs after a
-// warm-up, once per -n, with a row each and both profiles written; usage
-// errors exit 2 before any run, and a profile that cannot be written exits
-// 1.
+// warm-up, profileRuns times, with a row each and both profiles written;
+// usage errors exit 2 before any run, and a profile of either kind that
+// cannot be written exits 1.
 func TestProfile(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, body string) string {
@@ -86,9 +86,9 @@ func TestProfile(t *testing.T) {
 	}
 
 	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
-	out, code := profile("-spec", spec, "-n", "2", "-cpuprofile", cpu, "-memprofile", mem)
+	out, code := profile("-spec", spec, "-cpuprofile", cpu, "-memprofile", mem)
 	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if code != 0 || len(lines) != 3 || !strings.HasPrefix(strings.TrimSpace(lines[2]), "2 ") {
+	if code != 0 || len(lines) != 1+profileRuns || !strings.HasPrefix(strings.TrimSpace(lines[profileRuns]), fmt.Sprint(profileRuns, " ")) {
 		t.Fatalf("exit %d, output:\n%s", code, out)
 	}
 	if fields := strings.Fields(lines[1]); len(fields) != 6 || fields[2] == "0" {
@@ -106,7 +106,6 @@ func TestProfile(t *testing.T) {
 		want string
 	}{
 		{"no spec", nil, "-spec is required"},
-		{"zero runs", []string{"-spec", spec, "-n", "0"}, "not a positive run count"},
 		{"stray argument", []string{"-spec", spec, "extra"}, `unexpected argument "extra"`},
 		{"missing file", []string{"-spec", filepath.Join(dir, "none.json")}, "no such file"},
 		{"unknown field", []string{"-spec", write("unknown.json", `{"sede":1}`)}, `unknown field "sede"`},
@@ -118,8 +117,10 @@ func TestProfile(t *testing.T) {
 		}
 	}
 	if _, err := os.Stat("/dev/full"); err == nil {
-		if out, code := profile("-spec", spec, "-n", "1", "-memprofile", "/dev/full"); code != 1 {
-			t.Errorf("-memprofile /dev/full: exit %d, want 1; output:\n%s", code, out)
+		for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+			if out, code := profile("-spec", spec, flag, "/dev/full"); code != 1 {
+				t.Errorf("%s /dev/full: exit %d, want 1; output:\n%s", flag, code, out)
+			}
 		}
 	}
 }

@@ -16,12 +16,16 @@ import (
 	"mptcpsim/internal/scenario"
 )
 
+// profileRuns is how many measured runs `mptcpsim profile` makes after its
+// warm-up run: enough to see the spread of a run's wall time.
+const profileRuns = 5
+
 // profileMain implements `mptcpsim profile`: compile and run one scenario
-// Spec n times after a warm-up run, and print per run its wall time, kernel
-// events, event rate, allocations and allocated bytes; optionally under the
-// CPU profiler and with every allocation recorded:
+// Spec profileRuns times after a warm-up run, and print per run its wall
+// time, kernel events, event rate, allocations and allocated bytes;
+// optionally under the CPU profiler and with every allocation recorded:
 //
-//	mptcpsim profile -spec s.json -n 5 -cpuprofile cpu.out -memprofile mem.out
+//	mptcpsim profile -spec s.json -cpuprofile cpu.out -memprofile mem.out
 //	go tool pprof -top cpu.out
 //	go tool pprof -sample_index=alloc_objects -top mem.out
 //
@@ -32,12 +36,11 @@ func profileMain(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("profile", flag.ExitOnError)
 	var (
 		specPath = fs.String("spec", "", "JSON scenario spec (required)")
-		runs     = fs.Int("n", 5, "measured runs, after one warm-up run")
 		cpuPath  = fs.String("cpuprofile", "", "write a CPU profile of the measured runs to this file")
 		memPath  = fs.String("memprofile", "", "write an allocation profile of the measured runs to this file (records every allocation, which slows them)")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: mptcpsim profile -spec file.json [-n N] [-cpuprofile file] [-memprofile file]")
+		fmt.Fprintln(os.Stderr, "usage: mptcpsim profile -spec file.json [-cpuprofile file] [-memprofile file]")
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)
@@ -46,8 +49,6 @@ func profileMain(ctx context.Context, args []string) {
 		fail(errors.New("profile: -spec is required"))
 	case fs.NArg() > 0:
 		fail(fmt.Errorf("profile: unexpected argument %q", fs.Arg(0)))
-	case *runs < 1:
-		fail(fmt.Errorf("profile: -n %d is not a positive run count", *runs))
 	}
 	sp, err := readSpec(*specPath)
 	if err != nil {
@@ -64,7 +65,7 @@ func profileMain(ctx context.Context, args []string) {
 			fail(err)
 		}
 	}
-	exitOn(profile(ctx, sp, *runs, cpu, mem, os.Stdout), "interrupted")
+	exitOn(profile(ctx, sp, cpu, mem, os.Stdout), "interrupted")
 }
 
 // readSpec decodes one scenario Spec, rejecting unknown fields and anything
@@ -87,10 +88,12 @@ func readSpec(path string) (*scenario.Spec, error) {
 	return &sp, sp.Validate()
 }
 
-// profile runs sp once to warm up, then runs times with the profilers on,
-// writing one row per measured run to w. It closes the profile files, and
-// a failure to write either is its error.
-func profile(ctx context.Context, sp *scenario.Spec, runs int, cpu, mem *os.File, w io.Writer) (err error) {
+// profile runs sp once to warm up, then profileRuns times with the
+// profilers on, writing one row per measured run to w. It closes the
+// profile files, and a failure to write either is its error. pprof drops
+// its writer's errors, so both profiles are built in memory and written
+// once the runs are done, where a full disk is seen.
+func profile(ctx context.Context, sp *scenario.Spec, cpu, mem *os.File, w io.Writer) (err error) {
 	for _, f := range []*os.File{cpu, mem} {
 		if f != nil {
 			defer func() {
@@ -106,14 +109,15 @@ func profile(ctx context.Context, sp *scenario.Spec, runs int, cpu, mem *os.File
 	if mem != nil {
 		runtime.MemProfileRate = 1
 	}
+	var cpuBuf bytes.Buffer
 	if cpu != nil {
-		if err := pprof.StartCPUProfile(cpu); err != nil {
+		if err := pprof.StartCPUProfile(&cpuBuf); err != nil {
 			return err
 		}
 	}
 	fmt.Fprintf(w, "%4s %10s %10s %12s %9s %11s\n", "run", "wall_ms", "events", "events_per_s", "allocs", "bytes")
 	var before, after runtime.MemStats
-	for i := 1; i <= runs; i++ {
+	for i := 1; i <= profileRuns; i++ {
 		runtime.ReadMemStats(&before)
 		t0 := time.Now()
 		events, err := runSpec(ctx, sp)
@@ -126,10 +130,13 @@ func profile(ctx context.Context, sp *scenario.Spec, runs int, cpu, mem *os.File
 		fmt.Fprintf(w, "%4d %10.2f %10d %12.0f %9d %11d\n", i, wall.Seconds()*1e3, events,
 			float64(events)/wall.Seconds(), after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc)
 	}
-	pprof.StopCPUProfile()
+	if cpu != nil {
+		pprof.StopCPUProfile()
+		if _, err := cpu.Write(cpuBuf.Bytes()); err != nil {
+			return err
+		}
+	}
 	if mem != nil {
-		// pprof drops the writer's errors, so the profile is built in
-		// memory and written here, where a full disk is seen.
 		var buf bytes.Buffer
 		if err := pprof.Lookup("allocs").WriteTo(&buf, 0); err != nil {
 			return err
@@ -140,14 +147,10 @@ func profile(ctx context.Context, sp *scenario.Spec, runs int, cpu, mem *os.File
 	return nil
 }
 
-// runSpec compiles and runs sp, and reports the kernel events it processed.
-// An invariant violation is a failed run.
+// runSpec runs sp and reports the kernel events it processed. An invariant
+// violation is a failed run.
 func runSpec(ctx context.Context, sp *scenario.Spec) (uint64, error) {
-	n, err := scenario.Compile(sp)
-	if err != nil {
-		return 0, err
-	}
-	rep, err := n.Run(ctx)
+	rep, err := scenario.Run(ctx, sp)
 	if err != nil {
 		return 0, err
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 func mkData(seq int64, size int, r *Route) *Packet {
-	return DataPacket(0, seq, size, 0, r)
+	return DataPacket(seq, size, 0, r)
 }
 
 // TestNewRouteHopLimit: a packet's hop cursor is 16 bits, so NewRoute
@@ -382,8 +382,8 @@ func TestLinkRecvActsAsNode(t *testing.T) {
 }
 
 func TestAckPacketFields(t *testing.T) {
-	p := AckPacket(3, 4500, 7*sim.Millisecond, 9*sim.Millisecond, nil)
-	if !p.Ack || p.Seq != 4500 || p.Size != AckSize || p.FlowID != 3 {
+	p := AckPacket(4500, 7*sim.Millisecond, 9*sim.Millisecond, nil)
+	if !p.Ack || p.Seq != 4500 || p.Size != AckSize {
 		t.Fatalf("ack fields: %+v", p)
 	}
 	if p.EchoTS != 7*sim.Millisecond || p.SentAt != 9*sim.Millisecond {

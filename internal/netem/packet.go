@@ -61,17 +61,15 @@ func (r *Route) Len() int {
 // plain DataPacket/AckPacket constructors are heap-allocated and Free is a
 // no-op, so tests can keep inspecting them after delivery.
 //
-// A Packet is 64 bytes, one cache line (TestPacketIsOneCacheLine), and the
-// pool carves every one on a line boundary. The fields are ordered so that
-// padding takes 2 bytes: a field added or widened must still fit.
+// A Packet is 64 bytes, the size of a cache line (TestPacketIsOneCacheLine).
+// The fields are ordered so that padding takes 2 bytes: a field added or
+// widened must still fit.
 type Packet struct {
 	// Seq is the sequence number of the first payload byte (data packets),
 	// or the cumulative ACK point — the next byte expected — for ACKs.
 	Seq int64
 	// Size is the wire size in bytes, including an idealized header.
-	Size int32
-	// FlowID identifies the (sub)flow, for tracing and debugging.
-	FlowID int32
+	Size int
 	// SentAt is the source timestamp; ACKs echo it back in EchoTS.
 	SentAt sim.Time
 	// EchoTS is the echoed data-packet timestamp on an ACK.
@@ -314,23 +312,8 @@ func (pl *PacketPool) get(ack bool) *Packet {
 	return p
 }
 
-// A slab holds pointers and is larger than 512 bytes, so the runtime (Go
-// 1.22 on) prefixes it with an 8-byte malloc header: its first byte lies 8
-// bytes past a 64-byte boundary, as both slab sizes' classes are multiples
-// of 64. lineSkip fills the rest of that line, putting every packet on a
-// cache line of its own; it does not move either slab to a larger size
-// class.
-const lineSkip = 64 - 8
-
-// dataSlab is a slab of data segments.
-type dataSlab struct {
-	_    [lineSkip]byte
-	pkts [slabPackets]Packet
-}
-
 // ackSlab is a slab of ACKs with the SACK storage they keep for life.
 type ackSlab struct {
-	_    [lineSkip]byte
 	pkts [slabPackets]Packet
 	sack [slabPackets][MaxSackBlocks]Block
 }
@@ -347,21 +330,21 @@ func (pl *PacketPool) refill(l *freeList, ack bool) {
 		l.slab = s.pkts[:]
 	} else {
 		//simlint:ignore hotpathalloc amortised growth: one slab per slabPackets misses, and none once the pool holds the run's high-water mark of packets in flight
-		l.slab = new(dataSlab).pkts[:]
+		l.slab = new([slabPackets]Packet)[:]
 	}
 	for i := range l.slab {
 		l.slab[i].pool = pl
 	}
 }
 
-// NewData builds a pool-managed data segment of size bytes for the given
-// flow, ready for transmission over route.
-func (pl *PacketPool) NewData(flowID int, seq int64, size int, now sim.Time, route *Route) *Packet {
+// NewData builds a pool-managed data segment of size bytes, ready for
+// transmission over route. Its first argument is ignored: a packet carries
+// no flow ID. The benchmark's transit rig (bench/rigs.go) still passes one.
+func (pl *PacketPool) NewData(_ int, seq int64, size int, now sim.Time, route *Route) *Packet {
 	p := pl.get(false)
 	p.Seq = seq
-	p.Size = int32(size)
+	p.Size = size
 	p.Retx = false
-	p.FlowID = int32(flowID)
 	p.SentAt = now
 	p.EchoTS = 0
 	p.SetRoute(route)
@@ -371,12 +354,11 @@ func (pl *PacketPool) NewData(flowID int, seq int64, size int, now sim.Time, rou
 // NewAck builds a pool-managed pure ACK carrying cumulative ack point
 // ackSeq and echoing the data packet's timestamp. Its SACK report is empty,
 // with room for MaxSackBlocks.
-func (pl *PacketPool) NewAck(flowID int, ackSeq int64, echo sim.Time, now sim.Time, route *Route) *Packet {
+func (pl *PacketPool) NewAck(ackSeq int64, echo sim.Time, now sim.Time, route *Route) *Packet {
 	p := pl.get(true)
 	p.Seq = ackSeq
 	p.Size = AckSize
 	p.Retx = false
-	p.FlowID = int32(flowID)
 	p.SentAt = now
 	p.EchoTS = echo
 	p.nsack = 0
@@ -384,17 +366,17 @@ func (pl *PacketPool) NewAck(flowID int, ackSeq int64, echo sim.Time, now sim.Ti
 	return p
 }
 
-// DataPacket builds a data segment of size bytes for the given flow.
-func DataPacket(flowID int, seq int64, size int, now sim.Time, route *Route) *Packet {
-	p := &Packet{Seq: seq, Size: int32(size), FlowID: int32(flowID), SentAt: now}
+// DataPacket builds a data segment of size bytes.
+func DataPacket(seq int64, size int, now sim.Time, route *Route) *Packet {
+	p := &Packet{Seq: seq, Size: size, SentAt: now}
 	p.SetRoute(route)
 	return p
 }
 
 // AckPacket builds a pure ACK carrying cumulative ack point ackSeq and
 // echoing the data packet's timestamp, with room for a SACK report.
-func AckPacket(flowID int, ackSeq int64, echo sim.Time, now sim.Time, route *Route) *Packet {
-	p := &Packet{Seq: ackSeq, Size: AckSize, Ack: true, FlowID: int32(flowID), SentAt: now, EchoTS: echo, sack: new([MaxSackBlocks]Block)}
+func AckPacket(ackSeq int64, echo sim.Time, now sim.Time, route *Route) *Packet {
+	p := &Packet{Seq: ackSeq, Size: AckSize, Ack: true, SentAt: now, EchoTS: echo, sack: new([MaxSackBlocks]Block)}
 	p.SetRoute(route)
 	return p
 }

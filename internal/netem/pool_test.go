@@ -38,7 +38,7 @@ func TestPacketPoolRecycles(t *testing.T) {
 	pl := PoolFor(s)
 	r := NewRoute(&Collector{})
 	d := pl.NewData(1, 3000, MSS, 5*sim.Millisecond, r)
-	if d.Seq != 3000 || d.Size != MSS || d.FlowID != 1 || d.SentAt != 5*sim.Millisecond || d.Ack {
+	if d.Seq != 3000 || d.Size != MSS || d.SentAt != 5*sim.Millisecond || d.Ack {
 		t.Fatalf("data fields: %+v", d)
 	}
 	d.Retx = true
@@ -48,14 +48,14 @@ func TestPacketPoolRecycles(t *testing.T) {
 		t.Fatalf("free count %d, want 1", pl.FreeCount())
 	}
 
-	a := pl.NewAck(2, 6000, sim.Millisecond, 2*sim.Millisecond, r)
+	a := pl.NewAck(6000, sim.Millisecond, 2*sim.Millisecond, r)
 	if a == d {
 		t.Fatal("a freed data segment was recycled as an ACK")
 	}
 	if pl.FreeCount() != 1 {
 		t.Fatalf("NewAck took from the data free list: free count %d, want 1", pl.FreeCount())
 	}
-	if !a.Ack || a.Retx || a.Seq != 6000 || a.Size != AckSize || a.FlowID != 2 ||
+	if !a.Ack || a.Retx || a.Seq != 6000 || a.Size != AckSize ||
 		a.EchoTS != sim.Millisecond || a.SentAt != 2*sim.Millisecond {
 		t.Fatalf("ack fields: %+v", a)
 	}
@@ -74,14 +74,14 @@ func TestPacketPoolRecycles(t *testing.T) {
 	if d2 != d {
 		t.Fatal("pool did not recycle the freed data segment")
 	}
-	if want := (Packet{Seq: 4500, Size: 700, FlowID: 3, SentAt: 9 * sim.Millisecond, pool: pl}); !reflect.DeepEqual(*d2, want) {
+	if want := (Packet{Seq: 4500, Size: 700, SentAt: 9 * sim.Millisecond, pool: pl}); !reflect.DeepEqual(*d2, want) {
 		t.Fatalf("recycled data segment not reset:\n got %+v\nwant %+v", *d2, want)
 	}
-	a2 := pl.NewAck(4, 12000, 3*sim.Millisecond, 4*sim.Millisecond, nil)
+	a2 := pl.NewAck(12000, 3*sim.Millisecond, 4*sim.Millisecond, nil)
 	if a2 != a {
 		t.Fatal("pool did not recycle the freed ACK")
 	}
-	want := Packet{Seq: 12000, Size: AckSize, Ack: true, FlowID: 4, SentAt: 4 * sim.Millisecond, EchoTS: 3 * sim.Millisecond, sack: storage, pool: pl}
+	want := Packet{Seq: 12000, Size: AckSize, Ack: true, SentAt: 4 * sim.Millisecond, EchoTS: 3 * sim.Millisecond, sack: storage, pool: pl}
 	if !reflect.DeepEqual(*a2, want) || a2.Sack() != nil {
 		t.Fatalf("recycled ACK not reset:\n got %+v\nwant %+v", *a2, want)
 	}
@@ -95,33 +95,22 @@ func TestPacketPoolRecycles(t *testing.T) {
 func TestPacketPoolSlabs(t *testing.T) {
 	pl := PoolFor(sim.New(1))
 	pl.NewData(0, 0, MSS, 0, nil)
-	pl.NewAck(0, 0, 0, 0, nil)
+	pl.NewAck(0, 0, 0, nil)
 	if allocs := testing.AllocsPerRun(slabPackets-2, func() {
 		pl.NewData(0, 0, MSS, 0, nil)
-		pl.NewAck(0, 0, 0, 0, nil)
+		pl.NewAck(0, 0, 0, nil)
 	}); allocs != 0 {
 		t.Fatalf("%.1f allocs per packet pair inside a slab, want 0", allocs)
 	}
 }
 
-// TestPacketIsOneCacheLine: a packet is 64 bytes, and the pool carves
-// every one, of either kind, on a 64-byte boundary, so forwarding a packet
-// touches one line. The alignment rests on the runtime's malloc header
-// (lineSkip): a runtime that changes it fails here.
+// TestPacketIsOneCacheLine: a packet is 64 bytes, the size of a cache line.
 func TestPacketIsOneCacheLine(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the one-line layout is for 64-bit platforms")
 	}
 	if sz := unsafe.Sizeof(Packet{}); sz != 64 {
 		t.Fatalf("Packet is %d bytes, want 64", sz)
-	}
-	pl := PoolFor(sim.New(1))
-	for i := 0; i < 3*slabPackets+1; i++ {
-		for _, p := range []*Packet{pl.NewData(0, 0, MSS, 0, nil), pl.NewAck(0, 0, 0, 0, nil)} {
-			if off := uintptr(unsafe.Pointer(p)) % 64; off != 0 {
-				t.Fatalf("packet %d (ack %v) starts %d bytes into a cache line", i, p.Ack, off)
-			}
-		}
 	}
 }
 
@@ -131,14 +120,14 @@ func TestPacketIsOneCacheLine(t *testing.T) {
 func TestPacketSackCapacitySurvivesRecycle(t *testing.T) {
 	s := sim.New(1)
 	pl := PoolFor(s)
-	p := pl.NewAck(1, 0, 0, 0, nil)
+	p := pl.NewAck(0, 0, 0, nil)
 	p.SetSack([]Block{{0, 1500}, {3000, 4500}})
 	if got := p.Sack(); !reflect.DeepEqual(got, []Block{{0, 1500}, {3000, 4500}}) {
 		t.Fatalf("Sack() = %v after SetSack", got)
 	}
 	storage := p.sack
 	p.Free()
-	q := pl.NewAck(1, 0, 0, 0, nil)
+	q := pl.NewAck(0, 0, 0, nil)
 	if len(q.Sack()) != 0 {
 		t.Fatalf("recycled SACK report not emptied: %v", q.Sack())
 	}
@@ -166,7 +155,7 @@ func TestSetSackPanics(t *testing.T) {
 		bs []Block
 	}{
 		"data segment":    {pl.NewData(0, 0, MSS, 0, nil), []Block{{0, 1}}},
-		"too many blocks": {pl.NewAck(0, 0, 0, 0, nil), make([]Block, MaxSackBlocks+1)},
+		"too many blocks": {pl.NewAck(0, 0, 0, nil), make([]Block, MaxSackBlocks+1)},
 	} {
 		func() {
 			defer func() {
@@ -193,7 +182,7 @@ func TestDoubleFreePanics(t *testing.T) {
 }
 
 func TestFreeHeapPacketIsNoOp(t *testing.T) {
-	p := DataPacket(0, 0, MSS, 0, nil)
+	p := DataPacket(0, MSS, 0, nil)
 	p.Free()
 	p.Free() // still a no-op: heap packets are owned by the GC
 	if p.Size != MSS {

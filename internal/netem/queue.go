@@ -101,7 +101,7 @@ func (q *queueCore) Stats() Counters { return q.stats }
 func (q *queueCore) Len() int        { return q.buf.n }
 
 // txTime is the serialization delay for size bytes at the line rate.
-func (q *queueCore) txTime(size int32) sim.Time {
+func (q *queueCore) txTime(size int) sim.Time {
 	return sim.TxTime(int64(size), q.rateBps)
 }
 

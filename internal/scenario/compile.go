@@ -198,7 +198,7 @@ func Compile(sp *Spec) (*Net, error) {
 	}, "rev")
 	n.pipes = append(n.pipes, n.Rev.P)
 
-	nextID := firstSenderID
+	nextID := 1000
 	n.Groups = make([][]*Flow, len(sp.Flows))
 	routes := make([]Route, 0, 4) // stays on the stack for the usual few paths
 	for fi := range sp.Flows {
@@ -226,7 +226,10 @@ func Compile(sp *Spec) (*Net, error) {
 				n.pathFlows[pi] = append(n.pathFlows[pi], pathRef{flow: f, sub: i})
 			}
 		}
-		nextID = nextGroupID(base + fs.count()*len(fs.Paths))
+		nextID = base + fs.count()*len(fs.Paths)
+		// Round up so the next group starts on a fresh thousand block,
+		// keeping IDs readable in traces.
+		nextID = (nextID/1000 + 1) * 1000
 	}
 	return n, nil
 }

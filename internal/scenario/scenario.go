@@ -172,24 +172,10 @@ const (
 	maxDelayMs  = maxSpecSec * 1e3
 )
 
-// Validate's bounds on shapes. A packet carries its flow ID as an int32
-// and its place on the route as a uint16 (netem.Packet): a sender ID must
-// fit the one, and a path's route (up to three hops a link) the other with
-// room to spare.
-const (
-	maxPathLinks = 1024
-	minSenderID  = math.MinInt32
-	maxSenderID  = math.MaxInt32
-)
-
-// firstSenderID is the sender ID Compile gives the first flow group that
-// sets no BaseID.
-const firstSenderID = 1000
-
-// nextGroupID is the sender ID Compile gives the group after one whose IDs
-// end before end, when that group sets no BaseID: the next thousand, which
-// keeps IDs readable in traces.
-func nextGroupID(end int) int { return (end/1000 + 1) * 1000 }
+// maxPathLinks bounds a path's length. A packet holds its place on the
+// route as a uint16 (netem.Packet), and a route has up to three hops a
+// link: this leaves room to spare.
+const maxPathLinks = 1024
 
 // rateInRange reports whether a rate in Mb/s lies within Validate's bounds
 // (NaN does not).
@@ -271,7 +257,6 @@ func (sp *Spec) Validate() error {
 	if len(sp.Flows) == 0 {
 		return fmt.Errorf("scenario %q: no flows", sp.Name)
 	}
-	nextID := firstSenderID
 	for i, f := range sp.Flows {
 		if f.Algorithm != AlgoTCP {
 			if !core.Known(f.Algorithm) {
@@ -292,17 +277,6 @@ func (sp *Spec) Validate() error {
 		if f.Count < 0 {
 			return fmt.Errorf("scenario %q: flow %d has negative count", sp.Name, i)
 		}
-		base := f.BaseID
-		if base == 0 {
-			base = nextID
-		}
-		// Replica r's senders are base + r·len(Paths) onwards, as Compile
-		// numbers them; checked without overflowing int.
-		if base < minSenderID || base > maxSenderID || f.count() > (maxSenderID-base+1)/len(f.Paths) {
-			return fmt.Errorf("scenario %q: flow %d: %d replicas of %d paths from sender ID %d leave [%d, %d]",
-				sp.Name, i, f.count(), len(f.Paths), base, minSenderID, maxSenderID)
-		}
-		nextID = nextGroupID(base + f.count()*len(f.Paths))
 		if f.StartSec < 0 {
 			return fmt.Errorf("scenario %q: flow %d has negative start time", sp.Name, i)
 		}

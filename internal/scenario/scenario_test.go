@@ -60,14 +60,6 @@ func TestSpecValidate(t *testing.T) {
 		{"tcp with two paths", func(sp *Spec) { sp.Flows[1].Paths = []int{0, 1} }, "plain TCP needs exactly one path"},
 		{"bad path index", func(sp *Spec) { sp.Flows[0].Paths = []int{5} }, "references path 5"},
 		{"negative count", func(sp *Spec) { sp.Flows[1].Count = -2 }, "negative count"},
-		{"sender IDs at the int32 limit", func(sp *Spec) {
-			sp.Flows[0].BaseID, sp.Flows[0].Count = math.MaxInt32-3, 2
-			sp.Flows[1].BaseID = 1
-		}, ""},
-		{"sender IDs past int32", func(sp *Spec) { sp.Flows[0].BaseID, sp.Flows[0].Count = math.MaxInt32-2, 2 }, "leave [-2147483648, 2147483647]"},
-		{"sender IDs below int32", func(sp *Spec) { sp.Flows[1].BaseID = math.MinInt32 - 1 }, "from sender ID -2147483649"},
-		{"replicas overflow int", func(sp *Spec) { sp.Flows[0].Count = math.MaxInt }, "leave ["},
-		{"assigned IDs past int32", func(sp *Spec) { sp.Flows[0].BaseID = math.MaxInt32 - 1 }, "flow 1: 2 replicas of 1 paths from sender ID 2147484000"},
 		{"negative start", func(sp *Spec) { sp.Flows[0].StartSec = -1 }, "negative start"},
 		{"stop before start", func(sp *Spec) { sp.Flows[1].StopSec = 0.1 }, "not after start"},
 		{"negative flow bytes", func(sp *Spec) { sp.Flows[0].FlowBytes = -1 }, "negative flow bytes"},

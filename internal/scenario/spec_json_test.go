@@ -2,13 +2,12 @@ package scenario
 
 import (
 	"encoding/json"
-	"math"
 	"testing"
 )
 
 // specJSONSeeds are the fuzz seeds: the four paper builders, steady_bulk's
 // shape (bench/workloads.go), a fault timeline, a scheduled stream, and the
-// longest path and the sender IDs Validate lets through.
+// longest path Validate lets through.
 func specJSONSeeds() []*Spec {
 	steady := &Spec{
 		Name: "steady_bulk", Seed: 1, WarmupSec: 5, DurationSec: 25,
@@ -34,15 +33,12 @@ func specJSONSeeds() []*Spec {
 	stream.Flows[0].FlowBytes, stream.Flows[0].Scheduler, stream.Flows[0].ChunkBytes = 1<<20, "ecf", 8192
 	long := twoPathSpec()
 	long.Paths[0].Links = make([]int, maxPathLinks) // link 0 over and over: a 2 050-hop route
-	ids := twoPathSpec()
-	ids.Flows[0].BaseID, ids.Flows[0].Count = math.MaxInt32-3, 2
-	ids.Flows[1].BaseID = math.MinInt32
 	return []*Spec{
 		PaperScenarioA(2, 2, 2, 1, "olia", 1, 1, 2),
 		PaperScenarioB(2, 4, 4, "lia", true, 2, 1, 2),
 		PaperScenarioC(2, 2, 2, 1, "olia", 3, 1, 2),
 		PaperTwoLink(2, 1, 1, "olia", 4, 1, 2),
-		steady, timeline, stream, long, ids,
+		steady, timeline, stream, long,
 	}
 }
 

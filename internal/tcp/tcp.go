@@ -399,7 +399,7 @@ func (t *Src) SetFlowBytes(n int64) {
 // ownership passes to the route (the sink consumes and frees it, or a drop
 // site does).
 func (t *Src) transmit(seq int64, size int, isRetx bool) {
-	p := t.pool.NewData(t.id, seq, size, t.sim.Now(), t.fwd)
+	p := t.pool.NewData(0, seq, size, t.sim.Now(), t.fwd)
 	p.Retx = isRetx
 	t.stats.SentPkts++
 	if isRetx {
@@ -769,7 +769,6 @@ type Sink struct {
 	unacked  int
 	lastEcho sim.Time
 	delAckTm sim.Timer
-	flowID   int
 }
 
 // NewSink builds a receiver.
@@ -825,7 +824,6 @@ func (k *Sink) Recv(p *netem.Packet) {
 	if k.OnInOrder != nil && k.cumAck > before {
 		k.OnInOrder(k.cumAck - before)
 	}
-	k.flowID = int(p.FlowID)
 	k.lastEcho = p.SentAt
 	inOrderAdvance := k.cumAck > before && len(k.ooo) == 0
 	if k.delAck > 0 && inOrderAdvance && !p.Retx {
@@ -865,7 +863,7 @@ func (k *Sink) sendAck(echo sim.Time, retx bool) {
 	k.unacked = 0
 	k.ackPkts++
 	k.sim.Cancel(k.delAckTm)
-	ack := k.pool.NewAck(k.flowID, k.cumAck, echo, k.sim.Now(), k.rev)
+	ack := k.pool.NewAck(k.cumAck, echo, k.sim.Now(), k.rev)
 	ack.Retx = retx
 	ack.SetSack(k.ooo[:min(len(k.ooo), netem.MaxSackBlocks)])
 	ack.SendOn()
