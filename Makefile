@@ -25,10 +25,10 @@ race:
 # The allocation locks, run without -race: the race detector drops
 # sync.Pool puts at random, so TestWarmHitAllocs and TestColdRunAllocs are
 # built only without it. TestPacketIsOneCacheLine locks the packet's size
-# and the pool's alignment.
+# and the pool's alignment; TestDigestAllocs what a run's fingerprint costs.
 allocs:
-	$(GO) test -count=1 -run '^(TestTransitZeroAlloc|TestPacketIsOneCacheLine|TestControllersZeroAlloc|TestLossPathZeroAlloc|TestStreamZeroAlloc|TestWarmHitAllocs|TestColdRunAllocs)$$' \
-		./internal/netem ./internal/core ./internal/tcp ./internal/mptcp ./internal/campaign
+	$(GO) test -count=1 -run '^(TestTransitZeroAlloc|TestPacketIsOneCacheLine|TestControllersZeroAlloc|TestLossPathZeroAlloc|TestStreamZeroAlloc|TestWarmHitAllocs|TestColdRunAllocs|TestDigestAllocs)$$' \
+		./internal/netem ./internal/core ./internal/tcp ./internal/mptcp ./internal/campaign ./internal/scenario
 
 # FMA ratchet: a fused multiply-add rounds once where amd64
 # rounds twice, so an arm64 host can compute different bytes. Count the
@@ -148,8 +148,9 @@ apicheck:
 		git --no-pager diff -- api.txt; exit 1; \
 	fi
 
-# Behaviour lock: rewrite behaviour.lock (the canary runs' event counts and
-# digests) from this tree. TestBehaviourLock fails on drift, and Version()
+# Behaviour lock: rewrite behaviour.lock (per canary run: its event count,
+# its Digest.Traffic and its Spec's hash, both over the scenario codec's one
+# encoding) from this tree. TestBehaviourLock fails on drift, and Version()
 # hashes the file, so run this only when a behaviour change is intended and
 # explain the delta per canary.
 lock:

@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -24,11 +23,12 @@ var updateLock = flag.Bool("update", false, "rewrite behaviour.lock from this ru
 // lockHeader opens behaviour.lock; Version() hashes the whole file, this
 // text included.
 const lockHeader = `# behaviour.lock: the simulator's behaviour on a fixed canary set, one line
-# per canary: name, events processed, then 12-hex SHA-256 prefixes of the
-# run's Digest.Goodput and Digest.Queues and of the canary's Spec JSON ("-"
-# for a network built in code). Version() hashes this file with api.txt, so a
-# change that moves any line is a new version and misses every cache entry
-# the old one filled. Regenerate with "make lock" and explain the delta.
+# per canary: name, events processed, then 12-hex prefixes of the run's
+# Digest.Traffic (the SHA-256 of its report's identity section) and of the
+# SHA-256 of the canary's scenario.AppendSpec encoding ("-" for a network
+# built in code). Version() hashes this file with api.txt, so a change that
+# moves any line is a new version and misses every cache entry the old one
+# filled. Regenerate with "make lock" and explain the delta.
 `
 
 // behaviourCanary is one locked run: a Spec to compile, or a network built
@@ -117,11 +117,12 @@ func lockLine(c behaviourCanary) (string, error) {
 	specHash := "-"
 	var n *scenario.Net
 	if c.spec != nil {
-		js, err := json.Marshal(c.spec)
+		enc, err := scenario.AppendSpec(nil, c.spec)
 		if err != nil {
 			return "", err
 		}
-		specHash = hash12(string(js))
+		sum := sha256.Sum256(enc)
+		specHash = hex.EncodeToString(sum[:6])
 		if n, err = scenario.Compile(c.spec); err != nil {
 			return "", err
 		}
@@ -136,12 +137,7 @@ func lockLine(c behaviourCanary) (string, error) {
 		return "", fmt.Errorf("%s: invariant violations: %v", c.name, rep.Violations)
 	}
 	d := rep.Digest()
-	return fmt.Sprintf("%s %d %s %s %s", c.name, d.Processed, hash12(d.Goodput), hash12(d.Queues), specHash), nil
-}
-
-func hash12(s string) string {
-	sum := sha256.Sum256([]byte(s))
-	return hex.EncodeToString(sum[:6])
+	return fmt.Sprintf("%s %d %s %s", c.name, d.Processed, hex.EncodeToString(d.Traffic[:6]), specHash), nil
 }
 
 // TestBehaviourLock runs every canary and compares the result with the

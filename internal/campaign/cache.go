@@ -15,13 +15,14 @@ import (
 // The result cache is content-addressed: a completed run is stored under
 // the SHA-256 of everything its report is a function of — the cache schema
 // version, the code version (the facade derives it from a hash of
-// api.txt), and the binary encoding of the full scenario.Spec (appendSpec),
-// which carries the scenario seed. The scenario layer guarantees a run is
-// a pure function of (spec, seed) — the fuzzer re-runs every generated
-// scenario and compares RunReport digests — so a hit can stand in for a
-// simulation exactly. An entry is the report in the binary encoding of
-// codec.go, which carries every float64 as its bits, so a warm re-run
-// folds the identical samples and produces the byte-identical aggregate.
+// api.txt and behaviour.lock), and scenario.AppendSpec's encoding of the
+// full Spec, which carries the scenario seed. The scenario layer
+// guarantees a run is a pure function of (spec, seed) — the fuzzer re-runs
+// every generated scenario and compares RunReport digests — so a hit can
+// stand in for a simulation exactly. An entry is the schema line followed
+// by scenario.AppendReport's encoding, which carries every float64 as its
+// bits, so a warm re-run folds the identical samples and produces the
+// byte-identical aggregate.
 //
 // Layout: <dir>/<key[:2]>/<key>.bin, one atomic file per run (written to
 // a temp name, then renamed), so concurrent workers — or concurrent
@@ -30,8 +31,12 @@ import (
 // cacheSchema versions the on-disk format: it is hashed into every key and
 // opens every entry, so a tree written under another schema is never
 // addressed, and a file of one never decodes. Bump it with any change to
-// codec.go's encodings, the key's included.
-const cacheSchema = "mptcpsim-campaign-cache-v3"
+// scenario.AppendSpec or scenario.AppendReport.
+const cacheSchema = "mptcpsim-campaign-cache-v4"
+
+// reportHeader opens every entry: a stale or foreign file fails on its
+// first bytes.
+const reportHeader = cacheSchema + "\n"
 
 // keyPool and entryPool hold cacheKey's and get's scratch buffers, so a hit
 // allocates for its entry's path alone.
@@ -42,8 +47,8 @@ var (
 
 // CacheKey returns the content address of one scenario run under the given
 // code version: hex SHA-256 over the schema tag, a zero byte, the version,
-// a zero byte, and appendSpec's encoding of sp. A NaN or ±Inf anywhere in
-// sp is an error.
+// a zero byte, and scenario.AppendSpec's encoding of sp. A NaN or ±Inf
+// anywhere in sp is an error.
 func CacheKey(version string, sp *scenario.Spec) (string, error) {
 	key, err := cacheKey(version, sp)
 	if err != nil {
@@ -65,7 +70,7 @@ func cacheKey(version string, sp *scenario.Spec) (entryKey, error) {
 	b = append(b, 0)
 	b = append(b, version...)
 	b = append(b, 0)
-	b, err := appendSpec(b, sp)
+	b, err := scenario.AppendSpec(b, sp)
 	*bp = b
 	if err != nil {
 		return key, err
@@ -112,7 +117,7 @@ func (c *cache) get(key entryKey, sp *scenario.Spec, rep *scenario.RunReport) bo
 	bp := entryPool.Get().(*[]byte)
 	defer entryPool.Put(bp)
 	data, ok := readEntry(c.path(key), bp)
-	if !ok {
+	if !ok || len(data) < len(reportHeader) || string(data[:len(reportHeader)]) != reportHeader {
 		return false
 	}
 	// The decode copies every string it does not already hold out of data,
@@ -120,7 +125,7 @@ func (c *cache) get(key entryKey, sp *scenario.Spec, rep *scenario.RunReport) bo
 	// spec's name lets it keep that one rather than copy the entry's equal
 	// bytes.
 	rep.Name = sp.Name
-	err := decodeReportInto(rep, data)
+	err := scenario.DecodeReportInto(rep, data[len(reportHeader):])
 	return err == nil && rep.Name == sp.Name && rep.Seed == sp.Seed
 }
 
@@ -131,8 +136,8 @@ func (c *cache) get(key entryKey, sp *scenario.Spec, rep *scenario.RunReport) bo
 //
 // A read that does not fill the buffer is taken as the whole file. Were it
 // ever only a prefix, the entry would not decode — a proper prefix of a
-// canonical entry always ends in errTruncated — so the worst case is a
-// miss, never a wrong hit.
+// canonical entry never does — so the worst case is a miss, never a wrong
+// hit.
 func readEntry(path string, buf *[]byte) ([]byte, bool) {
 	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
 	if err != nil {
@@ -169,7 +174,7 @@ func (c *cache) put(key entryKey, rep *scenario.RunReport) error {
 	if err != nil {
 		return fmt.Errorf("campaign: writing cache entry: %w", err)
 	}
-	if _, err := tmp.Write(appendReport(nil, rep)); err != nil {
+	if _, err := tmp.Write(scenario.AppendReport([]byte(reportHeader), rep)); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("campaign: writing cache entry: %w", err)

@@ -298,7 +298,7 @@ func TestCacheKey(t *testing.T) {
 			{AtSec: 2, Path: &scenario.PathFlap{Path: 0, Up: true}},
 		},
 	}
-	const want = "6c0de15e3b8f0c31d23d4e834c32685dc7c3c7274d2eae51f1f03bd117f4a0fc"
+	const want = "b0a7547dbaa8a6ec3a1e396c6e84fe4162911c52cecb5760318e1161766e1d76"
 	if got, err := CacheKey("v1", pinned); err != nil || got != want {
 		t.Errorf("pinned key = %s, %v; want %s", got, err, want)
 	}
@@ -525,53 +525,98 @@ func TestRunSwappedEntries(t *testing.T) {
 	}
 }
 
-// TestRunIgnoresV1Tree: a directory filled under the v1 schema (JSON
-// entries at <key>.json, keys hashed from the v1 tag) yields no hits and
-// is left as it was.
-func TestRunIgnoresV1Tree(t *testing.T) {
+// TestRunIgnoresOldSchemaTrees: a directory filled under an earlier schema
+// yields no hits. v1 left JSON entries at <key>.json and v2 binary ones at
+// <key>.bin, both under keys hashed from the spec's JSON and their own tag;
+// those trees are left byte for byte as they were. A v3 entry at the path
+// of this schema's key fails on its header and is rewritten.
+func TestRunIgnoresOldSchemaTrees(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates scenarios; skipped in -short")
 	}
-	sp := tinySpec()
-	sp.N = 4
-	sp.CacheDir = t.TempDir()
-	filled := sp.fill()
-	v1 := map[string][]byte{}
-	for i := 0; i < sp.N; i++ {
-		spec := filled.SampleSpec(i)
+	// jsonKey is a v1 or v2 key: the tag, the version, then the spec's JSON.
+	jsonKey := func(t *testing.T, tag string, spec *scenario.Spec) string {
 		data, err := json.Marshal(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum := sha256.Sum256(append([]byte("mptcpsim-campaign-cache-v1\x00test\x00"), data...))
-		key := hex.EncodeToString(sum[:])
-		entry, err := json.Marshal(&scenario.RunReport{Name: spec.Name, Seed: spec.Seed, Processed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(sp.CacheDir, key[:2], key+".json")
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, entry, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		v1[path] = entry
+		sum := sha256.Sum256(append([]byte(tag+"\x00test\x00"), data...))
+		return hex.EncodeToString(sum[:])
 	}
-	res, err := Run(context.Background(), sp, Options{Workers: 2, Version: "test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Simulated != sp.N || res.CacheHits != 0 {
-		t.Errorf("simulated %d / hits %d over a v1 tree, want %d / 0", res.Simulated, res.CacheHits, sp.N)
-	}
-	if got := entryFiles(t, sp.CacheDir, ".json"); len(got) != len(v1) {
-		t.Errorf("%d v1 entries left of %d", len(got), len(v1))
-	}
-	for path, want := range v1 {
-		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
-			t.Errorf("v1 entry %s changed: %q, %v", path, got, err)
-		}
+	for _, tc := range []struct {
+		schema string
+		// plant returns where an entry for spec goes and what it holds.
+		plant func(t *testing.T, dir string, spec *scenario.Spec) (string, []byte)
+		// rewritten: the run replaces the planted entries instead of
+		// adding its own beside them.
+		rewritten bool
+	}{
+		{"v1", func(t *testing.T, dir string, spec *scenario.Spec) (string, []byte) {
+			key := jsonKey(t, "mptcpsim-campaign-cache-v1", spec)
+			entry, err := json.Marshal(&scenario.RunReport{Name: spec.Name, Seed: spec.Seed, Processed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return filepath.Join(dir, key[:2], key+".json"), entry
+		}, false},
+		{"v2", func(t *testing.T, dir string, spec *scenario.Spec) (string, []byte) {
+			key := jsonKey(t, "mptcpsim-campaign-cache-v2", spec)
+			entry := scenario.AppendReport([]byte("mptcpsim-campaign-cache-v2\n"),
+				&scenario.RunReport{Name: spec.Name, Seed: spec.Seed, Processed: 1})
+			return filepath.Join(dir, key[:2], key+".bin"), entry
+		}, false},
+		{"v3", func(t *testing.T, dir string, spec *scenario.Spec) (string, []byte) {
+			key, err := CacheKey("test", spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			entry := scenario.AppendReport([]byte("mptcpsim-campaign-cache-v3\n"),
+				&scenario.RunReport{Name: spec.Name, Seed: spec.Seed, Processed: 1})
+			return filepath.Join(dir, key[:2], key+".bin"), entry
+		}, true},
+	} {
+		t.Run(tc.schema, func(t *testing.T) {
+			sp := tinySpec()
+			sp.N = 4
+			sp.CacheDir = t.TempDir()
+			filled := sp.fill()
+			old := map[string][]byte{}
+			for i := 0; i < sp.N; i++ {
+				path, entry := tc.plant(t, sp.CacheDir, filled.SampleSpec(i))
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, entry, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				old[path] = entry
+			}
+			res, err := Run(context.Background(), sp, Options{Workers: 2, Version: "test"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Simulated != sp.N || res.CacheHits != 0 {
+				t.Errorf("simulated %d / hits %d over a %s tree, want %d / 0", res.Simulated, res.CacheHits, tc.schema, sp.N)
+			}
+			want := 2 * sp.N // the planted ones and the run's own
+			if tc.rewritten {
+				want = sp.N
+			}
+			if got := len(entryFiles(t, sp.CacheDir, ".bin")) + len(entryFiles(t, sp.CacheDir, ".json")); got != want {
+				t.Errorf("%d entries after the run, want %d", got, want)
+			}
+			for path, planted := range old {
+				got, err := os.ReadFile(path)
+				switch {
+				case err != nil:
+					t.Errorf("%s entry %s: %v", tc.schema, path, err)
+				case tc.rewritten && !bytes.HasPrefix(got, []byte(reportHeader)):
+					t.Errorf("%s entry %s was not rewritten: %q", tc.schema, path, got)
+				case !tc.rewritten && !bytes.Equal(got, planted):
+					t.Errorf("%s entry %s changed: %q", tc.schema, path, got)
+				}
+			}
+		})
 	}
 }
 

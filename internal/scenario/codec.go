@@ -1,6 +1,7 @@
-package campaign
+package scenario
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,34 +9,31 @@ import (
 	"sync/atomic"
 
 	"mptcpsim/internal/netem"
-	"mptcpsim/internal/scenario"
 )
 
-// The cache entry encoding of a scenario.RunReport. An entry is the header
-// line (cacheSchema + "\n") followed by the report's fields in declaration
-// order:
+// The one binary encoding of a Spec and of a RunReport. The campaign cache
+// keys entries by a hash of AppendSpec and stores AppendReport, Digest
+// hashes AppendReport's identity section, and behaviour.lock holds
+// prefixes of both. The primitives:
 //
 //	string   uvarint length, then the bytes
-//	slice    uvarint element count, then the elements
+//	slice    uvarint element count, then the elements (nil and empty alike)
 //	int*     zig-zag varint
 //	uint64   uvarint
 //	float64  the IEEE-754 bits, 8 bytes little-endian
 //	bool     one byte, 0 or 1
-//	*Stream  a bool for presence, then the fields
+//	pointer  a bool for presence, then the fields
 //
 // Floats travel as their bits, so NaN, ±Inf and −0 survive and a warm fold
 // sees the samples the cold one saw. The encoding is canonical — varints
 // are minimal, bools are 0 or 1, nothing follows the last field — so any
-// bytes that decode re-encode to themselves; an empty slice and a nil one
-// both encode as count 0 and decode as nil.
+// bytes that decode re-encode to themselves.
 //
-// TestCodecRoundTripEveryField walks the report types by reflection: a
-// field added to any of them needs a line in appendReport and decodeReport
-// (and a cacheSchema bump) or that test fails.
-
-// reportHeader opens every entry: a stale or foreign file fails on its
-// first bytes.
-const reportHeader = cacheSchema + "\n"
+// A report is its identity section (appendIdentity, which Digest hashes),
+// then Processed, then every other field, derived: that order is the one
+// table of what identifies a run. TestCodecRoundTripEveryField fails on a
+// report field without a codec line (which bumps the cache schema), and
+// TestDigestCoversIdentityFields holds each field to its section.
 
 // The least bytes one element of each slice can occupy; a count is checked
 // against the bytes that remain before anything is allocated for it.
@@ -47,51 +45,56 @@ const (
 )
 
 var (
-	errHeader    = errors.New("campaign: cache entry: wrong header")
-	errTruncated = errors.New("campaign: cache entry: truncated")
-	errLength    = errors.New("campaign: cache entry: length exceeds the entry")
-	errCanonical = errors.New("campaign: cache entry: non-canonical encoding")
-	errTrailing  = errors.New("campaign: cache entry: trailing bytes")
+	errTruncated = errors.New("scenario: report encoding: truncated")
+	errLength    = errors.New("scenario: report encoding: length exceeds the input")
+	errCanonical = errors.New("scenario: report encoding: non-canonical encoding")
+	errTrailing  = errors.New("scenario: report encoding: trailing bytes")
 )
 
-// appendReport appends r's entry encoding to b.
-func appendReport(b []byte, r *scenario.RunReport) []byte {
-	b = append(b, reportHeader...)
+// Digest is the comparable fingerprint of a run, for the re-run
+// byte-identity invariant: two runs of one spec must agree exactly.
+type Digest struct {
+	Processed uint64
+	// Traffic is the SHA-256 of the report's identity section: per-flow
+	// byte counts and stream state, per-queue counters.
+	Traffic [sha256.Size]byte
+}
+
+// Digest fingerprints the report. The identity section is encoded on the
+// stack; one of a few dozen flows and more grows onto the heap.
+func (r *RunReport) Digest() Digest {
+	var buf [512]byte
+	return Digest{Processed: r.Processed, Traffic: sha256.Sum256(appendIdentity(buf[:0], r))}
+}
+
+// AppendReport appends r's encoding to b.
+func AppendReport(b []byte, r *RunReport) []byte {
+	b = appendIdentity(b, r)
+	b = binary.AppendUvarint(b, r.Processed)
 	b = appendString(b, r.Name)
 	b = binary.AppendVarint(b, r.Seed)
-	b = binary.AppendUvarint(b, uint64(len(r.Flows)))
 	for i := range r.Flows {
 		f := &r.Flows[i]
-		b = appendString(b, f.Name)
 		b = appendString(b, f.Algorithm)
 		b = appendFloat(b, f.GoodputMbps)
 		b = binary.AppendUvarint(b, uint64(len(f.PathMbps)))
 		for _, v := range f.PathMbps {
 			b = appendFloat(b, v)
 		}
-		b = binary.AppendVarint(b, f.GoodputBytes)
 		b = binary.AppendVarint(b, f.SentPkts)
 		b = binary.AppendVarint(b, f.Timeouts)
-		b = appendBool(b, f.Stream != nil)
 		if s := f.Stream; s != nil {
 			b = appendString(b, s.Scheduler)
-			b = appendBool(b, s.Done)
 			b = appendFloat(b, s.CompletionSec)
-			b = binary.AppendVarint(b, s.InOrderBytes)
-			b = binary.AppendVarint(b, s.DeliveredBytes)
 		}
 	}
-	b = binary.AppendUvarint(b, uint64(len(r.Queues)))
 	for i := range r.Queues {
 		q := &r.Queues[i]
-		b = binary.AppendVarint(b, int64(q.Link))
-		b = appendCounters(b, &q.Total)
 		b = appendCounters(b, &q.Window)
 		b = binary.AppendVarint(b, int64(q.FinalLen))
 		b = binary.AppendVarint(b, int64(q.MaxLen))
 		b = binary.AppendVarint(b, q.LossDropped)
 	}
-	b = binary.AppendUvarint(b, r.Processed)
 	b = binary.AppendUvarint(b, uint64(len(r.Violations)))
 	for _, v := range r.Violations {
 		b = appendString(b, v)
@@ -99,68 +102,86 @@ func appendReport(b []byte, r *scenario.RunReport) []byte {
 	return b
 }
 
-// appendSpec appends the encoding of sp that CacheKey hashes: every field of
-// Spec, LinkSpec, PathSpec, FlowSpec, TimelineEvent, LinkSetpoint and
-// PathFlap in declaration order, in the entry primitives above, with a
-// presence byte before each pointer. Lengths and presence come first, so
-// the encoding is prefix-free and distinct bytes mean distinct specs.
+// appendIdentity appends the identity section of r's encoding to b: per
+// flow its name, goodput bytes and stream state, per queue its link and
+// total counters.
+func appendIdentity(b []byte, r *RunReport) []byte {
+	b = binary.AppendUvarint(b, uint64(len(r.Flows)))
+	for i := range r.Flows {
+		f := &r.Flows[i]
+		b = appendString(b, f.Name)
+		b = binary.AppendVarint(b, f.GoodputBytes)
+		b = appendBool(b, f.Stream != nil)
+		if s := f.Stream; s != nil {
+			b = binary.AppendVarint(b, s.InOrderBytes)
+			b = binary.AppendVarint(b, s.DeliveredBytes)
+			b = appendBool(b, s.Done)
+		}
+	}
+	b = binary.AppendUvarint(b, uint64(len(r.Queues)))
+	for i := range r.Queues {
+		q := &r.Queues[i]
+		b = binary.AppendVarint(b, int64(q.Link))
+		b = appendCounters(b, &q.Total)
+	}
+	return b
+}
+
+// AppendSpec appends sp's encoding to b: every field of Spec, LinkSpec,
+// PathSpec, FlowSpec, TimelineEvent, LinkSetpoint and PathFlap in
+// declaration order. Lengths and presence come first, so the encoding is
+// prefix-free and distinct bytes mean distinct specs. A NaN or ±Inf is an
+// error.
 //
-// It splits specs exactly where their JSON did, so moving the key off JSON
-// moved no two runs onto one entry and split none (FuzzCacheKey): a float
-// field JSON omits when zero encodes −0 as +0, and a slice JSON writes as
-// null or [] carries a presence byte. A NaN or ±Inf, which JSON cannot
-// encode either, is an error.
-//
-// TestCacheKeyCoversEverySpecField changes every field of those types in
+// TestAppendSpecCoversEveryField changes every field of those types in
 // turn: a field added without a line here fails it.
-func appendSpec(b []byte, sp *scenario.Spec) ([]byte, error) {
+func AppendSpec(b []byte, sp *Spec) ([]byte, error) {
 	e := specEncoder{b: b}
 	e.str(sp.Name)
 	e.int(sp.Seed)
 	e.float(sp.WarmupSec)
 	e.float(sp.DurationSec)
-	e.slice(sp.Links == nil, len(sp.Links))
+	e.count(len(sp.Links))
 	for i := range sp.Links {
 		l := &sp.Links[i]
 		e.float(l.RateMbps)
-		e.omitFloat(l.DelayMs)
+		e.float(l.DelayMs)
 		e.str(string(l.Queue))
 		e.int(int64(l.BufferPkts))
-		e.omitFloat(l.LossPct)
+		e.float(l.LossPct)
 	}
-	e.slice(sp.Paths == nil, len(sp.Paths))
+	e.count(len(sp.Paths))
 	for i := range sp.Paths {
 		p := &sp.Paths[i]
 		e.ints(p.Links)
-		e.omitFloat(p.DelayMs)
+		e.float(p.DelayMs)
 	}
-	e.slice(sp.Flows == nil, len(sp.Flows))
+	e.count(len(sp.Flows))
 	for i := range sp.Flows {
 		f := &sp.Flows[i]
 		e.str(f.Name)
 		e.str(f.Algorithm)
 		e.ints(f.Paths)
 		e.int(int64(f.Count))
-		e.omitFloat(f.StartSec)
+		e.float(f.StartSec)
 		e.bool(f.StartJitter)
-		e.omitFloat(f.StopSec)
+		e.float(f.StopSec)
 		e.int(f.FlowBytes)
 		e.str(f.Scheduler)
 		e.int(f.ChunkBytes)
 		e.bool(f.KeepSlowStart)
-		e.omitFloat(f.MaxCwndPkts)
+		e.float(f.MaxCwndPkts)
 		e.bool(f.NoIncreaseCap)
 		e.int(int64(f.BaseID))
 	}
-	// Timeline is omitempty: null and [] both vanish from the JSON.
-	e.b = binary.AppendUvarint(e.b, uint64(len(sp.Timeline)))
+	e.count(len(sp.Timeline))
 	for i := range sp.Timeline {
 		ev := &sp.Timeline[i]
 		e.float(ev.AtSec)
 		if e.bool(ev.Link != nil) {
 			ls := ev.Link
 			e.int(int64(ls.Link))
-			e.omitFloat(ls.RateMbps)
+			e.float(ls.RateMbps)
 			if e.bool(ls.DelayMs != nil) {
 				e.float(*ls.DelayMs)
 			}
@@ -173,12 +194,12 @@ func appendSpec(b []byte, sp *scenario.Spec) ([]byte, error) {
 			e.bool(ev.Path.Up)
 		}
 	}
-	e.omitFloat(sp.ReverseRateMbps)
-	e.omitFloat(sp.ReverseDelayMs)
+	e.float(sp.ReverseRateMbps)
+	e.float(sp.ReverseDelayMs)
 	return e.b, e.err
 }
 
-// specEncoder is appendSpec's cursor; the first non-finite float sticks in
+// specEncoder is AppendSpec's cursor; the first non-finite float sticks in
 // err.
 type specEncoder struct {
 	b   []byte
@@ -187,6 +208,7 @@ type specEncoder struct {
 
 func (e *specEncoder) str(s string) { e.b = appendString(e.b, s) }
 func (e *specEncoder) int(v int64)  { e.b = binary.AppendVarint(e.b, v) }
+func (e *specEncoder) count(n int)  { e.b = binary.AppendUvarint(e.b, uint64(n)) }
 
 // bool encodes v and returns it, so a presence byte can guard its fields.
 func (e *specEncoder) bool(v bool) bool {
@@ -196,30 +218,13 @@ func (e *specEncoder) bool(v bool) bool {
 
 func (e *specEncoder) float(v float64) {
 	if e.err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
-		e.err = fmt.Errorf("campaign: encoding spec for cache key: unsupported value: %v", v)
+		e.err = fmt.Errorf("scenario: encoding spec: unsupported value: %v", v)
 	}
 	e.b = appendFloat(e.b, v)
 }
 
-// omitFloat encodes a float field JSON omits when zero: −0 is omitted as
-// +0 is, so it encodes as +0.
-func (e *specEncoder) omitFloat(v float64) {
-	if v == 0 {
-		v = 0
-	}
-	e.float(v)
-}
-
-// slice opens a slice JSON writes as null when nil and [] when empty.
-func (e *specEncoder) slice(isNil bool, n int) {
-	if !e.bool(!isNil) {
-		return
-	}
-	e.b = binary.AppendUvarint(e.b, uint64(n))
-}
-
 func (e *specEncoder) ints(vs []int) {
-	e.slice(vs == nil, len(vs))
+	e.count(len(vs))
 	for _, v := range vs {
 		e.int(int64(v))
 	}
@@ -249,73 +254,69 @@ func appendCounters(b []byte, c *netem.Counters) []byte {
 	return binary.AppendVarint(b, c.SentBytes)
 }
 
-// decodeReport parses one entry into a new report.
-func decodeReport(data []byte) (*scenario.RunReport, error) {
-	r := new(scenario.RunReport)
-	if err := decodeReportInto(r, data); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// decodeReportInto parses one entry into r, overwriting every field. Every
-// byte is accounted for: a wrong header, a short read, a length or count
-// the remaining bytes cannot hold, a non-canonical varint or bool, and
-// anything after the last field are all errors, and the caller treats
-// every error as a cache miss; r then holds a partial decode.
+// DecodeReportInto parses one AppendReport encoding into r, overwriting
+// every field. Every byte is accounted for: a short read, a length or
+// count the remaining bytes cannot hold, a non-canonical varint or bool,
+// and anything after the last field are all errors; r then holds a
+// partial decode.
 //
 // Whatever r held is storage to reuse: its slices when large enough, a
-// flow's Stream when the entry has one there too, and any string whose
-// bytes the entry repeats in the same place; other short strings come from
-// the interned table. The result equals decodeReport's all the same
+// flow's Stream when the encoding has one there too, and any string whose
+// bytes the encoding repeats in the same place; other short strings come
+// from the interned table. The result is the same whatever r held
 // (FuzzDecodeReport), nil for every empty slice included, so a report
-// recycled across cache hits makes no garbage once its slices have grown
-// to the population's largest and its strings recur.
-func decodeReportInto(r *scenario.RunReport, data []byte) error {
-	if len(data) < len(reportHeader) || string(data[:len(reportHeader)]) != reportHeader {
-		return errHeader
-	}
-	d := decoder{b: data[len(reportHeader):]}
-	r.Name = d.str(r.Name)
-	r.Seed = d.varint()
+// recycled across decodes makes no garbage once its slices have grown to
+// the largest it meets and its strings recur.
+func DecodeReportInto(r *RunReport, data []byte) error {
+	d := decoder{b: data}
 	r.Flows = reuse(r.Flows, d.count(minFlowBytes))
 	for i := range r.Flows {
 		f := &r.Flows[i]
 		f.Name = d.str(f.Name)
-		f.Algorithm = d.str(f.Algorithm)
-		f.GoodputMbps = d.float()
-		f.PathMbps = reuse(f.PathMbps, d.count(minFloatBytes))
-		for j := range f.PathMbps {
-			f.PathMbps[j] = d.float()
-		}
 		f.GoodputBytes = d.varint()
-		f.SentPkts = d.varint()
-		f.Timeouts = d.varint()
 		if !d.bool() {
 			f.Stream = nil
 			continue
 		}
 		if f.Stream == nil {
-			f.Stream = new(scenario.StreamReport)
+			f.Stream = new(StreamReport)
 		}
 		s := f.Stream
-		s.Scheduler = d.str(s.Scheduler)
-		s.Done = d.bool()
-		s.CompletionSec = d.float()
 		s.InOrderBytes = d.varint()
 		s.DeliveredBytes = d.varint()
+		s.Done = d.bool()
 	}
 	r.Queues = reuse(r.Queues, d.count(minQueueBytes))
 	for i := range r.Queues {
 		q := &r.Queues[i]
 		q.Link = d.int()
 		d.counters(&q.Total)
+	}
+	r.Processed = d.uvarint()
+	r.Name = d.str(r.Name)
+	r.Seed = d.varint()
+	for i := range r.Flows {
+		f := &r.Flows[i]
+		f.Algorithm = d.str(f.Algorithm)
+		f.GoodputMbps = d.float()
+		f.PathMbps = reuse(f.PathMbps, d.count(minFloatBytes))
+		for j := range f.PathMbps {
+			f.PathMbps[j] = d.float()
+		}
+		f.SentPkts = d.varint()
+		f.Timeouts = d.varint()
+		if s := f.Stream; s != nil {
+			s.Scheduler = d.str(s.Scheduler)
+			s.CompletionSec = d.float()
+		}
+	}
+	for i := range r.Queues {
+		q := &r.Queues[i]
 		d.counters(&q.Window)
 		q.FinalLen = d.int()
 		q.MaxLen = d.int()
 		q.LossDropped = d.varint()
 	}
-	r.Processed = d.uvarint()
 	r.Violations = reuse(r.Violations, d.count(minStringBytes))
 	for i := range r.Violations {
 		r.Violations[i] = d.str(r.Violations[i])
@@ -339,9 +340,9 @@ func reuse[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// decoder consumes an entry front to back. The first failure sticks and
-// empties the input, after which every read returns zero, so decodeReport
-// reads straight through and checks err once.
+// decoder consumes an encoding front to back. The first failure sticks
+// and empties the input, after which every read returns zero, so
+// DecodeReportInto reads straight through and checks err once.
 type decoder struct {
 	b   []byte
 	err error
@@ -409,10 +410,10 @@ func (d *decoder) str(old string) string {
 }
 
 // interned holds recently decoded short strings, in the slot a hash of
-// their bytes picks. Entries repeat a handful of flow, controller and
+// their bytes picks. Reports repeat a handful of flow, controller and
 // scheduler names in ever-changing positions, so a decode that finds its
 // bytes here shares that string instead of copying them; a string longer
-// than maxInterned (a violation message) is always copied. Workers decode
+// than maxInterned (a violation message) is always copied. Decodes run
 // concurrently, and a slot is only ever replaced whole. Like a sync.Pool,
 // what the table holds changes what a decode allocates, never what it
 // returns.

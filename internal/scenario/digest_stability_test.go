@@ -51,8 +51,8 @@ func TestDigestWorkerCountStable(t *testing.T) {
 // events change nothing observable — a rate setpoint equal to the link's
 // standing rate, an Up flap on a path that is already up, a zero-loss
 // setpoint on a lossless link — leaves every traffic counter identical to
-// the timeline-free spec: the Goodput and Queues digest fields must match
-// byte for byte. The one legitimate difference is Processed, because each
+// the timeline-free spec: the digests' Traffic must match. The one
+// legitimate difference is Processed, because each
 // timeline event is itself dispatched through the scheduler and counted;
 // the test pins that delta to exactly len(Timeline), so any perturbation
 // of the actual dynamics (retransmits, drops, extra timer fires) still
@@ -84,7 +84,7 @@ func TestDigestNoOpTimelineStable(t *testing.T) {
 		t.Fatalf("no-op timeline run violated invariants: %v", rep.Violations)
 	}
 	got, want := rep.Digest(), ref.Digest()
-	if got.Goodput != want.Goodput || got.Queues != want.Queues {
+	if got.Traffic != want.Traffic {
 		t.Fatalf("no-op timeline perturbed the traffic dynamics:\nwith:    %+v\nwithout: %+v", got, want)
 	}
 	if got.Processed != want.Processed+uint64(len(noop.Timeline)) {

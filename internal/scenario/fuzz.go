@@ -109,8 +109,10 @@ func Fuzz(ctx context.Context, opts FuzzOptions, workers int, progress func(done
 		case err != nil:
 			violations = append(violations, fmt.Sprintf("re-run failed: %v", err))
 		case r1.Digest() != r2.Digest():
+			d1, d2 := r1.Digest(), r2.Digest()
 			violations = append(violations, fmt.Sprintf(
-				"re-run not identical: %+v vs %+v", r1.Digest(), r2.Digest()))
+				"re-run not identical: processed %d traffic %x vs processed %d traffic %x",
+				d1.Processed, d1.Traffic[:6], d2.Processed, d2.Traffic[:6]))
 		}
 		if len(violations) > 0 {
 			out.failure = &FuzzFailure{Index: i, Name: sp.Name, Violations: violations}

@@ -473,26 +473,3 @@ func (n *Net) windowCapBytes(l int) (capBytes float64, transitions int) {
 	capBytes += rate * 1e6 / 8 * (to - t)
 	return capBytes, transitions
 }
-
-// Digest is the comparable fingerprint of a run, for the re-run
-// byte-identity invariant: two runs of one spec must agree exactly.
-type Digest struct {
-	Processed uint64
-	Goodput   string // per-flow exact byte counts
-	Queues    string // per-queue counters
-}
-
-// Digest fingerprints the report.
-func (r *RunReport) Digest() Digest {
-	var g, q string
-	for _, f := range r.Flows {
-		g += fmt.Sprintf("%s=%d;", f.Name, f.GoodputBytes)
-		if f.Stream != nil {
-			g += fmt.Sprintf("%s/stream=%d,%d,%v;", f.Name, f.Stream.InOrderBytes, f.Stream.DeliveredBytes, f.Stream.Done)
-		}
-	}
-	for _, c := range r.Queues {
-		q += fmt.Sprintf("%d:%+v;", c.Link, c.Total)
-	}
-	return Digest{Processed: r.Processed, Goodput: g, Queues: q}
-}

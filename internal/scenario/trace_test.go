@@ -38,7 +38,7 @@ func TestTraceNeverPerturbsRun(t *testing.T) {
 	traced := runClean(t, n)
 
 	ud, td := untraced.Digest(), traced.Digest()
-	if ud.Goodput != td.Goodput || ud.Queues != td.Queues {
+	if ud.Traffic != td.Traffic {
 		t.Fatalf("tracing moved the run:\n untraced %+v\n   traced %+v", ud, td)
 	}
 	if ticks := uint64(len(fast.T) + len(slow.T)); td.Processed != ud.Processed+ticks {
