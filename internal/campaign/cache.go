@@ -32,7 +32,7 @@ import (
 // opens every entry, so a tree written under another schema is never
 // addressed, and a file of one never decodes. Bump it with any change to
 // scenario.AppendSpec or scenario.AppendReport.
-const cacheSchema = "mptcpsim-campaign-cache-v4"
+const cacheSchema = "mptcpsim-campaign-cache-v5"
 
 // reportHeader opens every entry: a stale or foreign file fails on its
 // first bytes.

@@ -298,7 +298,7 @@ func TestCacheKey(t *testing.T) {
 			{AtSec: 2, Path: &scenario.PathFlap{Path: 0, Up: true}},
 		},
 	}
-	const want = "b0a7547dbaa8a6ec3a1e396c6e84fe4162911c52cecb5760318e1161766e1d76"
+	const want = "ebf692ac76490d28987de332f9b6fd83bcc5ec904e445df7530b1770c4bf0698"
 	if got, err := CacheKey("v1", pinned); err != nil || got != want {
 		t.Errorf("pinned key = %s, %v; want %s", got, err, want)
 	}
@@ -527,7 +527,8 @@ func TestRunSwappedEntries(t *testing.T) {
 
 // TestRunIgnoresOldSchemaTrees: a directory filled under an earlier schema
 // yields no hits. v1 left JSON entries at <key>.json and v2 binary ones at
-// <key>.bin, both under keys hashed from the spec's JSON and their own tag;
+// <key>.bin, both under keys hashed from the spec's JSON and their own tag,
+// and v4 binary ones under keys hashed from its tag and scenario.AppendSpec;
 // those trees are left byte for byte as they were. A v3 entry at the path
 // of this schema's key fails on its header and is rewritten.
 func TestRunIgnoresOldSchemaTrees(t *testing.T) {
@@ -574,6 +575,18 @@ func TestRunIgnoresOldSchemaTrees(t *testing.T) {
 				&scenario.RunReport{Name: spec.Name, Seed: spec.Seed, Processed: 1})
 			return filepath.Join(dir, key[:2], key+".bin"), entry
 		}, true},
+		{"v4", func(t *testing.T, dir string, spec *scenario.Spec) (string, []byte) {
+			const tag = "mptcpsim-campaign-cache-v4"
+			data, err := scenario.AppendSpec([]byte(tag+"\x00test\x00"), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(data)
+			key := hex.EncodeToString(sum[:])
+			entry := scenario.AppendReport([]byte(tag+"\n"),
+				&scenario.RunReport{Name: spec.Name, Seed: spec.Seed, Processed: 1})
+			return filepath.Join(dir, key[:2], key+".bin"), entry
+		}, false},
 	} {
 		t.Run(tc.schema, func(t *testing.T) {
 			sp := tinySpec()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/scenario"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/stats"
@@ -26,7 +25,7 @@ func runProbeSuspension(ctx context.Context, cfg Config, enable bool, seed int64
 	multi, single := n.Group("multi"), n.Group("single")
 	if enable {
 		for _, f := range multi {
-			f.Conn.EnableProbeControl(mptcp.ProbeControl{})
+			f.Conn.EnableProbeControl()
 		}
 	}
 	if _, ok := run(ctx, n); !ok {
@@ -224,7 +223,7 @@ func launchSerial(n *scenario.Net, mode string, size int64, count int, sum *stat
 	for i, p := range n.Spec.Paths {
 		routes[i] = scenario.Route{DelayMs: p.DelayMs, Fwd: p.Links}
 	}
-	xfer, baseID := &scenario.FlowSpec{Algorithm: scenario.AlgoTCP, FlowBytes: size}, 5000
+	xfer := &scenario.FlowSpec{Algorithm: scenario.AlgoTCP, FlowBytes: size}
 	if mode == "tcp" {
 		routes = routes[:1]
 	} else {
@@ -234,14 +233,13 @@ func launchSerial(n *scenario.Net, mode string, size int64, count int, sum *stat
 		// avoidance — ~3x slower than plain TCP. This is why the paper's
 		// own short-flow workload uses regular TCP.
 		xfer = &scenario.FlowSpec{Algorithm: "olia", FlowBytes: size, Scheduler: "pull", KeepSlowStart: true}
-		baseID = 6000
 	}
 	var startNext func(i int)
 	startNext = func(i int) {
 		if i >= count {
 			return
 		}
-		f := n.AddFlow(fmt.Sprintf("xfer%d", i), xfer, baseID+i*len(routes), routes, n.Sim.Now())
+		f := n.AddFlow(fmt.Sprintf("xfer%d", i), xfer, routes, n.Sim.Now())
 		f.OnComplete(func(took sim.Time) {
 			sum.Add(took.Sec())
 			startNext(i + 1)
@@ -350,7 +348,7 @@ func runDelack(ctx context.Context, cfg Config, delayed bool) delackOutcome {
 	if delayed {
 		for _, f := range n.Flows {
 			for _, k := range f.Sinks {
-				k.SetDelayedAck(40 * sim.Millisecond)
+				k.EnableDelayedAck()
 			}
 		}
 	}

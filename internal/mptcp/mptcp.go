@@ -73,9 +73,11 @@ func (c *Conn) Subflows() []*Subflow { return c.subs }
 
 // AddSubflow creates subflow endpoints. Wire them afterwards with
 // SetRoutes: the forward route must end at sf.Sink, the reverse at sf.Src.
-func (c *Conn) AddSubflow(flowID int) *Subflow {
+// Its argument is ignored: a subflow has no flow ID. The benchmark's rigs
+// (bench/rigs.go) still pass one.
+func (c *Conn) AddSubflow(_ int) *Subflow {
 	idx := len(c.subs)
-	src := tcp.NewSrc(c.sim, flowID, fmt.Sprintf("%s/sub%d", c.name, idx), c.cfg)
+	src := tcp.NewSrc(c.sim, 0, fmt.Sprintf("%s/sub%d", c.name, idx), c.cfg)
 	sf := &Subflow{
 		Src:  src,
 		Sink: tcp.NewSink(c.sim),
@@ -116,8 +118,7 @@ type reducerHook struct {
 func (h reducerHook) ReduceTo(cwndBytes float64) float64 { return h.r.ReduceTo(cwndBytes) }
 
 // wire installs subflow i's controller hook and, for multipath connections
-// not keeping slow start, the paper's §IV-B settings. Shared by Start and
-// StartStaggered so hook changes cannot diverge the two launch paths.
+// not keeping slow start, the paper's §IV-B settings.
 func (c *Conn) wire(i int) {
 	sf := c.subs[i]
 	h := hook{conn: c, idx: i}
@@ -134,18 +135,12 @@ func (c *Conn) wire(i int) {
 // Start wires hooks and launches every subflow at the given time. With two
 // or more subflows the paper's multipath settings are applied first.
 func (c *Conn) Start(at sim.Time) {
-	c.StartStaggered(at, 0)
-}
-
-// StartStaggered launches subflow i at `at + i·gap` (the paper randomizes
-// flow start order; topologies use this for deterministic staggering).
-func (c *Conn) StartStaggered(at, gap sim.Time) {
 	if len(c.subs) == 0 {
 		panic(fmt.Sprintf("mptcp: %s has no subflows", c.name))
 	}
 	for i, sf := range c.subs {
 		c.wire(i)
-		sf.Src.Start(at + sim.Time(i)*gap)
+		sf.Src.Start(at)
 	}
 }
 
@@ -191,7 +186,7 @@ func (c *Conn) CwndPkts(i int) float64 { return c.subs[i].Src.CwndPkts() }
 func (c *Conn) SRTT(i int) float64 { return c.subs[i].Src.SRTT() }
 
 // MSS implements core.ConnView.
-func (c *Conn) MSS() int { return c.subs[0].Src.MSS() }
+func (c *Conn) MSS() int { return netem.MSS }
 
 // InFlightBytes implements SchedView: subflow i's unacknowledged bytes.
 func (c *Conn) InFlightBytes(i int) int64 { return c.subs[i].Src.InFlightBytes() }

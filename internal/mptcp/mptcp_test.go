@@ -31,7 +31,7 @@ func newTwoLinkRig(seed int64, rateBps int64, nBG1, nBG2 int, ctrl core.Controll
 		rig.queues[li] = fwd.Q
 		// Background regular-TCP flows.
 		for i := 0; i < nBG; i++ {
-			src := tcp.NewSrc(s, 100*li+i, "bg", tcp.Config{})
+			src := tcp.NewSrc(s, 0, "bg", tcp.Config{})
 			sink := tcp.NewSink(s)
 			src.SetRoute(netem.NewRoute(fwd.Q, fwd.P, sink))
 			sink.SetRoute(netem.NewRoute(rev.Q, rev.P, src))
@@ -39,7 +39,7 @@ func newTwoLinkRig(seed int64, rateBps int64, nBG1, nBG2 int, ctrl core.Controll
 			rig.bgSinks[li] = append(rig.bgSinks[li], sink)
 		}
 		// One multipath subflow over this link.
-		sf := conn.AddSubflow(1000 + li)
+		sf := conn.AddSubflow(0)
 		sf.SetRoutes(
 			netem.NewRoute(fwd.Q, fwd.P, sf.Sink),
 			netem.NewRoute(rev.Q, rev.P, sf.Src),
@@ -194,7 +194,7 @@ func TestMultipathSubflowConfig(t *testing.T) {
 func TestSinglePathConnKeepsTCPDefaults(t *testing.T) {
 	s := sim.New(1)
 	conn := New(s, "sp", core.NewOLIA(), tcp.Config{})
-	sf := conn.AddSubflow(1)
+	sf := conn.AddSubflow(0)
 	link := netem.NewLink(s, netem.LinkConfig{RateBps: rate10M, Delay: sim.Millisecond, Kind: netem.QueueDropTail}, "l")
 	rev := netem.NewLink(s, netem.LinkConfig{RateBps: rate10M, Delay: sim.Millisecond, Kind: netem.QueueDropTail}, "r")
 	sf.SetRoutes(netem.NewRoute(link.Q, link.P, sf.Sink), netem.NewRoute(rev.Q, rev.P, sf.Src))
@@ -226,13 +226,4 @@ func TestNilControllerPanics(t *testing.T) {
 		}
 	}()
 	New(s, "x", nil, tcp.Config{})
-}
-
-func TestStaggeredStart(t *testing.T) {
-	rig := newTwoLinkRig(7, rate10M, 1, 1, core.NewOLIA())
-	rig.conn.StartStaggered(0, 100*sim.Millisecond)
-	rig.run(5 * sim.Second)
-	if rig.conn.GoodputBytes() == 0 {
-		t.Fatal("staggered connection idle")
-	}
 }

@@ -6,46 +6,31 @@ import (
 	"mptcpsim/internal/sim"
 )
 
-// ProbeControl implements the paper's §VII future-work suggestion of
+// Probe control implements the paper's §VII future-work suggestion of
 // "varying the minimum probing traffic rate ... by discarding bad paths from
 // the set of available paths": a subflow whose window has sat at the floor
-// for SuspendAfter is paused entirely (zero traffic, below the 1-MSS-per-RTT
-// probing cost of a window-based algorithm) and re-probed every Reprobe by
-// resuming it. If the path has recovered, the coupled controller will grow
-// it again; otherwise it is re-suspended after another SuspendAfter at the
-// floor.
+// for probeSuspendAfter is paused entirely (zero traffic, below the
+// 1-MSS-per-RTT probing cost of a window-based algorithm) and re-probed
+// every probeReprobe by resuming it. If the path has recovered, the coupled
+// controller will grow it again; otherwise it is re-suspended after another
+// probeSuspendAfter at the floor.
 //
 // The tradeoff is responsiveness: while suspended, a path's recovery is only
 // noticed at the next re-probe. The ext-probe experiment quantifies both
 // sides.
-type ProbeControl struct {
-	// FloorPkts is the window (packets) at or below which a path counts as
-	// "bad". The minimum window is 1 packet; the default 1.5 treats any
-	// path pinned at the minimum as bad.
-	FloorPkts float64
-	// SuspendAfter is how long a path must sit at the floor before being
-	// paused. Default 5 s.
-	SuspendAfter sim.Time
-	// Reprobe is the pause duration before the path is retried. Default 10 s.
-	Reprobe sim.Time
-	// Tick is the monitoring period. Default 500 ms.
-	Tick sim.Time
-}
-
-func (pc *ProbeControl) fill() {
-	if pc.FloorPkts == 0 {
-		pc.FloorPkts = 1.5
-	}
-	if pc.SuspendAfter == 0 {
-		pc.SuspendAfter = 5 * sim.Second
-	}
-	if pc.Reprobe == 0 {
-		pc.Reprobe = 10 * sim.Second
-	}
-	if pc.Tick == 0 {
-		pc.Tick = 500 * sim.Millisecond
-	}
-}
+const (
+	// probeFloorPkts is the window (packets) at or below which a path counts
+	// as "bad". The minimum window is 1 packet, so any path pinned at the
+	// minimum is bad.
+	probeFloorPkts = 1.5
+	// probeSuspendAfter is how long a path sits at the floor before it is
+	// paused.
+	probeSuspendAfter = 5 * sim.Second
+	// probeReprobe is how long a paused path waits before it is retried.
+	probeReprobe = 10 * sim.Second
+	// probeTick is the monitoring period.
+	probeTick = 500 * sim.Millisecond
+)
 
 // probeState tracks one subflow's suspension bookkeeping.
 type probeState struct {
@@ -60,13 +45,12 @@ type probeState struct {
 // a closure or event.
 type probeTicker struct {
 	c      *Conn
-	pc     ProbeControl
 	states []probeState
 }
 
 // RunEvent performs one monitoring pass and schedules the next.
 func (pt *probeTicker) RunEvent(now sim.Time) {
-	c, pc, states := pt.c, &pt.pc, pt.states
+	c, states := pt.c, pt.states
 	active := 0
 	for i := range c.subs {
 		if !states[i].suspended {
@@ -84,33 +68,33 @@ func (pt *probeTicker) RunEvent(now sim.Time) {
 			}
 			continue
 		}
-		if sf.Src.CwndPkts() <= pc.FloorPkts {
-			st.atFloorFor += pc.Tick
+		if sf.Src.CwndPkts() <= probeFloorPkts {
+			st.atFloorFor += probeTick
 		} else {
 			st.atFloorFor = 0
 		}
-		if st.atFloorFor >= pc.SuspendAfter && active > 1 {
+		if st.atFloorFor >= probeSuspendAfter && active > 1 {
 			st.suspended = true
 			st.suspends++
-			st.resumeAt = now + pc.Reprobe
+			st.resumeAt = now + probeReprobe
 			sf.Src.Pause()
 			active--
 		}
 	}
-	c.sim.ScheduleAfter(pc.Tick, pt)
+	c.sim.ScheduleAfter(probeTick, pt)
 }
 
-// EnableProbeControl starts monitoring the connection's subflows. Call
-// after Start. At least one subflow is always kept active, so the
-// connection can never suspend itself entirely.
-func (c *Conn) EnableProbeControl(pc ProbeControl) {
+// EnableProbeControl starts monitoring the connection's subflows, pausing
+// those stuck at the window floor (see probeFloorPkts). Call after Start.
+// At least one subflow is always kept active, so the connection can never
+// suspend itself entirely.
+func (c *Conn) EnableProbeControl() {
 	if len(c.subs) == 0 {
 		panic(fmt.Sprintf("mptcp: %s: probe control before subflows exist", c.name))
 	}
-	pc.fill()
 	states := make([]probeState, len(c.subs))
 	c.probeStates = states
-	c.sim.ScheduleAfter(pc.Tick, &probeTicker{c: c, pc: pc, states: states})
+	c.sim.ScheduleAfter(probeTick, &probeTicker{c: c, states: states})
 }
 
 // SuspendCount reports how many times subflow i has been suspended by probe

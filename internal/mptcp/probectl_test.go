@@ -14,10 +14,7 @@ func TestProbeControlSuspendsBadPath(t *testing.T) {
 	// during suspension windows.
 	rig := newTwoLinkRig(11, rate10M, 2, 12, core.NewOLIA())
 	rig.conn.Start(300 * sim.Millisecond)
-	rig.conn.EnableProbeControl(ProbeControl{
-		SuspendAfter: 2 * sim.Second,
-		Reprobe:      5 * sim.Second,
-	})
+	rig.conn.EnableProbeControl()
 	rig.run(60 * sim.Second)
 	if rig.conn.SuspendCount(1) == 0 {
 		t.Fatal("congested path never suspended")
@@ -35,18 +32,19 @@ func TestProbeControlSuspendsBadPath(t *testing.T) {
 func TestProbeControlNeverSuspendsAllPaths(t *testing.T) {
 	// Both paths terrible (tiny capacity, heavy competition): at least one
 	// subflow must remain active at all times.
-	rig := newTwoLinkRig(12, 2_000_000, 10, 10, core.NewOLIA())
+	rig := newTwoLinkRig(12, 500_000, 10, 10, core.NewOLIA())
 	rig.conn.Start(300 * sim.Millisecond)
-	rig.conn.EnableProbeControl(ProbeControl{
-		FloorPkts:    2,
-		SuspendAfter: sim.Second,
-		Reprobe:      4 * sim.Second,
-	})
+	rig.conn.EnableProbeControl()
 	for i := 1; i <= 60; i++ {
 		rig.run(sim.Time(i) * sim.Second)
 		if rig.conn.Suspended(0) && rig.conn.Suspended(1) {
 			t.Fatalf("both paths suspended at %v", rig.s.Now())
 		}
+	}
+	// Each path sat at the floor long enough to be suspended at some point,
+	// so the guard, not luck, kept one of them active.
+	if rig.conn.SuspendCount(0) == 0 || rig.conn.SuspendCount(1) == 0 {
+		t.Fatalf("suspensions %d and %d: both paths must have qualified", rig.conn.SuspendCount(0), rig.conn.SuspendCount(1))
 	}
 }
 
@@ -55,10 +53,7 @@ func TestProbeControlResumesRecoveredPath(t *testing.T) {
 	// finite and drains, a re-probe should revive the path.
 	rig := newTwoLinkRig(13, rate10M, 2, 10, core.NewOLIA())
 	rig.conn.Start(300 * sim.Millisecond)
-	rig.conn.EnableProbeControl(ProbeControl{
-		SuspendAfter: 2 * sim.Second,
-		Reprobe:      3 * sim.Second,
-	})
+	rig.conn.EnableProbeControl()
 	rig.run(120 * sim.Second)
 	// With periodic re-probing the subflow alternates; it must have been
 	// suspended at least twice (suspend → reprobe → still bad → suspend).
@@ -82,7 +77,7 @@ func TestProbeControlBeforeSubflowsPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	conn.EnableProbeControl(ProbeControl{})
+	conn.EnableProbeControl()
 }
 
 func TestPauseResumeSemantics(t *testing.T) {

@@ -19,7 +19,7 @@ func schedRig(t *testing.T, seed int64, rates []int64, delays []sim.Time, total,
 	for i, rate := range rates {
 		fwd := netem.NewLink(s, netem.LinkConfig{RateBps: rate, Delay: delays[i], Kind: netem.QueueDropTail, DropTailPkts: 1000}, "f")
 		rev := netem.NewLink(s, netem.LinkConfig{RateBps: rate, Delay: delays[i], Kind: netem.QueueDropTail, DropTailPkts: 1000}, "r")
-		sf := conn.AddSubflow(10 + i)
+		sf := conn.AddSubflow(0)
 		sf.SetRoutes(
 			netem.NewRoute(fwd.Q, fwd.P, sf.Sink),
 			netem.NewRoute(rev.Q, rev.P, sf.Src),
@@ -125,20 +125,6 @@ func TestSchedulerRegistry(t *testing.T) {
 		if sc.Name() != name {
 			t.Fatalf("scheduler %q reports name %q", name, sc.Name())
 		}
-	}
-}
-
-// TestNewStreamDefaultsToPull: a nil scheduler means pull.
-func TestNewStreamDefaultsToPull(t *testing.T) {
-	s := sim.New(5)
-	conn := New(s, "x", core.NewOLIA(), tcp.Config{})
-	fwd := netem.NewLink(s, netem.LinkConfig{RateBps: 1_000_000, Delay: 0, Kind: netem.QueueDropTail}, "f")
-	rev := netem.NewLink(s, netem.LinkConfig{RateBps: 1_000_000, Delay: 0, Kind: netem.QueueDropTail}, "r")
-	sf := conn.AddSubflow(1)
-	sf.SetRoutes(netem.NewRoute(fwd.Q, fwd.P, sf.Sink), netem.NewRoute(rev.Q, rev.P, sf.Src))
-	st := NewStreamSched(conn, 1000, 0, nil)
-	if st.SchedulerName() != "pull" {
-		t.Fatalf("default scheduler %q, want pull", st.SchedulerName())
 	}
 }
 
@@ -322,27 +308,6 @@ func TestRedundantStream(t *testing.T) {
 	}
 }
 
-// TestStartStaggeredZeroGapIdentity: Start must stay byte-identical to
-// StartStaggered(at, 0) — Start delegates, this locks the contract.
-func TestStartStaggeredZeroGapIdentity(t *testing.T) {
-	run := func(staggered bool) (int64, int64) {
-		rig := newTwoLinkRig(10, rate10M, 2, 2, core.NewOLIA())
-		if staggered {
-			rig.conn.StartStaggered(300*sim.Millisecond, 0)
-		} else {
-			rig.conn.Start(300 * sim.Millisecond)
-		}
-		rig.run(20 * sim.Second)
-		return rig.conn.Subflows()[0].Sink.GoodputBytes(),
-			rig.conn.Subflows()[1].Sink.GoodputBytes()
-	}
-	a0, a1 := run(false)
-	b0, b1 := run(true)
-	if a0 != b0 || a1 != b1 {
-		t.Fatalf("Start (%d,%d) diverges from StartStaggered(at,0) (%d,%d)", a0, a1, b0, b1)
-	}
-}
-
 // TestSchedulerDeterminism: same (rig, seed) twice must reproduce identical
 // assignment and completion for every policy.
 func TestSchedulerDeterminism(t *testing.T) {
@@ -375,9 +340,9 @@ func bareStream(t *testing.T, total int64) *Stream {
 	conn := New(s, "bare", core.NewOLIA(), tcp.Config{})
 	fwd := netem.NewLink(s, netem.LinkConfig{RateBps: 1_000_000, Delay: 0, Kind: netem.QueueDropTail}, "f")
 	rev := netem.NewLink(s, netem.LinkConfig{RateBps: 1_000_000, Delay: 0, Kind: netem.QueueDropTail}, "r")
-	sf := conn.AddSubflow(1)
+	sf := conn.AddSubflow(0)
 	sf.SetRoutes(netem.NewRoute(fwd.Q, fwd.P, sf.Sink), netem.NewRoute(rev.Q, rev.P, sf.Src))
-	return NewStreamSched(conn, total, 0, nil)
+	return NewStreamSched(conn, total, 0, pullSched{})
 }
 
 func TestReassemblyOutOfOrderDrain(t *testing.T) {

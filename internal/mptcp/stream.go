@@ -59,7 +59,7 @@ type dataSpan struct {
 const DefaultChunk = 16 * 1024
 
 // NewStreamSched attaches a finite stream of totalBytes to conn, scheduled
-// by sched (nil means the default pull policy). Call after the subflows are
+// by sched (see NewScheduler). Call after the subflows are
 // added and routed but before conn.Start. The connection must have been
 // created with an unbounded tcp.Config (no FlowBytes): the stream owns data
 // assignment. totalBytes must be at least the number of subflows.
@@ -79,9 +79,6 @@ func NewStreamSched(conn *Conn, totalBytes, chunkBytes int64, sched Scheduler) *
 	}
 	if chunkBytes < 1 {
 		panic("mptcp: nonpositive chunk")
-	}
-	if sched == nil {
-		sched = pullSched{}
 	}
 	st := &Stream{
 		conn:     conn,

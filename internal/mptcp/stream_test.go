@@ -13,16 +13,16 @@ import (
 func streamRig(seed int64, rate1, rate2 int64, total, chunk int64) (*sim.Sim, *Stream) {
 	s := sim.New(seed)
 	conn := New(s, "stream", core.NewOLIA(), tcp.Config{})
-	for i, rate := range []int64{rate1, rate2} {
+	for _, rate := range []int64{rate1, rate2} {
 		fwd := netem.NewLink(s, netem.LinkConfig{RateBps: rate, Delay: 10 * sim.Millisecond, Kind: netem.QueueDropTail, DropTailPkts: 1000}, "f")
 		rev := netem.NewLink(s, netem.LinkConfig{RateBps: rate, Delay: 10 * sim.Millisecond, Kind: netem.QueueDropTail, DropTailPkts: 1000}, "r")
-		sf := conn.AddSubflow(10 + i)
+		sf := conn.AddSubflow(0)
 		sf.SetRoutes(
 			netem.NewRoute(fwd.Q, fwd.P, sf.Sink),
 			netem.NewRoute(rev.Q, rev.P, sf.Src),
 		)
 	}
-	return s, NewStreamSched(conn, total, chunk, nil)
+	return s, NewStreamSched(conn, total, chunk, pullSched{})
 }
 
 func TestStreamCompletesExactly(t *testing.T) {
@@ -71,13 +71,13 @@ func TestStreamFasterThanSinglePath(t *testing.T) {
 		for i := 0; i < nPaths; i++ {
 			fwd := netem.NewLink(s, netem.LinkConfig{RateBps: 10_000_000, Delay: 10 * sim.Millisecond, Kind: netem.QueueDropTail, DropTailPkts: 1000}, "f")
 			rev := netem.NewLink(s, netem.LinkConfig{RateBps: 10_000_000, Delay: 10 * sim.Millisecond, Kind: netem.QueueDropTail, DropTailPkts: 1000}, "r")
-			sf := conn.AddSubflow(i)
+			sf := conn.AddSubflow(0)
 			sf.SetRoutes(
 				netem.NewRoute(fwd.Q, fwd.P, sf.Sink),
 				netem.NewRoute(rev.Q, rev.P, sf.Src),
 			)
 		}
-		st := NewStreamSched(conn, 8_000_000, 0, nil)
+		st := NewStreamSched(conn, 8_000_000, 0, pullSched{})
 		st.Start(0)
 		s.RunUntil(120 * sim.Second)
 		if !st.Done() {
@@ -135,16 +135,16 @@ func TestStreamValidation(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("no subflows", func() { NewStreamSched(conn, 1000, 0, nil) })
+	mustPanic("no subflows", func() { NewStreamSched(conn, 1000, 0, pullSched{}) })
 	fwd := netem.NewLink(s, netem.LinkConfig{RateBps: 1_000_000, Delay: 0, Kind: netem.QueueDropTail}, "f")
 	rev := netem.NewLink(s, netem.LinkConfig{RateBps: 1_000_000, Delay: 0, Kind: netem.QueueDropTail}, "r")
-	sf := conn.AddSubflow(1)
+	sf := conn.AddSubflow(0)
 	sf.SetRoutes(netem.NewRoute(fwd.Q, fwd.P, sf.Sink), netem.NewRoute(rev.Q, rev.P, sf.Src))
-	mustPanic("zero total", func() { NewStreamSched(conn, 0, 0, nil) })
-	mustPanic("negative chunk", func() { NewStreamSched(conn, 1000, -1, nil) })
+	mustPanic("zero total", func() { NewStreamSched(conn, 0, 0, pullSched{}) })
+	mustPanic("negative chunk", func() { NewStreamSched(conn, 1000, -1, pullSched{}) })
 	// Valid stream, then a second stream on the same conn must reject.
-	NewStreamSched(conn, 1000, 0, nil)
-	mustPanic("double stream", func() { NewStreamSched(conn, 1000, 0, nil) })
+	NewStreamSched(conn, 1000, 0, pullSched{})
+	mustPanic("double stream", func() { NewStreamSched(conn, 1000, 0, pullSched{}) })
 }
 
 func TestStreamGoodputConsistency(t *testing.T) {
@@ -172,13 +172,13 @@ func TestStreamGoodputConsistency(t *testing.T) {
 func TestStreamZeroAlloc(t *testing.T) {
 	s := sim.New(8)
 	conn := New(s, "stream", core.NewOLIA(), tcp.Config{})
-	for i, path := range []struct {
+	for _, path := range []struct {
 		rate  int64
 		delay sim.Time
 	}{{6_000_000, 10 * sim.Millisecond}, {10_000_000, 15 * sim.Millisecond}} {
 		cfg := netem.LinkConfig{RateBps: path.rate, Delay: path.delay, Kind: netem.QueueDropTail, DropTailPkts: 50}
 		fwd, rev := netem.NewLink(s, cfg, "f"), netem.NewLink(s, cfg, "r")
-		sf := conn.AddSubflow(10 + i)
+		sf := conn.AddSubflow(0)
 		sf.SetRoutes(
 			netem.NewRoute(fwd.Q, fwd.P, sf.Sink),
 			netem.NewRoute(rev.Q, rev.P, sf.Src),

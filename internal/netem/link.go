@@ -64,36 +64,24 @@ func (l *Link) Hops() []Node { return []Node{l.Q, l.P} }
 // include Q and P separately so the pipe is addressable).
 func (l *Link) Recv(p *Packet) { l.Q.Recv(p) }
 
-// Collector is a terminal Node that counts delivered traffic. It is used
-// in tests and as a traffic sink for background flows. By default it only
-// accumulates counts and frees pool-managed packets — retaining every
-// delivered *Packet for a 120 s run would pin the whole stream in memory
-// and defeat packet pooling. Tests that inspect delivered packets opt in
-// with Retain.
+// Collector is a terminal Node that counts delivered traffic, for tests and
+// the benchmark's rigs. It keeps no packet: each is freed on delivery, so
+// pooling holds however long the run.
 type Collector struct {
 	// Count and Bytes accumulate across all deliveries.
 	Count int64
 	Bytes int64
-	// Retain keeps every delivered packet alive in Pkts (opt-in; packets
-	// are then owned by the collector and never recycled).
-	Retain bool
-	// Pkts holds the delivered packets when Retain is set.
-	Pkts []*Packet
-	// OnRecv, if set, observes each delivery before the packet is freed.
-	// Without Retain it must not keep a reference to the packet.
+	// OnRecv, if set, observes each delivery before the packet is freed. It
+	// must not keep a reference to the packet.
 	OnRecv func(*Packet)
 }
 
-// Recv records the packet and, unless retention is on, frees it.
+// Recv records the packet and frees it.
 func (c *Collector) Recv(p *Packet) {
 	c.Count++
 	c.Bytes += int64(p.Size)
 	if c.OnRecv != nil {
 		c.OnRecv(p)
-	}
-	if c.Retain {
-		c.Pkts = append(c.Pkts, p)
-		return
 	}
 	p.Free()
 }

@@ -238,27 +238,6 @@ func TestQueueDropFreesPacket(t *testing.T) {
 	}
 }
 
-func TestCollectorRetainOptIn(t *testing.T) {
-	s := sim.New(1)
-	pl := PoolFor(s)
-	c := &Collector{Retain: true}
-	r := NewRoute(c)
-	for i := 0; i < 4; i++ {
-		pl.NewData(0, int64(i)*MSS, MSS, 0, r).SendOn()
-	}
-	if len(c.Pkts) != 4 || c.Count != 4 || c.Bytes != 4*MSS {
-		t.Fatalf("retained %d count %d bytes %d", len(c.Pkts), c.Count, c.Bytes)
-	}
-	if pl.FreeCount() != 0 {
-		t.Fatal("retained packets were freed")
-	}
-	for i, p := range c.Pkts {
-		if p.Seq != int64(i)*MSS {
-			t.Fatalf("retained packet %d has seq %d", i, p.Seq)
-		}
-	}
-}
-
 // TestPipeSingleTimer: a pipe with many packets in flight keeps exactly one
 // pending kernel event, and still delivers each packet at its exact time.
 func TestPipeSingleTimer(t *testing.T) {

@@ -16,7 +16,6 @@ type Arrivals struct {
 	name    string
 	fs      *FlowSpec
 	routes  []Route
-	baseID  int
 	meanGap sim.Time
 	until   sim.Time
 
@@ -30,16 +29,16 @@ type Arrivals struct {
 }
 
 // AddArrivals schedules an arrival process: flows described by fs (AlgoTCP,
-// FlowBytes > 0) over routes, sender IDs counting up from baseID, the first
-// at time first and the following ones meanGap apart on average, none after
-// until. fs and routes are retained.
-func (n *Net) AddArrivals(name string, fs *FlowSpec, baseID int, routes []Route, meanGap, first, until sim.Time) *Arrivals {
+// FlowBytes > 0) over routes, the first at time first and the following
+// ones meanGap apart on average, none after until. fs and routes are
+// retained.
+func (n *Net) AddArrivals(name string, fs *FlowSpec, routes []Route, meanGap, first, until sim.Time) *Arrivals {
 	if fs.Algorithm != AlgoTCP || fs.FlowBytes <= 0 || meanGap <= 0 {
 		panic("scenario: arrivals need finite plain-TCP flows and a positive mean gap")
 	}
 	g := &Arrivals{
 		net: n, name: name, fs: fs, routes: routes,
-		baseID: baseID, meanGap: meanGap, until: until,
+		meanGap: meanGap, until: until,
 	}
 	n.Sim.Schedule(first, g)
 	return g
@@ -48,7 +47,7 @@ func (n *Net) AddArrivals(name string, fs *FlowSpec, baseID int, routes []Route,
 // RunEvent launches one flow and schedules the next arrival (sim.Handler):
 // the process reschedules itself through the kernel's pooled fast path.
 func (g *Arrivals) RunEvent(now sim.Time) {
-	f := g.net.AddFlow(g.name, g.fs, g.baseID+g.Started, g.routes, now)
+	f := g.net.AddFlow(g.name, g.fs, g.routes, now)
 	g.Started++
 	g.Active++
 	//simlint:ignore hotpathalloc one callback per flow arrival, not per packet; flow setup allocates by design

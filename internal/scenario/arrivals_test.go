@@ -17,12 +17,12 @@ func duplex(seed int64, rateMbps, warmupSec, secs float64) (n *Net, route []Rout
 }
 
 func shortFlows(n *Net, route []Route, size int64, meanGap, until sim.Time) *Arrivals {
-	return n.AddArrivals("short", &FlowSpec{Algorithm: AlgoTCP, FlowBytes: size}, 100, route, meanGap, 0, until)
+	return n.AddArrivals("short", &FlowSpec{Algorithm: AlgoTCP, FlowBytes: size}, route, meanGap, 0, until)
 }
 
 func TestNewBulkTransfers(t *testing.T) {
 	n, route := duplex(1, 10, 0, 10)
-	f := n.AddFlow("bulk", &FlowSpec{Algorithm: AlgoTCP}, 1, route, 0)
+	f := n.AddFlow("bulk", &FlowSpec{Algorithm: AlgoTCP}, route, 0)
 	runClean(t, n)
 	if f.GoodputBytes() < 8_000_000 {
 		t.Fatalf("bulk goodput %d", f.GoodputBytes())
@@ -76,7 +76,7 @@ func TestShortFlowsBadParamsPanic(t *testing.T) {
 	n, route := duplex(1, 1, 0, 1)
 	add := func(algo string, size int64, gap sim.Time) func() {
 		return func() {
-			n.AddArrivals("short", &FlowSpec{Algorithm: algo, FlowBytes: size}, 0, route, gap, 0, sim.Second)
+			n.AddArrivals("short", &FlowSpec{Algorithm: algo, FlowBytes: size}, route, gap, 0, sim.Second)
 		}
 	}
 	for name, fn := range map[string]func(){
@@ -103,10 +103,10 @@ func TestShortFlowsBadParamsPanic(t *testing.T) {
 func TestRunAccountsFlowsAddedMidRun(t *testing.T) {
 	n, route := duplex(9, 10, 1, 4)
 	route[0].DelayMs = 20 // an access pipe, with packets in flight at the end
-	early := n.AddFlow("early", &FlowSpec{Algorithm: AlgoTCP}, 1, route, 0)
+	early := n.AddFlow("early", &FlowSpec{Algorithm: AlgoTCP}, route, 0)
 	var late *Flow
 	n.Sim.At(2*sim.Second, func() {
-		late = n.AddFlow("late", &FlowSpec{Algorithm: "olia"}, 10, []Route{route[0], route[0]}, n.Sim.Now())
+		late = n.AddFlow("late", &FlowSpec{Algorithm: "olia"}, []Route{route[0], route[0]}, n.Sim.Now())
 	})
 	rep := runClean(t, n)
 

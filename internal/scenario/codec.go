@@ -172,7 +172,6 @@ func AppendSpec(b []byte, sp *Spec) ([]byte, error) {
 		e.bool(f.KeepSlowStart)
 		e.float(f.MaxCwndPkts)
 		e.bool(f.NoIncreaseCap)
-		e.int(int64(f.BaseID))
 	}
 	e.count(len(sp.Timeline))
 	for i := range sp.Timeline {

@@ -198,15 +198,10 @@ func Compile(sp *Spec) (*Net, error) {
 	}, "rev")
 	n.pipes = append(n.pipes, n.Rev.P)
 
-	nextID := 1000
 	n.Groups = make([][]*Flow, len(sp.Flows))
 	routes := make([]Route, 0, 4) // stays on the stack for the usual few paths
 	for fi := range sp.Flows {
 		fs := &sp.Flows[fi]
-		base := fs.BaseID
-		if base == 0 {
-			base = nextID
-		}
 		name := fs.Name
 		if name == "" {
 			name = fmt.Sprintf("flow%d", fi)
@@ -220,16 +215,12 @@ func Compile(sp *Spec) (*Net, error) {
 			if fs.StartJitter {
 				at += sim.RandBelow(s.Rand(), startSpread)
 			}
-			f := n.AddFlow(fmt.Sprintf("%s-%d", name, r), fs, base+r*len(fs.Paths), routes, at)
+			f := n.AddFlow(fmt.Sprintf("%s-%d", name, r), fs, routes, at)
 			n.Groups[fi] = append(n.Groups[fi], f)
 			for i, pi := range fs.Paths {
 				n.pathFlows[pi] = append(n.pathFlows[pi], pathRef{flow: f, sub: i})
 			}
 		}
-		nextID = base + fs.count()*len(fs.Paths)
-		// Round up so the next group starts on a fresh thousand block,
-		// keeping IDs readable in traces.
-		nextID = (nextID/1000 + 1) * 1000
 	}
 	return n, nil
 }
@@ -328,15 +319,14 @@ func (n *Net) wire(f *Flow, r Route, src *tcp.Src, sink *tcp.Sink) {
 // transport — Algorithm, FlowBytes, Scheduler, ChunkBytes, KeepSlowStart,
 // MaxCwndPkts, NoIncreaseCap, StopSec, with the meanings and the
 // combinations Validate documents — and is not retained; its placement
-// fields (Paths, Count, StartSec, StartJitter, BaseID) are Compile's and are
-// not read. routes gives one subflow each (exactly one for AlgoTCP), with
-// sender IDs id, id+1, ....
+// fields (Paths, Count, StartSec, StartJitter) are Compile's and are not
+// read. routes gives one subflow each (exactly one for AlgoTCP).
 //
 // Set-up allocates by design, once per flow and never per packet, also when
 // an arrival event is what calls it.
 //
 //simlint:cold
-func (n *Net) AddFlow(name string, fs *FlowSpec, id int, routes []Route, start sim.Time) *Flow {
+func (n *Net) AddFlow(name string, fs *FlowSpec, routes []Route, start sim.Time) *Flow {
 	f := &Flow{Name: name, Algorithm: fs.Algorithm, AckTap: &netem.Tap{}}
 	cfg := tcp.Config{
 		FlowBytes:     fs.FlowBytes,
@@ -350,7 +340,7 @@ func (n *Net) AddFlow(name string, fs *FlowSpec, id int, routes []Route, start s
 	}
 
 	if fs.Algorithm == AlgoTCP {
-		src := tcp.NewSrc(n.Sim, id, name, cfg)
+		src := tcp.NewSrc(n.Sim, 0, name, cfg)
 		sink := tcp.NewSink(n.Sim)
 		n.wire(f, routes[0], src, sink)
 		src.Start(start)
@@ -358,8 +348,8 @@ func (n *Net) AddFlow(name string, fs *FlowSpec, id int, routes []Route, start s
 	} else {
 		conn := mptcp.New(n.Sim, name, core.New(fs.Algorithm), cfg)
 		conn.SetKeepSlowStart(fs.KeepSlowStart)
-		for i, r := range routes {
-			sf := conn.AddSubflow(id + i)
+		for _, r := range routes {
+			sf := conn.AddSubflow(0)
 			n.wire(f, r, sf.Src, sf.Sink)
 			f.Srcs = append(f.Srcs, sf.Src)
 			f.Sinks = append(f.Sinks, sf.Sink)

@@ -103,12 +103,12 @@ func PaperFatTree(cfg FatTreeConfig, load FatTreeLoad, seed int64, warmup, durat
 				nsub = 1
 			}
 			routes := ft.pickRoutes(rng, h, perm[h], nsub)
-			ft.Long[h] = ft.AddFlow(fmt.Sprintf("h%d", h), long, 10_000+100*h, routes,
+			ft.Long[h] = ft.AddFlow(fmt.Sprintf("h%d", h), long, routes,
 				sim.RandBelow(rng, 100*sim.Millisecond))
 			continue
 		}
 		routes := ft.pickRoutes(rng, h, perm[h], 1)
-		ft.Short = append(ft.Short, ft.AddArrivals("short", short, 100_000+1000*h, routes,
+		ft.Short = append(ft.Short, ft.AddArrivals("short", short, routes,
 			load.ShortGap, warmup+sim.RandBelow(rng, load.ShortGap), ft.End-load.Drain))
 	}
 	return ft

@@ -15,8 +15,8 @@ func smallTree(seed int64, secs float64) *FatTree {
 }
 
 // bulk adds one long-lived TCP flow over a route.
-func bulk(ft *FatTree, name string, id int, r Route, start sim.Time) *Flow {
-	return ft.AddFlow(name, &FlowSpec{Algorithm: AlgoTCP}, id, []Route{r}, start)
+func bulk(ft *FatTree, name string, r Route, start sim.Time) *Flow {
+	return ft.AddFlow(name, &FlowSpec{Algorithm: AlgoTCP}, []Route{r}, start)
 }
 
 // runClean runs the network and fails on any invariant violation.
@@ -98,7 +98,7 @@ func TestFatTreeQueueInventory(t *testing.T) {
 func TestFatTreePathDeliversAtLineRate(t *testing.T) {
 	for _, pair := range [][2]int{{0, 1}, {0, 2}, {0, 8}} {
 		ft := smallTree(2, 2)
-		f := bulk(ft, "bulk", 1, ft.route(pair[0], pair[1], 0), 0)
+		f := bulk(ft, "bulk", ft.route(pair[0], pair[1], 0), 0)
 		runClean(t, ft.Net)
 		mbits := float64(f.GoodputBytes()) * 8 / 1e6 / 2
 		if mbits < 80 {
@@ -196,8 +196,8 @@ func TestFatTreeTwoFlowsShareCoreFairly(t *testing.T) {
 	ft := smallTree(7, 3)
 	// Two flows from different sources into the same destination host link:
 	// they contend at hostDown[8]; both should progress.
-	a := bulk(ft, "a", 1, ft.route(0, 8, 0), 0)
-	b := bulk(ft, "b", 2, ft.route(4, 8, 1), sim.Millisecond)
+	a := bulk(ft, "a", ft.route(0, 8, 0), 0)
+	b := bulk(ft, "b", ft.route(4, 8, 1), sim.Millisecond)
 	runClean(t, ft.Net)
 	ga, gb := a.GoodputBytes(), b.GoodputBytes()
 	if ga == 0 || gb == 0 {

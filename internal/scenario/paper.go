@@ -4,8 +4,8 @@ package scenario
 // shape: RED bottlenecks with zero link delay, a 40 ms access pipe per
 // flow path (80 ms propagation RTT; queueing raises the effective RTT to
 // ≈150 ms as in §III), and Iperf sessions started in random order. Flow
-// order and BaseIDs are fixed: they decide how a spec consumes its seed's
-// random stream, and the experiment goldens are byte-exact functions of it.
+// order is fixed: it decides how a spec consumes its seed's random stream,
+// and the experiment goldens are byte-exact functions of it.
 
 // testbedDelayMs is the one-way propagation delay of every testbed path.
 const testbedDelayMs = 40
@@ -13,12 +13,12 @@ const testbedDelayMs = 40
 // testbedUsers is one group of n identical users with jittered starts. An
 // empty group is left out rather than listed, because FlowSpec.Count 0
 // means one replica; a spec left with no flows at all fails Validate.
-func testbedUsers(name, algo string, paths []int, n, baseID int) []FlowSpec {
+func testbedUsers(name, algo string, paths []int, n int) []FlowSpec {
 	if n == 0 {
 		return nil
 	}
 	return []FlowSpec{{Name: name, Algorithm: algo, Paths: paths,
-		Count: n, StartJitter: true, BaseID: baseID}}
+		Count: n, StartJitter: true}}
 }
 
 // PaperScenarioA expresses the paper's Fig. 1(a) testbed as a Spec: N1
@@ -43,8 +43,8 @@ func PaperScenarioA(n1, n2 int, c1, c2 float64, algo string, seed int64, warmupS
 			{Links: []int{1}, DelayMs: testbedDelayMs},    // type2 path
 		},
 		Flows: append(
-			testbedUsers("type1", algo, []int{0, 1}, n1, 1000),
-			testbedUsers("type2", AlgoTCP, []int{2}, n2, 2000)...),
+			testbedUsers("type1", algo, []int{0, 1}, n1),
+			testbedUsers("type2", AlgoTCP, []int{2}, n2)...),
 	}
 }
 
@@ -57,9 +57,9 @@ func PaperScenarioA(n1, n2 int, c1, c2 float64, algo string, seed int64, warmupS
 // path crosses T; Red's upgrade path crosses X then T in series. The
 // cut-set bound of CX+CT quoted in §III-B follows.
 func PaperScenarioB(n int, cx, ct float64, algo string, redMultipath bool, seed int64, warmupSec, durationSec float64) *Spec {
-	red := testbedUsers("red", AlgoTCP, []int{1}, n, 4000)
+	red := testbedUsers("red", AlgoTCP, []int{1}, n)
 	if redMultipath {
-		red = testbedUsers("red", algo, []int{2, 1}, n, 5000)
+		red = testbedUsers("red", algo, []int{2, 1}, n)
 	}
 	return &Spec{
 		Name: "scenarioB", Seed: seed,
@@ -74,7 +74,7 @@ func PaperScenarioB(n int, cx, ct float64, algo string, redMultipath bool, seed 
 			{Links: []int{1}, DelayMs: testbedDelayMs},    // via T
 			{Links: []int{0, 1}, DelayMs: testbedDelayMs}, // Red's upgrade path: X then T
 		},
-		Flows: append(testbedUsers("blue", algo, []int{0, 1}, n, 3000), red...),
+		Flows: append(testbedUsers("blue", algo, []int{0, 1}, n), red...),
 	}
 }
 
@@ -96,8 +96,8 @@ func PaperScenarioC(n1, n2 int, c1, c2 float64, algo string, seed int64, warmupS
 			{Links: []int{1}, DelayMs: testbedDelayMs},
 		},
 		Flows: append(
-			testbedUsers("multi", algo, []int{0, 1}, n1, 6000),
-			testbedUsers("single", AlgoTCP, []int{1}, n2, 7000)...),
+			testbedUsers("multi", algo, []int{0, 1}, n1),
+			testbedUsers("single", AlgoTCP, []int{1}, n2)...),
 	}
 }
 
@@ -120,8 +120,8 @@ func PaperTwoLink(c float64, nTCP1, nTCP2 int, algo string, seed int64, warmupSe
 			{Links: []int{1}, DelayMs: testbedDelayMs},
 		},
 		Flows: append(append(
-			testbedUsers("tcp1", AlgoTCP, []int{0}, nTCP1, 100),
-			testbedUsers("tcp2", AlgoTCP, []int{1}, nTCP2, 200)...),
-			FlowSpec{Name: "mp", Algorithm: algo, Paths: []int{0, 1}, StartSec: 0.5, BaseID: 300}),
+			testbedUsers("tcp1", AlgoTCP, []int{0}, nTCP1),
+			testbedUsers("tcp2", AlgoTCP, []int{1}, nTCP2)...),
+			FlowSpec{Name: "mp", Algorithm: algo, Paths: []int{0, 1}, StartSec: 0.5}),
 	}
 }

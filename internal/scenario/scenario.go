@@ -119,9 +119,6 @@ type FlowSpec struct {
 	// from growing a window faster than Reno (RFC 6356 goal 2). Multipath
 	// flows only: the cap exists on the coupled hook alone.
 	NoIncreaseCap bool `json:"no_increase_cap,omitempty"`
-	// BaseID seeds the replica flow IDs (replica r gets
-	// BaseID + r·len(Paths)); 0 lets the compiler assign them.
-	BaseID int `json:"base_id,omitempty"`
 }
 
 // Spec is a complete scenario: topology plus workload plus run window.

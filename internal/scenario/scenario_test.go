@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"mptcpsim/internal/sim"
 	"mptcpsim/internal/stats"
 )
 
@@ -230,7 +229,7 @@ func TestNetRunWindowAndDelayedAcks(t *testing.T) {
 	}
 	for _, f := range n.Flows {
 		for _, k := range f.Sinks {
-			k.SetDelayedAck(40 * sim.Millisecond)
+			k.EnableDelayedAck()
 		}
 	}
 	rep, err := n.Run(context.Background())
@@ -341,25 +340,5 @@ func TestCheckCapacityFlagsOverrun(t *testing.T) {
 	checkCapacity(n, r)
 	if len(r.Violations) != 1 || !strings.Contains(r.Violations[0], "link 1") {
 		t.Fatalf("capacity overrun not flagged: %v", r.Violations)
-	}
-}
-
-func TestFlowIDAssignment(t *testing.T) {
-	sp := twoPathSpec()
-	sp.Flows[0].BaseID = 1000
-	n, err := Compile(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mp := n.Groups[0][0]
-	if got := mp.Srcs[0].ID(); got != 1000 {
-		t.Fatalf("subflow 0 ID %d, want 1000", got)
-	}
-	if got := mp.Srcs[1].ID(); got != 1001 {
-		t.Fatalf("subflow 1 ID %d, want 1001", got)
-	}
-	// The next group starts on a fresh thousand block.
-	if got := n.Groups[1][0].Srcs[0].ID(); got != 2000 {
-		t.Fatalf("second group base ID %d, want 2000", got)
 	}
 }

@@ -7,18 +7,20 @@ import (
 	"mptcpsim/internal/sim"
 )
 
-// delackRig wires a flow whose sink uses delayed ACKs and counts ACKs on
-// the reverse path. cfg lets tests shape the sender (for example a window
-// cap to keep the run loss-free, isolating the pairing behavior from the
-// immediate ACKs that loss recovery correctly generates).
-func delackRig(t *testing.T, delay sim.Time, cfg Config) (*sim.Sim, *Src, *Sink, *int) {
+// delackRig wires a flow whose sink uses delayed ACKs when delayed is set
+// and counts ACKs on the reverse path. cfg lets tests shape the sender (for
+// example a window cap to keep the run loss-free, isolating the pairing
+// behavior from the immediate ACKs that loss recovery correctly generates).
+func delackRig(t *testing.T, delayed bool, cfg Config) (*sim.Sim, *Src, *Sink, *int) {
 	t.Helper()
 	s := sim.New(1)
 	fwd := netem.NewLink(s, netem.LinkConfig{RateBps: 10_000_000, Delay: 10 * sim.Millisecond, Kind: netem.QueueDropTail, DropTailPkts: 1000}, "f")
 	rev := netem.NewLink(s, netem.LinkConfig{RateBps: 10_000_000, Delay: 10 * sim.Millisecond, Kind: netem.QueueDropTail, DropTailPkts: 1000}, "r")
-	src := NewSrc(s, 1, "da", cfg)
+	src := NewSrc(s, 0, "da", cfg)
 	sink := NewSink(s)
-	sink.SetDelayedAck(delay)
+	if delayed {
+		sink.EnableDelayedAck()
+	}
 	acks := 0
 	counter := nodeFunc(func(p *netem.Packet) {
 		if p.Ack {
@@ -32,7 +34,7 @@ func delackRig(t *testing.T, delay sim.Time, cfg Config) (*sim.Sim, *Src, *Sink,
 }
 
 func TestDelayedAckHalvesAckCount(t *testing.T) {
-	s, src, sink, acks := delackRig(t, 40*sim.Millisecond, Config{MaxCwndPkts: 12})
+	s, src, sink, acks := delackRig(t, true, Config{MaxCwndPkts: 12})
 	src.Start(0)
 	s.RunUntil(10 * sim.Second)
 	segments := sink.GoodputBytes() / 1500
@@ -47,7 +49,7 @@ func TestDelayedAckHalvesAckCount(t *testing.T) {
 }
 
 func TestDelayedAckStillFillsLink(t *testing.T) {
-	s, src, sink, _ := delackRig(t, 40*sim.Millisecond, Config{})
+	s, src, sink, _ := delackRig(t, true, Config{})
 	src.Start(0)
 	s.RunUntil(20 * sim.Second)
 	mbps := float64(sink.GoodputBytes()) * 8 / 20e6
@@ -58,38 +60,32 @@ func TestDelayedAckStillFillsLink(t *testing.T) {
 
 func TestDelayedAckTimerBoundsStall(t *testing.T) {
 	// A single segment (cwnd exhausted flow of exactly 1 MSS) must still be
-	// ACKed within the delayed-ACK timeout.
-	s, src, sink, acks := delackRig(t, 40*sim.Millisecond, Config{FlowBytes: 1500})
-	src.Start(0)
-	s.RunUntil(5 * sim.Second)
-	if *acks == 0 {
-		t.Fatal("lone segment never acknowledged")
+	// ACKed, held back by exactly the 40 ms delayed-ACK timeout.
+	took := func(delayed bool) sim.Time {
+		s, src, _, acks := delackRig(t, delayed, Config{FlowBytes: 1500})
+		src.Start(0)
+		s.RunUntil(5 * sim.Second)
+		if *acks == 0 {
+			t.Fatal("lone segment never acknowledged")
+		}
+		if !src.Done() {
+			t.Fatal("1-segment flow incomplete")
+		}
+		return src.CompletionTime()
 	}
-	if !src.Done() {
-		t.Fatal("1-segment flow incomplete")
+	if held := took(true) - took(false); held != 40*sim.Millisecond {
+		t.Fatalf("lone segment's ACK held back %v, want 40ms", held)
 	}
-	_ = sink
 }
 
 func TestDelayedAckDisabledByDefault(t *testing.T) {
-	s, src, sink, acks := delackRig(t, 0, Config{})
+	s, src, sink, acks := delackRig(t, false, Config{})
 	src.Start(0)
 	s.RunUntil(5 * sim.Second)
 	segments := sink.GoodputBytes() / 1500
 	if int64(*acks) < segments {
 		t.Fatalf("per-segment ACKs expected: %d acks for %d segments", *acks, segments)
 	}
-}
-
-func TestNegativeDelayedAckPanics(t *testing.T) {
-	s := sim.New(1)
-	sink := NewSink(s)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	sink.SetDelayedAck(-1)
 }
 
 func TestDelayedAckLossRecoveryImmediateDupAcks(t *testing.T) {
@@ -99,9 +95,9 @@ func TestDelayedAckLossRecoveryImmediateDupAcks(t *testing.T) {
 	s := sim.New(2)
 	fwd := netem.NewLink(s, netem.LinkConfig{RateBps: 10_000_000, Delay: 10 * sim.Millisecond, Kind: netem.QueueDropTail, DropTailPkts: 1000}, "f")
 	rev := netem.NewLink(s, netem.LinkConfig{RateBps: 10_000_000, Delay: 10 * sim.Millisecond, Kind: netem.QueueDropTail, DropTailPkts: 1000}, "r")
-	src := NewSrc(s, 1, "da", Config{})
+	src := NewSrc(s, 0, "da", Config{})
 	sink := NewSink(s)
-	sink.SetDelayedAck(40 * sim.Millisecond)
+	sink.EnableDelayedAck()
 	dropped := false
 	shim := nodeFunc(func(p *netem.Packet) {
 		if !dropped && !p.Ack && p.Seq == 60000 && !p.Retx {

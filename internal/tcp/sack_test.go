@@ -10,7 +10,7 @@ import (
 )
 
 func newBareSrc() *Src {
-	return NewSrc(sim.New(1), 1, "t", Config{})
+	return NewSrc(sim.New(1), 0, "t", Config{})
 }
 
 func TestInsertBlockMergesOverlaps(t *testing.T) {
@@ -177,7 +177,7 @@ func TestRandomLossRobustness(t *testing.T) {
 		})
 		link := netem.NewLink(s, netem.LinkConfig{RateBps: 10_000_000, Delay: 10 * sim.Millisecond, Kind: netem.QueueDropTail, DropTailPkts: 1000}, "f")
 		rev := netem.NewLink(s, netem.LinkConfig{RateBps: 10_000_000, Delay: 10 * sim.Millisecond, Kind: netem.QueueDropTail, DropTailPkts: 1000}, "r")
-		src := NewSrc(s, 1, "lossy", Config{})
+		src := NewSrc(s, 0, "lossy", Config{})
 		sink := NewSink(s)
 		src.SetRoute(netem.NewRoute(shim, link.Q, link.P, sink))
 		sink.SetRoute(netem.NewRoute(rev.Q, rev.P, src))
@@ -207,7 +207,7 @@ func TestAckLossRobustness(t *testing.T) {
 	})
 	link := netem.NewLink(s, netem.LinkConfig{RateBps: 10_000_000, Delay: 10 * sim.Millisecond, Kind: netem.QueueDropTail, DropTailPkts: 1000}, "f")
 	rev := netem.NewLink(s, netem.LinkConfig{RateBps: 10_000_000, Delay: 10 * sim.Millisecond, Kind: netem.QueueDropTail, DropTailPkts: 1000}, "r")
-	src := NewSrc(s, 1, "ackloss", Config{})
+	src := NewSrc(s, 0, "ackloss", Config{})
 	sink := NewSink(s)
 	src.SetRoute(netem.NewRoute(link.Q, link.P, sink))
 	sink.SetRoute(netem.NewRoute(shim, rev.Q, rev.P, src))
@@ -252,7 +252,7 @@ func TestLossPathZeroAlloc(t *testing.T) {
 	})
 	cfg := netem.LinkConfig{RateBps: 10_000_000, Delay: 10 * sim.Millisecond, Kind: netem.QueueDropTail, DropTailPkts: 50}
 	fwd, rev := netem.NewLink(s, cfg, "f"), netem.NewLink(s, cfg, "r")
-	src := NewSrc(s, 1, "lossy", Config{})
+	src := NewSrc(s, 0, "lossy", Config{})
 	sink := NewSink(s)
 	src.SetRoute(netem.NewRoute(dark, netem.NewRandomLoss(s, 0.03), fwd.Q, fwd.P, sink))
 	sink.SetRoute(netem.NewRoute(rev.Q, rev.P, src))

@@ -154,7 +154,7 @@ func runSinkProgram(t testing.TB, prog []byte) map[string]int {
 	toSink := netem.NewRoute(sink)
 	delayed := prog[0]&1 == 1
 	if delayed {
-		sink.SetDelayedAck(40 * sim.Millisecond)
+		sink.EnableDelayedAck()
 	}
 	ref := &segSink{}
 	held := false // the reference's delayed-ACK state: one in-order segment unacknowledged

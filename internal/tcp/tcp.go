@@ -42,17 +42,11 @@ type WindowReducer interface {
 	ReduceTo(cwndBytes float64) float64
 }
 
-// Config parameterizes a sender. The zero value is usable: defaults are
-// filled in by NewSrc.
+// Config holds what a scenario varies per flow. The zero value is a
+// long-lived, uncapped sender.
 type Config struct {
-	MSS          int      // segment size; default netem.MSS (1500)
-	InitCwndPkts float64  // initial window; default 2
-	SsthreshPkts float64  // initial slow-start threshold; default "infinite" (1<<20)
-	MinSsthresh  float64  // floor for ssthresh on halving, in packets; default 2
-	MaxCwndPkts  float64  // cap on cwnd (models rwnd); default unlimited
-	MinRTO       sim.Time // RTO floor; default 200ms (Linux)
-	MaxRTO       sim.Time // RTO ceiling; default 60s
-	FlowBytes    int64    // bytes to transfer; 0 means unbounded (long-lived)
+	FlowBytes   int64   // bytes to transfer; 0 means unbounded (long-lived)
+	MaxCwndPkts float64 // cap on cwnd (models rwnd); 0 means unlimited
 	// NoIncreaseCap disables the per-ACK cap that keeps a coupled hook from
 	// growing the window faster than Reno (one packet per acked packet).
 	// Exists only for the ablation study; production configs keep the cap
@@ -60,29 +54,16 @@ type Config struct {
 	NoIncreaseCap bool
 }
 
-func (c *Config) fill() {
-	if c.MSS == 0 {
-		c.MSS = netem.MSS
-	}
-	if c.InitCwndPkts == 0 {
-		c.InitCwndPkts = 2
-	}
-	if c.SsthreshPkts == 0 {
-		c.SsthreshPkts = 1 << 20
-	}
-	if c.MinSsthresh == 0 {
-		c.MinSsthresh = 2
-	}
-	if c.MaxCwndPkts == 0 {
-		c.MaxCwndPkts = math.Inf(1)
-	}
-	if c.MinRTO == 0 {
-		c.MinRTO = 200 * sim.Millisecond
-	}
-	if c.MaxRTO == 0 {
-		c.MaxRTO = 60 * sim.Second
-	}
-}
+// The sender's fixed parameters. Every segment is netem.MSS bytes, except
+// a finite flow's last.
+const (
+	initCwndPkts     = 2       // initial window
+	initSsthreshPkts = 1 << 20 // initial slow-start threshold: "infinite"
+	minSsthreshPkts  = 2       // ssthresh floor on halving; 1 on a multipath subflow
+	initRTO          = sim.Second
+	minRTO           = 200 * sim.Millisecond // Linux
+	maxRTO           = 60 * sim.Second
+)
 
 // Stats aggregates sender-side statistics.
 type Stats struct {
@@ -103,15 +84,16 @@ type Src struct {
 	sim  *sim.Sim
 	pool *netem.PacketPool
 	cfg  Config
-	id   int
 	name string
 
 	fwd  *netem.Route // data route, ending at the Sink
 	hook Hook
 
-	// Window state, in bytes (float64 to carry fractional per-ACK increases).
-	cwnd     float64
-	ssthresh float64
+	// Window state, in bytes (float64 to carry fractional per-ACK increases),
+	// and the halving floor, in packets.
+	cwnd        float64
+	ssthresh    float64
+	minSsthresh float64
 
 	highestSent int64 // next byte to send
 	lastAcked   int64
@@ -176,17 +158,18 @@ func (h *stallHandler) RunEvent(now sim.Time) {
 	}
 }
 
-// NewSrc builds a sender with the given configuration.
-func NewSrc(s *sim.Sim, id int, name string, cfg Config) *Src {
-	cfg.fill()
+// NewSrc builds a sender with the given configuration. Its second argument
+// is ignored: a sender has no flow ID. The benchmark's rigs (bench/rigs.go)
+// still pass one.
+func NewSrc(s *sim.Sim, _ int, name string, cfg Config) *Src {
 	src := &Src{
-		sim:      s,
-		pool:     netem.PoolFor(s),
-		cfg:      cfg,
-		id:       id,
-		name:     name,
-		cwnd:     cfg.InitCwndPkts * float64(cfg.MSS),
-		ssthresh: cfg.SsthreshPkts * float64(cfg.MSS),
+		sim:         s,
+		pool:        netem.PoolFor(s),
+		cfg:         cfg,
+		name:        name,
+		cwnd:        initCwndPkts * netem.MSS,
+		ssthresh:    initSsthreshPkts * netem.MSS,
+		minSsthresh: minSsthreshPkts,
 	}
 	src.startH.t = src
 	src.stallH.t = src
@@ -200,17 +183,11 @@ func (t *Src) SetRoute(r *netem.Route) { t.fwd = r }
 // before Start.
 func (t *Src) SetHook(h Hook) { t.hook = h }
 
-// ID reports the flow id carried in this sender's packets.
-func (t *Src) ID() int { return t.id }
-
 // Name identifies the flow in traces.
 func (t *Src) Name() string { return t.name }
 
-// MSS reports the configured segment size.
-func (t *Src) MSS() int { return t.cfg.MSS }
-
 // CwndPkts reports the congestion window in packets.
-func (t *Src) CwndPkts() float64 { return t.cwnd / float64(t.cfg.MSS) }
+func (t *Src) CwndPkts() float64 { return t.cwnd / netem.MSS }
 
 // SRTT reports the smoothed RTT estimate in seconds (0 until first sample).
 func (t *Src) SRTT() float64 { return t.srtt / sim.Second.Nanos() }
@@ -237,10 +214,9 @@ func (t *Src) CompletionTime() sim.Time { return t.doneAt - t.startAt }
 // paths), initial window 1 MSS, and a halving floor of 1 MSS so a window can
 // sit at one packet on a bad path. Call before Start.
 func (t *Src) ConfigureMultipath() {
-	mss := float64(t.cfg.MSS)
-	t.ssthresh = mss
-	t.cwnd = mss
-	t.cfg.MinSsthresh = 1
+	t.ssthresh = netem.MSS
+	t.cwnd = netem.MSS
+	t.minSsthresh = 1
 }
 
 // Start begins transmission at the given absolute virtual time.
@@ -261,7 +237,10 @@ func (t *Src) InFlightBytes() int64 { return t.flight() }
 
 // effCwnd applies the receive-window cap.
 func (t *Src) effCwnd() float64 {
-	return math.Min(t.cwnd, t.cfg.MaxCwndPkts*float64(t.cfg.MSS))
+	if t.cfg.MaxCwndPkts > 0 {
+		return math.Min(t.cwnd, t.cfg.MaxCwndPkts*netem.MSS)
+	}
+	return t.cwnd
 }
 
 // Pause stops the transmission of new segments; in-flight data still drains
@@ -320,7 +299,7 @@ func (t *Src) sendMore() {
 	if !t.started || t.done || t.paused || t.frozen {
 		return
 	}
-	mss := int64(t.cfg.MSS)
+	const mss = int64(netem.MSS)
 	for {
 		// Skip ranges the receiver already holds (post-RTO go-back-N must
 		// not resend SACKed data: that would trigger dupACK storms).
@@ -348,10 +327,10 @@ func (t *Src) sendMore() {
 
 // segSizeAt bounds a segment starting at seq by the flow length.
 func (t *Src) segSizeAt(seq int64) int {
-	if t.cfg.FlowBytes > 0 && seq+int64(t.cfg.MSS) > t.cfg.FlowBytes {
+	if t.cfg.FlowBytes > 0 && seq+netem.MSS > t.cfg.FlowBytes {
 		return int(t.cfg.FlowBytes - seq)
 	}
-	return t.cfg.MSS
+	return netem.MSS
 }
 
 // requestData asks the stream layer for more bytes, at most once per stall.
@@ -429,23 +408,21 @@ func (t *Src) armRTO() {
 
 // rto computes the current retransmission timeout with backoff.
 func (t *Src) rto() sim.Time {
-	var base sim.Time
-	if !t.rttSeen {
-		base = sim.Second // RFC 6298 initial RTO
-	} else {
+	base := initRTO // RFC 6298, until the first sample
+	if t.rttSeen {
 		base = sim.FromNanos(t.srtt + 4*t.rttvar)
 	}
-	if base < t.cfg.MinRTO {
-		base = t.cfg.MinRTO
+	if base < minRTO {
+		base = minRTO
 	}
 	for i := 0; i < t.rtoBackoff; i++ {
 		base *= 2
-		if base >= t.cfg.MaxRTO {
-			return t.cfg.MaxRTO
+		if base >= maxRTO {
+			return maxRTO
 		}
 	}
-	if base > t.cfg.MaxRTO {
-		base = t.cfg.MaxRTO
+	if base > maxRTO {
+		base = maxRTO
 	}
 	return base
 }
@@ -456,11 +433,10 @@ func (t *Src) onRTO() {
 	if t.done || t.frozen || t.flight() <= 0 {
 		return
 	}
-	mss := float64(t.cfg.MSS)
 	t.stats.Timeouts++
 	t.rtoBackoff++
-	t.ssthresh = math.Max(t.cwnd/2, t.cfg.MinSsthresh*mss)
-	t.cwnd = mss
+	t.ssthresh = math.Max(t.cwnd/2, t.minSsthresh*netem.MSS)
+	t.cwnd = netem.MSS
 	t.inRecovery = false
 	t.dupAcks = 0
 	if t.hook != nil {
@@ -586,7 +562,6 @@ func (t *Src) sendOneRecovery() {
 
 // newAck processes cumulative-ACK progress.
 func (t *Src) newAck(ackSeq int64, p *netem.Packet) {
-	mss := float64(t.cfg.MSS)
 	acked := ackSeq - t.lastAcked
 	t.lastAcked = ackSeq
 	t.stats.AckedBytes = ackSeq
@@ -603,7 +578,7 @@ func (t *Src) newAck(ackSeq int64, p *netem.Packet) {
 		if ackSeq >= t.recoverSeq {
 			// Full ACK: leave recovery at the halved window.
 			t.inRecovery = false
-			t.cwnd = math.Max(t.ssthresh, mss)
+			t.cwnd = math.Max(t.ssthresh, netem.MSS)
 			t.retxNext = t.lastAcked
 		} else {
 			// Partial ACK: the retransmitted hole arrived; immediately
@@ -625,7 +600,7 @@ func (t *Src) newAck(ackSeq int64, p *netem.Packet) {
 
 // grow applies slow start or congestion avoidance for acked bytes.
 func (t *Src) grow(acked int) {
-	mss := float64(t.cfg.MSS)
+	const mss = float64(netem.MSS)
 	inCA := t.cwnd >= t.ssthresh
 	var inc float64
 	if t.hook != nil {
@@ -669,7 +644,6 @@ func (t *Src) dupAck() {
 	if t.frozen {
 		return
 	}
-	mss := float64(t.cfg.MSS)
 	t.dupAcks++
 	if t.inRecovery {
 		// Rate halving: one (re)transmission per two ACKs keeps roughly
@@ -697,8 +671,8 @@ func (t *Src) dupAck() {
 	if r, ok := t.hook.(WindowReducer); ok {
 		newWnd = r.ReduceTo(t.cwnd)
 	}
-	t.ssthresh = math.Max(newWnd, t.cfg.MinSsthresh*mss)
-	t.cwnd = math.Max(t.ssthresh, mss)
+	t.ssthresh = math.Max(newWnd, t.minSsthresh*netem.MSS)
+	t.cwnd = math.Max(t.ssthresh, netem.MSS)
 	t.inRecovery = true
 	t.recoverSeq = t.highestSent
 	t.recAcks = 0
@@ -763,26 +737,24 @@ type Sink struct {
 	OnInOrder func(n int64)
 
 	// Delayed-ACK state (RFC 1122/5681): at most every second full segment
-	// is ACKed, with a timeout bounding the delay. Out-of-order and
-	// duplicate segments are ACKed immediately. Zero delay disables.
-	delAck   sim.Time
+	// is ACKed, with delAckTimeout bounding the delay. Out-of-order and
+	// duplicate segments are ACKed immediately.
+	delAck   bool
 	unacked  int
 	lastEcho sim.Time
 	delAckTm sim.Timer
 }
 
+// delAckTimeout bounds how long a delayed ACK is held back (Linux's 40 ms).
+const delAckTimeout = 40 * sim.Millisecond
+
 // NewSink builds a receiver.
 func NewSink(s *sim.Sim) *Sink { return &Sink{sim: s, pool: netem.PoolFor(s)} }
 
-// SetDelayedAck enables RFC 1122 delayed acknowledgments with the given
-// maximum delay (Linux uses up to 40 ms). Zero disables (the default, which
-// is also htsim's behavior: one ACK per segment).
-func (k *Sink) SetDelayedAck(d sim.Time) {
-	if d < 0 {
-		panic("tcp: negative delayed-ACK timeout")
-	}
-	k.delAck = d
-}
+// EnableDelayedAck turns on RFC 1122 delayed acknowledgments, held back at
+// most 40 ms. Without it (the default, which is also htsim's behavior)
+// every segment is ACKed.
+func (k *Sink) EnableDelayedAck() { k.delAck = true }
 
 // SetRoute installs the reverse (ACK) route, which must end at the Src.
 func (k *Sink) SetRoute(r *netem.Route) { k.rev = r }
@@ -826,16 +798,16 @@ func (k *Sink) Recv(p *netem.Packet) {
 	}
 	k.lastEcho = p.SentAt
 	inOrderAdvance := k.cumAck > before && len(k.ooo) == 0
-	if k.delAck > 0 && inOrderAdvance && !p.Retx {
+	if k.delAck && inOrderAdvance && !p.Retx {
 		// Delayed ACK: hold back the first of every pair, bounded by the
 		// timer. Everything irregular (OOO, duplicates, retransmitted
 		// fills) is acknowledged immediately below.
 		k.unacked++
 		if k.unacked == 1 {
 			if k.delAckTm.Valid() {
-				k.sim.Reschedule(k.delAckTm, k.sim.Now()+k.delAck)
+				k.sim.Reschedule(k.delAckTm, k.sim.Now()+delAckTimeout)
 			} else {
-				k.delAckTm = k.sim.ScheduleTimer(k.sim.Now()+k.delAck, k)
+				k.delAckTm = k.sim.ScheduleTimer(k.sim.Now()+delAckTimeout, k)
 			}
 			p.Free()
 			return

@@ -23,7 +23,7 @@ func newDumbbell(seed int64, rateBps int64, owd sim.Time, kind netem.QueueKind, 
 	s := sim.New(seed)
 	fwdLink := netem.NewLink(s, netem.LinkConfig{RateBps: rateBps, Delay: owd, Kind: kind}, "fwd")
 	revLink := netem.NewLink(s, netem.LinkConfig{RateBps: rateBps, Delay: owd, Kind: netem.QueueDropTail, DropTailPkts: 1000}, "rev")
-	src := NewSrc(s, 1, "flow1", cfg)
+	src := NewSrc(s, 0, "flow1", cfg)
 	sink := NewSink(s)
 	src.SetRoute(netem.NewRoute(fwdLink.Q, fwdLink.P, sink))
 	sink.SetRoute(netem.NewRoute(revLink.Q, revLink.P, src))
@@ -82,7 +82,7 @@ func TestFastRetransmitOnSingleLoss(t *testing.T) {
 	s := sim.New(1)
 	link := netem.NewLink(s, netem.LinkConfig{RateBps: 10_000_000, Delay: 40 * sim.Millisecond, Kind: netem.QueueDropTail, DropTailPkts: 1000}, "f")
 	rev := netem.NewLink(s, netem.LinkConfig{RateBps: 10_000_000, Delay: 40 * sim.Millisecond, Kind: netem.QueueDropTail, DropTailPkts: 1000}, "r")
-	src := NewSrc(s, 1, "f", Config{})
+	src := NewSrc(s, 0, "f", Config{})
 	sink := NewSink(s)
 	dropped := false
 	shim := nodeFunc(func(p *netem.Packet) {
@@ -130,7 +130,7 @@ func TestTimeoutRecovery(t *testing.T) {
 	})
 	link := netem.NewLink(s, netem.LinkConfig{RateBps: 10_000_000, Delay: 10 * sim.Millisecond, Kind: netem.QueueDropTail, DropTailPkts: 1000}, "f")
 	rev := netem.NewLink(s, netem.LinkConfig{RateBps: 10_000_000, Delay: 10 * sim.Millisecond, Kind: netem.QueueDropTail, DropTailPkts: 1000}, "r")
-	src := NewSrc(s, 1, "f", Config{})
+	src := NewSrc(s, 0, "f", Config{})
 	sink := NewSink(s)
 	src.SetRoute(netem.NewRoute(shim, link.Q, link.P, sink))
 	sink.SetRoute(netem.NewRoute(rev.Q, rev.P, src))
@@ -192,7 +192,7 @@ func TestTwoFlowsShareFairly(t *testing.T) {
 	rev := netem.NewLink(s, netem.LinkConfig{RateBps: 10_000_000, Delay: 40 * sim.Millisecond, Kind: netem.QueueDropTail, DropTailPkts: 1000}, "r")
 	var sinks [2]*Sink
 	for i := 0; i < 2; i++ {
-		src := NewSrc(s, i, "f", Config{})
+		src := NewSrc(s, 0, "f", Config{})
 		sink := NewSink(s)
 		src.SetRoute(netem.NewRoute(link.Q, link.P, sink))
 		sink.SetRoute(netem.NewRoute(rev.Q, rev.P, src))
@@ -216,7 +216,8 @@ func TestHookReceivesCallbacks(t *testing.T) {
 	// A recording hook must see CA acks and at least one loss on a lossy
 	// bottleneck.
 	rec := &recordingHook{}
-	d := newDumbbell(1, 5_000_000, 20*sim.Millisecond, netem.QueueRED, Config{SsthreshPkts: 1, InitCwndPkts: 1})
+	d := newDumbbell(1, 5_000_000, 20*sim.Millisecond, netem.QueueRED, Config{})
+	d.src.ConfigureMultipath()
 	d.src.SetHook(rec)
 	d.src.Start(0)
 	d.s.RunUntil(30 * sim.Second)
@@ -251,8 +252,8 @@ func TestHookIncreaseIsCapped(t *testing.T) {
 	// A hook demanding a huge increase must be capped at Reno rate
 	// (1 packet per acked packet).
 	greedy := greedyHook{}
-	cfg := Config{SsthreshPkts: 1, InitCwndPkts: 1}
-	d := newDumbbell(1, 10_000_000, 10*sim.Millisecond, netem.QueueDropTail, cfg)
+	d := newDumbbell(1, 10_000_000, 10*sim.Millisecond, netem.QueueDropTail, Config{})
+	d.src.ConfigureMultipath()
 	d.src.SetHook(greedy)
 	d.src.Start(0)
 	prev := d.src.CwndPkts()
@@ -272,12 +273,15 @@ func (greedyHook) OnAck(n int, inCA bool) float64 { return 1e9 }
 func (greedyHook) OnLoss()                        {}
 
 func TestMinSsthreshOneEntersCAImmediately(t *testing.T) {
-	cfg := Config{SsthreshPkts: 1, InitCwndPkts: 1, MinSsthresh: 1}
-	d := newDumbbell(1, 10_000_000, 10*sim.Millisecond, netem.QueueDropTail, cfg)
+	d := newDumbbell(1, 10_000_000, 10*sim.Millisecond, netem.QueueDropTail, Config{})
+	d.src.ConfigureMultipath()
 	d.src.Start(0)
 	d.s.RunUntil(200 * sim.Millisecond)
 	if !d.src.InCA() {
 		t.Fatal("with ssthresh=1 the flow must be in CA from the start")
+	}
+	if d.src.minSsthresh != 1 {
+		t.Fatalf("halving floor %v packets, want 1", d.src.minSsthresh)
 	}
 }
 
@@ -294,7 +298,7 @@ func TestCwndNeverBelowOneMSS(t *testing.T) {
 
 func TestSrcPanicsOnDataPacket(t *testing.T) {
 	s := sim.New(1)
-	src := NewSrc(s, 1, "f", Config{})
+	src := NewSrc(s, 0, "f", Config{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -316,7 +320,7 @@ func TestSinkPanicsOnAck(t *testing.T) {
 
 func TestStartWithoutRoutePanics(t *testing.T) {
 	s := sim.New(1)
-	src := NewSrc(s, 1, "f", Config{})
+	src := NewSrc(s, 0, "f", Config{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -444,22 +448,25 @@ func TestPropertySinkNoDoubleCount(t *testing.T) {
 
 func TestRTOBackoffDoubles(t *testing.T) {
 	s := sim.New(1)
-	src := NewSrc(s, 1, "f", Config{})
+	src := NewSrc(s, 0, "f", Config{})
 	src.rttSample(float64(100 * sim.Millisecond))
 	base := src.rto()
 	src.rtoBackoff = 1
 	if got := src.rto(); got != 2*base {
 		t.Fatalf("backoff 1: %v, want %v", got, 2*base)
 	}
-	src.rtoBackoff = 30 // must clamp at MaxRTO
-	if got := src.rto(); got != src.cfg.MaxRTO {
+	src.rtoBackoff = 30 // must clamp at maxRTO
+	if got := src.rto(); got != 60*sim.Second {
 		t.Fatalf("backoff clamp: %v", got)
 	}
 }
 
 func TestRTOFloor(t *testing.T) {
 	s := sim.New(1)
-	src := NewSrc(s, 1, "f", Config{})
+	src := NewSrc(s, 0, "f", Config{})
+	if got := src.rto(); got != sim.Second {
+		t.Fatalf("rto before any sample %v, want 1s", got)
+	}
 	src.rttSample(float64(sim.Millisecond)) // tiny RTT
 	if got := src.rto(); got != 200*sim.Millisecond {
 		t.Fatalf("rto %v, want 200ms floor", got)
@@ -468,7 +475,7 @@ func TestRTOFloor(t *testing.T) {
 
 func TestRTTSampleEstimator(t *testing.T) {
 	s := sim.New(1)
-	src := NewSrc(s, 1, "f", Config{})
+	src := NewSrc(s, 0, "f", Config{})
 	src.rttSample(float64(100 * sim.Millisecond))
 	if src.SRTT() != 0.1 {
 		t.Fatalf("first sample srtt %v", src.SRTT())
