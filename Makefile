@@ -97,7 +97,10 @@ lint:
 # written once, in internal/fixedpoint: no Sqrt(2/ in non-test Go outside it.
 # The facade builds no network of its own: no scenario.Spec, LinkSpec,
 # PathSpec or FlowSpec literal in the root package's non-test Go (it wraps
-# the internal/scenario builders, such as PaperTwoLink).
+# the internal/scenario builders, such as PaperTwoLink). One pipe per delay:
+# non-test internal/scenario Go calls netem.NewPipe( at exactly one site,
+# Net.pipe, the by-delay constructor (which also builds the private pipe of
+# a link a timeline retargets), so pipes cannot come back per flow or link.
 guard:
 	@if git grep -n 'RunUntil(' -- '*.go' ':!*_test.go' ':!internal/sim/' ':!internal/scenario/' ':!bench/'; then \
 		echo "raw Sim.RunUntil above the scenario layer: build a scenario.Net and call its Run"; exit 1; \
@@ -132,6 +135,11 @@ guard:
 	fi
 	@if git grep -nE 'scenario\.(Spec|LinkSpec|PathSpec|FlowSpec)\{' -- ':(glob)*.go' ':!*_test.go'; then \
 		echo "network builders live in internal/scenario; the facade wraps them"; exit 1; \
+	fi
+	@sites=$$(git grep -n 'netem\.NewPipe(' -- 'internal/scenario/*.go' ':!*_test.go'); \
+	if [ "$$(printf '%s' "$$sites" | grep -c .)" -ne 1 ]; then \
+		printf '%s\n' "$$sites"; \
+		echo "one pipe per delay: internal/scenario builds pipes at one site, Net.pipe"; exit 1; \
 	fi
 	@for target in windows/amd64 darwin/arm64 linux/arm64; do \
 		GOOS=$${target%/*} GOARCH=$${target#*/} $(GO) build . ./cmd/... ./internal/... || \

@@ -37,24 +37,29 @@ type Link struct {
 
 // NewLink builds a link from cfg. The name is used for traces and stats.
 func NewLink(s *sim.Sim, cfg LinkConfig, name string) *Link {
-	var q Queue
+	return &Link{Q: NewQueue(s, cfg, name+"/q"), P: NewPipe(s, cfg.Delay, name+"/p")}
+}
+
+// NewQueue builds the queue of a link described by cfg, without its pipe:
+// cfg.Delay is not read. A network that shares one pipe among every hop of
+// the same delay (scenario.Net) builds its queues here.
+func NewQueue(s *sim.Sim, cfg LinkConfig, name string) Queue {
 	switch cfg.Kind {
 	case QueueDropTail:
 		n := cfg.DropTailPkts
 		if n == 0 {
 			n = DefaultDropTailPkts
 		}
-		q = NewDropTail(s, cfg.RateBps, n, name+"/q")
+		return NewDropTail(s, cfg.RateBps, n, name)
 	case QueueRED:
 		red := PaperRED(cfg.RateBps)
 		if cfg.REDCfg != nil {
 			red = *cfg.REDCfg
 		}
-		q = NewRED(s, cfg.RateBps, red, name+"/q")
+		return NewRED(s, cfg.RateBps, red, name)
 	default:
 		panic("netem: unknown queue kind")
 	}
-	return &Link{Q: q, P: NewPipe(s, cfg.Delay, name+"/p")}
 }
 
 // Hops returns the link's elements in traversal order, for route building.

@@ -14,6 +14,13 @@ import "mptcpsim/internal/sim"
 // deliveries keep the exact (time, seq) FIFO tie-break they would have had
 // with one event per packet — simulation results are bit-identical, at a
 // fraction of the allocation cost.
+//
+// A packet's delivery key depends only on its admission, not on which route
+// it is on, so one pipe may carry every hop of equal constant delay in a
+// network: merging several such pipes' rings gives every packet the key it
+// had in its own pipe (FuzzPipeMerge). SetDelay is only for a pipe that
+// carries one link: on a shared pipe it would retarget every hop of that
+// delay, and its tail clamp would hold back hops the change is not about.
 type Pipe struct {
 	sim   *sim.Sim
 	delay sim.Time

@@ -15,7 +15,11 @@ import (
 type CompiledLink struct {
 	Spec  LinkSpec
 	Queue netem.Queue
-	Pipe  *netem.Pipe
+	// Pipe is the link's propagation pipe: the network's one pipe of the
+	// link's delay, shared with every other hop of that delay, unless a
+	// timeline setpoint retargets the delay, which gives the link a pipe of
+	// its own (SetDelay is only for a pipe that carries one link).
+	Pipe *netem.Pipe
 	// Loss is the random-loss element, nil when LossPct is 0 and no
 	// timeline setpoint targets this link's loss.
 	Loss *netem.RandomLoss
@@ -115,11 +119,14 @@ type Net struct {
 	Groups [][]*Flow
 
 	// Rev is the return link shared by every flow whose Route names no
-	// reverse links (nil when the network has none); pipes lists every
-	// propagation pipe (link, reverse and per-flow access pipes) for
-	// in-flight accounting.
-	Rev   *netem.Link
-	pipes []*netem.Pipe
+	// reverse links (nil when the network has none).
+	Rev *netem.Link
+	// pipes holds the network's one pipe per distinct constant delay, which
+	// carries every hop of that delay: link, reverse link and access hops
+	// alike. private holds the pipes of links whose delay a timeline
+	// setpoint retargets, because SetDelay is only for a pipe that carries
+	// one link. The two together are every pipe, for in-flight accounting.
+	pipes, private []*netem.Pipe
 	// timeline is the compiled spec's mutation list; pathFlows indexes, per
 	// Spec.Paths entry, every sender routed over that path, for its flaps.
 	timeline  []TimelineEvent
@@ -174,14 +181,8 @@ func Compile(sp *Spec) (*Net, error) {
 		s.Schedule(sim.Seconds(sp.Timeline[0].AtSec), &timelineDriver{net: n})
 	}
 
-	for i, ls := range sp.Links {
-		l := n.AddLink(ls)
-		// A loss setpoint will retarget this link: build the element now. An
-		// idle one draws no randomness, so the spec's RNG stream is unchanged
-		// until the setpoint fires.
-		if l.Loss == nil && sp.timelineTouchesLoss(i) {
-			l.Loss = netem.NewRandomLoss(s, 0)
-		}
+	for _, ls := range sp.Links {
+		n.AddLink(ls)
 	}
 	revRate, revDelay := sp.ReverseRateMbps, sp.ReverseDelayMs
 	if revRate == 0 {
@@ -190,13 +191,14 @@ func Compile(sp *Spec) (*Net, error) {
 	if revDelay == 0 {
 		revDelay = defaultReverseDelayMs
 	}
-	n.Rev = netem.NewLink(s, netem.LinkConfig{
-		RateBps:      int64(revRate * 1e6),
-		Delay:        sim.Millis(revDelay),
-		Kind:         netem.QueueDropTail,
-		DropTailPkts: 10_000,
-	}, "rev")
-	n.pipes = append(n.pipes, n.Rev.P)
+	n.Rev = &netem.Link{
+		Q: netem.NewQueue(s, netem.LinkConfig{
+			RateBps:      int64(revRate * 1e6),
+			Kind:         netem.QueueDropTail,
+			DropTailPkts: 10_000,
+		}, "rev/q"),
+		P: n.pipe(sim.Millis(revDelay), false),
+	}
 
 	n.Groups = make([][]*Flow, len(sp.Flows))
 	routes := make([]Route, 0, 4) // stays on the stack for the usual few paths
@@ -226,13 +228,11 @@ func Compile(sp *Spec) (*Net, error) {
 }
 
 // AddLink builds one unidirectional link — a random-loss element when
-// LossPct is set, the queue, the propagation pipe — and returns it; its
-// index in Links is what a Route names. Links are added before Run.
+// LossPct is set or a timeline setpoint retargets the link's loss, the
+// queue, the propagation pipe — and returns it; its index in Links is what a
+// Route names. Links are added before Run.
 func (n *Net) AddLink(ls LinkSpec) *CompiledLink {
-	cfg := netem.LinkConfig{
-		RateBps: int64(ls.RateMbps * 1e6),
-		Delay:   sim.Millis(ls.DelayMs),
-	}
+	cfg := netem.LinkConfig{RateBps: int64(ls.RateMbps * 1e6)}
 	switch ls.Queue {
 	case QueueDropTail:
 		cfg.Kind = netem.QueueDropTail
@@ -245,21 +245,52 @@ func (n *Net) AddLink(ls LinkSpec) *CompiledLink {
 			cfg.REDCfg = &red
 		}
 	}
-	cl := &CompiledLink{Spec: ls, LimitPkts: ls.bufferLimit()}
-	link := netem.NewLink(n.Sim, cfg, fmt.Sprintf("link%d", len(n.Links)))
-	cl.Queue, cl.Pipe = link.Q, link.P
-	if ls.LossPct > 0 {
+	delay, loss := n.retargets(len(n.Links))
+	cl := &CompiledLink{
+		Spec:      ls,
+		Queue:     netem.NewQueue(n.Sim, cfg, fmt.Sprintf("link%d/q", len(n.Links))),
+		Pipe:      n.pipe(sim.Millis(ls.DelayMs), delay),
+		LimitPkts: ls.bufferLimit(),
+	}
+	// A loss setpoint will retarget a lossless link: build the element now.
+	// An idle one draws no randomness, so the spec's RNG stream is unchanged
+	// until the setpoint fires.
+	if ls.LossPct > 0 || loss {
 		cl.Loss = netem.NewRandomLoss(n.Sim, ls.LossPct/100)
 	}
 	n.Links = append(n.Links, cl)
-	n.pipes = append(n.pipes, cl.Pipe)
 	return cl
+}
+
+// pipe returns the pipe for a hop of constant delay d: the network's one
+// pipe of that delay, built on first use. A constant delay makes admission
+// order delivery order, so packets of any number of hops share its ring
+// with the (deliverAt, seq) keys each would have had in a pipe of its own.
+// A private pipe, for a link whose delay a timeline setpoint retargets, is
+// built anew and shared with nothing.
+func (n *Net) pipe(d sim.Time, private bool) *netem.Pipe {
+	if !private {
+		for _, p := range n.pipes {
+			if p.Delay() == d {
+				return p
+			}
+		}
+	}
+	p := netem.NewPipe(n.Sim, d, d.String())
+	if private {
+		n.private = append(n.private, p)
+	} else {
+		n.pipes = append(n.pipes, p)
+	}
+	return p
 }
 
 // Route is one subflow's wiring, by index into Net.Links.
 type Route struct {
-	// DelayMs is the per-flow access pipe in front of Fwd. Zero builds no
-	// pipe at all: even a 0 ms pipe reserves kernel sequence numbers and
+	// DelayMs is the access delay in front of Fwd: the subflow's data
+	// crosses the network's shared pipe of that delay, which carries every
+	// hop of equal constant delay, before its first link. Zero routes through
+	// no pipe at all: even a 0 ms pipe reserves kernel sequence numbers and
 	// defers each packet by one event, so eliding it is what lets a network
 	// whose delay lives on the links themselves (the fat tree) keep its
 	// event order.
@@ -302,9 +333,7 @@ func (n *Net) route(head netem.Node, links []int, tail ...netem.Node) *netem.Rou
 func (n *Net) wire(f *Flow, r Route, src *tcp.Src, sink *tcp.Sink) {
 	var trim netem.Node
 	if r.DelayMs > 0 {
-		p := netem.NewPipe(n.Sim, sim.Millis(r.DelayMs), f.Name+"/trim")
-		n.pipes = append(n.pipes, p)
-		trim = p
+		trim = n.pipe(sim.Millis(r.DelayMs), false)
 	}
 	src.SetRoute(n.route(trim, r.Fwd, sink))
 	if r.Rev != nil {

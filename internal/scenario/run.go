@@ -420,6 +420,9 @@ func checkConservation(n *Net, r *RunReport) {
 	for _, p := range n.pipes {
 		inflight += int64(p.InFlight())
 	}
+	for _, p := range n.private {
+		inflight += int64(p.InFlight())
+	}
 	if got := acked + unacked + dropped + inflight; sent != got {
 		r.violate("packet conservation broken: %d data segments sent, %d acked + %d absorbed unacked + %d dropped + %d in flight = %d",
 			sent, acked, unacked, dropped, inflight, got)

@@ -60,17 +60,19 @@ type LinkSpec struct {
 	LossPct float64 `json:"loss_pct,omitempty"`
 }
 
-// PathSpec is one route flows can use: an ordered sequence of links, with a
-// per-flow access (trim) pipe in front carrying the path's propagation
-// delay — the structure of the paper's testbed, where bottleneck queues
-// have zero delay and each user's access path carries the 40 ms one-way
-// latency.
+// PathSpec is one route flows can use: an ordered sequence of links, with an
+// access delay in front carrying the path's propagation delay — the
+// structure of the paper's testbed, where bottleneck queues have zero delay
+// and each user's access path carries the 40 ms one-way latency.
 type PathSpec struct {
 	// Links indexes Spec.Links in traversal order. Required, non-empty.
 	Links []int `json:"links"`
-	// DelayMs is the per-flow access pipe's one-way delay. Zero elides the
-	// access pipe entirely (flows enter the first link's queue directly),
-	// matching hand-wired rigs whose delay lives on the links themselves.
+	// DelayMs is the one-way access delay in front of the first link. Its
+	// pipe is the network's one pipe of that delay, shared by every hop of
+	// equal constant delay (SetDelay is only for a pipe that carries one
+	// link). Zero elides the access pipe entirely (flows enter the first
+	// link's queue directly), matching hand-wired rigs whose delay lives on
+	// the links themselves.
 	DelayMs float64 `json:"delay_ms,omitempty"`
 }
 

@@ -114,16 +114,17 @@ func (sp *Spec) validateTimeline() error {
 	return nil
 }
 
-// timelineTouchesLoss reports whether any setpoint retargets link l's loss,
-// so Compile can pre-build the (transparent, randomness-free) loss element
-// the driver will mutate.
-func (sp *Spec) timelineTouchesLoss(l int) bool {
-	for i := range sp.Timeline {
-		if ls := sp.Timeline[i].Link; ls != nil && ls.Link == l && ls.LossPct != nil {
-			return true
+// retargets reports whether any timeline setpoint retargets link l's delay
+// and its loss, so AddLink can give the link a pipe of its own and pre-build
+// the (transparent, randomness-free) loss element the driver will mutate.
+func (n *Net) retargets(l int) (delay, loss bool) {
+	for i := range n.timeline {
+		if ls := n.timeline[i].Link; ls != nil && ls.Link == l {
+			delay = delay || ls.DelayMs != nil
+			loss = loss || ls.LossPct != nil
 		}
 	}
-	return false
+	return delay, loss
 }
 
 // pathRef locates one sender of one flow replica on a flapped path.

@@ -258,6 +258,28 @@ func TestScheduleZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestPendingHighWater: the high-water mark is the deepest the queue has
+// been. Tickers that re-arm as they fire (each refilling the root their
+// step vacated), cancellations and a drained queue leave it where it was.
+// (TestScheduleZeroAlloc covers push, which keeps it, allocating nothing.)
+func TestPendingHighWater(t *testing.T) {
+	s := New(1)
+	tickers := make([]*ticker, 3)
+	for i := range tickers {
+		tickers[i] = &ticker{s: s, period: Microsecond, limit: 50}
+		s.ScheduleAfter(Time(i+1)*Microsecond, tickers[i])
+	}
+	tm := s.ScheduleTimer(Second, tickers[0])
+	if got := s.PendingHighWater(); got != 4 {
+		t.Fatalf("high water %d after four schedules, want 4", got)
+	}
+	s.Cancel(tm)
+	s.Run()
+	if got := s.PendingHighWater(); got != 4 || s.Pending() != 0 || tickers[2].n != 50 {
+		t.Fatalf("high water %d, pending %d, %d ticks after the run, want 4, 0 and 50", got, s.Pending(), tickers[2].n)
+	}
+}
+
 // TestClosureEventAtMostOneAlloc bounds the At/After path: a retained
 // closure event costs its one event slot and nothing else, so cold-path
 // timers cannot quietly grow a second allocation.

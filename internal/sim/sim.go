@@ -121,6 +121,7 @@ type Sim struct {
 	nextSeq uint64
 	rng     *rand.Rand
 	nEvents uint64 // processed events (for diagnostics)
+	peak    int    // most events pending at once (for diagnostics)
 	stopped bool
 	aux     any
 }
@@ -221,6 +222,11 @@ func (s *Sim) push(x slot) {
 		return
 	}
 	s.heap = append(s.heap, x)
+	// Only this branch can raise the pending count above its peak: filling
+	// the vacant root restores a count the heap held before its step.
+	if len(s.heap) > s.peak {
+		s.peak = len(s.heap)
+	}
 	s.siftUp(len(s.heap)-1, x)
 }
 
@@ -473,6 +479,10 @@ func (s *Sim) Pending() int {
 	}
 	return len(s.heap)
 }
+
+// PendingHighWater reports the most events that have been pending at once
+// since New: the deepest the event queue has been.
+func (s *Sim) PendingHighWater() int { return s.peak }
 
 // FreeEvents reports the current size of the event free list (diagnostics
 // and pooling tests).
