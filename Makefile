@@ -24,10 +24,10 @@ race:
 
 # The allocation locks, run without -race: the race detector drops
 # sync.Pool puts at random, so TestWarmHitAllocs and TestColdRunAllocs are
-# built only without it. TestPacketIsOneCacheLine locks the packet's size
-# and the pool's alignment; TestDigestAllocs what a run's fingerprint costs.
+# built only without it. TestPacketLayout locks the packet's size and field
+# order; TestDigestAllocs what a run's fingerprint costs.
 allocs:
-	$(GO) test -count=1 -run '^(TestTransitZeroAlloc|TestPacketIsOneCacheLine|TestControllersZeroAlloc|TestLossPathZeroAlloc|TestStreamZeroAlloc|TestWarmHitAllocs|TestColdRunAllocs|TestDigestAllocs)$$' \
+	$(GO) test -count=1 -run '^(TestTransitZeroAlloc|TestPacketLayout|TestControllersZeroAlloc|TestLossPathZeroAlloc|TestStreamZeroAlloc|TestWarmHitAllocs|TestColdRunAllocs|TestDigestAllocs)$$' \
 		./internal/netem ./internal/core ./internal/tcp ./internal/mptcp ./internal/campaign ./internal/scenario
 
 # FMA ratchet: a fused multiply-add rounds once where amd64

@@ -91,11 +91,11 @@ func TestProfile(t *testing.T) {
 	if code != 0 || len(lines) != 1+profileRuns || !strings.HasPrefix(strings.TrimSpace(lines[profileRuns]), fmt.Sprint(profileRuns, " ")) {
 		t.Fatalf("exit %d, output:\n%s", code, out)
 	}
-	if got := strings.Fields(lines[0]); strings.Join(got, " ") != "run wall_ms events events_per_s heap_max allocs bytes" {
+	if got := strings.Fields(lines[0]); strings.Join(got, " ") != "run wall_ms events events_per_s heap_max pkts_max allocs bytes" {
 		t.Errorf("header %q", lines[0])
 	}
-	if fields := strings.Fields(lines[1]); len(fields) != 7 || fields[2] == "0" || fields[4] == "0" {
-		t.Errorf("run row %q: want run, wall_ms, events, events_per_s, heap_max, allocs, bytes with events and heap_max > 0", lines[1])
+	if fields := strings.Fields(lines[1]); len(fields) != 8 || fields[2] == "0" || fields[4] == "0" || fields[5] == "0" {
+		t.Errorf("run row %q: want run, wall_ms, events, events_per_s, heap_max, pkts_max, allocs, bytes with events, heap_max and pkts_max > 0", lines[1])
 	}
 	for _, p := range []string{cpu, mem} {
 		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {

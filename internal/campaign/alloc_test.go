@@ -50,8 +50,8 @@ func TestWarmHitAllocs(t *testing.T) {
 // maxColdAllocs is what a simulated scenario of Default() may allocate, on
 // average: its network (links, flows, routes, timers), its packet and event
 // slabs, the range lists its receivers and senders grow, its report, and
-// its share of the campaign's fixed cost. It is the measured 161.9 plus 3 %.
-const maxColdAllocs = 166.8
+// its share of the campaign's fixed cost. It is the measured 139.1 plus 3 %.
+const maxColdAllocs = 143.3
 
 // TestColdRunAllocs locks the allocations of an uncached campaign: every
 // scenario of Default() (N = 200) is simulated, and the run allocates at

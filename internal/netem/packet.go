@@ -61,32 +61,41 @@ func (r *Route) Len() int {
 // plain DataPacket/AckPacket constructors are heap-allocated and Free is a
 // no-op, so tests can keep inspecting them after delivery.
 //
-// A Packet is 64 bytes, the size of a cache line (TestPacketIsOneCacheLine).
-// The fields are ordered so that padding takes 2 bytes: a field added or
-// widened must still fit.
+// A packet that waits — in a pipe, in a queue's backlog, or on its pool's
+// free list — is linked there through its own next field (pktList), so no
+// waiting place keeps an array of pointers, and it is on one such list at a
+// time. A Packet is 88 bytes on 64-bit platforms (TestPacketLayout): the
+// fields every forwarding hop touches come first, and padding takes 1 byte.
 type Packet struct {
-	// Seq is the sequence number of the first payload byte (data packets),
-	// or the cumulative ACK point — the next byte expected — for ACKs.
-	Seq int64
+	route *Route
+	// next links the packet into the list it waits on; nil otherwise.
+	next *Packet
+	// dueAt and dueSeq are the delivery key the pipe the packet is
+	// crossing reserved at admission; stale once it has left the pipe.
+	dueAt  sim.Time
+	dueSeq uint64
 	// Size is the wire size in bytes, including an idealized header.
 	Size int
-	// SentAt is the source timestamp; ACKs echo it back in EchoTS.
-	SentAt sim.Time
-	// EchoTS is the echoed data-packet timestamp on an ACK.
-	EchoTS sim.Time
+	hop  uint16
 	// Ack marks pure acknowledgments. A pooled packet is made as one kind
 	// or the other and Free files it by this field: do not flip it.
 	Ack bool
 	// Retx marks retransmitted data (Karn's rule: no RTT sample from these).
-	Retx bool
+	Retx   bool
+	nsack  uint8 // blocks of *sack in the report (Sack, SetSack)
+	freed  bool
+	listed bool // on a pktList: in a pipe, a queue or a free list
 
-	nsack uint8 // blocks of *sack in the report (Sack, SetSack)
-	freed bool
-	hop   uint16
+	// Seq is the sequence number of the first payload byte (data packets),
+	// or the cumulative ACK point — the next byte expected — for ACKs.
+	Seq int64
+	// SentAt is the source timestamp; ACKs echo it back in EchoTS.
+	SentAt sim.Time
+	// EchoTS is the echoed data-packet timestamp on an ACK.
+	EchoTS sim.Time
 	// sack is an ACK's SACK storage for life; nil on data segments.
-	sack  *[MaxSackBlocks]Block
-	route *Route
-	pool  *PacketPool // nil for heap-allocated packets
+	sack *[MaxSackBlocks]Block
+	pool *PacketPool // nil for heap-allocated packets
 }
 
 // Sack returns the selective-acknowledgment blocks an ACK carries: ranges
@@ -204,7 +213,8 @@ func (p *Packet) SendOn() {
 // Free returns a pool-managed packet to its simulation's free list. The
 // caller must be the packet's terminal owner and must not touch it again.
 // Freeing a heap-allocated packet (DataPacket/AckPacket) is a no-op;
-// double-freeing a pooled packet panics.
+// double-freeing a pooled packet, or freeing one still waiting in a pipe or
+// a queue, panics.
 //
 //simlint:hot
 func (p *Packet) Free() {
@@ -225,9 +235,9 @@ func (p *Packet) Free() {
 		p.hop = 0
 	}
 	if p.Ack {
-		pl.acks.free = append(pl.acks.free, p)
+		pl.acks.free.pushFront(p)
 	} else {
-		pl.data.free = append(pl.data.free, p)
+		pl.data.free.pushFront(p)
 	}
 }
 
@@ -235,16 +245,19 @@ func (p *Packet) Free() {
 // Sim share a pool (PoolFor), so in steady state every data segment and ACK
 // is recycled instead of allocated. Data segments and ACKs recycle through
 // separate free lists: a packet keeps its kind for life, so only ACKs ever
-// own SACK storage. The pool is single-threaded, like the Sim that owns it.
+// own SACK storage. A free list is a LIFO pktList linked through the freed
+// packets themselves, so the slabs are the only memory the pool holds. The
+// pool is single-threaded, like the Sim that owns it.
 type PacketPool struct {
 	data, acks freeList
+	carved     int // packets in the slabs allocated so far, both kinds
 	debug      bool
 }
 
 // freeList holds the recycled packets of one kind and the not yet issued
 // remainder of the newest slab they are carved from.
 type freeList struct {
-	free []*Packet
+	free pktList
 	slab []Packet
 }
 
@@ -265,12 +278,7 @@ func PoolFor(s *sim.Sim) *PacketPool {
 	case *PacketPool:
 		return v
 	case nil:
-		// Both free lists start at one slab's worth, in one allocation.
-		free := make([]*Packet, 2*slabPackets)
-		p := &PacketPool{
-			data: freeList{free: free[:0:slabPackets]},
-			acks: freeList{free: free[slabPackets:slabPackets]},
-		}
+		p := new(PacketPool)
 		s.SetAux(p)
 		return p
 	default:
@@ -279,12 +287,18 @@ func PoolFor(s *sim.Sim) *PacketPool {
 }
 
 // SetDebug toggles the use-after-free guard: freed packets are poisoned so
-// stale readers fail loudly. Costs a little per Free; meant for tests.
+// stale readers fail loudly (their free-list link is kept). Costs a little
+// per Free; meant for tests.
 func (pl *PacketPool) SetDebug(on bool) { pl.debug = on }
 
 // FreeCount reports how many packets of both kinds are waiting for reuse
 // (diagnostics and tests).
-func (pl *PacketPool) FreeCount() int { return len(pl.data.free) + len(pl.acks.free) }
+func (pl *PacketPool) FreeCount() int { return pl.data.free.n + pl.acks.free.n }
+
+// Carved reports how many packets of both kinds the pool has carved slabs
+// for: the run's high-water mark of packets alive at once, per kind rounded
+// up to a slab, and all the per-packet memory the run holds.
+func (pl *PacketPool) Carved() int { return pl.carved }
 
 // get pops a recycled packet of the wanted kind, or carves one from the
 // kind's slab. What comes back still holds its previous life's fields,
@@ -297,10 +311,8 @@ func (pl *PacketPool) get(ack bool) *Packet {
 	if ack {
 		l = &pl.acks
 	}
-	if n := len(l.free); n > 0 {
-		p := l.free[n-1]
-		l.free[n-1] = nil
-		l.free = l.free[:n-1]
+	if l.free.n > 0 {
+		p := l.free.pop()
 		p.freed = false
 		return p
 	}
@@ -335,6 +347,7 @@ func (pl *PacketPool) refill(l *freeList, ack bool) {
 	for i := range l.slab {
 		l.slab[i].pool = pl
 	}
+	pl.carved += slabPackets
 }
 
 // NewData builds a pool-managed data segment of size bytes, ready for

@@ -8,16 +8,17 @@ import "mptcpsim/internal/sim"
 // so a physical link is a Queue followed by a Pipe.
 //
 // Because the delay is constant, FIFO admission order is also delivery-time
-// order, so the pipe keeps a single kernel timer plus a ring of pending
-// (deliverAt, seq, packet) entries instead of one event per packet in
-// flight. Each admission still reserves a kernel sequence number, so
-// deliveries keep the exact (time, seq) FIFO tie-break they would have had
-// with one event per packet — simulation results are bit-identical, at a
-// fraction of the allocation cost.
+// order, so the pipe keeps a single kernel timer plus a list of packets
+// that carry their keys (each packet's dueAt and dueSeq, linked through its
+// own next field) instead of one event per packet in flight. Each admission
+// still reserves a kernel sequence number, so deliveries keep the exact
+// (time, seq) FIFO tie-break they would have had with one event per packet
+// — simulation results are bit-identical, and a pipe allocates nothing
+// after its construction.
 //
 // A packet's delivery key depends only on its admission, not on which route
 // it is on, so one pipe may carry every hop of equal constant delay in a
-// network: merging several such pipes' rings gives every packet the key it
+// network: merging several such pipes' lists gives every packet the key it
 // had in its own pipe (FuzzPipeMerge). SetDelay is only for a pipe that
 // carries one link: on a shared pipe it would retarget every hop of that
 // delay, and its tail clamp would hold back hops the change is not about.
@@ -26,15 +27,9 @@ type Pipe struct {
 	delay sim.Time
 	name  string
 
-	ring ring[pipeEntry]
-	tm   sim.Timer // single pending delivery event (the ring head's)
-}
-
-// pipeEntry is one in-flight packet with its precomputed delivery key.
-type pipeEntry struct {
-	at  sim.Time
-	seq uint64
-	pkt *Packet
+	inFlight pktList   // FIFO, in admission (and so delivery) order
+	last     sim.Time  // the newest admission's delivery time
+	tm       sim.Timer // single pending delivery event (the head's)
 }
 
 // NewPipe returns a pipe with the given one-way propagation delay.
@@ -51,7 +46,7 @@ func (pp *Pipe) Delay() sim.Time { return pp.delay }
 // SetDelay retargets the propagation delay from now on. Packets already in
 // flight keep the departure time computed at admission; later admissions use
 // the new delay. Safe at any point mid-run: Recv clamps each admission to
-// the current tail's departure so a delay decrease cannot reorder the ring.
+// the current tail's departure so a delay decrease cannot reorder the pipe.
 //
 //simlint:hot
 func (pp *Pipe) SetDelay(d sim.Time) {
@@ -65,45 +60,46 @@ func (pp *Pipe) SetDelay(d sim.Time) {
 func (pp *Pipe) Name() string { return pp.name }
 
 // InFlight reports the number of packets currently crossing the pipe.
-func (pp *Pipe) InFlight() int { return pp.ring.n }
+func (pp *Pipe) InFlight() int { return pp.inFlight.n }
 
 // Recv admits the packet: it will be forwarded to the next hop delay later.
 // If SetDelay shrank the delay while earlier packets are still in flight,
 // the admission is clamped to the tail's departure time — the wire stays
 // FIFO, exactly as a real propagation medium would behave. With a constant
-// delay the clamp never fires. No allocation in steady state.
+// delay the clamp never fires, and it cannot fire on an empty pipe: the
+// newest admission has then been delivered, at a time no later than now.
+// No allocation.
 func (pp *Pipe) Recv(p *Packet) {
 	at := pp.sim.Now() + pp.delay
-	if n := pp.ring.n; n > 0 {
-		if tail := pp.ring.at(n - 1).at; at < tail {
-			at = tail
-		}
+	if at < pp.last {
+		at = pp.last
 	}
-	seq := pp.sim.ReserveSeq()
-	pp.ring.push(pipeEntry{at: at, seq: seq, pkt: p})
-	if pp.ring.n == 1 {
-		pp.arm(at, seq)
+	pp.last = at
+	p.dueAt = at
+	p.dueSeq = pp.sim.ReserveSeq()
+	pp.inFlight.push(p)
+	if pp.inFlight.n == 1 {
+		pp.arm(p)
 	}
 }
 
-// arm (re)schedules the pipe's single timer for the ring head's key.
-func (pp *Pipe) arm(at sim.Time, seq uint64) {
+// arm (re)schedules the pipe's single timer for h's key: h is the head.
+func (pp *Pipe) arm(h *Packet) {
 	if pp.tm.Valid() {
-		pp.sim.RescheduleSeq(pp.tm, at, seq)
+		pp.sim.RescheduleSeq(pp.tm, h.dueAt, h.dueSeq)
 	} else {
-		pp.tm = pp.sim.ScheduleTimerSeq(at, seq, pp)
+		pp.tm = pp.sim.ScheduleTimerSeq(h.dueAt, h.dueSeq, pp)
 	}
 }
 
-// RunEvent delivers exactly the ring head (one logical event per packet,
-// so Processed() counts match the one-event-per-packet design) and re-arms
-// for the next entry. The ring is updated before SendOn so reentrant
+// RunEvent delivers exactly the head (one logical event per packet, so
+// Processed() counts match the one-event-per-packet design) and re-arms for
+// the next packet. The list is updated before SendOn so reentrant
 // admissions see a consistent pipe.
 func (pp *Pipe) RunEvent(now sim.Time) {
-	e := pp.ring.pop()
-	if pp.ring.n > 0 {
-		h := pp.ring.at(0)
-		pp.arm(h.at, h.seq)
+	p := pp.inFlight.pop()
+	if h := pp.inFlight.head; h != nil {
+		pp.arm(h)
 	}
-	e.pkt.SendOn()
+	p.SendOn()
 }

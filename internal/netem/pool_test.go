@@ -104,13 +104,50 @@ func TestPacketPoolSlabs(t *testing.T) {
 	}
 }
 
-// TestPacketIsOneCacheLine: a packet is 64 bytes, the size of a cache line.
-func TestPacketIsOneCacheLine(t *testing.T) {
-	if unsafe.Sizeof(uintptr(0)) != 8 {
-		t.Skip("the one-line layout is for 64-bit platforms")
+// TestPacketPoolCarved: Carved counts the packets of the slabs a pool has
+// allocated, of both kinds, and recycling carves nothing.
+func TestPacketPoolCarved(t *testing.T) {
+	pl := PoolFor(sim.New(1))
+	if pl.Carved() != 0 {
+		t.Fatalf("a fresh pool has carved %d packets", pl.Carved())
 	}
-	if sz := unsafe.Sizeof(Packet{}); sz != 64 {
-		t.Fatalf("Packet is %d bytes, want 64", sz)
+	d := pl.NewData(0, 0, MSS, 0, nil)
+	pl.NewAck(0, 0, 0, nil)
+	if pl.Carved() != 2*slabPackets {
+		t.Fatalf("carved %d after one packet of each kind, want %d", pl.Carved(), 2*slabPackets)
+	}
+	for i := 0; i < slabPackets; i++ {
+		pl.NewData(0, 0, MSS, 0, nil)
+	}
+	d.Free()
+	pl.NewData(0, 0, MSS, 0, nil)
+	if pl.Carved() != 3*slabPackets {
+		t.Fatalf("carved %d after %d live data segments, want %d", pl.Carved(), slabPackets+1, 3*slabPackets)
+	}
+}
+
+// TestPacketLayout: a packet is 88 bytes, and the fields every forwarding
+// hop touches (route, hop, the list link, a pipe's delivery key, Size and
+// the flags) come first, within 48 bytes. A field added or widened has to
+// be argued for: it is paid once per packet of every slab.
+func TestPacketLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the layout is for 64-bit platforms")
+	}
+	var p Packet
+	if sz := unsafe.Sizeof(p); sz != 88 {
+		t.Fatalf("Packet is %d bytes, want 88", sz)
+	}
+	for name, off := range map[string]uintptr{
+		"route": unsafe.Offsetof(p.route), "next": unsafe.Offsetof(p.next),
+		"dueAt": unsafe.Offsetof(p.dueAt), "dueSeq": unsafe.Offsetof(p.dueSeq),
+		"Size": unsafe.Offsetof(p.Size), "hop": unsafe.Offsetof(p.hop),
+		"Ack": unsafe.Offsetof(p.Ack), "Retx": unsafe.Offsetof(p.Retx),
+		"freed": unsafe.Offsetof(p.freed), "listed": unsafe.Offsetof(p.listed),
+	} {
+		if off >= 48 {
+			t.Errorf("forwarding field %s at offset %d, want below 48", name, off)
+		}
 	}
 }
 
@@ -204,14 +241,33 @@ func TestUseAfterFreePanicsOnSendOn(t *testing.T) {
 	p.SendOn()
 }
 
+// TestDebugPoisonsFreedPackets: a debug Free poisons the packet but keeps
+// its free-list link, so every poisoned packet comes back, last freed
+// first.
 func TestDebugPoisonsFreedPackets(t *testing.T) {
 	s := sim.New(1)
 	pl := PoolFor(s)
 	pl.SetDebug(true)
-	p := pl.NewData(0, 12345, MSS, 0, NewRoute(&Collector{}))
-	p.Free()
-	if p.Seq == 12345 || p.Route() != nil {
-		t.Fatalf("debug free did not poison: %+v", p)
+	var ps [3]*Packet
+	for i := range ps {
+		ps[i] = pl.NewData(0, 12345, MSS, 0, NewRoute(&Collector{}))
+	}
+	for _, p := range ps {
+		p.Free()
+		if p.Seq == 12345 || p.Route() != nil {
+			t.Fatalf("debug free did not poison: %+v", p)
+		}
+	}
+	if pl.FreeCount() != len(ps) {
+		t.Fatalf("free count %d, want %d", pl.FreeCount(), len(ps))
+	}
+	for i := len(ps) - 1; i >= 0; i-- {
+		if p := pl.NewData(0, 0, MSS, 0, nil); p != ps[i] {
+			t.Fatalf("reuse %d: got %p, want the packet freed %d-th (%p)", len(ps)-i, p, i+1, ps[i])
+		}
+	}
+	if pl.FreeCount() != 0 || pl.Carved() != slabPackets {
+		t.Fatalf("free count %d, carved %d after reusing every freed packet", pl.FreeCount(), pl.Carved())
 	}
 }
 

@@ -53,14 +53,15 @@ type Queue interface {
 }
 
 // queueCore implements FIFO service at a fixed rate. Concrete queues embed
-// it and implement only the arrival decision. Service completion runs
-// through a single reused kernel timer (queueCore implements sim.Handler),
-// so steady-state service allocates nothing.
+// it and implement only the arrival decision. The backlog is a list linked
+// through the packets themselves and service completion runs through a
+// single reused kernel timer (queueCore implements sim.Handler), so a queue
+// allocates nothing after its construction.
 type queueCore struct {
 	sim     *sim.Sim
 	rateBps int64 // line rate, bits per second
 	name    string
-	buf     ring[*Packet] // the oldest entry is in service
+	buf     pktList // FIFO; the head is in service
 	stats   Counters
 	svc     sim.Timer // service-completion timer, re-armed per packet
 	// onEmpty, if set, runs when the buffer drains (RED idle tracking).
@@ -128,8 +129,7 @@ func (q *queueCore) enqueue(p *Packet) {
 }
 
 func (q *queueCore) startService() {
-	head := *q.buf.at(0)
-	at := q.sim.Now() + q.txTime(head.Size)
+	at := q.sim.Now() + q.txTime(q.buf.head.Size)
 	if q.svc.Valid() {
 		q.sim.Reschedule(q.svc, at)
 	} else {
