@@ -101,6 +101,9 @@ lint:
 # non-test internal/scenario Go calls netem.NewPipe( at exactly one site,
 # Net.pipe, the by-delay constructor (which also builds the private pipe of
 # a link a timeline retargets), so pipes cannot come back per flow or link.
+# One fluid compiler: no fluid.NewModel( in non-test Go outside
+# internal/fluid and internal/scenario/fluid.go (scenario.Fluid compiles
+# the model from a Spec), so no network is described a second time by hand.
 guard:
 	@if git grep -n 'RunUntil(' -- '*.go' ':!*_test.go' ':!internal/sim/' ':!internal/scenario/' ':!bench/'; then \
 		echo "raw Sim.RunUntil above the scenario layer: build a scenario.Net and call its Run"; exit 1; \
@@ -140,6 +143,9 @@ guard:
 	if [ "$$(printf '%s' "$$sites" | grep -c .)" -ne 1 ]; then \
 		printf '%s\n' "$$sites"; \
 		echo "one pipe per delay: internal/scenario builds pipes at one site, Net.pipe"; exit 1; \
+	fi
+	@if git grep -n 'fluid\.NewModel(' -- '*.go' ':!*_test.go' ':!internal/fluid/' ':!internal/scenario/fluid.go'; then \
+		echo "one fluid compiler: build the fluid model with scenario.Fluid from a Spec"; exit 1; \
 	fi
 	@for target in windows/amd64 darwin/arm64 linux/arm64; do \
 		GOOS=$${target%/*} GOARCH=$${target#*/} $(GO) build . ./cmd/... ./internal/... || \

@@ -22,7 +22,6 @@ func conformMain(ctx context.Context, args []string) {
 		n        = fs.Int("n", 200, "fuzzer scenarios to generate and run")
 		seed     = fs.Int64("seed", 1, "fuzzer campaign seed")
 		duration = fs.Float64("duration", 30, "conformance measurement window per run, seconds")
-		seeds    = fs.Int("seeds", 3, "conformance packet runs averaged per case")
 		jobs     = fs.Int("j", 0, "parallel simulation workers (0 = all CPUs)")
 		smoke    = fs.Bool("smoke", false, "CI scale: 40 fuzz scenarios, 20 s conformance windows")
 		jsonOut  = fs.Bool("json", false, "emit the reports as one JSON object")
@@ -30,7 +29,7 @@ func conformMain(ctx context.Context, args []string) {
 		replay   = fs.Int("replay", -1, "re-run one fuzz scenario by index (with -seed) and print its report")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: mptcpsim conform [-n N] [-seed S] [-duration sec] [-seeds K] [-j W] [-smoke] [-fuzz-only] [-replay I] [-json]")
+		fmt.Fprintln(os.Stderr, "usage: mptcpsim conform [-n N] [-seed S] [-duration sec] [-j W] [-smoke] [-fuzz-only] [-replay I] [-json]")
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)
@@ -52,9 +51,7 @@ func conformMain(ctx context.Context, args []string) {
 	}
 	var conf *mptcpsim.ConformanceReport
 	if !*fuzzOnly {
-		conf, err = lab.Conform(ctx, mptcpsim.ConformanceOptions{
-			DurationSec: *duration, Seeds: *seeds,
-		})
+		conf, err = lab.Conform(ctx, mptcpsim.ConformanceOptions{DurationSec: *duration})
 	}
 	meter.clear()
 	if err != nil {

@@ -1,12 +1,13 @@
 // Differential conformance: the packet-level simulator against the paper's
-// analytic machinery. Each case builds one topology twice — as a scenario
-// Spec run packet by packet, and as a fluid.Network solved to equilibrium —
-// and compares the multipath user's steady-state per-path goodput shares.
-// A scenario-A case additionally checks the measured allocation against the
-// Appendix-A fixed point. Agreement within ShareTolerance on topologies the
-// hardcoded harness never exercised (3 and 4 paths, heterogeneous
-// capacities and competition) is the cross-model evidence that the
-// simulator, the fluid model and the fixed points describe the same system.
+// analytic machinery. Each case is one scenario Spec, run packet by packet
+// and compiled by Fluid to the §V fluid model solved to equilibrium, and
+// the two are compared on the multipath user's steady-state per-path
+// goodput shares. A scenario-A case additionally checks the measured
+// allocation against the Appendix-A fixed point. Agreement within
+// ShareTolerance on topologies the hardcoded harness never exercised (3
+// and 4 paths, heterogeneous capacities and competition) is the
+// cross-model evidence that the simulator, the fluid model and the fixed
+// points describe the same system.
 package scenario
 
 import (
@@ -15,7 +16,6 @@ import (
 	"math"
 
 	"mptcpsim/internal/fixedpoint"
-	"mptcpsim/internal/fluid"
 	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/runner"
@@ -33,22 +33,6 @@ const ShareTolerance = 0.10
 // NormTolerance bounds the scenario-A fixed-point check: measured
 // normalized throughputs against the Appendix-A LIA fixed point.
 const NormTolerance = 0.15
-
-// fluidRTT is the effective round-trip time used for every fluid route:
-// the 80 ms propagation RTT plus RED queueing delay, which the paper
-// measures at ≈150 ms total (§III). RED thresholds scale with link rate,
-// so the queueing delay — packets × serialization time — is the same on
-// every path regardless of capacity.
-const fluidRTT = 0.15
-
-// fluid loss-curve shape: P0 is the drop probability at exactly full load
-// and Sharpness how fast it rises beyond — the "sharp around capacity"
-// regime of the paper's Remark 1, mirroring RED pushed past its
-// thresholds.
-const (
-	fluidP0        = 0.02
-	fluidSharpness = 12
-)
 
 // ConformanceCase is one topology × algorithm comparison: a multipath flow
 // over CapsMbps[i]-capacity RED paths, each shared with Background[i]
@@ -167,21 +151,18 @@ type ConformanceOptions struct {
 	// DurationSec is the measured window per packet run (0 selects 30; the
 	// CI smoke setting uses 20).
 	DurationSec float64
-	// Seeds is the number of packet runs averaged per case (0 selects 3).
-	// Coupled controllers wander between near-equivalent splits on packet
-	// timescales; seed averaging estimates the steady-state mean the fluid
-	// equilibrium describes.
-	Seeds int
 }
 
-// Validate rejects a negative or non-finite window and a negative seed
-// count.
+// conformanceSeeds is the number of packet runs averaged per case.
+// Coupled controllers wander between near-equivalent splits on packet
+// timescales; seed averaging estimates the steady-state mean the fluid
+// equilibrium describes.
+const conformanceSeeds = 3
+
+// Validate rejects a negative or non-finite window.
 func (o ConformanceOptions) Validate() error {
 	if !(o.DurationSec >= 0 && o.DurationSec < math.Inf(1)) {
 		return fmt.Errorf("scenario: conformance window %g s not a non-negative finite number", o.DurationSec)
-	}
-	if o.Seeds < 0 {
-		return fmt.Errorf("scenario: negative conformance seed count %d", o.Seeds)
 	}
 	return nil
 }
@@ -189,9 +170,6 @@ func (o ConformanceOptions) Validate() error {
 func (o ConformanceOptions) fill() ConformanceOptions {
 	if o.DurationSec == 0 {
 		o.DurationSec = 30
-	}
-	if o.Seeds == 0 {
-		o.Seeds = 3
 	}
 	return o
 }
@@ -227,49 +205,21 @@ func caseSpec(c ConformanceCase, durationSec float64, seed int64) *Spec {
 	return sp
 }
 
-// caseFluid builds the same topology as a fluid model: capacities in
-// packets per second, one user per flow, every route at the effective RTT.
-func caseFluid(c ConformanceCase) (*fluid.Model, error) {
-	algo, err := fluid.ParseAlgo(c.Algo)
-	if err != nil {
-		return nil, err
-	}
-	net := &fluid.Network{}
-	mp := fluid.User{}
-	for i, cap := range c.CapsMbps {
-		net.Links = append(net.Links, fluid.Link{
-			Capacity:  cap * 1e6 / (8 * netem.MSS),
-			P0:        fluidP0,
-			Sharpness: fluidSharpness,
-		})
-		mp.Routes = append(mp.Routes, fluid.Route{Links: []int{i}, RTT: fluidRTT})
-	}
-	net.Users = append(net.Users, mp)
-	for i, nBG := range c.Background {
-		for j := 0; j < nBG; j++ {
-			net.Users = append(net.Users, fluid.User{
-				Routes: []fluid.Route{{Links: []int{i}, RTT: fluidRTT}},
-			})
-		}
-	}
-	return fluid.NewModel(net, algo), nil
-}
-
 // runCase executes one comparison: seed-averaged packet runs against the
 // fluid equilibrium.
 func runCase(ctx context.Context, c ConformanceCase, opts ConformanceOptions) (ConformanceResult, error) {
 	res := ConformanceResult{Case: c}
 	perPath := make([]float64, len(c.CapsMbps))
-	for seed := int64(1); seed <= int64(opts.Seeds); seed++ {
+	for seed := int64(1); seed <= conformanceSeeds; seed++ {
 		rep, err := Run(ctx, caseSpec(c, opts.DurationSec, seed))
 		if err != nil {
 			return res, err
 		}
 		res.Violations = append(res.Violations, rep.Violations...)
 		mp := rep.Flows[0]
-		res.SimTotalMbps += mp.GoodputMbps / float64(opts.Seeds)
+		res.SimTotalMbps += mp.GoodputMbps / conformanceSeeds
 		for i, v := range mp.PathMbps {
-			perPath[i] += v / float64(opts.Seeds)
+			perPath[i] += v / conformanceSeeds
 		}
 	}
 	for _, v := range perPath {
@@ -280,7 +230,7 @@ func runCase(ctx context.Context, c ConformanceCase, opts ConformanceOptions) (C
 		res.SimShares = append(res.SimShares, share)
 	}
 
-	model, err := caseFluid(c)
+	model, err := Fluid(caseSpec(c, opts.DurationSec, 1))
 	if err != nil {
 		return res, err
 	}

@@ -49,12 +49,12 @@ func TestConformanceSuite(t *testing.T) {
 }
 
 // TestConformanceSharesWellFormed checks structural sanity cheaply (short
-// windows, one seed): shares are distributions and totals positive.
+// windows): shares are distributions and totals positive.
 func TestConformanceSharesWellFormed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("conformance simulations skipped in -short")
 	}
-	res, err := runCase(context.Background(), ConformanceCases()[0], ConformanceOptions{DurationSec: 4, Seeds: 1}.fill())
+	res, err := runCase(context.Background(), ConformanceCases()[0], ConformanceOptions{DurationSec: 4}.fill())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,18 +72,5 @@ func TestConformanceSharesWellFormed(t *testing.T) {
 	}
 	if res.SimTotalMbps <= 0 || res.ModelTotalMbps <= 0 {
 		t.Fatalf("non-positive totals: %+v", res)
-	}
-}
-
-// TestParseAlgoRejectsUnknown pins the fluid-dynamics name mapping used by
-// the oracle.
-func TestParseAlgoRejectsUnknown(t *testing.T) {
-	for _, name := range []string{"olia", "lia", "uncoupled"} {
-		if _, err := caseFluid(ConformanceCase{Algo: name, CapsMbps: []float64{1}, Background: []int{1}}); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
-	if _, err := caseFluid(ConformanceCase{Algo: "fullycoupled", CapsMbps: []float64{1}, Background: []int{1}}); err == nil {
-		t.Fatal("fullycoupled has no fluid dynamics and must be rejected")
 	}
 }

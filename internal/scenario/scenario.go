@@ -7,9 +7,10 @@
 // times, workload size). Compile turns one into a Net: the paper's testbed
 // topologies are Spec builders (paper.go) that the figure experiments
 // compile, the fuzzer (fuzz.go) generates topologies far outside the ~15
-// hardcoded paper figures, and the conformance oracle (conformance.go)
-// cross-checks packet-level steady states against the fluid-model and
-// fixed-point analyses.
+// hardcoded paper figures, Fluid (fluid.go) compiles the same Spec to the
+// paper's §V fluid model, and the conformance oracle (conformance.go)
+// cross-checks packet-level steady states against that model's equilibria
+// and the fixed-point analyses.
 //
 // Net (compile.go) is the one way a flow is wired and the one way a
 // network is run. Compile is written in its construction methods — NewNet,

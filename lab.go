@@ -315,9 +315,9 @@ func (l *Lab) Campaign(ctx context.Context, spec CampaignSpec) (*CampaignResult,
 // multipath flows must match the fluid equilibrium within the documented
 // tolerance, and a scenario-A run must match the Appendix-A LIA fixed
 // point. Cases run on the Lab's worker budget. A negative or non-finite
-// opts.DurationSec, a negative opts.Seeds or a negative worker budget is
-// ErrInvalidConfig. Cancelling ctx stops the suite at the next case
-// boundary with an ErrCanceled error.
+// opts.DurationSec or a negative worker budget is ErrInvalidConfig.
+// Cancelling ctx stops the suite at the next case boundary with an
+// ErrCanceled error.
 func (l *Lab) Conform(ctx context.Context, opts ConformanceOptions) (*ConformanceReport, error) {
 	const op = "conform"
 	if err := opts.Validate(); err != nil {

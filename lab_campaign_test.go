@@ -141,7 +141,7 @@ func TestProgressContract(t *testing.T) {
 			return 12, err
 		}},
 		{"conform", func(lab *Lab) (int, error) {
-			rep, err := lab.Conform(context.Background(), ConformanceOptions{DurationSec: 2, Seeds: 1})
+			rep, err := lab.Conform(context.Background(), ConformanceOptions{DurationSec: 2})
 			if err != nil {
 				return 0, err
 			}

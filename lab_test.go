@@ -163,15 +163,15 @@ func TestLabPreCancelled(t *testing.T) {
 	if _, err := lab.Fuzz(ctx, FuzzOptions{N: 3}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("Fuzz: %v", err)
 	}
-	if _, err := lab.Conform(ctx, ConformanceOptions{DurationSec: 1, Seeds: 1}); !errors.Is(err, ErrCanceled) {
+	if _, err := lab.Conform(ctx, ConformanceOptions{DurationSec: 1}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("Conform: %v", err)
 	}
 }
 
 // TestFanOutRejectsInvalidSizes: a negative worker budget, fuzz campaign
-// size, conformance window or seed count is ErrInvalidConfig before
-// anything runs, never a silent default. The context is already cancelled,
-// so a call that ran instead would fail with ErrCanceled.
+// size or conformance window is ErrInvalidConfig before anything runs,
+// never a silent default. The context is already cancelled, so a call that
+// ran instead would fail with ErrCanceled.
 func TestFanOutRejectsInvalidSizes(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -183,11 +183,10 @@ func TestFanOutRejectsInvalidSizes(t *testing.T) {
 	}{
 		{"campaign workers", errOf(bad.Campaign(ctx, tinyCampaign()))},
 		{"fuzz workers", errOf(bad.Fuzz(ctx, FuzzOptions{N: 3}))},
-		{"conform workers", errOf(bad.Conform(ctx, ConformanceOptions{DurationSec: 1, Seeds: 1}))},
+		{"conform workers", errOf(bad.Conform(ctx, ConformanceOptions{DurationSec: 1}))},
 		{"fuzz N", errOf(ok.Fuzz(ctx, FuzzOptions{N: -1}))},
 		{"conform duration", errOf(ok.Conform(ctx, ConformanceOptions{DurationSec: -1}))},
 		{"conform NaN duration", errOf(ok.Conform(ctx, ConformanceOptions{DurationSec: math.NaN()}))},
-		{"conform seeds", errOf(ok.Conform(ctx, ConformanceOptions{Seeds: -1}))},
 	} {
 		if !errors.Is(tc.err, ErrInvalidConfig) {
 			t.Errorf("%s: %v, want ErrInvalidConfig", tc.name, tc.err)
