@@ -24,8 +24,10 @@ race:
 
 # The allocation locks, run without -race: the race detector drops
 # sync.Pool puts at random, so TestWarmHitAllocs and TestColdRunAllocs are
-# built only without it. TestPacketLayout locks the packet's size and field
-# order; TestDigestAllocs what a run's fingerprint costs.
+# built only without it. TestPacketLayout locks the bytes of a packet, a
+# SACK report and both slabs, the size classes the slabs are served from,
+# and the packet's field order; TestColdRunAllocs a cold scenario's objects
+# and bytes; TestDigestAllocs what a run's fingerprint costs.
 allocs:
 	$(GO) test -count=1 -run '^(TestTransitZeroAlloc|TestPacketLayout|TestControllersZeroAlloc|TestLossPathZeroAlloc|TestStreamZeroAlloc|TestWarmHitAllocs|TestColdRunAllocs|TestDigestAllocs)$$' \
 		./internal/netem ./internal/core ./internal/tcp ./internal/mptcp ./internal/campaign ./internal/scenario

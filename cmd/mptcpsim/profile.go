@@ -24,9 +24,10 @@ const profileRuns = 5
 // profileMain implements `mptcpsim profile`: compile and run one scenario
 // Spec profileRuns times after a warm-up run, and print per run its wall
 // time, kernel events, event rate, the most events pending at once
-// (heap_max), the packets its pool carved slabs for (pkts_max: the most
-// packets alive at once, per kind rounded up to a slab), allocations and
-// allocated bytes;
+// (heap_max), the data segments and ACKs its pool carved slabs for
+// (data_max and acks_max: the most of each kind alive at once, rounded up
+// to a slab; an ACK costs about twice a data segment's bytes, for its SACK
+// report), allocations and allocated bytes;
 // optionally under the CPU profiler and with every allocation recorded:
 //
 //	mptcpsim profile -spec s.json -cpuprofile cpu.out -memprofile mem.out
@@ -107,7 +108,7 @@ func profile(ctx context.Context, sp *scenario.Spec, cpu, mem *os.File, w io.Wri
 			}()
 		}
 	}
-	if _, _, _, err := runSpec(ctx, sp); err != nil {
+	if _, _, _, _, err := runSpec(ctx, sp); err != nil {
 		return err
 	}
 	if mem != nil {
@@ -119,20 +120,20 @@ func profile(ctx context.Context, sp *scenario.Spec, cpu, mem *os.File, w io.Wri
 			return err
 		}
 	}
-	fmt.Fprintf(w, "%4s %10s %10s %12s %8s %8s %9s %11s\n", "run", "wall_ms", "events", "events_per_s", "heap_max", "pkts_max", "allocs", "bytes")
+	fmt.Fprintf(w, "%4s %10s %10s %12s %8s %8s %8s %9s %11s\n", "run", "wall_ms", "events", "events_per_s", "heap_max", "data_max", "acks_max", "allocs", "bytes")
 	var before, after runtime.MemStats
 	for i := 1; i <= profileRuns; i++ {
 		runtime.ReadMemStats(&before)
 		t0 := time.Now()
-		events, heapMax, pktsMax, err := runSpec(ctx, sp)
+		events, heapMax, dataMax, acksMax, err := runSpec(ctx, sp)
 		wall := time.Since(t0)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			pprof.StopCPUProfile()
 			return err
 		}
-		fmt.Fprintf(w, "%4d %10.2f %10d %12.0f %8d %8d %9d %11d\n", i, wall.Seconds()*1e3, events,
-			float64(events)/wall.Seconds(), heapMax, pktsMax, after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc)
+		fmt.Fprintf(w, "%4d %10.2f %10d %12.0f %8d %8d %8d %9d %11d\n", i, wall.Seconds()*1e3, events,
+			float64(events)/wall.Seconds(), heapMax, dataMax, acksMax, after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc)
 	}
 	if cpu != nil {
 		pprof.StopCPUProfile()
@@ -152,19 +153,20 @@ func profile(ctx context.Context, sp *scenario.Spec, cpu, mem *os.File, w io.Wri
 }
 
 // runSpec compiles and runs sp and reports the kernel events it processed,
-// the most it held pending at once and the packets its pool carved slabs
-// for. An invariant violation is a failed run.
-func runSpec(ctx context.Context, sp *scenario.Spec) (events uint64, heapMax, pktsMax int, err error) {
+// the most it held pending at once and the data segments and ACKs its pool
+// carved slabs for. An invariant violation is a failed run.
+func runSpec(ctx context.Context, sp *scenario.Spec) (events uint64, heapMax, dataMax, acksMax int, err error) {
 	n, err := scenario.Compile(sp)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, 0, 0, err
 	}
 	rep, err := n.Run(ctx)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, 0, 0, err
 	}
 	if len(rep.Violations) != 0 {
-		return 0, 0, 0, fmt.Errorf("profile: invariant violations: %v", rep.Violations)
+		return 0, 0, 0, 0, fmt.Errorf("profile: invariant violations: %v", rep.Violations)
 	}
-	return rep.Processed, n.Sim.PendingHighWater(), netem.PoolFor(n.Sim).Carved(), nil
+	dataMax, acksMax = netem.PoolFor(n.Sim).Carved()
+	return rep.Processed, n.Sim.PendingHighWater(), dataMax, acksMax, nil
 }

@@ -8,6 +8,7 @@ package campaign
 
 import (
 	"context"
+	"runtime"
 	"testing"
 )
 
@@ -53,9 +54,16 @@ func TestWarmHitAllocs(t *testing.T) {
 // its share of the campaign's fixed cost. It is the measured 139.1 plus 3 %.
 const maxColdAllocs = 143.3
 
+// maxColdBytes is the heap bytes those allocations may add up to, per
+// scenario: the measured 36 711 plus 3 % (43 348 with 88-byte packets and
+// 64-bit SACK edges). Packet slabs are a large share of it, so a packet or
+// SACK report that grows, or a slab pushed into a larger size class,
+// fails here.
+const maxColdBytes = 37812.0
+
 // TestColdRunAllocs locks the allocations of an uncached campaign: every
 // scenario of Default() (N = 200) is simulated, and the run allocates at
-// most maxColdAllocs per scenario.
+// most maxColdAllocs objects and maxColdBytes bytes per scenario.
 func TestColdRunAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates scenarios; skipped in -short")
@@ -64,10 +72,13 @@ func TestColdRunAllocs(t *testing.T) {
 	opts := Options{Workers: 2, Version: "test"}
 	var res *Result
 	var err error
+	var before, after runtime.MemStats
 	allocs := testing.AllocsPerRun(1, func() {
+		runtime.ReadMemStats(&before)
 		if res, err = Run(context.Background(), sp, opts); err != nil {
 			t.Fatal(err)
 		}
+		runtime.ReadMemStats(&after)
 	})
 	if res.Simulated != sp.N {
 		t.Fatalf("cold run simulated %d of %d scenarios", res.Simulated, sp.N)
@@ -76,5 +87,11 @@ func TestColdRunAllocs(t *testing.T) {
 		t.Errorf("%.0f allocations over %d scenarios, %.2f per scenario, want at most %.1f", allocs, sp.N, perRun, maxColdAllocs)
 	} else {
 		t.Logf("%.0f allocations over %d scenarios, %.2f per scenario", allocs, sp.N, perRun)
+	}
+	// The last call of the closure is the measured run.
+	if perRun := float64(after.TotalAlloc-before.TotalAlloc) / float64(sp.N); perRun > maxColdBytes {
+		t.Errorf("%.0f bytes per scenario, want at most %.0f", perRun, maxColdBytes)
+	} else {
+		t.Logf("%.0f bytes per scenario", perRun)
 	}
 }

@@ -157,7 +157,7 @@ func TestPacketOnOneListAtATime(t *testing.T) {
 		},
 		"double push": func(s *sim.Sim, pl *PacketPool) {
 			var l pktList
-			p := pl.NewAck(4242, 0, 0, nil)
+			p := pl.NewAck(4242, 0, nil)
 			l.push(p)
 			l.pushFront(p)
 		},

@@ -382,12 +382,12 @@ func TestLinkRecvActsAsNode(t *testing.T) {
 }
 
 func TestAckPacketFields(t *testing.T) {
-	p := AckPacket(4500, 7*sim.Millisecond, 9*sim.Millisecond, nil)
+	p := AckPacket(4500, 7*sim.Millisecond, nil)
 	if !p.Ack || p.Seq != 4500 || p.Size != AckSize {
 		t.Fatalf("ack fields: %+v", p)
 	}
-	if p.EchoTS != 7*sim.Millisecond || p.SentAt != 9*sim.Millisecond {
-		t.Fatalf("timestamps: %+v", p)
+	if p.SentAt != 7*sim.Millisecond {
+		t.Fatalf("echoed timestamp: %+v", p)
 	}
 }
 

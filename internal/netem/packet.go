@@ -64,8 +64,9 @@ func (r *Route) Len() int {
 // A packet that waits — in a pipe, in a queue's backlog, or on its pool's
 // free list — is linked there through its own next field (pktList), so no
 // waiting place keeps an array of pointers, and it is on one such list at a
-// time. A Packet is 88 bytes on 64-bit platforms (TestPacketLayout): the
-// fields every forwarding hop touches come first, and padding takes 1 byte.
+// time. A Packet is 72 bytes on 64-bit platforms (TestPacketLayout): the
+// fields every forwarding hop touches come first, Size and the flags share
+// one 8-byte word, and nothing is padding.
 type Packet struct {
 	route *Route
 	// next links the packet into the list it waits on; nil otherwise.
@@ -74,52 +75,83 @@ type Packet struct {
 	// crossing reserved at admission; stale once it has left the pipe.
 	dueAt  sim.Time
 	dueSeq uint64
-	// Size is the wire size in bytes, including an idealized header.
-	Size int
+	// Size is the wire size in bytes, including an idealized header: at
+	// most MSS, and NewData and DataPacket refuse more than 65 535.
+	Size uint16
 	hop  uint16
 	// Ack marks pure acknowledgments. A pooled packet is made as one kind
 	// or the other and Free files it by this field: do not flip it.
 	Ack bool
 	// Retx marks retransmitted data (Karn's rule: no RTT sample from these).
 	Retx   bool
-	nsack  uint8 // blocks of *sack in the report (Sack, SetSack)
 	freed  bool
 	listed bool // on a pktList: in a pipe, a queue or a free list
 
 	// Seq is the sequence number of the first payload byte (data packets),
 	// or the cumulative ACK point — the next byte expected — for ACKs.
 	Seq int64
-	// SentAt is the source timestamp; ACKs echo it back in EchoTS.
+	// SentAt is a data segment's send time. An ACK carries the timestamp
+	// of the data segment it answers here, echoed back to the source: an
+	// ACK's own send time is never read, so a packet has one timestamp.
 	SentAt sim.Time
-	// EchoTS is the echoed data-packet timestamp on an ACK.
-	EchoTS sim.Time
-	// sack is an ACK's SACK storage for life; nil on data segments.
-	sack *[MaxSackBlocks]Block
+	// sack is an ACK's SACK report for life; nil on data segments.
+	sack *sackReport
 	pool *PacketPool // nil for heap-allocated packets
 }
 
-// Sack returns the selective-acknowledgment blocks an ACK carries: ranges
-// above the cumulative ACK point that the receiver holds buffered, sorted
-// ascending and disjoint. The slice aliases the packet's storage and is
-// valid until the packet is freed.
+// sackReport is an ACK's SACK storage: n blocks, each held as its two
+// edges' offsets above the ACK's cumulative point Seq. As RFC 2018 carries
+// 32-bit sequence numbers, an edge lies in (Seq, Seq + 2³²); every report a
+// run builds does, since a receiver buffers only above its cumulative ACK
+// and no window exceeds 2³⁰ bytes. It is 68 bytes, 4 of them n and padding.
+type sackReport struct {
+	n uint8
+	b [MaxSackBlocks][2]uint32
+}
+
+// SackLen reports how many selective-acknowledgment blocks the packet
+// carries: 0 on a data segment.
 //
 //simlint:hot
-func (p *Packet) Sack() []Block {
-	if p.nsack == 0 {
-		return nil
+func (p *Packet) SackLen() int {
+	if p.sack == nil {
+		return 0
 	}
-	return p.sack[:p.nsack]
+	return int(p.sack.n)
+}
+
+// SackBlock returns an ACK's i-th SACK block, for i below SackLen: a range
+// above the cumulative ACK point that the receiver holds buffered. The
+// blocks ascend and are disjoint.
+//
+//simlint:hot
+func (p *Packet) SackBlock(i int) Block {
+	e := p.sack.b[:p.sack.n][i]
+	return Block{Start: p.Seq + int64(e[0]), End: p.Seq + int64(e[1])}
 }
 
 // SetSack copies bs, at most MaxSackBlocks blocks, into the ACK's report.
-// Setting a report on a data segment panics: it has no storage for one.
+// The blocks must be non-empty, ascend without overlapping and lie in
+// (Seq, Seq + 2³²), the range a report's 32-bit edges cover; a block that
+// does not, and a report set on a data segment (which has no storage for
+// one), panic naming the ACK's seq.
 //
 //simlint:hot
 func (p *Packet) SetSack(bs []Block) {
 	if p.sack == nil || len(bs) > MaxSackBlocks {
 		panic(fmt.Sprintf("netem: SACK report of %d blocks on packet (seq %d, ack %v)", len(bs), p.Seq, p.Ack))
 	}
-	p.nsack = uint8(copy(p.sack[:], bs))
+	lo := p.Seq
+	for i, b := range bs {
+		// b.End > p.Seq once the first three tests pass, so the
+		// difference is exact in uint64.
+		if b.Start <= p.Seq || b.Start < lo || b.End <= b.Start || uint64(b.End-p.Seq) > math.MaxUint32 {
+			panic(fmt.Sprintf("netem: SACK block %d [%d, %d) on ACK (seq %d) is empty, out of order or outside (seq, seq + 2^32)", i, b.Start, b.End, p.Seq))
+		}
+		p.sack.b[i] = [2]uint32{uint32(b.Start - p.Seq), uint32(b.End - p.Seq)}
+		lo = b.End
+	}
+	p.sack.n = uint8(len(bs))
 }
 
 // Block is a half-open byte range [Start, End): a SACK report's unit, and
@@ -250,15 +282,16 @@ func (p *Packet) Free() {
 // pool is single-threaded, like the Sim that owns it.
 type PacketPool struct {
 	data, acks freeList
-	carved     int // packets in the slabs allocated so far, both kinds
 	debug      bool
 }
 
-// freeList holds the recycled packets of one kind and the not yet issued
-// remainder of the newest slab they are carved from.
+// freeList holds the recycled packets of one kind, the not yet issued
+// remainder of the newest slab they are carved from, and how many packets
+// its slabs hold in all.
 type freeList struct {
-	free pktList
-	slab []Packet
+	free   pktList
+	slab   []Packet
+	carved int
 }
 
 // slabPackets is how many packets one pool miss allocates together. Short
@@ -295,10 +328,12 @@ func (pl *PacketPool) SetDebug(on bool) { pl.debug = on }
 // (diagnostics and tests).
 func (pl *PacketPool) FreeCount() int { return pl.data.free.n + pl.acks.free.n }
 
-// Carved reports how many packets of both kinds the pool has carved slabs
-// for: the run's high-water mark of packets alive at once, per kind rounded
-// up to a slab, and all the per-packet memory the run holds.
-func (pl *PacketPool) Carved() int { return pl.carved }
+// Carved reports how many data segments and how many ACKs the pool has
+// carved slabs for: the run's high-water mark of packets alive at once, per
+// kind rounded up to a slab, and all the per-packet memory the run holds.
+// The kinds are apart because an ACK costs more: its SACK report rides in
+// its slab beside it.
+func (pl *PacketPool) Carved() (data, acks int) { return pl.data.carved, pl.acks.carved }
 
 // get pops a recycled packet of the wanted kind, or carves one from the
 // kind's slab. What comes back still holds its previous life's fields,
@@ -324,10 +359,15 @@ func (pl *PacketPool) get(ack bool) *Packet {
 	return p
 }
 
-// ackSlab is a slab of ACKs with the SACK storage they keep for life.
+// dataSlab is a slab of data segments: 1 152 bytes, in the allocator's
+// 1 280-byte size class once its 8-byte header is added.
+type dataSlab [slabPackets]Packet
+
+// ackSlab is a slab of ACKs with the SACK reports they keep for life:
+// 2 240 bytes, in the 2 304-byte size class with its header.
 type ackSlab struct {
 	pkts [slabPackets]Packet
-	sack [slabPackets][MaxSackBlocks]Block
+	sack [slabPackets]sackReport
 }
 
 // refill allocates l's next slab.
@@ -342,54 +382,62 @@ func (pl *PacketPool) refill(l *freeList, ack bool) {
 		l.slab = s.pkts[:]
 	} else {
 		//simlint:ignore hotpathalloc amortised growth: one slab per slabPackets misses, and none once the pool holds the run's high-water mark of packets in flight
-		l.slab = new([slabPackets]Packet)[:]
+		l.slab = new(dataSlab)[:]
 	}
 	for i := range l.slab {
 		l.slab[i].pool = pl
 	}
-	pl.carved += slabPackets
+	l.carved += slabPackets
 }
 
 // NewData builds a pool-managed data segment of size bytes, ready for
-// transmission over route. Its first argument is ignored: a packet carries
-// no flow ID. The benchmark's transit rig (bench/rigs.go) still passes one.
+// transmission over route; a size above 65 535 panics. Its first argument
+// is ignored: a packet carries no flow ID. The benchmark's transit rig
+// (bench/rigs.go) still passes one.
 func (pl *PacketPool) NewData(_ int, seq int64, size int, now sim.Time, route *Route) *Packet {
 	p := pl.get(false)
 	p.Seq = seq
-	p.Size = size
+	p.Size = segSize(seq, size)
 	p.Retx = false
 	p.SentAt = now
-	p.EchoTS = 0
 	p.SetRoute(route)
 	return p
 }
 
 // NewAck builds a pool-managed pure ACK carrying cumulative ack point
-// ackSeq and echoing the data packet's timestamp. Its SACK report is empty,
-// with room for MaxSackBlocks.
-func (pl *PacketPool) NewAck(ackSeq int64, echo sim.Time, now sim.Time, route *Route) *Packet {
+// ackSeq and echoing, in SentAt, the timestamp of the data segment it
+// answers. Its SACK report is empty, with room for MaxSackBlocks.
+func (pl *PacketPool) NewAck(ackSeq int64, echo sim.Time, route *Route) *Packet {
 	p := pl.get(true)
 	p.Seq = ackSeq
 	p.Size = AckSize
 	p.Retx = false
-	p.SentAt = now
-	p.EchoTS = echo
-	p.nsack = 0
+	p.SentAt = echo
+	p.sack.n = 0
 	p.SetRoute(route)
 	return p
 }
 
-// DataPacket builds a data segment of size bytes.
+// segSize is size as a Packet's Size; above 65 535 it panics.
+func segSize(seq int64, size int) uint16 {
+	if uint(size) > math.MaxUint16 {
+		panic(fmt.Sprintf("netem: data segment (seq %d) of %d bytes, more than %d", seq, size, math.MaxUint16))
+	}
+	return uint16(size)
+}
+
+// DataPacket builds a data segment of size bytes; above 65 535 it panics.
 func DataPacket(seq int64, size int, now sim.Time, route *Route) *Packet {
-	p := &Packet{Seq: seq, Size: size, SentAt: now}
+	p := &Packet{Seq: seq, Size: segSize(seq, size), SentAt: now}
 	p.SetRoute(route)
 	return p
 }
 
 // AckPacket builds a pure ACK carrying cumulative ack point ackSeq and
-// echoing the data packet's timestamp, with room for a SACK report.
-func AckPacket(ackSeq int64, echo sim.Time, now sim.Time, route *Route) *Packet {
-	p := &Packet{Seq: ackSeq, Size: AckSize, Ack: true, SentAt: now, EchoTS: echo, sack: new([MaxSackBlocks]Block)}
+// echoing, in SentAt, the data segment's timestamp, with room for a SACK
+// report.
+func AckPacket(ackSeq int64, echo sim.Time, route *Route) *Packet {
+	p := &Packet{Seq: ackSeq, Size: AckSize, Ack: true, SentAt: echo, sack: new(sackReport)}
 	p.SetRoute(route)
 	return p
 }

@@ -1,7 +1,10 @@
 package netem
 
 import (
+	"math"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -42,25 +45,23 @@ func TestPacketPoolRecycles(t *testing.T) {
 		t.Fatalf("data fields: %+v", d)
 	}
 	d.Retx = true
-	d.EchoTS = 7 * sim.Millisecond
 	d.SendOn() // the collector frees it; the hop cursor has moved
 	if pl.FreeCount() != 1 {
 		t.Fatalf("free count %d, want 1", pl.FreeCount())
 	}
 
-	a := pl.NewAck(6000, sim.Millisecond, 2*sim.Millisecond, r)
+	a := pl.NewAck(6000, sim.Millisecond, r)
 	if a == d {
 		t.Fatal("a freed data segment was recycled as an ACK")
 	}
 	if pl.FreeCount() != 1 {
 		t.Fatalf("NewAck took from the data free list: free count %d, want 1", pl.FreeCount())
 	}
-	if !a.Ack || a.Retx || a.Seq != 6000 || a.Size != AckSize ||
-		a.EchoTS != sim.Millisecond || a.SentAt != 2*sim.Millisecond {
+	if !a.Ack || a.Retx || a.Seq != 6000 || a.Size != AckSize || a.SentAt != sim.Millisecond {
 		t.Fatalf("ack fields: %+v", a)
 	}
-	if len(a.Sack()) != 0 || a.sack == nil {
-		t.Fatalf("fresh ACK has SACK report %v and storage %p, want empty and non-nil", a.Sack(), a.sack)
+	if a.SackLen() != 0 || a.sack == nil {
+		t.Fatalf("fresh ACK has SACK report %v and storage %p, want empty and non-nil", sackOf(a), a.sack)
 	}
 	if d.sack != nil {
 		t.Fatal("a data segment owns SACK storage")
@@ -77,12 +78,12 @@ func TestPacketPoolRecycles(t *testing.T) {
 	if want := (Packet{Seq: 4500, Size: 700, SentAt: 9 * sim.Millisecond, pool: pl}); !reflect.DeepEqual(*d2, want) {
 		t.Fatalf("recycled data segment not reset:\n got %+v\nwant %+v", *d2, want)
 	}
-	a2 := pl.NewAck(12000, 3*sim.Millisecond, 4*sim.Millisecond, nil)
+	a2 := pl.NewAck(12000, 3*sim.Millisecond, nil)
 	if a2 != a {
 		t.Fatal("pool did not recycle the freed ACK")
 	}
-	want := Packet{Seq: 12000, Size: AckSize, Ack: true, SentAt: 4 * sim.Millisecond, EchoTS: 3 * sim.Millisecond, sack: storage, pool: pl}
-	if !reflect.DeepEqual(*a2, want) || a2.Sack() != nil {
+	want := Packet{Seq: 12000, Size: AckSize, Ack: true, SentAt: 3 * sim.Millisecond, sack: storage, pool: pl}
+	if !reflect.DeepEqual(*a2, want) || a2.SackLen() != 0 {
 		t.Fatalf("recycled ACK not reset:\n got %+v\nwant %+v", *a2, want)
 	}
 	if pl.FreeCount() != 0 {
@@ -95,48 +96,60 @@ func TestPacketPoolRecycles(t *testing.T) {
 func TestPacketPoolSlabs(t *testing.T) {
 	pl := PoolFor(sim.New(1))
 	pl.NewData(0, 0, MSS, 0, nil)
-	pl.NewAck(0, 0, 0, nil)
+	pl.NewAck(0, 0, nil)
 	if allocs := testing.AllocsPerRun(slabPackets-2, func() {
 		pl.NewData(0, 0, MSS, 0, nil)
-		pl.NewAck(0, 0, 0, nil)
+		pl.NewAck(0, 0, nil)
 	}); allocs != 0 {
 		t.Fatalf("%.1f allocs per packet pair inside a slab, want 0", allocs)
 	}
 }
 
 // TestPacketPoolCarved: Carved counts the packets of the slabs a pool has
-// allocated, of both kinds, and recycling carves nothing.
+// allocated, per kind, and recycling carves nothing.
 func TestPacketPoolCarved(t *testing.T) {
 	pl := PoolFor(sim.New(1))
-	if pl.Carved() != 0 {
-		t.Fatalf("a fresh pool has carved %d packets", pl.Carved())
+	carved := func(wantData, wantAcks int, when string) {
+		t.Helper()
+		if data, acks := pl.Carved(); data != wantData || acks != wantAcks {
+			t.Fatalf("%s: carved %d data segments and %d ACKs, want %d and %d", when, data, acks, wantData, wantAcks)
+		}
 	}
+	carved(0, 0, "a fresh pool")
 	d := pl.NewData(0, 0, MSS, 0, nil)
-	pl.NewAck(0, 0, 0, nil)
-	if pl.Carved() != 2*slabPackets {
-		t.Fatalf("carved %d after one packet of each kind, want %d", pl.Carved(), 2*slabPackets)
-	}
+	carved(slabPackets, 0, "one data segment")
+	pl.NewAck(0, 0, nil)
+	carved(slabPackets, slabPackets, "one packet of each kind")
 	for i := 0; i < slabPackets; i++ {
 		pl.NewData(0, 0, MSS, 0, nil)
 	}
 	d.Free()
 	pl.NewData(0, 0, MSS, 0, nil)
-	if pl.Carved() != 3*slabPackets {
-		t.Fatalf("carved %d after %d live data segments, want %d", pl.Carved(), slabPackets+1, 3*slabPackets)
-	}
+	carved(2*slabPackets, slabPackets, "slabPackets+1 live data segments")
 }
 
-// TestPacketLayout: a packet is 88 bytes, and the fields every forwarding
-// hop touches (route, hop, the list link, a pipe's delivery key, Size and
-// the flags) come first, within 48 bytes. A field added or widened has to
-// be argued for: it is paid once per packet of every slab.
+// TestPacketLayout locks what a packet costs. A packet is 72 bytes, and the
+// fields every forwarding hop touches (route, hop, the list link, a pipe's
+// delivery key, Size and the flags) come first, within 40 bytes; an ACK's
+// SACK report is 68 bytes; a data slab is 1 152 bytes and an ACK slab
+// 2 240, and the allocator serves them from its 1 280- and 2 304-byte size
+// classes. A field added or widened has to be argued for: it is paid once
+// per packet of every slab, and one that pushes a slab into the next size
+// class fails here.
 func TestPacketLayout(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the layout is for 64-bit platforms")
 	}
 	var p Packet
-	if sz := unsafe.Sizeof(p); sz != 88 {
-		t.Fatalf("Packet is %d bytes, want 88", sz)
+	for name, tc := range map[string]struct{ got, want uintptr }{
+		"Packet":     {unsafe.Sizeof(p), 72},
+		"sackReport": {unsafe.Sizeof(sackReport{}), 68},
+		"dataSlab":   {unsafe.Sizeof(dataSlab{}), 1152},
+		"ackSlab":    {unsafe.Sizeof(ackSlab{}), 2240},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s is %d bytes, want %d", name, tc.got, tc.want)
+		}
 	}
 	for name, off := range map[string]uintptr{
 		"route": unsafe.Offsetof(p.route), "next": unsafe.Offsetof(p.next),
@@ -145,10 +158,49 @@ func TestPacketLayout(t *testing.T) {
 		"Ack": unsafe.Offsetof(p.Ack), "Retx": unsafe.Offsetof(p.Retx),
 		"freed": unsafe.Offsetof(p.freed), "listed": unsafe.Offsetof(p.listed),
 	} {
-		if off >= 48 {
-			t.Errorf("forwarding field %s at offset %d, want below 48", name, off)
+		if off >= 40 {
+			t.Errorf("forwarding field %s at offset %d, want below 40", name, off)
 		}
 	}
+	t.Run("slab size classes", func(t *testing.T) {
+		for _, tc := range []struct {
+			name string
+			ack  bool
+			max  uint64 // the size class a slab must stay in
+		}{
+			{"data", false, 1280},
+			{"ack", true, 2304},
+		} {
+			if got := slabBytes(tc.ack); got > tc.max {
+				t.Errorf("%s slab: %d bytes allocated per refill, want at most %d", tc.name, got, tc.max)
+			} else {
+				t.Logf("%s slab: %d bytes allocated per refill", tc.name, got)
+			}
+		}
+	})
+}
+
+// slabBytes reports the heap bytes one refill of a fresh pool allocates,
+// over 100 refills of one kind: the least of three tries, so an allocation
+// elsewhere in the process during one try does not count.
+func slabBytes(ack bool) uint64 {
+	const refills = 100
+	best := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for range 3 {
+		pl := new(PacketPool)
+		l := &pl.data
+		if ack {
+			l = &pl.acks
+		}
+		runtime.ReadMemStats(&before)
+		for range refills {
+			pl.refill(l, ack)
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, (after.TotalAlloc-before.TotalAlloc)/refills)
+	}
+	return best
 }
 
 // TestPacketSackCapacitySurvivesRecycle: an ACK keeps its SACK storage
@@ -157,50 +209,77 @@ func TestPacketLayout(t *testing.T) {
 func TestPacketSackCapacitySurvivesRecycle(t *testing.T) {
 	s := sim.New(1)
 	pl := PoolFor(s)
-	p := pl.NewAck(0, 0, 0, nil)
-	p.SetSack([]Block{{0, 1500}, {3000, 4500}})
-	if got := p.Sack(); !reflect.DeepEqual(got, []Block{{0, 1500}, {3000, 4500}}) {
-		t.Fatalf("Sack() = %v after SetSack", got)
+	p := pl.NewAck(0, 0, nil)
+	p.SetSack([]Block{{1500, 3000}, {4500, 6000}})
+	if got := sackOf(p); !reflect.DeepEqual(got, []Block{{1500, 3000}, {4500, 6000}}) {
+		t.Fatalf("report %v after SetSack", got)
 	}
 	storage := p.sack
 	p.Free()
-	q := pl.NewAck(0, 0, 0, nil)
-	if len(q.Sack()) != 0 {
-		t.Fatalf("recycled SACK report not emptied: %v", q.Sack())
+	q := pl.NewAck(0, 0, nil)
+	if q.SackLen() != 0 {
+		t.Fatalf("recycled SACK report not emptied: %v", sackOf(q))
 	}
 	if q.sack != storage {
 		t.Fatal("recycled ACK lost its SACK storage")
 	}
 	full := make([]Block, MaxSackBlocks)
 	for i := range full {
-		full[i] = Block{int64(i) * 3000, int64(i)*3000 + 1500}
+		full[i] = Block{int64(i)*3000 + 1500, int64(i)*3000 + 3000}
 	}
 	if allocs := testing.AllocsPerRun(10, func() { q.SetSack(full) }); allocs != 0 {
 		t.Fatalf("a full SACK report allocates %.1f, want 0", allocs)
 	}
-	if !reflect.DeepEqual(q.Sack(), full) {
-		t.Fatalf("Sack() = %v, want %v", q.Sack(), full)
+	if got := sackOf(q); !reflect.DeepEqual(got, full) {
+		t.Fatalf("report %v, want %v", got, full)
 	}
 }
 
-// TestSetSackPanics: a data segment has no SACK storage, and no report
-// holds more than MaxSackBlocks blocks.
+// TestSetSackPanics: a data segment has no SACK storage, no report holds
+// more than MaxSackBlocks blocks, and a block must be non-empty, above the
+// last and in (seq, seq + 2³²); each panic names the packet's seq.
 func TestSetSackPanics(t *testing.T) {
+	const seq = 4242
 	pl := PoolFor(sim.New(1))
+	ack := func() *Packet { return pl.NewAck(seq, 0, nil) }
 	for name, tc := range map[string]struct {
 		p  *Packet
 		bs []Block
 	}{
-		"data segment":    {pl.NewData(0, 0, MSS, 0, nil), []Block{{0, 1}}},
-		"too many blocks": {pl.NewAck(0, 0, 0, nil), make([]Block, MaxSackBlocks+1)},
+		"data segment":    {pl.NewData(0, seq, MSS, 0, nil), []Block{{seq + 1, seq + 2}}},
+		"too many blocks": {ack(), make([]Block, MaxSackBlocks+1)},
+		"at seq":          {ack(), []Block{{seq, seq + 100}}},
+		"below seq":       {ack(), []Block{{seq - 100, seq + 100}}},
+		"past 2^32":       {ack(), []Block{{seq + 1, seq + 1<<32}}},
+		"empty":           {ack(), []Block{{seq + 1, seq + 100}, {seq + 200, seq + 200}}},
+		"out of order":    {ack(), []Block{{seq + 200, seq + 300}, {seq + 1, seq + 100}}},
+		"overlapping":     {ack(), []Block{{seq + 1, seq + 100}, {seq + 99, seq + 300}}},
+	} {
+		if msg := setSackPanic(tc.p, tc.bs); !strings.Contains(msg, "seq 4242") {
+			t.Errorf("%s: SetSack panic %q, want one naming seq 4242", name, msg)
+		}
+	}
+}
+
+// TestSegmentSizeLimit: Size is a uint16, so NewData and DataPacket take a
+// segment of up to 65 535 bytes and panic, naming its seq, above that.
+func TestSegmentSizeLimit(t *testing.T) {
+	pl := PoolFor(sim.New(1))
+	if p := pl.NewData(0, 4242, math.MaxUint16, 0, nil); p.Size != math.MaxUint16 {
+		t.Fatalf("NewData of %d bytes has Size %d", math.MaxUint16, p.Size)
+	}
+	for name, build := range map[string]func(){
+		"NewData":    func() { pl.NewData(0, 4242, math.MaxUint16+1, 0, nil) },
+		"DataPacket": func() { DataPacket(4242, math.MaxUint16+1, 0, nil) },
+		"negative":   func() { DataPacket(4242, -1, 0, nil) },
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: SetSack did not panic", name)
+				if msg, _ := recover().(string); !strings.Contains(msg, "seq 4242") {
+					t.Errorf("%s: panic %q, want one naming seq 4242", name, msg)
 				}
 			}()
-			tc.p.SetSack(tc.bs)
+			build()
 		}()
 	}
 }
@@ -266,8 +345,8 @@ func TestDebugPoisonsFreedPackets(t *testing.T) {
 			t.Fatalf("reuse %d: got %p, want the packet freed %d-th (%p)", len(ps)-i, p, i+1, ps[i])
 		}
 	}
-	if pl.FreeCount() != 0 || pl.Carved() != slabPackets {
-		t.Fatalf("free count %d, carved %d after reusing every freed packet", pl.FreeCount(), pl.Carved())
+	if data, acks := pl.Carved(); pl.FreeCount() != 0 || data != slabPackets || acks != 0 {
+		t.Fatalf("free count %d, carved %d data segments and %d ACKs after reusing every freed packet", pl.FreeCount(), data, acks)
 	}
 }
 

@@ -129,7 +129,7 @@ func (q *queueCore) enqueue(p *Packet) {
 }
 
 func (q *queueCore) startService() {
-	at := q.sim.Now() + q.txTime(q.buf.head.Size)
+	at := q.sim.Now() + q.txTime(int(q.buf.head.Size))
 	if q.svc.Valid() {
 		q.sim.Reschedule(q.svc, at)
 	} else {

@@ -137,7 +137,7 @@ func TestPropertyScoreboardIntervalSet(t *testing.T) {
 	}
 }
 
-// Property: mergeSack clips below lastAcked and never produces blocks at or
+// Property: mergeBlock clips below lastAcked and never produces blocks at or
 // below the cumulative ACK point.
 func TestPropertyMergeSackClips(t *testing.T) {
 	f := func(ack uint16, ops []uint16) bool {
@@ -148,7 +148,9 @@ func TestPropertyMergeSackClips(t *testing.T) {
 			start := int64(op%200) * 50
 			blocks = append(blocks, netem.Block{Start: start, End: start + 500})
 		}
-		s.mergeSack(blocks)
+		for _, b := range blocks {
+			s.mergeBlock(b)
+		}
 		for _, b := range s.scoreboard {
 			if b.Start < s.lastAcked || b.End <= b.Start {
 				return false

@@ -113,7 +113,10 @@ type ackTap struct {
 func (a *ackTap) Recv(p *netem.Packet) {
 	a.n++
 	a.seq = p.Seq
-	a.sack = append(a.sack[:0], p.Sack()...)
+	a.sack = a.sack[:0]
+	for i := range p.SackLen() {
+		a.sack = append(a.sack, p.SackBlock(i))
+	}
 	p.Free()
 }
 

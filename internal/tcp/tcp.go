@@ -462,7 +462,9 @@ func (t *Src) Recv(p *netem.Packet) {
 		p.Free()
 		return
 	}
-	t.mergeSack(p.Sack())
+	for i := range p.SackLen() {
+		t.mergeBlock(p.SackBlock(i))
+	}
 	ackSeq := p.Seq
 	switch {
 	case ackSeq > t.lastAcked:
@@ -475,20 +477,19 @@ func (t *Src) Recv(p *netem.Packet) {
 	p.Free()
 }
 
-// mergeSack folds the receiver's SACK report into the scoreboard, keeping it
-// sorted, disjoint, and clipped to ranges above the cumulative ACK point.
+// mergeBlock folds one block of the receiver's SACK report into the
+// scoreboard, keeping it sorted, disjoint, and clipped to ranges above the
+// cumulative ACK point.
 //
 //simlint:hot
-func (t *Src) mergeSack(blocks []netem.Block) {
-	for _, b := range blocks {
-		if b.End <= t.lastAcked {
-			continue
-		}
-		if b.Start < t.lastAcked {
-			b.Start = t.lastAcked
-		}
-		t.insertBlock(b)
+func (t *Src) mergeBlock(b netem.Block) {
+	if b.End <= t.lastAcked {
+		return
 	}
+	if b.Start < t.lastAcked {
+		b.Start = t.lastAcked
+	}
+	t.insertBlock(b)
 }
 
 // insertBlock adds one range to the scoreboard, merging overlaps.
@@ -571,7 +572,7 @@ func (t *Src) newAck(ackSeq int64, p *netem.Packet) {
 
 	// RTT sample (Karn's rule: skip if the echoed segment was a retransmit).
 	if !p.Retx {
-		t.rttSample((t.sim.Now() - p.EchoTS).Nanos())
+		t.rttSample((t.sim.Now() - p.SentAt).Nanos())
 	}
 
 	if t.inRecovery {
@@ -835,7 +836,7 @@ func (k *Sink) sendAck(echo sim.Time, retx bool) {
 	k.unacked = 0
 	k.ackPkts++
 	k.sim.Cancel(k.delAckTm)
-	ack := k.pool.NewAck(k.cumAck, echo, k.sim.Now(), k.rev)
+	ack := k.pool.NewAck(k.cumAck, echo, k.rev)
 	ack.Retx = retx
 	ack.SetSack(k.ooo[:min(len(k.ooo), netem.MaxSackBlocks)])
 	ack.SendOn()

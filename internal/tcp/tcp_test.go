@@ -315,7 +315,7 @@ func TestSinkPanicsOnAck(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	sink.Recv(netem.AckPacket(0, 0, 0, nil))
+	sink.Recv(netem.AckPacket(0, 0, nil))
 }
 
 func TestStartWithoutRoutePanics(t *testing.T) {
