@@ -26,10 +26,11 @@ race:
 # sync.Pool puts at random, so TestWarmHitAllocs and TestColdRunAllocs are
 # built only without it. TestPacketLayout locks the bytes of a packet, a
 # SACK report and both slabs, the size classes the slabs are served from,
-# and the packet's field order; TestColdRunAllocs a cold scenario's objects
-# and bytes; TestDigestAllocs what a run's fingerprint costs.
+# and the packet's field order; TestRangesBytes what a range list costs as
+# it grows; TestColdRunAllocs a cold scenario's objects and bytes;
+# TestDigestAllocs what a run's fingerprint costs.
 allocs:
-	$(GO) test -count=1 -run '^(TestTransitZeroAlloc|TestPacketLayout|TestControllersZeroAlloc|TestLossPathZeroAlloc|TestStreamZeroAlloc|TestWarmHitAllocs|TestColdRunAllocs|TestDigestAllocs)$$' \
+	$(GO) test -count=1 -run '^(TestTransitZeroAlloc|TestPacketLayout|TestRangesBytes|TestControllersZeroAlloc|TestLossPathZeroAlloc|TestStreamZeroAlloc|TestWarmHitAllocs|TestColdRunAllocs|TestDigestAllocs)$$' \
 		./internal/netem ./internal/core ./internal/tcp ./internal/mptcp ./internal/campaign ./internal/scenario
 
 # FMA ratchet: a fused multiply-add rounds once where amd64
@@ -106,6 +107,11 @@ lint:
 # One fluid compiler: no fluid.NewModel( in non-test Go outside
 # internal/fluid and internal/scenario/fluid.go (scenario.Fluid compiles
 # the model from a Spec), so no network is described a second time by hand.
+# Generators go back only from their owners: no sim.FreeRand( in non-test
+# Go outside internal/sim, the campaign sampler (internal/campaign/sample.go)
+# and the scenario fuzzer (internal/scenario/fuzz.go), and no ReleaseRand(
+# outside internal/sim and internal/scenario/run.go (Net.Run defers it), so
+# nothing hands back a generator another holder still draws from.
 guard:
 	@if git grep -n 'RunUntil(' -- '*.go' ':!*_test.go' ':!internal/sim/' ':!internal/scenario/' ':!bench/'; then \
 		echo "raw Sim.RunUntil above the scenario layer: build a scenario.Net and call its Run"; exit 1; \
@@ -148,6 +154,12 @@ guard:
 	fi
 	@if git grep -n 'fluid\.NewModel(' -- '*.go' ':!*_test.go' ':!internal/fluid/' ':!internal/scenario/fluid.go'; then \
 		echo "one fluid compiler: build the fluid model with scenario.Fluid from a Spec"; exit 1; \
+	fi
+	@if git grep -n 'FreeRand(' -- '*.go' ':!*_test.go' ':!internal/sim/' ':!internal/campaign/sample.go' ':!internal/scenario/fuzz.go'; then \
+		echo "a generator goes back only from its owner: sim.FreeRand in the campaign sampler and the scenario fuzzer"; exit 1; \
+	fi
+	@if git grep -n 'ReleaseRand(' -- '*.go' ':!*_test.go' ':!internal/sim/' ':!internal/scenario/run.go'; then \
+		echo "a run's generator goes back only where scenario.Net.Run ends"; exit 1; \
 	fi
 	@for target in windows/amd64 darwin/arm64 linux/arm64; do \
 		GOOS=$${target%/*} GOARCH=$${target#*/} $(GO) build . ./cmd/... ./internal/... || \

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
-	"sync"
 
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/scenario"
@@ -16,14 +15,6 @@ import (
 // scenario.GenSpec uses — a campaign is replayable per index exactly the
 // way a fuzz campaign is.
 const indexStride = 1_000_003
-
-// rngPool recycles SampleSpec's generators. Seeding one is O(1) (sim.NewRand
-// fills its 607-word table lazily), so the pool is not there for seeding: it
-// saves allocating that 4.9 KB table afresh per scenario, which would be
-// most of what a cache hit allocates. Seed leaves a pooled generator in
-// exactly the state of a new one, so the draw stream does not depend on
-// reuse.
-var rngPool = sync.Pool{New: func() any { return sim.NewRand(0) }}
 
 // SampleSpec deterministically builds scenario index of the campaign: a
 // private RNG is seeded from (Seed, index) alone, every distribution draw
@@ -71,9 +62,8 @@ var bgNames = func() (names [maxPaths]string) {
 // (TestSampleIntoReusesScratch), and once s has held a scenario as large it
 // allocates only the scenario's name.
 func (sp *Spec) sampleInto(s *sampled, index int) {
-	rng := rngPool.Get().(*rand.Rand)
-	defer rngPool.Put(rng)
-	rng.Seed(sp.Seed + int64(index)*indexStride)
+	rng := sim.NewRand(sp.Seed + int64(index)*indexStride)
+	defer sim.FreeRand(rng)
 	var buf [64]byte // the name's bytes: one allocation, the string's
 	name := append(append(buf[:0], sp.Name...), '-')
 	out := scenario.Spec{

@@ -39,8 +39,8 @@ type Stream struct {
 	hungry   []bool       // subflows that asked for data and were held back
 	parked   []dataSpan   // reinjected spans awaiting any live subflow
 
-	inOrder  int64         // contiguous data-level prefix delivered
-	oooSpans []netem.Block // delivered beyond the prefix; sorted, disjoint, not touching
+	inOrder  int64        // contiguous data-level prefix delivered
+	oooSpans netem.Ranges // delivered beyond the prefix; sorted, disjoint, not touching
 
 	startAt sim.Time
 	doneAt  sim.Time
@@ -144,7 +144,8 @@ func (st *Stream) InOrderBytes() int64 { return st.inOrder }
 // prefix plus the out-of-order spans beyond it.
 func (st *Stream) DeliveredBytes() int64 {
 	n := st.inOrder
-	for _, b := range st.oooSpans {
+	for i := 0; i < st.oooSpans.Len(); i++ {
+		b := st.oooSpans.Block(i)
 		n += b.End - b.Start
 	}
 	return n
@@ -387,18 +388,18 @@ func (st *Stream) deliver(i int, n int64) {
 // overlap previously delivered data (redundant scheduling, reinjection);
 // only the distinct bytes advance the stream. Merging leaves at most one
 // span touching the in-order point, so one drain step suffices; the
-// drained span leaves by copying the rest down, as tcp.Sink.drainOOO
-// does, so InsertRange keeps the buffer's capacity.
+// drained span leaves by Drop, which copies the rest down, as
+// tcp.Sink.drainOOO does, so the buffer keeps its capacity.
 //
 //simlint:hot
 func (st *Stream) emit(sp dataSpan) {
 	if sp.end <= st.inOrder {
 		return // duplicate of already-contiguous data
 	}
-	st.oooSpans = netem.InsertRange(st.oooSpans, netem.Block{Start: max(sp.start, st.inOrder), End: sp.end})
-	if st.oooSpans[0].Start <= st.inOrder {
-		st.inOrder = st.oooSpans[0].End
-		st.oooSpans = append(st.oooSpans[:0], st.oooSpans[1:]...)
+	st.oooSpans.Insert(netem.Block{Start: max(sp.start, st.inOrder), End: sp.end})
+	if first := st.oooSpans.Block(0); first.Start <= st.inOrder {
+		st.inOrder = first.End
+		st.oooSpans.Drop(1)
 	}
 	if st.inOrder >= st.total && !st.done {
 		st.done = true

@@ -155,56 +155,10 @@ func (p *Packet) SetSack(bs []Block) {
 }
 
 // Block is a half-open byte range [Start, End): a SACK report's unit, and
-// the entry of every merged-range buffer (a sender's scoreboard, a
-// receiver's reorder buffer, a stream's out-of-order data).
+// what a Ranges list (a sender's scoreboard, a receiver's reorder buffer, a
+// stream's out-of-order data) holds and returns.
 type Block struct {
 	Start, End int64
-}
-
-// InsertRange adds b to rs, a list of ascending ranges that neither overlap
-// nor touch, and returns the list with the same property: b absorbs every
-// range it overlaps or abuts. The common cases move nothing — a range that
-// merges with exactly one entry (every block an ACK repeats, every segment
-// that extends a buffered run) overwrites it in place.
-//
-//simlint:hot
-func InsertRange(rs []Block, b Block) []Block {
-	// First entry that ends at or after b's start: rs[:i] lies wholly below b.
-	i, hi := 0, len(rs)
-	for i < hi {
-		m := int(uint(i+hi) >> 1)
-		if rs[m].End < b.Start {
-			i = m + 1
-		} else {
-			hi = m
-		}
-	}
-	j := i
-	for j < len(rs) && rs[j].Start <= b.End {
-		if rs[j].Start < b.Start {
-			b.Start = rs[j].Start
-		}
-		if rs[j].End > b.End {
-			b.End = rs[j].End
-		}
-		j++
-	}
-	switch j - i {
-	case 0:
-		if cap(rs) == 0 {
-			// A list's first growth, once in its life: born at
-			// MaxSackBlocks instead of doubling through 1, 2, 4 and 8.
-			rs = make([]Block, 0, MaxSackBlocks)
-		}
-		rs = append(rs, Block{})
-		copy(rs[i+1:], rs[i:])
-	case 1:
-		// b replaces the one entry it merged with, below.
-	default:
-		rs = append(rs[:i+1], rs[j:]...)
-	}
-	rs[i] = b
-	return rs
 }
 
 // MaxSackBlocks bounds the per-ACK SACK report, as real TCP options do. It

@@ -149,6 +149,7 @@ var fuzzSchedulers = []string{"", "pull", "minrtt", "roundrobin", "ecf", "redund
 // 1-5 mid-run mutations (setpoints, blackholes, path flaps).
 func GenSpec(seed int64, index int) *Spec {
 	rng := sim.NewRand(seed + int64(index)*1_000_003)
+	defer sim.FreeRand(rng)
 	sp := &Spec{
 		Name:        fmt.Sprintf("fuzz-%d", index),
 		Seed:        rng.Int63(),

@@ -279,7 +279,11 @@ func Run(ctx context.Context, sp *Spec) (*RunReport, error) {
 // window boundaries, so a run sliced into chunks processes the identical
 // event sequence as one uninterrupted call (and with a background context
 // the slicing is skipped entirely).
+//
+// However Run returns — done, cancelled or panicking — it hands the
+// simulation's generator back (sim.Sim.ReleaseRand): a Net runs once.
 func (n *Net) Run(ctx context.Context) (*RunReport, error) {
+	defer n.Sim.ReleaseRand()
 	r := &RunReport{Name: n.Name, Seed: n.Seed}
 	m := newMonitor(n, r)
 

@@ -202,6 +202,67 @@ func FuzzSourceMatchesMathRand(f *testing.F) {
 	})
 }
 
+// TestNewRandAfterFreeMatchesFresh: a generator drawn to either side of
+// the lazy fill's edges and far past them, handed back with FreeRand and
+// taken again by NewRand with a new seed, draws what a fresh math/rand
+// generator of that seed draws.
+func TestNewRandAfterFreeMatchesFresh(t *testing.T) {
+	for _, draws := range append(slices.Clone(randHorizons), 5000) {
+		for i, seed := range randEdgeSeeds {
+			r := NewRand(int64(draws)*7 + int64(i))
+			for range draws {
+				r.Int63()
+			}
+			FreeRand(r)
+			got := NewRand(seed)
+			if got != r {
+				// The pool may drop a put (the race detector does, at
+				// random); reseed the used generator as NewRand would.
+				got = r
+				got.Seed(seed)
+			}
+			want := rand.New(rand.NewSource(seed))
+			for k := 0; k < 2000; k++ {
+				if k%2 == 0 {
+					if g, w := got.Uint64(), want.Uint64(); g != w {
+						t.Fatalf("after %d draws, seed %d: draw %d = %d, fresh %d", draws, seed, k, g, w)
+					}
+				} else if g, w := got.Float64(), want.Float64(); g != w {
+					t.Fatalf("after %d draws, seed %d: draw %d = %v, fresh %v", draws, seed, k, g, w)
+				}
+			}
+			FreeRand(got)
+		}
+	}
+}
+
+// panicMessage runs f and returns what it panicked with, or nil.
+func panicMessage(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
+}
+
+// TestReleaseRand: after ReleaseRand the simulation's Rand panics, naming
+// the release; a second ReleaseRand does nothing; FreeRand(nil) panics.
+func TestReleaseRand(t *testing.T) {
+	s := New(1)
+	want := s.Rand().Int63()
+	s.ReleaseRand()
+	if v := panicMessage(func() { s.Rand() }); v != "sim: Rand after ReleaseRand: the run's generator was handed back" {
+		t.Fatalf("Rand after ReleaseRand: panic %v", v)
+	}
+	if v := panicMessage(s.ReleaseRand); v != nil {
+		t.Fatalf("second ReleaseRand panicked: %v", v)
+	}
+	if got := New(1).Rand().Int63(); got != want {
+		t.Fatalf("a simulation after a release draws %d, want %d", got, want)
+	}
+	if v := panicMessage(func() { FreeRand(nil) }); v != "sim: FreeRand of a nil generator" {
+		t.Fatalf("FreeRand(nil): panic %v", v)
+	}
+}
+
 var randSink uint64
 
 // BenchmarkRandSeed is a seed and the draws after it, on NewRand and on

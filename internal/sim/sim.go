@@ -144,8 +144,25 @@ func New(seed int64) *Sim {
 // Now reports the current virtual time.
 func (s *Sim) Now() Time { return s.now }
 
-// Rand exposes the simulation's deterministic random source.
-func (s *Sim) Rand() *rand.Rand { return s.rng }
+// Rand exposes the simulation's deterministic random source. It panics
+// once ReleaseRand has handed the source back.
+func (s *Sim) Rand() *rand.Rand {
+	if s.rng == nil {
+		panic("sim: Rand after ReleaseRand: the run's generator was handed back")
+	}
+	return s.rng
+}
+
+// ReleaseRand hands the simulation's generator back to the pool NewRand
+// takes from, for a caller that will draw from it no more: scenario.Net.Run
+// releases it when the run ends, however it ends. Rand panics from then
+// on; a second ReleaseRand does nothing.
+func (s *Sim) ReleaseRand() {
+	if s.rng != nil {
+		FreeRand(s.rng)
+		s.rng = nil
+	}
+}
 
 // Processed reports how many events have been executed so far.
 func (s *Sim) Processed() uint64 { return s.nEvents }

@@ -13,16 +13,21 @@ func newBareSrc() *Src {
 	return NewSrc(sim.New(1), 0, "t", Config{})
 }
 
+// rangesOf returns a copy of r's ranges, lowest first.
+func rangesOf(r *netem.Ranges) []netem.Block {
+	return r.Head(make([]netem.Block, r.Len()))
+}
+
 func TestInsertBlockMergesOverlaps(t *testing.T) {
 	s := newBareSrc()
 	s.insertBlock(netem.Block{Start: 3000, End: 4500})
 	s.insertBlock(netem.Block{Start: 6000, End: 7500})
 	s.insertBlock(netem.Block{Start: 4500, End: 6000}) // bridges both
-	if len(s.scoreboard) != 1 {
-		t.Fatalf("scoreboard %v, want single merged block", s.scoreboard)
+	if s.scoreboard.Len() != 1 {
+		t.Fatalf("scoreboard %v, want single merged block", rangesOf(&s.scoreboard))
 	}
-	if s.scoreboard[0] != (netem.Block{Start: 3000, End: 7500}) {
-		t.Fatalf("merged block %v", s.scoreboard[0])
+	if s.scoreboard.Block(0) != (netem.Block{Start: 3000, End: 7500}) {
+		t.Fatalf("merged block %v", s.scoreboard.Block(0))
 	}
 }
 
@@ -31,12 +36,12 @@ func TestInsertBlockKeepsDisjointSorted(t *testing.T) {
 	s.insertBlock(netem.Block{Start: 9000, End: 10500})
 	s.insertBlock(netem.Block{Start: 1500, End: 3000})
 	s.insertBlock(netem.Block{Start: 4500, End: 6000})
-	if len(s.scoreboard) != 3 {
-		t.Fatalf("scoreboard %v", s.scoreboard)
+	if s.scoreboard.Len() != 3 {
+		t.Fatalf("scoreboard %v", rangesOf(&s.scoreboard))
 	}
-	for i := 1; i < len(s.scoreboard); i++ {
-		if s.scoreboard[i-1].End >= s.scoreboard[i].Start {
-			t.Fatalf("not disjoint-sorted: %v", s.scoreboard)
+	for i := 1; i < s.scoreboard.Len(); i++ {
+		if s.scoreboard.Block(i-1).End >= s.scoreboard.Block(i).Start {
+			t.Fatalf("not disjoint-sorted: %v", rangesOf(&s.scoreboard))
 		}
 	}
 }
@@ -46,12 +51,12 @@ func TestPruneScoreboard(t *testing.T) {
 	s.insertBlock(netem.Block{Start: 1500, End: 3000})
 	s.insertBlock(netem.Block{Start: 4500, End: 7500})
 	s.lastAcked = 6000
-	s.pruneScoreboard()
-	if len(s.scoreboard) != 1 {
-		t.Fatalf("scoreboard %v", s.scoreboard)
+	s.scoreboard.ClipFront(s.lastAcked)
+	if s.scoreboard.Len() != 1 {
+		t.Fatalf("scoreboard %v", rangesOf(&s.scoreboard))
 	}
-	if s.scoreboard[0] != (netem.Block{Start: 6000, End: 7500}) {
-		t.Fatalf("pruned block %v (partial overlap must clip at lastAcked)", s.scoreboard[0])
+	if s.scoreboard.Block(0) != (netem.Block{Start: 6000, End: 7500}) {
+		t.Fatalf("pruned block %v (partial overlap must clip at lastAcked)", s.scoreboard.Block(0))
 	}
 }
 
@@ -105,14 +110,14 @@ func TestPropertyScoreboardIntervalSet(t *testing.T) {
 			}
 		}
 		// Sorted and disjoint.
-		for i := 1; i < len(s.scoreboard); i++ {
-			if s.scoreboard[i-1].End >= s.scoreboard[i].Start {
+		for i := 1; i < s.scoreboard.Len(); i++ {
+			if s.scoreboard.Block(i-1).End >= s.scoreboard.Block(i).Start {
 				return false
 			}
 		}
 		// Exact coverage, checked at 100-byte granularity.
 		var total int64
-		for _, b := range s.scoreboard {
+		for _, b := range rangesOf(&s.scoreboard) {
 			total += b.End - b.Start
 		}
 		if total != int64(len(covered))*100 {
@@ -120,7 +125,7 @@ func TestPropertyScoreboardIntervalSet(t *testing.T) {
 		}
 		for b := range covered {
 			found := false
-			for _, blk := range s.scoreboard {
+			for _, blk := range rangesOf(&s.scoreboard) {
 				if b >= blk.Start && b < blk.End {
 					found = true
 					break
@@ -151,7 +156,7 @@ func TestPropertyMergeSackClips(t *testing.T) {
 		for _, b := range blocks {
 			s.mergeBlock(b)
 		}
-		for _, b := range s.scoreboard {
+		for _, b := range rangesOf(&s.scoreboard) {
 			if b.Start < s.lastAcked || b.End <= b.Start {
 				return false
 			}

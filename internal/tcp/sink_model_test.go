@@ -213,9 +213,10 @@ func runSinkProgram(t testing.TB, prog []byte) map[string]int {
 			t.Fatalf("step %d [%d,%d): ACK %d with SACK %v, reference %d %v",
 				pc/3, seq, seq+size, tap.seq, tap.sack, ref.cumAck, want)
 		}
-		for i, b := range sink.ooo {
-			if b.Start <= sink.cumAck || b.End <= b.Start || (i > 0 && sink.ooo[i-1].End >= b.Start) {
-				t.Fatalf("step %d: reorder buffer %v above %d is not ascending, disjoint and non-touching", pc/3, sink.ooo, sink.cumAck)
+		ooo := rangesOf(&sink.ooo)
+		for i, b := range ooo {
+			if b.Start <= sink.cumAck || b.End <= b.Start || (i > 0 && ooo[i-1].End >= b.Start) {
+				t.Fatalf("step %d: reorder buffer %v above %d is not ascending, disjoint and non-touching", pc/3, ooo, sink.cumAck)
 			}
 		}
 	}

@@ -123,7 +123,7 @@ type Src struct {
 	// receiver reported buffered. retxNext is the retransmission cursor for
 	// the current recovery episode; recAcks counts ACKs during recovery for
 	// rate-halving (one (re)transmission per two ACKs, PRR-style).
-	scoreboard []netem.Block
+	scoreboard netem.Ranges
 	retxNext   int64
 	recAcks    int
 
@@ -303,8 +303,8 @@ func (t *Src) sendMore() {
 	for {
 		// Skip ranges the receiver already holds (post-RTO go-back-N must
 		// not resend SACKed data: that would trigger dupACK storms).
-		for _, b := range t.scoreboard {
-			if t.highestSent >= b.Start && t.highestSent < b.End {
+		for i := 0; i < t.scoreboard.Len(); i++ {
+			if b := t.scoreboard.Block(i); t.highestSent >= b.Start && t.highestSent < b.End {
 				t.highestSent = b.End
 			}
 		}
@@ -496,21 +496,7 @@ func (t *Src) mergeBlock(b netem.Block) {
 //
 //simlint:hot
 func (t *Src) insertBlock(b netem.Block) {
-	t.scoreboard = netem.InsertRange(t.scoreboard, b)
-}
-
-// pruneScoreboard discards ranges at or below the cumulative ACK point.
-func (t *Src) pruneScoreboard() {
-	i := 0
-	for i < len(t.scoreboard) && t.scoreboard[i].End <= t.lastAcked {
-		i++
-	}
-	if i > 0 {
-		t.scoreboard = append(t.scoreboard[:0], t.scoreboard[i:]...)
-	}
-	if len(t.scoreboard) > 0 && t.scoreboard[0].Start < t.lastAcked {
-		t.scoreboard[0].Start = t.lastAcked
-	}
+	t.scoreboard.Insert(b)
 }
 
 // nextHole returns the lowest byte the receiver is known to be missing that
@@ -520,7 +506,7 @@ func (t *Src) nextHole() int64 {
 	if t.retxNext > cand {
 		cand = t.retxNext
 	}
-	if len(t.scoreboard) == 0 {
+	if t.scoreboard.Len() == 0 {
 		// No SACK information: the only safe retransmission is the
 		// cumulative ACK point itself, once.
 		if t.inRecovery && cand == t.lastAcked && cand < t.recoverSeq {
@@ -528,7 +514,8 @@ func (t *Src) nextHole() int64 {
 		}
 		return -1
 	}
-	for _, b := range t.scoreboard {
+	for i := 0; i < t.scoreboard.Len(); i++ {
+		b := t.scoreboard.Block(i)
 		if cand < b.Start {
 			return cand
 		}
@@ -568,7 +555,7 @@ func (t *Src) newAck(ackSeq int64, p *netem.Packet) {
 	t.stats.AckedBytes = ackSeq
 	t.dupAcks = 0
 	t.rtoBackoff = 0
-	t.pruneScoreboard()
+	t.scoreboard.ClipFront(t.lastAcked) // what the cumulative ACK covers
 
 	// RTT sample (Karn's rule: skip if the echoed segment was a retransmit).
 	if !p.Retx {
@@ -659,7 +646,7 @@ func (t *Src) dupAck() {
 	// dupACKs caused by our own duplicate (spuriously retransmitted)
 	// segments arrive while the receiver buffers nothing out of order, and
 	// must not halve the window (real stacks use DSACK similarly).
-	if t.dupAcks < 3 || len(t.scoreboard) == 0 {
+	if t.dupAcks < 3 || t.scoreboard.Len() == 0 {
 		return
 	}
 	// Enter fast recovery: halve once per episode (coupled algorithms are
@@ -727,7 +714,7 @@ type Sink struct {
 	cumAck int64 // next expected byte
 	// ooo is the reorder buffer: the byte ranges held above cumAck, ascending,
 	// disjoint and non-touching — which is already the SACK report.
-	ooo   []netem.Block
+	ooo   netem.Ranges
 	bytes int64 // total goodput delivered in order
 
 	recvPkts int64 // data segments taken in, duplicates included
@@ -798,7 +785,7 @@ func (k *Sink) Recv(p *netem.Packet) {
 		k.OnInOrder(k.cumAck - before)
 	}
 	k.lastEcho = p.SentAt
-	inOrderAdvance := k.cumAck > before && len(k.ooo) == 0
+	inOrderAdvance := k.cumAck > before && k.ooo.Len() == 0
 	if k.delAck && inOrderAdvance && !p.Retx {
 		// Delayed ACK: hold back the first of every pair, bounded by the
 		// timer. Everything irregular (OOO, duplicates, retransmitted
@@ -838,7 +825,8 @@ func (k *Sink) sendAck(echo sim.Time, retx bool) {
 	k.sim.Cancel(k.delAckTm)
 	ack := k.pool.NewAck(k.cumAck, echo, k.rev)
 	ack.Retx = retx
-	ack.SetSack(k.ooo[:min(len(k.ooo), netem.MaxSackBlocks)])
+	var report [netem.MaxSackBlocks]netem.Block
+	ack.SetSack(k.ooo.Head(report[:]))
 	ack.SendOn()
 }
 
@@ -846,7 +834,7 @@ func (k *Sink) sendAck(echo sim.Time, retx bool) {
 //
 //simlint:hot
 func (k *Sink) insertOOO(seq, end int64) {
-	k.ooo = netem.InsertRange(k.ooo, netem.Block{Start: seq, End: end})
+	k.ooo.Insert(netem.Block{Start: seq, End: end})
 }
 
 // drainOOO advances the cumulative ACK over the buffered ranges it has
@@ -855,14 +843,17 @@ func (k *Sink) insertOOO(seq, end int64) {
 //simlint:hot
 func (k *Sink) drainOOO() {
 	i := 0
-	for i < len(k.ooo) && k.ooo[i].Start <= k.cumAck {
-		if end := k.ooo[i].End; end > k.cumAck {
-			k.bytes += end - k.cumAck
-			k.cumAck = end
+	for ; i < k.ooo.Len(); i++ {
+		b := k.ooo.Block(i)
+		if b.Start > k.cumAck {
+			break
 		}
-		i++
+		if b.End > k.cumAck {
+			k.bytes += b.End - k.cumAck
+			k.cumAck = b.End
+		}
 	}
 	if i > 0 {
-		k.ooo = append(k.ooo[:0], k.ooo[i:]...)
+		k.ooo.Drop(i)
 	}
 }
