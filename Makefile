@@ -112,6 +112,8 @@ lint:
 # and the scenario fuzzer (internal/scenario/fuzz.go), and no ReleaseRand(
 # outside internal/sim and internal/scenario/run.go (Net.Run defers it), so
 # nothing hands back a generator another holder still draws from.
+# One place a harness network runs: no .Run(ctx in non-test internal/harness
+# Go outside collect.go, which compiles, runs, checks and reads every job.
 guard:
 	@if git grep -n 'RunUntil(' -- '*.go' ':!*_test.go' ':!internal/sim/' ':!internal/scenario/' ':!bench/'; then \
 		echo "raw Sim.RunUntil above the scenario layer: build a scenario.Net and call its Run"; exit 1; \
@@ -160,6 +162,9 @@ guard:
 	fi
 	@if git grep -n 'ReleaseRand(' -- '*.go' ':!*_test.go' ':!internal/sim/' ':!internal/scenario/run.go'; then \
 		echo "a run's generator goes back only where scenario.Net.Run ends"; exit 1; \
+	fi
+	@if git grep -n '\.Run(ctx' -- 'internal/harness/*.go' ':!*_test.go' ':!internal/harness/collect.go'; then \
+		echo "a harness network runs in one place: collect compiles, runs and reads every job"; exit 1; \
 	fi
 	@for target in windows/amd64 darwin/arm64 linux/arm64; do \
 		GOOS=$${target%/*} GOARCH=$${target#*/} $(GO) build . ./cmd/... ./internal/... || \

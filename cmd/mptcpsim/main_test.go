@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"mptcpsim"
 	"mptcpsim/internal/scenario"
@@ -241,6 +242,27 @@ func TestTraceRejectsNonpositivePeriod(t *testing.T) {
 		}
 		if !strings.Contains(string(out), "positive sampling period") || strings.Contains(string(out), "goroutine") {
 			t.Errorf("-period %s: output is not the usage error:\n%s", period, out)
+		}
+	}
+}
+
+// TestRunRejectsOverlongWindow: a run window longer than a scenario can
+// hold is a configuration error, reported before any job runs, not a
+// panic out of every job's compile.
+func TestRunRejectsOverlongWindow(t *testing.T) {
+	for _, args := range [][]string{{"-run", "fig1b", "-duration", "2e6"}, {"-run", "fig13a", "-dcduration", "2e6"}} {
+		// Before the check, the fat tree ran on for 2e6 simulated seconds.
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		cmd := exec.CommandContext(ctx, os.Args[0], args...)
+		cmd.Env = append(os.Environ(), mptcpsimTestMain+"=1")
+		out, err := cmd.CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%v: err %v, want exit status 1; output:\n%s", args, err, out)
+		}
+		if !strings.Contains(string(out), "invalid configuration") || strings.Contains(string(out), "goroutine") {
+			t.Errorf("%v: output is not the configuration error:\n%s", args, out)
 		}
 	}
 }

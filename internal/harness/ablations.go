@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -36,28 +35,30 @@ func windowProbes(conn *mptcp.Conn) []scenario.Probe {
 	}
 }
 
-// runTwoLink simulates one two-link rig configuration — the "one point →
-// typed result" unit every ablation fans out over.
-func runTwoLink(ctx context.Context, cfg Config, sp *scenario.Spec) twoLinkOutcome {
-	n := compile(sp)
-	mp := n.Group("mp")[0]
-	tr := n.Trace(tracePeriod, windowProbes(mp.Conn)...)
-	if _, ok := run(ctx, n); !ok {
-		return twoLinkOutcome{}
+// runTwoLink is one two-link rig configuration, traced for the window
+// flips — the "one point → typed result" unit every ablation fans out over.
+func runTwoLink(cfg Config, sp *scenario.Spec, out *twoLinkOutcome) Job {
+	var tr *scenario.Trace
+	return Job{
+		Build: setUp(sp, func(n *scenario.Net) {
+			tr = n.Trace(tracePeriod, windowProbes(n.Group("mp")[0].Conn)...)
+		}),
+		Read: func(n *scenario.Net, _ *scenario.RunReport) {
+			mp := n.Group("mp")[0]
+			secs := cfg.Duration.Sec()
+			*out = twoLinkOutcome{
+				mp1:        stats.Mbps(mp.Window[0], secs),
+				mp2:        stats.Mbps(mp.Window[1], secs),
+				flipsCount: flips(tr.V[0], tr.V[1]),
+			}
+			if bg := n.Group("tcp1"); len(bg) > 0 {
+				out.bg1 = stats.Mbps(scenario.GroupWindowBytes(bg), secs) / float64(len(bg))
+			}
+			if bg := n.Group("tcp2"); len(bg) > 0 {
+				out.bg2 = stats.Mbps(scenario.GroupWindowBytes(bg), secs) / float64(len(bg))
+			}
+		},
 	}
-	secs := cfg.Duration.Sec()
-	out := twoLinkOutcome{
-		mp1:        stats.Mbps(mp.Window[0], secs),
-		mp2:        stats.Mbps(mp.Window[1], secs),
-		flipsCount: flips(tr.V[0], tr.V[1]),
-	}
-	if bg := n.Group("tcp1"); len(bg) > 0 {
-		out.bg1 = stats.Mbps(scenario.GroupWindowBytes(bg), secs) / float64(len(bg))
-	}
-	if bg := n.Group("tcp2"); len(bg) > 0 {
-		out.bg2 = stats.Mbps(scenario.GroupWindowBytes(bg), secs) / float64(len(bg))
-	}
-	return out
 }
 
 // ablationEpsilon sweeps the ε-family of §II on the symmetric two-link rig:
@@ -65,8 +66,8 @@ func runTwoLink(ctx context.Context, cfg Config, sp *scenario.Spec) twoLinkOutco
 // (uncoupled, grabs two fair shares).
 func ablationEpsilon(cfg Config) Plan {
 	algos := []string{"fullycoupled", "lia", "olia", "uncoupled"}
-	return perPoint(algos, func(ctx context.Context, algo string) twoLinkOutcome {
-		return runTwoLink(ctx, cfg, twoLinkSpec(cfg, algo, 5, 5))
+	return perPoint(algos, func(algo string, out *twoLinkOutcome) Job {
+		return runTwoLink(cfg, twoLinkSpec(cfg, algo, 5, 5), out)
 	}, func(outs []twoLinkOutcome) (*Result, error) {
 		r := &Result{
 			Preamble: []string{"Symmetric two-link rig (Fig. 6a): 10 Mb/s links, 5 TCP flows each; fair share 1.67 Mb/s"},
@@ -91,18 +92,14 @@ func ablationEpsilon(cfg Config) Plan {
 
 // textAblationEpsilon is the classic ε-family table layout.
 func textAblationEpsilon(r *Result, w io.Writer) error {
-	for _, line := range r.Preamble {
-		fmt.Fprintln(w, line)
-	}
+	writeLines(w, r.Preamble)
 	fmt.Fprintf(w, "%-14s | %-9s %-9s %-9s | %-9s | %s\n",
 		"algorithm", "mp total", "mp link1", "mp link2", "TCP mean", "w1/w2 flips")
 	for _, c := range r.Rows {
 		fmt.Fprintf(w, "%-14s | %-9.2f %-9.2f %-9.2f | %-9.2f | %d\n",
 			c[0].Text, c[1].Value, c[2].Value, c[3].Value, c[4].Value, c[5].Int())
 	}
-	for _, line := range r.Footer {
-		fmt.Fprintln(w, line)
-	}
+	writeLines(w, r.Footer)
 	return nil
 }
 
@@ -120,10 +117,10 @@ func ablationQueue(cfg Config) Plan {
 			pts = append(pts, point{kind, algo})
 		}
 	}
-	return perPoint(pts, func(ctx context.Context, p point) twoLinkOutcome {
+	return perPoint(pts, func(p point, out *twoLinkOutcome) Job {
 		sp := twoLinkSpec(cfg, p.algo, 5, 10)
 		sp.Links[0].Queue, sp.Links[1].Queue = p.kind, p.kind
-		return runTwoLink(ctx, cfg, sp)
+		return runTwoLink(cfg, sp, out)
 	}, func(outs []twoLinkOutcome) (*Result, error) {
 		r := &Result{
 			Preamble: []string{"Asymmetric rig (Fig. 6b): link2 shared with 10 TCP flows; congested-path traffic by discipline"},
@@ -151,18 +148,14 @@ func ablationQueue(cfg Config) Plan {
 
 // textAblationQueue is the classic RED-vs-DropTail table layout.
 func textAblationQueue(r *Result, w io.Writer) error {
-	for _, line := range r.Preamble {
-		fmt.Fprintln(w, line)
-	}
+	writeLines(w, r.Preamble)
 	fmt.Fprintf(w, "%-10s %-10s | %-10s %-10s | %s\n",
 		"queue", "algorithm", "mp link1", "mp link2", "TCP mean on link2")
 	for _, c := range r.Rows {
 		fmt.Fprintf(w, "%-10s %-10s | %-10.2f %-10.2f | %.2f\n",
 			c[0].Text, c[1].Text, c[2].Value, c[3].Value, c[4].Value)
 	}
-	for _, line := range r.Footer {
-		fmt.Fprintln(w, line)
-	}
+	writeLines(w, r.Footer)
 	return nil
 }
 
@@ -171,10 +164,10 @@ func textAblationQueue(r *Result, w io.Writer) error {
 // subflows repeatedly blast the congested path.
 func ablationSsthresh(cfg Config) Plan {
 	variants := []bool{false, true}
-	return perPoint(variants, func(ctx context.Context, keepSS bool) twoLinkOutcome {
+	return perPoint(variants, func(keepSS bool, out *twoLinkOutcome) Job {
 		sp := twoLinkSpec(cfg, "olia", 5, 10)
 		twoLinkMP(sp).KeepSlowStart = keepSS
-		return runTwoLink(ctx, cfg, sp)
+		return runTwoLink(cfg, sp, out)
 	}, func(outs []twoLinkOutcome) (*Result, error) {
 		r := &Result{
 			Preamble: []string{"Asymmetric rig: effect of the §IV-B subflow ssthresh=1 setting"},
@@ -200,9 +193,7 @@ func ablationSsthresh(cfg Config) Plan {
 
 // textAblationSsthresh is the classic ssthresh-ablation table layout.
 func textAblationSsthresh(r *Result, w io.Writer) error {
-	for _, line := range r.Preamble {
-		fmt.Fprintln(w, line)
-	}
+	writeLines(w, r.Preamble)
 	fmt.Fprintf(w, "%-22s | %-10s %-10s | %s\n",
 		"subflow start", "mp link1", "mp link2", "TCP mean on link2")
 	for _, c := range r.Rows {
@@ -216,10 +207,10 @@ func textAblationSsthresh(r *Result, w io.Writer) error {
 // "never more aggressive than TCP on any path").
 func ablationCap(cfg Config) Plan {
 	variants := []bool{false, true}
-	return perPoint(variants, func(ctx context.Context, noCap bool) twoLinkOutcome {
+	return perPoint(variants, func(noCap bool, out *twoLinkOutcome) Job {
 		sp := twoLinkSpec(cfg, "olia", 5, 5)
 		twoLinkMP(sp).NoIncreaseCap = noCap
-		return runTwoLink(ctx, cfg, sp)
+		return runTwoLink(cfg, sp, out)
 	}, func(outs []twoLinkOutcome) (*Result, error) {
 		r := &Result{
 			Preamble: []string{"Symmetric rig: effect of the per-ACK increase cap (RFC 6356 goal 2)"},
@@ -244,9 +235,7 @@ func ablationCap(cfg Config) Plan {
 
 // textAblationCap is the classic increase-cap table layout.
 func textAblationCap(r *Result, w io.Writer) error {
-	for _, line := range r.Preamble {
-		fmt.Fprintln(w, line)
-	}
+	writeLines(w, r.Preamble)
 	fmt.Fprintf(w, "%-14s | %-10s | %s\n", "increase cap", "mp total", "TCP mean")
 	for _, c := range r.Rows {
 		fmt.Fprintf(w, "%-14s | %-10.2f | %.2f\n", c[0].Text, c[1].Value, c[2].Value)

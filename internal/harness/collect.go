@@ -6,49 +6,44 @@ import (
 	"fmt"
 
 	"mptcpsim/internal/runner"
+	"mptcpsim/internal/scenario"
 )
 
 // This file is the bridge between the experiment registry and the parallel
-// runner. An experiment is a job list and a fold: its plan lays independent
-// (sweep point × seed) simulation jobs out by index, collect runs the jobs
-// of every selected experiment in one stream on one worker pool, and each
-// fold merges the typed per-job results in canonical (point, seed) order.
-// Because job seeds derive from Config.BaseSeed and the job's sweep
-// position, and folding walks results in index order, the rendered bytes
-// are identical for any Config.Workers setting.
+// runner: a plan lays (sweep point × seed) networks out by index, collect
+// runs them all in one stream, and each fold merges the typed results in
+// canonical order, so the rendered bytes are identical for any worker count.
 
 // sweep plans one job per (point, seed) pair and a fold over, for each
 // point, the per-seed results in seed order. The seed passed to job is
 // cfg.BaseSeed + s for repetition s, exactly the chain the sequential
-// harness used.
-func sweep[P, T any](cfg Config, points []P, job func(ctx context.Context, p P, seed int64) T, fold func(per [][]T) (*Result, error)) Plan {
+// harness used; job returns the network and a reader that stores into out.
+func sweep[P, T any](cfg Config, points []P, job func(p P, seed int64, out *T) Job, fold func(per [][]T) (*Result, error)) Plan {
 	seeds := max(cfg.Seeds, 1)
 	flat := make([]T, len(points)*seeds)
-	return Plan{
-		Jobs: len(flat),
-		Job: func(ctx context.Context, i int) {
-			flat[i] = job(ctx, points[i/seeds], cfg.BaseSeed+int64(i%seeds))
-		},
-		Fold: func() (*Result, error) {
-			per := make([][]T, len(points))
-			for i := range per {
-				per[i] = flat[i*seeds : (i+1)*seeds]
-			}
-			return fold(per)
-		},
+	jobs := make([]Job, len(flat))
+	for i := range jobs {
+		jobs[i] = job(points[i/seeds], cfg.BaseSeed+int64(i%seeds), &flat[i])
 	}
+	return Plan{Jobs: jobs, Fold: func() (*Result, error) {
+		per := make([][]T, len(points))
+		for i := range per {
+			per[i] = flat[i*seeds : (i+1)*seeds]
+		}
+		return fold(per)
+	}}
 }
 
 // perPoint plans one job per point (for studies that use a single
 // repetition at cfg.BaseSeed, such as the ablations) and a fold over the
 // results in point order.
-func perPoint[P, T any](points []P, job func(ctx context.Context, p P) T, fold func(out []T) (*Result, error)) Plan {
+func perPoint[P, T any](points []P, job func(p P, out *T) Job, fold func(out []T) (*Result, error)) Plan {
 	out := make([]T, len(points))
-	return Plan{
-		Jobs: len(points),
-		Job:  func(ctx context.Context, i int) { out[i] = job(ctx, points[i]) },
-		Fold: func() (*Result, error) { return fold(out) },
+	jobs := make([]Job, len(points))
+	for i, p := range points {
+		jobs[i] = job(p, &out[i])
 	}
+	return Plan{Jobs: jobs, Fold: func() (*Result, error) { return fold(out) }}
 }
 
 // closedForm is the plan of an analytic figure: no jobs, and a fold that
@@ -57,52 +52,101 @@ func closedForm(fold func() (*Result, error)) func(Config) Plan {
 	return func(Config) Plan { return Plan{Fold: fold} }
 }
 
-// collect is the package's one fan-out: it lays the jobs of exps into a
-// single runner.Stream on a pool made for the call, counts deliveries per
-// experiment on the calling goroutine, and as soon as an experiment's last
-// job is in — and every experiment before it in listing order is settled —
-// folds it, stamps the registry metadata and hands the Result to settled.
-// The job total is announced once, before the first job runs.
+// compile builds a testbed network from its spec. The specs come from the
+// scenario.Paper* builders with registry-fixed parameters, so a rejected
+// spec is a harness bug.
+func compile(sp *scenario.Spec) *scenario.Net {
+	n, err := scenario.Compile(sp)
+	if err != nil {
+		panic(fmt.Sprintf("harness: %s spec invalid: %v", sp.Name, err))
+	}
+	return n
+}
+
+// setUp is the Build of a compiled Spec that setup changes before the run
+// in a way the Spec cannot say: window traces, delayed ACKs, probe control,
+// serial transfers. Such a network is not its Spec's, so it never shares.
+func setUp(sp *scenario.Spec, setup func(n *scenario.Net)) func() *scenario.Net {
+	return func() *scenario.Net {
+		n := compile(sp)
+		setup(n)
+		return n
+	}
+}
+
+// collect is the package's one fan-out and the one place a harness network
+// is compiled, run under ctx, checked and read: it lays the networks of
+// exps into one runner.Stream on a pool made for the call, counts readings
+// per experiment on the calling goroutine, and as soon as an experiment's
+// last job is read — and every experiment before it in listing order is
+// settled — folds it, stamps the registry metadata and hands the Result to
+// settled. The number of networks is announced once, before the first runs.
 //
 // Stream indices are dealt round-robin across the experiments (job 0 of
 // each, then job 1 of each, …) so that one experiment's long jobs start
-// early and spread over the workers instead of queueing behind every job
-// listed before them: dealt in listing order, the paper_tables benchmark's
-// three 50 ms table3 jobs begin after 19 short ones and two workers finish
-// about 10 % later.
+// early instead of queueing behind every job listed before them (dealt in
+// listing order, paper_tables' three long table3 jobs made two workers
+// finish about 10 % later). The first Spec job dealt with an AppendSpec
+// encoding owns its index; every later one with that encoding reads the
+// same run, on the same worker, in listing order. A Build job never shares.
 //
-// The first failure ends the settling, not the jobs: later experiments
-// still run and are dropped. failed is the index of the experiment err is
-// about, or -1 when err is nil or came from settled:
+// An invariant violation on a registry network is a harness bug and panics
+// inside the job. The first failure ends the settling, not the jobs: later
+// experiments still run and are dropped. failed is the index of the
+// experiment err is about, or -1 when err is nil or came from settled:
 //   - a fold error fails its experiment;
 //   - a panicking job is recovered by Stream, whose *runner.PanicError
-//     (lowest crashed index) fails the experiment owning that index — its
-//     count never reaches zero, so nothing behind it is handed on;
+//     (lowest crashed index) fails the first experiment in listing order
+//     that reads that network — its count never reaches zero, so nothing
+//     behind it is handed on;
 //   - cancelling ctx stops unstarted jobs; Stream has then delivered a
 //     gap-free prefix, whose completed experiments are already handed on,
-//     and the first unsettled one is reported canceled. A job in flight at
-//     the cancellation returns zero metrics (see run), so nothing settles
-//     once ctx is done.
+//     and the first unsettled one is reported canceled. A run cut short by
+//     the cancellation is not read, and nothing settles once ctx is done.
 func collect(ctx context.Context, cfg Config, exps []*Experiment, progress func(Event), settled func(r *Result) error) (failed int, err error) {
 	if progress == nil {
 		progress = func(Event) {}
 	}
 	plans := make([]Plan, len(exps))
-	left := make([]int, len(exps)) // jobs of each experiment not yet delivered
-	total := 0
+	left := make([]int, len(exps)) // jobs of each experiment not yet read
+	at := make([][]int, len(exps)) // the stream index of each job
+	most := 0
 	for i, e := range exps {
 		plans[i] = e.Plan(cfg)
-		left[i] = plans[i].Jobs
-		total += left[i]
+		left[i] = len(plans[i].Jobs)
+		at[i] = make([]int, left[i])
+		most = max(most, left[i])
 		progress(Event{Kind: EventExperimentStart, Experiment: e.ID})
 	}
-	type slot struct{ exp, job int }
-	deal := make([]slot, 0, total)
-	for j := 0; len(deal) < total; j++ {
+	total := 0
+	owner := map[string]int{} // looked up, never ranged over
+	var key []byte            // one buffer for every encoding
+	for j := 0; j < most; j++ {
 		for i := range plans {
-			if j < plans[i].Jobs {
-				deal = append(deal, slot{i, j})
+			if j < len(at[i]) {
+				k := total
+				if job := plans[i].Jobs[j]; job.Build == nil {
+					var kerr error
+					// A Spec that does not encode runs alone and fails to compile there.
+					if key, kerr = scenario.AppendSpec(key[:0], job.Spec); kerr == nil {
+						if o, ok := owner[string(key)]; ok {
+							k = o
+						} else {
+							owner[string(key)] = k
+						}
+					}
+				}
+				if at[i][j] = k; k == total {
+					total++
+				}
 			}
+		}
+	}
+	type slot struct{ exp, job int }
+	readers := make([][]slot, total)
+	for i := range at {
+		for j, k := range at[i] {
+			readers[k] = append(readers[k], slot{i, j})
 		}
 	}
 	progress(Event{Kind: EventJobs, JobsTotal: total})
@@ -122,19 +166,38 @@ func collect(ctx context.Context, cfg Config, exps []*Experiment, progress func(
 				return
 			}
 			progress(Event{Kind: EventExperimentDone, Experiment: e.ID})
-			plans[next] = Plan{} // folded and handed on: let its jobs' results go
+			plans[next] = Plan{} // folded and handed on: let its results go
 			next++
 		}
 	}
 	settle() // closed-form experiments at the head of the list wait for nothing
 	done := 0
 	streamErr := runner.Stream(ctx, runner.New(cfg.Workers), total, func(k int) struct{} {
-		plans[deal[k].exp].Job(ctx, deal[k].job)
+		first := plans[readers[k][0].exp].Jobs[readers[k][0].job]
+		var n *scenario.Net
+		if first.Build != nil {
+			n = first.Build()
+		} else {
+			n = compile(first.Spec)
+		}
+		rep, runErr := n.Run(ctx)
+		if runErr != nil {
+			return struct{}{} // cancelled mid-run: nothing is read or settled
+		}
+		if len(rep.Violations) != 0 {
+			panic(fmt.Sprintf("harness: %s: invariant violations: %v", n.Name, rep.Violations))
+		}
+		for _, r := range readers[k] {
+			plans[r.exp].Jobs[r.job].Read(n, rep)
+			plans[r.exp].Jobs[r.job] = Job{} // read: let the network go
+		}
 		return struct{}{}
 	}, func(k int, _ struct{}) {
 		done++
 		progress(Event{Kind: EventJobs, JobsDone: done, JobsTotal: total})
-		left[deal[k].exp]--
+		for _, r := range readers[k] {
+			left[r.exp]--
+		}
 		settle()
 	})
 
@@ -142,9 +205,9 @@ func collect(ctx context.Context, cfg Config, exps []*Experiment, progress func(
 	switch {
 	case err != nil: // a fold or settled failed first
 	case errors.As(streamErr, &crash):
-		owner := deal[crash.Job]
-		crash.Job = owner.job // the experiment's own job index, not the stream's
-		failed, err = owner.exp, crash
+		first := readers[crash.Job][0]
+		crash.Job = first.job // the experiment's own job index, not the stream's
+		failed, err = first.exp, crash
 	case next < len(exps):
 		failed, err = next, fmt.Errorf("collection canceled: %w", streamErr)
 	}

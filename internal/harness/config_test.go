@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"mptcpsim/internal/scenario"
 	"mptcpsim/internal/sim"
 )
 
@@ -37,6 +38,9 @@ func TestConfigValidate(t *testing.T) {
 		{"zero FatTree arity", func(c *Config) { c.FatTreeK = 0 }, "must be even and at least 2"},
 		{"no subflow counts", func(c *Config) { c.Subflows = nil }, "no subflow counts"},
 		{"zero subflow count", func(c *Config) { c.Subflows = []int{2, 0} }, "subflow count"},
+		{"run window at a scenario's bound", func(c *Config) { c.Warmup, c.Duration = 0, sim.Seconds(scenario.MaxSpecSec) }, ""},
+		{"run window beyond a scenario's bound", func(c *Config) { c.Duration = sim.Seconds(scenario.MaxSpecSec) }, "longer than"},
+		{"DC window beyond a scenario's bound", func(c *Config) { c.DCDuration = sim.Seconds(scenario.MaxSpecSec) }, "longer than"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -10,21 +9,25 @@ import (
 	"mptcpsim/internal/stats"
 )
 
-// dcThroughput runs the §VI-B1 experiment: every host sends one long-lived
-// flow to a random other host (derangement); reports each flow's goodput as
-// a percentage of the optimal (line rate).
-func dcThroughput(ctx context.Context, cfg Config, algo string, nsub int, seed int64) []float64 {
-	ft := scenario.PaperFatTree(scenario.FatTreeConfig{K: cfg.FatTreeK},
-		scenario.FatTreeLoad{Algorithm: algo, Subflows: nsub}, seed, cfg.DCWarmup, cfg.DCDuration)
-	if _, ok := run(ctx, ft.Net); !ok {
-		return nil
+// dcThroughput is the §VI-B1 experiment: every host sends one long-lived
+// flow to a random other host (derangement); it reads each flow's goodput
+// as a percentage of the optimal (line rate).
+func dcThroughput(cfg Config, algo string, nsub int, seed int64, out *[]float64) Job {
+	var ft *scenario.FatTree
+	return Job{
+		Build: func() *scenario.Net {
+			ft = scenario.PaperFatTree(scenario.FatTreeConfig{K: cfg.FatTreeK},
+				scenario.FatTreeLoad{Algorithm: algo, Subflows: nsub}, seed, cfg.DCWarmup, cfg.DCDuration)
+			return ft.Net
+		},
+		Read: func(*scenario.Net, *scenario.RunReport) {
+			secs := cfg.DCDuration.Sec()
+			*out = make([]float64, len(ft.Long))
+			for i, f := range ft.Long {
+				(*out)[i] = stats.Mbps(f.WindowBytes(), secs) / ft.Cfg.RateMbps * 100
+			}
+		},
 	}
-	secs := cfg.DCDuration.Sec()
-	out := make([]float64, len(ft.Long))
-	for i, f := range ft.Long {
-		out[i] = stats.Mbps(f.WindowBytes(), secs) / ft.Cfg.RateMbps * 100
-	}
-	return out
 }
 
 // dcPoint identifies one FatTree long-flow configuration.
@@ -42,17 +45,17 @@ func fig13a(cfg Config) Plan {
 	for _, nsub := range cfg.Subflows {
 		pts = append(pts, dcPoint{"lia", nsub}, dcPoint{"olia", nsub})
 	}
-	return sweep(cfg, pts, func(ctx context.Context, p dcPoint, seed int64) float64 {
-		var sum stats.Summary
-		for _, v := range dcThroughput(ctx, cfg, p.algo, p.nsub, seed) {
-			sum.Add(v)
-		}
-		return sum.Mean()
-	}, func(per [][]float64) (*Result, error) {
+	return sweep(cfg, pts, func(p dcPoint, seed int64, out *[]float64) Job {
+		return dcThroughput(cfg, p.algo, p.nsub, seed, out)
+	}, func(per [][][]float64) (*Result, error) {
 		agg := make([]stats.Summary, len(pts)) // over the per-seed means of per-flow %-of-optimal
 		for i := range pts {
-			for _, mean := range per[i] {
-				agg[i].Add(mean)
+			for _, flows := range per[i] {
+				var sum stats.Summary
+				for _, v := range flows {
+					sum.Add(v)
+				}
+				agg[i].Add(sum.Mean())
 			}
 		}
 		r := &Result{
@@ -76,9 +79,7 @@ func fig13a(cfg Config) Plan {
 
 // textFig13a is the classic Fig. 13(a) layout.
 func textFig13a(r *Result, w io.Writer) error {
-	for _, line := range r.Preamble {
-		fmt.Fprintln(w, line)
-	}
+	writeLines(w, r.Preamble)
 	fmt.Fprintf(w, "%-9s | %s\n", "subflows", "aggregate throughput (% of optimal)")
 	fmt.Fprintf(w, "%-9s | %-12s %-12s %-12s\n", "", "MPTCP-LIA", "MPTCP-OLIA", "TCP")
 	for _, c := range r.Rows {
@@ -97,8 +98,8 @@ func fig13b(cfg Config) Plan {
 	nsub := cfg.Subflows[len(cfg.Subflows)-1]
 	pts := []dcPoint{{"lia", nsub}, {"olia", nsub}, {"tcp", 1}}
 	// One repetition at the base seed, as in the paper's ranked plot.
-	return perPoint(pts, func(ctx context.Context, p dcPoint) []float64 {
-		return dcThroughput(ctx, cfg, p.algo, p.nsub, cfg.BaseSeed)
+	return perPoint(pts, func(p dcPoint, out *[]float64) Job {
+		return dcThroughput(cfg, p.algo, p.nsub, cfg.BaseSeed, out)
 	}, func(perFlow [][]float64) (*Result, error) {
 		r := &Result{
 			Preamble: []string{fmt.Sprintf("FatTree K=%d, per-flow throughput percentiles (%% of optimal), %d subflows",
@@ -121,9 +122,7 @@ func fig13b(cfg Config) Plan {
 
 // textFig13b is the classic Fig. 13(b) layout.
 func textFig13b(r *Result, w io.Writer) error {
-	for _, line := range r.Preamble {
-		fmt.Fprintln(w, line)
-	}
+	writeLines(w, r.Preamble)
 	fmt.Fprintf(w, "%-10s |", "algo")
 	for _, q := range fig13bQuantiles {
 		fmt.Fprintf(w, " p%-5.0f", q)
@@ -145,34 +144,37 @@ type shortFlowResult struct {
 	coreUtilPct float64
 }
 
-// dcShortFlows runs the §VI-B2 experiment on the 4:1 oversubscribed fabric:
+// dcShortFlows is the §VI-B2 experiment on the 4:1 oversubscribed fabric:
 // one third of the hosts run long-lived flows (TCP or MPTCP at the largest
 // subflow count); the rest send 70 KB TCP flows with Poisson 200 ms mean
 // spacing. The window runs 2 s past the last arrival to drain tail
 // completions.
-func dcShortFlows(ctx context.Context, cfg Config, algo string, seed int64) shortFlowResult {
+func dcShortFlows(cfg Config, algo string, seed int64, res *shortFlowResult) Job {
 	const drain = 2 * sim.Second
-	ft := scenario.PaperFatTree(scenario.FatTreeConfig{K: cfg.FatTreeK, Oversubscription: 4},
-		scenario.FatTreeLoad{
-			Algorithm: algo, Subflows: cfg.Subflows[len(cfg.Subflows)-1],
-			ShortBytes: 70_000, ShortGap: 200 * sim.Millisecond, Drain: drain,
-		}, seed, cfg.DCWarmup, cfg.DCDuration+drain)
-	rep, ok := run(ctx, ft.Net)
-	if !ok {
-		return shortFlowResult{}
+	var ft *scenario.FatTree
+	return Job{
+		Build: func() *scenario.Net {
+			ft = scenario.PaperFatTree(scenario.FatTreeConfig{K: cfg.FatTreeK, Oversubscription: 4},
+				scenario.FatTreeLoad{
+					Algorithm: algo, Subflows: cfg.Subflows[len(cfg.Subflows)-1],
+					ShortBytes: 70_000, ShortGap: 200 * sim.Millisecond, Drain: drain,
+				}, seed, cfg.DCWarmup, cfg.DCDuration+drain)
+			return ft.Net
+		},
+		Read: func(_ *scenario.Net, rep *scenario.RunReport) {
+			core := ft.CoreLinks()
+			var coreBytes int64
+			for _, l := range core {
+				coreBytes += rep.Queues[l].Window.SentBytes
+			}
+			secs := (cfg.DCDuration + drain).Sec()
+			capacity := float64(len(core)) * (ft.Cfg.RateMbps * 1e6) / 8 * secs
+			res.coreUtilPct = float64(coreBytes) / capacity * 100
+			for _, g := range ft.Short {
+				res.completions = append(res.completions, g.Done...)
+			}
+		},
 	}
-	core := ft.CoreLinks()
-	var coreBytes int64
-	for _, l := range core {
-		coreBytes += rep.Queues[l].Window.SentBytes
-	}
-	secs := (cfg.DCDuration + drain).Sec()
-	capacity := float64(len(core)) * (ft.Cfg.RateMbps * 1e6) / 8 * secs
-	res := shortFlowResult{coreUtilPct: float64(coreBytes) / capacity * 100}
-	for _, g := range ft.Short {
-		res.completions = append(res.completions, g.Done...)
-	}
-	return res
 }
 
 // dcShortAlgos is the §VI-B2 comparison set, in table order.
@@ -183,8 +185,8 @@ var dcShortAlgos = []string{"lia", "olia", "tcp"}
 // order per algorithm.
 func planDCShortFlows(result func(cfg Config, res [][]shortFlowResult) (*Result, error)) func(Config) Plan {
 	return func(cfg Config) Plan {
-		return sweep(cfg, dcShortAlgos, func(ctx context.Context, algo string, seed int64) shortFlowResult {
-			return dcShortFlows(ctx, cfg, algo, seed)
+		return sweep(cfg, dcShortAlgos, func(algo string, seed int64, res *shortFlowResult) Job {
+			return dcShortFlows(cfg, algo, seed, res)
 		}, func(res [][]shortFlowResult) (*Result, error) { return result(cfg, res) })
 	}
 }
@@ -225,17 +227,13 @@ func table3(cfg Config, res [][]shortFlowResult) (*Result, error) {
 // textTable3 is the classic Table III layout (finish times as mean ± stdev,
 // as the paper reports them).
 func textTable3(r *Result, w io.Writer) error {
-	for _, line := range r.Preamble {
-		fmt.Fprintln(w, line)
-	}
+	writeLines(w, r.Preamble)
 	fmt.Fprintf(w, "%-12s | %-22s | %-10s | %s\n", "algorithm", "short-flow finish (ms)", "core util", "flows")
 	for _, c := range r.Rows {
 		fmt.Fprintf(w, "%-12s | %6.0f ± %-6.0f        | %5.1f%%     | %d\n",
 			c[0].Text, c[1].Value, c[1].Stdev, c[2].Value, c[3].Int())
 	}
-	for _, line := range r.Footer {
-		fmt.Fprintln(w, line)
-	}
+	writeLines(w, r.Footer)
 	return nil
 }
 
@@ -270,9 +268,7 @@ func fig14(_ Config, res [][]shortFlowResult) (*Result, error) {
 
 // textFig14 is the classic Fig. 14 layout.
 func textFig14(r *Result, w io.Writer) error {
-	for _, line := range r.Preamble {
-		fmt.Fprintln(w, line)
-	}
+	writeLines(w, r.Preamble)
 	fmt.Fprintf(w, "%-10s |", "ms")
 	for b := 0; b < fig14Buckets; b++ {
 		fmt.Fprintf(w, " %5d", b*20+10)

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -17,30 +16,29 @@ type probeMetrics struct {
 	suspends      int
 }
 
-// runProbeSuspension executes one Scenario-C-like run (N1=20, N2=10,
-// C1/C2=2, OLIA) with or without bad-path suspension enabled on the
-// multipath users.
-func runProbeSuspension(ctx context.Context, cfg Config, enable bool, seed int64) probeMetrics {
-	n := compile(scenario.PaperScenarioC(20, 10, 2.0, 1.0, "olia", seed, cfg.Warmup.Sec(), cfg.Duration.Sec()))
-	multi, single := n.Group("multi"), n.Group("single")
+// runProbeSuspension is one Scenario-C-like run (N1=20, N2=10, C1/C2=2,
+// OLIA) with or without bad-path suspension enabled on the multipath
+// users. Without it the run is its Spec's, which Figs. 11 and 12 list too.
+func runProbeSuspension(cfg Config, enable bool, seed int64, m *probeMetrics) Job {
+	j := Job{Spec: scenario.PaperScenarioC(20, 10, 2.0, 1.0, "olia", seed, cfg.Warmup.Sec(), cfg.Duration.Sec()),
+		Read: func(n *scenario.Net, _ *scenario.RunReport) {
+			secs := cfg.Duration.Sec()
+			for _, f := range n.Group("multi") {
+				m.multi += stats.Mbps(f.WindowBytes(), secs) / 2.0 / 20
+				m.suspends += f.Conn.SuspendCount(0) + f.Conn.SuspendCount(1)
+			}
+			for _, f := range n.Group("single") {
+				m.single += stats.Mbps(f.WindowBytes(), secs) / 1.0 / 10
+			}
+		}}
 	if enable {
-		for _, f := range multi {
-			f.Conn.EnableProbeControl()
-		}
+		j.Build = setUp(j.Spec, func(n *scenario.Net) {
+			for _, f := range n.Group("multi") {
+				f.Conn.EnableProbeControl()
+			}
+		})
 	}
-	if _, ok := run(ctx, n); !ok {
-		return probeMetrics{}
-	}
-	secs := cfg.Duration.Sec()
-	var m probeMetrics
-	for _, f := range multi {
-		m.multi += stats.Mbps(f.WindowBytes(), secs) / 2.0 / 20
-		m.suspends += f.Conn.SuspendCount(0) + f.Conn.SuspendCount(1)
-	}
-	for _, f := range single {
-		m.single += stats.Mbps(f.WindowBytes(), secs) / 1.0 / 10
-	}
-	return m
+	return j
 }
 
 // extProbe evaluates the §VII future-work extension: suspending
@@ -49,8 +47,8 @@ func runProbeSuspension(ctx context.Context, cfg Config, enable bool, seed int64
 // "optimum with probing cost" line.
 func extProbe(cfg Config) Plan {
 	variants := []bool{false, true}
-	return sweep(cfg, variants, func(ctx context.Context, enable bool, seed int64) probeMetrics {
-		return runProbeSuspension(ctx, cfg, enable, seed)
+	return sweep(cfg, variants, func(enable bool, seed int64, m *probeMetrics) Job {
+		return runProbeSuspension(cfg, enable, seed, m)
 	}, func(per [][]probeMetrics) (*Result, error) {
 		opt := 1 - 2.0*0.08 // optimum-with-probing single-path norm at N1/N2=2
 		r := &Result{
@@ -85,18 +83,14 @@ func extProbe(cfg Config) Plan {
 
 // textExtProbe is the classic bad-path-suspension table layout.
 func textExtProbe(r *Result, w io.Writer) error {
-	for _, line := range r.Preamble {
-		fmt.Fprintln(w, line)
-	}
+	writeLines(w, r.Preamble)
 	fmt.Fprintf(w, "%-24s | %-18s | %-18s | %s\n",
 		"variant", "single-path (norm)", "multipath (norm)", "suspensions")
 	for _, c := range r.Rows {
 		fmt.Fprintf(w, "%-24s | %8.3f±%-8.3f | %8.3f±%-8.3f | %d\n",
 			c[0].Text, c[1].Value, c[1].CI95, c[2].Value, c[2].CI95, c[3].Int())
 	}
-	for _, line := range r.Footer {
-		fmt.Fprintln(w, line)
-	}
+	writeLines(w, r.Footer)
 	return nil
 }
 
@@ -105,10 +99,10 @@ func textExtProbe(r *Result, w io.Writer) error {
 // best-path TCP rate, regardless of coupling.
 func extRwnd(cfg Config) Plan {
 	rwnds := []float64{0, 16, 8, 4}
-	return perPoint(rwnds, func(ctx context.Context, rwnd float64) twoLinkOutcome {
+	return perPoint(rwnds, func(rwnd float64, out *twoLinkOutcome) Job {
 		sp := twoLinkSpec(cfg, "olia", 5, 5)
 		twoLinkMP(sp).MaxCwndPkts = rwnd
-		return runTwoLink(ctx, cfg, sp)
+		return runTwoLink(cfg, sp, out)
 	}, func(outs []twoLinkOutcome) (*Result, error) {
 		r := &Result{
 			Preamble: []string{"Two-link rig, OLIA: effect of a receive-window cap on the aggregate"},
@@ -133,9 +127,7 @@ func extRwnd(cfg Config) Plan {
 
 // textExtRwnd is the classic receive-window table layout.
 func textExtRwnd(r *Result, w io.Writer) error {
-	for _, line := range r.Preamble {
-		fmt.Fprintln(w, line)
-	}
+	writeLines(w, r.Preamble)
 	fmt.Fprintf(w, "%-12s | %-10s | %s\n", "rwnd (pkts)", "mp total", "TCP mean")
 	for _, c := range r.Rows {
 		fmt.Fprintf(w, "%-12s | %-10.2f | %.2f\n", c[0].Text, c[1].Value, c[2].Value)
@@ -155,17 +147,15 @@ type streamOutcome struct {
 // under one transport mode. The rig's own multipath user is left out; each
 // transfer joins the running network as a flow of its own over the same
 // queues.
-func runSerialTransfers(ctx context.Context, cfg Config, mode string, size int64, transfers int) streamOutcome {
+func runSerialTransfers(cfg Config, mode string, size int64, transfers int, out *streamOutcome) Job {
 	const horizonSec = 600
 	sp := scenario.PaperTwoLink(10, 2, 2, "olia", cfg.BaseSeed, 0, horizonSec)
 	sp.Flows = sp.Flows[:len(sp.Flows)-1]
-	n := compile(sp)
-	out := streamOutcome{mode: mode}
-	launchSerial(n, mode, size, transfers, &out.sum)
-	if _, ok := run(ctx, n); !ok {
-		return streamOutcome{mode: mode}
+	var sum stats.Summary
+	return Job{
+		Build: setUp(sp, func(n *scenario.Net) { launchSerial(n, mode, size, transfers, &sum) }),
+		Read:  func(*scenario.Net, *scenario.RunReport) { *out = streamOutcome{mode: mode, sum: sum} },
 	}
-	return out
 }
 
 // extStreams compares finite transfers done as single-path TCP against
@@ -177,8 +167,8 @@ func extStreams(cfg Config) Plan {
 	const xferBytes = 512 * 1024
 	const transfers = 20
 	modes := []string{"tcp", "mptcp-olia stream"}
-	return perPoint(modes, func(ctx context.Context, mode string) streamOutcome {
-		return runSerialTransfers(ctx, cfg, mode, xferBytes, transfers)
+	return perPoint(modes, func(mode string, out *streamOutcome) Job {
+		return runSerialTransfers(cfg, mode, xferBytes, transfers, out)
 	}, func(outs []streamOutcome) (*Result, error) {
 		r := &Result{
 			Preamble: []string{fmt.Sprintf(
@@ -201,17 +191,13 @@ func extStreams(cfg Config) Plan {
 // textExtStreams is the classic serial-transfers table layout (completion
 // as mean ± stdev).
 func textExtStreams(r *Result, w io.Writer) error {
-	for _, line := range r.Preamble {
-		fmt.Fprintln(w, line)
-	}
+	writeLines(w, r.Preamble)
 	fmt.Fprintf(w, "%-22s | %-16s | %s\n", "transport", "completion (s)", "completed")
 	for _, c := range r.Rows {
 		fmt.Fprintf(w, "%-22s | %6.2f ± %-6.2f | %d/%d\n",
 			c[0].Text, c[1].Value, c[1].Stdev, c[2].Int(), c[3].Int())
 	}
-	for _, line := range r.Footer {
-		fmt.Fprintln(w, line)
-	}
+	writeLines(w, r.Footer)
 	return nil
 }
 
@@ -292,10 +278,10 @@ func init() {
 // metric makes the preference explicit.
 func extRTT(cfg Config) Plan {
 	algos := []string{"olia", "lia", "uncoupled"}
-	return perPoint(algos, func(ctx context.Context, algo string) twoLinkOutcome {
+	return perPoint(algos, func(algo string, out *twoLinkOutcome) Job {
 		sp := twoLinkSpec(cfg, algo, 5, 5)
 		sp.Paths[1].DelayMs = 120 // RTT 240+q vs 80+q ms
-		return runTwoLink(ctx, cfg, sp)
+		return runTwoLink(cfg, sp, out)
 	}, func(outs []twoLinkOutcome) (*Result, error) {
 		r := &Result{
 			Preamble: []string{"Two links, equal capacity and background (5 TCP each); path 2 RTT 3x path 1"},
@@ -322,18 +308,14 @@ func extRTT(cfg Config) Plan {
 
 // textExtRTT is the classic RTT-heterogeneity table layout.
 func textExtRTT(r *Result, w io.Writer) error {
-	for _, line := range r.Preamble {
-		fmt.Fprintln(w, line)
-	}
+	writeLines(w, r.Preamble)
 	fmt.Fprintf(w, "%-14s | %-12s %-12s | %s\n",
 		"algorithm", "mp short-rtt", "mp long-rtt", "ratio")
 	for _, c := range r.Rows {
 		fmt.Fprintf(w, "%-14s | %-12.2f %-12.2f | %.1f\n",
 			c[0].Text, c[1].Value, c[2].Value, c[3].Value)
 	}
-	for _, line := range r.Footer {
-		fmt.Fprintln(w, line)
-	}
+	writeLines(w, r.Footer)
 	return nil
 }
 
@@ -343,32 +325,34 @@ type delackOutcome struct {
 }
 
 // runDelack measures the symmetric rig with per-segment or delayed ACKs.
-func runDelack(ctx context.Context, cfg Config, delayed bool) delackOutcome {
-	n := compile(twoLinkSpec(cfg, "olia", 5, 5))
-	if delayed {
-		for _, f := range n.Flows {
-			for _, k := range f.Sinks {
-				k.EnableDelayedAck()
-			}
+// With per-segment ACKs the run is its Spec's.
+func runDelack(cfg Config, delayed bool, out *delackOutcome) Job {
+	j := Job{Spec: twoLinkSpec(cfg, "olia", 5, 5), Read: func(n *scenario.Net, _ *scenario.RunReport) {
+		secs := cfg.Duration.Sec()
+		tcp1, tcp2 := n.Group("tcp1"), n.Group("tcp2")
+		*out = delackOutcome{
+			mpMbps:     stats.Mbps(scenario.GroupWindowBytes(n.Group("mp")), secs),
+			bgMeanMbps: stats.Mbps(scenario.GroupWindowBytes(tcp1)+scenario.GroupWindowBytes(tcp2), secs) / float64(len(tcp1)+len(tcp2)),
 		}
+	}}
+	if delayed {
+		j.Build = setUp(j.Spec, func(n *scenario.Net) {
+			for _, f := range n.Flows {
+				for _, k := range f.Sinks {
+					k.EnableDelayedAck()
+				}
+			}
+		})
 	}
-	if _, ok := run(ctx, n); !ok {
-		return delackOutcome{}
-	}
-	secs := cfg.Duration.Sec()
-	tcp1, tcp2 := n.Group("tcp1"), n.Group("tcp2")
-	return delackOutcome{
-		mpMbps:     stats.Mbps(scenario.GroupWindowBytes(n.Group("mp")), secs),
-		bgMeanMbps: stats.Mbps(scenario.GroupWindowBytes(tcp1)+scenario.GroupWindowBytes(tcp2), secs) / float64(len(tcp1)+len(tcp2)),
-	}
+	return j
 }
 
 // ablationDelack compares per-segment acknowledgments (htsim behavior, the
 // default here) with RFC 1122 delayed ACKs on the symmetric rig.
 func ablationDelack(cfg Config) Plan {
 	variants := []bool{false, true}
-	return perPoint(variants, func(ctx context.Context, delayed bool) delackOutcome {
-		return runDelack(ctx, cfg, delayed)
+	return perPoint(variants, func(delayed bool, out *delackOutcome) Job {
+		return runDelack(cfg, delayed, out)
 	}, func(outs []delackOutcome) (*Result, error) {
 		r := &Result{
 			Preamble: []string{"Symmetric rig, OLIA: receiver acknowledgment policy"},
@@ -392,9 +376,7 @@ func ablationDelack(cfg Config) Plan {
 
 // textAblationDelack is the classic acknowledgment-policy table layout.
 func textAblationDelack(r *Result, w io.Writer) error {
-	for _, line := range r.Preamble {
-		fmt.Fprintln(w, line)
-	}
+	writeLines(w, r.Preamble)
 	fmt.Fprintf(w, "%-22s | %-10s | %s\n", "receiver", "mp total", "TCP mean")
 	for _, c := range r.Rows {
 		fmt.Fprintf(w, "%-22s | %-10.2f | %.2f\n", c[0].Text, c[1].Value, c[2].Value)

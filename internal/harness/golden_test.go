@@ -85,6 +85,55 @@ func TestGoldenText(t *testing.T) {
 	}
 }
 
+// registryIDs lists the registered experiments without the test-only
+// probes other tests register.
+func registryIDs() []string {
+	var ids []string
+	for _, e := range Experiments() {
+		if !strings.HasPrefix(e.ID, "zz-") {
+			ids = append(ids, e.ID)
+		}
+	}
+	return ids
+}
+
+// TestRunAllRegistryMatchesGoldens: one RunAll over the whole registry, in
+// which a Spec that several experiments list runs once and is read by
+// each, renders every experiment exactly as its golden, sequentially and
+// on two workers. TestGoldenText collects one experiment at a time, so it
+// never sees a shared run.
+func TestRunAllRegistryMatchesGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation experiments skipped in -short")
+	}
+	ids := registryIDs()
+	for _, workers := range []int{1, 2} {
+		cfg := goldenConfig()
+		cfg.Workers = workers
+		var b strings.Builder
+		if err := RunAll(context.Background(), cfg, ids, FormatText, &b, nil); err != nil {
+			t.Fatalf("Workers=%d: %v", workers, err)
+		}
+		sections := strings.Split(b.String(), "\n===== ")[1:]
+		if len(sections) != len(ids) {
+			t.Fatalf("Workers=%d: %d sections for %d experiments", workers, len(sections), len(ids))
+		}
+		for i, sec := range sections {
+			id, body, _ := strings.Cut(sec, " =====\n")
+			if id != ids[i] {
+				t.Fatalf("Workers=%d: section %d is %q, want %q", workers, i, id, ids[i])
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", "golden", id+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if body != string(want) {
+				t.Errorf("Workers=%d: %s differs from its golden\n--- got ---\n%s--- want ---\n%s", workers, id, body, want)
+			}
+		}
+	}
+}
+
 // TestGoldenCoverageComplete guards the snapshot suite itself: every
 // registered experiment must have a committed golden file, and every
 // golden file must belong to a registered experiment — so neither a new

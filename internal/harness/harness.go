@@ -10,11 +10,11 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
 
+	"mptcpsim/internal/scenario"
 	"mptcpsim/internal/sim"
 )
 
@@ -31,8 +31,9 @@ const (
 	// handed on, or has failed (Err set). Experiments behind a failed one
 	// still run but are not folded and report nothing.
 	EventExperimentDone
-	// EventJobs fires once with the call's job total before the first job
-	// runs, then once per finished job; the total never changes.
+	// EventJobs fires once with the call's job total — the networks it
+	// runs, one per distinct Spec — before the first job runs, then once
+	// per finished job; the total never changes.
 	EventJobs
 )
 
@@ -76,14 +77,15 @@ type Config struct {
 // Validate rejects configurations that previously fell through to silent
 // defaults or nonsense runs: negative worker or seed counts, non-positive
 // measurement windows (metrics divide by the duration — a zero window
-// would render NaN columns without erroring), and an odd or negative
-// FatTree arity (including 0: scenario.PaperFatTree would silently default
-// to the expensive paper-scale K=8 fabric while result preambles report K=0),
-// and an empty Subflows list (fig13b, fig14 and table3 index its last
-// entry). A zero count still selects its documented default (Seeds 0 → 1,
-// Workers 0 → GOMAXPROCS), so only those fields tolerate omission;
-// durations, the arity and the subflow list have no safe default and must
-// be set (use DefaultConfig or FullConfig as the base).
+// would render NaN columns without erroring), a warmup plus duration longer
+// than a scenario can hold (scenario.MaxSpecSec; every job would panic in
+// compile), an odd or negative FatTree arity (including 0:
+// scenario.PaperFatTree would silently default to the expensive K=8 fabric
+// while result preambles report K=0), and an empty Subflows list (fig13b,
+// fig14 and table3 index its last entry). A zero count still selects its
+// documented default (Seeds 0 → 1, Workers 0 → GOMAXPROCS), so only those
+// fields tolerate omission; durations, the arity and the subflow list have
+// no safe default and must be set (use DefaultConfig or FullConfig).
 func (cfg Config) Validate() error {
 	if cfg.Workers < 0 {
 		return fmt.Errorf("harness: negative worker count %d", cfg.Workers)
@@ -96,6 +98,11 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.DCDuration <= 0 || cfg.DCWarmup < 0 {
 		return fmt.Errorf("harness: data-center duration must be positive and warmup non-negative (duration %v, warmup %v)", cfg.DCDuration, cfg.DCWarmup)
+	}
+	for _, w := range [][2]sim.Time{{cfg.Warmup, cfg.Duration}, {cfg.DCWarmup, cfg.DCDuration}} {
+		if w[0].Sec()+w[1].Sec() > scenario.MaxSpecSec {
+			return fmt.Errorf("harness: run of %gs longer than the %gs a scenario can hold", w[0].Sec()+w[1].Sec(), float64(scenario.MaxSpecSec))
+		}
 	}
 	if cfg.FatTreeK < 2 || cfg.FatTreeK%2 != 0 {
 		return fmt.Errorf("harness: FatTree arity %d must be even and at least 2", cfg.FatTreeK)
@@ -159,20 +166,28 @@ type Experiment struct {
 	Text func(r *Result, w io.Writer) error
 }
 
-// Plan is one experiment's work under one Config: Jobs independent jobs and
-// the fold that runs once all of them are in. The closed-form figures have
-// no jobs; every simulated experiment builds its plan with sweep or
-// perPoint.
+// Plan is one experiment's work under one Config: its jobs and the fold
+// that runs once all of them are read. The closed-form figures have no
+// jobs; every simulated experiment builds its plan with sweep or perPoint.
 type Plan struct {
-	// Jobs is how many independent jobs the experiment has.
-	Jobs int
-	// Job runs job i (0 <= i < Jobs) and stores its typed result in storage
-	// the plan owns. Everything it needs, its RNG seed included, derives
-	// from i; jobs run concurrently and must not communicate.
-	Job func(ctx context.Context, i int)
+	// Jobs are the experiment's independent networks. Everything a job
+	// needs, its RNG seed included, is fixed when the plan is made.
+	Jobs []Job
 	// Fold merges the stored results in index order into the Result. It
-	// runs on the calling goroutine after every job has finished.
+	// runs on the calling goroutine after every job has been read.
 	Fold func() (*Result, error)
+}
+
+// Job is one network of a plan and the reader of its run. The network is
+// Spec, which collect compiles, or, when Build is set, what Build returns:
+// the fat tree, or a compiled Spec set up in a way a Spec cannot say (see
+// setUp). Read stores the job's typed metrics from the finished run and
+// must not change n or rep: a Spec job's run may be read by several jobs,
+// while a Build job's never is, whatever its Spec field says.
+type Job struct {
+	Spec  *scenario.Spec
+	Build func() *scenario.Net
+	Read  func(n *scenario.Net, rep *scenario.RunReport)
 }
 
 var (

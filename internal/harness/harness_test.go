@@ -126,10 +126,13 @@ func TestDCThroughputShape(t *testing.T) {
 		t.Skip("simulation experiments skipped in -short")
 	}
 	cfg := tinyConfig()
+	cfg.BaseSeed = 1
 	// MPTCP with several subflows must beat single-path TCP on aggregate
 	// (the core Fig. 13(a) claim).
-	tcp := dcThroughput(context.Background(), cfg, "tcp", 1, 1)
-	olia := dcThroughput(context.Background(), cfg, "olia", 3, 1)
+	per := collectSweep(t, cfg, []dcPoint{{"tcp", 1}, {"olia", 3}}, func(p dcPoint, seed int64, out *[]float64) Job {
+		return dcThroughput(cfg, p.algo, p.nsub, seed, out)
+	})
+	tcp, olia := per[0][0], per[1][0]
 	var tcpSum, oliaSum float64
 	for i := range tcp {
 		tcpSum += tcp[i]

@@ -10,10 +10,12 @@ import (
 	"time"
 
 	"mptcpsim/internal/runner"
+	"mptcpsim/internal/scenario"
 )
 
 // registerPanicProbe installs the zz-panic test experiment: a sweep whose
-// job for point 2 panics while the others return normally.
+// job for point 2 panics building its network while the others run and
+// read normally.
 func registerPanicProbe() {
 	if Get("zz-panic") != nil {
 		return
@@ -21,11 +23,13 @@ func registerPanicProbe() {
 	register(&Experiment{
 		ID: "zz-panic", PaperRef: "test", Title: "crashing sweep probe",
 		Plan: func(cfg Config) Plan {
-			return sweep(cfg, []int{0, 1, 2, 3}, func(_ context.Context, p int, seed int64) int {
-				if p == 2 {
-					panic("simulated job crash")
-				}
-				return p
+			return sweep(cfg, []int{0, 1, 2, 3}, func(p int, seed int64, out *int) Job {
+				return Job{Build: func() *scenario.Net {
+					if p == 2 {
+						panic("simulated job crash")
+					}
+					return compile(shortSpec(seed))
+				}, Read: func(*scenario.Net, *scenario.RunReport) { *out = p }}
 			}, func(rows [][]int) (*Result, error) {
 				return nil, fmt.Errorf("panic probe: folded %d points although a job crashed", len(rows))
 			})

@@ -116,21 +116,25 @@ func TestRunAllStreamsProgressively(t *testing.T) {
 			ID: "zz-stream-a", PaperRef: "test", Title: "streaming probe a",
 			// One job, so that a settles inside the stream, next to b's job.
 			Plan: func(Config) Plan {
-				return perPoint([]int{0}, func(context.Context, int) int { return 0 }, func([]int) (*Result, error) {
+				return perPoint([]int{0}, func(int, *int) Job {
+					return Job{Spec: shortSpec(1), Read: func(*scenario.Net, *scenario.RunReport) {}}
+				}, func([]int) (*Result, error) {
 					return &Result{Preamble: []string{"a-output"}}, nil
 				})
 			},
 		})
 		register(&Experiment{
 			ID: "zz-stream-b", PaperRef: "test", Title: "streaming probe b",
+			// A Build job, so that b's reading does not share a's run.
 			Plan: func(Config) Plan {
-				return perPoint([]int{0}, func(context.Context, int) bool {
-					select {
-					case <-streamTestGate:
-						return true
-					case <-time.After(30 * time.Second):
-						return false
-					}
+				return perPoint([]int{0}, func(_ int, flushed *bool) Job {
+					return Job{Build: func() *scenario.Net { return compile(shortSpec(1)) }, Read: func(*scenario.Net, *scenario.RunReport) {
+						select {
+						case <-streamTestGate:
+							*flushed = true
+						case <-time.After(30 * time.Second):
+						}
+					}}
 				}, func(flushed []bool) (*Result, error) {
 					if !flushed[0] {
 						return nil, fmt.Errorf("zz-stream-a output never flushed while zz-stream-b ran")
@@ -182,9 +186,15 @@ func TestRunAllUnknownID(t *testing.T) {
 	}
 }
 
+// shortSpec is a 1 s run of the two-link rig: a network cheap enough for a
+// test of collect itself.
+func shortSpec(seed int64) *scenario.Spec {
+	return scenario.PaperTwoLink(10, 1, 1, "olia", seed, 0, 1)
+}
+
 // collectSweep runs a sweep through the package's one fan-out, as the plan
 // of a throw-away experiment, and returns what its fold was handed.
-func collectSweep[P, T any](t *testing.T, cfg Config, points []P, job func(ctx context.Context, p P, seed int64) T) [][]T {
+func collectSweep[P, T any](t *testing.T, cfg Config, points []P, job func(p P, seed int64, out *T) Job) [][]T {
 	t.Helper()
 	var per [][]T
 	e := &Experiment{ID: "zz-sweep", Plan: func(cfg Config) Plan {
@@ -214,8 +224,8 @@ func TestPerSeedResultsIndependentOfWorkers(t *testing.T) {
 			{c1: 1.0, n1: 10, algo: "lia"},
 			{c1: 1.5, n1: 20, algo: "olia"},
 		}
-		return collectSweep(t, cfg, points, func(ctx context.Context, p acPoint, seed int64) acMetrics {
-			return runScenarioAC(ctx, scenario.PaperScenarioA, p, seed, cfg)
+		return collectSweep(t, cfg, points, func(p acPoint, seed int64, m *acMetrics) Job {
+			return runScenarioAC(scenario.PaperScenarioA, p, seed, cfg, m)
 		})
 	}
 	ref := collect(1)
@@ -233,13 +243,15 @@ func TestPerSeedResultsIndependentOfWorkers(t *testing.T) {
 }
 
 // TestSweepSeedDerivation pins the seed chain: repetition s of any point
-// sees cfg.BaseSeed + s, matching the sequential harness the experiments
-// replaced.
+// runs a network seeded cfg.BaseSeed + s, matching the sequential harness
+// the experiments replaced.
 func TestSweepSeedDerivation(t *testing.T) {
 	cfg := parallelConfig(4)
 	cfg.Seeds = 3
 	cfg.BaseSeed = 100
-	seedOf := func(_ context.Context, _ string, seed int64) int64 { return seed }
+	seedOf := func(_ string, seed int64, out *int64) Job {
+		return Job{Spec: shortSpec(seed), Read: func(n *scenario.Net, _ *scenario.RunReport) { *out = n.Seed }}
+	}
 	got := collectSweep(t, cfg, []string{"p0", "p1"}, seedOf)
 	for pi := range got {
 		for s, seed := range got[pi] {

@@ -58,12 +58,17 @@ func RenderText(r *Result, w io.Writer) error {
 	return genericText(r, w)
 }
 
+// writeLines writes each line of a preamble or footer.
+func writeLines(w io.Writer, lines []string) {
+	for _, line := range lines {
+		fmt.Fprintln(w, line)
+	}
+}
+
 // genericText renders preamble, an aligned name header, rows, and footer —
 // the layout used for results with no registered bespoke table.
 func genericText(r *Result, w io.Writer) error {
-	for _, line := range r.Preamble {
-		fmt.Fprintln(w, line)
-	}
+	writeLines(w, r.Preamble)
 	if len(r.Columns) > 0 {
 		cells := make([][]string, len(r.Rows))
 		width := make([]int, len(r.Columns))
@@ -105,9 +110,7 @@ func genericText(r *Result, w io.Writer) error {
 			fmt.Fprintln(w, strings.TrimRight(b.String(), " "))
 		}
 	}
-	for _, line := range r.Footer {
-		fmt.Fprintln(w, line)
-	}
+	writeLines(w, r.Footer)
 	return nil
 }
 

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"testing"
 
+	"mptcpsim/internal/scenario"
 	"mptcpsim/internal/sim"
 )
 
@@ -80,6 +82,85 @@ func TestRunAllGoroutineBound(t *testing.T) {
 			peak, len(ids), workers, limit, baseline)
 	}
 	waitForGoroutines(t, baseline)
+}
+
+// TestRegistryJobCounts: a job is a network, and a Spec that several
+// experiments list runs once, so the whole registry announces 107 jobs at
+// the quick scale (176 when every experiment ran its own) and 180 at the
+// golden one (318). The context is cancelled on the announcement, before
+// any network runs.
+func TestRegistryJobCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want int
+	}{
+		{"DefaultConfig", DefaultConfig(), 107},
+		{"goldenConfig", goldenConfig(), 180},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		total, done := -1, 0
+		err := RunAll(ctx, tc.cfg, registryIDs(), FormatText, io.Discard, func(ev Event) {
+			if ev.Kind != EventJobs {
+				return
+			}
+			if total < 0 {
+				total = ev.JobsTotal
+				cancel()
+			}
+			done = ev.JobsDone
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want the cancellation", tc.name, err)
+		}
+		if total != tc.want || done != 0 {
+			t.Errorf("%s: announced %d jobs and finished %d, want %d announced and none run", tc.name, total, done, tc.want)
+		}
+	}
+}
+
+// TestCollectSharesSpecRuns: within one call, two experiments that list
+// the same Spec read one run of it, and both folds see that report, while
+// a Build job that compiles the same Spec gets a run of its own.
+func TestCollectSharesSpecRuns(t *testing.T) {
+	var reps, folded [3]*scenario.RunReport
+	builds := 0
+	probe := func(i int, job Job) *Experiment {
+		job.Read = func(_ *scenario.Net, rep *scenario.RunReport) { reps[i] = rep }
+		return &Experiment{ID: fmt.Sprintf("zz-share-%d", i), Plan: func(Config) Plan {
+			return Plan{Jobs: []Job{job}, Fold: func() (*Result, error) {
+				folded[i] = reps[i]
+				return &Result{}, nil
+			}}
+		}}
+	}
+	exps := []*Experiment{
+		probe(0, Job{Spec: shortSpec(1)}),
+		probe(1, Job{Spec: shortSpec(1)}),
+		probe(2, Job{Build: func() *scenario.Net {
+			builds++
+			return compile(shortSpec(1))
+		}}),
+	}
+	total := 0
+	_, err := collect(context.Background(), parallelConfig(2), exps, func(ev Event) {
+		if ev.Kind == EventJobs {
+			total = ev.JobsTotal
+		}
+	}, func(*Result) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total != 2 || builds != 1 {
+		t.Fatalf("%d networks announced and %d built, want 2 and 1", total, builds)
+	}
+	if folded[0] == nil || folded[0] != folded[1] {
+		t.Errorf("the two Spec jobs folded reports %p and %p, want one shared run", folded[0], folded[1])
+	}
+	if folded[2] == folded[0] || folded[2].Digest() != folded[0].Digest() {
+		t.Errorf("the Build job did not get its own run of the same network")
+	}
 }
 
 // TestJobsTotalAnnouncedOnce: the job total of a whole RunAll is known

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -9,36 +8,6 @@ import (
 	"mptcpsim/internal/scenario"
 	"mptcpsim/internal/stats"
 )
-
-// compile builds a testbed network from its spec. The specs come from the
-// scenario.Paper* builders with registry-fixed parameters, so a rejected
-// spec is a harness bug.
-func compile(sp *scenario.Spec) *scenario.Net {
-	n, err := scenario.Compile(sp)
-	if err != nil {
-		panic(fmt.Sprintf("harness: %s spec invalid: %v", sp.Name, err))
-	}
-	return n
-}
-
-// run executes a network over its [Warmup, End] window under the scenario
-// invariant checks; every simulated experiment goes through it. The exact
-// integer byte deltas are left in each Flow's Window; the float arithmetic
-// (and its summation order, which the golden bytes depend on) stays with
-// each experiment. A cancelled run reports ok false and its job returns zero
-// metrics, which are never folded (collect settles nothing once its context
-// is done); an invariant violation on a registry spec is a harness bug and
-// panics inside the job.
-func run(ctx context.Context, n *scenario.Net) (rep *scenario.RunReport, ok bool) {
-	rep, err := n.Run(ctx)
-	if err != nil {
-		return nil, false
-	}
-	if len(rep.Violations) != 0 {
-		panic(fmt.Sprintf("harness: %s: invariant violations: %v", n.Name, rep.Violations))
-	}
-	return rep, true
-}
 
 // paperAC is the shared shape of the Scenario A and C spec builders: N1
 // multipath users and N2 single-path users over two bottlenecks of per-user
@@ -62,26 +31,21 @@ type acPoint struct {
 	algo string
 }
 
-// runScenarioAC executes one Scenario A or C simulation and reports
-// normalized throughputs and loss probabilities over the measurement
-// window.
-func runScenarioAC(ctx context.Context, build paperAC, p acPoint, seed int64, cfg Config) acMetrics {
+// runScenarioAC is one Scenario A or C run, read as normalized
+// throughputs and loss probabilities over the measurement window.
+func runScenarioAC(build paperAC, p acPoint, seed int64, cfg Config, m *acMetrics) Job {
 	const n2, c2 = 10, 1.0
-	n := compile(build(p.n1, n2, p.c1, c2, p.algo, seed, cfg.Warmup.Sec(), cfg.Duration.Sec()))
-	rep, ok := run(ctx, n)
-	if !ok {
-		return acMetrics{}
-	}
-	secs := cfg.Duration.Sec()
-	var m acMetrics
-	for _, f := range n.Groups[0] {
-		m.multiNorm += stats.Mbps(f.WindowBytes(), secs) / p.c1 / float64(p.n1)
-	}
-	for _, f := range n.Groups[1] {
-		m.singleNorm += stats.Mbps(f.WindowBytes(), secs) / c2 / n2
-	}
-	m.p1, m.p2 = rep.Queues[0].Window.LossProb(), rep.Queues[1].Window.LossProb()
-	return m
+	return Job{Spec: build(p.n1, n2, p.c1, c2, p.algo, seed, cfg.Warmup.Sec(), cfg.Duration.Sec()),
+		Read: func(n *scenario.Net, rep *scenario.RunReport) {
+			secs := cfg.Duration.Sec()
+			for _, f := range n.Groups[0] {
+				m.multiNorm += stats.Mbps(f.WindowBytes(), secs) / p.c1 / float64(p.n1)
+			}
+			for _, f := range n.Groups[1] {
+				m.singleNorm += stats.Mbps(f.WindowBytes(), secs) / c2 / n2
+			}
+			m.p1, m.p2 = rep.Queues[0].Window.LossProb(), rep.Queues[1].Window.LossProb()
+		}}
 }
 
 // acSweep is a Scenario A or C grid: C1/C2 ratios × N1 user counts.
@@ -119,8 +83,8 @@ func planScenarioAC(build paperAC, grid acSweep, algos []string, result func(res
 		}
 	}
 	return func(cfg Config) Plan {
-		return sweep(cfg, pts, func(ctx context.Context, p acPoint, seed int64) acMetrics {
-			return runScenarioAC(ctx, build, p, seed, cfg)
+		return sweep(cfg, pts, func(p acPoint, seed int64, m *acMetrics) Job {
+			return runScenarioAC(build, p, seed, cfg, m)
 		}, func(per [][]acMetrics) (*Result, error) {
 			out := make([]acResult, len(pts))
 			for i, p := range pts {
@@ -257,24 +221,21 @@ type bMetrics struct {
 	bluePerUser, redPerUser, aggregate float64
 }
 
-// runScenarioB executes one Scenario B simulation (N = 15 users of each
-// color, CX = 27, CT = 36 Mb/s) with Red users single-path or upgraded.
-func runScenarioB(ctx context.Context, algo string, redMultipath bool, seed int64, cfg Config) bMetrics {
+// runScenarioB is one Scenario B run (N = 15 users of each color,
+// CX = 27, CT = 36 Mb/s) with Red users single-path or upgraded.
+func runScenarioB(algo string, redMultipath bool, seed int64, cfg Config, m *bMetrics) Job {
 	const users = 15
-	n := compile(scenario.PaperScenarioB(users, 27, 36, algo, redMultipath, seed, cfg.Warmup.Sec(), cfg.Duration.Sec()))
-	if _, ok := run(ctx, n); !ok {
-		return bMetrics{}
-	}
-	secs := cfg.Duration.Sec()
-	var m bMetrics
-	for _, f := range n.Group("blue") {
-		m.bluePerUser += stats.Mbps(f.WindowBytes(), secs) / users
-	}
-	for _, f := range n.Group("red") {
-		m.redPerUser += stats.Mbps(f.WindowBytes(), secs) / users
-	}
-	m.aggregate = users * (m.bluePerUser + m.redPerUser)
-	return m
+	return Job{Spec: scenario.PaperScenarioB(users, 27, 36, algo, redMultipath, seed, cfg.Warmup.Sec(), cfg.Duration.Sec()),
+		Read: func(n *scenario.Net, _ *scenario.RunReport) {
+			secs := cfg.Duration.Sec()
+			for _, f := range n.Group("blue") {
+				m.bluePerUser += stats.Mbps(f.WindowBytes(), secs) / users
+			}
+			for _, f := range n.Group("red") {
+				m.redPerUser += stats.Mbps(f.WindowBytes(), secs) / users
+			}
+			m.aggregate = users * (m.bluePerUser + m.redPerUser)
+		}}
 }
 
 // bResult is the seed-averaged Scenario B outcome for one Red-user mode
@@ -320,9 +281,7 @@ func resultTableB(algo string, res []bResult) (*Result, error) {
 
 // textTableB is the classic Table I / Table II layout.
 func textTableB(r *Result, w io.Writer) error {
-	for _, line := range r.Preamble {
-		fmt.Fprintln(w, line)
-	}
+	writeLines(w, r.Preamble)
 	fmt.Fprintf(w, "%-12s | %-12s %-12s %-12s | %s\n",
 		"Red users", "Blue (Mb/s)", "Red (Mb/s)", "Agg (Mb/s)", "analytic agg (LIA fixed point)")
 	for _, c := range r.Rows {
@@ -330,9 +289,7 @@ func textTableB(r *Result, w io.Writer) error {
 			c[0].Text, c[1].Value, c[1].CI95, c[2].Value, c[2].CI95,
 			c[3].Value, c[3].CI95, c[4].Value)
 	}
-	for _, line := range r.Footer {
-		fmt.Fprintln(w, line)
-	}
+	writeLines(w, r.Footer)
 	return nil
 }
 
@@ -341,8 +298,8 @@ func textTableB(r *Result, w io.Writer) error {
 func tableBExperiment(algo string) func(Config) Plan {
 	return func(cfg Config) Plan {
 		modes := []bool{false, true}
-		return sweep(cfg, modes, func(ctx context.Context, mp bool, seed int64) bMetrics {
-			return runScenarioB(ctx, algo, mp, seed, cfg)
+		return sweep(cfg, modes, func(mp bool, seed int64, m *bMetrics) Job {
+			return runScenarioB(algo, mp, seed, cfg, m)
 		}, func(per [][]bMetrics) (*Result, error) {
 			out := make([]bResult, len(modes))
 			for i, mp := range modes {

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -60,24 +59,20 @@ func schedScenario(sched, algo string, total int64, seed int64, flap bool, durat
 	return sp
 }
 
-// runSchedTransfer runs one scheduled transfer and reports its completion
-// observables; a missing stream report on a healthy run is a harness bug
-// and panics.
-func runSchedTransfer(ctx context.Context, sched, algo string, total int64, seed int64, flap bool, durationSec float64) schedMetrics {
+// runSchedTransfer is one scheduled transfer, read as its completion
+// observables; a missing stream report is a harness bug and panics.
+func runSchedTransfer(sched, algo string, total int64, seed int64, flap bool, durationSec float64, m *schedMetrics) Job {
 	sp := schedScenario(sched, algo, total, seed, flap, durationSec)
-	rep, ok := run(ctx, compile(sp))
-	if !ok {
-		return schedMetrics{}
-	}
-	sr := rep.Flows[0].Stream
-	if sr == nil {
-		panic(fmt.Sprintf("harness: %s: scheduled flow has no stream report", sp.Name))
-	}
-	m := schedMetrics{done: sr.Done, completionSec: sr.CompletionSec}
-	if sr.Done && sr.CompletionSec > 0 {
-		m.rateMbps = stats.Mbps(total, sr.CompletionSec)
-	}
-	return m
+	return Job{Spec: sp, Read: func(_ *scenario.Net, rep *scenario.RunReport) {
+		sr := rep.Flows[0].Stream
+		if sr == nil {
+			panic(fmt.Sprintf("harness: %s: scheduled flow has no stream report", sp.Name))
+		}
+		*m = schedMetrics{done: sr.Done, completionSec: sr.CompletionSec}
+		if sr.Done && sr.CompletionSec > 0 {
+			m.rateMbps = stats.Mbps(total, sr.CompletionSec)
+		}
+	}}
 }
 
 // schedControllers are the coupling algorithms the matrix crosses the
@@ -105,8 +100,8 @@ func planSchedMatrix(cfg Config) Plan {
 			pts = append(pts, schedPoint{sched, algo})
 		}
 	}
-	return sweep(cfg, pts, func(ctx context.Context, p schedPoint, seed int64) schedMetrics {
-		return runSchedTransfer(ctx, p.sched, p.algo, schedMatrixBytes, seed, false, schedMatrixDur)
+	return sweep(cfg, pts, func(p schedPoint, seed int64, m *schedMetrics) Job {
+		return runSchedTransfer(p.sched, p.algo, schedMatrixBytes, seed, false, schedMatrixDur, m)
 	}, func(runs [][]schedMetrics) (*Result, error) {
 		r := &Result{
 			Preamble: []string{
@@ -172,8 +167,8 @@ func planSchedFlap(cfg Config) Plan {
 	for _, sched := range mptcp.Schedulers() {
 		pts = append(pts, flapPoint{sched, false}, flapPoint{sched, true})
 	}
-	return sweep(cfg, pts, func(ctx context.Context, p flapPoint, seed int64) schedMetrics {
-		return runSchedTransfer(ctx, p.sched, "olia", schedFlapBytes, seed, p.flap, schedFlapDur)
+	return sweep(cfg, pts, func(p flapPoint, seed int64, m *schedMetrics) Job {
+		return runSchedTransfer(p.sched, "olia", schedFlapBytes, seed, p.flap, schedFlapDur, m)
 	}, func(runs [][]schedMetrics) (*Result, error) {
 		r := &Result{
 			Preamble: []string{

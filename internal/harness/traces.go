@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -26,36 +25,37 @@ type traceResult struct {
 }
 
 // runTrace records one algorithm's window evolution on the two-link rig.
-func runTrace(ctx context.Context, cfg Config, algo string, nTCP1, nTCP2 int) traceResult {
-	n := compile(twoLinkSpec(cfg, algo, nTCP1, nTCP2))
-	conn := n.Group("mp")[0].Conn
-	probes := windowProbes(conn)
-	if o, ok := conn.Controller().(*core.OLIA); ok {
-		probes = append(probes,
-			scenario.Probe{Name: "a1", Fn: func() float64 { return o.Alpha(0) }},
-			scenario.Probe{Name: "a2", Fn: func() float64 { return o.Alpha(1) }},
-		)
+func runTrace(cfg Config, algo string, nTCP1, nTCP2 int, res *traceResult) Job {
+	var tr *scenario.Trace
+	return Job{
+		Build: setUp(twoLinkSpec(cfg, algo, nTCP1, nTCP2), func(n *scenario.Net) {
+			conn := n.Group("mp")[0].Conn
+			probes := windowProbes(conn)
+			if o, ok := conn.Controller().(*core.OLIA); ok {
+				probes = append(probes,
+					scenario.Probe{Name: "a1", Fn: func() float64 { return o.Alpha(0) }},
+					scenario.Probe{Name: "a2", Fn: func() float64 { return o.Alpha(1) }},
+				)
+			}
+			tr = n.Trace(tracePeriod, probes...)
+		}),
+		Read: func(*scenario.Net, *scenario.RunReport) {
+			*res = traceResult{
+				algo:       algo,
+				w1:         meanAfter(tr.T, tr.V[0], cfg.Warmup),
+				w2:         meanAfter(tr.T, tr.V[1], cfg.Warmup),
+				flipsCount: flips(tr.V[0], tr.V[1]),
+				t:          tr.T,
+				s1:         tr.V[0],
+				s2:         tr.V[1],
+			}
+			if len(tr.V) > 2 {
+				res.hasAlpha = true
+				res.a1 = meanAfter(tr.T, tr.V[2], cfg.Warmup)
+				res.a2 = meanAfter(tr.T, tr.V[3], cfg.Warmup)
+			}
+		},
 	}
-	tr := n.Trace(tracePeriod, probes...)
-	if _, ok := run(ctx, n); !ok {
-		return traceResult{algo: algo}
-	}
-
-	res := traceResult{
-		algo:       algo,
-		w1:         meanAfter(tr.T, tr.V[0], cfg.Warmup),
-		w2:         meanAfter(tr.T, tr.V[1], cfg.Warmup),
-		flipsCount: flips(tr.V[0], tr.V[1]),
-		t:          tr.T,
-		s1:         tr.V[0],
-		s2:         tr.V[1],
-	}
-	if len(probes) > 2 {
-		res.hasAlpha = true
-		res.a1 = meanAfter(tr.T, tr.V[2], cfg.Warmup)
-		res.a2 = meanAfter(tr.T, tr.V[3], cfg.Warmup)
-	}
-	return res
 }
 
 // meanAfter averages the samples vs taken (at times ts) at or after t0,
@@ -160,8 +160,8 @@ func textTrace(r *Result, w io.Writer) error {
 // with nTCP1 and nTCP2 regular TCP flows.
 func traceExperiment(nTCP1, nTCP2 int) func(Config) Plan {
 	return func(cfg Config) Plan {
-		return perPoint([]string{"olia", "lia"}, func(ctx context.Context, algo string) traceResult {
-			return runTrace(ctx, cfg, algo, nTCP1, nTCP2)
+		return perPoint([]string{"olia", "lia"}, func(algo string, res *traceResult) Job {
+			return runTrace(cfg, algo, nTCP1, nTCP2, res)
 		}, resultTrace)
 	}
 }

@@ -164,12 +164,13 @@ const startSpread = sim.Second
 // Validate's bounds on magnitudes. netem takes a rate as whole bits per
 // second in an int64 and the kernel a time as int64 nanoseconds; outside
 // these bounds a conversion truncates to zero or overflows to a negative
-// value, which netem and the kernel reject by panicking.
+// value, which netem and the kernel reject by panicking. MaxSpecSec bounds
+// a run's warmup plus duration, and every time inside it.
 const (
 	minRateMbps = 1e-6 // 1 b/s
 	maxRateMbps = 1e9  // 1 Pb/s
-	maxSpecSec  = 1e6  // about 11.6 days of virtual time
-	maxDelayMs  = maxSpecSec * 1e3
+	MaxSpecSec  = 1e6  // about 11.6 days of virtual time
+	maxDelayMs  = MaxSpecSec * 1e3
 )
 
 // maxPathLinks bounds a path's length. A packet holds its place on the
@@ -195,8 +196,8 @@ func (sp *Spec) Validate() error {
 	if sp.WarmupSec < 0 {
 		return fmt.Errorf("scenario %q: negative warmup %g", sp.Name, sp.WarmupSec)
 	}
-	if !(sp.WarmupSec+sp.DurationSec <= maxSpecSec) {
-		return fmt.Errorf("scenario %q: run of %gs longer than %gs", sp.Name, sp.WarmupSec+sp.DurationSec, maxSpecSec)
+	if !(sp.WarmupSec+sp.DurationSec <= MaxSpecSec) {
+		return fmt.Errorf("scenario %q: run of %gs longer than %gs", sp.Name, sp.WarmupSec+sp.DurationSec, MaxSpecSec)
 	}
 	if sp.ReverseRateMbps < 0 || sp.ReverseDelayMs < 0 {
 		return fmt.Errorf("scenario %q: negative reverse-path shape", sp.Name)
@@ -283,8 +284,8 @@ func (sp *Spec) Validate() error {
 		if f.StopSec < 0 || (f.StopSec > 0 && f.StopSec <= f.StartSec) {
 			return fmt.Errorf("scenario %q: flow %d stop time %g not after start %g", sp.Name, i, f.StopSec, f.StartSec)
 		}
-		if !(f.StartSec <= maxSpecSec && f.StopSec <= maxSpecSec) {
-			return fmt.Errorf("scenario %q: flow %d start %gs or stop %gs later than %gs", sp.Name, i, f.StartSec, f.StopSec, maxSpecSec)
+		if !(f.StartSec <= MaxSpecSec && f.StopSec <= MaxSpecSec) {
+			return fmt.Errorf("scenario %q: flow %d start %gs or stop %gs later than %gs", sp.Name, i, f.StartSec, f.StopSec, MaxSpecSec)
 		}
 		if f.FlowBytes < 0 {
 			return fmt.Errorf("scenario %q: flow %d has negative flow bytes", sp.Name, i)

@@ -72,8 +72,8 @@ func (sp *Spec) validateTimeline() error {
 		if ev.AtSec < 0 {
 			return fmt.Errorf("scenario %q: timeline event %d has negative time %g", sp.Name, i, ev.AtSec)
 		}
-		if !(ev.AtSec <= maxSpecSec) {
-			return fmt.Errorf("scenario %q: timeline event %d at %gs later than %gs", sp.Name, i, ev.AtSec, maxSpecSec)
+		if !(ev.AtSec <= MaxSpecSec) {
+			return fmt.Errorf("scenario %q: timeline event %d at %gs later than %gs", sp.Name, i, ev.AtSec, MaxSpecSec)
 		}
 		if i > 0 && ev.AtSec < sp.Timeline[i-1].AtSec {
 			return fmt.Errorf("scenario %q: timeline event %d at %gs before event %d at %gs: times must be non-decreasing",

@@ -27,9 +27,10 @@ const (
 	// set if it failed).
 	ProgressExperimentFinished
 	// ProgressJobs fires when the call's cumulative job counters change:
-	// simulation jobs for Collect/RunAll, scenarios for Fuzz, cases for
-	// Conform. Total is announced once, before the first job runs; Done
-	// grows as jobs finish.
+	// simulated networks for Collect/RunAll (a scenario that several
+	// experiments of one call list runs, and counts, once), scenarios for
+	// Fuzz, cases for Conform. Total is announced once, before the first
+	// job runs; Done grows as jobs finish.
 	ProgressJobs
 )
 
