@@ -111,7 +111,11 @@ lint:
 # Go outside internal/sim, the campaign sampler (internal/campaign/sample.go)
 # and the scenario fuzzer (internal/scenario/fuzz.go), and no ReleaseRand(
 # outside internal/sim and internal/scenario/run.go (Net.Run defers it), so
-# nothing hands back a generator another holder still draws from.
+# nothing hands back a generator another holder still draws from. Packet
+# slabs go back only where a run ends: no .Release( in non-test Go outside
+# internal/netem and internal/scenario/run.go (Net.Run defers the packet
+# pool's Release), so no slab reaches another run while its own network
+# can still use it.
 # One place a harness network runs: no .Run(ctx in non-test internal/harness
 # Go outside collect.go, which compiles, runs, checks and reads every job.
 guard:
@@ -162,6 +166,9 @@ guard:
 	fi
 	@if git grep -n 'ReleaseRand(' -- '*.go' ':!*_test.go' ':!internal/sim/' ':!internal/scenario/run.go'; then \
 		echo "a run's generator goes back only where scenario.Net.Run ends"; exit 1; \
+	fi
+	@if git grep -n '\.Release(' -- '*.go' ':!*_test.go' ':!internal/netem/' ':!internal/scenario/run.go'; then \
+		echo "a run's packet slabs go back only where scenario.Net.Run ends"; exit 1; \
 	fi
 	@if git grep -n '\.Run(ctx' -- 'internal/harness/*.go' ':!*_test.go' ':!internal/harness/collect.go'; then \
 		echo "a harness network runs in one place: collect compiles, runs and reads every job"; exit 1; \

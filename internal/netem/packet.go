@@ -9,6 +9,7 @@ package netem
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"mptcpsim/internal/sim"
 )
@@ -213,12 +214,7 @@ func (p *Packet) Free() {
 	}
 	p.freed = true
 	if pl.debug {
-		// Poison so a reader of a stale pointer trips loudly rather than
-		// seeing plausible data: the sentinel sequence number is
-		// recognizable in dumps and the nil route makes SendOn panic.
-		p.Seq = -0x7EADBEEF
-		p.route = nil
-		p.hop = 0
+		p.poison()
 	}
 	if p.Ack {
 		pl.acks.free.pushFront(p)
@@ -227,16 +223,35 @@ func (p *Packet) Free() {
 	}
 }
 
+// poisonSeq is the sequence number a debug pool stamps on a packet it takes
+// back, through Free or Release: recognizable in dumps.
+const poisonSeq = -0x7EADBEEF
+
+// poison marks p dead so a reader of a stale pointer trips loudly rather
+// than seeing plausible data: the sentinel sequence number shows in any
+// message that names the packet, and the nil route makes SendOn panic.
+func (p *Packet) poison() {
+	p.Seq = poisonSeq
+	p.route = nil
+	p.hop = 0
+}
+
 // PacketPool is a per-simulation packet pool. All protocol endpoints of one
 // Sim share a pool (PoolFor), so in steady state every data segment and ACK
 // is recycled instead of allocated. Data segments and ACKs recycle through
 // separate free lists: a packet keeps its kind for life, so only ACKs ever
 // own SACK storage. A free list is a LIFO pktList linked through the freed
-// packets themselves, so the slabs are the only memory the pool holds. The
-// pool is single-threaded, like the Sim that owns it.
+// packets themselves, and the slabs of each kind are chained through a link
+// beside them, so the slabs are the only memory the pool holds. When the
+// run is over, Release hands them to the next run's pool. The pool is
+// single-threaded, like the Sim that owns it.
 type PacketPool struct {
 	data, acks freeList
-	debug      bool
+	// dataSlabs and ackSlabs are the newest slab of each kind the pool
+	// carved; each links to the one carved before it.
+	dataSlabs       *dataAlloc
+	ackSlabs        *ackAlloc
+	debug, released bool
 }
 
 // freeList holds the recycled packets of one kind, the not yet issued
@@ -248,11 +263,15 @@ type freeList struct {
 	carved int
 }
 
-// slabPackets is how many packets one pool miss allocates together. Short
+// slabPackets is how many packets one pool miss carves together. Short
 // runs dominate the population workloads and keep a few dozen packets of
-// each kind alive; measured there, 16 against 32 and 64 costs 2-4 % more
-// allocations and saves 4-12 % of a scenario's bytes, and a long bulk run
-// does not care (under 6 % of its allocations at any of the three).
+// each kind alive. Measured there while every run allocated its own slabs,
+// 16 against 32 and 64 cost 2-4 % more allocations and saved 4-12 % of a
+// scenario's bytes, and a long bulk run did not care (under 6 % of its
+// allocations at any of the three). Slabs now outlive their run (Release),
+// so a scenario allocates one only past the slabs earlier runs handed
+// back, and the size mostly sets how closely a pool's memory follows its
+// run's peak; it has not been measured again.
 const slabPackets = 16
 
 // PoolFor returns s's packet pool, creating and attaching it on first use.
@@ -274,8 +293,8 @@ func PoolFor(s *sim.Sim) *PacketPool {
 }
 
 // SetDebug toggles the use-after-free guard: freed packets are poisoned so
-// stale readers fail loudly (their free-list link is kept). Costs a little
-// per Free; meant for tests.
+// stale readers fail loudly (their free-list link is kept), and so is every
+// packet Release hands back. Costs a little per Free; meant for tests.
 func (pl *PacketPool) SetDebug(on bool) { pl.debug = on }
 
 // FreeCount reports how many packets of both kinds are waiting for reuse
@@ -286,7 +305,7 @@ func (pl *PacketPool) FreeCount() int { return pl.data.free.n + pl.acks.free.n }
 // carved slabs for: the run's high-water mark of packets alive at once, per
 // kind rounded up to a slab, and all the per-packet memory the run holds.
 // The kinds are apart because an ACK costs more: its SACK report rides in
-// its slab beside it.
+// its slab beside it. Release leaves the counts alone.
 func (pl *PacketPool) Carved() (data, acks int) { return pl.data.carved, pl.acks.carved }
 
 // get pops a recycled packet of the wanted kind, or carves one from the
@@ -313,35 +332,119 @@ func (pl *PacketPool) get(ack bool) *Packet {
 	return p
 }
 
-// dataSlab is a slab of data segments: 1 152 bytes, in the allocator's
-// 1 280-byte size class once its 8-byte header is added.
+// dataSlab is a slab of data segments: 1 152 bytes.
 type dataSlab [slabPackets]Packet
 
 // ackSlab is a slab of ACKs with the SACK reports they keep for life:
-// 2 240 bytes, in the 2 304-byte size class with its header.
+// 2 240 bytes.
 type ackSlab struct {
 	pkts [slabPackets]Packet
 	sack [slabPackets]sackReport
 }
 
-// refill allocates l's next slab.
+// dataAlloc and ackAlloc are what a pool allocates per slab: the slab, and
+// the link to the slab of its kind the pool carved before it, which is how
+// Release finds them all. The link is a pool's only bookkeeping, and its 8
+// bytes leave both in their size class with the runtime's 8-byte malloc
+// header: 1 160 bytes in the 1 280-byte class, 2 248 in the 2 304-byte one.
+type (
+	dataAlloc struct {
+		dataSlab
+		prev *dataAlloc
+	}
+	ackAlloc struct {
+		ackSlab
+		prev *ackAlloc
+	}
+)
+
+// spareData and spareAcks hold the slabs finished runs handed back
+// (Release), for any pool's refill to take before it allocates: a slab
+// outlives its run, so a campaign allocates packet memory for its busiest
+// scenario per worker, not for every scenario. They are process-wide
+// because a run's next scenario may run on any goroutine.
+var spareData, spareAcks sync.Pool
+
+// refill gives l its next slab: a spare one if a finished run handed one
+// back, else a new one. Either way its packets come out as a new slab's
+// would: the pool's, of l's kind, each ACK pointing at its own empty SACK
+// report, and nothing else set.
 func (pl *PacketPool) refill(l *freeList, ack bool) {
+	if pl.released {
+		panic("netem: packet from a pool after Release: its slabs were handed back")
+	}
 	if ack {
-		//simlint:ignore hotpathalloc amortised growth, as for data below; the SACK storage is allocated here once and never again, because a report never outgrows MaxSackBlocks
-		s := new(ackSlab)
+		s, _ := spareAcks.Get().(*ackAlloc)
+		if s == nil {
+			//simlint:ignore hotpathalloc amortised growth, as for data below; the SACK storage is allocated here once and never again, because a report never outgrows MaxSackBlocks
+			s = new(ackAlloc)
+		}
+		s.prev, pl.ackSlabs = pl.ackSlabs, s
 		for i := range s.pkts {
-			s.pkts[i].Ack = true
-			s.pkts[i].sack = &s.sack[i]
+			s.pkts[i] = Packet{Ack: true, sack: &s.sack[i], pool: pl}
+			s.sack[i] = sackReport{}
 		}
 		l.slab = s.pkts[:]
 	} else {
-		//simlint:ignore hotpathalloc amortised growth: one slab per slabPackets misses, and none once the pool holds the run's high-water mark of packets in flight
-		l.slab = new(dataSlab)[:]
-	}
-	for i := range l.slab {
-		l.slab[i].pool = pl
+		s, _ := spareData.Get().(*dataAlloc)
+		if s == nil {
+			//simlint:ignore hotpathalloc amortised growth: one slab per slabPackets misses past the slabs finished runs handed back, and none once the pool holds the run's high-water mark of packets in flight
+			s = new(dataAlloc)
+		}
+		s.prev, pl.dataSlabs = pl.dataSlabs, s
+		for i := range s.dataSlab {
+			s.dataSlab[i] = Packet{pool: pl}
+		}
+		l.slab = s.dataSlab[:]
 	}
 	l.carved += slabPackets
+}
+
+// Release hands every slab the pool carved to the spare slabs refill takes
+// from, for the pools of runs to come. The caller is done with every packet
+// of the pool, wherever it waits: scenario.Net.Run releases its pool when
+// the run ends, however it ends, and nothing may read a packet through the
+// finished network afterwards. A handed-back packet keeps its kind, and an
+// ACK its SACK storage; everything else is cleared, so a spare slab holds
+// no pointer into the finished network, and under SetDebug each packet is
+// also poisoned and marked freed, as Free leaves one, so a stale reader or
+// Free fails loudly. Carved still reports the run's high-water marks;
+// taking a packet from the pool afterwards panics, and a second Release
+// does nothing.
+func (pl *PacketPool) Release() {
+	for s := pl.dataSlabs; s != nil; {
+		prev := s.prev
+		pl.retire(s.dataSlab[:])
+		s.prev = nil
+		spareData.Put(s)
+		s = prev
+	}
+	for s := pl.ackSlabs; s != nil; {
+		prev := s.prev
+		pl.retire(s.pkts[:])
+		s.prev = nil
+		spareAcks.Put(s)
+		s = prev
+	}
+	pl.dataSlabs, pl.ackSlabs = nil, nil
+	pl.data.free, pl.data.slab = pktList{}, nil
+	pl.acks.free, pl.acks.slab = pktList{}, nil
+	pl.released = true
+}
+
+// retire clears the packets of a slab being handed back but for their kind
+// and SACK storage, which are theirs for life. Under SetDebug it then
+// poisons each and marks it freed, keeping its pool, so a stale SendOn or
+// Free panics.
+func (pl *PacketPool) retire(ps []Packet) {
+	for i := range ps {
+		p := &ps[i]
+		*p = Packet{Ack: p.Ack, sack: p.sack}
+		if pl.debug {
+			p.poison()
+			p.freed, p.pool = true, pl
+		}
+	}
 }
 
 // NewData builds a pool-managed data segment of size bytes, ready for

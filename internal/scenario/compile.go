@@ -132,7 +132,8 @@ type Net struct {
 	timeline  []TimelineEvent
 	pathFlows [][]pathRef
 	// traces lists the periodic observations Run arms, in registration
-	// order; running is set once Run starts, after which none may register.
+	// order; running is set once Run starts, after which none may register
+	// and Run refuses to start again.
 	traces  []*Trace
 	running bool
 }

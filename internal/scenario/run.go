@@ -280,16 +280,24 @@ func Run(ctx context.Context, sp *Spec) (*RunReport, error) {
 // event sequence as one uninterrupted call (and with a background context
 // the slicing is skipped entirely).
 //
-// However Run returns — done, cancelled or panicking — it hands the
-// simulation's generator back (sim.Sim.ReleaseRand): a Net runs once.
+// A Net runs once. However Run returns — done, cancelled or panicking — it
+// hands the run's memory back: the simulation's generator
+// (sim.Sim.ReleaseRand), after which the kernel refuses to schedule or
+// advance, and the packet pool's slabs (netem.PacketPool.Release), after
+// which nothing may read a packet through the network. A second Run
+// returns an error naming the network and touches nothing.
 func (n *Net) Run(ctx context.Context) (*RunReport, error) {
+	if n.running {
+		return nil, fmt.Errorf("scenario %q: Run called again: a Net runs once", n.Name)
+	}
+	n.running = true
 	defer n.Sim.ReleaseRand()
+	defer netem.PoolFor(n.Sim).Release()
 	r := &RunReport{Name: n.Name, Seed: n.Seed}
 	m := newMonitor(n, r)
 
 	// Every periodic observation is armed here: the traces first, in
 	// registration order, then the window snapshot and the monitor.
-	n.running = true
 	for _, tr := range n.traces {
 		n.Sim.Schedule(0, (*traceTick)(tr))
 	}

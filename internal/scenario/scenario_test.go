@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"mptcpsim/internal/netem"
 	"mptcpsim/internal/stats"
 )
 
@@ -283,6 +284,57 @@ func TestRunRerunIdentity(t *testing.T) {
 	if jitter(7) == jitter(8) {
 		t.Fatal("different seeds produced identical digests")
 	}
+}
+
+// TestNetRunsOnce: a second Run of one Net returns an error naming the
+// network and touches nothing: the first run's clock, event count and
+// packet high-water marks stand. The first run handed its memory back, so
+// the kernel refuses to advance the finished network and its packet pool
+// to hand out a packet, and a cancelled run hands it back too.
+func TestNetRunsOnce(t *testing.T) {
+	n, err := Compile(twoPathSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	now, processed := n.Sim.Now(), n.Sim.Processed()
+	data, acks := netem.PoolFor(n.Sim).Carved()
+	rep, err := n.Run(context.Background())
+	if rep != nil || err == nil || err.Error() != `scenario "test": Run called again: a Net runs once` {
+		t.Fatalf("second Run: report %v, error %v", rep, err)
+	}
+	if d, a := netem.PoolFor(n.Sim).Carved(); n.Sim.Now() != now || n.Sim.Processed() != processed || d != data || a != acks || d == 0 || a == 0 {
+		t.Fatalf("second Run moved the network: now %v -> %v, processed %d -> %d, carved %d/%d -> %d/%d",
+			now, n.Sim.Now(), processed, n.Sim.Processed(), data, acks, d, a)
+	}
+	if msg := fmt.Sprint(recoverFrom(func() { n.Sim.RunUntil(2 * now) })); !strings.Contains(msg, "RunUntil after ReleaseRand") {
+		t.Errorf("advancing a finished network: panic %q", msg)
+	}
+
+	cancelled, err := Compile(twoPathSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := cancelled.Run(ctx); err == nil {
+		t.Fatal("a cancelled run returned no error")
+	}
+	for name, net := range map[string]*Net{"finished": n, "cancelled": cancelled} {
+		pool := netem.PoolFor(net.Sim)
+		if msg := fmt.Sprint(recoverFrom(func() { pool.NewData(0, 0, netem.MSS, 0, nil) })); !strings.Contains(msg, "after Release") {
+			t.Errorf("a packet from the %s network's pool: panic %q", name, msg)
+		}
+	}
+}
+
+// recoverFrom runs f and returns what it panicked with, or nil.
+func recoverFrom(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
 }
 
 func TestStopSecPausesFlow(t *testing.T) {

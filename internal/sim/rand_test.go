@@ -263,6 +263,39 @@ func TestReleaseRand(t *testing.T) {
 	}
 }
 
+// TestReleasedSimRefuses: ReleaseRand ends the run. Every call that would
+// schedule, re-arm, cancel, free or advance then panics naming itself,
+// before it touches the queue, and the run's counters stay readable.
+func TestReleasedSimRefuses(t *testing.T) {
+	s := New(1)
+	tm := s.ScheduleTimer(5*Second, funcHandler(func() {}))
+	s.Schedule(Second, funcHandler(func() {}))
+	s.RunUntil(2 * Second)
+	s.ReleaseRand()
+	h := funcHandler(func() {})
+	for op, call := range map[string]func(){
+		"Schedule":         func() { s.Schedule(3*Second, h) },
+		"ScheduleAfter":    func() { s.ScheduleAfter(Second, h) },
+		"ScheduleTimer":    func() { s.ScheduleTimer(3*Second, h) },
+		"ScheduleTimerSeq": func() { s.ScheduleTimerSeq(3*Second, 99, h) },
+		"Reschedule":       func() { s.Reschedule(tm, 4*Second) },
+		"RescheduleSeq":    func() { s.RescheduleSeq(tm, 4*Second, 99) },
+		"Cancel":           func() { s.Cancel(tm) },
+		"Free":             func() { s.Free(tm) },
+		"RunUntil":         func() { s.RunUntil(10 * Second) },
+		"Run":              s.Run,
+	} {
+		want := "sim: " + op + " after ReleaseRand: the run is over and its memory handed back"
+		if v := panicMessage(call); v != want {
+			t.Errorf("%s after ReleaseRand: panic %v, want %q", op, v, want)
+		}
+	}
+	if s.Now() != 2*Second || s.Processed() != 1 || s.Pending() != 1 || !tm.Pending() || tm.When() != 5*Second || s.PendingHighWater() != 2 {
+		t.Fatalf("after the refusals: now %v, %d processed, %d pending (timer pending %v at %v), high water %d; want 2s, 1, 1 (true at 5s), 2",
+			s.Now(), s.Processed(), s.Pending(), tm.Pending(), tm.When(), s.PendingHighWater())
+	}
+}
+
 var randSink uint64
 
 // BenchmarkRandSeed is a seed and the draws after it, on NewRand and on

@@ -123,6 +123,7 @@ type Sim struct {
 	nEvents uint64 // processed events (for diagnostics)
 	peak    int    // most events pending at once (for diagnostics)
 	stopped bool
+	over    bool // ReleaseRand ended the run: nothing may schedule or advance
 	aux     any
 }
 
@@ -153,14 +154,26 @@ func (s *Sim) Rand() *rand.Rand {
 	return s.rng
 }
 
-// ReleaseRand hands the simulation's generator back to the pool NewRand
-// takes from, for a caller that will draw from it no more: scenario.Net.Run
-// releases it when the run ends, however it ends. Rand panics from then
-// on; a second ReleaseRand does nothing.
+// ReleaseRand ends the simulation: it hands the generator back to the pool
+// NewRand takes from, for a caller that is done with the run.
+// scenario.Net.Run releases it when the run ends, however it ends, together
+// with the run's packet slabs. From then on Rand, every Schedule* and
+// Reschedule*, Cancel, Free, RunUntil and Run panic, naming what was
+// called, so a finished network cannot advance over memory handed back to
+// other runs; the run's counters (Now, Processed, PendingHighWater) stay
+// readable. A second ReleaseRand does nothing.
 func (s *Sim) ReleaseRand() {
 	if s.rng != nil {
 		FreeRand(s.rng)
 		s.rng = nil
+	}
+	s.over = true
+}
+
+// live panics, naming op, once ReleaseRand has ended the run.
+func (s *Sim) live(op string) {
+	if s.over {
+		panic("sim: " + op + " after ReleaseRand: the run is over and its memory handed back")
 	}
 }
 
@@ -375,6 +388,7 @@ func (s *Sim) After(d Time, fn func()) Timer {
 // returned and the event is recycled as it fires. This is the zero-
 // allocation hot path.
 func (s *Sim) Schedule(t Time, h Handler) {
+	s.live("Schedule")
 	s.checkFuture(t)
 	e := s.alloc()
 	e.cb = h
@@ -383,6 +397,7 @@ func (s *Sim) Schedule(t Time, h Handler) {
 
 // ScheduleAfter arms h to run d after the current time, fire-and-forget.
 func (s *Sim) ScheduleAfter(d Time, h Handler) {
+	s.live("ScheduleAfter")
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
@@ -394,6 +409,7 @@ func (s *Sim) ScheduleAfter(d Time, h Handler) {
 // rescheduled in place. The event stays usable — and allocated — until
 // Free.
 func (s *Sim) ScheduleTimer(t Time, h Handler) Timer {
+	s.live("ScheduleTimer")
 	s.checkFuture(t)
 	e := s.alloc()
 	e.cb = h
@@ -413,6 +429,7 @@ func (s *Sim) ReserveSeq() uint64 { return s.takeSeq() }
 // ScheduleTimerSeq is ScheduleTimer with an explicit sequence number
 // previously obtained from ReserveSeq.
 func (s *Sim) ScheduleTimerSeq(t Time, seq uint64, h Handler) Timer {
+	s.live("ScheduleTimerSeq")
 	s.checkFuture(t)
 	e := s.alloc()
 	e.cb = h
@@ -425,6 +442,7 @@ func (s *Sim) ScheduleTimerSeq(t Time, seq uint64, h Handler) Timer {
 // Reschedule it re-arms fired or cancelled events; stale handles are
 // no-ops.
 func (s *Sim) RescheduleSeq(tm Timer, t Time, seq uint64) {
+	s.live("RescheduleSeq")
 	s.checkFuture(t)
 	e := tm.e
 	if e == nil {
@@ -449,6 +467,7 @@ func (s *Sim) RescheduleSeq(tm Timer, t Time, seq uint64) {
 // handle, or an already-run or already-cancelled event is a no-op. The
 // handle stays valid: Reschedule can re-arm the event afterwards.
 func (s *Sim) Cancel(tm Timer) {
+	s.live("Cancel")
 	e := tm.e
 	if e == nil || e.gen != tm.gen || e.idx < 0 {
 		return
@@ -463,6 +482,7 @@ func (s *Sim) Cancel(tm Timer) {
 // so a stale call cannot perturb the deterministic event order.
 // Rescheduling the zero Timer panics.
 func (s *Sim) Reschedule(tm Timer, t Time) {
+	s.live("Reschedule")
 	e := tm.e
 	if e == nil {
 		panic("sim: rescheduling the zero Timer")
@@ -479,6 +499,7 @@ func (s *Sim) Reschedule(tm Timer, t Time) {
 // when they finish (for example a completed TCP flow's RTO timer) so
 // high-churn workloads recycle instead of garbage-collecting them.
 func (s *Sim) Free(tm Timer) {
+	s.live("Free")
 	e := tm.e
 	if e == nil || e.gen != tm.gen {
 		return
@@ -549,6 +570,7 @@ func (s *Sim) step() bool {
 // time); if the queue drained earlier the clock advances to end so that
 // measurement windows stay well-defined.
 func (s *Sim) RunUntil(end Time) {
+	s.live("RunUntil")
 	s.stopped = false
 	for !s.stopped {
 		if s.vacant {
@@ -566,6 +588,7 @@ func (s *Sim) RunUntil(end Time) {
 
 // Run executes events until the queue drains or Stop is called.
 func (s *Sim) Run() {
+	s.live("Run")
 	s.stopped = false
 	for !s.stopped && s.step() {
 	}
