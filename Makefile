@@ -26,11 +26,16 @@ race:
 # sync.Pool puts at random, so TestWarmHitAllocs and TestColdRunAllocs are
 # built only without it. TestPacketLayout locks the bytes of a packet, a
 # SACK report and both slabs, the size classes the slabs are served from,
-# and the packet's field order; TestRangesBytes what a range list costs as
-# it grows; TestColdRunAllocs a cold scenario's objects and bytes;
-# TestDigestAllocs what a run's fingerprint costs.
+# and the packet's field order; TestRangesBytes what a list that belongs to
+# no pool costs as it grows, in a process of its own, so that no spare
+# array another test handed back can hide a first-use cost;
+# TestRecycledRangesBytes that a list bound to a pool grows on the arrays a
+# finished run handed back without allocating; TestColdRunAllocs a cold
+# scenario's objects and bytes; TestDigestAllocs what a run's fingerprint
+# costs.
 allocs:
-	$(GO) test -count=1 -run '^(TestTransitZeroAlloc|TestPacketLayout|TestRangesBytes|TestControllersZeroAlloc|TestLossPathZeroAlloc|TestStreamZeroAlloc|TestWarmHitAllocs|TestColdRunAllocs|TestDigestAllocs)$$' \
+	$(GO) test -count=1 -run '^TestRangesBytes$$' ./internal/netem
+	$(GO) test -count=1 -run '^(TestTransitZeroAlloc|TestPacketLayout|TestRecycledRangesBytes|TestControllersZeroAlloc|TestLossPathZeroAlloc|TestStreamZeroAlloc|TestWarmHitAllocs|TestColdRunAllocs|TestDigestAllocs)$$' \
 		./internal/netem ./internal/core ./internal/tcp ./internal/mptcp ./internal/campaign ./internal/scenario
 
 # FMA ratchet: a fused multiply-add rounds once where amd64
@@ -111,11 +116,13 @@ lint:
 # Go outside internal/sim, the campaign sampler (internal/campaign/sample.go)
 # and the scenario fuzzer (internal/scenario/fuzz.go), and no ReleaseRand(
 # outside internal/sim and internal/scenario/run.go (Net.Run defers it), so
-# nothing hands back a generator another holder still draws from. Packet
-# slabs go back only where a run ends: no .Release( in non-test Go outside
-# internal/netem and internal/scenario/run.go (Net.Run defers the packet
-# pool's Release), so no slab reaches another run while its own network
-# can still use it.
+# nothing hands back a generator another holder still draws from; the
+# kernel's heap and free-list arrays go back with it. Packet slabs and
+# range storage go back only where a run ends: no .Release( in non-test Go
+# outside internal/netem and internal/scenario/run.go (Net.Run defers the
+# packet pool's Release, which also empties the range lists bound to the
+# pool), so no slab or range array reaches another run while its own
+# network can still use it.
 # One place a harness network runs: no .Run(ctx in non-test internal/harness
 # Go outside collect.go, which compiles, runs, checks and reads every job.
 guard:

@@ -50,17 +50,19 @@ func TestWarmHitAllocs(t *testing.T) {
 
 // maxColdAllocs is what a simulated scenario of Default() may allocate, on
 // average: its network (links, flows, routes, timers), its event slabs,
-// the range lists its receivers and senders grow, its report, and its
-// share of the campaign's fixed cost. It is the measured 124.6 plus 0.2.
-const maxColdAllocs = 124.8
+// its report, and its share of the campaign's fixed cost. It is the
+// measured 112.6 plus 0.2.
+const maxColdAllocs = 112.8
 
 // maxColdBytes is the heap bytes those allocations may add up to, per
-// scenario: the measured 10 716 plus 3 %. Every run hands its packet slabs
-// and its generator back for the runs after it, so a run that keeps its
-// slabs (29 082 bytes a scenario when each run carved its own) or its
-// 5 376-byte generator, a packet or SACK report that grows, or a range
-// list that widens fails here.
-const maxColdBytes = 11037.0
+// scenario: the measured 8 045 plus 3 %. Every run hands its packet slabs,
+// its range lists' arrays, its kernel's heap and free-list arrays and its
+// generator back for the runs after it, so a run that keeps its slabs
+// (29 082 bytes a scenario when each run carved its own), its range lists'
+// or kernel's arrays (2 671 bytes a scenario when each run allocated its
+// own), its 5 376-byte generator, a packet or SACK report that grows, or a
+// range list that widens fails here.
+const maxColdBytes = 8286.0
 
 // TestColdRunAllocs locks the allocations of an uncached campaign: every
 // scenario of Default() (N = 200) is simulated, and the run allocates at

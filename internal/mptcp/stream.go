@@ -92,6 +92,7 @@ func NewStreamSched(conn *Conn, totalBytes, chunkBytes int64, sched Scheduler) *
 	if sched.Replicates() {
 		st.nextRep = make([]int64, n)
 	}
+	st.oooSpans.Bind(netem.PoolFor(conn.sim))
 	for i, sf := range conn.subs {
 		i, sf := i, sf
 		if sf.Src.AssignedBytes() != 0 {

@@ -242,15 +242,19 @@ func (p *Packet) poison() {
 // separate free lists: a packet keeps its kind for life, so only ACKs ever
 // own SACK storage. A free list is a LIFO pktList linked through the freed
 // packets themselves, and the slabs of each kind are chained through a link
-// beside them, so the slabs are the only memory the pool holds. When the
-// run is over, Release hands them to the next run's pool. The pool is
-// single-threaded, like the Sim that owns it.
+// beside them, so the slabs are the only memory the pool holds. The range
+// lists bound to the pool (Ranges.Bind) are chained through the lists. When
+// the run is over, Release hands the slabs and the lists' arrays to the
+// next run's pool and lists. The pool is single-threaded, like the Sim
+// that owns it.
 type PacketPool struct {
 	data, acks freeList
 	// dataSlabs and ackSlabs are the newest slab of each kind the pool
 	// carved; each links to the one carved before it.
-	dataSlabs       *dataAlloc
-	ackSlabs        *ackAlloc
+	dataSlabs *dataAlloc
+	ackSlabs  *ackAlloc
+	// ranges is the list bound last; each links to the one bound before.
+	ranges          *Ranges
 	debug, released bool
 }
 
@@ -401,16 +405,18 @@ func (pl *PacketPool) refill(l *freeList, ack bool) {
 }
 
 // Release hands every slab the pool carved to the spare slabs refill takes
-// from, for the pools of runs to come. The caller is done with every packet
-// of the pool, wherever it waits: scenario.Net.Run releases its pool when
-// the run ends, however it ends, and nothing may read a packet through the
-// finished network afterwards. A handed-back packet keeps its kind, and an
-// ACK its SACK storage; everything else is cleared, so a spare slab holds
-// no pointer into the finished network, and under SetDebug each packet is
-// also poisoned and marked freed, as Free leaves one, so a stale reader or
-// Free fails loudly. Carved still reports the run's high-water marks;
-// taking a packet from the pool afterwards panics, and a second Release
-// does nothing.
+// from, and the array of every range list bound to it to the spare arrays
+// lists grow into, for the runs to come. The caller is done with every
+// packet and list of the pool, wherever they are: scenario.Net.Run releases
+// its pool when the run ends, however it ends, and nothing may read a
+// packet through the finished network afterwards. A handed-back packet
+// keeps its kind, and an ACK its SACK storage; everything else is cleared,
+// so a spare slab holds no pointer into the finished network, and under
+// SetDebug each packet is also poisoned and marked freed, as Free leaves
+// one, so a stale reader or Free fails loudly. Every bound list is left
+// empty, so a stale read sees no ranges. Carved still reports the run's
+// high-water marks; taking a packet from the pool afterwards panics, as
+// does an insert into one of its lists, and a second Release does nothing.
 func (pl *PacketPool) Release() {
 	for s := pl.dataSlabs; s != nil; {
 		prev := s.prev
@@ -426,7 +432,12 @@ func (pl *PacketPool) Release() {
 		spareAcks.Put(s)
 		s = prev
 	}
-	pl.dataSlabs, pl.ackSlabs = nil, nil
+	for r := pl.ranges; r != nil; {
+		next := r.next
+		r.release()
+		r = next
+	}
+	pl.dataSlabs, pl.ackSlabs, pl.ranges = nil, nil, nil
 	pl.data.free, pl.data.slab = pktList{}, nil
 	pl.acks.free, pl.acks.slab = pktList{}, nil
 	pl.released = true

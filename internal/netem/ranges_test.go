@@ -223,3 +223,166 @@ func TestRangesBytes(t *testing.T) {
 		}
 	}
 }
+
+// Recycled-range program opcodes: an instruction is one byte, its low
+// three bits the opcode, modulo recycledRangeOps, and bit 3 the list:
+//
+//	recycledInsert  u16 start, u8 length-1: Insert [origin+start, +length)
+//	recycledSpread  u8 n: insert n+1 one-byte ranges, two bytes apart,
+//	                from two bytes above the top range
+//	recycledDrop    u8 k: Drop(k mod (Len+1))
+//	recycledClip    u16 x: ClipFront(origin+x)
+//	recycledRelease release the list's pool
+//	recycledRebind  bind the list to a new pool
+const (
+	recycledInsert = iota
+	recycledSpread
+	recycledDrop
+	recycledClip
+	recycledRelease
+	recycledRebind
+	recycledRangeOps
+)
+
+// recycledList is one of FuzzRecycledRanges' two lists: r, bound to pl,
+// and the fresh list twin, which belongs to no pool, with the []Block
+// reference ref. Both run the same ops; twin and ref are emptied when pl
+// is released.
+type recycledList struct {
+	r    Ranges
+	twin Ranges
+	ref  []Block
+	pl   *PacketPool
+}
+
+// arrayOf returns the address of the array r holds, or nil.
+func arrayOf(r *Ranges) *[2]uint32 {
+	if cap(r.e) == 0 {
+		return nil
+	}
+	return &r.e[:1][0]
+}
+
+// FuzzRecycledRanges runs byte programs of inserts, drops, clips, releases
+// and re-binds over two lists bound to two pools, so that each grows on
+// arrays the other outgrew or handed back, and checks each against a
+// fresh list that belongs to no pool and against the []Block reference.
+// After every step a bound list holds the reference's ranges in an array
+// of the fresh list's capacity, carried by its holder; the two lists never
+// share an array; a list its pool released is empty and refuses inserts
+// until it is bound again, and a live list refuses a second Bind.
+//
+//	go test ./internal/netem -run '^$' -fuzz FuzzRecycledRanges -fuzztime 10s
+func FuzzRecycledRanges(f *testing.F) {
+	le := binary.LittleEndian
+	other := byte(1 << 3)
+	insert := func(l byte, start uint16, lenLess1 byte) []byte {
+		return append(le.AppendUint16([]byte{recycledInsert | l}, start), lenLess1)
+	}
+	spread := func(l, n byte) []byte { return []byte{recycledSpread | l, n} }
+	release := func(l byte) []byte { return []byte{recycledRelease | l} }
+	rebind := func(l byte) []byte { return []byte{recycledRebind | l} }
+	// One list grows to 256 ranges, hands its arrays back as it grows and
+	// as its pool is released; the other grows on them.
+	f.Add(int64(0), slices.Concat(spread(0, 255), release(0), spread(other, 200), insert(other, 3, 9), rebind(0), spread(0, 40)))
+	// Both grow at once, trading arrays as they outgrow them; a drop and a
+	// clip shrink one, which keeps its array.
+	f.Add(int64(1)<<33, slices.Concat(spread(0, 7), spread(other, 7), spread(0, 20), spread(other, 30),
+		[]byte{recycledDrop, 5, recycledClip | other, 0, 1}, release(other), rebind(other), insert(other, 9, 0), insert(0, 7, 200)))
+	// An insert into a released list, a second Bind of a live one, two
+	// releases in a row.
+	f.Add(int64(-5), slices.Concat(insert(0, 10, 0), rebind(0), release(0), release(0), insert(0, 10, 0), rebind(0), insert(0, 10, 0)))
+	f.Fuzz(func(t *testing.T, origin int64, prog []byte) {
+		if len(prog) > 1024 {
+			t.Skip("longer programs add time, not cases")
+		}
+		origin = min(max(origin, math.MinInt64/2), math.MaxInt64/2)
+		runRecycledRanges(t, origin, prog)
+	})
+}
+
+func runRecycledRanges(t *testing.T, origin int64, prog []byte) {
+	var lists [2]*recycledList
+	for k := range lists {
+		l := &recycledList{pl: new(PacketPool)}
+		l.r.Bind(l.pl)
+		lists[k] = l
+	}
+	le := binary.LittleEndian
+	insert := func(l *recycledList, b Block) {
+		if l.pl.released {
+			if msg := insertPanic(&l.r, b); !strings.Contains(msg, "after Release") {
+				t.Fatalf("Insert(%v) into a released list: panic %q, want one naming Release", b, msg)
+			}
+			return
+		}
+		l.r.Insert(b)
+		l.twin.Insert(b)
+		l.ref = insertRange(l.ref, b)
+	}
+	for pc := 0; pc < len(prog); {
+		op, l := prog[pc]&7%recycledRangeOps, lists[prog[pc]>>3&1]
+		pc++
+		switch {
+		case op == recycledInsert && pc+3 <= len(prog):
+			s := origin + int64(le.Uint16(prog[pc:]))
+			insert(l, Block{Start: s, End: s + 1 + int64(prog[pc+2])})
+			pc += 3
+		case op == recycledSpread && pc < len(prog):
+			top := origin
+			if len(l.ref) > 0 {
+				top = l.ref[len(l.ref)-1].End
+			}
+			for i := range int64(prog[pc]) + 1 {
+				s := top + 2 + 2*i
+				insert(l, Block{Start: s, End: s + 1})
+			}
+			pc++
+		case op == recycledDrop && pc < len(prog):
+			k := int(prog[pc]) % (len(l.ref) + 1)
+			pc++
+			l.r.Drop(k)
+			l.twin.Drop(k)
+			l.ref = l.ref[k:]
+		case op == recycledClip && pc+2 <= len(prog):
+			x := origin + int64(le.Uint16(prog[pc:]))
+			pc += 2
+			l.r.ClipFront(x)
+			l.twin.ClipFront(x)
+			l.ref = clipFront(l.ref, x)
+		case op == recycledRelease:
+			l.pl.Release()
+			l.twin, l.ref = Ranges{}, nil
+			if r := l.r; r.e != nil || r.buf != nil || r.next != nil || r.pool != l.pl {
+				t.Fatalf("at byte %d: released list holds %d of %d ranges, holder %p, link %p", pc, len(r.e), cap(r.e), r.buf, r.next)
+			}
+		case op == recycledRebind:
+			if !l.pl.released {
+				if msg := panicOf(func() { l.r.Bind(new(PacketPool)) }); !strings.Contains(msg, "live pool") {
+					t.Fatalf("at byte %d: Bind of a live list: panic %q, want one naming its live pool", pc, msg)
+				}
+				break
+			}
+			l.pl = new(PacketPool)
+			l.r.Bind(l.pl)
+		default:
+			pc = len(prog)
+			continue
+		}
+		for k, l := range lists {
+			got := l.r.Head(make([]Block, l.r.Len()+1))
+			if !slices.Equal(got, l.ref) || !slices.Equal(got, l.twin.Head(make([]Block, l.twin.Len()+1))) {
+				t.Fatalf("after op %d at byte %d: list %d holds %v, the fresh list %v, the reference %v", op, pc, k, got, l.twin.Head(make([]Block, l.twin.Len()+1)), l.ref)
+			}
+			if cap(l.r.e) != cap(l.twin.e) {
+				t.Fatalf("after op %d at byte %d: list %d has room for %d ranges, the fresh list for %d", op, pc, k, cap(l.r.e), cap(l.twin.e))
+			}
+			if b := l.r.buf; (b == nil) != (cap(l.r.e) == 0) || (b != nil && (len(b.e) != cap(l.r.e) || &b.e[0] != arrayOf(&l.r))) {
+				t.Fatalf("after op %d at byte %d: list %d holds an array of %d ranges that its holder %p does not carry", op, pc, k, cap(l.r.e), b)
+			}
+		}
+		if a := arrayOf(&lists[0].r); a != nil && a == arrayOf(&lists[1].r) {
+			t.Fatalf("after op %d at byte %d: both lists hold the array at %p", op, pc, a)
+		}
+	}
+}

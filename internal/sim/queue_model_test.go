@@ -42,6 +42,13 @@ type qmodel struct {
 	// leftVacant: the last handler returned with the root still vacant.
 	leftVacant bool
 	cover      map[string]int
+	pops       []qpop // every event fired, in order
+}
+
+// qpop is an event as it fired: its time and tie-break number.
+type qpop struct {
+	at  Time
+	seq uint64
 }
 
 // next returns the program's next byte, or 0 once it is exhausted (handlers
@@ -271,6 +278,7 @@ func (n *qnode) RunEvent(now Time) {
 	n.queued = false
 	m.now = now
 	m.fired++
+	m.pops = append(m.pops, qpop{now, n.seq})
 	m.check("handler entry")
 	ops := m.next() % 4
 	for i := 0; i < ops; i++ {
@@ -285,10 +293,22 @@ func (n *qnode) RunEvent(now Time) {
 	}
 }
 
-// runQueueProgram interprets prog and returns which cases it exercised.
+// runQueueProgram interprets prog, drains the queue and returns which
+// cases it exercised.
 func runQueueProgram(t testing.TB, prog []byte) map[string]int {
-	m := &qmodel{t: t, s: New(1), prog: prog, cover: make(map[string]int)}
-	s := m.s
+	m := playQueueProgram(t, New(1), prog)
+	m.s.Run()
+	m.check("drained")
+	if n := m.min(); n != nil {
+		t.Fatalf("drained, but the reference still holds (at=%d seq=%d)", n.at, n.seq)
+	}
+	return m.cover
+}
+
+// playQueueProgram interprets prog on s, a new Sim, and returns the model,
+// with whatever the program left queued still queued.
+func playQueueProgram(t testing.TB, s *Sim, prog []byte) *qmodel {
+	m := &qmodel{t: t, s: s, prog: prog, cover: make(map[string]int)}
 	for m.pc < len(m.prog) {
 		switch code := m.next() % 8; code {
 		default:
@@ -317,12 +337,7 @@ func runQueueProgram(t testing.TB, prog []byte) map[string]int {
 		}
 		m.check("between runs")
 	}
-	s.Run()
-	m.check("drained")
-	if n := m.min(); n != nil {
-		t.Fatalf("drained, but the reference still holds (at=%d seq=%d)", n.at, n.seq)
-	}
-	return m.cover
+	return m
 }
 
 func TestEventQueueModel(t *testing.T) {

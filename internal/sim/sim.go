@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"sync"
 )
 
 // Time is a virtual timestamp or duration in nanoseconds.
@@ -114,32 +115,47 @@ func (tm Timer) When() Time {
 // concurrent use; all model components run inside event callbacks.
 type Sim struct {
 	now     Time
-	heap    []slot   // 4-ary min-heap on (at, seq)
-	vacant  bool     // heap[0] is empty: its event is running (see push)
-	free    []*Event // event free list (single-threaded, no locking)
-	slab    []Event  // not yet issued remainder of the newest event slab
+	heap    []slot        // 4-ary min-heap on (at, seq)
+	vacant  bool          // heap[0] is empty: its event is running (see push)
+	free    []*Event      // event free list (single-threaded, no locking)
+	slab    []Event       // not yet issued remainder of the newest event slab
+	arrays  *kernelArrays // the holder heap and free came in, until ReleaseRand
 	nextSeq uint64
 	rng     *rand.Rand
 	nEvents uint64 // processed events (for diagnostics)
 	peak    int    // most events pending at once (for diagnostics)
+	left    int    // events pending when ReleaseRand ended the run
 	stopped bool
 	over    bool // ReleaseRand ended the run: nothing may schedule or advance
 	aux     any
 }
 
 // slabEvents is how many events one free-list miss allocates together, as
-// netem's packet pool carves packets. The heap and the free list start with
+// netem's packet pool carves packets. A new heap and free list start with
 // room for one slab.
 const slabEvents = 16
+
+// kernelArrays carries a heap array and a free-list array, with every slot
+// cleared, from a finished run to the next Sim: a Sim keeps the holder it
+// took its arrays from and hands it back with the arrays the run grew them
+// into, so the hand-back puts a pointer and allocates nothing.
+type kernelArrays struct {
+	heap []slot
+	free []*Event
+}
+
+// arrayPool recycles kernel arrays: a run that grew its heap and free list
+// to its peak leaves them at that size for the run after it, which then
+// allocates neither.
+var arrayPool = sync.Pool{New: func() any {
+	return &kernelArrays{heap: make([]slot, 0, slabEvents), free: make([]*Event, 0, slabEvents)}
+}}
 
 // New returns a simulator whose random source is NewRand(seed).
 // The same seed always yields the same execution.
 func New(seed int64) *Sim {
-	return &Sim{
-		rng:  NewRand(seed),
-		heap: make([]slot, 0, slabEvents),
-		free: make([]*Event, 0, slabEvents),
-	}
+	a := arrayPool.Get().(*kernelArrays)
+	return &Sim{rng: NewRand(seed), heap: a.heap, free: a.free, arrays: a}
 }
 
 // Now reports the current virtual time.
@@ -155,17 +171,28 @@ func (s *Sim) Rand() *rand.Rand {
 }
 
 // ReleaseRand ends the simulation: it hands the generator back to the pool
-// NewRand takes from, for a caller that is done with the run.
-// scenario.Net.Run releases it when the run ends, however it ends, together
-// with the run's packet slabs. From then on Rand, every Schedule* and
-// Reschedule*, Cancel, Free, RunUntil and Run panic, naming what was
-// called, so a finished network cannot advance over memory handed back to
-// other runs; the run's counters (Now, Processed, PendingHighWater) stay
-// readable. A second ReleaseRand does nothing.
+// NewRand takes from, and the heap and free-list arrays, every slot
+// cleared, to the pool New takes from, for a caller that is done with the
+// run. scenario.Net.Run releases them when the run ends, however it ends,
+// together with the run's packet slabs and range lists. From then on Rand,
+// every Schedule* and Reschedule*, Cancel, Free, RunUntil and Run panic,
+// naming what was called, so a finished network cannot advance over memory
+// handed back to other runs; the run's counters (Now, Processed, Pending,
+// PendingHighWater) stay readable. The events stay with the run: a
+// finished network's components still hold Timers into them. A second
+// ReleaseRand does nothing.
 func (s *Sim) ReleaseRand() {
 	if s.rng != nil {
 		FreeRand(s.rng)
 		s.rng = nil
+	}
+	s.left = s.Pending()
+	if a := s.arrays; a != nil {
+		a.heap, a.free = s.heap[:0], s.free[:0]
+		clear(a.heap[:cap(a.heap)])
+		clear(a.free[:cap(a.free)])
+		s.heap, s.free, s.arrays = nil, nil, nil
+		arrayPool.Put(a)
 	}
 	s.over = true
 }
@@ -510,8 +537,12 @@ func (s *Sim) Free(tm Timer) {
 	s.recycle(e)
 }
 
-// Pending reports the number of queued events.
+// Pending reports the number of queued events: after ReleaseRand, how
+// many were queued when it ended the run.
 func (s *Sim) Pending() int {
+	if s.over {
+		return s.left
+	}
 	if s.vacant {
 		return len(s.heap) - 1
 	}

@@ -173,6 +173,7 @@ func NewSrc(s *sim.Sim, _ int, name string, cfg Config) *Src {
 	}
 	src.startH.t = src
 	src.stallH.t = src
+	src.scoreboard.Bind(src.pool)
 	return src
 }
 
@@ -737,7 +738,11 @@ type Sink struct {
 const delAckTimeout = 40 * sim.Millisecond
 
 // NewSink builds a receiver.
-func NewSink(s *sim.Sim) *Sink { return &Sink{sim: s, pool: netem.PoolFor(s)} }
+func NewSink(s *sim.Sim) *Sink {
+	k := &Sink{sim: s, pool: netem.PoolFor(s)}
+	k.ooo.Bind(k.pool)
+	return k
+}
 
 // EnableDelayedAck turns on RFC 1122 delayed acknowledgments, held back at
 // most 40 ms. Without it (the default, which is also htsim's behavior)
