@@ -3,13 +3,17 @@ package harness
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/csv"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"mptcpsim/internal/sim"
@@ -35,11 +39,11 @@ func goldenConfig() Config {
 }
 
 // TestGoldenText locks the rendered text of every registered experiment
-// byte-for-byte, and checks that the same collected Result also renders as
-// valid JSON and CSV. The committed files under testdata/golden were
-// generated from the pre-Collect/Render-split implementation, so a passing
-// run proves the structured-result refactor changed no output bytes.
-// Regenerate with
+// byte-for-byte, and its RenderJSON and RenderCSV bytes by their SHA-256
+// in testdata/machine.sum; it also checks that the JSON and CSV parse. The
+// committed files under testdata/golden were generated from the
+// pre-Collect/Render-split implementation, so a passing run proves the
+// structured-result refactor changed no output bytes. Regenerate both with
 //
 //	go test ./internal/harness -run TestGoldenText -update
 func TestGoldenText(t *testing.T) {
@@ -47,6 +51,7 @@ func TestGoldenText(t *testing.T) {
 		t.Skip("simulation experiments skipped in -short")
 	}
 	cfg := goldenConfig()
+	sums := loadMachineSums(t)
 	for _, e := range Experiments() {
 		if strings.HasPrefix(e.ID, "zz-") {
 			continue // test-only probes registered by other tests
@@ -62,6 +67,7 @@ func TestGoldenText(t *testing.T) {
 			if err := RenderText(r, &b); err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}
+			checkMachineFormats(t, r, sums)
 			path := filepath.Join("testdata", "golden", e.ID+".txt")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -80,7 +86,6 @@ func TestGoldenText(t *testing.T) {
 				t.Errorf("%s: output differs from golden %s\n--- got ---\n%s--- want ---\n%s",
 					e.ID, path, b.Bytes(), want)
 			}
-			checkMachineFormats(t, r)
 		})
 	}
 }
@@ -161,14 +166,75 @@ func TestGoldenCoverageComplete(t *testing.T) {
 	}
 }
 
-// checkMachineFormats asserts a collected Result renders as parseable JSON
-// (round-tripping to an equal Result) and parseable CSV.
-func checkMachineFormats(t *testing.T, r *Result) {
+// machineSumPath locks every experiment's JSON and CSV bytes: one
+// "<sha256>  <id>.<json|csv>" line per rendering, in registry order. It
+// sits outside testdata/golden, whose files are all text snapshots.
+var machineSumPath = filepath.Join("testdata", "machine.sum")
+
+// machineSums holds the SHA-256 of each rendering by "<id>.<json|csv>":
+// the lock to check against, or under -update the sums to write back.
+type machineSums struct {
+	mu   sync.Mutex
+	sums map[string]string
+}
+
+// loadMachineSums reads the lock. Under -update a missing lock is an empty
+// one, and the lock is rewritten once every subtest is done, keeping the
+// entries of experiments this run did not render.
+func loadMachineSums(t *testing.T) *machineSums {
+	m := &machineSums{sums: map[string]string{}}
+	b, err := os.ReadFile(machineSumPath)
+	if err != nil && !*updateGolden {
+		t.Fatalf("missing machine lock (run with -update): %v", err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+		if sum, name, ok := strings.Cut(line, "  "); ok {
+			m.sums[name] = sum
+		}
+	}
+	if *updateGolden {
+		t.Cleanup(func() {
+			var b strings.Builder
+			for _, id := range registryIDs() {
+				for _, name := range []string{id + ".json", id + ".csv"} {
+					if sum, ok := m.sums[name]; ok {
+						fmt.Fprintf(&b, "%s  %s\n", sum, name)
+					}
+				}
+			}
+			if err := os.WriteFile(machineSumPath, []byte(b.String()), 0o644); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	return m
+}
+
+// check compares the SHA-256 of one rendering with the lock, or records it
+// under -update.
+func (m *machineSums) check(t *testing.T, name string, b []byte) {
+	t.Helper()
+	h := sha256.Sum256(b)
+	sum := hex.EncodeToString(h[:])
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if *updateGolden {
+		m.sums[name] = sum
+	} else if want := m.sums[name]; sum != want {
+		t.Errorf("%s: SHA-256 %s, %s has %q", name, sum, machineSumPath, want)
+	}
+}
+
+// checkMachineFormats asserts a collected Result renders as the locked
+// JSON and CSV bytes, that the JSON parses and round-trips to an equal
+// Result, and that the CSV parses.
+func checkMachineFormats(t *testing.T, r *Result, sums *machineSums) {
 	t.Helper()
 	var jb bytes.Buffer
 	if err := RenderJSON(r, &jb); err != nil {
 		t.Fatalf("%s: RenderJSON: %v", r.ID, err)
 	}
+	sums.check(t, r.ID+".json", jb.Bytes())
 	var back Result
 	if err := json.Unmarshal(jb.Bytes(), &back); err != nil {
 		t.Fatalf("%s: JSON output does not parse: %v", r.ID, err)
@@ -180,6 +246,7 @@ func checkMachineFormats(t *testing.T, r *Result) {
 	if err := RenderCSV(r, &cb); err != nil {
 		t.Fatalf("%s: RenderCSV: %v", r.ID, err)
 	}
+	sums.check(t, r.ID+".csv", cb.Bytes())
 	for i, block := range strings.Split(strings.TrimRight(cb.String(), "\n"), "\n\n") {
 		recs, err := csv.NewReader(strings.NewReader(block)).ReadAll()
 		if err != nil {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -36,22 +37,21 @@ func runText(t *testing.T, id string, cfg Config) string {
 	return b.String()
 }
 
+// TestRegistryComplete locks the registry and its order, which is the
+// order the package's files run their init in: -list and -all follow it.
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
-		"fig1b", "fig1c", "table1", "fig4a", "fig4b", "fig5b", "fig5c",
-		"fig5d", "fig7", "fig8", "fig9", "fig10", "table2", "fig11",
-		"fig12", "fig13a", "fig13b", "fig14", "table3", "fig17",
-		"ablation-epsilon", "ablation-queue", "ablation-ssthresh",
-		"ablation-cap", "ablation-delack", "ext-probe", "ext-rwnd",
-		"ext-streams", "ext-rtt",
+		"ablation-epsilon", "ablation-queue", "ablation-ssthresh", "ablation-cap",
+		"fig4a", "fig4b", "fig5b", "fig17",
+		"fig13a", "fig13b", "fig14", "table3",
+		"ext-probe", "ext-rwnd", "ext-streams", "ablation-delack", "ext-rtt",
+		"fig1b", "fig1c", "table1", "fig5c", "fig5d", "fig9", "fig10",
+		"table2", "fig11", "fig12",
+		"sched-matrix", "sched-flap",
+		"fig7", "fig8",
 	}
-	for _, id := range want {
-		if Get(id) == nil {
-			t.Errorf("experiment %q not registered", id)
-		}
-	}
-	if len(Experiments()) < len(want) {
-		t.Fatalf("registry has %d entries, want at least %d", len(Experiments()), len(want))
+	if got := registryIDs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("registry order\n got %v\nwant %v", got, want)
 	}
 	if len(IDs()) != len(Experiments()) {
 		t.Fatal("IDs/Experiments mismatch")
