@@ -10,47 +10,9 @@ import (
 )
 
 // This file is the bridge between the experiment registry and the parallel
-// runner: a plan lays (sweep point × seed) networks out by index, collect
-// runs them all in one stream, and each fold merges the typed results in
+// runner: a plan lays (row × seed) networks out by index (see table.plan),
+// collect runs them all in one stream, and each fold merges the readings in
 // canonical order, so the rendered bytes are identical for any worker count.
-
-// sweep plans one job per (point, seed) pair and a fold over, for each
-// point, the per-seed results in seed order. The seed passed to job is
-// cfg.BaseSeed + s for repetition s, exactly the chain the sequential
-// harness used; job returns the network and a reader that stores into out.
-func sweep[P, T any](cfg Config, points []P, job func(p P, seed int64, out *T) Job, fold func(per [][]T) (*Result, error)) Plan {
-	seeds := max(cfg.Seeds, 1)
-	flat := make([]T, len(points)*seeds)
-	jobs := make([]Job, len(flat))
-	for i := range jobs {
-		jobs[i] = job(points[i/seeds], cfg.BaseSeed+int64(i%seeds), &flat[i])
-	}
-	return Plan{Jobs: jobs, Fold: func() (*Result, error) {
-		per := make([][]T, len(points))
-		for i := range per {
-			per[i] = flat[i*seeds : (i+1)*seeds]
-		}
-		return fold(per)
-	}}
-}
-
-// perPoint plans one job per point (for studies that use a single
-// repetition at cfg.BaseSeed, such as the ablations) and a fold over the
-// results in point order.
-func perPoint[P, T any](points []P, job func(p P, out *T) Job, fold func(out []T) (*Result, error)) Plan {
-	out := make([]T, len(points))
-	jobs := make([]Job, len(points))
-	for i, p := range points {
-		jobs[i] = job(p, &out[i])
-	}
-	return Plan{Jobs: jobs, Fold: func() (*Result, error) { return fold(out) }}
-}
-
-// closedForm is the plan of an analytic figure: no jobs, and a fold that
-// evaluates the model.
-func closedForm(fold func() (*Result, error)) func(Config) Plan {
-	return func(Config) Plan { return Plan{Fold: fold} }
-}
 
 // compile builds a testbed network from its spec. The specs come from the
 // scenario.Paper* builders with registry-fixed parameters, so a rejected

@@ -2,159 +2,106 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
+	"mptcpsim/internal/fixedpoint"
 	"mptcpsim/internal/scenario"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/stats"
 )
 
-// probeMetrics is one §VII bad-path-suspension run: normalized rates plus
-// the number of suspension episodes.
-type probeMetrics struct {
-	single, multi float64
-	suspends      int
-}
-
-// runProbeSuspension is one Scenario-C-like run (N1=20, N2=10, C1/C2=2,
-// OLIA) with or without bad-path suspension enabled on the multipath
-// users. Without it the run is its Spec's, which Figs. 11 and 12 list too.
-func runProbeSuspension(cfg Config, enable bool, seed int64, m *probeMetrics) Job {
-	j := Job{Spec: scenario.PaperScenarioC(20, 10, 2.0, 1.0, "olia", seed, cfg.Warmup.Sec(), cfg.Duration.Sec()),
-		Read: func(n *scenario.Net, _ *scenario.RunReport) {
-			secs := cfg.Duration.Sec()
-			for _, f := range n.Group("multi") {
-				m.multi += stats.Mbps(f.WindowBytes(), secs) / 2.0 / 20
-				m.suspends += f.Conn.SuspendCount(0) + f.Conn.SuspendCount(1)
+// runProbeSuspension is the Scenario C point N1=20, N2=10, C1/C2=2 under
+// OLIA, read through the Scenario C reader plus the number of suspension
+// episodes of the multipath users (reading 4), with or without bad-path
+// suspension enabled on them. Without it the run is its Spec's, which
+// Figs. 11 and 12 list too.
+func runProbeSuspension(enable bool) network {
+	ac := runScenarioAC(scenario.PaperScenarioC, 2.0, 20, "olia")
+	return func(cfg Config, seed int64, out *[]float64) Job {
+		j := ac(cfg, seed, out)
+		read := j.Read
+		j.Read = func(n *scenario.Net, rep *scenario.RunReport) {
+			read(n, rep)
+			suspends := 0
+			for _, f := range n.Groups[0] {
+				suspends += f.Conn.SuspendCount(0) + f.Conn.SuspendCount(1)
 			}
-			for _, f := range n.Group("single") {
-				m.single += stats.Mbps(f.WindowBytes(), secs) / 1.0 / 10
-			}
-		}}
-	if enable {
-		j.Build = setUp(j.Spec, func(n *scenario.Net) {
-			for _, f := range n.Group("multi") {
-				f.Conn.EnableProbeControl()
-			}
-		})
+			*out = append(*out, float64(suspends))
+		}
+		if enable {
+			j.Build = setUp(j.Spec, func(n *scenario.Net) {
+				for _, f := range n.Groups[0] {
+					f.Conn.EnableProbeControl()
+				}
+			})
+		}
+		return j
 	}
-	return j
 }
 
 // extProbe evaluates the §VII future-work extension: suspending
 // persistently-bad paths drops the probing traffic below 1 MSS per RTT,
 // pushing the single-path users of a Scenario-C-like network past the
 // "optimum with probing cost" line.
-func extProbe(cfg Config) Plan {
-	variants := []bool{false, true}
-	return sweep(cfg, variants, func(enable bool, seed int64, m *probeMetrics) Job {
-		return runProbeSuspension(cfg, enable, seed, m)
-	}, func(per [][]probeMetrics) (*Result, error) {
-		opt := 1 - 2.0*0.08 // optimum-with-probing single-path norm at N1/N2=2
-		r := &Result{
-			Preamble: []string{"Scenario C (N1=20, N2=10, C1/C2=2) with OLIA: bad-path suspension (§VII)"},
-			Columns: []Column{
-				{Name: "variant"},
-				{Name: "single", Unit: "norm"}, {Name: "multi", Unit: "norm"},
-				{Name: "suspensions"},
-			},
-			Footer: []string{fmt.Sprintf(
-				"(optimum WITH probing cost for singles: %.3f; suspension can exceed it)", opt)},
-		}
-		for i, enable := range variants {
-			var single, multi stats.Summary
-			suspends := 0
-			for _, m := range per[i] {
-				single.Add(m.single)
-				multi.Add(m.multi)
-				suspends += m.suspends
-			}
-			name := "probing floor (std)"
-			if enable {
-				name = "bad-path suspension"
-			}
-			r.Rows = append(r.Rows, []Cell{
-				TextCell(name), SummaryCell(single), SummaryCell(multi), IntCell(suspends),
-			})
-		}
-		return r, nil
-	})
-}
-
-// textExtProbe is the classic bad-path-suspension table layout.
-func textExtProbe(r *Result, w io.Writer) error {
-	writeLines(w, r.Preamble)
-	fmt.Fprintf(w, "%-24s | %-18s | %-18s | %s\n",
-		"variant", "single-path (norm)", "multipath (norm)", "suspensions")
-	for _, c := range r.Rows {
-		fmt.Fprintf(w, "%-24s | %8.3f±%-8.3f | %8.3f±%-8.3f | %d\n",
-			c[0].Text, c[1].Value, c[1].CI95, c[2].Value, c[2].CI95, c[3].Int())
-	}
-	writeLines(w, r.Footer)
-	return nil
+var extProbe = &table{
+	preamble: []string{"Scenario C (N1=20, N2=10, C1/C2=2) with OLIA: bad-path suspension (§VII)"},
+	head: fmt.Sprintf("%-24s | %-18s | %-18s | %s\n",
+		"variant", "single-path (norm)", "multipath (norm)", "suspensions"),
+	cols: []col{
+		{name: "variant", verb: "%-24s"},
+		{name: "single", unit: "norm", verb: " | %8.3f±%-8.3f", read: at(1)},
+		{name: "multi", unit: "norm", verb: " | %8.3f±%-8.3f", read: at(0)},
+		{name: "suspensions", verb: " | %d", read: at(4), count: true},
+	},
+	rows: []row{
+		{labels: []Cell{TextCell("probing floor (std)")}, run: runProbeSuspension(false)},
+		{labels: []Cell{TextCell("bad-path suspension")}, run: runProbeSuspension(true)},
+	},
+	seeded: true,
+	footer: []string{fmt.Sprintf("(optimum WITH probing cost for singles: %.3f; suspension can exceed it)",
+		fixedpoint.ScenarioCOptimum(20, 10, 2, 1, fixedpoint.PaperRTT).SingleNorm)},
 }
 
 // extRwnd evaluates receive-window limitations (§VII's last suggestion): a
 // multipath user whose peer advertises a small window cannot even reach its
 // best-path TCP rate, regardless of coupling.
-func extRwnd(cfg Config) Plan {
-	rwnds := []float64{0, 16, 8, 4}
-	return perPoint(rwnds, func(rwnd float64, out *twoLinkOutcome) Job {
-		sp := twoLinkSpec(cfg, "olia", 5, 5)
-		twoLinkMP(sp).MaxCwndPkts = rwnd
-		return runTwoLink(cfg, sp, out)
-	}, func(outs []twoLinkOutcome) (*Result, error) {
-		r := &Result{
-			Preamble: []string{"Two-link rig, OLIA: effect of a receive-window cap on the aggregate"},
-			Columns: []Column{
-				{Name: "rwnd", Unit: "pkts"},
-				{Name: "mp_total", Unit: "Mb/s"}, {Name: "tcp_mean", Unit: "Mb/s"},
-			},
-		}
-		for i, rwnd := range rwnds {
-			o := outs[i]
-			label := "unlimited"
-			if rwnd > 0 {
-				label = fmt.Sprintf("%.0f", rwnd)
-			}
-			r.Rows = append(r.Rows, []Cell{
-				TextCell(label), NumCell(o.mp1 + o.mp2), NumCell((o.bg1 + o.bg2) / 2),
-			})
-		}
-		return r, nil
-	})
-}
-
-// textExtRwnd is the classic receive-window table layout.
-func textExtRwnd(r *Result, w io.Writer) error {
-	writeLines(w, r.Preamble)
-	fmt.Fprintf(w, "%-12s | %-10s | %s\n", "rwnd (pkts)", "mp total", "TCP mean")
-	for _, c := range r.Rows {
-		fmt.Fprintf(w, "%-12s | %-10.2f | %.2f\n", c[0].Text, c[1].Value, c[2].Value)
-	}
-	return nil
-}
-
-// streamOutcome is one serial-transfer comparison run: completion-time
-// statistics for the requested number of transfers.
-type streamOutcome struct {
-	mode string
-	sum  stats.Summary
+var extRwnd = &table{
+	preamble: []string{"Two-link rig, OLIA: effect of a receive-window cap on the aggregate"},
+	head:     fmt.Sprintf("%-12s | %-10s | %s\n", "rwnd (pkts)", "mp total", "TCP mean"),
+	cols:     totalCols("rwnd", "pkts", "%-12s", mpTotal, tcpMean),
+	rows: oliaRows([]string{"unlimited", "16", "8", "4"}, 5, func(i int, mp *scenario.FlowSpec) {
+		mp.MaxCwndPkts = []float64{0, 16, 8, 4}[i]
+	}),
 }
 
 // runSerialTransfers measures `transfers` back-to-back finite transfers of
 // the given size over the two-link rig (2 background TCP flows per link)
-// under one transport mode. The rig's own multipath user is left out; each
-// transfer joins the running network as a flow of its own over the same
-// queues.
-func runSerialTransfers(cfg Config, mode string, size int64, transfers int, out *streamOutcome) Job {
+// under one transport mode, read as their completion times in seconds. The
+// rig's own multipath user is left out; each transfer joins the running
+// network as a flow of its own over the same queues.
+func runSerialTransfers(mode string, size int64, transfers int) network {
 	const horizonSec = 600
-	sp := scenario.PaperTwoLink(10, 2, 2, "olia", cfg.BaseSeed, 0, horizonSec)
-	sp.Flows = sp.Flows[:len(sp.Flows)-1]
-	var sum stats.Summary
-	return Job{
-		Build: setUp(sp, func(n *scenario.Net) { launchSerial(n, mode, size, transfers, &sum) }),
-		Read:  func(*scenario.Net, *scenario.RunReport) { *out = streamOutcome{mode: mode, sum: sum} },
+	return func(_ Config, seed int64, out *[]float64) Job {
+		sp := scenario.PaperTwoLink(10, 2, 2, "olia", seed, 0, horizonSec)
+		sp.Flows = sp.Flows[:len(sp.Flows)-1]
+		var took []float64
+		return Job{
+			Build: setUp(sp, func(n *scenario.Net) { launchSerial(n, mode, size, transfers, &took) }),
+			Read:  func(*scenario.Net, *scenario.RunReport) { *out = took },
+		}
+	}
+}
+
+// pooled is a cell over every run's readings from skip on, each scaled:
+// the summary of one pooled sample, not of seed means.
+func pooled(skip int, scale float64) func(runs [][]float64) Cell {
+	return func(runs [][]float64) Cell {
+		var s stats.Summary
+		for _, o := range runs {
+			for _, v := range o[skip:] {
+				s.Add(v * scale)
+			}
+		}
+		return SummaryCell(s)
 	}
 }
 
@@ -162,48 +109,31 @@ func runSerialTransfers(cfg Config, mode string, size int64, transfers int, out 
 // MPTCP data-level streams (DSS-style scheduling + reassembly) over two
 // paths: connection-level completion time is the metric, so reassembly
 // head-of-line blocking is included — a facet the paper leaves to future
-// work ("flow durations").
-func extStreams(cfg Config) Plan {
+// work ("flow durations"). Completion prints as mean ± stdev.
+var extStreams = func() *table {
 	const xferBytes = 512 * 1024
 	const transfers = 20
 	modes := []string{"tcp", "mptcp-olia stream"}
-	return perPoint(modes, func(mode string, out *streamOutcome) Job {
-		return runSerialTransfers(cfg, mode, xferBytes, transfers, out)
-	}, func(outs []streamOutcome) (*Result, error) {
-		r := &Result{
-			Preamble: []string{fmt.Sprintf(
-				"Serial %d KB transfers over the two-link rig (2 bg TCP flows per link)", xferBytes/1024)},
-			Columns: []Column{
-				{Name: "transport"}, {Name: "completion", Unit: "s"},
-				{Name: "completed"}, {Name: "transfers"},
-			},
-			Footer: []string{"(expected: streams finish faster by pulling both links' spare capacity)"},
-		}
-		for _, o := range outs {
-			r.Rows = append(r.Rows, []Cell{
-				TextCell(o.mode), SummaryCell(o.sum), IntCell(o.sum.N()), IntCell(transfers),
-			})
-		}
-		return r, nil
-	})
-}
-
-// textExtStreams is the classic serial-transfers table layout (completion
-// as mean ± stdev).
-func textExtStreams(r *Result, w io.Writer) error {
-	writeLines(w, r.Preamble)
-	fmt.Fprintf(w, "%-22s | %-16s | %s\n", "transport", "completion (s)", "completed")
-	for _, c := range r.Rows {
-		fmt.Fprintf(w, "%-22s | %6.2f ± %-6.2f | %d/%d\n",
-			c[0].Text, c[1].Value, c[1].Stdev, c[2].Int(), c[3].Int())
+	return &table{
+		preamble: []string{fmt.Sprintf(
+			"Serial %d KB transfers over the two-link rig (2 bg TCP flows per link)", xferBytes/1024)},
+		head: fmt.Sprintf("%-22s | %-16s | %s\n", "transport", "completion (s)", "completed"),
+		cols: []col{
+			{name: "transport", verb: "%-22s"},
+			{name: "completion", unit: "s", verb: " | %6.2f ± %-6.2f", pool: pooled(0, 1)},
+			{name: "completed", verb: " | %d", read: func(o []float64) float64 { return float64(len(o)) }, count: true},
+			{name: "transfers", verb: "/%d", calc: func([]Cell) (float64, error) { return transfers, nil }},
+		},
+		rows: labelled(modes, func(i int) network {
+			return runSerialTransfers(modes[i], xferBytes, transfers)
+		}),
+		footer: []string{"(expected: streams finish faster by pulling both links' spare capacity)"},
 	}
-	writeLines(w, r.Footer)
-	return nil
-}
+}()
 
 // launchSerial starts `count` back-to-back transfers, each beginning when
 // the previous completes.
-func launchSerial(n *scenario.Net, mode string, size int64, count int, sum *stats.Summary) {
+func launchSerial(n *scenario.Net, mode string, size int64, count int, took *[]float64) {
 	// The two-link spec's path i crosses link i alone.
 	routes := make([]scenario.Route, len(n.Spec.Paths))
 	for i, p := range n.Spec.Paths {
@@ -226,8 +156,8 @@ func launchSerial(n *scenario.Net, mode string, size int64, count int, sum *stat
 			return
 		}
 		f := n.AddFlow(fmt.Sprintf("xfer%d", i), xfer, routes, n.Sim.Now())
-		f.OnComplete(func(took sim.Time) {
-			sum.Add(took.Sec())
+		f.OnComplete(func(d sim.Time) {
+			*took = append(*took, d.Sec())
 			startNext(i + 1)
 		})
 	}
@@ -235,151 +165,75 @@ func launchSerial(n *scenario.Net, mode string, size int64, count int, sum *stat
 }
 
 func init() {
-	register(&Experiment{
-		ID:       "ext-probe",
-		PaperRef: "§VII (future work)",
-		Title:    "Extension: suspending bad paths cuts probing traffic below 1 MSS/RTT",
-		Plan:     extProbe,
-		Text:     textExtProbe,
-	})
-	register(&Experiment{
-		ID:       "ext-rwnd",
-		PaperRef: "§VII (future work)",
-		Title:    "Extension: receive-window limitations bound multipath gains",
-		Plan:     extRwnd,
-		Text:     textExtRwnd,
-	})
-	register(&Experiment{
-		ID:       "ext-streams",
-		PaperRef: "§VII (future work)",
-		Title:    "Extension: finite transfers as MPTCP data-level streams vs single-path TCP",
-		Plan:     extStreams,
-		Text:     textExtStreams,
-	})
-	register(&Experiment{
-		ID:       "ablation-delack",
-		PaperRef: "RFC 1122 receivers",
-		Title:    "Per-segment vs delayed ACKs under OLIA",
-		Plan:     ablationDelack,
-		Text:     textAblationDelack,
-	})
-	register(&Experiment{
-		ID:       "ext-rtt",
-		PaperRef: "Remark 3",
-		Title:    "RTT heterogeneity: TCP-compatible couplings favor the short-RTT path even at equal congestion",
-		Plan:     extRTT,
-		Text:     textExtRTT,
-	})
+	registerTable("ext-probe", "§VII (future work)",
+		"Extension: suspending bad paths cuts probing traffic below 1 MSS/RTT", extProbe)
+	registerTable("ext-rwnd", "§VII (future work)",
+		"Extension: receive-window limitations bound multipath gains", extRwnd)
+	registerTable("ext-streams", "§VII (future work)",
+		"Extension: finite transfers as MPTCP data-level streams vs single-path TCP", extStreams)
+	registerTable("ablation-delack", "RFC 1122 receivers",
+		"Per-segment vs delayed ACKs under OLIA", ablationDelack)
+	registerTable("ext-rtt", "Remark 3",
+		"RTT heterogeneity: TCP-compatible couplings favor the short-RTT path even at equal congestion", extRTT)
 }
 
 // extRTT probes Remark 3: with equal per-path congestion but different
 // RTTs, any TCP-compatible algorithm (whose per-path throughput scales as
 // 1/rtt at equal loss) sends more on the short-RTT path; OLIA's ℓ/rtt² best
-// metric makes the preference explicit.
-func extRTT(cfg Config) Plan {
-	algos := []string{"olia", "lia", "uncoupled"}
-	return perPoint(algos, func(algo string, out *twoLinkOutcome) Job {
-		sp := twoLinkSpec(cfg, algo, 5, 5)
-		sp.Paths[1].DelayMs = 120 // RTT 240+q vs 80+q ms
-		return runTwoLink(cfg, sp, out)
-	}, func(outs []twoLinkOutcome) (*Result, error) {
-		r := &Result{
-			Preamble: []string{"Two links, equal capacity and background (5 TCP each); path 2 RTT 3x path 1"},
-			Columns: []Column{
-				{Name: "algorithm"},
-				{Name: "mp_short_rtt", Unit: "Mb/s"}, {Name: "mp_long_rtt", Unit: "Mb/s"},
-				{Name: "ratio"},
-			},
-			Footer: []string{"(expected: every algorithm leans to the short-RTT path; the coupled ones more)"},
-		}
-		for i, algo := range algos {
-			o := outs[i]
-			ratio := 0.0
-			if o.mp2 > 0 {
-				ratio = o.mp1 / o.mp2
+// metric makes the preference explicit. Path 2's one-way delay of 120 ms
+// makes its RTT 240+q vs 80+q ms.
+var extRTT = &table{
+	preamble: []string{"Two links, equal capacity and background (5 TCP each); path 2 RTT 3x path 1"},
+	head:     fmt.Sprintf("%-14s | %-12s %-12s | %s\n", "algorithm", "mp short-rtt", "mp long-rtt", "ratio"),
+	cols: []col{
+		{name: "algorithm", verb: "%-14s"},
+		{name: "mp_short_rtt", unit: "Mb/s", verb: " | %-12.2f", read: at(0)},
+		{name: "mp_long_rtt", unit: "Mb/s", verb: " %-12.2f", read: at(1)},
+		{name: "ratio", verb: " | %.1f", calc: func(c []Cell) (float64, error) {
+			if c[2].Value > 0 {
+				return c[1].Value / c[2].Value, nil
 			}
-			r.Rows = append(r.Rows, []Cell{
-				TextCell(algo), NumCell(o.mp1), NumCell(o.mp2), NumCell(ratio),
+			return 0, nil
+		}},
+	},
+	rows:   algoRows([]string{"olia", "lia", "uncoupled"}, 120),
+	footer: []string{"(expected: every algorithm leans to the short-RTT path; the coupled ones more)"},
+}
+
+// runDelack measures the symmetric rig with per-segment or delayed ACKs,
+// read as the multipath user's goodput and the background TCP flows' mean
+// (Mb/s). With per-segment ACKs the run is its Spec's.
+func runDelack(delayed bool) network {
+	return func(cfg Config, _ int64, out *[]float64) Job {
+		j := Job{Spec: twoLinkSpec(cfg, "olia", 5, 5), Read: func(n *scenario.Net, _ *scenario.RunReport) {
+			secs := cfg.Duration.Sec()
+			tcp1, tcp2 := n.Group("tcp1"), n.Group("tcp2")
+			*out = []float64{
+				stats.Mbps(scenario.GroupWindowBytes(n.Group("mp")), secs),
+				stats.Mbps(scenario.GroupWindowBytes(tcp1)+scenario.GroupWindowBytes(tcp2), secs) / float64(len(tcp1)+len(tcp2)),
+			}
+		}}
+		if delayed {
+			j.Build = setUp(j.Spec, func(n *scenario.Net) {
+				for _, f := range n.Flows {
+					for _, k := range f.Sinks {
+						k.EnableDelayedAck()
+					}
+				}
 			})
 		}
-		return r, nil
-	})
-}
-
-// textExtRTT is the classic RTT-heterogeneity table layout.
-func textExtRTT(r *Result, w io.Writer) error {
-	writeLines(w, r.Preamble)
-	fmt.Fprintf(w, "%-14s | %-12s %-12s | %s\n",
-		"algorithm", "mp short-rtt", "mp long-rtt", "ratio")
-	for _, c := range r.Rows {
-		fmt.Fprintf(w, "%-14s | %-12.2f %-12.2f | %.1f\n",
-			c[0].Text, c[1].Value, c[2].Value, c[3].Value)
+		return j
 	}
-	writeLines(w, r.Footer)
-	return nil
-}
-
-// delackOutcome is one acknowledgment-policy run on the symmetric rig.
-type delackOutcome struct {
-	mpMbps, bgMeanMbps float64
-}
-
-// runDelack measures the symmetric rig with per-segment or delayed ACKs.
-// With per-segment ACKs the run is its Spec's.
-func runDelack(cfg Config, delayed bool, out *delackOutcome) Job {
-	j := Job{Spec: twoLinkSpec(cfg, "olia", 5, 5), Read: func(n *scenario.Net, _ *scenario.RunReport) {
-		secs := cfg.Duration.Sec()
-		tcp1, tcp2 := n.Group("tcp1"), n.Group("tcp2")
-		*out = delackOutcome{
-			mpMbps:     stats.Mbps(scenario.GroupWindowBytes(n.Group("mp")), secs),
-			bgMeanMbps: stats.Mbps(scenario.GroupWindowBytes(tcp1)+scenario.GroupWindowBytes(tcp2), secs) / float64(len(tcp1)+len(tcp2)),
-		}
-	}}
-	if delayed {
-		j.Build = setUp(j.Spec, func(n *scenario.Net) {
-			for _, f := range n.Flows {
-				for _, k := range f.Sinks {
-					k.EnableDelayedAck()
-				}
-			}
-		})
-	}
-	return j
 }
 
 // ablationDelack compares per-segment acknowledgments (htsim behavior, the
 // default here) with RFC 1122 delayed ACKs on the symmetric rig.
-func ablationDelack(cfg Config) Plan {
-	variants := []bool{false, true}
-	return perPoint(variants, func(delayed bool, out *delackOutcome) Job {
-		return runDelack(cfg, delayed, out)
-	}, func(outs []delackOutcome) (*Result, error) {
-		r := &Result{
-			Preamble: []string{"Symmetric rig, OLIA: receiver acknowledgment policy"},
-			Columns: []Column{
-				{Name: "receiver"},
-				{Name: "mp_total", Unit: "Mb/s"}, {Name: "tcp_mean", Unit: "Mb/s"},
-			},
-		}
-		for i, delayed := range variants {
-			name := "per-segment ACKs"
-			if delayed {
-				name = "delayed ACKs (40ms)"
-			}
-			r.Rows = append(r.Rows, []Cell{
-				TextCell(name), NumCell(outs[i].mpMbps), NumCell(outs[i].bgMeanMbps),
-			})
-		}
-		return r, nil
-	})
-}
-
-// textAblationDelack is the classic acknowledgment-policy table layout.
-func textAblationDelack(r *Result, w io.Writer) error {
-	writeLines(w, r.Preamble)
-	fmt.Fprintf(w, "%-22s | %-10s | %s\n", "receiver", "mp total", "TCP mean")
-	for _, c := range r.Rows {
-		fmt.Fprintf(w, "%-22s | %-10.2f | %.2f\n", c[0].Text, c[1].Value, c[2].Value)
-	}
-	return nil
+var ablationDelack = &table{
+	preamble: []string{"Symmetric rig, OLIA: receiver acknowledgment policy"},
+	head:     fmt.Sprintf("%-22s | %-10s | %s\n", "receiver", "mp total", "TCP mean"),
+	cols:     totalCols("receiver", "", "%-22s", at(0), at(1)),
+	rows: []row{
+		{labels: []Cell{TextCell("per-segment ACKs")}, run: runDelack(false)},
+		{labels: []Cell{TextCell("delayed ACKs (40ms)")}, run: runDelack(true)},
+	},
 }

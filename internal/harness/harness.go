@@ -161,14 +161,15 @@ type Experiment struct {
 	Title string
 	// Plan lays out the experiment's work under a configuration.
 	Plan func(cfg Config) Plan
-	// Text is the experiment family's bespoke table layout, reading only
-	// from the Result's cells; nil falls back to the generic layout.
+	// Text is the experiment's text layout, reading only from the
+	// Result's cells: its table's, or a bespoke one where the table's
+	// cannot print the paper's layout; nil falls back to the generic one.
 	Text func(r *Result, w io.Writer) error
 }
 
 // Plan is one experiment's work under one Config: its jobs and the fold
-// that runs once all of them are read. The closed-form figures have no
-// jobs; every simulated experiment builds its plan with sweep or perPoint.
+// that runs once all of them are read. Every experiment's plan is its
+// table's (see table.plan); the closed-form figures have no jobs.
 type Plan struct {
 	// Jobs are the experiment's independent networks. Everything a job
 	// needs, its RNG seed included, is fixed when the plan is made.

@@ -80,10 +80,7 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 			t.Fatal("registering a duplicate experiment ID did not panic")
 		}
 	}()
-	register(&Experiment{
-		ID: "fig1b", PaperRef: "test", Title: "duplicate probe",
-		Plan: closedForm(func() (*Result, error) { return &Result{}, nil }),
-	})
+	registerTable("fig1b", "test", "duplicate probe", &table{})
 }
 
 // The analytic experiments are cheap; run them at full fidelity and verify
@@ -129,10 +126,10 @@ func TestDCThroughputShape(t *testing.T) {
 	cfg.BaseSeed = 1
 	// MPTCP with several subflows must beat single-path TCP on aggregate
 	// (the core Fig. 13(a) claim).
-	per := collectSweep(t, cfg, []dcPoint{{"tcp", 1}, {"olia", 3}}, func(p dcPoint, seed int64, out *[]float64) Job {
-		return dcThroughput(cfg, p.algo, p.nsub, seed, out)
-	})
-	tcp, olia := per[0][0], per[1][0]
+	runs := collectRuns(t, cfg, &table{seeded: true, rows: []row{
+		{run: dcThroughput("tcp", 1)}, {run: dcThroughput("olia", 3)},
+	}})
+	tcp, olia := runs[0][0], runs[1][0]
 	var tcpSum, oliaSum float64
 	for i := range tcp {
 		tcpSum += tcp[i]

@@ -13,28 +13,27 @@ import (
 	"mptcpsim/internal/scenario"
 )
 
-// registerPanicProbe installs the zz-panic test experiment: a sweep whose
-// job for point 2 panics building its network while the others run and
-// read normally.
+// registerPanicProbe installs the zz-panic test experiment: a seeded table
+// whose row 2 panics building its network while the others run and read
+// normally.
 func registerPanicProbe() {
 	if Get("zz-panic") != nil {
 		return
 	}
-	register(&Experiment{
-		ID: "zz-panic", PaperRef: "test", Title: "crashing sweep probe",
-		Plan: func(cfg Config) Plan {
-			return sweep(cfg, []int{0, 1, 2, 3}, func(p int, seed int64, out *int) Job {
-				return Job{Build: func() *scenario.Net {
-					if p == 2 {
-						panic("simulated job crash")
-					}
-					return compile(shortSpec(seed))
-				}, Read: func(*scenario.Net, *scenario.RunReport) { *out = p }}
-			}, func(rows [][]int) (*Result, error) {
-				return nil, fmt.Errorf("panic probe: folded %d points although a job crashed", len(rows))
-			})
-		},
-	})
+	probe := &table{seeded: true, finish: func(_ Config, r *Result, _ [][][]float64) error {
+		return fmt.Errorf("panic probe: folded %d rows although a job crashed", len(r.Rows))
+	}}
+	for p := 0; p < 4; p++ {
+		probe.rows = append(probe.rows, row{run: func(_ Config, seed int64, out *[]float64) Job {
+			return Job{Build: func() *scenario.Net {
+				if p == 2 {
+					panic("simulated job crash")
+				}
+				return compile(shortSpec(seed))
+			}, Read: func(*scenario.Net, *scenario.RunReport) { *out = []float64{float64(p)} }}
+		}})
+	}
+	registerTable("zz-panic", "test", "crashing table probe", probe)
 }
 
 // TestCollectResultRecoversJobPanic: a panicking simulation job must not

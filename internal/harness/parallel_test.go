@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -34,7 +35,7 @@ func parallelConfig(workers int) Config {
 var workerVariants = []int{1, 4, runtime.GOMAXPROCS(0)}
 
 // determinismIDs spans every experiment family: Scenario A sweep, Scenario
-// B table, window traces, FatTree long flows, short flows, a perPoint
+// B table, window traces, FatTree long flows, short flows, an unseeded
 // ablation, and a seed-swept extension.
 var determinismIDs = []string{
 	"fig1b", "table1", "fig7", "fig13a", "table3", "ablation-epsilon", "ext-rwnd",
@@ -112,35 +113,30 @@ func TestRunAllByteIdentical(t *testing.T) {
 func TestRunAllStreamsProgressively(t *testing.T) {
 	streamTestGate = make(chan struct{})
 	if Get("zz-stream-a") == nil {
-		register(&Experiment{
-			ID: "zz-stream-a", PaperRef: "test", Title: "streaming probe a",
-			// One job, so that a settles inside the stream, next to b's job.
-			Plan: func(Config) Plan {
-				return perPoint([]int{0}, func(int, *int) Job {
-					return Job{Spec: shortSpec(1), Read: func(*scenario.Net, *scenario.RunReport) {}}
-				}, func([]int) (*Result, error) {
-					return &Result{Preamble: []string{"a-output"}}, nil
-				})
-			},
+		// One job, so that a settles inside the stream, next to b's job.
+		registerTable("zz-stream-a", "test", "streaming probe a", &table{
+			preamble: []string{"a-output"},
+			rows: []row{{run: func(_ Config, _ int64, _ *[]float64) Job {
+				return Job{Spec: shortSpec(1), Read: func(*scenario.Net, *scenario.RunReport) {}}
+			}}},
 		})
-		register(&Experiment{
-			ID: "zz-stream-b", PaperRef: "test", Title: "streaming probe b",
-			// A Build job, so that b's reading does not share a's run.
-			Plan: func(Config) Plan {
-				return perPoint([]int{0}, func(_ int, flushed *bool) Job {
-					return Job{Build: func() *scenario.Net { return compile(shortSpec(1)) }, Read: func(*scenario.Net, *scenario.RunReport) {
-						select {
-						case <-streamTestGate:
-							*flushed = true
-						case <-time.After(30 * time.Second):
-						}
-					}}
-				}, func(flushed []bool) (*Result, error) {
-					if !flushed[0] {
-						return nil, fmt.Errorf("zz-stream-a output never flushed while zz-stream-b ran")
+		// A Build job, so that b's reading does not share a's run.
+		registerTable("zz-stream-b", "test", "streaming probe b", &table{
+			preamble: []string{"b-output"},
+			rows: []row{{run: func(_ Config, _ int64, flushed *[]float64) Job {
+				return Job{Build: func() *scenario.Net { return compile(shortSpec(1)) }, Read: func(*scenario.Net, *scenario.RunReport) {
+					select {
+					case <-streamTestGate:
+						*flushed = []float64{1}
+					case <-time.After(30 * time.Second):
 					}
-					return &Result{Preamble: []string{"b-output"}}, nil
-				})
+				}}
+			}}},
+			finish: func(_ Config, _ *Result, runs [][][]float64) error {
+				if runs[0][0] == nil {
+					return fmt.Errorf("zz-stream-a output never flushed while zz-stream-b ran")
+				}
+				return nil
 			},
 		})
 	}
@@ -192,78 +188,83 @@ func shortSpec(seed int64) *scenario.Spec {
 	return scenario.PaperTwoLink(10, 1, 1, "olia", seed, 0, 1)
 }
 
-// collectSweep runs a sweep through the package's one fan-out, as the plan
-// of a throw-away experiment, and returns what its fold was handed.
-func collectSweep[P, T any](t *testing.T, cfg Config, points []P, job func(p P, seed int64, out *T) Job) [][]T {
+// collectRuns collects a throw-away table through the package's one
+// fan-out and returns every row's readings, in seed order.
+func collectRuns(t *testing.T, cfg Config, tab *table) [][][]float64 {
 	t.Helper()
-	var per [][]T
-	e := &Experiment{ID: "zz-sweep", Plan: func(cfg Config) Plan {
-		return sweep(cfg, points, job, func(got [][]T) (*Result, error) {
-			per = got
-			return &Result{}, nil
-		})
-	}}
+	var runs [][][]float64
+	tab.finish = func(_ Config, _ *Result, got [][][]float64) error {
+		runs = got
+		return nil
+	}
+	e := &Experiment{ID: "zz-runs", Plan: tab.plan}
 	if _, err := e.CollectResult(context.Background(), cfg, nil); err != nil {
 		t.Fatal(err)
 	}
-	return per
+	return runs
 }
 
 // TestPerSeedResultsIndependentOfWorkers pins the stronger property behind
-// the byte-identity: the raw per-seed metrics themselves (not just their
+// the byte-identity: the raw per-seed readings themselves (not just their
 // formatted averages) do not depend on the worker count, because each job's
-// seed derives from BaseSeed and sweep position alone.
+// seed derives from BaseSeed and its row and repetition alone.
 func TestPerSeedResultsIndependentOfWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiments skipped in -short")
 	}
-	collect := func(workers int) [][]acMetrics {
+	collect := func(workers int) [][][]float64 {
 		cfg := parallelConfig(workers)
 		cfg.Seeds = 3
-		points := []acPoint{
-			{c1: 1.0, n1: 10, algo: "lia"},
-			{c1: 1.5, n1: 20, algo: "olia"},
-		}
-		return collectSweep(t, cfg, points, func(p acPoint, seed int64, m *acMetrics) Job {
-			return runScenarioAC(scenario.PaperScenarioA, p, seed, cfg, m)
-		})
+		return collectRuns(t, cfg, &table{seeded: true, rows: []row{
+			{run: runScenarioAC(scenario.PaperScenarioA, 1.0, 10, "lia")},
+			{run: runScenarioAC(scenario.PaperScenarioA, 1.5, 20, "olia")},
+		}})
 	}
 	ref := collect(1)
 	for _, workers := range workerVariants[1:] {
 		got := collect(workers)
-		for pi := range ref {
-			for si := range ref[pi] {
-				if got[pi][si] != ref[pi][si] {
-					t.Errorf("Workers=%d: point %d seed %d metrics %+v != sequential %+v",
-						workers, pi, si, got[pi][si], ref[pi][si])
+		for ri := range ref {
+			for si := range ref[ri] {
+				if !reflect.DeepEqual(got[ri][si], ref[ri][si]) {
+					t.Errorf("Workers=%d: row %d seed %d readings %v != sequential %v",
+						workers, ri, si, got[ri][si], ref[ri][si])
 				}
 			}
 		}
 	}
 }
 
-// TestSweepSeedDerivation pins the seed chain: repetition s of any point
-// runs a network seeded cfg.BaseSeed + s, matching the sequential harness
-// the experiments replaced.
+// TestSweepSeedDerivation pins the seed chain: repetition s of any row of
+// a seeded table runs a network seeded cfg.BaseSeed + s, matching the
+// sequential harness the experiments replaced, and an unseeded table runs
+// each row once, at cfg.BaseSeed.
 func TestSweepSeedDerivation(t *testing.T) {
 	cfg := parallelConfig(4)
 	cfg.Seeds = 3
 	cfg.BaseSeed = 100
-	seedOf := func(_ string, seed int64, out *int64) Job {
-		return Job{Spec: shortSpec(seed), Read: func(n *scenario.Net, _ *scenario.RunReport) { *out = n.Seed }}
+	seedOf := func(_ Config, seed int64, out *[]float64) Job {
+		return Job{Spec: shortSpec(seed), Read: func(n *scenario.Net, _ *scenario.RunReport) { *out = []float64{float64(n.Seed)} }}
 	}
-	got := collectSweep(t, cfg, []string{"p0", "p1"}, seedOf)
-	for pi := range got {
-		for s, seed := range got[pi] {
-			if want := int64(100 + s); seed != want {
-				t.Errorf("point %d repetition %d saw seed %d, want %d", pi, s, seed, want)
+	got := collectRuns(t, cfg, &table{seeded: true, rows: []row{{run: seedOf}, {run: seedOf}}})
+	for ri := range got {
+		if len(got[ri]) != 3 {
+			t.Fatalf("row %d ran %d repetitions, want 3", ri, len(got[ri]))
+		}
+		for s, o := range got[ri] {
+			if want := float64(100 + s); o[0] != want {
+				t.Errorf("row %d repetition %d saw seed %v, want %v", ri, s, o[0], want)
 			}
 		}
 	}
+	// An unseeded table runs one repetition at the base seed.
+	got = collectRuns(t, cfg, &table{rows: []row{{run: seedOf}}})
+	if len(got[0]) != 1 || got[0][0][0] != 100 {
+		t.Errorf("unseeded table = %v, want one run at seed 100", got)
+	}
 	// Seeds < 1 still runs one repetition at the base seed.
 	cfg.Seeds = 0
-	got = collectSweep(t, cfg, []string{"p0"}, seedOf)
-	if len(got[0]) != 1 || got[0][0] != 100 {
-		t.Errorf("Seeds=0 sweep = %v, want one run at seed 100", got)
+	got = collectRuns(t, cfg, &table{seeded: true, rows: []row{{run: seedOf}}})
+	if len(got[0]) != 1 || got[0][0][0] != 100 {
+		t.Errorf("Seeds=0 table = %v, want one run at seed 100", got)
 	}
 }

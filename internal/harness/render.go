@@ -47,10 +47,10 @@ func Render(r *Result, format Format, w io.Writer) error {
 }
 
 // RenderText writes the experiment's table exactly as the pre-split
-// harness printed it: each registry entry carries the bespoke layout for
-// its family (column widths, ±CI formats, section headers), reading only
-// from the Result's cells. Results from outside the registry fall back to
-// a generic aligned table.
+// harness printed it: each registry entry carries its layout (column
+// widths, ±CI formats, section headers), reading only from the Result's
+// cells. Results from outside the registry fall back to a generic aligned
+// table.
 func RenderText(r *Result, w io.Writer) error {
 	if e := Get(r.ID); e != nil && e.Text != nil {
 		return e.Text(r, w)
@@ -66,7 +66,7 @@ func writeLines(w io.Writer, lines []string) {
 }
 
 // genericText renders preamble, an aligned name header, rows, and footer —
-// the layout used for results with no registered bespoke table.
+// the layout used for results with no registered layout.
 func genericText(r *Result, w io.Writer) error {
 	writeLines(w, r.Preamble)
 	if len(r.Columns) > 0 {

@@ -279,11 +279,9 @@ func registerFailProbe() {
 	if Get("zz-fail") != nil {
 		return
 	}
-	register(&Experiment{
-		ID: "zz-fail", PaperRef: "test", Title: "always fails",
-		Plan: closedForm(func() (*Result, error) {
-			return nil, fmt.Errorf("synthetic failure")
-		}),
+	registerTable("zz-fail", "test", "always fails", &table{
+		cols: []col{{name: "x", calc: func([]Cell) (float64, error) { return 0, fmt.Errorf("synthetic failure") }}},
+		rows: []row{{}},
 	})
 }
 

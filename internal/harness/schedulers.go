@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/scenario"
@@ -18,13 +19,6 @@ import (
 // asymmetric two-path rig as the conformance capacity checks: an 8 Mb/s
 // short path and a 2 Mb/s long path with one background TCP on the slow
 // one.
-
-// schedMetrics are the observables of one finite scheduled transfer.
-type schedMetrics struct {
-	done          bool
-	completionSec float64
-	rateMbps      float64 // data-level rate: bytes·8 / completion
-}
 
 // schedScenario builds the family's rig: a finite scheduled stream of
 // total bytes over 8+2 Mb/s paths (10/40 ms) plus one jittered background
@@ -59,30 +53,34 @@ func schedScenario(sched, algo string, total int64, seed int64, flap bool, durat
 	return sp
 }
 
-// runSchedTransfer is one scheduled transfer, read as its completion
-// observables; a missing stream report is a harness bug and panics.
-func runSchedTransfer(sched, algo string, total int64, seed int64, flap bool, durationSec float64, m *schedMetrics) Job {
-	sp := schedScenario(sched, algo, total, seed, flap, durationSec)
-	return Job{Spec: sp, Read: func(_ *scenario.Net, rep *scenario.RunReport) {
-		sr := rep.Flows[0].Stream
-		if sr == nil {
-			panic(fmt.Sprintf("harness: %s: scheduled flow has no stream report", sp.Name))
-		}
-		*m = schedMetrics{done: sr.Done, completionSec: sr.CompletionSec}
-		if sr.Done && sr.CompletionSec > 0 {
-			m.rateMbps = stats.Mbps(total, sr.CompletionSec)
-		}
-	}}
+// runSchedTransfer is one scheduled transfer, read as whether it
+// finished (reading 0: 1 or 0), its completion time in seconds (1) and its
+// data-level rate, bytes·8 / completion, in Mb/s (2); an unfinished
+// transfer reads NaN for both. A missing stream report is a harness bug
+// and panics.
+func runSchedTransfer(sched, algo string, total int64, flap bool, durationSec float64) network {
+	return func(_ Config, seed int64, out *[]float64) Job {
+		sp := schedScenario(sched, algo, total, seed, flap, durationSec)
+		return Job{Spec: sp, Read: func(_ *scenario.Net, rep *scenario.RunReport) {
+			sr := rep.Flows[0].Stream
+			if sr == nil {
+				panic(fmt.Sprintf("harness: %s: scheduled flow has no stream report", sp.Name))
+			}
+			done, completion, rate := 0.0, math.NaN(), math.NaN()
+			if sr.Done {
+				done, completion, rate = 1, sr.CompletionSec, 0
+				if sr.CompletionSec > 0 {
+					rate = stats.Mbps(total, sr.CompletionSec)
+				}
+			}
+			*out = []float64{done, completion, rate}
+		}}
+	}
 }
 
 // schedControllers are the coupling algorithms the matrix crosses the
 // schedulers with: the paper's OLIA, RFC 6356 LIA, and uncoupled TCP.
 var schedControllers = []string{"olia", "lia", "uncoupled"}
-
-// schedPoint is one cell of the scheduler×controller matrix.
-type schedPoint struct {
-	sched, algo string
-}
 
 const (
 	schedMatrixBytes = int64(2 << 20) // 2 MiB transfer for the matrix
@@ -91,53 +89,41 @@ const (
 	schedFlapDur     = 30.0           // covers the 2 s outage plus slow-path drain
 )
 
-// planSchedMatrix sweeps scheduler × controller at fixed transfer size
-// and summarizes completion time and data rate across seeds.
-func planSchedMatrix(cfg Config) Plan {
-	var pts []schedPoint
-	for _, sched := range mptcp.Schedulers() {
-		for _, algo := range schedControllers {
-			pts = append(pts, schedPoint{sched, algo})
-		}
-	}
-	return sweep(cfg, pts, func(p schedPoint, seed int64, m *schedMetrics) Job {
-		return runSchedTransfer(p.sched, p.algo, schedMatrixBytes, seed, false, schedMatrixDur, m)
-	}, func(runs [][]schedMetrics) (*Result, error) {
-		r := &Result{
-			Preamble: []string{
-				fmt.Sprintf("finite %d KiB transfer over 8+2 Mb/s paths (10/40 ms), background TCP on the slow path", schedMatrixBytes>>10),
-				"completion time and data-level rate per (scheduler, controller), mean over seeds",
-			},
-			Columns: []Column{
-				{Name: "scheduler"}, {Name: "controller"},
-				{Name: "completion", Unit: "s"}, {Name: "rate", Unit: "Mb/s"},
-				{Name: "done"},
-			},
-			Footer: []string{
-				"pull is the demand-driven default; redundant duplicates every chunk so its rate is bounded",
-				"by the best single path (8 Mb/s) while the others may use the 10 Mb/s aggregate",
-			},
-		}
-		for i, p := range pts {
-			var comp, rate stats.Summary
-			done := 0
-			for _, m := range runs[i] {
-				if !m.done {
-					continue
-				}
-				done++
-				comp.Add(m.completionSec)
-				rate.Add(m.rateMbps)
-			}
-			r.Rows = append(r.Rows, []Cell{
-				TextCell(p.sched), TextCell(p.algo),
-				SummaryCell(comp), SummaryCell(rate), NumCell(float64(done)),
-			})
-		}
-		return r, nil
-	})
+// schedMatrix sweeps scheduler × controller at fixed transfer size and
+// summarizes completion time and data rate across the seeds whose
+// transfer finished.
+var schedMatrix = &table{
+	preamble: []string{
+		fmt.Sprintf("finite %d KiB transfer over 8+2 Mb/s paths (10/40 ms), background TCP on the slow path", schedMatrixBytes>>10),
+		"completion time and data-level rate per (scheduler, controller), mean over seeds",
+	},
+	cols: []col{
+		{name: "scheduler"}, {name: "controller"},
+		{name: "completion", unit: "s", read: at(1)}, {name: "rate", unit: "Mb/s", read: at(2)},
+		{name: "done", read: at(0), count: true},
+	},
+	seeded: true,
+	footer: []string{
+		"pull is the demand-driven default; redundant duplicates every chunk so its rate is bounded",
+		"by the best single path (8 Mb/s) while the others may use the 10 Mb/s aggregate",
+	},
+	rows: schedMatrixRows(),
 }
 
+// schedMatrixRows are the matrix's cells, controllers inner.
+func schedMatrixRows() []row {
+	var rows []row
+	for _, sched := range mptcp.Schedulers() {
+		for _, algo := range schedControllers {
+			rows = append(rows, row{labels: []Cell{TextCell(sched), TextCell(algo)},
+				run: runSchedTransfer(sched, algo, schedMatrixBytes, false, schedMatrixDur)})
+		}
+	}
+	return rows
+}
+
+// textSchedMatrix prints the matrix without its preamble and footer, a
+// blank line between schedulers.
 func textSchedMatrix(r *Result, w io.Writer) error {
 	fmt.Fprintf(w, "%-10s %-10s | %-16s | %-14s | %s\n",
 		"scheduler", "controller", "completion (s)", "rate (Mb/s)", "done")
@@ -154,62 +140,53 @@ func textSchedMatrix(r *Result, w io.Writer) error {
 	return nil
 }
 
-// planSchedFlap runs every scheduler under OLIA twice — once clean,
-// once with the fast path flapped down for [1 s, 3 s] — and reports the
+// schedFlap runs every scheduler under OLIA twice — once clean, once
+// with the fast path flapped down for [1 s, 3 s] — and reports the
 // completion-time stretch the outage costs each policy. Before the
-// reinjection fix, any non-redundant policy stalled forever here.
-func planSchedFlap(cfg Config) Plan {
-	type flapPoint struct {
-		sched string
-		flap  bool
-	}
-	var pts []flapPoint
-	for _, sched := range mptcp.Schedulers() {
-		pts = append(pts, flapPoint{sched, false}, flapPoint{sched, true})
-	}
-	return sweep(cfg, pts, func(p flapPoint, seed int64, m *schedMetrics) Job {
-		return runSchedTransfer(p.sched, "olia", schedFlapBytes, seed, p.flap, schedFlapDur, m)
-	}, func(runs [][]schedMetrics) (*Result, error) {
-		r := &Result{
-			Preamble: []string{
-				fmt.Sprintf("finite %d KiB transfer under olia; fast path down at 1 s, restored at 3 s", schedFlapBytes>>10),
-				"every policy must finish over the survivor: frozen spans are reinjected, never stranded",
-			},
-			Columns: []Column{
-				{Name: "scheduler"},
-				{Name: "clean", Unit: "s"}, {Name: "flapped", Unit: "s"},
-				{Name: "stretch", Unit: "x"}, {Name: "done"},
-			},
-			Footer: []string{
-				"stretch = flapped/clean mean completion; done counts flapped-run completions",
-			},
+// reinjection fix, any non-redundant policy stalled forever here. Each
+// scheduler's clean and flapped runs are two rows, so that its jobs keep
+// their order, which its fold merges into one.
+var schedFlap = &table{
+	preamble: []string{
+		fmt.Sprintf("finite %d KiB transfer under olia; fast path down at 1 s, restored at 3 s", schedFlapBytes>>10),
+		"every policy must finish over the survivor: frozen spans are reinjected, never stranded",
+	},
+	cols:   []col{{name: "scheduler"}, {name: "completion", unit: "s", read: at(1)}, {name: "done", read: at(0), count: true}},
+	seeded: true,
+	footer: []string{
+		"stretch = flapped/clean mean completion; done counts flapped-run completions",
+	},
+	finish: func(_ Config, r *Result, _ [][][]float64) error {
+		r.Columns = []Column{
+			{Name: "scheduler"},
+			{Name: "clean", Unit: "s"}, {Name: "flapped", Unit: "s"},
+			{Name: "stretch", Unit: "x"}, {Name: "done"},
 		}
-		for i := 0; i < len(pts); i += 2 {
-			var clean, flapped stats.Summary
-			done := 0
-			for _, m := range runs[i] {
-				if m.done {
-					clean.Add(m.completionSec)
-				}
-			}
-			for _, m := range runs[i+1] {
-				if m.done {
-					done++
-					flapped.Add(m.completionSec)
-				}
-			}
+		pairs := r.Rows
+		r.Rows = make([][]Cell, len(pairs)/2)
+		for i := range r.Rows {
+			clean, flapped := pairs[2*i], pairs[2*i+1]
 			stretch := 0.0
-			if clean.Mean() > 0 {
-				stretch = flapped.Mean() / clean.Mean()
+			if clean[1].Value > 0 {
+				stretch = flapped[1].Value / clean[1].Value
 			}
-			r.Rows = append(r.Rows, []Cell{
-				TextCell(pts[i].sched),
-				SummaryCell(clean), SummaryCell(flapped),
-				NumCell(stretch), NumCell(float64(done)),
-			})
+			r.Rows[i] = []Cell{clean[0], clean[1], flapped[1], NumCell(stretch), flapped[2]}
 		}
-		return r, nil
-	})
+		return nil
+	},
+	rows: schedFlapRows(),
+}
+
+// schedFlapRows are each scheduler's clean and flapped runs under OLIA.
+func schedFlapRows() []row {
+	var rows []row
+	for _, sched := range mptcp.Schedulers() {
+		for _, flap := range []bool{false, true} {
+			rows = append(rows, row{labels: []Cell{TextCell(sched)},
+				run: runSchedTransfer(sched, "olia", schedFlapBytes, flap, schedFlapDur)})
+		}
+	}
+	return rows
 }
 
 func textSchedFlap(r *Result, w io.Writer) error {
@@ -228,14 +205,14 @@ func init() {
 		ID:       "sched-matrix",
 		PaperRef: "§VII (future work)",
 		Title:    "Scheduler×controller matrix: completion time of a finite transfer per subflow scheduler and coupling algorithm",
-		Plan:     planSchedMatrix,
+		Plan:     schedMatrix.plan,
 		Text:     textSchedMatrix,
 	})
 	register(&Experiment{
 		ID:       "sched-flap",
 		PaperRef: "§VII (future work)",
 		Title:    "Scheduler resilience: completion-time stretch under a mid-transfer fast-path outage (reinjection at work)",
-		Plan:     planSchedFlap,
+		Plan:     schedFlap.plan,
 		Text:     textSchedFlap,
 	})
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"mptcpsim/internal/core"
 	"mptcpsim/internal/scenario"
@@ -12,49 +13,38 @@ import (
 // tracePeriod is the sampling period of the two-link rig's window traces.
 const tracePeriod = 250 * sim.Millisecond
 
-// traceResult is one recorded two-path run of Figs. 7/8: window (and OLIA
-// α) means plus the sampled window series for the figure shape.
-type traceResult struct {
-	algo       string
-	w1, w2     float64
-	a1, a2     float64
-	hasAlpha   bool
-	flipsCount int
-	t          []sim.Time
-	s1, s2     []float64
-}
-
-// runTrace records one algorithm's window evolution on the two-link rig.
-func runTrace(cfg Config, algo string, nTCP1, nTCP2 int, res *traceResult) Job {
-	var tr *scenario.Trace
-	return Job{
-		Build: setUp(twoLinkSpec(cfg, algo, nTCP1, nTCP2), func(n *scenario.Net) {
-			conn := n.Group("mp")[0].Conn
-			probes := windowProbes(conn)
-			if o, ok := conn.Controller().(*core.OLIA); ok {
-				probes = append(probes,
-					scenario.Probe{Name: "a1", Fn: func() float64 { return o.Alpha(0) }},
-					scenario.Probe{Name: "a2", Fn: func() float64 { return o.Alpha(1) }},
-				)
-			}
-			tr = n.Trace(tracePeriod, probes...)
-		}),
-		Read: func(*scenario.Net, *scenario.RunReport) {
-			*res = traceResult{
-				algo:       algo,
-				w1:         meanAfter(tr.T, tr.V[0], cfg.Warmup),
-				w2:         meanAfter(tr.T, tr.V[1], cfg.Warmup),
-				flipsCount: flips(tr.V[0], tr.V[1]),
-				t:          tr.T,
-				s1:         tr.V[0],
-				s2:         tr.V[1],
-			}
-			if len(tr.V) > 2 {
-				res.hasAlpha = true
-				res.a1 = meanAfter(tr.T, tr.V[2], cfg.Warmup)
-				res.a2 = meanAfter(tr.T, tr.V[3], cfg.Warmup)
-			}
-		},
+// runTrace records one algorithm's window evolution on the two-link rig,
+// read as the means after the warm-up of w1, w2 and OLIA's α1 and α2 (NaN
+// without them), the flip count, and then the samples as (t, w1, w2)
+// triples.
+func runTrace(algo string, nTCP1, nTCP2 int) network {
+	return func(cfg Config, _ int64, out *[]float64) Job {
+		var tr *scenario.Trace
+		return Job{
+			Build: setUp(twoLinkSpec(cfg, algo, nTCP1, nTCP2), func(n *scenario.Net) {
+				conn := n.Group("mp")[0].Conn
+				probes := windowProbes(conn)
+				if o, ok := conn.Controller().(*core.OLIA); ok {
+					probes = append(probes,
+						scenario.Probe{Name: "a1", Fn: func() float64 { return o.Alpha(0) }},
+						scenario.Probe{Name: "a2", Fn: func() float64 { return o.Alpha(1) }},
+					)
+				}
+				tr = n.Trace(tracePeriod, probes...)
+			}),
+			Read: func(*scenario.Net, *scenario.RunReport) {
+				o := append(make([]float64, 0, 5+3*len(tr.T)),
+					meanAfter(tr.T, tr.V[0], cfg.Warmup), meanAfter(tr.T, tr.V[1], cfg.Warmup),
+					math.NaN(), math.NaN(), float64(flips(tr.V[0], tr.V[1])))
+				if len(tr.V) > 2 {
+					o[2], o[3] = meanAfter(tr.T, tr.V[2], cfg.Warmup), meanAfter(tr.T, tr.V[3], cfg.Warmup)
+				}
+				for i, t := range tr.T {
+					o = append(o, t.Sec(), tr.V[0][i], tr.V[1][i])
+				}
+				*out = o
+			},
+		}
 	}
 }
 
@@ -75,40 +65,24 @@ func meanAfter(ts []sim.Time, vs []float64, t0 sim.Time) float64 {
 	return sum / float64(n)
 }
 
-// tracePoints pairs a sampled column with its times as Result samples.
-func tracePoints(ts []sim.Time, vs []float64) []SeriesPoint {
-	out := make([]SeriesPoint, len(ts))
-	for i, t := range ts {
-		out[i] = SeriesPoint{T: t.Sec(), V: vs[i]}
-	}
-	return out
-}
-
-// resultTrace structures the recorded runs: one row of means per
-// algorithm, plus the full sampled window series (named "<algo>/w1",
-// "<algo>/w2") for the figure shape. Algorithms without an α probe (LIA)
-// carry empty text cells in the α columns.
-func resultTrace(results []traceResult) (*Result, error) {
-	r := &Result{Columns: []Column{
-		{Name: "algo"},
-		{Name: "mean_w1", Unit: "pkts"}, {Name: "mean_w2", Unit: "pkts"},
-		{Name: "mean_alpha1"}, {Name: "mean_alpha2"},
-		{Name: "flips"},
-	}}
-	for _, t := range results {
-		a1, a2 := TextCell(""), TextCell("")
-		if t.hasAlpha {
-			a1, a2 = NumCell(t.a1), NumCell(t.a2)
+// traceSeries attaches each run's sampled windows as the series
+// "<algo>/w1" and "<algo>/w2". Algorithms without an α probe (LIA) carry
+// empty text cells in the α columns.
+func traceSeries(_ Config, r *Result, runs [][][]float64) error {
+	for i, c := range r.Rows {
+		o := runs[i][0]
+		if math.IsNaN(o[2]) {
+			c[3], c[4] = TextCell(""), TextCell("")
 		}
-		r.Rows = append(r.Rows, []Cell{
-			TextCell(t.algo), NumCell(t.w1), NumCell(t.w2), a1, a2, IntCell(t.flipsCount),
-		})
-		r.Series = append(r.Series,
-			Series{Name: t.algo + "/w1", Points: tracePoints(t.t, t.s1)},
-			Series{Name: t.algo + "/w2", Points: tracePoints(t.t, t.s2)},
-		)
+		samples := o[5:]
+		w1, w2 := make([]SeriesPoint, len(samples)/3), make([]SeriesPoint, len(samples)/3)
+		for k := range w1 {
+			t := samples[3*k]
+			w1[k], w2[k] = SeriesPoint{T: t, V: samples[3*k+1]}, SeriesPoint{T: t, V: samples[3*k+2]}
+		}
+		r.Series = append(r.Series, Series{Name: c[0].Text + "/w1", Points: w1}, Series{Name: c[0].Text + "/w2", Points: w2})
 	}
-	return r, nil
+	return nil
 }
 
 // seriesByName finds an attached series, or nil.
@@ -157,13 +131,23 @@ func textTrace(r *Result, w io.Writer) error {
 
 // traceExperiment reproduces Figs. 7 and 8: the evolution of the two
 // subflow windows (and OLIA's α) for a two-path user whose links are shared
-// with nTCP1 and nTCP2 regular TCP flows.
+// with nTCP1 and nTCP2 regular TCP flows, one row of means per algorithm
+// plus the full sampled window series for the figure shape.
 func traceExperiment(nTCP1, nTCP2 int) func(Config) Plan {
-	return func(cfg Config) Plan {
-		return perPoint([]string{"olia", "lia"}, func(algo string, res *traceResult) Job {
-			return runTrace(cfg, algo, nTCP1, nTCP2, res)
-		}, resultTrace)
+	t := &table{
+		cols: []col{
+			{name: "algo"},
+			{name: "mean_w1", unit: "pkts", read: at(0)}, {name: "mean_w2", unit: "pkts", read: at(1)},
+			{name: "mean_alpha1", read: at(2)}, {name: "mean_alpha2", read: at(3)},
+			{name: "flips", read: at(4)},
+		},
+		rows: []row{
+			{labels: []Cell{TextCell("olia")}, run: runTrace("olia", nTCP1, nTCP2)},
+			{labels: []Cell{TextCell("lia")}, run: runTrace("lia", nTCP1, nTCP2)},
+		},
+		finish: traceSeries,
 	}
+	return t.plan
 }
 
 // flips counts dominance changes between two sampled series — the
