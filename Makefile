@@ -212,7 +212,7 @@ examples:
 	$(GO) run ./examples/datacenter -seconds 1 > /dev/null
 
 # Scenario fuzzer + cross-model conformance suite: 200 generated scenarios
-# under the full invariant set, then packet-vs-fluid/fixed-point goodput
+# under the full invariant set, then packet-vs-fluid per-path goodput share
 # agreement on 3- and 4-path topologies. Exits non-zero on any failure.
 conform:
 	$(GO) run ./cmd/mptcpsim conform

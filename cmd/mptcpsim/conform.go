@@ -43,6 +43,12 @@ func conformMain(ctx context.Context, args []string) {
 		replayMain(ctx, lab, *seed, *replay, *jsonOut)
 		return
 	}
+	opts := mptcpsim.ConformanceOptions{DurationSec: *duration}
+	// A window the suite would reject must not wait for the fuzzer.
+	if err := opts.Validate(); err != nil && !*fuzzOnly {
+		fmt.Fprintln(os.Stderr, errLine(err))
+		os.Exit(1)
+	}
 	t0 := time.Now()
 	fuzz, err := lab.Fuzz(ctx, mptcpsim.FuzzOptions{N: *n, Seed: *seed})
 	if err != nil {
@@ -51,7 +57,7 @@ func conformMain(ctx context.Context, args []string) {
 	}
 	var conf *mptcpsim.ConformanceReport
 	if !*fuzzOnly {
-		conf, err = lab.Conform(ctx, mptcpsim.ConformanceOptions{DurationSec: *duration})
+		conf, err = lab.Conform(ctx, opts)
 	}
 	meter.clear()
 	if err != nil {
@@ -148,27 +154,6 @@ func renderConformance(conf *mptcpsim.ConformanceReport) {
 		fmt.Printf("  %-8s %-10s %6.3f  %-9s %s vs %s\n",
 			c.Case.Name, c.Case.Algo, c.MaxShareDiff, verdict,
 			shareString(c.SimShares), shareString(c.ModelShares))
-	}
-	fp := conf.FixedPoint
-	verdict := "pass"
-	if !fp.Pass {
-		verdict = "FAIL"
-	}
-	fmt.Printf("  scenario-A LIA fixed point: t1 %.3f vs %.3f, t2 %.3f vs %.3f — %s\n",
-		fp.MeasuredT1Norm, fp.AnalyticT1Norm, fp.MeasuredT2Norm, fp.AnalyticT2Norm, verdict)
-	if len(conf.Schedulers) > 0 {
-		fmt.Println("  scheduler capacity: finite stream over 8+2 Mb/s paths, data rate vs physical bound")
-		for _, s := range conf.Schedulers {
-			verdict := "pass"
-			if !s.Pass {
-				verdict = "FAIL"
-			}
-			done := "incomplete"
-			if s.Done {
-				done = fmt.Sprintf("done in %5.2f s, %5.2f Mb/s", s.CompletionSec, s.RateMbps)
-			}
-			fmt.Printf("  %-10s %s ≤ %5.2f Mb/s — %s\n", s.Scheduler, done, s.BoundMbps, verdict)
-		}
 	}
 }
 

@@ -15,10 +15,9 @@ import (
 // control splits *rates* across paths; these experiments study the
 // orthogonal axis the kernel calls the packet scheduler: which subflow
 // each chunk of a finite transfer is assigned to. Both experiments run
-// finite scheduled streams (scenario.FlowSpec.Scheduler) over the same
-// asymmetric two-path rig as the conformance capacity checks: an 8 Mb/s
-// short path and a 2 Mb/s long path with one background TCP on the slow
-// one.
+// finite scheduled streams (scenario.FlowSpec.Scheduler) over one
+// asymmetric two-path rig: an 8 Mb/s short path and a 2 Mb/s long path
+// with one background TCP on the slow one.
 
 // schedScenario builds the family's rig: a finite scheduled stream of
 // total bytes over 8+2 Mb/s paths (10/40 ms) plus one jittered background

@@ -2,12 +2,10 @@
 // analytic machinery. Each case is one scenario Spec, run packet by packet
 // and compiled by Fluid to the §V fluid model solved to equilibrium, and
 // the two are compared on the multipath user's steady-state per-path
-// goodput shares. A scenario-A case additionally checks the measured
-// allocation against the Appendix-A fixed point. Agreement within
-// ShareTolerance on topologies the hardcoded harness never exercised (3
-// and 4 paths, heterogeneous capacities and competition) is the
-// cross-model evidence that the simulator, the fluid model and the fixed
-// points describe the same system.
+// goodput shares. Agreement within ShareTolerance on topologies the
+// hardcoded harness never exercised (3 and 4 paths, heterogeneous
+// capacities and competition) is the cross-model evidence that the
+// simulator and the fluid model describe the same system.
 package scenario
 
 import (
@@ -15,8 +13,6 @@ import (
 	"fmt"
 	"math"
 
-	"mptcpsim/internal/fixedpoint"
-	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/runner"
 )
@@ -29,10 +25,6 @@ import (
 // averaging windows, and the 1-MSS-per-RTT probing floor of a window-based
 // implementation.
 const ShareTolerance = 0.10
-
-// NormTolerance bounds the scenario-A fixed-point check: measured
-// normalized throughputs against the Appendix-A LIA fixed point.
-const NormTolerance = 0.15
 
 // ConformanceCase is one topology × algorithm comparison: a multipath flow
 // over CapsMbps[i]-capacity RED paths, each shared with Background[i]
@@ -97,38 +89,10 @@ type ConformanceResult struct {
 	Pass       bool     `json:"pass"`
 }
 
-// FixedPointCheck is the scenario-A cross-check outcome.
-type FixedPointCheck struct {
-	MeasuredT1Norm float64 `json:"measured_t1_norm"`
-	MeasuredT2Norm float64 `json:"measured_t2_norm"`
-	AnalyticT1Norm float64 `json:"analytic_t1_norm"`
-	AnalyticT2Norm float64 `json:"analytic_t2_norm"`
-	Pass           bool    `json:"pass"`
-}
-
-// SchedulerCheck is one subflow-scheduler capacity conformance outcome: a
-// finite stream over heterogeneous paths must complete, and its data-level
-// rate must respect the policy's physical bound — best single path for
-// redundant (every byte rides every path), aggregate capacity otherwise.
-type SchedulerCheck struct {
-	Scheduler string `json:"scheduler"`
-	// Done reports in-window completion; CompletionSec and RateMbps are the
-	// transfer duration and data-level rate (FlowBytes over completion).
-	Done          bool    `json:"done"`
-	CompletionSec float64 `json:"completion_sec,omitempty"`
-	RateMbps      float64 `json:"rate_mbps,omitempty"`
-	// BoundMbps is the capacity ceiling the rate is checked against.
-	BoundMbps  float64  `json:"bound_mbps"`
-	Violations []string `json:"violations,omitempty"`
-	Pass       bool     `json:"pass"`
-}
-
 // ConformanceReport is the whole suite's outcome.
 type ConformanceReport struct {
-	Tolerance  float64             `json:"tolerance"`
-	Results    []ConformanceResult `json:"results"`
-	FixedPoint FixedPointCheck     `json:"fixed_point"`
-	Schedulers []SchedulerCheck    `json:"schedulers"`
+	Tolerance float64             `json:"tolerance"`
+	Results   []ConformanceResult `json:"results"`
 }
 
 // Failed reports whether any case missed its tolerance.
@@ -138,12 +102,7 @@ func (r *ConformanceReport) Failed() bool {
 			return true
 		}
 	}
-	for _, s := range r.Schedulers {
-		if !s.Pass {
-			return true
-		}
-	}
-	return !r.FixedPoint.Pass
+	return false
 }
 
 // ConformanceOptions scales the suite.
@@ -159,10 +118,15 @@ type ConformanceOptions struct {
 // equilibrium describes.
 const conformanceSeeds = 3
 
-// Validate rejects a negative or non-finite window.
+// caseWarmupSec is the warm-up each packet run spends before its measured
+// window.
+const caseWarmupSec = 5
+
+// Validate rejects a negative or NaN window, and one that with the warm-up
+// is longer than a scenario can hold (MaxSpecSec).
 func (o ConformanceOptions) Validate() error {
-	if !(o.DurationSec >= 0 && o.DurationSec < math.Inf(1)) {
-		return fmt.Errorf("scenario: conformance window %g s not a non-negative finite number", o.DurationSec)
+	if !(o.DurationSec >= 0 && o.DurationSec <= MaxSpecSec-caseWarmupSec) {
+		return fmt.Errorf("scenario: conformance window %g s not in [0, %g] s", o.DurationSec, MaxSpecSec-caseWarmupSec)
 	}
 	return nil
 }
@@ -181,7 +145,7 @@ func caseSpec(c ConformanceCase, durationSec float64, seed int64) *Spec {
 	sp := &Spec{
 		Name:        fmt.Sprintf("conform-%s-%s", c.Name, c.Algo),
 		Seed:        seed,
-		WarmupSec:   5,
+		WarmupSec:   caseWarmupSec,
 		DurationSec: durationSec,
 	}
 	mp := FlowSpec{Name: "mp", Algorithm: c.Algo}
@@ -247,104 +211,13 @@ func runCase(ctx context.Context, c ConformanceCase, opts ConformanceOptions) (C
 	return res, nil
 }
 
-// scheduler conformance rig: two heterogeneous RED paths and a finite
-// stream sized to complete well inside even the smoke-test window.
-var schedCheckCaps = []float64{8, 2}
-
-const schedCheckBytes = 4 << 20
-
-// schedSpec builds the scheduler conformance scenario: one olia flow
-// carrying a scheduled stream over an 8 + 2 Mb/s path pair, no competition,
-// so capacity is the only thing that can bound the transfer.
-func schedSpec(name string, durationSec float64, seed int64) *Spec {
-	sp := &Spec{
-		Name:        "conform-sched-" + name,
-		Seed:        seed,
-		DurationSec: durationSec,
-	}
-	mp := FlowSpec{
-		Name: "stream", Algorithm: "olia",
-		FlowBytes: schedCheckBytes, Scheduler: name,
-		// Normal slow start: a short flow's completion time is dominated by
-		// ramp-up under the §IV-B setting, muddying the capacity signal.
-		KeepSlowStart: true,
-	}
-	for i, cap := range schedCheckCaps {
-		sp.Links = append(sp.Links, LinkSpec{RateMbps: cap})
-		sp.Paths = append(sp.Paths, PathSpec{Links: []int{i}, DelayMs: 40})
-		mp.Paths = append(mp.Paths, i)
-	}
-	sp.Flows = append(sp.Flows, mp)
-	return sp
-}
-
-// runSchedCheck runs one scheduler's capacity conformance case.
-func runSchedCheck(ctx context.Context, name string, opts ConformanceOptions) (SchedulerCheck, error) {
-	sc := SchedulerCheck{Scheduler: name}
-	sc.BoundMbps = 0
-	for _, cap := range schedCheckCaps {
-		if name == "redundant" {
-			if cap > sc.BoundMbps {
-				sc.BoundMbps = cap // best single path: every byte rides every path
-			}
-		} else {
-			sc.BoundMbps += cap // aggregate capacity
-		}
-	}
-	rep, err := Run(ctx, schedSpec(name, opts.DurationSec, 1))
-	if err != nil {
-		return sc, err
-	}
-	sc.Violations = rep.Violations
-	st := rep.Flows[0].Stream
-	sc.Done = st.Done
-	if st.Done {
-		sc.CompletionSec = st.CompletionSec
-		sc.RateMbps = schedCheckBytes * 8 / 1e6 / st.CompletionSec
-	}
-	// 5% slack: the first chunk is clocked out against an empty window, so
-	// a short transfer can marginally beat the steady-state line rate.
-	sc.Pass = sc.Done && len(sc.Violations) == 0 && sc.RateMbps <= sc.BoundMbps*1.05
-	return sc, nil
-}
-
-// runFixedPoint compares the measured scenario-A allocation against the
-// Appendix-A LIA fixed point, at N1 = N2 = 10, C1 = C2 = 1 Mb/s: the
-// regime where LIA visibly underperforms the optimum, so a miscoupled
-// controller or a broken fixed-point solver cannot slip through on
-// symmetry alone.
-func runFixedPoint(ctx context.Context, durationSec float64) (FixedPointCheck, error) {
-	var fc FixedPointCheck
-	const n1, n2, c1, c2 = 10, 10, 1.0, 1.0
-	rep, err := Run(ctx, PaperScenarioA(n1, n2, c1, c2, "lia", 1, 5, durationSec))
-	if err != nil {
-		return fc, err
-	}
-	for _, f := range rep.Flows[:n1] {
-		fc.MeasuredT1Norm += f.GoodputMbps / c1 / n1
-	}
-	for _, f := range rep.Flows[n1:] {
-		fc.MeasuredT2Norm += f.GoodputMbps / c2 / n2
-	}
-	ana, err := fixedpoint.ScenarioALIA(n1, n2, c1, c2, fixedpoint.PaperRTT)
-	if err != nil {
-		return fc, err
-	}
-	fc.AnalyticT1Norm, fc.AnalyticT2Norm = ana.Type1Norm, ana.Type2Norm
-	fc.Pass = len(rep.Violations) == 0 &&
-		math.Abs(fc.MeasuredT1Norm-fc.AnalyticT1Norm) <= NormTolerance &&
-		math.Abs(fc.MeasuredT2Norm-fc.AnalyticT2Norm) <= NormTolerance
-	return fc, nil
-}
-
-// RunConformance runs every conformance case plus the scenario-A
-// fixed-point check (opts must pass Validate). Cases are independent
-// simulations and run concurrently on workers workers (<= 0 selects
-// GOMAXPROCS) in one runner.Stream; results are folded into the report in
-// case order as they arrive. progress, when non-nil, receives the
-// cumulative (done, total) case counts (the fixed-point check and each
-// scheduler check count as one case) — (0, total) first, then one call per
-// case folded — on the goroutine that called RunConformance.
+// RunConformance runs every conformance case (opts must pass Validate).
+// Cases are independent simulations and run concurrently on workers
+// workers (<= 0 selects GOMAXPROCS) in one runner.Stream; results are
+// folded into the report in case order as they arrive. progress, when
+// non-nil, receives the cumulative (done, total) case counts — (0, total)
+// first, then one call per case folded — on the goroutine that called
+// RunConformance.
 //
 // Cancelling ctx stops unstarted cases at the next job boundary (running
 // cases abandon their packet runs at a one-second virtual-time boundary)
@@ -353,50 +226,28 @@ func runFixedPoint(ctx context.Context, durationSec float64) (FixedPointCheck, e
 func RunConformance(ctx context.Context, opts ConformanceOptions, workers int, progress func(done, total int)) (*ConformanceReport, error) {
 	opts = opts.fill()
 	cases := ConformanceCases()
-	scheds := mptcp.Schedulers()
 	rep := &ConformanceReport{Tolerance: ShareTolerance}
 	type outcome struct {
 		res ConformanceResult
-		fc  FixedPointCheck
-		sc  SchedulerCheck
 		err error
 	}
-	// Job layout: the share cases, then the fixed-point check, then one
-	// capacity check per registered scheduler.
-	total := len(cases) + 1 + len(scheds)
+	total := len(cases)
 	if progress == nil {
 		progress = func(int, int) {}
 	}
 	progress(0, total)
 	var failed error
 	err := runner.Stream(ctx, runner.New(workers), total, func(i int) outcome {
-		switch {
-		case i < len(cases):
-			res, err := runCase(ctx, cases[i], opts)
-			return outcome{res: res, err: err}
-		case i == len(cases):
-			fc, err := runFixedPoint(ctx, opts.DurationSec)
-			return outcome{fc: fc, err: err}
-		default:
-			sc, err := runSchedCheck(ctx, scheds[i-len(cases)-1], opts)
-			return outcome{sc: sc, err: err}
-		}
+		res, err := runCase(ctx, cases[i], opts)
+		return outcome{res, err}
 	}, func(i int, out outcome) {
 		progress(i+1, total)
 		switch {
 		case failed != nil:
-		case out.err != nil && i < len(cases):
-			failed = fmt.Errorf("scenario: conformance case %s/%s: %w", cases[i].Name, cases[i].Algo, out.err)
-		case out.err != nil && i == len(cases):
-			failed = fmt.Errorf("scenario: conformance fixed-point check: %w", out.err)
 		case out.err != nil:
-			failed = fmt.Errorf("scenario: conformance scheduler check %s: %w", scheds[i-len(cases)-1], out.err)
-		case i < len(cases):
-			rep.Results = append(rep.Results, out.res)
-		case i == len(cases):
-			rep.FixedPoint = out.fc
+			failed = fmt.Errorf("scenario: conformance case %s/%s: %w", cases[i].Name, cases[i].Algo, out.err)
 		default:
-			rep.Schedulers = append(rep.Schedulers, out.sc)
+			rep.Results = append(rep.Results, out.res)
 		}
 	})
 	if err != nil {

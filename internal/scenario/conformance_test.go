@@ -9,9 +9,8 @@ import (
 // TestConformanceSuite is the cross-model acceptance gate: on every ≥3-path
 // case, the packet-level per-path goodput shares of the OLIA, LIA and
 // uncoupled multipath flow must match the fluid-model equilibrium within
-// ShareTolerance, and the scenario-A packet run must match the Appendix-A
-// LIA fixed point within NormTolerance. Run at the smoke scale (20 s
-// windows); `make conform` runs the full 30 s suite.
+// ShareTolerance. Run at the smoke scale (20 s windows); `make conform`
+// runs the full 30 s suite.
 func TestConformanceSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("conformance simulations skipped in -short")
@@ -37,11 +36,6 @@ func TestConformanceSuite(t *testing.T) {
 		if !c.Pass {
 			t.Errorf("%s/%s: case failed", c.Case.Name, c.Case.Algo)
 		}
-	}
-	fp := rep.FixedPoint
-	if !fp.Pass {
-		t.Errorf("scenario-A fixed point: measured t1=%.3f t2=%.3f vs analytic t1=%.3f t2=%.3f (tolerance %.2f)",
-			fp.MeasuredT1Norm, fp.MeasuredT2Norm, fp.AnalyticT1Norm, fp.AnalyticT2Norm, NormTolerance)
 	}
 	if rep.Failed() {
 		t.Error("report marked failed")
@@ -72,5 +66,18 @@ func TestConformanceSharesWellFormed(t *testing.T) {
 	}
 	if res.SimTotalMbps <= 0 || res.ModelTotalMbps <= 0 {
 		t.Fatalf("non-positive totals: %+v", res)
+	}
+}
+
+// TestConformanceReportFailed: a report fails when any one case fails, and
+// only then.
+func TestConformanceReportFailed(t *testing.T) {
+	rep := &ConformanceReport{Results: []ConformanceResult{{Pass: true}, {Pass: true}, {Pass: true}}}
+	if rep.Failed() {
+		t.Error("all cases pass, report failed")
+	}
+	rep.Results[1].Pass = false
+	if !rep.Failed() {
+		t.Error("one case fails, report passed")
 	}
 }

@@ -147,6 +147,11 @@ func TestFluidUsersAreReportFlows(t *testing.T) {
 	}
 }
 
+// NormTolerance bounds a normalized throughput's distance from its
+// closed-form fixed point, for the fluid model here and for the packet
+// run in TestPaperScenarioClaims.
+const NormTolerance = 0.15
+
 // TestFluidPaperScenarios solves the paper's shared-link testbeds compiled
 // from their Specs and checks them against the closed forms: Scenario A
 // (the harness's 3×3 grid) and C (2×4) under LIA within NormTolerance of

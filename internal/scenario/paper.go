@@ -26,7 +26,7 @@ func testbedUsers(name, algo string, paths []int, n int) []FlowSpec {
 // only, loss p1) and a path continuing across the shared AP (loss p1+p2);
 // N2 type2 TCP users cross the shared AP alone. Capacities are per user
 // (server link N1·C1, shared AP N2·C2, Mb/s). Both the figure experiments
-// (internal/harness) and the fixed-point conformance check run this one
+// (internal/harness) and the tests' fixed-point check run this one
 // definition of the topology.
 func PaperScenarioA(n1, n2 int, c1, c2 float64, algo string, seed int64, warmupSec, durationSec float64) *Spec {
 	return &Spec{

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"mptcpsim/internal/fixedpoint"
 )
 
 // groupMbps sums the measured-window goodput of every replica of one flow
@@ -21,9 +23,10 @@ func groupMbps(rep *RunReport, group string) float64 {
 }
 
 // TestPaperScenarioClaims checks, on the compiled paper topologies, the
-// qualitative results the paper draws from them: each row asserts
-// less < more between two measurements of 55 s windows after 5 s of
-// warm-up (20 s from t=0 for the two-link smoke rows).
+// qualitative results the paper draws from them, and Scenario A's LIA run
+// against its Appendix-A fixed point within NormTolerance: each row
+// asserts less < more between two measurements of 55 s windows after 5 s
+// of warm-up (20 s from t=0 for the two-link smoke rows).
 func TestPaperScenarioClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short")
@@ -47,6 +50,10 @@ func TestPaperScenarioClaims(t *testing.T) {
 	t1LIA, t2LIA := groupMbps(aLIA, "type1")/10, groupMbps(aLIA, "type2")/10
 	t2OLIA := groupMbps(aOLIA, "type2") / 10
 	p2LIA, p2OLIA := aLIA.Queues[1].Window.LossProb(), aOLIA.Queues[1].Window.LossProb()
+	aFixed, err := fixedpoint.ScenarioALIA(10, 10, 1, 1, fixedpoint.PaperRTT)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Scenario B (Table I/II setting): aggregate over all 30 users.
 	bAgg := func(algo string, redMultipath bool) float64 {
@@ -80,6 +87,12 @@ func TestPaperScenarioClaims(t *testing.T) {
 		{"A LIA congests shared AP", 0, aLIA.Queues[1].Total.LossProb()},
 		{"A OLIA relieves type2", t2LIA, t2OLIA},
 		{"A OLIA lowers shared-AP loss", p2OLIA, p2LIA},
+		// N1 = N2, C1 = C2 is where LIA visibly misses the optimum, so a
+		// miscoupled controller cannot meet its fixed point on symmetry alone.
+		{"A LIA type1 at most 0.15 under fixed point", aFixed.Type1Norm - NormTolerance, t1LIA},
+		{"A LIA type1 at most 0.15 over fixed point", t1LIA, aFixed.Type1Norm + NormTolerance},
+		{"A LIA type2 at most 0.15 under fixed point", aFixed.Type2Norm - NormTolerance, t2LIA},
+		{"A LIA type2 at most 0.15 over fixed point", t2LIA, aFixed.Type2Norm + NormTolerance},
 		// Cut-set bound CX+CT = 63 Mb/s; Red single-path sits close to it.
 		{"B LIA within cut-set bound", bLIA, 63.5},
 		{"B LIA near cut-set bound", 50, bLIA},

@@ -29,7 +29,11 @@ func schedStreamSpec(name string, seed int64) *Spec {
 }
 
 // TestSchedulerFlowRuns: every registered scheduler compiles, completes its
-// transfer and reports it.
+// transfer, reports it, and moves data no faster than physics allows: the
+// best single path (8 Mb/s) for redundant, which sends every byte on every
+// path, and the 10 Mb/s aggregate for the rest. The bound has 5 % slack: the
+// first chunk is clocked out against an empty window, so a short transfer
+// can marginally beat the steady-state line rate.
 func TestSchedulerFlowRuns(t *testing.T) {
 	for _, name := range mptcp.Schedulers() {
 		t.Run(name, func(t *testing.T) {
@@ -52,6 +56,13 @@ func TestSchedulerFlowRuns(t *testing.T) {
 			}
 			if sr.InOrderBytes != 1<<20 || sr.DeliveredBytes != 1<<20 {
 				t.Fatalf("stream bytes %d/%d, want full %d", sr.InOrderBytes, sr.DeliveredBytes, 1<<20)
+			}
+			bound := 10.0
+			if name == "redundant" {
+				bound = 8
+			}
+			if rate := (1 << 20) * 8 / 1e6 / sr.CompletionSec; rate > bound*1.05 {
+				t.Fatalf("data rate %.2f Mb/s above the %g Mb/s bound", rate, bound)
 			}
 			if rep.Flows[1].Stream != nil {
 				t.Fatal("plain TCP flow grew a stream report")
@@ -151,30 +162,6 @@ func TestSchedulerEndgameLiveness(t *testing.T) {
 	}
 	if sr := rep.Flows[0].Stream; !sr.Done {
 		t.Fatalf("endgame hold deadlocked the stream: %+v", sr)
-	}
-}
-
-// TestSchedulerConformanceChecks runs the per-scheduler capacity cases at
-// smoke scale.
-func TestSchedulerConformanceChecks(t *testing.T) {
-	if testing.Short() {
-		t.Skip("packet-level conformance runs")
-	}
-	opts := ConformanceOptions{DurationSec: 20}.fill()
-	for _, name := range mptcp.Schedulers() {
-		sc, err := runSchedCheck(context.Background(), name, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sc.Pass {
-			t.Fatalf("%s capacity check failed: %+v", name, sc)
-		}
-		if name == "redundant" && sc.BoundMbps != 8 {
-			t.Fatalf("redundant bound %g, want best single path 8", sc.BoundMbps)
-		}
-		if name != "redundant" && sc.BoundMbps != 10 {
-			t.Fatalf("%s bound %g, want aggregate 10", name, sc.BoundMbps)
-		}
 	}
 }
 

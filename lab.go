@@ -311,12 +311,12 @@ func (l *Lab) Campaign(ctx context.Context, spec CampaignSpec) (*CampaignResult,
 }
 
 // Conform cross-checks the packet-level simulator against the paper's
-// fluid model and fixed points: on 3- and 4-path topologies the
-// steady-state per-path goodput shares of OLIA, LIA and uncoupled
-// multipath flows must match the fluid equilibrium within the documented
-// tolerance, and a scenario-A run must match the Appendix-A LIA fixed
-// point. Cases run on the Lab's worker budget. A negative or non-finite
-// opts.DurationSec or a negative worker budget is ErrInvalidConfig.
+// fluid model: on 3- and 4-path topologies the steady-state per-path
+// goodput shares of OLIA, LIA and uncoupled multipath flows must match the
+// fluid equilibrium within the documented tolerance. Cases run on the
+// Lab's worker budget. A negative or NaN opts.DurationSec, one that with
+// the cases' warm-up is longer than a scenario can hold, or a negative
+// worker budget is ErrInvalidConfig.
 // Cancelling ctx stops the suite at the next case boundary with an
 // ErrCanceled error.
 func (l *Lab) Conform(ctx context.Context, opts ConformanceOptions) (*ConformanceReport, error) {

@@ -145,7 +145,7 @@ func TestProgressContract(t *testing.T) {
 			if err != nil {
 				return 0, err
 			}
-			return len(rep.Results) + 1 + len(rep.Schedulers), nil
+			return len(rep.Results), nil
 		}},
 	}
 	for _, c := range calls {

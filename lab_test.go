@@ -169,9 +169,10 @@ func TestLabPreCancelled(t *testing.T) {
 }
 
 // TestFanOutRejectsInvalidSizes: a negative worker budget, fuzz campaign
-// size or conformance window is ErrInvalidConfig before anything runs,
-// never a silent default. The context is already cancelled, so a call that
-// ran instead would fail with ErrCanceled.
+// size or conformance window, or a conformance window that with its
+// warm-up is longer than a scenario can hold, is ErrInvalidConfig before
+// anything runs, never a silent default. The context is already cancelled,
+// so a call that ran instead would fail with ErrCanceled.
 func TestFanOutRejectsInvalidSizes(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -187,6 +188,7 @@ func TestFanOutRejectsInvalidSizes(t *testing.T) {
 		{"fuzz N", errOf(ok.Fuzz(ctx, FuzzOptions{N: -1}))},
 		{"conform duration", errOf(ok.Conform(ctx, ConformanceOptions{DurationSec: -1}))},
 		{"conform NaN duration", errOf(ok.Conform(ctx, ConformanceOptions{DurationSec: math.NaN()}))},
+		{"conform long window", errOf(ok.Conform(ctx, ConformanceOptions{DurationSec: 2e6}))},
 	} {
 		if !errors.Is(tc.err, ErrInvalidConfig) {
 			t.Errorf("%s: %v, want ErrInvalidConfig", tc.name, tc.err)
