@@ -41,7 +41,7 @@ allocs:
 # FMA ratchet: a fused multiply-add rounds once where amd64
 # rounds twice, so an arm64 host can compute different bytes. Count the
 # fused instructions the arm64 compiler emits in the module and fail when
-# more than 60 sit outside internal/fluid and internal/fixedpoint, whose
+# more than 45 sit outside internal/fluid and internal/fixedpoint, whose
 # results are checked against tolerances. The limit only goes down. -a is
 # required: a cached package prints no assembly, which would count 0.
 fma:
@@ -49,7 +49,7 @@ fma:
 	if ! GOARCH=arm64 $(GO) build -a -gcflags='mptcpsim/...=-S' ./internal/... . 2> "$$asm"; then \
 		grep -v '^[[:space:]]' "$$asm"; echo "fma: arm64 build failed"; exit 1; \
 	fi && \
-	awk -F '\t' -v limit=60 ' \
+	awk -F '\t' -v limit=45 ' \
 		$$3 ~ /^(FMADD|FMSUB|FNMADD|FNMSUB)[DS]$$/ { \
 			total++; file = $$2; sub(/^[^(]*\(/, "", file); sub(/:[0-9]+\)$$/, "", file); \
 			if (file !~ /\/internal\/(fluid|fixedpoint)\//) { n++; by[file]++ } \
@@ -125,6 +125,11 @@ lint:
 # network can still use it.
 # One place a harness network runs: no .Run(ctx in non-test internal/harness
 # Go outside collect.go, which compiles, runs, checks and reads every job.
+# A harness network is a Spec and a reading reads the report: no Build: or
+# .Build = in non-test internal/harness Go outside datacenter.go (the fat
+# trees, the one network a Spec cannot describe), no *scenario.Net outside
+# collect.go and datacenter.go, and no scenario.Probe{ in non-test Go
+# outside internal/scenario (a trace is a scenario.TraceSpec).
 guard:
 	@if git grep -n 'RunUntil(' -- '*.go' ':!*_test.go' ':!internal/sim/' ':!internal/scenario/' ':!bench/'; then \
 		echo "raw Sim.RunUntil above the scenario layer: build a scenario.Net and call its Run"; exit 1; \
@@ -179,6 +184,15 @@ guard:
 	fi
 	@if git grep -n '\.Run(ctx' -- 'internal/harness/*.go' ':!*_test.go' ':!internal/harness/collect.go'; then \
 		echo "a harness network runs in one place: collect compiles, runs and reads every job"; exit 1; \
+	fi
+	@if git grep -nE 'Build:|\.Build =([^=]|$$)' -- 'internal/harness/*.go' ':!*_test.go' ':!internal/harness/datacenter.go'; then \
+		echo "a harness network is a Spec: only the fat trees (datacenter.go) are built in code"; exit 1; \
+	fi
+	@if git grep -nF '*scenario.Net' -- 'internal/harness/*.go' ':!*_test.go' ':!internal/harness/collect.go' ':!internal/harness/datacenter.go'; then \
+		echo "a harness reading reads the RunReport, not the network"; exit 1; \
+	fi
+	@if git grep -nF 'scenario.Probe{' -- '*.go' ':!*_test.go' ':!internal/scenario/'; then \
+		echo "a trace is Spec data: list its probes in a scenario.TraceSpec"; exit 1; \
 	fi
 	@for target in windows/amd64 darwin/arm64 linux/arm64; do \
 		GOOS=$${target%/*} GOARCH=$${target#*/} $(GO) build . ./cmd/... ./internal/... || \

@@ -42,7 +42,8 @@ type behaviourCanary struct {
 // behaviourCanaries is the fixed canary set, each at most 10 simulated
 // seconds: every controller × scheduler × queue kind, a fault timeline, the
 // four testbed builders, a k = 4 fat tree, a lossy stream whose size is not
-// a multiple of the MSS, and the reference campaign's first eight samples.
+// a multiple of the MSS, a stream whose senders' windows are capped, and the
+// reference campaign's first eight samples.
 func behaviourCanaries() []behaviourCanary {
 	var out []behaviourCanary
 	spec := func(sp *scenario.Spec) { out = append(out, behaviourCanary{name: sp.Name, spec: sp}) }
@@ -103,6 +104,14 @@ func behaviourCanaries() []behaviourCanary {
 		Paths: []scenario.PathSpec{{Links: []int{0}, DelayMs: 15}, {Links: []int{1}, DelayMs: 45}},
 		Flows: []scenario.FlowSpec{{Name: "st", Algorithm: "olia", Paths: []int{0, 1},
 			FlowBytes: 1_234_567, ChunkBytes: 10_001, Scheduler: "ecf"}},
+	})
+
+	spec(&scenario.Spec{
+		Name: "capped-stream", Seed: 10, WarmupSec: 0.5, DurationSec: 2,
+		Links: []scenario.LinkSpec{{RateMbps: 10}, {RateMbps: 5}},
+		Paths: []scenario.PathSpec{{Links: []int{0}, DelayMs: 10}, {Links: []int{1}, DelayMs: 40}},
+		Flows: []scenario.FlowSpec{{Name: "st", Algorithm: "olia", Paths: []int{0, 1},
+			FlowBytes: 16 << 30, Scheduler: "minrtt", MaxCwndPkts: 8}},
 	})
 
 	pop := campaign.Default()

@@ -203,15 +203,13 @@ func TestCampaignReportsOutputError(t *testing.T) {
 // their defaults), and its cancellation: a run under a cancelled context
 // stops at a one-second boundary and writes nothing.
 func TestTraceCSV(t *testing.T) {
-	compile := func(seconds float64) *scenario.Net {
-		n, err := scenario.Compile(scenario.PaperTwoLink(10, 5, 5, "olia", 1, 0, seconds))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
+	traced := func(seconds float64) (*scenario.Spec, []string) {
+		sp := scenario.PaperTwoLink(10, 5, 5, "olia", 1, 0, seconds)
+		return sp, traceColumns(sp, "olia", 250)
 	}
 	var buf bytes.Buffer
-	if err := writeTrace(context.Background(), compile(20), sim.Seconds(0.25), &buf); err != nil {
+	sp, names := traced(20)
+	if err := writeTrace(context.Background(), sp, names, &buf); err != nil {
 		t.Fatal(err)
 	}
 	const want = "af7994b89dbf34e3b4318f2161f2b7c1"
@@ -222,7 +220,8 @@ func TestTraceCSV(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	buf.Reset()
-	err := writeTrace(ctx, compile(1e6), sim.Seconds(0.25), &buf)
+	sp, names = traced(1e6)
+	err := writeTrace(ctx, sp, names, &buf)
 	if !errors.Is(err, context.Canceled) || buf.Len() != 0 {
 		t.Fatalf("cancelled trace: err %v, %d bytes written", err, buf.Len())
 	}
@@ -270,14 +269,10 @@ func TestRunRejectsOverlongWindow(t *testing.T) {
 // TestWriteCSV pins the CSV layout: a "t,<names>" header, then one row per
 // sample, seconds to three places and values to four.
 func TestWriteCSV(t *testing.T) {
-	n := scenario.NewNet("t", 1, 0, sim.Second)
-	tr := n.Trace(500*sim.Millisecond, scenario.Probe{Name: "x", Fn: func() float64 { return 7 }})
-	if _, err := n.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	tr := &scenario.TraceReport{T: []sim.Time{0, 500 * sim.Millisecond, sim.Second}, V: [][]float64{{7, 7, 7}}}
 	var b bytes.Buffer
 	w := bufio.NewWriter(&b)
-	writeCSV(w, tr)
+	writeCSV(w, []string{"x"}, tr)
 	w.Flush()
 	if want := "t,x\n0.000,7.0000\n0.500,7.0000\n1.000,7.0000\n"; b.String() != want {
 		t.Fatalf("CSV %q, want %q", b.String(), want)
@@ -286,11 +281,10 @@ func TestWriteCSV(t *testing.T) {
 
 // TestWriteCSVEmpty: a trace with no samples yet is the header alone.
 func TestWriteCSVEmpty(t *testing.T) {
-	n := scenario.NewNet("t", 1, 0, 2*sim.Second)
-	tr := n.Trace(sim.Second, scenario.Probe{Name: "x", Fn: func() float64 { return 0 }})
+	tr := &scenario.TraceReport{V: [][]float64{nil}}
 	var b bytes.Buffer
 	w := bufio.NewWriter(&b)
-	writeCSV(w, tr)
+	writeCSV(w, []string{"x"}, tr)
 	w.Flush()
 	if b.String() != "t,x\n" {
 		t.Fatalf("empty CSV %q", b.String())

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 
-	"mptcpsim/internal/core"
 	"mptcpsim/internal/scenario"
 	"mptcpsim/internal/sim"
 )
@@ -39,33 +38,32 @@ func traceMain(ctx context.Context, args []string) {
 		fail(fmt.Errorf("trace: -period %g s is not a positive sampling period", *period))
 	}
 
-	n, err := scenario.Compile(scenario.PaperTwoLink(*capMbps, *tcp1, *tcp2, *algo, *seed, 0, *seconds))
-	if err != nil {
+	sp := scenario.PaperTwoLink(*capMbps, *tcp1, *tcp2, *algo, *seed, 0, *seconds)
+	names := traceColumns(sp, *algo, *period*1e3)
+	if err := sp.Validate(); err != nil {
 		fail(err)
 	}
-	exitOn(writeTrace(ctx, n, every, os.Stdout), "interrupted")
+	exitOn(writeTrace(ctx, sp, names, os.Stdout), "interrupted")
 }
 
-// writeTrace runs the two-link network with a trace sampling its "mp" user
-// every period, and writes the series to w as CSV once the run is complete.
-func writeTrace(ctx context.Context, n *scenario.Net, period sim.Time, w io.Writer) error {
-	mp := n.Group("mp")[0].Conn
-	probes := []scenario.Probe{
-		{Name: "w1", Fn: func() float64 { return mp.CwndPkts(0) }},
-		{Name: "w2", Fn: func() float64 { return mp.CwndPkts(1) }},
-		{Name: "rtt1", Fn: func() float64 { return mp.SRTT(0) }},
-		{Name: "rtt2", Fn: func() float64 { return mp.SRTT(1) }},
+// traceColumns sets sp's trace to the "mp" user's windows and smoothed
+// RTTs and, for OLIA, its α and ℓ, every periodMs, and returns the CSV
+// names of those columns.
+func traceColumns(sp *scenario.Spec, algo string, periodMs float64) []string {
+	names := []string{"w1", "w2", "rtt1", "rtt2"}
+	sp.Trace = &scenario.TraceSpec{PeriodMs: periodMs,
+		Probes: []string{"cwnd mp 0 0", "cwnd mp 0 1", "srtt mp 0 0", "srtt mp 0 1"}}
+	if algo == "olia" {
+		names = append(names, "alpha1", "alpha2", "ell1", "ell2")
+		sp.Trace.Probes = append(sp.Trace.Probes, "alpha mp 0 0", "alpha mp 0 1", "ell mp 0 0", "ell mp 0 1")
 	}
-	if o, isOLIA := mp.Controller().(*core.OLIA); isOLIA {
-		probes = append(probes,
-			scenario.Probe{Name: "alpha1", Fn: func() float64 { return o.Alpha(0) }},
-			scenario.Probe{Name: "alpha2", Fn: func() float64 { return o.Alpha(1) }},
-			scenario.Probe{Name: "ell1", Fn: func() float64 { return o.Ell(0) }},
-			scenario.Probe{Name: "ell2", Fn: func() float64 { return o.Ell(1) }},
-		)
-	}
-	tr := n.Trace(period, probes...)
-	rep, err := n.Run(ctx)
+	return names
+}
+
+// writeTrace runs the traced two-link network and writes its series to w
+// as CSV, under the column names given, once the run is complete.
+func writeTrace(ctx context.Context, sp *scenario.Spec, names []string, w io.Writer) error {
+	rep, err := scenario.Run(ctx, sp)
 	if err != nil {
 		return err
 	}
@@ -73,15 +71,15 @@ func writeTrace(ctx context.Context, n *scenario.Net, period sim.Time, w io.Writ
 		return fmt.Errorf("trace: invariant violations: %v", rep.Violations)
 	}
 	out := bufio.NewWriter(w)
-	writeCSV(out, tr)
+	writeCSV(out, names, rep.Trace)
 	return out.Flush()
 }
 
 // writeCSV emits "t,<name1>,<name2>,..." rows, seconds in the first column.
 // A bufio.Writer keeps its first error and reports it from Flush.
-func writeCSV(w *bufio.Writer, tr *scenario.Trace) {
+func writeCSV(w *bufio.Writer, names []string, tr *scenario.TraceReport) {
 	w.WriteString("t")
-	for _, name := range tr.Names {
+	for _, name := range names {
 		fmt.Fprintf(w, ",%s", name)
 	}
 	fmt.Fprintln(w)

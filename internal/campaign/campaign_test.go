@@ -298,7 +298,7 @@ func TestCacheKey(t *testing.T) {
 			{AtSec: 2, Path: &scenario.PathFlap{Path: 0, Up: true}},
 		},
 	}
-	const want = "ebf692ac76490d28987de332f9b6fd83bcc5ec904e445df7530b1770c4bf0698"
+	const want = "cfba55785baec460466272ae5e4ff403b3ec67ea0576d85122b130881fdea86c"
 	if got, err := CacheKey("v1", pinned); err != nil || got != want {
 		t.Errorf("pinned key = %s, %v; want %s", got, err, want)
 	}

@@ -3,56 +3,61 @@ package harness
 import (
 	"fmt"
 
-	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/scenario"
 	"mptcpsim/internal/stats"
 )
 
-// twoLinkSpec is the Fig. 6 rig every ablation starts from: 10 Mb/s links
-// shared with nTCP1 and nTCP2 TCP flows, one seed (cfg.BaseSeed).
+// twoLinkSpec is the Fig. 6 rig every two-link experiment starts from:
+// 10 Mb/s links shared with nTCP1 and nTCP2 TCP flows, one seed
+// (cfg.BaseSeed), the multipath user's two windows and, under OLIA, its α
+// traced every 250 ms. Every variant carries the same trace, so a variant
+// that two experiments list is one run.
 func twoLinkSpec(cfg Config, algo string, nTCP1, nTCP2 int) *scenario.Spec {
-	return scenario.PaperTwoLink(10, nTCP1, nTCP2, algo, cfg.BaseSeed, cfg.Warmup.Sec(), cfg.Duration.Sec())
+	sp := scenario.PaperTwoLink(10, nTCP1, nTCP2, algo, cfg.BaseSeed, cfg.Warmup.Sec(), cfg.Duration.Sec())
+	sp.Trace = &scenario.TraceSpec{PeriodMs: 250, Probes: []string{"cwnd mp 0 0", "cwnd mp 0 1"}}
+	if algo == "olia" {
+		sp.Trace.Probes = append(sp.Trace.Probes, "alpha mp 0 0", "alpha mp 0 1")
+	}
+	return sp
 }
 
 // twoLinkMP is the two-link spec's multipath user, for ablations to vary.
 func twoLinkMP(sp *scenario.Spec) *scenario.FlowSpec { return &sp.Flows[len(sp.Flows)-1] }
 
-// windowProbes samples the two subflow windows of a multipath connection.
-func windowProbes(conn *mptcp.Conn) []scenario.Probe {
-	return []scenario.Probe{
-		{Name: "w1", Fn: func() float64 { return conn.CwndPkts(0) }},
-		{Name: "w2", Fn: func() float64 { return conn.CwndPkts(1) }},
+// groupMbps is the goodput of a group's summed measured-window bytes over
+// secs: a sum of per-flow rates is not the rate of the summed bytes.
+func groupMbps(secs float64, groups ...[]scenario.FlowReport) float64 {
+	var total int64
+	for _, g := range groups {
+		for i := range g {
+			total += g[i].WindowBytes
+		}
 	}
+	return stats.Mbps(total, secs)
 }
 
-// runTwoLink is one two-link rig configuration, traced for the window
-// flips — the "one point → readings" unit every ablation fans out over.
-// vary changes the spec of the rig (algo, nTCP1 and nTCP2 TCP flows). The
-// readings are the multipath user's goodput per link (0, 1), the mean
-// background TCP goodput per link (2, 3), all in Mb/s, and the
-// dominance-flip count (4, flappiness).
+// runTwoLink is one two-link rig configuration — the "one point →
+// readings" unit every ablation fans out over. vary changes the spec of
+// the rig (algo, nTCP1 and nTCP2 TCP flows). The readings are the
+// multipath user's goodput per link (0, 1), the mean background TCP
+// goodput per link (2, 3), all in Mb/s, and the dominance-flip count of
+// the traced windows (4, flappiness).
 func runTwoLink(algo string, nTCP1, nTCP2 int, vary func(sp *scenario.Spec)) network {
 	return func(cfg Config, _ int64, out *[]float64) Job {
 		sp := twoLinkSpec(cfg, algo, nTCP1, nTCP2)
 		vary(sp)
-		var tr *scenario.Trace
-		return Job{
-			Build: setUp(sp, func(n *scenario.Net) {
-				tr = n.Trace(tracePeriod, windowProbes(n.Group("mp")[0].Conn)...)
-			}),
-			Read: func(n *scenario.Net, _ *scenario.RunReport) {
-				mp := n.Group("mp")[0]
-				secs := cfg.Duration.Sec()
-				o := []float64{stats.Mbps(mp.Window[0], secs), stats.Mbps(mp.Window[1], secs), 0, 0, float64(flips(tr.V[0], tr.V[1]))}
-				if bg := n.Group("tcp1"); len(bg) > 0 {
-					o[2] = stats.Mbps(scenario.GroupWindowBytes(bg), secs) / float64(len(bg))
-				}
-				if bg := n.Group("tcp2"); len(bg) > 0 {
-					o[3] = stats.Mbps(scenario.GroupWindowBytes(bg), secs) / float64(len(bg))
-				}
-				*out = o
-			},
-		}
+		return Job{Spec: sp, Read: func(rep *scenario.RunReport) {
+			mp, w := rep.Group(sp, "mp")[0], rep.Trace.V
+			secs := cfg.Duration.Sec()
+			o := []float64{mp.PathMbps[0], mp.PathMbps[1], 0, 0, float64(flips(w[0], w[1]))}
+			if bg := rep.Group(sp, "tcp1"); len(bg) > 0 {
+				o[2] = groupMbps(secs, bg) / float64(len(bg))
+			}
+			if bg := rep.Group(sp, "tcp2"); len(bg) > 0 {
+				o[3] = groupMbps(secs, bg) / float64(len(bg))
+			}
+			*out = o
+		}}
 	}
 }
 

@@ -14,6 +14,17 @@ import (
 // collect runs them all in one stream, and each fold merges the readings in
 // canonical order, so the rendered bytes are identical for any worker count.
 
+// Job is one network of a plan and the reader of its run. The network is
+// Spec, which collect compiles, or, when Build is set, what Build returns:
+// the fat tree, which a Spec cannot describe. Read stores the job's typed
+// metrics from the finished run's report and must not change it: a Spec
+// job's run may be read by several jobs, while a Build job's never is.
+type Job struct {
+	Spec  *scenario.Spec
+	Build func() *scenario.Net
+	Read  func(rep *scenario.RunReport)
+}
+
 // compile builds a testbed network from its spec. The specs come from the
 // scenario.Paper* builders with registry-fixed parameters, so a rejected
 // spec is a harness bug.
@@ -23,17 +34,6 @@ func compile(sp *scenario.Spec) *scenario.Net {
 		panic(fmt.Sprintf("harness: %s spec invalid: %v", sp.Name, err))
 	}
 	return n
-}
-
-// setUp is the Build of a compiled Spec that setup changes before the run
-// in a way the Spec cannot say: window traces, delayed ACKs, probe control,
-// serial transfers. Such a network is not its Spec's, so it never shares.
-func setUp(sp *scenario.Spec, setup func(n *scenario.Net)) func() *scenario.Net {
-	return func() *scenario.Net {
-		n := compile(sp)
-		setup(n)
-		return n
-	}
 }
 
 // collect is the package's one fan-out and the one place a harness network
@@ -150,7 +150,7 @@ func collect(ctx context.Context, cfg Config, exps []*Experiment, progress func(
 			panic(fmt.Sprintf("harness: %s: invariant violations: %v", n.Name, rep.Violations))
 		}
 		for _, r := range readers[k] {
-			plans[r.exp].Jobs[r.job].Read(n, rep)
+			plans[r.exp].Jobs[r.job].Read(rep)
 			plans[r.exp].Jobs[r.job] = Job{} // read: let the network go
 		}
 		return struct{}{}

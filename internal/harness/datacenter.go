@@ -25,11 +25,12 @@ func dcThroughput(algo string, nsub int) network {
 				ft = scenario.PaperFatTree(scenario.FatTreeConfig{K: cfg.FatTreeK}, load, seed, cfg.DCWarmup, cfg.DCDuration)
 				return ft.Net
 			},
-			Read: func(*scenario.Net, *scenario.RunReport) {
+			Read: func(rep *scenario.RunReport) {
+				// Every host sends one long flow, so the report is theirs.
 				secs := cfg.DCDuration.Sec()
-				*out = make([]float64, len(ft.Long))
-				for i, f := range ft.Long {
-					(*out)[i] = stats.Mbps(f.WindowBytes(), secs) / ft.Cfg.RateMbps * 100
+				*out = make([]float64, len(rep.Flows))
+				for i := range rep.Flows {
+					(*out)[i] = stats.Mbps(rep.Flows[i].WindowBytes, secs) / ft.Cfg.RateMbps * 100
 				}
 			},
 		}
@@ -134,7 +135,7 @@ func dcShortFlows(algo string) network {
 					}, seed, cfg.DCWarmup, cfg.DCDuration+drain)
 				return ft.Net
 			},
-			Read: func(_ *scenario.Net, rep *scenario.RunReport) {
+			Read: func(rep *scenario.RunReport) {
 				core := ft.CoreLinks()
 				var coreBytes int64
 				for _, l := range core {

@@ -5,34 +5,27 @@ import (
 
 	"mptcpsim/internal/fixedpoint"
 	"mptcpsim/internal/scenario"
-	"mptcpsim/internal/sim"
 	"mptcpsim/internal/stats"
 )
 
 // runProbeSuspension is the Scenario C point N1=20, N2=10, C1/C2=2 under
 // OLIA, read through the Scenario C reader plus the number of suspension
 // episodes of the multipath users (reading 4), with or without bad-path
-// suspension enabled on them. Without it the run is its Spec's, which
-// Figs. 11 and 12 list too.
+// suspension enabled on them. Without it the run is the one Figs. 11 and
+// 12 list too.
 func runProbeSuspension(enable bool) network {
 	ac := runScenarioAC(scenario.PaperScenarioC, 2.0, 20, "olia")
 	return func(cfg Config, seed int64, out *[]float64) Job {
 		j := ac(cfg, seed, out)
-		read := j.Read
-		j.Read = func(n *scenario.Net, rep *scenario.RunReport) {
-			read(n, rep)
+		sp, read := j.Spec, j.Read
+		sp.Flows[0].ProbeControl = enable
+		j.Read = func(rep *scenario.RunReport) {
+			read(rep)
 			suspends := 0
-			for _, f := range n.Groups[0] {
-				suspends += f.Conn.SuspendCount(0) + f.Conn.SuspendCount(1)
+			for _, f := range rep.Group(sp, sp.Flows[0].Name) {
+				suspends += f.Suspends
 			}
 			*out = append(*out, float64(suspends))
-		}
-		if enable {
-			j.Build = setUp(j.Spec, func(n *scenario.Net) {
-				for _, f := range n.Groups[0] {
-					f.Conn.EnableProbeControl()
-				}
-			})
 		}
 		return j
 	}
@@ -75,19 +68,35 @@ var extRwnd = &table{
 
 // runSerialTransfers measures `transfers` back-to-back finite transfers of
 // the given size over the two-link rig (2 background TCP flows per link)
-// under one transport mode, read as their completion times in seconds. The
-// rig's own multipath user is left out; each transfer joins the running
-// network as a flow of its own over the same queues.
+// under one transport mode, read as the completion times in seconds of
+// those that finished. The rig's own multipath user is left out; the
+// transfers are one serial group over the same queues, each starting when
+// the previous completes.
 func runSerialTransfers(mode string, size int64, transfers int) network {
 	const horizonSec = 600
+	xfer := scenario.FlowSpec{Name: "xfer", Algorithm: scenario.AlgoTCP, Paths: []int{0},
+		Count: transfers, FlowBytes: size, Serial: true}
+	if mode != "tcp" {
+		// Finite transfers need slow start: the §IV-B ssthresh=1 setting
+		// (meant for long-lived flows probing congested paths) would make a
+		// 512 KB stream crawl from a 1-packet window in congestion
+		// avoidance — ~3x slower than plain TCP. This is why the paper's
+		// own short-flow workload uses regular TCP.
+		xfer.Algorithm, xfer.Paths, xfer.Scheduler, xfer.KeepSlowStart = "olia", []int{0, 1}, "pull", true
+	}
 	return func(_ Config, seed int64, out *[]float64) Job {
 		sp := scenario.PaperTwoLink(10, 2, 2, "olia", seed, 0, horizonSec)
-		sp.Flows = sp.Flows[:len(sp.Flows)-1]
-		var took []float64
-		return Job{
-			Build: setUp(sp, func(n *scenario.Net) { launchSerial(n, mode, size, transfers, &took) }),
-			Read:  func(*scenario.Net, *scenario.RunReport) { *out = took },
-		}
+		sp.Flows[len(sp.Flows)-1] = xfer
+		return Job{Spec: sp, Read: func(rep *scenario.RunReport) {
+			for _, f := range rep.Group(sp, "xfer") {
+				switch {
+				case f.Stream != nil && f.Stream.Done:
+					*out = append(*out, f.Stream.CompletionSec)
+				case f.CompletionSec != 0:
+					*out = append(*out, f.CompletionSec)
+				}
+			}
+		}}
 	}
 }
 
@@ -131,39 +140,6 @@ var extStreams = func() *table {
 	}
 }()
 
-// launchSerial starts `count` back-to-back transfers, each beginning when
-// the previous completes.
-func launchSerial(n *scenario.Net, mode string, size int64, count int, took *[]float64) {
-	// The two-link spec's path i crosses link i alone.
-	routes := make([]scenario.Route, len(n.Spec.Paths))
-	for i, p := range n.Spec.Paths {
-		routes[i] = scenario.Route{DelayMs: p.DelayMs, Fwd: p.Links}
-	}
-	xfer := &scenario.FlowSpec{Algorithm: scenario.AlgoTCP, FlowBytes: size}
-	if mode == "tcp" {
-		routes = routes[:1]
-	} else {
-		// Finite transfers need slow start: the §IV-B ssthresh=1 setting
-		// (meant for long-lived flows probing congested paths) would make a
-		// 512 KB stream crawl from a 1-packet window in congestion
-		// avoidance — ~3x slower than plain TCP. This is why the paper's
-		// own short-flow workload uses regular TCP.
-		xfer = &scenario.FlowSpec{Algorithm: "olia", FlowBytes: size, Scheduler: "pull", KeepSlowStart: true}
-	}
-	var startNext func(i int)
-	startNext = func(i int) {
-		if i >= count {
-			return
-		}
-		f := n.AddFlow(fmt.Sprintf("xfer%d", i), xfer, routes, n.Sim.Now())
-		f.OnComplete(func(d sim.Time) {
-			*took = append(*took, d.Sec())
-			startNext(i + 1)
-		})
-	}
-	startNext(0)
-}
-
 func init() {
 	registerTable("ext-probe", "§VII (future work)",
 		"Extension: suspending bad paths cuts probing traffic below 1 MSS/RTT", extProbe)
@@ -200,29 +176,21 @@ var extRTT = &table{
 	footer: []string{"(expected: every algorithm leans to the short-RTT path; the coupled ones more)"},
 }
 
-// runDelack measures the symmetric rig with per-segment or delayed ACKs,
-// read as the multipath user's goodput and the background TCP flows' mean
-// (Mb/s). With per-segment ACKs the run is its Spec's.
+// runDelack measures the symmetric rig with per-segment or delayed ACKs at
+// every receiver, read as the multipath user's goodput and the background
+// TCP flows' mean (Mb/s). With per-segment ACKs the run is the OLIA one the
+// other two-link experiments list.
 func runDelack(delayed bool) network {
 	return func(cfg Config, _ int64, out *[]float64) Job {
-		j := Job{Spec: twoLinkSpec(cfg, "olia", 5, 5), Read: func(n *scenario.Net, _ *scenario.RunReport) {
-			secs := cfg.Duration.Sec()
-			tcp1, tcp2 := n.Group("tcp1"), n.Group("tcp2")
-			*out = []float64{
-				stats.Mbps(scenario.GroupWindowBytes(n.Group("mp")), secs),
-				stats.Mbps(scenario.GroupWindowBytes(tcp1)+scenario.GroupWindowBytes(tcp2), secs) / float64(len(tcp1)+len(tcp2)),
-			}
-		}}
-		if delayed {
-			j.Build = setUp(j.Spec, func(n *scenario.Net) {
-				for _, f := range n.Flows {
-					for _, k := range f.Sinks {
-						k.EnableDelayedAck()
-					}
-				}
-			})
+		sp := twoLinkSpec(cfg, "olia", 5, 5)
+		for i := range sp.Flows {
+			sp.Flows[i].DelayedAck = delayed
 		}
-		return j
+		return Job{Spec: sp, Read: func(rep *scenario.RunReport) {
+			secs := cfg.Duration.Sec()
+			tcp1, tcp2 := rep.Group(sp, "tcp1"), rep.Group(sp, "tcp2")
+			*out = []float64{groupMbps(secs, rep.Group(sp, "mp")), groupMbps(secs, tcp1, tcp2) / float64(len(tcp1)+len(tcp2))}
+		}}
 	}
 }
 

@@ -179,18 +179,6 @@ type Plan struct {
 	Fold func() (*Result, error)
 }
 
-// Job is one network of a plan and the reader of its run. The network is
-// Spec, which collect compiles, or, when Build is set, what Build returns:
-// the fat tree, or a compiled Spec set up in a way a Spec cannot say (see
-// setUp). Read stores the job's typed metrics from the finished run and
-// must not change n or rep: a Spec job's run may be read by several jobs,
-// while a Build job's never is, whatever its Spec field says.
-type Job struct {
-	Spec  *scenario.Spec
-	Build func() *scenario.Net
-	Read  func(n *scenario.Net, rep *scenario.RunReport)
-}
-
 var (
 	registry []*Experiment
 	byID     = map[string]*Experiment{}

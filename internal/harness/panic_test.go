@@ -30,7 +30,7 @@ func registerPanicProbe() {
 					panic("simulated job crash")
 				}
 				return compile(shortSpec(seed))
-			}, Read: func(*scenario.Net, *scenario.RunReport) { *out = []float64{float64(p)} }}
+			}, Read: func(*scenario.RunReport) { *out = []float64{float64(p)} }}
 		}})
 	}
 	registerTable("zz-panic", "test", "crashing table probe", probe)

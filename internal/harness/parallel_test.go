@@ -117,14 +117,14 @@ func TestRunAllStreamsProgressively(t *testing.T) {
 		registerTable("zz-stream-a", "test", "streaming probe a", &table{
 			preamble: []string{"a-output"},
 			rows: []row{{run: func(_ Config, _ int64, _ *[]float64) Job {
-				return Job{Spec: shortSpec(1), Read: func(*scenario.Net, *scenario.RunReport) {}}
+				return Job{Spec: shortSpec(1), Read: func(*scenario.RunReport) {}}
 			}}},
 		})
 		// A Build job, so that b's reading does not share a's run.
 		registerTable("zz-stream-b", "test", "streaming probe b", &table{
 			preamble: []string{"b-output"},
 			rows: []row{{run: func(_ Config, _ int64, flushed *[]float64) Job {
-				return Job{Build: func() *scenario.Net { return compile(shortSpec(1)) }, Read: func(*scenario.Net, *scenario.RunReport) {
+				return Job{Build: func() *scenario.Net { return compile(shortSpec(1)) }, Read: func(*scenario.RunReport) {
 					select {
 					case <-streamTestGate:
 						*flushed = []float64{1}
@@ -243,7 +243,7 @@ func TestSweepSeedDerivation(t *testing.T) {
 	cfg.Seeds = 3
 	cfg.BaseSeed = 100
 	seedOf := func(_ Config, seed int64, out *[]float64) Job {
-		return Job{Spec: shortSpec(seed), Read: func(n *scenario.Net, _ *scenario.RunReport) { *out = []float64{float64(n.Seed)} }}
+		return Job{Spec: shortSpec(seed), Read: func(rep *scenario.RunReport) { *out = []float64{float64(rep.Seed)} }}
 	}
 	got := collectRuns(t, cfg, &table{seeded: true, rows: []row{{run: seedOf}, {run: seedOf}}})
 	for ri := range got {

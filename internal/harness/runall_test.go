@@ -85,18 +85,21 @@ func TestRunAllGoroutineBound(t *testing.T) {
 }
 
 // TestRegistryJobCounts: a job is a network, and a Spec that several
-// experiments list runs once, so the whole registry announces 107 jobs at
-// the quick scale (176 when every experiment ran its own) and 180 at the
-// golden one (318). The context is cancelled on the announcement, before
-// any network runs.
+// experiments list runs once, so the whole registry announces 101 jobs at
+// the quick scale (176 when every experiment ran its own) and 174 at the
+// golden one (318). Every two-link variant carries the same window trace,
+// so fig7's OLIA run is also ablation-epsilon's, ablation-cap's,
+// ext-rwnd's and ablation-delack's, its LIA run ablation-epsilon's, and
+// fig8's OLIA run ablation-ssthresh's. The context is cancelled on the
+// announcement, before any network runs.
 func TestRegistryJobCounts(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 		want int
 	}{
-		{"DefaultConfig", DefaultConfig(), 107},
-		{"goldenConfig", goldenConfig(), 180},
+		{"DefaultConfig", DefaultConfig(), 101},
+		{"goldenConfig", goldenConfig(), 174},
 	} {
 		ctx, cancel := context.WithCancel(context.Background())
 		total, done := -1, 0
@@ -127,7 +130,7 @@ func TestCollectSharesSpecRuns(t *testing.T) {
 	var reps, folded [3]*scenario.RunReport
 	builds := 0
 	probe := func(i int, job Job) *Experiment {
-		job.Read = func(_ *scenario.Net, rep *scenario.RunReport) { reps[i] = rep }
+		job.Read = func(rep *scenario.RunReport) { reps[i] = rep }
 		return &Experiment{ID: fmt.Sprintf("zz-share-%d", i), Plan: func(Config) Plan {
 			return Plan{Jobs: []Job{job}, Fold: func() (*Result, error) {
 				folded[i] = reps[i]

@@ -21,18 +21,18 @@ type paperAC func(n1, n2 int, c1, c2 float64, algo string, seed int64, warmupSec
 func runScenarioAC(build paperAC, c1 float64, n1 int, algo string) network {
 	const n2, c2 = 10, 1.0
 	return func(cfg Config, seed int64, out *[]float64) Job {
-		return Job{Spec: build(n1, n2, c1, c2, algo, seed, cfg.Warmup.Sec(), cfg.Duration.Sec()),
-			Read: func(n *scenario.Net, rep *scenario.RunReport) {
-				secs := cfg.Duration.Sec()
-				var multi, single float64
-				for _, f := range n.Groups[0] {
-					multi += stats.Mbps(f.WindowBytes(), secs) / c1 / float64(n1)
-				}
-				for _, f := range n.Groups[1] {
-					single += stats.Mbps(f.WindowBytes(), secs) / c2 / n2
-				}
-				*out = []float64{multi, single, rep.Queues[0].Window.LossProb(), rep.Queues[1].Window.LossProb()}
-			}}
+		sp := build(n1, n2, c1, c2, algo, seed, cfg.Warmup.Sec(), cfg.Duration.Sec())
+		return Job{Spec: sp, Read: func(rep *scenario.RunReport) {
+			secs := cfg.Duration.Sec()
+			var multi, single float64
+			for _, f := range rep.Group(sp, sp.Flows[0].Name) {
+				multi += stats.Mbps(f.WindowBytes, secs) / c1 / float64(n1)
+			}
+			for _, f := range rep.Group(sp, sp.Flows[1].Name) {
+				single += stats.Mbps(f.WindowBytes, secs) / c2 / n2
+			}
+			*out = []float64{multi, single, rep.Queues[0].Window.LossProb(), rep.Queues[1].Window.LossProb()}
+		}}
 	}
 }
 
@@ -167,18 +167,18 @@ func scenarioC(algos []string, withLoss bool) *table {
 func runScenarioB(algo string, redMultipath bool) network {
 	const users = 15
 	return func(cfg Config, seed int64, out *[]float64) Job {
-		return Job{Spec: scenario.PaperScenarioB(users, 27, 36, algo, redMultipath, seed, cfg.Warmup.Sec(), cfg.Duration.Sec()),
-			Read: func(n *scenario.Net, _ *scenario.RunReport) {
-				secs := cfg.Duration.Sec()
-				var blue, red float64
-				for _, f := range n.Group("blue") {
-					blue += stats.Mbps(f.WindowBytes(), secs) / users
-				}
-				for _, f := range n.Group("red") {
-					red += stats.Mbps(f.WindowBytes(), secs) / users
-				}
-				*out = []float64{blue, red, users * (blue + red)}
-			}}
+		sp := scenario.PaperScenarioB(users, 27, 36, algo, redMultipath, seed, cfg.Warmup.Sec(), cfg.Duration.Sec())
+		return Job{Spec: sp, Read: func(rep *scenario.RunReport) {
+			secs := cfg.Duration.Sec()
+			var blue, red float64
+			for _, f := range rep.Group(sp, "blue") {
+				blue += stats.Mbps(f.WindowBytes, secs) / users
+			}
+			for _, f := range rep.Group(sp, "red") {
+				red += stats.Mbps(f.WindowBytes, secs) / users
+			}
+			*out = []float64{blue, red, users * (blue + red)}
+		}}
 	}
 }
 

@@ -60,7 +60,7 @@ func schedScenario(sched, algo string, total int64, seed int64, flap bool, durat
 func runSchedTransfer(sched, algo string, total int64, flap bool, durationSec float64) network {
 	return func(_ Config, seed int64, out *[]float64) Job {
 		sp := schedScenario(sched, algo, total, seed, flap, durationSec)
-		return Job{Spec: sp, Read: func(_ *scenario.Net, rep *scenario.RunReport) {
+		return Job{Spec: sp, Read: func(rep *scenario.RunReport) {
 			sr := rep.Flows[0].Stream
 			if sr == nil {
 				panic(fmt.Sprintf("harness: %s: scheduled flow has no stream report", sp.Name))

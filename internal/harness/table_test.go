@@ -35,8 +35,8 @@ func rateSweep(seeded bool) *table {
 		t.rows = append(t.rows, row{labels: []Cell{NumCell(rate)}, run: func(_ Config, seed int64, out *[]float64) Job {
 			sp := shortSpec(seed)
 			sp.Links[0].RateMbps = rate
-			return Job{Spec: sp, Read: func(n *scenario.Net, _ *scenario.RunReport) {
-				*out = []float64{n.Spec.Links[0].RateMbps, float64(n.Seed)}
+			return Job{Spec: sp, Read: func(rep *scenario.RunReport) {
+				*out = []float64{sp.Links[0].RateMbps, float64(rep.Seed)}
 			}}
 		}})
 	}

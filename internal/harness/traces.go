@@ -5,46 +5,29 @@ import (
 	"io"
 	"math"
 
-	"mptcpsim/internal/core"
 	"mptcpsim/internal/scenario"
 	"mptcpsim/internal/sim"
 )
 
-// tracePeriod is the sampling period of the two-link rig's window traces.
-const tracePeriod = 250 * sim.Millisecond
-
-// runTrace records one algorithm's window evolution on the two-link rig,
-// read as the means after the warm-up of w1, w2 and OLIA's α1 and α2 (NaN
+// runTrace reads one algorithm's traced window evolution on the two-link
+// rig as the means after the warm-up of w1, w2 and OLIA's α1 and α2 (NaN
 // without them), the flip count, and then the samples as (t, w1, w2)
 // triples.
 func runTrace(algo string, nTCP1, nTCP2 int) network {
 	return func(cfg Config, _ int64, out *[]float64) Job {
-		var tr *scenario.Trace
-		return Job{
-			Build: setUp(twoLinkSpec(cfg, algo, nTCP1, nTCP2), func(n *scenario.Net) {
-				conn := n.Group("mp")[0].Conn
-				probes := windowProbes(conn)
-				if o, ok := conn.Controller().(*core.OLIA); ok {
-					probes = append(probes,
-						scenario.Probe{Name: "a1", Fn: func() float64 { return o.Alpha(0) }},
-						scenario.Probe{Name: "a2", Fn: func() float64 { return o.Alpha(1) }},
-					)
-				}
-				tr = n.Trace(tracePeriod, probes...)
-			}),
-			Read: func(*scenario.Net, *scenario.RunReport) {
-				o := append(make([]float64, 0, 5+3*len(tr.T)),
-					meanAfter(tr.T, tr.V[0], cfg.Warmup), meanAfter(tr.T, tr.V[1], cfg.Warmup),
-					math.NaN(), math.NaN(), float64(flips(tr.V[0], tr.V[1])))
-				if len(tr.V) > 2 {
-					o[2], o[3] = meanAfter(tr.T, tr.V[2], cfg.Warmup), meanAfter(tr.T, tr.V[3], cfg.Warmup)
-				}
-				for i, t := range tr.T {
-					o = append(o, t.Sec(), tr.V[0][i], tr.V[1][i])
-				}
-				*out = o
-			},
-		}
+		return Job{Spec: twoLinkSpec(cfg, algo, nTCP1, nTCP2), Read: func(rep *scenario.RunReport) {
+			tr := rep.Trace
+			o := append(make([]float64, 0, 5+3*len(tr.T)),
+				meanAfter(tr.T, tr.V[0], cfg.Warmup), meanAfter(tr.T, tr.V[1], cfg.Warmup),
+				math.NaN(), math.NaN(), float64(flips(tr.V[0], tr.V[1])))
+			if len(tr.V) > 2 {
+				o[2], o[3] = meanAfter(tr.T, tr.V[2], cfg.Warmup), meanAfter(tr.T, tr.V[3], cfg.Warmup)
+			}
+			for i, t := range tr.T {
+				o = append(o, t.Sec(), tr.V[0][i], tr.V[1][i])
+			}
+			*out = o
+		}}
 	}
 }
 

@@ -32,6 +32,15 @@ type SchedView interface {
 	PathUp(i int) bool
 }
 
+// schedView is the SchedView a stream hands its scheduler: the connection,
+// except that a subflow's window is the one its sender may fill, capped by
+// tcp.Config.MaxCwndPkts, so a capped subflow shows no headroom it cannot
+// use. One pointer in an interface: passing it allocates nothing.
+type schedView struct{ *Conn }
+
+// CwndPkts reports subflow i's effective window in packets.
+func (v schedView) CwndPkts(i int) float64 { return v.subs[i].Src.EffCwndPkts() }
+
 // ReinjectPick is the Pick request marker for reinjection: no subflow is
 // asking, the stream needs any live target for a stranded span.
 const ReinjectPick = -1

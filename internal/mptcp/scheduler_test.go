@@ -414,3 +414,45 @@ func TestInsertOOOKeepsSpansSortedDisjoint(t *testing.T) {
 		t.Fatalf("delivered %d, want 100", st.DeliveredBytes())
 	}
 }
+
+// TestCappedWindowBoundsAssignment: a scheduler sees the window a capped
+// sender may fill, not its uncapped congestion window, so it never finds
+// headroom the cap takes away. Over a 16 GiB stream whose senders are
+// capped at 8 packets, the data assigned beyond what has arrived stays
+// within each subflow's cap plus a chunk; reading the uncapped window, one
+// pump granted chunk after chunk until the whole stream was assigned.
+func TestCappedWindowBoundsAssignment(t *testing.T) {
+	const capPkts, total = 8, 16 << 30
+	for _, name := range Schedulers() {
+		if name == "redundant" {
+			continue // every subflow walks the whole stream on its own
+		}
+		t.Run(name, func(t *testing.T) {
+			s := sim.New(1)
+			conn := New(s, "capped", core.NewOLIA(), tcp.Config{MaxCwndPkts: capPkts})
+			for i, rate := range []int64{10_000_000, 5_000_000} {
+				delay := []sim.Time{10 * sim.Millisecond, 40 * sim.Millisecond}[i]
+				fwd := netem.NewLink(s, netem.LinkConfig{RateBps: rate, Delay: delay, Kind: netem.QueueDropTail, DropTailPkts: 1000}, "f")
+				rev := netem.NewLink(s, netem.LinkConfig{RateBps: rate, Delay: delay, Kind: netem.QueueDropTail, DropTailPkts: 1000}, "r")
+				sf := conn.AddSubflow(0)
+				sf.SetRoutes(netem.NewRoute(fwd.Q, fwd.P, sf.Sink), netem.NewRoute(rev.Q, rev.P, sf.Src))
+			}
+			sched, err := NewScheduler(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := NewStreamSched(conn, total, 0, sched)
+			st.Start(0)
+			bound := int64(conn.NumFlows()) * (capPkts*netem.MSS + DefaultChunk)
+			for at := 100 * sim.Millisecond; at <= 2*sim.Second; at += 100 * sim.Millisecond {
+				s.RunUntil(at)
+				if ahead := st.nextData - st.DeliveredBytes(); ahead > bound {
+					t.Fatalf("t=%v: %d bytes assigned past the %d delivered, above the capped bound %d", at, ahead, st.DeliveredBytes(), bound)
+				}
+			}
+			if st.DeliveredBytes() == 0 {
+				t.Fatal("nothing delivered: the bound held vacuously")
+			}
+		})
+	}
+}

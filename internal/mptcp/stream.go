@@ -227,7 +227,7 @@ func (st *Stream) pump() {
 			if !st.hungry[i] || st.nextData >= st.total || !st.conn.PathUp(i) {
 				continue
 			}
-			t := st.sched.Pick(st.conn, i, st.total-st.nextData)
+			t := st.sched.Pick(schedView{st.conn}, i, st.total-st.nextData)
 			if t < 0 || t >= len(st.hungry) || !st.conn.PathUp(t) {
 				continue
 			}
@@ -318,7 +318,7 @@ func (st *Stream) reinjectFrom(i int) {
 // subflow serves as fallback, and with every path down the span parks until
 // one returns.
 func (st *Stream) reinject(sp dataSpan) {
-	t := st.sched.Pick(st.conn, ReinjectPick, sp.end-sp.start)
+	t := st.sched.Pick(schedView{st.conn}, ReinjectPick, sp.end-sp.start)
 	if t < 0 || t >= len(st.assigned) || !st.conn.PathUp(t) {
 		t = st.firstUp()
 	}

@@ -113,16 +113,16 @@ func TestRunAccountsFlowsAddedMidRun(t *testing.T) {
 	if len(rep.Flows) != 2 || rep.Flows[1].Name != "late" || rep.Flows[1].Algorithm != "olia" {
 		t.Fatalf("report flows: %+v", rep.Flows)
 	}
-	if len(late.Window) != 2 || late.WindowBytes() == 0 {
-		t.Fatalf("late flow window %v", late.Window)
+	if len(rep.Flows[1].PathMbps) != 2 || rep.Flows[1].WindowBytes == 0 {
+		t.Fatalf("late flow report %+v", rep.Flows[1])
 	}
-	if late.WindowBytes() != late.GoodputBytes() {
+	if rep.Flows[1].WindowBytes != late.GoodputBytes() {
 		t.Fatalf("late flow window %d bytes, delivered %d: the base of a flow born inside the window is zero",
-			late.WindowBytes(), late.GoodputBytes())
+			rep.Flows[1].WindowBytes, late.GoodputBytes())
 	}
-	if early.WindowBytes() >= early.GoodputBytes() {
+	if rep.Flows[0].WindowBytes >= early.GoodputBytes() {
 		t.Fatalf("early flow window %d not below its total %d: warm-up delivery was not subtracted",
-			early.WindowBytes(), early.GoodputBytes())
+			rep.Flows[0].WindowBytes, early.GoodputBytes())
 	}
 	if rep.Flows[1].GoodputMbps <= 0 || rep.Flows[1].SentPkts == 0 {
 		t.Fatalf("late flow report %+v", rep.Flows[1])

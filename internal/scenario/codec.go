@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"mptcpsim/internal/netem"
+	"mptcpsim/internal/sim"
 )
 
 // The one binary encoding of a Spec and of a RunReport. The campaign cache
@@ -39,9 +40,11 @@ import (
 // against the bytes that remain before anything is allocated for it.
 const (
 	minStringBytes = 1                 // a byte, or a string's length prefix
-	minFloatBytes  = 8                 // PathMbps
-	minFlowBytes   = 2 + 8 + 1 + 3 + 1 // two strings, a float, a count, three ints, Stream's presence
+	minFloatBytes  = 8                 // PathMbps, a trace column
+	minFlowBytes   = 2 + 8 + 1 + 5 + 2 // two strings, a float, a count, five ints, two presences
 	minQueueBytes  = 1 + 6 + 6 + 2 + 1 // Link, two Counters, two lengths, LossDropped
+	minTimeBytes   = 1                 // a trace sample's time
+	minColumnBytes = 1                 // a trace column's count
 )
 
 var (
@@ -87,6 +90,13 @@ func AppendReport(b []byte, r *RunReport) []byte {
 			b = appendString(b, s.Scheduler)
 			b = appendFloat(b, s.CompletionSec)
 		}
+		b = binary.AppendVarint(b, f.WindowBytes)
+		// A completion time is there or not: 0 (or −0) travels as absent.
+		b = appendBool(b, f.CompletionSec != 0)
+		if f.CompletionSec != 0 {
+			b = appendFloat(b, f.CompletionSec)
+		}
+		b = binary.AppendVarint(b, int64(f.Suspends))
 	}
 	for i := range r.Queues {
 		q := &r.Queues[i]
@@ -98,6 +108,21 @@ func AppendReport(b []byte, r *RunReport) []byte {
 	b = binary.AppendUvarint(b, uint64(len(r.Violations)))
 	for _, v := range r.Violations {
 		b = appendString(b, v)
+	}
+	b = appendBool(b, r.Trace != nil)
+	if tr := r.Trace; tr != nil {
+		b = binary.AppendUvarint(b, uint64(len(tr.T)))
+		for _, t := range tr.T {
+			//simlint:ignore unitsafety the encoding carries a time as its exact nanosecond count
+			b = binary.AppendVarint(b, int64(t))
+		}
+		b = binary.AppendUvarint(b, uint64(len(tr.V)))
+		for _, col := range tr.V {
+			b = binary.AppendUvarint(b, uint64(len(col)))
+			for _, v := range col {
+				b = appendFloat(b, v)
+			}
+		}
 	}
 	return b
 }
@@ -128,8 +153,8 @@ func appendIdentity(b []byte, r *RunReport) []byte {
 }
 
 // AppendSpec appends sp's encoding to b: every field of Spec, LinkSpec,
-// PathSpec, FlowSpec, TimelineEvent, LinkSetpoint and PathFlap in
-// declaration order. Lengths and presence come first, so the encoding is
+// PathSpec, FlowSpec, TimelineEvent, LinkSetpoint, PathFlap and TraceSpec
+// in declaration order. Lengths and presence come first, so the encoding is
 // prefix-free and distinct bytes mean distinct specs. A NaN or ±Inf is an
 // error.
 //
@@ -172,6 +197,9 @@ func AppendSpec(b []byte, sp *Spec) ([]byte, error) {
 		e.bool(f.KeepSlowStart)
 		e.float(f.MaxCwndPkts)
 		e.bool(f.NoIncreaseCap)
+		e.bool(f.Serial)
+		e.bool(f.DelayedAck)
+		e.bool(f.ProbeControl)
 	}
 	e.count(len(sp.Timeline))
 	for i := range sp.Timeline {
@@ -195,6 +223,13 @@ func AppendSpec(b []byte, sp *Spec) ([]byte, error) {
 	}
 	e.float(sp.ReverseRateMbps)
 	e.float(sp.ReverseDelayMs)
+	if e.bool(sp.Trace != nil) {
+		e.float(sp.Trace.PeriodMs)
+		e.count(len(sp.Trace.Probes))
+		for _, p := range sp.Trace.Probes {
+			e.str(p)
+		}
+	}
 	return e.b, e.err
 }
 
@@ -308,6 +343,14 @@ func DecodeReportInto(r *RunReport, data []byte) error {
 			s.Scheduler = d.str(s.Scheduler)
 			s.CompletionSec = d.float()
 		}
+		f.WindowBytes = d.varint()
+		f.CompletionSec = 0
+		if d.bool() {
+			if f.CompletionSec = d.float(); f.CompletionSec == 0 {
+				d.fail(errCanonical) // a zero completion is encoded as absent
+			}
+		}
+		f.Suspends = d.int()
 	}
 	for i := range r.Queues {
 		q := &r.Queues[i]
@@ -319,6 +362,26 @@ func DecodeReportInto(r *RunReport, data []byte) error {
 	r.Violations = reuse(r.Violations, d.count(minStringBytes))
 	for i := range r.Violations {
 		r.Violations[i] = d.str(r.Violations[i])
+	}
+	if !d.bool() {
+		r.Trace = nil
+	} else {
+		if r.Trace == nil {
+			r.Trace = new(TraceReport)
+		}
+		tr := r.Trace
+		tr.T = reuse(tr.T, d.count(minTimeBytes))
+		for i := range tr.T {
+			//simlint:ignore unitsafety the encoding carries a time as its exact nanosecond count
+			tr.T[i] = sim.Time(d.varint())
+		}
+		tr.V = reuse(tr.V, d.count(minColumnBytes))
+		for i := range tr.V {
+			tr.V[i] = reuse(tr.V[i], d.count(minFloatBytes))
+			for j := range tr.V[i] {
+				tr.V[i][j] = d.float()
+			}
+		}
 	}
 	if d.err == nil && len(d.b) != 0 {
 		d.err = errTrailing

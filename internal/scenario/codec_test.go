@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -315,7 +316,7 @@ func TestCodecIntegerRange(t *testing.T) {
 func realReports(t testing.TB) []*RunReport {
 	t.Helper()
 	var reps []*RunReport
-	for _, sp := range []*Spec{twoPathSpec(), schedStreamSpec("minrtt", 1)} {
+	for _, sp := range []*Spec{twoPathSpec(), schedStreamSpec("minrtt", 1), featureSpec()} {
 		rep, err := Run(context.Background(), sp)
 		if err != nil {
 			t.Fatalf("%s: %v", sp.Name, err)
@@ -351,8 +352,19 @@ func TestDecodeRejects(t *testing.T) {
 		t.Errorf("encoding plus one byte: %v, want %v", err, errTrailing)
 	}
 
+	// A completion time of 0 is encoded as absent, never as a present 0.
+	done := AppendReport(nil, &RunReport{Flows: []FlowReport{{CompletionSec: 1}}})
+	one := binary.LittleEndian.AppendUint64(nil, math.Float64bits(1))
+	at := bytes.Index(done, one)
+	for _, zero := range []float64{0, math.Copysign(0, -1)} {
+		bad := slices.Concat(done[:at], binary.LittleEndian.AppendUint64(nil, math.Float64bits(zero)), done[at+8:])
+		if _, err := decodeReport(bad); err != errCanonical {
+			t.Errorf("a present completion of %v: %v, want %v", zero, err, errCanonical)
+		}
+	}
+
 	// The same value, padded or out of range, is not the same encoding.
-	empty := []byte{0, 0, 0, 0, 0, 0} // Flows, Queues, Processed, Name, Seed, Violations
+	empty := []byte{0, 0, 0, 0, 0, 0, 0} // Flows, Queues, Processed, Name, Seed, Violations, Trace
 	if _, err := decodeReport(empty); err != nil {
 		t.Fatalf("the zero report: %v", err)
 	}
@@ -366,6 +378,9 @@ func TestDecodeRejects(t *testing.T) {
 		"flows past end":   {[]byte{1, 0, 0, 0, 0, 0}, errLength},
 		"name past end":    {[]byte{0, 0, 0, 7, 'x', 0, 0}, errLength},
 		"strings past end": {[]byte{0, 0, 0, 0, 0, 1}, errLength},
+		"trace bool of 2":  {[]byte{0, 0, 0, 0, 0, 0, 2}, errCanonical},
+		"samples past end": {[]byte{0, 0, 0, 0, 0, 0, 1, 2, 0}, errLength},
+		"column past end":  {[]byte{0, 0, 0, 0, 0, 0, 1, 0, 1, 1}, errLength},
 	} {
 		if _, err := decodeReport(tc.data); err != tc.want {
 			t.Errorf("%s: %v, want %v", name, err, tc.want)

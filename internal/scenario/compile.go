@@ -45,11 +45,6 @@ type Flow struct {
 	Srcs  []*tcp.Src
 	Sinks []*tcp.Sink
 
-	// Window holds, once Net.Run returns, the in-order bytes Sinks[i] took
-	// in over the measured window (all of them, for a flow added after the
-	// warm-up closed).
-	Window []int64
-
 	// AckTap counts ACKs delivered back to this flow's senders, for the
 	// conservation invariant.
 	AckTap *netem.Tap
@@ -60,24 +55,6 @@ func (f *Flow) GoodputBytes() int64 {
 	var total int64
 	for _, k := range f.Sinks {
 		total += k.GoodputBytes()
-	}
-	return total
-}
-
-// WindowBytes sums Window over the flow's paths.
-func (f *Flow) WindowBytes() int64 {
-	var total int64
-	for _, b := range f.Window {
-		total += b
-	}
-	return total
-}
-
-// GroupWindowBytes sums the measured-window bytes of a whole group.
-func GroupWindowBytes(group []*Flow) int64 {
-	var total int64
-	for _, f := range group {
-		total += f.WindowBytes()
 	}
 	return total
 }
@@ -132,10 +109,12 @@ type Net struct {
 	timeline  []TimelineEvent
 	pathFlows [][]pathRef
 	// traces lists the periodic observations Run arms, in registration
-	// order; running is set once Run starts, after which none may register
-	// and Run refuses to start again.
-	traces  []*Trace
-	running bool
+	// order, specTrace the one compiled from Spec.Trace, whose series the
+	// report carries; running is set once Run starts, after which none may
+	// register and Run refuses to start again.
+	traces    []*Trace
+	specTrace *Trace
+	running   bool
 }
 
 // NewNet starts an empty network on a fresh simulation, measured over
@@ -146,17 +125,6 @@ func NewNet(name string, seed int64, warmup, duration sim.Time) *Net {
 		Warmup: warmup, End: warmup + duration,
 		warmupSec: warmup.Sec(), durationSec: duration.Sec(),
 	}
-}
-
-// Group returns the replicas of the first Spec.Flows entry called name, or
-// nil when the spec lists no such group.
-func (n *Net) Group(name string) []*Flow {
-	for i := range n.Spec.Flows {
-		if n.Spec.Flows[i].Name == name {
-			return n.Groups[i]
-		}
-	}
-	return nil
 }
 
 // Compile validates the spec and builds its network. Element creation
@@ -214,16 +182,34 @@ func Compile(sp *Spec) (*Net, error) {
 			routes = append(routes, Route{DelayMs: sp.Paths[pi].DelayMs, Fwd: sp.Paths[pi].Links})
 		}
 		for r := 0; r < fs.count(); r++ {
-			at := sim.Seconds(fs.StartSec)
-			if fs.StartJitter {
-				at += sim.RandBelow(s.Rand(), startSpread)
+			var f *Flow
+			if fs.Serial && r > 0 {
+				// Wired now, started by its predecessor's completion.
+				f = n.newFlow(fmt.Sprintf("%s-%d", name, r), fs, routes)
+				n.startOnComplete(n.Groups[fi][r-1], f)
+			} else {
+				at := sim.Seconds(fs.StartSec)
+				if fs.StartJitter {
+					at += sim.RandBelow(s.Rand(), startSpread)
+				}
+				f = n.AddFlow(fmt.Sprintf("%s-%d", name, r), fs, routes, at)
 			}
-			f := n.AddFlow(fmt.Sprintf("%s-%d", name, r), fs, routes, at)
 			n.Groups[fi] = append(n.Groups[fi], f)
 			for i, pi := range fs.Paths {
 				n.pathFlows[pi] = append(n.pathFlows[pi], pathRef{flow: f, sub: i})
 			}
 		}
+	}
+	// Probe control is armed once every flow has started, group by group.
+	for fi := range sp.Flows {
+		if sp.Flows[fi].ProbeControl {
+			for _, f := range n.Groups[fi] {
+				f.Conn.EnableProbeControl()
+			}
+		}
+	}
+	if sp.Trace != nil {
+		n.specTrace = n.Trace(sim.Millis(sp.Trace.PeriodMs), n.probes(sp)...)
 	}
 	return n, nil
 }
@@ -347,16 +333,29 @@ func (n *Net) wire(f *Flow, r Route, src *tcp.Src, sink *tcp.Sink) {
 // AddFlow wires one flow and schedules its start at the absolute time
 // start, before Run or from an event while it runs. fs supplies the
 // transport — Algorithm, FlowBytes, Scheduler, ChunkBytes, KeepSlowStart,
-// MaxCwndPkts, NoIncreaseCap, StopSec, with the meanings and the
-// combinations Validate documents — and is not retained; its placement
-// fields (Paths, Count, StartSec, StartJitter) are Compile's and are not
-// read. routes gives one subflow each (exactly one for AlgoTCP).
+// MaxCwndPkts, NoIncreaseCap, DelayedAck, StopSec, with the meanings and
+// the combinations Validate documents — and is not retained; its placement
+// fields (Paths, Count, StartSec, StartJitter, Serial) and ProbeControl are
+// Compile's and are not read. routes gives one subflow each (exactly one for
+// AlgoTCP).
 //
 // Set-up allocates by design, once per flow and never per packet, also when
 // an arrival event is what calls it.
 //
 //simlint:cold
 func (n *Net) AddFlow(name string, fs *FlowSpec, routes []Route, start sim.Time) *Flow {
+	f := n.newFlow(name, fs, routes)
+	f.start(start)
+	if fs.StopSec > 0 {
+		n.Sim.Schedule(sim.Seconds(fs.StopSec), (*flowStop)(f))
+	}
+	return f
+}
+
+// newFlow wires one flow without starting it (see AddFlow).
+//
+//simlint:cold
+func (n *Net) newFlow(name string, fs *FlowSpec, routes []Route) *Flow {
 	f := &Flow{Name: name, Algorithm: fs.Algorithm, AckTap: &netem.Tap{}}
 	cfg := tcp.Config{
 		FlowBytes:     fs.FlowBytes,
@@ -373,7 +372,6 @@ func (n *Net) AddFlow(name string, fs *FlowSpec, routes []Route, start sim.Time)
 		src := tcp.NewSrc(n.Sim, 0, name, cfg)
 		sink := tcp.NewSink(n.Sim)
 		n.wire(f, routes[0], src, sink)
-		src.Start(start)
 		f.Srcs, f.Sinks = []*tcp.Src{src}, []*tcp.Sink{sink}
 	} else {
 		conn := mptcp.New(n.Sim, name, core.New(fs.Algorithm), cfg)
@@ -390,17 +388,41 @@ func (n *Net) AddFlow(name string, fs *FlowSpec, routes []Route, start sim.Time)
 				panic(err) // a compiled spec cannot get here: Validate vetted the name
 			}
 			f.Stream = mptcp.NewStreamSched(conn, fs.FlowBytes, fs.ChunkBytes, sched)
-			f.Stream.Start(start)
-		} else {
-			conn.Start(start)
 		}
 		f.Conn = conn
 	}
-	if fs.StopSec > 0 {
-		n.Sim.Schedule(sim.Seconds(fs.StopSec), (*flowStop)(f))
+	if fs.DelayedAck {
+		for _, k := range f.Sinks {
+			k.EnableDelayedAck()
+		}
 	}
 	n.Flows = append(n.Flows, f)
 	return f
+}
+
+// start schedules the flow's senders to start at the absolute time at.
+func (f *Flow) start(at sim.Time) {
+	switch {
+	case f.Stream != nil:
+		f.Stream.Start(at)
+	case f.Conn != nil:
+		f.Conn.Start(at)
+	default:
+		f.Srcs[0].Start(at)
+	}
+}
+
+// startOnComplete has next start the moment f's finite plain-TCP transfer
+// is fully acknowledged, or its scheduled stream fully delivered in order.
+//
+//simlint:cold
+func (n *Net) startOnComplete(f, next *Flow) {
+	s := n.Sim
+	if f.Stream != nil {
+		f.Stream.OnComplete = func(*mptcp.Stream) { next.start(s.Now()) }
+		return
+	}
+	f.Srcs[0].OnComplete = func(*tcp.Src) { next.start(s.Now()) }
 }
 
 // flowStop is a flow's FlowSpec.StopSec event: it pauses every sender
@@ -411,15 +433,4 @@ func (f *flowStop) RunEvent(sim.Time) {
 	for _, s := range f.Srcs {
 		s.Pause()
 	}
-}
-
-// OnComplete has fn called once with the transfer's duration when a finite
-// plain-TCP flow is fully acknowledged, or a scheduled stream fully
-// delivered in order.
-func (f *Flow) OnComplete(fn func(took sim.Time)) {
-	if f.Stream != nil {
-		f.Stream.OnComplete = func(st *mptcp.Stream) { fn(st.CompletionTime()) }
-		return
-	}
-	f.Srcs[0].OnComplete = func(s *tcp.Src) { fn(s.CompletionTime()) }
 }

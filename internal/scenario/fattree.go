@@ -78,9 +78,8 @@ type FatTree struct {
 	*Net
 	Cfg FatTreeConfig
 
-	// Long[h] is host h's long-lived flow, nil where h sends short flows;
-	// Short lists the arrival processes in host order.
-	Long  []*Flow
+	// Short lists the arrival processes in host order; the long-lived
+	// flows are the first of Net.Flows, in host order.
 	Short []*Arrivals
 }
 
@@ -95,7 +94,6 @@ func PaperFatTree(cfg FatTreeConfig, load FatTreeLoad, seed int64, warmup, durat
 	perm := derangement(rng, hosts)
 	long := &FlowSpec{Algorithm: load.Algorithm, KeepSlowStart: true}
 	short := &FlowSpec{Algorithm: AlgoTCP, FlowBytes: load.ShortBytes}
-	ft.Long = make([]*Flow, hosts)
 	for h := 0; h < hosts; h++ {
 		if load.ShortBytes == 0 || h%3 == 0 {
 			nsub := load.Subflows
@@ -103,7 +101,7 @@ func PaperFatTree(cfg FatTreeConfig, load FatTreeLoad, seed int64, warmup, durat
 				nsub = 1
 			}
 			routes := ft.pickRoutes(rng, h, perm[h], nsub)
-			ft.Long[h] = ft.AddFlow(fmt.Sprintf("h%d", h), long, routes,
+			ft.AddFlow(fmt.Sprintf("h%d", h), long, routes,
 				sim.RandBelow(rng, 100*sim.Millisecond))
 			continue
 		}

@@ -258,8 +258,8 @@ func TestFatTreeInvariantsHold(t *testing.T) {
 			if tc.load.ShortBytes > 0 && shorts == 0 {
 				t.Fatal("no short flow arrived")
 			}
-			if want := len(ft.Long) - len(ft.Short) + shorts; len(rep.Flows) != want {
-				t.Fatalf("%d flows reported, want %d long + %d short", len(rep.Flows), len(ft.Long)-len(ft.Short), shorts)
+			if want := ft.NumHosts() - len(ft.Short) + shorts; len(rep.Flows) != want {
+				t.Fatalf("%d flows reported, want %d long + %d short", len(rep.Flows), ft.NumHosts()-len(ft.Short), shorts)
 			}
 		})
 	}

@@ -42,6 +42,16 @@ type FlowReport struct {
 	// Stream reports the scheduled transfer, present only for flows with
 	// FlowSpec.Scheduler set.
 	Stream *StreamReport `json:"stream,omitempty"`
+	// WindowBytes is the in-order delivery over the measured window summed
+	// over the paths: the exact bytes PathMbps are the rates of.
+	WindowBytes int64 `json:"window_bytes"`
+	// CompletionSec is a finite plain-TCP flow's transfer duration, start
+	// to full acknowledgment; 0 until it completes. A scheduled stream's is
+	// Stream.CompletionSec.
+	CompletionSec float64 `json:"completion_sec,omitempty"`
+	// Suspends counts the probe-control suspensions of the flow's subflows
+	// (FlowSpec.ProbeControl).
+	Suspends int `json:"suspends,omitempty"`
 }
 
 // StreamReport is the end-of-run view of one scheduled finite transfer.
@@ -68,6 +78,24 @@ type RunReport struct {
 	Processed uint64        `json:"processed"`
 	// Violations lists every failed invariant, empty on a clean run.
 	Violations []string `json:"violations,omitempty"`
+	// Trace holds the series of Spec.Trace, nil without one.
+	Trace *TraceReport `json:"trace,omitempty"`
+}
+
+// Group returns the reports of the replicas of the first sp.Flows entry
+// called name, where r is a run of sp's compiled network: Compile adds
+// every replica of every group in listing order, so a group's reports sit
+// together, in sp's order. It is nil when sp lists no such group.
+func (r *RunReport) Group(sp *Spec, name string) []FlowReport {
+	at := 0
+	for i := range sp.Flows {
+		n := sp.Flows[i].count()
+		if sp.Flows[i].Name == name {
+			return r.Flows[at : at+n]
+		}
+		at += n
+	}
+	return nil
 }
 
 // Violate appends a formatted violation. It only runs when an invariant
@@ -90,8 +118,11 @@ type monitor struct {
 	prevCum   []int64
 	prevAcked []int64
 	maxLen    []int
-	// qBase holds each link's queue counters as the warm-up closed.
+	// qBase holds each link's queue counters as the warm-up closed, and
+	// base each sink's in-order bytes then, flattened over the flows that
+	// existed, which are a prefix of Net.Flows.
 	qBase []netem.Counters
+	base  []int64
 }
 
 func newMonitor(n *Net, r *RunReport) *monitor {
@@ -106,6 +137,7 @@ func newMonitor(n *Net, r *RunReport) *monitor {
 		prevAcked: make([]int64, nEnd),
 		maxLen:    make([]int, len(n.Links)),
 		qBase:     make([]netem.Counters, len(n.Links)),
+		base:      make([]int64, 0, nEnd),
 	}
 }
 
@@ -113,7 +145,8 @@ func newMonitor(n *Net, r *RunReport) *monitor {
 // bases the measured window is counted from (sim.Handler).
 type windowOpen monitor
 
-// RunEvent allocates each flow's Window, once per run.
+// RunEvent snaps every sink's base once per run: base has room for the
+// flows that existed when Run started and grows for any added since.
 //
 //simlint:cold
 func (w *windowOpen) RunEvent(sim.Time) {
@@ -121,9 +154,8 @@ func (w *windowOpen) RunEvent(sim.Time) {
 		w.qBase[i] = l.Queue.Stats()
 	}
 	for _, f := range w.net.Flows {
-		f.Window = make([]int64, len(f.Sinks))
-		for pi, k := range f.Sinks {
-			f.Window[pi] = k.GoodputBytes()
+		for _, k := range f.Sinks {
+			w.base = append(w.base, k.GoodputBytes())
 		}
 	}
 }
@@ -177,71 +209,6 @@ func (m *monitor) sample(now sim.Time) {
 	}
 }
 
-// Probe is one named observation a Trace samples.
-type Probe struct {
-	Name string
-	Fn   func() float64
-}
-
-// Trace is the sampled series of a set of probes: Net.Run samples every
-// probe at t = 0, period, 2·period, … up to Net.End. T is the shared time
-// column and V[i] the values of the probe called Names[i].
-type Trace struct {
-	Names []string
-	T     []sim.Time
-	V     [][]float64
-
-	net    *Net
-	period sim.Time
-	probes []Probe
-}
-
-// Trace registers probes to be sampled every period while n runs and
-// returns their series, filled in as Run advances. It panics on a
-// nonpositive period, and once Run has started: a trace is part of the run,
-// armed with it. Like the invariant monitor, sampling schedules its own
-// events but draws no randomness and touches no packet, so a traced run
-// reaches the untraced run's digest with one more processed event per
-// sample.
-func (n *Net) Trace(period sim.Time, probes ...Probe) *Trace {
-	if period <= 0 {
-		panic(fmt.Sprintf("scenario: trace period %v not positive", period))
-	}
-	if n.running {
-		panic("scenario: Trace after Run started")
-	}
-	samples := int(n.End.Nanos()/period.Nanos()) + 1
-	tr := &Trace{
-		Names: make([]string, len(probes)),
-		T:     make([]sim.Time, 0, samples),
-		V:     make([][]float64, len(probes)),
-
-		net:    n,
-		period: period,
-		probes: probes,
-	}
-	for i, p := range probes {
-		tr.Names[i] = p.Name
-		tr.V[i] = make([]float64, 0, samples)
-	}
-	n.traces = append(n.traces, tr)
-	return tr
-}
-
-// traceTick takes one sample of a Trace and re-arms while the next sample
-// falls inside the run (sim.Handler).
-type traceTick Trace
-
-func (tk *traceTick) RunEvent(now sim.Time) {
-	tk.T = append(tk.T, now)
-	for i, p := range tk.probes {
-		tk.V[i] = append(tk.V[i], p.Fn())
-	}
-	if now+tk.period <= tk.net.End {
-		tk.net.Sim.ScheduleAfter(tk.period, tk)
-	}
-}
-
 // Run compiles and executes the scenario; see Net.Run.
 func Run(ctx context.Context, sp *Spec) (*RunReport, error) {
 	n, err := Compile(sp)
@@ -265,9 +232,9 @@ func Run(ctx context.Context, sp *Spec) (*RunReport, error) {
 //
 // Violations are collected in the report rather than returned as errors so
 // a fuzzing run can report every broken invariant of a scenario at once.
-// Besides the report, the run leaves each flow's exact per-path byte counts
-// for the window in Flow.Window, for callers that do their own arithmetic,
-// and fills the series of every Trace registered before it started.
+// Besides the report, the run fills the series of every Trace registered
+// before it started; the report carries those of the one Spec.Trace
+// compiled to.
 //
 // Flows added while the simulation runs (AddFlow from an event, AddArrivals)
 // are sampled, reported and counted like the rest; one born after the
@@ -310,6 +277,7 @@ func (n *Net) Run(ctx context.Context) (*RunReport, error) {
 	secs := n.durationSec
 	r.Flows = make([]FlowReport, 0, len(n.Flows))
 	r.Queues = make([]QueueReport, 0, len(n.Links))
+	at := 0 // the next sink base in m.base
 	for _, f := range n.Flows {
 		fr := FlowReport{
 			Name:      f.Name,
@@ -317,18 +285,26 @@ func (n *Net) Run(ctx context.Context) (*RunReport, error) {
 			SentPkts:  f.SentPkts(),
 			PathMbps:  make([]float64, 0, len(f.Sinks)),
 		}
-		if f.Window == nil { // born after the snapshot: the base is zero
-			f.Window = make([]int64, len(f.Sinks))
-		}
-		for pi, k := range f.Sinks {
-			f.Window[pi] = k.GoodputBytes() - f.Window[pi]
-			mbps := stats.Mbps(f.Window[pi], secs)
+		for _, k := range f.Sinks {
+			win := k.GoodputBytes()
+			if at < len(m.base) { // a flow born after the snapshot has base zero
+				win -= m.base[at]
+				at++
+			}
+			mbps := stats.Mbps(win, secs)
 			fr.PathMbps = append(fr.PathMbps, mbps)
 			fr.GoodputMbps += mbps
 			fr.GoodputBytes += k.GoodputBytes()
+			fr.WindowBytes += win
 		}
-		for _, s := range f.Srcs {
+		for i, s := range f.Srcs {
 			fr.Timeouts += s.Stats().Timeouts
+			if f.Conn != nil {
+				fr.Suspends += f.Conn.SuspendCount(i)
+			}
+		}
+		if src := f.Srcs[0]; f.Conn == nil && src.Done() {
+			fr.CompletionSec = src.CompletionTime().Sec()
 		}
 		if f.Stream != nil {
 			sr := &StreamReport{
@@ -359,6 +335,9 @@ func (n *Net) Run(ctx context.Context) (*RunReport, error) {
 		r.Queues = append(r.Queues, qr)
 	}
 	r.Processed = n.Sim.Processed()
+	if tr := n.specTrace; tr != nil {
+		r.Trace = &TraceReport{T: tr.T, V: tr.V}
+	}
 
 	checkConservation(n, r)
 	checkCapacity(n, r)

@@ -122,6 +122,33 @@ type FlowSpec struct {
 	// from growing a window faster than Reno (RFC 6356 goal 2). Multipath
 	// flows only: the cap exists on the coupled hook alone.
 	NoIncreaseCap bool `json:"no_increase_cap,omitempty"`
+	// Serial starts the replicas one after another instead of together:
+	// replica 0 at StartSec, each later one when the one before it
+	// completes. Requires FlowBytes and a completion to wait for (plain TCP
+	// or a Scheduler), and rules out StartJitter, StopSec and ProbeControl.
+	Serial bool `json:"serial,omitempty"`
+	// DelayedAck turns on RFC 1122 delayed ACKs (at most every second
+	// segment, held at most 40 ms) at every receiver of the group.
+	DelayedAck bool `json:"delayed_ack,omitempty"`
+	// ProbeControl suspends a subflow whose window sits at the floor and
+	// re-probes it later (the paper's §VII bad-path suspension; see
+	// mptcp.Conn.EnableProbeControl). Multipath flows only.
+	ProbeControl bool `json:"probe_control,omitempty"`
+}
+
+// TraceSpec samples named quantities of the running network at a fixed
+// period; the series land in RunReport.Trace.
+type TraceSpec struct {
+	// PeriodMs is the sampling period: samples are taken at 0, PeriodMs,
+	// 2·PeriodMs, … up to the end of the run.
+	PeriodMs float64 `json:"period_ms"`
+	// Probes lists what is sampled, in column order, each written
+	// "<kind> <group> <replica> <path>": kind is cwnd (the congestion
+	// window, packets), srtt (the smoothed RTT, seconds), alpha or ell
+	// (OLIA's α and ℓ in bytes, OLIA flows only); group is the Name of a
+	// Flows entry, replica one of its Count copies and path an index into
+	// its Paths.
+	Probes []string `json:"probes"`
 }
 
 // Spec is a complete scenario: topology plus workload plus run window.
@@ -149,6 +176,9 @@ type Spec struct {
 	// 40 ms).
 	ReverseRateMbps float64 `json:"reverse_rate_mbps,omitempty"`
 	ReverseDelayMs  float64 `json:"reverse_delay_ms,omitempty"`
+
+	// Trace, when set, samples the probes it lists while the run advances.
+	Trace *TraceSpec `json:"trace,omitempty"`
 }
 
 // reverse-path defaults: the testbed's return direction is uncongested.
@@ -319,8 +349,24 @@ func (sp *Spec) Validate() error {
 				return fmt.Errorf("scenario %q: flow %d: scheduler flows cannot set a stop time", sp.Name, i)
 			}
 		}
+		if f.ProbeControl && f.Algorithm == AlgoTCP {
+			return fmt.Errorf("scenario %q: flow %d: plain TCP has no subflows to suspend", sp.Name, i)
+		}
+		if f.Serial {
+			switch {
+			case f.FlowBytes == 0:
+				return fmt.Errorf("scenario %q: flow %d: serial replicas need finite flow bytes", sp.Name, i)
+			case f.Algorithm != AlgoTCP && f.Scheduler == "":
+				return fmt.Errorf("scenario %q: flow %d: serial multipath replicas need a scheduler to complete", sp.Name, i)
+			case f.StartJitter || f.StopSec > 0 || f.ProbeControl:
+				return fmt.Errorf("scenario %q: flow %d: serial replicas start on completion, without jitter, stop time or probe control", sp.Name, i)
+			}
+		}
 	}
-	return sp.validateTimeline()
+	if err := sp.validateTimeline(); err != nil {
+		return err
+	}
+	return sp.validateTrace()
 }
 
 // count normalizes a FlowSpec's replica count.

@@ -10,6 +10,7 @@ import (
 
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/stats"
+	"mptcpsim/internal/tcp"
 )
 
 // twoPathSpec is a small valid scenario used across tests.
@@ -29,6 +30,23 @@ func twoPathSpec() *Spec {
 			{Name: "bg", Algorithm: AlgoTCP, Paths: []int{1}, Count: 2, StartSec: 0.2},
 		},
 	}
+}
+
+// featureSpec is twoPathSpec with every optional flow and trace field set:
+// the multipath user under probe control, delayed ACKs at every receiver, a
+// serial group of three finite transfers, and a trace with every probe
+// kind.
+func featureSpec() *Spec {
+	sp := twoPathSpec()
+	sp.Flows[0].ProbeControl = true
+	sp.Flows = append(sp.Flows, FlowSpec{Name: "xfer", Algorithm: AlgoTCP, Paths: []int{0},
+		Count: 3, FlowBytes: 60_000, Serial: true})
+	for i := range sp.Flows {
+		sp.Flows[i].DelayedAck = true
+	}
+	sp.Trace = &TraceSpec{PeriodMs: 100, Probes: []string{
+		"cwnd mp 0 0", "srtt mp 0 1", "alpha mp 0 0", "ell mp 0 1", "cwnd xfer 2 0", "srtt bg 1 0"}}
+	return sp
 }
 
 // TestSpecValidate locks every structural check with its message.
@@ -94,6 +112,58 @@ func TestSpecValidate(t *testing.T) {
 			sp.Flows[0].Scheduler = "ecf"
 			sp.Flows[0].ChunkBytes = 8192
 		}, ""},
+		{"every optional field", func(sp *Spec) { *sp = *featureSpec() }, ""},
+		{"probe control on tcp", func(sp *Spec) { sp.Flows[1].ProbeControl = true }, "no subflows to suspend"},
+		{"serial without flow bytes", func(sp *Spec) { sp.Flows[1].Serial = true }, "serial replicas need finite flow bytes"},
+		{"serial with jitter", func(sp *Spec) {
+			sp.Flows[1].Serial, sp.Flows[1].FlowBytes, sp.Flows[1].StartJitter = true, 1<<20, true
+		}, "without jitter"},
+		{"serial with stop", func(sp *Spec) {
+			sp.Flows[1].Serial, sp.Flows[1].FlowBytes, sp.Flows[1].StopSec = true, 1<<20, 1.5
+		}, "without jitter, stop time"},
+		{"serial multipath without scheduler", func(sp *Spec) {
+			sp.Flows[0].Serial, sp.Flows[0].FlowBytes = true, 1<<20
+		}, "need a scheduler to complete"},
+		{"serial with probe control", func(sp *Spec) {
+			sp.Flows[0].Serial, sp.Flows[0].FlowBytes, sp.Flows[0].Scheduler = true, 1<<20, "ecf"
+			sp.Flows[0].ProbeControl = true
+		}, "probe control"},
+		{"valid serial stream", func(sp *Spec) {
+			sp.Flows[0].Serial, sp.Flows[0].FlowBytes, sp.Flows[0].Scheduler, sp.Flows[0].Count = true, 1<<20, "ecf", 3
+		}, ""},
+		{"unknown probe kind", func(sp *Spec) {
+			sp.Trace = &TraceSpec{PeriodMs: 100, Probes: []string{"rate mp 0 0"}}
+		}, `unknown kind "rate"`},
+		{"malformed probe", func(sp *Spec) {
+			sp.Trace = &TraceSpec{PeriodMs: 100, Probes: []string{"cwnd mp 0"}}
+		}, "want \"<kind> <group> <replica> <path>\""},
+		{"probe of no group", func(sp *Spec) {
+			sp.Trace = &TraceSpec{PeriodMs: 100, Probes: []string{"cwnd nobody 0 0"}}
+		}, `no flow group "nobody"`},
+		{"probe replica out of range", func(sp *Spec) {
+			sp.Trace = &TraceSpec{PeriodMs: 100, Probes: []string{"cwnd bg 2 0"}}
+		}, `group "bg" has 2 replicas over 1 paths`},
+		{"probe path out of range", func(sp *Spec) {
+			sp.Trace = &TraceSpec{PeriodMs: 100, Probes: []string{"srtt mp 0 2"}}
+		}, `group "mp" has 1 replicas over 2 paths`},
+		{"negative probe index", func(sp *Spec) {
+			sp.Trace = &TraceSpec{PeriodMs: 100, Probes: []string{"cwnd mp -1 0"}}
+		}, "has 1 replicas"},
+		{"padded probe index", func(sp *Spec) {
+			sp.Trace = &TraceSpec{PeriodMs: 100, Probes: []string{"cwnd mp 0 01"}}
+		}, "has 1 replicas"},
+		{"alpha without α", func(sp *Spec) {
+			sp.Flows[0].Algorithm = "lia"
+			sp.Trace = &TraceSpec{PeriodMs: 100, Probes: []string{"alpha mp 0 0"}}
+		}, "lia flows have no α or ℓ"},
+		{"ell on tcp", func(sp *Spec) {
+			sp.Trace = &TraceSpec{PeriodMs: 100, Probes: []string{"ell bg 0 0"}}
+		}, "tcp flows have no α or ℓ"},
+		{"zero trace period", func(sp *Spec) { sp.Trace = &TraceSpec{Probes: []string{"cwnd mp 0 0"}} }, "trace period 0 ms outside"},
+		{"negative trace period", func(sp *Spec) { sp.Trace = &TraceSpec{PeriodMs: -250} }, "trace period -250 ms outside"},
+		{"sub-nanosecond trace period", func(sp *Spec) { sp.Trace = &TraceSpec{PeriodMs: 1e-7} }, "trace period 1e-07 ms outside"},
+		{"trace period past a run", func(sp *Spec) { sp.Trace = &TraceSpec{PeriodMs: 2e9} }, "trace period 2e+09 ms outside"},
+		{"trace of no probes", func(sp *Spec) { sp.Trace = &TraceSpec{PeriodMs: 1e9} }, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -148,6 +218,7 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		sp.Links[0].DelayMs, sp.Links[0].LossPct = 1, 0.5
 		sp.Flows[1].StopSec, sp.Flows[1].MaxCwndPkts = 1.5, 8
 		sp.Timeline = []TimelineEvent{{AtSec: 1, Link: &LinkSetpoint{Link: 0, RateMbps: 1, DelayMs: Float(5), LossPct: Float(1)}}}
+		sp.Trace = &TraceSpec{PeriodMs: 250, Probes: []string{"cwnd mp 0 0"}}
 		return sp
 	}
 	if err := full().Validate(); err != nil {
@@ -218,20 +289,18 @@ func TestRunMeasuresAndHoldsInvariants(t *testing.T) {
 	}
 }
 
-// TestNetRunWindowAndDelayedAcks drives a compiled Net the way the harness
-// does: mutate it (delayed ACKs, which break one-ACK-per-segment), run it,
-// and read the exact window bytes. Conservation must still hold, and
-// Flow.Window must agree with the report's rates.
+// TestNetRunWindowAndDelayedAcks runs a spec with delayed ACKs, which break
+// one-ACK-per-segment, and reads the exact window bytes from the report.
+// Conservation must still hold, WindowBytes must agree with the report's
+// rates, and RunReport.Group must find each group's replicas.
 func TestNetRunWindowAndDelayedAcks(t *testing.T) {
 	sp := twoPathSpec()
+	for i := range sp.Flows {
+		sp.Flows[i].DelayedAck = true
+	}
 	n, err := Compile(sp)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, f := range n.Flows {
-		for _, k := range f.Sinks {
-			k.EnableDelayedAck()
-		}
 	}
 	rep, err := n.Run(context.Background())
 	if err != nil {
@@ -245,15 +314,27 @@ func TestNetRunWindowAndDelayedAcks(t *testing.T) {
 		for _, k := range f.Sinks {
 			held += k.RecvPkts() - k.AckPkts()
 		}
-		if got := stats.Mbps(f.WindowBytes(), sp.DurationSec); math.Abs(got-rep.Flows[i].GoodputMbps) > 1e-9 {
-			t.Fatalf("flow %s: window bytes give %.6f Mb/s, report says %.6f", f.Name, got, rep.Flows[i].GoodputMbps)
+		fr := &rep.Flows[i]
+		if got := stats.Mbps(fr.WindowBytes, sp.DurationSec); math.Abs(got-fr.GoodputMbps) > 1e-9 {
+			t.Fatalf("flow %s: window bytes give %.6f Mb/s, report says %.6f", f.Name, got, fr.GoodputMbps)
+		}
+		if fr.WindowBytes <= 0 || fr.WindowBytes >= f.GoodputBytes() {
+			t.Fatalf("flow %s: %d window bytes of %d delivered since t=0", f.Name, fr.WindowBytes, f.GoodputBytes())
 		}
 	}
 	if held == 0 {
 		t.Fatal("delayed ACKs withheld nothing: the test does not exercise the identity's unacked term")
 	}
-	if got := GroupWindowBytes(n.Groups[1]); got != n.Groups[1][0].WindowBytes()+n.Groups[1][1].WindowBytes() {
-		t.Fatalf("group window bytes %d do not sum the replicas", got)
+	for gi := range sp.Flows {
+		g := rep.Group(sp, sp.Flows[gi].Name)
+		if len(g) != len(n.Groups[gi]) {
+			t.Fatalf("group %q: %d reports for %d replicas", sp.Flows[gi].Name, len(g), len(n.Groups[gi]))
+		}
+		for r, f := range n.Groups[gi] {
+			if g[r].Name != f.Name {
+				t.Fatalf("group %q replica %d: report of %s", sp.Flows[gi].Name, r, g[r].Name)
+			}
+		}
 	}
 }
 
@@ -392,5 +473,71 @@ func TestCheckCapacityFlagsOverrun(t *testing.T) {
 	checkCapacity(n, r)
 	if len(r.Violations) != 1 || !strings.Contains(r.Violations[0], "link 1") {
 		t.Fatalf("capacity overrun not flagged: %v", r.Violations)
+	}
+}
+
+// TestSerialStartsOnCompletion: a serial group is the chain of transfers
+// AddFlow starts by hand, each from its predecessor's completion: the same
+// traffic, event for event, with every completion time in the report.
+func TestSerialStartsOnCompletion(t *testing.T) {
+	sp := featureSpec()
+	sp.Trace = nil
+	rep := mustRun(t, sp)
+
+	bare := featureSpec()
+	bare.Trace = nil
+	xfer := bare.Flows[2]
+	bare.Flows = bare.Flows[:2]
+	n := mustCompile(t, bare)
+	route := []Route{{DelayMs: bare.Paths[0].DelayMs, Fwd: bare.Paths[0].Links}}
+	var took []float64
+	var start func(i int)
+	start = func(i int) {
+		if i == xfer.Count {
+			return
+		}
+		f := n.AddFlow(fmt.Sprintf("xfer-%d", i), &xfer, route, n.Sim.Now())
+		f.Srcs[0].OnComplete = func(s *tcp.Src) {
+			took = append(took, s.CompletionTime().Sec())
+			start(i + 1)
+		}
+	}
+	start(0)
+	byHand := runClean(t, n)
+
+	if rep.Digest() != byHand.Digest() {
+		t.Fatalf("the serial group digests %+v, the hand-chained transfers %+v", rep.Digest(), byHand.Digest())
+	}
+	group := rep.Group(sp, "xfer")
+	if len(took) != xfer.Count || len(group) != xfer.Count {
+		t.Fatalf("%d of %d hand-chained transfers completed, %d reported", len(took), xfer.Count, len(group))
+	}
+	for i := range group {
+		if group[i].CompletionSec != took[i] {
+			t.Errorf("transfer %d: reported %v s, completed in %v s", i, group[i].CompletionSec, took[i])
+		}
+	}
+}
+
+// TestProbeControlReportsSuspends: a multipath user whose second path is
+// crowded by eight TCP flows suspends it under probe control, and the
+// report counts the suspensions the connection made; without probe control
+// it counts none.
+func TestProbeControlReportsSuspends(t *testing.T) {
+	crowded := func(on bool) *Spec {
+		sp := twoPathSpec()
+		sp.DurationSec = 20
+		sp.Flows[1].Count = 8
+		sp.Flows[0].ProbeControl = on
+		return sp
+	}
+	n := mustCompile(t, crowded(true))
+	rep := runClean(t, n)
+	conn := n.Groups[0][0].Conn
+	if got, want := rep.Flows[0].Suspends, conn.SuspendCount(0)+conn.SuspendCount(1); got != want || got == 0 {
+		t.Fatalf("reported %d suspensions, the connection made %d; want the same, and some", got, want)
+	}
+	if off := mustRun(t, crowded(false)); off.Flows[0].Suspends != 0 || off.Digest() == rep.Digest() {
+		t.Fatalf("without probe control: %d suspensions, digest %+v", off.Flows[0].Suspends, off.Digest())
 	}
 }

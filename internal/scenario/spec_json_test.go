@@ -6,8 +6,9 @@ import (
 )
 
 // specJSONSeeds are the fuzz seeds: the four paper builders, steady_bulk's
-// shape (bench/workloads.go), a fault timeline, a scheduled stream, and the
-// longest path Validate lets through.
+// shape (bench/workloads.go), a fault timeline, a scheduled stream, the
+// longest path Validate lets through, and a spec that sets every optional
+// flow and trace field.
 func specJSONSeeds() []*Spec {
 	steady := &Spec{
 		Name: "steady_bulk", Seed: 1, WarmupSec: 5, DurationSec: 25,
@@ -38,7 +39,7 @@ func specJSONSeeds() []*Spec {
 		PaperScenarioB(2, 4, 4, "lia", true, 2, 1, 2),
 		PaperScenarioC(2, 2, 2, 1, "olia", 3, 1, 2),
 		PaperTwoLink(2, 1, 1, "olia", 4, 1, 2),
-		steady, timeline, stream, long,
+		steady, timeline, stream, long, featureSpec(),
 	}
 }
 

@@ -4,12 +4,13 @@ import (
 	"reflect"
 	"testing"
 
+	"mptcpsim/internal/core"
 	"mptcpsim/internal/sim"
 )
 
-// windowProbes samples the two subflow windows of the spec's "mp" user.
+// windowProbes samples the two subflow windows of the spec's first group.
 func windowProbes(n *Net) []Probe {
-	mp := n.Group("mp")[0].Conn
+	mp := n.Groups[0][0].Conn
 	return []Probe{
 		{Name: "w1", Fn: func() float64 { return mp.CwndPkts(0) }},
 		{Name: "w2", Fn: func() float64 { return mp.CwndPkts(1) }},
@@ -117,4 +118,39 @@ func TestTracePanics(t *testing.T) {
 	mustPanic("negative period", func() { n.Trace(-sim.Millisecond) })
 	runClean(t, n)
 	mustPanic("after Run", func() { n.Trace(sim.Millisecond) })
+}
+
+// TestSpecTrace: a Spec.Trace samples exactly what the same probes
+// registered by hand on the untraced spec's network sample, its series
+// travel in the report, and tracing moves no traffic.
+func TestSpecTrace(t *testing.T) {
+	sp := featureSpec()
+	rep := mustRun(t, sp)
+
+	bare := featureSpec()
+	bare.Trace = nil
+	n := mustCompile(t, bare)
+	mp, xfer, bg := n.Groups[0][0], n.Groups[2][2], n.Groups[1][1]
+	o := mp.Conn.Controller().(*core.OLIA)
+	hand := n.Trace(100*sim.Millisecond,
+		Probe{Name: "w1", Fn: mp.Srcs[0].CwndPkts},
+		Probe{Name: "rtt2", Fn: mp.Srcs[1].SRTT},
+		Probe{Name: "a1", Fn: func() float64 { return o.Alpha(0) }},
+		Probe{Name: "l2", Fn: func() float64 { return o.Ell(1) }},
+		Probe{Name: "x", Fn: xfer.Srcs[0].CwndPkts},
+		Probe{Name: "b", Fn: bg.Srcs[0].SRTT})
+	byHand := runClean(t, n)
+
+	if rep.Trace == nil || !reflect.DeepEqual(rep.Trace.T, hand.T) || !reflect.DeepEqual(rep.Trace.V, hand.V) {
+		t.Fatalf("the Spec.Trace series differ from the hand-registered probes'")
+	}
+	if want := int(n.End/(100*sim.Millisecond)) + 1; len(rep.Trace.T) != want || len(rep.Trace.V) != len(sp.Trace.Probes) {
+		t.Fatalf("%d samples of %d probes, want %d of %d", len(rep.Trace.T), len(rep.Trace.V), want, len(sp.Trace.Probes))
+	}
+	if rep.Digest() != byHand.Digest() {
+		t.Fatalf("a Spec.Trace run digests %+v, the hand-traced one %+v", rep.Digest(), byHand.Digest())
+	}
+	if untraced := mustRun(t, bare); untraced.Trace != nil || untraced.Digest().Traffic != rep.Digest().Traffic {
+		t.Fatal("an untraced run carries a trace, or tracing moved the traffic")
+	}
 }

@@ -190,6 +190,10 @@ func (t *Src) Name() string { return t.name }
 // CwndPkts reports the congestion window in packets.
 func (t *Src) CwndPkts() float64 { return t.cwnd / netem.MSS }
 
+// EffCwndPkts reports the window the sender may actually fill, in packets:
+// CwndPkts capped by Config.MaxCwndPkts.
+func (t *Src) EffCwndPkts() float64 { return t.effCwnd() / netem.MSS }
+
 // SRTT reports the smoothed RTT estimate in seconds (0 until first sample).
 func (t *Src) SRTT() float64 { return t.srtt / sim.Second.Nanos() }
 
