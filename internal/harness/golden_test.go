@@ -40,7 +40,8 @@ func goldenConfig() Config {
 
 // TestGoldenText locks the rendered text of every registered experiment
 // byte-for-byte, and its RenderJSON and RenderCSV bytes by their SHA-256
-// in testdata/machine.sum; it also checks that the JSON and CSV parse. The
+// in testdata/machine.sum; it also checks that the JSON and CSV parse, and
+// evaluates the experiment's goldenClaims on the same Result. The
 // committed files under testdata/golden were generated from the
 // pre-Collect/Render-split implementation, so a passing run proves the
 // structured-result refactor changed no output bytes. Regenerate both with
@@ -68,6 +69,9 @@ func TestGoldenText(t *testing.T) {
 				t.Fatalf("%s: %v", e.ID, err)
 			}
 			checkMachineFormats(t, r, sums)
+			if claims := goldenClaims[e.ID]; claims != nil {
+				claims(t, r)
+			}
 			path := filepath.Join("testdata", "golden", e.ID+".txt")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
