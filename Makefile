@@ -94,8 +94,8 @@ lint:
 # and bench/ (engines fold and count progress in one runner.Stream's emit);
 # no rand.New( or rand.NewSource( in non-test Go outside internal/sim and
 # lint testdata (every generator is sim.NewRand: math/rand's stream, seeded
-# in O(1)); internal/harness imports none of internal/tcp and internal/netem (flows
-# are wired by scenario.Net.AddFlow) nor the deleted internal/topo and
+# in O(1)); internal/harness imports none of internal/tcp and internal/netem (its
+# networks are scenario.Specs, wired by Compile) nor the deleted internal/topo and
 # internal/workload; no Deprecated: marker exists outside lint testdata;
 # and no bench*.json is tracked except BENCHMARK.json (results go to the
 # ignored bench/out/). The module cross-builds for windows/amd64,
@@ -113,8 +113,9 @@ lint:
 # internal/fluid and internal/scenario/fluid.go (scenario.Fluid compiles
 # the model from a Spec), so no network is described a second time by hand.
 # Generators go back only from their owners: no sim.FreeRand( in non-test
-# Go outside internal/sim, the campaign sampler (internal/campaign/sample.go)
-# and the scenario fuzzer (internal/scenario/fuzz.go), and no ReleaseRand(
+# Go outside internal/sim, the campaign sampler (internal/campaign/sample.go),
+# the scenario fuzzer (internal/scenario/fuzz.go) and the fat-tree builder
+# (internal/scenario/fattree.go), and no ReleaseRand(
 # outside internal/sim and internal/scenario/run.go (Net.Run defers it), so
 # nothing hands back a generator another holder still draws from; the
 # kernel's heap and free-list arrays go back with it. Packet slabs and
@@ -125,11 +126,9 @@ lint:
 # network can still use it.
 # One place a harness network runs: no .Run(ctx in non-test internal/harness
 # Go outside collect.go, which compiles, runs, checks and reads every job.
-# A harness network is a Spec and a reading reads the report: no Build: or
-# .Build = in non-test internal/harness Go outside datacenter.go (the fat
-# trees, the one network a Spec cannot describe), no *scenario.Net outside
-# collect.go and datacenter.go, and no scenario.Probe{ in non-test Go
-# outside internal/scenario (a trace is a scenario.TraceSpec).
+# A reading reads the report: no *scenario.Net in non-test internal/harness
+# Go outside collect.go, and no scenario.Probe{ in non-test Go outside
+# internal/scenario (a trace is a scenario.TraceSpec).
 guard:
 	@if git grep -n 'RunUntil(' -- '*.go' ':!*_test.go' ':!internal/sim/' ':!internal/scenario/' ':!bench/'; then \
 		echo "raw Sim.RunUntil above the scenario layer: build a scenario.Net and call its Run"; exit 1; \
@@ -150,7 +149,7 @@ guard:
 		echo "a generator built outside internal/sim: draw from sim.NewRand"; exit 1; \
 	fi
 	@$(GO) list -f '{{.ImportPath}} {{join .Imports " "}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./internal/harness | \
-	awk '{ for (i = 2; i <= NF; i++) if ($$i ~ /^mptcpsim\/internal\/(tcp|netem|topo|workload)$$/) { print $$1 " imports " $$i ": wire flows with scenario.Net.AddFlow instead"; bad = 1 } } END { exit bad }'
+	awk '{ for (i = 2; i <= NF; i++) if ($$i ~ /^mptcpsim\/internal\/(tcp|netem|topo|workload)$$/) { print $$1 " imports " $$i ": describe the network as a scenario.Spec instead"; bad = 1 } } END { exit bad }'
 	@if grep -rn 'Deprecated:' --include='*.go' . | grep -v '/internal/lint/.*/testdata/'; then \
 		echo "Deprecated: markers found — delete the old path instead of keeping it"; exit 1; \
 	fi
@@ -173,8 +172,8 @@ guard:
 	@if git grep -n 'fluid\.NewModel(' -- '*.go' ':!*_test.go' ':!internal/fluid/' ':!internal/scenario/fluid.go'; then \
 		echo "one fluid compiler: build the fluid model with scenario.Fluid from a Spec"; exit 1; \
 	fi
-	@if git grep -n 'FreeRand(' -- '*.go' ':!*_test.go' ':!internal/sim/' ':!internal/campaign/sample.go' ':!internal/scenario/fuzz.go'; then \
-		echo "a generator goes back only from its owner: sim.FreeRand in the campaign sampler and the scenario fuzzer"; exit 1; \
+	@if git grep -n 'FreeRand(' -- '*.go' ':!*_test.go' ':!internal/sim/' ':!internal/campaign/sample.go' ':!internal/scenario/fuzz.go' ':!internal/scenario/fattree.go'; then \
+		echo "a generator goes back only from its owner: sim.FreeRand in the campaign sampler, the scenario fuzzer and the fat-tree builder"; exit 1; \
 	fi
 	@if git grep -n 'ReleaseRand(' -- '*.go' ':!*_test.go' ':!internal/sim/' ':!internal/scenario/run.go'; then \
 		echo "a run's generator goes back only where scenario.Net.Run ends"; exit 1; \
@@ -185,10 +184,7 @@ guard:
 	@if git grep -n '\.Run(ctx' -- 'internal/harness/*.go' ':!*_test.go' ':!internal/harness/collect.go'; then \
 		echo "a harness network runs in one place: collect compiles, runs and reads every job"; exit 1; \
 	fi
-	@if git grep -nE 'Build:|\.Build =([^=]|$$)' -- 'internal/harness/*.go' ':!*_test.go' ':!internal/harness/datacenter.go'; then \
-		echo "a harness network is a Spec: only the fat trees (datacenter.go) are built in code"; exit 1; \
-	fi
-	@if git grep -nF '*scenario.Net' -- 'internal/harness/*.go' ':!*_test.go' ':!internal/harness/collect.go' ':!internal/harness/datacenter.go'; then \
+	@if git grep -nF '*scenario.Net' -- 'internal/harness/*.go' ':!*_test.go' ':!internal/harness/collect.go'; then \
 		echo "a harness reading reads the RunReport, not the network"; exit 1; \
 	fi
 	@if git grep -nF 'scenario.Probe{' -- '*.go' ':!*_test.go' ':!internal/scenario/'; then \

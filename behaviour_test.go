@@ -25,18 +25,16 @@ var updateLock = flag.Bool("update", false, "rewrite behaviour.lock from this ru
 const lockHeader = `# behaviour.lock: the simulator's behaviour on a fixed canary set, one line
 # per canary: name, events processed, then 12-hex prefixes of the run's
 # Digest.Traffic (the SHA-256 of its report's identity section) and of the
-# SHA-256 of the canary's scenario.AppendSpec encoding ("-" for a network
-# built in code). Version() hashes this file with api.txt, so a change that
+# SHA-256 of the canary's scenario.AppendSpec encoding. Version() hashes
+# this file with api.txt, so a change that
 # moves any line is a new version and misses every cache entry the old one
 # filled. Regenerate with "make lock" and explain the delta.
 `
 
-// behaviourCanary is one locked run: a Spec to compile, or a network built
-// in code.
+// behaviourCanary is one locked run: a Spec to compile.
 type behaviourCanary struct {
-	name  string
-	spec  *scenario.Spec
-	build func() *scenario.Net
+	name string
+	spec *scenario.Spec
 }
 
 // behaviourCanaries is the fixed canary set, each at most 10 simulated
@@ -91,12 +89,11 @@ func behaviourCanaries() []behaviourCanary {
 	spec(scenario.PaperScenarioC(2, 3, 2, 2, "olia", 3, 1, 5))
 	spec(scenario.PaperTwoLink(10, 2, 3, "olia", 4, 1, 5))
 
-	out = append(out, behaviourCanary{name: "fattree/k4", build: func() *scenario.Net {
-		return scenario.PaperFatTree(scenario.FatTreeConfig{K: 4, Oversubscription: 4},
-			scenario.FatTreeLoad{Algorithm: "olia", Subflows: 2,
-				ShortBytes: 70_000, ShortGap: 100 * sim.Millisecond, Drain: 500 * sim.Millisecond},
-			11, 250*sim.Millisecond, 1500*sim.Millisecond).Net
-	}})
+	out = append(out, behaviourCanary{name: "fattree/k4", spec: scenario.PaperFatTree(
+		scenario.FatTreeConfig{K: 4, Oversubscription: 4},
+		scenario.FatTreeLoad{Algorithm: "olia", Subflows: 2,
+			ShortBytes: 70_000, ShortGap: 100 * sim.Millisecond, Drain: 500 * sim.Millisecond},
+		11, 250*sim.Millisecond, 1500*sim.Millisecond)})
 
 	spec(&scenario.Spec{
 		Name: "lossy-stream", Seed: 9, WarmupSec: 0.5, DurationSec: 6,
@@ -123,22 +120,12 @@ func behaviourCanaries() []behaviourCanary {
 
 // lockLine runs one canary and formats its behaviour.lock line.
 func lockLine(c behaviourCanary) (string, error) {
-	specHash := "-"
-	var n *scenario.Net
-	if c.spec != nil {
-		enc, err := scenario.AppendSpec(nil, c.spec)
-		if err != nil {
-			return "", err
-		}
-		sum := sha256.Sum256(enc)
-		specHash = hex.EncodeToString(sum[:6])
-		if n, err = scenario.Compile(c.spec); err != nil {
-			return "", err
-		}
-	} else {
-		n = c.build()
+	enc, err := scenario.AppendSpec(nil, c.spec)
+	if err != nil {
+		return "", err
 	}
-	rep, err := n.Run(context.Background())
+	sum := sha256.Sum256(enc)
+	rep, err := scenario.Run(context.Background(), c.spec)
 	if err != nil {
 		return "", err
 	}
@@ -146,7 +133,7 @@ func lockLine(c behaviourCanary) (string, error) {
 		return "", fmt.Errorf("%s: invariant violations: %v", c.name, rep.Violations)
 	}
 	d := rep.Digest()
-	return fmt.Sprintf("%s %d %s %s", c.name, d.Processed, hex.EncodeToString(d.Traffic[:6]), specHash), nil
+	return fmt.Sprintf("%s %d %s %s", c.name, d.Processed, hex.EncodeToString(d.Traffic[:6]), hex.EncodeToString(sum[:6])), nil
 }
 
 // TestBehaviourLock runs every canary and compares the result with the

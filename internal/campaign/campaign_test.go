@@ -298,7 +298,7 @@ func TestCacheKey(t *testing.T) {
 			{AtSec: 2, Path: &scenario.PathFlap{Path: 0, Up: true}},
 		},
 	}
-	const want = "cfba55785baec460466272ae5e4ff403b3ec67ea0576d85122b130881fdea86c"
+	const want = "d0fff6e2db83476dcf54f235e54e95994e18ec1fb70af81c666c51a9bce9bfc1"
 	if got, err := CacheKey("v1", pinned); err != nil || got != want {
 		t.Errorf("pinned key = %s, %v; want %s", got, err, want)
 	}

@@ -14,15 +14,12 @@ import (
 // collect runs them all in one stream, and each fold merges the readings in
 // canonical order, so the rendered bytes are identical for any worker count.
 
-// Job is one network of a plan and the reader of its run. The network is
-// Spec, which collect compiles, or, when Build is set, what Build returns:
-// the fat tree, which a Spec cannot describe. Read stores the job's typed
-// metrics from the finished run's report and must not change it: a Spec
-// job's run may be read by several jobs, while a Build job's never is.
+// Job is one network of a plan and the reader of its run: collect compiles
+// Spec, and Read stores the job's typed metrics from the finished run's
+// report. Read must not change the report, which several jobs may read.
 type Job struct {
-	Spec  *scenario.Spec
-	Build func() *scenario.Net
-	Read  func(rep *scenario.RunReport)
+	Spec *scenario.Spec
+	Read func(rep *scenario.RunReport)
 }
 
 // compile builds a testbed network from its spec. The specs come from the
@@ -48,9 +45,9 @@ func compile(sp *scenario.Spec) *scenario.Net {
 // each, then job 1 of each, …) so that one experiment's long jobs start
 // early instead of queueing behind every job listed before them (dealt in
 // listing order, paper_tables' three long table3 jobs made two workers
-// finish about 10 % later). The first Spec job dealt with an AppendSpec
+// finish about 10 % later). The first job dealt with an AppendSpec
 // encoding owns its index; every later one with that encoding reads the
-// same run, on the same worker, in listing order. A Build job never shares.
+// same run, on the same worker, in listing order.
 //
 // An invariant violation on a registry network is a harness bug and panics
 // inside the job. The first failure ends the settling, not the jobs: later
@@ -87,15 +84,13 @@ func collect(ctx context.Context, cfg Config, exps []*Experiment, progress func(
 		for i := range plans {
 			if j < len(at[i]) {
 				k := total
-				if job := plans[i].Jobs[j]; job.Build == nil {
-					var kerr error
-					// A Spec that does not encode runs alone and fails to compile there.
-					if key, kerr = scenario.AppendSpec(key[:0], job.Spec); kerr == nil {
-						if o, ok := owner[string(key)]; ok {
-							k = o
-						} else {
-							owner[string(key)] = k
-						}
+				var kerr error
+				// A Spec that does not encode runs alone and fails to compile there.
+				if key, kerr = scenario.AppendSpec(key[:0], plans[i].Jobs[j].Spec); kerr == nil {
+					if o, ok := owner[string(key)]; ok {
+						k = o
+					} else {
+						owner[string(key)] = k
 					}
 				}
 				if at[i][j] = k; k == total {
@@ -135,13 +130,7 @@ func collect(ctx context.Context, cfg Config, exps []*Experiment, progress func(
 	settle() // closed-form experiments at the head of the list wait for nothing
 	done := 0
 	streamErr := runner.Stream(ctx, runner.New(cfg.Workers), total, func(k int) struct{} {
-		first := plans[readers[k][0].exp].Jobs[readers[k][0].job]
-		var n *scenario.Net
-		if first.Build != nil {
-			n = first.Build()
-		} else {
-			n = compile(first.Spec)
-		}
+		n := compile(plans[readers[k][0].exp].Jobs[readers[k][0].job].Spec)
 		rep, runErr := n.Run(ctx)
 		if runErr != nil {
 			return struct{}{} // cancelled mid-run: nothing is read or settled

@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 
 	"mptcpsim/internal/scenario"
 	"mptcpsim/internal/sim"
@@ -19,21 +21,16 @@ func dcThroughput(algo string, nsub int) network {
 		if nsub == 0 {
 			load.Subflows = cfg.Subflows[len(cfg.Subflows)-1]
 		}
-		var ft *scenario.FatTree
-		return Job{
-			Build: func() *scenario.Net {
-				ft = scenario.PaperFatTree(scenario.FatTreeConfig{K: cfg.FatTreeK}, load, seed, cfg.DCWarmup, cfg.DCDuration)
-				return ft.Net
-			},
-			Read: func(rep *scenario.RunReport) {
-				// Every host sends one long flow, so the report is theirs.
-				secs := cfg.DCDuration.Sec()
-				*out = make([]float64, len(rep.Flows))
-				for i := range rep.Flows {
-					(*out)[i] = stats.Mbps(rep.Flows[i].WindowBytes, secs) / ft.Cfg.RateMbps * 100
-				}
-			},
-		}
+		sp := scenario.PaperFatTree(scenario.FatTreeConfig{K: cfg.FatTreeK}, load, seed, cfg.DCWarmup, cfg.DCDuration)
+		return Job{Spec: sp, Read: func(rep *scenario.RunReport) {
+			// Every host sends one long flow, so the report is theirs; a
+			// host's first link runs at the line rate.
+			secs, rate := cfg.DCDuration.Sec(), sp.Links[0].RateMbps
+			*out = make([]float64, len(rep.Flows))
+			for i := range rep.Flows {
+				(*out)[i] = stats.Mbps(rep.Flows[i].WindowBytes, secs) / rate * 100
+			}
+		}}
 	}
 }
 
@@ -125,31 +122,44 @@ var fig13b = func() *table {
 func dcShortFlows(algo string) network {
 	const drain = 2 * sim.Second
 	return func(cfg Config, seed int64, out *[]float64) Job {
-		var ft *scenario.FatTree
-		return Job{
-			Build: func() *scenario.Net {
-				ft = scenario.PaperFatTree(scenario.FatTreeConfig{K: cfg.FatTreeK, Oversubscription: 4},
-					scenario.FatTreeLoad{
-						Algorithm: algo, Subflows: cfg.Subflows[len(cfg.Subflows)-1],
-						ShortBytes: 70_000, ShortGap: 200 * sim.Millisecond, Drain: drain,
-					}, seed, cfg.DCWarmup, cfg.DCDuration+drain)
-				return ft.Net
-			},
-			Read: func(rep *scenario.RunReport) {
-				core := ft.CoreLinks()
-				var coreBytes int64
-				for _, l := range core {
-					coreBytes += rep.Queues[l].Window.SentBytes
-				}
-				secs := (cfg.DCDuration + drain).Sec()
-				capacity := float64(len(core)) * (ft.Cfg.RateMbps * 1e6) / 8 * secs
-				*out = append(*out, float64(coreBytes)/capacity*100)
-				for _, g := range ft.Short {
-					*out = append(*out, g.Done...)
-				}
-			},
+		sp := scenario.PaperFatTree(scenario.FatTreeConfig{K: cfg.FatTreeK, Oversubscription: 4},
+			scenario.FatTreeLoad{
+				Algorithm: algo, Subflows: cfg.Subflows[len(cfg.Subflows)-1],
+				ShortBytes: 70_000, ShortGap: 200 * sim.Millisecond, Drain: drain,
+			}, seed, cfg.DCWarmup, cfg.DCDuration+drain)
+		return Job{Spec: sp, Read: func(rep *scenario.RunReport) {
+			core := scenario.FatTreeConfig{K: cfg.FatTreeK}.CoreLinks()
+			var coreBytes int64
+			for _, l := range core {
+				coreBytes += rep.Queues[l].Window.SentBytes
+			}
+			secs := (cfg.DCDuration + drain).Sec()
+			capacity := float64(len(core)) * (sp.Links[core[0]].RateMbps * 1e6) / 8 * secs
+			*out = append(*out, float64(coreBytes)/capacity*100)
+			*out = shortCompletions(*out, sp, rep)
+		}}
+	}
+}
+
+// shortCompletions appends the completion time (s) of every finished short
+// flow of the fat tree sp ran as rep, pooled per sending host in host order
+// and, within a host, in completion order. A short flow's one path is its
+// host's, and paths come in host order.
+func shortCompletions(out []float64, sp *scenario.Spec, rep *scenario.RunReport) []float64 {
+	done := make([]int, 0, len(rep.Flows))
+	for i := range rep.Flows {
+		if sp.Flows[i].FlowBytes > 0 && rep.Flows[i].CompletionSec > 0 {
+			done = append(done, i)
 		}
 	}
+	end := func(i int) float64 { return sp.Flows[i].StartSec + rep.Flows[i].CompletionSec }
+	slices.SortStableFunc(done, func(a, b int) int {
+		return cmp.Or(cmp.Compare(sp.Flows[a].Paths[0], sp.Flows[b].Paths[0]), cmp.Compare(end(a), end(b)))
+	})
+	for _, i := range done {
+		out = append(out, rep.Flows[i].CompletionSec)
+	}
+	return out
 }
 
 // dcShortRows are the §VI-B2 comparison set, in table order.

@@ -14,8 +14,8 @@ import (
 )
 
 // registerPanicProbe installs the zz-panic test experiment: a seeded table
-// whose row 2 panics building its network while the others run and read
-// normally.
+// of networks of their own, whose row 2 panics reading its run while the
+// others run and read normally.
 func registerPanicProbe() {
 	if Get("zz-panic") != nil {
 		return
@@ -25,12 +25,12 @@ func registerPanicProbe() {
 	}}
 	for p := 0; p < 4; p++ {
 		probe.rows = append(probe.rows, row{run: func(_ Config, seed int64, out *[]float64) Job {
-			return Job{Build: func() *scenario.Net {
+			return Job{Spec: shortSpec(seed + 100*int64(p)), Read: func(*scenario.RunReport) {
 				if p == 2 {
 					panic("simulated job crash")
 				}
-				return compile(shortSpec(seed))
-			}, Read: func(*scenario.RunReport) { *out = []float64{float64(p)} }}
+				*out = []float64{float64(p)}
+			}}
 		}})
 	}
 	registerTable("zz-panic", "test", "crashing table probe", probe)

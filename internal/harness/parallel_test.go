@@ -120,11 +120,11 @@ func TestRunAllStreamsProgressively(t *testing.T) {
 				return Job{Spec: shortSpec(1), Read: func(*scenario.RunReport) {}}
 			}}},
 		})
-		// A Build job, so that b's reading does not share a's run.
+		// Another seed, so that b's reading does not share a's run.
 		registerTable("zz-stream-b", "test", "streaming probe b", &table{
 			preamble: []string{"b-output"},
 			rows: []row{{run: func(_ Config, _ int64, flushed *[]float64) Job {
-				return Job{Build: func() *scenario.Net { return compile(shortSpec(1)) }, Read: func(*scenario.RunReport) {
+				return Job{Spec: shortSpec(2), Read: func(*scenario.RunReport) {
 					select {
 					case <-streamTestGate:
 						*flushed = []float64{1}

@@ -180,6 +180,9 @@ func AppendSpec(b []byte, sp *Spec) ([]byte, error) {
 		p := &sp.Paths[i]
 		e.ints(p.Links)
 		e.float(p.DelayMs)
+		if e.bool(p.Rev != nil) {
+			e.ints(p.Rev)
+		}
 	}
 	e.count(len(sp.Flows))
 	for i := range sp.Flows {

@@ -268,6 +268,26 @@ func TestAppendSpecCoversEveryField(t *testing.T) {
 	}
 }
 
+// TestAppendSpecRevPresence: a path without a reverse route, one with an
+// empty one (which Validate rejects) and one with a route each encode
+// differently, so the shared return link and a route of the path's own
+// never share a cache entry.
+func TestAppendSpecRevPresence(t *testing.T) {
+	seen := map[string][]int{}
+	for _, rev := range [][]int{nil, {}, {0}, {1}, {0, 1}} {
+		sp := twoPathSpec()
+		sp.Paths[0].Rev = rev
+		b, err := AppendSpec(nil, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev, ok := seen[string(b)]; ok {
+			t.Errorf("reverse routes %#v and %#v encode alike", prev, rev)
+		}
+		seen[string(b)] = rev
+	}
+}
+
 func TestCodecFloatBits(t *testing.T) {
 	patterns := []uint64{
 		math.Float64bits(math.NaN()),

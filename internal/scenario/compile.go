@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 
 	"mptcpsim/internal/core"
 	"mptcpsim/internal/mptcp"
@@ -70,15 +71,12 @@ func (f *Flow) SentPkts() int64 {
 }
 
 // Net is a live network: the simulation plus handles to every element the
-// runtime measures. It has two front-ends. Compile builds one from a
-// declarative Spec; NewNet, AddLink, AddFlow and AddArrivals build one in
-// code, for a network a Spec cannot describe (the fat tree, fattree.go) or a
-// flow that joins while the simulation runs. Compile is written in the
-// second, so both run, and are checked, the same way (Net.Run).
+// runtime measures. Compile builds one from a Spec, through newNet, addLink
+// and addFlow; its set of flows is fixed once Run starts.
 type Net struct {
 	Name string
 	Seed int64
-	// Spec is what Compile built the network from; nil for one built in code.
+	// Spec is what Compile built the network from; tests build bare ones.
 	Spec *Spec
 	Sim  *sim.Sim
 
@@ -90,13 +88,13 @@ type Net struct {
 	warmupSec, durationSec float64
 
 	Links []*CompiledLink
-	// Flows lists every flow in creation order, those added mid-run
-	// included; Groups indexes a compiled network's by Spec.Flows entry.
+	// Flows lists every flow in creation order; Groups indexes them by
+	// Spec.Flows entry.
 	Flows  []*Flow
 	Groups [][]*Flow
 
-	// Rev is the return link shared by every flow whose Route names no
-	// reverse links (nil when the network has none).
+	// Rev is the return link shared by every path with no PathSpec.Rev;
+	// nil when every path has one.
 	Rev *netem.Link
 	// pipes holds the network's one pipe per distinct constant delay, which
 	// carries every hop of that delay: link, reverse link and access hops
@@ -110,16 +108,16 @@ type Net struct {
 	pathFlows [][]pathRef
 	// traces lists the periodic observations Run arms, in registration
 	// order, specTrace the one compiled from Spec.Trace, whose series the
-	// report carries; running is set once Run starts, after which none may
-	// register and Run refuses to start again.
+	// report carries; running is set once Run starts, after which no trace
+	// or flow may be added and Run refuses to start again.
 	traces    []*Trace
 	specTrace *Trace
 	running   bool
 }
 
-// NewNet starts an empty network on a fresh simulation, measured over
+// newNet starts an empty network on a fresh simulation, measured over
 // [warmup, warmup+duration].
-func NewNet(name string, seed int64, warmup, duration sim.Time) *Net {
+func newNet(name string, seed int64, warmup, duration sim.Time) *Net {
 	return &Net{
 		Name: name, Seed: seed, Sim: sim.New(seed),
 		Warmup: warmup, End: warmup + duration,
@@ -128,15 +126,15 @@ func NewNet(name string, seed int64, warmup, duration sim.Time) *Net {
 }
 
 // Compile validates the spec and builds its network. Element creation
-// order is part of the contract — links first, then the reverse link, then
-// flows in listing order, each replica drawing its start jitter as it is
+// order is part of the contract — links first, then the shared reverse
+// link if a path uses it, then flows in listing order, each replica drawing its start jitter as it is
 // created — because it fixes how a spec consumes its seed's random stream,
 // and the experiment goldens are byte-exact functions of that stream.
 func Compile(sp *Spec) (*Net, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	n := NewNet(sp.Name, sp.Seed, sim.Seconds(sp.WarmupSec), sim.Seconds(sp.DurationSec))
+	n := newNet(sp.Name, sp.Seed, sim.Seconds(sp.WarmupSec), sim.Seconds(sp.DurationSec))
 	n.Spec, n.warmupSec, n.durationSec = sp, sp.WarmupSec, sp.DurationSec
 	n.timeline = sp.Timeline
 	n.pathFlows = make([][]pathRef, len(sp.Paths))
@@ -151,48 +149,45 @@ func Compile(sp *Spec) (*Net, error) {
 	}
 
 	for _, ls := range sp.Links {
-		n.AddLink(ls)
+		n.addLink(ls)
 	}
-	revRate, revDelay := sp.ReverseRateMbps, sp.ReverseDelayMs
-	if revRate == 0 {
-		revRate = defaultReverseRateMbps
-	}
-	if revDelay == 0 {
-		revDelay = defaultReverseDelayMs
-	}
-	n.Rev = &netem.Link{
-		Q: netem.NewQueue(s, netem.LinkConfig{
-			RateBps:      int64(revRate * 1e6),
-			Kind:         netem.QueueDropTail,
-			DropTailPkts: 10_000,
-		}, "rev/q"),
-		P: n.pipe(sim.Millis(revDelay), false),
+	if slices.ContainsFunc(sp.Paths, func(p PathSpec) bool { return p.Rev == nil }) {
+		revRate, revDelay := sp.ReverseRateMbps, sp.ReverseDelayMs
+		if revRate == 0 {
+			revRate = defaultReverseRateMbps
+		}
+		if revDelay == 0 {
+			revDelay = defaultReverseDelayMs
+		}
+		n.Rev = &netem.Link{
+			Q: netem.NewQueue(s, netem.LinkConfig{
+				RateBps:      int64(revRate * 1e6),
+				Kind:         netem.QueueDropTail,
+				DropTailPkts: 10_000,
+			}, "rev/q"),
+			P: n.pipe(sim.Millis(revDelay), false),
+		}
 	}
 
 	n.Groups = make([][]*Flow, len(sp.Flows))
-	routes := make([]Route, 0, 4) // stays on the stack for the usual few paths
 	for fi := range sp.Flows {
 		fs := &sp.Flows[fi]
 		name := fs.Name
 		if name == "" {
 			name = fmt.Sprintf("flow%d", fi)
 		}
-		routes = routes[:0]
-		for _, pi := range fs.Paths {
-			routes = append(routes, Route{DelayMs: sp.Paths[pi].DelayMs, Fwd: sp.Paths[pi].Links})
-		}
 		for r := 0; r < fs.count(); r++ {
 			var f *Flow
 			if fs.Serial && r > 0 {
 				// Wired now, started by its predecessor's completion.
-				f = n.newFlow(fmt.Sprintf("%s-%d", name, r), fs, routes)
+				f = n.newFlow(fmt.Sprintf("%s-%d", name, r), fs)
 				n.startOnComplete(n.Groups[fi][r-1], f)
 			} else {
 				at := sim.Seconds(fs.StartSec)
 				if fs.StartJitter {
 					at += sim.RandBelow(s.Rand(), startSpread)
 				}
-				f = n.AddFlow(fmt.Sprintf("%s-%d", name, r), fs, routes, at)
+				f = n.addFlow(fmt.Sprintf("%s-%d", name, r), fs, at)
 			}
 			n.Groups[fi] = append(n.Groups[fi], f)
 			for i, pi := range fs.Paths {
@@ -214,11 +209,11 @@ func Compile(sp *Spec) (*Net, error) {
 	return n, nil
 }
 
-// AddLink builds one unidirectional link — a random-loss element when
+// addLink builds one unidirectional link — a random-loss element when
 // LossPct is set or a timeline setpoint retargets the link's loss, the
 // queue, the propagation pipe — and returns it; its index in Links is what a
-// Route names. Links are added before Run.
-func (n *Net) AddLink(ls LinkSpec) *CompiledLink {
+// PathSpec names. Links are added before Run.
+func (n *Net) addLink(ls LinkSpec) *CompiledLink {
 	cfg := netem.LinkConfig{RateBps: int64(ls.RateMbps * 1e6)}
 	switch ls.Queue {
 	case QueueDropTail:
@@ -272,21 +267,6 @@ func (n *Net) pipe(d sim.Time, private bool) *netem.Pipe {
 	return p
 }
 
-// Route is one subflow's wiring, by index into Net.Links.
-type Route struct {
-	// DelayMs is the access delay in front of Fwd: the subflow's data
-	// crosses the network's shared pipe of that delay, which carries every
-	// hop of equal constant delay, before its first link. Zero routes through
-	// no pipe at all: even a 0 ms pipe reserves kernel sequence numbers and
-	// defers each packet by one event, so eliding it is what lets a network
-	// whose delay lives on the links themselves (the fat tree) keep its
-	// event order.
-	DelayMs float64
-	// Fwd lists the links data crosses, in order; Rev the links ACKs cross
-	// on the way back, nil for the network's shared return link.
-	Fwd, Rev []int
-}
-
 // route builds the route head, then each crossed link's hops in order —
 // its loss element (if any), queue and pipe — then tail, in one list of
 // exactly its length. head may be nil.
@@ -315,36 +295,36 @@ func (n *Net) route(head netem.Node, links []int, tail ...netem.Node) *netem.Rou
 	return netem.NewRoute(append(hops, tail...)...)
 }
 
-// wire builds both directions of one subflow between src and sink; ACKs
-// pass the flow's tap last, whichever way they return.
-func (n *Net) wire(f *Flow, r Route, src *tcp.Src, sink *tcp.Sink) {
+// wire builds both directions of one subflow between src and sink over
+// path p: its access pipe (none at zero delay), its links, and back over
+// its Rev links or the shared return link. ACKs pass the flow's tap last,
+// whichever way they return.
+func (n *Net) wire(f *Flow, p *PathSpec, src *tcp.Src, sink *tcp.Sink) {
 	var trim netem.Node
-	if r.DelayMs > 0 {
-		trim = n.pipe(sim.Millis(r.DelayMs), false)
+	if p.DelayMs > 0 {
+		trim = n.pipe(sim.Millis(p.DelayMs), false)
 	}
-	src.SetRoute(n.route(trim, r.Fwd, sink))
-	if r.Rev != nil {
-		sink.SetRoute(n.route(nil, r.Rev, f.AckTap, src))
+	src.SetRoute(n.route(trim, p.Links, sink))
+	if p.Rev != nil {
+		sink.SetRoute(n.route(nil, p.Rev, f.AckTap, src))
 		return
 	}
 	sink.SetRoute(netem.NewRoute(n.Rev.Q, n.Rev.P, f.AckTap, src))
 }
 
-// AddFlow wires one flow and schedules its start at the absolute time
-// start, before Run or from an event while it runs. fs supplies the
-// transport — Algorithm, FlowBytes, Scheduler, ChunkBytes, KeepSlowStart,
-// MaxCwndPkts, NoIncreaseCap, DelayedAck, StopSec, with the meanings and
-// the combinations Validate documents — and is not retained; its placement
-// fields (Paths, Count, StartSec, StartJitter, Serial) and ProbeControl are
-// Compile's and are not read. routes gives one subflow each (exactly one for
-// AlgoTCP).
+// addFlow wires one flow of fs and schedules its start at the absolute time
+// start, before Run. fs supplies the subflows' paths, an index each into
+// Spec.Paths, and the transport — Algorithm, FlowBytes, Scheduler,
+// ChunkBytes, KeepSlowStart, MaxCwndPkts, NoIncreaseCap, DelayedAck,
+// StopSec, with the meanings and the combinations Validate documents — and
+// is not retained; its other placement fields (Count, StartSec,
+// StartJitter, Serial) and ProbeControl are Compile's and are not read.
 //
-// Set-up allocates by design, once per flow and never per packet, also when
-// an arrival event is what calls it.
+// Set-up allocates by design, once per flow and never per packet.
 //
 //simlint:cold
-func (n *Net) AddFlow(name string, fs *FlowSpec, routes []Route, start sim.Time) *Flow {
-	f := n.newFlow(name, fs, routes)
+func (n *Net) addFlow(name string, fs *FlowSpec, start sim.Time) *Flow {
+	f := n.newFlow(name, fs)
 	f.start(start)
 	if fs.StopSec > 0 {
 		n.Sim.Schedule(sim.Seconds(fs.StopSec), (*flowStop)(f))
@@ -352,10 +332,13 @@ func (n *Net) AddFlow(name string, fs *FlowSpec, routes []Route, start sim.Time)
 	return f
 }
 
-// newFlow wires one flow without starting it (see AddFlow).
+// newFlow wires one flow without starting it (see addFlow).
 //
 //simlint:cold
-func (n *Net) newFlow(name string, fs *FlowSpec, routes []Route) *Flow {
+func (n *Net) newFlow(name string, fs *FlowSpec) *Flow {
+	if n.running {
+		panic(fmt.Sprintf("scenario %q: flow %s added after Run started", n.Name, name))
+	}
 	f := &Flow{Name: name, Algorithm: fs.Algorithm, AckTap: &netem.Tap{}}
 	cfg := tcp.Config{
 		FlowBytes:     fs.FlowBytes,
@@ -371,14 +354,14 @@ func (n *Net) newFlow(name string, fs *FlowSpec, routes []Route) *Flow {
 	if fs.Algorithm == AlgoTCP {
 		src := tcp.NewSrc(n.Sim, 0, name, cfg)
 		sink := tcp.NewSink(n.Sim)
-		n.wire(f, routes[0], src, sink)
+		n.wire(f, &n.Spec.Paths[fs.Paths[0]], src, sink)
 		f.Srcs, f.Sinks = []*tcp.Src{src}, []*tcp.Sink{sink}
 	} else {
 		conn := mptcp.New(n.Sim, name, core.New(fs.Algorithm), cfg)
 		conn.SetKeepSlowStart(fs.KeepSlowStart)
-		for _, r := range routes {
+		for _, pi := range fs.Paths {
 			sf := conn.AddSubflow(0)
-			n.wire(f, r, sf.Src, sf.Sink)
+			n.wire(f, &n.Spec.Paths[pi], sf.Src, sf.Sink)
 			f.Srcs = append(f.Srcs, sf.Src)
 			f.Sinks = append(f.Sinks, sf.Sink)
 		}

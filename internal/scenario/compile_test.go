@@ -30,11 +30,12 @@ func TestCompileSharesPipesByDelay(t *testing.T) {
 		t.Fatal("scenario A: the links do not share the 0 ms pipe, or the reverse link is not on the 40 ms one")
 	}
 
-	// A K=4 fat tree: every link has the same hop delay and no flow has an
-	// access delay, so one pipe carries all 96 links.
-	ft := PaperFatTree(FatTreeConfig{K: 4}, FatTreeLoad{Algorithm: "olia", Subflows: 4}, 1, 0, sim.Second)
-	if len(ft.pipes) != 1 || len(ft.private) != 0 {
-		t.Fatalf("fat tree: %d shared and %d private pipes, want one shared", len(ft.pipes), len(ft.private))
+	// A K=4 fat tree: every link has the same hop delay, no flow has an
+	// access delay and every path its own reverse route, so one pipe
+	// carries all 96 links and no shared return link is built.
+	ft := mustCompile(t, PaperFatTree(FatTreeConfig{K: 4}, FatTreeLoad{Algorithm: "olia", Subflows: 4}, 1, 0, sim.Second))
+	if len(ft.pipes) != 1 || len(ft.private) != 0 || ft.Rev != nil {
+		t.Fatalf("fat tree: %d shared and %d private pipes, return link %v; want one shared pipe and no return link", len(ft.pipes), len(ft.private), ft.Rev)
 	}
 	for i, l := range ft.Links {
 		if l.Pipe != ft.pipes[0] {

@@ -2,18 +2,20 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"strconv"
 
 	"mptcpsim/internal/sim"
 )
 
-// The k-ary fat tree htsim simulates in §VI-B (Figs. 13-14, Table III),
-// built on the same Net as a compiled Spec. It is not a Spec: every host
-// pair has its own ECMP forward and reverse routes (ACKs return through the
-// mirror switches, competing with other hosts' data), and the derangement,
-// the ECMP picks and the start offsets come out of the simulation's own
-// random stream, which the Poisson arrivals then continue — a listing of
-// flows with start times in float seconds could reproduce neither.
+// The k-ary fat tree htsim simulates in §VI-B (Figs. 13-14, Table III), as a
+// Spec. ACKs return through the mirror switches, competing with other
+// hosts' data, so every path lists its Rev. The random choices are drawn up
+// front from a generator on the spec's seed, in the order the simulation
+// drew them when the short-flow arrivals were events of the run: the
+// fabric's queues are drop-tail, without random loss or start jitter, so
+// nothing else draws from that stream.
 
 // FatTreeConfig parameterizes the fabric, in LinkSpec's units.
 type FatTreeConfig struct {
@@ -70,160 +72,228 @@ type FatTreeLoad struct {
 	ShortGap, Drain sim.Time
 }
 
-// FatTree is a k-ary fat-tree fabric (Al-Fares et al.) and its workload.
-// All links are full duplex: separate queues and pipes per direction, an
-// up link (toward the core) at an even index of Net.Links and its down
-// twin one after it (hostUp, edgeUp, aggUp).
-type FatTree struct {
-	*Net
-	Cfg FatTreeConfig
-
-	// Short lists the arrival processes in host order; the long-lived
-	// flows are the first of Net.Flows, in host order.
-	Short []*Arrivals
-}
-
-// PaperFatTree builds the fabric and starts load on it, measured over
-// [warmup, warmup+duration]. The order of construction is part of the
-// contract, as in Compile: the derangement first, then per host its ECMP
-// picks and its start offset, all from the simulation's random stream.
-func PaperFatTree(cfg FatTreeConfig, load FatTreeLoad, seed int64, warmup, duration sim.Time) *FatTree {
-	ft := newFatTree(cfg, seed, warmup, duration)
-	rng := ft.Sim.Rand()
-	hosts := ft.NumHosts()
-	perm := derangement(rng, hosts)
-	long := &FlowSpec{Algorithm: load.Algorithm, KeepSlowStart: true}
-	short := &FlowSpec{Algorithm: AlgoTCP, FlowBytes: load.ShortBytes}
-	for h := 0; h < hosts; h++ {
-		if load.ShortBytes == 0 || h%3 == 0 {
-			nsub := load.Subflows
-			if load.Algorithm == AlgoTCP {
-				nsub = 1
-			}
-			routes := ft.pickRoutes(rng, h, perm[h], nsub)
-			ft.AddFlow(fmt.Sprintf("h%d", h), long, routes,
-				sim.RandBelow(rng, 100*sim.Millisecond))
-			continue
-		}
-		routes := ft.pickRoutes(rng, h, perm[h], 1)
-		ft.Short = append(ft.Short, ft.AddArrivals("short", short, routes,
-			load.ShortGap, warmup+sim.RandBelow(rng, load.ShortGap), ft.End-load.Drain))
-	}
-	return ft
-}
-
-// newFatTree lays out the fabric's links: a pair per host, then per pod
-// K²/4 edge↔aggregation pairs and K²/4 aggregation↔core pairs.
-func newFatTree(cfg FatTreeConfig, seed int64, warmup, duration sim.Time) *FatTree {
+// PaperFatTree returns the fabric and its load as a Spec measured over
+// [warmup, warmup+duration]. Paths come in host order; Flows are the long
+// flows in host order, then the short flows in arrival order, each named
+// after its sending host, a short flow over its host's one path. The draws
+// are the derangement, then per host its ECMP picks and its start offset
+// or first arrival, then the arrival gaps (see starts). Every drawn time is
+// emitted as sim.Time.ExactSec, which Compile maps back to the nanosecond.
+func PaperFatTree(cfg FatTreeConfig, load FatTreeLoad, seed int64, warmup, duration sim.Time) *Spec {
 	cfg.fill()
-	ft := &FatTree{Net: NewNet("fattree", seed, warmup, duration), Cfg: cfg}
+	if load.ShortBytes < 0 || (load.ShortBytes > 0 && load.ShortGap <= 0) {
+		panic("scenario: fat-tree short flows need a positive size and mean gap")
+	}
+	rng := sim.NewRand(seed)
+	defer sim.FreeRand(rng)
+	hosts := cfg.NumHosts()
+	perm := derangement(rng, hosts)
+	short := func(h int) bool { return load.ShortBytes > 0 && h%3 != 0 }
+
+	// Size every slice exactly: host h takes picks[h] of its ECMP paths.
+	picks := make([]int, hosts)
+	var nPaths, nLinks int
+	for h := range hosts {
+		paths, hops := cfg.ecmp(h, perm[h])
+		picks[h] = 1
+		if !short(h) && load.Algorithm != AlgoTCP {
+			picks[h] = min(load.Subflows, paths)
+		}
+		nPaths += picks[h]
+		nLinks += 2 * hops * picks[h]
+	}
+	sp := &Spec{
+		Name: "fattree", Seed: seed,
+		WarmupSec: warmup.ExactSec(), DurationSec: duration.ExactSec(),
+		Links: cfg.links(),
+		Paths: make([]PathSpec, 0, nPaths),
+	}
+	links, index, names := make([]int, nLinks), make([]int, nPaths), make([]string, hosts)
+	first := make([]arrival, hosts) // each host's start, or its first arrival
+	for h := range hosts {
+		names[h] = "h" + strconv.Itoa(h)
+		first[h] = arrival{host: h, path: len(sp.Paths)}
+		paths, hops := cfg.ecmp(h, perm[h])
+		for _, via := range rng.Perm(paths)[:picks[h]] {
+			index[len(sp.Paths)] = len(sp.Paths) // a flow's Paths is a window of index
+			sp.Paths = append(sp.Paths, cfg.path(h, perm[h], via, links[:2*hops:2*hops]))
+			links = links[2*hops:]
+		}
+		if short(h) {
+			first[h].at = warmup + sim.RandBelow(rng, load.ShortGap)
+		} else {
+			first[h].at = sim.RandBelow(rng, 100*sim.Millisecond)
+		}
+	}
+	flows := starts(rng, first, short, load.ShortGap, warmup+duration-load.Drain)
+	sp.Flows = make([]FlowSpec, len(flows))
+	for i, a := range flows {
+		end := a.path + picks[a.host]
+		sp.Flows[i] = FlowSpec{Name: names[a.host], Algorithm: load.Algorithm, Paths: index[a.path:end:end],
+			StartSec: a.at.ExactSec(), KeepSlowStart: true}
+		if short(a.host) {
+			sp.Flows[i].Algorithm, sp.Flows[i].KeepSlowStart, sp.Flows[i].FlowBytes = AlgoTCP, false, load.ShortBytes
+		}
+	}
+	return sp
+}
+
+// arrival is the start of a flow of host, over its paths from index path.
+type arrival struct {
+	at         sim.Time
+	host, path int
+}
+
+// starts returns the start of every flow: the long hosts' in host order,
+// then the short-flow arrivals, none after until, in the order the kernel
+// fired them as events. A short host's first arrival is scheduled in host
+// order and each later one, an exponential gap of mean meanGap on, when its
+// predecessor fires; the earliest pending arrival fires first, ties to the
+// one scheduled first. A slice scan finds it among a few dozen hosts.
+func starts(rng *rand.Rand, first []arrival, short func(int) bool, meanGap, until sim.Time) []arrival {
+	type source struct {
+		arrival
+		order int // when the pending arrival was scheduled
+	}
+	var out []arrival
+	var srcs []source
+	for h, a := range first {
+		switch {
+		case !short(h):
+			out = append(out, a)
+		case a.at <= until:
+			srcs = append(srcs, source{arrival: a, order: h})
+		}
+	}
+	for order := len(first); len(srcs) > 0; order++ {
+		e := 0
+		for i := range srcs {
+			if srcs[i].at < srcs[e].at || (srcs[i].at == srcs[e].at && srcs[i].order < srcs[e].order) {
+				e = i
+			}
+		}
+		s := &srcs[e]
+		out = append(out, s.arrival)
+		if s.at += expGap(rng, meanGap); s.at <= until {
+			s.order = order
+		} else {
+			srcs = append(srcs[:e], srcs[e+1:]...)
+		}
+	}
+	return out
+}
+
+// expGap draws an exponential inter-arrival time with mean meanGap, at
+// least a microsecond.
+func expGap(rng *rand.Rand, meanGap sim.Time) sim.Time {
+	u := rng.Float64()
+	for u == 0 {
+		u = rng.Float64()
+	}
+	return max(sim.FromNanos(-math.Log(u)*meanGap.Nanos()), sim.Microsecond)
+}
+
+// links lays out the fabric's links, all full duplex: an up link (toward
+// the core) at an even index and its down twin one after it — a pair per
+// host, then per pod K²/4 edge↔aggregation pairs and K²/4 aggregation↔core
+// pairs (hostUp, edgeUp, aggUp).
+func (c FatTreeConfig) links() []LinkSpec {
+	out := make([]LinkSpec, 0, 2*c.NumHosts()+4*c.K*c.NumCores())
 	pairs := func(n int, rateMbps float64) {
-		for i := 0; i < 2*n; i++ {
-			ft.AddLink(LinkSpec{
-				RateMbps: rateMbps, DelayMs: cfg.HopDelayMs,
-				Queue: QueueDropTail, BufferPkts: cfg.BufferPkts,
+		for range 2 * n {
+			out = append(out, LinkSpec{
+				RateMbps: rateMbps, DelayMs: c.HopDelayMs,
+				Queue: QueueDropTail, BufferPkts: c.BufferPkts,
 			})
 		}
 	}
-	pairs(ft.NumHosts(), cfg.RateMbps)
-	for p := 0; p < cfg.K; p++ {
-		pairs(ft.NumCores(), cfg.RateMbps/float64(cfg.Oversubscription))
-		pairs(ft.NumCores(), cfg.RateMbps)
+	pairs(c.NumHosts(), c.RateMbps)
+	for range c.K {
+		pairs(c.NumCores(), c.RateMbps/float64(c.Oversubscription))
+		pairs(c.NumCores(), c.RateMbps)
 	}
-	return ft
+	return out
 }
 
 // NumHosts reports K³/4.
-func (ft *FatTree) NumHosts() int { return ft.Cfg.K * ft.Cfg.K * ft.Cfg.K / 4 }
+func (c FatTreeConfig) NumHosts() int { return c.K * c.K * c.K / 4 }
 
 // NumCores reports K²/4, which is also the number of distinct cross-pod
 // paths between any two hosts in different pods.
-func (ft *FatTree) NumCores() int { return ft.Cfg.K * ft.Cfg.K / 4 }
+func (c FatTreeConfig) NumCores() int { return c.K * c.K / 4 }
 
 // hostUp is the link from host h to its edge switch.
-func (ft *FatTree) hostUp(h int) int { return 2 * h }
+func (c FatTreeConfig) hostUp(h int) int { return 2 * h }
 
 // edgeUp is the link from edge switch i of pod p to aggregation switch j.
-func (ft *FatTree) edgeUp(p, i, j int) int {
-	return 2 * (ft.NumHosts() + 2*p*ft.NumCores() + i*ft.Cfg.K/2 + j)
+func (c FatTreeConfig) edgeUp(p, i, j int) int {
+	return 2 * (c.NumHosts() + 2*p*c.NumCores() + i*c.K/2 + j)
 }
 
 // aggUp is the link from aggregation switch j of pod p to its m-th core.
-func (ft *FatTree) aggUp(p, j, m int) int { return ft.edgeUp(p, ft.Cfg.K/2, 0) + 2*(j*ft.Cfg.K/2+m) }
+func (c FatTreeConfig) aggUp(p, j, m int) int { return c.edgeUp(p, c.K/2, 0) + 2*(j*c.K/2+m) }
 
 // locate decomposes a host index into (pod, edge-in-pod).
-func (ft *FatTree) locate(h int) (pod, edge int) {
-	k := ft.Cfg.K
-	perPod := k * k / 4
-	return h / perPod, (h % perPod) / (k / 2)
+func (c FatTreeConfig) locate(h int) (pod, edge int) {
+	perPod := c.K * c.K / 4
+	return h / perPod, (h % perPod) / (c.K / 2)
 }
 
-// route returns the wiring from src to dst through ECMP choice via. For
-// cross-pod pairs via selects the core switch (0..K²/4-1); for same-pod
-// pairs it selects the aggregation switch (mod K/2); for same-edge pairs it
-// is ignored. ACKs return along the mirror path through the same switches.
-func (ft *FatTree) route(src, dst, via int) Route {
+// path returns the wiring from src to dst through ECMP choice via, its
+// Links and Rev carved from links (which may be nil). For cross-pod pairs
+// via selects the core switch (0..K²/4-1); for same-pod pairs it selects
+// the aggregation switch (mod K/2); for same-edge pairs it is ignored. ACKs
+// return along the mirror path through the same switches.
+func (c FatTreeConfig) path(src, dst, via int, links []int) PathSpec {
 	if src == dst {
 		panic("scenario: fat-tree path to self")
 	}
-	half := ft.Cfg.K / 2
-	ps, es := ft.locate(src)
-	pd, ed := ft.locate(dst)
+	half := c.K / 2
+	ps, es := c.locate(src)
+	pd, ed := c.locate(dst)
 
-	fwd, rev := []int{ft.hostUp(src)}, []int{ft.hostUp(dst)}
+	n := len(links) / 2
+	fwd := append(links[:0:n], c.hostUp(src))
+	rev := append(links[n:n], c.hostUp(dst))
 	switch {
 	case ps == pd && es == ed:
 		// Same edge switch: straight down.
 	case ps == pd:
 		j := via % half
-		fwd = append(fwd, ft.edgeUp(ps, es, j), ft.edgeUp(ps, ed, j)+1)
-		rev = append(rev, ft.edgeUp(pd, ed, j), ft.edgeUp(ps, es, j)+1)
+		fwd = append(fwd, c.edgeUp(ps, es, j), c.edgeUp(ps, ed, j)+1)
+		rev = append(rev, c.edgeUp(pd, ed, j), c.edgeUp(ps, es, j)+1)
 	default:
-		c := ((via % ft.NumCores()) + ft.NumCores()) % ft.NumCores()
-		j := c / half // aggregation index in both pods
-		m := c % half // port on the aggregation switch toward core c
-		fwd = append(fwd, ft.edgeUp(ps, es, j), ft.aggUp(ps, j, m), ft.aggUp(pd, j, m)+1, ft.edgeUp(pd, ed, j)+1)
-		rev = append(rev, ft.edgeUp(pd, ed, j), ft.aggUp(pd, j, m), ft.aggUp(ps, j, m)+1, ft.edgeUp(ps, es, j)+1)
+		core := ((via % c.NumCores()) + c.NumCores()) % c.NumCores()
+		j := core / half // aggregation index in both pods
+		m := core % half // port on the aggregation switch toward the core
+		fwd = append(fwd, c.edgeUp(ps, es, j), c.aggUp(ps, j, m), c.aggUp(pd, j, m)+1, c.edgeUp(pd, ed, j)+1)
+		rev = append(rev, c.edgeUp(pd, ed, j), c.aggUp(pd, j, m), c.aggUp(ps, j, m)+1, c.edgeUp(ps, es, j)+1)
 	}
-	return Route{Fwd: append(fwd, ft.hostUp(dst)+1), Rev: append(rev, ft.hostUp(src)+1)}
+	return PathSpec{Links: append(fwd, c.hostUp(dst)+1), Rev: append(rev, c.hostUp(src)+1)}
 }
 
-// numPaths reports the number of distinct ECMP paths between two hosts.
-func (ft *FatTree) numPaths(src, dst int) int {
-	ps, es := ft.locate(src)
-	pd, ed := ft.locate(dst)
+// ecmp reports the number of distinct ECMP paths between two hosts and the
+// number of links each crosses one way.
+func (c FatTreeConfig) ecmp(src, dst int) (paths, hops int) {
+	ps, es := c.locate(src)
+	pd, ed := c.locate(dst)
 	switch {
 	case ps == pd && es == ed:
-		return 1
+		return 1, 2
 	case ps == pd:
-		return ft.Cfg.K / 2
+		return c.K / 2, 4
 	default:
-		return ft.NumCores()
+		return c.NumCores(), 6
 	}
-}
-
-// pickRoutes wires n distinct ECMP path choices between src and dst, picked
-// uniformly at random (fewer if the topology offers fewer). This is how
-// MPTCP subflows are placed, matching htsim's random core selection.
-func (ft *FatTree) pickRoutes(rng *rand.Rand, src, dst, n int) []Route {
-	avail := ft.numPaths(src, dst)
-	if n > avail {
-		n = avail
-	}
-	routes := make([]Route, n)
-	for i, via := range rng.Perm(avail)[:n] {
-		routes[i] = ft.route(src, dst, via)
-	}
-	return routes
 }
 
 // CoreLinks lists every aggregation↔core link (both directions): the
 // "network core" whose utilization Table III reports.
-func (ft *FatTree) CoreLinks() []int {
-	var out []int
-	for p := 0; p < ft.Cfg.K; p++ {
-		for i := 0; i < 2*ft.NumCores(); i++ {
-			out = append(out, ft.aggUp(p, 0, 0)+i)
+func (c FatTreeConfig) CoreLinks() []int {
+	out := make([]int, 0, 2*c.K*c.NumCores())
+	for p := range c.K {
+		for i := range 2 * c.NumCores() {
+			out = append(out, c.aggUp(p, 0, 0)+i)
 		}
 	}
 	return out

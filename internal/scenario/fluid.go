@@ -32,9 +32,10 @@ const testbedQueueMs = 70
 //   - each replica of each FlowSpec becomes a user, in flow order, so user
 //     u is RunReport.Flows[u], and its route r is FlowSpec.Paths[r] (the
 //     route shares the path's Links slice);
-//   - a route's RTT is its access delay, its links' delays, the reverse
-//     delay and testbedQueueMs, summed in milliseconds: every testbed
-//     route is fixedpoint.PaperRTT;
+//   - a route's RTT is its access delay, its links' delays, the delay of
+//     its return — its Rev links' delays, or the shared reverse delay
+//     without them — and testbedQueueMs, summed in milliseconds: every
+//     testbed route is fixedpoint.PaperRTT;
 //   - the dynamics are those of the one algorithm every multipath group
 //     shares. A plain TCP user has one route and behaves as TCP under any
 //     dynamics, so an all-TCP Spec compiles as uncoupled.
@@ -90,7 +91,14 @@ func Fluid(sp *Spec) (*fluid.Model, error) {
 			for _, l := range p.Links {
 				ms += sp.Links[l].DelayMs
 			}
-			ms += revMs + testbedQueueMs
+			back := revMs
+			if p.Rev != nil {
+				back = 0
+				for _, l := range p.Rev {
+					back += sp.Links[l].DelayMs
+				}
+			}
+			ms += back + testbedQueueMs
 			routes[r] = fluid.Route{Links: p.Links, RTT: ms / 1e3}
 		}
 		for range f.count() {

@@ -111,6 +111,26 @@ func TestFluid(t *testing.T) {
 	}
 }
 
+// TestFluidHonoursRev: a route with reverse links of its own returns over
+// them, so its RTT adds their delays instead of the shared return link's.
+func TestFluidHonoursRev(t *testing.T) {
+	m, err := Fluid(&Spec{
+		Name: "rev", Seed: 1, DurationSec: 10,
+		Links: []LinkSpec{{RateMbps: 4, DelayMs: 5}, {RateMbps: 4}, {RateMbps: 100, DelayMs: 25}},
+		Paths: []PathSpec{{Links: []int{0}, DelayMs: 10, Rev: []int{2}}, {Links: []int{1}, DelayMs: 10}},
+		Flows: []FlowSpec{{Name: "mp", Algorithm: "olia", Paths: []int{0, 1}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 10 ms access + 5 ms link + 25 ms back over link 2 + 70 ms queueing;
+	// 10 ms access + 40 ms shared return + 70 ms queueing.
+	routes := m.Net.Users[0].Routes
+	if routes[0].RTT != 0.110 || routes[1].RTT != 0.120 {
+		t.Fatalf("RTTs %v s and %v s, want 0.110 s over the reverse link and 0.120 s over the shared one", routes[0].RTT, routes[1].RTT)
+	}
+}
+
 // TestFluidUsersAreReportFlows: user u of the compiled model is flow u of
 // the packet run's report, and its routes are that flow's paths in order.
 func TestFluidUsersAreReportFlows(t *testing.T) {

@@ -112,15 +112,12 @@ type monitor struct {
 	report *RunReport
 
 	// prevCum and prevAcked are the last sampled per-sink cumulative-ACK
-	// and per-src acked-bytes marks, flattened over flows then paths. Flows
-	// only ever join the end of Net.Flows, so a position keeps its meaning
-	// while the slices grow behind it for flows added mid-run.
+	// and per-src acked-bytes marks, flattened over flows then paths.
 	prevCum   []int64
 	prevAcked []int64
 	maxLen    []int
 	// qBase holds each link's queue counters as the warm-up closed, and
-	// base each sink's in-order bytes then, flattened over the flows that
-	// existed, which are a prefix of Net.Flows.
+	// base each sink's in-order bytes then, flattened likewise.
 	qBase []netem.Counters
 	base  []int64
 }
@@ -145,8 +142,7 @@ func newMonitor(n *Net, r *RunReport) *monitor {
 // bases the measured window is counted from (sim.Handler).
 type windowOpen monitor
 
-// RunEvent snaps every sink's base once per run: base has room for the
-// flows that existed when Run started and grows for any added since.
+// RunEvent snaps every sink's base, once per run.
 //
 //simlint:cold
 func (w *windowOpen) RunEvent(sim.Time) {
@@ -184,10 +180,6 @@ func (m *monitor) sample(now sim.Time) {
 	k := 0
 	for _, f := range m.net.Flows {
 		for pi := range f.Sinks {
-			if k == len(m.prevCum) { // first sample of a flow added mid-run
-				m.prevCum = append(m.prevCum, 0)
-				m.prevAcked = append(m.prevAcked, 0)
-			}
 			cum := f.Sinks[pi].CumAck()
 			if cum < m.prevCum[k] {
 				m.report.violate("t=%v: flow %s path %d cumulative ACK went backwards (%d -> %d)",
@@ -236,10 +228,6 @@ func Run(ctx context.Context, sp *Spec) (*RunReport, error) {
 // before it started; the report carries those of the one Spec.Trace
 // compiled to.
 //
-// Flows added while the simulation runs (AddFlow from an event, AddArrivals)
-// are sampled, reported and counted like the rest; one born after the
-// warm-up closed has its whole delivery inside the window.
-//
 // Cancelling ctx abandons the simulation at the next one-second
 // virtual-time boundary and returns an error wrapping ctx.Err(). The
 // cancellation probe never perturbs the run: sim.RunUntil is exact at
@@ -286,11 +274,8 @@ func (n *Net) Run(ctx context.Context) (*RunReport, error) {
 			PathMbps:  make([]float64, 0, len(f.Sinks)),
 		}
 		for _, k := range f.Sinks {
-			win := k.GoodputBytes()
-			if at < len(m.base) { // a flow born after the snapshot has base zero
-				win -= m.base[at]
-				at++
-			}
+			win := k.GoodputBytes() - m.base[at]
+			at++
 			mbps := stats.Mbps(win, secs)
 			fr.PathMbps = append(fr.PathMbps, mbps)
 			fr.GoodputMbps += mbps

@@ -2,23 +2,22 @@
 // simulation topologies, compiled into runnable packet-level simulations.
 //
 // A Spec names links (rate, propagation delay, random loss, queue
-// discipline), paths (link sequences plus a per-flow access delay), and
+// discipline), paths (link sequences plus a per-flow access delay, and the
+// links their ACKs return over where not the shared return link), and
 // flows (congestion-control algorithm, path set, replica count, start/stop
 // times, workload size). Compile turns one into a Net: the paper's testbed
-// topologies are Spec builders (paper.go) that the figure experiments
-// compile, the fuzzer (fuzz.go) generates topologies far outside the ~15
+// topologies (paper.go) and its data-center fabric (fattree.go) are Spec
+// builders that the figure experiments compile, the fuzzer (fuzz.go) generates topologies far outside the ~15
 // hardcoded paper figures, Fluid (fluid.go) compiles the same Spec to the
 // paper's §V fluid model, and the conformance oracle (conformance.go)
 // cross-checks packet-level steady states against that model's equilibria
 // and the fixed-point analyses.
 //
 // Net (compile.go) is the one way a flow is wired and the one way a
-// network is run. Compile is written in its construction methods — NewNet,
-// AddLink, AddFlow, AddArrivals — and so is the paper's data-center fabric
-// (fattree.go), whose per-pair reverse routes, in-simulation random choices
-// and flows arriving mid-run a Spec does not express. Whichever front-end
-// built it, Net.Run (run.go) measures the network over its window under the
-// same invariant checks and stops at a one-second boundary when cancelled.
+// network is run, and Compile is its one front end: every network in the
+// repository is a Spec, the paper's data-center fabric (fattree.go)
+// included. Net.Run (run.go) measures the network over its window under
+// the invariant checks and stops at a one-second boundary when cancelled.
 package scenario
 
 import (
@@ -72,9 +71,15 @@ type PathSpec struct {
 	// pipe is the network's one pipe of that delay, shared by every hop of
 	// equal constant delay (SetDelay is only for a pipe that carries one
 	// link). Zero elides the access pipe entirely (flows enter the first
-	// link's queue directly), matching hand-wired rigs whose delay lives on
-	// the links themselves.
+	// link's queue directly): even a 0 ms pipe reserves kernel sequence
+	// numbers and defers each packet by one event, and a network whose
+	// delay lives on the links themselves (the fat tree) has no such hop.
 	DelayMs float64 `json:"delay_ms,omitempty"`
+	// Rev indexes Spec.Links in the order ACKs cross them back to the
+	// sender, as the fat tree's mirror routes do. Absent, ACKs take the
+	// shared uncongested return link (ReverseRateMbps, ReverseDelayMs);
+	// present, it must not be empty.
+	Rev []int `json:"rev,omitempty"`
 }
 
 // AlgoTCP is the FlowSpec.Algorithm value for a plain single-path TCP
@@ -172,8 +177,8 @@ type Spec struct {
 	Timeline []TimelineEvent `json:"timeline,omitempty"`
 
 	// ReverseRateMbps and ReverseDelayMs shape the shared uncongested
-	// return (ACK) path; zero selects the testbed values (1000 Mb/s,
-	// 40 ms).
+	// return (ACK) link of every path without a Rev; zero selects the
+	// testbed values (1000 Mb/s, 40 ms).
 	ReverseRateMbps float64 `json:"reverse_rate_mbps,omitempty"`
 	ReverseDelayMs  float64 `json:"reverse_delay_ms,omitempty"`
 
@@ -213,7 +218,7 @@ const maxPathLinks = 1024
 func rateInRange(mbps float64) bool { return mbps >= minRateMbps && mbps <= maxRateMbps }
 
 // Validate checks the spec for structural errors: empty topology, bad
-// indices, non-positive rates, negative times, rates, times and delays
+// indices, empty or overlong routes either way, non-positive rates, negative times, rates, times and delays
 // beyond the bounds above, unknown algorithms, AlgoTCP flows with more than
 // one path, and malformed timelines (out-of-range link/path indices,
 // decreasing or negative times, out-of-range setpoint values). It returns
@@ -279,9 +284,17 @@ func (sp *Spec) Validate() error {
 		if !(p.DelayMs <= maxDelayMs) {
 			return fmt.Errorf("scenario %q: path %d delay %g ms longer than %g ms", sp.Name, i, p.DelayMs, maxDelayMs)
 		}
-		for _, li := range p.Links {
-			if li < 0 || li >= len(sp.Links) {
-				return fmt.Errorf("scenario %q: path %d references link %d (have %d)", sp.Name, i, li, len(sp.Links))
+		if p.Rev != nil && len(p.Rev) == 0 {
+			return fmt.Errorf("scenario %q: path %d has an empty reverse route", sp.Name, i)
+		}
+		if len(p.Rev) > maxPathLinks {
+			return fmt.Errorf("scenario %q: path %d reverse route crosses %d links, more than %d", sp.Name, i, len(p.Rev), maxPathLinks)
+		}
+		for _, route := range [][]int{p.Links, p.Rev} {
+			for _, li := range route {
+				if li < 0 || li >= len(sp.Links) {
+					return fmt.Errorf("scenario %q: path %d references link %d (have %d)", sp.Name, i, li, len(sp.Links))
+				}
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mptcpsim/internal/netem"
+	"mptcpsim/internal/sim"
 	"mptcpsim/internal/stats"
 	"mptcpsim/internal/tcp"
 )
@@ -32,12 +33,14 @@ func twoPathSpec() *Spec {
 	}
 }
 
-// featureSpec is twoPathSpec with every optional flow and trace field set:
-// the multipath user under probe control, delayed ACKs at every receiver, a
-// serial group of three finite transfers, and a trace with every probe
-// kind.
+// featureSpec is twoPathSpec with every optional path, flow and trace field
+// set: path 0's ACKs returning over a link of their own, the multipath user
+// under probe control, delayed ACKs at every receiver, a serial group of
+// three finite transfers, and a trace with every probe kind.
 func featureSpec() *Spec {
 	sp := twoPathSpec()
+	sp.Links = append(sp.Links, LinkSpec{RateMbps: 10, DelayMs: 20, Queue: QueueDropTail})
+	sp.Paths[0].Rev = []int{2}
 	sp.Flows[0].ProbeControl = true
 	sp.Flows = append(sp.Flows, FlowSpec{Name: "xfer", Algorithm: AlgoTCP, Paths: []int{0},
 		Count: 3, FlowBytes: 60_000, Serial: true})
@@ -72,6 +75,10 @@ func TestSpecValidate(t *testing.T) {
 		{"bad link index", func(sp *Spec) { sp.Paths[0].Links = []int{9} }, "references link 9"},
 		{"path of max links", func(sp *Spec) { sp.Paths[0].Links = make([]int, maxPathLinks) }, ""},
 		{"path too long", func(sp *Spec) { sp.Paths[0].Links = make([]int, maxPathLinks+1) }, "crosses 1025 links, more than 1024"},
+		{"valid reverse route", func(sp *Spec) { sp.Paths[0].Rev = []int{1, 0} }, ""},
+		{"empty reverse route", func(sp *Spec) { sp.Paths[0].Rev = []int{} }, "path 0 has an empty reverse route"},
+		{"bad reverse link index", func(sp *Spec) { sp.Paths[1].Rev = []int{0, 7} }, "path 1 references link 7"},
+		{"reverse route too long", func(sp *Spec) { sp.Paths[0].Rev = make([]int, maxPathLinks+1) }, "reverse route crosses 1025 links, more than 1024"},
 		{"no flows", func(sp *Spec) { sp.Flows = nil }, "no flows"},
 		{"unknown algorithm", func(sp *Spec) { sp.Flows[0].Algorithm = "cubic" }, `unknown algorithm "cubic"`},
 		{"flow without paths", func(sp *Spec) { sp.Flows[0].Paths = nil }, "uses no paths"},
@@ -477,8 +484,9 @@ func TestCheckCapacityFlagsOverrun(t *testing.T) {
 }
 
 // TestSerialStartsOnCompletion: a serial group is the chain of transfers
-// AddFlow starts by hand, each from its predecessor's completion: the same
-// traffic, event for event, with every completion time in the report.
+// wired before the run and started by hand, each from its predecessor's
+// completion: the same traffic, event for event, with every completion
+// time in the report.
 func TestSerialStartsOnCompletion(t *testing.T) {
 	sp := featureSpec()
 	sp.Trace = nil
@@ -489,20 +497,20 @@ func TestSerialStartsOnCompletion(t *testing.T) {
 	xfer := bare.Flows[2]
 	bare.Flows = bare.Flows[:2]
 	n := mustCompile(t, bare)
-	route := []Route{{DelayMs: bare.Paths[0].DelayMs, Fwd: bare.Paths[0].Links}}
+	chain := make([]*Flow, xfer.Count)
+	for i := range chain {
+		chain[i] = n.newFlow(fmt.Sprintf("xfer-%d", i), &xfer)
+	}
 	var took []float64
-	var start func(i int)
-	start = func(i int) {
-		if i == xfer.Count {
-			return
-		}
-		f := n.AddFlow(fmt.Sprintf("xfer-%d", i), &xfer, route, n.Sim.Now())
+	for i, f := range chain {
 		f.Srcs[0].OnComplete = func(s *tcp.Src) {
 			took = append(took, s.CompletionTime().Sec())
-			start(i + 1)
+			if i+1 < len(chain) {
+				chain[i+1].start(n.Sim.Now())
+			}
 		}
 	}
-	start(0)
+	chain[0].start(sim.Seconds(xfer.StartSec))
 	byHand := runClean(t, n)
 
 	if rep.Digest() != byHand.Digest() {
@@ -517,6 +525,20 @@ func TestSerialStartsOnCompletion(t *testing.T) {
 			t.Errorf("transfer %d: reported %v s, completed in %v s", i, group[i].CompletionSec, took[i])
 		}
 	}
+}
+
+// TestFlowAfterRunPanics: a network's set of flows is fixed once Run
+// starts, so a flow wired from an event, or after the run, panics.
+func TestFlowAfterRunPanics(t *testing.T) {
+	sp := twoPathSpec()
+	n := mustCompile(t, sp)
+	runClean(t, n)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a flow was wired after Run started")
+		}
+	}()
+	n.newFlow("late", &sp.Flows[1])
 }
 
 // TestProbeControlReportsSuspends: a multipath user whose second path is

@@ -115,7 +115,7 @@ func (sp *Spec) validateTimeline() error {
 }
 
 // retargets reports whether any timeline setpoint retargets link l's delay
-// and its loss, so AddLink can give the link a pipe of its own and pre-build
+// and its loss, so addLink can give the link a pipe of its own and pre-build
 // the (transparent, randomness-free) loss element the driver will mutate.
 func (n *Net) retargets(l int) (delay, loss bool) {
 	for i := range n.timeline {

@@ -72,7 +72,7 @@ func TestTraceNeverPerturbsRun(t *testing.T) {
 }
 
 func TestTraceSamplesAtPeriod(t *testing.T) {
-	n := NewNet("t", 1, 0, sim.Second)
+	n := newNet("t", 1, 0, sim.Second)
 	v := 0.0
 	tr := n.Trace(100*sim.Millisecond, Probe{Name: "v", Fn: func() float64 { v++; return v }})
 	runClean(t, n)
@@ -88,7 +88,7 @@ func TestTraceSamplesAtPeriod(t *testing.T) {
 }
 
 func TestTraceMultipleProbesAndNames(t *testing.T) {
-	n := NewNet("t", 1, 0, 200*sim.Millisecond)
+	n := newNet("t", 1, 0, 200*sim.Millisecond)
 	tr := n.Trace(50*sim.Millisecond,
 		Probe{Name: "a", Fn: func() float64 { return 1 }},
 		Probe{Name: "b", Fn: func() float64 { return 2 }})
@@ -113,7 +113,7 @@ func TestTracePanics(t *testing.T) {
 		}()
 		fn()
 	}
-	n := NewNet("t", 1, 0, sim.Second)
+	n := newNet("t", 1, 0, sim.Second)
 	mustPanic("zero period", func() { n.Trace(0) })
 	mustPanic("negative period", func() { n.Trace(-sim.Millisecond) })
 	runClean(t, n)

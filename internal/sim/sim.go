@@ -44,6 +44,18 @@ func Millis(ms float64) Time { return Time(ms * float64(Millisecond)) }
 // Sec converts t to floating-point seconds.
 func (t Time) Sec() float64 { return float64(t) / float64(Second) }
 
+// ExactSec converts t to floating-point seconds that Seconds maps back to t
+// exactly, for t up to 10¹⁵ ns (scenario.MaxSpecSec): Sec where it survives
+// the round trip, and where it would come back a nanosecond short, the
+// midpoint of t's nanosecond, (ns + ½)/1e9, which the two roundings of the
+// round trip cannot push out of it.
+func (t Time) ExactSec() float64 {
+	if s := t.Sec(); Seconds(s) == t {
+		return s
+	}
+	return (float64(t) + 0.5) / float64(Second)
+}
+
 // Msec converts t to floating-point milliseconds.
 func (t Time) Msec() float64 { return float64(t) / float64(Millisecond) }
 
