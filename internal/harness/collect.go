@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 
@@ -78,8 +79,10 @@ func collect(ctx context.Context, cfg Config, exps []*Experiment, progress func(
 		progress(Event{Kind: EventExperimentStart, Experiment: e.ID})
 	}
 	total := 0
-	owner := map[string]int{} // looked up, never ranged over
-	var key []byte            // one buffer for every encoding
+	// A job's key is the SHA-256 of its encoding, as a campaign cache
+	// entry's is: a fat tree's encoding runs to kilobytes.
+	owner := map[[sha256.Size]byte]int{} // looked up, never ranged over
+	var key []byte                       // one buffer for every encoding
 	for j := 0; j < most; j++ {
 		for i := range plans {
 			if j < len(at[i]) {
@@ -87,10 +90,11 @@ func collect(ctx context.Context, cfg Config, exps []*Experiment, progress func(
 				var kerr error
 				// A Spec that does not encode runs alone and fails to compile there.
 				if key, kerr = scenario.AppendSpec(key[:0], plans[i].Jobs[j].Spec); kerr == nil {
-					if o, ok := owner[string(key)]; ok {
+					sum := sha256.Sum256(key)
+					if o, ok := owner[sum]; ok {
 						k = o
 					} else {
-						owner[string(key)] = k
+						owner[sum] = k
 					}
 				}
 				if at[i][j] = k; k == total {

@@ -127,9 +127,10 @@ func newNet(name string, seed int64, warmup, duration sim.Time) *Net {
 
 // Compile validates the spec and builds its network. Element creation
 // order is part of the contract — links first, then the shared reverse
-// link if a path uses it, then flows in listing order, each replica drawing its start jitter as it is
-// created — because it fixes how a spec consumes its seed's random stream,
-// and the experiment goldens are byte-exact functions of that stream.
+// link if a path uses it, then flows in listing order, each replica
+// drawing its start jitter as it is created — because it fixes how a spec
+// consumes its seed's random stream, and the experiment goldens are
+// byte-exact functions of that stream.
 func Compile(sp *Spec) (*Net, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err

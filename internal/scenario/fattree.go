@@ -156,7 +156,7 @@ func starts(rng *rand.Rand, first []arrival, short func(int) bool, meanGap, unti
 		order int // when the pending arrival was scheduled
 	}
 	var out []arrival
-	var srcs []source
+	srcs := make([]source, 0, len(first))
 	for h, a := range first {
 		switch {
 		case !short(h):
