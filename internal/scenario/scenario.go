@@ -7,9 +7,10 @@
 // flows (congestion-control algorithm, path set, replica count, start/stop
 // times, workload size). Compile turns one into a Net: the paper's testbed
 // topologies (paper.go) and its data-center fabric (fattree.go) are Spec
-// builders that the figure experiments compile, the fuzzer (fuzz.go) generates topologies far outside the ~15
-// hardcoded paper figures, Fluid (fluid.go) compiles the same Spec to the
-// paper's §V fluid model, and the conformance oracle (conformance.go)
+// builders that the figure experiments compile, the fuzzer (fuzz.go)
+// generates topologies far outside the ~15 hardcoded paper figures, Fluid
+// (fluid.go) compiles the same Spec to the paper's §V fluid model, and the
+// conformance oracle (conformance.go)
 // cross-checks packet-level steady states against that model's equilibria
 // and the fixed-point analyses.
 //
@@ -218,9 +219,9 @@ const maxPathLinks = 1024
 func rateInRange(mbps float64) bool { return mbps >= minRateMbps && mbps <= maxRateMbps }
 
 // Validate checks the spec for structural errors: empty topology, bad
-// indices, empty or overlong routes either way, non-positive rates, negative times, rates, times and delays
-// beyond the bounds above, unknown algorithms, AlgoTCP flows with more than
-// one path, and malformed timelines (out-of-range link/path indices,
+// indices, empty or overlong routes either way, non-positive rates,
+// negative times, rates, times and delays beyond the bounds above, unknown
+// algorithms, AlgoTCP flows with more than one path, and malformed timelines (out-of-range link/path indices,
 // decreasing or negative times, out-of-range setpoint values). It returns
 // the first problem found. A spec it accepts compiles without panicking
 // (FuzzSpecJSON).
