@@ -3,6 +3,7 @@ package mptcp
 import (
 	"testing"
 
+	"mptcpsim/internal/alloctest"
 	"mptcpsim/internal/core"
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/sim"
@@ -197,12 +198,12 @@ func TestStreamZeroAlloc(t *testing.T) {
 	}
 	stretch() // pools, span FIFOs and the reassembly buffer reach their high-water marks
 
-	// One run after AllocsPerRun's own warm-up call: the result is the
-	// stretch's exact allocation count, not an average rounded down.
-	allocs := testing.AllocsPerRun(1, stretch)
+	// One run after a warm-up call: the stretch's exact allocation count,
+	// with the stacks that allocated when it is not zero.
+	allocs, stacks := alloctest.Count(stretch)
 	if allocs != 0 {
-		t.Fatalf("%.0f allocations over a stretch delivering %d and %d bytes, want 0", allocs,
-			st.consumed[0]-consumed0[0], st.consumed[1]-consumed0[1])
+		t.Fatalf("%d allocations over a stretch delivering %d and %d bytes, want 0; allocated at:\n%s", allocs,
+			st.consumed[0]-consumed0[0], st.consumed[1]-consumed0[1], stacks)
 	}
 	for i := range consumed0 {
 		if st.consumed[i]-consumed0[i] < 1_000_000 {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mptcpsim/internal/alloctest"
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/sim"
 )
@@ -272,12 +273,12 @@ func TestLossPathZeroAlloc(t *testing.T) {
 	}
 	stretch() // pools, scoreboard and reorder buffer reach their high-water marks
 
-	// One run after AllocsPerRun's own warm-up call: the result is the
-	// stretch's exact allocation count, not an average rounded down.
-	allocs := testing.AllocsPerRun(1, stretch)
+	// One run after a warm-up call: the stretch's exact allocation count,
+	// with the stacks that allocated when it is not zero.
+	allocs, stacks := alloctest.Count(stretch)
 	st, pkts := src.Stats(), sink.RecvPkts()-pkts0
 	if allocs != 0 {
-		t.Fatalf("%.0f allocations over %d delivered packets, want 0", allocs, pkts)
+		t.Fatalf("%d allocations over %d delivered packets, want 0; allocated at:\n%s", allocs, pkts, stacks)
 	}
 	if st.FastRecover-st0.FastRecover < 10 || st.Timeouts == st0.Timeouts || st.RetxPkts-st0.RetxPkts < 50 || pkts < 1000 {
 		t.Fatalf("measured stretch missed the loss path: %d fast recoveries, %d timeouts, %d retransmissions, %d packets delivered",
