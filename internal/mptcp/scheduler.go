@@ -135,7 +135,17 @@ type pullSched struct{}
 func (pullSched) Name() string     { return "pull" }
 func (pullSched) Replicates() bool { return false }
 func (pullSched) Pick(v SchedView, want int, remaining int64) int {
-	return want // want itself, or the ReinjectPick fallback
+	return askerIfUp(v, want) // want itself, or the ReinjectPick fallback
+}
+
+// askerIfUp grants an asking subflow that is up and holds otherwise, so a
+// downed subflow is never a target; ReinjectPick is held, which leaves the
+// span to the stream's first-live fallback.
+func askerIfUp(v SchedView, want int) int {
+	if want >= 0 && v.PathUp(want) {
+		return want
+	}
+	return -1
 }
 
 // minRTTSched is the Linux default policy: the next chunk goes to the
@@ -238,5 +248,5 @@ type redundantSched struct{}
 func (redundantSched) Name() string     { return "redundant" }
 func (redundantSched) Replicates() bool { return true }
 func (redundantSched) Pick(v SchedView, want int, remaining int64) int {
-	return want
+	return askerIfUp(v, want)
 }
