@@ -11,17 +11,17 @@
 //   - Lab (NewLab + functional options) is the simulation engine. Its
 //     context-aware methods cover every long-running entry point —
 //     Collect/RunAll regenerate the paper's tables and figures as
-//     structured Results, Run executes one declarative N-path network (a
-//     ScenarioSpec, read back through one ScenarioReport), Fuzz and
-//     Conform drive the invariant fuzzer and the cross-model conformance
-//     suite, Campaign samples and aggregates thousands of scenarios from a
-//     parameter-distribution population (with a content-addressed result
-//     cache), and Analyze evaluates the paper's loss-throughput fixed
-//     points without simulation. Worker budget and progress sink are set
-//     once, on the Lab. Calls can be cancelled via their context (errors
-//     wrap ErrCanceled) and observed in flight via WithProgress; failures
-//     are matchable with errors.Is/As against the typed error family in
-//     errors.go.
+//     structured Results (the cross-model conformance suite is the
+//     "conformance" table), Run executes one declarative N-path network
+//     (a ScenarioSpec, read back through one ScenarioReport), Fuzz drives
+//     the invariant fuzzer, Campaign samples and aggregates thousands of
+//     scenarios from a parameter-distribution population (with a
+//     content-addressed result cache), and Analyze evaluates the paper's
+//     loss-throughput fixed points without simulation. Worker budget and
+//     progress sink are set once, on the Lab. Calls can be cancelled via
+//     their context (errors wrap ErrCanceled) and observed in flight via
+//     WithProgress; failures are matchable with errors.Is/As against the
+//     typed error family in errors.go.
 //   - PaperScenarioA and PaperTwoLink build the paper's testbed networks
 //     as ScenarioSpecs for Lab.Run, the same definitions the experiment
 //     registry runs.
@@ -211,13 +211,6 @@ func DefaultCampaign() *CampaignSpec { return campaign.Default() }
 type (
 	FuzzOptions = scenario.FuzzOptions
 	FuzzReport  = scenario.FuzzReport
-)
-
-// ConformanceOptions and ConformanceReport scale and summarize the
-// cross-model conformance suite (Lab.Conform).
-type (
-	ConformanceOptions = scenario.ConformanceOptions
-	ConformanceReport  = scenario.ConformanceReport
 )
 
 // Algorithms lists the available congestion-control algorithms: "olia"

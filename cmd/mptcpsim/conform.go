@@ -9,13 +9,14 @@ import (
 	"time"
 
 	"mptcpsim"
+	"mptcpsim/internal/sim"
 )
 
-// conformMain implements `mptcpsim conform`: the scenario fuzzer plus the
-// cross-model conformance suite, the CLI face of internal/scenario. Exits
-// 1 when any invariant or conformance case fails — the regression gate CI
-// runs with -smoke — and 130 on Ctrl-C (both campaigns cancel at their
-// next scenario/case boundary).
+// conformMain implements `mptcpsim conform`: the scenario fuzzer, then the
+// harness's "conformance" table (the fluid oracle) at 3 seeds from 1 with
+// 5 s warm-ups and -duration windows. Exits 1 when any invariant fails or
+// any case's verdict is not pass — the regression gate CI runs with
+// -smoke — and 130 on Ctrl-C (both stop at their next job boundary).
 func conformMain(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("conform", flag.ExitOnError)
 	var (
@@ -38,14 +39,16 @@ func conformMain(ctx context.Context, args []string) {
 	}
 
 	meter := newMeter()
-	lab := mptcpsim.NewLab(mptcpsim.WithWorkers(*jobs), mptcpsim.WithProgress(meter.observe))
+	cfg := mptcpsim.DefaultConfig()
+	cfg.Warmup, cfg.Duration = 5*sim.Second, sim.Seconds(*duration)
+	cfg.Seeds, cfg.BaseSeed, cfg.Workers = 3, 1, *jobs
+	lab := mptcpsim.NewLab(mptcpsim.WithConfig(cfg), mptcpsim.WithProgress(meter.observe))
 	if *replay >= 0 {
 		replayMain(ctx, lab, *seed, *replay, *jsonOut)
 		return
 	}
-	opts := mptcpsim.ConformanceOptions{DurationSec: *duration}
 	// A window the suite would reject must not wait for the fuzzer.
-	if err := opts.Validate(); err != nil && !*fuzzOnly {
+	if err := cfg.Validate(); err != nil && !*fuzzOnly {
 		fmt.Fprintln(os.Stderr, errLine(err))
 		os.Exit(1)
 	}
@@ -55,9 +58,9 @@ func conformMain(ctx context.Context, args []string) {
 		meter.clear()
 		exitOn(err, "interrupted")
 	}
-	var conf *mptcpsim.ConformanceReport
+	var conf *mptcpsim.Result
 	if !*fuzzOnly {
-		conf, err = lab.Conform(ctx, opts)
+		conf, err = lab.Collect(ctx, "conformance")
 	}
 	meter.clear()
 	if err != nil {
@@ -66,25 +69,38 @@ func conformMain(ctx context.Context, args []string) {
 
 	if *jsonOut {
 		out := struct {
-			Fuzz        *mptcpsim.FuzzReport        `json:"fuzz"`
-			Conformance *mptcpsim.ConformanceReport `json:"conformance,omitempty"`
+			Fuzz        *mptcpsim.FuzzReport `json:"fuzz"`
+			Conformance *mptcpsim.Result     `json:"conformance,omitempty"`
 		}{fuzz, conf}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "mptcpsim: %v\n", err)
-			os.Exit(1)
-		}
+		err = enc.Encode(out)
 	} else {
 		renderFuzz(fuzz)
 		if conf != nil {
-			renderConformance(conf)
+			err = mptcpsim.RenderResult(conf, mptcpsim.FormatText, os.Stdout)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "(conform total %v)\n", time.Since(t0).Round(time.Millisecond))
-	if fuzz.Failed() || (conf != nil && conf.Failed()) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mptcpsim: %v\n", err)
 		os.Exit(1)
 	}
+	fmt.Fprintf(os.Stderr, "(conform total %v)\n", time.Since(t0).Round(time.Millisecond))
+	if fuzz.Failed() || (conf != nil && conformFailed(conf)) {
+		os.Exit(1)
+	}
+}
+
+// conformFailed reports whether any case of the conformance table lacks a
+// pass verdict.
+func conformFailed(r *mptcpsim.Result) bool {
+	v := r.Column("verdict")
+	for i := range r.Rows {
+		if r.Cell(i, v).Text != "pass" {
+			return true
+		}
+	}
+	return false
 }
 
 // replayMain re-runs one fuzz scenario by campaign seed and index — the
@@ -139,32 +155,4 @@ func renderFuzz(fuzz *mptcpsim.FuzzReport) {
 		}
 		fmt.Printf("    replay: mptcpsim conform -seed %d -replay %d\n", fuzz.Seed, f.Index)
 	}
-}
-
-// renderConformance prints the cross-model suite summary.
-func renderConformance(conf *mptcpsim.ConformanceReport) {
-	fmt.Printf("conformance: packet-level vs fluid equilibrium, per-path goodput shares (tolerance ±%.2f)\n",
-		conf.Tolerance)
-	fmt.Printf("  %-8s %-10s %-7s %-9s %s\n", "topology", "algo", "Δshare", "verdict", "sim vs model shares")
-	for _, c := range conf.Results {
-		verdict := "pass"
-		if !c.Pass {
-			verdict = "FAIL"
-		}
-		fmt.Printf("  %-8s %-10s %6.3f  %-9s %s vs %s\n",
-			c.Case.Name, c.Case.Algo, c.MaxShareDiff, verdict,
-			shareString(c.SimShares), shareString(c.ModelShares))
-	}
-}
-
-// shareString renders a share vector compactly.
-func shareString(shares []float64) string {
-	s := "["
-	for i, v := range shares {
-		if i > 0 {
-			s += " "
-		}
-		s += fmt.Sprintf("%.2f", v)
-	}
-	return s + "]"
 }

@@ -290,3 +290,50 @@ func TestWriteCSVEmpty(t *testing.T) {
 		t.Fatalf("empty CSV %q", b.String())
 	}
 }
+
+// TestConformRejectsBadConfig: a conformance window that is not a positive
+// number of seconds, or that with the 5 s warm-up is longer than a
+// scenario can hold, and a negative worker count are configuration errors
+// reported before the fuzzer runs (exit 1 at once, not a panic).
+func TestConformRejectsBadConfig(t *testing.T) {
+	for _, args := range [][]string{{"-duration", "2e6"}, {"-duration", "-1"}, {"-duration", "NaN"}, {"-j", "-1"}} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		cmd := exec.CommandContext(ctx, os.Args[0], append([]string{"conform"}, args...)...)
+		cmd.Env = append(os.Environ(), mptcpsimTestMain+"=1")
+		out, err := cmd.CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%v: err %v, want exit status 1; output:\n%s", args, err, out)
+		}
+		if !strings.HasPrefix(string(out), "mptcpsim: harness: ") || strings.Contains(string(out), "fuzz:") {
+			t.Errorf("%v: output is not the configuration error alone:\n%s", args, out)
+		}
+	}
+}
+
+// TestConformanceReportFailed: the conform command fails when any one
+// case's verdict is not pass, and only then; a table without a verdict
+// column fails too.
+func TestConformanceReportFailed(t *testing.T) {
+	r := &mptcpsim.Result{
+		Columns: []mptcpsim.Column{{Name: "topology"}, {Name: "verdict"}},
+		Rows: [][]mptcpsim.Cell{
+			{mptcpsim.Cell{Text: "a"}, mptcpsim.Cell{Text: "pass"}},
+			{mptcpsim.Cell{Text: "b"}, mptcpsim.Cell{Text: "pass"}},
+			{mptcpsim.Cell{Text: "c"}, mptcpsim.Cell{Text: "pass"}},
+		},
+	}
+	if conformFailed(r) {
+		t.Error("all cases pass, report failed")
+	}
+	r.Rows[1][1] = mptcpsim.Cell{Text: "FAIL"}
+	if !conformFailed(r) {
+		t.Error("one case fails, report passed")
+	}
+	r.Rows[1][1] = mptcpsim.Cell{Text: "pass"}
+	r.Columns[1].Name = "result"
+	if !conformFailed(r) {
+		t.Error("no verdict column, report passed")
+	}
+}

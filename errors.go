@@ -22,7 +22,7 @@ var (
 	// ErrUnknownExperiment marks an experiment ID absent from the registry.
 	ErrUnknownExperiment = errors.New("unknown experiment")
 	// ErrInvalidConfig marks a rejected Config, worker count, format, or
-	// FuzzOptions/ConformanceOptions value.
+	// FuzzOptions value.
 	ErrInvalidConfig = errors.New("invalid configuration")
 	// ErrInvalidSpec marks a rejected scenario or campaign spec, or
 	// analysis input.
@@ -46,7 +46,7 @@ var (
 // Error is the concrete error type of the Lab API boundary.
 type Error struct {
 	// Op names the Lab method that failed: "collect", "run-all", "run",
-	// "fuzz", "conform", "campaign", or "analyze".
+	// "fuzz", "campaign", or "analyze".
 	Op string
 	// ID is the experiment ID or scenario name involved, when there is one.
 	ID string

@@ -43,6 +43,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"ablation-epsilon", "ablation-queue", "ablation-ssthresh", "ablation-cap",
 		"fig4a", "fig4b", "fig5b", "fig17",
+		"conformance",
 		"fig13a", "fig13b", "fig14", "table3",
 		"ext-probe", "ext-rwnd", "ext-streams", "ablation-delack", "ext-rtt",
 		"fig1b", "fig1c", "table1", "fig5c", "fig5d", "fig9", "fig10",

@@ -85,9 +85,9 @@ func TestRunAllGoroutineBound(t *testing.T) {
 }
 
 // TestRegistryJobCounts: a job is a network, and a Spec that several
-// experiments list runs once, so the whole registry announces 95 jobs at
-// the quick scale (176 when every experiment ran its own) and 165 at the
-// golden one (318). Every two-link variant carries the same window trace,
+// experiments list runs once, so the whole registry announces 104 jobs at
+// the quick scale (185 when every experiment ran its own) and 183 at the
+// golden one (336); the conformance table's 9 and 18 share with nothing. Every two-link variant carries the same window trace,
 // so fig7's OLIA run is also ablation-epsilon's, ablation-cap's,
 // ext-rwnd's and ablation-delack's, its LIA run ablation-epsilon's, and
 // fig8's OLIA run ablation-ssthresh's. The fat trees are Specs too:
@@ -101,8 +101,8 @@ func TestRegistryJobCounts(t *testing.T) {
 		cfg  Config
 		want int
 	}{
-		{"DefaultConfig", DefaultConfig(), 95},
-		{"goldenConfig", goldenConfig(), 165},
+		{"DefaultConfig", DefaultConfig(), 104},
+		{"goldenConfig", goldenConfig(), 183},
 	} {
 		ctx, cancel := context.WithCancel(context.Background())
 		total, done := -1, 0

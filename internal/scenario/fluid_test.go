@@ -17,9 +17,7 @@ import (
 // tier3 conformance Spec as a literal network.
 func TestFluid(t *testing.T) {
 	tier3 := func(algo string) *Spec {
-		c := ConformanceCases()[0]
-		c.Algo = algo
-		return caseSpec(c, 20, 1)
+		return ConformanceSpec("tier3", []float64{2, 4, 8}, []int{3, 2, 1}, algo, 1, 5, 20)
 	}
 	edit := func(f func(sp *Spec)) *Spec {
 		sp := tier3("olia")
@@ -93,8 +91,11 @@ func TestFluid(t *testing.T) {
 		PaperScenarioC(10, 10, 1, 1, "olia", 1, 5, 30),
 		PaperTwoLink(1, 5, 5, "olia", 1, 5, 30),
 	}
-	for _, c := range ConformanceCases() {
-		specs = append(specs, caseSpec(c, 30, 1))
+	for _, algo := range []string{"olia", "lia", "uncoupled"} {
+		specs = append(specs,
+			ConformanceSpec("tier3", []float64{2, 4, 8}, []int{3, 2, 1}, algo, 1, 5, 30),
+			ConformanceSpec("asym3", []float64{2, 4, 8}, []int{2, 2, 2}, algo, 1, 5, 30),
+			ConformanceSpec("steep4", []float64{1.5, 3, 5, 12}, []int{1, 2, 2, 2}, algo, 1, 5, 30))
 	}
 	for _, sp := range specs {
 		m, err := Fluid(sp)

@@ -1,11 +1,15 @@
 package scenario
 
+import "fmt"
+
 // The paper's four testbed networks as Specs. All share the testbed's
 // shape: RED bottlenecks with zero link delay, a 40 ms access pipe per
 // flow path (80 ms propagation RTT; queueing raises the effective RTT to
 // ≈150 ms as in §III), and Iperf sessions started in random order. Flow
 // order is fixed: it decides how a spec consumes its seed's random stream,
-// and the experiment goldens are byte-exact functions of it.
+// and the experiment goldens are byte-exact functions of it. The fluid
+// oracle's networks (ConformanceSpec) have the same links and paths, with
+// fixed staggered starts instead of random ones.
 
 // testbedDelayMs is the one-way propagation delay of every testbed path.
 const testbedDelayMs = 40
@@ -124,4 +128,31 @@ func PaperTwoLink(c float64, nTCP1, nTCP2 int, algo string, seed int64, warmupSe
 			testbedUsers("tcp2", AlgoTCP, []int{1}, nTCP2)...),
 			FlowSpec{Name: "mp", Algorithm: algo, Paths: []int{0, 1}, StartSec: 0.5}),
 	}
+}
+
+// ConformanceSpec is one network of the fluid-oracle comparison: one
+// multipath flow "mp" over len(capsMbps) RED links, path i being link i
+// alone, each shared with background[i] plain TCP flows "bg<i>" whose
+// starts are staggered deterministically behind the multipath flow.
+func ConformanceSpec(name string, capsMbps []float64, background []int, algo string, seed int64, warmupSec, durationSec float64) *Spec {
+	sp := &Spec{
+		Name:        "conform-" + name + "-" + algo,
+		Seed:        seed,
+		WarmupSec:   warmupSec,
+		DurationSec: durationSec,
+	}
+	mp := FlowSpec{Name: "mp", Algorithm: algo}
+	for i, c := range capsMbps {
+		sp.Links = append(sp.Links, LinkSpec{RateMbps: c})
+		sp.Paths = append(sp.Paths, PathSpec{Links: []int{i}, DelayMs: testbedDelayMs})
+		mp.Paths = append(mp.Paths, i)
+	}
+	sp.Flows = append(sp.Flows, mp)
+	for i, n := range background {
+		sp.Flows = append(sp.Flows, FlowSpec{
+			Name: fmt.Sprintf("bg%d", i), Algorithm: AlgoTCP, Paths: []int{i},
+			Count: n, StartSec: 0.1 * float64(i+1),
+		})
+	}
+	return sp
 }

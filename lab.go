@@ -29,8 +29,8 @@ const (
 	// ProgressJobs fires when the call's cumulative job counters change:
 	// simulated networks for Collect/RunAll (a scenario that several
 	// experiments of one call list runs, and counts, once), scenarios for
-	// Fuzz, cases for Conform. Total is announced once, before the first
-	// job runs; Done grows as jobs finish.
+	// Fuzz. Total is announced once, before the first job runs; Done grows
+	// as jobs finish.
 	ProgressJobs
 )
 
@@ -78,7 +78,7 @@ func WithConfig(cfg Config) Option {
 // WithWorkers bounds how many simulation jobs run concurrently across any
 // one call: 0 selects GOMAXPROCS, 1 forces sequential execution, and a
 // negative count makes every fanning-out method (Collect, RunAll,
-// Campaign, Fuzz, Conform) return ErrInvalidConfig. Results are
+// Campaign, Fuzz) return ErrInvalidConfig. Results are
 // byte-identical for any worker count.
 func WithWorkers(n int) Option {
 	return func(l *Lab) { l.cfg.Workers = n }
@@ -308,30 +308,6 @@ func (l *Lab) Campaign(ctx context.Context, spec CampaignSpec) (*CampaignResult,
 		return nil, classify(op, spec.Name, err)
 	}
 	return res, nil
-}
-
-// Conform cross-checks the packet-level simulator against the paper's
-// fluid model: on 3- and 4-path topologies the steady-state per-path
-// goodput shares of OLIA, LIA and uncoupled multipath flows must match the
-// fluid equilibrium within the documented tolerance. Cases run on the
-// Lab's worker budget. A negative or NaN opts.DurationSec, one that with
-// the cases' warm-up is longer than a scenario can hold, or a negative
-// worker budget is ErrInvalidConfig.
-// Cancelling ctx stops the suite at the next case boundary with an
-// ErrCanceled error.
-func (l *Lab) Conform(ctx context.Context, opts ConformanceOptions) (*ConformanceReport, error) {
-	const op = "conform"
-	if err := opts.Validate(); err != nil {
-		return nil, apiErr(op, "", ErrInvalidConfig, err)
-	}
-	if err := l.validWorkers(op); err != nil {
-		return nil, err
-	}
-	rep, err := scenario.RunConformance(ctx, opts, l.cfg.Workers, l.jobsProgress())
-	if err != nil {
-		return nil, classify(op, "", err)
-	}
-	return rep, nil
 }
 
 // Analyze evaluates the paper's loss-throughput fixed points for a user

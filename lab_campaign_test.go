@@ -120,32 +120,36 @@ func goroutineID() string {
 // where it folds results, so all of them report it the same way — (0, total)
 // first, then Done up by exactly one per event with the total unchanged,
 // ending at (total, total) — and always on the goroutine that called the
-// method, at any worker count. The sink appends to events without a lock,
-// so under -race a call from a worker is also a reported data race.
+// method, at any worker count. A collection (the conform command's
+// "conformance" table) brackets its job events with its experiment's start
+// and finish. The sink appends to events without a lock, so under -race a
+// call from a worker is also a reported data race.
 func TestProgressContract(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short")
 	}
 	calls := []struct {
 		name string
+		// experiment is the experiment a collection reports on, if any.
+		experiment string
 		// run makes the call and returns the number of jobs it had.
 		run func(lab *Lab) (int, error)
 	}{
-		{"campaign", func(lab *Lab) (int, error) {
+		{"campaign", "", func(lab *Lab) (int, error) {
 			sp := tinyCampaign()
 			_, err := lab.Campaign(context.Background(), sp)
 			return sp.N, err
 		}},
-		{"fuzz", func(lab *Lab) (int, error) {
+		{"fuzz", "", func(lab *Lab) (int, error) {
 			_, err := lab.Fuzz(context.Background(), FuzzOptions{N: 12, Seed: 3})
 			return 12, err
 		}},
-		{"conform", func(lab *Lab) (int, error) {
-			rep, err := lab.Conform(context.Background(), ConformanceOptions{DurationSec: 2})
+		{"conform", "conformance", func(lab *Lab) (int, error) {
+			r, err := lab.Collect(context.Background(), "conformance")
 			if err != nil {
 				return 0, err
 			}
-			return len(rep.Results), nil
+			return len(r.Rows) * lab.Config().Seeds, nil
 		}},
 	}
 	for _, c := range calls {
@@ -153,7 +157,7 @@ func TestProgressContract(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/j%d", c.name, workers), func(t *testing.T) {
 				caller := goroutineID()
 				var events []ProgressEvent
-				lab := NewLab(WithWorkers(workers), WithProgress(func(ev ProgressEvent) {
+				lab := NewLab(WithConfig(quickCfg()), WithWorkers(workers), WithProgress(func(ev ProgressEvent) {
 					if g := goroutineID(); g != caller {
 						t.Errorf("sink ran on goroutine %s, the call was made on %s", g, caller)
 					}
@@ -162,6 +166,14 @@ func TestProgressContract(t *testing.T) {
 				total, err := c.run(lab)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if c.experiment != "" {
+					start := ProgressEvent{Kind: ProgressExperimentStarted, Experiment: c.experiment}
+					finish := ProgressEvent{Kind: ProgressExperimentFinished, Experiment: c.experiment}
+					if len(events) < 2 || events[0] != start || events[len(events)-1] != finish {
+						t.Fatalf("events %+v do not open with %+v and close with %+v", events, start, finish)
+					}
+					events = events[1 : len(events)-1]
 				}
 				if len(events) != total+1 {
 					t.Fatalf("%d events for %d jobs, want %d: %+v", len(events), total, total+1, events)

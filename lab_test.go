@@ -163,15 +163,10 @@ func TestLabPreCancelled(t *testing.T) {
 	if _, err := lab.Fuzz(ctx, FuzzOptions{N: 3}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("Fuzz: %v", err)
 	}
-	if _, err := lab.Conform(ctx, ConformanceOptions{DurationSec: 1}); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("Conform: %v", err)
-	}
 }
 
-// TestFanOutRejectsInvalidSizes: a negative worker budget, fuzz campaign
-// size or conformance window, or a conformance window that with its
-// warm-up is longer than a scenario can hold, is ErrInvalidConfig before
-// anything runs, never a silent default. The context is already cancelled,
+// TestFanOutRejectsInvalidSizes: a negative worker budget or fuzz campaign
+// size is ErrInvalidConfig before anything runs, never a silent default. The context is already cancelled,
 // so a call that ran instead would fail with ErrCanceled.
 func TestFanOutRejectsInvalidSizes(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -184,11 +179,7 @@ func TestFanOutRejectsInvalidSizes(t *testing.T) {
 	}{
 		{"campaign workers", errOf(bad.Campaign(ctx, tinyCampaign()))},
 		{"fuzz workers", errOf(bad.Fuzz(ctx, FuzzOptions{N: 3}))},
-		{"conform workers", errOf(bad.Conform(ctx, ConformanceOptions{DurationSec: 1}))},
 		{"fuzz N", errOf(ok.Fuzz(ctx, FuzzOptions{N: -1}))},
-		{"conform duration", errOf(ok.Conform(ctx, ConformanceOptions{DurationSec: -1}))},
-		{"conform NaN duration", errOf(ok.Conform(ctx, ConformanceOptions{DurationSec: math.NaN()}))},
-		{"conform long window", errOf(ok.Conform(ctx, ConformanceOptions{DurationSec: 2e6}))},
 	} {
 		if !errors.Is(tc.err, ErrInvalidConfig) {
 			t.Errorf("%s: %v, want ErrInvalidConfig", tc.name, tc.err)
