@@ -58,7 +58,8 @@ const (
 	confSimShare   = 4
 	confModelShare = confSimShare + conformancePaths + 1
 	confDiff       = confModelShare + conformancePaths
-	confVerdict    = confDiff + 2
+	confConverged  = confDiff + 1
+	confVerdict    = confConverged + 1
 )
 
 // conformanceSpec is one row's network at one seed.

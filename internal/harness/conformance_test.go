@@ -47,7 +47,7 @@ func TestConformanceSuite(t *testing.T) {
 	for _, c := range r.Rows {
 		name := c[0].Text + "/" + c[1].Text
 		n := c[confPaths].Int()
-		if c[confDiff+1].Int() != 1 {
+		if c[confConverged].Int() != 1 {
 			t.Errorf("%s: fluid equilibrium did not converge", name)
 		}
 		if d := c[confDiff].Value; d > shareTolerance {
