@@ -5,18 +5,26 @@ package alloctest
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 )
 
 // Count calls f twice, as testing.AllocsPerRun(1, f) does: once to warm
-// up, then once measured, on one P. It returns the measured call's exact
-// number of heap allocations — made by any goroutine of the process, as
-// AllocsPerRun counts them — and, when that is not zero, the call stacks
-// that allocated during it with their object counts, largest first. Every
-// allocation of the measured call is profiled (runtime.MemProfileRate 1),
-// so the stacks are complete.
+// up, then once measured, on one P. It returns the measured call's number
+// of heap allocations, a process-wide MemStats.Mallocs delta as
+// AllocsPerRun's, and when that is not zero the call stacks that allocated
+// during it with their object counts, largest first. Every allocation of
+// the measured call is profiled (runtime.MemProfileRate 1), so the stacks
+// are complete.
+//
+// One case reads 0 although Mallocs moved: when every profiled
+// allocation of the measured call ran on a goroutine the Go runtime
+// started itself (the background scavenger's timer, for one, can grow a
+// P's timer heap in the middle of any stretch). An allocation of f's
+// always leaves a stack of f's own, and then the whole delta counts.
 func Count(f func()) (allocs uint64, stacks string) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f()
@@ -39,9 +47,15 @@ func Count(f func()) (allocs uint64, stacks string) {
 	}
 	var sites []site
 	for stk, n := range profile() {
-		if n -= before[stk]; n > 0 {
-			sites = append(sites, site{n, format(stk)})
+		if n -= before[stk]; n <= 0 {
+			continue
 		}
+		if funcs, text := frames(stk); !runtimeGoroutine(funcs) && !slices.Contains(funcs, profileFunc) {
+			sites = append(sites, site{n, text})
+		}
+	}
+	if len(sites) == 0 {
+		return 0, ""
 	}
 	sort.Slice(sites, func(i, j int) bool {
 		if sites[i].n != sites[j].n {
@@ -54,6 +68,21 @@ func Count(f func()) (allocs uint64, stacks string) {
 		fmt.Fprintf(&b, "%d objects at\n%s", s.n, s.stack)
 	}
 	return allocs, b.String()
+}
+
+// profileFunc names profile, whose own bookkeeping between the two
+// snapshots is no allocation of the measured call.
+var profileFunc = runtime.FuncForPC(reflect.ValueOf(profile).Pointer()).Name()
+
+// runtimeGoroutine reports whether a stack, innermost function first, is
+// whole and runs on a goroutine the runtime started itself: it ends in
+// runtime.goexit, and the goroutine's entry function just before it is
+// in package runtime but is not runtime.main, which runs the program's
+// main. A stack cut at the profile's depth ends elsewhere.
+func runtimeGoroutine(funcs []string) bool {
+	n := len(funcs)
+	return n >= 2 && funcs[n-1] == "runtime.goexit" &&
+		strings.HasPrefix(funcs[n-2], "runtime.") && funcs[n-2] != "runtime.main"
 }
 
 // profile reads the memory profile's cumulative object counts by stack.
@@ -74,9 +103,9 @@ func profile() map[[32]uintptr]int64 {
 	return out
 }
 
-// format renders a profiled stack one frame per line.
-func format(stk [32]uintptr) string {
-	var b strings.Builder
+// frames expands a profiled stack into its functions, innermost first,
+// and renders it one frame per line.
+func frames(stk [32]uintptr) (funcs []string, text string) {
 	pcs := stk[:]
 	for i, pc := range pcs {
 		if pc == 0 {
@@ -84,12 +113,14 @@ func format(stk [32]uintptr) string {
 			break
 		}
 	}
-	frames := runtime.CallersFrames(pcs)
+	var b strings.Builder
+	fs := runtime.CallersFrames(pcs)
 	for {
-		fr, more := frames.Next()
+		fr, more := fs.Next()
+		funcs = append(funcs, fr.Function)
 		fmt.Fprintf(&b, "\t%s\n\t\t%s:%d\n", fr.Function, fr.File, fr.Line)
 		if !more {
-			return b.String()
+			return funcs, b.String()
 		}
 	}
 }
