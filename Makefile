@@ -88,8 +88,8 @@ lint:
 # internal/sim and bench/ (internal/lint is excluded for go/types' Tuple.At);
 # no Schedule(, ScheduleAfter( or ScheduleTimer in non-test Go above the
 # model packages internal/{sim,netem,tcp,mptcp,scenario} outside
-# internal/lint and bench/ (a periodic observer is a scenario.Net.Trace,
-# armed and ended by Net.Run);
+# internal/lint and bench/ (a periodic observer is a Spec.Trace, which
+# Compile turns into the network's one sampler and Net.Run arms);
 # no runner.Map or runner.NewProgress in non-test Go outside internal/runner
 # and bench/ (engines fold and count progress in one runner.Stream's emit);
 # no rand.New( or rand.NewSource( in non-test Go outside internal/sim and
@@ -124,11 +124,11 @@ lint:
 # packet pool's Release, which also empties the range lists bound to the
 # pool), so no slab or range array reaches another run while its own
 # network can still use it.
-# One place a harness network runs: no .Run(ctx in non-test internal/harness
-# Go outside collect.go, which compiles, runs, checks and reads every job.
-# A reading reads the report: no *scenario.Net in non-test internal/harness
-# Go outside collect.go, and no scenario.Probe{ in non-test Go outside
-# internal/scenario (a trace is a scenario.TraceSpec).
+# One place a harness network runs: no scenario.Run( in non-test
+# internal/harness Go outside collect.go, which runs, checks and reads every
+# job. A reading reads the report: no scenario.Compile( and no *scenario.Net
+# anywhere in non-test internal/harness Go, collect.go included (a trace is
+# part of the Spec, a scenario.TraceSpec, and its series are the report's).
 guard:
 	@if git grep -n 'RunUntil(' -- '*.go' ':!*_test.go' ':!internal/sim/' ':!internal/scenario/' ':!bench/'; then \
 		echo "raw Sim.RunUntil above the scenario layer: build a scenario.Net and call its Run"; exit 1; \
@@ -140,7 +140,7 @@ guard:
 		echo "closure event outside internal/sim and bench/: implement sim.Handler and Schedule it"; exit 1; \
 	fi
 	@if git grep -nE '\.(Schedule|ScheduleAfter)\(|\.ScheduleTimer' -- '*.go' ':!*_test.go' ':!internal/sim/' ':!internal/netem/' ':!internal/tcp/' ':!internal/mptcp/' ':!internal/scenario/' ':!internal/lint/' ':!bench/'; then \
-		echo "a kernel event scheduled above the scenario layer: observers are registered on a scenario.Net"; exit 1; \
+		echo "a kernel event scheduled above the scenario layer: an observer is a scenario.TraceSpec"; exit 1; \
 	fi
 	@if git grep -nE 'runner\.(Map|NewProgress)\(' -- '*.go' ':!*_test.go' ':!internal/runner/' ':!bench/'; then \
 		echo "engines are one runner.Stream: fold and count progress in emit"; exit 1; \
@@ -181,14 +181,11 @@ guard:
 	@if git grep -n '\.Release(' -- '*.go' ':!*_test.go' ':!internal/netem/' ':!internal/scenario/run.go'; then \
 		echo "a run's packet slabs go back only where scenario.Net.Run ends"; exit 1; \
 	fi
-	@if git grep -n '\.Run(ctx' -- 'internal/harness/*.go' ':!*_test.go' ':!internal/harness/collect.go'; then \
-		echo "a harness network runs in one place: collect compiles, runs and reads every job"; exit 1; \
+	@if git grep -nF 'scenario.Run(' -- 'internal/harness/*.go' ':!*_test.go' ':!internal/harness/collect.go'; then \
+		echo "a harness network runs in one place: collect runs, checks and reads every job"; exit 1; \
 	fi
-	@if git grep -nF '*scenario.Net' -- 'internal/harness/*.go' ':!*_test.go' ':!internal/harness/collect.go'; then \
-		echo "a harness reading reads the RunReport, not the network"; exit 1; \
-	fi
-	@if git grep -nF 'scenario.Probe{' -- '*.go' ':!*_test.go' ':!internal/scenario/'; then \
-		echo "a trace is Spec data: list its probes in a scenario.TraceSpec"; exit 1; \
+	@if git grep -nE 'scenario\.Compile\(|\*scenario\.Net\b' -- 'internal/harness/*.go' ':!*_test.go'; then \
+		echo "a harness reading reads the RunReport, not a compiled network"; exit 1; \
 	fi
 	@for target in windows/amd64 darwin/arm64 linux/arm64; do \
 		GOOS=$${target%/*} GOARCH=$${target#*/} $(GO) build . ./cmd/... ./internal/... || \

@@ -40,7 +40,7 @@ func conformMain(ctx context.Context, args []string) {
 
 	meter := newMeter()
 	cfg := mptcpsim.DefaultConfig()
-	cfg.Warmup, cfg.Duration = 5*sim.Second, sim.Seconds(*duration)
+	cfg.Warmup, cfg.Duration = 5*sim.Second, flagSeconds("duration", *duration, 1)
 	cfg.Seeds, cfg.BaseSeed, cfg.Workers = 3, 1, *jobs
 	lab := mptcpsim.NewLab(mptcpsim.WithConfig(cfg), mptcpsim.WithProgress(meter.observe))
 	if *replay >= 0 {

@@ -49,14 +49,17 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
+	"text/tabwriter"
 	"time"
 
 	"mptcpsim"
 	"mptcpsim/internal/runner"
+	"mptcpsim/internal/scenario"
 	"mptcpsim/internal/sim"
 )
 
@@ -119,15 +122,16 @@ func main() {
 	}
 	// Non-zero overrides pass through verbatim: bad values (negative
 	// counts, odd arity) are rejected by Config.Validate with a real
-	// error instead of being silently ignored.
+	// error instead of being silently ignored; only a window no scenario
+	// can hold is rejected here, before sim.Seconds would wrap it.
 	if *seeds != 0 {
 		cfg.Seeds = *seeds
 	}
 	if *duration != 0 {
-		cfg.Duration = sim.Seconds(*duration)
+		cfg.Duration = flagSeconds("duration", *duration, 1)
 	}
 	if *dcdur != 0 {
-		cfg.DCDuration = sim.Seconds(*dcdur)
+		cfg.DCDuration = flagSeconds("dcduration", *dcdur, 1)
 	}
 	if *k != 0 {
 		cfg.FatTreeK = *k
@@ -141,10 +145,7 @@ func main() {
 
 	switch {
 	case *list:
-		fmt.Printf("%-8s %-14s %s\n", "ID", "PAPER", "TITLE")
-		for _, e := range mptcpsim.Experiments() {
-			fmt.Printf("%-8s %-14s %s\n", e.ID, e.PaperRef, e.Title)
-		}
+		listExperiments(os.Stdout)
 	case *all:
 		exitOn(runAll(ctx, nil, cfg, f, *out), "interrupted — completed experiments were flushed")
 	case *run != "":
@@ -163,6 +164,18 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// listExperiments writes the registry as three columns, the first two as
+// wide as their widest entry plus a space, so every title starts at the
+// header's TITLE.
+func listExperiments(w io.Writer) {
+	tw := tabwriter.NewWriter(w, 0, 0, 1, ' ', 0)
+	fmt.Fprintln(tw, "ID\tPAPER\tTITLE")
+	for _, e := range mptcpsim.Experiments() {
+		fmt.Fprintf(tw, "%s\t%s\t%s\n", e.ID, e.PaperRef, e.Title)
+	}
+	tw.Flush()
 }
 
 // errLine renders an error for stderr without doubling the program
@@ -195,6 +208,18 @@ func exitOn(err error, cancelMsg string) {
 		fmt.Fprintln(os.Stderr, errLine(err))
 		os.Exit(1)
 	}
+}
+
+// flagSeconds converts the value v of the seconds flag -name to sim.Time.
+// A value that is not a number, or whose magnitude passes what a scenario
+// can hold (scenario.MaxSpecSec), would wrap in sim.Seconds: it is reported
+// with the flag's name, and the process exits with code.
+func flagSeconds(name string, v float64, code int) sim.Time {
+	if !(math.Abs(v) <= scenario.MaxSpecSec) {
+		fmt.Fprintf(os.Stderr, "mptcpsim: invalid configuration: -%s %g: not a number of seconds within ±%g\n", name, v, float64(scenario.MaxSpecSec))
+		os.Exit(code)
+	}
+	return sim.Seconds(v)
 }
 
 // withOutput hands write the file at outPath (created, truncated), or

@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -294,20 +295,90 @@ func TestWriteCSVEmpty(t *testing.T) {
 // TestConformRejectsBadConfig: a conformance window that is not a positive
 // number of seconds, or that with the 5 s warm-up is longer than a
 // scenario can hold, and a negative worker count are configuration errors
-// reported before the fuzzer runs (exit 1 at once, not a panic).
+// reported before the fuzzer runs (exit 1 at once, not a panic). A window
+// sim.Time cannot hold is refused by name before it is converted; the
+// rest by the harness's Config.Validate.
 func TestConformRejectsBadConfig(t *testing.T) {
-	for _, args := range [][]string{{"-duration", "2e6"}, {"-duration", "-1"}, {"-duration", "NaN"}, {"-j", "-1"}} {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-duration", "2e6"}, "mptcpsim: invalid configuration: -duration 2e+06: "},
+		{[]string{"-duration", "-1"}, "mptcpsim: harness: "},
+		{[]string{"-duration", "NaN"}, "mptcpsim: invalid configuration: -duration NaN: "},
+		{[]string{"-duration", "+Inf"}, "mptcpsim: invalid configuration: -duration +Inf: "},
+		{[]string{"-duration", "1e300"}, "mptcpsim: invalid configuration: -duration 1e+300: "},
+		{[]string{"-j", "-1"}, "mptcpsim: harness: "},
+	} {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		cmd := exec.CommandContext(ctx, os.Args[0], append([]string{"conform"}, args...)...)
+		cmd := exec.CommandContext(ctx, os.Args[0], append([]string{"conform"}, tc.args...)...)
 		cmd.Env = append(os.Environ(), mptcpsimTestMain+"=1")
 		out, err := cmd.CombinedOutput()
 		cancel()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-			t.Errorf("%v: err %v, want exit status 1; output:\n%s", args, err, out)
+			t.Errorf("%v: err %v, want exit status 1; output:\n%s", tc.args, err, out)
 		}
-		if !strings.HasPrefix(string(out), "mptcpsim: harness: ") || strings.Contains(string(out), "fuzz:") {
-			t.Errorf("%v: output is not the configuration error alone:\n%s", args, out)
+		if !strings.HasPrefix(string(out), tc.want) || strings.Contains(string(out), "fuzz:") {
+			t.Errorf("%v: output is not the configuration error %q alone:\n%s", tc.args, tc.want, out)
+		}
+	}
+}
+
+// TestSecondsFlagsRejectUnrepresentable: a seconds flag whose value is not
+// a number or is longer than a scenario can hold is refused with the flag
+// and the value named, before sim.Seconds could wrap it to a negative
+// time: exit 1 where a bad configuration exits 1, 2 for trace's usage
+// errors.
+func TestSecondsFlagsRejectUnrepresentable(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+		code int
+	}{
+		{[]string{"-run", "fig1b"}, "duration", 1},
+		{[]string{"-run", "fig13a"}, "dcduration", 1},
+		{[]string{"trace"}, "seconds", 2},
+		{[]string{"trace"}, "period", 2},
+	} {
+		for _, v := range []string{"NaN", "+Inf", "-Inf", "1e300"} {
+			args := append(tc.args[:len(tc.args):len(tc.args)], "-"+tc.flag, v)
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			cmd := exec.CommandContext(ctx, os.Args[0], args...)
+			cmd.Env = append(os.Environ(), mptcpsimTestMain+"=1")
+			out, err := cmd.CombinedOutput()
+			cancel()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != tc.code {
+				t.Errorf("%v: err %v, want exit status %d; output:\n%s", args, err, tc.code, out)
+			}
+			parsed, _ := strconv.ParseFloat(v, 64)
+			if want := fmt.Sprintf("-%s %g: ", tc.flag, parsed); !strings.Contains(string(out), want) || strings.Contains(string(out), "goroutine") {
+				t.Errorf("%v: output does not name %q:\n%s", args, want, out)
+			}
+		}
+	}
+}
+
+// TestListColumns: -list sizes its first two columns to the widest ID and
+// paper reference, so every experiment's title starts where the header's
+// TITLE does, counted in characters.
+func TestListColumns(t *testing.T) {
+	var b strings.Builder
+	listExperiments(&b)
+	lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
+	exps := mptcpsim.Experiments()
+	if len(lines) != 1+len(exps) {
+		t.Fatalf("%d lines for %d experiments", len(lines), len(exps))
+	}
+	col := len([]rune(lines[0][:strings.Index(lines[0], "TITLE")]))
+	for i, e := range exps {
+		row := []rune(lines[1+i])
+		if len(row) < col || string(row[col:]) != e.Title || row[col-1] != ' ' {
+			t.Errorf("%s: title does not start at column %d:\n%s\n%s", e.ID, col, lines[0], lines[1+i])
+		}
+		if !strings.HasPrefix(lines[1+i], e.ID+" ") || !strings.Contains(lines[1+i], " "+e.PaperRef+" ") {
+			t.Errorf("%s: row does not carry its ID and paper reference: %s", e.ID, lines[1+i])
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"os"
 
 	"mptcpsim/internal/scenario"
-	"mptcpsim/internal/sim"
 )
 
 // traceMain implements `mptcpsim trace`: record the window, RTT and (for
@@ -33,8 +32,8 @@ func traceMain(ctx context.Context, args []string) {
 		seed    = fs.Int64("seed", 1, "random seed")
 	)
 	fs.Parse(args)
-	every := sim.Seconds(*period)
-	if every <= 0 {
+	flagSeconds("seconds", *seconds, 2)
+	if flagSeconds("period", *period, 2) <= 0 {
 		fail(fmt.Errorf("trace: -period %g s is not a positive sampling period", *period))
 	}
 

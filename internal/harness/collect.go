@@ -15,7 +15,7 @@ import (
 // collect runs them all in one stream, and each fold merges the readings in
 // canonical order, so the rendered bytes are identical for any worker count.
 
-// Job is one network of a plan and the reader of its run: collect compiles
+// Job is one network of a plan and the reader of its run: collect runs
 // Spec, and Read stores the job's typed metrics from the finished run's
 // report. Read must not change the report, which several jobs may read.
 type Job struct {
@@ -23,20 +23,9 @@ type Job struct {
 	Read func(rep *scenario.RunReport)
 }
 
-// compile builds a testbed network from its spec. The specs come from the
-// scenario.Paper* builders with registry-fixed parameters, so a rejected
-// spec is a harness bug.
-func compile(sp *scenario.Spec) *scenario.Net {
-	n, err := scenario.Compile(sp)
-	if err != nil {
-		panic(fmt.Sprintf("harness: %s spec invalid: %v", sp.Name, err))
-	}
-	return n
-}
-
 // collect is the package's one fan-out and the one place a harness network
-// is compiled, run under ctx, checked and read: it lays the networks of
-// exps into one runner.Stream on a pool made for the call, counts readings
+// is run under ctx, checked and read: it lays the networks of exps into
+// one runner.Stream on a pool made for the call, counts readings
 // per experiment on the calling goroutine, and as soon as an experiment's
 // last job is read — and every experiment before it in listing order is
 // settled — folds it, stamps the registry metadata and hands the Result to
@@ -50,10 +39,12 @@ func compile(sp *scenario.Spec) *scenario.Net {
 // encoding owns its index; every later one with that encoding reads the
 // same run, on the same worker, in listing order.
 //
-// An invariant violation on a registry network is a harness bug and panics
-// inside the job. The first failure ends the settling, not the jobs: later
-// experiments still run and are dropped. failed is the index of the
-// experiment err is about, or -1 when err is nil or came from settled:
+// The specs come from the scenario builders with registry-fixed
+// parameters, so a rejected spec, like an invariant violation on a
+// registry network, is a harness bug and panics inside the job. The first
+// failure ends the settling, not the jobs: later experiments still run and
+// are dropped. failed is the index of the experiment err is about, or -1
+// when err is nil or came from settled:
 //   - a fold error fails its experiment;
 //   - a panicking job is recovered by Stream, whose *runner.PanicError
 //     (lowest crashed index) fails the first experiment in listing order
@@ -134,13 +125,16 @@ func collect(ctx context.Context, cfg Config, exps []*Experiment, progress func(
 	settle() // closed-form experiments at the head of the list wait for nothing
 	done := 0
 	streamErr := runner.Stream(ctx, runner.New(cfg.Workers), total, func(k int) struct{} {
-		n := compile(plans[readers[k][0].exp].Jobs[readers[k][0].job].Spec)
-		rep, runErr := n.Run(ctx)
+		sp := plans[readers[k][0].exp].Jobs[readers[k][0].job].Spec
+		rep, runErr := scenario.Run(ctx, sp)
 		if runErr != nil {
-			return struct{}{} // cancelled mid-run: nothing is read or settled
+			if ctx.Err() != nil && errors.Is(runErr, ctx.Err()) {
+				return struct{}{} // cancelled mid-run: nothing is read or settled
+			}
+			panic(fmt.Sprintf("harness: %s spec invalid: %v", sp.Name, runErr))
 		}
 		if len(rep.Violations) != 0 {
-			panic(fmt.Sprintf("harness: %s: invariant violations: %v", n.Name, rep.Violations))
+			panic(fmt.Sprintf("harness: %s: invariant violations: %v", rep.Name, rep.Violations))
 		}
 		for _, r := range readers[k] {
 			plans[r.exp].Jobs[r.job].Read(rep)

@@ -78,8 +78,8 @@ type Config struct {
 // defaults or nonsense runs: negative worker or seed counts, non-positive
 // measurement windows (metrics divide by the duration — a zero window
 // would render NaN columns without erroring), a warmup plus duration longer
-// than a scenario can hold (scenario.MaxSpecSec; every job would panic in
-// compile), an odd or negative FatTree arity (including 0:
+// than a scenario can hold (scenario.MaxSpecSec; every job's spec would
+// fail to validate, a panic inside the job), an odd or negative FatTree arity (including 0:
 // scenario.PaperFatTree would silently default to the expensive K=8 fabric
 // while result preambles report K=0), and an empty Subflows list (fig13b,
 // fig14 and table3 index its last entry). A zero count still selects its

@@ -102,3 +102,24 @@ func waitForGoroutines(t *testing.T, baseline int) {
 	}
 	t.Fatalf("goroutines leaked: %d now, %d at baseline", runtime.NumGoroutine(), baseline)
 }
+
+// TestCollectPanicsOnInvalidSpec: a registry spec that does not validate
+// is a harness bug. The job panics naming the spec, and the collection
+// fails with the *runner.PanicError; nothing is read.
+func TestCollectPanicsOnInvalidSpec(t *testing.T) {
+	read := false
+	tab := &table{rows: []row{{run: func(Config, int64, *[]float64) Job {
+		sp := shortSpec(1)
+		sp.DurationSec = 0
+		return Job{Spec: sp, Read: func(*scenario.RunReport) { read = true }}
+	}}}}
+	e := &Experiment{ID: "zz-invalid", Plan: tab.plan}
+	_, err := e.CollectResult(context.Background(), parallelConfig(1), nil)
+	var pe *runner.PanicError
+	if !errors.As(err, &pe) || !strings.Contains(fmt.Sprint(pe.Value), "spec invalid") || !strings.Contains(fmt.Sprint(pe.Value), "duration must be positive") {
+		t.Fatalf("err = %v, want a job panic naming the invalid spec", err)
+	}
+	if read {
+		t.Fatal("the job of an invalid spec was read")
+	}
+}

@@ -71,21 +71,17 @@ func (f *Flow) SentPkts() int64 {
 }
 
 // Net is a live network: the simulation plus handles to every element the
-// runtime measures. Compile builds one from a Spec, through newNet, addLink
-// and addFlow; its set of flows is fixed once Run starts.
+// runtime measures. Compile builds one from a Spec, through addLink and
+// addFlow; its set of flows is fixed once Run starts.
 type Net struct {
-	Name string
-	Seed int64
-	// Spec is what Compile built the network from; tests build bare ones.
+	// Spec is what Compile built the network from.
 	Spec *Spec
 	Sim  *sim.Sim
 
-	// Warmup and End bound the measured window as exact event times.
+	// Warmup and End bound the measured window as exact event times;
+	// reported rates divide by Spec.DurationSec, since a trip through
+	// sim.Time truncates.
 	Warmup, End sim.Time
-	// warmupSec and durationSec are the window as the caller wrote it
-	// (Spec.WarmupSec and DurationSec for a compiled network): reported
-	// rates divide by durationSec, and a trip through sim.Time truncates.
-	warmupSec, durationSec float64
 
 	Links []*CompiledLink
 	// Flows lists every flow in creation order; Groups indexes them by
@@ -102,27 +98,14 @@ type Net struct {
 	// setpoint retargets, because SetDelay is only for a pipe that carries
 	// one link. The two together are every pipe, for in-flight accounting.
 	pipes, private []*netem.Pipe
-	// timeline is the compiled spec's mutation list; pathFlows indexes, per
-	// Spec.Paths entry, every sender routed over that path, for its flaps.
-	timeline  []TimelineEvent
+	// pathFlows indexes, per Spec.Paths entry, every sender routed over
+	// that path, for its flaps.
 	pathFlows [][]pathRef
-	// traces lists the periodic observations Run arms, in registration
-	// order, specTrace the one compiled from Spec.Trace, whose series the
-	// report carries; running is set once Run starts, after which no trace
-	// or flow may be added and Run refuses to start again.
-	traces    []*Trace
-	specTrace *Trace
-	running   bool
-}
-
-// newNet starts an empty network on a fresh simulation, measured over
-// [warmup, warmup+duration].
-func newNet(name string, seed int64, warmup, duration sim.Time) *Net {
-	return &Net{
-		Name: name, Seed: seed, Sim: sim.New(seed),
-		Warmup: warmup, End: warmup + duration,
-		warmupSec: warmup.Sec(), durationSec: duration.Sec(),
-	}
+	// trace is the sampler compiled from Spec.Trace, nil without one;
+	// running is set once Run starts, after which no flow may be added and
+	// Run refuses to start again.
+	trace   *tracer
+	running bool
 }
 
 // Compile validates the spec and builds its network. Element creation
@@ -135,10 +118,12 @@ func Compile(sp *Spec) (*Net, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	n := newNet(sp.Name, sp.Seed, sim.Seconds(sp.WarmupSec), sim.Seconds(sp.DurationSec))
-	n.Spec, n.warmupSec, n.durationSec = sp, sp.WarmupSec, sp.DurationSec
-	n.timeline = sp.Timeline
-	n.pathFlows = make([][]pathRef, len(sp.Paths))
+	warmup := sim.Seconds(sp.WarmupSec)
+	n := &Net{
+		Spec: sp, Sim: sim.New(sp.Seed),
+		Warmup: warmup, End: warmup + sim.Seconds(sp.DurationSec),
+		pathFlows: make([][]pathRef, len(sp.Paths)),
+	}
 	s := n.Sim
 
 	// The timeline driver is armed first — before any flow-start event — so
@@ -205,7 +190,7 @@ func Compile(sp *Spec) (*Net, error) {
 		}
 	}
 	if sp.Trace != nil {
-		n.specTrace = n.Trace(sim.Millis(sp.Trace.PeriodMs), n.probes(sp)...)
+		n.trace = newTracer(n, sp)
 	}
 	return n, nil
 }
@@ -338,7 +323,7 @@ func (n *Net) addFlow(name string, fs *FlowSpec, start sim.Time) *Flow {
 //simlint:cold
 func (n *Net) newFlow(name string, fs *FlowSpec) *Flow {
 	if n.running {
-		panic(fmt.Sprintf("scenario %q: flow %s added after Run started", n.Name, name))
+		panic(fmt.Sprintf("scenario %q: flow %s added after Run started", n.Spec.Name, name))
 	}
 	f := &Flow{Name: name, Algorithm: fs.Algorithm, AckTap: &netem.Tap{}}
 	cfg := tcp.Config{

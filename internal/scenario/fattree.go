@@ -17,17 +17,18 @@ import (
 // fabric's queues are drop-tail, without random loss or start jitter, so
 // nothing else draws from that stream.
 
-// FatTreeConfig parameterizes the fabric, in LinkSpec's units.
+// Every link of the fabric, in LinkSpec's units.
+const (
+	fatTreeRateMbps   = 100  // line rate, the paper's 100 Mb/s
+	fatTreeHopDelayMs = 0.01 // per-link propagation delay, data-center scale
+	fatTreeBufferPkts = 100  // drop-tail buffer of every port, htsim's default
+)
+
+// FatTreeConfig parameterizes the fabric.
 type FatTreeConfig struct {
 	// K is the arity: K³/4 hosts, K²/4 core switches, K pods. The paper's
 	// network is K=8: 128 hosts, 80 switches.
 	K int
-	// RateMbps is the line rate of every link (100 Mb/s in the paper).
-	RateMbps float64
-	// HopDelayMs is the per-link propagation delay (data-center scale).
-	HopDelayMs float64
-	// BufferPkts is the drop-tail buffer of every port (htsim's default 100).
-	BufferPkts int
 	// Oversubscription divides the edge→aggregation uplink capacity: 4 gives
 	// the paper's 4:1 oversubscribed FatTree (§VI-B2); 0 or 1 keeps the
 	// fabric non-blocking.
@@ -40,15 +41,6 @@ func (c *FatTreeConfig) fill() {
 	}
 	if c.K < 2 || c.K%2 != 0 {
 		panic(fmt.Sprintf("scenario: fat-tree K must be even and >= 2, got %d", c.K))
-	}
-	if c.RateMbps == 0 {
-		c.RateMbps = 100
-	}
-	if c.HopDelayMs == 0 {
-		c.HopDelayMs = 0.01
-	}
-	if c.BufferPkts == 0 {
-		c.BufferPkts = 100
 	}
 	if c.Oversubscription == 0 {
 		c.Oversubscription = 1
@@ -202,15 +194,15 @@ func (c FatTreeConfig) links() []LinkSpec {
 	pairs := func(n int, rateMbps float64) {
 		for range 2 * n {
 			out = append(out, LinkSpec{
-				RateMbps: rateMbps, DelayMs: c.HopDelayMs,
-				Queue: QueueDropTail, BufferPkts: c.BufferPkts,
+				RateMbps: rateMbps, DelayMs: fatTreeHopDelayMs,
+				Queue: QueueDropTail, BufferPkts: fatTreeBufferPkts,
 			})
 		}
 	}
-	pairs(c.NumHosts(), c.RateMbps)
+	pairs(c.NumHosts(), fatTreeRateMbps)
 	for range c.K {
-		pairs(c.NumCores(), c.RateMbps/float64(c.Oversubscription))
-		pairs(c.NumCores(), c.RateMbps)
+		pairs(c.NumCores(), fatTreeRateMbps/float64(c.Oversubscription))
+		pairs(c.NumCores(), fatTreeRateMbps)
 	}
 	return out
 }

@@ -74,7 +74,7 @@ func TestFatTreeDimensions(t *testing.T) {
 func TestFatTreeDefaultsMatchPaper(t *testing.T) {
 	var cfg FatTreeConfig
 	cfg.fill()
-	if cfg.K != 8 || cfg.RateMbps != 100 || cfg.BufferPkts != 100 {
+	if cfg.K != 8 || cfg.Oversubscription != 1 {
 		t.Fatalf("defaults %+v", cfg)
 	}
 	// The defaults reach the links as htsim's exact values.

@@ -224,9 +224,7 @@ func Run(ctx context.Context, sp *Spec) (*RunReport, error) {
 //
 // Violations are collected in the report rather than returned as errors so
 // a fuzzing run can report every broken invariant of a scenario at once.
-// Besides the report, the run fills the series of every Trace registered
-// before it started; the report carries those of the one Spec.Trace
-// compiled to.
+// With a Spec.Trace, the report also carries the series it sampled.
 //
 // Cancelling ctx abandons the simulation at the next one-second
 // virtual-time boundary and returns an error wrapping ctx.Err(). The
@@ -243,26 +241,27 @@ func Run(ctx context.Context, sp *Spec) (*RunReport, error) {
 // returns an error naming the network and touches nothing.
 func (n *Net) Run(ctx context.Context) (*RunReport, error) {
 	if n.running {
-		return nil, fmt.Errorf("scenario %q: Run called again: a Net runs once", n.Name)
+		return nil, fmt.Errorf("scenario %q: Run called again: a Net runs once", n.Spec.Name)
 	}
 	n.running = true
 	defer n.Sim.ReleaseRand()
 	defer netem.PoolFor(n.Sim).Release()
-	r := &RunReport{Name: n.Name, Seed: n.Seed}
+	r := &RunReport{Name: n.Spec.Name, Seed: n.Spec.Seed}
 	m := newMonitor(n, r)
 
-	// Every periodic observation is armed here: the traces first, in
-	// registration order, then the window snapshot and the monitor.
-	for _, tr := range n.traces {
-		n.Sim.Schedule(0, (*traceTick)(tr))
+	// Every periodic observation is armed here: the trace first, then the
+	// window snapshot and the monitor.
+	if n.trace != nil {
+		r.Trace = n.trace.rep
+		n.Sim.Schedule(0, n.trace)
 	}
 	n.Sim.Schedule(n.Warmup, (*windowOpen)(m))
 	m.RunEvent(0) // first sample at t=0, then every samplePeriod
 	if err := advanceUntil(ctx, n.Sim, 0, n.End); err != nil {
-		return nil, fmt.Errorf("scenario %q: run canceled: %w", n.Name, err)
+		return nil, fmt.Errorf("scenario %q: run canceled: %w", n.Spec.Name, err)
 	}
 
-	secs := n.durationSec
+	secs := n.Spec.DurationSec
 	r.Flows = make([]FlowReport, 0, len(n.Flows))
 	r.Queues = make([]QueueReport, 0, len(n.Links))
 	at := 0 // the next sink base in m.base
@@ -320,9 +319,6 @@ func (n *Net) Run(ctx context.Context) (*RunReport, error) {
 		r.Queues = append(r.Queues, qr)
 	}
 	r.Processed = n.Sim.Processed()
-	if tr := n.specTrace; tr != nil {
-		r.Trace = &TraceReport{T: tr.T, V: tr.V}
-	}
 
 	checkConservation(n, r)
 	checkCapacity(n, r)
@@ -418,7 +414,7 @@ func checkCapacity(n *Net, r *RunReport) {
 		slack := float64((2 + transitions) * netem.MSS)
 		if float64(w.SentBytes) > capBytes+slack {
 			r.violate("link %d served %d bytes in %gs, above time-varying capacity %.0f",
-				i, w.SentBytes, n.durationSec, capBytes)
+				i, w.SentBytes, n.Spec.DurationSec, capBytes)
 		}
 	}
 }
@@ -427,16 +423,17 @@ func checkCapacity(n *Net, r *RunReport) {
 // with plus every timeline rate setpoint — over the measured window,
 // reporting the byte bound and the number of in-window rate transitions.
 func (n *Net) windowCapBytes(l int) (capBytes float64, transitions int) {
-	from := n.warmupSec
-	to := n.warmupSec + n.durationSec
+	from := n.Spec.WarmupSec
+	to := n.Spec.WarmupSec + n.Spec.DurationSec
 	rate := n.Links[l].Spec.RateMbps
 	t := from
-	for i := range n.timeline {
-		ev := n.timeline[i].Link
+	timeline := n.Spec.Timeline
+	for i := range timeline {
+		ev := timeline[i].Link
 		if ev == nil || ev.Link != l || ev.RateMbps <= 0 {
 			continue
 		}
-		at := n.timeline[i].AtSec
+		at := timeline[i].AtSec
 		if at > to {
 			break // events are time-ordered; nothing later is in the window
 		}

@@ -118,8 +118,8 @@ func (sp *Spec) validateTimeline() error {
 // and its loss, so addLink can give the link a pipe of its own and pre-build
 // the (transparent, randomness-free) loss element the driver will mutate.
 func (n *Net) retargets(l int) (delay, loss bool) {
-	for i := range n.timeline {
-		if ls := n.timeline[i].Link; ls != nil && ls.Link == l {
+	for i := range n.Spec.Timeline {
+		if ls := n.Spec.Timeline[i].Link; ls != nil && ls.Link == l {
 			delay = delay || ls.DelayMs != nil
 			loss = loss || ls.LossPct != nil
 		}
@@ -156,12 +156,12 @@ func (pr pathRef) set(up bool) {
 // state allocates nothing and draws no randomness.
 type timelineDriver struct {
 	net  *Net
-	next int // cursor into net.timeline
+	next int // cursor into net.Spec.Timeline
 }
 
 // RunEvent applies all due mutations and re-arms (sim.Handler).
 func (td *timelineDriver) RunEvent(now sim.Time) {
-	evs := td.net.timeline
+	evs := td.net.Spec.Timeline
 	for td.next < len(evs) && sim.Seconds(evs[td.next].AtSec) <= now {
 		td.net.applyEvent(&evs[td.next])
 		td.next++

@@ -9,7 +9,7 @@ import (
 	"mptcpsim/internal/sim"
 )
 
-// maxTracePrealloc bounds the samples a Trace reserves room for up front.
+// maxTracePrealloc bounds the samples a trace reserves room for up front.
 const maxTracePrealloc = 1 << 16
 
 // TraceReport is the sampled series of a Spec.Trace: T[k] is the time of
@@ -89,97 +89,64 @@ func index(s string) int {
 	return v
 }
 
-// probes builds the Probes of a validated spec's Spec.Trace, named by
-// their TraceSpec text.
+// tracer is the network's one sampler, compiled from Spec.Trace: at
+// t = 0, period, 2·period, … up to Net.End it appends the time and the
+// value of every probe to the report's series (sim.Handler). Like the
+// invariant monitor it schedules its own events but draws no randomness
+// and touches no packet, so a traced run reaches the untraced run's digest
+// with one more processed event per sample.
+type tracer struct {
+	net    *Net
+	period sim.Time
+	probes []func() float64
+	rep    *TraceReport
+}
+
+// newTracer compiles a validated spec's Spec.Trace against n's flows, in
+// probe order, reserving room for up to maxTracePrealloc samples: a long
+// run at a short period grows its series as it goes.
 //
 //simlint:cold
-func (n *Net) probes(sp *Spec) []Probe {
-	out := make([]Probe, len(sp.Trace.Probes))
+func newTracer(n *Net, sp *Spec) *tracer {
+	period := sim.Millis(sp.Trace.PeriodMs)
+	samples := min(int(n.End.Nanos()/period.Nanos())+1, maxTracePrealloc)
+	tr := &tracer{
+		net:    n,
+		period: period,
+		probes: make([]func() float64, len(sp.Trace.Probes)),
+		rep:    &TraceReport{T: make([]sim.Time, 0, samples), V: make([][]float64, len(sp.Trace.Probes))},
+	}
 	for i, s := range sp.Trace.Probes {
 		p, err := sp.probe(s)
 		if err != nil {
 			panic(err) // a compiled spec cannot get here: Validate vetted it
 		}
 		f := n.Groups[p.group][p.replica]
-		out[i].Name = s
 		switch src := f.Srcs[p.path]; p.kind {
 		case "cwnd":
-			out[i].Fn = src.CwndPkts
+			tr.probes[i] = src.CwndPkts
 		case "srtt":
-			out[i].Fn = src.SRTT
+			tr.probes[i] = src.SRTT
 		case "alpha":
 			o := f.Conn.Controller().(*core.OLIA)
-			out[i].Fn = func() float64 { return o.Alpha(p.path) }
+			tr.probes[i] = func() float64 { return o.Alpha(p.path) }
 		default: // ell
 			o := f.Conn.Controller().(*core.OLIA)
-			out[i].Fn = func() float64 { return o.Ell(p.path) }
+			tr.probes[i] = func() float64 { return o.Ell(p.path) }
 		}
+		tr.rep.V[i] = make([]float64, 0, samples)
 	}
-	return out
-}
-
-// Probe is one named observation a Trace samples.
-type Probe struct {
-	Name string
-	Fn   func() float64
-}
-
-// Trace is the sampled series of a set of probes: Net.Run samples every
-// probe at t = 0, period, 2·period, … up to Net.End. T is the shared time
-// column and V[i] the values of the probe called Names[i].
-type Trace struct {
-	Names []string
-	T     []sim.Time
-	V     [][]float64
-
-	net    *Net
-	period sim.Time
-	probes []Probe
-}
-
-// Trace registers probes to be sampled every period while n runs and
-// returns their series, filled in as Run advances. It panics on a
-// nonpositive period, and once Run has started: a trace is part of the run,
-// armed with it. Like the invariant monitor, sampling schedules its own
-// events but draws no randomness and touches no packet, so a traced run
-// reaches the untraced run's digest with one more processed event per
-// sample.
-func (n *Net) Trace(period sim.Time, probes ...Probe) *Trace {
-	if period <= 0 {
-		panic(fmt.Sprintf("scenario: trace period %v not positive", period))
-	}
-	if n.running {
-		panic("scenario: Trace after Run started")
-	}
-	// A long run at a short period grows its series as it goes.
-	samples := min(int(n.End.Nanos()/period.Nanos())+1, maxTracePrealloc)
-	tr := &Trace{
-		Names: make([]string, len(probes)),
-		T:     make([]sim.Time, 0, samples),
-		V:     make([][]float64, len(probes)),
-
-		net:    n,
-		period: period,
-		probes: probes,
-	}
-	for i, p := range probes {
-		tr.Names[i] = p.Name
-		tr.V[i] = make([]float64, 0, samples)
-	}
-	n.traces = append(n.traces, tr)
 	return tr
 }
 
-// traceTick takes one sample of a Trace and re-arms while the next sample
-// falls inside the run (sim.Handler).
-type traceTick Trace
-
-func (tk *traceTick) RunEvent(now sim.Time) {
-	tk.T = append(tk.T, now)
-	for i, p := range tk.probes {
-		tk.V[i] = append(tk.V[i], p.Fn())
+// RunEvent takes one sample and re-arms while the next sample falls inside
+// the run.
+func (tr *tracer) RunEvent(now sim.Time) {
+	tr.rep.T = append(tr.rep.T, now)
+	for i, probe := range tr.probes {
+		tr.rep.V[i] = append(tr.rep.V[i], probe())
 	}
-	if now+tk.period <= tk.net.End {
-		tk.net.Sim.ScheduleAfter(tk.period, tk)
+	if now+tr.period <= tr.net.End {
+		tr.net.Sim.ScheduleAfter(tr.period, tr)
 	}
 }

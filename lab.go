@@ -84,12 +84,6 @@ func WithWorkers(n int) Option {
 	return func(l *Lab) { l.cfg.Workers = n }
 }
 
-// WithSeed anchors the deterministic RNG chain every simulation job's seed
-// derives from.
-func WithSeed(seed int64) Option {
-	return func(l *Lab) { l.cfg.BaseSeed = seed }
-}
-
 // WithProgress installs a progress sink. fn runs on the goroutine that
 // called the Lab method, for every method: each engine counts progress
 // where it folds results, never on a worker. Delivery is also serialized
