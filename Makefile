@@ -30,8 +30,8 @@ race:
 # no pool costs as it grows, in a process of its own, so that no spare
 # array another test handed back can hide a first-use cost;
 # TestRecycledRangesBytes that a list bound to a pool grows on the arrays a
-# finished run handed back without allocating; TestColdRunAllocs a cold
-# scenario's objects and bytes; TestDigestAllocs what a run's fingerprint
+# finished run handed back without allocating; TestWarmHitAllocs a warm
+# hit's objects and bytes, TestColdRunAllocs a cold scenario's; TestDigestAllocs what a run's fingerprint
 # costs.
 allocs:
 	$(GO) test -count=1 -run '^TestRangesBytes$$' ./internal/netem
@@ -99,9 +99,9 @@ lint:
 # internal/workload; no Deprecated: marker exists outside lint testdata;
 # and no bench*.json is tracked except BENCHMARK.json (results go to the
 # ignored bench/out/). The module cross-builds for windows/amd64,
-# darwin/arm64 and linux/arm64, and no non-test Go outside
-# internal/campaign/cache.go (the cache's entry read) and bench/ calls
-# syscall.Open, Read or Close: file I/O goes through os. TCP's √(2/p)/rtt is
+# darwin/arm64 and linux/arm64, and no non-test Go outside bench/ calls
+# syscall.Open, Read or Close: file I/O goes through os (the campaign
+# cache reads a record with one (*os.File).ReadAt). TCP's √(2/p)/rtt is
 # written once, in internal/fixedpoint: no Sqrt(2/ in non-test Go outside it.
 # The facade builds no network of its own: no scenario.Spec, LinkSpec,
 # PathSpec or FlowSpec literal in the root package's non-test Go (it wraps
@@ -155,8 +155,8 @@ guard:
 	fi
 	@! git ls-files | grep -iE '(^|/)bench[^/]*\.json$$' | grep -vx BENCHMARK.json || \
 		{ echo "committed benchmark results found — bench/ and BENCHMARK.json are the only ladder"; exit 1; }
-	@if git grep -nE 'syscall\.(Open|Read|Close)\(' -- '*.go' ':!*_test.go' ':!internal/campaign/cache.go' ':!bench/'; then \
-		echo "direct syscall file I/O outside the campaign cache's entry read: use os"; exit 1; \
+	@if git grep -nE 'syscall\.(Open|Read|Close)\(' -- '*.go' ':!*_test.go' ':!bench/'; then \
+		echo "direct syscall file I/O: use os"; exit 1; \
 	fi
 	@if git grep -n 'Sqrt(2/' -- '*.go' ':!*_test.go' ':!internal/fixedpoint/'; then \
 		echo "the loss-throughput law lives in internal/fixedpoint"; exit 1; \

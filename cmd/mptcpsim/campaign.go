@@ -63,7 +63,7 @@ func campaignMain(ctx context.Context, args []string) {
 		fail(fmt.Errorf("unknown campaign format %q (want text or json)", *format))
 	}
 	exitOn(runCampaign(ctx, *spec, *jobs, *format, *out),
-		"interrupted — completed scenarios stay cached; re-run to resume")
+		"interrupted — the scenarios finished in order before the interruption stay cached; re-run to resume")
 }
 
 // runCampaign runs the campaign on a Lab and writes the result, as JSON

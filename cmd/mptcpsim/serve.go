@@ -15,7 +15,8 @@ import (
 
 // serveMain implements `mptcpsim serve`: the campaign engine as an HTTP
 // job service. Ctrl-C shuts down gracefully — running campaigns cancel at
-// their next scenario boundary (their completed scenarios stay cached),
+// their next scenario boundary (the scenarios each delivered in order stay
+// cached),
 // event streams close, and in-flight requests drain before exit.
 func serveMain(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)

@@ -1,13 +1,17 @@
 package campaign
 
 import (
+	"bufio"
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
-	"syscall"
 
 	"mptcpsim/internal/scenario"
 )
@@ -24,22 +28,37 @@ import (
 // bits, so a warm re-run folds the identical samples and produces the
 // byte-identical aggregate.
 //
-// Layout: <dir>/<key[:2]>/<key>.bin, one atomic file per run (written to
-// a temp name, then renamed), so concurrent workers — or concurrent
-// campaigns sharing one directory — never observe a torn entry.
+// Layout: one immutable pack per campaign identity,
+//
+//	<dir>/<hex SHA-256(schema ∥ 0 ∥ version ∥ 0 ∥ JSON of the filled Spec with N cleared)>.pack
+//
+// holding one record per scenario index, in index order. A record is the
+// scenario's 32-byte content address followed by its entry. The records
+// are followed by the trailer: each record's offset, then the record
+// count, every one a little-endian uint64. The pack's name only locates a
+// record; each record is checked against its own key, so a pack copied,
+// renamed or damaged by hand yields misses, never a wrong hit. A Run that
+// delivers a simulated scenario writes a new pack to a temp file and
+// renames it into place once, at its end, so concurrent campaigns sharing
+// one directory never observe a torn pack.
 
 // cacheSchema versions the on-disk format: it is hashed into every key and
-// opens every entry, so a tree written under another schema is never
-// addressed, and a file of one never decodes. Bump it with any change to
-// scenario.AppendSpec or scenario.AppendReport.
-const cacheSchema = "mptcpsim-campaign-cache-v7"
+// every pack name and opens every entry, so a tree written under another
+// schema is never addressed, and a record of one never decodes. Bump it
+// with any change to the pack layout, scenario.AppendSpec or
+// scenario.AppendReport.
+const cacheSchema = "mptcpsim-campaign-cache-v8"
 
-// reportHeader opens every entry: a stale or foreign file fails on its
-// first bytes.
+// reportHeader opens every entry: a stale or foreign record fails on its
+// first bytes after the key.
 const reportHeader = cacheSchema + "\n"
 
-// keyPool and entryPool hold cacheKey's and get's scratch buffers, so a hit
-// allocates for its entry's path alone.
+// recordMin is the shortest record a pack can hold: a key and the schema
+// line. It bounds the record count a pack's length admits.
+const recordMin = sha256.Size + len(reportHeader)
+
+// keyPool and entryPool hold cacheKey's scratch and the records a hit
+// reads and a miss encodes, so a hit allocates for none of them.
 var (
 	keyPool   = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 	entryPool = sync.Pool{New: func() any { b := make([]byte, 8<<10); return &b }}
@@ -54,16 +73,15 @@ func CacheKey(version string, sp *scenario.Spec) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return string(key[:]), nil
+	return hex.EncodeToString(key[:]), nil
 }
 
-// entryKey is CacheKey's hex digits before they become a string: a hit
-// needs them only inside its entry's path.
-type entryKey [2 * sha256.Size]byte
+// entryKey is CacheKey's digest before it becomes hex: a record opens with
+// it.
+type entryKey [sha256.Size]byte
 
-// cacheKey is CacheKey without the string.
+// cacheKey is CacheKey without the hex.
 func cacheKey(version string, sp *scenario.Spec) (entryKey, error) {
-	var key entryKey
 	bp := keyPool.Get().(*[]byte)
 	defer keyPool.Put(bp)
 	b := append((*bp)[:0], cacheSchema...)
@@ -73,119 +91,345 @@ func cacheKey(version string, sp *scenario.Spec) (entryKey, error) {
 	b, err := scenario.AppendSpec(b, sp)
 	*bp = b
 	if err != nil {
-		return key, err
+		return entryKey{}, err
 	}
-	sum := sha256.Sum256(b)
-	hex.Encode(key[:], sum[:])
-	return key, nil
+	return sha256.Sum256(b), nil
 }
 
-// cache is one on-disk result store. dir is its cleaned root with a
-// trailing separator, so an entry's path is one concatenation.
-type cache struct {
-	dir string
+// packPath names the pack of the filled campaign sp under dir and the
+// given code version. N is cleared, so every length of one campaign finds
+// the same pack.
+func packPath(dir, version string, sp *Spec) (string, error) {
+	id := *sp
+	id.N = 0
+	data, err := json.Marshal(&id)
+	if err != nil {
+		return "", fmt.Errorf("campaign: naming result cache pack: %w", err)
+	}
+	sum := sha256.Sum256(append([]byte(cacheSchema+"\x00"+version+"\x00"), data...))
+	return filepath.Join(dir, hex.EncodeToString(sum[:])+".pack"), nil
 }
 
-// openCache prepares the cache root. An empty dir means no cache: the nil
-// *cache tells Run to derive no key and touch no file.
-func openCache(dir string) (*cache, error) {
-	if dir == "" {
-		return nil, nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("campaign: opening result cache: %w", err)
-	}
-	dir = filepath.Clean(dir)
-	if !os.IsPathSeparator(dir[len(dir)-1]) {
-		dir += string(filepath.Separator)
-	}
-	return &cache{dir: dir}, nil
+// record encodes a simulated run as its pack record, in a buffer from
+// entryPool that the fold hands back once the record is written.
+func record(key entryKey, rep *scenario.RunReport) *[]byte {
+	bp := entryPool.Get().(*[]byte)
+	b := append(append((*bp)[:0], key[:]...), reportHeader...)
+	*bp = scenario.AppendReport(b, rep)
+	return bp
 }
 
-// path maps a key to its entry file, in one allocation.
-func (c *cache) path(key entryKey) string {
-	return c.dir + string(key[:2]) + string(filepath.Separator) + string(key[:]) + ".bin"
+// pack is a pack file as a Run found it: the open file, and the bounds of
+// the records the Run addresses. The zero pack holds no records.
+type pack struct {
+	f packFile
+	// bounds holds little-endian uint64 offsets: record i is the bytes
+	// [bound(i), bound(i+1)) for i < addressed().
+	bounds []byte
+	count  int   // records in the file
+	end    int64 // where the records end and the trailer begins
 }
 
-// get decodes the report cached under key for the run of sp into rep and
-// reports whether it hit. A missing, torn or undecodable entry is a miss,
-// never an error, and so is one that decodes to some other run (a file
-// copied or renamed by hand, a half-restored directory): the caller falls
-// back to simulating and rewrites the entry. After a miss rep holds
-// nothing of use.
-func (c *cache) get(key entryKey, sp *scenario.Spec, rep *scenario.RunReport) bool {
+// packFile is what a pack is read from: the *os.File openPack opens, or
+// bytes in memory when a test reads arbitrary ones.
+type packFile interface {
+	io.ReaderAt
+	io.Closer
+}
+
+// openPack opens the pack at path and reads the bounds of its first n
+// records. A pack that is missing, short or malformed holds no records:
+// every read of it misses, and the Run's commit replaces it.
+func openPack(path string, n int) pack {
+	f, err := os.Open(path)
+	if err != nil {
+		return pack{}
+	}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return pack{}
+	}
+	return readPack(f, st.Size(), n)
+}
+
+// readPack reads the trailer of the size-byte pack f and the bounds of its
+// first n records, closing f if they do not hold.
+func readPack(f packFile, size int64, n int) pack {
+	p := pack{f: f}
+	if !p.readTrailer(size) || !p.load(n) {
+		f.Close()
+		return pack{}
+	}
+	return p
+}
+
+// readTrailer reads the record count and checks it against the pack's
+// size before anything is sized from it.
+func (p *pack) readTrailer(size int64) bool {
+	var word [8]byte
+	if size < int64(len(word)) {
+		return false
+	}
+	if _, err := p.f.ReadAt(word[:], size-8); err != nil {
+		return false
+	}
+	// Every record takes recordMin bytes and its offset eight more.
+	count := binary.LittleEndian.Uint64(word[:])
+	if count > uint64(size-8)/(8+uint64(recordMin)) {
+		return false
+	}
+	p.count = int(count)
+	p.end = size - 8 - 8*int64(count)
+	return true
+}
+
+// load reads the bounds of the first min(n, count) records in one read and
+// checks them: the first record opens the file, every record is at least
+// recordMin long, and the last ends no later than the trailer starts. A
+// pack whose bounds fail keeps the bounds it had.
+func (p *pack) load(n int) bool {
+	m := min(n, p.count)
+	words := m // the offset after the last record read, unless it is the end
+	if m < p.count {
+		words++
+	}
+	b := make([]byte, 8*(m+1))
+	if words > 0 {
+		if _, err := p.f.ReadAt(b[:8*words], p.end); err != nil {
+			return false
+		}
+	}
+	if m == p.count {
+		binary.LittleEndian.PutUint64(b[8*m:], uint64(p.end))
+	}
+	if binary.LittleEndian.Uint64(b) != 0 {
+		return false
+	}
+	for i, lo := 1, uint64(0); i <= m; i++ {
+		hi := binary.LittleEndian.Uint64(b[8*i:])
+		if hi < lo+uint64(recordMin) || hi > uint64(p.end) {
+			return false
+		}
+		lo = hi
+	}
+	p.bounds = b
+	return true
+}
+
+// addressed is how many records the pack's bounds cover.
+func (p *pack) addressed() int { return max(len(p.bounds)/8-1, 0) }
+
+// bound is the offset at which record i starts, and record i-1 ends.
+func (p *pack) bound(i int) int64 {
+	return int64(binary.LittleEndian.Uint64(p.bounds[8*i:]))
+}
+
+// read reads record i into *buf, growing it to the record's length if it
+// is shorter, and returns the record: one positional read. The length was
+// checked against the file's when the bounds were loaded.
+func (p *pack) read(i int, buf *[]byte) ([]byte, bool) {
+	if i >= p.addressed() {
+		return nil, false
+	}
+	lo, hi := p.bound(i), p.bound(i+1)
+	if int64(cap(*buf)) < hi-lo {
+		*buf = make([]byte, hi-lo)
+	}
+	rec := (*buf)[:hi-lo]
+	if _, err := p.f.ReadAt(rec, lo); err != nil {
+		return nil, false
+	}
+	return rec, true
+}
+
+// get decodes record i into rep and reports whether it is the run of sp,
+// whose content address is key. A record that is missing, torn, filed
+// under another key, of another schema, undecodable, or decodes to some
+// other run (a pack copied or spliced by hand) is a miss, never an error:
+// the caller falls back to simulating and the Run's commit rewrites the
+// record. After a miss rep holds nothing of use.
+func (p *pack) get(i int, key entryKey, sp *scenario.Spec, rep *scenario.RunReport) bool {
 	bp := entryPool.Get().(*[]byte)
 	defer entryPool.Put(bp)
-	data, ok := readEntry(c.path(key), bp)
-	if !ok || len(data) < len(reportHeader) || string(data[:len(reportHeader)]) != reportHeader {
+	rec, ok := p.read(i, bp)
+	if !ok || !bytes.Equal(rec[:sha256.Size], key[:]) {
+		return false
+	}
+	data := rec[sha256.Size:]
+	if string(data[:len(reportHeader)]) != reportHeader {
 		return false
 	}
 	// The decode copies every string it does not already hold out of data,
 	// so the buffer can go back to the pool under the report. Holding the
-	// spec's name lets it keep that one rather than copy the entry's equal
+	// spec's name lets it keep that one rather than copy the record's equal
 	// bytes.
 	rep.Name = sp.Name
 	err := scenario.DecodeReportInto(rep, data[len(reportHeader):])
 	return err == nil && rep.Name == sp.Name && rep.Seed == sp.Seed
 }
 
-// readEntry reads the file at path into *buf, growing it while reads fill
-// it, and returns the bytes read. It is os.ReadFile without the os.File: an
-// open, a read and a close, where os.ReadFile also toggles non-blocking
-// mode, stats the file, reads to EOF and sets a finalizer.
-//
-// A read that does not fill the buffer is taken as the whole file. Were it
-// ever only a prefix, the entry would not decode — a proper prefix of a
-// canonical entry never does — so the worst case is a miss, never a wrong
-// hit.
-func readEntry(path string, buf *[]byte) ([]byte, bool) {
-	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
-	if err != nil {
-		return nil, false
-	}
-	defer syscall.Close(fd)
-	b, n := *buf, 0
-	for {
-		m, err := syscall.Read(fd, b[n:])
-		if err == syscall.EINTR {
-			continue
-		}
-		if err != nil {
-			return nil, false
-		}
-		if n += m; n < len(b) {
-			return b[:n], true
-		}
-		b = append(b, make([]byte, len(b))...)
-		*buf = b
+// close releases the pack's file.
+func (p *pack) close() {
+	if p.f != nil {
+		p.f.Close()
+		p.f = nil
 	}
 }
 
-// put stores a completed run under key, atomically: the entry is fully
-// written to a private temp file and renamed into place, so readers see
-// either nothing or the whole report.
-func (c *cache) put(key entryKey, rep *scenario.RunReport) error {
-	path := c.path(key)
-	dir := filepath.Dir(path)
+// cache is one Run's view of its campaign's pack: the pack as the Run
+// found it, which the workers read, and — from the first simulated
+// scenario the fold delivers — the pack the Run will commit, which the fold
+// writes.
+type cache struct {
+	path string
+	old  pack
+	next *packWriter // nil until a delivered scenario was simulated
+	done int         // scenarios kept: the Run's delivered gap-free prefix
+}
+
+// openCache opens the pack of the filled campaign sp under dir and reads
+// the bounds of its first sp.N records. An empty dir means no cache: the
+// nil *cache tells Run to derive no key, encode no record and open no
+// file.
+func openCache(dir, version string, sp *Spec) (*cache, error) {
+	if dir == "" {
+		return nil, nil
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("campaign: preparing cache shard: %w", err)
+		return nil, fmt.Errorf("campaign: opening result cache: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, string(key[:])+".tmp-*")
+	path, err := packPath(dir, version, sp)
 	if err != nil {
-		return fmt.Errorf("campaign: writing cache entry: %w", err)
+		return nil, err
 	}
-	if _, err := tmp.Write(scenario.AppendReport([]byte(reportHeader), rep)); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("campaign: writing cache entry: %w", err)
+	return &cache{path: path, old: openPack(path, sp.N)}, nil
+}
+
+// keep adds delivered scenario i to the pack the Run commits: a hit is
+// copied from the old pack, a simulated run is written from the record
+// its outcome carries, whose buffer goes back to entryPool. Until the
+// first simulated run nothing is written: a fully warm Run writes no
+// pack. A scenario past a gap — the stream delivers on past a job that
+// panicked — is not kept, so every record stays at its index.
+func (c *cache) keep(i int, o *outcome) error {
+	if i != c.done {
+		return nil
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("campaign: writing cache entry: %w", err)
+	c.done++
+	if o.hit {
+		if c.next != nil {
+			c.next.copy(i)
+		}
+		return nil
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("campaign: committing cache entry: %w", err)
+	if c.next == nil {
+		tmp, err := os.CreateTemp(filepath.Dir(c.path), filepath.Base(c.path)+".tmp-*")
+		if err != nil {
+			return fmt.Errorf("campaign: writing result cache: %w", err)
+		}
+		c.next = &packWriter{old: &c.old, tmp: tmp, w: bufio.NewWriter(tmp)}
+		for j := 0; j < i; j++ {
+			c.next.copy(j)
+		}
+	}
+	c.next.add(*o.entry)
+	entryPool.Put(o.entry)
+	o.entry = nil
+	if c.next.err != nil {
+		return fmt.Errorf("campaign: writing result cache: %w", c.next.err)
 	}
 	return nil
+}
+
+// commit ends the Run's use of the cache. If the Run delivered a
+// simulated scenario, the new pack gets the old pack's records past the
+// delivered prefix, so a shorter or cancelled Run never shrinks what is
+// cached, then its trailer, and is renamed over the old pack.
+func (c *cache) commit() error {
+	defer c.old.close()
+	w := c.next
+	if w == nil {
+		return nil
+	}
+	c.next = nil
+	if c.done < c.old.count && c.old.load(c.old.count) {
+		for j := c.done; j < c.old.count; j++ {
+			w.copy(j)
+		}
+	}
+	err := w.finish()
+	// Closed before the rename: not every platform replaces an open file.
+	c.old.close()
+	if err == nil {
+		err = os.Rename(w.tmp.Name(), c.path)
+	}
+	if err != nil {
+		os.Remove(w.tmp.Name())
+		return fmt.Errorf("campaign: committing result cache: %w", err)
+	}
+	return nil
+}
+
+// packWriter writes a pack to its temp file, record by record in index
+// order. Runs of consecutive records copied from the old pack are copied
+// in one piece. Its first error sticks.
+type packWriter struct {
+	old    *pack
+	tmp    *os.File
+	w      *bufio.Writer
+	size   int64  // the records' bytes, the pending copy included
+	bounds []byte // the records' offsets, for the trailer
+	lo, hi int64  // the old pack's bytes still to copy
+	err    error
+}
+
+// mark starts a record at the current size.
+func (w *packWriter) mark() {
+	w.bounds = binary.LittleEndian.AppendUint64(w.bounds, uint64(w.size))
+}
+
+// copy appends the old pack's record i.
+func (w *packWriter) copy(i int) {
+	w.mark()
+	lo, hi := w.old.bound(i), w.old.bound(i+1)
+	if lo != w.hi {
+		w.flush()
+		w.lo = lo
+	}
+	w.hi = hi
+	w.size += hi - lo
+}
+
+// add appends a record the Run simulated.
+func (w *packWriter) add(rec []byte) {
+	w.flush()
+	w.mark()
+	if w.err == nil {
+		_, w.err = w.w.Write(rec)
+	}
+	w.size += int64(len(rec))
+}
+
+// flush copies the pending run of the old pack's records.
+func (w *packWriter) flush() {
+	if w.hi > w.lo && w.err == nil {
+		_, w.err = io.Copy(w.w, io.NewSectionReader(w.old.f, w.lo, w.hi-w.lo))
+	}
+	w.lo = w.hi
+}
+
+// finish writes the trailer and closes the temp file.
+func (w *packWriter) finish() error {
+	w.flush()
+	if w.err == nil {
+		_, w.err = w.w.Write(binary.LittleEndian.AppendUint64(w.bounds, uint64(len(w.bounds)/8)))
+	}
+	if w.err == nil {
+		w.err = w.w.Flush()
+	}
+	if err := w.tmp.Close(); w.err == nil {
+		w.err = err
+	}
+	return w.err
 }

@@ -3,9 +3,10 @@
 // DSL, fans them out on the runner pool, and folds every RunReport through
 // streaming aggregators (count, Welford mean/variance, a deterministic
 // quantile sketch) so memory stays O(1) at any campaign size. Completed
-// runs are keyed in a content-addressed on-disk cache — spec digest + seed
-// + code version — so re-running a campaign is incremental and a fully
-// cached re-run performs zero simulations.
+// runs are kept in one on-disk pack per campaign, each record keyed by its
+// content address — spec digest + seed + code version — so re-running a
+// campaign is incremental and a fully cached re-run performs zero
+// simulations.
 //
 // Determinism contract: scenario i of a campaign is a pure function of
 // (Spec, i) — the sampler seeds a private RNG from the campaign seed and

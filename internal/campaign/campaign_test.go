@@ -298,53 +298,68 @@ func TestCacheKey(t *testing.T) {
 			{AtSec: 2, Path: &scenario.PathFlap{Path: 0, Up: true}},
 		},
 	}
-	const want = "d0fff6e2db83476dcf54f235e54e95994e18ec1fb70af81c666c51a9bce9bfc1"
+	const want = "4b5f680408dfe8d1a7679e51d20d0f7ea6cb9d1ecbac01cf42f8fabfdf4e81a5"
 	if got, err := CacheKey("v1", pinned); err != nil || got != want {
 		t.Errorf("pinned key = %s, %v; want %s", got, err, want)
 	}
 }
 
 func TestCacheRoundTrip(t *testing.T) {
-	c, err := openCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
 	rep := &scenario.RunReport{Name: "x", Seed: 3, Processed: 42,
 		Flows: []scenario.FlowReport{{Name: "user-0", GoodputMbps: 1.25, GoodputBytes: 10000}}}
 	spec := &scenario.Spec{Name: "x", Seed: 3}
 	key := mustEntryKey(t, spec)
-	if _, ok := getFresh(c, key, spec); ok {
-		t.Fatal("hit before put")
+	path := filepath.Join(t.TempDir(), "x.pack")
+	if p := openPack(path, 1); p.addressed() != 0 {
+		t.Fatal("a missing pack addresses records")
 	}
-	if err := c.put(key, rep); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := getFresh(c, key, spec)
+	commitPack(t, path, rec(key, rep))
+	p := openPack(path, 1)
+	got, ok := getFresh(&p, 0, key, spec)
 	if !ok {
-		t.Fatal("miss after put")
+		t.Fatal("miss after commit")
 	}
 	if !reflect.DeepEqual(got, rep) {
 		t.Fatalf("round trip changed the report: %+v vs %+v", got, rep)
 	}
-
-	// An entry that decodes to some other run is a miss.
+	// A record read at another index, or one that decodes to some other
+	// run, is a miss.
+	if _, ok := getFresh(&p, 1, key, spec); ok {
+		t.Error("record 0 served as record 1")
+	}
 	for _, other := range []*scenario.Spec{{Name: "y", Seed: 3}, {Name: "x", Seed: 4}} {
-		if _, ok := getFresh(c, key, other); ok {
-			t.Errorf("entry for x/3 served as %s/%d", other.Name, other.Seed)
+		if _, ok := getFresh(&p, 0, key, other); ok {
+			t.Errorf("record for x/3 served as %s/%d", other.Name, other.Seed)
 		}
 	}
-	// A torn or corrupted entry is a miss, not an error.
-	whole, err := os.ReadFile(c.path(key))
+	p.close()
+	// A record filed under another key is a miss, and so is one of another
+	// schema.
+	other := rec(mustEntryKey(t, &scenario.Spec{Name: "x", Seed: 4}), rep)
+	stale := append(key[:], scenario.AppendReport([]byte("mptcpsim-campaign-cache-v7\n"), rep)...)
+	for _, bad := range [][]byte{other, stale} {
+		commitPack(t, path, bad)
+		p := openPack(path, 1)
+		if _, ok := getFresh(&p, 0, key, spec); ok {
+			t.Errorf("record %q treated as a hit", bad)
+		}
+		p.close()
+	}
+	// A torn or corrupted pack is a miss, not an error.
+	commitPack(t, path, rec(key, rep))
+	whole, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range [][]byte{whole[:len(whole)-1], append(whole[:len(whole):len(whole)], 0), []byte("{truncated"), nil} {
-		if err := os.WriteFile(c.path(key), bad, 0o644); err != nil {
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := getFresh(c, key, spec); ok {
-			t.Errorf("corrupted entry %q treated as a hit", bad)
+		p := openPack(path, 1)
+		if _, ok := getFresh(&p, 0, key, spec); ok {
+			t.Errorf("corrupted pack %q treated as a hit", bad)
 		}
+		p.close()
 	}
 }
 
@@ -385,10 +400,11 @@ func TestRunWorkerIdentity(t *testing.T) {
 	}
 }
 
-// TestRunScenarioError: scenario k cannot store its report (a directory
-// sits where its cache entry goes). Run returns that scenario's error — not
-// a later scenario's, and not the cancellation the fold answers it with —
-// and the stream stops within a window of k instead of running all N.
+// TestRunScenarioError: scenarios k and k+2 fail (simulate is swapped for
+// one that fails them). Run returns scenario k's error — not a later
+// scenario's, and not the cancellation the fold answers it with — the
+// stream stops within a window of k instead of running all N, and the
+// pack the failed Run commits holds the k scenarios it delivered.
 func TestRunScenarioError(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates scenarios; skipped in -short")
@@ -399,30 +415,73 @@ func TestRunScenarioError(t *testing.T) {
 	sp.N = k + 4*window
 	sp.DurationSec = Uniform(1.2, 1.8)
 	sp.CacheDir = t.TempDir()
-	cc, err := openCache(sp.CacheDir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	failing := map[string]bool{}
 	for _, i := range []int{k, k + 2} {
-		key, err := cacheKey("test", sp.fill().SampleSpec(i))
-		if err != nil {
-			t.Fatal(err)
+		failing[sp.fill().SampleSpec(i).Name] = true
+	}
+	injected := errors.New("injected failure")
+	t.Cleanup(func() { simulate = scenario.Run })
+	simulate = func(ctx context.Context, spec *scenario.Spec) (*scenario.RunReport, error) {
+		if failing[spec.Name] {
+			return nil, injected
 		}
-		if err := os.MkdirAll(cc.path(key), 0o755); err != nil {
-			t.Fatal(err)
-		}
+		return scenario.Run(ctx, spec)
 	}
 	var done int
-	_, err = Run(context.Background(), sp, Options{Workers: workers, Version: "test",
+	_, err := Run(context.Background(), sp, Options{Workers: workers, Version: "test",
 		Progress: func(d, _ int) { done = d }})
-	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("scenario %d: campaign: committing cache entry", k)) {
-		t.Fatalf("err = %v, want scenario %d's cache error", err, k)
+	if !errors.Is(err, injected) || !strings.Contains(err.Error(), fmt.Sprintf("scenario %d: injected failure", k)) {
+		t.Fatalf("err = %v, want scenario %d's injected failure", err, k)
 	}
 	if errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v wraps context.Canceled", err)
 	}
 	if done >= k+window+workers {
 		t.Errorf("%d scenarios completed after scenario %d failed, want fewer than %d", done, k, k+window+workers)
+	}
+	if got := len(packRecords(t, onlyPack(t, sp.CacheDir))); got != k {
+		t.Errorf("the failed run committed %d records, want the %d before scenario %d", got, k, k)
+	}
+}
+
+// TestRunPanicKeepsIndices: the stream delivers on past a job that
+// panicked, but the pack keeps only the prefix before it, so every record
+// stays at its index and the next Run hits on exactly that prefix.
+func TestRunPanicKeepsIndices(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates scenarios; skipped in -short")
+	}
+	const k = 3
+	sp := tinySpec()
+	sp.N = 8
+	sp.DurationSec = Uniform(1.2, 1.8)
+	opts := Options{Workers: 2, Version: "test"}
+	ref, err := Run(context.Background(), sp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.CacheDir = t.TempDir()
+	name := sp.fill().SampleSpec(k).Name
+	t.Cleanup(func() { simulate = scenario.Run })
+	simulate = func(ctx context.Context, spec *scenario.Spec) (*scenario.RunReport, error) {
+		if spec.Name == name {
+			panic("injected panic")
+		}
+		return scenario.Run(ctx, spec)
+	}
+	if _, err := Run(context.Background(), sp, opts); !errors.Is(err, runner.ErrJobPanic) {
+		t.Fatalf("err = %v, want a job panic", err)
+	}
+	if got := len(packRecords(t, onlyPack(t, sp.CacheDir))); got != k {
+		t.Errorf("the run committed %d records, want the %d before the panic", got, k)
+	}
+	simulate = scenario.Run
+	res, err := Run(context.Background(), sp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CacheHits != k || res.Digest() != ref.Digest() {
+		t.Errorf("after the panic: %d hits, want %d; digest equal %v", res.CacheHits, k, res.Digest() == ref.Digest())
 	}
 }
 
@@ -476,7 +535,7 @@ func TestRunWarmCache(t *testing.T) {
 	}
 }
 
-// entryFiles lists a cache tree's entry files in a fixed order.
+// entryFiles lists a per-entry cache tree's entry files in a fixed order.
 func entryFiles(t *testing.T, dir, ext string) []string {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join(dir, "*", "*"+ext))
@@ -487,8 +546,9 @@ func entryFiles(t *testing.T, dir, ext string) []string {
 	return files
 }
 
-// TestRunSwappedEntries: an entry filed under another run's key is not that
-// run. Both swapped scenarios are re-simulated and rewritten.
+// TestRunSwappedEntries: a record at another run's index is not that run.
+// With the pack's first and last records swapped, both scenarios are
+// re-simulated and rewritten.
 func TestRunSwappedEntries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates scenarios; skipped in -short")
@@ -500,17 +560,13 @@ func TestRunSwappedEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files := entryFiles(t, sp.CacheDir, ".bin")
-	if len(files) != sp.N {
-		t.Fatalf("%d entry files after a cold run of %d", len(files), sp.N)
+	path := onlyPack(t, sp.CacheDir)
+	recs := packRecords(t, path)
+	if len(recs) != sp.N {
+		t.Fatalf("%d records after a cold run of %d", len(recs), sp.N)
 	}
-	a, b := files[0], files[len(files)-1]
-	hold := a + ".hold"
-	for _, mv := range [][2]string{{a, hold}, {b, a}, {hold, b}} {
-		if err := os.Rename(mv[0], mv[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
+	recs[0], recs[len(recs)-1] = recs[len(recs)-1], recs[0]
+	commitPack(t, path, recs...)
 	for _, want := range []int{2, 0} {
 		res, err := Run(context.Background(), sp, opts)
 		if err != nil {
@@ -526,11 +582,12 @@ func TestRunSwappedEntries(t *testing.T) {
 }
 
 // TestRunIgnoresOldSchemaTrees: a directory filled under an earlier schema
-// yields no hits. v1 left JSON entries at <key>.json and v2 binary ones at
-// <key>.bin, both under keys hashed from the spec's JSON and their own tag,
-// and v4 binary ones under keys hashed from its tag and scenario.AppendSpec;
-// those trees are left byte for byte as they were. A v3 entry at the path
-// of this schema's key fails on its header and is rewritten.
+// yields no hits, and its tree is left byte for byte as it was beside the
+// run's pack. Every earlier schema filed one entry per scenario under
+// <key[:2]>/: v1 JSON entries at <key>.json and v2 binary ones at
+// <key>.bin, both under keys hashed from the spec's JSON and their own
+// tag; v3 binary ones under this schema's key; v4 and v7 binary ones under
+// keys hashed from their tag and scenario.AppendSpec.
 func TestRunIgnoresOldSchemaTrees(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates scenarios; skipped in -short")
@@ -544,39 +601,10 @@ func TestRunIgnoresOldSchemaTrees(t *testing.T) {
 		sum := sha256.Sum256(append([]byte(tag+"\x00test\x00"), data...))
 		return hex.EncodeToString(sum[:])
 	}
-	for _, tc := range []struct {
-		schema string
-		// plant returns where an entry for spec goes and what it holds.
-		plant func(t *testing.T, dir string, spec *scenario.Spec) (string, []byte)
-		// rewritten: the run replaces the planted entries instead of
-		// adding its own beside them.
-		rewritten bool
-	}{
-		{"v1", func(t *testing.T, dir string, spec *scenario.Spec) (string, []byte) {
-			key := jsonKey(t, "mptcpsim-campaign-cache-v1", spec)
-			entry, err := json.Marshal(&scenario.RunReport{Name: spec.Name, Seed: spec.Seed, Processed: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return filepath.Join(dir, key[:2], key+".json"), entry
-		}, false},
-		{"v2", func(t *testing.T, dir string, spec *scenario.Spec) (string, []byte) {
-			key := jsonKey(t, "mptcpsim-campaign-cache-v2", spec)
-			entry := scenario.AppendReport([]byte("mptcpsim-campaign-cache-v2\n"),
-				&scenario.RunReport{Name: spec.Name, Seed: spec.Seed, Processed: 1})
-			return filepath.Join(dir, key[:2], key+".bin"), entry
-		}, false},
-		{"v3", func(t *testing.T, dir string, spec *scenario.Spec) (string, []byte) {
-			key, err := CacheKey("test", spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			entry := scenario.AppendReport([]byte("mptcpsim-campaign-cache-v3\n"),
-				&scenario.RunReport{Name: spec.Name, Seed: spec.Seed, Processed: 1})
-			return filepath.Join(dir, key[:2], key+".bin"), entry
-		}, true},
-		{"v4", func(t *testing.T, dir string, spec *scenario.Spec) (string, []byte) {
-			const tag = "mptcpsim-campaign-cache-v4"
+	// specEntry is a v4 or v7 entry: keyed by the tag, the version and
+	// scenario.AppendSpec, opened by the tag's line.
+	specEntry := func(tag string) func(t *testing.T, dir string, spec *scenario.Spec) (string, []byte) {
+		return func(t *testing.T, dir string, spec *scenario.Spec) (string, []byte) {
 			data, err := scenario.AppendSpec([]byte(tag+"\x00test\x00"), spec)
 			if err != nil {
 				t.Fatal(err)
@@ -586,7 +614,38 @@ func TestRunIgnoresOldSchemaTrees(t *testing.T) {
 			entry := scenario.AppendReport([]byte(tag+"\n"),
 				&scenario.RunReport{Name: spec.Name, Seed: spec.Seed, Processed: 1})
 			return filepath.Join(dir, key[:2], key+".bin"), entry
-		}, false},
+		}
+	}
+	for _, tc := range []struct {
+		schema string
+		// plant returns where an entry for spec goes and what it holds.
+		plant func(t *testing.T, dir string, spec *scenario.Spec) (string, []byte)
+	}{
+		{"v1", func(t *testing.T, dir string, spec *scenario.Spec) (string, []byte) {
+			key := jsonKey(t, "mptcpsim-campaign-cache-v1", spec)
+			entry, err := json.Marshal(&scenario.RunReport{Name: spec.Name, Seed: spec.Seed, Processed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return filepath.Join(dir, key[:2], key+".json"), entry
+		}},
+		{"v2", func(t *testing.T, dir string, spec *scenario.Spec) (string, []byte) {
+			key := jsonKey(t, "mptcpsim-campaign-cache-v2", spec)
+			entry := scenario.AppendReport([]byte("mptcpsim-campaign-cache-v2\n"),
+				&scenario.RunReport{Name: spec.Name, Seed: spec.Seed, Processed: 1})
+			return filepath.Join(dir, key[:2], key+".bin"), entry
+		}},
+		{"v3", func(t *testing.T, dir string, spec *scenario.Spec) (string, []byte) {
+			key, err := CacheKey("test", spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			entry := scenario.AppendReport([]byte("mptcpsim-campaign-cache-v3\n"),
+				&scenario.RunReport{Name: spec.Name, Seed: spec.Seed, Processed: 1})
+			return filepath.Join(dir, key[:2], key+".bin"), entry
+		}},
+		{"v4", specEntry("mptcpsim-campaign-cache-v4")},
+		{"v7", specEntry("mptcpsim-campaign-cache-v7")},
 	} {
 		t.Run(tc.schema, func(t *testing.T) {
 			sp := tinySpec()
@@ -611,22 +670,15 @@ func TestRunIgnoresOldSchemaTrees(t *testing.T) {
 			if res.Simulated != sp.N || res.CacheHits != 0 {
 				t.Errorf("simulated %d / hits %d over a %s tree, want %d / 0", res.Simulated, res.CacheHits, tc.schema, sp.N)
 			}
-			want := 2 * sp.N // the planted ones and the run's own
-			if tc.rewritten {
-				want = sp.N
+			if got := len(entryFiles(t, sp.CacheDir, ".bin")) + len(entryFiles(t, sp.CacheDir, ".json")); got != sp.N {
+				t.Errorf("%d entries after the run, want the %d planted", got, sp.N)
 			}
-			if got := len(entryFiles(t, sp.CacheDir, ".bin")) + len(entryFiles(t, sp.CacheDir, ".json")); got != want {
-				t.Errorf("%d entries after the run, want %d", got, want)
+			if packs, err := filepath.Glob(filepath.Join(sp.CacheDir, "*.pack")); err != nil || len(packs) != 1 {
+				t.Errorf("packs after the run: %q, %v; want one", packs, err)
 			}
 			for path, planted := range old {
-				got, err := os.ReadFile(path)
-				switch {
-				case err != nil:
-					t.Errorf("%s entry %s: %v", tc.schema, path, err)
-				case tc.rewritten && !bytes.HasPrefix(got, []byte(reportHeader)):
-					t.Errorf("%s entry %s was not rewritten: %q", tc.schema, path, got)
-				case !tc.rewritten && !bytes.Equal(got, planted):
-					t.Errorf("%s entry %s changed: %q", tc.schema, path, got)
+				if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, planted) {
+					t.Errorf("%s entry %s changed: %q, %v", tc.schema, path, got, err)
 				}
 			}
 		})

@@ -167,7 +167,10 @@ type outcome struct {
 	violations int
 	name       string
 	hit        bool
-	err        error
+	// entry is a simulated run's pack record when the Run has a cache,
+	// for the fold to write; it is nil otherwise.
+	entry *[]byte
+	err   error
 }
 
 // extract reads one scenario's outcome off its report.
@@ -229,15 +232,19 @@ func (as *aggregators) aggregates() []Aggregate {
 }
 
 // sampledPool and reportPool recycle each job's scenario and, on a cache
-// hit, the report decoded into: with both warm, a hit allocates its name,
-// its entry's path and what opening that path takes.
+// hit, the report decoded into: with both warm, a hit allocates its name
+// and little else.
 var (
 	sampledPool = sync.Pool{New: func() any { return new(sampled) }}
 	reportPool  = sync.Pool{New: func() any { return new(scenario.RunReport) }}
 )
 
+// simulate runs one sampled scenario. It is a variable so that a test can
+// fail chosen scenarios.
+var simulate = scenario.Run
+
 // Run executes the campaign: for each index it samples the scenario,
-// consults the content-addressed cache, simulates on a miss, and folds the
+// consults the campaign's cache pack, simulates on a miss, and folds the
 // report's metric samples into the streaming aggregators.
 //
 // Execution is one runner.Stream. Each job samples its scenario into
@@ -248,20 +255,23 @@ var (
 // more than one runner window of outcomes is ever resident — memory is
 // O(workers), not O(N). Because scenario i is a pure function of (Spec, i)
 // and the fold order is the index order, the Result is byte-identical at
-// any worker count, and — cache entries carrying every float as its bits —
+// any worker count, and — cache records carrying every float as its bits —
 // identical again when every scenario is a cache hit.
 //
 // The first scenario to fail, in index order, is the error Run returns; the
 // fold then cancels the stream, so at most a window of later scenarios
 // start. Cancelling ctx abandons the campaign within one scenario boundary
-// and returns an error wrapping ctx.Err(). The cache directory keeps every
-// completed run, so a canceled campaign resumes incrementally.
+// and returns an error wrapping ctx.Err(). Whether the Run finished, was
+// cancelled or failed, the scenarios it delivered in index order before
+// the first gap stay cached — a Run that simulated any of them commits a
+// new pack at its end, keeping the old pack's records past them — so a
+// canceled campaign resumes from its delivered prefix.
 func Run(ctx context.Context, sp *Spec, opts Options) (*Result, error) {
 	sp = sp.fill()
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	cc, err := openCache(sp.CacheDir)
+	cc, err := openCache(sp.CacheDir, opts.Version, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -282,7 +292,7 @@ func Run(ctx context.Context, sp *Spec, opts Options) (*Result, error) {
 		sp.sampleInto(s, i)
 		spec := &s.Spec
 		// Without a cache there is nothing to address: no key is
-		// derived, and get and put are not called.
+		// derived, no record read and none encoded.
 		var key entryKey
 		if cc != nil {
 			var err error
@@ -291,20 +301,19 @@ func Run(ctx context.Context, sp *Spec, opts Options) (*Result, error) {
 			}
 			rep := reportPool.Get().(*scenario.RunReport)
 			defer reportPool.Put(rep)
-			if cc.get(key, spec, rep) {
+			if cc.old.get(i, key, spec, rep) {
 				return extract(rep, true)
 			}
 		}
-		rep, err := scenario.Run(ctx, spec)
+		rep, err := simulate(ctx, spec)
 		if err != nil {
 			return outcome{err: err}
 		}
+		o := extract(rep, false)
 		if cc != nil {
-			if err := cc.put(key, rep); err != nil {
-				return outcome{err: err}
-			}
+			o.entry = record(key, rep)
 		}
-		return extract(rep, false)
+		return o
 	}, func(i int, o outcome) {
 		if failed != nil {
 			return
@@ -313,6 +322,13 @@ func Run(ctx context.Context, sp *Spec, opts Options) (*Result, error) {
 			failed = fmt.Errorf("campaign %q: scenario %d: %w", sp.Name, i, o.err)
 			cancel()
 			return
+		}
+		if cc != nil {
+			if err := cc.keep(i, &o); err != nil {
+				failed = fmt.Errorf("campaign %q: %w", sp.Name, err)
+				cancel()
+				return
+			}
 		}
 		if o.hit {
 			res.CacheHits++
@@ -328,6 +344,11 @@ func Run(ctx context.Context, sp *Spec, opts Options) (*Result, error) {
 		as.fold(&o)
 		progress(i+1, sp.N)
 	})
+	if cc != nil {
+		if cerr := cc.commit(); cerr != nil && failed == nil && err == nil {
+			failed = fmt.Errorf("campaign %q: %w", sp.Name, cerr)
+		}
+	}
 	if failed != nil {
 		return nil, failed
 	}

@@ -277,14 +277,14 @@ func (l *Lab) Fuzz(ctx context.Context, opts FuzzOptions) (*FuzzReport, error) {
 // on the Lab's worker budget, and folds every report through streaming
 // aggregators (count, mean/variance, deterministic quantile sketch), so
 // memory stays O(workers) at any campaign size. With spec.CacheDir set,
-// completed runs are kept in a content-addressed cache keyed by
+// runs are kept in one cache pack per campaign, each record keyed by
 // (Version(), sampled scenario); a fully cached re-run performs zero
 // simulations and reproduces the cold Result byte for byte. The Result —
 // including its Digest — is byte-identical at any worker count.
 // A negative worker budget is ErrInvalidConfig. Cancelling ctx stops the
-// campaign at the next scenario boundary with an ErrCanceled error;
-// completed runs stay cached, so a canceled campaign resumes
-// incrementally.
+// campaign at the next scenario boundary with an ErrCanceled error; the
+// runs it delivered in index order before the first unfinished one stay
+// cached, so a canceled campaign resumes from that prefix.
 func (l *Lab) Campaign(ctx context.Context, spec CampaignSpec) (*CampaignResult, error) {
 	const op = "campaign"
 	if err := spec.Validate(); err != nil {
