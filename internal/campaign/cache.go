@@ -7,11 +7,14 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"mptcpsim/internal/scenario"
 )
@@ -141,16 +144,26 @@ type packFile interface {
 // records. A pack that is missing, short or malformed holds no records:
 // every read of it misses, and the Run's commit replaces it.
 func openPack(path string, n int) pack {
-	f, err := os.Open(path)
+	f, size, err := openFile(path)
 	if err != nil {
 		return pack{}
+	}
+	return readPack(f, size, n)
+}
+
+// openFile opens the file at path for reading and returns its size. It is
+// a variable so that a test can count the reads a Run makes.
+var openFile = func(path string) (packFile, int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
 	}
 	st, err := f.Stat()
 	if err != nil {
 		f.Close()
-		return pack{}
+		return nil, 0, err
 	}
-	return readPack(f, st.Size(), n)
+	return f, st.Size(), nil
 }
 
 // readPack reads the trailer of the size-byte pack f and the bounds of its
@@ -225,35 +238,43 @@ func (p *pack) bound(i int) int64 {
 	return int64(binary.LittleEndian.Uint64(p.bounds[8*i:]))
 }
 
-// read reads record i into *buf, growing it to the record's length if it
-// is shorter, and returns the record: one positional read. The length was
-// checked against the file's when the bounds were loaded.
-func (p *pack) read(i int, buf *[]byte) ([]byte, bool) {
-	if i >= p.addressed() {
+// readBlock reads records lo..hi-1, which the bounds address, into *buf
+// with one positional read and returns their bytes; record slices each
+// record out of them. A *buf too short is replaced by one twice the
+// block's length, so that the pooled buffers stop growing once they have
+// met the campaign's larger blocks. The length was checked against the
+// file's when the bounds were loaded.
+func (p *pack) readBlock(lo, hi int, buf *[]byte) ([]byte, bool) {
+	if lo >= hi || hi > p.addressed() {
 		return nil, false
 	}
-	lo, hi := p.bound(i), p.bound(i+1)
-	if int64(cap(*buf)) < hi-lo {
-		*buf = make([]byte, hi-lo)
+	start, end := p.bound(lo), p.bound(hi)
+	if int64(cap(*buf)) < end-start {
+		*buf = make([]byte, 2*(end-start))
 	}
-	rec := (*buf)[:hi-lo]
-	if _, err := p.f.ReadAt(rec, lo); err != nil {
+	data := (*buf)[:end-start]
+	if _, err := p.f.ReadAt(data, start); err != nil {
 		return nil, false
 	}
-	return rec, true
+	return data, true
 }
 
-// get decodes record i into rep and reports whether it is the run of sp,
-// whose content address is key. A record that is missing, torn, filed
-// under another key, of another schema, undecodable, or decodes to some
-// other run (a pack copied or spliced by hand) is a miss, never an error:
-// the caller falls back to simulating and the Run's commit rewrites the
-// record. After a miss rep holds nothing of use.
-func (p *pack) get(i int, key entryKey, sp *scenario.Spec, rep *scenario.RunReport) bool {
-	bp := entryPool.Get().(*[]byte)
-	defer entryPool.Put(bp)
-	rec, ok := p.read(i, bp)
-	if !ok || !bytes.Equal(rec[:sha256.Size], key[:]) {
+// record is record i of data, the bytes readBlock read from record lo on.
+func (p *pack) record(data []byte, lo, i int) []byte {
+	base := p.bound(lo)
+	return data[p.bound(i)-base : p.bound(i+1)-base]
+}
+
+// hit decodes rec, a record of the pack, into rep and reports whether it
+// is the run of sp, whose content address is key. The checks run in this
+// order: key, schema line, canonical decode, Name and Seed. A record filed
+// under another key, of another schema, undecodable, or that decodes to
+// some other run (a pack copied or spliced by hand) is a miss, never an
+// error: the caller falls back to simulating and the Run's commit rewrites
+// the record. After a miss rep holds nothing of use.
+func hit(rec []byte, key entryKey, sp *scenario.Spec, rep *scenario.RunReport) bool {
+	// The bounds give every record at least recordMin bytes.
+	if !bytes.Equal(rec[:sha256.Size], key[:]) {
 		return false
 	}
 	data := rec[sha256.Size:]
@@ -261,9 +282,9 @@ func (p *pack) get(i int, key entryKey, sp *scenario.Spec, rep *scenario.RunRepo
 		return false
 	}
 	// The decode copies every string it does not already hold out of data,
-	// so the buffer can go back to the pool under the report. Holding the
-	// spec's name lets it keep that one rather than copy the record's equal
-	// bytes.
+	// so the block's buffer can go back to the pool under the report.
+	// Holding the spec's name lets it keep that one rather than copy the
+	// record's equal bytes.
 	rep.Name = sp.Name
 	err := scenario.DecodeReportInto(rep, data[len(reportHeader):])
 	return err == nil && rep.Name == sp.Name && rep.Seed == sp.Seed
@@ -324,7 +345,7 @@ func (c *cache) keep(i int, o *outcome) error {
 		return nil
 	}
 	if c.next == nil {
-		tmp, err := os.CreateTemp(filepath.Dir(c.path), filepath.Base(c.path)+".tmp-*")
+		tmp, err := createTemp(c.path)
 		if err != nil {
 			return fmt.Errorf("campaign: writing result cache: %w", err)
 		}
@@ -340,6 +361,25 @@ func (c *cache) keep(i int, o *outcome) error {
 		return fmt.Errorf("campaign: writing result cache: %w", c.next.err)
 	}
 	return nil
+}
+
+// tempSeq numbers the temp files this process creates.
+var tempSeq atomic.Uint64
+
+// createTemp creates a new file beside path under a name no other file
+// has, for a pack to be written to and renamed over path. Its mode is
+// 0666 less the umask, as any file the user creates, so a cache directory
+// shared by several users holds packs each of them can read; os.CreateTemp
+// would make it 0600. The name carries the process id and a sequence
+// number; a name left by a crashed process is skipped.
+func createTemp(path string) (*os.File, error) {
+	for tries := 0; ; tries++ {
+		name := fmt.Sprintf("%s.tmp-%d-%d", path, os.Getpid(), tempSeq.Add(1))
+		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if err == nil || !errors.Is(err, fs.ErrExist) || tries == 100 {
+			return f, err
+		}
+	}
 }
 
 // commit ends the Run's use of the cache. If the Run delivered a

@@ -37,11 +37,17 @@ func mustEntryKey(t testing.TB, sp *scenario.Spec) entryKey {
 	return key
 }
 
-// getFresh is p.get into a new report.
+// getFresh reads record i of p as a block of one, as a Run's job reads
+// it, and decodes it into a new report if it is the run of sp.
 func getFresh(p *pack, i int, key entryKey, sp *scenario.Spec) (*scenario.RunReport, bool) {
+	bp := entryPool.Get().(*[]byte)
+	defer entryPool.Put(bp)
+	data, ok := p.readBlock(i, i+1, bp)
+	if !ok {
+		return nil, false
+	}
 	rep := new(scenario.RunReport)
-	ok := p.get(i, key, sp, rep)
-	return rep, ok
+	return rep, hit(p.record(data, i, i), key, sp, rep)
 }
 
 // rec is rep's pack record under key: the key, the schema line, then the
@@ -131,8 +137,9 @@ func paddedReport(t *testing.T, key entryKey, flows, size int) *scenario.RunRepo
 // TestCacheEntryLargerThanBuffer: a record the starting read buffer cannot
 // hold still hits, whole. Records of the buffer's size and one byte either
 // side of it, and a 200-flow one several times its size, are each read
-// from a pack by get, and by read from a buffer of the starting size and
-// from one of a single byte, which has to grow.
+// from a pack as a block of one and decoded, and by readBlock from a
+// buffer of the starting size and from one of a single byte, which has to
+// grow.
 func TestCacheEntryLargerThanBuffer(t *testing.T) {
 	start := len(*entryPool.New().(*[]byte))
 	path := filepath.Join(t.TempDir(), "big.pack")
@@ -152,7 +159,7 @@ func TestCacheEntryLargerThanBuffer(t *testing.T) {
 		}
 		for _, n := range []int{start, 1} {
 			buf := make([]byte, n)
-			if data, ok := p.read(0, &buf); !ok || !bytes.Equal(data, enc) {
+			if data, ok := p.readBlock(0, 1, &buf); !ok || !bytes.Equal(data, enc) {
 				t.Errorf("%d-byte record from a %d-byte buffer: ok %v, read %d bytes", len(enc), n, ok, len(data))
 			}
 		}
@@ -160,9 +167,10 @@ func TestCacheEntryLargerThanBuffer(t *testing.T) {
 	}
 }
 
-// TestCacheGetOwnsReport: get hands its read buffer back to the pool
-// before it returns, so the report must own every byte it holds. The
-// buffer is taken back out and scribbled on; the report must not change.
+// TestCacheGetOwnsReport: a job hands its block's read buffer back to the
+// pool before it ends, so a report decoded from it must own every byte it
+// holds. The buffer is taken back out and scribbled on; the report must
+// not change.
 func TestCacheGetOwnsReport(t *testing.T) {
 	rep := &scenario.RunReport{Name: "owned", Seed: 3, Processed: 42,
 		Flows: []scenario.FlowReport{{Name: "user-0", Algorithm: "olia", PathMbps: []float64{1.5},
@@ -177,7 +185,7 @@ func TestCacheGetOwnsReport(t *testing.T) {
 	p := openPack(path, 1)
 	defer p.close()
 	// The race detector makes the pool drop a Put at random; retry until
-	// the buffer get read into is the one taken back.
+	// the buffer the record was read into is the one taken back.
 	for try := 0; try < 100; try++ {
 		got, ok := getFresh(&p, 0, key, spec)
 		if !ok {
@@ -196,7 +204,7 @@ func TestCacheGetOwnsReport(t *testing.T) {
 		}
 		return
 	}
-	t.Fatal("the pool never returned get's buffer")
+	t.Fatal("the pool never returned the read buffer")
 }
 
 // TestRunRewritesTruncatedEntry: the pack cut short at every byte offset —
@@ -240,7 +248,9 @@ func TestRunRewritesTruncatedEntry(t *testing.T) {
 // TestRunShorterKeepsPack: a shorter run of a campaign reads the longer
 // run's pack and leaves it intact — untouched when every record hits, and
 // byte for byte as it was when it rewrites a damaged record — so the
-// longer run stays fully warm.
+// longer run stays fully warm. The damaged record sits in the middle of
+// the short run's one block: its job simulates it, and its neighbours
+// hit.
 func TestRunShorterKeepsPack(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates scenarios; skipped in -short")
@@ -275,10 +285,7 @@ func TestRunShorterKeepsPack(t *testing.T) {
 		}
 	}
 	check("warm", 0)
-	recs := packRecords(t, path)
-	recs[2] = append([]byte(nil), recs[2]...)
-	recs[2][0] ^= 0xff
-	commitPack(t, path, recs...)
+	damage(t, path, 2)
 	check("record 2 damaged", 1)
 	res, err := Run(context.Background(), sp, opts)
 	if err != nil {
@@ -383,11 +390,12 @@ type memPack struct{ *bytes.Reader }
 
 func (memPack) Close() error { return nil }
 
-// FuzzCachePack: whatever bytes sit where a pack goes, reading every index
-// never panics, sizes nothing from a count or an offset the file's length
-// does not admit, and each read is a miss or a record that passes every
-// check: its bytes are the record the decoded report re-encodes to under
-// the index's key, and that report is the index's run.
+// FuzzCachePack: whatever bytes sit where a pack goes, reading every
+// addressed record in blocks of a span the fuzzer chooses (a block of one
+// included) never panics, sizes nothing from a count or an offset the
+// file's length does not admit, and each record read is a miss or one that
+// passes every check: its bytes are the record the decoded report
+// re-encodes to under the index's key, and that report is the index's run.
 func FuzzCachePack(f *testing.F) {
 	sp := tinySpec().fill()
 	const n = 10 // two more than the real pack holds
@@ -418,6 +426,8 @@ func FuzzCachePack(f *testing.F) {
 	swapped := bytes.Clone(whole)
 	copy(swapped[end+16:], whole[end+24:end+32])
 	copy(swapped[end+24:], whole[end+16:end+24])
+	damaged := bytes.Clone(whole)
+	damaged[int(binary.LittleEndian.Uint64(whole[end+8*3:]))] ^= 0xff // record 3's key
 	for _, seed := range [][]byte{
 		{},
 		whole[:len(whole)-3],                    // a cut trailer
@@ -425,33 +435,47 @@ func FuzzCachePack(f *testing.F) {
 		swapped,                                 // offsets out of order
 		edit(len(whole)-8, 1<<63-1),             // a count near 2⁶³
 		edit(len(whole)-8, uint64(len(recs)+1)), // a count one too many
+		damaged,                                 // a record mid-block under another key
 		whole,
 	} {
-		f.Add(seed)
+		for _, span := range []uint8{1, 3, blockLen} {
+			f.Add(seed, span)
+		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, span uint8) {
 		p := readPack(memPack{bytes.NewReader(data)}, int64(len(data)), n)
 		defer p.close()
 		if len(p.bounds) > 8*(min(p.count, n)+1) || p.count > len(data)/8 {
 			t.Fatalf("%d bytes of bounds for %d records from a %d-byte file", len(p.bounds), p.count, len(data))
 		}
 		for i := 0; i < p.addressed(); i++ {
-			if lo, hi := p.bound(i), p.bound(i+1); lo < 0 || hi < lo || hi > int64(len(data)) {
+			if lo, hi := p.bound(i), p.bound(i+1); lo < 0 || hi < lo+int64(recordMin) || hi > int64(len(data)) {
 				t.Fatalf("record %d at [%d, %d) of a %d-byte file", i, lo, hi, len(data))
 			}
 		}
-		for i := range specs {
-			rep, ok := getFresh(&p, i, keys[i], specs[i])
-			if !ok {
-				continue
-			}
-			if rep.Name != specs[i].Name || rep.Seed != specs[i].Seed {
-				t.Fatalf("record %d hit as %s/%d, want %s/%d", i, rep.Name, rep.Seed, specs[i].Name, specs[i].Seed)
-			}
+		if _, ok := p.readBlock(p.addressed(), p.addressed()+1, new([]byte)); ok {
+			t.Fatalf("read record %d past the %d addressed", p.addressed(), p.addressed())
+		}
+		b := max(int(span), 1)
+		for lo := 0; lo < p.addressed(); lo += b {
+			hi := min(lo+b, p.addressed())
 			var buf []byte
-			got, _ := p.read(i, &buf)
-			if want := rec(keys[i], rep); !bytes.Equal(got, want) {
-				t.Fatalf("record %d hit, but its %d bytes are not the %d its report re-encodes to", i, len(got), len(want))
+			data, ok := p.readBlock(lo, hi, &buf)
+			if !ok {
+				t.Fatalf("block [%d, %d) of the addressed records did not read", lo, hi)
+			}
+			for i := lo; i < hi; i++ {
+				got := p.record(data, lo, i)
+				rep := new(scenario.RunReport)
+				if !hit(got, keys[i], specs[i], rep) {
+					continue
+				}
+				if rep.Name != specs[i].Name || rep.Seed != specs[i].Seed {
+					t.Fatalf("record %d hit as %s/%d, want %s/%d", i, rep.Name, rep.Seed, specs[i].Name, specs[i].Seed)
+				}
+				if want := rec(keys[i], rep); !bytes.Equal(got, want) {
+					t.Fatalf("record %d hit, but its %d bytes are not the %d its report re-encodes to", i, len(got), len(want))
+				}
 			}
 		}
 	})

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 
@@ -171,6 +172,9 @@ type outcome struct {
 	// for the fold to write; it is nil otherwise.
 	entry *[]byte
 	err   error
+	// crash is the panic the scenario raised, which the fold reports as
+	// the stream would have had the job been the scenario alone.
+	crash *runner.PanicError
 }
 
 // extract reads one scenario's outcome off its report.
@@ -233,39 +237,271 @@ func (as *aggregators) aggregates() []Aggregate {
 
 // sampledPool and reportPool recycle each job's scenario and, on a cache
 // hit, the report decoded into: with both warm, a hit allocates its name
-// and little else.
+// and little else. blockPool recycles the outcomes of a block.
 var (
 	sampledPool = sync.Pool{New: func() any { return new(sampled) }}
 	reportPool  = sync.Pool{New: func() any { return new(scenario.RunReport) }}
+	blockPool   = sync.Pool{New: func() any { return new(block) }}
 )
 
-// simulate runs one sampled scenario. It is a variable so that a test can
-// fail chosen scenarios.
-var simulate = scenario.Run
+// blockLen is the most records one runner job reads: a job reads a block
+// of up to blockLen consecutive records with one ReadAt and folds them
+// back as one delivery, so a warm hit pays a share of one system call and
+// of one job's dispatch.
+const blockLen = 32
+
+// simulate runs one sampled scenario, and stream runs a Run's jobs. They
+// are variables so that a test can fail chosen scenarios and count the
+// jobs.
+var (
+	simulate = scenario.Run
+	stream   = runner.Stream[unit]
+)
+
+// spans deals a Run's indices out to runner jobs: the records the pack
+// addresses in blocks of blockLen, the last one possibly short, then every
+// index past them as a job of its own, which reads nothing.
+type spans struct {
+	addressed int // records the pack addresses, from index 0
+	blocks    int // jobs that read a block: ⌈addressed/blockLen⌉
+}
+
+func newSpans(addressed int) spans {
+	return spans{addressed: addressed, blocks: (addressed + blockLen - 1) / blockLen}
+}
+
+// jobs is how many runner jobs cover n indices.
+func (s spans) jobs(n int) int { return s.blocks + n - s.addressed }
+
+// span is the indices [lo, hi) job j covers, and whether it reads them as
+// a block.
+func (s spans) span(j int) (lo, hi int, block bool) {
+	if j < s.blocks {
+		lo = j * blockLen
+		return lo, min(lo+blockLen, s.addressed), true
+	}
+	lo = s.addressed + j - s.blocks
+	return lo, lo + 1, false
+}
+
+// unit is one runner job's delivery: a lone index's outcome, or a block's.
+type unit struct {
+	one outcome
+	blk *block // from blockPool; nil for a lone index
+}
+
+// block is a block job's outcomes in index order, fewer than the block's
+// length when the context was cancelled under the job.
+type block struct {
+	out  [blockLen]outcome
+	n    int    // outcomes in out
+	next *block // links the blocks reserveBlocks holds
+}
+
+// reserveBlocks makes blockPool hold n blocks. A Run reserves as many as
+// its stream can have out at once, its window and the one the fold is
+// reading, so that how many its jobs hold at a time, which scheduling
+// decides, does not decide what it allocates: after one Run of its size,
+// the next allocates no block.
+func reserveBlocks(n int) {
+	var held *block
+	for ; n > 0; n-- {
+		b := blockPool.Get().(*block)
+		b.next, held = held, b
+	}
+	for held != nil {
+		b := held
+		held, b.next = b.next, nil
+		blockPool.Put(b)
+	}
+}
+
+// work holds what a Run's jobs share.
+type work struct {
+	ctx     context.Context
+	sp      *Spec
+	version string
+	cc      *cache
+	spans   spans
+}
+
+// job is runner job j. A block job reads its records with one ReadAt into
+// a pooled buffer, which goes back to the pool before the job ends, and
+// runs each index on its record; a failed read leaves every index to be
+// simulated. The context is checked before each index of a block.
+func (w *work) job(j int) unit {
+	s := sampledPool.Get().(*sampled)
+	defer sampledPool.Put(s)
+	lo, hi, inBlock := w.spans.span(j)
+	if !inBlock {
+		var u unit
+		w.scenario(lo, nil, s, &u.one)
+		return u
+	}
+	p := &w.cc.old
+	bp := entryPool.Get().(*[]byte)
+	defer entryPool.Put(bp)
+	data, read := p.readBlock(lo, hi, bp)
+	b := blockPool.Get().(*block)
+	for i := lo; i < hi && w.ctx.Err() == nil; i++ {
+		var rec []byte
+		if read {
+			rec = p.record(data, lo, i)
+		}
+		o := &b.out[b.n]
+		b.n++
+		if w.scenario(i, rec, s, o); o.err != nil {
+			break // the fold stops at the error
+		}
+	}
+	return unit{blk: b}
+}
+
+// scenario samples index i into s and fills *o with its outcome: a hit
+// when rec, the pack's record i or nil, passes every check, and otherwise
+// a simulation. A panic becomes o.crash, a *runner.PanicError whose Job is
+// i, whichever job ran the index.
+func (w *work) scenario(i int, rec []byte, s *sampled, o *outcome) {
+	defer func() {
+		if v := recover(); v != nil {
+			buf := make([]byte, 64<<10)
+			*o = outcome{crash: &runner.PanicError{Job: i, Value: v, Stack: buf[:runtime.Stack(buf, false)]}}
+		}
+	}()
+	w.sp.sampleInto(s, i)
+	spec := &s.Spec
+	// Without a cache there is nothing to address: no key is derived, no
+	// record read and none encoded.
+	var key entryKey
+	if w.cc != nil {
+		var err error
+		if key, err = cacheKey(w.version, spec); err != nil {
+			*o = outcome{err: err}
+			return
+		}
+		if rec != nil {
+			rep := reportPool.Get().(*scenario.RunReport)
+			defer reportPool.Put(rep)
+			if hit(rec, key, spec, rep) {
+				*o = extract(rep, true)
+				return
+			}
+		}
+	}
+	rep, err := simulate(w.ctx, spec)
+	if err != nil {
+		*o = outcome{err: err}
+		return
+	}
+	*o = extract(rep, false)
+	if w.cc != nil {
+		o.entry = record(key, rep)
+	}
+}
+
+// fold consumes a Run's outcomes in index order on the Run's goroutine.
+type fold struct {
+	sp       *Spec
+	cc       *cache
+	res      *Result
+	as       *aggregators
+	progress func(done, total int)
+	cancel   context.CancelFunc
+	spans    spans
+	// failed is the first scenario error; crash the first panic; gap is
+	// set once a block came back short, and nothing past it is folded.
+	failed error
+	crash  *runner.PanicError
+	gap    bool
+}
+
+// deliver folds job j's unit and hands a block's outcomes back to the
+// pool.
+func (f *fold) deliver(j int, u unit) {
+	lo, hi, _ := f.spans.span(j)
+	if u.blk == nil {
+		f.take(lo, &u.one)
+		return
+	}
+	b := u.blk
+	for k := range b.n {
+		f.take(lo+k, &b.out[k])
+	}
+	if b.n < hi-lo {
+		f.gap = true
+	}
+	*b = block{}
+	blockPool.Put(b)
+}
+
+// take folds scenario i's outcome. A crashed scenario is not folded, as
+// the stream emits nothing for a job that panicked.
+func (f *fold) take(i int, o *outcome) {
+	if o.crash != nil {
+		if f.crash == nil {
+			f.crash = o.crash
+		}
+		return
+	}
+	if f.failed != nil || f.gap {
+		return
+	}
+	if o.err != nil {
+		f.failed = fmt.Errorf("campaign %q: scenario %d: %w", f.sp.Name, i, o.err)
+		f.cancel()
+		return
+	}
+	if f.cc != nil {
+		if err := f.cc.keep(i, o); err != nil {
+			f.failed = fmt.Errorf("campaign %q: %w", f.sp.Name, err)
+			f.cancel()
+			return
+		}
+	}
+	res := f.res
+	if o.hit {
+		res.CacheHits++
+	} else {
+		res.Simulated++
+	}
+	if o.violations > 0 {
+		res.Violations += o.violations
+		if len(res.Flagged) < flaggedCap {
+			res.Flagged = append(res.Flagged, o.name)
+		}
+	}
+	f.as.fold(o)
+	f.progress(i+1, f.sp.N)
+}
 
 // Run executes the campaign: for each index it samples the scenario,
 // consults the campaign's cache pack, simulates on a miss, and folds the
 // report's metric samples into the streaming aggregators.
 //
-// Execution is one runner.Stream. Each job samples its scenario into
-// pooled scratch, reads or simulates the report, and extracts the fold's
-// samples from it on the worker, so a report read from the cache goes back
-// to its pool before the job ends. The fold consumes the outcomes on this
-// goroutine in index order while later scenarios are still running, and no
-// more than one runner window of outcomes is ever resident — memory is
+// Execution is one runner.Stream. Its jobs are the blocks of up to
+// blockLen consecutive records the pack addresses, then one job per index
+// past them. A block job reads its records with one ReadAt into a pooled
+// buffer; for each index it samples the scenario into pooled scratch,
+// decodes the record or, if the record fails a check, simulates, and
+// extracts the fold's samples on the worker, so a report read from the
+// cache goes back to its pool before the job ends. A job past the records
+// does the same without a record. The fold consumes the outcomes on this
+// goroutine in index order while later jobs are still running, and no
+// more than one runner window of jobs is ever resident — memory is
 // O(workers), not O(N). Because scenario i is a pure function of (Spec, i)
 // and the fold order is the index order, the Result is byte-identical at
 // any worker count, and — cache records carrying every float as its bits —
 // identical again when every scenario is a cache hit.
 //
 // The first scenario to fail, in index order, is the error Run returns; the
-// fold then cancels the stream, so at most a window of later scenarios
-// start. Cancelling ctx abandons the campaign within one scenario boundary
-// and returns an error wrapping ctx.Err(). Whether the Run finished, was
-// cancelled or failed, the scenarios it delivered in index order before
-// the first gap stay cached — a Run that simulated any of them commits a
-// new pack at its end, keeping the old pack's records past them — so a
-// canceled campaign resumes from its delivered prefix.
+// fold then cancels the stream, so at most a window of later jobs start.
+// A scenario that panics is a *runner.PanicError whose Job is its index.
+// Cancelling ctx abandons the campaign within one block of hits or one
+// scenario and returns an error wrapping ctx.Err(). Whether the Run
+// finished, was cancelled or failed, the scenarios it delivered in index
+// order before the first gap stay cached — a Run that simulated any of
+// them commits a new pack at its end, keeping the old pack's records past
+// them — so a canceled campaign resumes from its delivered prefix.
 func Run(ctx context.Context, sp *Spec, opts Options) (*Result, error) {
 	sp = sp.fill()
 	if err := sp.Validate(); err != nil {
@@ -281,69 +517,22 @@ func Run(ctx context.Context, sp *Spec, opts Options) (*Result, error) {
 	}
 	progress(0, sp.N)
 
-	as := newAggregators()
-	res := &Result{Name: sp.Name, N: sp.N, Seed: sp.Seed, Version: opts.Version}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var failed error
-	err = runner.Stream(ctx, runner.New(opts.Workers), sp.N, func(i int) outcome {
-		s := sampledPool.Get().(*sampled)
-		defer sampledPool.Put(s)
-		sp.sampleInto(s, i)
-		spec := &s.Spec
-		// Without a cache there is nothing to address: no key is
-		// derived, no record read and none encoded.
-		var key entryKey
-		if cc != nil {
-			var err error
-			if key, err = cacheKey(opts.Version, spec); err != nil {
-				return outcome{err: err}
-			}
-			rep := reportPool.Get().(*scenario.RunReport)
-			defer reportPool.Put(rep)
-			if cc.old.get(i, key, spec, rep) {
-				return extract(rep, true)
-			}
-		}
-		rep, err := simulate(ctx, spec)
-		if err != nil {
-			return outcome{err: err}
-		}
-		o := extract(rep, false)
-		if cc != nil {
-			o.entry = record(key, rep)
-		}
-		return o
-	}, func(i int, o outcome) {
-		if failed != nil {
-			return
-		}
-		if o.err != nil {
-			failed = fmt.Errorf("campaign %q: scenario %d: %w", sp.Name, i, o.err)
-			cancel()
-			return
-		}
-		if cc != nil {
-			if err := cc.keep(i, &o); err != nil {
-				failed = fmt.Errorf("campaign %q: %w", sp.Name, err)
-				cancel()
-				return
-			}
-		}
-		if o.hit {
-			res.CacheHits++
-		} else {
-			res.Simulated++
-		}
-		if o.violations > 0 {
-			res.Violations += o.violations
-			if len(res.Flagged) < flaggedCap {
-				res.Flagged = append(res.Flagged, o.name)
-			}
-		}
-		as.fold(&o)
-		progress(i+1, sp.N)
-	})
+	pool := runner.New(opts.Workers)
+	var sps spans
+	if cc != nil {
+		sps = newSpans(cc.old.addressed())
+		reserveBlocks(min(sps.blocks, pool.Window()+1))
+	}
+	w := &work{ctx: ctx, sp: sp, version: opts.Version, cc: cc, spans: sps}
+	f := &fold{sp: sp, cc: cc, as: newAggregators(), progress: progress, cancel: cancel, spans: sps,
+		res: &Result{Name: sp.Name, N: sp.N, Seed: sp.Seed, Version: opts.Version}}
+	err = stream(ctx, pool, sps.jobs(sp.N), w.job, f.deliver)
+	if f.crash != nil {
+		err = f.crash
+	}
+	failed := f.failed
 	if cc != nil {
 		if cerr := cc.commit(); cerr != nil && failed == nil && err == nil {
 			failed = fmt.Errorf("campaign %q: %w", sp.Name, cerr)
@@ -355,6 +544,6 @@ func Run(ctx context.Context, sp *Spec, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign %q: %w", sp.Name, err)
 	}
-	res.Aggregates = as.aggregates()
-	return res, nil
+	f.res.Aggregates = f.as.aggregates()
+	return f.res, nil
 }
