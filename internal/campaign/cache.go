@@ -60,19 +60,17 @@ const reportHeader = cacheSchema + "\n"
 // line. It bounds the record count a pack's length admits.
 const recordMin = sha256.Size + len(reportHeader)
 
-// keyPool and entryPool hold cacheKey's scratch and the records a hit
-// reads and a miss encodes, so a hit allocates for none of them.
-var (
-	keyPool   = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
-	entryPool = sync.Pool{New: func() any { b := make([]byte, 8<<10); return &b }}
-)
+// entryPool holds the blocks of records a job reads and the records a
+// miss encodes, so a hit allocates for neither.
+var entryPool = sync.Pool{New: func() any { b := make([]byte, 8<<10); return &b }}
 
 // CacheKey returns the content address of one scenario run under the given
 // code version: hex SHA-256 over the schema tag, a zero byte, the version,
 // a zero byte, and scenario.AppendSpec's encoding of sp. A NaN or ±Inf
 // anywhere in sp is an error.
 func CacheKey(version string, sp *scenario.Spec) (string, error) {
-	key, err := cacheKey(version, sp)
+	var buf []byte
+	key, err := cacheKey(&buf, version, sp)
 	if err != nil {
 		return "", err
 	}
@@ -83,16 +81,15 @@ func CacheKey(version string, sp *scenario.Spec) (string, error) {
 // it.
 type entryKey [sha256.Size]byte
 
-// cacheKey is CacheKey without the hex.
-func cacheKey(version string, sp *scenario.Spec) (entryKey, error) {
-	bp := keyPool.Get().(*[]byte)
-	defer keyPool.Put(bp)
-	b := append((*bp)[:0], cacheSchema...)
+// cacheKey is CacheKey without the hex. It encodes what it hashes into
+// *buf, which it grows, so that one buffer serves all of a job's keys.
+func cacheKey(buf *[]byte, version string, sp *scenario.Spec) (entryKey, error) {
+	b := append((*buf)[:0], cacheSchema...)
 	b = append(b, 0)
 	b = append(b, version...)
 	b = append(b, 0)
 	b, err := scenario.AppendSpec(b, sp)
-	*bp = b
+	*buf = b
 	if err != nil {
 		return entryKey{}, err
 	}
@@ -312,12 +309,14 @@ type cache struct {
 // openCache opens the pack of the filled campaign sp under dir and reads
 // the bounds of its first sp.N records. An empty dir means no cache: the
 // nil *cache tells Run to derive no key, encode no record and open no
-// file.
+// file. A missing dir is created 0777 less the umask, as any directory the
+// user creates, so that under a umask that lets a group write the packs
+// createTemp makes, the group can also rename new ones into it.
 func openCache(dir, version string, sp *Spec) (*cache, error) {
 	if dir == "" {
 		return nil, nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("campaign: opening result cache: %w", err)
 	}
 	path, err := packPath(dir, version, sp)

@@ -30,7 +30,7 @@ func mustKey(t *testing.T, sp *scenario.Spec) string {
 // mustEntryKey is mustKey before it becomes hex, as a record holds it.
 func mustEntryKey(t testing.TB, sp *scenario.Spec) entryKey {
 	t.Helper()
-	key, err := cacheKey("v", sp)
+	key, err := cacheKey(new([]byte), "v", sp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,8 +104,9 @@ func (d Dist) validate(field string, lo, hi float64) error {
 
 // sample draws one value. Every non-constant kind consumes exactly one RNG
 // draw, so the per-scenario draw sequence is a fixed function of the spec's
-// shape — the replayability contract of the sampler.
-func (d Dist) sample(rng *rand.Rand) float64 {
+// shape — the replayability contract of the sampler. The receiver is a
+// pointer so that a draw does not copy the distribution.
+func (d *Dist) sample(rng *rand.Rand) float64 {
 	switch d.Kind {
 	case "", DistConst:
 		return d.Value

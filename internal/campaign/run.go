@@ -94,75 +94,38 @@ func (r *Result) Digest() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// metric is one population metric: a name, and the extractor that pulls
-// its sample out of a run report (ok=false skips the scenario).
-type metric struct {
-	name string
-	get  func(rep *scenario.RunReport) (float64, bool)
-}
-
 // userFlow reports whether a compiled flow replica belongs to the sampled
 // user (the sampler names it "user"; the compiler suffixes "-<replica>").
 func userFlow(name string) bool { return strings.HasPrefix(name, "user-") }
 
-// metrics is the campaign's metric set in report order.
-var metrics = [...]metric{
-	{name: "user_goodput_mbps", get: func(rep *scenario.RunReport) (float64, bool) {
-		var v float64
-		for i := range rep.Flows {
-			if userFlow(rep.Flows[i].Name) {
-				v += rep.Flows[i].GoodputMbps
-			}
-		}
-		return v, true
-	}},
-	{name: "bg_goodput_mbps", get: func(rep *scenario.RunReport) (float64, bool) {
-		var v float64
-		any := false
-		for i := range rep.Flows {
-			if !userFlow(rep.Flows[i].Name) {
-				v += rep.Flows[i].GoodputMbps
-				any = true
-			}
-		}
-		return v, any
-	}},
-	{name: "total_goodput_mbps", get: func(rep *scenario.RunReport) (float64, bool) {
-		var v float64
-		for i := range rep.Flows {
-			v += rep.Flows[i].GoodputMbps
-		}
-		return v, true
-	}},
-	{name: "user_timeouts", get: func(rep *scenario.RunReport) (float64, bool) {
-		var v float64
-		for i := range rep.Flows {
-			if userFlow(rep.Flows[i].Name) {
-				v += float64(rep.Flows[i].Timeouts)
-			}
-		}
-		return v, true
-	}},
-	{name: "user_completion_sec", get: func(rep *scenario.RunReport) (float64, bool) {
-		for i := range rep.Flows {
-			f := &rep.Flows[i]
-			if userFlow(f.Name) && f.Stream != nil && f.Stream.Done {
-				return f.Stream.CompletionSec, true
-			}
-		}
-		return 0, false
-	}},
-	{name: "events_processed", get: func(rep *scenario.RunReport) (float64, bool) {
-		return float64(rep.Processed), true
-	}},
+// The campaign's population metrics, in report order: an outcome holds
+// metric k's sample at index k.
+const (
+	userGoodput     = iota // the user's goodput, Mb/s
+	bgGoodput              // the background flows' goodput, when there are any
+	totalGoodput           // every flow's goodput
+	userTimeouts           // the user's retransmission timeouts
+	userCompletion         // the user's completion time, when its transfer finished
+	eventsProcessed        // the simulator events the run processed
+	numMetrics
+)
+
+// metricNames names the metrics in the Result.
+var metricNames = [numMetrics]string{
+	userGoodput:     "user_goodput_mbps",
+	bgGoodput:       "bg_goodput_mbps",
+	totalGoodput:    "total_goodput_mbps",
+	userTimeouts:    "user_timeouts",
+	userCompletion:  "user_completion_sec",
+	eventsProcessed: "events_processed",
 }
 
 // outcome carries what the fold needs of one scenario back from the pool:
 // the metric samples, extracted on the worker, and not the report, so a
 // report decoded from the cache never leaves its job.
 type outcome struct {
-	v  [len(metrics)]float64
-	ok [len(metrics)]bool // v[k] is a sample; metrics[k].get said so
+	v  [numMetrics]float64
+	ok [numMetrics]bool // v[k] is a sample of metric k
 	// violations counts the run's invariant violations; name is the
 	// scenario's, set only when there are some.
 	violations int
@@ -177,20 +140,36 @@ type outcome struct {
 	crash *runner.PanicError
 }
 
-// extract reads one scenario's outcome off its report.
-func extract(rep *scenario.RunReport, hit bool) outcome {
-	o := outcome{violations: len(rep.Violations), hit: hit}
+// extract sets *o to one scenario's outcome, read off its report in one
+// pass over the flows, each classified as the user's or background once.
+// Every sum adds its flows in report order.
+func extract(o *outcome, rep *scenario.RunReport, hit bool) {
+	*o = outcome{violations: len(rep.Violations), hit: hit}
 	if o.violations > 0 {
 		o.name = rep.Name
 	}
-	for k := range metrics {
-		o.v[k], o.ok[k] = metrics[k].get(rep)
+	var user, bg, total, timeouts, completion float64
+	anyBg, done := false, false
+	for i := range rep.Flows {
+		f := &rep.Flows[i]
+		total += f.GoodputMbps
+		if !userFlow(f.Name) {
+			bg += f.GoodputMbps
+			anyBg = true
+			continue
+		}
+		user += f.GoodputMbps
+		timeouts += float64(f.Timeouts)
+		if !done && f.Stream != nil && f.Stream.Done {
+			completion, done = f.Stream.CompletionSec, true
+		}
 	}
-	return o
+	o.v = [numMetrics]float64{user, bg, total, timeouts, completion, float64(rep.Processed)}
+	o.ok = [numMetrics]bool{true, anyBg, true, true, done, true}
 }
 
-// aggregators fold the samples of every metric, in metrics' order.
-type aggregators [len(metrics)]struct {
+// aggregators fold the samples of every metric, in report order.
+type aggregators [numMetrics]struct {
 	sum stats.Summary
 	sk  *stats.Sketch
 }
@@ -220,7 +199,7 @@ func (as *aggregators) aggregates() []Aggregate {
 	for k := range as {
 		a := &as[k]
 		out = append(out, Aggregate{
-			Metric: metrics[k].name,
+			Metric: metricNames[k],
 			Count:  a.sum.N(),
 			Mean:   a.sum.Mean(),
 			Stddev: a.sum.Stdev(),
@@ -235,12 +214,19 @@ func (as *aggregators) aggregates() []Aggregate {
 	return out
 }
 
-// sampledPool and reportPool recycle each job's scenario and, on a cache
-// hit, the report decoded into: with both warm, a hit allocates its name
-// and little else. blockPool recycles the outcomes of a block.
+// scratch is what one job works in: the scenario it samples each index
+// into, the bytes it hashes into each key, and the report a hit decodes
+// into. A job takes one from scratchPool and puts it back as it ends, so a
+// warm hit touches no pool of its own and allocates its name and little
+// else. blockPool recycles the outcomes of a block.
+type scratch struct {
+	s   sampled
+	key []byte
+	rep scenario.RunReport
+}
+
 var (
-	sampledPool = sync.Pool{New: func() any { return new(sampled) }}
-	reportPool  = sync.Pool{New: func() any { return new(scenario.RunReport) }}
+	scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 	blockPool   = sync.Pool{New: func() any { return new(block) }}
 )
 
@@ -328,14 +314,15 @@ type work struct {
 // job is runner job j. A block job reads its records with one ReadAt into
 // a pooled buffer, which goes back to the pool before the job ends, and
 // runs each index on its record; a failed read leaves every index to be
-// simulated. The context is checked before each index of a block.
+// simulated. Before each index of a block the job polls the context's
+// done channel, without blocking, and stops once it is closed.
 func (w *work) job(j int) unit {
-	s := sampledPool.Get().(*sampled)
-	defer sampledPool.Put(s)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 	lo, hi, inBlock := w.spans.span(j)
 	if !inBlock {
 		var u unit
-		w.scenario(lo, nil, s, &u.one)
+		w.scenario(lo, nil, sc, &u.one)
 		return u
 	}
 	p := &w.cc.old
@@ -343,49 +330,57 @@ func (w *work) job(j int) unit {
 	defer entryPool.Put(bp)
 	data, read := p.readBlock(lo, hi, bp)
 	b := blockPool.Get().(*block)
-	for i := lo; i < hi && w.ctx.Err() == nil; i++ {
+	done := w.ctx.Done()
+	for i := lo; i < hi && !closed(done); i++ {
 		var rec []byte
 		if read {
 			rec = p.record(data, lo, i)
 		}
 		o := &b.out[b.n]
 		b.n++
-		if w.scenario(i, rec, s, o); o.err != nil {
+		if w.scenario(i, rec, sc, o); o.err != nil {
 			break // the fold stops at the error
 		}
 	}
 	return unit{blk: b}
 }
 
-// scenario samples index i into s and fills *o with its outcome: a hit
+// closed reports whether done, a context's done channel, is closed,
+// without blocking.
+func closed(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
+
+// scenario samples index i into sc and fills *o with its outcome: a hit
 // when rec, the pack's record i or nil, passes every check, and otherwise
 // a simulation. A panic becomes o.crash, a *runner.PanicError whose Job is
 // i, whichever job ran the index.
-func (w *work) scenario(i int, rec []byte, s *sampled, o *outcome) {
+func (w *work) scenario(i int, rec []byte, sc *scratch, o *outcome) {
 	defer func() {
 		if v := recover(); v != nil {
 			buf := make([]byte, 64<<10)
 			*o = outcome{crash: &runner.PanicError{Job: i, Value: v, Stack: buf[:runtime.Stack(buf, false)]}}
 		}
 	}()
-	w.sp.sampleInto(s, i)
-	spec := &s.Spec
+	w.sp.sampleInto(&sc.s, i)
+	spec := &sc.s.Spec
 	// Without a cache there is nothing to address: no key is derived, no
 	// record read and none encoded.
 	var key entryKey
 	if w.cc != nil {
 		var err error
-		if key, err = cacheKey(w.version, spec); err != nil {
+		if key, err = cacheKey(&sc.key, w.version, spec); err != nil {
 			*o = outcome{err: err}
 			return
 		}
-		if rec != nil {
-			rep := reportPool.Get().(*scenario.RunReport)
-			defer reportPool.Put(rep)
-			if hit(rec, key, spec, rep) {
-				*o = extract(rep, true)
-				return
-			}
+		if rec != nil && hit(rec, key, spec, &sc.rep) {
+			extract(o, &sc.rep, true)
+			return
 		}
 	}
 	rep, err := simulate(w.ctx, spec)
@@ -393,7 +388,7 @@ func (w *work) scenario(i int, rec []byte, s *sampled, o *outcome) {
 		*o = outcome{err: err}
 		return
 	}
-	*o = extract(rep, false)
+	extract(o, rep, false)
 	if w.cc != nil {
 		o.entry = record(key, rep)
 	}

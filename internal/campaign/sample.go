@@ -25,16 +25,20 @@ const indexStride = 1_000_003
 func (sp *Spec) SampleSpec(index int) *scenario.Spec {
 	s := new(sampled)
 	sp.sampleInto(s, index)
+	sim.FreeRand(s.rng)
+	s.rng = nil
 	return &s.Spec
 }
 
 // sampled is a scenario sampleInto fills, plus the storage its slices and
-// pointers are carved from. The storage lives here rather than only behind
-// the Spec's own fields because a draw that needs less of it — a scenario
-// without faults has a nil Timeline — must not drop it: Run samples every
-// index into a pooled sampled, and a warm hit then builds no garbage.
+// pointers are carved from and the generator it is drawn with. The storage
+// lives here rather than only behind the Spec's own fields because a draw
+// that needs less of it — a scenario without faults has a nil Timeline —
+// must not drop it: Run samples every index into a pooled sampled, and a
+// warm hit then builds no garbage and takes no generator from a pool.
 type sampled struct {
 	scenario.Spec
+	rng     *rand.Rand               // from sim.NewRand, reseeded for each draw
 	indices []int                    // 0, 1, 2, …: every path's link list and every flow's path list
 	events  []scenario.TimelineEvent // Timeline's backing array
 	targets []eventTarget            // what Timeline[k]'s pointers point at
@@ -60,17 +64,24 @@ var bgNames = func() (names [maxPaths]string) {
 // sampleInto builds scenario index into s, reusing the storage of whatever
 // s held before: the result equals SampleSpec(index) field for field
 // (TestSampleIntoReusesScratch), and once s has held a scenario as large it
-// allocates only the scenario's name.
+// allocates only the scenario's name. The scenario is written in place,
+// field by field, rather than built aside and copied in.
 func (sp *Spec) sampleInto(s *sampled, index int) {
-	rng := sim.NewRand(sp.Seed + int64(index)*indexStride)
-	defer sim.FreeRand(rng)
+	seed := sp.Seed + int64(index)*indexStride
+	if s.rng == nil {
+		s.rng = sim.NewRand(seed)
+	} else {
+		s.rng.Seed(seed)
+	}
+	rng := s.rng
+	links, paths, flows := s.Links[:0], s.Paths[:0], s.Flows[:0]
 	var buf [64]byte // the name's bytes: one allocation, the string's
 	name := append(append(buf[:0], sp.Name...), '-')
-	out := scenario.Spec{
-		Name:        string(strconv.AppendInt(name, int64(index), 10)),
-		WarmupSec:   sp.WarmupSec.sample(rng),
-		DurationSec: sp.DurationSec.sample(rng),
-	}
+	out := &s.Spec
+	*out = scenario.Spec{}
+	out.Name = string(strconv.AppendInt(name, int64(index), 10))
+	out.WarmupSec = sp.WarmupSec.sample(rng)
+	out.DurationSec = sp.DurationSec.sample(rng)
 
 	nPaths := sp.Paths.sample(rng)
 	if len(s.indices) < nPaths {
@@ -83,8 +94,8 @@ func (sp *Spec) sampleInto(s *sampled, index int) {
 	// background group i rides path i, and the user covers every path.
 	// Each list is capped at its length, so none can grow into another.
 	idx := s.indices
-	out.Links = slices.Grow(s.Links[:0], nPaths)[:nPaths]
-	out.Paths = slices.Grow(s.Paths[:0], nPaths)[:nPaths]
+	out.Links = slices.Grow(links, nPaths)[:nPaths]
+	out.Paths = slices.Grow(paths, nPaths)[:nPaths]
 	for i := 0; i < nPaths; i++ {
 		out.Links[i] = scenario.LinkSpec{
 			RateMbps: sp.LinkRateMbps.sample(rng),
@@ -100,12 +111,13 @@ func (sp *Spec) sampleInto(s *sampled, index int) {
 		}
 	}
 
-	user := scenario.FlowSpec{
-		Name:        "user",
-		Algorithm:   choose(rng, sp.Algorithms),
-		Paths:       idx[:nPaths:nPaths],
-		StartJitter: sp.StartJitter,
-	}
+	// The user, then at most one background group per path: the flows
+	// never outgrow the capacity grown here.
+	out.Flows = slices.Grow(flows, 1+nPaths)[:1]
+	user := &out.Flows[0]
+	*user = scenario.FlowSpec{}
+	user.Name, user.Paths, user.StartJitter = "user", idx[:nPaths:nPaths], sp.StartJitter
+	user.Algorithm = choose(rng, sp.Algorithms)
 	if fb := int64(sp.FlowBytes.sample(rng)); fb > 0 {
 		// Clamp to one segment per subflow, the scenario DSL's floor for
 		// scheduled transfers.
@@ -115,24 +127,20 @@ func (sp *Spec) sampleInto(s *sampled, index int) {
 		user.FlowBytes = fb
 		user.Scheduler = choose(rng, sp.Schedulers)
 	}
-	out.Flows = append(slices.Grow(s.Flows[:0], 1+nPaths), user)
 	for i := 0; i < nPaths; i++ {
 		if n := sp.Background.sample(rng); n > 0 {
-			out.Flows = append(out.Flows, scenario.FlowSpec{
-				Name:        bgNames[i],
-				Algorithm:   scenario.AlgoTCP,
-				Paths:       idx[i : i+1 : i+1],
-				Count:       n,
-				StartJitter: sp.StartJitter,
-			})
+			out.Flows = out.Flows[:len(out.Flows)+1]
+			bg := &out.Flows[len(out.Flows)-1]
+			*bg = scenario.FlowSpec{}
+			bg.Name, bg.Algorithm, bg.Paths = bgNames[i], scenario.AlgoTCP, idx[i:i+1:i+1]
+			bg.Count, bg.StartJitter = n, sp.StartJitter
 		}
 	}
 
-	out.Timeline = sp.sampleTimeline(rng, s, &out, nPaths)
+	out.Timeline = sp.sampleTimeline(rng, s, out, nPaths)
 	// The scenario's own seed (start jitter, RED, random loss) is the last
 	// draw, so extending the DSL appends draws without shifting it.
 	out.Seed = rng.Int63()
-	s.Spec = out
 }
 
 // sampleTimeline draws the scenario's fault timeline into s's storage:

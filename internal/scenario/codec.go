@@ -233,14 +233,18 @@ func AppendSpec(b []byte, sp *Spec) ([]byte, error) {
 			e.str(p)
 		}
 	}
-	return e.b, e.err
+	if e.bad {
+		return e.b, fmt.Errorf("scenario: encoding spec: unsupported value: %v", e.nonFinite)
+	}
+	return e.b, nil
 }
 
 // specEncoder is AppendSpec's cursor; the first non-finite float sticks in
-// err.
+// nonFinite.
 type specEncoder struct {
-	b   []byte
-	err error
+	b         []byte
+	bad       bool    // a float was NaN or ±Inf
+	nonFinite float64 // the first such float
 }
 
 func (e *specEncoder) str(s string) { e.b = appendString(e.b, s) }
@@ -253,12 +257,19 @@ func (e *specEncoder) bool(v bool) bool {
 	return v
 }
 
+// float encodes v. A NaN or ±Inf is a float whose exponent bits are all
+// set, so one test finds both, and the first one is kept for AppendSpec
+// to report: the common case stays small enough to inline.
 func (e *specEncoder) float(v float64) {
-	if e.err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
-		e.err = fmt.Errorf("scenario: encoding spec: unsupported value: %v", v)
+	bits := math.Float64bits(v)
+	if bits&expBits == expBits && !e.bad {
+		e.bad, e.nonFinite = true, v
 	}
-	e.b = appendFloat(e.b, v)
+	e.b = binary.LittleEndian.AppendUint64(e.b, bits)
 }
+
+// expBits masks a float64's exponent.
+const expBits = 0x7ff << 52
 
 func (e *specEncoder) ints(vs []int) {
 	e.count(len(vs))
@@ -386,7 +397,7 @@ func DecodeReportInto(r *RunReport, data []byte) error {
 			}
 		}
 	}
-	if d.err == nil && len(d.b) != 0 {
+	if d.err == nil && d.i != len(d.b) {
 		d.err = errTrailing
 	}
 	return d.err
@@ -405,11 +416,13 @@ func reuse[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// decoder consumes an encoding front to back. The first failure sticks
-// and empties the input, after which every read returns zero, so
-// DecodeReportInto reads straight through and checks err once.
+// decoder consumes an encoding front to back through the cursor i. The
+// first failure sticks and moves the cursor to the end, after which every
+// read returns zero, so DecodeReportInto reads straight through and checks
+// err once.
 type decoder struct {
 	b   []byte
+	i   int // the next byte to read
 	err error
 }
 
@@ -417,21 +430,42 @@ func (d *decoder) fail(err error) {
 	if d.err == nil {
 		d.err = err
 	}
-	d.b = nil
+	d.i = len(d.b)
 }
 
+// uvarint reads a uvarint as binary.Uvarint does, rejecting what it
+// rejects, a short one or one of more than 64 bits, as truncated, and a
+// padded encoding of a smaller value, one whose last byte of several is 0,
+// as non-canonical (FuzzDecodeVarint).
 func (d *decoder) uvarint() uint64 {
-	v, n := binary.Uvarint(d.b)
-	switch {
-	case n <= 0: // short, or more than 64 bits
-		d.fail(errTruncated)
-		return 0
-	case n > 1 && d.b[n-1] == 0: // a padded encoding of a smaller value
-		d.fail(errCanonical)
-		return 0
+	b, i := d.b, d.i
+	var v uint64
+	// s, the shift, never passes 63: masking it says so to the compiler,
+	// which then shifts without a range check.
+	for s := uint(0); i < len(b); s += 7 {
+		c := b[i]
+		i++
+		if c < 0x80 {
+			if s > 0 {
+				switch {
+				case c == 0: // a padded encoding of a smaller value
+					d.fail(errCanonical)
+					return 0
+				case s == 63 && c > 1: // a tenth byte holds bit 63 alone
+					d.fail(errTruncated)
+					return 0
+				}
+			}
+			d.i = i
+			return v | uint64(c)<<(s&63)
+		}
+		if s == 63 { // an eleventh byte would follow
+			break
+		}
+		v |= uint64(c&0x7f) << (s & 63)
 	}
-	d.b = d.b[n:]
-	return v
+	d.fail(errTruncated) // short, or more than ten bytes
+	return 0
 }
 
 // varint undoes binary.AppendVarint's zig-zag; the mapping is one-to-one,
@@ -454,8 +488,9 @@ func (d *decoder) int() int {
 // each and rejects one the remaining input cannot hold, so a hostile
 // prefix never sizes an allocation.
 func (d *decoder) count(min int) int {
-	n := d.uvarint()
-	if n > uint64(len(d.b)/min) {
+	// n*min cannot overflow once n is no more than the remaining bytes.
+	n, rest := d.uvarint(), uint64(len(d.b)-d.i)
+	if n > rest || n*uint64(min) > rest {
 		d.fail(errLength)
 		return 0
 	}
@@ -466,8 +501,8 @@ func (d *decoder) count(min int) int {
 // otherwise the interned copy.
 func (d *decoder) str(old string) string {
 	n := d.count(minStringBytes)
-	b := d.b[:n]
-	d.b = d.b[n:]
+	b := d.b[d.i : d.i+n]
+	d.i += n
 	if string(b) == old {
 		return old
 	}
@@ -506,26 +541,26 @@ func intern(b []byte) string {
 }
 
 func (d *decoder) float() float64 {
-	if len(d.b) < 8 {
+	if len(d.b)-d.i < 8 {
 		d.fail(errTruncated)
 		return 0
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
-	d.b = d.b[8:]
+	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.i:]))
+	d.i += 8
 	return v
 }
 
 func (d *decoder) bool() bool {
-	if len(d.b) < 1 {
+	if d.i >= len(d.b) {
 		d.fail(errTruncated)
 		return false
 	}
-	v := d.b[0]
+	v := d.b[d.i]
 	if v > 1 {
 		d.fail(errCanonical)
 		return false
 	}
-	d.b = d.b[1:]
+	d.i++
 	return v == 1
 }
 

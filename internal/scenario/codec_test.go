@@ -495,3 +495,49 @@ func FuzzDecodeReport(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeVarint: the decoder's one varint read, from any cursor, agrees
+// with binary.Uvarint on the bytes after it. Where binary.Uvarint reads a
+// value, so does the decoder, with the same length, unless the encoding is
+// several bytes ending in 0, a padded smaller value, which is
+// errCanonical. Where binary.Uvarint fails, short or more than 64 bits, the
+// decoder fails with errTruncated. A failed read returns 0 and leaves the
+// cursor at the end.
+func FuzzDecodeVarint(f *testing.F) {
+	for _, data := range [][]byte{
+		{},
+		{0x80},
+		{0x80, 0x00},
+		{0x7f},
+		binary.AppendUvarint(nil, math.MaxUint64),    // the largest, ten bytes
+		append(bytes.Repeat([]byte{0xff}, 9), 0x02),  // ten bytes holding a 65th bit
+		append(bytes.Repeat([]byte{0x80}, 10), 0x01), // eleven bytes
+	} {
+		f.Add(uint8(0), data)
+		f.Add(uint8(2), append([]byte{0x81, 0x01}, data...))
+	}
+	f.Fuzz(func(t *testing.T, at uint8, data []byte) {
+		start := int(at) % (len(data) + 1)
+		d := decoder{b: data, i: start}
+		got := d.uvarint()
+		want, n := binary.Uvarint(data[start:])
+		switch {
+		case n <= 0:
+			if d.err != errTruncated {
+				t.Fatalf("%x at %d: binary.Uvarint fails (%d), decoder error %v, want %v", data, start, n, d.err, errTruncated)
+			}
+		case n > 1 && data[start+n-1] == 0:
+			if d.err != errCanonical {
+				t.Fatalf("%x at %d: padded %d-byte varint, decoder error %v, want %v", data, start, n, d.err, errCanonical)
+			}
+		default:
+			if d.err != nil || got != want || d.i != start+n {
+				t.Fatalf("%x at %d: decoder read %d to %d (%v), binary.Uvarint %d in %d bytes", data, start, got, d.i, d.err, want, n)
+			}
+			return
+		}
+		if got != 0 || d.i != len(data) {
+			t.Fatalf("%x at %d: a failed read returned %d and left the cursor at %d of %d", data, start, got, d.i, len(data))
+		}
+	})
+}
