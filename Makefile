@@ -123,7 +123,12 @@ lint:
 # outside internal/netem and internal/scenario/run.go (Net.Run defers the
 # packet pool's Release, which also empties the range lists bound to the
 # pool), so no slab or range array reaches another run while its own
-# network can still use it.
+# network can still use it. One packet lifecycle: no DataPacket(,
+# AckPacket(, SetDebug(, &Packet{, &netem.Packet{, new(Packet) or
+# new(netem.Packet) in any Go file, tests included, outside
+# internal/netem/packet.go and lint testdata, so every packet comes from its
+# run's pool and is poisoned when it goes back, and no heap packet or
+# poison switch comes back.
 # One place a harness network runs: no scenario.Run( in non-test
 # internal/harness Go outside collect.go, which runs, checks and reads every
 # job. A reading reads the report: no scenario.Compile( and no *scenario.Net
@@ -180,6 +185,9 @@ guard:
 	fi
 	@if git grep -n '\.Release(' -- '*.go' ':!*_test.go' ':!internal/netem/' ':!internal/scenario/run.go'; then \
 		echo "a run's packet slabs go back only where scenario.Net.Run ends"; exit 1; \
+	fi
+	@if git grep -nE '(^|[^[:alnum:]_])(DataPacket|AckPacket|SetDebug)\(|&(netem\.)?Packet\{|new\((netem\.)?Packet\)' -- '*.go' ':!internal/netem/packet.go' ':!internal/lint/*/testdata/*'; then \
+		echo "one packet lifecycle: take packets from the run's pool (netem.PoolFor(s).NewData/NewAck); Free and Release always poison"; exit 1; \
 	fi
 	@if git grep -nF 'scenario.Run(' -- 'internal/harness/*.go' ':!*_test.go' ':!internal/harness/collect.go'; then \
 		echo "a harness network runs in one place: collect runs, checks and reads every job"; exit 1; \

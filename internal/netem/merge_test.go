@@ -47,8 +47,8 @@ type mergeRun struct {
 	readmit int
 }
 
-// mergeSink is the hop's terminal node: it logs the delivery and re-admits
-// the packet into the hop while it has bounces left.
+// mergeSink is the hop's terminal node: it logs the delivery, re-admits
+// the packet into the hop while it has bounces left, and then frees it.
 type mergeSink struct {
 	run *mergeRun
 	hop int
@@ -64,7 +64,9 @@ func (k *mergeSink) Recv(p *Packet) {
 		r.readmit++
 		p.SetRoute(r.routes[k.hop])
 		p.SendOn()
+		return
 	}
+	p.Free()
 }
 
 // mergeStep is one program step, a kernel event.
@@ -76,7 +78,7 @@ type mergeStep struct {
 func (st *mergeStep) RunEvent(sim.Time) {
 	r := st.run
 	for i := 0; i < st.n; i++ {
-		p := DataPacket(r.nextID, MSS, 0, r.routes[st.hop])
+		p := PoolFor(r.s).NewData(0, r.nextID, MSS, 0, r.routes[st.hop])
 		r.bounces[r.nextID] = st.bounce
 		r.nextID++
 		p.SendOn()

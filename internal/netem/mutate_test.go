@@ -37,15 +37,15 @@ func TestPipeSetDelayKeepsInFlight(t *testing.T) {
 	pipe := NewPipe(s, 10*sim.Millisecond, "p")
 	route := NewRoute(pipe, c)
 
-	s.At(0, func() { mkData(0, MSS, route).SendOn() }) // departs 10ms
+	s.At(0, func() { mkData(s, 0, MSS, route).SendOn() }) // departs 10ms
 	s.At(2*sim.Millisecond, func() {
 		pipe.SetDelay(1 * sim.Millisecond)
 		if pipe.Delay() != 1*sim.Millisecond {
 			t.Errorf("Delay() = %v after SetDelay(1ms)", pipe.Delay())
 		}
-		mkData(1, MSS, route).SendOn() // naive 3ms, clamped to 10ms
+		mkData(s, 1, MSS, route).SendOn() // naive 3ms, clamped to 10ms
 	})
-	s.At(12*sim.Millisecond, func() { mkData(2, MSS, route).SendOn() }) // departs 13ms
+	s.At(12*sim.Millisecond, func() { mkData(s, 2, MSS, route).SendOn() }) // departs 13ms
 	s.Run()
 
 	want := []delivery{
@@ -75,10 +75,10 @@ func TestPipeSetDelayIncrease(t *testing.T) {
 	pipe := NewPipe(s, 5*sim.Millisecond, "p")
 	route := NewRoute(pipe, c)
 
-	s.At(0, func() { mkData(0, MSS, route).SendOn() }) // departs 5ms
+	s.At(0, func() { mkData(s, 0, MSS, route).SendOn() }) // departs 5ms
 	s.At(sim.Millisecond, func() {
 		pipe.SetDelay(20 * sim.Millisecond)
-		mkData(1, MSS, route).SendOn() // departs 21ms
+		mkData(s, 1, MSS, route).SendOn() // departs 21ms
 	})
 	s.Run()
 
@@ -111,7 +111,7 @@ func TestQueueSetRateMidService(t *testing.T) {
 
 	s.At(0, func() {
 		for i := int64(0); i < 3; i++ {
-			mkData(i, MSS, route).SendOn()
+			mkData(s, i, MSS, route).SendOn()
 		}
 	})
 	s.At(sim.Millisecond, func() {
@@ -151,7 +151,7 @@ func TestQueueSetRateWhileIdle(t *testing.T) {
 	route := NewRoute(q, c)
 
 	s.At(0, func() { q.SetRateBps(12_000_000) }) // MSS tx time: 1ms
-	s.At(sim.Millisecond, func() { mkData(0, MSS, route).SendOn() })
+	s.At(sim.Millisecond, func() { mkData(s, 0, MSS, route).SendOn() })
 	s.Run()
 
 	if len(got) != 1 || got[0].at != 2*sim.Millisecond {
@@ -179,7 +179,7 @@ func TestRandomLossSetProbFullThenClear(t *testing.T) {
 
 	send := func(n int) {
 		for i := 0; i < n; i++ {
-			mkData(int64(i), MSS, route).SendOn()
+			mkData(s, int64(i), MSS, route).SendOn()
 		}
 		s.Run()
 	}
@@ -211,7 +211,7 @@ func TestRandomLossZeroProbDrawsNoRandomness(t *testing.T) {
 	loss := NewRandomLoss(s, 0)
 	route := NewRoute(loss, c)
 	for i := 0; i < 100; i++ {
-		mkData(int64(i), MSS, route).SendOn()
+		mkData(s, int64(i), MSS, route).SendOn()
 	}
 	s.Run()
 	if got, want := s.Rand().Float64(), sim.New(42).Rand().Float64(); got != want {

@@ -9,8 +9,9 @@ import (
 	"mptcpsim/internal/sim"
 )
 
-func mkData(seq int64, size int, r *Route) *Packet {
-	return DataPacket(seq, size, 0, r)
+// mkData takes a data segment from s's pool, sent at time 0.
+func mkData(s *sim.Sim, seq int64, size int, r *Route) *Packet {
+	return PoolFor(s).NewData(0, seq, size, 0, r)
 }
 
 // TestNewRouteHopLimit: a packet's hop cursor is 16 bits, so NewRoute
@@ -40,7 +41,7 @@ func TestPacketRunsRouteInOrder(t *testing.T) {
 		})
 	}
 	r := NewRoute(mk("a"), mk("b"), mk("sink"))
-	p := mkData(0, MSS, r)
+	p := mkData(s, 0, MSS, r)
 	p.SendOn()
 	s.Run()
 	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "sink" {
@@ -58,7 +59,7 @@ func TestPacketOffRoutePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	p := mkData(0, MSS, NewRoute())
+	p := mkData(sim.New(1), 0, MSS, NewRoute())
 	p.SendOn()
 }
 
@@ -67,7 +68,7 @@ func TestPipeDelaysExactly(t *testing.T) {
 	var at sim.Time
 	c := &Collector{OnRecv: func(*Packet) { at = s.Now() }}
 	pipe := NewPipe(s, 40*sim.Millisecond, "p")
-	p := mkData(0, MSS, NewRoute(pipe, c))
+	p := mkData(s, 0, MSS, NewRoute(pipe, c))
 	s.At(5*sim.Millisecond, func() { p.SendOn() })
 	s.Run()
 	if at != 45*sim.Millisecond {
@@ -87,7 +88,7 @@ func TestPipePreservesOrderAndOverlaps(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		i := i
 		s.At(sim.Time(i)*sim.Millisecond, func() {
-			mkData(int64(i), MSS, r).SendOn()
+			mkData(s, int64(i), MSS, r).SendOn()
 		})
 	}
 	s.Run()
@@ -109,7 +110,7 @@ func TestDropTailServiceRate(t *testing.T) {
 	q := NewDropTail(s, 10_000_000, 100, "q")
 	r := NewRoute(q, c)
 	for i := 0; i < 3; i++ {
-		mkData(int64(i), MSS, r).SendOn()
+		mkData(s, int64(i), MSS, r).SendOn()
 	}
 	s.Run()
 	want := []sim.Time{sim.Millis(1.2), sim.Millis(2.4), sim.Millis(3.6)}
@@ -126,7 +127,7 @@ func TestDropTailDropsWhenFull(t *testing.T) {
 	q := NewDropTail(s, 10_000_000, 5, "q")
 	r := NewRoute(q, c)
 	for i := 0; i < 20; i++ {
-		mkData(int64(i), MSS, r).SendOn()
+		mkData(s, int64(i), MSS, r).SendOn()
 	}
 	s.Run()
 	st := q.Stats()
@@ -176,7 +177,7 @@ func TestPropertyQueueConservation(t *testing.T) {
 			for i, raw := range sizes {
 				size := 40 + int(raw)*6 // 40..1570 bytes
 				at := sim.Time(i) * 100 * sim.Microsecond
-				p := mkData(int64(i), size, r)
+				p := mkData(s, int64(i), size, r)
 				s.At(at, func() { p.SendOn() })
 			}
 			s.Run()
@@ -204,7 +205,7 @@ func TestREDNoDropsBelowMinTh(t *testing.T) {
 	// Send 20 packets back to back: instantaneous queue stays below minth,
 	// so the EWMA certainly does.
 	for i := 0; i < 20; i++ {
-		mkData(int64(i), MSS, r).SendOn()
+		mkData(s, int64(i), MSS, r).SendOn()
 	}
 	s.Run()
 	if q.Stats().DroppedPkts != 0 {
@@ -225,7 +226,7 @@ func TestREDDropsUnderSustainedOverload(t *testing.T) {
 	interval := 600 * sim.Microsecond // 2500 pkt/s vs service 833 pkt/s... strongly overloaded
 	n := 3000
 	for i := 0; i < n; i++ {
-		p := mkData(int64(i), MSS, r)
+		p := mkData(s, int64(i), MSS, r)
 		s.At(sim.Time(i)*interval, func() { p.SendOn() })
 	}
 	s.Run()
@@ -310,7 +311,7 @@ func TestREDIdleDecay(t *testing.T) {
 	r := NewRoute(q, c)
 	// Build up a backlog to push avg well up.
 	for i := 0; i < 20; i++ {
-		mkData(int64(i), MSS, r).SendOn()
+		mkData(s, int64(i), MSS, r).SendOn()
 	}
 	s.Run()
 	peak := q.AvgLen()
@@ -318,7 +319,7 @@ func TestREDIdleDecay(t *testing.T) {
 		t.Fatal("avg did not rise")
 	}
 	// A long idle period must decay the average toward zero on next arrival.
-	s.At(s.Now()+10*sim.Second, func() { mkData(99, MSS, r).SendOn() })
+	s.At(s.Now()+10*sim.Second, func() { mkData(s, 99, MSS, r).SendOn() })
 	s.Run()
 	if q.AvgLen() >= peak/2 {
 		t.Fatalf("avg %v did not decay from %v after idle", q.AvgLen(), peak)
@@ -331,7 +332,7 @@ func TestLinkComposition(t *testing.T) {
 	c := &Collector{OnRecv: func(*Packet) { at = s.Now() }}
 	l := NewLink(s, LinkConfig{RateBps: 10_000_000, Delay: 40 * sim.Millisecond, Kind: QueueDropTail}, "lnk")
 	r := NewRoute(l.Q, l.P, c)
-	mkData(0, MSS, r).SendOn()
+	mkData(s, 0, MSS, r).SendOn()
 	s.Run()
 	want := sim.Millis(1.2) + 40*sim.Millisecond
 	if at != want {
@@ -374,7 +375,7 @@ func TestLinkRecvActsAsNode(t *testing.T) {
 	// Route: link (as single node) won't forward past the pipe without the
 	// collector appended to the route; build the route with Q,P explicitly.
 	r := NewRoute(l.Q, l.P, c)
-	mkData(0, 100, r).SendOn()
+	mkData(s, 0, 100, r).SendOn()
 	s.Run()
 	if c.Count != 1 {
 		t.Fatalf("delivered %d", c.Count)
@@ -382,7 +383,7 @@ func TestLinkRecvActsAsNode(t *testing.T) {
 }
 
 func TestAckPacketFields(t *testing.T) {
-	p := AckPacket(4500, 7*sim.Millisecond, nil)
+	p := PoolFor(sim.New(1)).NewAck(4500, 7*sim.Millisecond, nil)
 	if !p.Ack || p.Seq != 4500 || p.Size != AckSize {
 		t.Fatalf("ack fields: %+v", p)
 	}
@@ -399,7 +400,7 @@ func BenchmarkDropTailForwarding(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mkData(int64(i), MSS, r).SendOn()
+		mkData(s, int64(i), MSS, r).SendOn()
 		if i%64 == 63 {
 			s.Run()
 		}

@@ -55,12 +55,12 @@ func (r *Route) Len() int {
 }
 
 // Packet is a simulated segment. Packets are passed by pointer along their
-// route; ownership transfers with each Recv call. Pool-managed packets
-// (PacketPool.NewData/NewAck) have an explicit lifecycle: the terminal owner
-// — the protocol endpoint that consumed it, the queue that dropped it, or a
-// non-retaining Collector — calls Free to recycle it. Packets built with the
-// plain DataPacket/AckPacket constructors are heap-allocated and Free is a
-// no-op, so tests can keep inspecting them after delivery.
+// route; ownership transfers with each Recv call. Every packet comes from
+// its simulation's pool (PoolFor, then PacketPool.NewData/NewAck) and lives
+// one lifecycle: the terminal owner — the protocol endpoint that consumed
+// it, the queue that dropped it, or a non-retaining Collector — calls Free
+// to recycle it, and a packet freed, or handed back by Release, is
+// poisoned, so touching it again panics.
 //
 // A packet that waits — in a pipe, in a queue's backlog, or on its pool's
 // free list — is linked there through its own next field (pktList), so no
@@ -77,10 +77,10 @@ type Packet struct {
 	dueAt  sim.Time
 	dueSeq uint64
 	// Size is the wire size in bytes, including an idealized header: at
-	// most MSS, and NewData and DataPacket refuse more than 65 535.
+	// most MSS, and NewData refuses more than 65 535.
 	Size uint16
 	hop  uint16
-	// Ack marks pure acknowledgments. A pooled packet is made as one kind
+	// Ack marks pure acknowledgments. A packet is made as one kind
 	// or the other and Free files it by this field: do not flip it.
 	Ack bool
 	// Retx marks retransmitted data (Karn's rule: no RTT sample from these).
@@ -97,7 +97,7 @@ type Packet struct {
 	SentAt sim.Time
 	// sack is an ACK's SACK report for life; nil on data segments.
 	sack *sackReport
-	pool *PacketPool // nil for heap-allocated packets
+	pool *PacketPool
 }
 
 // sackReport is an ACK's SACK storage: n blocks, each held as its two
@@ -197,33 +197,28 @@ func (p *Packet) SendOn() {
 	next.Recv(p)
 }
 
-// Free returns a pool-managed packet to its simulation's free list. The
-// caller must be the packet's terminal owner and must not touch it again.
-// Freeing a heap-allocated packet (DataPacket/AckPacket) is a no-op;
-// double-freeing a pooled packet, or freeing one still waiting in a pipe or
-// a queue, panics.
+// Free returns the packet to its pool's free list, poisoned. The caller
+// must be the packet's terminal owner and must not touch it again: a
+// second Free panics as a double free, a SendOn as a use after free, and
+// freeing a packet still waiting in a pipe or a queue panics too.
 //
 //simlint:hot
 func (p *Packet) Free() {
-	pl := p.pool
-	if pl == nil {
-		return
-	}
 	if p.freed {
 		panic(fmt.Sprintf("netem: double free of packet (seq %d, ack %v)", p.Seq, p.Ack))
 	}
 	p.freed = true
-	if pl.debug {
-		p.poison()
-	}
 	if p.Ack {
-		pl.acks.free.pushFront(p)
+		p.pool.acks.free.pushFront(p)
 	} else {
-		pl.data.free.pushFront(p)
+		p.pool.data.free.pushFront(p)
 	}
+	// Poisoned after the push, so a packet still waiting elsewhere panics
+	// there under its own seq.
+	p.poison()
 }
 
-// poisonSeq is the sequence number a debug pool stamps on a packet it takes
+// poisonSeq is the sequence number a pool stamps on every packet it takes
 // back, through Free or Release: recognizable in dumps.
 const poisonSeq = -0x7EADBEEF
 
@@ -254,8 +249,8 @@ type PacketPool struct {
 	dataSlabs *dataAlloc
 	ackSlabs  *ackAlloc
 	// ranges is the list bound last; each links to the one bound before.
-	ranges          *Ranges
-	debug, released bool
+	ranges   *Ranges
+	released bool
 }
 
 // freeList holds the recycled packets of one kind, the not yet issued
@@ -295,11 +290,6 @@ func PoolFor(s *sim.Sim) *PacketPool {
 		panic(fmt.Sprintf("netem: Sim.Aux holds foreign state (%T); the slot is reserved for the packet pool", v))
 	}
 }
-
-// SetDebug toggles the use-after-free guard: freed packets are poisoned so
-// stale readers fail loudly (their free-list link is kept), and so is every
-// packet Release hands back. Costs a little per Free; meant for tests.
-func (pl *PacketPool) SetDebug(on bool) { pl.debug = on }
 
 // FreeCount reports how many packets of both kinds are waiting for reuse
 // (diagnostics and tests).
@@ -410,24 +400,26 @@ func (pl *PacketPool) refill(l *freeList, ack bool) {
 // packet and list of the pool, wherever they are: scenario.Net.Run releases
 // its pool when the run ends, however it ends, and nothing may read a
 // packet through the finished network afterwards. A handed-back packet
-// keeps its kind, and an ACK its SACK storage; everything else is cleared,
-// so a spare slab holds no pointer into the finished network, and under
-// SetDebug each packet is also poisoned and marked freed, as Free leaves
-// one, so a stale reader or Free fails loudly. Every bound list is left
-// empty, so a stale read sees no ranges. Carved still reports the run's
-// high-water marks; taking a packet from the pool afterwards panics, as
-// does an insert into one of its lists, and a second Release does nothing.
+// keeps its kind, its pool, and an ACK its SACK storage; everything else
+// is cleared, so a spare slab holds no pointer into the finished network
+// (the pool it points at holds nothing once released), and each packet is
+// poisoned and marked freed, as Free leaves one, so a stale SendOn panics
+// as a use after free and a stale Free as a double free. Every bound list
+// is left empty, so a stale read sees no ranges. Carved still reports the
+// run's high-water marks; taking a packet from the pool afterwards panics,
+// as does an insert into one of its lists, and a second Release does
+// nothing.
 func (pl *PacketPool) Release() {
 	for s := pl.dataSlabs; s != nil; {
 		prev := s.prev
-		pl.retire(s.dataSlab[:])
+		retire(s.dataSlab[:])
 		s.prev = nil
 		spareData.Put(s)
 		s = prev
 	}
 	for s := pl.ackSlabs; s != nil; {
 		prev := s.prev
-		pl.retire(s.pkts[:])
+		retire(s.pkts[:])
 		s.prev = nil
 		spareAcks.Put(s)
 		s = prev
@@ -443,36 +435,35 @@ func (pl *PacketPool) Release() {
 	pl.released = true
 }
 
-// retire clears the packets of a slab being handed back but for their kind
-// and SACK storage, which are theirs for life. Under SetDebug it then
-// poisons each and marks it freed, keeping its pool, so a stale SendOn or
-// Free panics.
-func (pl *PacketPool) retire(ps []Packet) {
+// retire clears the packets of a slab being handed back but for their kind,
+// pool and SACK storage, which are theirs for life, then poisons each and
+// marks it freed, so a stale SendOn or Free panics.
+func retire(ps []Packet) {
 	for i := range ps {
 		p := &ps[i]
-		*p = Packet{Ack: p.Ack, sack: p.sack}
-		if pl.debug {
-			p.poison()
-			p.freed, p.pool = true, pl
-		}
+		*p = Packet{Ack: p.Ack, freed: true, sack: p.sack, pool: p.pool}
+		p.poison()
 	}
 }
 
-// NewData builds a pool-managed data segment of size bytes, ready for
+// NewData takes a data segment of size bytes from the pool, ready for
 // transmission over route; a size above 65 535 panics. Its first argument
 // is ignored: a packet carries no flow ID. The benchmark's transit rig
 // (bench/rigs.go) still passes one.
 func (pl *PacketPool) NewData(_ int, seq int64, size int, now sim.Time, route *Route) *Packet {
+	if uint(size) > math.MaxUint16 {
+		panic(fmt.Sprintf("netem: data segment (seq %d) of %d bytes, more than %d", seq, size, math.MaxUint16))
+	}
 	p := pl.get(false)
 	p.Seq = seq
-	p.Size = segSize(seq, size)
+	p.Size = uint16(size)
 	p.Retx = false
 	p.SentAt = now
 	p.SetRoute(route)
 	return p
 }
 
-// NewAck builds a pool-managed pure ACK carrying cumulative ack point
+// NewAck takes a pure ACK from the pool, carrying cumulative ack point
 // ackSeq and echoing, in SentAt, the timestamp of the data segment it
 // answers. Its SACK report is empty, with room for MaxSackBlocks.
 func (pl *PacketPool) NewAck(ackSeq int64, echo sim.Time, route *Route) *Packet {
@@ -482,30 +473,6 @@ func (pl *PacketPool) NewAck(ackSeq int64, echo sim.Time, route *Route) *Packet 
 	p.Retx = false
 	p.SentAt = echo
 	p.sack.n = 0
-	p.SetRoute(route)
-	return p
-}
-
-// segSize is size as a Packet's Size; above 65 535 it panics.
-func segSize(seq int64, size int) uint16 {
-	if uint(size) > math.MaxUint16 {
-		panic(fmt.Sprintf("netem: data segment (seq %d) of %d bytes, more than %d", seq, size, math.MaxUint16))
-	}
-	return uint16(size)
-}
-
-// DataPacket builds a data segment of size bytes; above 65 535 it panics.
-func DataPacket(seq int64, size int, now sim.Time, route *Route) *Packet {
-	p := &Packet{Seq: seq, Size: segSize(seq, size), SentAt: now}
-	p.SetRoute(route)
-	return p
-}
-
-// AckPacket builds a pure ACK carrying cumulative ack point ackSeq and
-// echoing, in SentAt, the data segment's timestamp, with room for a SACK
-// report.
-func AckPacket(ackSeq int64, echo sim.Time, route *Route) *Packet {
-	p := &Packet{Seq: ackSeq, Size: AckSize, Ack: true, SentAt: echo, sack: new(sackReport)}
 	p.SetRoute(route)
 	return p
 }

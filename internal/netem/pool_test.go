@@ -261,17 +261,16 @@ func TestSetSackPanics(t *testing.T) {
 	}
 }
 
-// TestSegmentSizeLimit: Size is a uint16, so NewData and DataPacket take a
-// segment of up to 65 535 bytes and panic, naming its seq, above that.
+// TestSegmentSizeLimit: Size is a uint16, so NewData takes a segment of up
+// to 65 535 bytes and panics, naming its seq, above that.
 func TestSegmentSizeLimit(t *testing.T) {
 	pl := PoolFor(sim.New(1))
 	if p := pl.NewData(0, 4242, math.MaxUint16, 0, nil); p.Size != math.MaxUint16 {
 		t.Fatalf("NewData of %d bytes has Size %d", math.MaxUint16, p.Size)
 	}
 	for name, build := range map[string]func(){
-		"NewData":    func() { pl.NewData(0, 4242, math.MaxUint16+1, 0, nil) },
-		"DataPacket": func() { DataPacket(4242, math.MaxUint16+1, 0, nil) },
-		"negative":   func() { DataPacket(4242, -1, 0, nil) },
+		"too large": func() { pl.NewData(0, 4242, math.MaxUint16+1, 0, nil) },
+		"negative":  func() { pl.NewData(0, 4242, -1, 0, nil) },
 	} {
 		func() {
 			defer func() {
@@ -297,15 +296,6 @@ func TestDoubleFreePanics(t *testing.T) {
 	p.Free()
 }
 
-func TestFreeHeapPacketIsNoOp(t *testing.T) {
-	p := DataPacket(0, MSS, 0, nil)
-	p.Free()
-	p.Free() // still a no-op: heap packets are owned by the GC
-	if p.Size != MSS {
-		t.Fatal("heap packet mutated by Free")
-	}
-}
-
 func TestUseAfterFreePanicsOnSendOn(t *testing.T) {
 	s := sim.New(1)
 	pl := PoolFor(s)
@@ -320,13 +310,11 @@ func TestUseAfterFreePanicsOnSendOn(t *testing.T) {
 	p.SendOn()
 }
 
-// TestDebugPoisonsFreedPackets: a debug Free poisons the packet but keeps
-// its free-list link, so every poisoned packet comes back, last freed
-// first.
-func TestDebugPoisonsFreedPackets(t *testing.T) {
+// TestFreePoisonsPackets: Free poisons the packet but keeps its free-list
+// link, so every poisoned packet comes back, last freed first.
+func TestFreePoisonsPackets(t *testing.T) {
 	s := sim.New(1)
 	pl := PoolFor(s)
-	pl.SetDebug(true)
 	var ps [3]*Packet
 	for i := range ps {
 		ps[i] = pl.NewData(0, 12345, MSS, 0, NewRoute(&Collector{}))
@@ -334,7 +322,7 @@ func TestDebugPoisonsFreedPackets(t *testing.T) {
 	for _, p := range ps {
 		p.Free()
 		if p.Seq == 12345 || p.Route() != nil {
-			t.Fatalf("debug free did not poison: %+v", p)
+			t.Fatalf("Free did not poison: %+v", p)
 		}
 	}
 	if pl.FreeCount() != len(ps) {
@@ -384,7 +372,7 @@ func TestPipeSingleTimer(t *testing.T) {
 	const n = 50
 	for i := 0; i < n; i++ {
 		i := i
-		s.At(sim.Time(i)*sim.Millisecond, func() { mkData(int64(i), MSS, r).SendOn() })
+		s.At(sim.Time(i)*sim.Millisecond, func() { mkData(s, int64(i), MSS, r).SendOn() })
 	}
 	s.RunUntil(12 * sim.Millisecond)
 	if pipe.InFlight() < 2 {
@@ -418,7 +406,7 @@ func TestPipeProcessedCountPerPacket(t *testing.T) {
 	const n = 100
 	for i := 0; i < n; i++ {
 		i := i
-		s.At(sim.Time(i)*sim.Millisecond, func() { mkData(int64(i), MSS, r).SendOn() })
+		s.At(sim.Time(i)*sim.Millisecond, func() { mkData(s, int64(i), MSS, r).SendOn() })
 	}
 	s.Run()
 	if c.Count != n {
@@ -439,7 +427,7 @@ func TestPipeReentrantRoute(t *testing.T) {
 	p1 := NewPipe(s, 3*sim.Millisecond, "p1")
 	p2 := NewPipe(s, 4*sim.Millisecond, "p2")
 	r := NewRoute(p1, p2, c)
-	mkData(0, MSS, r).SendOn()
+	mkData(s, 0, MSS, r).SendOn()
 	s.Run()
 	if at != 7*sim.Millisecond {
 		t.Fatalf("delivered at %v, want 7ms", at)

@@ -64,59 +64,56 @@ func useSlab(pl *PacketPool, ack bool) {
 
 // TestReleasedSlabIsFresh: a slab a finished run handed back comes out of
 // the next pool's refill field for field as a newly allocated one does,
-// whatever its packets went through: freed, waiting on a list, poisoned by
-// a debug pool.
+// whatever its packets went through: freed, waiting on a list, poisoned.
 func TestReleasedSlabIsFresh(t *testing.T) {
 	for _, ack := range []bool{false, true} {
-		for _, debug := range []bool{false, true} {
-			// The race detector drops a quarter of sync.Pool puts, so
-			// hand back until the next pool takes the slab.
-			var got []Packet
-			var gotSack []sackReport
-			var next *PacketPool
-			for try := 0; got == nil; try++ {
-				if try == 32 {
-					t.Fatalf("ack %v debug %v: 32 released slabs, none taken by the next pool's refill", ack, debug)
-				}
-				drainSpares()
-				used := new(PacketPool)
-				used.SetDebug(debug)
-				useSlab(used, ack)
-				old, _ := newestSlab(used, ack)
-				used.Release()
-				next = new(PacketPool)
-				carveOne(next, ack)
-				if pkts, sacks := newestSlab(next, ack); &pkts[0] == &old[0] {
-					got, gotSack = pkts, sacks
-				}
+		// The race detector drops a quarter of sync.Pool puts, so hand
+		// back until the next pool takes the slab.
+		var got []Packet
+		var gotSack []sackReport
+		var next *PacketPool
+		for try := 0; got == nil; try++ {
+			if try == 32 {
+				t.Fatalf("ack %v: 32 released slabs, none taken by the next pool's refill", ack)
 			}
 			drainSpares()
-			fresh := new(PacketPool)
-			carveOne(fresh, ack)
-			want, wantSack := newestSlab(fresh, ack)
-			for i := range got {
-				g, w := got[i], want[i]
-				if g.pool != next || w.pool != fresh {
-					t.Fatalf("ack %v debug %v: packet %d belongs to %p, want its new pool %p", ack, debug, i, g.pool, next)
-				}
-				if ack && (g.sack != &gotSack[i] || w.sack != &wantSack[i]) {
-					t.Fatalf("ack %v debug %v: ACK %d does not point at its own SACK report", ack, debug, i)
-				}
-				g.pool, w.pool, g.sack, w.sack = nil, nil, nil, nil
-				if !reflect.DeepEqual(g, w) {
-					t.Errorf("ack %v debug %v: recycled packet %d\n got %+v\nwant %+v", ack, debug, i, g, w)
-				}
+			used := new(PacketPool)
+			useSlab(used, ack)
+			old, _ := newestSlab(used, ack)
+			used.Release()
+			next = new(PacketPool)
+			carveOne(next, ack)
+			if pkts, sacks := newestSlab(next, ack); &pkts[0] == &old[0] {
+				got, gotSack = pkts, sacks
 			}
-			if !reflect.DeepEqual(gotSack, wantSack) {
-				t.Errorf("ack %v debug %v: recycled SACK reports %v, want %v", ack, debug, gotSack, wantSack)
+		}
+		drainSpares()
+		fresh := new(PacketPool)
+		carveOne(fresh, ack)
+		want, wantSack := newestSlab(fresh, ack)
+		for i := range got {
+			g, w := got[i], want[i]
+			if g.pool != next || w.pool != fresh {
+				t.Fatalf("ack %v: packet %d belongs to %p, want its new pool %p", ack, i, g.pool, next)
 			}
+			if ack && (g.sack != &gotSack[i] || w.sack != &wantSack[i]) {
+				t.Fatalf("ack %v: ACK %d does not point at its own SACK report", ack, i)
+			}
+			g.pool, w.pool, g.sack, w.sack = nil, nil, nil, nil
+			if !reflect.DeepEqual(g, w) {
+				t.Errorf("ack %v: recycled packet %d\n got %+v\nwant %+v", ack, i, g, w)
+			}
+		}
+		if !reflect.DeepEqual(gotSack, wantSack) {
+			t.Errorf("ack %v: recycled SACK reports %v, want %v", ack, gotSack, wantSack)
 		}
 	}
 }
 
 // TestReleaseEndsPool: a released pool keeps its Carved counts, holds no
 // free packet, refuses to hand out another, and a second Release does
-// nothing. The packets it handed back hold no pointer into the run.
+// nothing. The packets it handed back hold no pointer into the run: only
+// their pool, which holds nothing any more, and an ACK's SACK storage.
 func TestReleaseEndsPool(t *testing.T) {
 	pl := PoolFor(sim.New(1))
 	r := NewRoute(&Collector{})
@@ -135,9 +132,13 @@ func TestReleaseEndsPool(t *testing.T) {
 		t.Fatalf("free count %d after Release, want 0", pl.FreeCount())
 	}
 	for i, p := range ps {
-		if p.pool != nil || p.route != nil || p.next != nil || p.listed || p.freed || p.Seq != 0 {
-			t.Fatalf("packet %d handed back as %+v, want only its kind and SACK storage kept", i, *p)
+		if p.pool != pl || p.route != nil || p.next != nil || p.listed || !p.freed || p.Seq != poisonSeq {
+			t.Fatalf("packet %d handed back as %+v, want it freed and poisoned, with only its kind, pool and SACK storage kept", i, *p)
 		}
+	}
+	if pl.data.free != (pktList{}) || pl.acks.free != (pktList{}) || pl.data.slab != nil || pl.acks.slab != nil ||
+		pl.dataSlabs != nil || pl.ackSlabs != nil || pl.ranges != nil {
+		t.Fatalf("released pool still holds packets, slabs or lists: %+v", *pl)
 	}
 	pl.Release()
 	for name, take := range map[string]func(){
@@ -150,26 +151,26 @@ func TestReleaseEndsPool(t *testing.T) {
 	}
 }
 
-// TestReleasePoisonsUnderDebug: a debug pool stamps every packet it hands
-// back with Free's poison, so a stale reader that reaches one through the
-// finished network fails loudly: forwarding it is a use after free, and
-// freeing it a double free.
-func TestReleasePoisonsUnderDebug(t *testing.T) {
+// TestReleasePoisonsPackets: a pool stamps every packet it hands back with
+// Free's poison, so a stale reader that reaches one through the finished
+// network fails loudly: freeing it is a double free, and forwarding it a
+// use after free. The pool is a run's, as PoolFor makes it, with nothing
+// switched on.
+func TestReleasePoisonsPackets(t *testing.T) {
 	pl := PoolFor(sim.New(1))
-	pl.SetDebug(true)
 	r := NewRoute(&Collector{})
 	d := pl.NewData(0, 4500, MSS, 0, r)
 	a := pl.NewAck(6000, 0, r)
 	pl.Release()
 	for _, p := range []*Packet{d, a} {
 		if p.Seq != poisonSeq || p.Route() != nil {
-			t.Fatalf("released packet (ack %v) not poisoned: seq %d, route %p", p.Ack, p.Seq, p.Route())
-		}
-		if msg := panicOf(p.SendOn); !strings.Contains(msg, "use after free") {
-			t.Errorf("forwarding a released packet (ack %v): panic %q, want a use after free", p.Ack, msg)
+			t.Errorf("released packet (ack %v) not poisoned: seq %d, route %p", p.Ack, p.Seq, p.Route())
 		}
 		if msg := panicOf(p.Free); !strings.Contains(msg, "double free") {
 			t.Errorf("freeing a released packet (ack %v): panic %q, want a double free", p.Ack, msg)
+		}
+		if msg := panicOf(p.SendOn); !strings.Contains(msg, "use after free") {
+			t.Errorf("forwarding a released packet (ack %v): panic %q, want a use after free", p.Ack, msg)
 		}
 	}
 }
@@ -208,11 +209,8 @@ type recycledPool struct {
 	carved           [2]int
 }
 
-func newRecycledPool(debug bool) *recycledPool {
-	rp := &recycledPool{pl: new(PacketPool), ref: new(PacketPool)}
-	rp.pl.SetDebug(debug)
-	rp.ref.SetDebug(debug)
-	return rp
+func newRecycledPool() *recycledPool {
+	return &recycledPool{pl: new(PacketPool), ref: new(PacketPool)}
 }
 
 // unhold takes the held packet of the kind at arg, modulo how many there
@@ -288,9 +286,9 @@ func FuzzRecycledPool(f *testing.F) {
 	ack, other := byte(1<<2), byte(1<<3)
 	// A slab of each kind used and released by one pool, then taken by
 	// the other.
-	f.Add(byte(0), []byte{get, get | ack, get, free, retain, get | ack, release, get | other, get | ack | other, free | other})
-	// Packets waiting when their pool is released; a debug pool.
-	f.Add(byte(1), []byte{get, get, retain, retain, get | ack, retain | ack, release, get | other, get | other, get | ack | other, release | other, get})
+	f.Add([]byte{get, get | ack, get, free, retain, get | ack, release, get | other, get | ack | other, free | other})
+	// Packets waiting when their pool is released.
+	f.Add([]byte{get, get, retain, retain, get | ack, retain | ack, release, get | other, get | other, get | ack | other, release | other, get})
 	// More than a slab of data segments, freed and taken back, released
 	// twice over.
 	prog := []byte{}
@@ -298,17 +296,17 @@ func FuzzRecycledPool(f *testing.F) {
 		prog = append(prog, get)
 	}
 	prog = append(prog, 0x50|free, 0x30|free, get, get, release, release, get|other)
-	f.Add(byte(0), prog)
-	f.Fuzz(func(t *testing.T, debug byte, prog []byte) {
+	f.Add(prog)
+	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 512 {
 			t.Skip("longer programs add time, not cases")
 		}
-		runRecycledProgram(t, debug&1 == 1, prog)
+		runRecycledProgram(t, prog)
 	})
 }
 
-func runRecycledProgram(t *testing.T, debug bool, prog []byte) {
-	pools := [2]*recycledPool{newRecycledPool(debug), newRecycledPool(debug)}
+func runRecycledProgram(t *testing.T, prog []byte) {
+	pools := [2]*recycledPool{newRecycledPool(), newRecycledPool()}
 	owner := make(map[*Packet]int) // packets handed out and not yet freed or released, by pool
 	route := NewRoute(&Collector{})
 	for pc, b := range prog {
@@ -378,7 +376,7 @@ func runRecycledProgram(t *testing.T, debug bool, prog []byte) {
 					delete(owner, p)
 				}
 			}
-			pools[k] = newRecycledPool(debug)
+			pools[k] = newRecycledPool()
 			continue
 		}
 		data, acks := rp.pl.Carved()

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"mptcpsim/internal/sim"
 )
 
 // sackOf copies p's SACK report out through SackLen and SackBlock.
@@ -72,7 +74,8 @@ func FuzzSackEdges(f *testing.F) {
 		// Keep seq - 255, seq + 2³² + 255 and every edge between representable.
 		seq = min(max(seq, math.MinInt64+256), math.MaxInt64-(1<<33))
 		bs := sackEdges(seq, data)
-		p := AckPacket(seq, 0, nil)
+		pl := PoolFor(sim.New(1))
+		p := pl.NewAck(seq, 0, nil)
 		p.SetSack(bs)
 		if got := sackOf(p); !slices.Equal(got, bs) {
 			t.Fatalf("seq %d: SetSack(%v) read back %v", seq, bs, got)
@@ -81,7 +84,7 @@ func FuzzSackEdges(f *testing.F) {
 		name := fmt.Sprintf("seq %d", seq)
 		bad := func(why string, bs []Block) {
 			t.Helper()
-			if msg := setSackPanic(AckPacket(seq, 0, nil), bs); !strings.Contains(msg, name) {
+			if msg := setSackPanic(pl.NewAck(seq, 0, nil), bs); !strings.Contains(msg, name) {
 				t.Errorf("%s: SetSack(%v) panic %q, want one naming %s", why, bs, msg, name)
 			}
 		}

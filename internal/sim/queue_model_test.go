@@ -9,10 +9,11 @@ import (
 // interpreter below executes it against a real Sim and, in lockstep, against
 // a reference that keeps every scheduled node in a flat list and finds the
 // next one by scanning for the smallest (at, seq). Operations are issued both
-// between runs and from inside running handlers, which is where the kernel's
-// vacant root is open. TestEventQueueModel feeds it random programs and
-// requires every vacant-root case to have occurred; FuzzEventQueue feeds it
-// whatever the fuzzer finds.
+// between runs and from inside running handlers, which is the only place the
+// kernel's vacant root is open: Run and RunUntil return with it closed.
+// TestEventQueueModel feeds it random programs and requires every
+// vacant-root case to have occurred; FuzzEventQueue feeds it whatever the
+// fuzzer finds.
 
 // qnode is one scheduled callback in both worlds: the Handler the kernel
 // runs and the reference's record of where that callback should be.
@@ -38,7 +39,6 @@ type qmodel struct {
 	handles []*qnode // every retained node ever made, stale ones included
 	stash   []uint64 // seqs reserved earlier, not yet armed (netem.Pipe's pattern)
 	fired   int
-	stopAt  int // Stop once fired reaches it; 0 = never
 	// leftVacant: the last handler returned with the root still vacant.
 	leftVacant bool
 	cover      map[string]int
@@ -288,9 +288,6 @@ func (n *qnode) RunEvent(now Time) {
 	if m.leftVacant = m.s.vacant; m.leftVacant {
 		m.cover["handler left the vacancy open"]++
 	}
-	if m.fired == m.stopAt {
-		m.s.Stop()
-	}
 }
 
 // runQueueProgram interprets prog, drains the queue and returns which
@@ -298,6 +295,9 @@ func (n *qnode) RunEvent(now Time) {
 func runQueueProgram(t testing.TB, prog []byte) map[string]int {
 	m := playQueueProgram(t, New(1), prog)
 	m.s.Run()
+	if m.s.vacant {
+		t.Fatal("Run returned with the root vacant")
+	}
 	m.check("drained")
 	if n := m.min(); n != nil {
 		t.Fatalf("drained, but the reference still holds (at=%d seq=%d)", n.at, n.seq)
@@ -313,31 +313,38 @@ func playQueueProgram(t testing.TB, s *Sim, prog []byte) *qmodel {
 		switch code := m.next() % 8; code {
 		default:
 			m.op(nil)
-		case 5, 6: // RunUntil: events at end fire, events after it do not
-			end := m.when()
-			m.leftVacant = false
-			s.RunUntil(end)
-			if n := m.min(); n != nil && n.at <= end {
-				t.Fatalf("RunUntil(%d) returned with (at=%d seq=%d) still queued", end, n.at, n.seq)
-			}
-			m.now = end
-			if m.leftVacant && m.queuedCount() > 0 {
-				m.cover["RunUntil met its end with the vacancy open"]++
-			}
-		case 7: // Run, stopped after a few events
-			m.stopAt = m.fired + 1 + m.next()%4
-			s.Run()
-			if m.fired < m.stopAt && m.queuedCount() > 0 {
-				t.Fatalf("Run returned after %d events with %d queued and no Stop", m.fired, m.queuedCount())
-			}
-			m.stopAt = 0
-			if s.vacant {
-				m.cover["Stop left the vacancy open"]++
+		case 5, 6:
+			m.runUntil(m.when())
+		case 7: // RunUntil in slices of 1-4 ticks, as scenario's advanceUntil runs
+			end, width := m.when(), Time(1+m.next()%4)
+			for at := m.now; at < end; {
+				at = min(at+width, end)
+				m.runUntil(at)
+				if n := m.min(); at < end && n != nil && n.at <= end {
+					m.cover["a slice left events for the next"]++
+				}
 			}
 		}
 		m.check("between runs")
 	}
 	return m
+}
+
+// runUntil runs the kernel and the reference to end: events at end fire,
+// events after it do not, and the root is not left vacant.
+func (m *qmodel) runUntil(end Time) {
+	m.leftVacant = false
+	m.s.RunUntil(end)
+	if n := m.min(); n != nil && n.at <= end {
+		m.t.Fatalf("RunUntil(%d) returned with (at=%d seq=%d) still queued", end, n.at, n.seq)
+	}
+	if m.s.vacant {
+		m.t.Fatalf("RunUntil(%d) returned with the root vacant", end)
+	}
+	m.now = end
+	if m.leftVacant && m.queuedCount() > 0 {
+		m.cover["RunUntil met its end with the vacancy open"]++
+	}
 }
 
 func TestEventQueueModel(t *testing.T) {
@@ -359,7 +366,7 @@ func TestEventQueueModel(t *testing.T) {
 		"free self",
 		"handler left the vacancy open",
 		"RunUntil met its end with the vacancy open",
-		"Stop left the vacancy open",
+		"a slice left events for the next",
 	} {
 		if total[c] == 0 {
 			t.Errorf("case %q never occurred in 1500 random programs", c)
@@ -390,8 +397,9 @@ var queueSeeds = []struct {
 	// with end while the root is vacant; the next run ends exactly on T1's
 	// time and must fire it.
 	{[]byte{0, 0, 2, 0, 2, 5, 5, 2, 0, 0, 0, 0, 5, 4, 0, 0}, "RunUntil met its end with the vacancy open"},
-	// Stop leaves the root vacant; Cancel and Schedule then arrive from outside.
-	{[]byte{0, 2, 2, 0, 2, 7, 0, 0, 2, 7, 0, 0, 0, 7, 1, 0, 0, 0}, "Stop left the vacancy open"},
+	// Timers at 1 and 8, run to 40 in slices of one tick: the slice that
+	// ends at 1 fires T0 and leaves T1 for a later one.
+	{[]byte{0, 2, 2, 0, 2, 7, 7, 8, 0, 0, 0}, "a slice left events for the next"},
 }
 
 func TestEventQueueSeeds(t *testing.T) {

@@ -137,8 +137,7 @@ type Sim struct {
 	nEvents uint64 // processed events (for diagnostics)
 	peak    int    // most events pending at once (for diagnostics)
 	left    int    // events pending when ReleaseRand ended the run
-	stopped bool
-	over    bool // ReleaseRand ended the run: nothing may schedule or advance
+	over    bool   // ReleaseRand ended the run: nothing may schedule or advance
 	aux     any
 }
 
@@ -449,12 +448,7 @@ func (s *Sim) ScheduleAfter(d Time, h Handler) {
 // Free.
 func (s *Sim) ScheduleTimer(t Time, h Handler) Timer {
 	s.live("ScheduleTimer")
-	s.checkFuture(t)
-	e := s.alloc()
-	e.cb = h
-	e.retained = true
-	s.arm(e, t, s.takeSeq())
-	return Timer{e, e.gen}
+	return s.armTimer(t, s.takeSeq(), h)
 }
 
 // ReserveSeq hands out one FIFO tie-break sequence number, exactly as
@@ -469,6 +463,12 @@ func (s *Sim) ReserveSeq() uint64 { return s.takeSeq() }
 // previously obtained from ReserveSeq.
 func (s *Sim) ScheduleTimerSeq(t Time, seq uint64, h Handler) Timer {
 	s.live("ScheduleTimerSeq")
+	return s.armTimer(t, seq, h)
+}
+
+// armTimer arms h at (t, seq) on a retained event and returns its handle:
+// the body of ScheduleTimer and ScheduleTimerSeq.
+func (s *Sim) armTimer(t Time, seq uint64, h Handler) Timer {
 	s.checkFuture(t)
 	e := s.alloc()
 	e.cb = h
@@ -569,9 +569,6 @@ func (s *Sim) PendingHighWater() int { return s.peak }
 // and pooling tests).
 func (s *Sim) FreeEvents() int { return len(s.free) }
 
-// Stop makes Run/RunUntil return after the current event completes.
-func (s *Sim) Stop() { s.stopped = true }
-
 // step executes the earliest event. It reports false when the queue is empty.
 //
 //simlint:hot
@@ -608,14 +605,13 @@ func (s *Sim) step() bool {
 	return true
 }
 
-// RunUntil executes events in order until virtual time exceeds end, the
-// queue drains, or Stop is called. The clock is left at min(end, last event
-// time); if the queue drained earlier the clock advances to end so that
-// measurement windows stay well-defined.
+// RunUntil executes events in order until virtual time exceeds end or the
+// queue drains. The clock is left at min(end, last event time); if the
+// queue drained earlier the clock advances to end so that measurement
+// windows stay well-defined.
 func (s *Sim) RunUntil(end Time) {
 	s.live("RunUntil")
-	s.stopped = false
-	for !s.stopped {
+	for {
 		if s.vacant {
 			s.closeVacancy()
 		}
@@ -629,10 +625,9 @@ func (s *Sim) RunUntil(end Time) {
 	}
 }
 
-// Run executes events until the queue drains or Stop is called.
+// Run executes events until the queue drains.
 func (s *Sim) Run() {
 	s.live("Run")
-	s.stopped = false
-	for !s.stopped && s.step() {
+	for s.step() {
 	}
 }

@@ -201,28 +201,6 @@ func TestRunUntilEmptyQueueAdvancesClock(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	s := New(1)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		s.At(Time(i)*Millisecond, func() {
-			count++
-			if count == 3 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3 (Stop ignored?)", count)
-	}
-	// Run can be resumed afterwards.
-	s.Run()
-	if count != 10 {
-		t.Fatalf("count after resume = %d, want 10", count)
-	}
-}
-
 func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() []int64 {
 		s := New(42)

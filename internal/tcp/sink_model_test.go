@@ -150,7 +150,6 @@ func runSinkProgram(t testing.TB, prog []byte) map[string]int {
 	}
 	s := sim.New(1)
 	pool := netem.PoolFor(s)
-	pool.SetDebug(true)
 	tap := &ackTap{}
 	sink := NewSink(s)
 	sink.SetRoute(netem.NewRoute(tap))

@@ -304,7 +304,7 @@ func TestSrcPanicsOnDataPacket(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	src.Recv(netem.DataPacket(0, 1500, 0, nil))
+	src.Recv(netem.PoolFor(s).NewData(0, 0, 1500, 0, nil))
 }
 
 func TestSinkPanicsOnAck(t *testing.T) {
@@ -315,7 +315,7 @@ func TestSinkPanicsOnAck(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	sink.Recv(netem.AckPacket(0, 0, nil))
+	sink.Recv(netem.PoolFor(s).NewAck(0, 0, nil))
 }
 
 func TestStartWithoutRoutePanics(t *testing.T) {
@@ -340,7 +340,7 @@ func TestSinkInOrderDelivery(t *testing.T) {
 	col := &ackCollector{}
 	sink.SetRoute(netem.NewRoute(col))
 	for i := 0; i < 5; i++ {
-		sink.Recv(netem.DataPacket(int64(i)*1500, 1500, 0, netem.NewRoute(sink)))
+		sink.Recv(netem.PoolFor(s).NewData(0, int64(i)*1500, 1500, 0, netem.NewRoute(sink)))
 	}
 	if sink.CumAck() != 7500 {
 		t.Fatalf("cumack %d", sink.CumAck())
@@ -359,7 +359,7 @@ func TestSinkOutOfOrderGeneratesDupAcksThenJumps(t *testing.T) {
 	col := &ackCollector{}
 	sink.SetRoute(netem.NewRoute(col))
 	feed := func(seq int64) {
-		sink.Recv(netem.DataPacket(seq, 1500, 0, netem.NewRoute(sink)))
+		sink.Recv(netem.PoolFor(s).NewData(0, seq, 1500, 0, netem.NewRoute(sink)))
 	}
 	feed(0)    // ack 1500
 	feed(3000) // hole at 1500: dup ack 1500
@@ -385,7 +385,7 @@ func TestSinkDuplicateSegmentsIdempotent(t *testing.T) {
 	col := &ackCollector{}
 	sink.SetRoute(netem.NewRoute(col))
 	feed := func(seq int64) {
-		sink.Recv(netem.DataPacket(seq, 1500, 0, netem.NewRoute(sink)))
+		sink.Recv(netem.PoolFor(s).NewData(0, seq, 1500, 0, netem.NewRoute(sink)))
 	}
 	feed(0)
 	feed(0) // duplicate in-order
@@ -410,7 +410,7 @@ func TestPropertySinkReassembly(t *testing.T) {
 		sink.SetRoute(netem.NewRoute(&ackCollector{}))
 		order := rand.New(rand.NewSource(permSeed)).Perm(n)
 		for _, i := range order {
-			sink.Recv(netem.DataPacket(int64(i)*1500, 1500, 0, netem.NewRoute(sink)))
+			sink.Recv(netem.PoolFor(s).NewData(0, int64(i)*1500, 1500, 0, netem.NewRoute(sink)))
 		}
 		return sink.CumAck() == int64(n)*1500 && sink.GoodputBytes() == int64(n)*1500
 	}
@@ -433,7 +433,7 @@ func TestPropertySinkNoDoubleCount(t *testing.T) {
 		for _, op := range ops {
 			seq := int64(op%30) * 1500
 			seen[seq] = true
-			sink.Recv(netem.DataPacket(seq, 1500, 0, netem.NewRoute(sink)))
+			sink.Recv(netem.PoolFor(s).NewData(0, seq, 1500, 0, netem.NewRoute(sink)))
 		}
 		var distinct int64
 		for range seen {
