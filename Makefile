@@ -131,9 +131,11 @@ lint:
 # poison switch comes back.
 # One place a harness network runs: no scenario.Run( in non-test
 # internal/harness Go outside collect.go, which runs, checks and reads every
-# job. A reading reads the report: no scenario.Compile( and no *scenario.Net
-# anywhere in non-test internal/harness Go, collect.go included (a trace is
-# part of the Spec, a scenario.TraceSpec, and its series are the report's).
+# job. One way to run a network: no scenario.Compile( and no *scenario.Net
+# in non-test Go outside internal/scenario and bench/ (kernel rigs), so
+# everything above the scenario layer calls scenario.Run and reads the
+# RunReport (a trace is part of the Spec, a scenario.TraceSpec, and its
+# series are the report's; the kernel's work counters are its Stats).
 guard:
 	@if git grep -n 'RunUntil(' -- '*.go' ':!*_test.go' ':!internal/sim/' ':!internal/scenario/' ':!bench/'; then \
 		echo "raw Sim.RunUntil above the scenario layer: build a scenario.Net and call its Run"; exit 1; \
@@ -192,8 +194,8 @@ guard:
 	@if git grep -nF 'scenario.Run(' -- 'internal/harness/*.go' ':!*_test.go' ':!internal/harness/collect.go'; then \
 		echo "a harness network runs in one place: collect runs, checks and reads every job"; exit 1; \
 	fi
-	@if git grep -nE 'scenario\.Compile\(|\*scenario\.Net\b' -- 'internal/harness/*.go' ':!*_test.go'; then \
-		echo "a harness reading reads the RunReport, not a compiled network"; exit 1; \
+	@if git grep -nE 'scenario\.Compile\(|\*scenario\.Net\b' -- '*.go' ':!*_test.go' ':!internal/scenario/' ':!bench/'; then \
+		echo "one way to run a network: call scenario.Run and read its RunReport, not a compiled network"; exit 1; \
 	fi
 	@for target in windows/amd64 darwin/arm64 linux/arm64; do \
 		GOOS=$${target%/*} GOARCH=$${target#*/} $(GO) build . ./cmd/... ./internal/... || \

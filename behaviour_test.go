@@ -118,22 +118,69 @@ func behaviourCanaries() []behaviourCanary {
 	return out
 }
 
-// lockLine runs one canary and formats its behaviour.lock line.
+// lockLine runs one canary and formats its behaviour.lock line. It runs
+// the canary as campaigns, the harness and serve run theirs, under a
+// context that can be cancelled, so Net.Run advances it in one-second
+// slices; the same canary run in one call, under a context that cannot,
+// must process the same events with the same Digest and Stats.
 func lockLine(c behaviourCanary) (string, error) {
 	enc, err := scenario.AppendSpec(nil, c.spec)
 	if err != nil {
 		return "", err
 	}
 	sum := sha256.Sum256(enc)
-	rep, err := scenario.Run(context.Background(), c.spec)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rep, err := scenario.Run(ctx, c.spec)
 	if err != nil {
 		return "", err
 	}
 	if len(rep.Violations) > 0 {
 		return "", fmt.Errorf("%s: invariant violations: %v", c.name, rep.Violations)
 	}
+	if err := eventKindsConserve(rep); err != nil {
+		return "", fmt.Errorf("%s: %w", c.name, err)
+	}
 	d := rep.Digest()
+	whole, err := scenario.Run(context.Background(), c.spec)
+	if err != nil {
+		return "", err
+	}
+	if whole.Digest() != d || whole.Stats != rep.Stats {
+		return "", fmt.Errorf("%s: run in one call: %+v, %+v; in one-second slices: %+v, %+v", c.name, whole.Digest(), whole.Stats, d, rep.Stats)
+	}
 	return fmt.Sprintf("%s %d %s %s", c.name, d.Processed, hex.EncodeToString(d.Traffic[:6]), hex.EncodeToString(sum[:6])), nil
+}
+
+// eventKindsConserve checks that rep's events by kind sum to its
+// Processed and that none counts as sim.KindOther: every handler of the
+// model names its kind.
+func eventKindsConserve(rep *scenario.RunReport) error {
+	var sum uint64
+	for _, n := range rep.Stats.Events {
+		sum += n
+	}
+	if sum != rep.Processed || rep.Stats.Events[sim.KindOther] != 0 {
+		return fmt.Errorf("events by kind %v sum to %d, %d processed, want the sum and none of kind %s",
+			rep.Stats.Events, sum, rep.Processed, sim.KindOther)
+	}
+	return nil
+}
+
+// TestEventKindsConserve holds the first 200 scenarios of the reference
+// campaign to what lockLine holds every canary to: events by kind sum to
+// Processed, and none counts as other.
+func TestEventKindsConserve(t *testing.T) {
+	pop := campaign.Default()
+	for i := range 200 {
+		rep, err := scenario.Run(context.Background(), pop.SampleSpec(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eventKindsConserve(rep); err != nil {
+			t.Errorf("scenario %d: %v", i, err)
+		}
+	}
 }
 
 // TestBehaviourLock runs every canary and compares the result with the

@@ -59,7 +59,9 @@ func TestCampaignSpecTrailingData(t *testing.T) {
 }
 
 // TestProfile runs the profile subcommand as a process: a spec runs after a
-// warm-up, profileRuns times, with a row each and both profiles written;
+// warm-up, profileRuns times, with a row each, then the histogram of its
+// events by kind, which sums to the events column, and both profiles are
+// written;
 // usage errors exit 2 before any run, and a profile of either kind that
 // cannot be written exits 1.
 func TestProfile(t *testing.T) {
@@ -89,15 +91,35 @@ func TestProfile(t *testing.T) {
 
 	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
 	out, code := profile("-spec", spec, "-cpuprofile", cpu, "-memprofile", mem)
-	lines := strings.Split(strings.TrimSpace(out), "\n")
+	runs, hist, _ := strings.Cut(strings.TrimSpace(out), "\n\n")
+	lines := strings.Split(runs, "\n")
 	if code != 0 || len(lines) != 1+profileRuns || !strings.HasPrefix(strings.TrimSpace(lines[profileRuns]), fmt.Sprint(profileRuns, " ")) {
 		t.Fatalf("exit %d, output:\n%s", code, out)
 	}
-	if got := strings.Fields(lines[0]); strings.Join(got, " ") != "run wall_ms events events_per_s heap_max data_max acks_max allocs bytes" {
+	if got := strings.Fields(lines[0]); strings.Join(got, " ") != "run wall_ms events events_per_s heap_max data_max acks_max sift_down/ev sift_up/ev allocs bytes" {
 		t.Errorf("header %q", lines[0])
 	}
-	if fields := strings.Fields(lines[1]); len(fields) != 9 || fields[2] == "0" || fields[4] == "0" || fields[5] == "0" || fields[6] == "0" {
-		t.Errorf("run row %q: want run, wall_ms, events, events_per_s, heap_max, data_max, acks_max, allocs, bytes with events, heap_max, data_max and acks_max > 0", lines[1])
+	fields := strings.Fields(lines[1])
+	if len(fields) != 11 || fields[2] == "0" || fields[4] == "0" || fields[5] == "0" || fields[6] == "0" || fields[7] == "0.000" {
+		t.Fatalf("run row %q: want run, wall_ms, events, events_per_s, heap_max, data_max, acks_max, sift_down/ev, sift_up/ev, allocs, bytes with events, heap_max, data_max, acks_max and sift_down/ev > 0", lines[1])
+	}
+	// The histogram has a row per kind, and its counts add up to the
+	// events every run processed.
+	rows := strings.Split(hist, "\n")
+	if len(rows) != 1+int(sim.NumKinds) || strings.Join(strings.Fields(rows[0]), " ") != "kind events share" {
+		t.Fatalf("histogram:\n%s", hist)
+	}
+	var sum uint64
+	for k, row := range rows[1:] {
+		f := strings.Fields(row)
+		n, err := strconv.ParseUint(f[1], 10, 64)
+		if len(f) != 3 || f[0] != sim.Kind(k).String() || err != nil {
+			t.Fatalf("histogram row %q: want kind %s, a count and a share", row, sim.Kind(k))
+		}
+		sum += n
+	}
+	if fmt.Sprint(sum) != fields[2] {
+		t.Errorf("histogram counts add up to %d, the runs processed %s events", sum, fields[2])
 	}
 	for _, p := range []string{cpu, mem} {
 		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {

@@ -13,22 +13,25 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"mptcpsim/internal/netem"
 	"mptcpsim/internal/scenario"
+	"mptcpsim/internal/sim"
 )
 
 // profileRuns is how many measured runs `mptcpsim profile` makes after its
 // warm-up run: enough to see the spread of a run's wall time.
 const profileRuns = 5
 
-// profileMain implements `mptcpsim profile`: compile and run one scenario
-// Spec profileRuns times after a warm-up run, and print per run its wall
-// time, kernel events, event rate, the most events pending at once
-// (heap_max), the data segments and ACKs its pool carved slabs for
-// (data_max and acks_max: the most of each kind alive at once, rounded up
-// to a slab; an ACK costs about twice a data segment's bytes, for its SACK
-// report), allocations and allocated bytes;
-// optionally under the CPU profiler and with every allocation recorded:
+// profileMain implements `mptcpsim profile`: run one scenario Spec
+// profileRuns times after a warm-up run, and print per run its wall time,
+// kernel events, event rate, then from its report's Stats the most events
+// pending at once (heap_max), the data segments and ACKs its pool carved
+// slabs for (data_max and acks_max: the most of each kind alive at once,
+// rounded up to a slab; an ACK costs about twice a data segment's bytes,
+// for its SACK report) and the iterations of the kernel heap's sift loops
+// per event, down and up (sift_down/ev, sift_up/ev), then allocations and
+// allocated bytes; after the runs, which all do the same work, the events
+// by handler kind (sim.Kind); optionally under the CPU profiler and with
+// every allocation recorded:
 //
 //	mptcpsim profile -spec s.json -cpuprofile cpu.out -memprofile mem.out
 //	go tool pprof -top cpu.out
@@ -108,7 +111,8 @@ func profile(ctx context.Context, sp *scenario.Spec, cpu, mem *os.File, w io.Wri
 			}()
 		}
 	}
-	if _, _, _, _, err := runSpec(ctx, sp); err != nil {
+	warm, err := runSpec(ctx, sp)
+	if err != nil {
 		return err
 	}
 	if mem != nil {
@@ -120,20 +124,30 @@ func profile(ctx context.Context, sp *scenario.Spec, cpu, mem *os.File, w io.Wri
 			return err
 		}
 	}
-	fmt.Fprintf(w, "%4s %10s %10s %12s %8s %8s %8s %9s %11s\n", "run", "wall_ms", "events", "events_per_s", "heap_max", "data_max", "acks_max", "allocs", "bytes")
+	fmt.Fprintf(w, "%4s %10s %10s %12s %8s %8s %8s %12s %10s %9s %11s\n", "run", "wall_ms", "events", "events_per_s",
+		"heap_max", "data_max", "acks_max", "sift_down/ev", "sift_up/ev", "allocs", "bytes")
 	var before, after runtime.MemStats
 	for i := 1; i <= profileRuns; i++ {
 		runtime.ReadMemStats(&before)
 		t0 := time.Now()
-		events, heapMax, dataMax, acksMax, err := runSpec(ctx, sp)
+		rep, err := runSpec(ctx, sp)
 		wall := time.Since(t0)
 		runtime.ReadMemStats(&after)
+		if err == nil && rep.Stats != warm.Stats {
+			err = fmt.Errorf("profile: run %d did other work than the warm-up run: %+v, then %+v", i, warm.Stats, rep.Stats)
+		}
 		if err != nil {
 			pprof.StopCPUProfile()
 			return err
 		}
-		fmt.Fprintf(w, "%4d %10.2f %10d %12.0f %8d %8d %8d %9d %11d\n", i, wall.Seconds()*1e3, events,
-			float64(events)/wall.Seconds(), heapMax, dataMax, acksMax, after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc)
+		st, events := &rep.Stats, float64(rep.Processed)
+		fmt.Fprintf(w, "%4d %10.2f %10d %12.0f %8d %8d %8d %12.3f %10.3f %9d %11d\n", i, wall.Seconds()*1e3, rep.Processed,
+			events/wall.Seconds(), st.HeapMax, st.DataMax, st.AcksMax, float64(st.SiftDown)/events, float64(st.SiftUp)/events,
+			after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc)
+	}
+	fmt.Fprintf(w, "\n%-8s %10s %6s\n", "kind", "events", "share")
+	for k, n := range warm.Stats.Events {
+		fmt.Fprintf(w, "%-8s %10d %5.1f%%\n", sim.Kind(k), n, 100*float64(n)/float64(warm.Processed))
 	}
 	if cpu != nil {
 		pprof.StopCPUProfile()
@@ -152,21 +166,11 @@ func profile(ctx context.Context, sp *scenario.Spec, cpu, mem *os.File, w io.Wri
 	return nil
 }
 
-// runSpec compiles and runs sp and reports the kernel events it processed,
-// the most it held pending at once and the data segments and ACKs its pool
-// carved slabs for. An invariant violation is a failed run.
-func runSpec(ctx context.Context, sp *scenario.Spec) (events uint64, heapMax, dataMax, acksMax int, err error) {
-	n, err := scenario.Compile(sp)
-	if err != nil {
-		return 0, 0, 0, 0, err
+// runSpec runs sp. An invariant violation is a failed run.
+func runSpec(ctx context.Context, sp *scenario.Spec) (*scenario.RunReport, error) {
+	rep, err := scenario.Run(ctx, sp)
+	if err == nil && len(rep.Violations) != 0 {
+		err = fmt.Errorf("profile: invariant violations: %v", rep.Violations)
 	}
-	rep, err := n.Run(ctx)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	if len(rep.Violations) != 0 {
-		return 0, 0, 0, 0, fmt.Errorf("profile: invariant violations: %v", rep.Violations)
-	}
-	dataMax, acksMax = netem.PoolFor(n.Sim).Carved()
-	return rep.Processed, n.Sim.PendingHighWater(), dataMax, acksMax, nil
+	return rep, err
 }

@@ -298,7 +298,7 @@ func TestCacheKey(t *testing.T) {
 			{AtSec: 2, Path: &scenario.PathFlap{Path: 0, Up: true}},
 		},
 	}
-	const want = "4b5f680408dfe8d1a7679e51d20d0f7ea6cb9d1ecbac01cf42f8fabfdf4e81a5"
+	const want = "afad0c37f6a64d29439f24c28e2a5e4fa3c8e4cc0f8f78a666a0707e33dd12c5"
 	if got, err := CacheKey("v1", pinned); err != nil || got != want {
 		t.Errorf("pinned key = %s, %v; want %s", got, err, want)
 	}

@@ -45,12 +45,7 @@ func (c *Conn) SetKeepSlowStart(v bool) { c.keepSlowStart = v }
 type Subflow struct {
 	Src  *tcp.Src
 	Sink *tcp.Sink
-	conn *Conn
-	idx  int
 }
-
-// Index reports this subflow's position within its connection.
-func (sf *Subflow) Index() int { return sf.idx }
 
 // New creates an empty connection using the given controller. cfg applies to
 // every subflow; multipath adjustments (§IV-B) are made automatically at
@@ -78,12 +73,7 @@ func (c *Conn) Subflows() []*Subflow { return c.subs }
 func (c *Conn) AddSubflow(_ int) *Subflow {
 	idx := len(c.subs)
 	src := tcp.NewSrc(c.sim, 0, fmt.Sprintf("%s/sub%d", c.name, idx), c.cfg)
-	sf := &Subflow{
-		Src:  src,
-		Sink: tcp.NewSink(c.sim),
-		conn: c,
-		idx:  idx,
-	}
+	sf := &Subflow{Src: src, Sink: tcp.NewSink(c.sim)}
 	c.subs = append(c.subs, sf)
 	return sf
 }

@@ -81,7 +81,7 @@ func (pt *probeTicker) RunEvent(now sim.Time) {
 			active--
 		}
 	}
-	c.sim.ScheduleAfter(probeTick, pt)
+	c.sim.ScheduleAfter(probeTick, pt, sim.KindControl)
 }
 
 // EnableProbeControl starts monitoring the connection's subflows, pausing
@@ -94,7 +94,7 @@ func (c *Conn) EnableProbeControl() {
 	}
 	states := make([]probeState, len(c.subs))
 	c.probeStates = states
-	c.sim.ScheduleAfter(probeTick, &probeTicker{c: c, states: states})
+	c.sim.ScheduleAfter(probeTick, &probeTicker{c: c, states: states}, sim.KindControl)
 }
 
 // SuspendCount reports how many times subflow i has been suspended by probe

@@ -295,12 +295,15 @@ func PoolFor(s *sim.Sim) *PacketPool {
 // (diagnostics and tests).
 func (pl *PacketPool) FreeCount() int { return pl.data.free.n + pl.acks.free.n }
 
-// Carved reports how many data segments and how many ACKs the pool has
-// carved slabs for: the run's high-water mark of packets alive at once, per
-// kind rounded up to a slab, and all the per-packet memory the run holds.
-// The kinds are apart because an ACK costs more: its SACK report rides in
-// its slab beside it. Release leaves the counts alone.
-func (pl *PacketPool) Carved() (data, acks int) { return pl.data.carved, pl.acks.carved }
+// PoolStats is how many data segments and how many ACKs a pool has carved
+// slabs for: the run's high-water mark of packets alive at once, per kind
+// rounded up to a slab, and all the per-packet memory the run holds. The
+// kinds are apart because an ACK costs more: its SACK report rides in its
+// slab beside it.
+type PoolStats struct{ Data, Acks int }
+
+// Stats reports the pool's counts; Release leaves them alone.
+func (pl *PacketPool) Stats() PoolStats { return PoolStats{pl.data.carved, pl.acks.carved} }
 
 // get pops a recycled packet of the wanted kind, or carves one from the
 // kind's slab. What comes back still holds its previous life's fields,
@@ -405,7 +408,7 @@ func (pl *PacketPool) refill(l *freeList, ack bool) {
 // (the pool it points at holds nothing once released), and each packet is
 // poisoned and marked freed, as Free leaves one, so a stale SendOn panics
 // as a use after free and a stale Free as a double free. Every bound list
-// is left empty, so a stale read sees no ranges. Carved still reports the
+// is left empty, so a stale read sees no ranges. Stats still reports the
 // run's high-water marks; taking a packet from the pool afterwards panics,
 // as does an insert into one of its lists, and a second Release does
 // nothing.

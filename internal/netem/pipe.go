@@ -88,7 +88,7 @@ func (pp *Pipe) arm(h *Packet) {
 	if pp.tm.Valid() {
 		pp.sim.RescheduleSeq(pp.tm, h.dueAt, h.dueSeq)
 	} else {
-		pp.tm = pp.sim.ScheduleTimerSeq(h.dueAt, h.dueSeq, pp)
+		pp.tm = pp.sim.ScheduleTimerSeq(h.dueAt, h.dueSeq, pp, sim.KindPipe)
 	}
 }
 

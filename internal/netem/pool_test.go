@@ -105,27 +105,33 @@ func TestPacketPoolSlabs(t *testing.T) {
 	}
 }
 
-// TestPacketPoolCarved: Carved counts the packets of the slabs a pool has
+// carved is pl.Stats as two counts.
+func carved(pl *PacketPool) (data, acks int) {
+	st := pl.Stats()
+	return st.Data, st.Acks
+}
+
+// TestPacketPoolCarved: Stats counts the packets of the slabs a pool has
 // allocated, per kind, and recycling carves nothing.
 func TestPacketPoolCarved(t *testing.T) {
 	pl := PoolFor(sim.New(1))
-	carved := func(wantData, wantAcks int, when string) {
+	want := func(wantData, wantAcks int, when string) {
 		t.Helper()
-		if data, acks := pl.Carved(); data != wantData || acks != wantAcks {
+		if data, acks := carved(pl); data != wantData || acks != wantAcks {
 			t.Fatalf("%s: carved %d data segments and %d ACKs, want %d and %d", when, data, acks, wantData, wantAcks)
 		}
 	}
-	carved(0, 0, "a fresh pool")
+	want(0, 0, "a fresh pool")
 	d := pl.NewData(0, 0, MSS, 0, nil)
-	carved(slabPackets, 0, "one data segment")
+	want(slabPackets, 0, "one data segment")
 	pl.NewAck(0, 0, nil)
-	carved(slabPackets, slabPackets, "one packet of each kind")
+	want(slabPackets, slabPackets, "one packet of each kind")
 	for i := 0; i < slabPackets; i++ {
 		pl.NewData(0, 0, MSS, 0, nil)
 	}
 	d.Free()
 	pl.NewData(0, 0, MSS, 0, nil)
-	carved(2*slabPackets, slabPackets, "slabPackets+1 live data segments")
+	want(2*slabPackets, slabPackets, "slabPackets+1 live data segments")
 }
 
 // TestPacketLayout locks what a packet costs. A packet is 72 bytes, and the
@@ -333,7 +339,7 @@ func TestFreePoisonsPackets(t *testing.T) {
 			t.Fatalf("reuse %d: got %p, want the packet freed %d-th (%p)", len(ps)-i, p, i+1, ps[i])
 		}
 	}
-	if data, acks := pl.Carved(); pl.FreeCount() != 0 || data != slabPackets || acks != 0 {
+	if data, acks := carved(pl); pl.FreeCount() != 0 || data != slabPackets || acks != 0 {
 		t.Fatalf("free count %d, carved %d data segments and %d ACKs after reusing every freed packet", pl.FreeCount(), data, acks)
 	}
 }

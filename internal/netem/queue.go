@@ -133,7 +133,7 @@ func (q *queueCore) startService() {
 	if q.svc.Valid() {
 		q.sim.Reschedule(q.svc, at)
 	} else {
-		q.svc = q.sim.ScheduleTimer(at, q)
+		q.svc = q.sim.ScheduleTimer(at, q, sim.KindQueue)
 	}
 }
 

@@ -110,7 +110,7 @@ func TestReleasedSlabIsFresh(t *testing.T) {
 	}
 }
 
-// TestReleaseEndsPool: a released pool keeps its Carved counts, holds no
+// TestReleaseEndsPool: a released pool keeps its Stats counts, holds no
 // free packet, refuses to hand out another, and a second Release does
 // nothing. The packets it handed back hold no pointer into the run: only
 // their pool, which holds nothing any more, and an ACK's SACK storage.
@@ -123,9 +123,9 @@ func TestReleaseEndsPool(t *testing.T) {
 	}
 	ps = append(ps, pl.NewAck(3000, 0, r))
 	ps[0].Free()
-	data, acks := pl.Carved()
+	data, acks := carved(pl)
 	pl.Release()
-	if d, a := pl.Carved(); d != data || a != acks || d != 2*slabPackets || a != slabPackets {
+	if d, a := carved(pl); d != data || a != acks || d != 2*slabPackets || a != slabPackets {
 		t.Fatalf("carved %d data segments and %d ACKs after Release, want %d and %d", d, a, 2*slabPackets, slabPackets)
 	}
 	if pl.FreeCount() != 0 {
@@ -279,7 +279,7 @@ func viewOf(p *Packet) packetView {
 // checks each against a fresh pool that runs the same gets and frees but
 // never releases. No packet is handed out twice or from a slab another
 // pool holds; every packet taken is in a fresh state, equal to the fresh
-// pool's; Carved and FreeCount equal the fresh pool's, and Carved never
+// pool's; Stats and FreeCount equal the fresh pool's, and Stats never
 // decreases, Release included.
 func FuzzRecycledPool(f *testing.F) {
 	const get, free, retain, release = poolGet, poolFree, poolRetain, poolRelease
@@ -366,9 +366,9 @@ func runRecycledProgram(t *testing.T, prog []byte) {
 				rp.refWait.push(q)
 			}
 		case poolRelease:
-			data, acks := rp.pl.Carved()
+			data, acks := carved(rp.pl)
 			rp.pl.Release()
-			if d, a := rp.pl.Carved(); d != data || a != acks || rp.pl.FreeCount() != 0 {
+			if d, a := carved(rp.pl); d != data || a != acks || rp.pl.FreeCount() != 0 {
 				t.Fatalf("step %d: released pool %d carved %d and %d (before: %d and %d), %d free", pc, k, d, a, data, acks, rp.pl.FreeCount())
 			}
 			for p, o := range owner {
@@ -379,8 +379,8 @@ func runRecycledProgram(t *testing.T, prog []byte) {
 			pools[k] = newRecycledPool()
 			continue
 		}
-		data, acks := rp.pl.Carved()
-		refData, refAcks := rp.ref.Carved()
+		data, acks := carved(rp.pl)
+		refData, refAcks := carved(rp.ref)
 		if data != refData || acks != refAcks || rp.pl.FreeCount() != rp.ref.FreeCount() {
 			t.Fatalf("step %d: pool %d carved %d and %d with %d free, the fresh pool %d and %d with %d free",
 				pc, k, data, acks, rp.pl.FreeCount(), refData, refAcks, rp.ref.FreeCount())

@@ -124,7 +124,7 @@ func AppendReport(b []byte, r *RunReport) []byte {
 			}
 		}
 	}
-	return b
+	return appendStats(b, &r.Stats)
 }
 
 // appendIdentity appends the identity section of r's encoding to b: per
@@ -293,6 +293,18 @@ func appendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
+func appendStats(b []byte, st *Stats) []byte {
+	b = binary.AppendVarint(b, int64(st.HeapMax))
+	b = binary.AppendVarint(b, int64(st.DataMax))
+	b = binary.AppendVarint(b, int64(st.AcksMax))
+	b = binary.AppendUvarint(b, st.SiftDown)
+	b = binary.AppendUvarint(b, st.SiftUp)
+	for _, n := range st.Events {
+		b = binary.AppendUvarint(b, n)
+	}
+	return b
+}
+
 func appendCounters(b []byte, c *netem.Counters) []byte {
 	b = binary.AppendVarint(b, c.ArrivedPkts)
 	b = binary.AppendVarint(b, c.ArrivedBytes)
@@ -397,6 +409,7 @@ func DecodeReportInto(r *RunReport, data []byte) error {
 			}
 		}
 	}
+	d.stats(&r.Stats)
 	if d.err == nil && d.i != len(d.b) {
 		d.err = errTrailing
 	}
@@ -571,4 +584,15 @@ func (d *decoder) counters(c *netem.Counters) {
 	c.DroppedBytes = d.varint()
 	c.SentPkts = d.varint()
 	c.SentBytes = d.varint()
+}
+
+func (d *decoder) stats(st *Stats) {
+	st.HeapMax = d.int()
+	st.DataMax = d.int()
+	st.AcksMax = d.int()
+	st.SiftDown = d.uvarint()
+	st.SiftUp = d.uvarint()
+	for i := range st.Events {
+		st.Events[i] = d.uvarint()
+	}
 }

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"mptcpsim/internal/sim"
 )
 
 // fillDistinct sets every field reachable from v to a value no other field
@@ -36,6 +38,10 @@ func fillDistinct(t testing.TB, v reflect.Value, next *int) {
 		for i := 0; i < v.Len(); i++ {
 			fillDistinct(t, v.Index(i), next)
 		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fillDistinct(t, v.Index(i), next)
+		}
 	case reflect.Pointer:
 		v.Set(reflect.New(v.Type().Elem()))
 		fillDistinct(t, v.Elem(), next)
@@ -52,7 +58,8 @@ func fillDistinct(t testing.TB, v reflect.Value, next *int) {
 // altered, a pointer cleared, a slice shortened — calls check with the
 // field's path, and restores it; it returns the number of changes made.
 // A path names fields without indices ("Flows.Stream.Done"), so a check
-// can look it up in a table.
+// can look it up in a table; an array's elements are changed one by one,
+// under the array's path.
 func eachChange(t *testing.T, v reflect.Value, path string, check func(path string)) int {
 	t.Helper()
 	old := reflect.New(v.Type()).Elem()
@@ -76,6 +83,12 @@ func eachChange(t *testing.T, v reflect.Value, path string, check func(path stri
 		changes := 0
 		for i := 0; i < v.NumField(); i++ {
 			changes += eachChange(t, v.Field(i), strings.TrimPrefix(path+"."+v.Type().Field(i).Name, "."), check)
+		}
+		return changes
+	case reflect.Array:
+		changes := 0
+		for i := 0; i < v.Len(); i++ {
+			changes += eachChange(t, v.Index(i), path, check)
 		}
 		return changes
 	default:
@@ -176,11 +189,16 @@ func isIdentity(path string) bool {
 
 // TestDigestCoversIdentityFields changes every report field in turn: an
 // identity field must change Traffic alone, Processed must change
-// Processed alone, and a derived field must change neither.
+// Processed alone, and a derived field must change neither. Stats, the
+// run's work counters, is derived, every field of it.
 func TestDigestCoversIdentityFields(t *testing.T) {
 	rep := fullReport(t)
 	base := rep.Digest()
+	stats := 0
 	eachChange(t, reflect.ValueOf(rep).Elem(), "", func(path string) {
+		if strings.HasPrefix(path, "Stats.") {
+			stats++
+		}
 		d := rep.Digest()
 		switch {
 		case path == "Processed":
@@ -197,6 +215,9 @@ func TestDigestCoversIdentityFields(t *testing.T) {
 	})
 	if rep.Digest() != base {
 		t.Fatal("the walk did not restore the report")
+	}
+	if want := 5 + int(sim.NumKinds); stats != want {
+		t.Errorf("the walk changed %d counts of Stats, want %d", stats, want)
 	}
 
 	// Flow names are length-prefixed: one flow called "a=1;b" is not flows
@@ -384,7 +405,9 @@ func TestDecodeRejects(t *testing.T) {
 	}
 
 	// The same value, padded or out of range, is not the same encoding.
-	empty := []byte{0, 0, 0, 0, 0, 0, 0} // Flows, Queues, Processed, Name, Seed, Violations, Trace
+	// Flows, Queues, Processed, Name, Seed, Violations, Trace, then Stats'
+	// five counts and its events by kind.
+	empty := make([]byte, 7+5+sim.NumKinds)
 	if _, err := decodeReport(empty); err != nil {
 		t.Fatalf("the zero report: %v", err)
 	}

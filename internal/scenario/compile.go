@@ -131,7 +131,7 @@ func Compile(sp *Spec) (*Net, error) {
 	// draws no randomness and adds no events to a timeline-free spec, so
 	// existing scenarios stay byte-identical.
 	if len(sp.Timeline) > 0 {
-		s.Schedule(sim.Seconds(sp.Timeline[0].AtSec), &timelineDriver{net: n})
+		s.Schedule(sim.Seconds(sp.Timeline[0].AtSec), &timelineDriver{net: n}, sim.KindControl)
 	}
 
 	for _, ls := range sp.Links {
@@ -313,7 +313,7 @@ func (n *Net) addFlow(name string, fs *FlowSpec, start sim.Time) *Flow {
 	f := n.newFlow(name, fs)
 	f.start(start)
 	if fs.StopSec > 0 {
-		n.Sim.Schedule(sim.Seconds(fs.StopSec), (*flowStop)(f))
+		n.Sim.Schedule(sim.Seconds(fs.StopSec), (*flowStop)(f), sim.KindFlow)
 	}
 	return f
 }

@@ -80,6 +80,27 @@ type RunReport struct {
 	Violations []string `json:"violations,omitempty"`
 	// Trace holds the series of Spec.Trace, nil without one.
 	Trace *TraceReport `json:"trace,omitempty"`
+	// Stats is the work the run took: derived, no part of its Digest.
+	Stats Stats `json:"stats"`
+}
+
+// Stats is a run's work counters: the kernel's (sim.Stats) and the packet
+// pool's (netem.PoolStats). A fixed-size value, so a report decoded into
+// one it recycles allocates nothing for it.
+type Stats struct {
+	HeapMax int `json:"heap_max"` // the most events pending at once
+	// DataMax and AcksMax are the data segments and ACKs the run's packet
+	// pool carved slabs for: the most of each kind alive at once, rounded
+	// up to a slab.
+	DataMax int `json:"data_max"`
+	AcksMax int `json:"acks_max"`
+	// SiftDown and SiftUp are the loop iterations of the kernel heap's
+	// sifts, down and up: its work beside the handlers'.
+	SiftDown uint64 `json:"sift_down"`
+	SiftUp   uint64 `json:"sift_up"`
+	// Events counts the events processed by their handler's sim.Kind; it
+	// sums to Processed.
+	Events [sim.NumKinds]uint64 `json:"events"`
 }
 
 // Group returns the reports of the replicas of the first sp.Flows entry
@@ -161,7 +182,7 @@ func (w *windowOpen) RunEvent(sim.Time) {
 // events in steady state.
 func (m *monitor) RunEvent(now sim.Time) {
 	m.sample(now)
-	m.net.Sim.Schedule(now+samplePeriod, m)
+	m.net.Sim.Schedule(now+samplePeriod, m, sim.KindObserve)
 }
 
 // sample checks the instantaneous invariants: queue occupancy within the
@@ -253,9 +274,9 @@ func (n *Net) Run(ctx context.Context) (*RunReport, error) {
 	// window snapshot and the monitor.
 	if n.trace != nil {
 		r.Trace = n.trace.rep
-		n.Sim.Schedule(0, n.trace)
+		n.Sim.Schedule(0, n.trace, sim.KindObserve)
 	}
-	n.Sim.Schedule(n.Warmup, (*windowOpen)(m))
+	n.Sim.Schedule(n.Warmup, (*windowOpen)(m), sim.KindObserve)
 	m.RunEvent(0) // first sample at t=0, then every samplePeriod
 	if err := advanceUntil(ctx, n.Sim, 0, n.End); err != nil {
 		return nil, fmt.Errorf("scenario %q: run canceled: %w", n.Spec.Name, err)
@@ -319,6 +340,9 @@ func (n *Net) Run(ctx context.Context) (*RunReport, error) {
 		r.Queues = append(r.Queues, qr)
 	}
 	r.Processed = n.Sim.Processed()
+	ks, ps := n.Sim.Stats(), netem.PoolFor(n.Sim).Stats()
+	r.Stats = Stats{HeapMax: ks.HeapMax, DataMax: ps.Data, AcksMax: ps.Acks,
+		SiftDown: ks.SiftDown, SiftUp: ks.SiftUp, Events: ks.Events}
 
 	checkConservation(n, r)
 	checkCapacity(n, r)

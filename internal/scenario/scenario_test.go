@@ -376,26 +376,29 @@ func TestRunRerunIdentity(t *testing.T) {
 
 // TestNetRunsOnce: a second Run of one Net returns an error naming the
 // network and touches nothing: the first run's clock, event count and
-// packet high-water marks stand. The first run handed its memory back, so
-// the kernel refuses to advance the finished network and its packet pool
-// to hand out a packet, and a cancelled run hands it back too.
+// kernel counters stand. The first run handed its memory back, so the
+// kernel refuses to advance the finished network and its packet pool to
+// hand out a packet, and a cancelled run hands it back too.
 func TestNetRunsOnce(t *testing.T) {
 	n, err := Compile(twoPathSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Run(context.Background()); err != nil {
+	first, err := n.Run(context.Background())
+	if err != nil {
 		t.Fatal(err)
 	}
-	now, processed := n.Sim.Now(), n.Sim.Processed()
-	data, acks := netem.PoolFor(n.Sim).Carved()
+	now, processed, kernel := n.Sim.Now(), n.Sim.Processed(), n.Sim.Stats()
+	if st := first.Stats; st.HeapMax != kernel.HeapMax || st.Events != kernel.Events || st.DataMax == 0 || st.AcksMax == 0 {
+		t.Fatalf("the run's Stats %+v, the kernel's %+v", st, kernel)
+	}
 	rep, err := n.Run(context.Background())
 	if rep != nil || err == nil || err.Error() != `scenario "test": Run called again: a Net runs once` {
 		t.Fatalf("second Run: report %v, error %v", rep, err)
 	}
-	if d, a := netem.PoolFor(n.Sim).Carved(); n.Sim.Now() != now || n.Sim.Processed() != processed || d != data || a != acks || d == 0 || a == 0 {
-		t.Fatalf("second Run moved the network: now %v -> %v, processed %d -> %d, carved %d/%d -> %d/%d",
-			now, n.Sim.Now(), processed, n.Sim.Processed(), data, acks, d, a)
+	if n.Sim.Now() != now || n.Sim.Processed() != processed || n.Sim.Stats() != kernel {
+		t.Fatalf("second Run moved the network: now %v -> %v, processed %d -> %d, kernel counters %+v -> %+v",
+			now, n.Sim.Now(), processed, n.Sim.Processed(), kernel, n.Sim.Stats())
 	}
 	if msg := fmt.Sprint(recoverFrom(func() { n.Sim.RunUntil(2 * now) })); !strings.Contains(msg, "RunUntil after ReleaseRand") {
 		t.Errorf("advancing a finished network: panic %q", msg)

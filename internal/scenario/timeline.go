@@ -167,7 +167,7 @@ func (td *timelineDriver) RunEvent(now sim.Time) {
 		td.next++
 	}
 	if td.next < len(evs) {
-		td.net.Sim.Schedule(sim.Seconds(evs[td.next].AtSec), td)
+		td.net.Sim.Schedule(sim.Seconds(evs[td.next].AtSec), td, sim.KindControl)
 	}
 }
 

@@ -147,6 +147,6 @@ func (tr *tracer) RunEvent(now sim.Time) {
 		tr.rep.V[i] = append(tr.rep.V[i], probe())
 	}
 	if now+tr.period <= tr.net.End {
-		tr.net.Sim.ScheduleAfter(tr.period, tr)
+		tr.net.Sim.ScheduleAfter(tr.period, tr, sim.KindObserve)
 	}
 }

@@ -16,9 +16,9 @@ func onNewArrays(s *Sim) *Sim {
 
 // TestRecycledKernelArrays: ReleaseRand hands the run's heap and free-list
 // arrays back with every slot cleared and leaves Pending and
-// PendingHighWater at the finished run's values, and a Sim that New builds
+// Stats at the finished run's values, and a Sim that New builds
 // on those arrays replays a queue program with the same (time, seq) pop
-// order, Processed, Pending and PendingHighWater as a Sim on new arrays.
+// order, Processed, Pending and Stats().HeapMax as a Sim on new arrays.
 func TestRecycledKernelArrays(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	taken, grown, left := 0, 0, 0
@@ -35,12 +35,12 @@ func TestRecycledKernelArrays(t *testing.T) {
 		}
 		fresh := playQueueProgram(t, onNewArrays(New(1)), prog)
 		a := fresh.s
-		pending, high, processed := a.Pending(), a.PendingHighWater(), a.Processed()
+		pending, high, processed := a.Pending(), a.Stats().HeapMax, a.Processed()
 		h, heapCap, freeCap := a.arrays, cap(a.heap), cap(a.free)
 		a.ReleaseRand()
-		if a.Pending() != pending || a.PendingHighWater() != high || a.Processed() != processed {
+		if a.Pending() != pending || a.Stats().HeapMax != high || a.Processed() != processed {
 			t.Fatalf("program %d: after ReleaseRand %d pending, high water %d, %d processed; before it %d, %d and %d",
-				i, a.Pending(), a.PendingHighWater(), a.Processed(), pending, high, processed)
+				i, a.Pending(), a.Stats().HeapMax, a.Processed(), pending, high, processed)
 		}
 		if a.heap != nil || a.free != nil || a.arrays != nil {
 			t.Fatalf("program %d: a released Sim still holds its arrays", i)
@@ -82,9 +82,9 @@ func TestRecycledKernelArrays(t *testing.T) {
 		if !slices.Equal(again.pops, fresh.pops) {
 			t.Fatalf("program %d: on handed-back arrays events fired as\n%v\non new arrays as\n%v", i, again.pops, fresh.pops)
 		}
-		if b.Processed() != processed || b.Pending() != pending || b.PendingHighWater() != high {
+		if b.Processed() != processed || b.Pending() != pending || b.Stats().HeapMax != high {
 			t.Fatalf("program %d: on handed-back arrays %d processed, %d pending, high water %d; on new arrays %d, %d and %d",
-				i, b.Processed(), b.Pending(), b.PendingHighWater(), processed, pending, high)
+				i, b.Processed(), b.Pending(), b.Stats().HeapMax, processed, pending, high)
 		}
 	}
 	if taken < 100 || grown == 0 || left == 0 {

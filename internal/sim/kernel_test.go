@@ -270,13 +270,49 @@ func TestPendingHighWater(t *testing.T) {
 		s.ScheduleAfter(Time(i+1)*Microsecond, tickers[i])
 	}
 	tm := s.ScheduleTimer(Second, tickers[0])
-	if got := s.PendingHighWater(); got != 4 {
+	if got := s.Stats().HeapMax; got != 4 {
 		t.Fatalf("high water %d after four schedules, want 4", got)
 	}
 	s.Cancel(tm)
 	s.Run()
-	if got := s.PendingHighWater(); got != 4 || s.Pending() != 0 || tickers[2].n != 50 {
+	if got := s.Stats().HeapMax; got != 4 || s.Pending() != 0 || tickers[2].n != 50 {
 		t.Fatalf("high water %d, pending %d, %d ticks after the run, want 4, 0 and 50", got, s.Pending(), tickers[2].n)
+	}
+}
+
+// TestStatsCounts: a sift step is one iteration of a sift's loop, and
+// every processed event counts once under its handler's Kind.
+func TestStatsCounts(t *testing.T) {
+	if NumKinds&(NumKinds-1) != 0 {
+		t.Fatalf("NumKinds = %d, want a power of two: step masks the index with it", NumKinds)
+	}
+	// Six events pushed in time order: each push but the first compares
+	// with its parent once, and stays. Closing the root popping 1 left, 6
+	// moves from the tail down one level under 2, then finds no children
+	// (two iterations); popping 2, 5 moves down under 3 and finds none
+	// (two); popping 3, 4 and 5, the tail compares once and stays.
+	s := New(1)
+	c := &counter{}
+	for i := range 6 {
+		s.Schedule(Time(i+1), c)
+	}
+	s.Run()
+	want := Stats{HeapMax: 6, SiftDown: 7, SiftUp: 5}
+	want.Events[KindOther] = 6
+	if got := s.Stats(); got != want {
+		t.Fatalf("Stats %+v, want %+v", got, want)
+	}
+	// Pushed in reverse order, each of four more events moves its hole up
+	// one level, to the root, where the loop ends.
+	s = New(1)
+	for i := range 5 {
+		s.Schedule(Time(5-i), c)
+	}
+	if got := s.Stats(); got.SiftUp != 4 || got.SiftDown != 0 {
+		t.Fatalf("five pushes in reverse order: %+v, want 4 steps up and none down", got)
+	}
+	if KindPipe.String() != "pipe" || NumKinds.String() != "kind8" {
+		t.Fatalf("kind names %q and %q", KindPipe, NumKinds)
 	}
 }
 

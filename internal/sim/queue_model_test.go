@@ -13,7 +13,8 @@ import (
 // kernel's vacant root is open: Run and RunUntil return with it closed.
 // TestEventQueueModel feeds it random programs and requires every
 // vacant-root case to have occurred; FuzzEventQueue feeds it whatever the
-// fuzzer finds.
+// fuzzer finds. The reference also counts the events fired per Kind and
+// the most events queued at once, which the kernel's Stats must match.
 
 // qnode is one scheduled callback in both worlds: the Handler the kernel
 // runs and the reference's record of where that callback should be.
@@ -25,6 +26,10 @@ type qnode struct {
 	queued   bool
 	at       Time // last armed time: Timer.When for a valid handle
 	seq      uint64
+	// kind spreads the nodes over every Kind, so the counts check that an
+	// event keeps the kind it was armed with however it is re-armed, and
+	// that a recycled event takes its new one.
+	kind Kind
 }
 
 type qmodel struct {
@@ -39,6 +44,8 @@ type qmodel struct {
 	handles []*qnode // every retained node ever made, stale ones included
 	stash   []uint64 // seqs reserved earlier, not yet armed (netem.Pipe's pattern)
 	fired   int
+	byKind  [NumKinds]uint64 // events fired per Kind
+	most    int              // the most nodes queued at once
 	// leftVacant: the last handler returned with the root still vacant.
 	leftVacant bool
 	cover      map[string]int
@@ -129,6 +136,10 @@ func (m *qmodel) check(where string) {
 	if got, want := m.s.Pending(), m.queuedCount(); got != want {
 		m.t.Fatalf("%s: Pending() = %d, reference %d (vacant=%v)", where, got, want, m.s.vacant)
 	}
+	m.most = max(m.most, m.queuedCount())
+	if st := m.s.Stats(); st.HeapMax != m.most || st.Events != m.byKind {
+		m.t.Fatalf("%s: Stats heap max %d and events by kind %v, reference %d and %v", where, st.HeapMax, st.Events, m.most, m.byKind)
+	}
 	if m.s.nextSeq != m.nextSeq {
 		m.t.Fatalf("%s: kernel consumed %d seqs, reference %d", where, m.s.nextSeq, m.nextSeq)
 	}
@@ -145,7 +156,7 @@ func (m *qmodel) check(where string) {
 }
 
 func (m *qmodel) newNode(retained bool) *qnode {
-	n := &qnode{m: m, retained: retained}
+	n := &qnode{m: m, retained: retained, kind: Kind(len(m.nodes) % int(NumKinds))}
 	m.nodes = append(m.nodes, n)
 	if retained {
 		m.handles = append(m.handles, n)
@@ -176,18 +187,19 @@ func (m *qmodel) op(self *qnode) {
 	case 0, 1: // fire-and-forget (1 was the payload kind: committed programs keep their meaning)
 		n, at := m.newNode(false), m.when()
 		m.enqueue(n, at, m.takeSeq())
-		s.Schedule(at, n)
+		s.Schedule(at, n, n.kind)
 	case 2:
 		n, at := m.newNode(true), m.when()
 		m.enqueue(n, at, m.takeSeq())
-		n.tm = s.ScheduleTimer(at, n)
+		n.tm = s.ScheduleTimer(at, n, n.kind)
 	case 3: // reserved seq
 		n, at := m.newNode(true), m.when()
 		seq := m.reserved()
 		m.enqueue(n, at, seq)
-		n.tm = s.ScheduleTimerSeq(at, seq, n)
+		n.tm = s.ScheduleTimerSeq(at, seq, n, n.kind)
 	case 4: // closure
 		n, at := m.newNode(true), m.when()
+		n.kind = KindOther // the kernel runs a closure, which names no kind
 		m.enqueue(n, at, m.takeSeq())
 		n.tm = s.At(at, func() { n.RunEvent(s.Now()) })
 	case 5, 6: // Reschedule / RescheduleSeq, any handle or self
@@ -278,6 +290,7 @@ func (n *qnode) RunEvent(now Time) {
 	n.queued = false
 	m.now = now
 	m.fired++
+	m.byKind[n.kind]++
 	m.pops = append(m.pops, qpop{now, n.seq})
 	m.check("handler entry")
 	ops := m.next() % 4

@@ -19,6 +19,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"strconv"
 	"sync"
@@ -77,6 +78,49 @@ type Handler interface {
 	RunEvent(now Time)
 }
 
+// Kind classes an event by the component that handles it, for the count
+// of events processed per kind (Stats.Events). The component names it when
+// it arms a new event (Schedule, ScheduleAfter, ScheduleTimer and
+// ScheduleTimerSeq take it as an optional last argument), and the event
+// keeps it through every re-arm, so running one costs one indexed
+// increment. An event armed without one, such as a closure from At or
+// After, counts as KindOther. The kernel asks no handler for its kind: a
+// type assertion at every arm would make the runtime grow its assertion
+// cache, an allocation, at random times on the packet path.
+type Kind uint8
+
+// The kinds, eight so that a mask bounds the index: every event of the
+// model is armed with one of the seven below KindOther.
+const (
+	KindOther      Kind = iota // an event armed without a kind
+	KindQueue                  // a link queue finishing a packet's service
+	KindPipe                   // a pipe delivering a packet
+	KindRTO                    // a TCP sender's retransmission timer
+	KindDelayedAck             // a TCP receiver's delayed-ACK timer
+	KindFlow                   // a flow starting or stopping, a stream's sender asking for bytes
+	KindControl                // a timeline setpoint, MPTCP probe control's tick
+	KindObserve                // a run's invariant monitor, window snapshot or tracer
+	NumKinds
+)
+
+var kindNames = [NumKinds]string{"other", "queue", "pipe", "rto", "delack", "flow", "control", "observe"}
+
+// String names k as mptcpsim profile prints it.
+func (k Kind) String() string {
+	if k < NumKinds {
+		return kindNames[k]
+	}
+	return "kind" + strconv.Itoa(int(k))
+}
+
+// kindOf is the Kind an arming call was given, KindOther without one.
+func kindOf(kind []Kind) Kind {
+	if len(kind) > 0 {
+		return kind[0]
+	}
+	return KindOther
+}
+
 // funcHandler adapts a closure to Handler for At and After. A func value is
 // pointer-shaped, so storing one in the interface does not allocate.
 type funcHandler func()
@@ -94,6 +138,7 @@ type Event struct {
 	// retained marks events whose Timer handle escaped to a caller: they
 	// are never auto-recycled, keeping Cancel/Reschedule re-arm semantics.
 	retained bool
+	kind     Kind // named when the event is issued
 
 	cb Handler
 }
@@ -134,11 +179,15 @@ type Sim struct {
 	arrays  *kernelArrays // the holder heap and free came in, until ReleaseRand
 	nextSeq uint64
 	rng     *rand.Rand
-	nEvents uint64 // processed events (for diagnostics)
-	peak    int    // most events pending at once (for diagnostics)
-	left    int    // events pending when ReleaseRand ended the run
-	over    bool   // ReleaseRand ended the run: nothing may schedule or advance
+	peak    int  // most events pending at once (for diagnostics)
+	left    int  // events pending when ReleaseRand ended the run
+	over    bool // ReleaseRand ended the run: nothing may schedule or advance
 	aux     any
+	// siftDowns and siftUps count the loop iterations of siftDown and
+	// siftUp; kinds counts processed events by Kind, and Processed sums
+	// it. Stats reports them.
+	siftDowns, siftUps uint64
+	kinds              [NumKinds]uint64
 }
 
 // slabEvents is how many events one free-list miss allocates together, as
@@ -189,7 +238,7 @@ func (s *Sim) Rand() *rand.Rand {
 // every Schedule* and Reschedule*, Cancel, Free, RunUntil and Run panic,
 // naming what was called, so a finished network cannot advance over memory
 // handed back to other runs; the run's counters (Now, Processed, Pending,
-// PendingHighWater) stay readable. The events stay with the run: a
+// Stats) stay readable. The events stay with the run: a
 // finished network's components still hold Timers into them. A second
 // ReleaseRand does nothing.
 func (s *Sim) ReleaseRand() {
@@ -215,8 +264,15 @@ func (s *Sim) live(op string) {
 	}
 }
 
-// Processed reports how many events have been executed so far.
-func (s *Sim) Processed() uint64 { return s.nEvents }
+// Processed reports how many events have been executed so far: the sum
+// of Stats().Events, which step counts instead of a total.
+func (s *Sim) Processed() uint64 {
+	var n uint64
+	for _, k := range s.kinds {
+		n += k
+	}
+	return n
+}
 
 // Aux returns the per-simulation attachment installed by SetAux, or nil.
 func (s *Sim) Aux() any { return s.aux }
@@ -286,7 +342,7 @@ func (a slot) before(b slot) bool {
 func (s *Sim) push(x slot) {
 	if s.vacant {
 		s.vacant = false
-		s.siftDown(0, x)
+		s.siftedDown(0, s.siftDown(0, x))
 		return
 	}
 	s.heap = append(s.heap, x)
@@ -299,10 +355,13 @@ func (s *Sim) push(x slot) {
 }
 
 // siftUp places x into the hole at slot i, moving the hole toward the root
-// while x sorts before the hole's parent.
+// while x sorts before the hole's parent. It counts its loop iterations on
+// the Sim: a local would take it past the compiler's inlining budget, and
+// push and rekey would call it.
 func (s *Sim) siftUp(i int, x slot) {
 	h := s.heap
 	for i > 0 {
+		s.siftUps++
 		p := (i - 1) >> 2
 		if !x.before(h[p]) {
 			break
@@ -316,8 +375,9 @@ func (s *Sim) siftUp(i int, x slot) {
 }
 
 // siftDown places x into the hole at slot i, moving the hole toward the
-// leaves while its smallest child sorts before x.
-func (s *Sim) siftDown(i int, x slot) {
+// leaves while its smallest child sorts before x, and returns the slot x
+// went to, for its caller to count the sift (siftedDown).
+func (s *Sim) siftDown(i int, x slot) int {
 	h := s.heap
 	n := len(h)
 	for {
@@ -344,7 +404,22 @@ func (s *Sim) siftDown(i int, x slot) {
 	}
 	h[i] = x
 	x.e.idx = int32(i)
+	return i
 }
+
+// siftedDown counts the loop iterations of a siftDown that moved a hole
+// from slot from to slot to: one per level it moved down and one that
+// ended it. Its callers count rather than siftDown's loop: a counter
+// there, or the Sim live across it, made the compiler spill registers
+// inside the loop over the children, a quarter more time in siftDown on
+// the fat tree.
+func (s *Sim) siftedDown(from, to int) {
+	s.siftDowns += uint64(level(to)-level(from)) + 1
+}
+
+// level is slot i's depth in the 4-ary heap: level L holds the slots from
+// (4^L-1)/3 to (4^(L+1)-1)/3 - 1.
+func level(i int) int { return (bits.Len(uint(3*i+1)) - 1) / 2 }
 
 // takeLast removes and returns the tail slot.
 func (s *Sim) takeLast() slot {
@@ -359,7 +434,7 @@ func (s *Sim) takeLast() slot {
 func (s *Sim) closeVacancy() {
 	s.vacant = false
 	if last := s.takeLast(); len(s.heap) > 0 {
-		s.siftDown(0, last)
+		s.siftedDown(0, s.siftDown(0, last))
 	}
 }
 
@@ -381,7 +456,7 @@ func (s *Sim) rekey(i int, x slot) {
 	if i > 0 && x.before(s.heap[(i-1)>>2]) {
 		s.siftUp(i, x)
 	} else {
-		s.siftDown(i, x)
+		s.siftedDown(i, s.siftDown(i, x))
 	}
 }
 
@@ -424,31 +499,31 @@ func (s *Sim) After(d Time, fn func()) Timer {
 
 // Schedule arms h to run at absolute time t, fire-and-forget: no handle is
 // returned and the event is recycled as it fires. This is the zero-
-// allocation hot path.
-func (s *Sim) Schedule(t Time, h Handler) {
+// allocation hot path. kind, at most one, is the event's Kind.
+func (s *Sim) Schedule(t Time, h Handler, kind ...Kind) {
 	s.live("Schedule")
 	s.checkFuture(t)
 	e := s.alloc()
-	e.cb = h
+	e.cb, e.kind = h, kindOf(kind)
 	s.arm(e, t, s.takeSeq())
 }
 
 // ScheduleAfter arms h to run d after the current time, fire-and-forget.
-func (s *Sim) ScheduleAfter(d Time, h Handler) {
+func (s *Sim) ScheduleAfter(d Time, h Handler, kind ...Kind) {
 	s.live("ScheduleAfter")
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	s.Schedule(s.now+d, h)
+	s.Schedule(s.now+d, h, kind...)
 }
 
 // ScheduleTimer arms h at absolute time t and returns a re-armable handle,
 // for long-lived timers (RTO, delayed ACK) that are cancelled and
 // rescheduled in place. The event stays usable — and allocated — until
-// Free.
-func (s *Sim) ScheduleTimer(t Time, h Handler) Timer {
+// Free. kind, at most one, is the event's Kind for as long as it lives.
+func (s *Sim) ScheduleTimer(t Time, h Handler, kind ...Kind) Timer {
 	s.live("ScheduleTimer")
-	return s.armTimer(t, s.takeSeq(), h)
+	return s.armTimer(t, s.takeSeq(), h, kindOf(kind))
 }
 
 // ReserveSeq hands out one FIFO tie-break sequence number, exactly as
@@ -461,17 +536,17 @@ func (s *Sim) ReserveSeq() uint64 { return s.takeSeq() }
 
 // ScheduleTimerSeq is ScheduleTimer with an explicit sequence number
 // previously obtained from ReserveSeq.
-func (s *Sim) ScheduleTimerSeq(t Time, seq uint64, h Handler) Timer {
+func (s *Sim) ScheduleTimerSeq(t Time, seq uint64, h Handler, kind ...Kind) Timer {
 	s.live("ScheduleTimerSeq")
-	return s.armTimer(t, seq, h)
+	return s.armTimer(t, seq, h, kindOf(kind))
 }
 
 // armTimer arms h at (t, seq) on a retained event and returns its handle:
 // the body of ScheduleTimer and ScheduleTimerSeq.
-func (s *Sim) armTimer(t Time, seq uint64, h Handler) Timer {
+func (s *Sim) armTimer(t Time, seq uint64, h Handler, kind Kind) Timer {
 	s.checkFuture(t)
 	e := s.alloc()
-	e.cb = h
+	e.cb, e.kind = h, kind
 	e.retained = true
 	s.arm(e, t, seq)
 	return Timer{e, e.gen}
@@ -561,9 +636,19 @@ func (s *Sim) Pending() int {
 	return len(s.heap)
 }
 
-// PendingHighWater reports the most events that have been pending at once
-// since New: the deepest the event queue has been.
-func (s *Sim) PendingHighWater() int { return s.peak }
+// Stats is the kernel's work counters for a run since New: what it took
+// to produce the run's result, no part of that result.
+type Stats struct {
+	HeapMax  int              // the most events pending at once
+	SiftDown uint64           // loop iterations of the heap's siftDown
+	SiftUp   uint64           // loop iterations of the heap's siftUp
+	Events   [NumKinds]uint64 // events processed, by their handler's Kind
+}
+
+// Stats reports the kernel's work counters; Events sums to Processed.
+func (s *Sim) Stats() Stats {
+	return Stats{HeapMax: s.peak, SiftDown: s.siftDowns, SiftUp: s.siftUps, Events: s.kinds}
+}
 
 // FreeEvents reports the current size of the event free list (diagnostics
 // and pooling tests).
@@ -593,7 +678,7 @@ func (s *Sim) step() bool {
 	e := top.e
 	e.idx = -1
 	s.now = top.at
-	s.nEvents++
+	s.kinds[e.kind&(NumKinds-1)]++ // NumKinds is a power of two: no bounds check
 	cb := e.cb
 	if !e.retained {
 		// Recycle before dispatch: a handler that immediately reschedules

@@ -230,7 +230,7 @@ func (t *Src) Start(at sim.Time) {
 		panic(fmt.Sprintf("tcp: %s started without a route", t.name))
 	}
 	t.startAt = at
-	t.sim.Schedule(at, &t.startH)
+	t.sim.Schedule(at, &t.startH, sim.KindFlow)
 }
 
 // flight is the number of unacknowledged bytes in the network.
@@ -345,7 +345,7 @@ func (t *Src) requestData() {
 		return
 	}
 	t.stalled = true
-	t.sim.ScheduleAfter(0, &t.stallH)
+	t.sim.ScheduleAfter(0, &t.stallH, sim.KindFlow)
 }
 
 // ExtendFlow assigns n more bytes to a pull-driven source (see OnStalled)
@@ -407,7 +407,7 @@ func (t *Src) armRTO() {
 	if t.rtoTimer.Valid() {
 		t.sim.Reschedule(t.rtoTimer, deadline)
 	} else {
-		t.rtoTimer = t.sim.ScheduleTimer(deadline, t)
+		t.rtoTimer = t.sim.ScheduleTimer(deadline, t, sim.KindRTO)
 	}
 }
 
@@ -804,7 +804,7 @@ func (k *Sink) Recv(p *netem.Packet) {
 			if k.delAckTm.Valid() {
 				k.sim.Reschedule(k.delAckTm, k.sim.Now()+delAckTimeout)
 			} else {
-				k.delAckTm = k.sim.ScheduleTimer(k.sim.Now()+delAckTimeout, k)
+				k.delAckTm = k.sim.ScheduleTimer(k.sim.Now()+delAckTimeout, k, sim.KindDelayedAck)
 			}
 			p.Free()
 			return
