@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check test race allocs fma check lint guard apicheck lock examples conform conform-smoke bench benchcheck clean
+.PHONY: build vet fmt-check test race allocs fma check lint guard deadcode apicheck lock examples conform conform-smoke bench benchcheck clean
 
 build:
 	$(GO) build ./...
@@ -41,7 +41,7 @@ allocs:
 # FMA ratchet: a fused multiply-add rounds once where amd64
 # rounds twice, so an arm64 host can compute different bytes. Count the
 # fused instructions the arm64 compiler emits in the module and fail when
-# more than 45 sit outside internal/fluid and internal/fixedpoint, whose
+# more than 44 sit outside internal/fluid and internal/fixedpoint, whose
 # results are checked against tolerances. The limit only goes down. -a is
 # required: a cached package prints no assembly, which would count 0.
 fma:
@@ -49,7 +49,7 @@ fma:
 	if ! GOARCH=arm64 $(GO) build -a -gcflags='mptcpsim/...=-S' ./internal/... . 2> "$$asm"; then \
 		grep -v '^[[:space:]]' "$$asm"; echo "fma: arm64 build failed"; exit 1; \
 	fi && \
-	awk -F '\t' -v limit=45 ' \
+	awk -F '\t' -v limit=44 ' \
 		$$3 ~ /^(FMADD|FMSUB|FNMADD|FNMSUB)[DS]$$/ { \
 			total++; file = $$2; sub(/^[^(]*\(/, "", file); sub(/:[0-9]+\)$$/, "", file); \
 			if (file !~ /\/internal\/(fluid|fixedpoint)\//) { n++; by[file]++ } \
@@ -60,7 +60,24 @@ fma:
 			if (n > limit) { for (f in by) printf "  %4d %s\n", by[f], f; exit 1 } \
 		}' "$$asm"
 
-check: build vet fmt-check lint guard race allocs fma apicheck
+check: build vet fmt-check lint guard deadcode race allocs fma apicheck
+
+# Dead-code ratchet: every function and method in non-test Go is linked
+# into a binary, or cmd/deadcode/allowlist.txt gives the reason it stays.
+# Build every package main that `go list ./...` finds without inlining (so
+# a function with callers keeps a symbol), and hand cmd/deadcode the files
+# `go list` names and each binary's `go tool nm` symbols. It fails on a
+# declaration no binary links that the allowlist does not name, and on an
+# allowlist line with no reason or a stale one (its symbol now linked, or
+# no longer declared), so the list only shrinks. A test-only accessor is
+# not a reason: the test reads the field.
+deadcode:
+	@bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && \
+	pkgs=$$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...) && \
+	$(GO) build -gcflags=all=-l -o "$$bin/" $$pkgs && \
+	$(GO) list -f 'package {{.ImportPath}} {{.Module.Path}} {{join .GoFiles " "}}' ./... > "$$bin/input" && \
+	for pkg in $$pkgs; do echo "binary $$pkg" && $(GO) tool nm "$$bin/$${pkg##*/}" || exit 1; done >> "$$bin/input" && \
+	$(GO) run ./cmd/deadcode < "$$bin/input"
 
 # Repository-specific static analysis (internal/lint via cmd/simlint):
 # determinism (no wall clock / global rand / goroutines / order-sensitive

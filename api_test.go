@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -18,6 +19,14 @@ func TestAlgorithmsList(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("algorithms %v, want %v", got, want)
 		}
+	}
+}
+
+func TestSchedulersList(t *testing.T) {
+	got := Schedulers()
+	want := []string{"ecf", "minrtt", "pull", "redundant", "roundrobin"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("schedulers %v, want %v", got, want)
 	}
 }
 

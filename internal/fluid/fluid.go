@@ -93,19 +93,6 @@ const (
 	Uncoupled
 )
 
-func (a Algo) String() string {
-	switch a {
-	case OLIA:
-		return "olia"
-	case LIA:
-		return "lia"
-	case Uncoupled:
-		return "uncoupled"
-	default:
-		return fmt.Sprintf("algo(%d)", int(a))
-	}
-}
-
 // ParseAlgo maps a packet-level controller name to its fluid dynamics.
 // Single-route users behave identically under every Algo (each reduces to
 // per-path TCP), so only the multipath coupling needs to match.

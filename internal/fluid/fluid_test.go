@@ -251,11 +251,13 @@ func TestIndexAndDimensions(t *testing.T) {
 	}
 }
 
-func TestAlgoString(t *testing.T) {
-	if OLIA.String() != "olia" || LIA.String() != "lia" || Uncoupled.String() != "uncoupled" {
-		t.Fatal("names")
+func TestParseAlgo(t *testing.T) {
+	for name, want := range map[string]Algo{"olia": OLIA, "lia": LIA, "uncoupled": Uncoupled} {
+		if got, err := ParseAlgo(name); err != nil || got != want {
+			t.Fatalf("ParseAlgo(%q) = %d, %v; want %d", name, got, err, want)
+		}
 	}
-	if Algo(9).String() == "" {
-		t.Fatal("unknown algo should still render")
+	if _, err := ParseAlgo("fullycoupled"); err == nil {
+		t.Fatal("an algorithm with no fluid dynamics parsed")
 	}
 }

@@ -104,15 +104,6 @@ type Result struct {
 	Series []Series `json:"series,omitempty"`
 }
 
-// ColumnNames lists the column names in order.
-func (r *Result) ColumnNames() []string {
-	out := make([]string, len(r.Columns))
-	for i, c := range r.Columns {
-		out[i] = c.Name
-	}
-	return out
-}
-
 // Cell returns the cell at (row, col), or a zero Cell when out of range.
 func (r *Result) Cell(row, col int) Cell {
 	if row < 0 || row >= len(r.Rows) || col < 0 || col >= len(r.Rows[row]) {

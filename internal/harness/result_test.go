@@ -12,6 +12,15 @@ import (
 	"mptcpsim/internal/stats"
 )
 
+// columnNames lists r's column names in order.
+func columnNames(r *Result) []string {
+	out := make([]string, len(r.Columns))
+	for i, c := range r.Columns {
+		out[i] = c.Name
+	}
+	return out
+}
+
 // sampleResult builds a small Result exercising every cell kind: text,
 // plain numbers, seed summaries, preamble/footer, and a series.
 func sampleResult() *Result {
@@ -143,8 +152,8 @@ func TestGenericText(t *testing.T) {
 
 func TestResultAccessors(t *testing.T) {
 	r := sampleResult()
-	if got := r.ColumnNames(); !reflect.DeepEqual(got, []string{"algo", "rate", "flips"}) {
-		t.Fatalf("ColumnNames %v", got)
+	if got := columnNames(r); !reflect.DeepEqual(got, []string{"algo", "rate", "flips"}) {
+		t.Fatalf("column names %v", got)
 	}
 	if v, ok := r.Value(1, "rate"); !ok || v != 2.5 {
 		t.Fatalf("Value(1, rate) = %v, %v", v, ok)
@@ -235,8 +244,8 @@ func TestRunAllJSONParses(t *testing.T) {
 		t.Fatalf("unexpected results: %d entries", len(got))
 	}
 	wantCols := []string{"cx_over_ct", "single_blue", "single_red", "multi_blue", "multi_red"}
-	if !reflect.DeepEqual(got[0].ColumnNames(), wantCols) {
-		t.Fatalf("fig4a columns %v, want %v", got[0].ColumnNames(), wantCols)
+	if cols := columnNames(&got[0]); !reflect.DeepEqual(cols, wantCols) {
+		t.Fatalf("fig4a columns %v, want %v", cols, wantCols)
 	}
 	if len(got[0].Rows) != 11 {
 		t.Fatalf("fig4a rows %d, want the 11-point CX/CT sweep", len(got[0].Rows))

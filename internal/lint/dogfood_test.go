@@ -49,7 +49,7 @@ func TestDogfood(t *testing.T) {
 		poolsafety.Analyzer,
 		unitsafety.Analyzer,
 	}
-	diags, err := lint.Run(prog, pkgs, analyzers)
+	diags, err := lint.RunSelected(prog, pkgs, analyzers, analyzers)
 	if err != nil {
 		t.Fatal(err)
 	}

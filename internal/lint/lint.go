@@ -70,20 +70,15 @@ type Diagnostic struct {
 	Message  string `json:"message"`
 }
 
-// Run applies the analyzers to each package (honoring AppliesTo), applies
-// the //simlint:ignore suppression pass per package, and returns the
-// surviving findings sorted by position. Suppression misuse — a missing
-// reason, an unknown analyzer name, a directive that matched nothing — is
-// itself returned as a finding attributed to the pseudo-analyzer "simlint".
-func Run(prog *loader.Program, pkgs []*loader.Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunSelected(prog, pkgs, analyzers, analyzers)
-}
-
-// RunSelected is Run with the catalog and the selection split: only
-// selected analyzers execute, but //simlint:ignore directives naming any
-// cataloged analyzer stay valid — running a -run subset must not turn the
-// other analyzers' suppressions into unknown-name findings (nor report
-// them unused, since they never got the chance to match).
+// RunSelected applies the selected analyzers to each package (honoring
+// AppliesTo), applies the //simlint:ignore suppression pass per package, and
+// returns the surviving findings sorted by position. Suppression misuse — a
+// missing reason, an unknown analyzer name, a directive that matched nothing
+// — is itself returned as a finding attributed to the pseudo-analyzer
+// "simlint". Directives naming any cataloged analyzer stay valid: running a
+// -run subset must not turn the other analyzers' suppressions into
+// unknown-name findings (nor report them unused, since they never got the
+// chance to match). Pass the same list twice to run every analyzer.
 func RunSelected(prog *loader.Program, pkgs []*loader.Package, catalog, selected []*Analyzer) ([]Diagnostic, error) {
 	var out []Diagnostic
 	for _, pkg := range pkgs {

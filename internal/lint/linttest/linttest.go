@@ -42,7 +42,7 @@ func Run(t *testing.T, testdata string, pkgPath string, analyzers ...*lint.Analy
 	if err != nil {
 		t.Fatalf("linttest: loading %s: %v", pkgPath, err)
 	}
-	diags, err := lint.Run(prog, pkgs, analyzers)
+	diags, err := lint.RunSelected(prog, pkgs, analyzers, analyzers)
 	if err != nil {
 		t.Fatalf("linttest: running analyzers on %s: %v", pkgPath, err)
 	}

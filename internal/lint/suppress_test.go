@@ -49,7 +49,8 @@ func TestSuppressions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := Run(prog, pkgs, []*Analyzer{dummy, notran})
+	all := []*Analyzer{dummy, notran}
+	diags, err := RunSelected(prog, pkgs, all, all)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,15 +157,6 @@ func (c *Conn) SetPathUp(i int, up bool) {
 // PathUp reports whether subflow i is administratively up.
 func (c *Conn) PathUp(i int) bool { return !c.subs[i].Src.Frozen() }
 
-// GoodputBytes sums in-order bytes delivered across subflows.
-func (c *Conn) GoodputBytes() int64 {
-	var total int64
-	for _, sf := range c.subs {
-		total += sf.Sink.GoodputBytes()
-	}
-	return total
-}
-
 // NumFlows implements core.ConnView.
 func (c *Conn) NumFlows() int { return len(c.subs) }
 

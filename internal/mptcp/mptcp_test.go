@@ -125,7 +125,7 @@ func TestGoalOneImproveThroughput(t *testing.T) {
 		rig := newTwoLinkRig(2, rate10M, 5, 5, ctrl)
 		rig.conn.Start(300 * sim.Millisecond)
 		rig.run(60 * sim.Second)
-		mp := float64(rig.conn.GoodputBytes())
+		mp := rig.subGoodput(0) + rig.subGoodput(1)
 		tcpShare := (rig.bgGoodputAvg(0) + rig.bgGoodputAvg(1)) / 2
 		// Equilibrium total equals one best-path TCP share; the multipath
 		// ramp-up (subflows start at w=1 in CA, §IV-B) costs ~10% over a
@@ -141,7 +141,7 @@ func TestUncoupledTakesTwoShares(t *testing.T) {
 	rig := newTwoLinkRig(3, rate10M, 5, 5, core.NewUncoupled())
 	rig.conn.Start(300 * sim.Millisecond)
 	rig.run(60 * sim.Second)
-	mp := float64(rig.conn.GoodputBytes())
+	mp := rig.subGoodput(0) + rig.subGoodput(1)
 	tcpShare := (rig.bgGoodputAvg(0) + rig.bgGoodputAvg(1)) / 2
 	// ε=2 behaves as two independent TCP flows: roughly double share.
 	if mp < 1.5*tcpShare {
@@ -154,8 +154,8 @@ func TestFullyCoupledDelivers(t *testing.T) {
 	rig := newTwoLinkRig(4, rate10M, 5, 5, core.NewFullyCoupled())
 	rig.conn.Start(300 * sim.Millisecond)
 	rig.run(60 * sim.Second)
-	if rig.conn.GoodputBytes() < 2e6 {
-		t.Fatalf("fully coupled stalled: %d bytes", rig.conn.GoodputBytes())
+	if mp := rig.subGoodput(0) + rig.subGoodput(1); mp < 2e6 {
+		t.Fatalf("fully coupled stalled: %.0f bytes", mp)
 	}
 }
 
@@ -176,8 +176,23 @@ func TestConnViewImplementation(t *testing.T) {
 	}
 }
 
+// firstAck records, per subflow, the congestion-avoidance flag its first
+// ACK reaches the controller with: the phase the subflow started in.
+type firstAck struct {
+	core.Controller
+	inCA map[int]bool
+}
+
+func (f *firstAck) Acked(v core.ConnView, i int, n int, inCA bool) float64 {
+	if _, seen := f.inCA[i]; !seen {
+		f.inCA[i] = inCA
+	}
+	return f.Controller.Acked(v, i, n, inCA)
+}
+
 func TestMultipathSubflowConfig(t *testing.T) {
-	rig := newTwoLinkRig(6, rate10M, 1, 1, core.NewOLIA())
+	ctrl := &firstAck{Controller: core.NewOLIA(), inCA: map[int]bool{}}
+	rig := newTwoLinkRig(6, rate10M, 1, 1, ctrl)
 	rig.conn.Start(0)
 	// After Start with 2 subflows, each subflow must begin in congestion
 	// avoidance with a 1-packet window (§IV-B).
@@ -185,15 +200,19 @@ func TestMultipathSubflowConfig(t *testing.T) {
 		if w := sf.Src.CwndPkts(); w != 1 {
 			t.Fatalf("subflow %d cwnd %v, want 1", i, w)
 		}
-		if !sf.Src.InCA() {
-			t.Fatalf("subflow %d not in CA at start", i)
+	}
+	rig.run(sim.Second)
+	for i := range rig.conn.Subflows() {
+		if inCA, seen := ctrl.inCA[i]; !seen || !inCA {
+			t.Fatalf("subflow %d not in CA at start (acked %v)", i, seen)
 		}
 	}
 }
 
 func TestSinglePathConnKeepsTCPDefaults(t *testing.T) {
 	s := sim.New(1)
-	conn := New(s, "sp", core.NewOLIA(), tcp.Config{})
+	ctrl := &firstAck{Controller: core.NewOLIA(), inCA: map[int]bool{}}
+	conn := New(s, "sp", ctrl, tcp.Config{})
 	sf := conn.AddSubflow(0)
 	link := netem.NewLink(s, netem.LinkConfig{RateBps: rate10M, Delay: sim.Millisecond, Kind: netem.QueueDropTail}, "l")
 	rev := netem.NewLink(s, netem.LinkConfig{RateBps: rate10M, Delay: sim.Millisecond, Kind: netem.QueueDropTail}, "r")
@@ -202,8 +221,9 @@ func TestSinglePathConnKeepsTCPDefaults(t *testing.T) {
 	if w := sf.Src.CwndPkts(); w != 2 {
 		t.Fatalf("single-path cwnd %v, want TCP default 2", w)
 	}
-	if sf.Src.InCA() {
-		t.Fatal("single-path conn must slow-start")
+	s.RunUntil(100 * sim.Millisecond)
+	if inCA, seen := ctrl.inCA[0]; !seen || inCA {
+		t.Fatalf("single-path conn must slow-start (acked %v)", seen)
 	}
 }
 

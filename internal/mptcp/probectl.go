@@ -105,11 +105,3 @@ func (c *Conn) SuspendCount(i int) int {
 	}
 	return c.probeStates[i].suspends
 }
-
-// Suspended reports whether subflow i is currently paused by probe control.
-func (c *Conn) Suspended(i int) bool {
-	if c.probeStates == nil {
-		return false
-	}
-	return c.probeStates[i].suspended
-}

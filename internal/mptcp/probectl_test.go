@@ -37,7 +37,7 @@ func TestProbeControlNeverSuspendsAllPaths(t *testing.T) {
 	rig.conn.EnableProbeControl()
 	for i := 1; i <= 60; i++ {
 		rig.run(sim.Time(i) * sim.Second)
-		if rig.conn.Suspended(0) && rig.conn.Suspended(1) {
+		if rig.conn.probeStates[0].suspended && rig.conn.probeStates[1].suspended {
 			t.Fatalf("both paths suspended at %v", rig.s.Now())
 		}
 	}
@@ -64,7 +64,7 @@ func TestProbeControlResumesRecoveredPath(t *testing.T) {
 
 func TestProbeControlDisabledAccessors(t *testing.T) {
 	rig := newTwoLinkRig(14, rate10M, 1, 1, core.NewOLIA())
-	if rig.conn.SuspendCount(0) != 0 || rig.conn.Suspended(0) {
+	if rig.conn.SuspendCount(0) != 0 || rig.conn.probeStates != nil && rig.conn.probeStates[0].suspended {
 		t.Fatal("accessors must be inert without probe control")
 	}
 }
@@ -87,9 +87,6 @@ func TestPauseResumeSemantics(t *testing.T) {
 	src := rig.conn.Subflows()[0].Src
 	before := rig.conn.Subflows()[0].Sink.GoodputBytes()
 	src.Pause()
-	if !src.Paused() {
-		t.Fatal("Paused() false after Pause")
-	}
 	rig.run(10 * sim.Second)
 	during := rig.conn.Subflows()[0].Sink.GoodputBytes()
 	// Only in-flight data may drain: less than a window's worth.
@@ -97,9 +94,6 @@ func TestPauseResumeSemantics(t *testing.T) {
 		t.Fatalf("paused subflow delivered %d bytes", during-before)
 	}
 	src.Resume()
-	if src.Paused() {
-		t.Fatal("Paused() true after Resume")
-	}
 	// Resume on a non-paused source is a no-op.
 	src.Resume()
 	rig.run(20 * sim.Second)

@@ -56,7 +56,7 @@ func TestStreamFlapStallRegression(t *testing.T) {
 }
 
 // TestStreamFlapCompletesUnderEverySchedulerDownUp: a down/up flap
-// mid-transfer must not stall any policy; AssignedTo may exceed the stream
+// mid-transfer must not stall any policy; assignedTo may exceed the stream
 // length because reinjected spans count on both subflows.
 func TestStreamFlapCompletesUnderEveryScheduler(t *testing.T) {
 	for _, name := range Schedulers() {
@@ -71,7 +71,7 @@ func TestStreamFlapCompletesUnderEveryScheduler(t *testing.T) {
 				t.Fatalf("%s stalled: in-order %d / %d", name,
 					st.InOrderBytes(), st.TotalBytes())
 			}
-			if sum := st.AssignedTo(0) + st.AssignedTo(1); sum < st.TotalBytes() {
+			if sum := assignedTo(st, 0) + assignedTo(st, 1); sum < st.TotalBytes() {
 				t.Fatalf("assignment accounting lost data: %d < %d", sum, st.TotalBytes())
 			}
 			if st.DeliveredBytes() != st.TotalBytes() {
@@ -250,9 +250,9 @@ func TestMinRTTStreamPrefersFastPath(t *testing.T) {
 	if !st.Done() {
 		t.Fatal("not done")
 	}
-	if st.AssignedTo(0) <= st.AssignedTo(1) {
+	if assignedTo(st, 0) <= assignedTo(st, 1) {
 		t.Fatalf("minrtt loaded slow path: fast %d vs slow %d",
-			st.AssignedTo(0), st.AssignedTo(1))
+			assignedTo(st, 0), assignedTo(st, 1))
 	}
 }
 
@@ -267,7 +267,7 @@ func TestRoundRobinStreamBalances(t *testing.T) {
 	}
 	// Strict alternation is broken only when one window fills (rr skips a
 	// full subflow), so the split stays near even without being exact.
-	a0, a1 := st.AssignedTo(0), st.AssignedTo(1)
+	a0, a1 := assignedTo(st, 0), assignedTo(st, 1)
 	if ratio := float64(a0) / float64(a1); ratio < 0.8 || ratio > 1.25 {
 		t.Fatalf("rr imbalance: %d vs %d (ratio %.2f)", a0, a1, ratio)
 	}
@@ -282,8 +282,8 @@ func TestECFStreamCompletes(t *testing.T) {
 	if !st.Done() {
 		t.Fatalf("ecf stalled: in-order %d / %d", st.InOrderBytes(), st.TotalBytes())
 	}
-	if st.AssignedTo(0) <= st.AssignedTo(1) {
-		t.Fatalf("ecf loaded slow path: %d vs %d", st.AssignedTo(0), st.AssignedTo(1))
+	if assignedTo(st, 0) <= assignedTo(st, 1) {
+		t.Fatalf("ecf loaded slow path: %d vs %d", assignedTo(st, 0), assignedTo(st, 1))
 	}
 }
 
@@ -303,9 +303,9 @@ func TestRedundantStream(t *testing.T) {
 			st.DeliveredBytes(), st.TotalBytes())
 	}
 	// The fast subflow must have walked the entire stream.
-	if st.AssignedTo(0) != st.TotalBytes() {
+	if assignedTo(st, 0) != st.TotalBytes() {
 		t.Fatalf("fast subflow assigned %d, want full stream %d",
-			st.AssignedTo(0), st.TotalBytes())
+			assignedTo(st, 0), st.TotalBytes())
 	}
 }
 
@@ -323,7 +323,7 @@ func TestSchedulerDeterminism(t *testing.T) {
 			if !st.Done() {
 				t.Fatalf("%s incomplete", name)
 			}
-			return st.AssignedTo(0), st.AssignedTo(1), st.CompletionTime()
+			return assignedTo(st, 0), assignedTo(st, 1), st.CompletionTime()
 		}
 		a0, a1, ct := run()
 		b0, b1, ct2 := run()

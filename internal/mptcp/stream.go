@@ -167,19 +167,6 @@ func (st *Stream) CompletionTime() sim.Time {
 	return st.doneAt - st.startAt
 }
 
-// AssignedTo reports how many data bytes have been scheduled onto subflow i
-// in total (delivered or not) — faster paths pull more, and a reinjected
-// span counts on both its original and its rescue subflow.
-func (st *Stream) AssignedTo(i int) int64 {
-	var sum int64
-	for _, sp := range st.assigned[i] {
-		sum += sp.end - sp.start
-	}
-	// assigned holds only unconsumed spans; add the consumed prefix via the
-	// subflow's cumulative delivery.
-	return sum + st.consumed[i]
-}
-
 // onStall handles subflow i draining its assignment: in redundant mode the
 // subflow advances its own cursor, otherwise it joins the hungry set and
 // the scheduler decides who gets the next chunk.

@@ -62,9 +62,6 @@ func NewQueue(s *sim.Sim, cfg LinkConfig, name string) Queue {
 	}
 }
 
-// Hops returns the link's elements in traversal order, for route building.
-func (l *Link) Hops() []Node { return []Node{l.Q, l.P} }
-
 // Recv lets a Link act as a single Node (rarely needed; routes normally
 // include Q and P separately so the pipe is addressable).
 func (l *Link) Recv(p *Packet) { l.Q.Recv(p) }

@@ -116,8 +116,8 @@ func TestQueueSetRateMidService(t *testing.T) {
 	})
 	s.At(sim.Millisecond, func() {
 		q.SetRateBps(10_000_000) // MSS tx time: 1.2ms
-		if q.RateBps() != 10_000_000 {
-			t.Errorf("RateBps() = %d after SetRateBps", q.RateBps())
+		if q.rateBps != 10_000_000 {
+			t.Errorf("rate %d b/s after SetRateBps", q.rateBps)
 		}
 	})
 	s.Run()
@@ -196,8 +196,8 @@ func TestRandomLossSetProbFullThenClear(t *testing.T) {
 	if c.Count != 8 {
 		t.Fatalf("collector saw %d packets, want 8", c.Count)
 	}
-	if loss.Prob() != 0 {
-		t.Fatalf("Prob() = %g, want 0", loss.Prob())
+	if loss.prob != 0 {
+		t.Fatalf("prob = %g, want 0", loss.prob)
 	}
 }
 

@@ -314,15 +314,15 @@ func TestREDIdleDecay(t *testing.T) {
 		mkData(s, int64(i), MSS, r).SendOn()
 	}
 	s.Run()
-	peak := q.AvgLen()
+	peak := q.avg
 	if peak <= 0 {
 		t.Fatal("avg did not rise")
 	}
 	// A long idle period must decay the average toward zero on next arrival.
 	s.At(s.Now()+10*sim.Second, func() { mkData(s, 99, MSS, r).SendOn() })
 	s.Run()
-	if q.AvgLen() >= peak/2 {
-		t.Fatalf("avg %v did not decay from %v after idle", q.AvgLen(), peak)
+	if q.avg >= peak/2 {
+		t.Fatalf("avg %v did not decay from %v after idle", q.avg, peak)
 	}
 }
 
@@ -338,8 +338,8 @@ func TestLinkComposition(t *testing.T) {
 	if at != want {
 		t.Fatalf("delivered at %v, want %v", at, want)
 	}
-	if len(l.Hops()) != 2 {
-		t.Fatalf("hops %d", len(l.Hops()))
+	if l.Q == nil || l.P == nil {
+		t.Fatalf("link elements %v and %v", l.Q, l.P)
 	}
 }
 

@@ -176,9 +176,6 @@ func (p *Packet) SetRoute(r *Route) {
 	p.hop = 0
 }
 
-// Route returns the packet's route (may be nil for locally delivered packets).
-func (p *Packet) Route() *Route { return p.route }
-
 // SendOn forwards the packet to the next hop of its route. It panics if the
 // route is exhausted: protocol endpoints must be the final hop and must not
 // forward further. Forwarding a freed packet panics: that is a lifecycle
@@ -290,10 +287,6 @@ func PoolFor(s *sim.Sim) *PacketPool {
 		panic(fmt.Sprintf("netem: Sim.Aux holds foreign state (%T); the slot is reserved for the packet pool", v))
 	}
 }
-
-// FreeCount reports how many packets of both kinds are waiting for reuse
-// (diagnostics and tests).
-func (pl *PacketPool) FreeCount() int { return pl.data.free.n + pl.acks.free.n }
 
 // PoolStats is how many data segments and how many ACKs a pool has carved
 // slabs for: the run's high-water mark of packets alive at once, per kind

@@ -46,16 +46,16 @@ func TestPacketPoolRecycles(t *testing.T) {
 	}
 	d.Retx = true
 	d.SendOn() // the collector frees it; the hop cursor has moved
-	if pl.FreeCount() != 1 {
-		t.Fatalf("free count %d, want 1", pl.FreeCount())
+	if freeCount(pl) != 1 {
+		t.Fatalf("free count %d, want 1", freeCount(pl))
 	}
 
 	a := pl.NewAck(6000, sim.Millisecond, r)
 	if a == d {
 		t.Fatal("a freed data segment was recycled as an ACK")
 	}
-	if pl.FreeCount() != 1 {
-		t.Fatalf("NewAck took from the data free list: free count %d, want 1", pl.FreeCount())
+	if freeCount(pl) != 1 {
+		t.Fatalf("NewAck took from the data free list: free count %d, want 1", freeCount(pl))
 	}
 	if !a.Ack || a.Retx || a.Seq != 6000 || a.Size != AckSize || a.SentAt != sim.Millisecond {
 		t.Fatalf("ack fields: %+v", a)
@@ -86,8 +86,8 @@ func TestPacketPoolRecycles(t *testing.T) {
 	if !reflect.DeepEqual(*a2, want) || a2.SackLen() != 0 {
 		t.Fatalf("recycled ACK not reset:\n got %+v\nwant %+v", *a2, want)
 	}
-	if pl.FreeCount() != 0 {
-		t.Fatalf("free count %d, want 0", pl.FreeCount())
+	if freeCount(pl) != 0 {
+		t.Fatalf("free count %d, want 0", freeCount(pl))
 	}
 }
 
@@ -110,6 +110,9 @@ func carved(pl *PacketPool) (data, acks int) {
 	st := pl.Stats()
 	return st.Data, st.Acks
 }
+
+// freeCount is how many packets of both kinds wait on pl's free lists.
+func freeCount(pl *PacketPool) int { return pl.data.free.n + pl.acks.free.n }
 
 // TestPacketPoolCarved: Stats counts the packets of the slabs a pool has
 // allocated, per kind, and recycling carves nothing.
@@ -327,20 +330,20 @@ func TestFreePoisonsPackets(t *testing.T) {
 	}
 	for _, p := range ps {
 		p.Free()
-		if p.Seq == 12345 || p.Route() != nil {
+		if p.Seq == 12345 || p.route != nil {
 			t.Fatalf("Free did not poison: %+v", p)
 		}
 	}
-	if pl.FreeCount() != len(ps) {
-		t.Fatalf("free count %d, want %d", pl.FreeCount(), len(ps))
+	if freeCount(pl) != len(ps) {
+		t.Fatalf("free count %d, want %d", freeCount(pl), len(ps))
 	}
 	for i := len(ps) - 1; i >= 0; i-- {
 		if p := pl.NewData(0, 0, MSS, 0, nil); p != ps[i] {
 			t.Fatalf("reuse %d: got %p, want the packet freed %d-th (%p)", len(ps)-i, p, i+1, ps[i])
 		}
 	}
-	if data, acks := carved(pl); pl.FreeCount() != 0 || data != slabPackets || acks != 0 {
-		t.Fatalf("free count %d, carved %d data segments and %d ACKs after reusing every freed packet", pl.FreeCount(), data, acks)
+	if data, acks := carved(pl); freeCount(pl) != 0 || data != slabPackets || acks != 0 {
+		t.Fatalf("free count %d, carved %d data segments and %d ACKs after reusing every freed packet", freeCount(pl), data, acks)
 	}
 }
 
@@ -359,7 +362,7 @@ func TestQueueDropFreesPacket(t *testing.T) {
 	// Only two distinct packets ever exist: the first dropped packet is
 	// recycled into the third NewData before being dropped again, and the
 	// enqueued one is freed by the collector after delivery.
-	if got := pl.FreeCount(); got != 2 {
+	if got := freeCount(pl); got != 2 {
 		t.Fatalf("pool holds %d packets, want 2 (drops recycled mid-loop)", got)
 	}
 	if q.Stats().DroppedPkts != 2 || c.Count != 1 {

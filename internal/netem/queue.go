@@ -42,7 +42,6 @@ func (c Counters) LossProb() float64 {
 type Queue interface {
 	Node
 	Name() string
-	RateBps() int64
 	// SetRateBps retargets the line rate mid-run (fault injection); see
 	// queueCore.SetRateBps for the exact semantics.
 	SetRateBps(int64)
@@ -80,8 +79,7 @@ func (q *queueCore) init(s *sim.Sim, rateBps int64, name string) {
 	q.name = name
 }
 
-func (q *queueCore) Name() string   { return q.name }
-func (q *queueCore) RateBps() int64 { return q.rateBps }
+func (q *queueCore) Name() string { return q.name }
 
 // SetRateBps retargets the line rate mid-run. The packet currently in
 // service keeps the completion time armed when its transmission began (its
@@ -241,9 +239,6 @@ func NewRED(s *sim.Sim, rateBps int64, cfg REDConfig, name string) *RED {
 	q.onEmpty = func() { q.emptyAt = q.sim.Now() }
 	return q
 }
-
-// AvgLen exposes the EWMA queue estimate (packets), for tests and traces.
-func (q *RED) AvgLen() float64 { return q.avg }
 
 // dropProb maps the average queue size to a drop probability per the gentle
 // RED curve.

@@ -128,8 +128,8 @@ func TestReleaseEndsPool(t *testing.T) {
 	if d, a := carved(pl); d != data || a != acks || d != 2*slabPackets || a != slabPackets {
 		t.Fatalf("carved %d data segments and %d ACKs after Release, want %d and %d", d, a, 2*slabPackets, slabPackets)
 	}
-	if pl.FreeCount() != 0 {
-		t.Fatalf("free count %d after Release, want 0", pl.FreeCount())
+	if freeCount(pl) != 0 {
+		t.Fatalf("free count %d after Release, want 0", freeCount(pl))
 	}
 	for i, p := range ps {
 		if p.pool != pl || p.route != nil || p.next != nil || p.listed || !p.freed || p.Seq != poisonSeq {
@@ -163,8 +163,8 @@ func TestReleasePoisonsPackets(t *testing.T) {
 	a := pl.NewAck(6000, 0, r)
 	pl.Release()
 	for _, p := range []*Packet{d, a} {
-		if p.Seq != poisonSeq || p.Route() != nil {
-			t.Errorf("released packet (ack %v) not poisoned: seq %d, route %p", p.Ack, p.Seq, p.Route())
+		if p.Seq != poisonSeq || p.route != nil {
+			t.Errorf("released packet (ack %v) not poisoned: seq %d, route %p", p.Ack, p.Seq, p.route)
 		}
 		if msg := panicOf(p.Free); !strings.Contains(msg, "double free") {
 			t.Errorf("freeing a released packet (ack %v): panic %q, want a double free", p.Ack, msg)
@@ -279,7 +279,7 @@ func viewOf(p *Packet) packetView {
 // checks each against a fresh pool that runs the same gets and frees but
 // never releases. No packet is handed out twice or from a slab another
 // pool holds; every packet taken is in a fresh state, equal to the fresh
-// pool's; Stats and FreeCount equal the fresh pool's, and Stats never
+// pool's; Stats and the free lists equal the fresh pool's, and Stats never
 // decreases, Release included.
 func FuzzRecycledPool(f *testing.F) {
 	const get, free, retain, release = poolGet, poolFree, poolRetain, poolRelease
@@ -368,8 +368,8 @@ func runRecycledProgram(t *testing.T, prog []byte) {
 		case poolRelease:
 			data, acks := carved(rp.pl)
 			rp.pl.Release()
-			if d, a := carved(rp.pl); d != data || a != acks || rp.pl.FreeCount() != 0 {
-				t.Fatalf("step %d: released pool %d carved %d and %d (before: %d and %d), %d free", pc, k, d, a, data, acks, rp.pl.FreeCount())
+			if d, a := carved(rp.pl); d != data || a != acks || freeCount(rp.pl) != 0 {
+				t.Fatalf("step %d: released pool %d carved %d and %d (before: %d and %d), %d free", pc, k, d, a, data, acks, freeCount(rp.pl))
 			}
 			for p, o := range owner {
 				if o == k {
@@ -381,9 +381,9 @@ func runRecycledProgram(t *testing.T, prog []byte) {
 		}
 		data, acks := carved(rp.pl)
 		refData, refAcks := carved(rp.ref)
-		if data != refData || acks != refAcks || rp.pl.FreeCount() != rp.ref.FreeCount() {
+		if data != refData || acks != refAcks || freeCount(rp.pl) != freeCount(rp.ref) {
 			t.Fatalf("step %d: pool %d carved %d and %d with %d free, the fresh pool %d and %d with %d free",
-				pc, k, data, acks, rp.pl.FreeCount(), refData, refAcks, rp.ref.FreeCount())
+				pc, k, data, acks, freeCount(rp.pl), refData, refAcks, freeCount(rp.ref))
 		}
 		if data < rp.carved[0] || acks < rp.carved[1] {
 			t.Fatalf("step %d: pool %d carved fell from %v to [%d %d]", pc, k, rp.carved, data, acks)

@@ -44,9 +44,6 @@ func NewRandomLoss(s *sim.Sim, p float64) *RandomLoss {
 	return &RandomLoss{sim: s, prob: p}
 }
 
-// Prob reports the configured drop probability.
-func (l *RandomLoss) Prob() float64 { return l.prob }
-
 // SetProb retargets the drop probability mid-run; packets that already
 // passed the element are unaffected. A probability of 0 consumes no
 // randomness, so an idle loss element never perturbs the RNG stream.

@@ -51,15 +51,6 @@ type Flow struct {
 	AckTap *netem.Tap
 }
 
-// GoodputBytes sums in-order bytes delivered across the flow's paths.
-func (f *Flow) GoodputBytes() int64 {
-	var total int64
-	for _, k := range f.Sinks {
-		total += k.GoodputBytes()
-	}
-	return total
-}
-
 // SentPkts sums data segments transmitted (retransmissions included)
 // across the flow's senders.
 func (f *Flow) SentPkts() int64 {

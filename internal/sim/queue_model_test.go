@@ -24,7 +24,7 @@ type qnode struct {
 	retained bool
 	freed    bool // the handle went stale (Free)
 	queued   bool
-	at       Time // last armed time: Timer.When for a valid handle
+	at       Time // last armed time: the event's at for a valid handle
 	seq      uint64
 	// kind spreads the nodes over every Kind, so the counts check that an
 	// event keeps the kind it was armed with however it is re-armed, and
@@ -144,13 +144,9 @@ func (m *qmodel) check(where string) {
 		m.t.Fatalf("%s: kernel consumed %d seqs, reference %d", where, m.s.nextSeq, m.nextSeq)
 	}
 	for i, h := range m.handles {
-		wantWhen := h.at
-		if h.freed {
-			wantWhen = 0
-		}
-		if h.tm.Valid() == h.freed || h.tm.Pending() != (!h.freed && h.queued) || h.tm.When() != wantWhen {
-			m.t.Fatalf("%s: handle %d: Valid=%v Pending=%v When=%d, reference freed=%v queued=%v at=%d",
-				where, i, h.tm.Valid(), h.tm.Pending(), h.tm.When(), h.freed, h.queued, h.at)
+		if h.tm.Valid() == h.freed || !h.freed && ((h.tm.e.idx >= 0) != h.queued || h.tm.e.at != h.at) {
+			m.t.Fatalf("%s: handle %d: Valid=%v heap index=%d at=%d, reference freed=%v queued=%v at=%d",
+				where, i, h.tm.Valid(), h.tm.e.idx, h.tm.e.at, h.freed, h.queued, h.at)
 		}
 	}
 }

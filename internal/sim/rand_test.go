@@ -290,9 +290,9 @@ func TestReleasedSimRefuses(t *testing.T) {
 			t.Errorf("%s after ReleaseRand: panic %v, want %q", op, v, want)
 		}
 	}
-	if s.Now() != 2*Second || s.Processed() != 1 || s.Pending() != 1 || !tm.Pending() || tm.When() != 5*Second || s.Stats().HeapMax != 2 {
-		t.Fatalf("after the refusals: now %v, %d processed, %d pending (timer pending %v at %v), high water %d; want 2s, 1, 1 (true at 5s), 2",
-			s.Now(), s.Processed(), s.Pending(), tm.Pending(), tm.When(), s.Stats().HeapMax)
+	if s.Now() != 2*Second || s.Processed() != 1 || s.Pending() != 1 || !tm.Valid() || tm.e.idx < 0 || tm.e.at != 5*Second || s.Stats().HeapMax != 2 {
+		t.Fatalf("after the refusals: now %v, %d processed, %d pending (timer heap index %d at %v), high water %d; want 2s, 1, 1 (queued at 5s), 2",
+			s.Now(), s.Processed(), s.Pending(), tm.e.idx, tm.e.at, s.Stats().HeapMax)
 	}
 }
 

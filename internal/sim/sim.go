@@ -57,9 +57,6 @@ func (t Time) ExactSec() float64 {
 	return (float64(t) + 0.5) / float64(Second)
 }
 
-// Msec converts t to floating-point milliseconds.
-func (t Time) Msec() float64 { return float64(t) / float64(Millisecond) }
-
 // String formats t as seconds with microsecond precision ("1.500000s"),
 // identically to fmt.Sprintf("%.6fs", t.Sec()) but without fmt's verb
 // parsing and interface boxing: it sits on trace paths.
@@ -132,7 +129,7 @@ func (f funcHandler) RunEvent(Time) { f() }
 // ScheduleAfter) are recycled through the free list as they run; retained
 // events (At, After, ScheduleTimer) stay re-armable until explicitly freed.
 type Event struct {
-	at  Time   // last armed time (Timer.When); the ordering key lives in the heap slot
+	at  Time   // last armed time, read by tests; the ordering key lives in the heap slot
 	gen uint64 // incremented at each recycle; stale Timer handles mismatch
 	idx int32  // heap index; -1 when not queued
 	// retained marks events whose Timer handle escaped to a caller: they
@@ -155,18 +152,6 @@ type Timer struct {
 // Valid reports whether the handle still refers to its original event (the
 // event may be pending, fired, or cancelled — all re-armable states).
 func (tm Timer) Valid() bool { return tm.e != nil && tm.e.gen == tm.gen }
-
-// Pending reports whether the event is currently queued.
-func (tm Timer) Pending() bool { return tm.Valid() && tm.e.idx >= 0 }
-
-// When reports the virtual time the event is (or was last) scheduled for;
-// zero for invalid handles.
-func (tm Timer) When() Time {
-	if !tm.Valid() {
-		return 0
-	}
-	return tm.e.at
-}
 
 // Sim is a single-threaded discrete-event simulator. It is not safe for
 // concurrent use; all model components run inside event callbacks.
@@ -649,10 +634,6 @@ type Stats struct {
 func (s *Sim) Stats() Stats {
 	return Stats{HeapMax: s.peak, SiftDown: s.siftDowns, SiftUp: s.siftUps, Events: s.kinds}
 }
-
-// FreeEvents reports the current size of the event free list (diagnostics
-// and pooling tests).
-func (s *Sim) FreeEvents() int { return len(s.free) }
 
 // step executes the earliest event. It reports false when the queue is empty.
 //

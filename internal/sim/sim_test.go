@@ -17,9 +17,6 @@ func TestTimeConversions(t *testing.T) {
 	if got := (2 * Second).Sec(); got != 2.0 {
 		t.Fatalf("Sec() = %v", got)
 	}
-	if got := (3 * Millisecond).Msec(); got != 3.0 {
-		t.Fatalf("Msec() = %v", got)
-	}
 	if s := (1500 * Millisecond).String(); s != "1.500000s" {
 		t.Fatalf("String() = %q", s)
 	}

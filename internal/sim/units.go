@@ -2,15 +2,15 @@
 // quantity, and the unitsafety analyzer bans raw conversions in and out of
 // it everywhere outside this package — rate·time↔bytes arithmetic and
 // float escapes for estimator math must flow through the named helpers
-// below (or the constructors Seconds/Millis and accessors Sec/Msec in
-// sim.go), so every place a number changes dimension is reviewable here.
+// below (or the constructors Seconds/Millis and the accessors Sec and
+// ExactSec in sim.go), so every place a number changes dimension is reviewable here.
 package sim
 
 import "math/rand"
 
 // Nanos is the raw float escape hatch: t as a float64 nanosecond count.
 // It exists for estimator arithmetic (RTT smoothing keeps float
-// nanoseconds); prefer Sec/Msec for reporting.
+// nanoseconds); prefer Sec for reporting.
 func (t Time) Nanos() float64 { return float64(t) }
 
 // FromNanos builds a Time from a float64 nanosecond count, truncating

@@ -96,9 +96,6 @@ func (s *Sketch) value(i int) float64 {
 	return 2 * math.Pow(s.gamma, float64(i)) / (s.gamma + 1)
 }
 
-// N reports the number of observations.
-func (s *Sketch) N() int64 { return s.total }
-
 // Quantile reports the q-th quantile (q in [0, 1]) of the ingested stream:
 // the representative value of the bucket holding the observation of rank
 // ⌈q·n⌉, within α relative error of the true quantile. An empty sketch

@@ -33,8 +33,8 @@ func TestSketchZerosAndEdges(t *testing.T) {
 	s.Add(-4) // clamps to the zero bucket
 	s.Add(math.NaN())
 	s.Add(10)
-	if s.N() != 4 {
-		t.Fatalf("N = %d, want 4", s.N())
+	if s.total != 4 {
+		t.Fatalf("N = %d, want 4", s.total)
 	}
 	if got := s.Quantile(0.25); got != 0 {
 		t.Errorf("quantile in the zero mass = %g, want 0", got)
@@ -164,8 +164,8 @@ func TestSketchMatchesMapSketch(t *testing.T) {
 			dense.Add(x)
 			ref.Add(x)
 		}
-		if dense.N() != ref.total {
-			t.Fatalf("stream %d: N = %d, map sketch %d", k, dense.N(), ref.total)
+		if dense.total != ref.total {
+			t.Fatalf("stream %d: N = %d, map sketch %d", k, dense.total, ref.total)
 		}
 		for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.99, 1} {
 			if got, want := dense.Quantile(q), ref.Quantile(q); math.Float64bits(got) != math.Float64bits(want) {

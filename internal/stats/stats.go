@@ -6,7 +6,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -67,11 +66,6 @@ func (s *Summary) CI95() float64 {
 	return 1.96 * s.Stdev() / math.Sqrt(float64(s.n))
 }
 
-// String renders "mean ± ci95".
-func (s *Summary) String() string {
-	return fmt.Sprintf("%.4g ± %.2g", s.Mean(), s.CI95())
-}
-
 // Histogram bins observations into fixed-width buckets over [lo, hi);
 // out-of-range observations clamp into the edge buckets.
 type Histogram struct {
@@ -101,16 +95,8 @@ func (h *Histogram) Add(x float64) {
 	h.n++
 }
 
-// N reports the number of observations.
-func (h *Histogram) N() int { return h.n }
-
 // BucketWidth reports the width of each bucket.
 func (h *Histogram) BucketWidth() float64 { return (h.hi - h.lo) / float64(len(h.counts)) }
-
-// Center reports the midpoint of bucket i.
-func (h *Histogram) Center(i int) float64 {
-	return h.lo + (float64(i)+0.5)*h.BucketWidth()
-}
 
 // PDF returns the estimated probability density per bucket: count/(n·width).
 func (h *Histogram) PDF() []float64 {

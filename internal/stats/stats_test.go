@@ -39,9 +39,6 @@ func TestSummaryEmptyAndSingle(t *testing.T) {
 	if s.Mean() != 3 || s.Var() != 0 || s.CI95() != 0 {
 		t.Fatal("single-sample summary")
 	}
-	if s.String() == "" {
-		t.Fatal("string")
-	}
 }
 
 // Property: Welford matches the naive two-pass computation.
@@ -90,8 +87,8 @@ func TestHistogramPDFIntegratesToOne(t *testing.T) {
 	if math.Abs(integral-1) > 1e-9 {
 		t.Fatalf("PDF integral %v", integral)
 	}
-	if h.N() != 1000 {
-		t.Fatalf("N %d", h.N())
+	if h.n != 1000 {
+		t.Fatalf("N %d", h.n)
 	}
 }
 
@@ -103,8 +100,8 @@ func TestHistogramClamping(t *testing.T) {
 	if pdf[0] == 0 || pdf[9] == 0 {
 		t.Fatal("out-of-range values must clamp to edge buckets")
 	}
-	if h.Center(0) != 0.5 || h.Center(9) != 9.5 {
-		t.Fatalf("centers %v %v", h.Center(0), h.Center(9))
+	if c0, c9 := h.lo+0.5*h.BucketWidth(), h.lo+9.5*h.BucketWidth(); c0 != 0.5 || c9 != 9.5 {
+		t.Fatalf("centers %v %v", c0, c9)
 	}
 }
 

@@ -91,8 +91,8 @@ func TestFreezeIndependentOfPause(t *testing.T) {
 	d.src.Pause()
 	d.src.Freeze()
 	d.src.Resume()
-	if !d.src.Frozen() || d.src.Paused() {
-		t.Fatalf("after Resume: frozen=%v paused=%v, want true/false", d.src.Frozen(), d.src.Paused())
+	if !d.src.Frozen() || d.src.paused {
+		t.Fatalf("after Resume: frozen=%v paused=%v, want true/false", d.src.Frozen(), d.src.paused)
 	}
 	sent := d.src.Stats().SentPkts
 	d.s.RunUntil(sim.Second)
@@ -101,7 +101,24 @@ func TestFreezeIndependentOfPause(t *testing.T) {
 	}
 	d.src.Unfreeze()
 	d.src.Pause()
-	if d.src.Frozen() || !d.src.Paused() {
-		t.Fatalf("after Unfreeze+Pause: frozen=%v paused=%v, want false/true", d.src.Frozen(), d.src.Paused())
+	if d.src.Frozen() || !d.src.paused {
+		t.Fatalf("after Unfreeze+Pause: frozen=%v paused=%v, want false/true", d.src.Frozen(), d.src.paused)
+	}
+}
+
+// TestPauseResume: Pause suspends a running sender's new transmissions and
+// Resume lifts the suspension.
+func TestPauseResume(t *testing.T) {
+	d := newDumbbell(15, 10_000_000, 40*sim.Millisecond, netem.QueueDropTail, Config{})
+	d.src.Start(0)
+	d.s.RunUntil(5 * sim.Second)
+	d.src.Pause()
+	if !d.src.paused {
+		t.Fatal("paused false after Pause")
+	}
+	d.s.RunUntil(10 * sim.Second)
+	d.src.Resume()
+	if d.src.paused {
+		t.Fatal("paused true after Resume")
 	}
 }

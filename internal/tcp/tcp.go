@@ -197,10 +197,6 @@ func (t *Src) EffCwndPkts() float64 { return t.effCwnd() / netem.MSS }
 // SRTT reports the smoothed RTT estimate in seconds (0 until first sample).
 func (t *Src) SRTT() float64 { return t.srtt / sim.Second.Nanos() }
 
-// InCA reports whether the sender is in congestion avoidance (as opposed to
-// slow start); fast recovery counts as congestion avoidance.
-func (t *Src) InCA() bool { return t.cwnd >= t.ssthresh || t.inRecovery }
-
 // Stats returns a copy of the sender statistics.
 func (t *Src) Stats() Stats { return t.stats }
 
@@ -261,9 +257,6 @@ func (t *Src) Resume() {
 	t.paused = false
 	t.sendMore()
 }
-
-// Paused reports whether new transmissions are suspended.
-func (t *Src) Paused() bool { return t.paused }
 
 // Freeze takes the sender administratively down (a path flap): new
 // transmissions and recovery retransmissions stop, and the RTO timer is

@@ -58,7 +58,7 @@ func TestSlowStartDoublesPerRTT(t *testing.T) {
 	if c2 < 1.8*c1 {
 		t.Fatalf("slow start did not double: %.1f -> %.1f pkts", c1, c2)
 	}
-	if d.src.InCA() {
+	if d.src.cwnd >= d.src.ssthresh || d.src.inRecovery {
 		t.Fatal("should still be in slow start")
 	}
 }
@@ -277,7 +277,7 @@ func TestMinSsthreshOneEntersCAImmediately(t *testing.T) {
 	d.src.ConfigureMultipath()
 	d.src.Start(0)
 	d.s.RunUntil(200 * sim.Millisecond)
-	if !d.src.InCA() {
+	if d.src.cwnd < d.src.ssthresh && !d.src.inRecovery {
 		t.Fatal("with ssthresh=1 the flow must be in CA from the start")
 	}
 	if d.src.minSsthresh != 1 {

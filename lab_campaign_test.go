@@ -5,10 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"regexp"
 	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"mptcpsim/internal/campaign"
 )
 
 // tinyCampaign is a fast campaign population for facade tests.
@@ -20,6 +23,30 @@ func tinyCampaign() CampaignSpec {
 	sp.DurationSec = DistUniform(1.2, 1.8)
 	sp.LinkRateMbps = DistLogUniform(1, 4)
 	return sp
+}
+
+// TestDistConstructors: each facade distribution constructor builds what
+// its campaign constructor builds, and a spec drawing a link rate from it
+// validates.
+func TestDistConstructors(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		got, want CampaignDist
+	}{
+		{"DistConst", DistConst(4), campaign.Const(4)},
+		{"DistUniform", DistUniform(1, 4), campaign.Uniform(1, 4)},
+		{"DistLogUniform", DistLogUniform(1, 16), campaign.LogUniform(1, 16)},
+		{"DistChoice", DistChoice(2, 8, 32), campaign.Choice(2, 8, 32)},
+	} {
+		if !reflect.DeepEqual(tc.got, tc.want) {
+			t.Errorf("%s = %+v, want %+v", tc.name, tc.got, tc.want)
+		}
+		sp := tinyCampaign()
+		sp.LinkRateMbps = tc.got
+		if err := sp.Validate(); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+	}
 }
 
 func TestVersionShape(t *testing.T) {
