@@ -96,12 +96,12 @@ func TestProfile(t *testing.T) {
 	if code != 0 || len(lines) != 1+profileRuns || !strings.HasPrefix(strings.TrimSpace(lines[profileRuns]), fmt.Sprint(profileRuns, " ")) {
 		t.Fatalf("exit %d, output:\n%s", code, out)
 	}
-	if got := strings.Fields(lines[0]); strings.Join(got, " ") != "run wall_ms events events_per_s heap_max data_max acks_max sift_down/ev sift_up/ev allocs bytes" {
+	if got := strings.Fields(lines[0]); strings.Join(got, " ") != "run wall_ms events events_per_s heap_max data_max acks_max run_moves/ev far_sifts/ev allocs bytes" {
 		t.Errorf("header %q", lines[0])
 	}
 	fields := strings.Fields(lines[1])
 	if len(fields) != 11 || fields[2] == "0" || fields[4] == "0" || fields[5] == "0" || fields[6] == "0" || fields[7] == "0.000" {
-		t.Fatalf("run row %q: want run, wall_ms, events, events_per_s, heap_max, data_max, acks_max, sift_down/ev, sift_up/ev, allocs, bytes with events, heap_max, data_max, acks_max and sift_down/ev > 0", lines[1])
+		t.Fatalf("run row %q: want run, wall_ms, events, events_per_s, heap_max, data_max, acks_max, run_moves/ev, far_sifts/ev, allocs, bytes with events, heap_max, data_max, acks_max and run_moves/ev > 0", lines[1])
 	}
 	// The histogram has a row per kind, and its counts add up to the
 	// events every run processed.

@@ -27,8 +27,9 @@ const profileRuns = 5
 // pending at once (heap_max), the data segments and ACKs its pool carved
 // slabs for (data_max and acks_max: the most of each kind alive at once,
 // rounded up to a slab; an ACK costs about twice a data segment's bytes,
-// for its SACK report) and the iterations of the kernel heap's sift loops
-// per event, down and up (sift_down/ev, sift_up/ev), then allocations and
+// for its SACK report) and the kernel event queue's work per event, the
+// run slots its walks moved and its far heap's sift iterations
+// (run_moves/ev, far_sifts/ev), then allocations and
 // allocated bytes; after the runs, which all do the same work, the events
 // by handler kind (sim.Kind); optionally under the CPU profiler and with
 // every allocation recorded:
@@ -125,7 +126,7 @@ func profile(ctx context.Context, sp *scenario.Spec, cpu, mem *os.File, w io.Wri
 		}
 	}
 	fmt.Fprintf(w, "%4s %10s %10s %12s %8s %8s %8s %12s %10s %9s %11s\n", "run", "wall_ms", "events", "events_per_s",
-		"heap_max", "data_max", "acks_max", "sift_down/ev", "sift_up/ev", "allocs", "bytes")
+		"heap_max", "data_max", "acks_max", "run_moves/ev", "far_sifts/ev", "allocs", "bytes")
 	var before, after runtime.MemStats
 	for i := 1; i <= profileRuns; i++ {
 		runtime.ReadMemStats(&before)
@@ -142,7 +143,7 @@ func profile(ctx context.Context, sp *scenario.Spec, cpu, mem *os.File, w io.Wri
 		}
 		st, events := &rep.Stats, float64(rep.Processed)
 		fmt.Fprintf(w, "%4d %10.2f %10d %12.0f %8d %8d %8d %12.3f %10.3f %9d %11d\n", i, wall.Seconds()*1e3, rep.Processed,
-			events/wall.Seconds(), st.HeapMax, st.DataMax, st.AcksMax, float64(st.SiftDown)/events, float64(st.SiftUp)/events,
+			events/wall.Seconds(), st.HeapMax, st.DataMax, st.AcksMax, float64(st.RunMoves)/events, float64(st.FarSifts)/events,
 			after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc)
 	}
 	fmt.Fprintf(w, "\n%-8s %10s %6s\n", "kind", "events", "share")

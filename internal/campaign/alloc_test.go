@@ -76,7 +76,7 @@ const maxColdAllocs = 112.8
 // scenario: the measured 8 045 plus 3 %. The run's work counters, the
 // Sim's and the report's Stats, since cost 192 more and a smaller
 // mptcp.Subflow gave 35 back: 8 199 measured. Every run hands its packet slabs,
-// its range lists' arrays, its kernel's heap and free-list arrays and its
+// its range lists' arrays, its kernel's queue and free-list arrays and its
 // generator back for the runs after it, so a run that keeps its slabs
 // (29 082 bytes a scenario when each run carved its own), its range lists'
 // or kernel's arrays (2 671 bytes a scenario when each run allocated its

@@ -50,7 +50,7 @@ import (
 // schema is never addressed, and a record of one never decodes. Bump it
 // with any change to the pack layout, scenario.AppendSpec or
 // scenario.AppendReport.
-const cacheSchema = "mptcpsim-campaign-cache-v9"
+const cacheSchema = "mptcpsim-campaign-cache-v10"
 
 // reportHeader opens every entry: a stale or foreign record fails on its
 // first bytes after the key.

@@ -298,7 +298,7 @@ func TestCacheKey(t *testing.T) {
 			{AtSec: 2, Path: &scenario.PathFlap{Path: 0, Up: true}},
 		},
 	}
-	const want = "afad0c37f6a64d29439f24c28e2a5e4fa3c8e4cc0f8f78a666a0707e33dd12c5"
+	const want = "e70be50e4fa1d0ede8c77e7c28ecec814858d64be6269c6bd1099eea489e2fb7"
 	if got, err := CacheKey("v1", pinned); err != nil || got != want {
 		t.Errorf("pinned key = %s, %v; want %s", got, err, want)
 	}

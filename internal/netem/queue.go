@@ -65,9 +65,6 @@ type queueCore struct {
 	svc     sim.Timer // service-completion timer, re-armed per packet
 	// onEmpty, if set, runs when the buffer drains (RED idle tracking).
 	onEmpty func()
-	// onDrop, if set, observes dropped packets (tests, loss injection). The
-	// packet is freed when the observer returns; it must not be retained.
-	onDrop func(*Packet)
 }
 
 func (q *queueCore) init(s *sim.Sim, rateBps int64, name string) {
@@ -112,9 +109,6 @@ func (q *queueCore) arrive(p *Packet) {
 func (q *queueCore) drop(p *Packet) {
 	q.stats.DroppedPkts++
 	q.stats.DroppedBytes += int64(p.Size)
-	if q.onDrop != nil {
-		q.onDrop(p)
-	}
 	p.Free()
 }
 

@@ -297,8 +297,8 @@ func appendStats(b []byte, st *Stats) []byte {
 	b = binary.AppendVarint(b, int64(st.HeapMax))
 	b = binary.AppendVarint(b, int64(st.DataMax))
 	b = binary.AppendVarint(b, int64(st.AcksMax))
-	b = binary.AppendUvarint(b, st.SiftDown)
-	b = binary.AppendUvarint(b, st.SiftUp)
+	b = binary.AppendUvarint(b, st.RunMoves)
+	b = binary.AppendUvarint(b, st.FarSifts)
 	for _, n := range st.Events {
 		b = binary.AppendUvarint(b, n)
 	}
@@ -590,8 +590,8 @@ func (d *decoder) stats(st *Stats) {
 	st.HeapMax = d.int()
 	st.DataMax = d.int()
 	st.AcksMax = d.int()
-	st.SiftDown = d.uvarint()
-	st.SiftUp = d.uvarint()
+	st.RunMoves = d.uvarint()
+	st.FarSifts = d.uvarint()
 	for i := range st.Events {
 		st.Events[i] = d.uvarint()
 	}

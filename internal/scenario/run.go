@@ -94,10 +94,11 @@ type Stats struct {
 	// up to a slab.
 	DataMax int `json:"data_max"`
 	AcksMax int `json:"acks_max"`
-	// SiftDown and SiftUp are the loop iterations of the kernel heap's
-	// sifts, down and up: its work beside the handlers'.
-	SiftDown uint64 `json:"sift_down"`
-	SiftUp   uint64 `json:"sift_up"`
+	// RunMoves and FarSifts are the kernel event queue's work beside the
+	// handlers': the run slots its walks moved and the loop iterations of
+	// its far heap's sifts (sim.Stats).
+	RunMoves uint64 `json:"run_moves"`
+	FarSifts uint64 `json:"far_sifts"`
 	// Events counts the events processed by their handler's sim.Kind; it
 	// sums to Processed.
 	Events [sim.NumKinds]uint64 `json:"events"`
@@ -342,7 +343,7 @@ func (n *Net) Run(ctx context.Context) (*RunReport, error) {
 	r.Processed = n.Sim.Processed()
 	ks, ps := n.Sim.Stats(), netem.PoolFor(n.Sim).Stats()
 	r.Stats = Stats{HeapMax: ks.HeapMax, DataMax: ps.Data, AcksMax: ps.Acks,
-		SiftDown: ks.SiftDown, SiftUp: ks.SiftUp, Events: ks.Events}
+		RunMoves: ks.RunMoves, FarSifts: ks.FarSifts, Events: ks.Events}
 
 	checkConservation(n, r)
 	checkCapacity(n, r)

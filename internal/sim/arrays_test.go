@@ -6,27 +6,29 @@ import (
 	"testing"
 )
 
-// onNewArrays gives s new heap and free-list arrays, as New makes them
-// when no finished run has handed any back.
+// onNewArrays gives s a new ring, far-heap and free-list arrays, as New
+// makes them when no finished run has handed any back.
 func onNewArrays(s *Sim) *Sim {
 	a := arrayPool.New().(*kernelArrays)
-	s.heap, s.free, s.arrays = a.heap, a.free, a
+	s.run, s.far, s.free, s.arrays = &a.run, a.far, a.free, a
 	return s
 }
 
-// TestRecycledKernelArrays: ReleaseRand hands the run's heap and free-list
-// arrays back with every slot cleared and leaves Pending and
-// Stats at the finished run's values, and a Sim that New builds
-// on those arrays replays a queue program with the same (time, seq) pop
-// order, Processed, Pending and Stats().HeapMax as a Sim on new arrays.
+// TestRecycledKernelArrays: ReleaseRand hands the run's ring, far-heap and
+// free-list arrays back with every slot cleared and leaves Pending and
+// Stats at the finished run's values, and a Sim that New builds on those
+// arrays replays a queue program with the same (time, seq) pop order,
+// Processed, Pending and Stats().HeapMax as a Sim on new arrays. It runs
+// at smallRunCap, so that the far heap grows.
 func TestRecycledKernelArrays(t *testing.T) {
+	withRunCap(t, smallRunCap)
 	rng := rand.New(rand.NewSource(43))
 	taken, grown, left := 0, 0, 0
 	for i := range 300 {
 		prog := make([]byte, 20+rng.Intn(400))
 		rng.Read(prog)
 		if i%2 == 0 {
-			// Queue 40 events first, so the heap outgrows its first array.
+			// Queue 40 events first, so the far heap outgrows its first array.
 			var fill []byte
 			for j := range 40 {
 				fill = append(fill, 0, 0, byte(j))
@@ -36,13 +38,13 @@ func TestRecycledKernelArrays(t *testing.T) {
 		fresh := playQueueProgram(t, onNewArrays(New(1)), prog)
 		a := fresh.s
 		pending, high, processed := a.Pending(), a.Stats().HeapMax, a.Processed()
-		h, heapCap, freeCap := a.arrays, cap(a.heap), cap(a.free)
+		h, heapCap, freeCap := a.arrays, cap(a.far), cap(a.free)
 		a.ReleaseRand()
 		if a.Pending() != pending || a.Stats().HeapMax != high || a.Processed() != processed {
 			t.Fatalf("program %d: after ReleaseRand %d pending, high water %d, %d processed; before it %d, %d and %d",
 				i, a.Pending(), a.Stats().HeapMax, a.Processed(), pending, high, processed)
 		}
-		if a.heap != nil || a.free != nil || a.arrays != nil {
+		if a.run != nil || a.far != nil || a.free != nil || a.arrays != nil {
 			t.Fatalf("program %d: a released Sim still holds its arrays", i)
 		}
 		// New takes spare arrays in whatever order the pool gives them;
@@ -64,13 +66,13 @@ func TestRecycledKernelArrays(t *testing.T) {
 		if pending > 0 {
 			left++
 		}
-		if cap(b.heap) != heapCap || cap(b.free) != freeCap || len(b.heap) != 0 || len(b.free) != 0 {
-			t.Fatalf("program %d: New on handed-back arrays: heap %d of %d, free list %d of %d; want 0 of %d and 0 of %d",
-				i, len(b.heap), cap(b.heap), len(b.free), cap(b.free), heapCap, freeCap)
+		if b.run != &h.run || cap(b.far) != heapCap || cap(b.free) != freeCap || len(b.far) != 0 || len(b.free) != 0 {
+			t.Fatalf("program %d: New on handed-back arrays: far heap %d of %d, free list %d of %d; want 0 of %d and 0 of %d",
+				i, len(b.far), cap(b.far), len(b.free), cap(b.free), heapCap, freeCap)
 		}
-		for j, x := range b.heap[:heapCap] {
+		for j, x := range append(b.run[:], b.far[:heapCap]...) {
 			if x != (slot{}) {
-				t.Fatalf("program %d: handed-back heap slot %d holds %+v", i, j, x)
+				t.Fatalf("program %d: handed-back ring or far-heap slot %d holds %+v", i, j, x)
 			}
 		}
 		for j, e := range b.free[:freeCap] {

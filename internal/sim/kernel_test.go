@@ -6,10 +6,11 @@ import (
 )
 
 // TestEventFitsCacheLine: an Event is touched on every dispatch; it must not
-// straddle two 64-byte lines.
+// straddle two 64-byte lines. It is 32 bytes, two to a line, and a slab of
+// slabEvents is 512.
 func TestEventFitsCacheLine(t *testing.T) {
-	if sz := unsafe.Sizeof(Event{}); sz > 64 {
-		t.Fatalf("Event is %d bytes, want <= 64", sz)
+	if sz := unsafe.Sizeof(Event{}); sz != 32 {
+		t.Fatalf("Event is %d bytes, want 32", sz)
 	}
 }
 
@@ -226,9 +227,8 @@ func TestTimerIntrospection(t *testing.T) {
 		t.Fatal("zero Timer not inert")
 	}
 	tm := s.ScheduleTimer(5*Millisecond, &counter{})
-	if !tm.Valid() || tm.e.idx < 0 || tm.e.at != 5*Millisecond {
-		t.Fatalf("pending timer introspection wrong: valid=%v heap index=%d at=%v",
-			tm.Valid(), tm.e.idx, tm.e.at)
+	if x, ok := s.slotOf(tm.e); !tm.Valid() || !ok || x.at != 5*Millisecond {
+		t.Fatalf("pending timer introspection wrong: valid=%v queued=%v at=%v", tm.Valid(), ok, x.at)
 	}
 	s.Run()
 	if !tm.Valid() || tm.e.idx >= 0 {
@@ -245,7 +245,7 @@ func TestTimerIntrospection(t *testing.T) {
 func TestScheduleZeroAlloc(t *testing.T) {
 	s := New(1)
 	tk := &ticker{s: s, period: Microsecond, limit: 4}
-	// Warm the pool: a few cycles so the free list and heap are populated.
+	// Warm the pool: a few cycles so the free list and queue are populated.
 	s.ScheduleAfter(Microsecond, tk)
 	s.Run()
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -259,8 +259,8 @@ func TestScheduleZeroAlloc(t *testing.T) {
 }
 
 // TestPendingHighWater: the high-water mark is the deepest the queue has
-// been. Tickers that re-arm as they fire (each refilling the root their
-// step vacated), cancellations and a drained queue leave it where it was.
+// been. Tickers that re-arm as they fire (each taking back the place its
+// own pop freed), cancellations and a drained queue leave it where it was.
 // (TestScheduleZeroAlloc covers push, which keeps it, allocating nothing.)
 func TestPendingHighWater(t *testing.T) {
 	s := New(1)
@@ -280,36 +280,61 @@ func TestPendingHighWater(t *testing.T) {
 	}
 }
 
-// TestStatsCounts: a sift step is one iteration of a sift's loop, and
+// TestStatsCounts: a run move is one slot an insert, removal or re-key
+// walks one place, a far sift one iteration of a far-heap sift's loop, and
 // every processed event counts once under its handler's Kind.
 func TestStatsCounts(t *testing.T) {
 	if NumKinds&(NumKinds-1) != 0 {
 		t.Fatalf("NumKinds = %d, want a power of two: step masks the index with it", NumKinds)
 	}
-	// Six events pushed in time order: each push but the first compares
-	// with its parent once, and stays. Closing the root popping 1 left, 6
-	// moves from the tail down one level under 2, then finds no children
-	// (two iterations); popping 2, 5 moves down under 3 and finds none
-	// (two); popping 3, 4 and 5, the tail compares once and stays.
+	// The run: 10, 20, 30 and 40 each go to the back, moving nothing.
+	// 25 sorts before the middle event, 30, and walks in from the front:
+	// 10 and 20 move (2). 35 does not sort before the middle event, 25,
+	// and walks in from the back: 40 moves (1). Cancelling 20, the second
+	// of six, moves 10 into its slot (1). Re-keying 10 to 50 walks it past
+	// 25, 30, 35 and 40 (4). Pops move nothing.
 	s := New(1)
 	c := &counter{}
-	for i := range 6 {
-		s.Schedule(Time(i+1), c)
+	var tm [5]Timer
+	for i, at := range []Time{10, 20, 30, 40, 25} {
+		tm[i] = s.ScheduleTimer(at, c)
 	}
+	s.Schedule(35, c)
+	if got := s.Stats().RunMoves; got != 3 {
+		t.Fatalf("six inserts moved %d run slots, want 3", got)
+	}
+	s.Cancel(tm[1])
+	s.Reschedule(tm[0], 50)
 	s.Run()
-	want := Stats{HeapMax: 6, SiftDown: 7, SiftUp: 5}
-	want.Events[KindOther] = 6
+	want := Stats{HeapMax: 6, RunMoves: 8}
+	want.Events[KindOther] = 5
 	if got := s.Stats(); got != want {
 		t.Fatalf("Stats %+v, want %+v", got, want)
 	}
-	// Pushed in reverse order, each of four more events moves its hole up
-	// one level, to the root, where the loop ends.
+
+	// The far heap, with room for four in the run: 1 to 4 fill it; 5
+	// sorts after the run's last event and is the far heap's root (no
+	// sift); 6 sorts after the far heap's minimum and compares once with
+	// its parent (1). 0 goes into the run and spills 4, which sifts up to
+	// the root (1). The run pops 0 to 3 and, empty, refills two events,
+	// half of runCap: taking 4 moves 5 from the tail to the root, which
+	// compares with its one child (1); taking 5 leaves 6 with no child
+	// (1). The run pops 4 and 5, and the next refill takes 6 and leaves
+	// the heap empty.
+	withRunCap(t, 4)
 	s = New(1)
-	for i := range 5 {
-		s.Schedule(Time(5-i), c)
+	for i := range 6 {
+		s.Schedule(Time(i+1), c)
 	}
-	if got := s.Stats(); got.SiftUp != 4 || got.SiftDown != 0 {
-		t.Fatalf("five pushes in reverse order: %+v, want 4 steps up and none down", got)
+	s.Schedule(0, c)
+	if got := s.Stats(); got.FarSifts != 2 || len(s.far) != 3 || s.runLen != 4 {
+		t.Fatalf("seven pushes: %d far sifts, %d events in the far heap and %d in the run, want 2, 3 and 4", got.FarSifts, len(s.far), s.runLen)
+	}
+	s.Run()
+	want = Stats{HeapMax: 7, FarSifts: 4}
+	want.Events[KindOther] = 7
+	if got := s.Stats(); got != want {
+		t.Fatalf("Stats %+v, want %+v", got, want)
 	}
 	if KindPipe.String() != "pipe" || NumKinds.String() != "kind8" {
 		t.Fatalf("kind names %q and %q", KindPipe, NumKinds)

@@ -9,17 +9,19 @@
 // keeping arithmetic exact (no float drift in packet serialization times).
 //
 // The kernel is built for zero steady-state allocation on the packet hot
-// path: the event queue is an inlined, index-tracked 4-ary min-heap whose
-// slots carry their (at, seq) key inline (no container/heap interface
-// boxing, no pointer chase per comparison), events are recycled through a
-// per-Sim free list, and scheduling a Handler allocates nothing. At/After
-// remain as closure-taking conveniences for tests and benchmark rigs. See
-// DESIGN.md "Performance & memory model".
+// path: the event queue is a sorted run of the soonest events, popped
+// with no sift, in front of an index-tracked 4-ary min-heap for what does
+// not fit, both with slots that carry their (at, seq) key inline (no
+// container/heap interface boxing, no pointer chase per comparison);
+// events are recycled through a per-Sim free list, and scheduling a
+// Handler allocates nothing. At/After remain as closure-taking
+// conveniences for tests and benchmark rigs. See DESIGN.md "Performance &
+// memory model".
 package sim
 
 import (
 	"fmt"
-	"math/bits"
+	"math"
 	"math/rand"
 	"strconv"
 	"sync"
@@ -129,13 +131,13 @@ func (f funcHandler) RunEvent(Time) { f() }
 // ScheduleAfter) are recycled through the free list as they run; retained
 // events (At, After, ScheduleTimer) stay re-armable until explicitly freed.
 type Event struct {
-	at  Time   // last armed time, read by tests; the ordering key lives in the heap slot
 	gen uint64 // incremented at each recycle; stale Timer handles mismatch
-	idx int32  // heap index; -1 when not queued
+	idx int32  // slot in the tier far names; -1 when not queued
 	// retained marks events whose Timer handle escaped to a caller: they
 	// are never auto-recycled, keeping Cancel/Reschedule re-arm semantics.
 	retained bool
 	kind     Kind // named when the event is issued
+	far      bool // queued on the far heap, not in the run
 
 	cb Handler
 }
@@ -156,51 +158,58 @@ func (tm Timer) Valid() bool { return tm.e != nil && tm.e.gen == tm.gen }
 // Sim is a single-threaded discrete-event simulator. It is not safe for
 // concurrent use; all model components run inside event callbacks.
 type Sim struct {
-	now     Time
-	heap    []slot        // 4-ary min-heap on (at, seq)
-	vacant  bool          // heap[0] is empty: its event is running (see push)
+	now Time
+	// The run's ring, its first slot and its length, and the far heap:
+	// the event queue, ordered by (at, seq).
+	run     *[runSlots]slot
+	lo      int
+	runLen  int
+	far     []slot
 	free    []*Event      // event free list (single-threaded, no locking)
 	slab    []Event       // not yet issued remainder of the newest event slab
-	arrays  *kernelArrays // the holder heap and free came in, until ReleaseRand
+	arrays  *kernelArrays // the holder the queue and free came in, until ReleaseRand
 	nextSeq uint64
 	rng     *rand.Rand
 	peak    int  // most events pending at once (for diagnostics)
 	left    int  // events pending when ReleaseRand ended the run
 	over    bool // ReleaseRand ended the run: nothing may schedule or advance
 	aux     any
-	// siftDowns and siftUps count the loop iterations of siftDown and
-	// siftUp; kinds counts processed events by Kind, and Processed sums
-	// it. Stats reports them.
-	siftDowns, siftUps uint64
+	// runMoves counts the run slots moved one place by a walk, farSifts
+	// the loop iterations of the far heap's siftUp and siftDown; kinds
+	// counts processed events by Kind, and Processed sums it. Stats
+	// reports them.
+	runMoves, farSifts uint64
 	kinds              [NumKinds]uint64
 }
 
 // slabEvents is how many events one free-list miss allocates together, as
-// netem's packet pool carves packets. A new heap and free list start with
-// room for one slab.
+// netem's packet pool carves packets. A new far heap and free list start
+// with room for one slab.
 const slabEvents = 16
 
-// kernelArrays carries a heap array and a free-list array, with every slot
-// cleared, from a finished run to the next Sim: a Sim keeps the holder it
-// took its arrays from and hands it back with the arrays the run grew them
-// into, so the hand-back puts a pointer and allocates nothing.
+// kernelArrays carries the run's ring, a far-heap array and a free-list
+// array, with every slot cleared, from a finished run to the next Sim: a
+// Sim keeps the holder it took its arrays from and hands it back with the
+// arrays the run grew them into, so the hand-back puts a pointer and
+// allocates nothing.
 type kernelArrays struct {
-	heap []slot
+	run  [runSlots]slot
+	far  []slot
 	free []*Event
 }
 
-// arrayPool recycles kernel arrays: a run that grew its heap and free list
-// to its peak leaves them at that size for the run after it, which then
-// allocates neither.
+// arrayPool recycles kernel arrays: a run that grew its far heap and free
+// list to its peak leaves them at that size for the run after it, which
+// then allocates neither.
 var arrayPool = sync.Pool{New: func() any {
-	return &kernelArrays{heap: make([]slot, 0, slabEvents), free: make([]*Event, 0, slabEvents)}
+	return &kernelArrays{far: make([]slot, 0, slabEvents), free: make([]*Event, 0, slabEvents)}
 }}
 
 // New returns a simulator whose random source is NewRand(seed).
 // The same seed always yields the same execution.
 func New(seed int64) *Sim {
 	a := arrayPool.Get().(*kernelArrays)
-	return &Sim{rng: NewRand(seed), heap: a.heap, free: a.free, arrays: a}
+	return &Sim{rng: NewRand(seed), run: &a.run, far: a.far, free: a.free, arrays: a}
 }
 
 // Now reports the current virtual time.
@@ -216,7 +225,7 @@ func (s *Sim) Rand() *rand.Rand {
 }
 
 // ReleaseRand ends the simulation: it hands the generator back to the pool
-// NewRand takes from, and the heap and free-list arrays, every slot
+// NewRand takes from, and the queue's and free list's arrays, every slot
 // cleared, to the pool New takes from, for a caller that is done with the
 // run. scenario.Net.Run releases them when the run ends, however it ends,
 // together with the run's packet slabs and range lists. From then on Rand,
@@ -233,10 +242,11 @@ func (s *Sim) ReleaseRand() {
 	}
 	s.left = s.Pending()
 	if a := s.arrays; a != nil {
-		a.heap, a.free = s.heap[:0], s.free[:0]
-		clear(a.heap[:cap(a.heap)])
+		a.far, a.free = s.far[:0], s.free[:0]
+		clear(a.run[:]) // a pop leaves its slot as it was
+		clear(a.far[:cap(a.far)])
 		clear(a.free[:cap(a.free)])
-		s.heap, s.free, s.arrays = nil, nil, nil
+		s.run, s.far, s.free, s.arrays = nil, nil, nil, nil
 		arrayPool.Put(a)
 	}
 	s.over = true
@@ -297,22 +307,31 @@ func (s *Sim) recycle(e *Event) {
 	s.free = append(s.free, e)
 }
 
-// --- 4-ary min-heap on (at, seq), index-tracked ---
+// --- the event queue: a sorted run in front of a 4-ary far heap ---
 //
-// Each heap slot carries its key inline, so a sift compares adjacent slice
-// elements (four children span 96 contiguous bytes) without dereferencing
-// any Event. (at, seq) is a total order (seq is unique), so the pop order —
-// and therefore every simulation result — is independent of heap arity,
-// slot layout and the vacant-root shortcut below.
+// The queue holds its events in two tiers, both on the key (at, seq):
 //
-// Vacant root: step takes the root and, when other events remain, leaves
-// the slot empty (s.vacant) while the handler runs instead of refilling it
-// from the tail. Most handlers re-arm something, and the first push drops
-// into the hole and sifts down once — one sift where pop-then-push pays
-// two. While s.vacant, heap[0] holds no event and every other slot obeys
-// the heap property; siftDown(0, x) restores it for any x. The vacancy is
-// closed (tail moved to the root) before the next pop or peek and before
-// any operation that addresses a slot by index (remove, rekey).
+//   - The run: the soonest events, at most runCap of them, sorted
+//     ascending in a ring of runSlots slots from s.lo on. A pop takes
+//     s.run[s.lo] and advances s.lo, with no sift. The ring is a gap
+//     buffer whose two free ends meet across the wrap: an insert compares
+//     with the middle event and walks in from the nearer end, moving each
+//     event it passes one slot out into the free room, so it never needs
+//     re-centring.
+//   - The far heap: an index-tracked 4-ary min-heap of what does not fit.
+//     An event goes there only when it sorts after the far heap's minimum,
+//     or when the run is full and it, or the run's last event, has to
+//     leave the run (a spill). A pop that finds the run empty first
+//     refills it with the far heap's soonest events (refill).
+//
+// Invariant: every run key sorts before every far key, so the run's first
+// event is the minimum, and no operation moves more than runCap run slots
+// plus a sift, or a refill's sifts. Each slot
+// carries its key inline, so a walk or a sift compares adjacent slots
+// without dereferencing an Event; Event.idx is its slot in the tier that
+// Event.far names, so Cancel, Free and a re-key find it at once. (at, seq)
+// is a total order (seq is unique), so the pop order, and therefore every
+// simulation result, does not depend on which tier holds an event.
 
 type slot struct {
 	at  Time
@@ -324,29 +343,183 @@ func (a slot) before(b slot) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
+// runSlots is the size of the run's ring, a power of two so that a mask
+// wraps an index.
+const (
+	runSlots = 128
+	runMask  = runSlots - 1
+)
+
+// runCap is the most events the run holds. Every benchmark workload's
+// peak fits (the paper's fat tree 68), so none of them sifts; past it the
+// walks an insert makes would cost more than the far heap's sifts. Tests
+// lower it, never past runSlots, to reach the far heap with a few events.
+var runCap = runSlots
+
+// runAt returns the ring slot of the run's kth event.
+func (s *Sim) runAt(k int) int { return (s.lo + k) & runMask }
+
+// push queues x in the tier the invariant allows.
 func (s *Sim) push(x slot) {
-	if s.vacant {
-		s.vacant = false
-		s.siftedDown(0, s.siftDown(0, x))
-		return
+	if f := s.far; len(f) > 0 && f[0].before(x) {
+		s.farPush(x)
+	} else {
+		s.runPush(x)
 	}
-	s.heap = append(s.heap, x)
-	// Only this branch can raise the pending count above its peak: filling
-	// the vacant root restores a count the heap held before its step.
-	if len(s.heap) > s.peak {
-		s.peak = len(s.heap)
+	if n := s.runLen + len(s.far); n > s.peak {
+		s.peak = n
 	}
-	s.siftUp(len(s.heap)-1, x)
 }
 
-// siftUp places x into the hole at slot i, moving the hole toward the root
-// while x sorts before the hole's parent. It counts its loop iterations on
-// the Sim: a local would take it past the compiler's inlining budget, and
-// push and rekey would call it.
+// runPush inserts x, which sorts before every far key, into the run,
+// spilling the run's last event, or x itself when it sorts after that
+// event, to the far heap when the run is full.
+func (s *Sim) runPush(x slot) {
+	r := s.run
+	n := s.runLen
+	if n >= runCap {
+		last := r[s.runAt(n-1)]
+		if last.before(x) {
+			s.farPush(x)
+			return
+		}
+		s.runLen = n - 1
+		s.farPush(last)
+		n--
+	}
+	x.e.far = false
+	s.runLen = n + 1
+	if n == 0 {
+		r[s.lo] = x
+		x.e.idx = int32(s.lo)
+		return
+	}
+	// The middle event stops either walk, so neither needs a bound.
+	if mid := r[s.runAt(n/2)]; x.before(mid) {
+		// Move the events before x one slot toward the front.
+		lo := (s.lo - 1) & runMask
+		s.lo = lo
+		i, j := lo, (lo+1)&runMask
+		for r[j].before(x) {
+			r[i] = r[j]
+			r[i].e.idx = int32(i)
+			i, j = j, (j+1)&runMask
+		}
+		r[i] = x
+		x.e.idx = int32(i)
+		s.runMoves += uint64((i - lo) & runMask)
+		return
+	}
+	// Move the events after x one slot toward the back.
+	end := s.runAt(n)
+	i := end
+	for j := (i - 1) & runMask; x.before(r[j]); j = (j - 1) & runMask {
+		r[i] = r[j]
+		r[i].e.idx = int32(i)
+		i = j
+	}
+	r[i] = x
+	x.e.idx = int32(i)
+	s.runMoves += uint64((end - i) & runMask)
+}
+
+// runRemove deletes the run's event at ring slot i, closing the gap from
+// the nearer end.
+func (s *Sim) runRemove(i int) {
+	r := s.run
+	k := (i - s.lo) & runMask
+	n := s.runLen - 1
+	s.runLen = n
+	if k < n-k {
+		// Move the k events before it one slot toward the back.
+		s.runMoves += uint64(k)
+		for ; k > 0; k-- {
+			j := (i - 1) & runMask
+			r[i] = r[j]
+			r[i].e.idx = int32(i)
+			i = j
+		}
+		s.lo = (s.lo + 1) & runMask
+		return
+	}
+	// Move the n-k events after it one slot toward the front.
+	s.runMoves += uint64(n - k)
+	for ; k < n; k++ {
+		j := (i + 1) & runMask
+		r[i] = r[j]
+		r[i].e.idx = int32(i)
+		i = j
+	}
+}
+
+// runRekey gives the run's event at ring slot i the key x, which sorts
+// before every far key, moving it in place toward its new position.
+func (s *Sim) runRekey(i int, x slot) {
+	r := s.run
+	from := i
+	k := (i - s.lo) & runMask
+	if x.before(r[i]) {
+		for ; k > 0; k-- {
+			j := (i - 1) & runMask
+			if !x.before(r[j]) {
+				break
+			}
+			r[i] = r[j]
+			r[i].e.idx = int32(i)
+			i = j
+		}
+		s.runMoves += uint64((from - i) & runMask)
+	} else {
+		for n := s.runLen - 1; k < n; k++ {
+			j := (i + 1) & runMask
+			if !r[j].before(x) {
+				break
+			}
+			r[i] = r[j]
+			r[i].e.idx = int32(i)
+			i = j
+		}
+		s.runMoves += uint64((i - from) & runMask)
+	}
+	r[i] = x
+	x.e.idx = int32(i)
+}
+
+// farPush queues x on the far heap.
+func (s *Sim) farPush(x slot) {
+	x.e.far = true
+	s.far = append(s.far, x)
+	s.siftUp(len(s.far)-1, x)
+}
+
+// refill moves the far heap's soonest events, up to half of runCap, into
+// the empty run, in order. Popping the far heap's root alone would leave
+// the run empty, and every later event that sorts after the new root
+// would then go through the far heap too: a pending set that once
+// overflowed the run would never leave the far heap. Half of runCap
+// leaves the run room for the events the batch's handlers arm.
+func (s *Sim) refill() {
+	r := s.run
+	i := s.lo
+	n := min(max(runCap/2, 1), len(s.far))
+	for range n {
+		x := s.far[0]
+		s.farRemove(0)
+		x.e.far = false
+		r[i] = x
+		x.e.idx = int32(i)
+		i = (i + 1) & runMask
+	}
+	s.runLen = n
+}
+
+// siftUp places x into the far heap's hole at slot i, moving the hole
+// toward the root while x sorts before the hole's parent.
 func (s *Sim) siftUp(i int, x slot) {
-	h := s.heap
+	h := s.far
+	var steps uint64
 	for i > 0 {
-		s.siftUps++
+		steps++
 		p := (i - 1) >> 2
 		if !x.before(h[p]) {
 			break
@@ -357,14 +530,17 @@ func (s *Sim) siftUp(i int, x slot) {
 	}
 	h[i] = x
 	x.e.idx = int32(i)
+	s.farSifts += steps
 }
 
-// siftDown places x into the hole at slot i, moving the hole toward the
-// leaves while its smallest child sorts before x, and returns the slot x
-// went to, for its caller to count the sift (siftedDown).
-func (s *Sim) siftDown(i int, x slot) int {
-	h := s.heap
+// siftDown places x into the far heap's hole at slot i, moving the hole
+// toward the leaves while its smallest child sorts before x. Like siftUp
+// it counts its iterations in a local and adds them once, so that the Sim
+// is not live across the loop over the children.
+func (s *Sim) siftDown(i int, x slot) {
+	h := s.far
 	n := len(h)
+	steps := uint64(1)
 	for {
 		c := i<<2 + 1
 		if c >= n {
@@ -386,63 +562,68 @@ func (s *Sim) siftDown(i int, x slot) int {
 		h[i] = h[m]
 		h[i].e.idx = int32(i)
 		i = m
+		steps++
 	}
 	h[i] = x
 	x.e.idx = int32(i)
-	return i
+	s.farSifts += steps
 }
 
-// siftedDown counts the loop iterations of a siftDown that moved a hole
-// from slot from to slot to: one per level it moved down and one that
-// ended it. Its callers count rather than siftDown's loop: a counter
-// there, or the Sim live across it, made the compiler spill registers
-// inside the loop over the children, a quarter more time in siftDown on
-// the fat tree.
-func (s *Sim) siftedDown(from, to int) {
-	s.siftDowns += uint64(level(to)-level(from)) + 1
-}
-
-// level is slot i's depth in the 4-ary heap: level L holds the slots from
-// (4^L-1)/3 to (4^(L+1)-1)/3 - 1.
-func level(i int) int { return (bits.Len(uint(3*i+1)) - 1) / 2 }
-
-// takeLast removes and returns the tail slot.
-func (s *Sim) takeLast() slot {
-	n := len(s.heap) - 1
-	last := s.heap[n]
-	s.heap[n].e = nil
-	s.heap = s.heap[:n]
-	return last
-}
-
-// closeVacancy refills a vacant root from the tail.
-func (s *Sim) closeVacancy() {
-	s.vacant = false
-	if last := s.takeLast(); len(s.heap) > 0 {
-		s.siftedDown(0, s.siftDown(0, last))
+// farRemove deletes the far heap's slot i and refills it from the tail.
+func (s *Sim) farRemove(i int) {
+	n := len(s.far) - 1
+	last := s.far[n]
+	s.far[n].e = nil
+	s.far = s.far[:n]
+	if i < n {
+		s.farRekey(i, last)
 	}
 }
 
-// remove deletes a queued event from an arbitrary heap position.
-func (s *Sim) remove(e *Event) {
-	if s.vacant {
-		s.closeVacancy()
-	}
-	i := int(e.idx)
-	e.idx = -1
-	if last := s.takeLast(); i < len(s.heap) {
-		s.rekey(i, last)
-	}
-}
-
-// rekey places x at slot i, whose previous occupant is being replaced, and
-// restores the heap property in whichever direction x has to move.
-func (s *Sim) rekey(i int, x slot) {
-	if i > 0 && x.before(s.heap[(i-1)>>2]) {
+// farRekey places x at the far heap's slot i, whose previous occupant is
+// being replaced, and restores the heap property in whichever direction x
+// has to move.
+func (s *Sim) farRekey(i int, x slot) {
+	if i > 0 && x.before(s.far[(i-1)>>2]) {
 		s.siftUp(i, x)
 	} else {
-		s.siftedDown(i, s.siftDown(i, x))
+		s.siftDown(i, x)
 	}
+}
+
+// remove deletes a queued event from whichever tier holds it.
+func (s *Sim) remove(e *Event) {
+	i := int(e.idx)
+	e.idx = -1
+	if e.far {
+		s.farRemove(i)
+	} else {
+		s.runRemove(i)
+	}
+}
+
+// rekey gives the pending event e the key (t, seq). It stays in its tier
+// when the invariant allows, and moves in place there; otherwise it leaves
+// for the other tier.
+func (s *Sim) rekey(e *Event, t Time, seq uint64) {
+	x := slot{t, seq, e}
+	i := int(e.idx)
+	if !e.far {
+		if f := s.far; len(f) > 0 && f[0].before(x) {
+			s.runRemove(i)
+			s.farPush(x)
+		} else {
+			s.runRekey(i, x)
+		}
+		return
+	}
+	if n := s.runLen; n == 0 || s.run[s.runAt(n-1)].before(x) {
+		s.farRekey(i, x)
+		return
+	}
+	// x sorts before the run's last event: it belongs in the run.
+	s.farRemove(i)
+	s.runPush(x)
 }
 
 // --- scheduling ---
@@ -457,11 +638,6 @@ func (s *Sim) takeSeq() uint64 {
 	q := s.nextSeq
 	s.nextSeq++
 	return q
-}
-
-func (s *Sim) arm(e *Event, t Time, seq uint64) {
-	e.at = t
-	s.push(slot{t, seq, e})
 }
 
 // At schedules fn to run at absolute virtual time t and returns a
@@ -490,7 +666,7 @@ func (s *Sim) Schedule(t Time, h Handler, kind ...Kind) {
 	s.checkFuture(t)
 	e := s.alloc()
 	e.cb, e.kind = h, kindOf(kind)
-	s.arm(e, t, s.takeSeq())
+	s.push(slot{t, s.takeSeq(), e})
 }
 
 // ScheduleAfter arms h to run d after the current time, fire-and-forget.
@@ -533,7 +709,7 @@ func (s *Sim) armTimer(t Time, seq uint64, h Handler, kind Kind) Timer {
 	e := s.alloc()
 	e.cb, e.kind = h, kind
 	e.retained = true
-	s.arm(e, t, seq)
+	s.push(slot{t, seq, e})
 	return Timer{e, e.gen}
 }
 
@@ -551,15 +727,11 @@ func (s *Sim) RescheduleSeq(tm Timer, t Time, seq uint64) {
 		return // stale: the event was recycled into a new incarnation
 	}
 	if e.idx < 0 {
-		s.arm(e, t, seq)
+		s.push(slot{t, seq, e})
 		return
 	}
-	// Pending: re-key in place, one sift instead of remove + push.
-	if s.vacant {
-		s.closeVacancy()
-	}
-	e.at = t
-	s.rekey(int(e.idx), slot{t, seq, e})
+	// Pending: re-key in place where the tiers allow, not remove + push.
+	s.rekey(e, t, seq)
 }
 
 // Cancel removes a scheduled event. Cancelling the zero Timer, a stale
@@ -615,50 +787,47 @@ func (s *Sim) Pending() int {
 	if s.over {
 		return s.left
 	}
-	if s.vacant {
-		return len(s.heap) - 1
-	}
-	return len(s.heap)
+	return s.runLen + len(s.far)
 }
 
 // Stats is the kernel's work counters for a run since New: what it took
 // to produce the run's result, no part of that result.
 type Stats struct {
 	HeapMax  int              // the most events pending at once
-	SiftDown uint64           // loop iterations of the heap's siftDown
-	SiftUp   uint64           // loop iterations of the heap's siftUp
+	RunMoves uint64           // run slots moved one place by an insert, removal or re-key
+	FarSifts uint64           // loop iterations of the far heap's sifts, up and down
 	Events   [NumKinds]uint64 // events processed, by their handler's Kind
 }
 
 // Stats reports the kernel's work counters; Events sums to Processed.
 func (s *Sim) Stats() Stats {
-	return Stats{HeapMax: s.peak, SiftDown: s.siftDowns, SiftUp: s.siftUps, Events: s.kinds}
+	return Stats{HeapMax: s.peak, RunMoves: s.runMoves, FarSifts: s.farSifts, Events: s.kinds}
 }
 
-// step executes the earliest event. It reports false when the queue is empty.
+// step executes the earliest event if it is due by end. It reports false
+// when no queued event is.
 //
 //simlint:hot
-func (s *Sim) step() bool {
-	if s.vacant {
-		s.closeVacancy()
+func (s *Sim) step(end Time) bool {
+	if s.runLen == 0 {
+		if len(s.far) == 0 || s.far[0].at > end {
+			return false
+		}
+		s.refill()
 	}
-	n := len(s.heap)
-	if n == 0 {
+	top := &s.run[s.lo]
+	at := top.at
+	if at > end {
 		return false
 	}
-	top := s.heap[0]
-	s.heap[0].e = nil
-	if n == 1 {
-		s.heap = s.heap[:0]
-	} else {
-		s.vacant = true
-	}
-	if top.at < s.now {
+	if at < s.now {
 		panic("sim: time went backwards")
 	}
+	s.lo = (s.lo + 1) & runMask
+	s.runLen--
 	e := top.e
 	e.idx = -1
-	s.now = top.at
+	s.now = at
 	s.kinds[e.kind&(NumKinds-1)]++ // NumKinds is a power of two: no bounds check
 	cb := e.cb
 	if !e.retained {
@@ -677,14 +846,7 @@ func (s *Sim) step() bool {
 // windows stay well-defined.
 func (s *Sim) RunUntil(end Time) {
 	s.live("RunUntil")
-	for {
-		if s.vacant {
-			s.closeVacancy()
-		}
-		if len(s.heap) == 0 || s.heap[0].at > end {
-			break
-		}
-		s.step()
+	for s.step(end) {
 	}
 	if s.now < end {
 		s.now = end
@@ -694,6 +856,6 @@ func (s *Sim) RunUntil(end Time) {
 // Run executes events until the queue drains.
 func (s *Sim) Run() {
 	s.live("Run")
-	for s.step() {
+	for s.step(math.MaxInt64) {
 	}
 }
