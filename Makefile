@@ -41,7 +41,7 @@ allocs:
 # FMA ratchet: a fused multiply-add rounds once where amd64
 # rounds twice, so an arm64 host can compute different bytes. Count the
 # fused instructions the arm64 compiler emits in the module and fail when
-# more than 44 sit outside internal/fluid and internal/fixedpoint, whose
+# more than 34 sit outside internal/fluid and internal/fixedpoint, whose
 # results are checked against tolerances. The limit only goes down. -a is
 # required: a cached package prints no assembly, which would count 0.
 fma:
@@ -49,7 +49,7 @@ fma:
 	if ! GOARCH=arm64 $(GO) build -a -gcflags='mptcpsim/...=-S' ./internal/... . 2> "$$asm"; then \
 		grep -v '^[[:space:]]' "$$asm"; echo "fma: arm64 build failed"; exit 1; \
 	fi && \
-	awk -F '\t' -v limit=44 ' \
+	awk -F '\t' -v limit=34 ' \
 		$$3 ~ /^(FMADD|FMSUB|FNMADD|FNMSUB)[DS]$$/ { \
 			total++; file = $$2; sub(/^[^(]*\(/, "", file); sub(/:[0-9]+\)$$/, "", file); \
 			if (file !~ /\/internal\/(fluid|fixedpoint)\//) { n++; by[file]++ } \
@@ -130,9 +130,8 @@ lint:
 # internal/fluid and internal/scenario/fluid.go (scenario.Fluid compiles
 # the model from a Spec), so no network is described a second time by hand.
 # Generators go back only from their owners: no sim.FreeRand( in non-test
-# Go outside internal/sim, the campaign sampler (internal/campaign/sample.go),
-# the scenario fuzzer (internal/scenario/fuzz.go) and the fat-tree builder
-# (internal/scenario/fattree.go), and no ReleaseRand(
+# Go outside internal/sim, the campaign sampler (internal/campaign/sample.go)
+# and the fat-tree builder (internal/scenario/fattree.go), and no ReleaseRand(
 # outside internal/sim and internal/scenario/run.go (Net.Run defers it), so
 # nothing hands back a generator another holder still draws from; the
 # kernel's heap and free-list arrays go back with it. Packet slabs and
@@ -196,8 +195,8 @@ guard:
 	@if git grep -n 'fluid\.NewModel(' -- '*.go' ':!*_test.go' ':!internal/fluid/' ':!internal/scenario/fluid.go'; then \
 		echo "one fluid compiler: build the fluid model with scenario.Fluid from a Spec"; exit 1; \
 	fi
-	@if git grep -n 'FreeRand(' -- '*.go' ':!*_test.go' ':!internal/sim/' ':!internal/campaign/sample.go' ':!internal/scenario/fuzz.go' ':!internal/scenario/fattree.go'; then \
-		echo "a generator goes back only from its owner: sim.FreeRand in the campaign sampler, the scenario fuzzer and the fat-tree builder"; exit 1; \
+	@if git grep -n 'FreeRand(' -- '*.go' ':!*_test.go' ':!internal/sim/' ':!internal/campaign/sample.go' ':!internal/scenario/fattree.go'; then \
+		echo "a generator goes back only from its owner: sim.FreeRand in the campaign sampler and the fat-tree builder"; exit 1; \
 	fi
 	@if git grep -n 'ReleaseRand(' -- '*.go' ':!*_test.go' ':!internal/sim/' ':!internal/scenario/run.go'; then \
 		echo "a run's generator goes back only where scenario.Net.Run ends"; exit 1; \
@@ -245,8 +244,8 @@ examples:
 	$(GO) run ./examples/wireless_handover > /dev/null
 	$(GO) run ./examples/datacenter -seconds 1 > /dev/null
 
-# Scenario fuzzer + cross-model conformance suite: 200 generated scenarios
-# under the full invariant set, then packet-vs-fluid per-path goodput share
+# Scenario fuzzer + cross-model conformance suite: 200 scenarios of the
+# fuzz population (campaign.Fuzz) under the full invariant set, then packet-vs-fluid per-path goodput share
 # agreement on 3- and 4-path topologies. Exits non-zero on any failure.
 conform:
 	$(GO) run ./cmd/mptcpsim conform

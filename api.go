@@ -13,12 +13,12 @@
 //     Collect/RunAll regenerate the paper's tables and figures as
 //     structured Results (the cross-model conformance suite is the
 //     "conformance" table), Run executes one declarative N-path network
-//     (a ScenarioSpec, read back through one ScenarioReport), Fuzz drives
-//     the invariant fuzzer, Campaign samples and aggregates thousands of
-//     scenarios from a parameter-distribution population (with a
-//     content-addressed result cache), and Analyze evaluates the paper's
-//     loss-throughput fixed points without simulation. Worker budget and
-//     progress sink are set once, on the Lab. Calls can be cancelled via
+//     (a ScenarioSpec, read back through one ScenarioReport), Fuzz runs
+//     FuzzCampaign under the invariant checks, Campaign samples and
+//     aggregates thousands of scenarios from a parameter-distribution
+//     population (with a content-addressed result cache), and Analyze
+//     evaluates the paper's loss-throughput fixed points without
+//     simulation. Worker budget and progress sink are set once, on the Lab. Calls can be cancelled via
 //     their context (errors wrap ErrCanceled) and observed in flight via
 //     WithProgress; failures are matchable with errors.Is/As against the
 //     typed error family in errors.go.
@@ -131,7 +131,7 @@ type (
 
 // Float builds the optional *float64 setpoint fields of a LinkSetpoint in
 // literals: LossPct: mptcpsim.Float(100) black-holes a link.
-func Float(v float64) *float64 { return scenario.Float(v) }
+func Float(v float64) *float64 { return &v }
 
 // RateTrace expands a piecewise-constant rate trace into timeline setpoint
 // events: link holds rates[0] from startSec, rates[1] from
@@ -139,13 +139,6 @@ func Float(v float64) *float64 { return scenario.Float(v) }
 // keeping overall time order.
 func RateTrace(link int, startSec, stepSec float64, rates ...float64) []TimelineEvent {
 	return scenario.RateTrace(link, startSec, stepSec, rates...)
-}
-
-// GenFuzzSpec deterministically rebuilds scenario index of a fuzz campaign
-// anchored at seed — the replay entry for fuzz failures: run the returned
-// spec with Lab.Run and inspect the report's Violations.
-func GenFuzzSpec(seed int64, index int) ScenarioSpec {
-	return *scenario.GenSpec(seed, index)
 }
 
 // PaperScenarioA expresses the paper's Fig. 1(a) testbed as a spec: N1
@@ -206,11 +199,16 @@ func DistChoice(vs ...float64) CampaignDist { return campaign.Choice(vs...) }
 // start from.
 func DefaultCampaign() *CampaignSpec { return campaign.Default() }
 
-// FuzzOptions and FuzzReport scale and summarize a scenario-fuzzing
-// campaign (Lab.Fuzz).
+// FuzzCampaign returns the population Lab.Fuzz runs: several multipath
+// users over shared links, beside single-path TCP, under every fault kind.
+// Scenario i of a fuzz run at seed S, the replay entry for a failure, is
+// its SampleSpec(i) with Seed set to S.
+func FuzzCampaign() *CampaignSpec { return campaign.Fuzz() }
+
+// FuzzOptions and FuzzReport scale and summarize a fuzz run (Lab.Fuzz).
 type (
-	FuzzOptions = scenario.FuzzOptions
-	FuzzReport  = scenario.FuzzReport
+	FuzzOptions = campaign.FuzzOptions
+	FuzzReport  = campaign.FuzzReport
 )
 
 // Algorithms lists the available congestion-control algorithms: "olia"

@@ -77,10 +77,10 @@ func behaviourCanaries() []behaviourCanary {
 		Timeline: []scenario.TimelineEvent{
 			{AtSec: 1.5, Link: &scenario.LinkSetpoint{Link: 0, RateMbps: 2}},
 			{AtSec: 2, Path: &scenario.PathFlap{Path: 1}},
-			{AtSec: 2.5, Link: &scenario.LinkSetpoint{Link: 0, LossPct: scenario.Float(100)}},
+			{AtSec: 2.5, Link: &scenario.LinkSetpoint{Link: 0, LossPct: Float(100)}},
 			{AtSec: 3, Path: &scenario.PathFlap{Path: 1, Up: true}},
-			{AtSec: 3.5, Link: &scenario.LinkSetpoint{Link: 0, LossPct: scenario.Float(0), DelayMs: scenario.Float(5)}},
-			{AtSec: 4, Link: &scenario.LinkSetpoint{Link: 1, RateMbps: 12, LossPct: scenario.Float(2)}},
+			{AtSec: 3.5, Link: &scenario.LinkSetpoint{Link: 0, LossPct: Float(0), DelayMs: Float(5)}},
+			{AtSec: 4, Link: &scenario.LinkSetpoint{Link: 1, RateMbps: 12, LossPct: Float(2)}},
 		},
 	})
 

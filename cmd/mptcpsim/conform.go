@@ -107,8 +107,10 @@ func conformFailed(r *mptcpsim.Result) bool {
 // command each fuzz failure prints — and exits 1 if it still violates an
 // invariant.
 func replayMain(ctx context.Context, lab *mptcpsim.Lab, seed int64, index int, jsonOut bool) {
-	sp := mptcpsim.GenFuzzSpec(seed, index)
-	rep, err := lab.Run(ctx, sp)
+	fz := mptcpsim.FuzzCampaign()
+	fz.Seed = seed
+	sp := fz.SampleSpec(index)
+	rep, err := lab.Run(ctx, *sp)
 	if err != nil {
 		exitOn(err, "interrupted")
 	}

@@ -103,12 +103,13 @@ func TestTimelineThroughFacade(t *testing.T) {
 	}
 }
 
-// TestGenFuzzSpec pins the replay contract: the facade rebuilds exactly
+// TestGenFuzzSpec pins the replay contract: FuzzCampaign rebuilds exactly
 // the spec the fuzzer ran, it validates, and it carries a timeline.
 func TestGenFuzzSpec(t *testing.T) {
-	a, b := GenFuzzSpec(1, 17), GenFuzzSpec(1, 17)
+	fz := FuzzCampaign()
+	a, b := fz.SampleSpec(17), FuzzCampaign().SampleSpec(17)
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("GenFuzzSpec not deterministic")
+		t.Fatal("FuzzCampaign sampling not deterministic")
 	}
 	if err := a.Validate(); err != nil {
 		t.Fatalf("generated spec invalid: %v", err)
@@ -116,7 +117,7 @@ func TestGenFuzzSpec(t *testing.T) {
 	if len(a.Timeline) == 0 {
 		t.Fatal("fuzz specs must carry a fault timeline by default")
 	}
-	if reflect.DeepEqual(a, GenFuzzSpec(1, 18)) {
+	if reflect.DeepEqual(a, fz.SampleSpec(18)) {
 		t.Fatal("different indices produced identical specs")
 	}
 }

@@ -10,8 +10,8 @@
 //
 // Determinism contract: scenario i of a campaign is a pure function of
 // (Spec, i) — the sampler seeds a private RNG from the campaign seed and
-// the index alone, exactly like scenario.GenSpec — and the aggregate is a
-// fold over reports in index order. Workers only compute per-index
+// the index alone, so a fuzz failure replays by index — and the aggregate
+// is a fold over reports in index order. Workers only compute per-index
 // samples; the fold itself is sequential, so the campaign Result (and its
 // Digest) is byte-identical at any worker count, warm cache or cold.
 package campaign
@@ -32,34 +32,41 @@ import (
 type FaultSpec struct {
 	// Events is the number of timeline events drawn per scenario.
 	Events IntRange `json:"events"`
-	// Rate, Blackhole and Flap enable the event kinds the sampler draws
-	// from: mid-run rate setpoints (redrawn from LinkRateMbps), full loss
-	// blackholes with a later recovery, and path down/up flaps. At least
-	// one kind must be enabled when Events can be positive.
+	// Rate, Blackhole, Flap, Delay and Loss enable the event kinds the
+	// sampler draws from: mid-run rate setpoints (redrawn from
+	// LinkRateMbps), full loss blackholes with a later recovery, path
+	// down/up flaps, and delay and loss setpoints that hold to the end of
+	// the run (redrawn from LinkDelayMs and LinkLossPct). At least one kind
+	// must be enabled when Events can be positive.
 	Rate      bool `json:"rate,omitempty"`
 	Blackhole bool `json:"blackhole,omitempty"`
 	Flap      bool `json:"flap,omitempty"`
+	Delay     bool `json:"delay,omitempty"`
+	Loss      bool `json:"loss,omitempty"`
 }
 
 // faultKinds holds the enabled-kind list of every FaultSpec, indexed by
-// its Rate, Blackhole and Flap bits, so sampling a timeline builds none.
-var faultKinds = [8][]string{
-	nil, {"rate"}, {"blackhole"}, {"rate", "blackhole"},
-	{"flap"}, {"rate", "flap"}, {"blackhole", "flap"}, {"rate", "blackhole", "flap"},
-}
+// its kind bits in declaration order, so sampling a timeline builds none.
+var faultKinds = func() (t [32][]string) {
+	names := [...]string{"rate", "blackhole", "flap", "delay", "loss"}
+	for i := range t {
+		for b, name := range names {
+			if i>>b&1 == 1 {
+				t[i] = append(t[i], name)
+			}
+		}
+	}
+	return t
+}()
 
 // kinds lists the enabled event kinds in declaration order. The list is
 // shared: callers must not modify it.
 func (f FaultSpec) kinds() []string {
 	i := 0
-	if f.Rate {
-		i |= 1
-	}
-	if f.Blackhole {
-		i |= 2
-	}
-	if f.Flap {
-		i |= 4
+	for b, on := range [...]bool{f.Rate, f.Blackhole, f.Flap, f.Delay, f.Loss} {
+		if on {
+			i |= 1 << b
+		}
 	}
 	return faultKinds[i]
 }
@@ -69,7 +76,8 @@ func (f FaultSpec) kinds() []string {
 // scenario i is one "user": a multipath flow over Paths disjoint
 // bottleneck links (each drawn from the link distributions), competing
 // with Background single-path TCP flows per path, optionally under a
-// drawn fault timeline.
+// drawn fault timeline. Links, Hops and Users widen that to several users
+// over shared links; each field that does so draws nothing when unset.
 type Spec struct {
 	// Name labels the campaign in reports and job listings.
 	Name string `json:"name,omitempty"`
@@ -86,8 +94,15 @@ type Spec struct {
 	DurationSec Dist `json:"duration_sec"`
 
 	// Paths draws the user's interface count — each path gets its own
-	// bottleneck link drawn from the link distributions below.
+	// bottleneck link drawn from the link distributions below, unless
+	// Links draws a shared pool.
 	Paths IntRange `json:"paths"`
+	// Links, when set, draws the size of a pool of bottleneck links that
+	// the paths are routed over instead: each path crosses Hops distinct
+	// links of the pool (one when Hops is unset), drawn uniformly, so
+	// paths share links. At most maxPaths.
+	Links IntRange `json:"links,omitzero"`
+	Hops  IntRange `json:"hops,omitzero"`
 	// LinkRateMbps, LinkDelayMs and LinkLossPct draw each bottleneck's
 	// line rate (Mb/s, required positive), one-way access delay (ms), and
 	// i.i.d. non-congestive loss (percent, support within [0, 100)).
@@ -98,23 +113,36 @@ type Spec struct {
 	// "droptail"); empty keeps every bottleneck RED, the paper's testbed.
 	Queues []string `json:"queues,omitempty"`
 
+	// Users, when set, draws the number of multipath users, flow groups
+	// "user", "user1", "user2", … over every path, each drawing its own
+	// controller, transfer and stop; unset, there is one. At most maxUsers.
+	Users IntRange `json:"users,omitzero"`
 	// Algorithms lists the multipath congestion controllers drawn per
-	// scenario (required non-empty; see mptcpsim.Algorithms).
+	// user (required non-empty; see mptcpsim.Algorithms).
 	Algorithms []string `json:"algorithms"`
 	// FlowBytes draws the user's transfer size; a draw of 0 (the default)
 	// means a long-lived flow. Positive draws are clamped to at least one
 	// segment per subflow.
 	FlowBytes Dist `json:"flow_bytes,omitempty"`
 	// Schedulers lists the subflow schedulers drawn for finite transfers
-	// (see mptcpsim.Schedulers); empty keeps the legacy per-subflow split.
+	// (see mptcpsim.Schedulers); an empty name draws the legacy
+	// per-subflow split, which an empty list keeps for every transfer.
 	// Ignored for long-lived draws.
 	Schedulers []string `json:"schedulers,omitempty"`
+	// ChunkBytes draws the scheduling granularity of a transfer that drew
+	// a scheduler; a draw below one byte keeps mptcp.DefaultChunk. It
+	// needs Schedulers.
+	ChunkBytes Dist `json:"chunk_bytes,omitzero"`
 	// Background draws the number of competing single-path TCP flows per
 	// path.
 	Background IntRange `json:"background"`
 	// StartJitter randomizes every flow's start within [0, 1 s), the
 	// testbed's randomized Iperf start order.
 	StartJitter bool `json:"start_jitter,omitempty"`
+	// StopSec draws each flow group's stop time in seconds; a draw of 0
+	// (the default) never stops. A user that drew a scheduler runs to
+	// completion and draws none.
+	StopSec Dist `json:"stop_sec,omitzero"`
 
 	// Faults scales the per-scenario fault timeline; the zero value
 	// injects none.
@@ -127,8 +155,12 @@ type Spec struct {
 	CacheDir string `json:"-"`
 }
 
-// maxPaths bounds the user's interface count a Spec may draw.
-const maxPaths = 8
+// maxPaths bounds the user's interface count, the link pool and a path's
+// hops; maxUsers bounds the multipath users.
+const (
+	maxPaths = 8
+	maxUsers = 8
+)
 
 // Default returns the reference population: dual-homed (occasionally
 // single- or triple-homed) users over log-uniform 1-16 Mb/s bottlenecks
@@ -153,6 +185,38 @@ func Default() *Spec {
 		Background:   IntRange{Min: 0, Max: 2},
 		StartJitter:  true,
 		Faults:       FaultSpec{Events: IntRange{Min: 0, Max: 2}, Rate: true, Blackhole: true, Flap: true},
+	}
+}
+
+// Fuzz returns the fuzz population, the one RunFuzz runs: one to three
+// multipath users under every controller, over one to four paths routed
+// across a shared pool of one to four log-uniform 0.5-11.3 Mb/s links,
+// each path crossing one or two of them; 0-2 background TCP flows per path;
+// long-lived, stopped and finite transfers under every scheduler, with
+// and without a chunk size; and one to five faults of every kind.
+func Fuzz() *Spec {
+	return &Spec{
+		Name:         "fuzz",
+		N:            200,
+		Seed:         1,
+		WarmupSec:    Uniform(0.4, 0.8),
+		DurationSec:  Uniform(1, 2.5),
+		Paths:        IntRange{Min: 1, Max: 4},
+		Links:        IntRange{Min: 1, Max: 4},
+		Hops:         IntRange{Min: 1, Max: 2},
+		LinkRateMbps: LogUniform(0.5, 11.3),
+		LinkDelayMs:  Uniform(5, 40),
+		LinkLossPct:  Choice(0, 0, 0, 0, 0, 0.5, 1),
+		Queues:       []string{string(scenario.QueueRED), string(scenario.QueueDropTail)},
+		Users:        IntRange{Min: 1, Max: 3},
+		Algorithms:   []string{"olia", "lia", "uncoupled", "fullycoupled"},
+		FlowBytes:    Choice(0, 0, 0, 0, 16<<10, 128<<10, 1<<20),
+		Schedulers:   []string{"", "pull", "minrtt", "roundrobin", "ecf", "redundant"},
+		ChunkBytes:   Choice(0, 2<<10, 8<<10, 16<<10),
+		Background:   IntRange{Min: 0, Max: 2},
+		StartJitter:  true,
+		StopSec:      Choice(0, 0, 0, 1.3, 1.7, 2.1),
+		Faults:       FaultSpec{Events: IntRange{Min: 1, Max: 5}, Rate: true, Blackhole: true, Flap: true, Delay: true, Loss: true},
 	}
 }
 
@@ -213,6 +277,15 @@ func (sp *Spec) Validate() error {
 	if err := sp.Paths.validate("paths", 1, maxPaths); err != nil {
 		return err
 	}
+	if err := sp.Links.validateSet("links", 1, maxPaths); err != nil {
+		return err
+	}
+	if err := sp.Hops.validateSet("hops", 1, maxPaths); err != nil {
+		return err
+	}
+	if sp.Hops != (IntRange{}) && sp.Links == (IntRange{}) {
+		return fmt.Errorf("campaign %q: hops need a links pool to cross", sp.Name)
+	}
 	if sp.LinkRateMbps.zero() {
 		return fmt.Errorf("campaign %q: link_rate_mbps distribution is required", sp.Name)
 	}
@@ -234,6 +307,9 @@ func (sp *Spec) Validate() error {
 			return fmt.Errorf("campaign %q: unknown queue kind %q", sp.Name, q)
 		}
 	}
+	if err := sp.Users.validateSet("users", 1, maxUsers); err != nil {
+		return err
+	}
 	if len(sp.Algorithms) == 0 {
 		return fmt.Errorf("campaign %q: algorithms list is required", sp.Name)
 	}
@@ -246,12 +322,22 @@ func (sp *Spec) Validate() error {
 		return err
 	}
 	for _, s := range sp.Schedulers {
-		if _, err := mptcp.NewScheduler(s); err != nil {
+		if _, err := mptcp.NewScheduler(s); s != "" && err != nil {
 			return fmt.Errorf("campaign %q: %w", sp.Name, err)
 		}
 	}
 	if len(sp.Schedulers) > 0 && sp.FlowBytes.zero() {
 		return fmt.Errorf("campaign %q: schedulers need a flow_bytes distribution (schedulers apply to finite transfers)", sp.Name)
+	}
+	if err := sp.ChunkBytes.validate("chunk_bytes", 0, 1e9); err != nil {
+		return err
+	}
+	if !sp.ChunkBytes.zero() && len(sp.Schedulers) == 0 {
+		return fmt.Errorf("campaign %q: chunk_bytes needs schedulers (a chunk is a scheduler's granularity)", sp.Name)
+	}
+	// A stop lies within the longest run Validate allows.
+	if err := sp.StopSec.validate("stop_sec", 0, 660); err != nil {
+		return err
 	}
 	if err := sp.Background.validate("background", 0, 16); err != nil {
 		return err

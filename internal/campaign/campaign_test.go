@@ -54,7 +54,7 @@ func tinySpec() *Spec {
 // accepted by the scenario DSL's own validator, and that sampling is a pure
 // function of (Spec, index).
 func TestSampledSpecsValidate(t *testing.T) {
-	for _, sp := range []*Spec{Default(), tinySpec()} {
+	for _, sp := range []*Spec{Default(), tinySpec(), Fuzz()} {
 		sp = sp.fill()
 		if err := sp.Validate(); err != nil {
 			t.Fatalf("%s: spec invalid: %v", sp.Name, err)
@@ -179,6 +179,16 @@ func TestValidateRejects(t *testing.T) {
 		{"oversized faults", func(sp *Spec) {
 			sp.Faults = FaultSpec{Events: IntRange{Max: 64}, Rate: true}
 		}},
+		{"empty links pool", func(sp *Spec) { sp.Links = IntRange{Min: 0, Max: 2} }},
+		{"oversized links pool", func(sp *Spec) { sp.Links = IntRange{Min: 1, Max: 9} }},
+		{"hops without links", func(sp *Spec) { sp.Hops = IntRange{Min: 1, Max: 2} }},
+		{"zero hops", func(sp *Spec) { sp.Links, sp.Hops = IntRange{Min: 1, Max: 2}, IntRange{Max: 2} }},
+		{"zero users", func(sp *Spec) { sp.Users = IntRange{Max: 2} }},
+		{"oversized users", func(sp *Spec) { sp.Users = IntRange{Min: 1, Max: 9} }},
+		{"chunk without schedulers", func(sp *Spec) { sp.Schedulers, sp.ChunkBytes = nil, Const(4096) }},
+		{"negative chunk", func(sp *Spec) { sp.ChunkBytes = Choice(0, -1) }},
+		{"negative stop", func(sp *Spec) { sp.StopSec = Uniform(-1, 1) }},
+		{"stop past the longest run", func(sp *Spec) { sp.StopSec = Const(1e4) }},
 	}
 	for _, c := range cases {
 		sp := tinySpec()
@@ -282,6 +292,7 @@ func TestCacheKey(t *testing.T) {
 
 	// The encoding is pinned: a change to it must bump cacheSchema, which
 	// changes this key too.
+	blackhole := 100.0
 	pinned := &scenario.Spec{
 		Name: "pin", Seed: 42, WarmupSec: 1, DurationSec: 2.5,
 		Links: []scenario.LinkSpec{
@@ -294,7 +305,7 @@ func TestCacheKey(t *testing.T) {
 			{Name: "bg0", Algorithm: scenario.AlgoTCP, Paths: []int{0}, Count: 2},
 		},
 		Timeline: []scenario.TimelineEvent{
-			{AtSec: 1.5, Link: &scenario.LinkSetpoint{Link: 1, LossPct: scenario.Float(100)}},
+			{AtSec: 1.5, Link: &scenario.LinkSetpoint{Link: 1, LossPct: &blackhole}},
 			{AtSec: 2, Path: &scenario.PathFlap{Path: 0, Up: true}},
 		},
 	}

@@ -140,6 +140,15 @@ func (r IntRange) validate(field string, lo, hi int) error {
 	return nil
 }
 
+// validateSet checks an optional range: the zero range, which draws
+// nothing, or a range within [lo, hi].
+func (r IntRange) validateSet(field string, lo, hi int) error {
+	if r == (IntRange{}) {
+		return nil
+	}
+	return r.validate(field, lo, hi)
+}
+
 // sample draws one integer; a degenerate range (Min == Max) is draw-free,
 // mirroring DistConst.
 func (r IntRange) sample(rng *rand.Rand) int {

@@ -7,12 +7,11 @@
 // flows (congestion-control algorithm, path set, replica count, start/stop
 // times, workload size). Compile turns one into a Net: the paper's testbed
 // topologies (paper.go) and its data-center fabric (fattree.go) are Spec
-// builders that the figure experiments compile, the fuzzer (fuzz.go)
-// generates topologies far outside the ~15 hardcoded paper figures, Fluid
-// (fluid.go) compiles the same Spec to the paper's §V fluid model, and the
-// conformance oracle (conformance.go)
-// cross-checks packet-level steady states against that model's equilibria
-// and the fixed-point analyses.
+// builders that the figure experiments compile, the campaign sampler
+// draws topologies far outside the ~15 hardcoded paper figures (the fuzzer
+// runs one such population), and Fluid (fluid.go) compiles the same Spec to
+// the paper's §V fluid model, which the harness's conformance table
+// cross-checks packet-level steady states against.
 //
 // Net (compile.go) is the one way a flow is wired and the one way a
 // network is run, and Compile is its one front end: every network in the

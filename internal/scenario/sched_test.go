@@ -164,25 +164,3 @@ func TestSchedulerEndgameLiveness(t *testing.T) {
 		t.Fatalf("endgame hold deadlocked the stream: %+v", sr)
 	}
 }
-
-// TestGenSpecSamplesSchedulers: the fuzz generator must produce scheduler
-// flows (and they must validate).
-func TestGenSpecSamplesSchedulers(t *testing.T) {
-	seen := map[string]bool{}
-	for i := 0; i < 400; i++ {
-		sp := GenSpec(3, i)
-		if err := sp.Validate(); err != nil {
-			t.Fatalf("GenSpec(3, %d) invalid: %v", i, err)
-		}
-		for _, f := range sp.Flows {
-			if f.Scheduler != "" {
-				seen[f.Scheduler] = true
-			}
-		}
-	}
-	for _, name := range mptcp.Schedulers() {
-		if !seen[name] {
-			t.Errorf("400 generated specs never sampled scheduler %q", name)
-		}
-	}
-}

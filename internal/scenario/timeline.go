@@ -48,10 +48,6 @@ type PathFlap struct {
 	Up   bool `json:"up"`
 }
 
-// Float builds the optional setpoint fields in literals:
-// DelayMs: scenario.Float(0) clears a link's propagation delay.
-func Float(v float64) *float64 { return &v }
-
 // RateTrace expands a piecewise-constant rate trace into setpoint events:
 // link holds rates[0] from startSec, rates[1] from startSec+stepSec, and so
 // on. Append the result to Spec.Timeline, keeping overall time order.

@@ -35,6 +35,9 @@ func mustRun(t *testing.T, sp *Spec) *RunReport {
 
 // TestTimelineValidate locks every timeline structural check with its
 // message, in the TestSpecValidate style.
+// Float points at v, for the optional setpoint fields in literals.
+func Float(v float64) *float64 { return &v }
+
 func TestTimelineValidate(t *testing.T) {
 	cases := []struct {
 		name    string

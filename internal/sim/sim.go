@@ -344,7 +344,8 @@ func (a slot) before(b slot) bool {
 }
 
 // runSlots is the size of the run's ring, a power of two so that a mask
-// wraps an index.
+// wraps an index. A ring access masks its index again where the index is
+// already in range, so that the compiler drops the bounds check.
 const (
 	runSlots = 128
 	runMask  = runSlots - 1
@@ -390,7 +391,7 @@ func (s *Sim) runPush(x slot) {
 	x.e.far = false
 	s.runLen = n + 1
 	if n == 0 {
-		r[s.lo] = x
+		r[s.lo&runMask] = x
 		x.e.idx = int32(s.lo)
 		return
 	}
@@ -400,12 +401,12 @@ func (s *Sim) runPush(x slot) {
 		lo := (s.lo - 1) & runMask
 		s.lo = lo
 		i, j := lo, (lo+1)&runMask
-		for r[j].before(x) {
-			r[i] = r[j]
-			r[i].e.idx = int32(i)
+		for r[j&runMask].before(x) {
+			r[i&runMask] = r[j&runMask]
+			r[i&runMask].e.idx = int32(i)
 			i, j = j, (j+1)&runMask
 		}
-		r[i] = x
+		r[i&runMask] = x
 		x.e.idx = int32(i)
 		s.runMoves += uint64((i - lo) & runMask)
 		return
@@ -413,12 +414,12 @@ func (s *Sim) runPush(x slot) {
 	// Move the events after x one slot toward the back.
 	end := s.runAt(n)
 	i := end
-	for j := (i - 1) & runMask; x.before(r[j]); j = (j - 1) & runMask {
-		r[i] = r[j]
-		r[i].e.idx = int32(i)
+	for j := (i - 1) & runMask; x.before(r[j&runMask]); j = (j - 1) & runMask {
+		r[i&runMask] = r[j&runMask]
+		r[i&runMask].e.idx = int32(i)
 		i = j
 	}
-	r[i] = x
+	r[i&runMask] = x
 	x.e.idx = int32(i)
 	s.runMoves += uint64((end - i) & runMask)
 }
@@ -435,8 +436,8 @@ func (s *Sim) runRemove(i int) {
 		s.runMoves += uint64(k)
 		for ; k > 0; k-- {
 			j := (i - 1) & runMask
-			r[i] = r[j]
-			r[i].e.idx = int32(i)
+			r[i&runMask] = r[j]
+			r[i&runMask].e.idx = int32(i)
 			i = j
 		}
 		s.lo = (s.lo + 1) & runMask
@@ -446,8 +447,8 @@ func (s *Sim) runRemove(i int) {
 	s.runMoves += uint64(n - k)
 	for ; k < n; k++ {
 		j := (i + 1) & runMask
-		r[i] = r[j]
-		r[i].e.idx = int32(i)
+		r[i&runMask] = r[j]
+		r[i&runMask].e.idx = int32(i)
 		i = j
 	}
 }
@@ -458,14 +459,14 @@ func (s *Sim) runRekey(i int, x slot) {
 	r := s.run
 	from := i
 	k := (i - s.lo) & runMask
-	if x.before(r[i]) {
+	if x.before(r[i&runMask]) {
 		for ; k > 0; k-- {
 			j := (i - 1) & runMask
 			if !x.before(r[j]) {
 				break
 			}
-			r[i] = r[j]
-			r[i].e.idx = int32(i)
+			r[i&runMask] = r[j]
+			r[i&runMask].e.idx = int32(i)
 			i = j
 		}
 		s.runMoves += uint64((from - i) & runMask)
@@ -475,13 +476,13 @@ func (s *Sim) runRekey(i int, x slot) {
 			if !r[j].before(x) {
 				break
 			}
-			r[i] = r[j]
-			r[i].e.idx = int32(i)
+			r[i&runMask] = r[j]
+			r[i&runMask].e.idx = int32(i)
 			i = j
 		}
 		s.runMoves += uint64((i - from) & runMask)
 	}
-	r[i] = x
+	r[i&runMask] = x
 	x.e.idx = int32(i)
 }
 
@@ -506,7 +507,7 @@ func (s *Sim) refill() {
 		x := s.far[0]
 		s.farRemove(0)
 		x.e.far = false
-		r[i] = x
+		r[i&runMask] = x
 		x.e.idx = int32(i)
 		i = (i + 1) & runMask
 	}
@@ -815,7 +816,7 @@ func (s *Sim) step(end Time) bool {
 		}
 		s.refill()
 	}
-	top := &s.run[s.lo]
+	top := &s.run[s.lo&runMask]
 	at := top.at
 	if at > end {
 		return false

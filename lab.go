@@ -250,12 +250,12 @@ func (l *Lab) Run(ctx context.Context, spec ScenarioSpec) (*ScenarioReport, erro
 	return rep, nil
 }
 
-// Fuzz generates opts.N seeded random scenarios on the Lab's worker budget
-// and runs each twice: once under the full invariant suite and once more
-// to verify the run is byte-identical. The campaign is deterministic per
-// seed; scenario i is GenFuzzSpec(opts.Seed, i), so any failure replays
-// from its index alone. A negative opts.N or worker budget is
-// ErrInvalidConfig. Cancelling ctx stops the campaign at the next scenario
+// Fuzz samples opts.N scenarios of FuzzCampaign() at seed opts.Seed on
+// the Lab's worker budget and runs each twice: once under the full
+// invariant suite and once more to verify the run is byte-identical. The
+// run is deterministic per seed, so any failure replays from its index
+// alone (see FuzzCampaign). A negative opts.N or worker budget is
+// ErrInvalidConfig. Cancelling ctx stops the run at the next scenario
 // boundary with an ErrCanceled error.
 func (l *Lab) Fuzz(ctx context.Context, opts FuzzOptions) (*FuzzReport, error) {
 	const op = "fuzz"
@@ -265,7 +265,7 @@ func (l *Lab) Fuzz(ctx context.Context, opts FuzzOptions) (*FuzzReport, error) {
 	if err := l.validWorkers(op); err != nil {
 		return nil, err
 	}
-	rep, err := scenario.Fuzz(ctx, opts, l.cfg.Workers, l.jobsProgress())
+	rep, err := campaign.RunFuzz(ctx, opts, l.cfg.Workers, l.jobsProgress())
 	if err != nil {
 		return nil, classify(op, "", err)
 	}

@@ -187,10 +187,10 @@ func TestFanOutRejectsInvalidSizes(t *testing.T) {
 	}
 }
 
-// TestLabFuzzSeedReplays: a fuzz campaign reports the seed it was given —
-// 0 included — and its scenarios are exactly GenFuzzSpec(seed, i), so the
-// replay entry rebuilds what ran: the campaign's event count is the sum of
-// the replayed runs'.
+// TestLabFuzzSeedReplays: a fuzz run reports the seed it was given — 0
+// included — and its scenarios are exactly FuzzCampaign().SampleSpec(i)
+// with that seed, so the replay entry rebuilds what ran: the run's event
+// count is the sum of the replayed runs'.
 func TestLabFuzzSeedReplays(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short")
@@ -203,9 +203,11 @@ func TestLabFuzzSeedReplays(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		fz := FuzzCampaign()
+		fz.Seed = seed
 		var events uint64
 		for i := 0; i < n; i++ {
-			run, err := lab.Run(ctx, GenFuzzSpec(seed, i))
+			run, err := lab.Run(ctx, *fz.SampleSpec(i))
 			if err != nil {
 				t.Fatal(err)
 			}
