@@ -202,7 +202,9 @@ func DefaultCampaign() *CampaignSpec { return campaign.Default() }
 // FuzzCampaign returns the population Lab.Fuzz runs: several multipath
 // users over shared links, beside single-path TCP, under every fault kind.
 // Scenario i of a fuzz run at seed S, the replay entry for a failure, is
-// its SampleSpec(i) with Seed set to S.
+// its SampleSpec(i) with Seed set to S. Run as a campaign, it samples the
+// same scenarios at every seed but 0, which a campaign reads as unset
+// (seed 1); a fuzz run's seed 0 is a seed of its own.
 func FuzzCampaign() *CampaignSpec { return campaign.Fuzz() }
 
 // FuzzOptions and FuzzReport scale and summarize a fuzz run (Lab.Fuzz).

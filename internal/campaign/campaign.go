@@ -32,23 +32,22 @@ import (
 type FaultSpec struct {
 	// Events is the number of timeline events drawn per scenario.
 	Events IntRange `json:"events"`
-	// Rate, Blackhole, Flap, Delay and Loss enable the event kinds the
-	// sampler draws from: mid-run rate setpoints (redrawn from
-	// LinkRateMbps), full loss blackholes with a later recovery, path
-	// down/up flaps, and delay and loss setpoints that hold to the end of
-	// the run (redrawn from LinkDelayMs and LinkLossPct). At least one kind
-	// must be enabled when Events can be positive.
+	// Rate, Blackhole, Flap and Delay enable the event kinds the sampler
+	// draws from: mid-run rate setpoints (redrawn from LinkRateMbps), full
+	// loss blackholes with a later recovery, path down/up flaps, and delay
+	// setpoints that hold to the end of the run (redrawn from
+	// LinkDelayMs). At least one kind must be enabled when Events can be
+	// positive.
 	Rate      bool `json:"rate,omitempty"`
 	Blackhole bool `json:"blackhole,omitempty"`
 	Flap      bool `json:"flap,omitempty"`
 	Delay     bool `json:"delay,omitempty"`
-	Loss      bool `json:"loss,omitempty"`
 }
 
 // faultKinds holds the enabled-kind list of every FaultSpec, indexed by
 // its kind bits in declaration order, so sampling a timeline builds none.
-var faultKinds = func() (t [32][]string) {
-	names := [...]string{"rate", "blackhole", "flap", "delay", "loss"}
+var faultKinds = func() (t [16][]string) {
+	names := [...]string{"rate", "blackhole", "flap", "delay"}
 	for i := range t {
 		for b, name := range names {
 			if i>>b&1 == 1 {
@@ -63,7 +62,7 @@ var faultKinds = func() (t [32][]string) {
 // shared: callers must not modify it.
 func (f FaultSpec) kinds() []string {
 	i := 0
-	for b, on := range [...]bool{f.Rate, f.Blackhole, f.Flap, f.Delay, f.Loss} {
+	for b, on := range [...]bool{f.Rate, f.Blackhole, f.Flap, f.Delay} {
 		if on {
 			i |= 1 << b
 		}
@@ -129,10 +128,6 @@ type Spec struct {
 	// per-subflow split, which an empty list keeps for every transfer.
 	// Ignored for long-lived draws.
 	Schedulers []string `json:"schedulers,omitempty"`
-	// ChunkBytes draws the scheduling granularity of a transfer that drew
-	// a scheduler; a draw below one byte keeps mptcp.DefaultChunk. It
-	// needs Schedulers.
-	ChunkBytes Dist `json:"chunk_bytes,omitzero"`
 	// Background draws the number of competing single-path TCP flows per
 	// path.
 	Background IntRange `json:"background"`
@@ -192,8 +187,8 @@ func Default() *Spec {
 // multipath users under every controller, over one to four paths routed
 // across a shared pool of one to four log-uniform 0.5-11.3 Mb/s links,
 // each path crossing one or two of them; 0-2 background TCP flows per path;
-// long-lived, stopped and finite transfers under every scheduler, with
-// and without a chunk size; and one to five faults of every kind.
+// long-lived, stopped and finite transfers under every scheduler; and
+// one to five faults of every kind.
 func Fuzz() *Spec {
 	return &Spec{
 		Name:         "fuzz",
@@ -212,11 +207,10 @@ func Fuzz() *Spec {
 		Algorithms:   []string{"olia", "lia", "uncoupled", "fullycoupled"},
 		FlowBytes:    Choice(0, 0, 0, 0, 16<<10, 128<<10, 1<<20),
 		Schedulers:   []string{"", "pull", "minrtt", "roundrobin", "ecf", "redundant"},
-		ChunkBytes:   Choice(0, 2<<10, 8<<10, 16<<10),
 		Background:   IntRange{Min: 0, Max: 2},
 		StartJitter:  true,
 		StopSec:      Choice(0, 0, 0, 1.3, 1.7, 2.1),
-		Faults:       FaultSpec{Events: IntRange{Min: 1, Max: 5}, Rate: true, Blackhole: true, Flap: true, Delay: true, Loss: true},
+		Faults:       FaultSpec{Events: IntRange{Min: 1, Max: 5}, Rate: true, Blackhole: true, Flap: true, Delay: true},
 	}
 }
 
@@ -328,12 +322,6 @@ func (sp *Spec) Validate() error {
 	}
 	if len(sp.Schedulers) > 0 && sp.FlowBytes.zero() {
 		return fmt.Errorf("campaign %q: schedulers need a flow_bytes distribution (schedulers apply to finite transfers)", sp.Name)
-	}
-	if err := sp.ChunkBytes.validate("chunk_bytes", 0, 1e9); err != nil {
-		return err
-	}
-	if !sp.ChunkBytes.zero() && len(sp.Schedulers) == 0 {
-		return fmt.Errorf("campaign %q: chunk_bytes needs schedulers (a chunk is a scheduler's granularity)", sp.Name)
 	}
 	// A stop lies within the longest run Validate allows.
 	if err := sp.StopSec.validate("stop_sec", 0, 660); err != nil {

@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -185,8 +186,6 @@ func TestValidateRejects(t *testing.T) {
 		{"zero hops", func(sp *Spec) { sp.Links, sp.Hops = IntRange{Min: 1, Max: 2}, IntRange{Max: 2} }},
 		{"zero users", func(sp *Spec) { sp.Users = IntRange{Max: 2} }},
 		{"oversized users", func(sp *Spec) { sp.Users = IntRange{Min: 1, Max: 9} }},
-		{"chunk without schedulers", func(sp *Spec) { sp.Schedulers, sp.ChunkBytes = nil, Const(4096) }},
-		{"negative chunk", func(sp *Spec) { sp.ChunkBytes = Choice(0, -1) }},
 		{"negative stop", func(sp *Spec) { sp.StopSec = Uniform(-1, 1) }},
 		{"stop past the longest run", func(sp *Spec) { sp.StopSec = Const(1e4) }},
 	}
@@ -728,6 +727,41 @@ func TestRunRejectsInvalidSpec(t *testing.T) {
 	sp.Algorithms = nil
 	if _, err := Run(context.Background(), sp, Options{}); err == nil {
 		t.Fatal("Run accepted an invalid campaign spec")
+	}
+}
+
+// TestExtractSumsEveryUser: with two multipath user groups and no
+// background, both groups' goodput lands in the user metric, which then
+// equals the total, and there is no background sample.
+func TestExtractSumsEveryUser(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates scenarios; skipped in -short")
+	}
+	sp := tinySpec()
+	sp.Users, sp.Background, sp.Faults = IntRange{Min: 2, Max: 2}, IntRange{}, FaultSpec{}
+	sp.FlowBytes, sp.Schedulers = Dist{}, nil
+	spec := sp.SampleSpec(0)
+	rep, err := scenario.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var groups []string
+	for _, f := range rep.Flows {
+		if f.GoodputMbps <= 0 {
+			t.Fatalf("flow %s carried nothing; the test needs every group to", f.Name)
+		}
+		groups = append(groups, f.Name)
+	}
+	if !slices.Contains(groups, "user-0") || !slices.Contains(groups, "user1-0") {
+		t.Fatalf("flows %v, want groups user and user1", groups)
+	}
+	var o outcome
+	extract(&o, rep, false)
+	if !o.ok[userGoodput] || o.v[userGoodput] != o.v[totalGoodput] {
+		t.Errorf("%s = %g, want the total %g", metricNames[userGoodput], o.v[userGoodput], o.v[totalGoodput])
+	}
+	if o.ok[bgGoodput] {
+		t.Errorf("%s present (%g) without background flows", metricNames[bgGoodput], o.v[bgGoodput])
 	}
 }
 

@@ -28,7 +28,7 @@ func FuzzDecodeSpec(f *testing.F) {
 		`{"faults":{"events":{"min":1,"max":6},"blackhole":true,"flap":true},"link_loss_pct":{"kind":"choice","choices":[0,5]}}`,
 		`{} garbage`,
 		`{}{"n":9}`,
-		`{"links":{"min":1,"max":3},"hops":{"min":1,"max":3},"users":{"min":1,"max":3},"flow_bytes":{"kind":"choice","choices":[0,3000]},"schedulers":["","ecf"],"chunk_bytes":{"kind":"uniform","min":0,"max":9000},"stop_sec":{"kind":"choice","choices":[0,0.5]},"faults":{"events":{"min":1,"max":4},"delay":true,"loss":true}}`,
+		`{"links":{"min":1,"max":3},"hops":{"min":1,"max":3},"users":{"min":1,"max":3},"flow_bytes":{"kind":"choice","choices":[0,3000]},"schedulers":["","ecf"],"stop_sec":{"kind":"choice","choices":[0,0.5]},"faults":{"events":{"min":1,"max":4},"delay":true}}`,
 	} {
 		f.Add([]byte(seed))
 	}

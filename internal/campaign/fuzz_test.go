@@ -12,9 +12,9 @@ import (
 
 // TestFuzzCensus: the first 200 scenarios of the fuzz population contain
 // every shape it exists to draw — shared links and two-link paths, several
-// multipath users, every controller, every scheduler with and without a
-// chunk size, stops, finite transfers, jittered starts and every timeline
-// kind — so a DSL edit that silently drops a shape fails here.
+// multipath users, every controller, every scheduler, stops, finite
+// transfers, jittered starts and every timeline kind — so a DSL edit that
+// silently drops a shape fails here.
 func TestFuzzCensus(t *testing.T) {
 	sp := Fuzz()
 	seen := map[string]bool{}
@@ -43,20 +43,13 @@ func TestFuzzCensus(t *testing.T) {
 				seen["controller "+f.Algorithm] = true
 			}
 			if f.Scheduler != "" {
-				chunk := " without chunk"
-				if f.ChunkBytes > 0 {
-					chunk = " with chunk"
-				}
-				seen["scheduler "+f.Scheduler+chunk] = true
+				seen["scheduler "+f.Scheduler] = true
 			}
 			seen["stop"] = seen["stop"] || f.StopSec > 0
 			seen["finite transfer"] = seen["finite transfer"] || f.FlowBytes > 0
 			seen["jittered start"] = seen["jittered start"] || f.StartJitter
 		}
 		seen["two multipath groups"] = seen["two multipath groups"] || users > 1
-		// A blackhole is a 100 % loss setpoint and its recovery, so more
-		// recoveries than blackholes means a loss setpoint of its own.
-		blackholes, losses := 0, 0
 		for _, ev := range s.Timeline {
 			switch ls := ev.Link; {
 			case ev.Path != nil && ev.Path.Up:
@@ -68,22 +61,18 @@ func TestFuzzCensus(t *testing.T) {
 			case ls.DelayMs != nil:
 				seen["delay setpoint"] = true
 			case *ls.LossPct == 100:
-				blackholes++
-			default:
-				losses++
+				seen["blackhole"] = true
 			}
 		}
-		seen["blackhole"] = seen["blackhole"] || blackholes > 0
-		seen["loss setpoint"] = seen["loss setpoint"] || losses > blackholes
 	}
 	want := []string{"two-link path", "link shared by two paths", "tcp", "two multipath groups",
 		"stop", "finite transfer", "jittered start",
-		"flap up", "flap down", "rate setpoint", "delay setpoint", "blackhole", "loss setpoint"}
+		"flap up", "flap down", "rate setpoint", "delay setpoint", "blackhole"}
 	for _, a := range sp.Algorithms {
 		want = append(want, "controller "+a)
 	}
 	for _, name := range mptcp.Schedulers() {
-		want = append(want, "scheduler "+name+" with chunk", "scheduler "+name+" without chunk")
+		want = append(want, "scheduler "+name)
 	}
 	for _, w := range want {
 		if !seen[w] {

@@ -94,9 +94,11 @@ func (r *Result) Digest() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// userFlow reports whether a compiled flow replica belongs to the sampled
-// user (the sampler names it "user"; the compiler suffixes "-<replica>").
-func userFlow(name string) bool { return strings.HasPrefix(name, "user-") }
+// userFlow reports whether a compiled flow replica belongs to a sampled
+// multipath user: the sampler names the user groups "user", "user1", …
+// and the background groups "bg0", "bg1", …, and the compiler suffixes
+// "-<replica>".
+func userFlow(name string) bool { return strings.HasPrefix(name, "user") }
 
 // The campaign's population metrics, in report order: an outcome holds
 // metric k's sample at index k.
@@ -549,7 +551,10 @@ type FuzzOptions struct {
 	N int
 	// Seed is the fuzz population's campaign seed: scenario i is
 	// Fuzz().SampleSpec(i) with Seed set, so a run is reproducible and any
-	// failure replays by index. Every value, 0 included, is a seed.
+	// failure replays by index. Every value, 0 included, is a seed. A
+	// campaign run (Run, `mptcpsim campaign`, serve) reads a zero seed as
+	// unset and samples seed 1 instead, so fuzz seed 0 has no campaign
+	// counterpart; every other seed samples the same scenarios in both.
 	Seed int64
 }
 

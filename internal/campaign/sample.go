@@ -132,11 +132,8 @@ func (sp *Spec) sampleInto(s *sampled, index int) {
 			user.FlowBytes = fb
 			user.Scheduler = choose(rng, sp.Schedulers)
 		}
-		// The scenario DSL gives a scheduled transfer a chunk size and no
-		// stop.
-		if user.Scheduler != "" {
-			user.ChunkBytes = int64(sp.ChunkBytes.sample(rng))
-		} else {
+		// The scenario DSL gives a scheduled transfer no stop.
+		if user.Scheduler == "" {
 			user.StopSec = sp.StopSec.sample(rng)
 		}
 	}
@@ -240,9 +237,6 @@ func (sp *Spec) sampleTimeline(rng *rand.Rand, s *sampled, out *scenario.Spec) [
 			t.v = sp.LinkDelayMs.sample(rng)
 			t.set = scenario.LinkSetpoint{Link: l, DelayMs: &t.v}
 			evs = append(evs, scenario.TimelineEvent{AtSec: at, Link: &t.set})
-		case "loss":
-			l := rng.Intn(nLinks)
-			evs = append(evs, s.lossEvent(len(evs), at, l, sp.LinkLossPct.sample(rng)))
 		}
 	}
 	slices.SortStableFunc(evs, func(a, b scenario.TimelineEvent) int { return cmp.Compare(a.AtSec, b.AtSec) })

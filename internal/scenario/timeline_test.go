@@ -33,11 +33,11 @@ func mustRun(t *testing.T, sp *Spec) *RunReport {
 	return runClean(t, mustCompile(t, sp))
 }
 
-// TestTimelineValidate locks every timeline structural check with its
-// message, in the TestSpecValidate style.
 // Float points at v, for the optional setpoint fields in literals.
 func Float(v float64) *float64 { return &v }
 
+// TestTimelineValidate locks every timeline structural check with its
+// message, in the TestSpecValidate style.
 func TestTimelineValidate(t *testing.T) {
 	cases := []struct {
 		name    string
