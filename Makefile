@@ -244,9 +244,11 @@ examples:
 	$(GO) run ./examples/wireless_handover > /dev/null
 	$(GO) run ./examples/datacenter -seconds 1 > /dev/null
 
-# Scenario fuzzer + cross-model conformance suite: 200 scenarios of the
-# fuzz population (campaign.Fuzz) under the full invariant set, then packet-vs-fluid per-path goodput share
-# agreement on 3- and 4-path topologies. Exits non-zero on any failure.
+# Scenario fuzzer + cross-model conformance suite: a campaign of 200
+# scenarios of the fuzz population (campaign.Fuzz) under the full invariant
+# set, run twice to check the re-run is identical, then packet-vs-fluid
+# per-path goodput share agreement on 3- and 4-path topologies. Exits
+# non-zero on any failure.
 conform:
 	$(GO) run ./cmd/mptcpsim conform
 

@@ -13,11 +13,11 @@
 //     Collect/RunAll regenerate the paper's tables and figures as
 //     structured Results (the cross-model conformance suite is the
 //     "conformance" table), Run executes one declarative N-path network
-//     (a ScenarioSpec, read back through one ScenarioReport), Fuzz runs
-//     FuzzCampaign under the invariant checks, Campaign samples and
-//     aggregates thousands of scenarios from a parameter-distribution
-//     population (with a content-addressed result cache), and Analyze
-//     evaluates the paper's loss-throughput fixed points without
+//     (a ScenarioSpec, read back through one ScenarioReport), Campaign
+//     samples and aggregates thousands of scenarios from a
+//     parameter-distribution population (with a content-addressed result
+//     cache; FuzzCampaign is the one run under the invariant checks), and
+//     Analyze evaluates the paper's loss-throughput fixed points without
 //     simulation. Worker budget and progress sink are set once, on the Lab. Calls can be cancelled via
 //     their context (errors wrap ErrCanceled) and observed in flight via
 //     WithProgress; failures are matchable with errors.Is/As against the
@@ -199,19 +199,12 @@ func DistChoice(vs ...float64) CampaignDist { return campaign.Choice(vs...) }
 // start from.
 func DefaultCampaign() *CampaignSpec { return campaign.Default() }
 
-// FuzzCampaign returns the population Lab.Fuzz runs: several multipath
-// users over shared links, beside single-path TCP, under every fault kind.
-// Scenario i of a fuzz run at seed S, the replay entry for a failure, is
-// its SampleSpec(i) with Seed set to S. Run as a campaign, it samples the
-// same scenarios at every seed but 0, which a campaign reads as unset
-// (seed 1); a fuzz run's seed 0 is a seed of its own.
+// FuzzCampaign returns the fuzz population, the campaign `mptcpsim
+// conform` runs under the invariant checks: several multipath users over
+// shared links, beside single-path TCP, under every fault kind. Scenario i
+// of a Lab.Campaign of it, the replay entry for a flagged scenario, is its
+// SampleSpec(i).
 func FuzzCampaign() *CampaignSpec { return campaign.Fuzz() }
-
-// FuzzOptions and FuzzReport scale and summarize a fuzz run (Lab.Fuzz).
-type (
-	FuzzOptions = campaign.FuzzOptions
-	FuzzReport  = campaign.FuzzReport
-)
 
 // Algorithms lists the available congestion-control algorithms: "olia"
 // (this paper's contribution), "lia" (RFC 6356), "uncoupled" (ε=2) and

@@ -147,12 +147,12 @@ func TestScenarioFacade(t *testing.T) {
 	if _, err := NewLab().Run(context.Background(), ScenarioSpec{DurationSec: 1}); err == nil {
 		t.Fatal("empty spec must error")
 	}
-	fz, err := NewLab().Fuzz(context.Background(), FuzzOptions{N: 3, Seed: 2})
+	fz, err := NewLab().Campaign(context.Background(), fuzzCampaign(3, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fz.Failed() {
-		t.Fatalf("fuzz failures: %+v", fz.Failures)
+	if fz.Violations > 0 {
+		t.Fatalf("fuzz violations: %d, in %v", fz.Violations, fz.Flagged)
 	}
 }
 

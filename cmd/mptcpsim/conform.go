@@ -6,17 +6,19 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"mptcpsim"
 	"mptcpsim/internal/sim"
 )
 
-// conformMain implements `mptcpsim conform`: the scenario fuzzer, then the
-// harness's "conformance" table (the fluid oracle) at 3 seeds from 1 with
-// 5 s warm-ups and -duration windows. Exits 1 when any invariant fails or
-// any case's verdict is not pass — the regression gate CI runs with
-// -smoke — and 130 on Ctrl-C (both stop at their next job boundary).
+// conformMain implements `mptcpsim conform`: the fuzz campaign, run twice,
+// then the harness's "conformance" table (the fluid oracle) at 3 seeds
+// from 1 with 5 s warm-ups and -duration windows. Exits 1 when any
+// invariant fails, the two fuzz runs differ or any case's verdict is not
+// pass — the regression gate CI runs with -smoke — and 130 on Ctrl-C (each
+// stops at its next job boundary).
 func conformMain(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("conform", flag.ExitOnError)
 	var (
@@ -53,13 +55,19 @@ func conformMain(ctx context.Context, args []string) {
 		os.Exit(1)
 	}
 	t0 := time.Now()
-	fuzz, err := lab.Fuzz(ctx, mptcpsim.FuzzOptions{N: *n, Seed: *seed})
-	if err != nil {
-		meter.clear()
-		exitOn(err, "interrupted")
+	fz := mptcpsim.FuzzCampaign()
+	fz.N, fz.Seed = *n, *seed
+	fuzz, err := lab.Campaign(ctx, *fz)
+	if err == nil {
+		// Every scenario is a pure function of its seed, so a second run
+		// that folds to a different result is a determinism failure.
+		var again *mptcpsim.CampaignResult
+		if again, err = lab.Campaign(ctx, *fz); err == nil && again.Digest() != fuzz.Digest() {
+			err = fmt.Errorf("fuzz re-run not identical: digest %s, then %s", fuzz.Digest(), again.Digest())
+		}
 	}
 	var conf *mptcpsim.Result
-	if !*fuzzOnly {
+	if err == nil && !*fuzzOnly {
 		conf, err = lab.Collect(ctx, "conformance")
 	}
 	meter.clear()
@@ -69,8 +77,8 @@ func conformMain(ctx context.Context, args []string) {
 
 	if *jsonOut {
 		out := struct {
-			Fuzz        *mptcpsim.FuzzReport `json:"fuzz"`
-			Conformance *mptcpsim.Result     `json:"conformance,omitempty"`
+			Fuzz        *mptcpsim.CampaignResult `json:"fuzz"`
+			Conformance *mptcpsim.Result         `json:"conformance,omitempty"`
 		}{fuzz, conf}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -86,7 +94,7 @@ func conformMain(ctx context.Context, args []string) {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "(conform total %v)\n", time.Since(t0).Round(time.Millisecond))
-	if fuzz.Failed() || (conf != nil && conformFailed(conf)) {
+	if fuzz.Violations > 0 || (conf != nil && conformFailed(conf)) {
 		os.Exit(1)
 	}
 }
@@ -104,8 +112,8 @@ func conformFailed(r *mptcpsim.Result) bool {
 }
 
 // replayMain re-runs one fuzz scenario by campaign seed and index — the
-// command each fuzz failure prints — and exits 1 if it still violates an
-// invariant.
+// command printed for each flagged scenario — and exits 1 if it still
+// violates an invariant.
 func replayMain(ctx context.Context, lab *mptcpsim.Lab, seed int64, index int, jsonOut bool) {
 	fz := mptcpsim.FuzzCampaign()
 	fz.Seed = seed
@@ -141,20 +149,12 @@ func replayMain(ctx context.Context, lab *mptcpsim.Lab, seed int64, index int, j
 	}
 }
 
-// renderFuzz prints the fuzz campaign summary; each failure carries the
-// one-line command that replays it in isolation.
-func renderFuzz(fuzz *mptcpsim.FuzzReport) {
-	verdict := "all invariants held"
-	if fuzz.Failed() {
-		verdict = fmt.Sprintf("%d scenarios FAILED", len(fuzz.Failures))
-	}
-	fmt.Printf("fuzz: %d scenarios (seed %d), %d flows over %d links, %d kernel events — %s\n",
-		fuzz.N, fuzz.Seed, fuzz.Flows, fuzz.Links, fuzz.Events, verdict)
-	for _, f := range fuzz.Failures {
-		fmt.Printf("  scenario %d (%s):\n", f.Index, f.Name)
-		for _, v := range f.Violations {
-			fmt.Printf("    %s\n", v)
-		}
-		fmt.Printf("    replay: mptcpsim conform -seed %d -replay %d\n", fuzz.Seed, f.Index)
+// renderFuzz prints the fuzz campaign report, then for each flagged
+// scenario the one-line command that replays it in isolation.
+func renderFuzz(fuzz *mptcpsim.CampaignResult) {
+	fmt.Print(fuzz.RenderText())
+	for _, name := range fuzz.Flagged {
+		fmt.Printf("  replay %s: mptcpsim conform -seed %d -replay %s\n",
+			name, fuzz.Seed, strings.TrimPrefix(name, fuzz.Name+"-"))
 	}
 }

@@ -21,8 +21,7 @@ import (
 var (
 	// ErrUnknownExperiment marks an experiment ID absent from the registry.
 	ErrUnknownExperiment = errors.New("unknown experiment")
-	// ErrInvalidConfig marks a rejected Config, worker count, format, or
-	// FuzzOptions value.
+	// ErrInvalidConfig marks a rejected Config, worker count or format.
 	ErrInvalidConfig = errors.New("invalid configuration")
 	// ErrInvalidSpec marks a rejected scenario or campaign spec, or
 	// analysis input.
@@ -46,7 +45,7 @@ var (
 // Error is the concrete error type of the Lab API boundary.
 type Error struct {
 	// Op names the Lab method that failed: "collect", "run-all", "run",
-	// "fuzz", "campaign", or "analyze".
+	// "campaign", or "analyze".
 	Op string
 	// ID is the experiment ID or scenario name involved, when there is one.
 	ID string

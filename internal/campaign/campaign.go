@@ -183,12 +183,13 @@ func Default() *Spec {
 	}
 }
 
-// Fuzz returns the fuzz population, the one RunFuzz runs: one to three
-// multipath users under every controller, over one to four paths routed
-// across a shared pool of one to four log-uniform 0.5-11.3 Mb/s links,
-// each path crossing one or two of them; 0-2 background TCP flows per path;
-// long-lived, stopped and finite transfers under every scheduler; and
-// one to five faults of every kind.
+// Fuzz returns the fuzz population, the campaign `mptcpsim conform` runs
+// twice under the invariant checks: one to three multipath users under
+// every controller, over one to four paths routed across a shared pool of
+// one to four log-uniform 0.5-11.3 Mb/s links, each path crossing one or
+// two of them; 0-2 background TCP flows per path; long-lived, stopped and
+// finite transfers under every scheduler; and one to five faults of every
+// kind.
 func Fuzz() *Spec {
 	return &Spec{
 		Name:         "fuzz",

@@ -495,6 +495,67 @@ func TestRunPanicKeepsIndices(t *testing.T) {
 	}
 }
 
+// TestRunFlagsViolations: simulate is swapped for one that plants
+// violations on twelve chosen scenarios, two of them on one. The Result
+// counts every violation, names the first flaggedCap offenders in index
+// order at any worker count and again on a warm re-run from the pack, and
+// its report ends the names with "…" only when the list is full — not when
+// one scenario holds more than one of the violations.
+func TestRunFlagsViolations(t *testing.T) {
+	sp := tinySpec()
+	sp.N = 40
+	planted := map[string]int{}
+	var want []string
+	for _, i := range []int{2, 5, 6, 9, 13, 17, 20, 21, 25, 30, 33, 38} {
+		name := sp.fill().SampleSpec(i).Name
+		planted[name] = 1
+		if len(want) < flaggedCap {
+			want = append(want, name)
+		}
+	}
+	planted[want[1]] = 2
+	t.Cleanup(func() { simulate = scenario.Run })
+	simulate = func(_ context.Context, spec *scenario.Spec) (*scenario.RunReport, error) {
+		rep := &scenario.RunReport{Name: spec.Name, Seed: spec.Seed, Processed: 10}
+		for k := 0; k < planted[spec.Name]; k++ {
+			rep.Violations = append(rep.Violations, fmt.Sprintf("planted violation %d", k))
+		}
+		return rep, nil
+	}
+	run := func(workers int) *Result {
+		t.Helper()
+		res, err := Run(context.Background(), sp, Options{Workers: workers, Version: "test"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	ref := run(1)
+	if ref.Violations != 13 || !slices.Equal(ref.Flagged, want) {
+		t.Fatalf("%d violations in %v, want 13 in %v", ref.Violations, ref.Flagged, want)
+	}
+	if text := ref.RenderText(); !strings.Contains(text, "INVARIANT VIOLATIONS: 13 (in "+strings.Join(want, ", ")+", …)\n") {
+		t.Errorf("a full flagged list is not marked as cut short:\n%s", text)
+	}
+	sp.CacheDir = t.TempDir()
+	cold, warm := run(4), run(4)
+	if warm.CacheHits != sp.N {
+		t.Errorf("warm re-run: %d cache hits, want %d", warm.CacheHits, sp.N)
+	}
+	for _, res := range []*Result{cold, warm} {
+		if res.Violations != ref.Violations || !slices.Equal(res.Flagged, ref.Flagged) || res.Digest() != ref.Digest() {
+			t.Errorf("4 workers, %d cache hits: %d violations in %v, want %d in %v",
+				res.CacheHits, res.Violations, res.Flagged, ref.Violations, ref.Flagged)
+		}
+	}
+	sp.CacheDir, sp.N = "", 6
+	res := run(2)
+	if text := res.RenderText(); res.Violations != 3 ||
+		!strings.Contains(text, "INVARIANT VIOLATIONS: 3 (in "+want[0]+", "+want[1]+")\n") {
+		t.Errorf("two flagged scenarios, one with two violations:\n%s", text)
+	}
+}
+
 // TestRunWarmCache is the issue's acceptance criterion: a 200-scenario
 // campaign re-run against a warm cache performs zero simulations and
 // reproduces the cold result byte-for-byte.

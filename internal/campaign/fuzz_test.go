@@ -2,8 +2,7 @@ package campaign
 
 import (
 	"context"
-	"strings"
-	"sync/atomic"
+	"reflect"
 	"testing"
 
 	"mptcpsim/internal/mptcp"
@@ -81,33 +80,69 @@ func TestFuzzCensus(t *testing.T) {
 	}
 }
 
-// TestRunFuzzFlagsNonIdentical: a scenario whose re-run differs is a
-// failure named by its index and replay name, and one whose run fails is
-// too; the others are clean.
-func TestRunFuzzFlagsNonIdentical(t *testing.T) {
-	var calls atomic.Int64
-	t.Cleanup(func() { simulate = scenario.Run })
-	simulate = func(ctx context.Context, spec *scenario.Spec) (*scenario.RunReport, error) {
-		rep := &scenario.RunReport{Name: spec.Name, Processed: 10}
-		switch spec.Name {
-		case "fuzz-1":
-			rep.Processed += uint64(calls.Add(1)) // each run differs
-		case "fuzz-2":
-			return nil, context.DeadlineExceeded
+// fuzzAt is the fuzz population at campaign seed seed.
+func fuzzAt(seed int64) *Spec {
+	sp := Fuzz()
+	sp.Seed = seed
+	return sp
+}
+
+// TestFuzzSampleReplays pins the replay contract of the fuzz population:
+// the same campaign seed and index always rebuild the identical scenario,
+// and another index another one.
+func TestFuzzSampleReplays(t *testing.T) {
+	sp := fuzzAt(42)
+	for _, i := range []int{0, 1, 17, 199} {
+		a, b := sp.SampleSpec(i), sp.SampleSpec(i)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("index %d: sampling not deterministic:\n%+v\n%+v", i, a, b)
 		}
-		return rep, nil
 	}
-	rep, err := RunFuzz(context.Background(), FuzzOptions{N: 4, Seed: 1}, 2, nil)
-	if err != nil {
-		t.Fatal(err)
+	if reflect.DeepEqual(sp.SampleSpec(0), sp.SampleSpec(1)) {
+		t.Fatal("consecutive indices sampled identical scenarios")
 	}
-	if len(rep.Failures) != 2 {
-		t.Fatalf("failures %+v, want scenarios 1 and 2", rep.Failures)
+}
+
+// TestFuzzSamplesValidate quantifies over a broad index range: the fuzz
+// population must never yield a scenario the scenario validator rejects.
+func TestFuzzSamplesValidate(t *testing.T) {
+	sp := fuzzAt(3)
+	for i := 0; i < 500; i++ {
+		s := sp.SampleSpec(i)
+		if err := s.Validate(); err != nil {
+			t.Fatalf("index %d: sampled invalid scenario: %v\n%+v", i, err, s)
+		}
 	}
-	for k, want := range []string{"re-run not identical", "run failed"} {
-		f := rep.Failures[k]
-		if f.Index != k+1 || f.Name != Fuzz().SampleSpec(k+1).Name || !strings.HasPrefix(f.Violations[0], want) {
-			t.Errorf("failure %d: %+v, want scenario %d: %s", k, f, k+1, want)
+}
+
+// TestFuzzRerunIdentical is the fuzz population's determinism check, on
+// the 200 scenarios `mptcpsim conform` runs and 200 more: every scenario
+// keeps every invariant, and a second run of it is byte-identical — the
+// same RunReport.Digest.
+func TestFuzzRerunIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates scenarios; skipped in -short")
+	}
+	ctx := context.Background()
+	for _, seed := range []int64{1, 11} {
+		sp := fuzzAt(seed)
+		for i := 0; i < sp.N; i++ {
+			spec := sp.SampleSpec(i)
+			r1, err := scenario.Run(ctx, spec)
+			if err != nil {
+				t.Fatalf("seed %d, %s: %v", seed, spec.Name, err)
+			}
+			if len(r1.Violations) > 0 {
+				t.Errorf("seed %d, %s: %v", seed, spec.Name, r1.Violations)
+			}
+			r2, err := scenario.Run(ctx, spec)
+			if err != nil {
+				t.Fatalf("seed %d, %s: re-run: %v", seed, spec.Name, err)
+			}
+			if d1, d2 := r1.Digest(), r2.Digest(); d1 != d2 {
+				t.Errorf("seed %d, %s: re-run not identical: processed %d traffic %x vs processed %d traffic %x",
+					seed, spec.Name, d1.Processed, d1.Traffic[:6], d2.Processed, d2.Traffic[:6])
+			}
 		}
 	}
 }

@@ -27,7 +27,7 @@ func (r *Result) RenderText() string {
 	fmt.Fprintf(&b, "\n  simulated %d, cache hits %d\n", r.Simulated, r.CacheHits)
 	if r.Violations > 0 {
 		fmt.Fprintf(&b, "  INVARIANT VIOLATIONS: %d (in %s", r.Violations, strings.Join(r.Flagged, ", "))
-		if r.Violations > len(r.Flagged) {
+		if len(r.Flagged) == flaggedCap {
 			b.WriteString(", …")
 		}
 		b.WriteString(")\n")

@@ -544,125 +544,3 @@ func Run(ctx context.Context, sp *Spec, opts Options) (*Result, error) {
 	f.res.Aggregates = f.as.aggregates()
 	return f.res, nil
 }
-
-// FuzzOptions scales a run of the fuzz population.
-type FuzzOptions struct {
-	// N is the number of scenarios to sample and run (0 selects 200).
-	N int
-	// Seed is the fuzz population's campaign seed: scenario i is
-	// Fuzz().SampleSpec(i) with Seed set, so a run is reproducible and any
-	// failure replays by index. Every value, 0 included, is a seed. A
-	// campaign run (Run, `mptcpsim campaign`, serve) reads a zero seed as
-	// unset and samples seed 1 instead, so fuzz seed 0 has no campaign
-	// counterpart; every other seed samples the same scenarios in both.
-	Seed int64
-}
-
-// Validate rejects a negative scenario count.
-func (o FuzzOptions) Validate() error {
-	if o.N < 0 {
-		return fmt.Errorf("campaign: negative fuzz scenario count %d", o.N)
-	}
-	return nil
-}
-
-// FuzzFailure records one scenario that violated an invariant.
-type FuzzFailure struct {
-	// Index replays the scenario: Fuzz().SampleSpec(Index) at the run's
-	// seed rebuilds it.
-	Index      int      `json:"index"`
-	Name       string   `json:"name"`
-	Violations []string `json:"violations"`
-}
-
-// FuzzReport summarizes a fuzz run.
-type FuzzReport struct {
-	N    int   `json:"n"`
-	Seed int64 `json:"seed"`
-	// Events counts kernel events processed across all scenarios.
-	Events uint64 `json:"events"`
-	// Flows and Links count the sampled population, a coverage signal.
-	Flows    int           `json:"flows"`
-	Links    int           `json:"links"`
-	Failures []FuzzFailure `json:"failures,omitempty"`
-}
-
-// Failed reports whether any scenario broke an invariant.
-func (r *FuzzReport) Failed() bool { return len(r.Failures) > 0 }
-
-// RunFuzz samples opts.N scenarios of the fuzz population (opts must pass
-// Validate) and runs each one twice: once checking the runtime and
-// post-run invariants (see scenario.Run), and a second time to verify the
-// run is byte-identical — the same scenario.RunReport.Digest — under the
-// same seed. Scenarios run on one runner.Stream of workers (<= 0 selects
-// GOMAXPROCS) and are folded into the report in index order as they
-// arrive; scenario i's outcome never depends on scheduling. progress, when
-// non-nil, receives the cumulative (done, total) scenario counts — (0, N)
-// first, then one call per scenario folded — on the goroutine that called
-// RunFuzz.
-//
-// Cancelling ctx stops unstarted scenarios at the next job boundary and
-// returns an error wrapping ctx.Err(); the partial run is discarded.
-func RunFuzz(ctx context.Context, opts FuzzOptions, workers int, progress func(done, total int)) (*FuzzReport, error) {
-	sp := Fuzz()
-	sp.Seed = opts.Seed
-	if opts.N > 0 {
-		sp.N = opts.N
-	}
-	rep := &FuzzReport{N: sp.N, Seed: sp.Seed}
-	if progress == nil {
-		progress = func(int, int) {}
-	}
-	progress(0, sp.N)
-	// A job reports its scenario as a FuzzReport of one; the fold adds
-	// them up.
-	err := runner.Stream(ctx, runner.New(workers), sp.N, func(i int) FuzzReport {
-		spec := sp.SampleSpec(i)
-		out := FuzzReport{Links: len(spec.Links)}
-		var violations []string
-		out.Events, out.Flows, violations = fuzzCheck(ctx, spec)
-		if len(violations) > 0 {
-			out.Failures = []FuzzFailure{{Index: i, Name: spec.Name, Violations: violations}}
-		}
-		return out
-	}, func(i int, out FuzzReport) {
-		rep.Events += out.Events
-		rep.Flows += out.Flows
-		rep.Links += out.Links
-		rep.Failures = append(rep.Failures, out.Failures...)
-		progress(i+1, sp.N)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("campaign: fuzz run canceled: %w", err)
-	}
-	return rep, nil
-}
-
-// fuzzCheck runs spec twice and returns the first run's events and flows
-// and every invariant the runs broke, a failed run and a re-run that is
-// not byte-identical included. A run that ctx cancelled breaks none.
-func fuzzCheck(ctx context.Context, spec *scenario.Spec) (events uint64, flows int, violations []string) {
-	r1, err := simulate(ctx, spec)
-	switch {
-	case err != nil && ctx.Err() != nil:
-		return 0, 0, nil
-	case err != nil:
-		// Sampled specs always validate; a failed run is itself an
-		// invariant failure.
-		return 0, 0, []string{fmt.Sprintf("run failed: %v", err)}
-	}
-	violations = r1.Violations
-	r2, err := simulate(ctx, spec)
-	switch {
-	case err != nil && ctx.Err() != nil:
-	case err != nil:
-		violations = append(violations, fmt.Sprintf("re-run failed: %v", err))
-	default:
-		if d1, d2 := r1.Digest(), r2.Digest(); d1 != d2 {
-			violations = append(violations, fmt.Sprintf(
-				"re-run not identical: processed %d traffic %x vs processed %d traffic %x",
-				d1.Processed, d1.Traffic[:6], d2.Processed, d2.Traffic[:6]))
-		}
-	}
-	return r1.Processed, len(r1.Flows), violations
-}

@@ -21,10 +21,12 @@ const indexStride = 1_000_003
 // comes from it in a fixed order, and the result is a validated
 // scenario.Spec. The same (Spec, index) pair yields the identical scenario
 // on every call — the property the cache key and the replay workflow rest
-// on. Call on a filled, validated spec (Run does both).
+// on. It applies Run's defaults first, so scenario index of a Run of sp —
+// a zero Seed read as 1 included — is what it returns. Call on a validated
+// spec (Run validates).
 func (sp *Spec) SampleSpec(index int) *scenario.Spec {
 	s := new(sampled)
-	sp.sampleInto(s, index)
+	sp.fill().sampleInto(s, index)
 	sim.FreeRand(s.rng)
 	s.rng = nil
 	return &s.Spec

@@ -29,8 +29,8 @@ const (
 	// ProgressJobs fires when the call's cumulative job counters change:
 	// simulated networks for Collect/RunAll (a scenario that several
 	// experiments of one call list runs, and counts, once), scenarios for
-	// Fuzz. Total is announced once, before the first job runs; Done grows
-	// as jobs finish.
+	// Campaign. Total is announced once, before the first job runs; Done
+	// grows as jobs finish.
 	ProgressJobs
 )
 
@@ -78,8 +78,8 @@ func WithConfig(cfg Config) Option {
 // WithWorkers bounds how many simulation jobs run concurrently across any
 // one call: 0 selects GOMAXPROCS, 1 forces sequential execution, and a
 // negative count makes every fanning-out method (Collect, RunAll,
-// Campaign, Fuzz) return ErrInvalidConfig. Results are
-// byte-identical for any worker count.
+// Campaign) return ErrInvalidConfig. Results are byte-identical for any
+// worker count.
 func WithWorkers(n int) Option {
 	return func(l *Lab) { l.cfg.Workers = n }
 }
@@ -246,28 +246,6 @@ func (l *Lab) Run(ctx context.Context, spec ScenarioSpec) (*ScenarioReport, erro
 			return nil, apiErr(op, spec.Name, ErrWatchdog, err)
 		}
 		return nil, classify(op, spec.Name, err)
-	}
-	return rep, nil
-}
-
-// Fuzz samples opts.N scenarios of FuzzCampaign() at seed opts.Seed on
-// the Lab's worker budget and runs each twice: once under the full
-// invariant suite and once more to verify the run is byte-identical. The
-// run is deterministic per seed, so any failure replays from its index
-// alone (see FuzzCampaign). A negative opts.N or worker budget is
-// ErrInvalidConfig. Cancelling ctx stops the run at the next scenario
-// boundary with an ErrCanceled error.
-func (l *Lab) Fuzz(ctx context.Context, opts FuzzOptions) (*FuzzReport, error) {
-	const op = "fuzz"
-	if err := opts.Validate(); err != nil {
-		return nil, apiErr(op, "", ErrInvalidConfig, err)
-	}
-	if err := l.validWorkers(op); err != nil {
-		return nil, err
-	}
-	rep, err := campaign.RunFuzz(ctx, opts, l.cfg.Workers, l.jobsProgress())
-	if err != nil {
-		return nil, classify(op, "", err)
 	}
 	return rep, nil
 }

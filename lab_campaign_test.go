@@ -168,7 +168,7 @@ func TestProgressContract(t *testing.T) {
 			return sp.N, err
 		}},
 		{"fuzz", "", func(lab *Lab) (int, error) {
-			_, err := lab.Fuzz(context.Background(), FuzzOptions{N: 12, Seed: 3})
+			_, err := lab.Campaign(context.Background(), fuzzCampaign(12, 3))
 			return 12, err
 		}},
 		{"conform", "conformance", func(lab *Lab) (int, error) {

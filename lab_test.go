@@ -118,7 +118,15 @@ func TestDatacenterCancels(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
-// TestLabFuzzCancelMidFlight is the same contract for Lab.Fuzz.
+// fuzzCampaign is n scenarios of FuzzCampaign() at campaign seed seed.
+func fuzzCampaign(n int, seed int64) CampaignSpec {
+	fz := *FuzzCampaign()
+	fz.N, fz.Seed = n, seed
+	return fz
+}
+
+// TestLabFuzzCancelMidFlight is the same contract for a Lab.Campaign of
+// the fuzz population.
 func TestLabFuzzCancelMidFlight(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short")
@@ -135,7 +143,7 @@ func TestLabFuzzCancelMidFlight(t *testing.T) {
 			}
 		}
 	}))
-	_, err := lab.Fuzz(ctx, FuzzOptions{N: 100, Seed: 7})
+	_, err := lab.Campaign(ctx, fuzzCampaign(100, 7))
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
 	}
@@ -160,37 +168,27 @@ func TestLabPreCancelled(t *testing.T) {
 	if _, err := lab.Run(ctx, validSpec()); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("Run: %v", err)
 	}
-	if _, err := lab.Fuzz(ctx, FuzzOptions{N: 3}); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("Fuzz: %v", err)
+	if _, err := lab.Campaign(ctx, fuzzCampaign(3, 0)); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("Campaign: %v", err)
 	}
 }
 
-// TestFanOutRejectsInvalidSizes: a negative worker budget or fuzz campaign
-// size is ErrInvalidConfig before anything runs, never a silent default. The context is already cancelled,
-// so a call that ran instead would fail with ErrCanceled.
+// TestFanOutRejectsInvalidSizes: a negative worker budget is
+// ErrInvalidConfig before anything runs, never a silent default. The
+// context is already cancelled, so a call that ran instead would fail with
+// ErrCanceled. (A negative campaign size is an invalid CampaignSpec.)
 func TestFanOutRejectsInvalidSizes(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	bad, ok := NewLab(WithWorkers(-1)), NewLab()
-	errOf := func(_ any, err error) error { return err }
-	for _, tc := range []struct {
-		name string
-		err  error
-	}{
-		{"campaign workers", errOf(bad.Campaign(ctx, tinyCampaign()))},
-		{"fuzz workers", errOf(bad.Fuzz(ctx, FuzzOptions{N: 3}))},
-		{"fuzz N", errOf(ok.Fuzz(ctx, FuzzOptions{N: -1}))},
-	} {
-		if !errors.Is(tc.err, ErrInvalidConfig) {
-			t.Errorf("%s: %v, want ErrInvalidConfig", tc.name, tc.err)
-		}
+	if _, err := NewLab(WithWorkers(-1)).Campaign(ctx, tinyCampaign()); !errors.Is(err, ErrInvalidConfig) {
+		t.Errorf("campaign workers: %v, want ErrInvalidConfig", err)
 	}
 }
 
-// TestLabFuzzSeedReplays: a fuzz run reports the seed it was given — 0
-// included — and its scenarios are exactly FuzzCampaign().SampleSpec(i)
-// with that seed, so the replay entry rebuilds what ran: the run's event
-// count is the sum of the replayed runs'.
+// TestLabFuzzSeedReplays: a fuzz campaign's scenarios are exactly
+// FuzzCampaign().SampleSpec(i) at its seed — 0 included, which both read
+// as seed 1 — so the replay entry rebuilds what ran: at two scenarios, the
+// run's least and most events processed are the replayed runs' counts.
 func TestLabFuzzSeedReplays(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short")
@@ -198,23 +196,28 @@ func TestLabFuzzSeedReplays(t *testing.T) {
 	ctx := context.Background()
 	lab := NewLab()
 	for _, seed := range []int64{0, 3} {
-		const n = 2
-		rep, err := lab.Fuzz(ctx, FuzzOptions{N: n, Seed: seed})
+		fz := fuzzCampaign(2, seed)
+		res, err := lab.Campaign(ctx, fz)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fz := FuzzCampaign()
-		fz.Seed = seed
-		var events uint64
-		for i := 0; i < n; i++ {
+		var events []float64
+		for i := 0; i < fz.N; i++ {
 			run, err := lab.Run(ctx, *fz.SampleSpec(i))
 			if err != nil {
 				t.Fatal(err)
 			}
-			events += run.Processed
+			events = append(events, float64(run.Processed))
 		}
-		if rep.Seed != seed || rep.Events != events {
-			t.Errorf("seed %d: campaign reports seed %d and %d events, replays give %d", seed, rep.Seed, rep.Events, events)
+		ev := res.Aggregates[len(res.Aggregates)-1]
+		if ev.Metric != "events_processed" {
+			t.Fatalf("last aggregate is %q, want events_processed", ev.Metric)
+		}
+		if lo, hi := min(events[0], events[1]), max(events[0], events[1]); ev.Min != lo || ev.Max != hi {
+			t.Errorf("seed %d: campaign processed %g to %g events per scenario, replays %v", seed, ev.Min, ev.Max, events)
+		}
+		if want := max(seed, 1); res.Seed != want {
+			t.Errorf("seed %d: campaign reports seed %d, want %d", seed, res.Seed, want)
 		}
 	}
 }
